@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos fabric-soak load-soak bench-obs bench-match bench-match-smoke bench-fabric bench-fabric-smoke bench-ws bench-ws-smoke bench-lint bench-lint-smoke bench-crawl bench-crawl-smoke bench-store bench-store-smoke lint fmt-check ci clean
+.PHONY: all build vet test race chaos fabric-soak load-soak bench-obs bench-match bench-match-smoke bench-fabric bench-fabric-smoke bench-ws bench-ws-smoke bench-lint bench-lint-smoke bench-crawl bench-crawl-smoke bench-store bench-store-smoke bench bench-smoke lint fmt-check ci clean
 
 all: ci
 
@@ -137,11 +137,23 @@ bench-store:
 bench-store-smoke:
 	$(GO) test ./internal/colstore -bench Store -benchtime 1x -run '^$$'
 
+# The repository's one end-to-end benchmark (bench/README.md; contract
+# in BENCHMARK.json): every workload, untraced then traced, each in a
+# fresh process, with cross-process dataset digest gates.
+bench:
+	$(GO) run ./bench
+
+# One-second fabric workload for ci: crawl 0 through the coordinator and
+# two production workers. Its digest gate fails unless the fabric
+# dataset is byte-identical to the dispatch path's.
+bench-smoke:
+	$(GO) run ./bench --workload fabric --seconds 1 --trace 0
+
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-ci: fmt-check vet build lint test race bench-match-smoke bench-fabric-smoke bench-ws-smoke bench-lint-smoke bench-crawl-smoke bench-store-smoke
+ci: fmt-check vet build lint test race bench-match-smoke bench-fabric-smoke bench-ws-smoke bench-lint-smoke bench-crawl-smoke bench-store-smoke bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -6,7 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/browser"
@@ -205,12 +205,13 @@ func TestMergeShardsDerivesAADomainsFromDeltas(t *testing.T) {
 	}
 }
 
-// TestCollectorAndMergeShardsAgree crawls a small synthetic world twice
-// over the same pages — once through the live Collector, once through
-// Recorder→spool→MergeShards — and requires both paths to yield the
-// same measurement: same site summaries, sockets, HTTP aggregates, and
-// the same derived D′.
-func TestCollectorAndMergeShardsAgree(t *testing.T) {
+// TestFolderAndMergeShardsAgree crawls a small synthetic world once and
+// takes its page records down both aggregation paths — folded live as
+// in-memory and fresh dispatched crawls do, and Recorder→spool→
+// MergeShards as resumed crawls and the fabric coordinator do — and
+// requires byte-identical datasets: same site summaries, canonical
+// socket order, HTTP aggregates, and the same derived D′.
+func TestFolderAndMergeShardsAgree(t *testing.T) {
 	w := webgen.NewWorld(webgen.Config{Seed: 31, NumPublishers: 12, Era: webgen.EraPrePatch})
 	s, err := webserver.Start(w)
 	if err != nil {
@@ -218,16 +219,14 @@ func TestCollectorAndMergeShardsAgree(t *testing.T) {
 	}
 	defer s.Close()
 
-	newLabeler := func() *labeler.Labeler {
-		lab := labeler.New(
-			filterlist.Parse("easylist", w.EasyListText()),
-			filterlist.Parse("easyprivacy", w.EasyPrivacyText()),
-		)
-		lab.SetCDNMap(w.CloudfrontMap())
-		return lab
-	}
-	collector := NewCollector("c", "pre-patch", 0, newLabeler())
-	recorder := NewRecorder(newLabeler())
+	lab := labeler.New(
+		filterlist.Parse("easylist", w.EasyListText()),
+		filterlist.Parse("easyprivacy", w.EasyPrivacyText()),
+	)
+	lab.SetCDNMap(w.CloudfrontMap())
+	recorder := NewRecorder(lab)
+	meta := DatasetMeta{Name: "c", Era: "pre-patch"}
+	folder := NewFolder(meta)
 	spool := filepath.Join(t.TempDir(), "shard-000.jsonl")
 	f, err := os.Create(spool)
 	if err != nil {
@@ -238,8 +237,9 @@ func TestCollectorAndMergeShardsAgree(t *testing.T) {
 	for _, p := range w.Publishers {
 		sites = append(sites, crawler.Site{Domain: p.Domain, Rank: p.Rank})
 	}
+	var mu sync.Mutex // serializes the shard file across crawl workers
 	cfg := crawler.Config{
-		Workers: 1, PagesPerSite: 3, Seed: 5,
+		Workers: 3, PagesPerSite: 3, Seed: 5,
 		SiteBrowser: func(site crawler.Site) *browser.Browser {
 			return browser.New(browser.Config{
 				Version: 57, Seed: crawler.SiteSeed(5, site.Domain),
@@ -247,12 +247,16 @@ func TestCollectorAndMergeShardsAgree(t *testing.T) {
 			})
 		},
 		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
-			collector.OnPage(site, pageURL, res)
 			rec, err := recorder.RecordPage(site, pageURL, res)
 			if err != nil {
 				t.Errorf("RecordPage(%s): %v", pageURL, err)
 				return
 			}
+			if !folder.Fold(rec) {
+				t.Errorf("Fold(%s): duplicate on a single pass", pageURL)
+			}
+			mu.Lock()
+			defer mu.Unlock()
 			if err := EncodeSpoolRecord(f, rec); err != nil {
 				t.Errorf("spool: %v", err)
 			}
@@ -265,59 +269,28 @@ func TestCollectorAndMergeShardsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := collector.Finalize()
-	merged, stats, err := MergeShards(DatasetMeta{Name: "c", Era: "pre-patch"}, []string{spool})
+	live, liveStats := folder.Finalize()
+	merged, stats, err := MergeShards(meta, []string{spool})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Duplicates != 0 || stats.Truncated != 0 {
 		t.Errorf("merge stats = %+v", stats)
 	}
-
-	if !reflect.DeepEqual(live.Sites, merged.Sites) {
-		t.Errorf("site summaries differ:\nlive:   %+v\nmerged: %+v", live.Sites, merged.Sites)
+	if liveStats.Pages != stats.Pages || stats.Pages == 0 {
+		t.Errorf("folded %d pages, merged %d", liveStats.Pages, stats.Pages)
 	}
-	sameStrings := func(a, b []string) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+	if len(live.Sockets) == 0 || len(live.AADomains) == 0 {
+		t.Fatalf("world too quiet to compare: %d sockets, %d A&A domains", len(live.Sockets), len(live.AADomains))
 	}
-	if !sameStrings(live.AADomains, merged.AADomains) {
-		t.Errorf("D' differs:\nlive:   %v\nmerged: %v", live.AADomains, merged.AADomains)
+	var a, b bytes.Buffer
+	if err := live.WriteJSON(&a); err != nil {
+		t.Fatal(err)
 	}
-	if !sameStrings(live.CDNCandidates, merged.CDNCandidates) {
-		t.Errorf("CDN candidates differ:\nlive:   %v\nmerged: %v", live.CDNCandidates, merged.CDNCandidates)
+	if err := merged.WriteJSON(&b); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(live.HTTPByDomain, merged.HTTPByDomain) {
-		t.Error("HTTP aggregates differ")
-	}
-	// The collector keeps sockets in crawl order, the merge in canonical
-	// order; compare them under a common sort.
-	canon := func(in []SocketRecord) []SocketRecord {
-		out := append([]SocketRecord(nil), in...)
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i], out[j]
-			if a.Site != b.Site {
-				return a.Site < b.Site
-			}
-			if a.PageURL != b.PageURL {
-				return a.PageURL < b.PageURL
-			}
-			return a.URL < b.URL
-		})
-		return out
-	}
-	if !reflect.DeepEqual(canon(live.Sockets), canon(merged.Sockets)) {
-		t.Errorf("sockets differ: live %d, merged %d", len(live.Sockets), len(merged.Sockets))
-	}
-	// And the paper's headline table must agree between the two paths.
-	if !reflect.DeepEqual(Table1(live), Table1(merged)) {
-		t.Errorf("Table 1 differs:\nlive:   %+v\nmerged: %+v", Table1(live), Table1(merged))
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("folded dataset (%d bytes) differs from merged dataset (%d bytes)", a.Len(), b.Len())
 	}
 }

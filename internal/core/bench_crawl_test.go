@@ -18,13 +18,12 @@ const (
 	benchCrawlWorkers = 4
 )
 
-func benchCrawlOptions(stateDir string, reference bool) Options {
+func benchCrawlOptions(stateDir string) Options {
 	return Options{
-		Seed:              benchCrawlSeed,
-		NumPublishers:     benchCrawlSites,
-		Workers:           benchCrawlWorkers,
-		PagesPerSite:      benchCrawlPages,
-		ReferencePipeline: reference,
+		Seed:          benchCrawlSeed,
+		NumPublishers: benchCrawlSites,
+		Workers:       benchCrawlWorkers,
+		PagesPerSite:  benchCrawlPages,
 		Dispatch: &DispatchOptions{
 			StateDir: stateDir,
 		},
@@ -43,8 +42,8 @@ func benchCrawl(b *testing.B, reference bool) {
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := benchCrawlOptions(filepath.Join(b.TempDir(), "state"), reference)
-		res, err := RunCrawl(ctx, opts, spec)
+		opts := benchCrawlOptions(filepath.Join(b.TempDir(), "state"))
+		res, err := runCrawl(ctx, opts, spec, reference)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +67,8 @@ func benchCrawl(b *testing.B, reference bool) {
 func BenchmarkCrawlPipeline(b *testing.B) { benchCrawl(b, false) }
 
 // BenchmarkCrawlPipelineReference is the retained seed path — the
-// pre-optimization pipeline the differential test compares against.
+// pre-optimization plane (pagePlane.reference) the differential test
+// compares against.
 // The gap between the two is the PR's claimed win; if it collapses,
 // an optimization has quietly stopped engaging.
 func BenchmarkCrawlPipelineReference(b *testing.B) { benchCrawl(b, true) }

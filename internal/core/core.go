@@ -8,8 +8,10 @@
 //	study, err := core.RunStudy(ctx, core.DefaultOptions())
 //	fmt.Println(study.Report())
 //
-// Individual crawls, custom worlds, and blocker-equipped browsers are
-// available through RunCrawl and the underlying packages.
+// Individual crawls are available through RunCrawl. Custom worlds and
+// blocker-equipped browsers are built from the underlying packages
+// directly (webgen, webserver, browser.New with adblock extensions), as
+// the programs under examples/ do.
 package core
 
 import (
@@ -24,11 +26,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
-	"repro/internal/faultnet"
-	"repro/internal/filterlist"
-	"repro/internal/labeler"
 	"repro/internal/webgen"
-	"repro/internal/webserver"
 )
 
 // CrawlSpec identifies one crawl of the study.
@@ -66,23 +64,10 @@ type Options struct {
 	PagesPerSite int
 	// WaitBetweenPages throttles the crawl (paper: ~60s; default 0).
 	WaitBetweenPages time.Duration
-	// Extensions, if non-nil, builds blocking extensions per crawl
-	// worker; the paper crawled with stock Chrome (nil).
-	Extensions func(spec CrawlSpec) []browser.Extension
 	// Dispatch, if non-nil, routes crawls through the durable
 	// orchestrator (internal/dispatch): lease-backed queue, retries,
 	// checkpoint/resume, and sharded spooling.
 	Dispatch *DispatchOptions
-	// ReferencePipeline routes the crawl through the retained seed-path
-	// pipeline: wire HTTP fetches through the full TCP + net/http
-	// stack, per-page allocation of traces/trees/scratch, and a spool
-	// flush per record. The default (false) is the optimized pipeline —
-	// in-process fetches, pooled per-page storage, batched spool group
-	// commit — which produces a byte-identical dataset; the reference
-	// path is retained as the differential oracle proving that
-	// (TestPipelineDifferential), the same pattern filterlist uses for
-	// its reference matcher.
-	ReferencePipeline bool
 	// Store routes dispatch-path crawls through the embedded columnar
 	// store (internal/colstore): every page record is ingested as it
 	// arrives, segments seal atomically at each checkpoint boundary, and
@@ -174,136 +159,98 @@ type CrawlResult struct {
 // RunCrawl generates the world for a crawl spec, serves it, crawls it,
 // and returns the measurement dataset. With opts.Dispatch set the crawl
 // runs through the durable orchestrator (checkpointed, retried,
-// resumable); otherwise it is a one-shot in-memory pass.
+// resumable); otherwise it is a one-shot in-memory pass. Both run the
+// same page plane, so the dataset is byte-identical either way.
 func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, error) {
-	opts = withDefaults(opts)
+	return runCrawl(ctx, opts, spec, false)
+}
+
+// runCrawl is RunCrawl with the plane selection exposed: reference=true
+// is the differential oracle (see pagePlane.reference).
+func runCrawl(ctx context.Context, opts Options, spec CrawlSpec, reference bool) (*CrawlResult, error) {
 	if opts.Store && opts.Dispatch == nil {
 		return nil, fmt.Errorf("core: crawl %q: Options.Store requires the dispatch path (set Options.Dispatch)", spec.Name)
 	}
-	world := webgen.NewWorld(webgen.Config{
-		Seed:          opts.Seed,
-		NumPublishers: opts.NumPublishers,
-		Era:           spec.Era,
-		CrawlIndex:    spec.CrawlIndex,
-	})
-	var fault faultnet.Profile
-	if opts.FaultProfile != "" {
-		p, ok := faultnet.ByName(opts.FaultProfile)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown fault profile %q (have: %s)",
-				opts.FaultProfile, strings.Join(faultnet.Names(), ", "))
-		}
-		fault = p
-	}
-	faultSeed := opts.FaultSeed + int64(spec.CrawlIndex)
-	server, err := webserver.StartWith(world, webserver.Options{
-		Fault:     fault,
-		FaultSeed: faultSeed,
-	})
+	plane, err := newPagePlane(opts, spec, reference)
 	if err != nil {
-		return nil, fmt.Errorf("core: start server: %w", err)
+		return nil, err
 	}
-	defer server.Close()
-
-	// The analysis labels with the same rule lists the blockers use —
-	// EasyList + EasyPrivacy — plus the study's manual CDN mapping
-	// (the 13 hand-mapped Cloudfront hosts of §3.2).
-	easylist := filterlist.Parse("easylist", world.EasyListText())
-	easyprivacy := filterlist.Parse("easyprivacy", world.EasyPrivacyText())
-	lab := labeler.New(easylist, easyprivacy)
-	lab.SetCDNMap(world.CloudfrontMap())
-
-	sites := make([]crawler.Site, 0, len(world.Publishers))
-	for _, p := range world.Publishers {
-		sites = append(sites, crawler.Site{Domain: p.Domain, Rank: p.Rank})
-	}
-
+	defer plane.Close()
+	var res *CrawlResult
 	if opts.Dispatch != nil {
-		return runCrawlDispatch(ctx, opts, spec, server, lab, sites, fault, faultSeed)
+		res, err = plane.crawlDispatch(ctx)
+	} else {
+		res, err = plane.crawlInMemory(ctx)
 	}
-
-	collector := analysis.NewCollector(spec.Name, spec.Era.String(), spec.CrawlIndex, lab)
-	collector.SetPooled(!opts.ReferencePipeline)
-	cfg := crawler.Config{
-		Workers:          opts.Workers,
-		PagesPerSite:     opts.PagesPerSite,
-		Seed:             opts.Seed + int64(spec.CrawlIndex),
-		WaitBetweenPages: opts.WaitBetweenPages,
-		NewBrowser: func(worker int) *browser.Browser {
-			var exts []browser.Extension
-			if opts.Extensions != nil {
-				exts = opts.Extensions(spec)
-			}
-			return browser.New(browserConfig(opts, server,
-				spec.BrowserVersion, opts.Seed+int64(spec.CrawlIndex)*1000+int64(worker),
-				fault, faultSeed), exts...)
-		},
-		OnPage: collector.OnPage,
-	}
-	stats, err := crawler.Crawl(ctx, sites, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: crawl %q: %w", spec.Name, err)
 	}
-	return &CrawlResult{Spec: spec, Dataset: collector.Finalize(), Stats: stats}, nil
+	return res, nil
 }
 
-// runCrawlDispatch routes one crawl through the durable orchestrator.
-// Browsers are seeded per site (crawler.SiteSeed), so site results are
-// independent of worker assignment and retries — the property that
-// makes resumed crawls converge to the uninterrupted dataset.
-func runCrawlDispatch(ctx context.Context, opts Options, spec CrawlSpec, server *webserver.Server, lab *labeler.Labeler, sites []crawler.Site, fault faultnet.Profile, faultSeed int64) (*CrawlResult, error) {
-	d := opts.Dispatch
-	crawlSeed := opts.Seed + int64(spec.CrawlIndex)
-	meta := analysis.DatasetMeta{
-		Name:       spec.Name,
-		Era:        spec.Era.String(),
-		CrawlIndex: spec.CrawlIndex,
+// crawlInMemory is the one-shot pass: every page record is folded
+// straight into the dataset by the same analysis.Folder the dispatch
+// path folds through, with nothing written to disk.
+func (p *pagePlane) crawlInMemory(ctx context.Context) (*CrawlResult, error) {
+	folder := analysis.NewFolder(FabricDatasetMeta(p.spec))
+	stats, err := crawler.Crawl(ctx, p.sites, p.crawlerConfig(func(site crawler.Site, pageURL string, res *browser.PageResult) {
+		rec, err := p.recorder.RecordPage(site, pageURL, res)
+		if err != nil {
+			return // unparseable page: drop it, as the dispatch path does
+		}
+		folder.Fold(rec)
+	}))
+	if err != nil {
+		return nil, err
 	}
+	ds, _ := folder.Finalize()
+	return &CrawlResult{Spec: p.spec, Dataset: ds, Stats: stats}, nil
+}
+
+// crawlDispatch routes the crawl through the durable orchestrator.
+func (p *pagePlane) crawlDispatch(ctx context.Context) (*CrawlResult, error) {
+	d := p.opts.Dispatch
+	meta := FabricDatasetMeta(p.spec)
 	var store *colstore.Store
-	if opts.Store {
+	if p.opts.Store {
 		shards := d.NumShards
 		if shards <= 0 {
-			shards = 8 // mirror the dispatch spool default
+			shards = dispatch.DefaultShards
 		}
 		st, err := colstore.Open(colstore.Config{
-			Dir:       d.storeDir(spec),
+			Dir:       d.storeDir(p.spec),
 			NumShards: shards,
 			Meta:      meta,
 			Resume:    d.Resume,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: crawl %q: %w", spec.Name, err)
+			return nil, err
 		}
 		store = st
 	}
+	batch := dispatch.BatchPolicy{Pages: 64, Bytes: 256 * 1024}
+	if p.reference {
+		batch = dispatch.BatchPolicy{} // a flush per record
+	}
 	res, err := dispatch.Run(ctx, dispatch.Config{
-		Name:             spec.Name,
+		Name:             p.spec.Name,
 		Meta:             meta,
-		Sites:            sites,
-		Workers:          opts.Workers,
-		PagesPerSite:     opts.PagesPerSite,
-		Seed:             crawlSeed,
-		WaitBetweenPages: opts.WaitBetweenPages,
-		NewBrowser: func(site crawler.Site, attempt int) *browser.Browser {
-			var exts []browser.Extension
-			if opts.Extensions != nil {
-				exts = opts.Extensions(spec)
-			}
-			return browser.New(browserConfig(opts, server,
-				spec.BrowserVersion, crawler.SiteSeed(crawlSeed, site.Domain),
-				fault, faultSeed), exts...)
-		},
-		Recorder:        &analysis.Recorder{Label: lab, Pooled: !opts.ReferencePipeline},
-		Batch:           spoolBatch(opts),
-		FoldLive:        !opts.ReferencePipeline && !opts.Store,
-		Store:           store,
-		SpoolDir:        d.spoolDir(spec),
-		NumShards:       d.NumShards,
-		CheckpointPath:  d.checkpointPath(spec),
-		Resume:          d.Resume,
-		CheckpointEvery: d.CheckpointEvery,
-		Retry:           dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
-		LeaseTTL:        d.LeaseTTL,
+		Sites:            p.sites,
+		Workers:          p.opts.Workers,
+		PagesPerSite:     p.opts.PagesPerSite,
+		Seed:             p.crawlSeed(),
+		WaitBetweenPages: p.opts.WaitBetweenPages,
+		NewBrowser:       func(site crawler.Site, _ int) *browser.Browser { return p.browserFor(site) },
+		Recorder:         p.recorder,
+		Batch:            batch,
+		Store:            store,
+		SpoolDir:         d.spoolDir(p.spec),
+		NumShards:        d.NumShards,
+		CheckpointPath:   d.checkpointPath(p.spec),
+		Resume:           d.Resume,
+		CheckpointEvery:  d.CheckpointEvery,
+		Retry:            dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
+		LeaseTTL:         d.LeaseTTL,
 	})
 	if store != nil {
 		// Seal the tail segments so the on-disk store holds the complete
@@ -313,55 +260,9 @@ func runCrawlDispatch(ctx context.Context, opts Options, spec CrawlSpec, server 
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: crawl %q: %w", spec.Name, err)
+		return nil, err
 	}
-	return &CrawlResult{Spec: spec, Dataset: res.Dataset, Stats: res.Stats, Dispatch: res}, nil
-}
-
-// spoolBatch picks the spool group-commit policy: 64-page / 256 KiB
-// groups on the optimized pipeline, per-record flush (the zero value)
-// on the reference pipeline.
-func spoolBatch(opts Options) dispatch.BatchPolicy {
-	if opts.ReferencePipeline {
-		return dispatch.BatchPolicy{}
-	}
-	return dispatch.BatchPolicy{Pages: 64, Bytes: 256 * 1024}
-}
-
-// browserConfig assembles one worker's browser config, selecting the
-// fetch path: in-process direct fetch (webserver.Fetch) on the
-// optimized pipeline, the wire client on the reference pipeline — and
-// always the wire under fault injection, since bypassing the wire would
-// bypass the injected faults.
-func browserConfig(opts Options, server *webserver.Server, version int, seed int64, fault faultnet.Profile, faultSeed int64) browser.Config {
-	cfg := browser.Config{
-		Version:      version,
-		Seed:         seed,
-		HTTPClient:   server.Client(),
-		ResolveWS:    server.Resolver(),
-		ReuseScratch: !opts.ReferencePipeline,
-	}
-	if !opts.ReferencePipeline && !fault.Enabled() {
-		cfg.Fetch = server.Fetch
-	}
-	return applyFault(cfg, fault, faultSeed)
-}
-
-// applyFault arms a browser config for a degraded crawl: client-side
-// fault wrapping on its WebSocket dials, plus the dial-retry hardening
-// that keeps transient handshake failures from costing a socket. Fault
-// schedules key on the browser's Seed, so on the dispatch path (per-site
-// seeded browsers) socket outcomes stay independent of worker
-// assignment and retries, exactly like the rest of the crawl.
-func applyFault(cfg browser.Config, fault faultnet.Profile, faultSeed int64) browser.Config {
-	if !fault.Enabled() {
-		return cfg
-	}
-	cfg.Fault = fault
-	cfg.FaultSeed = faultSeed
-	cfg.DialRetries = 2
-	cfg.DialRetryBackoff = 5 * time.Millisecond
-	return cfg
+	return &CrawlResult{Spec: p.spec, Dataset: res.Dataset, Stats: res.Stats, Dispatch: res}, nil
 }
 
 // Study is the completed four-crawl measurement.

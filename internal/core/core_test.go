@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/webgen"
@@ -49,21 +52,75 @@ func TestRunCrawlEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunCrawlDeterministic: the in-memory path is a pure function of
+// (Options, CrawlSpec) — eight workers racing over the site list still
+// serialize to the same bytes, because browsers are seeded per site and
+// the fold's finalize imposes the canonical order.
 func TestRunCrawlDeterministic(t *testing.T) {
 	spec := CrawlSpec{Name: "det", Era: webgen.EraPrePatch, CrawlIndex: 1, BrowserVersion: 57}
-	a, err := RunCrawl(context.Background(), smallOpts(), spec)
+	run := func() []byte {
+		res, err := RunCrawl(context.Background(), smallOpts(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Dataset.Sockets) == 0 {
+			t.Fatal("crawl observed no sockets")
+		}
+		return storeDatasetBytes(t, res.Dataset)
+	}
+	if a, b := run(), run(); !bytes.Equal(a, b) {
+		t.Errorf("same options, different datasets (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// TestEntryPointsAgree: the same (Options, CrawlSpec) through in-memory
+// RunCrawl, dispatched RunCrawl, and a fabric coordinator with two
+// production workers yields one dataset, byte for byte — all three run
+// the same page plane.
+func TestEntryPointsAgree(t *testing.T) {
+	opts := Options{Seed: 4242, NumPublishers: 18, Workers: 3, PagesPerSite: 3}
+	spec := CrawlSpec{Name: "agree", Era: webgen.EraPostPatch, CrawlIndex: 2, BrowserVersion: 58}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	inMemory, err := RunCrawl(ctx, opts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCrawl(context.Background(), smallOpts(), spec)
+	want := storeDatasetBytes(t, inMemory.Dataset)
+	if len(inMemory.Dataset.Sockets) == 0 || len(inMemory.Dataset.AADomains) == 0 {
+		t.Fatal("world too quiet to compare entry points")
+	}
+
+	dispatched := opts
+	dispatched.Dispatch = &DispatchOptions{StateDir: filepath.Join(t.TempDir(), "state")}
+	res, err := RunCrawl(ctx, dispatched, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Dataset.Sockets) != len(b.Dataset.Sockets) {
-		t.Errorf("socket counts differ: %d vs %d", len(a.Dataset.Sockets), len(b.Dataset.Sockets))
+	if got := storeDatasetBytes(t, res.Dataset); !bytes.Equal(got, want) {
+		t.Errorf("dispatched dataset (%d bytes) differs from in-memory (%d bytes)", len(got), len(want))
 	}
-	if len(a.Dataset.AADomains) != len(b.Dataset.AADomains) {
-		t.Errorf("D' sizes differ: %d vs %d", len(a.Dataset.AADomains), len(b.Dataset.AADomains))
+
+	dir := t.TempDir()
+	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
+		Addr:           "127.0.0.1:0",
+		BatchSize:      4,
+		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+		SpoolDir:       filepath.Join(dir, "spool"),
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	runFabricWorkers(ctx, t, coord, 2)
+	ds, _, err := coord.Finalize(FabricDatasetMeta(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := storeDatasetBytes(t, ds); !bytes.Equal(got, want) {
+		t.Errorf("fabric dataset (%d bytes) differs from in-memory (%d bytes)", len(got), len(want))
 	}
 }
 

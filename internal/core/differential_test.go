@@ -9,17 +9,17 @@ import (
 	"repro/internal/webgen"
 )
 
-// runPipeline runs one crawl with the given pipeline selection and
-// returns the dataset's exact JSON bytes.
+// runPipeline runs one dispatched crawl on the shipping plane or the
+// reference plane (pagePlane.reference) and returns the dataset's exact
+// JSON bytes.
 func runPipeline(t *testing.T, reference bool) []byte {
 	t.Helper()
-	res, err := RunCrawl(context.Background(), Options{
+	res, err := runCrawl(context.Background(), Options{
 		Seed: 4242, NumPublishers: 18, Workers: 4, PagesPerSite: 3,
-		ReferencePipeline: reference,
 		Dispatch: &DispatchOptions{
 			StateDir: filepath.Join(t.TempDir(), "state"),
 		},
-	}, CrawlSpec{Name: "diff-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57})
+	}, CrawlSpec{Name: "diff-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57}, reference)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,10 @@ func runPipeline(t *testing.T, reference bool) []byte {
 	return buf.Bytes()
 }
 
-// TestPipelineDifferential is the PR's non-negotiable invariant: the
-// optimized pipeline — in-process fetch plane, per-page scratch reuse,
-// pooled recorder, group-committed spool, live folding — produces a
-// byte-identical dataset to the retained seed/reference path. Every
+// TestPipelineDifferential is the page plane's non-negotiable
+// invariant: the shipping plane — in-process fetches, per-page scratch
+// reuse, pooled recorder, group-committed spool — produces a
+// byte-identical dataset to the retained seed/reference plane. Every
 // pooling or batching optimization must preserve this; a single leaked
 // scratch byte or reordered record fails here.
 func TestPipelineDifferential(t *testing.T) {

@@ -1,11 +1,10 @@
-// Fabric wiring: adapters that run the normal page pipeline under the
-// distributed dispatcher (internal/fabric). The coordinator side builds
-// the site list and batch plan from the same synthetic-world parameters
-// a local crawl uses; the worker side rebuilds the whole measurement
-// stack (world, web server, labeler, recorder) from the CrawlConfig the
-// coordinator broadcasts, so every worker crawls an identical world and
-// a site's spool lines are byte-identical no matter which worker — or
-// how many workers — produced them (DESIGN.md §12).
+// Fabric wiring: adapters that run the page plane under the distributed
+// dispatcher (internal/fabric). The coordinator side builds the site
+// list and batch plan from the same synthetic-world parameters a local
+// crawl uses; the worker side rebuilds the page plane (plane.go) from
+// the CrawlConfig the coordinator broadcasts, so every worker crawls an
+// identical world and a site's spool lines are byte-identical no matter
+// which worker — or how many workers — produced them (DESIGN.md §12).
 
 package core
 
@@ -15,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,10 +26,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fabric/wire"
 	"repro/internal/faultnet"
-	"repro/internal/filterlist"
-	"repro/internal/labeler"
 	"repro/internal/webgen"
-	"repro/internal/webserver"
 )
 
 // FabricCrawlConfig renders a crawl spec as the wire config the
@@ -59,30 +54,14 @@ func FabricDatasetMeta(spec CrawlSpec) analysis.DatasetMeta {
 // only needs the publisher roster — it never serves or crawls the world
 // itself; workers rebuild the full world from the same seed.
 func FabricSites(opts Options, spec CrawlSpec) []crawler.Site {
-	opts = withDefaults(opts)
-	world := webgen.NewWorld(webgen.Config{
-		Seed:          opts.Seed,
-		NumPublishers: opts.NumPublishers,
-		Era:           spec.Era,
-		CrawlIndex:    spec.CrawlIndex,
-	})
-	sites := make([]crawler.Site, 0, len(world.Publishers))
-	for _, p := range world.Publishers {
-		sites = append(sites, crawler.Site{Domain: p.Domain, Rank: p.Rank})
-	}
-	return sites
+	return siteRoster(newWorld(withDefaults(opts), spec))
 }
 
-// FabricRunner executes leased batches on a worker: it owns a synthetic
-// world served over an in-process web server plus the labeler/recorder
-// stack, and crawls each batch's sites with per-site seeded browsers —
-// the same determinism regime as the local dispatch path.
+// FabricRunner executes leased batches on a worker: it owns the page
+// plane rebuilt from the coordinator's crawl config — the same plane,
+// with the same per-site seeded browsers, that RunCrawl runs locally.
 type FabricRunner struct {
-	crawl    wire.CrawlConfig
-	workers  int
-	server   *webserver.Server
-	recorder *analysis.Recorder
-	seed     int64 // crawl seed (world seed + crawl index)
+	plane *pagePlane
 }
 
 // NewFabricRunner rebuilds the measurement stack from a coordinator's
@@ -97,35 +76,26 @@ func NewFabricRunner(cfg wire.CrawlConfig, workers int) (*FabricRunner, error) {
 	default:
 		return nil, fmt.Errorf("core: fabric crawl config has unknown era %q", cfg.Era)
 	}
-	if workers <= 0 {
-		workers = 8
-	}
-	world := webgen.NewWorld(webgen.Config{
+	plane, err := newPagePlane(Options{
 		Seed:          cfg.Seed,
 		NumPublishers: cfg.NumPublishers,
-		Era:           era,
-		CrawlIndex:    cfg.CrawlIndex,
-	})
-	server, err := webserver.StartWith(world, webserver.Options{})
+		Workers:       workers,
+		PagesPerSite:  cfg.PagesPerSite,
+	}, CrawlSpec{
+		Name:           cfg.Name,
+		Era:            era,
+		CrawlIndex:     cfg.CrawlIndex,
+		BrowserVersion: cfg.BrowserVersion,
+	}, false)
 	if err != nil {
-		return nil, fmt.Errorf("core: start server: %w", err)
+		return nil, err
 	}
-	easylist := filterlist.Parse("easylist", world.EasyListText())
-	easyprivacy := filterlist.Parse("easyprivacy", world.EasyPrivacyText())
-	lab := labeler.New(easylist, easyprivacy)
-	lab.SetCDNMap(world.CloudfrontMap())
-	return &FabricRunner{
-		crawl:    cfg,
-		workers:  workers,
-		server:   server,
-		recorder: analysis.NewRecorder(lab),
-		seed:     cfg.Seed + int64(cfg.CrawlIndex),
-	}, nil
+	return &FabricRunner{plane: plane}, nil
 }
 
 // Close shuts the runner's in-process web server down.
 func (r *FabricRunner) Close() error {
-	r.server.Close()
+	r.plane.Close()
 	return nil
 }
 
@@ -178,36 +148,23 @@ func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func
 	}
 	src := &batchSource{sites: sites}
 	var pages atomic.Int64
-	cfg := crawler.Config{
-		Workers:      r.workers,
-		PagesPerSite: r.crawl.PagesPerSite,
-		Seed:         r.seed,
-		SiteBrowser: func(site crawler.Site) *browser.Browser {
-			return browser.New(browser.Config{
-				Version:    r.crawl.BrowserVersion,
-				Seed:       crawler.SiteSeed(r.seed, site.Domain),
-				HTTPClient: r.server.Client(),
-				ResolveWS:  r.server.Resolver(),
-			})
-		},
-		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
-			rec, err := r.recorder.RecordPage(site, pageURL, res)
-			if err != nil {
-				src.Done(site, 0, err)
-				return
-			}
-			var buf bytes.Buffer
-			if err := analysis.EncodeSpoolRecord(&buf, rec); err != nil {
-				src.Done(site, 0, err)
-				return
-			}
-			line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
-			if err := emit(site.Domain, line); err != nil {
-				return // emit cancels the batch context itself
-			}
-			pages.Add(1)
-		},
-	}
+	cfg := r.plane.crawlerConfig(func(site crawler.Site, pageURL string, res *browser.PageResult) {
+		rec, err := r.plane.recorder.RecordPage(site, pageURL, res)
+		if err != nil {
+			src.Done(site, 0, err)
+			return
+		}
+		var buf bytes.Buffer
+		if err := analysis.EncodeSpoolRecord(&buf, rec); err != nil {
+			src.Done(site, 0, err)
+			return
+		}
+		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+		if err := emit(site.Domain, line); err != nil {
+			return // emit cancels the batch context itself
+		}
+		pages.Add(1)
+	})
 	if _, err := crawler.CrawlSource(ctx, src, cfg); err != nil {
 		return int(pages.Load()), nil, err
 	}
@@ -251,15 +208,9 @@ type FabricCoordinatorOptions struct {
 // StartFabricCoordinator derives the site list for a crawl spec and
 // starts a batch coordinator serving it.
 func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOptions) (*fabric.Coordinator, error) {
-	opts = withDefaults(opts)
-	var fault faultnet.Profile
-	if fo.FaultProfile != "" {
-		p, ok := faultnet.ByName(fo.FaultProfile)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown fault profile %q (have: %s)",
-				fo.FaultProfile, strings.Join(faultnet.Names(), ", "))
-		}
-		fault = p
+	fault, err := faultProfile(fo.FaultProfile)
+	if err != nil {
+		return nil, err
 	}
 	return fabric.StartCoordinator(fo.Addr, fabric.CoordinatorConfig{
 		Crawl:          FabricCrawlConfig(opts, spec),
@@ -301,18 +252,17 @@ type FabricWorkerOptions struct {
 // RunFabricWorker joins a coordinator and executes leased batches with
 // the full page pipeline until the crawl drains or ctx ends.
 func RunFabricWorker(ctx context.Context, wo FabricWorkerOptions) error {
+	fault, err := faultProfile(wo.FaultProfile)
+	if err != nil {
+		return err
+	}
 	var wrap func(net.Conn) net.Conn
-	if wo.FaultProfile != "" {
-		p, ok := faultnet.ByName(wo.FaultProfile)
-		if !ok {
-			return fmt.Errorf("core: unknown fault profile %q (have: %s)",
-				wo.FaultProfile, strings.Join(faultnet.Names(), ", "))
-		}
+	if fault.Enabled() {
 		var dials atomic.Int64
 		wrap = func(nc net.Conn) net.Conn {
 			// A fresh schedule per dial: a reconnect must not replay the
 			// exact fault position that killed the previous link.
-			return faultnet.WrapConn(nc, p, wo.FaultSeed+dials.Add(1))
+			return faultnet.WrapConn(nc, fault, wo.FaultSeed+dials.Add(1))
 		}
 	}
 	return fabric.RunWorker(ctx, fabric.WorkerConfig{

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/colstore"
+	"repro/internal/fabric"
 	"repro/internal/webgen"
 )
 
@@ -44,7 +45,7 @@ func TestStoreDifferential(t *testing.T) {
 	spec := CrawlSpec{Name: "bench", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57}
 	ctx := context.Background()
 
-	mergeOpts := benchCrawlOptions(filepath.Join(t.TempDir(), "state"), false)
+	mergeOpts := benchCrawlOptions(filepath.Join(t.TempDir(), "state"))
 	mergeRes, err := RunCrawl(ctx, mergeOpts, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestStoreDifferential(t *testing.T) {
 	oracleTables := renderAllTables(mergeRes.Dataset)
 
 	stateDir := filepath.Join(t.TempDir(), "state")
-	storeOpts := benchCrawlOptions(stateDir, false)
+	storeOpts := benchCrawlOptions(stateDir)
 	storeOpts.Store = true
 	storeRes, err := RunCrawl(ctx, storeOpts, spec)
 	if err != nil {
@@ -90,6 +91,35 @@ func TestStoreRequiresDispatch(t *testing.T) {
 	}, CrawlSpec{Name: "bad", Era: webgen.EraPrePatch, BrowserVersion: 57})
 	if err == nil {
 		t.Fatal("Store without Dispatch accepted")
+	}
+}
+
+// runFabricWorkers attaches n production workers to coord and waits for
+// the crawl to drain and every worker to exit cleanly.
+func runFabricWorkers(ctx context.Context, t *testing.T, coord *fabric.Coordinator, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = RunFabricWorker(ctx, FabricWorkerOptions{
+				Name:    fmt.Sprintf("w%d", i),
+				URL:     coord.URL(),
+				Workers: 2,
+				Seed:    int64(i + 1),
+			})
+		}(i)
+	}
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatalf("coordinator never drained: %v", err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
 	}
 }
 
@@ -131,29 +161,7 @@ func TestFabricStoreDifferential(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = RunFabricWorker(ctx, FabricWorkerOptions{
-				Name:    fmt.Sprintf("w%d", i),
-				URL:     coord.URL(),
-				Workers: 2,
-				Seed:    int64(i + 1),
-			})
-		}(i)
-	}
-	if err := coord.Wait(ctx); err != nil {
-		t.Fatalf("coordinator never drained: %v", err)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("worker %d: %v", i, err)
-		}
-	}
+	runFabricWorkers(ctx, t, coord, 2)
 
 	// Finalize writes the last checkpoint (sealing the store) and merges
 	// the spool — the oracle the streamed store must reproduce.

@@ -6,11 +6,10 @@
 // The crawler is deterministic per (seed, site) and runs sites across a
 // worker pool. Sites come from a pluggable Source: a plain slice for
 // one-shot crawls, or a durable lease-backed queue (internal/dispatch)
-// for crawls that must survive crashes and retries. Each worker owns
-// its own browser instance (one synthetic user per worker, like one
-// Chrome profile per crawler node), unless Config.SiteBrowser asks for
-// a fresh browser per site — the mode the dispatch orchestrator uses so
-// a site's results do not depend on which worker crawled it.
+// for crawls that must survive crashes and retries. Every site is
+// crawled with a fresh browser from Config.SiteBrowser (one synthetic
+// user per site, like a clean Chrome profile per visit), so a site's
+// results do not depend on which worker crawled it or in what order.
 package crawler
 
 import (
@@ -48,13 +47,12 @@ type Config struct {
 	// WaitBetweenPages throttles page visits (the paper waited ~60s;
 	// the simulator defaults to 0).
 	WaitBetweenPages time.Duration
-	// NewBrowser builds the browser for a worker. Required unless
-	// SiteBrowser is set.
-	NewBrowser func(worker int) *browser.Browser
-	// SiteBrowser, when set, builds a fresh browser per site instead of
-	// one per worker. This makes a site's results independent of worker
-	// assignment and visit order, which the dispatch orchestrator
-	// relies on for deterministic retries and resume.
+	// SiteBrowser builds the browser for one site. Seed it from the site
+	// (SiteSeed), not from anything about the worker: that keeps a
+	// site's results independent of worker assignment and visit order,
+	// which every entry point relies on for byte-identical datasets and
+	// the dispatch orchestrator for deterministic retries and resume.
+	// Required by Crawl/CrawlSource; CrawlSite takes its browser directly.
 	SiteBrowser func(site Site) *browser.Browser
 	// OnPage receives every successfully loaded page. It may be called
 	// concurrently from workers.
@@ -205,8 +203,8 @@ func Crawl(ctx context.Context, sites []Site, cfg Config) (Stats, error) {
 // Workers pull sites with src.Next, crawl them with per-site panic
 // recovery, and report each outcome with src.Done.
 func CrawlSource(ctx context.Context, src Source, cfg Config) (Stats, error) {
-	if cfg.NewBrowser == nil && cfg.SiteBrowser == nil {
-		return Stats{}, fmt.Errorf("crawler: Config.NewBrowser or Config.SiteBrowser is required")
+	if cfg.SiteBrowser == nil {
+		return Stats{}, fmt.Errorf("crawler: Config.SiteBrowser is required")
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -217,25 +215,17 @@ func CrawlSource(ctx context.Context, src Source, cfg Config) (Stats, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			var b *browser.Browser
-			if cfg.SiteBrowser == nil {
-				b = cfg.NewBrowser(worker)
-			}
 			for {
 				site, ok := src.Next(ctx)
 				if !ok {
 					return
 				}
-				sb := b
-				if cfg.SiteBrowser != nil {
-					sb = cfg.SiteBrowser(site)
-				}
-				pages, err := CrawlSite(ctx, sb, site, cfg, &stats)
+				pages, err := CrawlSite(ctx, cfg.SiteBrowser(site), site, cfg, &stats)
 				src.Done(site, pages, err)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return stats, ctx.Err()

@@ -23,6 +23,17 @@ func testEnv(t *testing.T) (*webgen.World, *webserver.Server) {
 	return w, s
 }
 
+// siteBrowser is the Config.SiteBrowser every entry point uses: a fresh
+// browser per site, seeded from (seed, site) alone.
+func siteBrowser(s *webserver.Server, seed int64) func(Site) *browser.Browser {
+	return func(site Site) *browser.Browser {
+		return browser.New(browser.Config{
+			Version: 57, Seed: SiteSeed(seed, site.Domain),
+			HTTPClient: s.Client(), ResolveWS: s.Resolver(),
+		})
+	}
+}
+
 func TestCrawlRespectsPageBudget(t *testing.T) {
 	w, s := testEnv(t)
 	var mu sync.Mutex
@@ -35,12 +46,7 @@ func TestCrawlRespectsPageBudget(t *testing.T) {
 		Workers:      2,
 		PagesPerSite: 5,
 		Seed:         7,
-		NewBrowser: func(worker int) *browser.Browser {
-			return browser.New(browser.Config{
-				Version: 57, Seed: int64(worker),
-				HTTPClient: s.Client(), ResolveWS: s.Resolver(),
-			})
-		},
+		SiteBrowser:  siteBrowser(s, 7),
 		OnPage: func(site Site, pageURL string, res *browser.PageResult) {
 			mu.Lock()
 			pagesBySite[site.Domain]++
@@ -74,9 +80,7 @@ func TestCrawlVisitsHomepageFirst(t *testing.T) {
 	site := Site{Domain: w.Publishers[0].Domain, Rank: 1}
 	cfg := Config{
 		Workers: 1, PagesPerSite: 3, Seed: 7,
-		NewBrowser: func(worker int) *browser.Browser {
-			return browser.New(browser.Config{Version: 57, Seed: 1, HTTPClient: s.Client(), ResolveWS: s.Resolver()})
-		},
+		SiteBrowser: siteBrowser(s, 1),
 		OnPage: func(_ Site, pageURL string, _ *browser.PageResult) {
 			mu.Lock()
 			order = append(order, pageURL)
@@ -98,9 +102,7 @@ func TestCrawlDeterministicLinkSampling(t *testing.T) {
 		var pages []string
 		cfg := Config{
 			Workers: 1, PagesPerSite: 6, Seed: 99,
-			NewBrowser: func(worker int) *browser.Browser {
-				return browser.New(browser.Config{Version: 57, Seed: 5, HTTPClient: s.Client(), ResolveWS: s.Resolver()})
-			},
+			SiteBrowser: siteBrowser(s, 5),
 			OnPage: func(_ Site, pageURL string, _ *browser.PageResult) {
 				mu.Lock()
 				pages = append(pages, pageURL)
@@ -134,9 +136,7 @@ func TestCrawlCancellation(t *testing.T) {
 	}
 	cfg := Config{
 		Workers: 2, PagesPerSite: 15, Seed: 1,
-		NewBrowser: func(worker int) *browser.Browser {
-			return browser.New(browser.Config{Version: 57, Seed: 2, HTTPClient: s.Client(), ResolveWS: s.Resolver()})
-		},
+		SiteBrowser: siteBrowser(s, 2),
 		OnPage: func(Site, string, *browser.PageResult) {
 			once.Do(cancel) // cancel after the first page
 		},
@@ -293,7 +293,7 @@ func TestCrawlCancellationStatsConsistent(t *testing.T) {
 
 func TestCrawlRequiresBrowserFactory(t *testing.T) {
 	if _, err := Crawl(context.Background(), nil, Config{}); err == nil {
-		t.Error("missing NewBrowser accepted")
+		t.Error("missing SiteBrowser accepted")
 	}
 }
 
@@ -301,9 +301,7 @@ func TestCrawlCountsErrors(t *testing.T) {
 	_, s := testEnv(t)
 	cfg := Config{
 		Workers: 1, PagesPerSite: 3, Seed: 1,
-		NewBrowser: func(worker int) *browser.Browser {
-			return browser.New(browser.Config{Version: 57, Seed: 3, HTTPClient: s.Client(), ResolveWS: s.Resolver()})
-		},
+		SiteBrowser: siteBrowser(s, 3),
 	}
 	// A site outside the world: its homepage fetch 502s.
 	stats, err := Crawl(context.Background(), []Site{{Domain: "no-such-site.example", Rank: 1}}, cfg)

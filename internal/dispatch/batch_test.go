@@ -7,22 +7,33 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/crawler"
 )
 
 // batched returns cfg flipped onto the optimized dispatch plane: pooled
-// recorder scratch, group-committed spool writes, and live record
-// folding.
+// recorder scratch and group-committed spool writes.
 func batched(cfg Config) Config {
 	cfg.Recorder.Pooled = true
 	cfg.Batch = BatchPolicy{Pages: 64, Bytes: 256 * 1024}
-	cfg.FoldLive = true
 	return cfg
+}
+
+// mergeOracle is the end-of-run decode pass a fresh run skips: the
+// dataset merged from the spool shards a finished run left in dir.
+func mergeOracle(t *testing.T, cfg Config, dir string) (*analysis.Dataset, analysis.MergeStats) {
+	t.Helper()
+	ds, stats, err := analysis.MergeShards(cfg.Meta, spoolPaths(dir, cfg.NumShards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, stats
 }
 
 // TestBatchedPipelineMatchesSeedDataset is the dispatch half of the
 // differential invariant: group commit plus live folding produces the
-// same dataset bytes as the seed per-record-flush, merge-at-end path.
+// same dataset bytes as the seed per-record-flush run, and both match
+// the merge of the spool the folded run left behind.
 func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 	env := newTestEnv(t, 16)
 
@@ -30,32 +41,42 @@ func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Run(context.Background(), batched(env.config(t.TempDir(), 2)))
+	dir := t.TempDir()
+	cfg := batched(env.config(dir, 2))
+	opt, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(datasetBytes(t, seed.Dataset), datasetBytes(t, opt.Dataset)) {
-		t.Error("batched+folded dataset differs from seed pipeline")
+	merged, mstats := mergeOracle(t, cfg, dir)
+	oracle := datasetBytes(t, merged)
+	if !bytes.Equal(oracle, datasetBytes(t, opt.Dataset)) {
+		t.Error("batched+folded dataset differs from the merge of its own spool")
+	}
+	if !bytes.Equal(oracle, datasetBytes(t, seed.Dataset)) {
+		t.Error("seed per-record-flush dataset differs from the batched run's merged spool")
 	}
 	// The folded run must still report real merge stats.
-	if opt.Merge.Pages != seed.Merge.Pages {
-		t.Errorf("merge pages: folded %d, seed %d", opt.Merge.Pages, seed.Merge.Pages)
+	if opt.Merge.Pages == 0 || opt.Merge.Pages != mstats.Pages || opt.Merge.Shards != mstats.Shards {
+		t.Errorf("merge stats: folded %+v, merged %+v", opt.Merge, mstats)
 	}
 }
 
 // TestBatchedKillAndResumeConverges kills a group-committed crawl
 // mid-run and resumes it — still batched — checking the result against
-// an uninterrupted seed-path run. This is the durability edge the group
-// commit moved: a kill can land while records sit in a shard's write
-// buffer, and the checkpoint contract (no site marked done before its
-// pages are flushed) has to make the resume converge anyway.
+// the merged spool of an uninterrupted seed-path run. This is the
+// durability edge the group commit moved: a kill can land while records
+// sit in a shard's write buffer, and the checkpoint contract (no site
+// marked done before its pages are flushed) has to make the resume
+// converge anyway.
 func TestBatchedKillAndResumeConverges(t *testing.T) {
 	env := newTestEnv(t, 16)
 
-	full, err := Run(context.Background(), env.config(t.TempDir(), 2))
-	if err != nil {
+	fullDir := t.TempDir()
+	fullCfg := env.config(fullDir, 2)
+	if _, err := Run(context.Background(), fullCfg); err != nil {
 		t.Fatal(err)
 	}
+	full, _ := mergeOracle(t, fullCfg, fullDir)
 
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -82,7 +103,7 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	if res.ResumedDone == 0 {
 		t.Error("resume found no completed sites in the checkpoint")
 	}
-	if !bytes.Equal(datasetBytes(t, full.Dataset), datasetBytes(t, res.Dataset)) {
+	if !bytes.Equal(datasetBytes(t, full), datasetBytes(t, res.Dataset)) {
 		t.Error("killed+resumed batched run differs from uninterrupted seed run")
 	}
 }

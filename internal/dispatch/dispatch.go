@@ -104,15 +104,6 @@ type Config struct {
 	// Batch is the spool group-commit policy. The zero value flushes
 	// every record (seed behavior); see BatchPolicy.
 	Batch BatchPolicy
-	// FoldLive folds page records into the dataset in memory as pages
-	// arrive, skipping the decode pass over the spool shards at the
-	// end. The spool is still written (it remains the durable resume
-	// source), and resumed runs always take the shard-merge path, since
-	// pre-existing shard records never pass through a live fold. The
-	// output is identical either way: folding applies the same
-	// aggregation and deduplication as the merge, and finalize imposes
-	// the canonical order.
-	FoldLive bool
 
 	// Store, when set, ingests every spooled page record into the
 	// columnar store as it arrives and derives the final dataset from it
@@ -167,7 +158,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("dispatch: SpoolDir and CheckpointPath are required")
 	}
 	if cfg.NumShards <= 0 {
-		cfg.NumShards = 8
+		cfg.NumShards = DefaultShards
 	}
 	if cfg.PagesPerSite <= 0 {
 		cfg.PagesPerSite = 15
@@ -223,7 +214,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	o := &orchestrator{cfg: cfg, queue: queue, spool: spool}
-	if cfg.FoldLive && !resumed {
+	if cfg.Store == nil && !resumed {
+		// A fresh run sees every record as it is spooled, so it folds them
+		// into the dataset live and skips the decode pass over the shards
+		// at the end. A resumed run cannot: the shards already hold records
+		// that never pass through this process, so it merges them instead.
+		// The output is identical either way — folding applies the same
+		// aggregation and deduplication as the merge, and finalize imposes
+		// the canonical order.
 		o.folder = analysis.NewFolder(cfg.Meta)
 	}
 	stats, crawlErr := crawler.CrawlSource(ctx, o, crawler.Config{
@@ -250,40 +248,34 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return res, crawlErr
 	}
 
+	// Flush any group-commit tail so the shards are complete on disk
+	// whichever path derives the dataset: the spool is the merge oracle's
+	// input on the store path, the durable resume source on the fold
+	// path, and about to be read back on the merge path.
+	if err := spool.Flush(); err != nil {
+		return res, err
+	}
+
 	if cfg.Store != nil {
 		// The store folded every record at ingest (this run's pages
 		// live, prior runs' via sealed-segment replay at open), so the
 		// dataset comes straight from it; the final writeCheckpoint
-		// above already sealed the tail. The spool stays behind as the
-		// merge oracle's input.
-		if err := spool.Flush(); err != nil {
-			return res, err
-		}
+		// above already sealed the tail.
 		res.Dataset, res.Merge = cfg.Store.Finalize()
 		return res, nil
 	}
 
 	if o.folder != nil {
-		// The dataset was folded live; the spool (flushed below for the
-		// deferred Close's benefit) served only as the durable resume
-		// source this run.
-		if err := spool.Flush(); err != nil {
-			return res, err
-		}
 		res.Dataset, res.Merge = o.folder.Finalize()
 		res.Merge.Shards = spool.NumShards()
 		return res, nil
 	}
 
-	// Flush any group-commit tail so the shards are fully readable here
-	// even before the deferred Close. After the flush every appended
+	// A resumed run merges the shards. After the flush every appended
 	// byte is durable, so the shard sizes are exactly the extent a
 	// checkpoint would vouch for — merge with them as the floor, turning
 	// any torn tail into the hard error it is at this point (crash
-	// remnants were already repaired at open on a resume).
-	if err := spool.Flush(); err != nil {
-		return res, err
-	}
+	// remnants were already repaired at open).
 	sizes, err := spool.ShardSizes()
 	if err != nil {
 		return res, err
@@ -303,7 +295,7 @@ type orchestrator struct {
 	cfg    Config
 	queue  *Queue
 	spool  *Spooler
-	folder *analysis.Folder // non-nil only on FoldLive fresh runs
+	folder *analysis.Folder // non-nil only on fresh runs without a store
 
 	mu          sync.Mutex
 	active      map[string]*Lease
@@ -371,7 +363,7 @@ func (o *orchestrator) onPage(site crawler.Site, pageURL string, res *browser.Pa
 	recordSpan := obs.StartSpan(obs.CrawlRecord)
 	rec, err := o.cfg.Recorder.RecordPage(site, pageURL, res)
 	if err != nil {
-		return // unparseable page: drop, like the collector path
+		return // unparseable page: drop it
 	}
 	recordSpan.End()
 	commitSpan := obs.StartSpan(obs.CrawlCommit)

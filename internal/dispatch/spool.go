@@ -61,6 +61,12 @@ type shardFile struct {
 	pending int // guarded by mu; records buffered since the last flush
 }
 
+// DefaultShards is the spool shard count used wherever a config leaves
+// NumShards unset: dispatch.Run, the fabric coordinator, and the
+// columnar store core opens alongside them must all agree on it, since
+// checkpoints record the count and refuse to resume under another.
+const DefaultShards = 8
+
 // shardName names shard i's spool file.
 func shardName(i int) string { return fmt.Sprintf("shard-%03d.jsonl", i) }
 
@@ -75,7 +81,7 @@ func OpenSpool(dir string, numShards int, resume bool) (*Spooler, error) {
 // OpenSpoolBatch is OpenSpool with an explicit group-commit policy.
 func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (*Spooler, error) {
 	if numShards <= 0 {
-		numShards = 8
+		numShards = DefaultShards
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dispatch: spool dir: %w", err)

@@ -115,7 +115,7 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 		cfg.BatchSize = 16
 	}
 	if cfg.NumShards <= 0 {
-		cfg.NumShards = 8
+		cfg.NumShards = dispatch.DefaultShards
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second

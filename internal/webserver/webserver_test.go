@@ -121,6 +121,11 @@ func TestWebSocketEndToEnd(t *testing.T) {
 	if s.Stats.WSHandshakes.Load() != 1 {
 		t.Errorf("handshakes = %d", s.Stats.WSHandshakes.Load())
 	}
+	// The server counts a message after writing it, so the client can
+	// read the second message before the second increment lands.
+	for deadline := time.Now().Add(2 * time.Second); s.Stats.WSMessagesSent.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if s.Stats.WSMessagesSent.Load() != 2 {
 		t.Errorf("ws messages sent = %d", s.Stats.WSMessagesSent.Load())
 	}
