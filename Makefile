@@ -143,11 +143,14 @@ bench-store-smoke:
 bench:
 	$(GO) run ./bench
 
-# One-second fabric workload for ci: crawl 0 through the coordinator and
-# two production workers. Its digest gate fails unless the fabric
-# dataset is byte-identical to the dispatch path's.
+# One-second fabric and store_crawl workloads for ci: the durable
+# ledger's two callers (fabric coordinator, dispatch.Run) times its two
+# sinks (live fold, columnar store). Their digest gates fail unless the
+# fabric dataset and the store-derived crawl 0 are byte-identical to the
+# plain dispatch path's.
 bench-smoke:
 	$(GO) run ./bench --workload fabric --seconds 1 --trace 0
+	$(GO) run ./bench --workload store_crawl --seconds 1 --trace 0
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

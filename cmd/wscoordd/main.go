@@ -1,8 +1,9 @@
 // Command wscoordd runs the distributed-crawl coordinator: it shards
 // one crawl's site list into deterministic batches, serves them to
-// wscrawl workers over WebSocket (internal/fabric), ingests their page
-// records into a sharded spool, and writes the merged dataset when
-// every batch has settled.
+// wscrawl workers over WebSocket (internal/fabric), appends their page
+// records to the crawl's durable ledger (sharded spool + checkpoint, and
+// with -store-dir a columnar store), and writes the dataset when every
+// batch has settled.
 //
 // Usage:
 //
@@ -16,20 +17,21 @@
 //
 // With -store-dir the coordinator also ingests every streamed page into
 // an embedded columnar store (internal/colstore), sealed at checkpoint
-// boundaries; -query-addr serves the wsquery HTTP API over that store
-// live, while the crawl is still running (OPERATIONS.md "Query
-// service").
+// boundaries, and derives -out from it exactly as wscrawl -store does;
+// -query-addr serves the wsquery HTTP API over that store live, while
+// the crawl is still running (OPERATIONS.md "Query service").
 //
 // Workers join with:
 //
 //	wscrawl -worker ws://HOST:PORT/fabric [-workers N]
 //
-// The coordinator checkpoints batch progress atomically after every
-// settled batch; killing it and restarting with -resume (same flags,
-// same -addr) continues the crawl without re-crawling completed
+// The coordinator commits batch progress after every settled batch
+// (spool flush, store seal, then an atomic checkpoint in wscrawl's own
+// format — DESIGN.md §7); killing it and restarting with -resume (same
+// flags, same -addr) continues the crawl without re-crawling completed
 // batches, and workers ride out the outage with seeded dial retry.
 // Because every site's records are a pure function of (seed, site) and
-// the final merge canonicalizes ordering, the merged dataset is
+// the dataset derivation canonicalizes ordering, the dataset is
 // byte-identical no matter how many workers ran or how the crawl was
 // interrupted (DESIGN.md §12, OPERATIONS.md "Distributed crawls").
 package main
@@ -38,7 +40,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -139,38 +140,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wscoordd: "+format+"\n", args...)
 	}
 
-	var store *colstore.Store
 	if *queryAddr != "" && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "wscoordd: -query-addr requires -store-dir")
 		os.Exit(2)
-	}
-	if *storeDir != "" {
-		nshards := *shards
-		if nshards <= 0 {
-			nshards = 8
-		}
-		st, serr := colstore.Open(colstore.Config{
-			Dir:       *storeDir,
-			NumShards: nshards,
-			Meta:      core.FabricDatasetMeta(spec),
-			Resume:    *resume,
-		})
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "wscoordd:", serr)
-			os.Exit(1)
-		}
-		store = st
-		defer store.Close()
-		if *queryAddr != "" {
-			ln, lerr := net.Listen("tcp", *queryAddr)
-			if lerr != nil {
-				fmt.Fprintln(os.Stderr, "wscoordd:", lerr)
-				os.Exit(1)
-			}
-			defer ln.Close()
-			go func() { _ = http.Serve(ln, colstore.NewHandler(store)) }()
-			fmt.Fprintf(os.Stderr, "wscoordd: query API on http://%s (live: /dataset, /tables, /chains)\n", ln.Addr())
-		}
 	}
 
 	coord, err := core.StartFabricCoordinator(opts, spec, core.FabricCoordinatorOptions{
@@ -182,7 +154,7 @@ func main() {
 		CheckpointPath: cp,
 		SpoolDir:       sd,
 		Resume:         *resume,
-		Store:          store,
+		StoreDir:       *storeDir,
 		FaultProfile:   *faultProf,
 		FaultSeed:      *faultSeed,
 		Logf:           logf,
@@ -190,6 +162,17 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wscoordd:", err)
 		os.Exit(1)
+	}
+	if *queryAddr != "" {
+		ln, lerr := net.Listen("tcp", *queryAddr)
+		if lerr != nil {
+			coord.Close()
+			fmt.Fprintln(os.Stderr, "wscoordd:", lerr)
+			os.Exit(1)
+		}
+		defer ln.Close()
+		go func() { _ = http.Serve(ln, colstore.NewHandler(coord.Store())) }()
+		fmt.Fprintf(os.Stderr, "wscoordd: query API on http://%s (live: /dataset, /tables, /chains)\n", ln.Addr())
 	}
 	// The e2e harness scrapes this exact line for the worker URL.
 	fmt.Fprintf(os.Stderr, "wscoordd: serving %s\n", coord.URL())
@@ -216,9 +199,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wscoordd:", err)
 		os.Exit(1)
 	}
-	if err := dispatch.WriteAtomic(*out, func(w io.Writer) error {
-		return ds.WriteJSON(w)
-	}); err != nil {
+	if err := dispatch.WriteAtomic(*out, ds.WriteJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "wscoordd:", err)
 		os.Exit(1)
 	}

@@ -55,7 +55,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,9 +195,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if err := dispatch.WriteAtomic(*out, func(w io.Writer) error {
-		return res.Dataset.WriteJSON(w)
-	}); err != nil {
+	if err := dispatch.WriteAtomic(*out, res.Dataset.WriteJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "wscrawl:", err)
 		os.Exit(1)
 	}

@@ -38,6 +38,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/devtools"
+	"repro/internal/dispatch"
 	"repro/internal/inclusion"
 	"repro/internal/obs"
 )
@@ -134,16 +135,10 @@ func main() {
 		}
 		for i, d := range ds {
 			path := filepath.Join(*jsonDir, fmt.Sprintf("crawl%d.json", i+1))
-			f, err := os.Create(path)
-			if err != nil {
+			if err := dispatch.WriteAtomic(path, d.WriteJSON); err != nil {
 				fmt.Fprintln(os.Stderr, "wsrepro:", err)
 				os.Exit(1)
 			}
-			if err := d.WriteJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "wsrepro:", err)
-				os.Exit(1)
-			}
-			f.Close()
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 	}

@@ -20,8 +20,9 @@
 // order. Records deduplicate by (site, pageURL) with first-occurrence
 // wins — exactly like the spool merge — so a crawl killed mid-run and
 // resumed converges on the same dataset: sites the checkpoint marked
-// done were sealed before the checkpoint was written (dispatch seals at
-// the same boundary it flushes the spool), and everything else is
+// done were sealed before the checkpoint was written (the dispatch
+// ledger seals at the same boundary it flushes the spool), and
+// everything else is
 // re-crawled deterministically and deduplicated on re-ingest.
 //
 // The read side (query.go, http.go) serves filter/group-by queries over
@@ -375,20 +376,10 @@ func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	return true, nil
 }
 
-// IngestRaw decodes one spool line and ingests it: the fabric
-// coordinator's hook, mirroring Spooler.AppendRaw.
-func (s *Store) IngestRaw(line []byte) (bool, error) {
-	rec, err := analysis.DecodeSpoolLine(line)
-	if err != nil {
-		return false, err
-	}
-	return s.Ingest(rec)
-}
-
 // Seal writes every shard's buffered records into sealed segment files.
-// Call it at group-commit boundaries: dispatch seals in writeCheckpoint
-// after the spool flush and before the checkpoint is published, so a
-// checkpoint never marks a site done whose pages are not in a durable
+// Call it at group-commit boundaries: dispatch.Ledger.Commit seals after
+// the spool flush and before the checkpoint is published, so a
+// checkpoint never marks a job done whose pages are not in a durable
 // segment.
 func (s *Store) Seal() error {
 	if s.readonly {

@@ -374,24 +374,6 @@ func TestOpenReadFollowsLiveStore(t *testing.T) {
 	}
 }
 
-// TestStoreIngestRaw: the fabric hook decodes and folds a spool line.
-func TestStoreIngestRaw(t *testing.T) {
-	st, err := Open(Config{Dir: t.TempDir(), NumShards: 2, Meta: testMeta()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := testRecord("pub.com", 1, 0)
-	if fresh, err := st.IngestRaw(spoolLine(t, rec)); err != nil || !fresh {
-		t.Fatalf("IngestRaw: fresh=%v err=%v", fresh, err)
-	}
-	if fresh, err := st.IngestRaw(spoolLine(t, rec)); err != nil || fresh {
-		t.Fatalf("IngestRaw dup: fresh=%v err=%v", fresh, err)
-	}
-	if _, err := st.IngestRaw([]byte("{torn")); err == nil {
-		t.Error("IngestRaw accepted a corrupt line")
-	}
-}
-
 // TestStoreIngestAllocs pins the ingest hot path's allocation budget.
 // Folding allocates for genuinely retained aggregation state (dedup
 // key, map growth); the pin catches accidental per-ingest overhead like

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
-	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
 	"repro/internal/webgen"
@@ -210,31 +209,13 @@ func (p *pagePlane) crawlInMemory(ctx context.Context) (*CrawlResult, error) {
 // crawlDispatch routes the crawl through the durable orchestrator.
 func (p *pagePlane) crawlDispatch(ctx context.Context) (*CrawlResult, error) {
 	d := p.opts.Dispatch
-	meta := FabricDatasetMeta(p.spec)
-	var store *colstore.Store
+	storeDir := ""
 	if p.opts.Store {
-		shards := d.NumShards
-		if shards <= 0 {
-			shards = dispatch.DefaultShards
-		}
-		st, err := colstore.Open(colstore.Config{
-			Dir:       d.storeDir(p.spec),
-			NumShards: shards,
-			Meta:      meta,
-			Resume:    d.Resume,
-		})
-		if err != nil {
-			return nil, err
-		}
-		store = st
-	}
-	batch := dispatch.BatchPolicy{Pages: 64, Bytes: 256 * 1024}
-	if p.reference {
-		batch = dispatch.BatchPolicy{} // a flush per record
+		storeDir = d.storeDir(p.spec)
 	}
 	res, err := dispatch.Run(ctx, dispatch.Config{
 		Name:             p.spec.Name,
-		Meta:             meta,
+		Meta:             FabricDatasetMeta(p.spec),
 		Sites:            p.sites,
 		Workers:          p.opts.Workers,
 		PagesPerSite:     p.opts.PagesPerSite,
@@ -242,23 +223,15 @@ func (p *pagePlane) crawlDispatch(ctx context.Context) (*CrawlResult, error) {
 		WaitBetweenPages: p.opts.WaitBetweenPages,
 		NewBrowser:       func(site crawler.Site, _ int) *browser.Browser { return p.browserFor(site) },
 		Recorder:         p.recorder,
-		Batch:            batch,
-		Store:            store,
 		SpoolDir:         d.spoolDir(p.spec),
 		NumShards:        d.NumShards,
 		CheckpointPath:   d.checkpointPath(p.spec),
+		StoreDir:         storeDir,
 		Resume:           d.Resume,
 		CheckpointEvery:  d.CheckpointEvery,
 		Retry:            dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
 		LeaseTTL:         d.LeaseTTL,
 	})
-	if store != nil {
-		// Seal the tail segments so the on-disk store holds the complete
-		// crawl (wsquery over a finished crawl needs no live process).
-		if cerr := store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
 		return nil, err
 	}

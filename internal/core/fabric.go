@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
-	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
 	"repro/internal/fabric"
@@ -191,12 +190,10 @@ type FabricCoordinatorOptions struct {
 	SpoolDir       string
 	// Resume continues from CheckpointPath instead of starting fresh.
 	Resume bool
-	// Store, when set, receives every streamed page record as it
-	// arrives and seals at checkpoint boundaries (see
-	// fabric.CoordinatorConfig.Store). Open it with the crawl's
-	// FabricDatasetMeta and a Resume flag matching this config's; the
-	// caller keeps ownership and closes it after the coordinator.
-	Store *colstore.Store
+	// StoreDir, when non-empty, also streams every page record into a
+	// columnar store at this directory (see
+	// fabric.CoordinatorConfig.StoreDir).
+	StoreDir string
 	// FaultProfile, when non-empty, degrades every worker link with the
 	// named faultnet profile, keyed on FaultSeed.
 	FaultProfile string
@@ -222,7 +219,7 @@ func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOp
 		CheckpointPath: fo.CheckpointPath,
 		SpoolDir:       fo.SpoolDir,
 		Resume:         fo.Resume,
-		Store:          fo.Store,
+		StoreDir:       fo.StoreDir,
 		Fault:          fault,
 		FaultSeed:      fo.FaultSeed,
 		Logf:           fo.Logf,

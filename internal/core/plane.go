@@ -33,9 +33,9 @@ type pagePlane struct {
 	faultSeed int64
 	// reference selects the retained seed plane — wire fetches through
 	// the full TCP + net/http stack, fresh per-page scratch, un-pooled
-	// recorder, a spool flush per record. It produces the same bytes as
-	// the shipping plane and exists only as the differential oracle
-	// proving that: TestPipelineDifferential and
+	// recorder; the durable ledger under it is the same either way. It
+	// produces the same bytes as the shipping plane and exists only as
+	// the differential oracle proving that: TestPipelineDifferential and
 	// BenchmarkCrawlPipelineReference are the only callers that set it.
 	reference bool
 }

@@ -67,8 +67,8 @@ func TestStoreDifferential(t *testing.T) {
 		t.Errorf("store-derived tables differ:\n--- store ---\n%s\n--- merge ---\n%s", got, oracleTables)
 	}
 
-	// RunCrawl closed (sealed) the store; the on-disk segments alone must
-	// reproduce the same dataset and tables for cmd/wsquery.
+	// RunCrawl closed the ledger (sealing the store); the on-disk segments
+	// alone must reproduce the same dataset and tables for cmd/wsquery.
 	ro, err := colstore.OpenRead(filepath.Join(stateDir, "store-crawl0"))
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +124,10 @@ func runFabricWorkers(ctx context.Context, t *testing.T, coord *fabric.Coordinat
 }
 
 // TestFabricStoreDifferential streams the pinned bench-crawl world
-// through a coordinator with two real-pipeline workers: the store the
-// coordinator fed record-by-record must match the coordinator's own
-// spool merge byte for byte, live and after a cold read-only open.
+// through a coordinator with two real-pipeline workers and a store: the
+// dataset Finalize derives from the store must match the merge of the
+// coordinator's own spool (the retained oracle) byte for byte, live and
+// after a cold read-only open of the sealed segments.
 func TestFabricStoreDifferential(t *testing.T) {
 	opts := Options{
 		Seed:          benchCrawlSeed,
@@ -137,21 +138,13 @@ func TestFabricStoreDifferential(t *testing.T) {
 	spec := CrawlSpec{Name: "bench", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57}
 	dir := t.TempDir()
 
-	st, err := colstore.Open(colstore.Config{
-		Dir:       filepath.Join(dir, "store"),
-		NumShards: 4,
-		Meta:      FabricDatasetMeta(spec),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
 		Addr:           "127.0.0.1:0",
 		BatchSize:      4,
 		NumShards:      4,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 		SpoolDir:       filepath.Join(dir, "spool"),
-		Store:          st,
+		StoreDir:       filepath.Join(dir, "store"),
 		Logf:           t.Logf,
 	})
 	if err != nil {
@@ -163,16 +156,23 @@ func TestFabricStoreDifferential(t *testing.T) {
 	defer cancel()
 	runFabricWorkers(ctx, t, coord, 2)
 
-	// Finalize writes the last checkpoint (sealing the store) and merges
-	// the spool — the oracle the streamed store must reproduce.
-	mergeDS, mergeStats, err := coord.Finalize(FabricDatasetMeta(spec))
+	// Finalize commits the last checkpoint (flushing the spool, sealing
+	// the store) and derives the dataset from the store.
+	storeDS, storeStats, err := coord.Finalize(FabricDatasetMeta(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := filepath.Glob(filepath.Join(dir, "spool", "shard-*.jsonl"))
+	if err != nil || len(shards) != 4 {
+		t.Fatalf("spool shards = %v (%v), want 4", shards, err)
+	}
+	mergeDS, mergeStats, err := analysis.MergeShards(FabricDatasetMeta(spec), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := storeDatasetBytes(t, mergeDS)
-	storeDS, storeStats := st.Dataset()
 	if !bytes.Equal(storeDatasetBytes(t, storeDS), oracle) {
-		t.Error("fabric store dataset differs from coordinator merge")
+		t.Error("fabric store dataset differs from the merge of the coordinator's spool")
 	}
 	if storeStats.Pages != mergeStats.Pages {
 		t.Errorf("store folded %d pages, merge saw %d", storeStats.Pages, mergeStats.Pages)
@@ -180,10 +180,11 @@ func TestFabricStoreDifferential(t *testing.T) {
 	if got, want := renderAllTables(storeDS), renderAllTables(mergeDS); got != want {
 		t.Error("fabric store renders different tables than the merge")
 	}
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
+	liveDS, _ := coord.Store().Dataset()
+	if !bytes.Equal(storeDatasetBytes(t, liveDS), oracle) {
+		t.Error("the live store the query API serves differs from the merge")
 	}
-	if err := st.Close(); err != nil {
+	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ro, err := colstore.OpenRead(filepath.Join(dir, "store"))
@@ -192,6 +193,6 @@ func TestFabricStoreDifferential(t *testing.T) {
 	}
 	roDS, _ := ro.Dataset()
 	if !bytes.Equal(storeDatasetBytes(t, roDS), oracle) {
-		t.Error("sealed fabric store differs from coordinator merge")
+		t.Error("sealed fabric store differs from the merge of the coordinator's spool")
 	}
 }

@@ -11,11 +11,10 @@ import (
 	"repro/internal/crawler"
 )
 
-// batched returns cfg flipped onto the optimized dispatch plane: pooled
-// recorder scratch and group-committed spool writes.
+// batched returns cfg flipped onto the shipping plane's pooled recorder
+// scratch (the ledger's spool writes are group-committed either way).
 func batched(cfg Config) Config {
 	cfg.Recorder.Pooled = true
-	cfg.Batch = BatchPolicy{Pages: 64, Bytes: 256 * 1024}
 	return cfg
 }
 
@@ -31,9 +30,9 @@ func mergeOracle(t *testing.T, cfg Config, dir string) (*analysis.Dataset, analy
 }
 
 // TestBatchedPipelineMatchesSeedDataset is the dispatch half of the
-// differential invariant: group commit plus live folding produces the
-// same dataset bytes as the seed per-record-flush run, and both match
-// the merge of the spool the folded run left behind.
+// differential invariant: group commit plus live folding — with the
+// recorder pooled or not — produces the same dataset bytes as the merge
+// of the spool the folded run left behind.
 func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 	env := newTestEnv(t, 16)
 
@@ -53,7 +52,7 @@ func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 		t.Error("batched+folded dataset differs from the merge of its own spool")
 	}
 	if !bytes.Equal(oracle, datasetBytes(t, seed.Dataset)) {
-		t.Error("seed per-record-flush dataset differs from the batched run's merged spool")
+		t.Error("un-pooled run's dataset differs from the pooled run's merged spool")
 	}
 	// The folded run must still report real merge stats.
 	if opt.Merge.Pages == 0 || opt.Merge.Pages != mstats.Pages || opt.Merge.Shards != mstats.Shards {
@@ -62,8 +61,8 @@ func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 }
 
 // TestBatchedKillAndResumeConverges kills a group-committed crawl
-// mid-run and resumes it — still batched — checking the result against
-// the merged spool of an uninterrupted seed-path run. This is the
+// mid-run and resumes it, checking the result against the merged spool
+// of an uninterrupted run. This is the
 // durability edge the group commit moved: a kill can land while records
 // sit in a shard's write buffer, and the checkpoint contract (no site
 // marked done before its pages are flushed) has to make the resume
@@ -111,8 +110,8 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 // TestBatchedSpoolAppendAllocs pins the group-committed append path's
 // allocation profile: with a write buffer sized for the batch, appends
 // between commit boundaries are one JSON encode plus buffered copies —
-// no per-record file writes, no buffer regrowth. The seed per-record
-// path is measured alongside as the ceiling.
+// no per-record file writes, no buffer regrowth. The flush-per-record
+// zero policy is measured alongside as the ceiling.
 func TestBatchedSpoolAppendAllocs(t *testing.T) {
 	appendAllocs := func(batch BatchPolicy) float64 {
 		dir := t.TempDir()
@@ -137,7 +136,7 @@ func TestBatchedSpoolAppendAllocs(t *testing.T) {
 	batched := appendAllocs(BatchPolicy{Pages: 64, Bytes: 256 * 1024})
 	seeded := appendAllocs(BatchPolicy{})
 	if batched > seeded {
-		t.Errorf("batched append allocates more than seed path: %.1f vs %.1f", batched, seeded)
+		t.Errorf("batched append allocates more than the per-record path: %.1f vs %.1f", batched, seeded)
 	}
 	// The encode itself dominates; a small fixed bound catches any
 	// return to per-append buffer churn.

@@ -11,9 +11,11 @@ import (
 )
 
 // CheckpointVersion is the on-disk format version. Version 2 added the
-// optional shardBytes spool guard; version-1 files (no guard) still
-// load, so upgrading mid-study does not strand a checkpoint.
-const CheckpointVersion = 2
+// optional shardBytes spool guard; version 3 added the optional
+// batchSize and failedSites fields that let the fabric coordinator share
+// the format (its jobs are batch IDs). Version-1 and -2 single-process
+// files still load, so upgrading mid-study does not strand a checkpoint.
+const CheckpointVersion = 3
 
 // CheckpointError reports a checkpoint that cannot drive a resume:
 // corrupt bytes, an unsupported format version, or an incompatibility
@@ -51,26 +53,37 @@ const hintWrongCrawl = "point -checkpoint/-spool-dir at the original crawl's sta
 // Format: a single JSON object —
 //
 //	{
-//	  "version": 1,
+//	  "version": 3,
 //	  "name": "Apr 02-05, 2017",   // crawl identity
 //	  "seed": 20170419,            // study seed (guards mixed resumes)
 //	  "numShards": 8,              // spool shard count (must match)
 //	  "pagesPerSite": 15,
 //	  "totalSites": 600,
-//	  "done": ["a.com", ...],      // completed sites, sorted
-//	  "failed": {"b.com": "..."},  // exhausted sites with last error
-//	  "attempts": {"c.com": 2}     // attempt counts of unfinished sites
+//	  "batchSize": 16,             // coordinator only: jobs are batch IDs
+//	  "done": ["a.com", ...],      // completed jobs, sorted
+//	  "failed": {"b.com": "..."},  // exhausted jobs with last error
+//	  "attempts": {"c.com": 2},    // attempt counts of unfinished jobs
+//	  "failedSites": {"d.com": "..."}, // coordinator only: per-site failures
+//	  "shardBytes": [4096, ...]    // spool guard
 //	}
 type Checkpoint struct {
-	Version      int               `json:"version"`
-	Name         string            `json:"name"`
-	Seed         int64             `json:"seed"`
-	NumShards    int               `json:"numShards"`
-	PagesPerSite int               `json:"pagesPerSite"`
-	TotalSites   int               `json:"totalSites"`
-	Done         []string          `json:"done"`
-	Failed       map[string]string `json:"failed,omitempty"`
-	Attempts     map[string]int    `json:"attempts,omitempty"`
+	Version      int    `json:"version"`
+	Name         string `json:"name"`
+	Seed         int64  `json:"seed"`
+	NumShards    int    `json:"numShards"`
+	PagesPerSite int    `json:"pagesPerSite"`
+	TotalSites   int    `json:"totalSites"`
+	// BatchSize is 0 for a single-process crawl, whose jobs are sites.
+	// The fabric coordinator records its sites-per-batch here (v3+); its
+	// jobs are then batch IDs, whose membership is re-derived from
+	// (Seed, BatchSize) on resume and never persisted.
+	BatchSize int               `json:"batchSize,omitempty"`
+	Done      []string          `json:"done"`
+	Failed    map[string]string `json:"failed,omitempty"`
+	Attempts  map[string]int    `json:"attempts,omitempty"`
+	// FailedSites maps permanently failed sites inside completed batches
+	// to their last error (batch mode only, v3+).
+	FailedSites map[string]string `json:"failedSites,omitempty"`
 	// ShardBytes records each spool shard's durable size at checkpoint
 	// time (v2+). On resume every shard must be at least this large
 	// after tail repair; a smaller shard means the spool does not match
@@ -109,28 +122,41 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 			Hint:   hintStartFresh,
 		}
 	}
+	if c.Version < 3 && c.BatchSize > 0 {
+		// Before v3 the coordinator wrote its own format under the same
+		// version numbers; its batch records are not in this struct, so
+		// resuming would silently treat every batch as fresh.
+		return nil, &CheckpointError{
+			Path: path, Version: c.Version,
+			Reason: "coordinator checkpoint in the retired pre-v3 format",
+			Hint:   hintStartFresh,
+		}
+	}
 	return &c, nil
 }
 
 // Compatible verifies that a checkpoint belongs to the crawl being
-// resumed: same identity, seed, shard layout, and page budget. A
-// mismatch is a *CheckpointError; resuming across one would mix two
+// resumed: same identity, seed, shard layout, page budget, site count
+// and batch size as want's header (want's progress fields are ignored).
+// A mismatch is a *CheckpointError; resuming across one would mix two
 // different crawls' state into one partial dataset.
-func (c *Checkpoint) Compatible(path, name string, seed int64, numShards, pagesPerSite, totalSites int) error {
+func (c *Checkpoint) Compatible(path string, want *Checkpoint) error {
 	mismatch := func(reason string) error {
 		return &CheckpointError{Path: path, Version: c.Version, Reason: reason, Hint: hintWrongCrawl}
 	}
 	switch {
-	case c.Name != name:
-		return mismatch(fmt.Sprintf("checkpoint is for crawl %q, not %q", c.Name, name))
-	case c.Seed != seed:
-		return mismatch(fmt.Sprintf("checkpoint seed %d != configured seed %d", c.Seed, seed))
-	case c.NumShards != numShards:
-		return mismatch(fmt.Sprintf("checkpoint has %d spool shards, configured %d", c.NumShards, numShards))
-	case c.PagesPerSite != pagesPerSite:
-		return mismatch(fmt.Sprintf("checkpoint page budget %d != configured %d", c.PagesPerSite, pagesPerSite))
-	case c.TotalSites != totalSites:
-		return mismatch(fmt.Sprintf("checkpoint covers %d sites, configured %d", c.TotalSites, totalSites))
+	case c.Name != want.Name:
+		return mismatch(fmt.Sprintf("checkpoint is for crawl %q, not %q", c.Name, want.Name))
+	case c.Seed != want.Seed:
+		return mismatch(fmt.Sprintf("checkpoint seed %d != configured seed %d", c.Seed, want.Seed))
+	case c.NumShards != want.NumShards:
+		return mismatch(fmt.Sprintf("checkpoint has %d spool shards, configured %d", c.NumShards, want.NumShards))
+	case c.PagesPerSite != want.PagesPerSite:
+		return mismatch(fmt.Sprintf("checkpoint page budget %d != configured %d", c.PagesPerSite, want.PagesPerSite))
+	case c.TotalSites != want.TotalSites:
+		return mismatch(fmt.Sprintf("checkpoint covers %d sites, configured %d", c.TotalSites, want.TotalSites))
+	case c.BatchSize != want.BatchSize:
+		return mismatch(fmt.Sprintf("checkpoint batch size %d != configured %d (0 = single-process crawl)", c.BatchSize, want.BatchSize))
 	}
 	return nil
 }

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
-	"repro/internal/crawler"
 	"repro/internal/obs"
 )
 
@@ -45,24 +43,47 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointCompatible exercises every mismatch arm, for a
+// single-process checkpoint (jobs are sites) and a coordinator's (jobs
+// are batches), including each refusing to resume as the other.
 func TestCheckpointCompatible(t *testing.T) {
-	cp := &Checkpoint{Name: "x", Seed: 1, NumShards: 8, PagesPerSite: 15, TotalSites: 10}
-	if err := cp.Compatible("cp.json", "x", 1, 8, 15, 10); err != nil {
-		t.Errorf("compatible rejected: %v", err)
-	}
+	site := Checkpoint{Name: "x", Seed: 1, NumShards: 8, PagesPerSite: 15, TotalSites: 10}
+	batch := site
+	batch.BatchSize = 16
 	for _, tc := range []struct {
-		name                 string
-		seed                 int64
-		shards, pages, total int
+		name   string
+		have   Checkpoint
+		mutate func(want *Checkpoint)
+		expect string // "" = compatible
 	}{
-		{"y", 1, 8, 15, 10},
-		{"x", 2, 8, 15, 10},
-		{"x", 1, 4, 15, 10},
-		{"x", 1, 8, 5, 10},
-		{"x", 1, 8, 15, 99},
+		{"same", site, func(*Checkpoint) {}, ""},
+		{"name", site, func(w *Checkpoint) { w.Name = "y" }, "crawl"},
+		{"seed", site, func(w *Checkpoint) { w.Seed = 2 }, "seed"},
+		{"shards", site, func(w *Checkpoint) { w.NumShards = 4 }, "shards"},
+		{"pages", site, func(w *Checkpoint) { w.PagesPerSite = 5 }, "budget"},
+		{"totalSites", site, func(w *Checkpoint) { w.TotalSites = 99 }, "sites"},
+		{"site file under a coordinator", site, func(w *Checkpoint) { w.BatchSize = 16 }, "batch size"},
+		{"batch same", batch, func(*Checkpoint) {}, ""},
+		{"batchSize", batch, func(w *Checkpoint) { w.BatchSize = 8 }, "batch size"},
+		{"batch totalSites", batch, func(w *Checkpoint) { w.TotalSites = 99 }, "sites"},
+		{"coordinator file under wscrawl", batch, func(w *Checkpoint) { w.BatchSize = 0 }, "batch size"},
 	} {
-		if err := cp.Compatible("cp.json", tc.name, tc.seed, tc.shards, tc.pages, tc.total); err == nil {
-			t.Errorf("mismatch %+v accepted", tc)
+		want := tc.have
+		tc.mutate(&want)
+		err := tc.have.Compatible("cp.json", &want)
+		if tc.expect == "" {
+			if err != nil {
+				t.Errorf("%s: compatible rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		var ce *CheckpointError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: error %v (%T), want *CheckpointError", tc.name, err, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.expect) {
+			t.Errorf("%s: error %q missing %q", tc.name, err, tc.expect)
 		}
 	}
 }
@@ -74,6 +95,45 @@ func TestLoadCheckpointRejectsBadVersion(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(path); err == nil {
 		t.Error("future version accepted")
+	}
+}
+
+// TestLoadCheckpointAcrossVersions: v1 and v2 single-process files keep
+// loading under the v3 build, while a coordinator file in the retired
+// pre-v3 format (same version numbers, batch records this struct cannot
+// see) is refused loudly with the start-fresh hint instead of resuming
+// as an empty crawl.
+func TestLoadCheckpointAcrossVersions(t *testing.T) {
+	dir := t.TempDir()
+	load := func(body string) (*Checkpoint, error) {
+		path := filepath.Join(dir, "cp.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadCheckpoint(path)
+	}
+	for _, body := range []string{
+		`{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"]}`,
+		`{"version":2,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"],"shardBytes":[10,0]}`,
+	} {
+		cp, err := load(body)
+		if err != nil {
+			t.Errorf("single-process file refused: %v\n%s", err, body)
+			continue
+		}
+		if jobs := cp.Jobs(); len(jobs) != 1 || jobs[0].Domain != "a.com" || jobs[0].State != JobDone {
+			t.Errorf("v%d jobs = %+v", cp.Version, jobs)
+		}
+	}
+	// What PR 6..12 coordinators wrote (wire.Checkpoint v1).
+	_, err := load(`{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"batchSize":4,` +
+		`"totalBatches":3,"totalSites":10,"batches":[{"domain":"b0001","state":"done"}],"shardBytes":[64,128]}`)
+	var ce *CheckpointError
+	if !errors.As(err, &ce) {
+		t.Fatalf("old coordinator file: err = %v (%T), want *CheckpointError", err, err)
+	}
+	if ce.Version != 1 || !strings.Contains(ce.Error(), "pre-v3") || !strings.Contains(ce.Error(), "start the crawl from scratch") {
+		t.Errorf("old coordinator file: error %q lacks the version, the reason or the start-fresh hint", ce)
 	}
 }
 
@@ -98,58 +158,54 @@ func TestWriteAtomicSyncsParentDir(t *testing.T) {
 	}
 }
 
-// TestCheckpointExtentsCoverBufferedGroups pins the writeCheckpoint
-// group-commit audit: a checkpoint must never record spool extents that
-// precede a buffered-but-unflushed group, nor vouch for sites whose
-// pages are still in a write buffer. writeCheckpoint's safe ordering is
-// jobs-snapshot → Flush → ShardSizes: any site done at snapshot time
-// appended its pages before the snapshot, so the flush that follows
-// covers them, and the recorded extents equal the durable on-disk
-// sizes. This test holds appends in a group-commit buffer (batch
-// thresholds too high to trip), checkpoints, and requires the recorded
-// extents to match disk and cover every appended byte.
+// TestCheckpointExtentsCoverBufferedGroups pins the Commit group-commit
+// audit: a checkpoint must never record spool extents that precede a
+// buffered-but-unflushed group, nor vouch for jobs whose pages are still
+// in a write buffer. Commit's safe ordering is jobs-snapshot → Flush →
+// ShardSizes: any job done at snapshot time appended its pages before
+// the snapshot, so the flush that follows covers them, and the recorded
+// extents equal the durable on-disk sizes. This test leaves appends in
+// the ledger's group-commit buffer (too few to trip it), commits, and
+// requires the recorded extents to match disk and cover every appended
+// byte.
 func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 	dir := t.TempDir()
-	spool, err := OpenSpoolBatch(dir, 2, false, BatchPolicy{Pages: 1 << 20, Bytes: 1 << 30})
+	cpPath := filepath.Join(dir, "cp.json")
+	l, err := OpenLedger(LedgerConfig{
+		Crawl:          Checkpoint{Name: "t", Seed: 1, NumShards: 2, PagesPerSite: 5, TotalSites: 1},
+		SpoolDir:       dir,
+		CheckpointPath: cpPath,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer spool.Close()
+	defer l.Close()
 	for i := 0; i < 5; i++ {
-		rec := &analysis.PageRecord{Site: "pub.com", Rank: 1, PageURL: fmt.Sprintf("http://pub.com/p%d", i)}
-		if err := spool.Append(rec); err != nil {
+		if err := l.Append(rec("pub.com", fmt.Sprintf("http://pub.com/p%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Precondition: the appends really are sitting in the group buffer.
-	pre, err := spool.ShardSizes()
+	pre, err := l.spool.ShardSizes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range pre {
 		if b != 0 {
-			t.Fatalf("shard %d has %d bytes on disk before any flush; batch policy did not buffer", i, b)
+			t.Fatalf("shard %d has %d bytes on disk before any flush; the ledger did not buffer", i, b)
 		}
 	}
 
-	sites := []crawler.Site{{Domain: "pub.com", Rank: 1}}
-	cpPath := filepath.Join(dir, "cp.json")
-	o := &orchestrator{
-		cfg: Config{
-			Name: "t", Seed: 1, NumShards: 2, PagesPerSite: 5,
-			Sites: sites, CheckpointPath: cpPath,
-		},
-		queue: NewQueue(sites, QueueConfig{Seed: 1}),
-		spool: spool,
-	}
-	if err := o.writeCheckpoint(); err != nil {
+	if err := l.Commit(func() ([]JobRecord, map[string]string) {
+		return []JobRecord{{Domain: "pub.com", Rank: 1, State: JobDone, Attempts: 1}}, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := LoadCheckpoint(cpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := spool.ShardSizes()
+	disk, err := l.spool.ShardSizes()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,19 @@
 //     lease TTL elapses (dead or wedged worker);
 //   - retries with exponential backoff + seeded jitter up to an attempt
 //     budget, with errors classified retryable vs fatal;
-//   - checkpointing to an on-disk state file written atomically
-//     (temp file + rename), so -resume continues an interrupted crawl
-//     without re-visiting completed sites;
-//   - sharded spooling: every crawled page is appended to one of N
-//     JSONL spool files as it arrives, and a streaming merge folds the
-//     shards into an analysis.Dataset without holding all pages in
-//     memory.
+//   - the Ledger (ledger.go), which owns everything durable: every
+//     crawled page is appended to one of N JSONL spool shards (and, with
+//     StoreDir, ingested into the columnar store), progress is
+//     checkpointed to a state file written atomically, and the dataset
+//     is derived from the store, a live fold, or a streaming merge of
+//     the shards — so -resume continues an interrupted crawl without
+//     re-visiting completed sites and converges on the same bytes;
+//   - Run, which wires the queue to the crawler's worker pool and decides
+//     when the ledger commits.
+//
+// The fabric coordinator (internal/fabric) is the ledger's other caller:
+// same queue with batches as the leased unit, same ledger, a wire session
+// loop instead of a local worker pool.
 //
 // Determinism: browsers are built per site (crawler.SiteSeed), so a
 // site's records are a pure function of (seed, site) — independent of
@@ -25,14 +31,15 @@
 // mid-run converges, after resume, to exactly the dataset of an
 // uninterrupted run.
 //
-// Concurrency contract: Queue, Lease, and Spooler are safe for
-// concurrent use by any number of workers; Run owns the checkpoint
-// writer and serializes snapshots internally, so callers never
-// coordinate around dispatch state themselves. Durability contract:
-// a page is acknowledged only after its spool line is flushed to the
-// OS, checkpoints are atomic (temp file + rename) and therefore at
-// worst one generation stale, and nothing in the package holds crawl
-// results only in memory past those two sinks.
+// Concurrency contract: Queue, Lease, Spooler and Ledger are safe for
+// concurrent use by any number of workers; the ledger serializes
+// checkpoint generations internally, so callers never coordinate around
+// dispatch state themselves. Durability contract (stated once, in
+// DESIGN.md §7): a job is marked done in a checkpoint only after its
+// pages were flushed to the spool and sealed into the store, checkpoints
+// are atomic (temp file + rename + directory sync) and therefore at worst
+// one generation stale, and nothing in the package holds crawl results
+// only in memory past those sinks.
 //
 // Observability: the queue exports depth/retry gauges, and the
 // checkpoint and spool paths record latency histograms, to the obs
@@ -44,15 +51,12 @@ package dispatch
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io/fs"
 	"sync"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
-	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/obs"
 )
@@ -101,19 +105,10 @@ type Config struct {
 	// (default 30s). Heartbeats are sent per crawled page.
 	LeaseTTL time.Duration
 
-	// Batch is the spool group-commit policy. The zero value flushes
-	// every record (seed behavior); see BatchPolicy.
-	Batch BatchPolicy
-
-	// Store, when set, ingests every spooled page record into the
-	// columnar store as it arrives and derives the final dataset from it
-	// instead of the merge/fold paths. Segments seal at the checkpoint
-	// group-commit boundary (after the spool flush, before the
-	// checkpoint is published), so a checkpoint never marks a site done
-	// whose pages are not in a durable segment. Open the store with
-	// Resume matching this config's Resume so its replayed segments and
-	// the spool agree.
-	Store *colstore.Store
+	// StoreDir, when non-empty, also ingests every spooled page record
+	// into a columnar store at this directory and derives the final
+	// dataset from it (see LedgerConfig.StoreDir).
+	StoreDir string
 
 	// OnPage, when set, observes every page after its record has been
 	// spooled (progress reporting, fault-injection tests).
@@ -142,23 +137,17 @@ type Result struct {
 	ResumedDone int
 }
 
-// Run executes the orchestrated crawl: restore checkpoint (on resume),
-// lease sites to workers, spool pages, checkpoint progress, and merge
-// the spool shards into the final dataset. On cancellation it writes a
-// final checkpoint and returns ctx.Err(); a later Resume run continues
-// where it stopped.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
+// Run executes the orchestrated crawl: open the ledger (restoring the
+// checkpoint on resume), lease sites to workers, append their pages,
+// commit progress, and derive the final dataset. On cancellation it
+// commits a final checkpoint and returns ctx.Err(); a later Resume run
+// continues where it stopped.
+func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 	if cfg.NewBrowser == nil {
 		return nil, fmt.Errorf("dispatch: Config.NewBrowser is required")
 	}
 	if cfg.Recorder == nil {
 		return nil, fmt.Errorf("dispatch: Config.Recorder is required")
-	}
-	if cfg.SpoolDir == "" || cfg.CheckpointPath == "" {
-		return nil, fmt.Errorf("dispatch: SpoolDir and CheckpointPath are required")
-	}
-	if cfg.NumShards <= 0 {
-		cfg.NumShards = DefaultShards
 	}
 	if cfg.PagesPerSite <= 0 {
 		cfg.PagesPerSite = 15
@@ -170,60 +159,42 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.now = time.Now
 	}
 
+	ledger, err := OpenLedger(LedgerConfig{
+		Crawl: Checkpoint{
+			Name:         cfg.Name,
+			Seed:         cfg.Seed,
+			NumShards:    cfg.NumShards,
+			PagesPerSite: cfg.PagesPerSite,
+			TotalSites:   len(cfg.Sites),
+		},
+		Meta:           cfg.Meta,
+		SpoolDir:       cfg.SpoolDir,
+		CheckpointPath: cfg.CheckpointPath,
+		StoreDir:       cfg.StoreDir,
+		Resume:         cfg.Resume,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if cerr := ledger.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
+
 	queue := NewQueue(cfg.Sites, QueueConfig{
 		LeaseTTL: cfg.LeaseTTL,
 		Retry:    cfg.Retry,
 		Seed:     cfg.Seed,
 		Now:      cfg.now,
 	})
-
 	res := &Result{}
-	resumed := false
-	var cp *Checkpoint
-	if cfg.Resume {
-		loaded, err := LoadCheckpoint(cfg.CheckpointPath)
-		switch {
-		case err == nil:
-			if cerr := loaded.Compatible(cfg.CheckpointPath, cfg.Name, cfg.Seed, cfg.NumShards, cfg.PagesPerSite, len(cfg.Sites)); cerr != nil {
-				return nil, cerr
-			}
-			queue.RestoreJobs(loaded.Jobs())
-			res.ResumedDone = len(loaded.Done)
-			resumed = true
-			cp = loaded
-		case isNotExist(err):
-			// Nothing to resume; run from scratch.
-		default:
-			return nil, err
-		}
+	if cp := ledger.Resumed(); cp != nil {
+		queue.RestoreJobs(cp.Jobs())
+		res.ResumedDone = len(cp.Done)
 	}
 
-	spool, err := OpenSpoolBatch(cfg.SpoolDir, cfg.NumShards, resumed, cfg.Batch)
-	if err != nil {
-		return nil, err
-	}
-	defer spool.Close()
-	if cp != nil {
-		// The checkpoint promises its Done sites' pages are in the
-		// spool; verify before skipping a single site, or a resumed
-		// crawl against the wrong/empty spool would silently produce a
-		// partial dataset.
-		if err := spool.VerifyMinSizes(cp.ShardBytes); err != nil {
-			return nil, &CheckpointError{Path: cfg.CheckpointPath, Version: cp.Version, Reason: err.Error(), Hint: hintStartFresh}
-		}
-	}
-
-	o := &orchestrator{cfg: cfg, queue: queue, spool: spool}
-	if cfg.Store == nil && !resumed {
-		// A fresh run sees every record as it is spooled, so it folds them
-		// into the dataset live and skips the decode pass over the shards
-		// at the end. A resumed run cannot: the shards already hold records
-		// that never pass through this process, so it merges them instead.
-		// The output is identical either way — folding applies the same
-		// aggregation and deduplication as the merge, and finalize imposes
-		// the canonical order.
-		o.folder = analysis.NewFolder(cfg.Meta)
-	}
+	o := &orchestrator{cfg: cfg, queue: queue, ledger: ledger}
 	stats, crawlErr := crawler.CrawlSource(ctx, o, crawler.Config{
 		Workers:          cfg.Workers,
 		PagesPerSite:     cfg.PagesPerSite,
@@ -236,73 +207,32 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Always leave a fresh checkpoint behind, even (especially) when
 	// cancelled: that is what a later -resume picks up.
-	if cpErr := o.writeCheckpoint(); cpErr != nil && crawlErr == nil {
+	if cpErr := o.commit(); cpErr != nil && crawlErr == nil {
 		crawlErr = cpErr
 	}
-	if sErr := o.spoolErr(); sErr != nil && crawlErr == nil {
-		crawlErr = sErr
+	if aErr := o.appendErr(); aErr != nil && crawlErr == nil {
+		crawlErr = aErr
 	}
 	res.Progress = queue.Progress()
 	_, res.FailedSites, _ = queue.Snapshot()
 	if crawlErr != nil {
 		return res, crawlErr
 	}
-
-	// Flush any group-commit tail so the shards are complete on disk
-	// whichever path derives the dataset: the spool is the merge oracle's
-	// input on the store path, the durable resume source on the fold
-	// path, and about to be read back on the merge path.
-	if err := spool.Flush(); err != nil {
-		return res, err
-	}
-
-	if cfg.Store != nil {
-		// The store folded every record at ingest (this run's pages
-		// live, prior runs' via sealed-segment replay at open), so the
-		// dataset comes straight from it; the final writeCheckpoint
-		// above already sealed the tail.
-		res.Dataset, res.Merge = cfg.Store.Finalize()
-		return res, nil
-	}
-
-	if o.folder != nil {
-		res.Dataset, res.Merge = o.folder.Finalize()
-		res.Merge.Shards = spool.NumShards()
-		return res, nil
-	}
-
-	// A resumed run merges the shards. After the flush every appended
-	// byte is durable, so the shard sizes are exactly the extent a
-	// checkpoint would vouch for — merge with them as the floor, turning
-	// any torn tail into the hard error it is at this point (crash
-	// remnants were already repaired at open).
-	sizes, err := spool.ShardSizes()
-	if err != nil {
-		return res, err
-	}
-	ds, mstats, err := analysis.MergeShardsOpts(cfg.Meta, spool.Paths(), analysis.MergeOptions{MinShardBytes: sizes})
-	if err != nil {
-		return res, err
-	}
-	res.Dataset = ds
-	res.Merge = mstats
-	return res, nil
+	res.Dataset, res.Merge, err = ledger.Finalize()
+	return res, err
 }
 
-// orchestrator implements crawler.Source over the queue and owns the
-// spool + checkpoint plumbing.
+// orchestrator implements crawler.Source over the queue: the lease and
+// retry policy, and when the ledger commits.
 type orchestrator struct {
 	cfg    Config
 	queue  *Queue
-	spool  *Spooler
-	folder *analysis.Folder // non-nil only on fresh runs without a store
+	ledger *Ledger
 
-	mu          sync.Mutex
-	active      map[string]*Lease
-	completions int
-	spoolFailed error
-
-	cpMu sync.Mutex
+	mu           sync.Mutex
+	active       map[string]*Lease
+	completions  int
+	appendFailed error
 }
 
 // Next leases the next site for a worker.
@@ -358,7 +288,7 @@ func (o *orchestrator) browserFor(site crawler.Site) *browser.Browser {
 	return o.cfg.NewBrowser(site, attempt)
 }
 
-// onPage records, spools, and heartbeats one crawled page.
+// onPage records, appends, and heartbeats one crawled page.
 func (o *orchestrator) onPage(site crawler.Site, pageURL string, res *browser.PageResult) {
 	recordSpan := obs.StartSpan(obs.CrawlRecord)
 	rec, err := o.cfg.Recorder.RecordPage(site, pageURL, res)
@@ -366,31 +296,13 @@ func (o *orchestrator) onPage(site crawler.Site, pageURL string, res *browser.Pa
 		return // unparseable page: drop it
 	}
 	recordSpan.End()
-	commitSpan := obs.StartSpan(obs.CrawlCommit)
-	if err := o.spool.Append(rec); err != nil {
+	if err := o.ledger.Append(rec); err != nil {
 		o.mu.Lock()
-		if o.spoolFailed == nil {
-			o.spoolFailed = err
+		if o.appendFailed == nil {
+			o.appendFailed = err
 		}
 		o.mu.Unlock()
 		return
-	}
-	commitSpan.End()
-	if o.folder != nil {
-		o.folder.Fold(rec)
-	}
-	if o.cfg.Store != nil {
-		// Ingest after the spool append: the spool stays the superset
-		// the differential oracle merges, and a record the store sealed
-		// is always recoverable from the spool too.
-		if _, err := o.cfg.Store.Ingest(rec); err != nil {
-			o.mu.Lock()
-			if o.spoolFailed == nil {
-				o.spoolFailed = err
-			}
-			o.mu.Unlock()
-			return
-		}
 	}
 	o.mu.Lock()
 	l := o.active[site.Domain]
@@ -403,64 +315,27 @@ func (o *orchestrator) onPage(site crawler.Site, pageURL string, res *browser.Pa
 	}
 }
 
-// maybeCheckpoint writes the checkpoint every CheckpointEvery settled
-// sites.
+// maybeCheckpoint commits every CheckpointEvery settled sites.
 func (o *orchestrator) maybeCheckpoint() {
 	o.mu.Lock()
 	o.completions++
 	due := o.completions%o.cfg.CheckpointEvery == 0
 	o.mu.Unlock()
 	if due {
-		_ = o.writeCheckpoint() // next periodic write or the final one retries
+		_ = o.commit() // next periodic commit or the final one retries
 	}
 }
 
-// writeCheckpoint snapshots the queue into the checkpoint file.
-func (o *orchestrator) writeCheckpoint() error {
-	o.cpMu.Lock()
-	defer o.cpMu.Unlock()
-	span := obs.StartSpan(obs.StageCheckpoint)
-	defer func() {
-		span.End()
-		obs.CheckpointWrites.Inc()
-	}()
-	cp := &Checkpoint{
-		Version:      CheckpointVersion,
-		Name:         o.cfg.Name,
-		Seed:         o.cfg.Seed,
-		NumShards:    o.cfg.NumShards,
-		PagesPerSite: o.cfg.PagesPerSite,
-		TotalSites:   len(o.cfg.Sites),
-	}
-	cp.SetJobs(o.queue.ExportJobs())
-	// Record the durable spool extent alongside the progress it vouches
-	// for; resume refuses a spool smaller than this. The flush makes
-	// any group-commit tail durable first — a checkpoint must never
-	// mark a site done while its pages sit in a write buffer.
-	if err := o.spool.Flush(); err != nil {
-		return err
-	}
-	if o.cfg.Store != nil {
-		// Seal at the same boundary: every site this checkpoint marks
-		// done must be replayable from sealed segments on resume.
-		if err := o.cfg.Store.Seal(); err != nil {
-			return err
-		}
-	}
-	if sizes, err := o.spool.ShardSizes(); err == nil {
-		cp.ShardBytes = sizes
-	}
-	return cp.WriteAtomic(o.cfg.CheckpointPath)
+// commit checkpoints the queue's current job states.
+func (o *orchestrator) commit() error {
+	return o.ledger.Commit(func() ([]JobRecord, map[string]string) {
+		return o.queue.ExportJobs(), nil
+	})
 }
 
-// spoolErr returns the first spool append failure, if any.
-func (o *orchestrator) spoolErr() error {
+// appendErr returns the first ledger append failure, if any.
+func (o *orchestrator) appendErr() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.spoolFailed
-}
-
-// isNotExist tolerates a missing checkpoint on resume.
-func isNotExist(err error) bool {
-	return errors.Is(err, fs.ErrNotExist)
+	return o.appendFailed
 }

@@ -18,23 +18,23 @@ import (
 //
 // Layout: <dir>/shard-NNN.jsonl, one file per shard, one JSON-encoded
 // analysis.PageRecord per line. A site's pages always land in the same
-// shard (fnv64a(domain) mod shards). By default every append is
-// flushed before it is acknowledged, so a crash loses at most the line
-// being written; under a group-commit BatchPolicy a crash loses at
-// most one unflushed group per shard. Either way the loss is repaired
-// identically on resume: a partially written final line is truncated
-// away, lost pages belong to sites the checkpoint does not mark done
-// (checkpoints flush first), and re-crawled pages are deduplicated by
-// (site, pageURL) at merge.
+// shard (fnv64a(domain) mod shards). Appends are group-committed under
+// the Spooler's BatchPolicy, so a crash loses at most one unflushed
+// group per shard (one line under the zero policy). The loss is repaired
+// identically on resume either way: a partially written final line is
+// truncated away, lost pages belong to jobs the checkpoint does not mark
+// done (Ledger.Commit flushes first), and re-crawled pages are
+// deduplicated by (site, pageURL) at merge.
 type Spooler struct {
 	dir    string
 	batch  BatchPolicy
 	shards []*shardFile
 }
 
-// BatchPolicy configures spool group commit. The zero value is the
-// seed (reference) behavior: every record is flushed to the OS before
-// its append is acknowledged. With Pages > 1, a shard buffers up to
+// BatchPolicy configures spool group commit. The zero value flushes
+// every record to the OS before its append is acknowledged (tests and
+// the benchmark's reference measurements use it; the Ledger always
+// group-commits). With Pages > 1, a shard buffers up to
 // Pages records (or Bytes bytes, whichever fills first) and commits
 // them as a group, trading the per-record flush syscall for a bounded
 // durability window. The durability contract moves with it: Flush runs
@@ -43,7 +43,7 @@ type Spooler struct {
 // vouches for bytes the spool has not written.
 type BatchPolicy struct {
 	// Pages is how many records a shard may buffer between flushes.
-	// 0 or 1 flushes every record (seed behavior).
+	// 0 or 1 flushes every record.
 	Pages int
 	// Bytes sizes each shard's write buffer (default 4 KiB when 0); a
 	// full buffer flushes to the OS early, making Bytes the group's
@@ -62,23 +62,18 @@ type shardFile struct {
 }
 
 // DefaultShards is the spool shard count used wherever a config leaves
-// NumShards unset: dispatch.Run, the fabric coordinator, and the
-// columnar store core opens alongside them must all agree on it, since
-// checkpoints record the count and refuse to resume under another.
+// NumShards unset. The Ledger applies it to the spool and the columnar
+// store alike, since checkpoints record the count and refuse to resume
+// under another.
 const DefaultShards = 8
 
 // shardName names shard i's spool file.
 func shardName(i int) string { return fmt.Sprintf("shard-%03d.jsonl", i) }
 
-// OpenSpool opens (or creates) a spool directory with numShards shard
-// files. With resume=false any existing shard files are truncated; with
-// resume=true they are repaired (torn final lines dropped) and opened
-// for append.
-func OpenSpool(dir string, numShards int, resume bool) (*Spooler, error) {
-	return OpenSpoolBatch(dir, numShards, resume, BatchPolicy{})
-}
-
-// OpenSpoolBatch is OpenSpool with an explicit group-commit policy.
+// OpenSpoolBatch opens (or creates) a spool directory with numShards
+// shard files under the given group-commit policy. With resume=false any
+// existing shard files are truncated; with resume=true they are repaired
+// (torn final lines dropped) and opened for append.
 func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (*Spooler, error) {
 	if numShards <= 0 {
 		numShards = DefaultShards
@@ -178,16 +173,23 @@ func (c countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Append appends one page record to its site's shard. Without group
-// commit the record is flushed to the OS before Append returns; with it
-// (BatchPolicy.Pages > 1) the record becomes durable at the next group
-// boundary, Flush, or Close.
+// Append appends one page record to its site's shard. The record
+// becomes durable at the next group boundary, Flush, or Close (at once
+// under the zero BatchPolicy).
 func (s *Spooler) Append(rec *analysis.PageRecord) error {
+	return s.append(rec.Site, func(w *bufio.Writer) error {
+		return analysis.EncodeSpoolRecord(w, rec)
+	})
+}
+
+// append writes one line into domain's shard buffer and commits the
+// shard's group when the policy says so.
+func (s *Spooler) append(domain string, write func(w *bufio.Writer) error) error {
 	span := obs.StartSpan(obs.StageSpool)
-	sh := s.shards[s.ShardFor(rec.Site)]
+	sh := s.shards[s.ShardFor(domain)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := analysis.EncodeSpoolRecord(sh.w, rec); err != nil {
+	if err := write(sh.w); err != nil {
 		return err
 	}
 	sh.pending++
@@ -203,9 +205,8 @@ func (s *Spooler) Append(rec *analysis.PageRecord) error {
 }
 
 // Flush commits every shard's buffered records to the OS. It is the
-// group-commit boundary the durability contract hangs on: callers must
-// Flush before recording ShardSizes in a checkpoint and before merging
-// the shard files.
+// group-commit boundary the durability contract hangs on: ShardSizes are
+// only trustworthy, and the shard files only complete, after a Flush.
 func (s *Spooler) Flush() error {
 	var first error
 	for _, sh := range s.shards {
@@ -217,37 +218,6 @@ func (s *Spooler) Flush() error {
 		sh.mu.Unlock()
 	}
 	return first
-}
-
-// AppendRaw durably appends one pre-encoded spool line to domain's
-// shard. The line must be exactly what EncodeSpoolRecord would have
-// produced (a single JSON object, no embedded newlines); a trailing
-// newline is added when missing. This is the fabric coordinator's
-// ingest path: workers encode records once and the coordinator appends
-// the bytes verbatim, so a distributed spool is byte-identical to a
-// locally written one.
-func (s *Spooler) AppendRaw(domain string, line []byte) error {
-	span := obs.StartSpan(obs.StageSpool)
-	sh := s.shards[s.ShardFor(domain)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, err := sh.w.Write(line); err != nil {
-		return err
-	}
-	if len(line) == 0 || line[len(line)-1] != '\n' {
-		if err := sh.w.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	// Ingest acknowledgements promise durability to remote workers, so
-	// AppendRaw always flushes regardless of the batch policy.
-	if err := sh.w.Flush(); err != nil {
-		return err
-	}
-	sh.pending = 0
-	span.End()
-	obs.SpoolAppends.Inc()
-	return nil
 }
 
 // ShardSizes returns the current on-disk size of every shard file, in

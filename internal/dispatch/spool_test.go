@@ -15,7 +15,7 @@ func rec(site, page string) *analysis.PageRecord {
 
 func TestSpoolerShardAffinityAndLayout(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := OpenSpool(dir, 4, false)
+	sp, err := OpenSpoolBatch(dir, 4, false, BatchPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestSpoolerShardAffinityAndLayout(t *testing.T) {
 
 func TestSpoolerFreshRunTruncatesOldShards(t *testing.T) {
 	dir := t.TempDir()
-	sp, _ := OpenSpool(dir, 2, false)
+	sp, _ := OpenSpoolBatch(dir, 2, false, BatchPolicy{})
 	sp.Append(rec("a.com", "http://a.com/"))
 	sp.Close()
 
-	sp2, err := OpenSpool(dir, 2, false)
+	sp2, err := OpenSpoolBatch(dir, 2, false, BatchPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSpoolerFreshRunTruncatesOldShards(t *testing.T) {
 
 func TestSpoolerResumeRepairsTornTail(t *testing.T) {
 	dir := t.TempDir()
-	sp, _ := OpenSpool(dir, 1, false)
+	sp, _ := OpenSpoolBatch(dir, 1, false, BatchPolicy{})
 	sp.Append(rec("a.com", "http://a.com/"))
 	sp.Append(rec("a.com", "http://a.com/x"))
 	sp.Close()
@@ -89,7 +89,7 @@ func TestSpoolerResumeRepairsTornTail(t *testing.T) {
 	f.WriteString(`{"site":"a.com","rank":1,"pageUrl":"http://a.co`)
 	f.Close()
 
-	sp2, err := OpenSpool(dir, 1, true)
+	sp2, err := OpenSpoolBatch(dir, 1, true, BatchPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

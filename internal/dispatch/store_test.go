@@ -13,22 +13,6 @@ import (
 	"repro/internal/crawler"
 )
 
-// openTestStore opens the columnar store for a run rooted at dir, with
-// the same identity the test configs stamp on their datasets.
-func openTestStore(t *testing.T, dir string, resume bool) *colstore.Store {
-	t.Helper()
-	st, err := colstore.Open(colstore.Config{
-		Dir:       filepath.Join(dir, "store"),
-		NumShards: 4,
-		Meta:      analysis.DatasetMeta{Name: "test-crawl", Era: "pre-patch", CrawlIndex: 0},
-		Resume:    resume,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 // spoolPaths reconstructs a run's shard file paths.
 func spoolPaths(dir string, shards int) []string {
 	paths := make([]string, shards)
@@ -55,9 +39,7 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 
 	storeDir := t.TempDir()
 	cfg := env.config(storeDir, 2)
-	cfg.Batch = BatchPolicy{Pages: 4, Bytes: 64 * 1024} // group commit at the seal boundary
-	st := openTestStore(t, storeDir, false)
-	cfg.Store = st
+	cfg.StoreDir = filepath.Join(storeDir, "store")
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,12 +50,9 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 	if res.Merge.Pages == 0 || res.Merge.Pages != mergeRes.Merge.Pages {
 		t.Errorf("store folded %d pages, merge run saw %d", res.Merge.Pages, mergeRes.Merge.Pages)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// The sealed segments alone — a fresh read-only open, no live state —
-	// reproduce the same bytes.
+	// The sealed segments alone (Run closed the ledger, sealing the tail)
+	// — a fresh read-only open, no live state — reproduce the same bytes.
 	ro, err := colstore.OpenRead(filepath.Join(storeDir, "store"))
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +73,11 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 	}
 }
 
-// TestStoreKillAndResumeConverges: a store-backed crawl killed mid-run
-// (simulated by context cancel, which loses the store's unsealed
-// in-memory pending records exactly like a process death) resumes from
-// its checkpoint plus sealed segments and converges byte-for-byte with
-// an uninterrupted merge-path run.
+// TestStoreKillAndResumeConverges: a store-backed crawl cancelled
+// mid-run resumes from its checkpoint plus sealed segments and converges
+// byte-for-byte with an uninterrupted fold-path run. (A cancelled Run
+// still closes its ledger; TestLedger's dropped rows cover the process
+// death that loses unsealed records.)
 func TestStoreKillAndResumeConverges(t *testing.T) {
 	env := newTestEnv(t, 20)
 
@@ -115,15 +94,12 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	var pages atomic.Int64
 	cfg := env.config(dir, 2)
 	cfg.CheckpointEvery = 1
-	cfg.Batch = BatchPolicy{Pages: 4, Bytes: 64 * 1024}
-	cfg.Store = openTestStore(t, dir, false)
+	cfg.StoreDir = filepath.Join(dir, "store")
 	cfg.OnPage = func(crawler.Site, string) {
 		if pages.Add(1) == 10 {
 			cancel()
 		}
 	}
-	// The killed run's Store is abandoned without Close: pending records
-	// that never sealed are gone, as after a real SIGKILL.
 	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
@@ -137,10 +113,8 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 
 	cfg2 := env.config(dir, 2)
 	cfg2.CheckpointEvery = 1
-	cfg2.Batch = BatchPolicy{Pages: 4, Bytes: 64 * 1024}
+	cfg2.StoreDir = cfg.StoreDir
 	cfg2.Resume = true
-	st2 := openTestStore(t, dir, true)
-	cfg2.Store = st2
 	res2, err := Run(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +124,6 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	}
 	if !bytes.Equal(datasetBytes(t, res2.Dataset), oracle) {
 		t.Error("resumed store-derived dataset differs from uninterrupted run")
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	// The query service's view of the finished crawl — a read-only open

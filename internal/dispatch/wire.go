@@ -3,16 +3,15 @@ package dispatch
 import "sort"
 
 // Wire types: the exported, JSON-stable forms of the queue's internal
-// job state. The checkpoint format and the fabric dispatcher protocol
-// (internal/fabric/wire) both build on these records instead of
-// reaching into the queue's in-memory fields, so the durable formats
-// and the runtime representation can evolve independently — the
-// coupling that used to live implicitly in Run's resume loop and
-// writeCheckpoint is now this one explicit conversion layer.
+// job state. The checkpoint format builds on these records instead of
+// reaching into the queue's in-memory fields, so the durable format and
+// the runtime representation can evolve independently: a Queue exports
+// and restores them, a Checkpoint stores and yields them, and
+// Ledger.Commit is where the two meet.
 //
 // Encodings are golden-tested (wire_test.go): a change that alters the
-// serialized bytes is a wire-format change and must bump the consuming
-// format's version, not slip through silently.
+// serialized bytes is a format change and must bump CheckpointVersion,
+// not slip through silently.
 
 // JobState is the durable lifecycle state of a queued job.
 type JobState string

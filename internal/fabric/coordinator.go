@@ -2,13 +2,9 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -26,10 +22,6 @@ import (
 // a worker waits for a grant. Each poll also sends a wait keepalive so
 // the worker's read deadline stays fresh.
 const grantPoll = 100 * time.Millisecond
-
-// hintFabricFresh is the standard remediation for an unusable
-// coordinator checkpoint.
-const hintFabricFresh = "delete the checkpoint and spool directory, or rerun without -resume, to start the crawl from scratch"
 
 // CoordinatorConfig parameterizes a crawl coordinator.
 type CoordinatorConfig struct {
@@ -54,14 +46,13 @@ type CoordinatorConfig struct {
 	// Resume loads CheckpointPath (when present) and skips completed
 	// batches instead of starting from scratch.
 	Resume bool
-	// Store, when set, ingests every streamed page record into the
-	// embedded columnar store as it arrives and seals its segments at
-	// each checkpoint boundary, so the crawl is queryable (cmd/wsquery)
-	// while it runs. The spool keeps the raw lines regardless: Finalize
-	// still merges them, and the store-derived dataset must match that
-	// merge byte for byte (the differential oracle). Open the store with
-	// Resume matching this config's Resume; the caller owns Close.
-	Store *colstore.Store
+	// StoreDir, when non-empty, also ingests every streamed page record
+	// into a columnar store at this directory, sealed at each checkpoint
+	// boundary, so the crawl is queryable (cmd/wsquery, or Store for the
+	// in-process API) while it runs; Finalize then derives the dataset
+	// from it. The spool keeps the raw lines regardless — merging them is
+	// the differential oracle the store must match byte for byte.
+	StoreDir string
 	// Fault, when enabled, degrades every accepted worker connection
 	// with the given faultnet profile (fresh schedule per conn, keyed
 	// on FaultSeed).
@@ -74,25 +65,24 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator serves deterministic job batches to a worker fleet over
-// the fabric protocol and ingests their page records into the crawl
-// spool. Batch leasing, heartbeats, TTL reclaim, and retry budgets all
-// reuse dispatch.Queue with batches as the leased unit; progress is
-// checkpointed atomically after every settled batch, so a killed
-// coordinator resumes without losing completed work.
+// the fabric protocol and appends their page records to the crawl's
+// dispatch.Ledger. Batch leasing, heartbeats, TTL reclaim, and retry
+// budgets all reuse dispatch.Queue with batches as the leased unit; the
+// ledger commits after every settled batch, so a killed coordinator
+// resumes without losing completed work. What is the coordinator's own
+// is the wire session loop and the decision when to commit; everything
+// durable is the ledger's (DESIGN.md §7).
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	batches map[string]wire.Batch // by batch ID
-	total   int
 	queue   *dispatch.Queue
-	spool   *dispatch.Spooler
+	ledger  *dispatch.Ledger
 	ln      net.Listener
 
 	mu          sync.Mutex
 	failedSites map[string]string
 	conns       map[*wsproto.Conn]struct{}
 	closed      bool
-
-	cpMu sync.Mutex // serializes checkpoint writes
 
 	resumedDone int
 
@@ -101,21 +91,15 @@ type Coordinator struct {
 	wg      sync.WaitGroup
 }
 
-// StartCoordinator builds the batch plan, restores any checkpoint,
-// opens the spool, and starts serving workers on addr (host:port;
-// ":0" picks a port — see Addr).
+// StartCoordinator builds the batch plan, opens the crawl's ledger
+// (restoring any checkpoint), and starts serving workers on addr
+// (host:port; ":0" picks a port — see Addr).
 func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Crawl.Name == "" || len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("fabric: coordinator needs a crawl name and a site list")
 	}
-	if cfg.CheckpointPath == "" || cfg.SpoolDir == "" {
-		return nil, fmt.Errorf("fabric: CheckpointPath and SpoolDir are required")
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
-	}
-	if cfg.NumShards <= 0 {
-		cfg.NumShards = dispatch.DefaultShards
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
@@ -134,7 +118,6 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	c := &Coordinator{
 		cfg:         cfg,
 		batches:     byID,
-		total:       len(batches),
 		failedSites: map[string]string{},
 		conns:       map[*wsproto.Conn]struct{}{},
 		stop:        make(chan struct{}),
@@ -146,54 +129,38 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 		Seed:     cfg.Crawl.Seed,
 	})
 
-	resumed := false
-	var shardBytes []int64
-	if cfg.Resume {
-		cp, err := loadCheckpoint(cfg.CheckpointPath)
-		switch {
-		case err == nil:
-			if cerr := cp.Compatible(cfg.CheckpointPath, cfg.Crawl.Name, cfg.Crawl.Seed,
-				cfg.NumShards, cfg.Crawl.PagesPerSite, cfg.BatchSize, len(batches), len(cfg.Sites)); cerr != nil {
-				return nil, cerr
-			}
-			c.queue.RestoreJobs(cp.Batches)
-			for dom, msg := range cp.FailedSites {
-				c.failedSites[dom] = msg
-			}
-			for _, rec := range cp.Batches {
-				if rec.State == dispatch.JobDone {
-					c.resumedDone++
-				}
-			}
-			shardBytes = cp.ShardBytes
-			resumed = true
-		case errors.Is(err, fs.ErrNotExist):
-			// Nothing to resume; run from scratch.
-		default:
-			return nil, err
-		}
-	}
-
-	spool, err := dispatch.OpenSpool(cfg.SpoolDir, cfg.NumShards, resumed)
+	ledger, err := dispatch.OpenLedger(dispatch.LedgerConfig{
+		Crawl: dispatch.Checkpoint{
+			Name:         cfg.Crawl.Name,
+			Seed:         cfg.Crawl.Seed,
+			NumShards:    cfg.NumShards,
+			PagesPerSite: cfg.Crawl.PagesPerSite,
+			TotalSites:   len(cfg.Sites),
+			BatchSize:    cfg.BatchSize,
+		},
+		Meta:           c.meta(),
+		SpoolDir:       cfg.SpoolDir,
+		CheckpointPath: cfg.CheckpointPath,
+		StoreDir:       cfg.StoreDir,
+		Resume:         cfg.Resume,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if resumed {
-		// The checkpoint promises its completed batches' pages are in
-		// the spool; verify before skipping a single batch.
-		if err := spool.VerifyMinSizes(shardBytes); err != nil {
-			spool.Close()
-			return nil, &dispatch.CheckpointError{
-				Path: cfg.CheckpointPath, Version: wire.CheckpointVersion,
-				Reason: err.Error(), Hint: hintFabricFresh,
-			}
+	c.ledger = ledger
+	if cp := ledger.Resumed(); cp != nil {
+		// Batch membership is re-derived from the seed above; the
+		// checkpoint only says which batch IDs are settled.
+		c.queue.RestoreJobs(cp.Jobs())
+		for dom, msg := range cp.FailedSites {
+			c.failedSites[dom] = msg
 		}
+		c.resumedDone = len(cp.Done)
 	}
-	c.spool = spool
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		spool.Close()
+		ledger.Close()
 		return nil, fmt.Errorf("fabric: listen %s: %w", addr, err)
 	}
 	if cfg.Fault.Enabled() {
@@ -210,28 +177,10 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	return c, nil
 }
 
-// loadCheckpoint reads a coordinator checkpoint. Corrupt bytes and
-// unsupported versions surface as *dispatch.CheckpointError, exactly
-// like the single-process checkpoint path.
-func loadCheckpoint(path string) (*wire.Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var cp wire.Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, &dispatch.CheckpointError{
-			Path: path, Reason: fmt.Sprintf("corrupt checkpoint: %v", err), Hint: hintFabricFresh,
-		}
-	}
-	if cp.Version != wire.CheckpointVersion {
-		return nil, &dispatch.CheckpointError{
-			Path: path, Version: cp.Version,
-			Reason: fmt.Sprintf("unsupported format version (this build reads v%d)", wire.CheckpointVersion),
-			Hint:   hintFabricFresh,
-		}
-	}
-	return &cp, nil
+// meta is the dataset identity the crawl config implies — the same one
+// core.FabricDatasetMeta derives from the spec the config came from.
+func (c *Coordinator) meta() analysis.DatasetMeta {
+	return analysis.DatasetMeta{Name: c.cfg.Crawl.Name, Era: c.cfg.Crawl.Era, CrawlIndex: c.cfg.Crawl.CrawlIndex}
 }
 
 // Addr returns the coordinator's listen address.
@@ -268,34 +217,49 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
-// Finalize writes a final checkpoint and merges the spool shards into
-// the crawl dataset. Every append was flushed when it was acknowledged,
-// so the shards are fully readable even while sessions linger. Because
-// the merge deduplicates (site, pageURL) and canonicalizes all
-// ordering, the result is byte-identical no matter how many workers
-// streamed the spool or in what interleaving.
+// Store returns the live columnar store (nil without StoreDir) for an
+// in-process query API; the coordinator keeps ownership.
+func (c *Coordinator) Store() *colstore.Store { return c.ledger.Store() }
+
+// Finalize commits a final checkpoint and derives the crawl dataset by
+// the ledger's one rule (store, else live fold, else shard merge). All
+// three deduplicate (site, pageURL) and canonicalize every ordering, so
+// the result is byte-identical no matter how many workers streamed the
+// pages or in what interleaving. Finalize ends the ledger's append
+// phase, so a page still streaming from a stale attempt is refused (its
+// session drops) instead of changing the returned dataset. meta must be
+// the identity the crawl config implies; it is checked, not used.
 func (c *Coordinator) Finalize(meta analysis.DatasetMeta) (*analysis.Dataset, analysis.MergeStats, error) {
-	if err := c.writeCheckpoint(); err != nil {
+	if meta != c.meta() {
+		return nil, analysis.MergeStats{}, fmt.Errorf("fabric: Finalize for dataset %+v, but the crawl is %+v", meta, c.meta())
+	}
+	if err := c.commit(); err != nil {
 		return nil, analysis.MergeStats{}, err
 	}
-	// Every AppendRaw flushed before its ack, so the current shard sizes
-	// are fully durable extents: merge with them as the floor so a torn
-	// tail inside acknowledged data fails hard instead of being skipped.
-	sizes, err := c.spool.ShardSizes()
-	if err != nil {
-		return nil, analysis.MergeStats{}, err
-	}
-	return analysis.MergeShardsOpts(meta, c.spool.Paths(), analysis.MergeOptions{MinShardBytes: sizes})
+	return c.ledger.Finalize()
 }
 
 // Close stops the coordinator: the listener closes, every worker
-// session drops, a final checkpoint is written, and the spool is
+// session drops, a final checkpoint is committed, and the ledger is
 // flushed and closed. Safe to call more than once.
 func (c *Coordinator) Close() error {
+	if !c.shutdown() {
+		return nil
+	}
+	err := c.commit()
+	if lErr := c.ledger.Close(); lErr != nil && err == nil {
+		err = lErr
+	}
+	return err
+}
+
+// shutdown stops serving — listener, sessions, background loops — and
+// leaves the ledger untouched. false means it already ran.
+func (c *Coordinator) shutdown() bool {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil
+		return false
 	}
 	c.closed = true
 	for conn := range c.conns {
@@ -303,15 +267,9 @@ func (c *Coordinator) Close() error {
 	}
 	c.mu.Unlock()
 	close(c.stop)
-	err := c.ln.Close()
+	c.ln.Close()
 	c.wg.Wait()
-	if cpErr := c.writeCheckpoint(); cpErr != nil && err == nil {
-		err = cpErr
-	}
-	if sErr := c.spool.Close(); sErr != nil && err == nil {
-		err = sErr
-	}
-	return err
+	return true
 }
 
 // acceptLoop accepts worker connections until the listener closes.
@@ -483,24 +441,20 @@ func (c *Coordinator) session(nc net.Conn) {
 		case *wire.Page:
 			// Append even when the lease was already reclaimed: a stale
 			// attempt streams the same bytes a live one does (per-site
-			// seeding), and the merge deduplicates re-crawled pages, so
-			// the append is harmless and refusing it would buy nothing.
-			if err := c.spool.AppendRaw(m.Site, m.Line); err != nil {
-				c.logf("fabric: spool append: %v", err)
+			// seeding), and re-crawled pages deduplicate, so the append
+			// is harmless and refusing it would buy nothing. A line that
+			// is not a page record, or one arriving after Finalize, never
+			// reaches the spool: the session drops and its leases go back
+			// to the queue.
+			if err := c.ledger.AppendLine(m.Site, m.Line); err != nil {
+				c.logf("fabric: page for batch %s from %s rejected: %v", m.Batch, hello.Worker, err)
 				return
-			}
-			if c.cfg.Store != nil {
-				// Re-crawled duplicates fold to nothing here exactly as
-				// they dedup in the merge, keeping both sides identical.
-				if _, err := c.cfg.Store.IngestRaw(m.Line); err != nil {
-					c.logf("fabric: store ingest: %v", err)
-					return
-				}
 			}
 			obs.FabricPagesStreamed.Inc()
 		case *wire.Complete:
 			// TCP ordering means every page frame of this batch was
-			// processed — and durably spooled — before this settle.
+			// appended to the ledger before this settle; the commit
+			// below makes them durable before the batch is vouched for.
 			l := held[m.Batch]
 			delete(held, m.Batch)
 			if l != nil && l.Complete() {
@@ -516,7 +470,7 @@ func (c *Coordinator) session(nc net.Conn) {
 				p := c.queue.Progress()
 				c.logf("fabric: batch %s complete (%d pages) from %s [%d/%d done]",
 					m.Batch, m.Pages, hello.Worker, p.Done, p.Total)
-				if err := c.writeCheckpoint(); err != nil {
+				if err := c.commit(); err != nil {
 					c.logf("fabric: checkpoint: %v", err)
 				}
 			} else {
@@ -530,7 +484,7 @@ func (c *Coordinator) session(nc net.Conn) {
 			delete(grantedAt, m.Batch)
 			if l != nil && l.Fail(errors.New(m.Err)) {
 				c.logf("fabric: batch %s failed on %s: %s", m.Batch, hello.Worker, m.Err)
-				if err := c.writeCheckpoint(); err != nil {
+				if err := c.commit(); err != nil {
 					c.logf("fabric: checkpoint: %v", err)
 				}
 			}
@@ -594,63 +548,13 @@ func (c *Coordinator) grant(conn *wsproto.Conn, worker string, held map[string]*
 	}
 }
 
-// writeCheckpoint persists batch-level progress atomically. Called
-// after every settled batch and on Close, so a killed coordinator is at
-// worst one batch stale — and re-running that batch produces identical
-// spool bytes anyway.
-func (c *Coordinator) writeCheckpoint() error {
-	c.cpMu.Lock()
-	defer c.cpMu.Unlock()
-	span := obs.StartSpan(obs.StageCheckpoint)
-	defer func() {
-		span.End()
-		obs.CheckpointWrites.Inc()
-	}()
-	cp := &wire.Checkpoint{
-		Version:      wire.CheckpointVersion,
-		Name:         c.cfg.Crawl.Name,
-		Seed:         c.cfg.Crawl.Seed,
-		NumShards:    c.cfg.NumShards,
-		PagesPerSite: c.cfg.Crawl.PagesPerSite,
-		BatchSize:    c.cfg.BatchSize,
-		TotalBatches: c.total,
-		TotalSites:   len(c.cfg.Sites),
-	}
-	for _, rec := range c.queue.ExportJobs() {
-		if rec.State == dispatch.JobPending && rec.Attempts == 0 {
-			continue // a checkpoint stores only deviations from fresh
-		}
-		rec.Rank = 0 // batch seq is re-derived from the seed, not persisted
-		cp.Batches = append(cp.Batches, rec)
-	}
-	cp.SortBatches()
-	c.mu.Lock()
-	if len(c.failedSites) > 0 {
-		cp.FailedSites = make(map[string]string, len(c.failedSites))
-		for dom, msg := range c.failedSites {
-			cp.FailedSites[dom] = msg
-		}
-	}
-	c.mu.Unlock()
-	// Seal the store before the checkpoint publishes: every batch the
-	// checkpoint records as done streamed its pages (and was ingested)
-	// before the Complete frame that triggered this write, so sealing
-	// here keeps the invariant that checkpoint-done batches are covered
-	// by sealed segments — resume replays them instead of losing them.
-	if c.cfg.Store != nil {
-		if err := c.cfg.Store.Seal(); err != nil {
-			return err
-		}
-	}
-	// Record the durable spool extent alongside the progress it vouches
-	// for; resume refuses a spool smaller than this.
-	if sizes, err := c.spool.ShardSizes(); err == nil {
-		cp.ShardBytes = sizes
-	}
-	return dispatch.WriteAtomic(c.cfg.CheckpointPath, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(cp)
+// commit checkpoints batch-level progress. Called after every settled
+// batch and on Close, so a killed coordinator is at worst one batch
+// stale — and re-running that batch produces identical spool bytes
+// anyway.
+func (c *Coordinator) commit() error {
+	return c.ledger.Commit(func() ([]dispatch.JobRecord, map[string]string) {
+		return c.queue.ExportJobs(), c.FailedSites()
 	})
 }
 

@@ -9,27 +9,29 @@
 //
 //   - batch leasing, heartbeats, TTL reclaim, and retry budgets reuse
 //     internal/dispatch's Queue with batches as the leased unit;
-//   - progress is persisted through the same atomic checkpoint
-//     machinery (dispatch.WriteAtomic), at batch granularity;
-//   - page records stream back as pre-encoded spool lines and are
-//     appended verbatim to the coordinator's sharded spool, so the
-//     distributed spool is byte-identical to a locally written one;
-//   - the final dataset comes from the same canonical merge
-//     (analysis.MergeShards), whose output is order-insensitive;
+//   - everything durable is internal/dispatch's Ledger, of which the
+//     coordinator is the second caller (dispatch.Run is the first): page
+//     records stream back as pre-encoded spool lines and are appended
+//     verbatim (Ledger.AppendLine), so the distributed spool is
+//     byte-identical to a locally written one; progress is committed
+//     after every settled batch, in the single-process checkpoint
+//     format; and the final dataset comes from the ledger's one finalize
+//     rule (store, live fold, or canonical merge — all
+//     order-insensitive and byte-identical);
 //   - coordinator↔worker links accept faultnet profiles, and workers
 //     survive coordinator restarts via seeded dial retry.
 //
 // Determinism contract (DESIGN.md §12): a site's records are a pure
 // function of (seed, site) — workers rebuild the same synthetic world
-// from the Welcome frame's CrawlConfig — and the merge canonicalizes
-// ordering and deduplicates re-crawled pages. Therefore the merged
-// dataset is byte-identical across worker counts, arbitrary message
+// from the Welcome frame's CrawlConfig — and the dataset derivation
+// canonicalizes ordering and deduplicates re-crawled pages. Therefore
+// the dataset is byte-identical across worker counts, arbitrary message
 // interleavings, lease reclaims, and kill-and-resume of either side.
 // The e2e tests prove this across real processes.
 //
 // Concurrency: the coordinator runs one session goroutine per worker
 // connection plus an accept loop and a reclaim ticker; all shared
-// state (queue, spool, checkpoint) is internally synchronized. Workers
+// state (queue, ledger) is internally synchronized. Workers
 // run the page pipeline with their own crawl parallelism and serialize
 // protocol writes through the wsproto connection.
 //

@@ -63,8 +63,11 @@ func (r *fakeRunner) RunBatch(ctx context.Context, b wire.Batch, emit func(strin
 
 func (r *fakeRunner) Close() error { return nil }
 
+// fakeLine is a minimal but real spool line: the coordinator's ledger
+// decodes every streamed line, and distinct pageUrls keep a site's pages
+// distinct under the live fold.
 func fakeLine(s wire.Site, page int) string {
-	return fmt.Sprintf(`{"site":%q,"rank":%d,"page":%d}`, s.Domain, s.Rank, page)
+	return fmt.Sprintf(`{"site":%q,"rank":%d,"pageUrl":"http://%s/p%d"}`, s.Domain, s.Rank, s.Domain, page)
 }
 
 func testSites(n int) []crawler.Site {
@@ -142,8 +145,10 @@ type coordOpts struct {
 	ttl       time.Duration
 	batchSize int
 	resume    bool
+	store     bool
 	fault     string
 	faultSeed int64
+	logf      func(format string, args ...any)
 }
 
 func startTestCoordinator(t *testing.T, dir string, sites []crawler.Site, o coordOpts) *Coordinator {
@@ -157,28 +162,10 @@ func startTestCoordinator(t *testing.T, dir string, sites []crawler.Site, o coor
 	if o.batchSize == 0 {
 		o.batchSize = 4
 	}
-	var fault faultnet.Profile
-	if o.fault != "" {
-		p, ok := faultnet.ByName(o.fault)
-		if !ok {
-			t.Fatalf("unknown fault profile %q", o.fault)
-		}
-		fault = p
+	if o.logf == nil {
+		o.logf = t.Logf
 	}
-	c, err := StartCoordinator(o.addr, CoordinatorConfig{
-		Crawl:          testCrawlConfig(len(sites)),
-		Sites:          sites,
-		BatchSize:      o.batchSize,
-		NumShards:      4,
-		LeaseTTL:       o.ttl,
-		Retry:          dispatch.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		SpoolDir:       filepath.Join(dir, "spool"),
-		Resume:         o.resume,
-		Fault:          fault,
-		FaultSeed:      o.faultSeed,
-		Logf:           t.Logf,
-	})
+	c, err := startTestCoordinator2(dir, sites, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,21 +430,8 @@ func TestFabricSurvivesCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var c2 *Coordinator
 	opts.resume = true
-	for {
-		c2, err = startTestCoordinator2(dir, sites, opts)
-		if err == nil {
-			break
-		}
-		// The kernel can briefly hold the port; retry within the test
-		// deadline.
-		select {
-		case <-ctx.Done():
-			t.Fatalf("restart never bound %s: %v", addr, err)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
+	c2 := restartTestCoordinator(t, ctx, dir, sites, opts)
 	defer c2.Close()
 	if c2.ResumedDone() < 3 {
 		t.Errorf("ResumedDone = %d, want >= 3", c2.ResumedDone())
@@ -474,10 +448,18 @@ func TestFabricSurvivesCoordinatorRestart(t *testing.T) {
 	diffLines(t, "spool", canonicalSpool(t, filepath.Join(dir, "spool")), want)
 }
 
-// startTestCoordinator2 is startTestCoordinator without the t.Fatal, so
-// restart loops can retry transient bind failures.
+// startTestCoordinator2 is startTestCoordinator without the defaults
+// and the t.Fatal, so restart loops can retry transient bind failures.
 func startTestCoordinator2(dir string, sites []crawler.Site, o coordOpts) (*Coordinator, error) {
-	return StartCoordinator(o.addr, CoordinatorConfig{
+	var fault faultnet.Profile
+	if o.fault != "" {
+		p, ok := faultnet.ByName(o.fault)
+		if !ok {
+			return nil, fmt.Errorf("unknown fault profile %q", o.fault)
+		}
+		fault = p
+	}
+	cfg := CoordinatorConfig{
 		Crawl:          testCrawlConfig(len(sites)),
 		Sites:          sites,
 		BatchSize:      o.batchSize,
@@ -487,7 +469,14 @@ func startTestCoordinator2(dir string, sites []crawler.Site, o coordOpts) (*Coor
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 		SpoolDir:       filepath.Join(dir, "spool"),
 		Resume:         o.resume,
-	})
+		Fault:          fault,
+		FaultSeed:      o.faultSeed,
+		Logf:           o.logf,
+	}
+	if o.store {
+		cfg.StoreDir = filepath.Join(dir, "store")
+	}
+	return StartCoordinator(o.addr, cfg)
 }
 
 // TestCoordinatorResumeFailsFast: corrupt, wrong-version, and

@@ -1,7 +1,8 @@
 // Package wire defines the fabric dispatcher's wire protocol: the
 // versioned JSON frames a crawl coordinator and its workers exchange
-// over a WebSocket (internal/wsproto) connection, plus the
-// coordinator's durable checkpoint format.
+// over a WebSocket (internal/wsproto) connection. (The coordinator's
+// durable state is a dispatch.Checkpoint, written by its dispatch.Ledger;
+// nothing on disk is defined here.)
 //
 // Every frame is one WebSocket text message holding one JSON object
 // with a mandatory "v" (protocol version) and "type" field. Encoding
@@ -19,9 +20,6 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-
-	"repro/internal/dispatch"
 )
 
 // Version is the fabric protocol version. A coordinator refuses hellos
@@ -138,7 +136,8 @@ type HeartbeatAck struct {
 // Page streams one spooled page record.
 type Page struct {
 	Batch string `json:"batch"`
-	// Site is the page's site domain (selects the spool shard).
+	// Site is the page's site domain (selects the spool shard; the
+	// coordinator refuses a line that names another site).
 	Site string `json:"site"`
 	// Line is one spool line, exactly as analysis.EncodeSpoolRecord
 	// wrote it (without the trailing newline). The coordinator appends
@@ -296,68 +295,4 @@ func Decode(data []byte) (Decoded, error) {
 
 func missing(typ string) error {
 	return fmt.Errorf("wire: frame type %q missing its payload", typ)
-}
-
-// CheckpointVersion is the coordinator checkpoint's format version.
-const CheckpointVersion = 1
-
-// Checkpoint is the coordinator's durable progress: batch-level job
-// records (reusing dispatch's wire types) plus site-level failures and
-// the spool guard, under the same config-compatibility fields as the
-// single-process checkpoint. Written atomically via
-// dispatch.WriteAtomic.
-type Checkpoint struct {
-	Version int    `json:"version"`
-	Name    string `json:"name"`
-	// Seed is the study seed; batches are re-derived from it on resume,
-	// so batch membership never needs to be persisted.
-	Seed         int64 `json:"seed"`
-	NumShards    int   `json:"numShards"`
-	PagesPerSite int   `json:"pagesPerSite"`
-	BatchSize    int   `json:"batchSize"`
-	TotalBatches int   `json:"totalBatches"`
-	TotalSites   int   `json:"totalSites"`
-	// Batches is the durable state of every non-fresh batch, sorted by
-	// batch ID (dispatch.JobRecord's Domain carries the batch ID).
-	Batches []dispatch.JobRecord `json:"batches,omitempty"`
-	// FailedSites maps permanently failed sites (within completed
-	// batches) to their last error.
-	FailedSites map[string]string `json:"failedSites,omitempty"`
-	// ShardBytes is the spool guard (see dispatch.Checkpoint.ShardBytes).
-	ShardBytes []int64 `json:"shardBytes,omitempty"`
-}
-
-// Compatible verifies the checkpoint belongs to the configured crawl.
-// Mismatches surface as *dispatch.CheckpointError — versioned,
-// actionable, fail-fast.
-func (c *Checkpoint) Compatible(path, name string, seed int64, numShards, pagesPerSite, batchSize, totalBatches, totalSites int) error {
-	mismatch := func(reason string) error {
-		return &dispatch.CheckpointError{
-			Path: path, Version: c.Version, Reason: reason,
-			Hint: "point the coordinator at the original crawl's state, or match the original crawl's flags",
-		}
-	}
-	switch {
-	case c.Name != name:
-		return mismatch(fmt.Sprintf("checkpoint is for crawl %q, not %q", c.Name, name))
-	case c.Seed != seed:
-		return mismatch(fmt.Sprintf("checkpoint seed %d != configured seed %d", c.Seed, seed))
-	case c.NumShards != numShards:
-		return mismatch(fmt.Sprintf("checkpoint has %d spool shards, configured %d", c.NumShards, numShards))
-	case c.PagesPerSite != pagesPerSite:
-		return mismatch(fmt.Sprintf("checkpoint page budget %d != configured %d", c.PagesPerSite, pagesPerSite))
-	case c.BatchSize != batchSize:
-		return mismatch(fmt.Sprintf("checkpoint batch size %d != configured %d", c.BatchSize, batchSize))
-	case c.TotalBatches != totalBatches:
-		return mismatch(fmt.Sprintf("checkpoint covers %d batches, configured %d", c.TotalBatches, totalBatches))
-	case c.TotalSites != totalSites:
-		return mismatch(fmt.Sprintf("checkpoint covers %d sites, configured %d", c.TotalSites, totalSites))
-	}
-	return nil
-}
-
-// SortBatches canonicalizes the batch records (by batch ID) so the
-// encoded checkpoint is deterministic.
-func (c *Checkpoint) SortBatches() {
-	sort.Slice(c.Batches, func(i, j int) bool { return c.Batches[i].Domain < c.Batches[j].Domain })
 }

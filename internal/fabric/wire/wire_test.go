@@ -2,12 +2,8 @@ package wire
 
 import (
 	"encoding/json"
-	"errors"
 	"reflect"
-	"strings"
 	"testing"
-
-	"repro/internal/dispatch"
 )
 
 // TestFrameGoldenEncodings pins the exact bytes of every frame type.
@@ -105,74 +101,6 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 	} {
 		if _, err := Decode([]byte(raw)); err == nil {
 			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-// TestCheckpointGoldenJSON pins the coordinator checkpoint encoding.
-func TestCheckpointGoldenJSON(t *testing.T) {
-	cp := &Checkpoint{
-		Version: CheckpointVersion, Name: "pre-crawl-0", Seed: 42,
-		NumShards: 2, PagesPerSite: 5, BatchSize: 4, TotalBatches: 3, TotalSites: 10,
-		Batches: []dispatch.JobRecord{
-			{Domain: "b0001", State: dispatch.JobDone},
-			{Domain: "b0000", State: dispatch.JobPending, Attempts: 2, LastErr: "lease expired"},
-		},
-		FailedSites: map[string]string{"x.com": "homepage 500"},
-		ShardBytes:  []int64{64, 128},
-	}
-	cp.SortBatches()
-	data, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := `{"version":1,"name":"pre-crawl-0","seed":42,"numShards":2,` +
-		`"pagesPerSite":5,"batchSize":4,"totalBatches":3,"totalSites":10,` +
-		`"batches":[{"domain":"b0000","state":"pending","attempts":2,"lastErr":"lease expired"},` +
-		`{"domain":"b0001","state":"done"}],` +
-		`"failedSites":{"x.com":"homepage 500"},"shardBytes":[64,128]}`
-	if string(data) != golden {
-		t.Errorf("encoding drifted:\n got %s\nwant %s", data, golden)
-	}
-	var back Checkpoint
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&back, cp) {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, cp)
-	}
-}
-
-// TestCheckpointCompatible exercises every mismatch arm.
-func TestCheckpointCompatible(t *testing.T) {
-	cp := &Checkpoint{Version: 1, Name: "x", Seed: 1, NumShards: 8, PagesPerSite: 15, BatchSize: 16, TotalBatches: 4, TotalSites: 50}
-	if err := cp.Compatible("cp.json", "x", 1, 8, 15, 16, 4, 50); err != nil {
-		t.Errorf("compatible rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		err    error
-		expect string
-	}{
-		{"name", cp.Compatible("cp.json", "y", 1, 8, 15, 16, 4, 50), "crawl"},
-		{"seed", cp.Compatible("cp.json", "x", 2, 8, 15, 16, 4, 50), "seed"},
-		{"shards", cp.Compatible("cp.json", "x", 1, 4, 15, 16, 4, 50), "shards"},
-		{"pages", cp.Compatible("cp.json", "x", 1, 8, 5, 16, 4, 50), "budget"},
-		{"batchSize", cp.Compatible("cp.json", "x", 1, 8, 15, 8, 4, 50), "batch size"},
-		{"totalBatches", cp.Compatible("cp.json", "x", 1, 8, 15, 16, 9, 50), "batches"},
-		{"totalSites", cp.Compatible("cp.json", "x", 1, 8, 15, 16, 4, 99), "sites"},
-	}
-	for _, c := range cases {
-		if c.err == nil {
-			t.Errorf("%s mismatch accepted", c.name)
-			continue
-		}
-		var ce *dispatch.CheckpointError
-		if !errors.As(c.err, &ce) {
-			t.Errorf("%s: error type %T, want *dispatch.CheckpointError", c.name, c.err)
-		}
-		if !strings.Contains(c.err.Error(), c.expect) {
-			t.Errorf("%s: error %q missing %q", c.name, c.err, c.expect)
 		}
 	}
 }

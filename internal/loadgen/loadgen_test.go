@@ -147,12 +147,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 func TestRunAgainstShedServer(t *testing.T) {
 	// More connections than the server admits: the overflow must fail
-	// fast and be reported, not hang the run.
+	// fast and be reported, not hang the run. Each connection stays busy
+	// long enough (hundreds of echoes) that the six overlap even when a
+	// loaded machine starts them one after another.
 	s := startEcho(t, webserver.Options{MaxConns: 2})
 	rep, err := Run(context.Background(), Config{
 		Addr:     s.Addr(),
 		Conns:    6,
-		Messages: 5,
+		Messages: 500,
 		Seed:     3,
 	})
 	if err != nil {
