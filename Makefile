@@ -1,6 +1,8 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos fabric-soak load-soak bench-obs bench-match bench-match-smoke bench-fabric bench-fabric-smoke bench-ws bench-ws-smoke bench-lint bench-lint-smoke bench-crawl bench-crawl-smoke bench-store bench-store-smoke bench bench-smoke lint fmt-check ci clean
+FUZZTIME ?= 3s
+
+.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak bench-obs bench-match bench-match-smoke bench-fabric bench-fabric-smoke bench-ws bench-ws-smoke bench-lint bench-lint-smoke bench-crawl bench-crawl-smoke bench-store bench-store-smoke bench bench-smoke lint fmt-check ci clean
 
 all: ci
 
@@ -24,6 +26,20 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'Chaos' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestFabricSoak' ./internal/fabric/
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestLoadSoak' ./internal/loadgen/
+
+# Native fuzz targets, each for a short FUZZTIME (`go test -fuzz` takes
+# one target per invocation). The differential targets hold the
+# on-demand PRNG to math/rand and the content scanners to the regexps
+# they replaced; FuzzParse feeds htmlparse hostile bytes. Seed corpora
+# are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
+# interesting stay in the Go build cache, and a failing input is
+# written under the package's testdata/fuzz to be committed with the fix.
+fuzz-smoke:
+	$(GO) test ./internal/detrand -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzAppendSentMatchesRegexp$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzClassifyReceivedMatchesRegexp$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzExtractAdRefsMatchesRegexp$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/htmlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled
@@ -156,7 +172,7 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-ci: fmt-check vet build lint test race bench-match-smoke bench-fabric-smoke bench-ws-smoke bench-lint-smoke bench-crawl-smoke bench-store-smoke bench-smoke
+ci: fmt-check vet build lint test race fuzz-smoke bench-match-smoke bench-fabric-smoke bench-ws-smoke bench-lint-smoke bench-crawl-smoke bench-store-smoke bench-smoke
 
 clean:
 	$(GO) clean ./...

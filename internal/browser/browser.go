@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/detrand"
 	"repro/internal/devtools"
 	"repro/internal/dom"
 	"repro/internal/faultnet"
@@ -211,15 +212,15 @@ func New(cfg Config, exts ...Extension) *Browser {
 	if cfg.DialRetryBackoff == 0 {
 		cfg.DialRetryBackoff = 25 * time.Millisecond
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := detrand.New(cfg.Seed)
 	b := &Browser{
 		cfg:     cfg,
 		reg:     webrequest.NewRegistry(cfg.Version >= PatchedVersion),
 		state:   payload.NewClientState(rng),
 		rng:     rng,
 		cookies: map[string]string{},
-		backoffRng: rand.New(rand.NewSource(
-			faultnet.DeriveSeed(cfg.FaultSeed, cfg.Seed, 0x7e77))),
+		backoffRng: detrand.New(
+			faultnet.DeriveSeed(cfg.FaultSeed, cfg.Seed, 0x7e77)),
 	}
 	if cfg.ReuseScratch {
 		b.scratch = &visitScratch{bus: devtools.NewBus(), seen: map[string]bool{}}

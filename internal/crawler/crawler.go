@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/browser"
+	"repro/internal/detrand"
 	"repro/internal/obs"
 )
 
@@ -356,7 +357,7 @@ func visit(ctx context.Context, b *browser.Browser, site Site, url string, cfg C
 func siteRand(seed int64, domain string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s", seed, domain)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return detrand.New(int64(h.Sum64()))
 }
 
 // shuffled returns a shuffled copy.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/crawler"
+	"repro/internal/detrand"
 	"repro/internal/obs"
 )
 
@@ -80,7 +81,7 @@ func NewQueue(sites []crawler.Site, cfg QueueConfig) *Queue {
 		order:    make([]string, 0, len(sites)),
 		leaseTTL: cfg.LeaseTTL,
 		policy:   cfg.Retry.withDefaults(),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      detrand.New(cfg.Seed),
 		now:      cfg.Now,
 		signal:   make(chan struct{}),
 	}

@@ -43,9 +43,9 @@ package fabric
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/crawler"
+	"repro/internal/detrand"
 	"repro/internal/fabric/wire"
 )
 
@@ -69,7 +69,7 @@ func MakeBatches(sites []crawler.Site, size int, seed int64) []wire.Batch {
 	for i := range order {
 		order[i] = i
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
 	var out []wire.Batch

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/dispatch"
 	"repro/internal/fabric/wire"
 	"repro/internal/wsproto"
@@ -94,7 +95,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		return fmt.Errorf("fabric: worker needs Name, URL, and NewRunner")
 	}
 	cfg.withDefaults()
-	w := &worker{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	w := &worker{cfg: cfg, rng: detrand.New(cfg.Seed)}
 	defer func() {
 		if w.runner != nil {
 			w.runner.Close()
@@ -140,7 +141,7 @@ func (w *worker) session(ctx context.Context) (done, productive bool, err error)
 	d := &wsproto.Dialer{
 		// Masking bytes must not race the backoff rng: the keeper
 		// goroutine writes heartbeats concurrently with page emits.
-		Rand:     rand.New(rand.NewSource(w.rng.Int63())),
+		Rand:     detrand.New(w.rng.Int63()),
 		WrapConn: w.cfg.WrapConn,
 	}
 	conn, _, err := d.Dial(ctx, w.cfg.URL)

@@ -2,12 +2,12 @@ package faultnet
 
 import (
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"sync"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/obs"
 )
 
@@ -44,7 +44,7 @@ func WrapConn(nc net.Conn, p Profile, seed int64) net.Conn {
 	if !p.Enabled() {
 		return nc
 	}
-	return wrapConn(nc, p.schedule(rand.New(rand.NewSource(seed))))
+	return wrapConn(nc, p.schedule(detrand.New(seed)))
 }
 
 func wrapConn(nc net.Conn, s schedule) *Conn {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+
+	"repro/internal/detrand"
 )
 
 // Mode selects how a wrapped listener assigns schedules to accepted
@@ -41,7 +43,7 @@ func WrapListener(ln net.Listener, p Profile, seed int64, mode Mode) net.Listene
 	if !p.Enabled() {
 		return ln
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	fl := &Listener{Listener: ln, profile: p, mode: mode, rng: rng}
 	if mode == ModeUniform {
 		fl.uni = serverSchedule(p, rng)

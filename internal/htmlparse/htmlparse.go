@@ -114,9 +114,7 @@ func (p *parser) parseChildren(parent *dom.Node, enclosing string) {
 
 // parseRawText consumes raw text until the matching close tag.
 func (p *parser) parseRawText(el *dom.Node, tag string) {
-	lower := strings.ToLower(p.src[p.pos:])
-	closeTag := "</" + tag
-	idx := strings.Index(lower, closeTag)
+	idx := indexCloseTag(p.src[p.pos:], tag)
 	if idx < 0 {
 		if p.pos < len(p.src) {
 			el.AppendChild(dom.NewText(p.src[p.pos:]))
@@ -134,6 +132,40 @@ func (p *parser) parseRawText(el *dom.Node, tag string) {
 		return
 	}
 	p.pos += end + 1
+}
+
+// indexCloseTag returns the index in s of the first "</" followed by
+// tag (lower case) in any ASCII case, or -1. Only ASCII folds, as HTML
+// prescribes for tag names, and the search runs over s itself: a
+// lower-cased copy can differ from s in byte length (U+023A is 2 bytes,
+// its lower case 3), so an index into one is not an index into the other.
+func indexCloseTag(s, tag string) int {
+	for from := 0; ; {
+		i := strings.Index(s[from:], "</")
+		if i < 0 {
+			return -1
+		}
+		from += i + 2
+		if hasPrefixFold(s[from:], tag) {
+			return from - 2
+		}
+	}
+}
+
+func hasPrefixFold(s, lower string) bool {
+	if len(s) < len(lower) {
+		return false
+	}
+	for i := 0; i < len(lower); i++ {
+		c := s[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // parseOpenTag parses "<tag attr=val ...>" starting at p.pos (which points

@@ -218,3 +218,66 @@ func TestParseIframeAndLinkExtractionShape(t *testing.T) {
 		t.Error("link parse failed")
 	}
 }
+
+// Raw-text bodies are searched for their close tag in place. A
+// lower-cased copy changes byte length under non-ASCII letters —
+// U+023A grows from 2 bytes to 3, U+212A (Kelvin sign) shrinks from 3
+// to 1 — and an index into the copy once sliced the source out of
+// bounds (panic) or at the wrong byte.
+func TestParseRawTextNonASCIICase(t *testing.T) {
+	for _, letter := range []string{"\u023a", "\u212a", "\u0130"} {
+		body := strings.Repeat(letter, 50) + " var x = '<b>';"
+		for _, closeTag := range []string{"</script>", "</SCRIPT >", "</ScRiPt\n>"} {
+			doc := Parse("<script>" + body + closeTag + "<p>after</p>")
+			scripts := doc.GetElementsByTag("script")
+			if len(scripts) != 1 || scripts[0].InnerText() != body {
+				t.Fatalf("%q body with %q: script text = %q, want %q", letter, closeTag, scripts[0].InnerText(), body)
+			}
+			if p := doc.GetElementsByTag("p"); len(p) != 1 || p[0].InnerText() != "after" {
+				t.Errorf("%q body with %q: content after the script lost", letter, closeTag)
+			}
+		}
+	}
+	// Only ASCII case folds in a tag name: U+0130 lower-cases to "i",
+	// but "</scr\u0130pt>" does not close a script.
+	doc := Parse("<script>a</scr\u0130pt>b</script>")
+	if got := doc.GetElementsByTag("script")[0].InnerText(); got != "a</scr\u0130pt>b" {
+		t.Errorf("non-ASCII close tag ended the script: text = %q", got)
+	}
+	if doc := Parse("<style>" + strings.Repeat("\u023a", 50)); doc.GetElementsByTag("style")[0].InnerText() != strings.Repeat("\u023a", 50) {
+		t.Error("unterminated style body lost")
+	}
+}
+
+// FuzzParse: any byte string parses to a document without panicking,
+// in one pass (the tree never holds more nodes than the source has
+// bytes), and the tree serializes.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"<script>" + strings.Repeat("\u023a", 50) + "</script>",
+		"<script>" + strings.Repeat("\u212a", 50) + "</script><p>x</p>",
+		"<STYLE>\u0130</sTyLe \n>",
+		"<script></scr</script",
+		"<script>",
+		"<!DOCTYPE html><html><head><title>t</title></head><body class=a id='b' c=d e><br/><!-- c --><p>&amp;</p></body></html>",
+		"<<a <b></c>< /><!--", "<!", "</", "<a href=\"", "<div" + strings.Repeat("<div>", 40),
+		"\xff<\xfe>\x00</\x80>",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		doc := Parse(src)
+		if doc == nil || doc.Type != dom.DocumentNode {
+			t.Fatalf("Parse(%q) did not return a document", src)
+		}
+		nodes := 0
+		doc.Walk(func(*dom.Node) bool {
+			nodes++
+			return true
+		})
+		if nodes > len(src)+1 {
+			t.Fatalf("Parse(%q): %d nodes from %d bytes", src, nodes, len(src))
+		}
+		_ = doc.OuterHTML()
+	})
+}

@@ -34,10 +34,23 @@ var seededRandPackages = map[string]bool{
 	"repro/cmd/wsload":       true,
 }
 
+// onDemandSeedPackages build generators per page, per site or per
+// connection and draw a handful of numbers from each. rand.NewSource
+// fills a 607-word register up front (≈11 µs, 5.4 KB) — once a fifth
+// of a study's CPU — so these packages seed through detrand.New, which
+// yields the same stream and computes only the words drawn.
+var onDemandSeedPackages = map[string]bool{
+	"repro/internal/webgen":  true,
+	"repro/internal/wsproto": true,
+	"repro/internal/browser": true,
+	"repro/internal/crawler": true,
+	"repro/internal/loadgen": true,
+}
+
 // bannedRandFuncs are the math/rand package-level functions backed by
-// the process-global, unseeded source. Constructors (New, NewSource)
-// and type references (rand.Rand, rand.Source) stay legal: explicit
-// seeding is exactly the sanctioned pattern.
+// the process-global, unseeded source. rand.New and type references
+// (rand.Rand, rand.Source) stay legal: explicit seeding is exactly the
+// sanctioned pattern.
 var bannedRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
@@ -47,15 +60,17 @@ var bannedRandFuncs = map[string]bool{
 }
 
 // determinismAnalyzer forbids time.Now/time.Since and global math/rand
-// draws inside the deterministic packages.
+// draws inside the deterministic packages, and rand.NewSource inside
+// the on-demand-seed packages.
 func determinismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc:  "forbid wall-clock reads and unseeded randomness in the deterministic packages",
+		Doc:  "forbid wall-clock reads and unseeded randomness in the deterministic packages, and up-front rand.NewSource seeding on the per-page paths",
 		Run: func(p *Pass) {
 			deterministic := deterministicPackages[p.Pkg.Path]
 			seededOnly := seededRandPackages[p.Pkg.Path]
-			if !deterministic && !seededOnly {
+			onDemandSeed := onDemandSeedPackages[p.Pkg.Path]
+			if !deterministic && !seededOnly && !onDemandSeed {
 				return
 			}
 			for _, f := range p.Pkg.Files {
@@ -76,13 +91,18 @@ func determinismAnalyzer() *Analyzer {
 					if !ok {
 						return true
 					}
+					isRand := randName != "" && x.Name == randName
 					switch {
 					case timeName != "" && x.Name == timeName &&
 						(sel.Sel.Name == "Now" || sel.Sel.Name == "Since"):
 						p.Reportf(sel.Pos(),
 							"%s.%s in deterministic package %s; inject a seed or time through an obs span instead",
 							x.Name, sel.Sel.Name, p.Pkg.Path)
-					case randName != "" && x.Name == randName && bannedRandFuncs[sel.Sel.Name]:
+					case isRand && onDemandSeed && sel.Sel.Name == "NewSource":
+						p.Reportf(sel.Pos(),
+							"%s.NewSource in %s seeds a 607-word register up front; use detrand.New (same stream, seeded on demand)",
+							x.Name, p.Pkg.Path)
+					case isRand && (deterministic || seededOnly) && bannedRandFuncs[sel.Sel.Name]:
 						tier := "deterministic"
 						if !deterministic {
 							tier = "seeded-content"

@@ -175,7 +175,7 @@ func TestDeterminismFixture(t *testing.T) {
 // TestDeterminismScopedToDeterministicPackages re-lints the same
 // fixture under a non-deterministic import path: nothing may fire.
 func TestDeterminismScopedToDeterministicPackages(t *testing.T) {
-	pkg := loadFixture(t, "determinism", "repro/internal/browser")
+	pkg := loadFixture(t, "determinism", "repro/internal/dispatch")
 	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}); len(diags) != 0 {
 		t.Fatalf("determinism fired outside the deterministic packages: %v", diags)
 	}
@@ -190,9 +190,24 @@ func TestSeededRandFixture(t *testing.T) {
 // TestSeededRandScoped re-lints the same fixture under a path in
 // neither tier: nothing may fire.
 func TestSeededRandScoped(t *testing.T) {
-	pkg := loadFixture(t, "seededrand", "repro/internal/browser")
+	pkg := loadFixture(t, "seededrand", "repro/internal/dispatch")
 	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}); len(diags) != 0 {
 		t.Fatalf("determinism fired outside both tiers: %v", diags)
+	}
+}
+
+// TestRandSourceFixture covers the on-demand-seed rule: rand.NewSource
+// in a package that builds generators per page, site or connection.
+func TestRandSourceFixture(t *testing.T) {
+	runFixture(t, "randsource", "repro/internal/crawler", determinismAnalyzer())
+}
+
+// TestRandSourceScoped re-lints the same fixture under a path that
+// seeds once per run: nothing may fire.
+func TestRandSourceScoped(t *testing.T) {
+	pkg := loadFixture(t, "randsource", "repro/internal/dispatch")
+	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}); len(diags) != 0 {
+		t.Fatalf("on-demand-seed rule fired outside its packages: %v", diags)
 	}
 }
 

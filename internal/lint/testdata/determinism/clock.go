@@ -1,6 +1,6 @@
 // Fixture for the determinism analyzer: linted as package path
 // repro/internal/webgen (deterministic) and again as
-// repro/internal/browser (not deterministic, zero findings expected).
+// repro/internal/dispatch (not deterministic, zero findings expected).
 package webgen
 
 import (
@@ -25,7 +25,7 @@ func globalShuffle(xs []int) {
 }
 
 func seeded(seed int64) int {
-	rng := rand.New(rand.NewSource(seed)) // explicit seed: legal
+	rng := rand.New(rand.NewSource(seed)) // want "rand.NewSource in repro/internal/webgen seeds a 607-word register up front"
 	return rng.Intn(6)
 }
 

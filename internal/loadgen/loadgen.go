@@ -30,13 +30,13 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/faultnet"
 	"repro/internal/wsproto"
 )
@@ -210,7 +210,7 @@ func runConn(ctx context.Context, cfg *Config, id int, start time.Time) connResu
 	}
 	connSeed := faultnet.DeriveSeed(cfg.Seed, int64(id))
 	d := wsproto.Dialer{
-		Rand: rand.New(rand.NewSource(connSeed)),
+		Rand: detrand.New(connSeed),
 		// Every virtual host resolves to the configured target.
 		ResolveAddr: func(string) string { return cfg.Addr },
 	}

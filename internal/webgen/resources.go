@@ -3,6 +3,7 @@ package webgen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/payload"
@@ -52,7 +53,7 @@ func (w *World) PlanFor(pub *Publisher, page int) *PagePlan {
 }
 
 func (w *World) computePlan(pub *Publisher, page int) *PagePlan {
-	rng := w.rng("plan", pub.Domain, fmt.Sprint(page))
+	rng := w.rng("plan", pub.Domain, strconv.Itoa(page))
 	plan := &PagePlan{
 		Title:      fmt.Sprintf("%s — %s %d", pub.Domain, pub.Category, page),
 		AppProgram: &script.Program{},
@@ -187,7 +188,7 @@ func (w *World) endpointFor(receiverDomain string, rng *rand.Rand) (string, int)
 // companyProgram builds the behaviour program for a company's widget
 // script on one page of one publisher.
 func (w *World) companyProgram(c *Company, pub *Publisher, page int) *script.Program {
-	rng := w.rng("cw", pub.Domain, fmt.Sprint(page), c.Domain)
+	rng := w.rng("cw", pub.Domain, strconv.Itoa(page), c.Domain)
 	p := &script.Program{}
 
 	// Ordinary HTTP tracking: beacons and pixels (Table 5's HTTP/S
@@ -333,7 +334,7 @@ func (w *World) companyResource(c *Company, u *urlutil.URL) (*Resource, bool) {
 // RenderPage renders the HTML for page n of a publisher.
 func (w *World) RenderPage(pub *Publisher, page int) string {
 	plan := w.PlanFor(pub, page)
-	rng := w.rng("text", pub.Domain, fmt.Sprint(page))
+	rng := w.rng("text", pub.Domain, strconv.Itoa(page))
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
 	fmt.Fprintf(&b, "<title>%s</title>\n", plan.Title)

@@ -2,11 +2,12 @@ package webgen
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 
+	"repro/internal/detrand"
 	"repro/internal/urlutil"
 )
 
@@ -129,25 +130,42 @@ func NewWorld(cfg Config) *World {
 
 // rng returns a deterministic generator for a namespaced key.
 func (w *World) rng(parts ...string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|", w.Cfg.Seed, w.Cfg.CrawlIndex)
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	var buf [48]byte
+	key := strconv.AppendInt(buf[:0], w.Cfg.Seed, 10)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, int64(w.Cfg.CrawlIndex), 10)
+	key = append(key, '|')
+	return detrand.New(keySeed(key, parts))
 }
 
 // stableRng is like rng but identical across crawls (deployments persist
 // between crawls the way real sites keep their vendors).
 func (w *World) stableRng(parts ...string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|stable|", w.Cfg.Seed)
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+	var buf [48]byte
+	key := strconv.AppendInt(buf[:0], w.Cfg.Seed, 10)
+	key = append(key, "|stable|"...)
+	return detrand.New(keySeed(key, parts))
+}
+
+// keySeed is FNV-1a (hash/fnv's New64a) over prefix followed by each
+// part and a NUL terminator, computed in place: the hash.Hash64
+// interface would heap-allocate the state and every part.
+func keySeed(prefix []byte, parts []string) int64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range prefix {
+		h = (h ^ uint64(c)) * prime64
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			h = (h ^ uint64(p[i])) * prime64
+		}
+		h *= prime64 // the NUL terminator: h ^ 0 == h
+	}
+	return int64(h)
 }
 
 // namedPublisherSpec seeds the publishers the paper's tables name as
@@ -197,7 +215,7 @@ func (w *World) generatePublishers() {
 	base := len(w.Publishers)
 	tlds := []string{"com", "net", "org", "info", "co.uk", "com.au", "io"}
 	for i := 0; i < w.Cfg.NumPublishers; i++ {
-		rng := w.stableRng("pub", fmt.Sprint(i))
+		rng := w.stableRng("pub", strconv.Itoa(i))
 		p := &Publisher{
 			Index:    base + i,
 			Domain:   fmt.Sprintf("pub%04d.%s", i, tlds[rng.Intn(len(tlds))]),

@@ -3,10 +3,11 @@ package wsproto
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"time"
+
+	"repro/internal/detrand"
 )
 
 // HandshakeTimeout bounds the opening-handshake I/O on the server side
@@ -54,7 +55,7 @@ func Accept(nc net.Conn, selectProtocol func(offered []string) string) (*Conn, *
 	_ = nc.SetDeadline(time.Time{})
 	// Server conns never mask frames (RFC 6455 §5.1), so the RNG is
 	// inert; a fixed seed keeps the conn fully deterministic anyway.
-	conn := newConn(nc, br, false, rand.New(rand.NewSource(1)))
+	conn := newConn(nc, br, false, detrand.New(1))
 	conn.Subprotocol = sub
 	return conn, hs, nil
 }
@@ -104,7 +105,7 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 	}
 	_ = nc.SetWriteDeadline(time.Time{})
 	// As in Accept: server conns never mask, the fixed-seed RNG is inert.
-	return newConn(nc, rw.Reader, false, rand.New(rand.NewSource(2))), nil
+	return newConn(nc, rw.Reader, false, detrand.New(2)), nil
 }
 
 // writeHandshakeError responds to a malformed opening handshake with a
