@@ -29,8 +29,9 @@ race:
 
 # Native fuzz targets, each for a short FUZZTIME (`go test -fuzz` takes
 # one target per invocation). The differential targets hold the
-# on-demand PRNG to math/rand and the content scanners to the regexps
-# they replaced; FuzzParse feeds htmlparse hostile bytes. Seed corpora
+# on-demand PRNG to math/rand, the content scanners to the regexps they
+# replaced and the filter-list parser + indexed matcher to the linear
+# scan; FuzzParse feeds htmlparse hostile bytes. Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
 # interesting stay in the Go build cache, and a failing input is
 # written under the package's testdata/fuzz to be committed with the fix.
@@ -40,6 +41,7 @@ fuzz-smoke:
 	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzClassifyReceivedMatchesRegexp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzExtractAdRefsMatchesRegexp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/htmlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/filterlist -run '^$$' -fuzz '^FuzzMatchMatchesLinear$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled
@@ -64,9 +66,9 @@ fabric-soak:
 bench-obs:
 	$(GO) test ./internal/obs -bench . -benchmem -run '^$$'
 
-# Match-engine benchmarks: indexed engine vs the retained reference
-# oracle, cache-hit path (must stay 0 allocs/op), and tokenizer.
-# BENCH_match.json records the accepted baseline.
+# Match-engine benchmarks: indexed engine (serial and parallel) vs the
+# linear oracle of the tests, and the tokenizer. BENCH_match.json
+# records the accepted baseline.
 bench-match:
 	$(GO) test ./internal/filterlist -bench Match -benchmem -run '^$$'
 

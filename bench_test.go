@@ -408,9 +408,10 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	easyprivacy := filterlist.Parse("easyprivacy", w.EasyPrivacyText())
 	lab := labeler.New(easylist, easyprivacy)
 	lab.SetCDNMap(w.CloudfrontMap())
-	// Feed the labeler observations straight from the world's page
-	// plans and the widget scripts they include (no network needed for
-	// this ablation).
+	// Tag each page's requests straight from the world's page plans and
+	// the widget scripts they include (no network needed for this
+	// ablation), and sum the deltas as the dataset merge does.
+	aa, non := map[string]int{}, map[string]int{}
 	for _, p := range w.Publishers[:100] {
 		for page := 0; page <= 3 && page <= p.NumPages; page++ {
 			plan := w.PlanFor(p, page)
@@ -421,8 +422,9 @@ func BenchmarkAblationThreshold(b *testing.B) {
 					scriptURLs = append(scriptURLs, op.URL)
 				}
 			}
+			var urls []string
 			for _, su := range scriptURLs {
-				observe(lab, su)
+				urls = append(urls, su)
 				// Follow the widget script's own requests (beacons,
 				// pixels): that is where partial-rule domains earn
 				// their a(d) observations.
@@ -436,9 +438,16 @@ func BenchmarkAblationThreshold(b *testing.B) {
 				}
 				for _, op := range prog.Ops {
 					if op.URL != "" && strings.HasPrefix(op.URL, "http") {
-						observe(lab, op.URL)
+						urls = append(urls, op.URL)
 					}
 				}
+			}
+			a, n, _ := lab.TagTree(scriptRequestTree(b, "http://"+p.Domain+"/", urls))
+			for d, c := range a {
+				aa[d] += c
+			}
+			for d, c := range n {
+				non[d] += c
 			}
 		}
 	}
@@ -447,7 +456,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range thresholds {
-			sizes[t] = len(lab.DomainsAtThreshold(t))
+			sizes[t] = len(labeler.Domains(aa, non, t))
 		}
 	}
 	b.StopTimer()
@@ -456,14 +465,22 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	b.ReportMetric(float64(sizes[0.5]), "D_at_50pct")
 }
 
-func observe(lab *labeler.Labeler, rawURL string) {
-	u, err := urlutil.Parse(rawURL)
-	if err != nil {
-		return
+// scriptRequestTree is the inclusion tree of a page whose parser issued
+// the given URLs as script requests, in order.
+func scriptRequestTree(b *testing.B, pageURL string, urls []string) *inclusion.Tree {
+	tr := devtools.NewTrace()
+	tr.Record(devtools.FrameNavigated{FrameID: "F1", URL: pageURL, Initiator: devtools.ParserInitiator("F1")})
+	for i, u := range urls {
+		tr.Record(devtools.RequestWillBeSent{
+			RequestID: devtools.RequestID(fmt.Sprint("R", i)), URL: u, Type: devtools.ResourceScript,
+			FrameID: "F1", Initiator: devtools.ParserInitiator("F1"), FirstPartyURL: pageURL,
+		})
 	}
-	// Labeling by URL only (script type, no page context) is enough
-	// for the threshold sweep.
-	lab.Observe(u.Host, lab.MatchURLs([]string{rawURL}, nil, ""))
+	tree, err := inclusion.Build(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tree
 }
 
 // ---- substrate micro-benchmarks ----

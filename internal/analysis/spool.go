@@ -519,17 +519,9 @@ func (m *shardMerger) finalize() *Dataset {
 	}
 
 	// D′ under the §3.2 threshold, from the merged observation deltas.
-	for dom, a := range m.aa {
-		if a == 0 {
-			continue
-		}
-		if float64(a) >= labeler.Threshold*float64(m.non[dom]) {
-			d.AADomains = append(d.AADomains, dom)
-		}
-	}
-	sort.Strings(d.AADomains)
+	d.AADomains = labeler.Domains(m.aa, m.non, labeler.Threshold)
 
-	// CDN candidates most-frequent first, mirroring labeler ordering.
+	// CDN candidates, most frequent first.
 	for h := range m.cdn {
 		d.CDNCandidates = append(d.CDNCandidates, h)
 	}

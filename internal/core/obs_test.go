@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,7 +69,7 @@ func TestCrawlPopulatesMetrics(t *testing.T) {
 
 	for _, name := range []string{obs.MPages, obs.MSites, obs.MBrowserRequests,
 		obs.MServerRequests, obs.MSpoolAppends, obs.MCheckpointWrites, obs.MMergePages,
-		obs.MMatchRequests, obs.MMatchCacheHits, obs.MMatchCacheMisses} {
+		obs.MMatchRequests} {
 		if after.Counters[name] <= before.Counters[name] {
 			t.Errorf("counter %s did not advance (%d -> %d)",
 				name, before.Counters[name], after.Counters[name])
@@ -90,6 +93,98 @@ func TestCrawlPopulatesMetrics(t *testing.T) {
 	for _, name := range []string{obs.MMatchIndexRules, obs.MMatchIndexTokens} {
 		if after.Gauges[name] <= 0 {
 			t.Errorf("gauge %s = %d, want > 0 after a crawl", name, after.Gauges[name])
+		}
+	}
+}
+
+// documentedMetrics parses OPERATIONS.md's "Metric names" table into
+// name → kind ("counter", "gauge", "histogram"). A row's first column
+// holds its prefix (or prefixes); a backticked name in the second
+// column that already contains a dot is taken whole, any other is
+// appended to the row's single prefix.
+func documentedMetrics(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "### Metric names\n")
+	if !ok {
+		t.Fatal(`OPERATIONS.md has no "### Metric names" section`)
+	}
+	backticked := regexp.MustCompile("`([^`]+)`")
+	out := map[string]string{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if len(out) > 0 {
+				break // end of the table
+			}
+			continue
+		}
+		cols := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cols) != 3 || !strings.Contains(cols[0], "`") {
+			continue // header and separator rows
+		}
+		var kind string
+		switch k := strings.TrimSpace(cols[2]); {
+		case strings.HasPrefix(k, "counter"):
+			kind = "counter"
+		case strings.HasPrefix(k, "gauge"):
+			kind = "gauge"
+		case strings.HasPrefix(k, "duration histogram"):
+			kind = "histogram"
+		default:
+			t.Errorf("OPERATIONS.md metric row %q: kind %q is not counter/gauge/duration histogram", line, k)
+			continue
+		}
+		prefixes := backticked.FindAllStringSubmatch(cols[0], -1)
+		for _, m := range backticked.FindAllStringSubmatch(cols[1], -1) {
+			name := m[1]
+			if !strings.Contains(name, ".") {
+				if len(prefixes) != 1 {
+					t.Errorf("OPERATIONS.md metric row %q: short name %q needs exactly one prefix", line, name)
+					continue
+				}
+				name = prefixes[0][1] + name
+			}
+			if _, dup := out[name]; dup {
+				t.Errorf("OPERATIONS.md documents %s twice", name)
+			}
+			out[name] = kind
+		}
+	}
+	return out
+}
+
+// TestMetricCatalogueMatchesDocs holds OPERATIONS.md's "Metric names"
+// table to the registry: after a crawl (which registers the lazily
+// added queue.* function gauges) every registered metric is documented
+// with its kind, and every documented metric is registered.
+func TestMetricCatalogueMatchesDocs(t *testing.T) {
+	datasetBytes(t, t.TempDir())
+	snap := obs.Default.Snapshot()
+	registered := map[string]string{}
+	for name := range snap.Counters {
+		registered[name] = "counter"
+	}
+	for name := range snap.Gauges {
+		registered[name] = "gauge"
+	}
+	for name := range snap.Hists {
+		registered[name] = "histogram"
+	}
+	documented := documentedMetrics(t)
+	for name, kind := range registered {
+		switch doc, ok := documented[name]; {
+		case !ok:
+			t.Errorf("%s (%s) is registered but not in OPERATIONS.md's metric table", name, kind)
+		case doc != kind:
+			t.Errorf("%s is a %s, OPERATIONS.md documents a %s", name, kind, doc)
+		}
+	}
+	for name, kind := range documented {
+		if _, ok := registered[name]; !ok {
+			t.Errorf("OPERATIONS.md documents %s (%s), which nothing registers", name, kind)
 		}
 	}
 }

@@ -10,11 +10,10 @@ import (
 	"repro/internal/urlutil"
 )
 
-// The `make bench-match` suite: the indexed engine versus the retained
-// reference oracle on an EasyList-scale synthetic rule set, plus the
-// cache-hit path. BENCH_match.json records the accepted baseline; the
-// acceptance bar is >=10x indexed-vs-reference throughput and 0
-// allocs/op on the cache-hit path.
+// The `make bench-match` suite: the indexed engine versus the linear
+// oracle (reference_test.go) on an EasyList-scale synthetic rule set.
+// BENCH_match.json records the accepted baseline; the acceptance bar is
+// >=10x indexed-vs-reference throughput.
 
 // benchRuleSet builds an EasyList-scale list: mostly domain-anchored
 // host rules with a sprinkling of path substrings, options, and
@@ -77,13 +76,11 @@ func benchGroup(nRules int) *Group {
 
 const benchScale = 20000 // EasyList-scale active rules
 
-// BenchmarkMatchIndexed measures the reverse-index engine with the
-// decision cache disabled: every op is a full tokenize + index lookup.
+// BenchmarkMatchIndexed measures the reverse-index engine: every op is
+// a full tokenize + index lookup.
 func BenchmarkMatchIndexed(b *testing.B) {
 	g := benchGroup(benchScale)
-	g.SetCacheSize(0)
 	reqs := benchRequests(rand.New(rand.NewSource(7)), 2048)
-	g.Match(reqs[0]) // compile outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,8 +88,8 @@ func BenchmarkMatchIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchReference measures the retained linear oracle on the
-// same rule set and traffic — the seed implementation's cost.
+// BenchmarkMatchReference measures the linear oracle on the same rule
+// set and traffic — the seed implementation's cost.
 func BenchmarkMatchReference(b *testing.B) {
 	g := benchGroup(benchScale)
 	reqs := benchRequests(rand.New(rand.NewSource(7)), 2048)
@@ -103,29 +100,11 @@ func BenchmarkMatchReference(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchCacheHit measures the steady-state crawl path: the
-// same third-party request seen again. Must be 0 allocs/op.
-func BenchmarkMatchCacheHit(b *testing.B) {
-	g := benchGroup(benchScale)
-	reqs := benchRequests(rand.New(rand.NewSource(7)), 512)
-	for _, r := range reqs {
-		g.Match(r) // warm the cache
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Match(reqs[i%len(reqs)])
-	}
-}
-
 // BenchmarkMatchParallel measures contention across crawl workers on
-// the shared group (sharded cache, immutable index).
+// the shared group (immutable index, pooled scratch).
 func BenchmarkMatchParallel(b *testing.B) {
 	g := benchGroup(benchScale)
 	reqs := benchRequests(rand.New(rand.NewSource(7)), 2048)
-	for _, r := range reqs {
-		g.Match(r)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

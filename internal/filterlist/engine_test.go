@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/devtools"
+	"repro/internal/obs"
 	"repro/internal/urlutil"
 )
 
@@ -174,11 +175,10 @@ func corpusRequest(rng *rand.Rand) Request {
 }
 
 // TestDifferentialEngineVsReference drives generated rule corpora and
-// URLs through the indexed engine and the reference oracle and requires
+// URLs through the indexed engine and the linear oracle and requires
 // identical full decisions — not just Blocked, but the winning rule,
 // exception, and list, since the priority contract is part of the
-// engine's spec. Both the cold (cache-miss) and warm (cache-hit) paths
-// are exercised.
+// engine's spec.
 func TestDifferentialEngineVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20170419))
 	for corpus := 0; corpus < 6; corpus++ {
@@ -189,27 +189,29 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 			Parse("easyprivacy", strings.Join(lines[split:], "\n")),
 		)
 		for i := 0; i < 500; i++ {
-			request := corpusRequest(rng)
-			want := g.refMatch(request)
-			for pass := 0; pass < 2; pass++ { // miss then hit
-				got := g.Match(request)
-				if got.Blocked != want.Blocked || got.Rule != want.Rule ||
-					got.Exception != want.Exception || got.List != want.List {
-					t.Fatalf("corpus %d url %s type %s page %q pass %d:\n  engine    %+v\n  reference %+v",
-						corpus, request.URL.Raw, request.Type, request.PageHost, pass,
-						decisionString(got), decisionString(want))
-				}
-			}
-			// Single-list agreement too.
-			for _, l := range g.Lists {
-				got, want := l.Match(request), l.refMatch(request)
-				if got.Blocked != want.Blocked || got.Rule != want.Rule || got.Exception != want.Exception {
-					t.Fatalf("list %s url %s: engine %s, reference %s",
-						l.Name, request.URL.Raw, decisionString(got), decisionString(want))
-				}
+			if _, err := checkAgainstLinear(g, corpusRequest(rng)); err != nil {
+				t.Fatalf("corpus %d: %v", corpus, err)
 			}
 		}
 	}
+}
+
+// checkAgainstLinear requires the engine's decision for one request to
+// equal the linear oracle's, through the group and through each member
+// list on its own, and returns the group's decision.
+func checkAgainstLinear(g *Group, request Request) (Decision, error) {
+	got, want := g.Match(request), g.refMatch(request)
+	if got != want {
+		return got, fmt.Errorf("group: url %s type %s page %q:\n  engine %s\n  linear %s",
+			request.URL.Raw, request.Type, request.PageHost, decisionString(got), decisionString(want))
+	}
+	for _, l := range g.Lists {
+		if got, want := l.Match(request), l.refMatch(request); got != want {
+			return got, fmt.Errorf("list %s: url %s type %s page %q:\n  engine %s\n  linear %s",
+				l.Name, request.URL.Raw, request.Type, request.PageHost, decisionString(got), decisionString(want))
+		}
+	}
+	return got, nil
 }
 
 func decisionString(d Decision) string {
@@ -223,55 +225,10 @@ func decisionString(d Decision) string {
 	return fmt.Sprintf("{Blocked:%v Rule:%q Exception:%q List:%q}", d.Blocked, rule, exc, d.List)
 }
 
-// TestSetReferenceMode verifies the process-wide oracle toggle used by
-// the dataset-equivalence test routes both Group and List matching.
-func TestSetReferenceMode(t *testing.T) {
-	g := NewGroup(Parse("test", "||ads.example^"))
-	request := req("http://ads.example/x.js", devtools.ResourceScript, "pub.example")
-	SetReferenceMode(true)
-	defer SetReferenceMode(false)
-	if !g.Match(request).Blocked || !g.Lists[0].Match(request).Blocked {
-		t.Error("reference mode broke matching")
-	}
-}
-
-// ---- decision cache behaviour ----
-
-func TestDecisionCacheBounded(t *testing.T) {
-	g := NewGroup(Parse("test", "||ads.example^\n/banner/"))
-	g.SetCacheSize(64)
-	for i := 0; i < 5000; i++ {
-		u := fmt.Sprintf("http://ads.example/banner/%d", i)
-		g.Match(req(u, devtools.ResourceImage, "pub.example"))
-	}
-	if n := g.cache.len(); n > 64 {
-		t.Errorf("cache grew to %d entries, bound is 64", n)
-	}
-}
-
-// TestDecisionCacheKeyIncludesContext: two requests for the same URL
-// that differ in page host or resource type must not share an entry —
-// $domain, $third-party, and type options make the decision depend on
-// all three key parts.
-func TestDecisionCacheKeyIncludesContext(t *testing.T) {
-	g := NewGroup(Parse("test",
-		"||widget.example^$third-party\n||player.example^$script,domain=video.example"))
-	tp := g.Match(req("http://widget.example/w.js", devtools.ResourceScript, "pub.example"))
-	fp := g.Match(req("http://widget.example/w.js", devtools.ResourceScript, "cdn.widget.example"))
-	if !tp.Blocked || fp.Blocked {
-		t.Errorf("party split: third=%v first=%v", tp.Blocked, fp.Blocked)
-	}
-	onDomain := g.Match(req("http://player.example/p.js", devtools.ResourceScript, "video.example"))
-	offDomain := g.Match(req("http://player.example/p.js", devtools.ResourceScript, "other.example"))
-	asImage := g.Match(req("http://player.example/p.js", devtools.ResourceImage, "video.example"))
-	if !onDomain.Blocked || offDomain.Blocked || asImage.Blocked {
-		t.Errorf("domain/type split: on=%v off=%v image=%v", onDomain.Blocked, offDomain.Blocked, asImage.Blocked)
-	}
-}
-
-// TestCacheInvalidatedByAdd: mutating a member list after matches have
-// been cached must not serve stale decisions.
-func TestCacheInvalidatedByAdd(t *testing.T) {
+// TestAddAfterMatchRecompiles: mutating a list after it has been
+// matched against must drop the compiled index, not serve decisions
+// from the rules it was built over.
+func TestAddAfterMatchRecompiles(t *testing.T) {
 	l := Parse("test", "||ads.example^")
 	g := NewGroup(l)
 	request := req("http://ads.example/allowed/x", devtools.ResourceScript, "pub.example")
@@ -280,26 +237,33 @@ func TestCacheInvalidatedByAdd(t *testing.T) {
 	}
 	l.Add(mustRule(t, "@@||ads.example/allowed/*"))
 	if g.Match(request).Blocked {
-		t.Error("stale cached decision served after List.Add")
+		t.Error("stale index served after List.Add")
 	}
 }
 
-// TestCacheHitPathZeroAllocs is the perf contract the benchmarks
-// record: a cache hit performs no heap allocation.
-func TestCacheHitPathZeroAllocs(t *testing.T) {
-	g := NewGroup(Parse("test", "||ads.example^\n/banner/\n@@||safe.example^"))
-	request := req("http://ads.example/banner/img.gif", devtools.ResourceImage, "pub.example")
-	g.Match(request) // warm
-	allocs := testing.AllocsPerRun(200, func() {
-		g.Match(request)
-	})
-	if allocs != 0 {
-		t.Errorf("cache-hit path allocates %.1f objects/op, want 0", allocs)
+// TestIndexGaugesReportLiveGroup: the match.index_* gauges describe the
+// most recently built group, however many groups (one per crawl of a
+// study) the process built before it.
+func TestIndexGaugesReportLiveGroup(t *testing.T) {
+	var tokens int64
+	for round := 0; round < 3; round++ {
+		g := NewGroup(
+			Parse("easylist", "||ads.example^\n||tracker.example^\n@@||ads.example/ok^"),
+			Parse("easyprivacy", "||pixel.example^"),
+		)
+		if got := obs.MatchIndexRules.Value(); got != int64(g.RuleCount()) {
+			t.Fatalf("round %d: match.index_rules = %d, want the live group's %d", round, got, g.RuleCount())
+		}
+		if round == 0 {
+			tokens = obs.MatchIndexTokens.Value()
+		} else if got := obs.MatchIndexTokens.Value(); got != tokens || got == 0 {
+			t.Fatalf("round %d: match.index_tokens = %d, want round 0's %d", round, got, tokens)
+		}
 	}
 }
 
 // TestEngineConcurrentMatch exercises the compiled-index publication
-// and cache sharding under the race detector.
+// and the pooled scratch under the race detector.
 func TestEngineConcurrentMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := NewGroup(

@@ -27,9 +27,6 @@ type indexedRule struct {
 type ruleIndex struct {
 	buckets map[uint64][]indexedRule
 	rest    []indexedRule
-	// ruleCount/tokenCount feed the index-fill gauges.
-	ruleCount  int
-	tokenCount int
 }
 
 // buildIndex files rules under their rarest usable token. Rarity is
@@ -45,7 +42,7 @@ func buildIndex(rules []*Rule) ruleIndex {
 			freq[h]++
 		}
 	}
-	idx := ruleIndex{buckets: make(map[uint64][]indexedRule, len(rules)), ruleCount: len(rules)}
+	idx := ruleIndex{buckets: make(map[uint64][]indexedRule, len(rules))}
 	for i, r := range rules {
 		best, bestN := uint64(0), -1
 		for _, h := range cands[i] {
@@ -60,7 +57,6 @@ func buildIndex(rules []*Rule) ruleIndex {
 			idx.buckets[best] = append(idx.buckets[best], ir)
 		}
 	}
-	idx.tokenCount = len(idx.buckets)
 	return idx
 }
 

@@ -13,8 +13,7 @@ import (
 // are accumulated with Add and compiled lazily on first match; the
 // compiled form is immutable and published atomically, so matching is
 // safe from any number of goroutines. Add after matching has started
-// invalidates the compiled form (and, through the list generation, any
-// group decision caches).
+// invalidates the compiled form.
 type List struct {
 	// Name identifies the list (e.g. "easylist", "easyprivacy").
 	Name string
@@ -25,15 +24,8 @@ type List struct {
 	// Skipped counts lines that were comments/unsupported and ignored.
 	Skipped int
 
-	// gen counts mutations; group caches use the sum over their lists
-	// as the cache generation.
-	gen atomic.Uint64
-
 	compiled  atomic.Pointer[compiledList]
 	compileMu sync.Mutex
-	// Previous index-fill gauge contribution, replaced on recompile
-	// (guarded by compileMu).
-	contribRules, contribTokens, contribRest int64
 }
 
 // NewList returns an empty named list.
@@ -72,7 +64,6 @@ func (l *List) Add(r *Rule) {
 		l.blocks = append(l.blocks, r)
 	}
 	l.compiled.Store(nil)
-	l.gen.Add(1)
 }
 
 // Len returns the number of active (block + exception) rules.
@@ -94,13 +85,6 @@ func (l *List) ensureCompiled() *compiledList {
 		block: buildIndex(l.blocks),
 		exc:   buildIndex(l.exceptions),
 	}
-	rules := int64(c.block.ruleCount + c.exc.ruleCount)
-	tokens := int64(c.block.tokenCount + c.exc.tokenCount)
-	rest := int64(len(c.block.rest) + len(c.exc.rest))
-	obs.MatchIndexRules.Add(rules - l.contribRules)
-	obs.MatchIndexTokens.Add(tokens - l.contribTokens)
-	obs.MatchIndexRest.Add(rest - l.contribRest)
-	l.contribRules, l.contribTokens, l.contribRest = rules, tokens, rest
 	l.compiled.Store(c)
 	return c
 }
@@ -121,24 +105,11 @@ type Decision struct {
 	List string
 }
 
-// referenceMode routes Match calls through the retained linear oracle
-// (reference.go) instead of the indexed engine. It exists for
-// differential and dataset-equivalence testing only; the oracle is the
-// seed implementation's semantics.
-var referenceMode atomic.Bool
-
-// SetReferenceMode toggles reference-oracle matching process-wide. Test
-// hook: the oracle is orders of magnitude slower than the engine.
-func SetReferenceMode(on bool) { referenceMode.Store(on) }
-
 // Match evaluates the request: a block rule must match and no exception
 // rule may match. Exceptions are evaluated only when a block matched,
 // mirroring ABP behaviour. When several block rules match, the earliest
 // added wins deterministically.
 func (l *List) Match(req Request) Decision {
-	if referenceMode.Load() {
-		return l.refMatch(req)
-	}
 	sc := getScratch()
 	sc.prepare(req.URL)
 	d := l.matchPrepared(sc, req)
@@ -161,35 +132,28 @@ func (l *List) matchPrepared(sc *matchScratch, req Request) Decision {
 
 // Group is an ordered collection of lists evaluated together (the paper
 // uses EasyList + EasyPrivacy). A request is blocked when any list
-// blocks it and no list's exception rule matches it. Groups built with
-// NewGroup carry a bounded decision cache (cache.go).
+// blocks it and no list's exception rule matches it.
 type Group struct {
 	Lists []*List
-
-	cache *decisionCache
 }
 
-// NewGroup builds a group over the given lists with the default
-// decision-cache size.
+// NewGroup builds a group over the given lists, compiling each one, and
+// publishes the group's reverse-index fill as the match.index_* gauges.
+// The gauges are set, not added to, so they describe the most recently
+// built group — the live index of a crawl — however many groups the
+// process has built before.
 func NewGroup(lists ...*List) *Group {
-	return &Group{Lists: lists, cache: newDecisionCache(defaultCacheSize)}
-}
-
-// SetCacheSize resizes the group's decision cache to the given total
-// entry bound; 0 disables caching. Not safe to call concurrently with
-// Match.
-func (g *Group) SetCacheSize(totalEntries int) {
-	g.cache = newDecisionCache(totalEntries)
-}
-
-// generation sums the member lists' mutation counters; the decision
-// cache is valid for exactly one generation.
-func (g *Group) generation() uint64 {
-	var gen uint64
-	for _, l := range g.Lists {
-		gen += l.gen.Load()
+	var rules, tokens, rest int
+	for _, l := range lists {
+		c := l.ensureCompiled()
+		rules += l.Len()
+		tokens += len(c.block.buckets) + len(c.exc.buckets)
+		rest += len(c.block.rest) + len(c.exc.rest)
 	}
-	return gen
+	obs.MatchIndexRules.Set(int64(rules))
+	obs.MatchIndexTokens.Set(int64(tokens))
+	obs.MatchIndexRest.Set(int64(rest))
+	return &Group{Lists: lists}
 }
 
 // Match evaluates the request against every list. An exception in any
@@ -198,35 +162,20 @@ func (g *Group) generation() uint64 {
 // first match in (list order, rule order); the overriding exception,
 // when one exists, is likewise the first in that order.
 func (g *Group) Match(req Request) Decision {
-	if referenceMode.Load() {
-		return g.refMatch(req)
-	}
 	obs.MatchRequests.Inc()
-	var gen uint64
-	if g.cache != nil {
-		gen = g.generation()
-		if d, ok := g.cache.get(cacheKey{url: req.URL.Raw, page: req.PageHost, typ: req.Type}, gen); ok {
-			obs.MatchCacheHits.Inc()
-			return d
-		}
-		obs.MatchCacheMisses.Inc()
-	}
 	sc := getScratch()
 	sc.prepare(req.URL)
 	sp := obs.StartSpan(obs.MatchEval)
 	d := g.matchPrepared(sc, req)
 	sp.End()
 	putScratch(sc)
-	if g.cache != nil {
-		g.cache.put(cacheKey{url: req.URL.Raw, page: req.PageHost, typ: req.Type}, gen, d)
-	}
 	return d
 }
 
-// matchPrepared runs the full (uncached) group evaluation: the target
-// is lowered and tokenized exactly once, each list's block index is
-// consulted in order until one blocks, and — only then — each list's
-// exception index is consulted at most once.
+// matchPrepared runs the group evaluation: the target is lowered and
+// tokenized exactly once, each list's block index is consulted in order
+// until one blocks, and — only then — each list's exception index is
+// consulted at most once.
 func (g *Group) matchPrepared(sc *matchScratch, req Request) Decision {
 	var block *Rule
 	var blockList string

@@ -62,11 +62,6 @@ func hashRange(s string, i, j int) uint64 {
 	return h
 }
 
-// hashString returns the FNV-1a hash of s (used for cache sharding).
-func hashString(s string) uint64 {
-	return hashRange(s, 0, len(s))
-}
-
 // appendLowerASCII appends s to dst with ASCII letters lowered. Rule
 // patterns are lowered at parse time with the same ASCII semantics the
 // matcher assumes, so the prepared target must be lowered identically.
@@ -84,7 +79,7 @@ func appendLowerASCII(dst []byte, s string) []byte {
 // matchScratch is the per-request scratch state: the lowered target
 // string and its token-hash vector. Instances are pooled so the hot
 // path performs no per-call map or slice allocation; the only
-// allocation on a cache-miss evaluation is the target string itself.
+// allocation of an evaluation is the target string itself.
 type matchScratch struct {
 	buf    []byte
 	target string
@@ -105,7 +100,8 @@ func putScratch(sc *matchScratch) { scratchPool.Put(sc) }
 
 // prepare lowers the URL once and tokenizes it. The rendered form
 // matches urlutil.URL.String exactly (scheme://host[:port]path[?query])
-// so the engine and the reference oracle see the same target bytes.
+// so the engine and the linear oracle of the tests see the same target
+// bytes.
 func (sc *matchScratch) prepare(u *urlutil.URL) {
 	b := sc.buf[:0]
 	b = appendLowerASCII(b, u.Scheme)

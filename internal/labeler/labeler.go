@@ -10,13 +10,10 @@
 // their owning company through a manual table.
 //
 // Concurrency: the labeler sits on the per-page hot path of every crawl
-// worker, so it avoids a single global lock. The CDN map is an
-// immutable copy-on-write snapshot read without locking, registrable-
-// domain extraction is memoized in a concurrent map, and the a(d)/n(d)
-// observation counts are sharded by domain hash so workers labeling
-// different domains never contend. Readers (Domains, Counts,
-// CDNCandidates) merge across shards and are unaffected by shard
-// layout, so results stay deterministic.
+// worker and holds no observation state, so it takes no lock there: the
+// CDN map is an immutable copy-on-write snapshot read without locking.
+// TagTree returns a page's a(d)/n(d) deltas; whoever owns the crawl's
+// records sums them (internal/analysis) and derives D′ with Domains.
 package labeler
 
 import (
@@ -31,21 +28,7 @@ import (
 	"repro/internal/urlutil"
 )
 
-// countShardCount is the number of observation shards. 16 comfortably
-// exceeds the crawl worker counts the orchestrator runs.
-const countShardCount = 16
-
-// countShard holds the per-domain tallies whose domains hash here.
-type countShard struct {
-	mu  sync.Mutex
-	aa  map[string]int // a(d)
-	non map[string]int // n(d)
-	// cdnCandidates counts how often an opaque CDN host appears
-	// adjacent to an A&A-tagged resource in an inclusion chain.
-	cdnCandidates map[string]int
-}
-
-// Labeler accumulates per-domain A&A observations.
+// Labeler tags resources A&A or non-A&A against the rule lists.
 type Labeler struct {
 	group *filterlist.Group
 
@@ -53,35 +36,12 @@ type Labeler struct {
 	// (copy-on-write) and read lock-free on every MapDomain call.
 	cdnMap atomic.Pointer[map[string]string]
 	cdnMu  sync.Mutex // serializes SetCDNMap writers
-
-	// domMemo caches RegistrableDomain per host — the extraction is
-	// pure, and a crawl resolves the same hosts millions of times.
-	domMemo sync.Map // string -> string
-
-	shards [countShardCount]countShard
 }
 
 // New builds a labeler over the given rule lists (the paper uses
 // EasyList and EasyPrivacy).
 func New(lists ...*filterlist.List) *Labeler {
-	l := &Labeler{group: filterlist.NewGroup(lists...)}
-	for i := range l.shards {
-		l.shards[i] = countShard{
-			aa:            map[string]int{},
-			non:           map[string]int{},
-			cdnCandidates: map[string]int{},
-		}
-	}
-	return l
-}
-
-// shardFor returns the shard owning a domain's tallies.
-func (l *Labeler) shardFor(domain string) *countShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(domain); i++ {
-		h = (h ^ uint64(domain[i])) * 1099511628211
-	}
-	return &l.shards[h&(countShardCount-1)]
+	return &Labeler{group: filterlist.NewGroup(lists...)}
 }
 
 // SetCDNMap installs the manual CDN-host-to-company mapping (the 13
@@ -106,19 +66,14 @@ func (l *Labeler) SetCDNMap(m map[string]string) {
 
 // MapDomain resolves a host to the 2nd-level domain used for counting,
 // applying the CDN mapping first. Lock-free: the CDN snapshot is
-// immutable and the registrable-domain extraction is memoized.
+// immutable and the registrable-domain extraction is pure.
 func (l *Labeler) MapDomain(host string) string {
 	if m := l.cdnMap.Load(); m != nil {
 		if mapped, ok := (*m)[strings.ToLower(host)]; ok {
 			return mapped
 		}
 	}
-	if d, ok := l.domMemo.Load(host); ok {
-		return d.(string)
-	}
-	d := urlutil.RegistrableDomain(host)
-	l.domMemo.Store(host, d)
-	return d
+	return urlutil.RegistrableDomain(host)
 }
 
 // opaqueCDNSuffixes are shared-CDN suffixes whose subdomains carry no
@@ -136,17 +91,11 @@ func isOpaqueCDNHost(host string) bool {
 	return false
 }
 
-// ObserveTree tags every request in a page's inclusion tree and updates
-// the per-domain counts. It also records CDN adjacency candidates.
-func (l *Labeler) ObserveTree(t *inclusion.Tree) {
-	l.AddObservations(l.TagTree(t))
-}
-
 // TagTree tags every request in a page's inclusion tree and returns the
-// per-domain observation deltas without mutating the labeler: A&A hits,
-// non-A&A hits, and opaque-CDN adjacency candidates. The deltas can be
-// folded back in with AddObservations, or spooled to disk and summed at
-// merge time (internal/dispatch uses this for checkpoint/resume).
+// per-domain observation deltas: A&A hits, non-A&A hits, and opaque-CDN
+// adjacency candidates. The deltas ride in the page's record and are
+// summed when the dataset is assembled (internal/analysis), which is
+// what lets a crawl checkpoint, resume and merge.
 func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
 	aa, non, cdn = map[string]int{}, map[string]int{}, map[string]int{}
 	pageHost := ""
@@ -185,108 +134,22 @@ func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
 	return aa, non, cdn
 }
 
-// AddObservations folds observation deltas (as produced by TagTree)
-// into the per-domain counts, taking only the shard lock each domain
-// hashes to.
-func (l *Labeler) AddObservations(aa, non, cdn map[string]int) {
-	for d, n := range aa {
-		s := l.shardFor(d)
-		s.mu.Lock()
-		s.aa[d] += n
-		s.mu.Unlock()
-	}
-	for d, n := range non {
-		s := l.shardFor(d)
-		s.mu.Lock()
-		s.non[d] += n
-		s.mu.Unlock()
-	}
-	for h, n := range cdn {
-		s := l.shardFor(h)
-		s.mu.Lock()
-		s.cdnCandidates[h] += n
-		s.mu.Unlock()
-	}
-}
-
-// Observe records one resource observation: host plus whether the
-// filter lists tagged it A&A.
-func (l *Labeler) Observe(host string, isAA bool) {
-	d := l.MapDomain(host)
-	if d == "" {
-		return
-	}
-	s := l.shardFor(d)
-	s.mu.Lock()
-	if isAA {
-		s.aa[d]++
-	} else {
-		s.non[d]++
-	}
-	s.mu.Unlock()
-}
-
 // Threshold is the a(d) ≥ Threshold · n(d) cutoff from §3.2.
 const Threshold = 0.1
 
-// Domains returns D′: every domain whose A&A observations meet the
-// threshold.
-func (l *Labeler) Domains() map[string]bool {
-	return l.DomainsAtThreshold(Threshold)
-}
-
-// DomainsAtThreshold computes D′ under an alternative threshold, for
-// the ablation benchmarks.
-func (l *Labeler) DomainsAtThreshold(threshold float64) map[string]bool {
-	out := map[string]bool{}
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		for d, a := range s.aa {
-			if a == 0 {
-				continue
-			}
-			if float64(a) >= threshold*float64(s.non[d]) {
-				out[d] = true
-			}
+// Domains derives D′ from summed observation deltas (as produced by
+// TagTree): every domain with at least one A&A observation and
+// a(d) ≥ threshold · n(d), sorted. Threshold is the paper's value; the
+// ablation benchmark sweeps others.
+func Domains(aa, non map[string]int, threshold float64) []string {
+	var out []string
+	for d, a := range aa {
+		if a > 0 && float64(a) >= threshold*float64(non[d]) {
+			out = append(out, d)
 		}
-		s.mu.Unlock()
 	}
+	sort.Strings(out)
 	return out
-}
-
-// Counts returns (a(d), n(d)) for a domain.
-func (l *Labeler) Counts(domain string) (aa, non int) {
-	s := l.shardFor(domain)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.aa[domain], s.non[domain]
-}
-
-// CDNCandidates lists opaque CDN hosts observed adjacent to A&A
-// resources, most frequent first — the list a human (or the world's
-// ground-truth map) turns into SetCDNMap input.
-func (l *Labeler) CDNCandidates() []string {
-	counts := map[string]int{}
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		for h, n := range s.cdnCandidates {
-			counts[h] += n
-		}
-		s.mu.Unlock()
-	}
-	hosts := make([]string, 0, len(counts))
-	for h := range counts {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool {
-		if counts[hosts[i]] != counts[hosts[j]] {
-			return counts[hosts[i]] > counts[hosts[j]]
-		}
-		return hosts[i] < hosts[j]
-	})
-	return hosts
 }
 
 // MatchChain reports whether any resource along the chain (script URLs

@@ -2,122 +2,57 @@ package labeler
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
-
-	"repro/internal/filterlist"
 )
 
-// TestLabelerConcurrentObservations is the race audit for the sharded
-// labeler, mirroring crawler/stats_race_test.go: many workers fold in
-// observations and resolve domains while an observer reads D′ and
-// counts in a tight loop and another goroutine re-publishes the CDN
-// map. Under -race (the Makefile's race gate) any unsynchronized access
-// fails; the final assertions catch lost updates across shards.
+// TestLabelerConcurrentObservations is the race audit for the labeler's
+// shared state, mirroring crawler/stats_race_test.go: many workers tag
+// the same page (one rule group and one CDN snapshot under all of
+// them) while another goroutine re-publishes the CDN map.
+// Under -race (the Makefile's race gate) any unsynchronized access
+// fails; the assertions catch a worker whose deltas differ from a
+// single-threaded tagging of that page.
 func TestLabelerConcurrentObservations(t *testing.T) {
-	lists := filterlist.Parse("easylist", "||tracker.example^\n||ads.example^")
-	l := New(lists)
-	l.SetCDNMap(map[string]string{"d111.cloudfront.net": "tracker.example"})
+	el, ep := testLists()
+	l := New(el, ep)
+	l.SetCDNMap(map[string]string{"d111.cloudfront.net": "adnet.example"})
+	tree := buildTree(t)
+	wantAA, wantNon, wantCDN := l.TagTree(tree)
 
-	const workers = 8
-	const perWorker = 500
-	domains := []string{
-		"tracker.example", "ads.example", "pixel.example", "benign.example",
-		"news.example", "shop.example", "stats.co.uk", "media.example",
-	}
-
-	stop := make(chan struct{})
-	observer := make(chan struct{})
-	go func() {
-		defer close(observer)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = l.Domains()
-			_, _ = l.Counts("tracker.example")
-			_ = l.CDNCandidates()
-			_ = l.MapDomain("x.tracker.example")
-		}
-	}()
-	// A second writer re-publishes the CDN snapshot concurrently.
+	// A second writer re-publishes the CDN snapshot concurrently; none
+	// of its hosts occur in the page, so the deltas must not move.
 	cdnDone := make(chan struct{})
 	go func() {
 		defer close(cdnDone)
 		for i := 0; i < 50; i++ {
 			l.SetCDNMap(map[string]string{
-				fmt.Sprintf("d%03d.cloudfront.net", i): "tracker.example",
+				fmt.Sprintf("d%03d.cloudfront.net", i): "adnet.example",
 			})
 		}
 	}()
 
+	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				d := domains[(i+w)%len(domains)]
-				l.Observe("sub."+d, w%2 == 0)
-				l.AddObservations(
-					map[string]int{d: 1},
-					map[string]int{d: 2},
-					map[string]int{"d111.cloudfront.net": 1},
-				)
+			for i := 0; i < 200; i++ {
+				aa, non, cdn := l.TagTree(tree)
+				if !reflect.DeepEqual(aa, wantAA) || !reflect.DeepEqual(non, wantNon) || !reflect.DeepEqual(cdn, wantCDN) {
+					t.Errorf("concurrent TagTree = (%v, %v, %v), want (%v, %v, %v)", aa, non, cdn, wantAA, wantNon, wantCDN)
+					return
+				}
+				_ = l.MapDomain("x.adnet.example")
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	close(stop)
-	<-observer
 	<-cdnDone
 
-	// Each worker contributed, per iteration: Observe (+1 to aa or non)
-	// and AddObservations (+1 aa, +2 non) on the same domain. Totals
-	// must balance exactly — lost updates under sharding would show up
-	// here.
-	var aaTotal, nonTotal int
-	for _, d := range domains {
-		aa, non := l.Counts(d)
-		aaTotal += aa
-		nonTotal += non
-	}
-	obsTotal := workers * perWorker
-	wantAA := obsTotal + obsTotal/2    // AddObservations + even workers' Observe
-	wantNon := 2*obsTotal + obsTotal/2 // AddObservations + odd workers' Observe
-	if aaTotal != wantAA || nonTotal != wantNon {
-		t.Errorf("totals aa=%d non=%d, want aa=%d non=%d (lost updates?)",
-			aaTotal, nonTotal, wantAA, wantNon)
-	}
-	if got := l.CDNCandidates(); len(got) != 1 || got[0] != "d111.cloudfront.net" {
-		t.Errorf("CDNCandidates = %v", got)
-	}
-	if l.MapDomain("d111.cloudfront.net") != "tracker.example" {
+	if l.MapDomain("d111.cloudfront.net") != "adnet.example" {
 		t.Error("CDN mapping lost after concurrent SetCDNMap")
-	}
-}
-
-// TestMapDomainMemoConsistency checks the registrable-domain memo
-// returns the same values as the uncached extraction.
-func TestMapDomainMemoConsistency(t *testing.T) {
-	l := New(filterlist.Parse("easylist", "||ads.example^"))
-	hosts := []string{
-		"x.doubleclick.net", "y.doubleclick.net", "stats.bbc.co.uk",
-		"example.com", "single", "192.168.0.1",
-	}
-	for _, h := range hosts {
-		first := l.MapDomain(h)
-		second := l.MapDomain(h) // memoized path
-		if first != second {
-			t.Errorf("MapDomain(%q) memo mismatch: %q vs %q", h, first, second)
-		}
-	}
-	if l.MapDomain("x.doubleclick.net") != "doubleclick.net" {
-		t.Error("registrable domain wrong")
-	}
-	if l.MapDomain("stats.bbc.co.uk") != "bbc.co.uk" {
-		t.Error("multi-label suffix wrong")
 	}
 }

@@ -19,29 +19,55 @@ func testLists() (*filterlist.List, *filterlist.List) {
 	return easylist, easyprivacy
 }
 
+// tally is a(d)/n(d) summed the way internal/analysis sums TagTree
+// deltas: per mapped 2nd-level domain.
+type tally struct{ aa, non map[string]int }
+
+func newTally() tally { return tally{aa: map[string]int{}, non: map[string]int{}} }
+
+// observe credits one resource observation to the host's mapped domain.
+func (c tally) observe(l *Labeler, host string, isAA bool) {
+	d := l.MapDomain(host)
+	if isAA {
+		c.aa[d]++
+	} else {
+		c.non[d]++
+	}
+}
+
+// domains is D′ at the given threshold, as a set.
+func (c tally) domains(threshold float64) map[string]bool {
+	out := map[string]bool{}
+	for _, d := range Domains(c.aa, c.non, threshold) {
+		out[d] = true
+	}
+	return out
+}
+
 func TestThresholdRule(t *testing.T) {
 	el, ep := testLists()
 	l := New(el, ep)
+	c := newTally()
 
 	// adnet: labeled on every observation -> in D'.
 	for i := 0; i < 10; i++ {
-		l.Observe("cdn.adnet.example", true)
+		c.observe(l, "cdn.adnet.example", true)
 	}
 	// partial: 2 A&A of 12 observations (16.7%) -> in D'.
 	for i := 0; i < 10; i++ {
-		l.Observe("partial.example", false)
+		c.observe(l, "partial.example", false)
 	}
-	l.Observe("partial.example", true)
-	l.Observe("partial.example", true)
+	c.observe(l, "partial.example", true)
+	c.observe(l, "partial.example", true)
 	// rare: 1 A&A of 25 (4%) -> out.
 	for i := 0; i < 24; i++ {
-		l.Observe("rare.example", false)
+		c.observe(l, "rare.example", false)
 	}
-	l.Observe("rare.example", true)
+	c.observe(l, "rare.example", true)
 	// clean: never labeled -> out.
-	l.Observe("clean.example", false)
+	c.observe(l, "clean.example", false)
 
-	d := l.Domains()
+	d := c.domains(Threshold)
 	if !d["adnet.example"] {
 		t.Error("adnet.example missing from D'")
 	}
@@ -56,12 +82,12 @@ func TestThresholdRule(t *testing.T) {
 	}
 
 	// Threshold ablation: at 0%, any single A&A observation suffices.
-	d0 := l.DomainsAtThreshold(0.0001)
+	d0 := c.domains(0.0001)
 	if !d0["rare.example"] {
 		t.Error("rare.example missing at near-zero threshold")
 	}
 	// At 50%, partial.example falls out.
-	d50 := l.DomainsAtThreshold(0.5)
+	d50 := c.domains(0.5)
 	if d50["partial.example"] {
 		t.Error("partial.example present at 50% threshold")
 	}
@@ -70,11 +96,14 @@ func TestThresholdRule(t *testing.T) {
 func TestSecondLevelAggregation(t *testing.T) {
 	el, ep := testLists()
 	l := New(el, ep)
-	l.Observe("x.adnet.example", true)
-	l.Observe("y.adnet.example", true)
-	aa, non := l.Counts("adnet.example")
-	if aa != 2 || non != 0 {
+	c := newTally()
+	c.observe(l, "x.adnet.example", true)
+	c.observe(l, "y.adnet.example", true)
+	if aa, non := c.aa["adnet.example"], c.non["adnet.example"]; aa != 2 || non != 0 {
 		t.Errorf("counts = (%d, %d), want (2, 0)", aa, non)
+	}
+	if got := l.MapDomain("stats.bbc.co.uk"); got != "bbc.co.uk" {
+		t.Errorf("multi-label suffix: MapDomain = %q, want bbc.co.uk", got)
 	}
 }
 
@@ -88,8 +117,9 @@ func TestCDNMapping(t *testing.T) {
 	if got := l.MapDomain("other.cloudfront.net"); got != "cloudfront.net" {
 		t.Errorf("unmapped CDN host = %q", got)
 	}
-	l.Observe("d10lpsik1i8c69.cloudfront.net", true)
-	if aa, _ := l.Counts("luckyorange.com"); aa != 1 {
+	c := newTally()
+	c.observe(l, "d10lpsik1i8c69.cloudfront.net", true)
+	if c.aa["luckyorange.com"] != 1 {
 		t.Error("mapped observation not credited to company")
 	}
 }
@@ -123,28 +153,24 @@ func buildTree(t *testing.T) *inclusion.Tree {
 func TestObserveTree(t *testing.T) {
 	el, ep := testLists()
 	l := New(el, ep)
-	tree := buildTree(t)
-	l.ObserveTree(tree)
-	if aa, _ := l.Counts("adnet.example"); aa != 1 {
-		t.Errorf("adnet a(d) = %d", aa)
+	aa, non, _ := l.TagTree(buildTree(t))
+	if aa["adnet.example"] != 1 {
+		t.Errorf("adnet a(d) = %d", aa["adnet.example"])
 	}
-	if _, non := l.Counts("benign.example"); non != 1 {
-		t.Errorf("benign n(d) = %d", non)
+	if non["benign.example"] != 1 {
+		t.Errorf("benign n(d) = %d", non["benign.example"])
 	}
 }
 
 func TestCDNAdjacencyCandidates(t *testing.T) {
 	el, ep := testLists()
 	l := New(el, ep)
-	tree := buildTree(t)
-	l.ObserveTree(tree)
-	// dabc123.cloudfront.net followed the blocked adnet request? It
-	// followed a benign one; adjacency is order-sensitive, so build a
-	// direct sequence: A&A then CDN.
-	l.ObserveTree(tree)
-	cands := l.CDNCandidates()
-	// R2 (benign) sits between R1 (A&A) and R3 (CDN), so no adjacency
-	// here; craft one explicitly.
+	// In buildTree's page R2 (benign) sits between R1 (A&A) and R3
+	// (CDN): adjacency is order-sensitive, so no candidate there.
+	if _, _, cdn := l.TagTree(buildTree(t)); len(cdn) != 0 {
+		t.Errorf("non-adjacent cloudfront host flagged: %v", cdn)
+	}
+	// A direct sequence, A&A then CDN, is one.
 	tr := devtools.NewTrace()
 	tr.Record(devtools.FrameNavigated{FrameID: "F1", URL: "http://pub.example/", Initiator: devtools.ParserInitiator("F1")})
 	tr.Record(devtools.RequestWillBeSent{RequestID: "R1", URL: "http://cdn.adnet.example/w.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ParserInitiator("F1"), FirstPartyURL: "http://pub.example/"})
@@ -153,16 +179,9 @@ func TestCDNAdjacencyCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.ObserveTree(tree2)
-	cands = l.CDNCandidates()
-	found := false
-	for _, c := range cands {
-		if c == "dxyz9.cloudfront.net" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("adjacent cloudfront host not flagged; candidates = %v", cands)
+	_, _, cdn := l.TagTree(tree2)
+	if cdn["dxyz9.cloudfront.net"] == 0 {
+		t.Errorf("adjacent cloudfront host not flagged; candidates = %v", cdn)
 	}
 }
 

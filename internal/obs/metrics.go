@@ -62,20 +62,21 @@ const (
 	MFaultResets      = "fault.resets"
 
 	// Filter-match engine (internal/filterlist). Requests counts every
-	// Group.Match; hits+misses partition the cached ones; evictions
-	// counts entries dropped by shard epoch resets or generation
-	// flushes. The index gauges report the compiled reverse index's
-	// fill: indexed rules, distinct token buckets, and rules on the
-	// always-scanned rest path.
-	MMatchRequests       = "match.requests"
-	MMatchCacheHits      = "match.cache_hits"
-	MMatchCacheMisses    = "match.cache_misses"
-	MMatchCacheEvictions = "match.cache_evictions"
-	MMatchIndexRules     = "match.index_rules"
-	MMatchIndexTokens    = "match.index_tokens"
-	MMatchIndexRest      = "match.index_rest"
+	// Group.Match. The index gauges report the reverse-index fill of
+	// the most recently built Group: indexed rules, distinct token
+	// buckets, and rules on the always-scanned rest path.
+	MMatchRequests    = "match.requests"
+	MMatchIndexRules  = "match.index_rules"
+	MMatchIndexTokens = "match.index_tokens"
+	MMatchIndexRest   = "match.index_rest"
 
-	// MMatchEval times full (cache-miss) filter evaluations.
+	// MMatchCacheHits names a counter nothing registers or advances:
+	// the decision cache it counted is gone. The name stays because the
+	// frozen benchmark (bench/crawl.go) reads it for
+	// filterlist.cache_hit_ratio, which now reports 0.
+	MMatchCacheHits = "match.cache_hits"
+
+	// MMatchEval times every Group.Match evaluation (tokenize excluded).
 	MMatchEval = "match.eval"
 
 	// Fabric dispatcher (internal/fabric). Workers gauges the connected
@@ -192,14 +193,11 @@ var (
 	FaultCuts        = Default.Counter(MFaultCuts)
 	FaultResets      = Default.Counter(MFaultResets)
 
-	MatchRequests       = Default.Counter(MMatchRequests)
-	MatchCacheHits      = Default.Counter(MMatchCacheHits)
-	MatchCacheMisses    = Default.Counter(MMatchCacheMisses)
-	MatchCacheEvictions = Default.Counter(MMatchCacheEvictions)
-	MatchIndexRules     = Default.Gauge(MMatchIndexRules)
-	MatchIndexTokens    = Default.Gauge(MMatchIndexTokens)
-	MatchIndexRest      = Default.Gauge(MMatchIndexRest)
-	MatchEval           = Default.Histogram(MMatchEval)
+	MatchRequests    = Default.Counter(MMatchRequests)
+	MatchIndexRules  = Default.Gauge(MMatchIndexRules)
+	MatchIndexTokens = Default.Gauge(MMatchIndexTokens)
+	MatchIndexRest   = Default.Gauge(MMatchIndexRest)
+	MatchEval        = Default.Histogram(MMatchEval)
 
 	FabricWorkers       = Default.Gauge(MFabricWorkers)
 	FabricLeases        = Default.Gauge(MFabricLeases)

@@ -54,6 +54,11 @@ func TestEchoEndpointWorldless(t *testing.T) {
 	if got := s.Stats.WSMessagesRecv.Load(); got != 3 {
 		t.Errorf("WSMessagesRecv = %d, want 3", got)
 	}
+	// The server counts an echo after writing it, so the client can read
+	// the third echo before the third increment lands.
+	for deadline := time.Now().Add(2 * time.Second); s.Stats.WSMessagesSent.Load() < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := s.Stats.WSMessagesSent.Load(); got != 3 {
 		t.Errorf("WSMessagesSent = %d, want 3", got)
 	}

@@ -97,21 +97,6 @@ type Server struct {
 	socks    map[*wsproto.Conn]struct{} // guarded by mu
 	wsActive int                        // guarded by mu
 	closed   bool                       // guarded by mu
-
-	resMu    sync.Mutex
-	resCache map[string]cachedResource // guarded by resMu; Fetch's memo of World.Get results
-}
-
-// cachedResource is one memoized World.Get resolution. World is a pure
-// function of its Config — resolving the same URL twice renders the
-// same bytes — so Fetch caches resolutions instead of re-rendering per
-// request. The cache is bounded by the number of distinct URLs in the
-// world and is only populated by the in-process Fetch plane; the TCP
-// handler keeps rendering per request, preserving the reference
-// pipeline's behavior exactly.
-type cachedResource struct {
-	res *webgen.Resource
-	ok  bool
 }
 
 // Start launches the server on an ephemeral loopback port.
@@ -406,23 +391,7 @@ func (s *Server) Fetch(u *urlutil.URL, postBody []byte) (status int, contentType
 	}
 	s.Stats.HTTPRequests.Add(1)
 	obs.ServerRequests.Inc()
-	key := u.String()
-	s.resMu.Lock()
-	cached, hit := s.resCache[key]
-	s.resMu.Unlock()
-	var res *webgen.Resource
-	var ok bool
-	if hit {
-		res, ok = cached.res, cached.ok
-	} else {
-		res, ok = s.World.GetURL(u)
-		s.resMu.Lock()
-		if s.resCache == nil {
-			s.resCache = map[string]cachedResource{}
-		}
-		s.resCache[key] = cachedResource{res: res, ok: ok}
-		s.resMu.Unlock()
-	}
+	res, ok := s.World.GetURL(u)
 	if !ok {
 		s.Stats.NotFound.Add(1)
 		// http.Error's exact observable surface: status, content type,
