@@ -30,8 +30,9 @@ race:
 # Native fuzz targets, each for a short FUZZTIME (`go test -fuzz` takes
 # one target per invocation). The differential targets hold the
 # on-demand PRNG to math/rand, the content scanners to the regexps they
-# replaced and the filter-list parser + indexed matcher to the linear
-# scan; FuzzParse feeds htmlparse hostile bytes. Seed corpora
+# replaced, the filter-list parser + indexed matcher to the linear scan
+# and the script codec to encoding/json; FuzzParse feeds htmlparse
+# hostile bytes and holds its attributes to the map parser. Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
 # interesting stay in the Go build cache, and a failing input is
 # written under the package's testdata/fuzz to be committed with the fix.
@@ -42,6 +43,7 @@ fuzz-smoke:
 	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzExtractAdRefsMatchesRegexp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/htmlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filterlist -run '^$$' -fuzz '^FuzzMatchMatchesLinear$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/script -run '^$$' -fuzz '^FuzzProgramCodecMatchesJSON$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled
@@ -161,14 +163,16 @@ bench-store-smoke:
 bench:
 	$(GO) run ./bench
 
-# One-second fabric and store_crawl workloads for ci: the durable
+# One-second fabric, store_crawl and study workloads for ci: the durable
 # ledger's two callers (fabric coordinator, dispatch.Run) times its two
-# sinks (live fold, columnar store). Their digest gates fail unless the
-# fabric dataset and the store-derived crawl 0 are byte-identical to the
-# plain dispatch path's.
+# sinks (live fold, columnar store), and the four-crawl study itself.
+# Their digest gates fail unless the fabric dataset, the store-derived
+# crawl 0 and the study's crawl 0 are each byte-identical to a second
+# run on the plain dispatch path.
 bench-smoke:
 	$(GO) run ./bench --workload fabric --seconds 1 --trace 0
 	$(GO) run ./bench --workload store_crawl --seconds 1 --trace 0
+	$(GO) run ./bench --workload study --seconds 1 --trace 0
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -530,7 +530,7 @@ func BenchmarkFilterMatch(b *testing.B) {
 // homepage.
 func BenchmarkHTMLParse(b *testing.B) {
 	w := webgen.NewWorld(webgen.Config{Seed: 1, NumPublishers: 10, Era: webgen.EraPrePatch})
-	page := w.RenderPage(w.Publishers[0], 0)
+	page := string(w.RenderPage(w.Publishers[0], 0))
 	b.SetBytes(int64(len(page)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/devtools"
 	"repro/internal/filterlist"
-	"repro/internal/urlutil"
 	"repro/internal/webrequest"
 )
 
@@ -75,19 +74,15 @@ func (b *Blocker) Install(reg *webrequest.Registry) {
 }
 
 func (b *Blocker) onBeforeRequest(d webrequest.Details) webrequest.BlockingResponse {
-	u, err := urlutil.Parse(d.URL)
-	if err != nil {
-		return webrequest.BlockingResponse{}
-	}
 	// Blockers never cancel top-level documents.
 	if d.Type == devtools.ResourceDocument {
 		return webrequest.BlockingResponse{}
 	}
 	pageHost := ""
-	if fp, err := urlutil.Parse(d.FirstPartyURL); err == nil {
-		pageHost = fp.Host
+	if d.FirstParty != nil {
+		pageHost = d.FirstParty.Host
 	}
-	decision := b.group.Match(filterlist.Request{URL: u, Type: d.Type, PageHost: pageHost})
+	decision := b.group.Match(filterlist.Request{URL: d.Parsed, Type: d.Type, PageHost: pageHost})
 	if !decision.Blocked {
 		return webrequest.BlockingResponse{}
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/content"
 	"repro/internal/crawler"
 	"repro/internal/inclusion"
-	"repro/internal/urlutil"
 )
 
 // SiteSummary is the per-site crawl outcome.
@@ -204,7 +203,7 @@ func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pag
 		reqs = tree.Requests()
 	}
 	for _, req := range reqs {
-		dom := c.Label.MapDomain(hostOfURL(req.URL))
+		dom := c.Label.MapDomain(req.Host())
 		if dom == "" {
 			continue
 		}
@@ -282,12 +281,4 @@ func hostOf(n *inclusion.Node) string {
 		return ""
 	}
 	return n.Host()
-}
-
-func hostOfURL(raw string) string {
-	u, err := urlutil.Parse(raw)
-	if err != nil {
-		return ""
-	}
-	return u.Host
 }

@@ -448,20 +448,22 @@ func (l *pageLoad) sendBeacon(frameID devtools.FrameID, baseURL *urlutil.URL, op
 // it, and emits the network events. It returns the response body.
 func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID devtools.FrameID, init devtools.Initiator, cookie string, postBody []byte) ([]byte, int, bool) {
 	reqID := l.alloc.NextRequest()
-	details := webrequest.Details{
+	rawURL, pageURL := u.String(), l.pageURL.String()
+	obs.BrowserRequests.Inc()
+	verdict := l.b.reg.Dispatch(webrequest.Details{
 		RequestID:     string(reqID),
-		URL:           u.String(),
+		URL:           rawURL,
 		Type:          typ,
 		FrameID:       frameID,
-		FirstPartyURL: l.pageURL.String(),
-	}
-	obs.BrowserRequests.Inc()
-	verdict := l.b.reg.Dispatch(details)
+		FirstPartyURL: pageURL,
+		Parsed:        u,
+		FirstParty:    l.pageURL,
+	})
 	if verdict.Cancelled {
 		l.result.Blocked++
 		obs.BrowserBlocked.Inc()
 		l.bus.Emit(devtools.RequestBlocked{
-			RequestID: reqID, URL: u.String(), Type: typ, FrameID: frameID,
+			RequestID: reqID, URL: rawURL, Type: typ, FrameID: frameID,
 			Initiator: init, Extension: verdict.Extension, Rule: verdict.Rule,
 		})
 		return nil, 0, false
@@ -473,10 +475,10 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 	if cookie != "" {
 		header["Cookie"] = cookie
 	}
-	header["Referer"] = l.pageURL.String()
+	header["Referer"] = pageURL
 	l.bus.Emit(devtools.RequestWillBeSent{
-		RequestID: reqID, URL: u.String(), Type: typ, FrameID: frameID,
-		Initiator: init, FirstPartyURL: l.pageURL.String(), Header: header, Body: postBody,
+		RequestID: reqID, URL: rawURL, Type: typ, FrameID: frameID,
+		Initiator: init, FirstPartyURL: pageURL, Header: header, Body: postBody,
 	})
 	status, mime, body, err := l.b.doHTTP(l.ctx, u, header, postBody)
 	if err != nil {
@@ -491,7 +493,7 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 		}
 	}
 	l.bus.Emit(devtools.ResponseReceived{
-		RequestID: reqID, URL: u.String(), Status: status, MimeType: mime,
+		RequestID: reqID, URL: rawURL, Status: status, MimeType: mime,
 		BodySize: len(body), Body: respBody,
 	})
 	return body, status, status >= 200 && status < 400
@@ -558,17 +560,18 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		return
 	}
 	sockID := l.alloc.NextSocket()
+	rawURL, pageURL := u.String(), l.pageURL.String()
 
 	// Content-script guards run inside the page, so they fire before —
 	// and independently of — the webRequest layer: this is the uBO-Extra
 	// mitigation that worked even while the WRB was live.
 	for _, g := range l.b.guards {
-		allow, rule := g.guard.AllowSocket(l.pageURL.String(), u.String())
+		allow, rule := g.guard.AllowSocket(pageURL, rawURL)
 		if !allow {
 			l.result.Blocked++
 			obs.SocketsBlocked.Inc()
 			l.bus.Emit(devtools.RequestBlocked{
-				RequestID: devtools.RequestID(sockID), URL: u.String(),
+				RequestID: devtools.RequestID(sockID), URL: rawURL,
 				Type: devtools.ResourceWebSocket, FrameID: frameID,
 				Initiator: init, Extension: g.name, Rule: rule,
 			})
@@ -576,19 +579,20 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		}
 	}
 
-	details := webrequest.Details{
+	verdict := l.b.reg.Dispatch(webrequest.Details{
 		RequestID:     string(sockID),
-		URL:           u.String(),
+		URL:           rawURL,
 		Type:          devtools.ResourceWebSocket,
 		FrameID:       frameID,
-		FirstPartyURL: l.pageURL.String(),
-	}
-	verdict := l.b.reg.Dispatch(details)
+		FirstPartyURL: pageURL,
+		Parsed:        u,
+		FirstParty:    l.pageURL,
+	})
 	if verdict.Cancelled {
 		l.result.Blocked++
 		obs.SocketsBlocked.Inc()
 		l.bus.Emit(devtools.RequestBlocked{
-			RequestID: devtools.RequestID(sockID), URL: u.String(),
+			RequestID: devtools.RequestID(sockID), URL: rawURL,
 			Type: devtools.ResourceWebSocket, FrameID: frameID,
 			Initiator: init, Extension: verdict.Extension, Rule: verdict.Rule,
 		})
@@ -597,8 +601,8 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 
 	obs.SocketsOpened.Inc()
 	l.bus.Emit(devtools.WebSocketCreated{
-		SocketID: sockID, URL: u.String(), FrameID: frameID,
-		Initiator: init, FirstPartyURL: l.pageURL.String(),
+		SocketID: sockID, URL: rawURL, FrameID: frameID,
+		Initiator: init, FirstPartyURL: pageURL,
 	})
 	header := l.b.header()
 	header["User-Agent"] = l.b.state.UserAgent
@@ -627,7 +631,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 				faultnet.DeriveSeed(l.b.cfg.FaultSeed, l.b.cfg.Seed, l.b.dialSeq))
 		}
 	}
-	conn, err := l.dialWebSocket(&dialer, u.String())
+	conn, err := l.dialWebSocket(&dialer, rawURL)
 	if err != nil {
 		l.result.NetErrors++
 		l.bus.Emit(devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 0})
@@ -747,7 +751,7 @@ func (l *pageLoad) extractLinks(doc *dom.Node) {
 // resolveRef resolves href against base: absolute URLs pass through,
 // path-absolute and relative references resolve against the base.
 func resolveRef(base *urlutil.URL, href string) (*urlutil.URL, error) {
-	if strings.Contains(href, "://") {
+	if hasScheme(href) {
 		return urlutil.Parse(href)
 	}
 	if strings.HasPrefix(href, "//") {
@@ -762,4 +766,20 @@ func resolveRef(base *urlutil.URL, href string) (*urlutil.URL, error) {
 		dir = dir[:i+1]
 	}
 	return urlutil.Parse(base.Origin() + dir + href)
+}
+
+// hasScheme reports whether href opens with scheme "://" — RFC 3986's
+// ALPHA *( ALPHA / DIGIT / "+" / "-" / "." ). A "://" further in, past
+// a '/', '?' or '#', belongs to a path or a query and makes nothing
+// absolute.
+func hasScheme(href string) bool {
+	for i := 0; i < len(href); i++ {
+		switch c := href[i]; {
+		case c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
+		case i > 0 && (c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.'):
+		default:
+			return i > 0 && strings.HasPrefix(href[i:], "://")
+		}
+	}
+	return false
 }

@@ -118,7 +118,7 @@ func socketEnv(t *testing.T, wsAddr string, expect int, cfg Config) *Browser {
 	})
 	mux.HandleFunc("/s.js", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprint(w, prog.MustEncode())
+		_, _ = w.Write(prog.MustEncode())
 	})
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)

@@ -120,7 +120,7 @@ func resilienceEnv(t *testing.T, mode misbehaviour, expect int) *Browser {
 	})
 	mux.HandleFunc("/s.js", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprint(w, prog.MustEncode())
+		_, _ = w.Write(prog.MustEncode())
 	})
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)

@@ -16,9 +16,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -355,9 +355,25 @@ func visit(ctx context.Context, b *browser.Browser, site Site, url string, cfg C
 
 // siteRand derives the per-site link-sampling RNG.
 func siteRand(seed int64, domain string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", seed, domain)
-	return detrand.New(int64(h.Sum64()))
+	return detrand.New(siteKey("", seed, domain))
+}
+
+// siteKey is FNV-1a (hash/fnv's New64a) over prefix, seed in decimal,
+// '|' and domain, hashed in place: the hash.Hash64 interface and
+// fmt.Fprintf would heap-allocate the state and box every operand.
+func siteKey(prefix string, seed int64, domain string) int64 {
+	var buf [20]byte
+	h := fnv1a(14695981039346656037, prefix)
+	h = fnv1a(h, strconv.AppendInt(buf[:0], seed, 10))
+	h = fnv1a(h, "|")
+	return int64(fnv1a(h, domain))
+}
+
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // shuffled returns a shuffled copy.
@@ -372,7 +388,5 @@ func shuffled(rng *rand.Rand, in []string) []string {
 // the property the dispatch orchestrator needs so retried and resumed
 // sites reproduce their original records exactly.
 func SiteSeed(seed int64, domain string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "site|%d|%s", seed, domain)
-	return int64(h.Sum64())
+	return siteKey("site|", seed, domain)
 }

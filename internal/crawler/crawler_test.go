@@ -312,3 +312,32 @@ func TestCrawlCountsErrors(t *testing.T) {
 		t.Error("error not counted for unknown site")
 	}
 }
+
+// TestSiteKeysPinned pins (seed, domain) → SiteSeed and the first two
+// draws of the link-sampling stream to the values hash/fnv +
+// fmt.Fprintf gave before the keys were hashed in place: every site's
+// browser seed and every crawl's link order hang off them.
+func TestSiteKeysPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed     int64
+		domain   string
+		siteSeed int64
+		int63    int64
+		intn1000 int
+	}{
+		{20170419, "espn.com", -43286028627670525, 5018943871576860041, 568},
+		{20170419, "pub0001.com", -8222764731731772379, 2871892385046985958, 114},
+		{7, "pub0042.co.uk", -7786412009194282024, 3438911767852201359, 837},
+		{-3, "slither.io", 2009580676005257023, 2550066040996497578, 506},
+		{0, "", 5821076792242668586, 970616075319410954, 109},
+		{1 << 40, "a.example", -4548537821963357806, 1410244391329320594, 954},
+	} {
+		if got := SiteSeed(c.seed, c.domain); got != c.siteSeed {
+			t.Errorf("SiteSeed(%d, %q) = %d, want %d", c.seed, c.domain, got, c.siteSeed)
+		}
+		r := siteRand(c.seed, c.domain)
+		if a, b := r.Int63(), r.Intn(1000); a != c.int63 || b != c.intn1000 {
+			t.Errorf("siteRand(%d, %q) draws %d, %d; want %d, %d", c.seed, c.domain, a, b, c.int63, c.intn1000)
+		}
+	}
+}

@@ -10,11 +10,7 @@
 // reproduces by calling (*Node).OuterHTML on live pages.
 package dom
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // NodeType discriminates node kinds.
 type NodeType int
@@ -33,8 +29,11 @@ type Node struct {
 	Type NodeType
 	// Tag is the lower-case element name (element nodes only).
 	Tag string
-	// Attrs holds element attributes.
-	Attrs map[string]string
+	// Attrs holds element attributes: names lower-case and unique,
+	// sorted, which is also the order OuterHTML writes them in. An
+	// element has a handful at most, so lookups scan. Use Attr, SetAttr
+	// and HasAttr; nothing outside this file depends on the layout.
+	Attrs []Attribute
 	// Data is the text content (text/comment nodes only).
 	Data string
 
@@ -45,12 +44,15 @@ type Node struct {
 	PrevSibling *Node
 }
 
+// Attribute is one name="value" pair of an element.
+type Attribute struct{ Name, Value string }
+
 // NewDocument returns an empty document node.
 func NewDocument() *Node { return &Node{Type: DocumentNode} }
 
 // NewElement returns a detached element node.
 func NewElement(tag string) *Node {
-	return &Node{Type: ElementNode, Tag: strings.ToLower(tag), Attrs: map[string]string{}}
+	return &Node{Type: ElementNode, Tag: strings.ToLower(tag)}
 }
 
 // NewText returns a detached text node.
@@ -61,28 +63,41 @@ func NewComment(data string) *Node { return &Node{Type: CommentNode, Data: data}
 
 // Attr returns the value of the named attribute ("" when absent).
 func (n *Node) Attr(name string) string {
-	if n.Attrs == nil {
-		return ""
+	if i, ok := n.findAttr(strings.ToLower(name)); ok {
+		return n.Attrs[i].Value
 	}
-	return n.Attrs[strings.ToLower(name)]
+	return ""
 }
 
-// SetAttr sets an attribute on an element node.
+// SetAttr sets an attribute on an element node; setting a name again
+// replaces its value.
 func (n *Node) SetAttr(name, value string) *Node {
-	if n.Attrs == nil {
-		n.Attrs = map[string]string{}
+	name = strings.ToLower(name)
+	i, ok := n.findAttr(name)
+	if !ok {
+		n.Attrs = append(n.Attrs, Attribute{})
+		copy(n.Attrs[i+1:], n.Attrs[i:])
+		n.Attrs[i].Name = name
 	}
-	n.Attrs[strings.ToLower(name)] = value
+	n.Attrs[i].Value = value
 	return n
 }
 
 // HasAttr reports whether the attribute is present (even if empty).
 func (n *Node) HasAttr(name string) bool {
-	if n.Attrs == nil {
-		return false
-	}
-	_, ok := n.Attrs[strings.ToLower(name)]
+	_, ok := n.findAttr(strings.ToLower(name))
 	return ok
+}
+
+// findAttr returns the index of the attribute called name (lower-case)
+// and true, or the index that keeps Attrs sorted if inserted and false.
+func (n *Node) findAttr(name string) (int, bool) {
+	for i := range n.Attrs {
+		if n.Attrs[i].Name >= name {
+			return i, n.Attrs[i].Name == name
+		}
+	}
+	return len(n.Attrs), false
 }
 
 // AppendChild attaches c as the last child of n. It panics if c is already
@@ -203,7 +218,8 @@ func IsVoidElement(tag string) bool { return voidElements[strings.ToLower(tag)] 
 var rawTextElements = map[string]bool{"script": true, "style": true}
 
 // OuterHTML serializes the subtree rooted at n as HTML. Attributes are
-// emitted in sorted order so serialization is deterministic.
+// emitted sorted by name (the order Attrs keeps), so serialization is
+// deterministic.
 func (n *Node) OuterHTML() string {
 	var b strings.Builder
 	n.writeHTML(&b)
@@ -239,15 +255,12 @@ func (n *Node) writeHTML(b *strings.Builder) {
 	case ElementNode:
 		b.WriteByte('<')
 		b.WriteString(n.Tag)
-		if len(n.Attrs) > 0 {
-			names := make([]string, 0, len(n.Attrs))
-			for name := range n.Attrs {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Fprintf(b, ` %s="%s"`, name, EscapeAttr(n.Attrs[name]))
-			}
+		for _, a := range n.Attrs {
+			b.WriteByte(' ')
+			b.WriteString(a.Name)
+			b.WriteString(`="`)
+			b.WriteString(EscapeAttr(a.Value))
+			b.WriteByte('"')
 		}
 		b.WriteByte('>')
 		if voidElements[n.Tag] {

@@ -18,7 +18,7 @@ import (
 // unknown constructs become text, unclosed elements are closed at EOF.
 func Parse(src string) *dom.Node {
 	p := &parser{src: src}
-	doc := dom.NewDocument()
+	doc := p.node(dom.DocumentNode, "")
 	p.parseChildren(doc, "")
 	return doc
 }
@@ -26,6 +26,28 @@ func Parse(src string) *dom.Node {
 type parser struct {
 	src string
 	pos int
+	// slab is the unused rest of the current chunk of nodes. A document's
+	// nodes are allocated a chunk at a time and live exactly as long as
+	// the document does: any node keeps its whole chunk reachable.
+	slab []dom.Node
+}
+
+// bytesPerNode is how much source one node takes on the pages this
+// parser meets (13 to 26 bytes; 16 on average), which sizes a chunk
+// from the source still unparsed: one chunk for most documents, a small
+// second one for the denser.
+const bytesPerNode = 16
+
+// node returns a node of the given type from the slab; data is the
+// content of a text or comment node.
+func (p *parser) node(typ dom.NodeType, data string) *dom.Node {
+	if len(p.slab) == 0 {
+		p.slab = make([]dom.Node, (len(p.src)-p.pos)/bytesPerNode+4)
+	}
+	n := &p.slab[0]
+	p.slab = p.slab[1:]
+	n.Type, n.Data = typ, data
+	return n
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
@@ -51,7 +73,7 @@ func (p *parser) parseChildren(parent *dom.Node, enclosing string) {
 			}
 			text := p.src[start:p.pos]
 			if strings.TrimSpace(text) != "" || parent.Type != dom.DocumentNode {
-				parent.AppendChild(dom.NewText(dom.UnescapeText(text)))
+				parent.AppendChild(p.node(dom.TextNode, dom.UnescapeText(text)))
 			}
 			continue
 		}
@@ -61,11 +83,11 @@ func (p *parser) parseChildren(parent *dom.Node, enclosing string) {
 		case strings.HasPrefix(rest, "<!--"):
 			end := strings.Index(rest[4:], "-->")
 			if end < 0 {
-				parent.AppendChild(dom.NewComment(rest[4:]))
+				parent.AppendChild(p.node(dom.CommentNode, rest[4:]))
 				p.pos = len(p.src)
 				return
 			}
-			parent.AppendChild(dom.NewComment(rest[4 : 4+end]))
+			parent.AppendChild(p.node(dom.CommentNode, rest[4:4+end]))
 			p.pos += 4 + end + 3
 		case strings.HasPrefix(rest, "<!"):
 			// Doctype or other declaration: skip to '>'.
@@ -88,26 +110,22 @@ func (p *parser) parseChildren(parent *dom.Node, enclosing string) {
 			}
 			// Stray close tag: ignore it (recovery).
 		default:
-			tag, attrs, selfClose, ok := p.parseOpenTag()
-			if !ok {
+			el, selfClose := p.parseOpenTag()
+			if el == nil {
 				// Bare '<' treated as text.
-				parent.AppendChild(dom.NewText("<"))
+				parent.AppendChild(p.node(dom.TextNode, "<"))
 				p.pos++
 				continue
 			}
-			el := dom.NewElement(tag)
-			for k, v := range attrs {
-				el.SetAttr(k, v)
-			}
 			parent.AppendChild(el)
-			if selfClose || dom.IsVoidElement(tag) {
+			if selfClose || dom.IsVoidElement(el.Tag) {
 				continue
 			}
-			if tag == "script" || tag == "style" {
-				p.parseRawText(el, tag)
+			if el.Tag == "script" || el.Tag == "style" {
+				p.parseRawText(el, el.Tag)
 				continue
 			}
-			p.parseChildren(el, tag)
+			p.parseChildren(el, el.Tag)
 		}
 	}
 }
@@ -117,13 +135,13 @@ func (p *parser) parseRawText(el *dom.Node, tag string) {
 	idx := indexCloseTag(p.src[p.pos:], tag)
 	if idx < 0 {
 		if p.pos < len(p.src) {
-			el.AppendChild(dom.NewText(p.src[p.pos:]))
+			el.AppendChild(p.node(dom.TextNode, p.src[p.pos:]))
 		}
 		p.pos = len(p.src)
 		return
 	}
 	if idx > 0 {
-		el.AppendChild(dom.NewText(p.src[p.pos : p.pos+idx]))
+		el.AppendChild(p.node(dom.TextNode, p.src[p.pos:p.pos+idx]))
 	}
 	p.pos += idx
 	end := strings.IndexByte(p.src[p.pos:], '>')
@@ -169,44 +187,46 @@ func hasPrefixFold(s, lower string) bool {
 }
 
 // parseOpenTag parses "<tag attr=val ...>" starting at p.pos (which points
-// at '<'). Returns ok=false if this is not a well-formed open tag.
-func (p *parser) parseOpenTag() (tag string, attrs map[string]string, selfClose, ok bool) {
+// at '<') into a new element, setting each attribute as it is read: a
+// repeated name keeps its last value. Returns nil if this is not a
+// well-formed open tag.
+func (p *parser) parseOpenTag() (el *dom.Node, selfClose bool) {
 	i := p.pos + 1
 	start := i
 	for i < len(p.src) && isNameByte(p.src[i]) {
 		i++
 	}
 	if i == start {
-		return "", nil, false, false
+		return nil, false
 	}
-	tag = strings.ToLower(p.src[start:i])
-	attrs = map[string]string{}
+	el = p.node(dom.ElementNode, "")
+	el.Tag = strings.ToLower(p.src[start:i])
 	for {
 		for i < len(p.src) && isSpace(p.src[i]) {
 			i++
 		}
 		if i >= len(p.src) {
 			p.pos = i
-			return tag, attrs, false, true
+			return el, false
 		}
 		switch p.src[i] {
 		case '>':
 			p.pos = i + 1
-			return tag, attrs, false, true
+			return el, false
 		case '/':
 			i++
 			if i < len(p.src) && p.src[i] == '>' {
 				p.pos = i + 1
-				return tag, attrs, true, true
+				return el, true
 			}
 			continue
 		}
-		// Attribute name.
+		// Attribute name; SetAttr lower-cases it.
 		nameStart := i
 		for i < len(p.src) && p.src[i] != '=' && p.src[i] != '>' && p.src[i] != '/' && !isSpace(p.src[i]) {
 			i++
 		}
-		name := strings.ToLower(p.src[nameStart:i])
+		name := p.src[nameStart:i]
 		if name == "" {
 			i++ // skip junk byte
 			continue
@@ -215,7 +235,7 @@ func (p *parser) parseOpenTag() (tag string, attrs map[string]string, selfClose,
 			i++
 		}
 		if i >= len(p.src) || p.src[i] != '=' {
-			attrs[name] = "" // bare attribute
+			el.SetAttr(name, "") // bare attribute
 			continue
 		}
 		i++ // consume '='
@@ -223,9 +243,9 @@ func (p *parser) parseOpenTag() (tag string, attrs map[string]string, selfClose,
 			i++
 		}
 		if i >= len(p.src) {
-			attrs[name] = ""
+			el.SetAttr(name, "")
 			p.pos = i
-			return tag, attrs, false, true
+			return el, false
 		}
 		var val string
 		if q := p.src[i]; q == '"' || q == '\'' {
@@ -245,7 +265,7 @@ func (p *parser) parseOpenTag() (tag string, attrs map[string]string, selfClose,
 			}
 			val = p.src[valStart:i]
 		}
-		attrs[name] = dom.UnescapeText(val)
+		el.SetAttr(name, dom.UnescapeText(val))
 	}
 }
 

@@ -253,16 +253,7 @@ func TestParseRawTextNonASCIICase(t *testing.T) {
 // in one pass (the tree never holds more nodes than the source has
 // bytes), and the tree serializes.
 func FuzzParse(f *testing.F) {
-	for _, s := range []string{
-		"<script>" + strings.Repeat("\u023a", 50) + "</script>",
-		"<script>" + strings.Repeat("\u212a", 50) + "</script><p>x</p>",
-		"<STYLE>\u0130</sTyLe \n>",
-		"<script></scr</script",
-		"<script>",
-		"<!DOCTYPE html><html><head><title>t</title></head><body class=a id='b' c=d e><br/><!-- c --><p>&amp;</p></body></html>",
-		"<<a <b></c>< /><!--", "<!", "</", "<a href=\"", "<div" + strings.Repeat("<div>", 40),
-		"\xff<\xfe>\x00</\x80>",
-	} {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -279,5 +270,25 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Parse(%q): %d nodes from %d bytes", src, nodes, len(src))
 		}
 		_ = doc.OuterHTML()
+		checkOpenTags(t, src)
 	})
+}
+
+// parseSeeds is FuzzParse's seed corpus, shared with the table tests.
+var parseSeeds = []string{
+	"<script>" + strings.Repeat("\u023a", 50) + "</script>",
+	"<script>" + strings.Repeat("\u212a", 50) + "</script><p>x</p>",
+	"<STYLE>\u0130</sTyLe \n>",
+	"<script></scr</script",
+	"<script>",
+	"<!DOCTYPE html><html><head><title>t</title></head><body class=a id='b' c=d e><br/><!-- c --><p>&amp;</p></body></html>",
+	"<<a <b></c>< /><!--", "<!", "</", "<a href=\"", "<div" + strings.Repeat("<div>", 40),
+	"\xff<\xfe>\x00</\x80>",
+	// Attribute shapes: repeats, mixed case, bare, unquoted, unterminated.
+	`<a href="1" HREF='2' hReF=3>x</a>`,
+	`<input disabled DISABLED="" value = "a&amp;b" checked/>`,
+	`<img src=/a.gif alt><IMG SRC="/b.gif" Alt="&lt;b&gt;">`,
+	`<p a=1 b=2 c=3 d=4 e=5 f=6 g=7 h=8 a=9 Z=0 =x ==y>`,
+	`<div id="x" class= data-k="v" id='y'`,
+	"<a \u0130=1 i\u0307=2 \u212a=3 k=4 \xff=5>",
 }

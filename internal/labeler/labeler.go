@@ -105,8 +105,8 @@ func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
 	var prevDomainAA bool
 	var prevHost string
 	for _, req := range t.Requests() {
-		u, err := urlutil.Parse(req.URL)
-		if err != nil {
+		u := req.ParsedURL()
+		if u == nil {
 			continue
 		}
 		d := l.group.Match(filterlist.Request{URL: u, Type: req.Type, PageHost: pageHost})

@@ -98,42 +98,54 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Encode renders the program as a JavaScript-looking body with some
-// camouflage boilerplate so content classifiers see realistic scripts.
-func (p *Program) Encode() (string, error) {
+// assign introduces the program literal in a body; prologue and
+// epilogue are the camouflage boilerplate around it, so content
+// classifiers see realistic scripts.
+const (
+	assign   = "var __program = "
+	prologue = Marker + "\n(function(){\"use strict\";\n" + assign
+	epilogue = ";\n__run(__program);\n})();\n"
+)
+
+// Encode renders the program as a JavaScript-looking body. The literal
+// is encoding/json's rendering of p, byte for byte; programs of plain
+// strings are appended by hand (codec.go) and anything else goes
+// through json.Marshal itself.
+func (p *Program) Encode() ([]byte, error) {
 	if err := p.Validate(); err != nil {
-		return "", err
+		return nil, err
 	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		return "", fmt.Errorf("script: encode: %w", err)
+	e := enc{b: make([]byte, 0, p.sizeHint())}
+	e.lit(prologue)
+	if e.program(p); e.bad {
+		data, err := json.Marshal(p)
+		if err != nil {
+			return nil, fmt.Errorf("script: encode: %w", err)
+		}
+		e.b = append(e.b[:len(prologue)], data...)
 	}
-	var b strings.Builder
-	b.WriteString(Marker)
-	b.WriteString("\n(function(){\"use strict\";\n")
-	b.WriteString("var __program = ")
-	b.Write(data)
-	b.WriteString(";\n__run(__program);\n})();\n")
-	return b.String(), nil
+	e.lit(epilogue)
+	return e.b, nil
 }
 
 // MustEncode is Encode, panicking on error; for generator tables.
-func (p *Program) MustEncode() string {
-	s, err := p.Encode()
+func (p *Program) MustEncode() []byte {
+	b, err := p.Encode()
 	if err != nil {
 		panic(err)
 	}
-	return s
+	return b
 }
 
 // Decode extracts and validates the program from a script body. Bodies
 // without the marker yield (nil, nil): they are plain scripts with no
-// behaviour, which is not an error.
+// behaviour, which is not an error. A literal in the encoder's own
+// shape is walked in place and its strings alias body; any other goes
+// through json.Unmarshal, with the same result for every input.
 func Decode(body string) (*Program, error) {
 	if !strings.Contains(body, Marker) {
 		return nil, nil
 	}
-	const assign = "var __program = "
 	i := strings.Index(body, assign)
 	if i < 0 {
 		return nil, fmt.Errorf("script: marker present but no program assignment")
@@ -143,14 +155,17 @@ func Decode(body string) (*Program, error) {
 	if end < 0 {
 		return nil, fmt.Errorf("script: unterminated program literal")
 	}
-	var p Program
-	if err := json.Unmarshal([]byte(rest[:end]), &p); err != nil {
-		return nil, fmt.Errorf("script: decode program: %w", err)
+	p, ok := decodeFast(rest[:end])
+	if !ok {
+		p = &Program{}
+		if err := json.Unmarshal([]byte(rest[:end]), p); err != nil {
+			return nil, fmt.Errorf("script: decode program: %w", err)
+		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &p, nil
+	return p, nil
 }
 
 // Include returns an include_script op.

@@ -26,13 +26,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(body, Marker) {
+	if !strings.HasPrefix(string(body), Marker) {
 		t.Error("encoded body missing marker prefix")
 	}
-	if !strings.Contains(body, "use strict") {
+	if !strings.Contains(string(body), "use strict") {
 		t.Error("camouflage boilerplate missing")
 	}
-	got, err := Decode(body)
+	got, err := Decode(string(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decode(body)
+		got, err := Decode(string(body))
 		if err != nil || got == nil {
 			return false
 		}

@@ -93,9 +93,13 @@ func parseFast(raw string) (*URL, bool) {
 		return nil, false
 	}
 	hostport, path, query := rest, "/", ""
-	if i := strings.IndexAny(rest, "/?"); i >= 0 {
-		hostport = rest[:i]
-		tail := rest[i:]
+	end := 0 // first '/' or '?': the end of host[:port]
+	for end < len(rest) && rest[end] != '/' && rest[end] != '?' {
+		end++
+	}
+	if end < len(rest) {
+		hostport = rest[:end]
+		tail := rest[end:]
 		if tail[0] == '?' {
 			query = tail[1:]
 		} else if q := strings.IndexByte(tail, '?'); q >= 0 {
@@ -115,7 +119,7 @@ func parseFast(raw string) (*URL, bool) {
 		return nil, false
 	}
 	u := &URL{Raw: raw, Scheme: scheme, Host: host, Port: port, Path: path, Query: query}
-	if strings.IndexAny(rest, "/?") >= 0 && rest[strings.IndexAny(rest, "/?")] == '/' {
+	if end < len(rest) && rest[end] == '/' {
 		// The input spelled out its path, so reassembly reproduces it
 		// verbatim: String() can return the original bytes.
 		u.str = raw

@@ -171,13 +171,21 @@ type Company struct {
 
 // scriptHost returns the host the company's script loads from.
 func (c *Company) scriptHost() string {
-	if c.CloudfrontHost != "" {
-		return c.CloudfrontHost
+	sub, domain := c.scriptHostParts()
+	return sub + domain
+}
+
+// scriptHostParts is scriptHost in two pieces, for callers that append
+// it to a URL without building the host first: an explicit host as
+// ("", host), the default as ("cdn.", Domain).
+func (c *Company) scriptHostParts() (sub, domain string) {
+	switch {
+	case c.CloudfrontHost != "":
+		return "", c.CloudfrontHost
+	case c.ScriptHost != "":
+		return "", c.ScriptHost
 	}
-	if c.ScriptHost != "" {
-		return c.ScriptHost
-	}
-	return "cdn." + c.Domain
+	return "cdn.", c.Domain
 }
 
 // fingerprint is the 33across-bound bundle.

@@ -1,7 +1,6 @@
 package webgen
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -31,31 +30,12 @@ type PagePlan struct {
 
 // PlanFor computes the load plan for page n (0 = homepage) of a
 // publisher. The plan is pure: equal (world, publisher, page) yield the
-// same plan. Because it is pure, results are memoized on the World —
-// RenderPage and the /js/app.js endpoint both need the same plan for
-// every page visit — and the returned *PagePlan is shared: callers must
-// treat it as read-only.
+// same plan, which is how RenderPage and the /js/app.js endpoint agree
+// on a page without sharing one.
 func (w *World) PlanFor(pub *Publisher, page int) *PagePlan {
-	key := planKey{domain: pub.Domain, page: page}
-	w.planMu.Lock()
-	if plan, ok := w.planCache[key]; ok {
-		w.planMu.Unlock()
-		return plan
-	}
-	w.planMu.Unlock()
-	// Compute outside the lock: plans are pure, so a racing duplicate
-	// computation yields an identical plan and either result may win.
-	plan := w.computePlan(pub, page)
-	w.planMu.Lock()
-	w.planCache[key] = plan
-	w.planMu.Unlock()
-	return plan
-}
-
-func (w *World) computePlan(pub *Publisher, page int) *PagePlan {
 	rng := w.rng("plan", pub.Domain, strconv.Itoa(page))
 	plan := &PagePlan{
-		Title:      fmt.Sprintf("%s — %s %d", pub.Domain, pub.Category, page),
+		Title:      pub.Domain + " — " + pub.Category + " " + strconv.Itoa(page),
 		AppProgram: &script.Program{},
 	}
 
@@ -70,8 +50,7 @@ func (w *World) computePlan(pub *Publisher, page int) *PagePlan {
 		}
 		// Full-blocked ad companies also render iframe ad slots.
 		if c.EasyList && !c.PartialRules && c.Category != CatAnalytics && rng.Float64() < 0.5 {
-			plan.IframeURLs = append(plan.IframeURLs,
-				fmt.Sprintf("http://%s/frame.html?pub=%s&pg=%d", c.scriptHost(), pub.Domain, page))
+			plan.IframeURLs = append(plan.IframeURLs, c.pageURL("/frame.html?pub=", pub, page))
 		}
 	}
 
@@ -95,9 +74,8 @@ func (w *World) computePlan(pub *Publisher, page int) *PagePlan {
 	// non-A&A on both ends.
 	if pub.SelfWS && rng.Float64() < 0.7 {
 		n := 1 + rng.Intn(2)
-		url := fmt.Sprintf("ws://%s/live?sid=%08x&n=%d", pub.Domain, rng.Uint32(), n)
 		plan.AppProgram.Ops = append(plan.AppProgram.Ops, script.Op{
-			Do: script.OpOpenWebSocket, URL: url,
+			Do: script.OpOpenWebSocket, URL: socketURL(pub.Domain, "/live", rng.Uint32(), n),
 			Send:   []script.MessageSpec{{Kinds: []string{payload.KindUA}}},
 			Expect: n,
 		})
@@ -105,12 +83,14 @@ func (w *World) computePlan(pub *Publisher, page int) *PagePlan {
 
 	// Page furniture.
 	nImages := 2 + rng.Intn(4)
+	plan.ImagePaths = make([]string, 0, nImages)
 	for k := 0; k < nImages; k++ {
-		plan.ImagePaths = append(plan.ImagePaths, fmt.Sprintf("/img/%d-%d.gif", page, k))
+		plan.ImagePaths = append(plan.ImagePaths, "/img/"+strconv.Itoa(page)+"-"+strconv.Itoa(k)+".gif")
 	}
 	if page == 0 {
+		plan.LinkPaths = make([]string, 0, pub.NumPages)
 		for n := 1; n <= pub.NumPages; n++ {
-			plan.LinkPaths = append(plan.LinkPaths, fmt.Sprintf("/page/%d", n))
+			plan.LinkPaths = append(plan.LinkPaths, "/page/"+strconv.Itoa(n))
 		}
 	} else {
 		seen := map[int]bool{page: true}
@@ -118,7 +98,7 @@ func (w *World) computePlan(pub *Publisher, page int) *PagePlan {
 			n := 1 + rng.Intn(pub.NumPages)
 			if !seen[n] {
 				seen[n] = true
-				plan.LinkPaths = append(plan.LinkPaths, fmt.Sprintf("/page/%d", n))
+				plan.LinkPaths = append(plan.LinkPaths, "/page/"+strconv.Itoa(n))
 			}
 		}
 		plan.LinkPaths = append(plan.LinkPaths, "/")
@@ -130,24 +110,59 @@ func (w *World) computePlan(pub *Publisher, page int) *PagePlan {
 // parameter makes behaviour page-specific while remaining cacheable in
 // shape, the way real tags carry cache-busting parameters.
 func (w *World) scriptURL(c *Company, pub *Publisher, page int) string {
-	return fmt.Sprintf("http://%s/w.js?pub=%s&pg=%d", c.scriptHost(), pub.Domain, page)
+	return c.pageURL("/w.js?pub=", pub, page)
+}
+
+// pageURL is http://<script host><path><publisher>&pg=<page>: the shape
+// of every per-page URL a company serves.
+func (c *Company) pageURL(path string, pub *Publisher, page int) string {
+	sub, domain := c.scriptHostParts()
+	return "http://" + sub + domain + path + pub.Domain + "&pg=" + strconv.Itoa(page)
+}
+
+// socketURL is ws://<host><path>?sid=<%08x of sid>&n=<n>.
+func socketURL(host, path string, sid uint32, n int) string {
+	var buf [96]byte
+	b := cat(buf[:0], "ws://", host, path, "?sid=")
+	b = appendPadded(b, uint64(sid), 16, 8)
+	return string(cat(b, "&n=", strconv.Itoa(n)))
+}
+
+// cat appends every part to b.
+func cat(b []byte, parts ...string) []byte {
+	for _, part := range parts {
+		b = append(b, part...)
+	}
+	return b
+}
+
+// appendPadded appends v in the given base, zero-padded on the left to
+// width digits: fmt's %08x and %06d.
+func appendPadded(dst []byte, v uint64, base, width int) []byte {
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], v, base)
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // socketOp builds an open_websocket op targeting the given receiver
-// domain on behalf of company c.
+// domain on behalf of company c. Its message specs share the company's
+// kind lists: programs are encoded or read, never edited.
 func (w *World) socketOp(c *Company, receiverDomain string, rng *rand.Rand) script.Op {
 	path, n := w.endpointFor(receiverDomain, rng)
-	url := fmt.Sprintf("ws://%s%s?sid=%08x&n=%d", receiverDomain, path, rng.Uint32(), n)
+	url := socketURL(receiverDomain, path, rng.Uint32(), n)
 	var send []script.MessageSpec
 	if rng.Float64() >= c.SendNothing {
 		for _, kinds := range c.SendKinds {
-			send = append(send, script.MessageSpec{Kinds: append([]string(nil), kinds...)})
+			send = append(send, script.MessageSpec{Kinds: kinds})
 		}
 		// Receivers that harvest fingerprints get the full bundle from
 		// every A&A script that connects (the DoubleClick → 33across
 		// flow of §4.3).
 		if rc := w.companyByDomain[urlutil.RegistrableDomain(receiverDomain)]; rc != nil && rc.CollectsFingerprint && c.AA {
-			send = append(send, script.MessageSpec{Kinds: append([]string(nil), payload.FingerprintKinds...)})
+			send = append(send, script.MessageSpec{Kinds: payload.FingerprintKinds})
 		}
 		if c.SendBinary > 0 && rng.Float64() < c.SendBinary {
 			send = append(send, script.MessageSpec{Kinds: []string{payload.KindBinary}, Binary: true})
@@ -210,21 +225,24 @@ func (w *World) companyProgram(c *Company, pub *Publisher, page int) *script.Pro
 		for _, kinds := range beacons {
 			p.Ops = append(p.Ops, script.Op{
 				Do:         script.OpHTTPBeacon,
-				URL:        fmt.Sprintf("http://%s/track/b?pub=%s&pg=%d", c.scriptHost(), pub.Domain, page),
-				Send:       []script.MessageSpec{{Kinds: append([]string(nil), kinds...)}},
+				URL:        c.pageURL("/track/b?pub=", pub, page),
+				Send:       []script.MessageSpec{{Kinds: kinds}},
 				SendCookie: rng.Float64() < 0.5,
 			})
 		}
 	}
 	if c.HTTPPresence {
-		p.Ops = append(p.Ops, script.Image(
-			fmt.Sprintf("http://%s/pixel.gif?pub=%s&r=%06d", c.scriptHost(), pub.Domain, rng.Intn(1_000_000))))
+		var buf [128]byte
+		sub, domain := c.scriptHostParts()
+		b := cat(buf[:0], "http://", sub, domain, "/pixel.gif?pub=", pub.Domain, "&r=")
+		p.Ops = append(p.Ops, script.Image(string(appendPadded(b, uint64(rng.Intn(1_000_000)), 10, 6))))
 	}
 	// The borderline CDN fires a tracked beacon on every page so it
 	// clears the threshold despite serving mostly clean resources.
 	if c.Domain == "borderline-cdn.com" {
+		sub, domain := c.scriptHostParts()
 		p.Ops = append(p.Ops, script.Image(
-			fmt.Sprintf("http://%s/lib/asset-%d.gif", c.scriptHost(), rng.Intn(8))))
+			"http://"+sub+domain+"/lib/asset-"+strconv.Itoa(rng.Intn(8))+".gif"))
 	}
 
 	// WebSocket behaviour.
@@ -303,7 +321,7 @@ func (w *World) companyResource(c *Company, u *urlutil.URL) (*Resource, bool) {
 	case u.Path == "/w.js":
 		pub := w.pubByDomain[queryParam(u.Query, "pub")]
 		if pub == nil {
-			return jsResource("/* no-op */function noop(){}"), true
+			return jsResource([]byte("/* no-op */function noop(){}")), true
 		}
 		return jsResource(w.companyProgram(c, pub, atoi(queryParam(u.Query, "pg"))).MustEncode()), true
 	case u.Path == "/pixel.gif":
@@ -317,10 +335,11 @@ func (w *World) companyResource(c *Company, u *urlutil.URL) (*Resource, bool) {
 		return &Resource{Status: 204, ContentType: "text/plain", Body: nil}, true
 	case u.Path == "/frame.html":
 		rng := w.rng("frame", u.Host, u.Query)
-		body := fmt.Sprintf(`<!DOCTYPE html><html><head><title>ad</title></head><body class="ad">`+
-			`<img src="http://%s/pixel.gif?f=1&r=%06d"><p>Sponsored content</p></body></html>`,
-			c.scriptHost(), rng.Intn(1_000_000))
-		return htmlResource(body), true
+		sub, domain := c.scriptHostParts()
+		body := cat(make([]byte, 0, 192), `<!DOCTYPE html><html><head><title>ad</title></head><body class="ad">`,
+			`<img src="http://`, sub, domain, "/pixel.gif?f=1&r=")
+		body = appendPadded(body, uint64(rng.Intn(1_000_000)), 10, 6)
+		return htmlResource(cat(body, `"><p>Sponsored content</p></body></html>`)), true
 	case strings.HasPrefix(u.Path, "/img/"):
 		// Ad creatives on the company's CDN host (cdn1.lockerdome.com):
 		// a JPEG signature plus filler.
@@ -332,35 +351,40 @@ func (w *World) companyResource(c *Company, u *urlutil.URL) (*Resource, bool) {
 }
 
 // RenderPage renders the HTML for page n of a publisher.
-func (w *World) RenderPage(pub *Publisher, page int) string {
+func (w *World) RenderPage(pub *Publisher, page int) []byte {
 	plan := w.PlanFor(pub, page)
 	rng := w.rng("text", pub.Domain, strconv.Itoa(page))
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", plan.Title)
-	b.WriteString(`<link rel="stylesheet" href="/css/site.css">` + "\n")
-	fmt.Fprintf(&b, `<script src="http://%s/js/app.js?pg=%d"></script>`+"\n", pub.Domain, page)
-	for _, su := range plan.DirectURLs {
-		fmt.Fprintf(&b, `<script src="%s"></script>`+"\n", su)
+	// Sized to the page: the body outlives this call in the visit's
+	// trace, so a regrow would be paid for twice.
+	size := 640 + 2*len(plan.Title) + 2*len(pub.Domain)
+	for _, group := range [][]string{plan.DirectURLs, plan.ImagePaths, plan.IframeURLs, plan.LinkPaths} {
+		for _, ref := range group {
+			size += 56 + len(ref)
+		}
 	}
-	b.WriteString("</head>\n<body>\n")
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", plan.Title)
-	fmt.Fprintf(&b, `<form action="/search"><input name="q" placeholder="Search %s"></form>`+"\n", pub.Domain)
+	b := make([]byte, 0, size)
+	b = cat(b, "<!DOCTYPE html>\n<html>\n<head>\n<title>", plan.Title, "</title>\n",
+		`<link rel="stylesheet" href="/css/site.css">`+"\n",
+		`<script src="http://`, pub.Domain, "/js/app.js?pg=", strconv.Itoa(page), `"></script>`+"\n")
+	for _, su := range plan.DirectURLs {
+		b = cat(b, `<script src="`, su, `"></script>`+"\n")
+	}
+	b = cat(b, "</head>\n<body>\n<h1>", plan.Title, "</h1>\n",
+		`<form action="/search"><input name="q" placeholder="Search `, pub.Domain, `"></form>`+"\n")
 	for i := 0; i < 3; i++ {
-		fmt.Fprintf(&b, "<p>%s</p>\n", pageSentences[rng.Intn(len(pageSentences))])
+		b = cat(b, "<p>", pageSentences[rng.Intn(len(pageSentences))], "</p>\n")
 	}
 	for _, img := range plan.ImagePaths {
-		fmt.Fprintf(&b, `<img src="%s" alt="photo">`+"\n", img)
+		b = cat(b, `<img src="`, img, `" alt="photo">`+"\n")
 	}
 	for _, fr := range plan.IframeURLs {
-		fmt.Fprintf(&b, `<iframe src="%s" width="300" height="250"></iframe>`+"\n", fr)
+		b = cat(b, `<iframe src="`, fr, `" width="300" height="250"></iframe>`+"\n")
 	}
-	b.WriteString("<nav>\n")
+	b = cat(b, "<nav>\n")
 	for i, l := range plan.LinkPaths {
-		fmt.Fprintf(&b, `<a href="%s">link %d</a>`+"\n", l, i)
+		b = cat(b, `<a href="`, l, `">link `, strconv.Itoa(i), "</a>\n")
 	}
-	b.WriteString("</nav>\n</body>\n</html>\n")
-	return b.String()
+	return cat(b, "</nav>\n</body>\n</html>\n")
 }
 
 var pageSentences = []string{
@@ -372,12 +396,12 @@ var pageSentences = []string{
 	"The archive contains material going back more than a decade.",
 }
 
-func htmlResource(body string) *Resource {
-	return &Resource{Status: 200, ContentType: "text/html; charset=utf-8", Body: []byte(body)}
+func htmlResource(body []byte) *Resource {
+	return &Resource{Status: 200, ContentType: "text/html; charset=utf-8", Body: body}
 }
 
-func jsResource(body string) *Resource {
-	return &Resource{Status: 200, ContentType: "application/javascript", Body: []byte(body)}
+func jsResource(body []byte) *Resource {
+	return &Resource{Status: 200, ContentType: "application/javascript", Body: body}
 }
 
 // Shared response bodies for static resources, rendered once. Servers

@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestWorldDeterminism(t *testing.T) {
 	}
 	// Same page renders identically.
 	p := a.Publishers[0]
-	if a.RenderPage(p, 0) != b.RenderPage(b.Publishers[0], 0) {
+	if !bytes.Equal(a.RenderPage(p, 0), b.RenderPage(b.Publishers[0], 0)) {
 		t.Error("page render not deterministic")
 	}
 }
@@ -91,7 +92,7 @@ func TestNamedPublishersPresent(t *testing.T) {
 func TestPageRenderParsesAndLinks(t *testing.T) {
 	w := testWorld(EraPrePatch)
 	p := w.PublisherByDomain("espn.com")
-	html := w.RenderPage(p, 0)
+	html := string(w.RenderPage(p, 0))
 	if !strings.Contains(html, "app.js?pg=0") {
 		t.Error("homepage missing first-party script")
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/detrand"
 	"repro/internal/urlutil"
@@ -74,15 +73,6 @@ type World struct {
 	pubByDomain     map[string]*Publisher
 	wsReceivers     map[string]*Company // registrable domain -> receiving company (nil entry = generic feed endpoint)
 	feedDomains     map[string]bool
-
-	planMu    sync.Mutex
-	planCache map[planKey]*PagePlan // guarded by planMu; memoized PlanFor results, treated read-only
-}
-
-// planKey identifies one (publisher, page) load plan.
-type planKey struct {
-	domain string
-	page   int
 }
 
 // alexaCategories mirrors the 17 Alexa top categories the paper sampled.
@@ -102,7 +92,6 @@ func NewWorld(cfg Config) *World {
 		pubByDomain:     map[string]*Publisher{},
 		wsReceivers:     map[string]*Company{},
 		feedDomains:     map[string]bool{},
-		planCache:       map[planKey]*PagePlan{},
 	}
 	for _, c := range w.Companies {
 		w.companyByDomain[c.Domain] = c

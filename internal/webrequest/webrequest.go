@@ -40,6 +40,13 @@ type Details struct {
 	InitiatorURL string
 	// FirstPartyURL is the top-level page URL.
 	FirstPartyURL string
+
+	// Parsed and FirstParty are URL and FirstPartyURL parsed. A caller
+	// that holds them — the browser does, for every request — passes
+	// them along; Dispatch parses whichever is missing, so a listener
+	// always sees both (FirstParty nil if its string does not parse).
+	Parsed     *urlutil.URL
+	FirstParty *urlutil.URL
 }
 
 // BlockingResponse is a listener's verdict on a request.
@@ -232,10 +239,15 @@ func (r *Registry) Dispatch(d Details) Verdict {
 		// layer entirely.
 		return Verdict{}
 	}
-	u, err := urlutil.Parse(d.URL)
-	if err != nil {
-		return Verdict{Dispatched: true}
+	if d.Parsed == nil {
+		if d.Parsed, _ = urlutil.Parse(d.URL); d.Parsed == nil {
+			return Verdict{Dispatched: true}
+		}
 	}
+	if d.FirstParty == nil {
+		d.FirstParty, _ = urlutil.Parse(d.FirstPartyURL)
+	}
+	u := d.Parsed
 	v := Verdict{Dispatched: true}
 	for _, reg := range r.regs {
 		if reg.types != nil && !reg.types[d.Type] {
