@@ -30,8 +30,10 @@ race:
 # Native fuzz targets, each for a short FUZZTIME (`go test -fuzz` takes
 # one target per invocation). The differential targets hold the
 # on-demand PRNG to math/rand, the content scanners to the regexps they
-# replaced, the filter-list parser + indexed matcher to the linear scan
-# and the script codec to encoding/json; FuzzParse feeds htmlparse
+# replaced, the filter-list parser + indexed matcher to the linear scan,
+# the script codec to encoding/json and the WebSocket handshake parsers
+# (the first decoders that face another process's bytes) to net/http's
+# and to their 64 KiB head cap; FuzzParse feeds htmlparse
 # hostile bytes and holds its attributes to the map parser. Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
 # interesting stay in the Go build cache, and a failing input is
@@ -44,6 +46,8 @@ fuzz-smoke:
 	$(GO) test ./internal/htmlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filterlist -run '^$$' -fuzz '^FuzzMatchMatchesLinear$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/script -run '^$$' -fuzz '^FuzzProgramCodecMatchesJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadClientHandshake$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadServerHandshake$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled

@@ -127,8 +127,8 @@ func (c *Recorder) socketRecord(sc *recordScratch, site crawler.Site, pageURL, p
 		Rank:            site.Rank,
 		PageURL:         pageURL,
 		URL:             ws.URL,
-		ReceiverDomain:  c.Label.MapDomain(ws.Host()),
-		InitiatorDomain: c.Label.MapDomain(hostOf(ws.Parent)),
+		ReceiverDomain:  c.Label.NodeDomain(ws),
+		InitiatorDomain: c.Label.NodeDomain(ws.Parent),
 		CrossOrigin:     inclusion.CrossOrigin(ws),
 		HandshakeOK:     ws.HandshakeStatus == 101,
 		FramesSent:      len(ws.Sent),
@@ -142,7 +142,7 @@ func (c *Recorder) socketRecord(sc *recordScratch, site crawler.Site, pageURL, p
 		chain = ws.Chain()
 	}
 	for _, n := range chain[:len(chain)-1] {
-		rec.ChainDomains = append(rec.ChainDomains, c.Label.MapDomain(n.Host()))
+		rec.ChainDomains = append(rec.ChainDomains, c.Label.NodeDomain(n))
 		rec.ChainURLs = append(rec.ChainURLs, n.URL)
 	}
 	// The §4.2 post-hoc check asks whether "scripts in the inclusion
@@ -203,7 +203,7 @@ func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pag
 		reqs = tree.Requests()
 	}
 	for _, req := range reqs {
-		dom := c.Label.MapDomain(req.Host())
+		dom := c.Label.NodeDomain(req)
 		if dom == "" {
 			continue
 		}
@@ -274,11 +274,4 @@ func classifyHTTPResponse(req *inclusion.Node) string {
 		return content.RecvImage
 	}
 	return ""
-}
-
-func hostOf(n *inclusion.Node) string {
-	if n == nil {
-		return ""
-	}
-	return n.Host()
 }

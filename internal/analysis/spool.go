@@ -141,9 +141,14 @@ func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.Pa
 	aa, non, cdn := r.Label.TagTree(tree)
 	labelSpan.End()
 
-	pageHost := ""
-	if u, err := urlutil.Parse(pageURL); err == nil {
-		pageHost = u.Host
+	// The tree's root frame is the page: its host is already parsed,
+	// unless the caller names the page by another string.
+	pageHost := tree.Root.Host()
+	if pageURL != tree.PageURL {
+		pageHost = ""
+		if u, err := urlutil.Parse(pageURL); err == nil {
+			pageHost = u.Host
+		}
 	}
 	rec := &PageRecord{Site: site.Domain, Rank: site.Rank, PageURL: pageURL}
 	var sockets []*inclusion.Node

@@ -78,6 +78,11 @@ type Config struct {
 	// ResolveWS maps host:port to a dial address for WebSockets
 	// (see webserver.Resolver). Required for pages that open sockets.
 	ResolveWS func(hostport string) string
+	// DialWS, when set, opens the transport connection under each
+	// WebSocket in place of a TCP dial to the resolved address — the
+	// socket counterpart of Fetch (see webserver.DialSocket). The browser
+	// still performs the whole RFC 6455 exchange over the returned conn.
+	DialWS func(ctx context.Context, network, addr string) (net.Conn, error)
 	// MaxScriptDepth caps dynamic inclusion chains (default 6).
 	MaxScriptDepth int
 	// MaxFrameDepth caps iframe nesting (default 3).
@@ -293,7 +298,7 @@ func (b *Browser) Visit(ctx context.Context, rawURL string) (*PageResult, error)
 		}
 	}
 	frameID := load.alloc.NextFrame()
-	load.bus.Emit(devtools.FrameNavigated{FrameID: frameID, URL: rawURL, Initiator: devtools.ParserInitiator(frameID)})
+	load.bus.Emit(devtools.FrameNavigated{FrameID: frameID, URL: rawURL, Initiator: devtools.ParserInitiator(frameID), Parsed: u})
 
 	doc, ok := load.fetchDocument(frameID, u, devtools.ParserInitiator(frameID))
 	if !ok {
@@ -334,7 +339,7 @@ func (l *pageLoad) processDocument(frameID devtools.FrameID, docURL *urlutil.URL
 			if src := n.Attr("src"); src != "" {
 				l.loadScript(frameID, docURL, src, devtools.ParserInitiator(frameID), 0)
 			} else if body := n.InnerText(); strings.TrimSpace(body) != "" {
-				l.runScriptBody(frameID, docURL, docURL.String()+"#inline", body, devtools.ParserInitiator(frameID), 0, true)
+				l.runScriptBody(frameID, docURL, docURL.String()+"#inline", docURL, body, devtools.ParserInitiator(frameID), 0, true)
 			}
 		case "img":
 			if src := n.Attr("src"); src != "" {
@@ -372,7 +377,7 @@ func (l *pageLoad) loadFrame(parentFrame devtools.FrameID, baseURL *urlutil.URL,
 	}
 	childID := l.alloc.NextFrame()
 	l.bus.Emit(devtools.FrameNavigated{
-		FrameID: childID, ParentFrameID: parentFrame, URL: u.String(), Initiator: init,
+		FrameID: childID, ParentFrameID: parentFrame, URL: u.String(), Initiator: init, Parsed: u,
 	})
 	l.processDocument(childID, u, htmlparse.Parse(string(body)), depth+1)
 }
@@ -391,15 +396,16 @@ func (l *pageLoad) loadScript(frameID devtools.FrameID, baseURL *urlutil.URL, sr
 	if !ok {
 		return
 	}
-	l.runScriptBody(frameID, baseURL, u.String(), string(body), init, depth, false)
+	l.runScriptBody(frameID, baseURL, u.String(), u, string(body), init, depth, false)
 }
 
 // runScriptBody registers the script with the debugger domain and
-// executes its embedded program.
-func (l *pageLoad) runScriptBody(frameID devtools.FrameID, baseURL *urlutil.URL, url, body string, init devtools.Initiator, depth int, inline bool) {
+// executes its embedded program. parsed is url parsed — for an inline
+// script, whose url is its document's plus "#inline", the document's.
+func (l *pageLoad) runScriptBody(frameID devtools.FrameID, baseURL *urlutil.URL, url string, parsed *urlutil.URL, body string, init devtools.Initiator, depth int, inline bool) {
 	scriptID := l.alloc.NextScript()
 	l.bus.Emit(devtools.ScriptParsed{
-		ScriptID: scriptID, URL: url, FrameID: frameID, Initiator: init, Inline: inline,
+		ScriptID: scriptID, URL: url, FrameID: frameID, Initiator: init, Inline: inline, Parsed: parsed,
 	})
 	prog, err := script.Decode(body)
 	if err != nil || prog == nil {
@@ -478,7 +484,7 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 	header["Referer"] = pageURL
 	l.bus.Emit(devtools.RequestWillBeSent{
 		RequestID: reqID, URL: rawURL, Type: typ, FrameID: frameID,
-		Initiator: init, FirstPartyURL: pageURL, Header: header, Body: postBody,
+		Initiator: init, FirstPartyURL: pageURL, Header: header, Body: postBody, Parsed: u,
 	})
 	status, mime, body, err := l.b.doHTTP(l.ctx, u, header, postBody)
 	if err != nil {
@@ -602,7 +608,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	obs.SocketsOpened.Inc()
 	l.bus.Emit(devtools.WebSocketCreated{
 		SocketID: sockID, URL: rawURL, FrameID: frameID,
-		Initiator: init, FirstPartyURL: pageURL,
+		Initiator: init, FirstPartyURL: pageURL, Parsed: u,
 	})
 	header := l.b.header()
 	header["User-Agent"] = l.b.state.UserAgent
@@ -617,6 +623,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		httpHeader.Set(k, v)
 	}
 	dialer := wsproto.Dialer{
+		NetDial:     l.b.cfg.DialWS,
 		ResolveAddr: l.b.cfg.ResolveWS,
 		Rand:        l.b.rng,
 		Header:      httpHeader,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"net/http"
 	"strings"
 	"time"
 
@@ -24,9 +25,14 @@ import (
 // (Options, CrawlSpec) yields a byte-identical dataset whichever one
 // ran it (TestEntryPointsAgree).
 type pagePlane struct {
-	opts      Options
-	spec      CrawlSpec
-	server    *webserver.Server
+	opts   Options
+	spec   CrawlSpec
+	server *webserver.Server
+	// client and resolve are the wire route to server, built once: every
+	// browser of the plane shares the one keep-alive pool, and Close
+	// empties it.
+	client    *http.Client
+	resolve   func(hostport string) string
 	recorder  *analysis.Recorder
 	sites     []crawler.Site
 	fault     faultnet.Profile
@@ -99,6 +105,8 @@ func newPagePlane(opts Options, spec CrawlSpec, reference bool) (*pagePlane, err
 		opts:      opts,
 		spec:      spec,
 		server:    server,
+		client:    server.Client(),
+		resolve:   server.Resolver(),
 		recorder:  &analysis.Recorder{Label: lab, Pooled: !reference},
 		sites:     siteRoster(world),
 		fault:     fault,
@@ -107,8 +115,12 @@ func newPagePlane(opts Options, spec CrawlSpec, reference bool) (*pagePlane, err
 	}, nil
 }
 
-// Close shuts the plane's web server down.
-func (p *pagePlane) Close() { p.server.Close() }
+// Close drops the wire client's idle connections and shuts the plane's
+// web server down.
+func (p *pagePlane) Close() {
+	p.client.CloseIdleConnections()
+	p.server.Close()
+}
 
 // crawlSeed drives link sampling and, through crawler.SiteSeed, every
 // browser of this crawl.
@@ -117,20 +129,21 @@ func (p *pagePlane) crawlSeed() int64 { return p.opts.Seed + int64(p.spec.CrawlI
 // browserFor builds the browser for one site, seeded from (crawl seed,
 // site) alone, so a site's records are independent of worker
 // assignment, batch membership, retries and resume boundaries. Fetches
-// go in-process (webserver.Fetch) unless faults are armed — bypassing
-// the wire would bypass the injected faults — and an armed profile also
-// wraps the browser's WebSocket dials and adds the dial-retry hardening
-// that keeps transient handshake failures from costing a socket.
+// and WebSockets go in-process (webserver.Fetch, webserver.DialSocket)
+// unless faults are armed — bypassing the wire would bypass the
+// injected faults — and an armed profile also wraps the browser's
+// WebSocket dials and adds the dial-retry hardening that keeps
+// transient handshake failures from costing a socket.
 func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 	cfg := browser.Config{
 		Version:      p.spec.BrowserVersion,
 		Seed:         crawler.SiteSeed(p.crawlSeed(), site.Domain),
-		HTTPClient:   p.server.Client(),
-		ResolveWS:    p.server.Resolver(),
+		HTTPClient:   p.client,
+		ResolveWS:    p.resolve,
 		ReuseScratch: !p.reference,
 	}
 	if !p.reference && !p.fault.Enabled() {
-		cfg.Fetch = p.server.Fetch
+		cfg.Fetch, cfg.DialWS = p.server.Fetch, p.server.DialSocket
 	}
 	if p.fault.Enabled() {
 		cfg.Fault = p.fault

@@ -11,6 +11,14 @@
 //
 // A Bus fans events out to subscribers; a Trace records an ordered event
 // log that the inclusion-tree builder replays.
+//
+// Events that introduce a URL-bearing resource (ScriptParsed,
+// RequestWillBeSent, FrameNavigated, WebSocketCreated) also carry the
+// emitter's parsed form of that URL in a Parsed field. It is not part
+// of the wire form (`json:"-"`): a live trace hands it to consumers so
+// they need not parse the string again, a decoded trace leaves it nil
+// and consumers parse on demand. Like webrequest.Details.Parsed it is
+// shared and read-only.
 package devtools
 
 import (
@@ -18,6 +26,8 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+
+	"repro/internal/urlutil"
 )
 
 // Typed identifiers. Using distinct string types catches cross-wiring of
@@ -86,6 +96,9 @@ type ScriptParsed struct {
 	FrameID   FrameID   `json:"frameId"`
 	Initiator Initiator `json:"initiator"`
 	Inline    bool      `json:"inline,omitempty"`
+	// Parsed is URL parsed (an inline script's is its document's: the
+	// "#inline" marker is a fragment), or nil.
+	Parsed *urlutil.URL `json:"-"`
 }
 
 // Method implements Event.
@@ -107,6 +120,8 @@ type RequestWillBeSent struct {
 	Header map[string]string `json:"header,omitempty"`
 	// Body is the request body for beacon/XHR uploads.
 	Body []byte `json:"body,omitempty"`
+	// Parsed is URL parsed, or nil.
+	Parsed *urlutil.URL `json:"-"`
 }
 
 // Method implements Event.
@@ -154,6 +169,8 @@ type FrameNavigated struct {
 	ParentFrameID FrameID   `json:"parentFrameId,omitempty"`
 	URL           string    `json:"url"`
 	Initiator     Initiator `json:"initiator"`
+	// Parsed is URL parsed, or nil.
+	Parsed *urlutil.URL `json:"-"`
 }
 
 // Method implements Event.
@@ -169,6 +186,8 @@ type WebSocketCreated struct {
 	Initiator Initiator `json:"initiator"`
 	// FirstPartyURL is the top-level page URL.
 	FirstPartyURL string `json:"firstPartyUrl"`
+	// Parsed is URL parsed, or nil.
+	Parsed *urlutil.URL `json:"-"`
 }
 
 // Method implements Event.

@@ -82,52 +82,94 @@ type Node struct {
 	// FirstParty is the top-level page URL at creation time.
 	FirstParty string
 
-	// Lazy URL-derivation memo. Attribution queries (chains, A&A
-	// ancestor tests, table building) ask for a node's host and domain
-	// many times; the URL is immutable after the node is built, so the
-	// parse happens once. Trees are built and consumed by one goroutine
-	// per page, so the memo needs no lock.
-	urlParsed bool
-	urlMemo   *urlutil.URL // nil when URL is unparsable
-	urlHost   string
-	urlDomain string
+	// URL-derivation memo. Attribution queries (chains, A&A ancestor
+	// tests, table building) ask for a node's host and domain many
+	// times; the URL is immutable after the node is built, so it is
+	// parsed at most once — and not at all when the trace event carried
+	// the browser's own parse (apply adopts it). Trees are built and
+	// consumed by one goroutine per page, so the memos need no lock.
+	urlParsed    bool
+	domainParsed bool
+	urlMemo      *urlutil.URL // nil when URL is unparsable
+	urlDomain    string
+
+	// Filter-list verdict memo (see Verdict).
+	verdict     verdictState
+	verdictHost string
 }
 
-func (n *Node) parseURL() {
-	n.urlParsed = true
-	u, err := urlutil.Parse(n.URL)
-	if err != nil {
-		return
+// verdictState is the filter-list verdict kept on a node.
+type verdictState uint8
+
+const (
+	verdictUnknown verdictState = iota
+	verdictAllowed
+	verdictBlocked
+)
+
+// adoptURL installs u as the node's parsed URL. u must be what parsing
+// n.URL yields, fragment aside; a nil u leaves the node to parse on
+// demand.
+func (n *Node) adoptURL(u *urlutil.URL) {
+	if u != nil {
+		n.urlParsed, n.urlMemo = true, u
 	}
-	n.urlMemo = u
-	n.urlHost = u.Host
-	n.urlDomain = u.RegistrableDomain()
 }
 
 // ParsedURL returns the node URL parsed once and memoized, or nil for
 // an unparsable URL. Callers must treat the result as read-only: it is
-// shared across every query against this node.
+// shared across every query against this node, and with the browser
+// when the trace carried it.
 func (n *Node) ParsedURL() *urlutil.URL {
 	if !n.urlParsed {
-		n.parseURL()
+		n.urlParsed = true
+		if u, err := urlutil.Parse(n.URL); err == nil {
+			n.urlMemo = u
+		}
 	}
 	return n.urlMemo
 }
 
 // Domain returns the node URL's registrable domain ("" if unparsable).
 func (n *Node) Domain() string {
-	if !n.urlParsed {
-		n.parseURL()
+	if !n.domainParsed {
+		n.domainParsed = true
+		if u := n.ParsedURL(); u != nil {
+			n.urlDomain = u.RegistrableDomain()
+		}
 	}
 	return n.urlDomain
 }
 
-// Host returns the node URL's host.
+// Host returns the node URL's host ("" if unparsable).
 func (n *Node) Host() string {
-	if !n.urlParsed {
-		n.parseURL()
+	if u := n.ParsedURL(); u != nil {
+		return u.Host
 	}
-	return n.urlHost
+	return ""
+}
+
+// Verdict returns the filter-list verdict remembered for this node
+// under pageHost, if any. A node's URL and resource type never change
+// and its page has one host, so whether the lists block it is a
+// constant of the page: the labeler computes it once (SetVerdict) and
+// every chain walk through the node reads it back. The memo answers
+// only for the page host it was stored under, and Builder.Build clears
+// it with the rest of the node.
+func (n *Node) Verdict(pageHost string) (blocked, ok bool) {
+	if n.verdict == verdictUnknown || n.verdictHost != pageHost {
+		return false, false
+	}
+	return n.verdict == verdictBlocked, true
+}
+
+// SetVerdict remembers the filter-list verdict for this node under
+// pageHost.
+func (n *Node) SetVerdict(pageHost string, blocked bool) {
+	n.verdict, n.verdictHost = verdictAllowed, pageHost
+	if blocked {
+		n.verdict = verdictBlocked
+	}
 }
 
 // Chain returns the ancestor path from the root down to (and including)
@@ -347,6 +389,7 @@ func (t *Tree) apply(ev devtools.Event) error {
 	case devtools.FrameNavigated:
 		n := t.newNode()
 		n.Kind, n.ID, n.URL = KindFrame, string(ev.FrameID), ev.URL
+		n.adoptURL(ev.Parsed)
 		if ev.ParentFrameID == "" {
 			if t.Root != nil {
 				return fmt.Errorf("second top-level frame %s", ev.FrameID)
@@ -369,6 +412,7 @@ func (t *Tree) apply(ev devtools.Event) error {
 		}
 		n := t.newNode()
 		n.Kind, n.ID, n.URL, n.Inline = KindScript, string(ev.ScriptID), ev.URL, ev.Inline
+		n.adoptURL(ev.Parsed)
 		attach(parent, n)
 		t.scripts[ev.ScriptID] = n
 
@@ -380,6 +424,7 @@ func (t *Tree) apply(ev devtools.Event) error {
 		n := t.newNode()
 		n.Kind, n.ID, n.URL = KindRequest, string(ev.RequestID), ev.URL
 		n.Type, n.Header, n.ReqBody, n.FirstParty = ev.Type, ev.Header, ev.Body, ev.FirstPartyURL
+		n.adoptURL(ev.Parsed)
 		attach(parent, n)
 		t.reqs[ev.RequestID] = n
 
@@ -409,6 +454,7 @@ func (t *Tree) apply(ev devtools.Event) error {
 		n := t.newNode()
 		n.Kind, n.ID, n.URL = KindWebSocket, string(ev.SocketID), ev.URL
 		n.Type, n.FirstParty = devtools.ResourceWebSocket, ev.FirstPartyURL
+		n.adoptURL(ev.Parsed)
 		attach(parent, n)
 		t.sockets[ev.SocketID] = n
 

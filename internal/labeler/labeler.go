@@ -68,12 +68,34 @@ func (l *Labeler) SetCDNMap(m map[string]string) {
 // applying the CDN mapping first. Lock-free: the CDN snapshot is
 // immutable and the registrable-domain extraction is pure.
 func (l *Labeler) MapDomain(host string) string {
-	if m := l.cdnMap.Load(); m != nil {
-		if mapped, ok := (*m)[strings.ToLower(host)]; ok {
-			return mapped
-		}
+	if mapped, ok := l.cdnOwner(strings.ToLower(host)); ok {
+		return mapped
 	}
 	return urlutil.RegistrableDomain(host)
+}
+
+// NodeDomain is MapDomain of a tree node's host, taking the registrable
+// domain from the node's memo instead of deriving it again on every
+// ask (a parsed URL's host is already lower-case). A nil node — a
+// socket's missing parent — maps to "".
+func (l *Labeler) NodeDomain(n *inclusion.Node) string {
+	if n == nil {
+		return ""
+	}
+	if mapped, ok := l.cdnOwner(n.Host()); ok {
+		return mapped
+	}
+	return n.Domain()
+}
+
+// cdnOwner looks a lower-case host up in the manual CDN mapping.
+func (l *Labeler) cdnOwner(host string) (string, bool) {
+	m := l.cdnMap.Load()
+	if m == nil {
+		return "", false
+	}
+	mapped, ok := (*m)[host]
+	return mapped, ok
 }
 
 // opaqueCDNSuffixes are shared-CDN suffixes whose subdomains carry no
@@ -96,12 +118,14 @@ func isOpaqueCDNHost(host string) bool {
 // adjacency candidates. The deltas ride in the page's record and are
 // summed when the dataset is assembled (internal/analysis), which is
 // what lets a crawl checkpoint, resume and merge.
+//
+// Each request's verdict stays on its node (inclusion.Node.Verdict), so
+// the chain questions asked of the same tree afterwards do not match
+// anything twice. A tree therefore belongs to the one labeler that
+// tags it.
 func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
 	aa, non, cdn = map[string]int{}, map[string]int{}, map[string]int{}
-	pageHost := ""
-	if u, err := urlutil.Parse(t.PageURL); err == nil {
-		pageHost = u.Host
-	}
+	pageHost := t.Root.Host() // the page is the root frame's document
 	var prevDomainAA bool
 	var prevHost string
 	for _, req := range t.Requests() {
@@ -109,9 +133,9 @@ func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
 		if u == nil {
 			continue
 		}
-		d := l.group.Match(filterlist.Request{URL: u, Type: req.Type, PageHost: pageHost})
-		if dom := l.MapDomain(u.Host); dom != "" {
-			if d.Blocked {
+		blocked := l.blocked(req, u, req.Type, pageHost)
+		if dom := l.NodeDomain(req); dom != "" {
+			if blocked {
 				aa[dom]++
 			} else {
 				non[dom]++
@@ -125,13 +149,26 @@ func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
 		if isOpaqueCDNHost(host) && prevDomainAA {
 			cdn[host]++
 		}
-		if isOpaqueCDNHost(prevHost) && d.Blocked {
+		if isOpaqueCDNHost(prevHost) && blocked {
 			cdn[prevHost]++
 		}
-		prevDomainAA = d.Blocked
+		prevDomainAA = blocked
 		prevHost = host
 	}
 	return aa, non, cdn
+}
+
+// blocked reports whether the lists block node n — its URL u, asked as
+// resource type typ on a page of pageHost. All three are fixed for the
+// node's life, so the first answer is kept on the node and later asks
+// (a script is an ancestor of many requests) read it back.
+func (l *Labeler) blocked(n *inclusion.Node, u *urlutil.URL, typ devtools.ResourceType, pageHost string) bool {
+	if blocked, ok := n.Verdict(pageHost); ok {
+		return blocked
+	}
+	blocked := l.group.Match(filterlist.Request{URL: u, Type: typ, PageHost: pageHost}).Blocked
+	n.SetVerdict(pageHost, blocked)
+	return blocked
 }
 
 // Threshold is the a(d) ≥ Threshold · n(d) cutoff from §3.2.
@@ -168,7 +205,7 @@ func (l *Labeler) MatchChain(chain []*inclusion.Node, pageHost string) bool {
 		if n.Kind == inclusion.KindScript {
 			typ = devtools.ResourceScript
 		}
-		if l.group.Match(filterlist.Request{URL: u, Type: typ, PageHost: pageHost}).Blocked {
+		if l.blocked(n, u, typ, pageHost) {
 			return true
 		}
 	}

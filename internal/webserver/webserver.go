@@ -1,12 +1,19 @@
-// Package webserver serves a webgen.World over a real loopback TCP
-// listener: every publisher and company host is virtual-hosted on one
-// address (selected by the Host header, the way a DNS override would),
-// and WebSocket endpoints complete genuine RFC 6455 handshakes via
-// internal/wsproto.
+// Package webserver serves a webgen.World: every publisher and company
+// host is virtual-hosted on one server (selected by the Host header, the
+// way a DNS override would), and WebSocket endpoints complete genuine
+// RFC 6455 handshakes via internal/wsproto.
 //
-// The crawler's browser points its resolver at Server.Addr, so crawls
-// exercise the full network path — TCP, HTTP, WebSocket framing — rather
-// than in-process shortcuts.
+// The server has two transports with one behaviour. The wire — a real
+// loopback TCP listener behind net/http (Addr, Client, Resolver) — is
+// what the reference plane, fault-injected crawls, cmd/wsload and any
+// external client use. A single-process crawl goes in-process instead:
+// Fetch answers an HTTP request and DialSocket opens a WebSocket without
+// touching the kernel or net/http, each mirroring its branch of the
+// wire handler status for status and counter for counter (the pipeline
+// differential test in internal/core holds the two to the same bytes).
+// Only the listener's own admission gate — Options.MaxAccepted,
+// Stats.AcceptShed, ws.accept_shed, ws.tcp_active — has no in-process
+// counterpart: there is no accept to shed.
 package webserver
 
 import (
@@ -16,6 +23,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,22 +247,113 @@ func (s *Server) handleEcho(w http.ResponseWriter, r *http.Request) {
 // admission slot, released by untrack when the serve loop exits.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*wsproto.Conn, bool) {
 	start := time.Now()
-	if !s.tryReserve() {
-		s.Stats.WSShed.Add(1)
-		obs.WSConnsShed.Inc()
+	if !s.reserve() {
 		http.Error(w, "server overloaded", http.StatusServiceUnavailable)
 		return nil, false
 	}
 	conn, err := wsproto.Upgrade(w, r)
+	return conn, s.upgraded(err, start)
+}
+
+// admitPending is admit for a DialSocket connection, whose handshake
+// wsproto has read but not answered.
+func (s *Server) admitPending(p *wsproto.Pending) (*wsproto.Conn, bool) {
+	start := time.Now()
+	if !s.reserve() {
+		p.Reject(http.StatusServiceUnavailable, "server overloaded")
+		return nil, false
+	}
+	conn, err := p.Accept("")
+	return conn, s.upgraded(err, start)
+}
+
+// reserve claims an admission slot, or counts the shed the caller is
+// about to answer 503.
+func (s *Server) reserve() bool {
+	if s.tryReserve() {
+		return true
+	}
+	s.Stats.WSShed.Add(1)
+	obs.WSConnsShed.Inc()
+	return false
+}
+
+// upgraded settles a reserved slot once the upgrade was attempted: a
+// failed one hands the slot back, a completed one is counted and its
+// handshake timed from start.
+func (s *Server) upgraded(err error, start time.Time) bool {
 	if err != nil {
 		s.release()
-		return nil, false
+		return false
 	}
 	obs.WSHandshake.ObserveSince(start)
 	s.Stats.WSHandshakes.Add(1)
 	obs.ServerHandshakes.Inc()
 	obs.WSConnsTotal.Inc()
-	return conn, true
+	return true
+}
+
+// DialSocket opens a WebSocket transport to this server in-process: it
+// returns one end of an in-memory connection and serves the other, as
+// the listener would an accepted TCP connection. It has the shape of
+// wsproto.Dialer.NetDial (network and addr are ignored: every virtual
+// host lives here) and is to sockets what Fetch is to HTTP — the client
+// still speaks complete RFC 6455 over the returned conn, and routing,
+// admission, counters and the endpoint protocol are those of the wire
+// handler, so a crawl observes the same handshake outcomes and frames
+// either way. Like Fetch it must not be used under a fault profile.
+func (s *Server) DialSocket(_ context.Context, _, _ string) (net.Conn, error) {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		// What a TCP dial to the closed listener reports.
+		return nil, fmt.Errorf("webserver: dial: %w", net.ErrClosed)
+	}
+	client, server := newMemPipe()
+	go s.serveDialed(server)
+	return client, nil
+}
+
+// serveDialed is handle()'s WebSocket branch for a DialSocket
+// connection: read the opening handshake, route on host and path, then
+// refuse with the status handle() would send or upgrade and run the
+// endpoint on this goroutine.
+func (s *Server) serveDialed(nc net.Conn) {
+	p, err := wsproto.ReadRequest(nc)
+	if err != nil {
+		return // answered 400 and closed, as net/http + Upgrade would
+	}
+	host := hostOnly(p.Request.Host)
+	path, query, _ := strings.Cut(p.Request.Path, "?")
+	if strings.IndexByte(path, '%') >= 0 {
+		// net/http routes on the decoded path.
+		if u, err := url.ParseRequestURI(p.Request.Path); err == nil {
+			path = u.Path
+		}
+	}
+	if s.opts.EnableEcho && path == EchoPath {
+		if conn, ok := s.admitPending(p); ok {
+			s.track(conn)
+			s.echoLoop(conn)
+		}
+		return
+	}
+	if s.World == nil || !s.World.KnownHost(host) {
+		s.Stats.NotFound.Add(1)
+		p.Reject(http.StatusBadGateway, "unknown virtual host")
+		return
+	}
+	ep, ok := s.World.WSEndpointFor(host, path)
+	if !ok {
+		s.Stats.NotFound.Add(1)
+		p.Reject(http.StatusNotFound, "no websocket endpoint here")
+		return
+	}
+	if conn, ok := s.admitPending(p); ok {
+		s.track(conn)
+		s.serveSocket(conn, ep, query)
+	}
 }
 
 // tryReserve claims one MaxConns admission slot.
@@ -407,16 +506,14 @@ func (s *Server) Fetch(u *urlutil.URL, postBody []byte) (status int, contentType
 	return res.Status, res.ContentType, b, nil
 }
 
-// Resolver returns a function mapping any known virtual host:port to the
-// server's address, for use as a browser/Dialer resolver.
+// Resolver returns a function mapping every host:port to the server's
+// address, for use as a browser/Dialer resolver. Hosts the World does
+// not serve resolve here too and are answered 502, as Client's HTTP
+// dials are: the synthetic companies carry real domain names, and a
+// crawl must never look one up for real.
 func (s *Server) Resolver() func(hostport string) string {
 	addr := s.Addr()
-	return func(hostport string) string {
-		if s.World != nil && s.World.KnownHost(hostOnly(hostport)) {
-			return addr
-		}
-		return hostport
-	}
+	return func(string) string { return addr }
 }
 
 // Client returns an http.Client whose connections all go to this server
@@ -429,6 +526,11 @@ func (s *Server) Client() *http.Client {
 			return dialer.DialContext(ctx, network, addr)
 		},
 		MaxIdleConnsPerHost: 32,
+		// The pool is keyed by virtual host, and a crawl meets new hosts
+		// with every site: without a total, one idle connection (and its
+		// goroutines on both sides) per host ever fetched outlives the
+		// crawl's interest in it.
+		MaxIdleConns: 32,
 		// Under fault injection every request must ride its own
 		// connection: pooled conns carry budget state across requests,
 		// making a request's outcome depend on which conn the pool

@@ -101,14 +101,16 @@ func (d *Dialer) Dial(ctx context.Context, rawURL string) (*Conn, http.Header, e
 		nc.Close()
 		return nil, nil, fmt.Errorf("wsproto: send handshake: %w", err)
 	}
-	br := bufio.NewReader(nc)
+	head := newHeadLimit(nc)
+	br := bufio.NewReader(head)
 	respHdr, err := readServerHandshake(br, key)
-	if err != nil {
+	if err = head.explain(err); err != nil {
 		nc.Close()
 		return nil, nil, err
 	}
-	// Handshake complete: lift the deadline; callers manage their own
-	// read/write deadlines from here.
+	// Handshake complete: lift the head cap and the deadline; callers
+	// manage their own read/write deadlines from here.
+	head.lift()
 	_ = nc.SetDeadline(time.Time{})
 	conn := newConn(nc, br, true, rng)
 	conn.Subprotocol = respHdr.Get("Sec-Websocket-Protocol")

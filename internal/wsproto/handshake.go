@@ -6,9 +6,11 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/textproto"
+	"net/url"
 	"sort"
 	"strings"
 
@@ -28,7 +30,54 @@ var (
 	ErrBadVersion          = errors.New("wsproto: unsupported Sec-WebSocket-Version")
 	ErrMissingKey          = errors.New("wsproto: missing Sec-WebSocket-Key")
 	ErrNotGET              = errors.New("wsproto: handshake request method is not GET")
+	ErrHandshakeTooLarge   = errors.New("wsproto: handshake head exceeds 64 KiB")
+	ErrHandshakeBody       = errors.New("wsproto: handshake request declares a body")
 )
+
+// maxHandshakeBytes caps how much of a connection one opening handshake
+// may consume, request or response. The head is read through textproto,
+// which has no limit of its own: without the cap a peer could grow one
+// header line until the handshake deadline, and Accept faces raw TCP
+// (fabric.Coordinator) as well as the crawl's own browser.
+const maxHandshakeBytes = 64 << 10
+
+// headLimit is the io.Reader a handshake's bufio.Reader is built on: it
+// fails with ErrHandshakeTooLarge once maxHandshakeBytes have been read
+// and the head is still incomplete. lift removes the cap when the
+// handshake is done, since the same bufio.Reader goes on to read frames.
+type headLimit struct {
+	r    io.Reader
+	left int // bytes still allowed; negative once lifted
+}
+
+func newHeadLimit(r io.Reader) *headLimit { return &headLimit{r: r, left: maxHandshakeBytes} }
+
+func (h *headLimit) lift() { h.left = -1 }
+
+// explain names the cap as the cause of a parse error it provoked:
+// bufio hands the parser the line the cap cut short before it hands it
+// the cap's error, so the parser complains about the fragment.
+func (h *headLimit) explain(err error) error {
+	if err != nil && h.left == 0 {
+		return ErrHandshakeTooLarge
+	}
+	return err
+}
+
+func (h *headLimit) Read(p []byte) (int, error) {
+	if h.left < 0 {
+		return h.r.Read(p)
+	}
+	if h.left == 0 {
+		return 0, ErrHandshakeTooLarge
+	}
+	if len(p) > h.left {
+		p = p[:h.left]
+	}
+	n, err := h.r.Read(p)
+	h.left -= n
+	return n, err
+}
 
 // ComputeAccept derives the Sec-WebSocket-Accept header value from the
 // client's Sec-WebSocket-Key per RFC 6455 §4.2.2.
@@ -112,19 +161,18 @@ func writeClientHandshake(w *bufio.Writer, u *urlutil.URL, key string, extra htt
 
 // readServerHandshake reads and validates the server's 101 response.
 func readServerHandshake(r *bufio.Reader, key string) (http.Header, error) {
-	line, err := r.ReadString('\n')
+	tp := textproto.NewReader(r)
+	line, err := tp.ReadLine()
 	if err != nil {
 		return nil, fmt.Errorf("wsproto: read status line: %w", err)
 	}
-	line = strings.TrimRight(line, "\r\n")
 	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.1") {
+	if len(parts) < 2 || parts[0] != "HTTP/1.1" {
 		return nil, fmt.Errorf("wsproto: malformed status line %q", line)
 	}
 	if parts[1] != "101" {
 		return nil, fmt.Errorf("%w: got %s", ErrBadHandshakeStatus, parts[1])
 	}
-	tp := textproto.NewReader(r)
 	mime, err := tp.ReadMIMEHeader()
 	if err != nil {
 		return nil, fmt.Errorf("wsproto: read response headers: %w", err)
@@ -142,22 +190,42 @@ func readServerHandshake(r *bufio.Reader, key string) (http.Header, error) {
 	return hdr, nil
 }
 
+// validRequestTarget reports whether target is an origin-form request
+// target net/http would route: a path from the root, no control bytes,
+// and only well-formed percent-escapes.
+func validRequestTarget(target string) bool {
+	if !strings.HasPrefix(target, "/") {
+		return false
+	}
+	for i := 0; i < len(target); i++ {
+		switch c := target[i]; {
+		case c < 0x20 || c == 0x7f:
+			return false
+		case c == '%':
+			// Escapes are rare; let net/url judge them.
+			_, err := url.ParseRequestURI(target)
+			return err == nil
+		}
+	}
+	return true
+}
+
 // readClientHandshake reads and validates a client opening handshake from
-// r (server side).
+// r (server side). It accepts no request net/http's server would refuse
+// to parse (FuzzReadClientHandshake holds it to http.ReadRequest).
 func readClientHandshake(r *bufio.Reader) (*HandshakeRequest, error) {
-	line, err := r.ReadString('\n')
+	tp := textproto.NewReader(r)
+	line, err := tp.ReadLine()
 	if err != nil {
 		return nil, fmt.Errorf("wsproto: read request line: %w", err)
 	}
-	line = strings.TrimRight(line, "\r\n")
 	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 {
+	if len(parts) != 3 || parts[2] != "HTTP/1.1" || !validRequestTarget(parts[1]) {
 		return nil, fmt.Errorf("wsproto: malformed request line %q", line)
 	}
 	if parts[0] != "GET" {
 		return nil, ErrNotGET
 	}
-	tp := textproto.NewReader(r)
 	mime, err := tp.ReadMIMEHeader()
 	if err != nil {
 		return nil, fmt.Errorf("wsproto: read request headers: %w", err)
@@ -175,6 +243,10 @@ func readClientHandshake(r *bufio.Reader) (*HandshakeRequest, error) {
 	key := hdr.Get("Sec-Websocket-Key")
 	if key == "" {
 		return nil, ErrMissingKey
+	}
+	if len(hdr["Content-Length"]) > 0 || len(hdr["Transfer-Encoding"]) > 0 {
+		// An opening handshake has no body; bytes after the head are frames.
+		return nil, ErrHandshakeBody
 	}
 	hs := &HandshakeRequest{
 		Path:   parts[1],

@@ -24,6 +24,65 @@ func handshakeDeadline() time.Time {
 	return time.Now().Add(HandshakeTimeout)
 }
 
+// Pending is a client opening handshake that has been read and
+// validated but not yet answered. Exactly one of Accept or Reject must
+// follow; both end the Pending.
+type Pending struct {
+	// Request is the parsed handshake: what the server routes on.
+	Request *HandshakeRequest
+
+	nc   net.Conn
+	br   *bufio.Reader
+	head *headLimit
+}
+
+// ReadRequest reads and validates the client's opening handshake from a
+// raw connection, under HandshakeTimeout and the 64 KiB head cap, and
+// leaves the answer to the caller — the point at which a server looks
+// at host and path (webserver) before committing to the upgrade. A
+// malformed or oversized handshake is answered 400 and nc is closed.
+func ReadRequest(nc net.Conn) (*Pending, error) {
+	_ = nc.SetDeadline(handshakeDeadline())
+	head := newHeadLimit(nc)
+	br := bufio.NewReader(head)
+	hs, err := readClientHandshake(br)
+	if err = head.explain(err); err != nil {
+		writeHTTPError(nc, http.StatusBadRequest, err.Error())
+		nc.Close()
+		return nil, err
+	}
+	return &Pending{Request: hs, nc: nc, br: br, head: head}, nil
+}
+
+// Accept answers 101 Switching Protocols with the given subprotocol
+// ("" for none), lifts the handshake deadline and returns the
+// established Conn. On a failed write the connection is closed.
+func (p *Pending) Accept(subprotocol string) (*Conn, error) {
+	// Pooled handshake writer: borrowed for the response flush only.
+	bw := getHandshakeWriter(p.nc)
+	err := writeServerHandshake(bw, p.Request.Key, subprotocol)
+	putHandshakeWriter(bw)
+	if err != nil {
+		p.nc.Close()
+		return nil, fmt.Errorf("wsproto: send handshake response: %w", err)
+	}
+	p.head.lift()
+	_ = p.nc.SetDeadline(time.Time{})
+	// Server conns never mask frames (RFC 6455 §5.1), so the RNG is
+	// inert; a fixed seed keeps the conn fully deterministic anyway.
+	conn := newConn(p.nc, p.br, false, detrand.New(1))
+	conn.Subprotocol = subprotocol
+	return conn, nil
+}
+
+// Reject refuses the upgrade with a plain HTTP error response — status
+// line, text/plain body, Connection: close — and closes the
+// connection. The client's Dial fails with ErrBadHandshakeStatus.
+func (p *Pending) Reject(status int, msg string) {
+	writeHTTPError(p.nc, status, msg)
+	p.nc.Close()
+}
+
 // Accept performs the server side of the opening handshake on a raw
 // network connection that has not yet read the HTTP request, and returns
 // the established Conn plus the parsed handshake. selectProtocol, if
@@ -32,32 +91,19 @@ func handshakeDeadline() time.Time {
 // The whole handshake runs under HandshakeTimeout; the deadline is
 // lifted once the upgrade completes.
 func Accept(nc net.Conn, selectProtocol func(offered []string) string) (*Conn, *HandshakeRequest, error) {
-	_ = nc.SetDeadline(handshakeDeadline())
-	br := bufio.NewReader(nc)
-	hs, err := readClientHandshake(br)
+	p, err := ReadRequest(nc)
 	if err != nil {
-		writeHandshakeError(nc, err)
-		nc.Close()
 		return nil, nil, err
 	}
 	sub := ""
 	if selectProtocol != nil {
-		sub = selectProtocol(hs.Protocols)
+		sub = selectProtocol(p.Request.Protocols)
 	}
-	// Pooled handshake writer: borrowed for the response flush only.
-	bw := getHandshakeWriter(nc)
-	err = writeServerHandshake(bw, hs.Key, sub)
-	putHandshakeWriter(bw)
+	conn, err := p.Accept(sub)
 	if err != nil {
-		nc.Close()
-		return nil, nil, fmt.Errorf("wsproto: send handshake response: %w", err)
+		return nil, nil, err
 	}
-	_ = nc.SetDeadline(time.Time{})
-	// Server conns never mask frames (RFC 6455 §5.1), so the RNG is
-	// inert; a fixed seed keeps the conn fully deterministic anyway.
-	conn := newConn(nc, br, false, detrand.New(1))
-	conn.Subprotocol = sub
-	return conn, hs, nil
+	return conn, p.Request, nil
 }
 
 // Upgrade hijacks an http.ResponseWriter whose request is a WebSocket
@@ -108,12 +154,12 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 	return newConn(nc, rw.Reader, false, detrand.New(2)), nil
 }
 
-// writeHandshakeError responds to a malformed opening handshake with a
-// minimal HTTP error before the caller drops the connection. The write
-// is bounded by a deadline (mirroring sendClose in conn.go): the peer
-// already misbehaved once, it cannot be allowed to block us too.
-func writeHandshakeError(nc net.Conn, err error) {
+// writeHTTPError answers an opening handshake that will not be upgraded
+// with a minimal HTTP error before the caller drops the connection. The
+// write is bounded by a deadline (mirroring sendClose in conn.go): a
+// peer that already misbehaved cannot be allowed to block us too.
+func writeHTTPError(nc net.Conn, status int, msg string) {
 	_ = nc.SetWriteDeadline(handshakeDeadline())
-	fmt.Fprintf(nc, "HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain\r\nConnection: close\r\n\r\n%v\n", err)
+	fmt.Fprintf(nc, "HTTP/1.1 %d %s\r\nContent-Type: text/plain\r\nConnection: close\r\n\r\n%s\n", status, http.StatusText(status), msg)
 	_ = nc.SetWriteDeadline(time.Time{})
 }
