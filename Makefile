@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 3s
 
-.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak bench-obs bench-match bench-match-smoke bench-fabric bench-fabric-smoke bench-ws bench-ws-smoke bench-lint bench-lint-smoke bench-crawl bench-crawl-smoke bench-store bench-store-smoke bench bench-smoke lint fmt-check ci clean
+.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak pkg-bench-smoke examples-smoke bench bench-smoke lint fmt-check ci clean
 
 all: ci
 
@@ -31,9 +31,10 @@ race:
 # one target per invocation). The differential targets hold the
 # on-demand PRNG to math/rand, the content scanners to the regexps they
 # replaced, the filter-list parser + indexed matcher to the linear scan,
-# the script codec to encoding/json and the WebSocket handshake parsers
+# the script codec to encoding/json, the WebSocket handshake parsers
 # (the first decoders that face another process's bytes) to net/http's
-# and to their 64 KiB head cap; FuzzParse feeds htmlparse
+# and to their 64 KiB head cap, and the web server's in-process
+# transports to its wire; FuzzParse feeds htmlparse
 # hostile bytes and holds its attributes to the map parser. Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
 # interesting stay in the Go build cache, and a failing input is
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test ./internal/script -run '^$$' -fuzz '^FuzzProgramCodecMatchesJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadClientHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadServerHandshake$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/webserver -run '^$$' -fuzz '^FuzzTransportsAgree$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled
@@ -66,44 +68,6 @@ chaos:
 fabric-soak:
 	$(GO) test -race -count=1 -run 'TestFabricSoak|TestFabricSurvives' -v ./internal/fabric/
 	$(GO) test -count=1 -run 'TestE2EDistributedCrawl' -v ./internal/fabric/
-
-# Hot-path observability benchmarks. Counter/gauge/histogram ops must
-# report 0 allocs/op; BENCH_obs.json records the accepted baseline.
-bench-obs:
-	$(GO) test ./internal/obs -bench . -benchmem -run '^$$'
-
-# Match-engine benchmarks: indexed engine (serial and parallel) vs the
-# linear oracle of the tests, and the tokenizer. BENCH_match.json
-# records the accepted baseline.
-bench-match:
-	$(GO) test ./internal/filterlist -bench Match -benchmem -run '^$$'
-
-# One-iteration smoke run for ci: proves the benchmark corpus still
-# builds and both engines execute, without paying full -benchtime.
-bench-match-smoke:
-	$(GO) test ./internal/filterlist -bench Match -benchtime 1x -run '^$$'
-
-# Fabric dispatch benchmarks: page-frame encode/decode and a complete
-# coordinator+worker crawl round trip per iteration. BENCH_fabric.json
-# records the accepted baseline.
-bench-fabric:
-	$(GO) test ./internal/fabric -bench Fabric -benchmem -run '^$$'
-
-bench-fabric-smoke:
-	$(GO) test ./internal/fabric -bench Fabric -benchtime 1x -run '^$$'
-
-# WebSocket serving-plane benchmarks (OPERATIONS.md "Load testing &
-# capacity"): pooled-codec micro-benchmarks (steady-state echo must
-# report 0 allocs/op) plus end-to-end loadgen runs over loopback TCP
-# reporting conns/s, msgs/s, and p99 round-trip latency.
-# BENCH_ws.json records the accepted baseline.
-bench-ws:
-	$(GO) test ./internal/wsproto -bench WS -benchmem -run '^$$'
-	$(GO) test ./internal/loadgen -bench WSLoad -benchmem -run '^$$'
-
-bench-ws-smoke:
-	$(GO) test ./internal/wsproto -bench WS -benchtime 1x -run '^$$'
-	$(GO) test ./internal/loadgen -bench WSLoad -benchtime 1x -run '^$$'
 
 # Load-generator soak (OPERATIONS.md "Load testing & capacity"): the
 # full wsload fleet against an in-process echo server under the slow
@@ -125,41 +89,21 @@ lint:
 	end=$$(date +%s); \
 	echo "lint: clean in $$((end - start))s"
 
-# One-iteration lint benchmark: proves the typed loader still
-# type-checks the whole module and pins wall time (BENCH_lint.json
-# records the accepted baseline; see bench-lint for full runs).
-bench-lint:
-	$(GO) test ./internal/lint -bench Lint -benchmem -run '^$$'
+# Every package benchmark, one iteration each: proves the corpora still
+# build and every benchmarked path still executes (the lint rows also
+# assert the module is lint-clean through the typed loader). The numbers
+# a benchmark must hold are assertions in the ordinary tests
+# (TestHotOpsZeroAlloc, TestIndexedMatchZeroAlloc,
+# TestPageFrameEncodeAllocs, TestSteadyStateZeroAlloc,
+# TestStoreIngestAllocs, TestPageAllocBudget); speed is `make bench`'s.
+pkg-bench-smoke:
+	$(GO) test ./internal/... -run '^$$' -bench . -benchtime 1x
 
-bench-lint-smoke:
-	$(GO) test ./internal/lint -bench Lint -benchtime 1x -run '^$$'
-
-# End-to-end crawl benchmark (OPERATIONS.md "Crawl capacity"): a fixed
-# seeded synthetic web crawled through the full pipeline, reporting
-# pages/sec, ns/page, B/page, and allocs/page for both the shipping
-# (pooled + group-committed) configuration and the retained reference
-# path. BENCH_crawl.json records the accepted baseline.
-bench-crawl:
-	$(GO) test ./internal/core -bench CrawlPipeline -benchtime 3x -benchmem -run '^$$'
-
-# One-iteration smoke for ci: proves both pipeline configurations still
-# crawl the bench world end to end, without paying full -benchtime.
-bench-crawl-smoke:
-	$(GO) test ./internal/core -bench CrawlPipeline -benchtime 1x -run '^$$'
-
-# Columnar store benchmarks (DESIGN.md §15, OPERATIONS.md "Query
-# service"): the hot ingest path (fold + shard buffer, pinned at 1
-# alloc/op by TestStoreIngestAllocs), the fsync-dominated group-commit
-# seal, cold-start segment replay, and the steady-state query service
-# over the cached snapshot. BENCH_store.json records the accepted
-# baseline.
-bench-store:
-	$(GO) test ./internal/colstore -bench Store -benchmem -run '^$$'
-
-# One-iteration smoke for ci: proves ingest, seal, replay, and query
-# still execute end to end without paying full -benchtime.
-bench-store-smoke:
-	$(GO) test ./internal/colstore -bench Store -benchtime 1x -run '^$$'
+# Every program under examples/ builds, runs and exits 0. They are the
+# only callers that assemble browsers, extensions and a server by hand,
+# two of them over the server's wire transport.
+examples-smoke:
+	@for e in examples/*/; do echo "$(GO) run ./$$e"; $(GO) run ./$$e >/dev/null || exit 1; done
 
 # The repository's one end-to-end benchmark (bench/README.md; contract
 # in BENCHMARK.json): every workload, untraced then traced, each in a
@@ -182,7 +126,7 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-ci: fmt-check vet build lint test race fuzz-smoke bench-match-smoke bench-fabric-smoke bench-ws-smoke bench-lint-smoke bench-crawl-smoke bench-store-smoke bench-smoke
+ci: fmt-check vet build lint test race fuzz-smoke pkg-bench-smoke examples-smoke bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
 	"repro/internal/faultnet"
 	"repro/internal/loadgen"
@@ -53,8 +52,6 @@ func main() {
 		binary   = flag.Float64("binary", 0, "fraction of messages sent as binary frames [0,1]")
 		verify   = flag.Bool("verify", false, "verify every echoed message byte-for-byte")
 		seed     = flag.Int64("seed", 1, "content seed (masking keys, bodies, fault schedules)")
-		dialTO   = flag.Duration("dial-timeout", 10*time.Second, "per-connection dial+handshake timeout")
-		idleTO   = flag.Duration("idle-timeout", 30*time.Second, "per-read/write idle timeout")
 		fault    = flag.String("fault", "", "client-side fault profile: "+strings.Join(faultnet.Names(), ", "))
 		serve    = flag.Bool("serve", false, "self-serve an in-process echo server and load it")
 		maxConns = flag.Int("max-conns", 0, "with -serve: server MaxConns admission cap (0 = unlimited)")
@@ -76,8 +73,6 @@ func main() {
 		BinaryRatio: *binary,
 		Verify:      *verify,
 		Seed:        *seed,
-		DialTimeout: *dialTO,
-		IdleTimeout: *idleTO,
 	}
 	if *fault != "" {
 		p, ok := faultnet.ByName(*fault)

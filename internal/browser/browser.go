@@ -37,6 +37,13 @@ import (
 // PatchedVersion is the Chrome release that fixed the webRequest bug.
 const PatchedVersion = 58
 
+// Depth caps on what one page may pull in: dynamic script inclusion
+// chains and iframe nesting.
+const (
+	maxScriptDepth = 6
+	maxFrameDepth  = 3
+)
+
 // Extension installs webRequest listeners into a browser.
 type Extension interface {
 	// Name identifies the extension in blocked-request events.
@@ -83,13 +90,6 @@ type Config struct {
 	// socket counterpart of Fetch (see webserver.DialSocket). The browser
 	// still performs the whole RFC 6455 exchange over the returned conn.
 	DialWS func(ctx context.Context, network, addr string) (net.Conn, error)
-	// MaxScriptDepth caps dynamic inclusion chains (default 6).
-	MaxScriptDepth int
-	// MaxFrameDepth caps iframe nesting (default 3).
-	MaxFrameDepth int
-	// FollowAdRefs fetches ad images referenced in WebSocket responses
-	// (the Lockerdome pattern). Default true.
-	FollowAdRefs bool
 	// SocketTimeout bounds each WebSocket session: the dial, and then
 	// each subsequent message send/receive (the deadline refreshes per
 	// message, so long-lived sockets stay up while traffic flows).
@@ -152,7 +152,6 @@ type Browser struct {
 // Config.ReuseScratch for the ownership contract.
 type visitScratch struct {
 	trace  devtools.Trace
-	bus    *devtools.Bus
 	alloc  devtools.IDAllocator
 	load   pageLoad
 	result PageResult
@@ -166,7 +165,7 @@ type visitScratch struct {
 }
 
 // begin recycles the scratch for a new page load and returns its
-// embedded pageLoad, wired to the reused trace, bus, and allocator.
+// embedded pageLoad, wired to the reused trace and allocator.
 func (s *visitScratch) begin(b *Browser, ctx context.Context, rawURL string, u *urlutil.URL) *pageLoad {
 	s.trace.Reset()
 	s.alloc.Reset()
@@ -175,7 +174,7 @@ func (s *visitScratch) begin(b *Browser, ctx context.Context, rawURL string, u *
 	links := s.result.Links
 	clear(links)
 	s.result = PageResult{URL: rawURL, Trace: &s.trace, Links: links[:0]}
-	s.load = pageLoad{b: b, ctx: ctx, bus: s.bus, alloc: &s.alloc, result: &s.result, pageURL: u}
+	s.load = pageLoad{b: b, ctx: ctx, alloc: &s.alloc, result: &s.result, pageURL: u}
 	return &s.load
 }
 
@@ -205,12 +204,6 @@ type guardEntry struct {
 // New builds a browser with the given extensions installed. The
 // webRequest bug is armed automatically for versions before 58.
 func New(cfg Config, exts ...Extension) *Browser {
-	if cfg.MaxScriptDepth == 0 {
-		cfg.MaxScriptDepth = 6
-	}
-	if cfg.MaxFrameDepth == 0 {
-		cfg.MaxFrameDepth = 3
-	}
 	if cfg.SocketTimeout == 0 {
 		cfg.SocketTimeout = 10 * time.Second
 	}
@@ -228,10 +221,8 @@ func New(cfg Config, exts ...Extension) *Browser {
 			faultnet.DeriveSeed(cfg.FaultSeed, cfg.Seed, 0x7e77)),
 	}
 	if cfg.ReuseScratch {
-		b.scratch = &visitScratch{bus: devtools.NewBus(), seen: map[string]bool{}}
-		b.scratch.trace.Attach(b.scratch.bus)
+		b.scratch = &visitScratch{seen: map[string]bool{}}
 	}
-	b.cfg.FollowAdRefs = true
 	for _, ext := range exts {
 		ext.Install(b.reg)
 		if g, ok := ext.(SocketGuard); ok {
@@ -267,7 +258,6 @@ type PageResult struct {
 type pageLoad struct {
 	b       *Browser
 	ctx     context.Context
-	bus     *devtools.Bus
 	alloc   *devtools.IDAllocator
 	result  *PageResult
 	pageURL *urlutil.URL
@@ -285,20 +275,16 @@ func (b *Browser) Visit(ctx context.Context, rawURL string) (*PageResult, error)
 	if b.scratch != nil {
 		load = b.scratch.begin(b, ctx, rawURL, u)
 	} else {
-		trace := devtools.NewTrace()
-		bus := devtools.NewBus()
-		trace.Attach(bus)
 		load = &pageLoad{
 			b:       b,
 			ctx:     ctx,
-			bus:     bus,
 			alloc:   &devtools.IDAllocator{},
-			result:  &PageResult{URL: rawURL, Trace: trace},
+			result:  &PageResult{URL: rawURL, Trace: devtools.NewTrace()},
 			pageURL: u,
 		}
 	}
 	frameID := load.alloc.NextFrame()
-	load.bus.Emit(devtools.FrameNavigated{FrameID: frameID, URL: rawURL, Initiator: devtools.ParserInitiator(frameID), Parsed: u})
+	load.result.Trace.Record(devtools.FrameNavigated{FrameID: frameID, URL: rawURL, Initiator: devtools.ParserInitiator(frameID), Parsed: u})
 
 	doc, ok := load.fetchDocument(frameID, u, devtools.ParserInitiator(frameID))
 	if !ok {
@@ -364,7 +350,7 @@ func (l *pageLoad) processDocument(frameID devtools.FrameID, docURL *urlutil.URL
 
 // loadFrame loads an iframe document and processes it recursively.
 func (l *pageLoad) loadFrame(parentFrame devtools.FrameID, baseURL *urlutil.URL, src string, init devtools.Initiator, depth int) {
-	if depth >= l.b.cfg.MaxFrameDepth {
+	if depth >= maxFrameDepth {
 		return
 	}
 	u, err := resolveRef(baseURL, src)
@@ -376,7 +362,7 @@ func (l *pageLoad) loadFrame(parentFrame devtools.FrameID, baseURL *urlutil.URL,
 		return
 	}
 	childID := l.alloc.NextFrame()
-	l.bus.Emit(devtools.FrameNavigated{
+	l.result.Trace.Record(devtools.FrameNavigated{
 		FrameID: childID, ParentFrameID: parentFrame, URL: u.String(), Initiator: init, Parsed: u,
 	})
 	l.processDocument(childID, u, htmlparse.Parse(string(body)), depth+1)
@@ -385,7 +371,7 @@ func (l *pageLoad) loadFrame(parentFrame devtools.FrameID, baseURL *urlutil.URL,
 // loadScript fetches a remote script, emits scriptParsed, and executes
 // its program if it carries one.
 func (l *pageLoad) loadScript(frameID devtools.FrameID, baseURL *urlutil.URL, src string, init devtools.Initiator, depth int) {
-	if depth >= l.b.cfg.MaxScriptDepth {
+	if depth >= maxScriptDepth {
 		return
 	}
 	u, err := resolveRef(baseURL, src)
@@ -404,7 +390,7 @@ func (l *pageLoad) loadScript(frameID devtools.FrameID, baseURL *urlutil.URL, sr
 // script, whose url is its document's plus "#inline", the document's.
 func (l *pageLoad) runScriptBody(frameID devtools.FrameID, baseURL *urlutil.URL, url string, parsed *urlutil.URL, body string, init devtools.Initiator, depth int, inline bool) {
 	scriptID := l.alloc.NextScript()
-	l.bus.Emit(devtools.ScriptParsed{
+	l.result.Trace.Record(devtools.ScriptParsed{
 		ScriptID: scriptID, URL: url, FrameID: frameID, Initiator: init, Inline: inline, Parsed: parsed,
 	})
 	prog, err := script.Decode(body)
@@ -468,7 +454,7 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 	if verdict.Cancelled {
 		l.result.Blocked++
 		obs.BrowserBlocked.Inc()
-		l.bus.Emit(devtools.RequestBlocked{
+		l.result.Trace.Record(devtools.RequestBlocked{
 			RequestID: reqID, URL: rawURL, Type: typ, FrameID: frameID,
 			Initiator: init, Extension: verdict.Extension, Rule: verdict.Rule,
 		})
@@ -482,7 +468,7 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 		header["Cookie"] = cookie
 	}
 	header["Referer"] = pageURL
-	l.bus.Emit(devtools.RequestWillBeSent{
+	l.result.Trace.Record(devtools.RequestWillBeSent{
 		RequestID: reqID, URL: rawURL, Type: typ, FrameID: frameID,
 		Initiator: init, FirstPartyURL: pageURL, Header: header, Body: postBody, Parsed: u,
 	})
@@ -498,7 +484,7 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 			respBody = respBody[:256]
 		}
 	}
-	l.bus.Emit(devtools.ResponseReceived{
+	l.result.Trace.Record(devtools.ResponseReceived{
 		RequestID: reqID, URL: rawURL, Status: status, MimeType: mime,
 		BodySize: len(body), Body: respBody,
 	})
@@ -576,7 +562,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		if !allow {
 			l.result.Blocked++
 			obs.SocketsBlocked.Inc()
-			l.bus.Emit(devtools.RequestBlocked{
+			l.result.Trace.Record(devtools.RequestBlocked{
 				RequestID: devtools.RequestID(sockID), URL: rawURL,
 				Type: devtools.ResourceWebSocket, FrameID: frameID,
 				Initiator: init, Extension: g.name, Rule: rule,
@@ -597,7 +583,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	if verdict.Cancelled {
 		l.result.Blocked++
 		obs.SocketsBlocked.Inc()
-		l.bus.Emit(devtools.RequestBlocked{
+		l.result.Trace.Record(devtools.RequestBlocked{
 			RequestID: devtools.RequestID(sockID), URL: rawURL,
 			Type: devtools.ResourceWebSocket, FrameID: frameID,
 			Initiator: init, Extension: verdict.Extension, Rule: verdict.Rule,
@@ -606,7 +592,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	}
 
 	obs.SocketsOpened.Inc()
-	l.bus.Emit(devtools.WebSocketCreated{
+	l.result.Trace.Record(devtools.WebSocketCreated{
 		SocketID: sockID, URL: rawURL, FrameID: frameID,
 		Initiator: init, FirstPartyURL: pageURL, Parsed: u,
 	})
@@ -616,7 +602,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	if op.SendCookie {
 		header["Cookie"] = l.b.cookieFor(u.RegistrableDomain())
 	}
-	l.bus.Emit(devtools.WebSocketWillSendHandshakeRequest{SocketID: sockID, Header: header})
+	l.result.Trace.Record(devtools.WebSocketWillSendHandshakeRequest{SocketID: sockID, Header: header})
 
 	httpHeader := http.Header{}
 	for k, v := range header {
@@ -641,12 +627,12 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	conn, err := l.dialWebSocket(&dialer, rawURL)
 	if err != nil {
 		l.result.NetErrors++
-		l.bus.Emit(devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 0})
-		l.bus.Emit(devtools.WebSocketClosed{SocketID: sockID, Code: wsproto.CloseAbnormal})
+		l.result.Trace.Record(devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 0})
+		l.result.Trace.Record(devtools.WebSocketClosed{SocketID: sockID, Code: wsproto.CloseAbnormal})
 		return
 	}
 	defer conn.Close()
-	l.bus.Emit(devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 101})
+	l.result.Trace.Record(devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 101})
 
 	// Every message send/receive below runs under a fresh SocketTimeout
 	// deadline: the timeout bounds *inactivity*, not session length, so
@@ -665,7 +651,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		if err := conn.WriteMessage(opcode, data); err != nil {
 			break
 		}
-		l.bus.Emit(devtools.WebSocketFrameSent{SocketID: sockID, Opcode: int(opcode), Payload: data})
+		l.result.Trace.Record(devtools.WebSocketFrameSent{SocketID: sockID, Opcode: int(opcode), Payload: data})
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 	// Read the expected server pushes.
@@ -680,13 +666,11 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		// next read; the inclusion tree retains frame payloads for the
 		// Table 5 content analysis, so the event gets its own copy.
 		msg = append([]byte(nil), msg...)
-		l.bus.Emit(devtools.WebSocketFrameReceived{SocketID: sockID, Opcode: int(opcode), Payload: msg})
-		if l.b.cfg.FollowAdRefs {
-			adRefs = append(adRefs, content.ExtractAdRefs(msg)...)
-		}
+		l.result.Trace.Record(devtools.WebSocketFrameReceived{SocketID: sockID, Opcode: int(opcode), Payload: msg})
+		adRefs = append(adRefs, content.ExtractAdRefs(msg)...)
 	}
 	_ = conn.Close()
-	l.bus.Emit(devtools.WebSocketClosed{SocketID: sockID, Code: wsproto.CloseNormal})
+	l.result.Trace.Record(devtools.WebSocketClosed{SocketID: sockID, Code: wsproto.CloseNormal})
 
 	// The Lockerdome pattern: creatives referenced in socket responses
 	// are fetched like any script-initiated image — and since the CDN

@@ -9,8 +9,7 @@ import (
 
 // The bench-crawl world: one pinned config, small enough to iterate in
 // CI, big enough that every pipeline stage (fetch, parse, script, ws,
-// tree, label, spool encode, merge) does real work. BENCH_crawl.json
-// records the accepted baseline; see Makefile bench-crawl.
+// tree, label, spool encode, merge) does real work.
 const (
 	benchCrawlSeed    = 20180411
 	benchCrawlSites   = 24

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
@@ -61,8 +60,6 @@ type Options struct {
 	Workers int
 	// PagesPerSite is the per-site page budget (paper: 15).
 	PagesPerSite int
-	// WaitBetweenPages throttles the crawl (paper: ~60s; default 0).
-	WaitBetweenPages time.Duration
 	// Dispatch, if non-nil, routes crawls through the durable
 	// orchestrator (internal/dispatch): lease-backed queue, retries,
 	// checkpoint/resume, and sharded spooling.
@@ -104,11 +101,6 @@ type DispatchOptions struct {
 	NumShards int
 	// MaxAttempts is the per-site attempt budget (default 3).
 	MaxAttempts int
-	// LeaseTTL bounds unheartbeated site leases (default 30s).
-	LeaseTTL time.Duration
-	// CheckpointEvery sets the checkpoint cadence in completed sites
-	// (default 8).
-	CheckpointEvery int
 }
 
 // checkpointPath resolves the checkpoint file for one crawl.
@@ -214,23 +206,20 @@ func (p *pagePlane) crawlDispatch(ctx context.Context) (*CrawlResult, error) {
 		storeDir = d.storeDir(p.spec)
 	}
 	res, err := dispatch.Run(ctx, dispatch.Config{
-		Name:             p.spec.Name,
-		Meta:             FabricDatasetMeta(p.spec),
-		Sites:            p.sites,
-		Workers:          p.opts.Workers,
-		PagesPerSite:     p.opts.PagesPerSite,
-		Seed:             p.crawlSeed(),
-		WaitBetweenPages: p.opts.WaitBetweenPages,
-		NewBrowser:       func(site crawler.Site, _ int) *browser.Browser { return p.browserFor(site) },
-		Recorder:         p.recorder,
-		SpoolDir:         d.spoolDir(p.spec),
-		NumShards:        d.NumShards,
-		CheckpointPath:   d.checkpointPath(p.spec),
-		StoreDir:         storeDir,
-		Resume:           d.Resume,
-		CheckpointEvery:  d.CheckpointEvery,
-		Retry:            dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
-		LeaseTTL:         d.LeaseTTL,
+		Name:           p.spec.Name,
+		Meta:           FabricDatasetMeta(p.spec),
+		Sites:          p.sites,
+		Workers:        p.opts.Workers,
+		PagesPerSite:   p.opts.PagesPerSite,
+		Seed:           p.crawlSeed(),
+		NewBrowser:     func(site crawler.Site, _ int) *browser.Browser { return p.browserFor(site) },
+		Recorder:       p.recorder,
+		SpoolDir:       d.spoolDir(p.spec),
+		NumShards:      d.NumShards,
+		CheckpointPath: d.checkpointPath(p.spec),
+		StoreDir:       storeDir,
+		Resume:         d.Resume,
+		Retry:          dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
 	})
 	if err != nil {
 		return nil, err

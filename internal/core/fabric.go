@@ -236,8 +236,6 @@ type FabricWorkerOptions struct {
 	Workers int
 	// Seed drives the worker's dial backoff and frame masking.
 	Seed int64
-	// DialRetry bounds reconnect attempts (zero value = defaults).
-	DialRetry dispatch.RetryPolicy
 	// FaultProfile, when non-empty, degrades this worker's coordinator
 	// link with the named faultnet profile, keyed on FaultSeed.
 	FaultProfile string
@@ -268,9 +266,8 @@ func RunFabricWorker(ctx context.Context, wo FabricWorkerOptions) error {
 		NewRunner: func(cfg wire.CrawlConfig) (fabric.BatchRunner, error) {
 			return NewFabricRunner(cfg, wo.Workers)
 		},
-		Seed:      wo.Seed,
-		DialRetry: wo.DialRetry,
-		WrapConn:  wrap,
-		Logf:      wo.Logf,
+		Seed:     wo.Seed,
+		WrapConn: wrap,
+		Logf:     wo.Logf,
 	})
 }

@@ -159,11 +159,10 @@ func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 // dispatch orchestrator assembles the same values from dispatch.Config.
 func (p *pagePlane) crawlerConfig(onPage func(crawler.Site, string, *browser.PageResult)) crawler.Config {
 	return crawler.Config{
-		Workers:          p.opts.Workers,
-		PagesPerSite:     p.opts.PagesPerSite,
-		Seed:             p.crawlSeed(),
-		WaitBetweenPages: p.opts.WaitBetweenPages,
-		SiteBrowser:      p.browserFor,
-		OnPage:           onPage,
+		Workers:      p.opts.Workers,
+		PagesPerSite: p.opts.PagesPerSite,
+		Seed:         p.crawlSeed(),
+		SiteBrowser:  p.browserFor,
+		OnPage:       onPage,
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/browser"
 	"repro/internal/detrand"
@@ -45,9 +44,6 @@ type Config struct {
 	PagesPerSite int
 	// Seed drives per-site link sampling.
 	Seed int64
-	// WaitBetweenPages throttles page visits (the paper waited ~60s;
-	// the simulator defaults to 0).
-	WaitBetweenPages time.Duration
 	// SiteBrowser builds the browser for one site. Seed it from the site
 	// (SiteSeed), not from anything about the worker: that keeps a
 	// site's results independent of worker assignment and visit order,
@@ -300,13 +296,6 @@ func CrawlSite(ctx context.Context, b *browser.Browser, site Site, cfg Config, s
 		frontier = frontier[1:]
 		if visited[next] {
 			continue
-		}
-		if cfg.WaitBetweenPages > 0 {
-			select {
-			case <-time.After(cfg.WaitBetweenPages):
-			case <-ctx.Done():
-				return pages, ctx.Err()
-			}
 		}
 		res := visit(ctx, b, site, next, cfg, stats)
 		visited[next] = true

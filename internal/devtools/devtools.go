@@ -9,8 +9,8 @@
 //     webSocketHandshakeResponseReceived / webSocketFrameSent /
 //     webSocketFrameReceived / webSocketClosed — WebSocket lifecycle
 //
-// A Bus fans events out to subscribers; a Trace records an ordered event
-// log that the inclusion-tree builder replays.
+// A Trace records a page load's events in order; the inclusion-tree
+// builder replays it.
 //
 // Events that introduce a URL-bearing resource (ScriptParsed,
 // RequestWillBeSent, FrameNavigated, WebSocketCreated) also carry the
@@ -246,35 +246,9 @@ type WebSocketClosed struct {
 // Method implements Event.
 func (WebSocketClosed) Method() string { return "Network.webSocketClosed" }
 
-// Bus fans out events to subscribers synchronously, in subscription
-// order. It is safe for concurrent emission.
-type Bus struct {
-	mu   sync.RWMutex
-	subs []func(Event)
-}
-
-// NewBus returns an empty bus.
-func NewBus() *Bus { return &Bus{} }
-
-// Subscribe registers fn for every subsequent event.
-func (b *Bus) Subscribe(fn func(Event)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.subs = append(b.subs, fn)
-}
-
-// Emit delivers ev to all subscribers.
-func (b *Bus) Emit(ev Event) {
-	b.mu.RLock()
-	subs := b.subs
-	b.mu.RUnlock()
-	for _, fn := range subs {
-		fn(ev)
-	}
-}
-
-// Trace is an ordered event log. Attach to a Bus to record a page load,
-// then replay into the inclusion-tree builder or serialize to JSON.
+// Trace is an ordered event log: the browser records a page load into
+// it, then it is replayed into the inclusion-tree builder or serialized
+// to JSON.
 //
 // A Trace may be reused across page loads via Reset: the event slab and
 // the MarshalJSON envelope scratch are retained, so steady-state
@@ -301,9 +275,6 @@ func (t *Trace) Reset() {
 	clear(t.Events) // drop references so retired events can be collected
 	t.Events = t.Events[:0]
 }
-
-// Attach subscribes the trace to a bus.
-func (t *Trace) Attach(b *Bus) { b.Subscribe(t.Record) }
 
 // Record appends an event.
 func (t *Trace) Record(ev Event) {

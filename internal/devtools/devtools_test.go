@@ -47,47 +47,6 @@ func TestEventMethods(t *testing.T) {
 	}
 }
 
-func TestBusFanOut(t *testing.T) {
-	bus := NewBus()
-	var a, b []string
-	bus.Subscribe(func(ev Event) { a = append(a, ev.Method()) })
-	bus.Subscribe(func(ev Event) { b = append(b, ev.Method()) })
-	for _, ev := range sampleEvents() {
-		bus.Emit(ev)
-	}
-	if len(a) != len(sampleEvents()) || len(b) != len(sampleEvents()) {
-		t.Errorf("fan-out counts: a=%d b=%d", len(a), len(b))
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("subscribers saw different event sequences")
-	}
-}
-
-func TestBusConcurrentEmit(t *testing.T) {
-	bus := NewBus()
-	var mu sync.Mutex
-	count := 0
-	bus.Subscribe(func(Event) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				bus.Emit(WebSocketClosed{SocketID: "W1"})
-			}
-		}()
-	}
-	wg.Wait()
-	if count != 800 {
-		t.Errorf("count = %d, want 800", count)
-	}
-}
-
 func TestTraceJSONRoundTrip(t *testing.T) {
 	tr := NewTrace()
 	for _, ev := range sampleEvents() {
@@ -116,16 +75,6 @@ func TestTraceUnknownMethod(t *testing.T) {
 	err := json.Unmarshal([]byte(`[{"method":"Bogus.event","params":{}}]`), &tr)
 	if err == nil {
 		t.Error("unknown method accepted")
-	}
-}
-
-func TestTraceAttach(t *testing.T) {
-	bus := NewBus()
-	tr := NewTrace()
-	tr.Attach(bus)
-	bus.Emit(WebSocketClosed{SocketID: "W9"})
-	if tr.Len() != 1 {
-		t.Errorf("trace len = %d", tr.Len())
 	}
 }
 
@@ -200,21 +149,19 @@ func TestIDAllocatorGolden(t *testing.T) {
 
 // TestTraceReuseAllocs pins the steady-state allocation profile of the
 // pooled event path: once a reused Trace's slab has grown to page size,
-// recording an event through an attached Bus allocates at most the
-// event's own boxing — the slab and envelope scratch are reused.
+// recording an event allocates at most the event's own boxing — the slab
+// and envelope scratch are reused.
 func TestTraceReuseAllocs(t *testing.T) {
-	bus := NewBus()
 	tr := NewTrace()
-	tr.Attach(bus)
 	ev := WebSocketFrameSent{SocketID: "W1", Payload: []byte("x")}
 	// Warm the slab past any realistic page's event count.
 	for i := 0; i < 4096; i++ {
-		bus.Emit(ev)
+		tr.Record(ev)
 	}
 	tr.Reset()
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
-			bus.Emit(ev)
+			tr.Record(ev)
 		}
 		tr.Reset()
 	})

@@ -75,8 +75,6 @@ type Config struct {
 	PagesPerSite int
 	// Seed drives link sampling and backoff jitter.
 	Seed int64
-	// WaitBetweenPages throttles page visits.
-	WaitBetweenPages time.Duration
 	// NewBrowser builds a browser for one site attempt. Seed it with
 	// crawler.SiteSeed (not the attempt) to keep retries deterministic.
 	// Required.
@@ -99,11 +97,10 @@ type Config struct {
 	CheckpointEvery int
 
 	// Retry is the retry policy (zero value = 3 attempts, 100ms base
-	// backoff doubling to 5s, half-delay jitter).
+	// backoff doubling to 5s, half-delay jitter). A site may go the
+	// queue's default lease TTL without a heartbeat; heartbeats are sent
+	// per crawled page.
 	Retry RetryPolicy
-	// LeaseTTL bounds how long a site may go without a heartbeat
-	// (default 30s). Heartbeats are sent per crawled page.
-	LeaseTTL time.Duration
 
 	// StoreDir, when non-empty, also ingests every spooled page record
 	// into a columnar store at this directory and derives the final
@@ -113,8 +110,6 @@ type Config struct {
 	// OnPage, when set, observes every page after its record has been
 	// spooled (progress reporting, fault-injection tests).
 	OnPage func(site crawler.Site, pageURL string)
-	// OnSiteDone, when set, observes every settled site attempt.
-	OnSiteDone func(site crawler.Site, pages int, err error)
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -183,10 +178,9 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 	}()
 
 	queue := NewQueue(cfg.Sites, QueueConfig{
-		LeaseTTL: cfg.LeaseTTL,
-		Retry:    cfg.Retry,
-		Seed:     cfg.Seed,
-		Now:      cfg.now,
+		Retry: cfg.Retry,
+		Seed:  cfg.Seed,
+		Now:   cfg.now,
 	})
 	res := &Result{}
 	if cp := ledger.Resumed(); cp != nil {
@@ -196,12 +190,11 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 
 	o := &orchestrator{cfg: cfg, queue: queue, ledger: ledger}
 	stats, crawlErr := crawler.CrawlSource(ctx, o, crawler.Config{
-		Workers:          cfg.Workers,
-		PagesPerSite:     cfg.PagesPerSite,
-		Seed:             cfg.Seed,
-		WaitBetweenPages: cfg.WaitBetweenPages,
-		SiteBrowser:      o.browserFor,
-		OnPage:           o.onPage,
+		Workers:      cfg.Workers,
+		PagesPerSite: cfg.PagesPerSite,
+		Seed:         cfg.Seed,
+		SiteBrowser:  o.browserFor,
+		OnPage:       o.onPage,
 	})
 	res.Stats = stats
 
@@ -270,9 +263,6 @@ func (o *orchestrator) Done(site crawler.Site, pages int, err error) {
 	default:
 		l.Fail(err)
 		o.maybeCheckpoint()
-	}
-	if o.cfg.OnSiteDone != nil {
-		o.cfg.OnSiteDone(site, pages, err)
 	}
 }
 

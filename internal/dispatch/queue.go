@@ -388,7 +388,7 @@ func (l *Lease) Fail(err error) bool {
 		msg = err.Error()
 	}
 	j.token = 0
-	q.settleFailureLocked(j, msg, q.policy.Classify(err), q.now())
+	q.settleFailureLocked(j, msg, DefaultClassify(err), q.now())
 	q.wakeLocked()
 	return true
 }

@@ -55,11 +55,6 @@ type RetryPolicy struct {
 	// (default 0.5). Jitter is drawn from a seeded RNG, so a given run
 	// configuration retries deterministically.
 	JitterFrac float64
-	// Classify decides whether an error is worth retrying. The default
-	// treats Fatal-wrapped errors as permanent and everything else as
-	// retryable; context cancellation never reaches classification
-	// (cancelled sites are released back to the queue uncounted).
-	Classify func(error) Class
 }
 
 // withDefaults fills zero fields.
@@ -78,13 +73,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	} else if p.JitterFrac == 0 {
 		p.JitterFrac = 0.5
 	}
-	if p.Classify == nil {
-		p.Classify = DefaultClassify
-	}
 	return p
 }
 
-// DefaultClassify is the default error classifier.
+// DefaultClassify decides whether an error is worth retrying:
+// Fatal-wrapped errors are permanent and everything else is retryable.
+// Context cancellation never reaches classification (cancelled sites are
+// released back to the queue uncounted).
 func DefaultClassify(err error) Class {
 	if IsFatal(err) {
 		return FatalClass

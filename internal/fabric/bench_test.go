@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -11,15 +12,40 @@ import (
 	"repro/internal/fabric/wire"
 )
 
-// BenchmarkFabricWireEncodePage / Decode: the page frame is the hot
-// frame of the protocol — one per crawled page across the whole fleet —
-// so its encode/decode cost bounds coordinator ingest throughput.
-// BENCH_fabric.json records the accepted baseline.
-func BenchmarkFabricWireEncodePage(b *testing.B) {
-	msg := &wire.Page{
+func benchPage() *wire.Page {
+	return &wire.Page{
 		Batch: "b0042", Site: "site017.com",
 		Line: json.RawMessage(`{"site":"site017.com","rank":17,"pageUrl":"http://site017.com/page/3","requests":[{"url":"http://cdn.example/ad.js","blocked":true}]}`),
 	}
+}
+
+// TestPageFrameEncodeAllocs: encoding a page frame costs two allocations
+// (payload marshal + envelope), and a third would multiply across every
+// page of a crawl.
+func TestPageFrameEncodeAllocs(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("encoding/json's sync.Pool drops items at random under the race detector")
+			}
+		}
+	}
+	msg := benchPage()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := wire.Encode(msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("page frame encode: %.1f allocs, want <= 2", allocs)
+	}
+}
+
+// BenchmarkFabricWireEncodePage / Decode: the page frame is the hot
+// frame of the protocol — one per crawled page across the whole fleet —
+// so its encode/decode cost bounds coordinator ingest throughput.
+func BenchmarkFabricWireEncodePage(b *testing.B) {
+	msg := benchPage()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.Encode(msg); err != nil {
@@ -29,11 +55,7 @@ func BenchmarkFabricWireEncodePage(b *testing.B) {
 }
 
 func BenchmarkFabricWireDecodePage(b *testing.B) {
-	msg := &wire.Page{
-		Batch: "b0042", Site: "site017.com",
-		Line: json.RawMessage(`{"site":"site017.com","rank":17,"pageUrl":"http://site017.com/page/3","requests":[{"url":"http://cdn.example/ad.js","blocked":true}]}`),
-	}
-	data, err := wire.Encode(msg)
+	data, err := wire.Encode(benchPage())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package filterlist
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -10,10 +11,8 @@ import (
 	"repro/internal/urlutil"
 )
 
-// The `make bench-match` suite: the indexed engine versus the linear
+// The match-engine benchmarks: the indexed engine versus the linear
 // oracle (reference_test.go) on an EasyList-scale synthetic rule set.
-// BENCH_match.json records the accepted baseline; the acceptance bar is
-// >=10x indexed-vs-reference throughput.
 
 // benchRuleSet builds an EasyList-scale list: mostly domain-anchored
 // host rules with a sprinkling of path substrings, options, and
@@ -126,5 +125,29 @@ func BenchmarkMatchTokenize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc.prepare(u)
+	}
+}
+
+// TestIndexedMatchZeroAlloc holds the engine to its budget: a match —
+// lower-case, tokenize, index lookup, decision — allocates nothing once
+// the pooled scratch is warm, hit or miss.
+func TestIndexedMatchZeroAlloc(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops items at random under the race detector")
+			}
+		}
+	}
+	g := benchGroup(2000)
+	reqs := benchRequests(rand.New(rand.NewSource(7)), 256)
+	match := func() {
+		for _, r := range reqs {
+			g.Match(r)
+		}
+	}
+	match()
+	if allocs := testing.AllocsPerRun(20, match); allocs != 0 {
+		t.Errorf("%.1f allocs per %d matches, want 0", allocs, len(reqs))
 	}
 }

@@ -1,10 +1,10 @@
 package lint
 
-// Lint-gate benchmarks (`make bench-lint`, smoke-run by ci): the full
+// Lint-gate benchmarks (run once by ci's pkg-bench-smoke): the full
 // typed pipeline — load, type-check the module from source, run all
 // nine analyzers — and the syntax tier alone, so a type-check wall-time
-// regression is attributable. BENCH_lint.json records the accepted
-// baseline.
+// regression is attributable. The typed row must stay single-digit
+// seconds: a gate slower than the suite it guards stops being run.
 
 import "testing"
 

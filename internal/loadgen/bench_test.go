@@ -8,11 +8,10 @@ import (
 	"repro/internal/webserver"
 )
 
-// The WSLoad benchmarks are the end-to-end numbers behind BENCH_ws.json
-// (make bench-ws): real loopback TCP, real handshakes, the pooled
-// wsproto codec on both ends, and the webserver echo loop. Custom
-// metrics carry the capacity figures the ns/op column can't:
-// msgs/s, conns/s, and p99 round-trip latency.
+// The WSLoad benchmarks are end-to-end: real loopback TCP, real
+// handshakes, the pooled wsproto codec on both ends, and the webserver
+// echo loop. Custom metrics carry the capacity figures the ns/op column
+// can't: msgs/s, conns/s, and p99 round-trip latency.
 
 func benchRun(b *testing.B, cfg Config) {
 	s, err := webserver.StartWith(nil, webserver.Options{EnableEcho: true})

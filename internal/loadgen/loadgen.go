@@ -83,8 +83,6 @@ type Config struct {
 	// wall-clock). Per-connection seeds derive from it.
 	Seed int64
 
-	// DialTimeout bounds each dial+handshake (default 10s).
-	DialTimeout time.Duration
 	// IdleTimeout bounds each individual read/write (default 30s).
 	IdleTimeout time.Duration
 
@@ -93,6 +91,9 @@ type Config struct {
 	// soak the server against slow or stalling clients.
 	Fault faultnet.Profile
 }
+
+// dialTimeout bounds each connection's dial+handshake.
+const dialTimeout = 10 * time.Second
 
 func (cfg *Config) withDefaults() (Config, error) {
 	c := *cfg
@@ -125,9 +126,6 @@ func (cfg *Config) withDefaults() (Config, error) {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
@@ -219,7 +217,7 @@ func runConn(ctx context.Context, cfg *Config, id int, start time.Time) connResu
 			return faultnet.WrapConn(nc, cfg.Fault, faultnet.DeriveSeed(connSeed, 0x66))
 		}
 	}
-	dialCtx, cancel := context.WithTimeout(ctx, cfg.DialTimeout)
+	dialCtx, cancel := context.WithTimeout(ctx, dialTimeout)
 	conn, _, err := d.Dial(dialCtx, "ws://"+cfg.Host+cfg.Path)
 	cancel()
 	if err != nil {

@@ -5,10 +5,24 @@ import (
 	"time"
 )
 
-// The acceptance bar for instrumentation on the crawl hot path:
-// counter increments and histogram observations must be 0 allocs/op.
-// `make bench-obs` runs these with -benchmem; BENCH_obs.json records
-// the baseline.
+// TestHotOpsZeroAlloc is the acceptance bar for instrumentation on the
+// crawl hot path: counter, gauge and histogram operations allocate
+// nothing.
+func TestHotOpsZeroAlloc(t *testing.T) {
+	r := NewRegistry()
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")
+	allocs := testing.AllocsPerRun(200, func() {
+		c.Inc()
+		c.Add(3)
+		g.Set(7)
+		g.Add(-1)
+		h.Observe(1234 * time.Microsecond)
+		h.ObserveSince(time.Time{})
+	})
+	if allocs != 0 {
+		t.Errorf("hot-path metric ops allocate %.1f times, want 0", allocs)
+	}
+}
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench")

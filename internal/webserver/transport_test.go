@@ -1,10 +1,14 @@
 package webserver
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +19,7 @@ import (
 	"repro/internal/browser"
 	"repro/internal/detrand"
 	"repro/internal/devtools"
+	"repro/internal/obs"
 	"repro/internal/script"
 	"repro/internal/urlutil"
 	"repro/internal/webgen"
@@ -36,16 +41,72 @@ var transports = []struct {
 	}},
 }
 
-// statsSnapshot is Stats as plain numbers.
+// statsSnapshot is Stats, and the process-wide webserver.* / ws.conns_shed
+// counters beside it, as plain numbers.
 type statsSnapshot struct {
 	HTTP, Handshakes, Sent, Recv, NotFound, Shed, AcceptShed int64
+	ObsRequests, ObsHandshakes, ObsShed                      int64
 }
 
 func snapshot(s *Server) statsSnapshot {
 	return statsSnapshot{
 		s.Stats.HTTPRequests.Load(), s.Stats.WSHandshakes.Load(), s.Stats.WSMessagesSent.Load(),
 		s.Stats.WSMessagesRecv.Load(), s.Stats.NotFound.Load(), s.Stats.WSShed.Load(), s.Stats.AcceptShed.Load(),
+		obs.ServerRequests.Value(), obs.ServerHandshakes.Value(), obs.WSConnsShed.Value(),
 	}
+}
+
+// since is what moved between an earlier snapshot and now.
+func (before statsSnapshot) since(s *Server) statsSnapshot {
+	now := snapshot(s)
+	return statsSnapshot{
+		now.HTTP - before.HTTP, now.Handshakes - before.Handshakes, now.Sent - before.Sent,
+		now.Recv - before.Recv, now.NotFound - before.NotFound, now.Shed - before.Shed,
+		now.AcceptShed - before.AcceptShed,
+		now.ObsRequests - before.ObsRequests, now.ObsHandshakes - before.ObsHandshakes, now.ObsShed - before.ObsShed,
+	}
+}
+
+// httpAnswer is everything a client observes of one HTTP exchange.
+type httpAnswer struct {
+	Status      int
+	ContentType string
+	Body        string
+}
+
+// httpTransports are the two ways a client's HTTP request reaches a
+// Server: over the wire through Client() and in-process through Fetch.
+var httpTransports = []struct {
+	name string
+	do   func(s *Server, rawURL string, post []byte) (httpAnswer, error)
+}{
+	{"wire", func(s *Server, rawURL string, post []byte) (httpAnswer, error) {
+		method, body := http.MethodGet, io.Reader(nil)
+		if post != nil {
+			method, body = http.MethodPost, bytes.NewReader(post)
+		}
+		req, err := http.NewRequest(method, rawURL, body)
+		if err != nil {
+			return httpAnswer{}, err
+		}
+		client := s.Client()
+		defer client.CloseIdleConnections()
+		resp, err := client.Do(req)
+		if err != nil {
+			return httpAnswer{}, err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return httpAnswer{resp.StatusCode, resp.Header.Get("Content-Type"), string(b)}, err
+	}},
+	{"fetch", func(s *Server, rawURL string, post []byte) (httpAnswer, error) {
+		u, err := urlutil.Parse(rawURL)
+		if err != nil {
+			return httpAnswer{}, err
+		}
+		status, ctype, b, err := s.Fetch(u, post)
+		return httpAnswer{status, ctype, string(b)}, err
+	}},
 }
 
 // TestNoDialLeavesLoopback is the regression test for the crawl that
@@ -94,9 +155,9 @@ func TestNoDialLeavesLoopback(t *testing.T) {
 	}
 }
 
-// TestTransportErrorsMirror holds DialSocket's refusals to the wire
-// handler's: the same handshake status reaches the client and the same
-// counters move, case by case.
+// TestTransportErrorsMirror holds the in-process transports to the wire
+// case by case: the same handshake status (sockets) or status, content
+// type and body (HTTP) reaches the client and the same counters move.
 func TestTransportErrorsMirror(t *testing.T) {
 	world := webgen.NewWorld(webgen.Config{Seed: 21, NumPublishers: 50, Era: webgen.EraPrePatch})
 	cases := []struct {
@@ -110,7 +171,7 @@ func TestTransportErrorsMirror(t *testing.T) {
 		{name: "unknown host", url: "ws://not-in-world.example/ws?sid=a&n=1", status: "502", delta: statsSnapshot{NotFound: 1}},
 		{name: "unknown path", url: "ws://intercom.io/not-an-endpoint", status: "404", delta: statsSnapshot{NotFound: 1}},
 		{name: "no free slot", opts: Options{MaxConns: 1}, url: "ws://intercom.io/ws?sid=a&n=0", status: "503",
-			delta: statsSnapshot{Shed: 1},
+			delta: statsSnapshot{Shed: 1, ObsShed: 1},
 			before: func(s *Server) {
 				// Hold the only slot for the server's lifetime.
 				d := wsproto.Dialer{ResolveAddr: s.Resolver(), Rand: detrand.New(9)}
@@ -149,17 +210,127 @@ func TestTransportErrorsMirror(t *testing.T) {
 				} else if !errors.Is(err, wsproto.ErrBadHandshakeStatus) || !strings.Contains(err.Error(), "got "+tc.status) {
 					t.Errorf("got %v, want handshake status %s", err, tc.status)
 				}
-				after := snapshot(s)
-				got := statsSnapshot{
-					after.HTTP - before.HTTP, after.Handshakes - before.Handshakes, after.Sent - before.Sent,
-					after.Recv - before.Recv, after.NotFound - before.NotFound, after.Shed - before.Shed,
-					after.AcceptShed - before.AcceptShed,
-				}
-				if got != tc.delta {
+				if got := before.since(s); got != tc.delta {
 					t.Errorf("counters moved by %+v, want %+v", got, tc.delta)
 				}
 			})
 		}
+	}
+
+	// The HTTP rows: one request over the wire and through Fetch, each on
+	// a fresh server, must be answered the same and count the same.
+	pub := world.Publishers[0]
+	script := "http://cdn." + pub.Services[0].Domain + "/w.js?pub=" + pub.Domain + "&pg=1"
+	httpCases := []struct {
+		name    string
+		opts    Options
+		noWorld bool
+		url     string
+		post    []byte
+		want    httpAnswer    // Body "" is not compared
+		delta   statsSnapshot // what the one request moves
+	}{
+		{name: "unknown host", url: "http://nosuch.example/x.png",
+			want:  httpAnswer{502, "text/plain; charset=utf-8", "unknown virtual host\n"},
+			delta: statsSnapshot{NotFound: 1}},
+		{name: "known host, unknown path", url: "http://" + pub.Domain + "/nope",
+			want:  httpAnswer{404, "text/plain", "not found"},
+			delta: statsSnapshot{HTTP: 1, ObsRequests: 1}},
+		{name: "known host the world has no resource for", url: "http://www." + pub.Domain + "/",
+			want:  httpAnswer{404, "text/plain; charset=utf-8", "no such resource\n"},
+			delta: statsSnapshot{HTTP: 1, ObsRequests: 1, NotFound: 1}},
+		{name: "escaped path decoding to a hit", url: "http://" + pub.Domain + "/%70age/1",
+			want:  httpAnswer{Status: 200, ContentType: "text/html; charset=utf-8"},
+			delta: statsSnapshot{HTTP: 1, ObsRequests: 1}},
+		{name: "escaped path decoding to a miss", url: "http://www." + pub.Domain + "/%70age/1",
+			want:  httpAnswer{404, "text/plain; charset=utf-8", "no such resource\n"},
+			delta: statsSnapshot{HTTP: 1, ObsRequests: 1, NotFound: 1}},
+		{name: "upper-case host", url: "http://" + strings.ToUpper(pub.Domain) + "/",
+			want:  httpAnswer{Status: 200, ContentType: "text/html; charset=utf-8"},
+			delta: statsSnapshot{HTTP: 1, ObsRequests: 1}},
+		{name: "POST with a body", url: "http://" + pub.Services[0].Domain + "/track/e?x=1", post: []byte("uid=1&ua=test"),
+			want:  httpAnswer{Status: 204, ContentType: "text/plain"},
+			delta: statsSnapshot{HTTP: 1, ObsRequests: 1}},
+		{name: "query string preserved", url: script,
+			want:  httpAnswer{Status: 200, ContentType: "application/javascript"},
+			delta: statsSnapshot{HTTP: 1, ObsRequests: 1}},
+		{name: "echo path without an upgrade", opts: Options{EnableEcho: true}, url: "http://" + pub.Domain + EchoPath,
+			want: httpAnswer{426, "text/plain; charset=utf-8", "websocket upgrade required\n"}},
+		{name: "echo path without an upgrade, no world", opts: Options{EnableEcho: true}, noWorld: true, url: "http://anything.example" + EchoPath,
+			want: httpAnswer{426, "text/plain; charset=utf-8", "websocket upgrade required\n"}},
+		{name: "echo path with echo off", url: "http://" + pub.Domain + EchoPath,
+			want:  httpAnswer{404, "text/plain", "not found"},
+			delta: statsSnapshot{HTTP: 1, ObsRequests: 1}},
+	}
+	for _, tc := range httpCases {
+		var answers [2]httpAnswer
+		for i, tr := range httpTransports {
+			t.Run("http/"+tc.name+"/"+tr.name, func(t *testing.T) {
+				w := world
+				if tc.noWorld {
+					w = nil
+				}
+				s, err := StartWith(w, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				before := snapshot(s)
+				got, err := tr.do(s, tc.url, tc.post)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.url, err)
+				}
+				answers[i] = got
+				if tc.want.Body == "" {
+					got.Body = ""
+				}
+				if got != tc.want {
+					t.Errorf("answered %+v, want %+v", got, tc.want)
+				}
+				if got := before.since(s); got != tc.delta {
+					t.Errorf("counters moved by %+v, want %+v", got, tc.delta)
+				}
+			})
+		}
+		if answers[0] != answers[1] {
+			t.Errorf("http/%s: the wire answered %+v, Fetch %+v", tc.name, answers[0], answers[1])
+		}
+	}
+	// The query reached the world: without it w.js is the no-op script.
+	bare, _ := httpTransports[1].do(startTestServer(t), strings.SplitN(script, "?", 2)[0], nil)
+	for _, tr := range httpTransports {
+		if full, _ := tr.do(startTestServer(t), script, nil); full.Body == bare.Body {
+			t.Errorf("%s: %s served without its query", tr.name, script)
+		}
+	}
+}
+
+// TestUnknownHostVisitMirrors is the browser's view of the same rule: a
+// page on a host the world does not serve loads to the same trace, event
+// for event, and the same NetErrors over the wire and in-process.
+func TestUnknownHostVisitMirrors(t *testing.T) {
+	s := startTestServer(t)
+	var traces [2]string
+	var netErrors [2]int
+	for i, cfg := range []browser.Config{
+		{Version: 57, Seed: 1, HTTPClient: s.Client(), ResolveWS: s.Resolver()},
+		{Version: 57, Seed: 1, Fetch: s.Fetch, ResolveWS: s.Resolver(), DialWS: s.DialSocket},
+	} {
+		res, err := browser.New(cfg).Visit(context.Background(), "http://nosuch.example/")
+		if err == nil {
+			t.Fatal("a page on an unknown host loaded")
+		}
+		events, err := json.Marshal(res.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i], netErrors[i] = string(events), res.NetErrors
+	}
+	if traces[0] != traces[1] || netErrors[0] != netErrors[1] {
+		t.Errorf("wire: %d net errors, trace %s\nin-process: %d net errors, trace %s", netErrors[0], traces[0], netErrors[1], traces[1])
+	}
+	if !strings.Contains(traces[0], `"status":502`) {
+		t.Errorf("no 502 response event in %s", traces[0])
 	}
 }
 

@@ -3,17 +3,21 @@
 // way a DNS override would), and WebSocket endpoints complete genuine
 // RFC 6455 handshakes via internal/wsproto.
 //
-// The server has two transports with one behaviour. The wire — a real
-// loopback TCP listener behind net/http (Addr, Client, Resolver) — is
-// what the reference plane, fault-injected crawls, cmd/wsload and any
-// external client use. A single-process crawl goes in-process instead:
-// Fetch answers an HTTP request and DialSocket opens a WebSocket without
-// touching the kernel or net/http, each mirroring its branch of the
-// wire handler status for status and counter for counter (the pipeline
-// differential test in internal/core holds the two to the same bytes).
-// Only the listener's own admission gate — Options.MaxAccepted,
-// Stats.AcceptShed, ws.accept_shed, ws.tcp_active — has no in-process
-// counterpart: there is no accept to shed.
+// A request reaches the server over one of three transports. The wire —
+// a real loopback TCP listener behind net/http (Addr, Client, Resolver)
+// — carries HTTP and WebSockets for the reference plane, fault-injected
+// crawls, cmd/wsload and any external client. A single-process crawl
+// goes in-process instead: Fetch answers an HTTP request and DialSocket
+// opens a WebSocket without touching the kernel or net/http. The rule is
+// that how a request was carried never changes its answer, and it holds
+// by construction: one function, route, decides which host, which path,
+// 404 / 426 / 502 and which counters move, and one, serve, admits and
+// runs a socket (reserve, accept, count, track, endpoint loop). handle,
+// Fetch and serveDialed are adapters that bring route a request and
+// write its verdict out in their transport's form. Only the listener's
+// own gate — Options.MaxAccepted, Stats.AcceptShed, ws.accept_shed,
+// ws.tcp_active — belongs to one transport: in-process there is no
+// accept to shed.
 package webserver
 
 import (
@@ -59,6 +63,11 @@ type Stats struct {
 // accept → handshake → read → write path with no World behind it.
 const EchoPath = "/__echo"
 
+// idleTimeout bounds each individual read/write on a served WebSocket,
+// refreshed per message — a wedged or vanished peer releases its
+// goroutine within one timeout while an active socket lives forever.
+const idleTimeout = 30 * time.Second
+
 // Options configures optional server behavior.
 type Options struct {
 	// Fault, when enabled, degrades every accepted connection — HTTP
@@ -67,12 +76,6 @@ type Options struct {
 	// accept order cannot leak into per-request outcomes.
 	Fault     faultnet.Profile
 	FaultSeed int64
-
-	// IdleTimeout bounds each individual read/write on a served
-	// WebSocket, refreshed per message — a wedged or vanished peer
-	// releases its goroutine within one timeout while an active socket
-	// lives forever. Default 30s.
-	IdleTimeout time.Duration
 
 	// MaxConns caps concurrently served WebSocket connections. Upgrade
 	// requests beyond the cap are refused with 503 ("server
@@ -114,9 +117,6 @@ func Start(w *webgen.World) (*Server, error) { return StartWith(w, Options{}) }
 // allowed when EnableEcho is set: the server then serves only the echo
 // endpoint, which is how cmd/wsload self-serves a pure echo target.
 func StartWith(w *webgen.World, opts Options) (*Server, error) {
-	if opts.IdleTimeout == 0 {
-		opts.IdleTimeout = 30 * time.Second
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("webserver: listen: %w", err)
@@ -162,135 +162,130 @@ func (s *Server) Close() error {
 	return s.srv.Shutdown(ctx)
 }
 
-// hostOnly strips a port from a Host header value.
+// hostOnly reduces a Host header value to the form urlutil.URL.Host has:
+// lower case, no port.
 func hostOnly(hostport string) string {
 	if i := strings.LastIndexByte(hostport, ':'); i >= 0 && !strings.Contains(hostport[i:], "]") {
-		return hostport[:i]
+		hostport = hostport[:i]
 	}
-	return hostport
+	return strings.ToLower(hostport)
 }
 
-// isUpgrade reports whether the request is a WebSocket opening handshake.
-func isUpgrade(r *http.Request) bool {
-	return strings.EqualFold(r.Header.Get("Upgrade"), "websocket")
+// verdict is route's answer to one request.
+type verdict struct {
+	// res, when set, is the resource an HTTP request is answered with.
+	res *webgen.Resource
+	// Otherwise a non-zero status refuses the request, with msg as
+	// http.Error takes it.
+	status int
+	msg    string
+	// Otherwise the request is an upgrade to admit and serve: ep's
+	// protocol, or the echo loop when ep is nil.
+	ep *webgen.WSEndpoint
 }
 
-func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
-	host := hostOnly(r.Host)
-	if s.opts.EnableEcho && r.URL.Path == EchoPath {
-		if !isUpgrade(r) {
-			http.Error(w, "websocket upgrade required", http.StatusUpgradeRequired)
-			return
+// route is the server's one routing decision, shared by every
+// transport: what the request for u — Host as hostOnly leaves it, Path
+// still percent-escaped, as it travelled — is answered with, and the
+// only place the request and not-found counters move. The path is
+// decoded here, once, the way net/http decodes a request target.
+func (s *Server) route(u *urlutil.URL, upgrade bool) verdict {
+	if strings.IndexByte(u.Path, '%') >= 0 {
+		// No transport delivers an escape that fails to decode: net/http
+		// and wsproto answer it 400, urlutil.Parse refuses the URL.
+		if path, err := url.PathUnescape(u.Path); err == nil {
+			u = &urlutil.URL{Host: u.Host, Path: path, Query: u.Query}
 		}
-		s.handleEcho(w, r)
-		return
 	}
-	if s.World == nil || !s.World.KnownHost(host) {
+	if s.opts.EnableEcho && u.Path == EchoPath {
+		if !upgrade {
+			return verdict{status: http.StatusUpgradeRequired, msg: "websocket upgrade required"}
+		}
+		return verdict{}
+	}
+	var res *webgen.Resource
+	if s.World != nil && !upgrade {
+		res, _ = s.World.GetURL(u)
+	}
+	// A resource implies a known host, so the common case asks once.
+	if res == nil && (s.World == nil || !s.World.KnownHost(u.Host)) {
 		s.Stats.NotFound.Add(1)
-		http.Error(w, "unknown virtual host", http.StatusBadGateway)
-		return
+		return verdict{status: http.StatusBadGateway, msg: "unknown virtual host"}
 	}
-	if isUpgrade(r) {
-		s.handleWS(w, r, host)
-		return
+	if upgrade {
+		if ep, ok := s.World.WSEndpointFor(u.Host, u.Path); ok {
+			return verdict{ep: ep}
+		}
+		s.Stats.NotFound.Add(1)
+		return verdict{status: http.StatusNotFound, msg: "no websocket endpoint here"}
 	}
 	s.Stats.HTTPRequests.Add(1)
 	obs.ServerRequests.Inc()
-	url := "http://" + host + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+	if res == nil {
+		s.Stats.NotFound.Add(1)
+		return verdict{status: http.StatusNotFound, msg: "no such resource"}
+	}
+	return verdict{res: res}
+}
+
+// handle is the wire's adapter: a request net/http read.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
+	if strings.EqualFold(r.Header.Get("Upgrade"), "websocket") {
+		// A refusal — here, or route's or the admission gate's in serve —
+		// is an http.Error; the connection is hijacked only to be served.
+		if p, err := wsproto.FromHTTP(w, r); err == nil {
+			s.serve(p)
+		}
+		return
 	}
 	// Drain request bodies (beacon POSTs) before responding.
 	if r.Body != nil {
 		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
 	}
-	res, ok := s.World.Get(url)
-	if !ok {
-		s.Stats.NotFound.Add(1)
-		http.Error(w, "no such resource", http.StatusNotFound)
+	v := s.route(&urlutil.URL{Host: hostOnly(r.Host), Path: r.URL.EscapedPath(), Query: r.URL.RawQuery}, false)
+	if v.res == nil {
+		http.Error(w, v.msg, v.status)
 		return
 	}
-	w.Header().Set("Content-Type", res.ContentType)
-	w.WriteHeader(res.Status)
-	_, _ = w.Write(res.Body)
+	w.Header().Set("Content-Type", v.res.ContentType)
+	w.WriteHeader(v.res.Status)
+	_, _ = w.Write(v.res.Body)
 }
 
-func (s *Server) handleWS(w http.ResponseWriter, r *http.Request, host string) {
-	ep, ok := s.World.WSEndpointFor(host, r.URL.Path)
-	if !ok {
-		s.Stats.NotFound.Add(1)
-		http.Error(w, "no websocket endpoint here", http.StatusNotFound)
+// serve answers one validated opening handshake, from either socket
+// transport, on the caller's goroutine: refuse it as route says, shed it
+// with 503 when no admission slot is free, or upgrade and run the
+// endpoint until the socket ends. The slot is released by untrack when
+// the endpoint loop exits, or at once if the upgrade fails.
+func (s *Server) serve(p *wsproto.Pending) {
+	path, query, _ := strings.Cut(p.Request.Path, "?")
+	v := s.route(&urlutil.URL{Host: hostOnly(p.Request.Host), Path: path, Query: query}, true)
+	if v.status != 0 {
+		p.Reject(v.status, v.msg)
 		return
 	}
-	query := r.URL.RawQuery
-	conn, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	s.track(conn)
-	go s.serveSocket(conn, ep, query)
-}
-
-// handleEcho upgrades and serves the echo endpoint, under the same
-// admission gate as World endpoints.
-func (s *Server) handleEcho(w http.ResponseWriter, r *http.Request) {
-	conn, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	s.track(conn)
-	go s.echoLoop(conn)
-}
-
-// admit runs the MaxConns admission gate and, if a slot is free,
-// completes the WebSocket upgrade. On success the caller owns one
-// admission slot, released by untrack when the serve loop exits.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*wsproto.Conn, bool) {
 	start := time.Now()
-	if !s.reserve() {
-		http.Error(w, "server overloaded", http.StatusServiceUnavailable)
-		return nil, false
-	}
-	conn, err := wsproto.Upgrade(w, r)
-	return conn, s.upgraded(err, start)
-}
-
-// admitPending is admit for a DialSocket connection, whose handshake
-// wsproto has read but not answered.
-func (s *Server) admitPending(p *wsproto.Pending) (*wsproto.Conn, bool) {
-	start := time.Now()
-	if !s.reserve() {
+	if !s.tryReserve() {
+		s.Stats.WSShed.Add(1)
+		obs.WSConnsShed.Inc()
 		p.Reject(http.StatusServiceUnavailable, "server overloaded")
-		return nil, false
+		return
 	}
 	conn, err := p.Accept("")
-	return conn, s.upgraded(err, start)
-}
-
-// reserve claims an admission slot, or counts the shed the caller is
-// about to answer 503.
-func (s *Server) reserve() bool {
-	if s.tryReserve() {
-		return true
-	}
-	s.Stats.WSShed.Add(1)
-	obs.WSConnsShed.Inc()
-	return false
-}
-
-// upgraded settles a reserved slot once the upgrade was attempted: a
-// failed one hands the slot back, a completed one is counted and its
-// handshake timed from start.
-func (s *Server) upgraded(err error, start time.Time) bool {
 	if err != nil {
 		s.release()
-		return false
+		return
 	}
 	obs.WSHandshake.ObserveSince(start)
 	s.Stats.WSHandshakes.Add(1)
 	obs.ServerHandshakes.Inc()
 	obs.WSConnsTotal.Inc()
-	return true
+	s.track(conn)
+	if v.ep == nil {
+		s.echoLoop(conn)
+	} else {
+		s.serveSocket(conn, v.ep, query)
+	}
 }
 
 // DialSocket opens a WebSocket transport to this server in-process: it
@@ -299,8 +294,8 @@ func (s *Server) upgraded(err error, start time.Time) bool {
 // wsproto.Dialer.NetDial (network and addr are ignored: every virtual
 // host lives here) and is to sockets what Fetch is to HTTP — the client
 // still speaks complete RFC 6455 over the returned conn, and routing,
-// admission, counters and the endpoint protocol are those of the wire
-// handler, so a crawl observes the same handshake outcomes and frames
+// admission, counters and the endpoint protocol are the wire's (route,
+// serve), so a crawl observes the same handshake outcomes and frames
 // either way. Like Fetch it must not be used under a fault profile.
 func (s *Server) DialSocket(_ context.Context, _, _ string) (net.Conn, error) {
 	s.mu.Lock()
@@ -315,44 +310,13 @@ func (s *Server) DialSocket(_ context.Context, _, _ string) (net.Conn, error) {
 	return client, nil
 }
 
-// serveDialed is handle()'s WebSocket branch for a DialSocket
-// connection: read the opening handshake, route on host and path, then
-// refuse with the status handle() would send or upgrade and run the
-// endpoint on this goroutine.
+// serveDialed is DialSocket's adapter: a connection whose opening
+// handshake is still to be read.
 func (s *Server) serveDialed(nc net.Conn) {
-	p, err := wsproto.ReadRequest(nc)
-	if err != nil {
-		return // answered 400 and closed, as net/http + Upgrade would
-	}
-	host := hostOnly(p.Request.Host)
-	path, query, _ := strings.Cut(p.Request.Path, "?")
-	if strings.IndexByte(path, '%') >= 0 {
-		// net/http routes on the decoded path.
-		if u, err := url.ParseRequestURI(p.Request.Path); err == nil {
-			path = u.Path
-		}
-	}
-	if s.opts.EnableEcho && path == EchoPath {
-		if conn, ok := s.admitPending(p); ok {
-			s.track(conn)
-			s.echoLoop(conn)
-		}
-		return
-	}
-	if s.World == nil || !s.World.KnownHost(host) {
-		s.Stats.NotFound.Add(1)
-		p.Reject(http.StatusBadGateway, "unknown virtual host")
-		return
-	}
-	ep, ok := s.World.WSEndpointFor(host, path)
-	if !ok {
-		s.Stats.NotFound.Add(1)
-		p.Reject(http.StatusNotFound, "no websocket endpoint here")
-		return
-	}
-	if conn, ok := s.admitPending(p); ok {
-		s.track(conn)
-		s.serveSocket(conn, ep, query)
+	// A malformed handshake is answered 400 and closed, as net/http and
+	// FromHTTP answer one on the wire.
+	if p, err := wsproto.ReadRequest(nc); err == nil {
+		s.serve(p)
 	}
 }
 
@@ -407,7 +371,6 @@ func (s *Server) untrack(c *wsproto.Conn) {
 func (s *Server) serveSocket(conn *wsproto.Conn, ep *webgen.WSEndpoint, query string) {
 	defer s.untrack(conn)
 	defer conn.Close()
-	idle := s.opts.IdleTimeout
 	for _, msg := range s.World.WSMessages(ep, query) {
 		// Anything that is not valid UTF-8 (images, binary blobs) must
 		// travel as a binary frame, or the client's RFC 6455 text
@@ -416,7 +379,7 @@ func (s *Server) serveSocket(conn *wsproto.Conn, ep *webgen.WSEndpoint, query st
 		if !utf8.Valid(msg) {
 			op = wsproto.OpBinary
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(idle))
+		_ = conn.SetWriteDeadline(time.Now().Add(idleTimeout))
 		if err := conn.WriteMessage(op, msg); err != nil {
 			return
 		}
@@ -427,7 +390,7 @@ func (s *Server) serveSocket(conn *wsproto.Conn, ep *webgen.WSEndpoint, query st
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(idle))
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		_, msg, err := conn.ReadMessage()
 		if err != nil {
 			return
@@ -443,9 +406,8 @@ func (s *Server) serveSocket(conn *wsproto.Conn, ep *webgen.WSEndpoint, query st
 func (s *Server) echoLoop(conn *wsproto.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
-	idle := s.opts.IdleTimeout
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(idle))
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		op, msg, err := conn.ReadMessage()
 		if err != nil {
 			return
@@ -456,7 +418,7 @@ func (s *Server) echoLoop(conn *wsproto.Conn) {
 		// msg aliases the conn's read scratch (wsproto ownership rule),
 		// but WriteMessage finishes with the bytes before returning and
 		// the next read starts after it, so echoing needs no copy.
-		_ = conn.SetWriteDeadline(time.Now().Add(idle))
+		_ = conn.SetWriteDeadline(time.Now().Add(idleTimeout))
 		if err := conn.WriteMessage(op, msg); err != nil {
 			return
 		}
@@ -467,43 +429,38 @@ func (s *Server) echoLoop(conn *wsproto.Conn) {
 	}
 }
 
-// Fetch resolves one HTTP request against the World in-process,
-// bypassing the TCP listener and the net/http stack entirely. It is the
-// fast path for single-process crawls: the handler logic and counters
-// mirror handle() exactly, so a crawl fetching through Fetch observes
-// byte-identical statuses, content types, and bodies to one fetching
-// over the wire (proven by the pipeline differential test in
-// internal/core). postBody is accepted for signature fidelity with an
-// HTTP POST; like handle(), the server discards request bodies.
+// Fetch is the in-process adapter for HTTP: it answers one request
+// without the TCP listener or the net/http stack, the fast path of a
+// single-process crawl. The answer and the counters are route's, so a
+// crawl fetching through Fetch observes the statuses, content types and
+// bodies of one fetching over the wire — the refusals included: a host
+// the World does not serve is a 502 response here as it is there
+// (Client pins every dial to this server, so a wire client never sees a
+// failed dial), and err is always nil. postBody is accepted for
+// signature fidelity with an HTTP POST; like handle, Fetch discards
+// request bodies.
 //
 // The returned body aliases the World's resource bytes: callers must
-// treat it as read-only. Unknown virtual hosts return an error, the
-// in-process equivalent of the failed dial a wire client would see.
+// treat it as read-only.
 //
 // Fetch must not be used under a fault profile — fault injection
 // degrades the wire, so bypassing the wire would bypass the faults;
 // core keeps fault-injected crawls on the TCP client.
 func (s *Server) Fetch(u *urlutil.URL, postBody []byte) (status int, contentType string, body []byte, err error) {
 	_ = postBody
-	if s.World == nil || !s.World.KnownHost(u.Host) {
-		return 0, "", nil, fmt.Errorf("webserver: no route to host %q", u.Host)
-	}
-	s.Stats.HTTPRequests.Add(1)
-	obs.ServerRequests.Inc()
-	res, ok := s.World.GetURL(u)
-	if !ok {
-		s.Stats.NotFound.Add(1)
+	v := s.route(u, false)
+	if v.res == nil {
 		// http.Error's exact observable surface: status, content type,
 		// and the message with a trailing newline.
-		return http.StatusNotFound, "text/plain; charset=utf-8", []byte("no such resource\n"), nil
+		return v.status, "text/plain; charset=utf-8", []byte(v.msg + "\n"), nil
 	}
-	b := res.Body
+	b := v.res.Body
 	if b == nil {
 		// A wire client's io.ReadAll on an empty response yields an
 		// empty non-nil slice; keep the two paths indistinguishable.
 		b = []byte{}
 	}
-	return res.Status, res.ContentType, b, nil
+	return v.res.Status, v.res.ContentType, b, nil
 }
 
 // Resolver returns a function mapping every host:port to the server's

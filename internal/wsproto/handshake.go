@@ -220,17 +220,28 @@ func readClientHandshake(r *bufio.Reader) (*HandshakeRequest, error) {
 		return nil, fmt.Errorf("wsproto: read request line: %w", err)
 	}
 	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || parts[2] != "HTTP/1.1" || !validRequestTarget(parts[1]) {
+	if len(parts) != 3 || parts[2] != "HTTP/1.1" {
 		return nil, fmt.Errorf("wsproto: malformed request line %q", line)
-	}
-	if parts[0] != "GET" {
-		return nil, ErrNotGET
 	}
 	mime, err := tp.ReadMIMEHeader()
 	if err != nil {
 		return nil, fmt.Errorf("wsproto: read request headers: %w", err)
 	}
 	hdr := http.Header(mime)
+	return newHandshakeRequest(parts[0], parts[1], hdr.Get("Host"), hdr, hdr["Transfer-Encoding"])
+}
+
+// newHandshakeRequest is the one validator of a client opening
+// handshake, whoever parsed it: ReadRequest's own reader above, or
+// net/http, which keeps the host and the transfer encodings beside the
+// header map rather than in it.
+func newHandshakeRequest(method, target, host string, hdr http.Header, transferEncoding []string) (*HandshakeRequest, error) {
+	if !validRequestTarget(target) {
+		return nil, fmt.Errorf("wsproto: malformed request target %q", target)
+	}
+	if method != http.MethodGet {
+		return nil, ErrNotGET
+	}
 	if !strings.EqualFold(hdr.Get("Upgrade"), "websocket") {
 		return nil, ErrBadUpgradeHeader
 	}
@@ -244,13 +255,13 @@ func readClientHandshake(r *bufio.Reader) (*HandshakeRequest, error) {
 	if key == "" {
 		return nil, ErrMissingKey
 	}
-	if len(hdr["Content-Length"]) > 0 || len(hdr["Transfer-Encoding"]) > 0 {
+	if len(hdr["Content-Length"]) > 0 || len(transferEncoding) > 0 {
 		// An opening handshake has no body; bytes after the head are frames.
 		return nil, ErrHandshakeBody
 	}
 	hs := &HandshakeRequest{
-		Path:   parts[1],
-		Host:   hdr.Get("Host"),
+		Path:   target,
+		Host:   host,
 		Key:    key,
 		Origin: hdr.Get("Origin"),
 		Header: hdr,

@@ -86,9 +86,9 @@ func TestHandshakeHeadCap(t *testing.T) {
 
 // FuzzReadClientHandshake: arbitrary bytes never panic the server-side
 // handshake parser and never make it read past the head cap, and
-// whatever it accepts, net/http's ReadRequest plus Upgrade's checks —
-// the parser the wire path has always used — accept too, with the same
-// key, host, target and protocols.
+// whatever it accepts, net/http's ReadRequest plus FromHTTP — the
+// parser the wire path has always used — accept too, with the same key,
+// host, target, origin and protocols.
 func FuzzReadClientHandshake(f *testing.F) {
 	valid := browserHandshake(f)
 	f.Add(valid, uint32(0))
@@ -119,27 +119,15 @@ func FuzzReadClientHandshake(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted a request net/http refuses: %v\n%q", err, data)
 		}
-		// wsproto.Upgrade's checks, verbatim.
-		switch {
-		case r.Method != http.MethodGet,
-			!headerContainsToken(r.Header.Get("Connection"), "Upgrade"),
-			!headerContainsToken(r.Header.Get("Upgrade"), "websocket"),
-			r.Header.Get("Sec-Websocket-Version") != "13",
-			r.Header.Get("Sec-Websocket-Key") == "":
-			t.Fatalf("accepted a request Upgrade refuses:\n%q", data)
+		// The net/http bridge runs the same validator on net/http's parse
+		// and must read the same handshake out of it.
+		viaHTTP, err := newHandshakeRequest(r.Method, r.RequestURI, r.Host, r.Header, r.TransferEncoding)
+		if err != nil {
+			t.Fatalf("accepted a request FromHTTP refuses: %v\n%q", err, data)
 		}
-		if hs.Key != r.Header.Get("Sec-Websocket-Key") || hs.Host != r.Host || hs.Path != r.RequestURI {
-			t.Fatalf("key/host/target (%q, %q, %q), net/http reads (%q, %q, %q)",
-				hs.Key, hs.Host, hs.Path, r.Header.Get("Sec-Websocket-Key"), r.Host, r.RequestURI)
-		}
-		var protos []string
-		if v := r.Header.Get("Sec-Websocket-Protocol"); v != "" {
-			for _, p := range strings.Split(v, ",") {
-				protos = append(protos, strings.TrimSpace(p))
-			}
-		}
-		if !reflect.DeepEqual(hs.Protocols, protos) {
-			t.Fatalf("protocols %q, net/http reads %q", hs.Protocols, protos)
+		hs.Header, viaHTTP.Header = nil, nil // net/http moves Host out of the map
+		if !reflect.DeepEqual(hs, viaHTTP) {
+			t.Fatalf("read %+v, FromHTTP reads %+v\n%q", hs, viaHTTP, data)
 		}
 	})
 }

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"math/rand"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -133,11 +135,35 @@ func TestClientHandshakeValidation(t *testing.T) {
 		{"no-connection", func(l []string) []string { l[3] = "Connection: close"; return l }, ErrBadConnectionHeader},
 		{"no-key", func(l []string) []string { return append(l[:4], l[5]) }, ErrMissingKey},
 		{"bad-version", func(l []string) []string { l[5] = "Sec-WebSocket-Version: 8"; return l }, ErrBadVersion},
+		{"declared-body", func(l []string) []string { return append(l, "Content-Length: 0") }, ErrHandshakeBody},
+		// The body itself is empty: net/http waits for a declared one
+		// before it lets the refusal out.
+		{"chunked-body", func(l []string) []string { return append(l, "Transfer-Encoding: chunked", "", "0") }, ErrHandshakeBody},
 	}
+	// The same bytes through net/http and the bridge: one validator, so
+	// the same refusal, answered 400 either way.
+	bridged := make(chan error, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, err := FromHTTP(w, r)
+		bridged <- err
+	}))
+	defer srv.Close()
 	for _, tc := range cases {
 		_, err := readClientHandshake(bufio.NewReader(strings.NewReader(base(tc.mutate))))
 		if err != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		nc, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write([]byte(base(tc.mutate))); err != nil {
+			t.Fatal(err)
+		}
+		status, _ := bufio.NewReader(nc).ReadString('\n')
+		nc.Close()
+		if err := <-bridged; err != tc.want || !strings.HasPrefix(status, "HTTP/1.1 400 ") {
+			t.Errorf("%s over net/http: got %v and %q, want %v and a 400", tc.name, err, status, tc.want)
 		}
 	}
 }

@@ -332,10 +332,10 @@ func TestReadMessageBufferOwnership(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAlloc is the allocs/msg regression gate
-// (BENCH_ws.json invariant): a full echo round trip — client write,
-// server read, server write, client read — must allocate nothing once
-// buffers are warm, for small and page-sized payloads, text and binary.
+// TestSteadyStateZeroAlloc is the allocs/msg regression gate: a full
+// echo round trip — client write, server read, server write, client
+// read — must allocate nothing once buffers are warm, for small and
+// page-sized payloads, text and binary.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -397,7 +397,7 @@ func TestWriteScratchReleasedAfterLargeFrame(t *testing.T) {
 	}
 }
 
-// --- benchmarks (make bench-ws) ---
+// --- benchmarks ---
 
 // discardConn counts writes and throws the bytes away.
 type discardConn struct{ memConn }

@@ -2,6 +2,7 @@ package wsproto
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -31,9 +32,13 @@ type Pending struct {
 	// Request is the parsed handshake: what the server routes on.
 	Request *HandshakeRequest
 
+	// A handshake this package read off a raw connection (ReadRequest)
+	// holds the connection; one net/http read (FromHTTP) holds the
+	// response it has not hijacked yet.
 	nc   net.Conn
 	br   *bufio.Reader
 	head *headLimit
+	w    http.ResponseWriter
 }
 
 // ReadRequest reads and validates the client's opening handshake from a
@@ -44,20 +49,51 @@ type Pending struct {
 func ReadRequest(nc net.Conn) (*Pending, error) {
 	_ = nc.SetDeadline(handshakeDeadline())
 	head := newHeadLimit(nc)
-	br := bufio.NewReader(head)
-	hs, err := readClientHandshake(br)
-	if err = head.explain(err); err != nil {
-		writeHTTPError(nc, http.StatusBadRequest, err.Error())
-		nc.Close()
+	p := &Pending{nc: nc, br: bufio.NewReader(head), head: head}
+	hs, err := readClientHandshake(p.br)
+	return p.validated(hs, head.explain(err))
+}
+
+// FromHTTP is ReadRequest for a handshake net/http's server has already
+// read, under its own limits: the bridge between the synthetic web's
+// HTTP server and this protocol implementation. The connection stays
+// with net/http until Accept hijacks it, so Reject (and the 400 that
+// answers an invalid handshake here) is an ordinary http.Error.
+func FromHTTP(w http.ResponseWriter, r *http.Request) (*Pending, error) {
+	p := &Pending{w: w}
+	return p.validated(newHandshakeRequest(r.Method, r.RequestURI, r.Host, r.Header, r.TransferEncoding))
+}
+
+// validated ends either constructor: a handshake the validator refused
+// is answered 400, in the form Reject has for p, and p is spent.
+func (p *Pending) validated(hs *HandshakeRequest, err error) (*Pending, error) {
+	if err != nil {
+		p.Reject(http.StatusBadRequest, err.Error())
 		return nil, err
 	}
-	return &Pending{Request: hs, nc: nc, br: br, head: head}, nil
+	p.Request = hs
+	return p, nil
 }
 
 // Accept answers 101 Switching Protocols with the given subprotocol
 // ("" for none), lifts the handshake deadline and returns the
 // established Conn. On a failed write the connection is closed.
 func (p *Pending) Accept(subprotocol string) (*Conn, error) {
+	if p.w != nil {
+		hj, ok := p.w.(http.Hijacker)
+		if !ok {
+			p.Reject(http.StatusInternalServerError, "websocket upgrade unsupported")
+			return nil, errors.New("wsproto: ResponseWriter does not support hijacking")
+		}
+		nc, rw, err := hj.Hijack()
+		if err != nil {
+			return nil, fmt.Errorf("wsproto: hijack: %w", err)
+		}
+		// net/http lifted its own deadlines; the 101 still needs one, or
+		// an unresponsive peer could wedge the upgrade.
+		_ = nc.SetWriteDeadline(handshakeDeadline())
+		p.nc, p.br = nc, rw.Reader
+	}
 	// Pooled handshake writer: borrowed for the response flush only.
 	bw := getHandshakeWriter(p.nc)
 	err := writeServerHandshake(bw, p.Request.Key, subprotocol)
@@ -66,7 +102,9 @@ func (p *Pending) Accept(subprotocol string) (*Conn, error) {
 		p.nc.Close()
 		return nil, fmt.Errorf("wsproto: send handshake response: %w", err)
 	}
-	p.head.lift()
+	if p.head != nil {
+		p.head.lift()
+	}
 	_ = p.nc.SetDeadline(time.Time{})
 	// Server conns never mask frames (RFC 6455 §5.1), so the RNG is
 	// inert; a fixed seed keeps the conn fully deterministic anyway.
@@ -76,9 +114,13 @@ func (p *Pending) Accept(subprotocol string) (*Conn, error) {
 }
 
 // Reject refuses the upgrade with a plain HTTP error response — status
-// line, text/plain body, Connection: close — and closes the
-// connection. The client's Dial fails with ErrBadHandshakeStatus.
+// line, text/plain body, Connection: close on a raw connection, which
+// is then closed. The client's Dial fails with ErrBadHandshakeStatus.
 func (p *Pending) Reject(status int, msg string) {
+	if p.w != nil {
+		http.Error(p.w, msg, status)
+		return
+	}
 	writeHTTPError(p.nc, status, msg)
 	p.nc.Close()
 }
@@ -106,52 +148,15 @@ func Accept(nc net.Conn, selectProtocol func(offered []string) string) (*Conn, *
 	return conn, p.Request, nil
 }
 
-// Upgrade hijacks an http.ResponseWriter whose request is a WebSocket
-// opening handshake and completes the upgrade. It is the bridge between
-// the synthetic web's HTTP server and this protocol implementation.
-//
-// The request line and headers were already read by net/http under the
-// server's own limits; the response write here runs under
-// HandshakeTimeout so an unresponsive peer cannot wedge the upgrade.
+// Upgrade completes the upgrade of a net/http request that is a
+// WebSocket opening handshake: FromHTTP, then Accept with no
+// subprotocol.
 func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return nil, ErrNotGET
-	}
-	if !headerContainsToken(r.Header.Get("Connection"), "Upgrade") {
-		http.Error(w, "not a websocket handshake", http.StatusBadRequest)
-		return nil, ErrBadConnectionHeader
-	}
-	if !headerContainsToken(r.Header.Get("Upgrade"), "websocket") {
-		http.Error(w, "not a websocket handshake", http.StatusBadRequest)
-		return nil, ErrBadUpgradeHeader
-	}
-	if r.Header.Get("Sec-Websocket-Version") != "13" {
-		http.Error(w, "unsupported websocket version", http.StatusBadRequest)
-		return nil, ErrBadVersion
-	}
-	key := r.Header.Get("Sec-Websocket-Key")
-	if key == "" {
-		http.Error(w, "missing Sec-WebSocket-Key", http.StatusBadRequest)
-		return nil, ErrMissingKey
-	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		http.Error(w, "websocket upgrade unsupported", http.StatusInternalServerError)
-		return nil, fmt.Errorf("wsproto: ResponseWriter does not support hijacking")
-	}
-	nc, rw, err := hj.Hijack()
+	p, err := FromHTTP(w, r)
 	if err != nil {
-		return nil, fmt.Errorf("wsproto: hijack: %w", err)
+		return nil, err
 	}
-	_ = nc.SetWriteDeadline(handshakeDeadline())
-	if err := writeServerHandshake(rw.Writer, key, ""); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("wsproto: send handshake response: %w", err)
-	}
-	_ = nc.SetWriteDeadline(time.Time{})
-	// As in Accept: server conns never mask, the fixed-seed RNG is inert.
-	return newConn(nc, rw.Reader, false, detrand.New(2)), nil
+	return p.Accept("")
 }
 
 // writeHTTPError answers an opening handshake that will not be upgraded
