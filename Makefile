@@ -77,12 +77,12 @@ fabric-soak:
 load-soak:
 	$(GO) test -count=1 -run 'TestLoadSoak' -v ./internal/loadgen/
 
-# Project-invariant analyzers, syntax tier (determinism, maporder,
-# atomicfield, observeonly, spanclose) plus the typed tier (bufown,
-# poolpair, deadline, lockguard), which type-checks the module from
+# Project-invariant analyzers (determinism, maporder, observeonly,
+# spanclose, deadline, lockguard) over the module, type-checked from
 # source. Exits non-zero on any unsuppressed finding; see DESIGN.md §9
-# for the catalogue and the //lint:allow policy. The run is timed so a
-# type-check regression shows up in CI logs before it hurts.
+# for the catalogue and the //lint:allow policy. Copied mutexes are
+# vet's copylocks check. The run is timed so a type-check regression
+# shows up in CI logs before it hurts.
 lint:
 	@start=$$(date +%s); \
 	$(GO) run ./cmd/wslint ./... || exit $$?; \
@@ -90,11 +90,11 @@ lint:
 	echo "lint: clean in $$((end - start))s"
 
 # Every package benchmark, one iteration each: proves the corpora still
-# build and every benchmarked path still executes (the lint rows also
-# assert the module is lint-clean through the typed loader). The numbers
-# a benchmark must hold are assertions in the ordinary tests
-# (TestHotOpsZeroAlloc, TestIndexedMatchZeroAlloc,
-# TestPageFrameEncodeAllocs, TestSteadyStateZeroAlloc,
+# build and every benchmarked path still executes (the lint row also
+# asserts the module is lint-clean). The numbers a benchmark must hold
+# are assertions in the ordinary tests (TestHotOpsZeroAlloc,
+# TestIndexedMatchZeroAlloc, TestPageFrameEncodeAllocs,
+# TestSteadyStateZeroAlloc, TestWriteFrameZeroAlloc,
 # TestStoreIngestAllocs, TestPageAllocBudget); speed is `make bench`'s.
 pkg-bench-smoke:
 	$(GO) test ./internal/... -run '^$$' -bench . -benchtime 1x

@@ -1,12 +1,12 @@
 // Command wslint runs the repo's static-analysis suite (internal/lint)
 // over the module and exits non-zero on findings. It is the mechanical
-// guard for the invariants behind the reproduction's headline claims:
-// deterministic packages stay seeded, shared counters stay atomic,
-// instrumentation stays observe-only, and the serving plane's pooled
-// buffers, deadlines, and lock annotations hold (DESIGN.md §9). The
-// module is loaded through the typed tier; packages that fail to parse
-// or type-check surface as "load" diagnostics and are linted by the
-// syntax tier only.
+// guard for the invariants behind the reproduction's recorded bytes
+// that no test or `go vet` holds: deterministic packages stay seeded,
+// map order never reaches output, instrumentation stays observe-only,
+// and the serving plane's deadlines and lock annotations hold
+// (DESIGN.md §9). The module is parsed and type-checked from source; a
+// package that fails to parse or type-check surfaces as "load"
+// diagnostics and is not linted further.
 //
 // Usage:
 //
@@ -17,8 +17,8 @@
 // -json emits a stable object: {"diagnostics": [...], "suppressed":
 // {analyzer: count}}, diagnostics sorted by file/line/col/analyzer
 // across packages and every registered analyzer present in suppressed
-// (zero included). -list (alias -analyzers) prints the registered
-// analyzers with their one-line docs.
+// (zero included). -list prints the registered analyzers with their
+// one-line docs.
 // Exit status: 0 clean, 1 findings, 2 operational error.
 package main
 
@@ -43,7 +43,6 @@ type jsonReport struct {
 func main() {
 	jsonOut := flag.Bool("json", false, "emit a JSON object: diagnostics plus per-analyzer suppressed counts")
 	listAnalyzers := flag.Bool("list", false, "list the analyzer suite with one-line docs and exit")
-	flag.BoolVar(listAnalyzers, "analyzers", false, "alias for -list")
 	flag.Parse()
 
 	analyzers := lint.Suite()
@@ -58,7 +57,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pkgs, err := lint.LoadModuleTyped(root)
+	pkgs, err := lint.LoadModule(root)
 	if err != nil {
 		fatal(err)
 	}

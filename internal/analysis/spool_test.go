@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -292,5 +293,91 @@ func TestFolderAndMergeShardsAgree(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("folded dataset (%d bytes) differs from merged dataset (%d bytes)", a.Len(), b.Len())
+	}
+}
+
+// pooledRecordBudget is the ceiling on heap allocations per page for a
+// pooled Recorder once its scratch is warm: ≈ 37 on the test's pages,
+// against ≈ 148 unpooled. A RecordPage that stopped returning its
+// scratch to the pool rebuilds the arena builder, its maps and the walk
+// buffers every page (≈ 79) and fails here; the whole-crawl
+// TestPageAllocBudget in core has the headroom to miss that.
+const pooledRecordBudget = 45
+
+// TestRecorderPooledSteadyState records a fixed set of crawled pages
+// again and again through one pooled Recorder and holds the per-page
+// allocation count to pooledRecordBudget.
+func TestRecorderPooledSteadyState(t *testing.T) {
+	skipIfRace(t)
+	w := webgen.NewWorld(webgen.Config{Seed: 31, NumPublishers: 6, Era: webgen.EraPrePatch})
+	s, err := webserver.Start(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	lab := labeler.New(
+		filterlist.Parse("easylist", w.EasyListText()),
+		filterlist.Parse("easyprivacy", w.EasyPrivacyText()),
+	)
+	lab.SetCDNMap(w.CloudfrontMap())
+
+	type page struct {
+		site crawler.Site
+		url  string
+		res  *browser.PageResult
+	}
+	var mu sync.Mutex
+	var pages []page
+	sites := make([]crawler.Site, 0, len(w.Publishers))
+	for _, p := range w.Publishers {
+		sites = append(sites, crawler.Site{Domain: p.Domain, Rank: p.Rank})
+	}
+	cfg := crawler.Config{
+		Workers: 1, PagesPerSite: 3, Seed: 5,
+		SiteBrowser: func(site crawler.Site) *browser.Browser {
+			return browser.New(browser.Config{
+				Version: 57, Seed: crawler.SiteSeed(5, site.Domain),
+				HTTPClient: s.Client(), ResolveWS: s.Resolver(),
+			})
+		},
+		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			pages = append(pages, page{site, pageURL, res})
+		},
+	}
+	if _, err := crawler.Crawl(context.Background(), sites, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	perPage := func(r *Recorder) float64 {
+		record := func() {
+			for _, p := range pages {
+				if _, err := r.RecordPage(p.site, p.url, p.res); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		record() // warm the scratch
+		return testing.AllocsPerRun(5, record) / float64(len(pages))
+	}
+	pooled := perPage(&Recorder{Label: lab, Pooled: true})
+	unpooled := perPage(&Recorder{Label: lab})
+	t.Logf("%d pages: %.1f allocs/page pooled, %.1f unpooled (budget %d)", len(pages), pooled, unpooled, pooledRecordBudget)
+	if pooled > pooledRecordBudget {
+		t.Errorf("pooled RecordPage: %.1f allocs/page, budget %d", pooled, pooledRecordBudget)
+	}
+}
+
+// skipIfRace skips allocation tests of pooled paths under the race
+// detector, where sync.Pool drops items at random.
+func skipIfRace(t *testing.T) {
+	t.Helper()
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops items at random under the race detector")
+			}
+		}
 	}
 }

@@ -130,7 +130,10 @@ func BenchmarkMatchTokenize(b *testing.B) {
 
 // TestIndexedMatchZeroAlloc holds the engine to its budget: a match —
 // lower-case, tokenize, index lookup, decision — allocates nothing once
-// the pooled scratch is warm, hit or miss.
+// the pooled scratch is warm, hit or miss, through the group (the
+// labeler's path) and through a single list. Either entry point that
+// stopped returning its scratch to the pool would allocate one per
+// match.
 func TestIndexedMatchZeroAlloc(t *testing.T) {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
@@ -141,13 +144,21 @@ func TestIndexedMatchZeroAlloc(t *testing.T) {
 	}
 	g := benchGroup(2000)
 	reqs := benchRequests(rand.New(rand.NewSource(7)), 256)
-	match := func() {
-		for _, r := range reqs {
-			g.Match(r)
+	for _, tc := range []struct {
+		name  string
+		match func(Request) Decision
+	}{
+		{"Group.Match", g.Match},
+		{"List.Match", g.Lists[0].Match},
+	} {
+		run := func() {
+			for _, r := range reqs {
+				tc.match(r)
+			}
 		}
-	}
-	match()
-	if allocs := testing.AllocsPerRun(20, match); allocs != 0 {
-		t.Errorf("%.1f allocs per %d matches, want 0", allocs, len(reqs))
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per %d matches, want 0", tc.name, allocs, len(reqs))
+		}
 	}
 }

@@ -1,14 +1,10 @@
 package lint
 
-// Shared AST helpers: import-name resolution, lightweight local type
-// inference, and expression rendering. The framework deliberately has
-// no go/types — analyzers resolve what they can from syntax alone and
-// stay silent when they cannot, trading a little recall for zero
-// dependencies and zero build setup.
+// Shared AST helpers: import-name resolution, expression rendering,
+// and function enumeration.
 
 import (
 	"go/ast"
-	"go/token"
 	"strconv"
 	"strings"
 )
@@ -37,34 +33,6 @@ func importName(f *ast.File, path string) string {
 	return ""
 }
 
-// rootIdent unwinds selector/call/index chains to the base identifier:
-// obs.Default.Counter("x").Value → obs. nil when the base is not an
-// identifier (e.g. a composite literal).
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.CallExpr:
-			e = v.Fun
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		case *ast.TypeAssertExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
-}
-
 // render produces a compact, stable rendering of an expression for
 // structural matching (append targets against sort arguments). It is
 // not a printer: unsupported forms render as "?".
@@ -89,140 +57,6 @@ func render(e ast.Expr) string {
 	default:
 		return "?"
 	}
-}
-
-// varInfo is the inferred declared type of a variable.
-type varInfo struct {
-	// typ is the normalized "pkgName.TypeName" form.
-	typ string
-	// ptr records whether the variable holds a pointer to typ.
-	ptr bool
-}
-
-// normalizeType resolves a type expression to "pkgName.TypeName" plus
-// pointer-ness. Unqualified names are qualified with the declaring
-// package's name, so "Stats" inside package crawler and "crawler.Stats"
-// elsewhere normalize identically. Unresolvable forms (maps, slices,
-// funcs, embedded generics) return "".
-func normalizeType(e ast.Expr, pkgName string) (string, bool) {
-	ptr := false
-	for {
-		switch v := e.(type) {
-		case *ast.StarExpr:
-			ptr = true
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.Ident:
-			return pkgName + "." + v.Name, ptr
-		case *ast.SelectorExpr:
-			if x, ok := v.X.(*ast.Ident); ok {
-				return x.Name + "." + v.Sel.Name, ptr
-			}
-			return "", ptr
-		default:
-			return "", ptr
-		}
-	}
-}
-
-// localVarTypes infers the declared types of identifiers visible in fn:
-// the receiver, parameters, named results, var declarations with an
-// explicit type, and := assignments from composite literals, &composite
-// literals, and new(T). Shadowing inside nested function literals is
-// not modeled; analyzers using this accept the over-approximation.
-func localVarTypes(fn *ast.FuncDecl, pkgName string) map[string]varInfo {
-	out := map[string]varInfo{}
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			typ, ptr := normalizeType(fld.Type, pkgName)
-			if typ == "" {
-				continue
-			}
-			for _, n := range fld.Names {
-				out[n.Name] = varInfo{typ: typ, ptr: ptr}
-			}
-		}
-	}
-	addFields(fn.Recv)
-	if fn.Type != nil {
-		addFields(fn.Type.Params)
-		addFields(fn.Type.Results)
-	}
-	if fn.Body == nil {
-		return out
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.DeclStmt:
-			gd, ok := v.Decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || vs.Type == nil {
-					continue
-				}
-				typ, ptr := normalizeType(vs.Type, pkgName)
-				if typ == "" {
-					continue
-				}
-				for _, name := range vs.Names {
-					out[name.Name] = varInfo{typ: typ, ptr: ptr}
-				}
-			}
-		case *ast.AssignStmt:
-			if v.Tok != token.DEFINE || len(v.Lhs) != len(v.Rhs) {
-				return true
-			}
-			for i, lhs := range v.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				if info, ok := typeOfValueExpr(v.Rhs[i], pkgName); ok {
-					out[id.Name] = info
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// typeOfValueExpr resolves the type of a handful of unambiguous value
-// expressions: T{...}, &T{...}, and new(T).
-func typeOfValueExpr(e ast.Expr, pkgName string) (varInfo, bool) {
-	switch v := e.(type) {
-	case *ast.CompositeLit:
-		if v.Type == nil {
-			return varInfo{}, false
-		}
-		typ, ptr := normalizeType(v.Type, pkgName)
-		if typ == "" {
-			return varInfo{}, false
-		}
-		return varInfo{typ: typ, ptr: ptr}, true
-	case *ast.UnaryExpr:
-		if v.Op != token.AND {
-			return varInfo{}, false
-		}
-		if info, ok := typeOfValueExpr(v.X, pkgName); ok {
-			return varInfo{typ: info.typ, ptr: true}, true
-		}
-	case *ast.CallExpr:
-		if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "new" && len(v.Args) == 1 {
-			typ, _ := normalizeType(v.Args[0], pkgName)
-			if typ != "" {
-				return varInfo{typ: typ, ptr: true}, true
-			}
-		}
-	}
-	return varInfo{}, false
 }
 
 // funcDecls yields every top-level function declaration with a body.

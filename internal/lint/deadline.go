@@ -38,7 +38,7 @@ func deadlineAnalyzer() *Analyzer {
 		Name: "deadline",
 		Doc:  "blocking reads in serving packages must be preceded by SetReadDeadline/SetDeadline",
 		Run: func(p *Pass) {
-			if !p.Pkg.Typed() || !deadlinePackages[p.Pkg.Path] {
+			if !deadlinePackages[p.Pkg.Path] {
 				return
 			}
 			for _, f := range p.Pkg.Files {

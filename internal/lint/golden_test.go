@@ -22,7 +22,9 @@ import (
 var wantRe = regexp.MustCompile(`// want "(.*)"`)
 
 // loadFixture parses every .go file in testdata/<dir> as one package
-// with the given import path.
+// with the given import path and type-checks it the way LoadModule
+// does. Module-internal imports (repro/internal/obs) resolve to the
+// enclosing module's packages.
 func loadFixture(t *testing.T, dir, path string) *Package {
 	t.Helper()
 	full := filepath.Join("testdata", dir)
@@ -51,6 +53,11 @@ func loadFixture(t *testing.T, dir, path string) *Package {
 		t.Fatalf("fixture dir %s has no Go files", full)
 	}
 	pkg.Name = pkg.Files[0].Name.Name
+	mod := modulePackages(t)
+	typeCheck(pkg.Fset, append(mod[:len(mod):len(mod)], pkg))
+	if !pkg.Typed() {
+		t.Fatalf("type-check fixture %s: %v", dir, pkg.Errs)
+	}
 	return pkg
 }
 
@@ -80,30 +87,15 @@ func fixtureWants(t *testing.T, pkg *Package) map[string]map[int]*regexp.Regexp 
 	return wants
 }
 
-// typedFixture loads and type-checks a fixture package. deps are
-// already-typed module packages the fixture may import.
-func typedFixture(t *testing.T, dir, path string, deps []*Package) *Package {
-	t.Helper()
-	pkg := loadFixture(t, dir, path)
-	if err := TypeCheckFixture(pkg, deps); err != nil {
-		t.Fatalf("type-check fixture %s: %v", dir, err)
-	}
-	if !pkg.Typed() {
-		t.Fatalf("fixture %s did not type-check", dir)
-	}
-	return pkg
-}
-
-// moduleTypedPkgs loads and type-checks the enclosing module once per
-// test binary; TestRepoIsLintClean and the typed observeonly fixture
-// (which imports repro/internal/obs) share it.
+// modulePackages loads the enclosing module once per test binary;
+// TestRepoIsLintClean and every fixture share it.
 var (
 	moduleOnce sync.Once
 	modulePkgs []*Package
 	moduleErr  error
 )
 
-func moduleTypedPkgs(t *testing.T) []*Package {
+func modulePackages(t *testing.T) []*Package {
 	t.Helper()
 	moduleOnce.Do(func() {
 		root, err := ModuleRoot(".")
@@ -111,10 +103,10 @@ func moduleTypedPkgs(t *testing.T) []*Package {
 			moduleErr = err
 			return
 		}
-		modulePkgs, moduleErr = LoadModuleTyped(root)
+		modulePkgs, moduleErr = LoadModule(root)
 	})
 	if moduleErr != nil {
-		t.Fatalf("LoadModuleTyped: %v", moduleErr)
+		t.Fatalf("LoadModule: %v", moduleErr)
 	}
 	return modulePkgs
 }
@@ -123,20 +115,8 @@ func moduleTypedPkgs(t *testing.T) []*Package {
 func runFixture(t *testing.T, dir, path string, analyzers ...*Analyzer) {
 	t.Helper()
 	pkg := loadFixture(t, dir, path)
-	checkFixture(t, pkg, analyzers)
-}
-
-// runTypedFixture is runFixture through the typed tier.
-func runTypedFixture(t *testing.T, dir, path string, deps []*Package, analyzers ...*Analyzer) {
-	t.Helper()
-	pkg := typedFixture(t, dir, path, deps)
-	checkFixture(t, pkg, analyzers)
-}
-
-func checkFixture(t *testing.T, pkg *Package, analyzers []*Analyzer) {
-	t.Helper()
 	wants := fixtureWants(t, pkg)
-	diags := RunAnalyzers([]*Package{pkg}, analyzers)
+	diags := Run([]*Package{pkg}, analyzers).Diagnostics
 
 	matched := map[string]map[int]bool{}
 	for _, d := range diags {
@@ -176,7 +156,7 @@ func TestDeterminismFixture(t *testing.T) {
 // fixture under a non-deterministic import path: nothing may fire.
 func TestDeterminismScopedToDeterministicPackages(t *testing.T) {
 	pkg := loadFixture(t, "determinism", "repro/internal/dispatch")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}); len(diags) != 0 {
+	if diags := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}).Diagnostics; len(diags) != 0 {
 		t.Fatalf("determinism fired outside the deterministic packages: %v", diags)
 	}
 }
@@ -191,13 +171,14 @@ func TestSeededRandFixture(t *testing.T) {
 // neither tier: nothing may fire.
 func TestSeededRandScoped(t *testing.T) {
 	pkg := loadFixture(t, "seededrand", "repro/internal/dispatch")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}); len(diags) != 0 {
+	if diags := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}).Diagnostics; len(diags) != 0 {
 		t.Fatalf("determinism fired outside both tiers: %v", diags)
 	}
 }
 
 // TestRandSourceFixture covers the on-demand-seed rule: rand.NewSource
 // in a package that builds generators per page, site or connection.
+// The fixture's perSite is the rule's historic catch.
 func TestRandSourceFixture(t *testing.T) {
 	runFixture(t, "randsource", "repro/internal/crawler", determinismAnalyzer())
 }
@@ -206,17 +187,16 @@ func TestRandSourceFixture(t *testing.T) {
 // seeds once per run: nothing may fire.
 func TestRandSourceScoped(t *testing.T) {
 	pkg := loadFixture(t, "randsource", "repro/internal/dispatch")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}); len(diags) != 0 {
+	if diags := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}).Diagnostics; len(diags) != 0 {
 		t.Fatalf("on-demand-seed rule fired outside its packages: %v", diags)
 	}
 }
 
+// TestMaporderFixture includes both historic maporder catches: Table 5
+// items appended in map order, and an http.Header ranged into the
+// handshake writer.
 func TestMaporderFixture(t *testing.T) {
 	runFixture(t, "maporder", "repro/internal/fix", maporderAnalyzer())
-}
-
-func TestAtomicfieldFixture(t *testing.T) {
-	runFixture(t, "atomicfield", "repro/internal/fix", atomicfieldAnalyzer())
 }
 
 func TestObserveonlyFixture(t *testing.T) {
@@ -227,7 +207,7 @@ func TestObserveonlyFixture(t *testing.T) {
 // cmd/ path, where reading metrics for display is the whole point.
 func TestObserveonlyExemptsCmd(t *testing.T) {
 	pkg := loadFixture(t, "observeonly", "repro/cmd/fix")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{observeonlyAnalyzer()}); len(diags) != 0 {
+	if diags := Run([]*Package{pkg}, []*Analyzer{observeonlyAnalyzer()}).Diagnostics; len(diags) != 0 {
 		t.Fatalf("observeonly fired in a cmd package: %v", diags)
 	}
 }
@@ -236,54 +216,21 @@ func TestSpancloseFixture(t *testing.T) {
 	runFixture(t, "spanclose", "repro/internal/fix", spancloseAnalyzer())
 }
 
-// Typed-tier reruns of the syntax-tier fixtures: the same wants must
-// hold when the analyzers resolve types instead of matching syntax, so
-// upgrading an analyzer can never silently change its verdicts.
-func TestMaporderFixtureTyped(t *testing.T) {
-	runTypedFixture(t, "maporder", "repro/internal/fix", nil, maporderAnalyzer())
-}
-
-func TestAtomicfieldFixtureTyped(t *testing.T) {
-	runTypedFixture(t, "atomicfield", "repro/internal/fix", nil, atomicfieldAnalyzer())
-}
-
-func TestObserveonlyFixtureTyped(t *testing.T) {
-	runTypedFixture(t, "observeonly", "repro/internal/fix", moduleTypedPkgs(t), observeonlyAnalyzer())
-}
-
-func TestBufownFixture(t *testing.T) {
-	runTypedFixture(t, "bufown", "repro/internal/fix", nil, bufownAnalyzer())
-}
-
-// TestBufownNeedsTypes runs the bufown fixture through the syntax tier
-// only: a typed analyzer must stay silent on an untyped package rather
-// than guess.
-func TestBufownNeedsTypes(t *testing.T) {
-	pkg := loadFixture(t, "bufown", "repro/internal/fix")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{bufownAnalyzer()}); len(diags) != 0 {
-		t.Fatalf("bufown fired on an untyped package: %v", diags)
-	}
-}
-
-func TestPoolpairFixture(t *testing.T) {
-	runTypedFixture(t, "poolpair", "repro/internal/fix", nil, poolpairAnalyzer())
-}
-
 func TestDeadlineFixture(t *testing.T) {
-	runTypedFixture(t, "deadline", "repro/internal/wsproto", nil, deadlineAnalyzer())
+	runFixture(t, "deadline", "repro/internal/wsproto", deadlineAnalyzer())
 }
 
 // TestDeadlineScopedToServingPackages re-lints the deadline fixture
 // under a non-serving path: nothing may fire.
 func TestDeadlineScopedToServingPackages(t *testing.T) {
-	pkg := typedFixture(t, "deadline", "repro/internal/analysis", nil)
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{deadlineAnalyzer()}); len(diags) != 0 {
+	pkg := loadFixture(t, "deadline", "repro/internal/analysis")
+	if diags := Run([]*Package{pkg}, []*Analyzer{deadlineAnalyzer()}).Diagnostics; len(diags) != 0 {
 		t.Fatalf("deadline fired outside the serving packages: %v", diags)
 	}
 }
 
 func TestLockguardFixture(t *testing.T) {
-	runTypedFixture(t, "lockguard", "repro/internal/fix", nil, lockguardAnalyzer())
+	runFixture(t, "lockguard", "repro/internal/fix", lockguardAnalyzer())
 }
 
 // TestPragmaEdgeCases pins the pragma grammar's corners: several
@@ -327,7 +274,7 @@ func TestPragmaEdgeCases(t *testing.T) {
 // comment cannot share a line with the pragma it describes.
 func TestPragmaValidation(t *testing.T) {
 	pkg := loadFixture(t, "pragma", "repro/internal/webgen")
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{determinismAnalyzer()})
+	diags := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}).Diagnostics
 
 	byAnalyzer := map[string][]int{}
 	for _, d := range diags {

@@ -1,49 +1,37 @@
 // Package lint is the repo's own static-analysis gate: a
 // dependency-free analyzer framework (stdlib go/parser + go/ast +
 // go/token + go/types only, no golang.org/x/tools) plus a suite of
-// project-invariant analyzers that keep the reproduction's headline
-// claims honest. The claims — byte-identical datasets across
-// resume/metrics runs, seeded synthetic-web generation, race-free
-// concurrent orchestration, alias-free pooled buffers — rest on
-// invariants documented in DESIGN.md §7–9; this package enforces them
-// mechanically.
+// project-invariant analyzers that keep the reproduction's recorded
+// bytes deterministic. The claims — byte-identical datasets across
+// resume/metrics runs, seeded synthetic-web generation — rest on
+// invariants documented in DESIGN.md §7–9; this package enforces the
+// ones no test or `go vet` already holds.
 //
-// Analyzers run in two tiers. The syntax tier (go/parser + go/ast)
-// needs nothing beyond the source text. The typed tier
-// (LoadModuleTyped / TypeCheckModule) type-checks the module from
-// source, resolving module-internal imports recursively and stdlib
-// imports through the host toolchain's compiled export data; it
-// populates Package.Types and Package.TypesInfo (Uses, Defs, Types,
-// Selections), which analyzers reach through Pass. Typed analyzers
-// no-op on packages the checker could not complete, so a broken file
-// degrades coverage instead of failing the run.
+// LoadModule parses and type-checks the module from source, resolving
+// module-internal imports recursively and stdlib imports through the
+// host toolchain's compiled export data. Analyzers reach the syntax
+// and the go/types view (Uses, Defs, Types, Selections) through Pass.
+// A package that fails to parse or type-check reports its "load"
+// diagnostics and is otherwise skipped, so one broken package never
+// hides findings in the rest.
 //
 //   - determinism: no wall-clock or unseeded randomness in the
 //     deterministic packages (webgen, analysis, labeler, inclusion,
-//     payload, content, wsproto).
+//     payload, content, wsproto, faultnet, fabric/wire, colstore), and
+//     no up-front rand.NewSource seeding on the per-page paths.
 //   - maporder: no map-iteration order reaching appends or encoder
 //     output without an intervening sort.
-//   - atomicfield: struct fields accessed via sync/atomic anywhere are
-//     never read or written plainly through a pointer outside the
-//     owning type's Snapshot-style accessors.
 //   - observeonly: packages other than obs/cmd/examples may record
 //     metrics but never read them back (instrumentation must not
 //     influence control flow).
 //   - spanclose: every obs.StartSpan is paired with an End in the same
 //     function, directly or via defer.
-//   - bufown (typed): slices returned by methods documented
-//     lint:connowned (wsproto's ReadMessage) must not be retained —
-//     stored into fields/globals/composites, sent on channels, or
-//     captured by goroutines — without an explicit copy.
-//   - poolpair (typed): every sync.Pool Get is Put on all paths in the
-//     same function (or ownership is returned to the caller), never
-//     used after Put, and never Put after escaping.
-//   - deadline (typed): blocking reads on net.Conn and on
-//     ReadMessage-style codecs in the serving packages must be
-//     preceded by SetReadDeadline/SetDeadline.
-//   - lockguard (typed): fields annotated "guarded by <mu>" are only
-//     accessed with that mutex held in the same function, and mutex
-//     values are never copied.
+//   - deadline: blocking reads on net.Conn and on ReadMessage-style
+//     codecs in the serving packages must be preceded by
+//     SetReadDeadline/SetDeadline.
+//   - lockguard: fields annotated "guarded by <mu>" are only accessed
+//     with that mutex held in the same function. (Copied mutexes are
+//     `go vet`'s copylocks check.)
 //
 // Intentional violations are suppressed in place with a pragma that
 // must name the analyzer and carry a written justification:
@@ -87,15 +75,8 @@ type Analyzer struct {
 
 // Pass carries one (package, analyzer) unit of work.
 type Pass struct {
-	// Pkg is the package under analysis.
+	// Pkg is the package under analysis; it always type-checked.
 	Pkg *Package
-	// All is every package of the module, for module-wide analyses
-	// (atomicfield's registry of atomically-accessed fields, bufown's
-	// registry of conn-owned methods).
-	All []*Package
-	// Cache is shared across every pass of one RunAnalyzers call, so
-	// module-wide precomputation happens once. Key by analyzer name.
-	Cache map[string]any
 
 	analyzer string
 	out      *[]Diagnostic
@@ -318,9 +299,9 @@ func suppressed(d Diagnostic, allows []allowPragma) bool {
 // Run runs every analyzer over every package, applies pragma
 // suppression, and returns the surviving diagnostics sorted by
 // position plus per-analyzer suppression counts. Malformed pragmas
-// surface as "pragma" diagnostics; load/type-check failures recorded
-// on the packages surface as "load" diagnostics (neither is
-// suppressible).
+// surface as "pragma" diagnostics. A package that failed to parse or
+// type-check contributes its "load" diagnostics and nothing else
+// (neither kind is suppressible).
 func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 	known := map[string]bool{}
 	res := Result{Suppressed: map[string]int{}}
@@ -328,10 +309,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 		known[a.Name] = true
 		res.Suppressed[a.Name] = 0
 	}
-	cache := map[string]any{}
 	diags := []Diagnostic{}
 	for _, pkg := range pkgs {
 		diags = append(diags, pkg.Errs...)
+		if !pkg.Typed() {
+			continue
+		}
 		var allows []allowPragma
 		for _, f := range pkg.Files {
 			ps, bad := filePragmas(pkg.Fset, f, known)
@@ -340,7 +323,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 		}
 		var found []Diagnostic
 		for _, a := range analyzers {
-			pass := &Pass{Pkg: pkg, All: pkgs, Cache: cache, analyzer: a.Name, out: &found}
+			pass := &Pass{Pkg: pkg, analyzer: a.Name, out: &found}
 			a.Run(pass)
 		}
 		for _, d := range found {
@@ -368,24 +351,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 	return res
 }
 
-// RunAnalyzers is Run without the suppression accounting, kept for the
-// call sites that only need the surviving diagnostics.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return Run(pkgs, analyzers).Diagnostics
-}
-
-// Suite returns the repo's analyzer suite, in reporting order: the
-// syntax tier first, then the typed tier (which no-ops on packages
-// without type information).
+// Suite returns the repo's analyzer suite, in reporting order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		determinismAnalyzer(),
 		maporderAnalyzer(),
-		atomicfieldAnalyzer(),
 		observeonlyAnalyzer(),
 		spancloseAnalyzer(),
-		bufownAnalyzer(),
-		poolpairAnalyzer(),
 		deadlineAnalyzer(),
 		lockguardAnalyzer(),
 	}

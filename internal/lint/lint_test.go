@@ -47,13 +47,12 @@ func TestLoadModule(t *testing.T) {
 	}
 }
 
-// TestSuite checks the advertised analyzer suite: the syntax-tier
-// analyzers followed by the typed tier, each runnable and documented.
+// TestSuite checks the advertised analyzer suite, each runnable and
+// documented.
 func TestSuite(t *testing.T) {
 	suite := Suite()
 	want := []string{
-		"determinism", "maporder", "atomicfield", "observeonly", "spanclose",
-		"bufown", "poolpair", "deadline", "lockguard",
+		"determinism", "maporder", "observeonly", "spanclose", "deadline", "lockguard",
 	}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

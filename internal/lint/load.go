@@ -15,7 +15,7 @@ import (
 	"strings"
 )
 
-// Package is one parsed, non-test package of the module.
+// Package is one parsed, type-checked, non-test package of the module.
 type Package struct {
 	// Name is the package clause name ("webgen").
 	Name string
@@ -30,22 +30,19 @@ type Package struct {
 	// Filenames are the module-relative paths, parallel to Files.
 	Filenames []string
 
-	// Types and TypesInfo carry the go/types view of the package once
-	// the typed tier has run (LoadModuleTyped / TypeCheckModule). They
-	// are nil under the syntax-only loader and for packages that failed
-	// to parse or type-check; analyzers consult Typed() and fall back
-	// to syntax heuristics when absent.
+	// Types is the go/types view of the package; nil when it has Errs.
 	Types *types.Package
 	// TypesInfo records Uses, Defs, Types, and Selections for every
-	// file in Files.
+	// file in Files; nil when the package has Errs.
 	TypesInfo *types.Info
 	// Errs holds parse and type-check failures as diagnostics
-	// (analyzer "load"). A package with Errs keeps its parseable files
-	// on the syntax surface but is skipped by the typed tier.
+	// (analyzer "load"). Run reports them and lints nothing else in
+	// the package.
 	Errs []Diagnostic
 }
 
-// Typed reports whether the typed tier is available for this package.
+// Typed reports whether the package parsed and type-checked cleanly,
+// which every analyzer relies on.
 func (p *Package) Typed() bool {
 	return p.TypesInfo != nil && p.Types != nil
 }
@@ -124,14 +121,17 @@ func parseDiags(file string, err error) []Diagnostic {
 	return []Diagnostic{{File: file, Line: 1, Col: 1, Analyzer: "load", Message: "parse: " + err.Error()}}
 }
 
-// LoadModule parses every non-test Go file under root into packages,
-// one per directory, with import paths derived from the module name in
-// go.mod. testdata, vendor, and dot directories are skipped. Files are
-// positioned by module-relative path so diagnostics print cleanly.
+// LoadModule parses and type-checks every non-test Go file under root
+// into packages, one per directory, with import paths derived from the
+// module name in go.mod. testdata, vendor, and dot directories are
+// skipped. Files are positioned by module-relative path so diagnostics
+// print cleanly. Module-internal imports are type-checked from source
+// (dependency order falls out of the recursion); stdlib imports resolve
+// through the host toolchain's compiled export data.
 //
-// Parse failures do not abort the load: the broken file is dropped,
-// the failure is recorded on the package's Errs as "load" diagnostics,
-// and the remaining files still reach the syntax analyzers.
+// Parse and type errors do not abort the load: they are recorded on the
+// package's Errs as "load" diagnostics, the package stays untyped, and
+// every other package is still checked and linted.
 func LoadModule(root string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -210,18 +210,7 @@ func LoadModule(root string) ([]*Package, error) {
 			pkgs = append(pkgs, pkg)
 		}
 	}
-	return pkgs, nil
-}
-
-// LoadModuleTyped is LoadModule followed by TypeCheckModule: the full
-// typed tier. Packages that fail to parse or type-check stay on the
-// syntax surface with their failures recorded in Errs.
-func LoadModuleTyped(root string) ([]*Package, error) {
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		return nil, err
-	}
-	TypeCheckModule(pkgs)
+	typeCheck(fset, pkgs)
 	return pkgs, nil
 }
 
@@ -229,26 +218,32 @@ func LoadModuleTyped(root string) ([]*Package, error) {
 // single missing symbol tends to cascade.
 const maxTypeErrs = 5
 
-// typeChecker resolves imports for the typed tier: module-internal
-// paths are type-checked from source on demand (dependency order falls
-// out of the recursion), pre-typed externals are served directly, and
-// everything else goes to the compiled-export-data importer for the
+// typeChecker resolves imports: module-internal paths are type-checked
+// from source on demand (dependency order falls out of the recursion),
+// and everything else goes to the compiled-export-data importer for the
 // host toolchain's stdlib.
 type typeChecker struct {
-	byPath map[string]*Package       // module packages, checked on demand
-	extern map[string]*types.Package // pre-typed dependencies (fixture runs)
+	byPath map[string]*Package // module packages, checked on demand
 	std    types.ImporterFrom
 	busy   map[string]bool // import-cycle guard
 	done   map[string]bool
 }
 
-func newTypeChecker(fset *token.FileSet) *typeChecker {
-	return &typeChecker{
+// typeCheck type-checks pkgs (which share fset) against each other and
+// the host toolchain's compiled stdlib. Packages that are already typed
+// are served as they are.
+func typeCheck(fset *token.FileSet, pkgs []*Package) {
+	tc := &typeChecker{
 		byPath: map[string]*Package{},
-		extern: map[string]*types.Package{},
 		std:    importer.ForCompiler(fset, "gc", nil).(types.ImporterFrom),
 		busy:   map[string]bool{},
 		done:   map[string]bool{},
+	}
+	for _, p := range pkgs {
+		tc.byPath[p.Path] = p
+	}
+	for _, p := range pkgs {
+		tc.ensure(p)
 	}
 }
 
@@ -257,9 +252,6 @@ func (tc *typeChecker) Import(path string) (*types.Package, error) {
 }
 
 func (tc *typeChecker) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if dep, ok := tc.extern[path]; ok {
-		return dep, nil
-	}
 	if p, ok := tc.byPath[path]; ok {
 		if tc.busy[path] {
 			return nil, fmt.Errorf("import cycle through %s", path)
@@ -275,7 +267,7 @@ func (tc *typeChecker) ImportFrom(path, dir string, mode types.ImportMode) (*typ
 
 // ensure type-checks p exactly once, recursing through module imports.
 func (tc *typeChecker) ensure(p *Package) {
-	if tc.done[p.Path] {
+	if tc.done[p.Path] || p.Typed() {
 		return
 	}
 	tc.busy[p.Path] = true
@@ -284,14 +276,14 @@ func (tc *typeChecker) ensure(p *Package) {
 		tc.done[p.Path] = true
 	}()
 	if len(p.Errs) > 0 || len(p.Files) == 0 {
-		return // parse-broken: stays syntax-only
+		return // parse-broken: nothing to check
 	}
 	tc.check(p)
 }
 
 // check runs go/types over one package, recording failures as "load"
-// diagnostics. On any hard error the package is left untyped so the
-// typed analyzers skip it rather than work from partial information.
+// diagnostics. On any error the package is left untyped so Run skips
+// it rather than lint from partial information.
 func (tc *typeChecker) check(p *Package) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -328,43 +320,4 @@ func (tc *typeChecker) check(p *Package) {
 	}
 	p.Types = tpkg
 	p.TypesInfo = info
-}
-
-// TypeCheckModule type-checks pkgs (which must share one FileSet)
-// against each other and the host toolchain's compiled stdlib. It
-// never fails as a whole: packages that do not type-check keep nil
-// Types/TypesInfo and carry the errors in Errs.
-func TypeCheckModule(pkgs []*Package) {
-	if len(pkgs) == 0 {
-		return
-	}
-	tc := newTypeChecker(pkgs[0].Fset)
-	for _, p := range pkgs {
-		tc.byPath[p.Path] = p
-	}
-	for _, p := range pkgs {
-		tc.ensure(p)
-	}
-}
-
-// TypeCheckFixture type-checks one hand-loaded package (the golden-test
-// path). deps supplies already-typed packages for module-internal
-// imports; stdlib imports resolve through the compiled importer. The
-// error joins every recorded failure so fixtures fail loudly.
-func TypeCheckFixture(pkg *Package, deps []*Package) error {
-	tc := newTypeChecker(pkg.Fset)
-	for _, d := range deps {
-		if d.Types != nil {
-			tc.extern[d.Path] = d.Types
-		}
-	}
-	tc.ensure(pkg)
-	if len(pkg.Errs) > 0 {
-		msgs := make([]string, len(pkg.Errs))
-		for i, d := range pkg.Errs {
-			msgs[i] = d.String()
-		}
-		return fmt.Errorf("typecheck fixture %s:\n%s", pkg.Path, strings.Join(msgs, "\n"))
-	}
-	return nil
 }

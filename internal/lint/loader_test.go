@@ -1,7 +1,7 @@
 package lint
 
-// Loader robustness tests: the typed tier must degrade per package,
-// never fail the whole run. A syntax error in one package leaves the
+// Loader robustness tests: the loader must degrade per package, never
+// fail the whole run. A syntax error in one package leaves the
 // rest fully linted; a missing import surfaces as a positioned "load"
 // diagnostic instead of a panic or a module-wide error.
 
@@ -55,9 +55,9 @@ func Keys(m map[string]int) []string {
 }
 `,
 	})
-	pkgs, err := LoadModuleTyped(root)
+	pkgs, err := LoadModule(root)
 	if err != nil {
-		t.Fatalf("LoadModuleTyped: %v", err)
+		t.Fatalf("LoadModule: %v", err)
 	}
 
 	broken := pkgByPath(pkgs, "tmpmod/broken")
@@ -106,7 +106,7 @@ func Keys(m map[string]int) []string {
 
 // TestLoadMissingImportDiagnostic checks that an unresolvable import
 // fails with a positioned diagnostic naming the import, not a panic,
-// and leaves the package on the syntax tier.
+// and leaves the package untyped.
 func TestLoadMissingImportDiagnostic(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module tmpmod\n\ngo 1.22\n",
@@ -117,9 +117,9 @@ import "no/such/dep"
 var X = dep.Thing
 `,
 	})
-	pkgs, err := LoadModuleTyped(root)
+	pkgs, err := LoadModule(root)
 	if err != nil {
-		t.Fatalf("LoadModuleTyped: %v", err)
+		t.Fatalf("LoadModule: %v", err)
 	}
 	p := pkgByPath(pkgs, "tmpmod/withdep")
 	if p == nil {

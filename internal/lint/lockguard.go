@@ -1,14 +1,15 @@
 package lint
 
 // lockguard turns the repo's existing "guarded by <mu>" field-comment
-// convention (wsproto.Conn scratch buffers, filterlist compile state)
-// into a checked contract: a field so annotated may only be accessed
-// in functions that lock the named sibling mutex first (on the same
-// receiver chain, before the access, with no intervening non-deferred
-// unlock). Composite-literal construction is exempt — there is no
-// selector, and the value is not yet shared. The analyzer also flags
-// mutex-bearing values copied by assignment, range, or call argument
-// (the copylocks class of bug), since a copied mutex guards nothing.
+// convention (wsproto.Conn's close state and scratch buffers, the web
+// server's socket set, the colstore writer, the dispatch ledger, the
+// shard merger, the in-memory conn) into a checked contract: a field so
+// annotated may only be accessed in functions that lock the named
+// sibling mutex first (on the same receiver chain, before the access,
+// with no intervening non-deferred unlock). Composite-literal
+// construction is exempt — there is no selector, and the value is not
+// yet shared. Copied mutexes are not this analyzer's business: `go
+// vet`'s copylocks check holds that, at every site.
 //
 // The analysis is function-local and linear: it does not model
 // helpers that run with the caller's lock held. Such helpers should
@@ -32,7 +33,7 @@ type lockGuard struct {
 func lockguardAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "lockguard",
-		Doc:  "fields annotated \"guarded by <mu>\" need that mutex held; mutexes must not be copied",
+		Doc:  "fields annotated \"guarded by <mu>\" need that mutex held",
 		Run: func(p *Pass) {
 			if !p.Pkg.Typed() {
 				return
@@ -41,7 +42,6 @@ func lockguardAnalyzer() *Analyzer {
 			for _, f := range p.Pkg.Files {
 				for _, fn := range funcDecls(f) {
 					checkLockGuards(p, fn, guards)
-					checkLockCopies(p, fn)
 				}
 			}
 		},
@@ -207,88 +207,4 @@ func checkLockGuards(p *Pass, fn *ast.FuncDecl, guards map[*types.Var]lockGuard)
 		}
 		return true
 	})
-}
-
-// checkLockCopies flags by-value copies of types that contain a sync
-// mutex: assignments, range clauses, and call arguments.
-func checkLockCopies(p *Pass, fn *ast.FuncDecl) {
-	info := p.Pkg.TypesInfo
-	cache := map[types.Type]bool{}
-
-	copyable := func(e ast.Expr) bool {
-		// Only flag forms that read an existing value out of a
-		// location; literals, calls, and conversions build new values.
-		switch ast.Unparen(e).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-			return true
-		}
-		return false
-	}
-	flag := func(e ast.Expr, how string) {
-		if !copyable(e) {
-			return
-		}
-		t := info.TypeOf(e)
-		if t == nil || !containsLock(t, cache) {
-			return
-		}
-		p.Reportf(e.Pos(), "%s copies %s, which contains a sync mutex; copied locks guard nothing", how, render(e))
-	}
-
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range v.Rhs {
-				flag(rhs, "assignment")
-			}
-		case *ast.RangeStmt:
-			if t := info.TypeOf(v.X); t != nil {
-				if sl, ok := t.Underlying().(*types.Slice); ok && containsLock(sl.Elem(), cache) && v.Value != nil {
-					p.Reportf(v.Value.Pos(), "range clause copies elements containing a sync mutex; iterate by index")
-				}
-			}
-		case *ast.CallExpr:
-			if tv, ok := info.Types[v.Fun]; ok && tv.IsType() {
-				return true // conversion, not a call
-			}
-			for _, arg := range v.Args {
-				flag(arg, "call argument")
-			}
-		}
-		return true
-	})
-}
-
-// containsLock reports whether a value of type t embeds a sync.Mutex
-// or sync.RWMutex by value (directly, via struct fields, or arrays).
-func containsLock(t types.Type, cache map[types.Type]bool) bool {
-	if t == nil {
-		return false
-	}
-	if v, ok := cache[t]; ok {
-		return v
-	}
-	cache[t] = false // cycle guard; value cycles are impossible anyway
-	res := false
-	// Pointers are deliberately not unwrapped: copying a *Conn does
-	// not copy the mutexes inside the Conn.
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			res = true
-		}
-	}
-	if !res {
-		switch u := t.Underlying().(type) {
-		case *types.Struct:
-			for i := 0; i < u.NumFields() && !res; i++ {
-				res = containsLock(u.Field(i).Type(), cache)
-			}
-		case *types.Array:
-			res = containsLock(u.Elem(), cache)
-		}
-	}
-	cache[t] = res
-	return res
 }

@@ -19,192 +19,32 @@ var writerMethods = map[string]bool{
 // maporderAnalyzer flags map iteration whose order escapes into output:
 // a range over a map that appends to a slice never subsequently sorted,
 // or that writes to an encoder/stream directly. Map-to-map folds
-// (out[k] += v) are order-insensitive and stay legal. Under the typed
-// tier, map-ness comes from the resolved type of the range operand —
-// any expression, not just the syntactic shapes. The syntax fallback
-// (parameters and locals with map types, make(map...)/map literals,
-// package-level map vars, selectors of struct fields declared as maps
-// in the package) remains for packages that did not type-check.
+// (out[k] += v) are order-insensitive and stay legal. Map-ness comes
+// from the resolved type of the range operand, so any expression counts
+// — fields, calls, and named map types such as http.Header included.
 func maporderAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "maporder",
 		Doc:  "forbid map-iteration order reaching appends or encoder output without a sort",
 		Run: func(p *Pass) {
-			var mapFields, mapGlobals map[string]bool
-			if !p.Pkg.Typed() {
-				mapFields = collectMapFields(p.Pkg)
-				mapGlobals = collectMapGlobals(p.Pkg)
-			}
+			info := p.Pkg.TypesInfo
 			for _, f := range p.Pkg.Files {
 				sortName := importName(f, "sort")
 				for _, fn := range funcDecls(f) {
-					checkMapOrder(p, fn, mapFields, mapGlobals, sortName)
+					ast.Inspect(fn.Body, func(n ast.Node) bool {
+						rs, ok := n.(*ast.RangeStmt)
+						if !ok {
+							return true
+						}
+						if _, isMap := info.TypeOf(rs.X).Underlying().(*types.Map); isMap {
+							checkMapRange(p, fn, rs, sortName)
+						}
+						return true
+					})
 				}
 			}
 		},
 	}
-}
-
-// collectMapFields gathers the names of struct fields declared with a
-// map type anywhere in the package, so ranges over m.sites-style
-// selectors are recognized.
-func collectMapFields(pkg *Package) map[string]bool {
-	fields := map[string]bool{}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				if _, isMap := fld.Type.(*ast.MapType); !isMap {
-					continue
-				}
-				for _, name := range fld.Names {
-					fields[name.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	return fields
-}
-
-// collectMapGlobals gathers package-level variables with map types.
-func collectMapGlobals(pkg *Package) map[string]bool {
-	globals := map[string]bool{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				isMap := false
-				if vs.Type != nil {
-					_, isMap = vs.Type.(*ast.MapType)
-				} else if len(vs.Values) == 1 {
-					isMap = isMapValue(vs.Values[0])
-				}
-				if !isMap {
-					continue
-				}
-				for _, name := range vs.Names {
-					globals[name.Name] = true
-				}
-			}
-		}
-	}
-	return globals
-}
-
-// isMapValue reports whether an initializer expression builds a map.
-func isMapValue(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.CompositeLit:
-		_, ok := v.Type.(*ast.MapType)
-		return ok
-	case *ast.CallExpr:
-		if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "make" && len(v.Args) >= 1 {
-			_, ok := v.Args[0].(*ast.MapType)
-			return ok
-		}
-	}
-	return false
-}
-
-// checkMapOrder inspects one function.
-func checkMapOrder(p *Pass, fn *ast.FuncDecl, mapFields, mapGlobals map[string]bool, sortName string) {
-	if p.Pkg.Typed() {
-		info := p.Pkg.TypesInfo
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			if t := info.TypeOf(rs.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					checkMapRange(p, fn, rs, sortName)
-				}
-			}
-			return true
-		})
-		return
-	}
-
-	localMaps := map[string]bool{}
-	addParams := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			if _, ok := fld.Type.(*ast.MapType); !ok {
-				continue
-			}
-			for _, name := range fld.Names {
-				localMaps[name.Name] = true
-			}
-		}
-	}
-	addParams(fn.Recv)
-	addParams(fn.Type.Params)
-	addParams(fn.Type.Results)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if len(v.Lhs) != len(v.Rhs) {
-				return true
-			}
-			for i, lhs := range v.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || !isMapValue(v.Rhs[i]) {
-					continue
-				}
-				localMaps[id.Name] = true
-			}
-		case *ast.DeclStmt:
-			gd, ok := v.Decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || vs.Type == nil {
-					continue
-				}
-				if _, isMap := vs.Type.(*ast.MapType); !isMap {
-					continue
-				}
-				for _, name := range vs.Names {
-					localMaps[name.Name] = true
-				}
-			}
-		}
-		return true
-	})
-
-	isMap := func(e ast.Expr) bool {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return localMaps[v.Name] || mapGlobals[v.Name]
-		case *ast.SelectorExpr:
-			return mapFields[v.Sel.Name]
-		}
-		return false
-	}
-
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok || !isMap(rs.X) {
-			return true
-		}
-		checkMapRange(p, fn, rs, sortName)
-		return true
-	})
 }
 
 // checkMapRange inspects one range-over-map statement: direct writes

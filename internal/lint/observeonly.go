@@ -21,6 +21,10 @@ var obsReadMethods = map[string]bool{
 // cmd/ binaries, examples, and tests. A library that branches on a
 // counter has turned observation into control flow, which is exactly
 // how metrics-enabled runs stop being byte-identical.
+//
+// Every call that resolves to an obs-package read method is flagged,
+// wherever the receiver came from (a package var, a parameter, a
+// field), in function bodies and package-level initializers alike.
 func observeonlyAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "observeonly",
@@ -32,123 +36,27 @@ func observeonlyAnalyzer() *Analyzer {
 				strings.HasPrefix(path, "repro/examples/") {
 				return
 			}
-			if p.Pkg.Typed() {
-				runObserveOnlyTyped(p)
-				return
-			}
-			// Package-level vars bound to obs expressions (the
-			// pre-resolved metric pattern) are tracked across files.
-			tainted := map[string]bool{}
+			info := p.Pkg.TypesInfo
 			for _, f := range p.Pkg.Files {
-				obsName := importName(f, obsPath)
-				if obsName == "" {
-					continue
-				}
-				for _, decl := range f.Decls {
-					gd, ok := decl.(*ast.GenDecl)
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
 					if !ok {
-						continue
+						return true
 					}
-					for _, spec := range gd.Specs {
-						vs, ok := spec.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						for i, name := range vs.Names {
-							if i < len(vs.Values) && obsRooted(vs.Values[i], obsName, tainted) {
-								tainted[name.Name] = true
-							}
-						}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
 					}
-				}
-			}
-			for _, f := range p.Pkg.Files {
-				obsName := importName(f, obsPath)
-				if obsName == "" && len(tainted) == 0 {
-					continue
-				}
-				for _, fn := range funcDecls(f) {
-					checkObserveOnly(p, fn, obsName, tainted)
-				}
+					fObj := calleeFunc(info, call)
+					if fObj == nil || !funcIn(fObj, obsPath) || !obsReadMethods[fObj.Name()] {
+						return true
+					}
+					p.Reportf(call.Pos(),
+						"%s.%s() reads metric state in library package %s; instrumentation is observe-only — reads belong to obs, cmd, and tests",
+						render(sel.X), fObj.Name(), p.Pkg.Path)
+					return true
+				})
 			}
 		},
 	}
-}
-
-// runObserveOnlyTyped flags every call that resolves to an obs-package
-// read method, wherever the receiver came from — the typed tier
-// replaces the syntax taint heuristic (which missed obs values passed
-// in as parameters or stored in fields) with exact callee resolution.
-// Package-level var initializers are inspected too, not just function
-// bodies.
-func runObserveOnlyTyped(p *Pass) {
-	info := p.Pkg.TypesInfo
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fObj := calleeFunc(info, call)
-			if fObj == nil || !funcIn(fObj, obsPath) || !obsReadMethods[fObj.Name()] {
-				return true
-			}
-			p.Reportf(call.Pos(),
-				"%s.%s() reads metric state in library package %s; instrumentation is observe-only — reads belong to obs, cmd, and tests",
-				render(sel.X), fObj.Name(), p.Pkg.Path)
-			return true
-		})
-	}
-}
-
-// obsRooted reports whether an expression's base identifier is the obs
-// package or a variable already known to hold an obs value.
-func obsRooted(e ast.Expr, obsName string, tainted map[string]bool) bool {
-	root := rootIdent(e)
-	if root == nil {
-		return false
-	}
-	return (obsName != "" && root.Name == obsName) || tainted[root.Name]
-}
-
-// checkObserveOnly walks one function, propagating obs taint through
-// := assignments in source order and flagging read-method calls on
-// obs-rooted chains.
-func checkObserveOnly(p *Pass, fn *ast.FuncDecl, obsName string, pkgTainted map[string]bool) {
-	tainted := map[string]bool{}
-	for name := range pkgTainted {
-		tainted[name] = true
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if len(v.Lhs) != len(v.Rhs) {
-				return true
-			}
-			for i, lhs := range v.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				if obsRooted(v.Rhs[i], obsName, tainted) {
-					tainted[id.Name] = true
-				}
-			}
-		case *ast.CallExpr:
-			sel, ok := v.Fun.(*ast.SelectorExpr)
-			if !ok || !obsReadMethods[sel.Sel.Name] {
-				return true
-			}
-			if obsRooted(sel.X, obsName, tainted) {
-				p.Reportf(v.Pos(),
-					"%s.%s() reads metric state in library package %s; instrumentation is observe-only — reads belong to obs, cmd, and tests",
-					render(sel.X), sel.Sel.Name, p.Pkg.Path)
-			}
-		}
-		return true
-	})
 }

@@ -1,6 +1,6 @@
 // Fixture for the lockguard analyzer: fields annotated "guarded by
 // <mu>" must only be accessed with that mutex held in the same
-// function, and mutex-bearing values must never be copied.
+// function.
 package fix
 
 import "sync"
@@ -39,29 +39,6 @@ func (c *counter) unguardedIsFree() string {
 
 func newCounter() *counter {
 	return &counter{n: 7} // composite-literal construction is exempt
-}
-
-func copyByDeref(c *counter) counter {
-	snap := *c // want "assignment copies"
-	return snap
-}
-
-func passByValue(c counter) int { return 0 }
-
-func callCopies(c *counter) {
-	_ = passByValue(*c) // want "call argument copies"
-}
-
-func rangeCopies(cs []counter) {
-	for _, c := range cs { // want "range clause copies"
-		_ = c.s
-	}
-}
-
-func pointersAreFine(cs []*counter) {
-	for _, c := range cs {
-		c.inc()
-	}
 }
 
 type stale struct {

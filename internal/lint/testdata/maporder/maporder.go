@@ -1,12 +1,18 @@
-// Fixture for the maporder analyzer.
+// Fixture for the maporder analyzer. keysUnsorted and
+// handshakeHeaders are the two shapes the analyzer has caught in
+// product code; they must keep firing.
 package fix
 
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 )
 
+// keysUnsorted is the content.DetectSentHeaders shape: Table 5 items
+// appended while ranging over a header map, so their order changed
+// from run to run.
 func keysUnsorted(m map[string]int) []string {
 	var out []string
 	for k := range m {
@@ -36,6 +42,17 @@ func rowsSortSlice(m map[string]int) []string {
 func dump(w io.Writer, m map[string]int) {
 	for k, v := range m {
 		fmt.Fprintf(w, "%s=%d\n", k, v) // want "writes output inside a map range"
+	}
+}
+
+// handshakeHeaders is the wsproto client-handshake shape: extra headers
+// of a named map type (http.Header, which no syntactic map match sees)
+// written straight to the request in map order.
+func handshakeHeaders(w io.Writer, extra http.Header) {
+	for k, vs := range extra {
+		for _, v := range vs {
+			fmt.Fprintf(w, "%s: %s\r\n", k, v) // want "writes output inside a map range"
+		}
 	}
 }
 

@@ -2,7 +2,9 @@
 // as package path repro/internal/crawler, where a generator is built
 // per site and rand.NewSource's up-front 607-word seeding is the cost
 // detrand.New exists to avoid; and again as repro/internal/dispatch
-// (one generator per run: zero findings expected).
+// (one generator per run: zero findings expected). perSite is the
+// shape the rule caught in product code when it was introduced: a
+// per-site generator seeded through rand.NewSource on the crawl path.
 package crawler
 
 import (

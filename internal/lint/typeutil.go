@@ -1,8 +1,7 @@
 package lint
 
-// Shared go/types helpers for the typed analyzer tier. Everything here
-// degrades to "unknown" (nil/false) rather than guessing, so typed
-// analyzers stay silent on packages the checker could not complete.
+// Shared go/types helpers. Everything here degrades to "unknown"
+// (nil/false) rather than guessing.
 
 import (
 	"go/ast"
@@ -41,20 +40,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 }
 
-// isByteSlice reports whether t is []byte (or a named type whose
-// underlying type is []byte).
-func isByteSlice(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
-}
-
 // isNetConn reports whether t is exactly the net.Conn interface type.
 func isNetConn(t types.Type) bool {
 	n := namedOf(t)
@@ -76,36 +61,8 @@ func hasMethod(t types.Type, name string) bool {
 	return ok
 }
 
-// objOf resolves an identifier to its object, whether the occurrence
-// defines it (:=) or uses it.
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
-}
-
-// isPkgLevel reports whether obj is declared at package scope.
-func isPkgLevel(obj types.Object) bool {
-	return obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
-}
-
 // funcIn reports whether f is a function or method declared in the
 // package with the given import path.
 func funcIn(f *types.Func, path string) bool {
 	return f != nil && f.Pkg() != nil && f.Pkg().Path() == path
-}
-
-// isPoolMethod reports whether f is (*sync.Pool).Get or .Put (per
-// name), matched by resolved receiver type rather than spelling.
-func isPoolMethod(f *types.Func, name string) bool {
-	if f == nil || f.Name() != name || !funcIn(f, "sync") {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	n := namedOf(sig.Recv().Type())
-	return n != nil && n.Obj().Name() == "Pool"
 }

@@ -299,9 +299,9 @@ func (c *Conn) readHeader() (fin bool, op Opcode, plen int64, masked bool, key [
 // connection and is valid only until the next read or close call on
 // this Conn. Callers that retain the bytes past that point must copy
 // them first (DESIGN.md §13 documents the rule). This is what makes the
-// steady-state read path allocation-free.
-//
-//lint:connowned
+// steady-state read path allocation-free. TestReadMessageBufferOwnership
+// pins the aliasing, and core's TestGoldenDigests fails if a caller
+// (the browser's socket recorder) retains the slice without copying.
 func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()

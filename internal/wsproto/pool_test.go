@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -368,6 +369,64 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state echo path allocates %.1f allocs/msg, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestWriteFrameZeroAlloc is the package-level WriteFrame's row of the
+// same gate: its header and mask copy come from maskBufPool, so once
+// the pool is warm a frame allocates nothing, masked or not. A write
+// path that kept the buffer instead of returning it would allocate a
+// fresh one per frame.
+func TestWriteFrameZeroAlloc(t *testing.T) {
+	skipIfRace(t)
+	for _, f := range []*Frame{
+		{FIN: true, Opcode: OpBinary, Payload: benchPayload(1024), Masked: true, MaskKey: [4]byte{1, 2, 3, 4}},
+		{FIN: true, Opcode: OpText, Payload: benchPayload(128)},
+	} {
+		write := func() {
+			if err := WriteFrame(io.Discard, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write()
+		if allocs := testing.AllocsPerRun(200, write); allocs != 0 {
+			t.Errorf("WriteFrame (masked=%v) allocates %.1f allocs/frame, want 0", f.Masked, allocs)
+		}
+	}
+}
+
+// TestHandshakeWriterReturnedToPool: Dial and Accept borrow one
+// *bufio.Writer for the handshake flush and hand it back, so a warm
+// borrow-write-return cycle allocates nothing. A writer that is not
+// returned costs a fresh bufio.Writer and its buffer per handshake.
+func TestHandshakeWriterReturnedToPool(t *testing.T) {
+	skipIfRace(t)
+	handshake := func() {
+		bw := getHandshakeWriter(io.Discard)
+		if _, err := bw.WriteString("HTTP/1.1 101 Switching Protocols\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		putHandshakeWriter(bw)
+	}
+	handshake()
+	if allocs := testing.AllocsPerRun(200, handshake); allocs != 0 {
+		t.Errorf("handshake writer borrow/return allocates %.1f allocs, want 0", allocs)
+	}
+}
+
+// skipIfRace skips allocation tests of pooled paths under the race
+// detector, where sync.Pool drops items at random.
+func skipIfRace(t *testing.T) {
+	t.Helper()
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops items at random under the race detector")
+			}
+		}
 	}
 }
 
