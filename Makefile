@@ -33,8 +33,9 @@ race:
 # replaced, the filter-list parser + indexed matcher to the linear scan,
 # the script codec to encoding/json, the WebSocket handshake parsers
 # (the first decoders that face another process's bytes) to net/http's
-# and to their 64 KiB head cap, and the web server's in-process
-# transports to its wire; FuzzParse feeds htmlparse
+# and to their 64 KiB head cap, the web server's in-process transports
+# to its wire, and the fabric frame decoder to its own re-encoding
+# (FuzzWireDecode: accepted frames round-trip); FuzzParse feeds htmlparse
 # hostile bytes and holds its attributes to the map parser. Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
 # interesting stay in the Go build cache, and a failing input is
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadClientHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadServerHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/webserver -run '^$$' -fuzz '^FuzzTransportsAgree$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled

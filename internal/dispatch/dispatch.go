@@ -7,7 +7,9 @@
 //
 //   - a job queue with lease-based claiming: a worker leases a site,
 //     heartbeats while crawling it, and the site is re-queued if the
-//     lease TTL elapses (dead or wedged worker);
+//     lease TTL elapses (dead or wedged worker). The queue is its
+//     callers' only clock: a blocked Lease wakes on the next settle or
+//     deadline, and Drained closes when the last job turns terminal;
 //   - retries with exponential backoff + seeded jitter up to an attempt
 //     budget, with errors classified retryable vs fatal;
 //   - the Ledger (ledger.go), which owns everything durable: every
@@ -22,7 +24,7 @@
 //
 // The fabric coordinator (internal/fabric) is the ledger's other caller:
 // same queue with batches as the leased unit, same ledger, a wire session
-// loop instead of a local worker pool.
+// per worker blocked in Lease instead of a local worker pool.
 //
 // Determinism: browsers are built per site (crawler.SiteSeed), so a
 // site's records are a pure function of (seed, site) — independent of
@@ -207,7 +209,12 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 		crawlErr = aErr
 	}
 	res.Progress = queue.Progress()
-	_, res.FailedSites, _ = queue.Snapshot()
+	res.FailedSites = map[string]string{}
+	for _, rec := range queue.ExportJobs() {
+		if rec.State == JobFailed {
+			res.FailedSites[rec.Domain] = rec.LastErr
+		}
+	}
 	if crawlErr != nil {
 		return res, crawlErr
 	}

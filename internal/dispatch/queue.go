@@ -3,7 +3,6 @@ package dispatch
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -39,7 +38,10 @@ type job struct {
 // (with their attempt count advanced) when a lease expires — the
 // standard work-dispatcher contract that lets a crawl survive dead or
 // wedged workers. Failed sites re-enter with exponential backoff until
-// the retry budget is spent. All methods are safe for concurrent use.
+// the retry budget is spent. The queue is its callers' only clock: a
+// blocked Lease wakes on the next settle or deadline, and Drained closes
+// when the last job turns terminal. All methods are safe for concurrent
+// use.
 type Queue struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -49,6 +51,8 @@ type Queue struct {
 	rng      *rand.Rand // jitter source
 	now      func() time.Time
 	signal   chan struct{} // closed and replaced on every state change
+	drained  chan struct{} // closed once terminal == len(jobs)
+	terminal int           // jobs done or failed
 
 	tokens   uint64
 	retries  int64 // failed attempts that were re-queued
@@ -84,6 +88,7 @@ func NewQueue(sites []crawler.Site, cfg QueueConfig) *Queue {
 		rng:      detrand.New(cfg.Seed),
 		now:      cfg.Now,
 		signal:   make(chan struct{}),
+		drained:  make(chan struct{}),
 	}
 	for i, s := range sites {
 		if _, dup := q.jobs[s.Domain]; dup {
@@ -91,6 +96,9 @@ func NewQueue(sites []crawler.Site, cfg QueueConfig) *Queue {
 		}
 		q.jobs[s.Domain] = &job{site: s, seq: i}
 		q.order = append(q.order, s.Domain)
+	}
+	if len(q.jobs) == 0 {
+		close(q.drained)
 	}
 	q.exportGauges()
 	return q
@@ -117,34 +125,6 @@ func (q *Queue) exportGauges() {
 	}
 }
 
-// MarkDone pre-completes a site (checkpoint resume).
-func (q *Queue) MarkDone(domain string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if j := q.jobs[domain]; j != nil {
-		j.state = stateDone
-	}
-}
-
-// MarkFailed pre-fails a site (checkpoint resume).
-func (q *Queue) MarkFailed(domain, msg string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if j := q.jobs[domain]; j != nil {
-		j.state = stateFailed
-		j.lastErr = msg
-	}
-}
-
-// SetAttempts restores a site's attempt count (checkpoint resume).
-func (q *Queue) SetAttempts(domain string, attempts int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if j := q.jobs[domain]; j != nil {
-		j.attempts = attempts
-	}
-}
-
 // Lease is a claim on one site. The holder must Heartbeat often enough
 // to keep the claim alive and finish with exactly one of Complete,
 // Fail, or Release.
@@ -158,66 +138,36 @@ type Lease struct {
 }
 
 // Lease blocks until a site is available and claims it. ok=false means
-// the queue is drained (every site done or failed) or ctx is done.
+// the queue is drained (every site done or failed) or ctx is done. A
+// blocked Lease sleeps until the next settle or the earliest backoff or
+// lease deadline, so expired leases come back without anyone polling.
 func (q *Queue) Lease(ctx context.Context) (*Lease, bool) {
-	for {
-		// Check before claiming: a cancelled worker that Released its
-		// site must not be handed the same site straight back.
-		if ctx.Err() != nil {
-			return nil, false
-		}
-		q.mu.Lock()
-		now := q.now()
-		q.reclaimExpired(now)
-		if j := q.nextReady(now); j != nil {
-			j.state = stateLeased
-			j.attempts++
-			j.expiry = now.Add(q.leaseTTL)
-			q.tokens++
-			j.token = q.tokens
-			l := &Lease{q: q, token: j.token, Site: j.site, Attempt: j.attempts}
-			q.mu.Unlock()
+	// Check before each claim: a cancelled worker that Released its site
+	// must not be handed the same site straight back.
+	for ctx.Err() == nil {
+		l, changed, wait := q.claim()
+		if l != nil {
 			return l, true
 		}
-		if q.drainedLocked() {
-			q.mu.Unlock()
+		if changed == nil { // drained
 			return nil, false
 		}
-		wait := q.nextWakeLocked(now)
-		ch := q.signal
-		q.mu.Unlock()
-
 		timer := time.NewTimer(wait)
 		select {
 		case <-ctx.Done():
-			timer.Stop()
-			return nil, false
-		case <-ch:
-			timer.Stop()
+		case <-changed:
 		case <-timer.C:
 		}
+		timer.Stop()
 	}
+	return nil, false
 }
 
-// TryStatus is the outcome of a non-blocking lease attempt.
-type TryStatus int
-
-const (
-	// TryGranted: a lease was claimed.
-	TryGranted TryStatus = iota
-	// TryEmpty: nothing is ready right now (leases in flight or
-	// backoffs pending), but the queue is not drained — try again.
-	TryEmpty
-	// TryDrained: every job is terminal; no lease will ever be granted.
-	TryDrained
-)
-
-// TryLease is the non-blocking form of Lease: it reclaims expired
-// leases, claims the next ready job if any, and otherwise reports
-// whether the queue still has work in flight. Network dispatchers use
-// it to interleave lease grants with protocol keepalives instead of
-// parking a goroutine in Lease.
-func (q *Queue) TryLease() (*Lease, TryStatus) {
+// claim is Lease's one non-blocking step: it reclaims expired leases and
+// claims the lowest-seq ready job. With nothing ready it returns the
+// channel the next state change closes and how long until the earliest
+// deadline; a drained queue returns neither.
+func (q *Queue) claim() (l *Lease, changed <-chan struct{}, wait time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.now()
@@ -228,28 +178,28 @@ func (q *Queue) TryLease() (*Lease, TryStatus) {
 		j.expiry = now.Add(q.leaseTTL)
 		q.tokens++
 		j.token = q.tokens
-		return &Lease{q: q, token: j.token, Site: j.site, Attempt: j.attempts}, TryGranted
+		return &Lease{q: q, token: j.token, Site: j.site, Attempt: j.attempts}, nil, 0
 	}
-	if q.drainedLocked() {
-		return nil, TryDrained
+	if q.terminal == len(q.jobs) {
+		return nil, nil, 0
 	}
-	return nil, TryEmpty
+	return nil, q.signal, q.nextWakeLocked(now)
 }
 
-// Reclaim re-queues every expired lease immediately and returns how
-// many were reclaimed. Blocked Lease calls already reclaim as a side
-// effect; a dispatcher with no blocked callers (all its workers died)
-// ticks this instead so orphaned leases still come back.
-func (q *Queue) Reclaim() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	before := q.requeues
-	q.reclaimExpired(q.now())
-	n := int(q.requeues - before)
-	if n > 0 {
-		q.wakeLocked()
+// Drained returns a channel that is closed once every job is done or
+// failed — by the settle or restore that makes the last job terminal.
+func (q *Queue) Drained() <-chan struct{} { return q.drained }
+
+// finishLocked makes j terminal, closing drained if it was the last job
+// that was not.
+func (q *Queue) finishLocked(j *job, st jobState) {
+	if j.state != stateDone && j.state != stateFailed {
+		q.terminal++
+		if q.terminal == len(q.jobs) {
+			close(q.drained)
+		}
 	}
-	return n
+	j.state = st
 }
 
 // reclaimExpired re-queues every leased site whose TTL has elapsed.
@@ -277,7 +227,7 @@ func (q *Queue) reclaimExpired(now time.Time) {
 func (q *Queue) settleFailureLocked(j *job, msg string, class Class, now time.Time) {
 	j.lastErr = msg
 	if class == FatalClass || j.attempts >= q.policy.MaxAttempts {
-		j.state = stateFailed
+		q.finishLocked(j, stateFailed)
 		return
 	}
 	j.state = statePending
@@ -295,16 +245,6 @@ func (q *Queue) nextReady(now time.Time) *job {
 		}
 	}
 	return nil
-}
-
-// drainedLocked reports whether every site is terminal.
-func (q *Queue) drainedLocked() bool {
-	for _, j := range q.jobs {
-		if j.state == statePending || j.state == stateLeased {
-			return false
-		}
-	}
-	return true
 }
 
 // nextWakeLocked computes how long a blocked Lease call may sleep:
@@ -367,7 +307,7 @@ func (l *Lease) Complete() bool {
 	if !l.valid(j) {
 		return false
 	}
-	j.state = stateDone
+	q.finishLocked(j, stateDone)
 	j.token = 0
 	q.wakeLocked()
 	return true
@@ -436,27 +376,4 @@ func (q *Queue) Progress() Progress {
 		}
 	}
 	return p
-}
-
-// Snapshot captures the queue's durable state for checkpointing: done
-// sites (sorted), failed sites with their last error, and attempt
-// counts of in-flight or retried sites.
-func (q *Queue) Snapshot() (done []string, failed map[string]string, attempts map[string]int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	failed = map[string]string{}
-	attempts = map[string]int{}
-	for dom, j := range q.jobs {
-		switch j.state {
-		case stateDone:
-			done = append(done, dom)
-		case stateFailed:
-			failed[dom] = j.lastErr
-		}
-		if j.attempts > 0 && j.state != stateDone {
-			attempts[dom] = j.attempts
-		}
-	}
-	sort.Strings(done)
-	return done, failed, attempts
 }

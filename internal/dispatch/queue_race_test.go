@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,10 @@ import (
 // TestLeaseConcurrentSettleAndReclaim is the race audit for the lease
 // lifecycle, mirroring the crawler/labeler race-audit precedent: for
 // each of many jobs, a holder goroutine hammers Heartbeat and then
-// settles (Complete or Fail) while a reclaimer goroutine forces lease
-// expiry through an advancing injected clock and calls Reclaim — the
-// exact interleaving a dead-worker reclaim races against a worker that
-// was merely slow. Under -race (the Makefile gate runs this package
+// settles (Complete or Fail) while a clock goroutine forces lease expiry
+// through an advancing injected clock, so the other holders' Lease calls
+// reclaim the lease — the exact interleaving a dead-worker reclaim races
+// against a worker that was merely slow. Under -race (the Makefile gate runs this package
 // with GOMAXPROCS=4) any unsynchronized access fails the run; the
 // invariant checks catch double settlement: every job must settle
 // exactly once into a terminal state, no matter who wins the race.
@@ -27,9 +28,10 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 		sites[i] = crawler.Site{Domain: domainN(i), Rank: i + 1}
 	}
 
-	// An atomically advancing fake clock: the reclaimer jumps it past
-	// the lease TTL, so reclaimExpired and the holders' Heartbeat/settle
-	// calls genuinely interleave on the same leases.
+	// An atomically advancing fake clock: the clock goroutine jumps it
+	// past the lease TTL, so the reclaim inside one holder's Lease and
+	// another's Heartbeat/settle calls genuinely interleave on the same
+	// leases.
 	var clock atomic.Int64
 	now := func() time.Time { return time.Unix(0, clock.Load()) }
 	ttl := 10 * time.Millisecond
@@ -41,10 +43,9 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 	})
 
 	stop := make(chan struct{})
-	var reclaimed atomic.Int64
-	reclaimerDone := make(chan struct{})
-	go func() { // the reclaimer: advance the clock past TTLs and reclaim
-		defer close(reclaimerDone)
+	clockDone := make(chan struct{})
+	go func() { // advance the clock past TTLs
+		defer close(clockDone)
 		for {
 			select {
 			case <-stop:
@@ -52,7 +53,6 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 			default:
 			}
 			clock.Add(int64(ttl) / 2)
-			reclaimed.Add(int64(q.Reclaim()))
 		}
 	}()
 
@@ -63,15 +63,12 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for {
-				l, st := q.TryLease()
-				switch st {
-				case TryDrained:
+				l, ok := q.Lease(context.Background())
+				if !ok {
 					return
-				case TryEmpty:
-					continue
 				}
-				// Hammer heartbeats; a false return means the reclaimer
-				// won and this lease is dead — settles must then be
+				// Hammer heartbeats; a false return means a reclaim won
+				// and this lease is dead — settles must then be
 				// no-ops (asserted via the terminal counts below).
 				alive := true
 				for i := 0; i < 3; i++ {
@@ -104,7 +101,7 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 		t.Fatal("queue never drained: leases lost to the race")
 	}
 	close(stop)
-	<-reclaimerDone
+	<-clockDone
 
 	p := q.Progress()
 	if p.Done+p.Failed != jobs || p.Pending != 0 || p.Leased != 0 {
@@ -126,7 +123,7 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 	if doneN != p.Done || failN != p.Failed {
 		t.Fatalf("snapshot/export disagree: %d/%d vs %+v", doneN, failN, p)
 	}
-	t.Logf("done=%d failed=%d reclaims=%d", doneN, failN, reclaimed.Load())
+	t.Logf("done=%d failed=%d reclaims=%d", doneN, failN, p.Requeues)
 }
 
 // domainN names the i-th synthetic job.
@@ -135,8 +132,8 @@ func domainN(i int) string {
 }
 
 // TestLeaseStaleSettleIsNoOp pins the token rule the race above relies
-// on: once a lease is reclaimed, its holder's Heartbeat, Complete, and
-// Fail all return false and leave the requeued job untouched.
+// on: once a lease is reclaimed, its holder's Heartbeat, Complete, Fail
+// and Release all return false and leave the re-granted job untouched.
 func TestLeaseStaleSettleIsNoOp(t *testing.T) {
 	var clock atomic.Int64
 	now := func() time.Time { return time.Unix(0, clock.Load()) }
@@ -144,19 +141,21 @@ func TestLeaseStaleSettleIsNoOp(t *testing.T) {
 		LeaseTTL: time.Millisecond, Seed: 1, Now: now,
 		Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Nanosecond, MaxDelay: time.Nanosecond, JitterFrac: -1},
 	})
-	l, st := q.TryLease()
-	if st != TryGranted {
+	ctx := context.Background()
+	l, ok := q.Lease(ctx)
+	if !ok {
 		t.Fatal("no lease")
 	}
 	clock.Add(int64(time.Second)) // expire it
-	if n := q.Reclaim(); n != 1 {
-		t.Fatalf("reclaimed %d leases, want 1", n)
+	l2, ok := q.Lease(ctx)        // reclaims it and grants it again
+	if !ok || l2.Attempt != 2 || q.Progress().Requeues != 1 {
+		t.Fatalf("lease after expiry = %+v, %v, progress %+v; want the reclaimed job's attempt 2", l2, ok, q.Progress())
 	}
-	if l.Heartbeat() || l.Complete() || l.Fail(errors.New("late")) {
+	if l.Heartbeat() || l.Complete() || l.Fail(errors.New("late")) || l.Release() {
 		t.Error("stale lease operations succeeded")
 	}
 	p := q.Progress()
-	if p.Pending != 1 || p.Done != 0 || p.Failed != 0 {
-		t.Errorf("requeued job disturbed by stale settles: %+v", p)
+	if p.Leased != 1 || p.Done != 0 || p.Failed != 0 || !l2.Heartbeat() {
+		t.Errorf("re-granted job disturbed by stale settles: %+v", p)
 	}
 }

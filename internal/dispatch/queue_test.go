@@ -88,9 +88,8 @@ func TestQueueRetryWithBackoffThenBudgetExhaustion(t *testing.T) {
 	if p.Retries != 2 {
 		t.Errorf("retries = %d, want 2", p.Retries)
 	}
-	_, failed, _ := q.Snapshot()
-	if failed["a.example"] != "flaky" {
-		t.Errorf("failure message = %q", failed["a.example"])
+	if rec := q.ExportJobs()[0]; rec.State != JobFailed || rec.LastErr != "flaky" {
+		t.Errorf("exported %+v, want failed with message flaky", rec)
 	}
 }
 

@@ -72,17 +72,25 @@ func (q *Queue) ExportJobs() []JobRecord {
 // counts are restored, and unknown domains are ignored (a shrunk site
 // list is caught earlier by Checkpoint.Compatible).
 func (q *Queue) RestoreJobs(recs []JobRecord) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	for _, rec := range recs {
+		j := q.jobs[rec.Domain]
+		if j == nil {
+			continue
+		}
 		switch rec.State {
 		case JobDone:
-			q.MarkDone(rec.Domain)
+			q.finishLocked(j, stateDone)
 		case JobFailed:
-			q.MarkFailed(rec.Domain, rec.LastErr)
+			q.finishLocked(j, stateFailed)
+			j.lastErr = rec.LastErr
 		}
 		if rec.Attempts > 0 {
-			q.SetAttempts(rec.Domain, rec.Attempts)
+			j.attempts = rec.Attempts
 		}
 	}
+	q.wakeLocked()
 }
 
 // Jobs converts the checkpoint's durable progress into wire job

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -132,11 +133,12 @@ func TestJobsSetJobsInverse(t *testing.T) {
 func TestQueueExportRestoreJobs(t *testing.T) {
 	sites := []crawler.Site{{Domain: "a.com", Rank: 1}, {Domain: "b.com", Rank: 2}, {Domain: "c.com", Rank: 3}, {Domain: "d.com", Rank: 4}}
 	q := NewQueue(sites, QueueConfig{Seed: 1})
-	la, _ := q.TryLease()
+	ctx := context.Background()
+	la, _ := q.Lease(ctx)
 	la.Complete()
-	lb, _ := q.TryLease()
+	lb, _ := q.Lease(ctx)
 	lb.Fail(Fatal(errors.New("boom")))
-	if _, st := q.TryLease(); st != TryGranted {
+	if _, ok := q.Lease(ctx); !ok {
 		t.Fatal("expected a third lease (left leased on purpose)")
 	}
 

@@ -18,11 +18,6 @@ import (
 	"repro/internal/wsproto"
 )
 
-// grantPoll is how often an idle session re-polls the batch queue while
-// a worker waits for a grant. Each poll also sends a wait keepalive so
-// the worker's read deadline stays fresh.
-const grantPoll = 100 * time.Millisecond
-
 // CoordinatorConfig parameterizes a crawl coordinator.
 type CoordinatorConfig struct {
 	// Crawl is the crawl identity and world configuration broadcast to
@@ -58,20 +53,22 @@ type CoordinatorConfig struct {
 	// on FaultSeed).
 	Fault     faultnet.Profile
 	FaultSeed int64
-	// Logf, when set, receives progress lines (grants, completions,
-	// reclaims). The e2e harness reads them off stderr to time its
-	// kills; nil means silent.
+	// Logf, when set, receives progress lines (grants, completions). The
+	// e2e harness reads them off stderr to time its kills; nil means
+	// silent.
 	Logf func(format string, args ...any)
 }
 
 // Coordinator serves deterministic job batches to a worker fleet over
 // the fabric protocol and appends their page records to the crawl's
 // dispatch.Ledger. Batch leasing, heartbeats, TTL reclaim, and retry
-// budgets all reuse dispatch.Queue with batches as the leased unit; the
-// ledger commits after every settled batch, so a killed coordinator
-// resumes without losing completed work. What is the coordinator's own
-// is the wire session loop and the decision when to commit; everything
-// durable is the ledger's (DESIGN.md §7).
+// budgets all reuse dispatch.Queue with batches as the leased unit, and
+// the queue is the coordinator's only clock: a waiting session blocks in
+// its Lease, and Wait in its Drained. The ledger commits after every
+// settled batch, so a killed coordinator resumes without losing completed
+// work. What is the coordinator's own is the wire session loop and the
+// decision when to commit; everything durable is the ledger's (DESIGN.md
+// §7).
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	batches map[string]wire.Batch // by batch ID
@@ -86,9 +83,14 @@ type Coordinator struct {
 
 	resumedDone int
 
-	stop    chan struct{}
-	drained chan struct{}
-	wg      sync.WaitGroup
+	// answering is read-held by a session from reading a frame until its
+	// answer is written. Wait takes it once the queue has drained, so it
+	// returns only after every answer then owed — drained, for a lease or
+	// a settle — is out. A session may block while holding it (in Lease),
+	// but never on Wait: once the queue has drained, Lease returns at once.
+	answering sync.RWMutex
+	cancel    context.CancelFunc // ends every session's Lease
+	wg        sync.WaitGroup
 }
 
 // StartCoordinator builds the batch plan, opens the crawl's ledger
@@ -120,8 +122,6 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 		batches:     byID,
 		failedSites: map[string]string{},
 		conns:       map[*wsproto.Conn]struct{}{},
-		stop:        make(chan struct{}),
-		drained:     make(chan struct{}),
 	}
 	c.queue = dispatch.NewQueue(pseudo, dispatch.QueueConfig{
 		LeaseTTL: cfg.LeaseTTL,
@@ -168,10 +168,10 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	}
 	c.ln = ln
 
-	c.wg.Add(3)
-	go c.acceptLoop()
-	go c.reclaimLoop()
-	go c.drainWatch()
+	ctx, cancel := context.WithCancel(context.Background())
+	c.cancel = cancel
+	c.wg.Add(1)
+	go c.acceptLoop(ctx)
 	c.logf("fabric: coordinator on %s: %d sites in %d batches (%d resumed done)",
 		ln.Addr(), len(cfg.Sites), len(batches), c.resumedDone)
 	return c, nil
@@ -207,14 +207,18 @@ func (c *Coordinator) FailedSites() map[string]string {
 	return out
 }
 
-// Wait blocks until every batch is settled or ctx ends.
+// Wait blocks until every batch is settled and each session that owed a
+// worker an answer has written it, or until ctx ends. A Close after Wait
+// therefore never cuts a worker off before it hears drained.
 func (c *Coordinator) Wait(ctx context.Context) error {
 	select {
-	case <-c.drained:
-		return nil
+	case <-c.queue.Drained():
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+	c.answering.Lock()
+	c.answering.Unlock()
+	return nil
 }
 
 // Store returns the live columnar store (nil without StoreDir) for an
@@ -253,7 +257,7 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// shutdown stops serving — listener, sessions, background loops — and
+// shutdown stops serving — listener, sessions, their Lease calls — and
 // leaves the ledger untouched. false means it already ran.
 func (c *Coordinator) shutdown() bool {
 	c.mu.Lock()
@@ -266,73 +270,25 @@ func (c *Coordinator) shutdown() bool {
 		conn.Close() // unblocks the session's read
 	}
 	c.mu.Unlock()
-	close(c.stop)
+	c.cancel()
 	c.ln.Close()
 	c.wg.Wait()
 	return true
 }
 
 // acceptLoop accepts worker connections until the listener closes.
-func (c *Coordinator) acceptLoop() {
+func (c *Coordinator) acceptLoop(ctx context.Context) {
 	defer c.wg.Done()
 	for {
 		nc, err := c.ln.Accept()
 		if err != nil {
-			select {
-			case <-c.stop:
-			default:
+			if ctx.Err() == nil {
 				c.logf("fabric: accept: %v", err)
 			}
 			return
 		}
 		c.wg.Add(1)
-		go c.session(nc)
-	}
-}
-
-// reclaimLoop ticks lease reclamation so batches leased to dead workers
-// come back even when no session is polling the queue.
-func (c *Coordinator) reclaimLoop() {
-	defer c.wg.Done()
-	period := c.cfg.LeaseTTL / 2
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.drained:
-			return
-		case <-t.C:
-			if n := c.queue.Reclaim(); n > 0 {
-				obs.FabricReclaims.Add(int64(n))
-				c.logf("fabric: reclaimed %d expired batch leases", n)
-			}
-			c.updateGauges()
-		}
-	}
-}
-
-// drainWatch closes the drained channel once every batch is terminal.
-func (c *Coordinator) drainWatch() {
-	defer c.wg.Done()
-	t := time.NewTicker(25 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			p := c.queue.Progress()
-			if p.Done+p.Failed == p.Total {
-				c.logf("fabric: crawl drained: %d batches done, %d failed", p.Done, p.Failed)
-				close(c.drained)
-				return
-			}
-		}
+		go c.session(ctx, nc)
 	}
 }
 
@@ -357,7 +313,7 @@ func (c *Coordinator) untrack(conn *wsproto.Conn) {
 // session serves one worker connection: handshake, hello/welcome, then
 // the lease/heartbeat/page/settle loop until the conn drops, the idle
 // deadline fires, or the queue drains.
-func (c *Coordinator) session(nc net.Conn) {
+func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 	defer c.wg.Done()
 	conn, _, err := wsproto.Accept(nc, nil)
 	if err != nil {
@@ -388,11 +344,7 @@ func (c *Coordinator) session(nc net.Conn) {
 		c.logf("fabric: session opened with %q, want hello", dec.Type)
 		return
 	}
-	welcome, err := wire.Encode(&wire.Welcome{
-		Crawl:          c.cfg.Crawl,
-		LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds(),
-	})
-	if err != nil || conn.WriteMessage(wsproto.OpText, welcome) != nil {
+	if writeFrame(conn, &wire.Welcome{Crawl: c.cfg.Crawl, LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds()}) != nil {
 		return
 	}
 	obs.FabricWorkers.Add(1)
@@ -409,7 +361,6 @@ func (c *Coordinator) session(nc net.Conn) {
 		for _, l := range held {
 			l.Release()
 		}
-		c.updateGauges()
 	}()
 
 	for {
@@ -417,134 +368,130 @@ func (c *Coordinator) session(nc net.Conn) {
 		if err != nil {
 			return
 		}
-		switch m := dec.Msg.(type) {
-		case nil: // control frame
-			if dec.Type != wire.TypeLease {
-				c.logf("fabric: worker %s sent unexpected %q", hello.Worker, dec.Type)
-				return
-			}
-			if !c.grant(conn, hello.Worker, held, grantedAt) {
-				return
-			}
-		case *wire.Heartbeat:
-			obs.FabricHeartbeats.Inc()
-			l := held[m.Batch]
-			valid := l != nil && l.Heartbeat()
-			if !valid {
-				delete(held, m.Batch)
-				delete(grantedAt, m.Batch)
-			}
-			ack, err := wire.Encode(&wire.HeartbeatAck{Batch: m.Batch, Valid: valid})
-			if err != nil || conn.WriteMessage(wsproto.OpText, ack) != nil {
-				return
-			}
-		case *wire.Page:
-			// Append even when the lease was already reclaimed: a stale
-			// attempt streams the same bytes a live one does (per-site
-			// seeding), and re-crawled pages deduplicate, so the append
-			// is harmless and refusing it would buy nothing. A line that
-			// is not a page record, or one arriving after Finalize, never
-			// reaches the spool: the session drops and its leases go back
-			// to the queue.
-			if err := c.ledger.AppendLine(m.Site, m.Line); err != nil {
-				c.logf("fabric: page for batch %s from %s rejected: %v", m.Batch, hello.Worker, err)
-				return
-			}
-			obs.FabricPagesStreamed.Inc()
-		case *wire.Complete:
-			// TCP ordering means every page frame of this batch was
-			// appended to the ledger before this settle; the commit
-			// below makes them durable before the batch is vouched for.
-			l := held[m.Batch]
-			delete(held, m.Batch)
-			if l != nil && l.Complete() {
-				c.mu.Lock()
-				for dom, msg := range m.FailedSites {
-					c.failedSites[dom] = msg
-				}
-				c.mu.Unlock()
-				obs.FabricBatchesDone.Inc()
-				if t0, ok := grantedAt[m.Batch]; ok {
-					obs.FabricBatchRTT.ObserveSince(t0)
-				}
-				p := c.queue.Progress()
-				c.logf("fabric: batch %s complete (%d pages) from %s [%d/%d done]",
-					m.Batch, m.Pages, hello.Worker, p.Done, p.Total)
-				if err := c.commit(); err != nil {
-					c.logf("fabric: checkpoint: %v", err)
-				}
-			} else {
-				c.logf("fabric: stale complete for batch %s from %s ignored", m.Batch, hello.Worker)
-			}
-			delete(grantedAt, m.Batch)
-			c.updateGauges()
-		case *wire.Fail:
-			l := held[m.Batch]
-			delete(held, m.Batch)
-			delete(grantedAt, m.Batch)
-			if l != nil && l.Fail(errors.New(m.Err)) {
-				c.logf("fabric: batch %s failed on %s: %s", m.Batch, hello.Worker, m.Err)
-				if err := c.commit(); err != nil {
-					c.logf("fabric: checkpoint: %v", err)
-				}
-			}
-			c.updateGauges()
-		default:
-			c.logf("fabric: worker %s sent unexpected %q", hello.Worker, dec.Type)
+		c.answering.RLock()
+		ok := c.serve(ctx, conn, hello.Worker, dec, held, grantedAt)
+		c.answering.RUnlock()
+		if !ok {
 			return
 		}
 	}
 }
 
-// grant serves one lease request: it polls the queue, keeping the
-// worker's read deadline alive with wait keepalives, until a batch is
-// granted or the queue drains. false ends the session.
-func (c *Coordinator) grant(conn *wsproto.Conn, worker string, held map[string]*dispatch.Lease, grantedAt map[string]time.Time) bool {
-	for {
-		l, st := c.queue.TryLease()
-		switch st {
-		case dispatch.TryGranted:
-			b := c.batches[l.Site.Domain]
-			data, err := wire.Encode(&wire.Grant{Batch: b, Attempt: l.Attempt})
-			if err != nil {
-				l.Release()
-				return false
+// serve acts on one worker frame and writes its answer, if it has one.
+// false ends the session.
+func (c *Coordinator) serve(ctx context.Context, conn *wsproto.Conn, worker string, dec wire.Decoded, held map[string]*dispatch.Lease, grantedAt map[string]time.Time) bool {
+	switch m := dec.Msg.(type) {
+	case nil: // control frame
+		if dec.Type != wire.TypeLease {
+			c.logf("fabric: worker %s sent unexpected %q", worker, dec.Type)
+			return false
+		}
+		return c.grant(ctx, conn, worker, held, grantedAt)
+	case *wire.Heartbeat:
+		obs.FabricHeartbeats.Inc()
+		l := held[m.Batch]
+		valid := l != nil && l.Heartbeat()
+		if !valid {
+			delete(held, m.Batch)
+			delete(grantedAt, m.Batch)
+		}
+		return writeFrame(conn, &wire.HeartbeatAck{Batch: m.Batch, Valid: valid}) == nil
+	case *wire.Page:
+		// Append even when the lease was already reclaimed: a stale
+		// attempt streams the same bytes a live one does (per-site
+		// seeding), and re-crawled pages deduplicate, so the append is
+		// harmless and refusing it would buy nothing. A line that is not a
+		// page record, or one arriving after Finalize, never reaches the
+		// spool: the session drops and its leases go back to the queue.
+		if err := c.ledger.AppendLine(m.Site, m.Line); err != nil {
+			c.logf("fabric: page for batch %s from %s rejected: %v", m.Batch, worker, err)
+			return false
+		}
+		obs.FabricPagesStreamed.Inc()
+		return true
+	case *wire.Complete:
+		// TCP ordering means every page frame of this batch was appended
+		// to the ledger before this settle; the commit below makes them
+		// durable before the batch is vouched for.
+		l := held[m.Batch]
+		delete(held, m.Batch)
+		if l != nil && l.Complete() {
+			c.mu.Lock()
+			for dom, msg := range m.FailedSites {
+				c.failedSites[dom] = msg
 			}
-			if err := conn.WriteMessage(wsproto.OpText, data); err != nil {
+			c.mu.Unlock()
+			obs.FabricBatchesDone.Inc()
+			if t0, ok := grantedAt[m.Batch]; ok {
+				obs.FabricBatchRTT.ObserveSince(t0)
+			}
+			p := c.queue.Progress()
+			c.logf("fabric: batch %s complete (%d pages) from %s [%d/%d done]",
+				m.Batch, m.Pages, worker, p.Done, p.Total)
+			if err := c.commit(); err != nil {
+				c.logf("fabric: checkpoint: %v", err)
+			}
+		} else {
+			c.logf("fabric: stale complete for batch %s from %s ignored", m.Batch, worker)
+		}
+		delete(grantedAt, m.Batch)
+	case *wire.Fail:
+		l := held[m.Batch]
+		delete(held, m.Batch)
+		delete(grantedAt, m.Batch)
+		if l != nil && l.Fail(errors.New(m.Err)) {
+			c.logf("fabric: batch %s failed on %s: %s", m.Batch, worker, m.Err)
+			if err := c.commit(); err != nil {
+				c.logf("fabric: checkpoint: %v", err)
+			}
+		}
+	default:
+		c.logf("fabric: worker %s sent unexpected %q", worker, dec.Type)
+		return false
+	}
+	// A settle that leaves the queue drained is answered drained at once,
+	// while Wait is still held off: the worker hears it before Close.
+	return !c.drained() || writeControl(conn, wire.TypeDrained) == nil
+}
+
+// grant answers one lease request. It blocks in the queue's Lease,
+// sending a wait keepalive every worker heartbeat period, until a batch
+// is granted (true) or the queue drains or the coordinator closes
+// (false: the session ends).
+func (c *Coordinator) grant(ctx context.Context, conn *wsproto.Conn, worker string, held map[string]*dispatch.Lease, grantedAt map[string]time.Time) bool {
+	for {
+		lctx, cancel := context.WithTimeout(ctx, heartbeatPeriod(c.cfg.LeaseTTL))
+		l, ok := c.queue.Lease(lctx)
+		cancel()
+		switch {
+		case ok:
+			b := c.batches[l.Site.Domain]
+			if writeFrame(conn, &wire.Grant{Batch: b, Attempt: l.Attempt}) != nil {
 				l.Release()
 				return false
 			}
 			held[b.ID] = l
 			grantedAt[b.ID] = time.Now()
-			c.updateGauges()
 			c.logf("fabric: batch %s (attempt %d, %d sites) -> %s", b.ID, l.Attempt, len(b.Sites), worker)
 			return true
-		case dispatch.TryDrained:
-			if data, err := wire.EncodeControl(wire.TypeDrained); err == nil {
-				_ = conn.WriteMessage(wsproto.OpText, data)
-			}
+		case ctx.Err() != nil:
 			return false
-		default: // TryEmpty: work in flight elsewhere; keep the worker queued
-			data, err := wire.EncodeControl(wire.TypeWait)
-			if err != nil || conn.WriteMessage(wsproto.OpText, data) != nil {
-				return false
-			}
-			select {
-			case <-c.stop:
-				return false
-			case <-c.drained:
-				// The in-flight batches just settled elsewhere. Tell the
-				// waiting worker right now — the coordinator is about to
-				// shut down, and a worker that misses the drained frame
-				// would burn its whole dial-retry budget on a dead
-				// address and exit in error.
-				if data, err := wire.EncodeControl(wire.TypeDrained); err == nil {
-					_ = conn.WriteMessage(wsproto.OpText, data)
-				}
-				return false
-			case <-time.After(grantPoll):
-			}
+		case c.drained():
+			_ = writeControl(conn, wire.TypeDrained)
+			return false
+		case writeControl(conn, wire.TypeWait) != nil:
+			return false
 		}
+	}
+}
+
+// drained reports whether every batch is settled.
+func (c *Coordinator) drained() bool {
+	select {
+	case <-c.queue.Drained():
+		return true
+	default:
+		return false
 	}
 }
 
@@ -558,11 +505,6 @@ func (c *Coordinator) commit() error {
 	})
 }
 
-// updateGauges refreshes the fabric lease gauge from queue state.
-func (c *Coordinator) updateGauges() {
-	obs.FabricLeases.Set(int64(c.queue.Progress().Leased))
-}
-
 func (c *Coordinator) logf(format string, args ...any) { c.cfg.Logf(format, args...) }
 
 // readFrame reads one protocol frame under a fresh idle deadline.
@@ -573,4 +515,22 @@ func readFrame(conn *wsproto.Conn, idle time.Duration) (wire.Decoded, error) {
 		return wire.Decoded{}, err
 	}
 	return wire.Decode(data)
+}
+
+// writeFrame encodes and sends one message frame.
+func writeFrame(conn *wsproto.Conn, m wire.Message) error {
+	data, err := wire.Encode(m)
+	if err != nil {
+		return err
+	}
+	return conn.WriteMessage(wsproto.OpText, data)
+}
+
+// writeControl sends one payload-free frame (lease, wait, drained).
+func writeControl(conn *wsproto.Conn, typ string) error {
+	data, err := wire.EncodeControl(typ)
+	if err != nil {
+		return err
+	}
+	return conn.WriteMessage(wsproto.OpText, data)
 }

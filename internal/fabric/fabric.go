@@ -30,15 +30,18 @@
 // The e2e tests prove this across real processes.
 //
 // Concurrency: the coordinator runs one session goroutine per worker
-// connection plus an accept loop and a reclaim ticker; all shared
-// state (queue, ledger) is internally synchronized. Workers
+// connection plus an accept loop, and no timers of its own: a session
+// waiting for a grant blocks in the queue's Lease, which also reclaims
+// expired leases. All shared state (queue, ledger) is internally
+// synchronized. Workers
 // run the page pipeline with their own crawl parallelism and serialize
 // protocol writes through the wsproto connection.
 //
 // Observability: the coordinator exports fabric.* metrics (workers,
-// leases in flight, reclaims, heartbeats, batches done, pages
-// streamed, and a grant→complete round-trip histogram); all
-// instrumentation is observe-only.
+// heartbeats, batches done, pages streamed, and a grant→complete
+// round-trip histogram), and its batch queue the queue.* gauges (leases
+// in flight, reclaims as requeues); all instrumentation is
+// observe-only.
 package fabric
 
 import (

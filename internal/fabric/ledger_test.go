@@ -20,9 +20,9 @@ import (
 
 // The coordinator is one of the dispatch.Ledger's two callers; these
 // tests cover what only a real session can: a bad page frame is stopped
-// before the spool, so is a page arriving after Finalize, and a
-// store-backed coordinator killed mid-crawl resumes to the uninterrupted
-// dataset.
+// before the spool, so is a page arriving after Finalize, the worker that
+// drains the queue hears so before Close, and a store-backed coordinator
+// killed mid-crawl resumes to the uninterrupted dataset.
 
 // rawSession opens a worker session by hand — hello, welcome, lease,
 // grant — and returns the conn plus the granted batch.
@@ -32,26 +32,74 @@ func rawSession(t *testing.T, ctx context.Context, url, name string) (*wsproto.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	send := func(data []byte, err error) {
-		t.Helper()
-		if err == nil {
-			err = conn.WriteMessage(wsproto.OpText, data)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(wire.Encode(&wire.Hello{Worker: name}))
+	sendFrame(t, conn, &wire.Hello{Worker: name})
 	if dec, err := readFrame(conn, 5*time.Second); err != nil || dec.Type != wire.TypeWelcome {
 		t.Fatalf("welcome: %+v, %v", dec, err)
 	}
-	send(wire.EncodeControl(wire.TypeLease))
+	if err := writeControl(conn, wire.TypeLease); err != nil {
+		t.Fatal(err)
+	}
 	dec, err := readFrame(conn, 5*time.Second)
 	grant, ok := dec.Msg.(*wire.Grant)
 	if err != nil || !ok {
 		t.Fatalf("grant: %+v, %v", dec, err)
 	}
 	return conn, grant.Batch
+}
+
+// sendFrame writes one frame on a raw session.
+func sendFrame(t *testing.T, conn *wsproto.Conn, msg wire.Message) {
+	t.Helper()
+	if err := writeFrame(conn, msg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// completeBatch streams every page of a granted batch on a raw session,
+// then settles it.
+func completeBatch(t *testing.T, conn *wsproto.Conn, batch wire.Batch) {
+	t.Helper()
+	for _, s := range batch.Sites {
+		for p := 0; p < testPages; p++ {
+			sendFrame(t, conn, &wire.Page{Batch: batch.ID, Site: s.Domain, Line: []byte(fakeLine(s, p))})
+		}
+	}
+	sendFrame(t, conn, &wire.Complete{Batch: batch.ID, Pages: len(batch.Sites) * testPages})
+}
+
+// TestCoordinatorAnswersDrainedBeforeClose is the drained-vs-shutdown
+// race as wscoordd meets it: a worker settles the crawl's last batch and
+// asks for another a moment later, while the coordinator's owner calls
+// Wait and then Close straight away. The worker must still hear drained;
+// one cut off instead redials a coordinator that is gone and exits in
+// error.
+func TestCoordinatorAnswersDrainedBeforeClose(t *testing.T) {
+	c := startTestCoordinator(t, t.TempDir(), testSites(2), coordOpts{batchSize: 2})
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	conn, batch := rawSession(t, ctx, c.URL(), "last")
+	defer conn.Close()
+	completeBatch(t, conn, batch)
+	closed := make(chan error, 1)
+	go func() {
+		err := c.Wait(ctx)
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
+		closed <- err
+	}()
+
+	time.Sleep(200 * time.Millisecond)
+	// The write may fail: what matters is what the coordinator said first.
+	_ = writeControl(conn, wire.TypeLease)
+	if dec, err := readFrame(conn, 5*time.Second); err != nil || dec.Type != wire.TypeDrained {
+		t.Errorf("the worker that drained the queue read %q, %v; want %q", dec.Type, err, wire.TypeDrained)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCoordinatorRejectsUndecodablePage streams page frames that are not
@@ -143,22 +191,7 @@ func TestCoordinatorFinalizeRefusesLatePages(t *testing.T) {
 
 	conn, batch := rawSession(t, ctx, c.URL(), "lingerer")
 	defer conn.Close()
-	send := func(msg wire.Message) {
-		t.Helper()
-		frame, err := wire.Encode(msg)
-		if err == nil {
-			err = conn.WriteMessage(wsproto.OpText, frame)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range batch.Sites {
-		for p := 0; p < testPages; p++ {
-			send(&wire.Page{Batch: batch.ID, Site: s.Domain, Line: []byte(fakeLine(s, p))})
-		}
-	}
-	send(&wire.Complete{Batch: batch.ID, Pages: len(batch.Sites) * testPages})
+	completeBatch(t, conn, batch)
 	if err := runTestWorker(ctx, "good", c.URL(), workerOpts{seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +207,14 @@ func TestCoordinatorFinalizeRefusesLatePages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	send(&wire.Page{Batch: batch.ID, Site: batch.Sites[0].Domain, Line: []byte(fakeLine(batch.Sites[0], testPages))})
-	if dec, err := readFrame(conn, 5*time.Second); err == nil {
+	sendFrame(t, conn, &wire.Page{Batch: batch.ID, Site: batch.Sites[0].Domain, Line: []byte(fakeLine(batch.Sites[0], testPages))})
+	dec, err := readFrame(conn, 5*time.Second)
+	if err == nil && dec.Type == wire.TypeDrained {
+		// The lingerer's Complete settled the last batch (the good worker
+		// was faster), so it was answered; the page is refused all the same.
+		dec, err = readFrame(conn, 5*time.Second)
+	}
+	if err == nil {
 		t.Errorf("session survived a page after Finalize: got %q", dec.Type)
 	}
 	if err := c.Close(); err != nil {

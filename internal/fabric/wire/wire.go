@@ -150,7 +150,8 @@ type Page struct {
 type Complete struct {
 	Batch string `json:"batch"`
 	// Pages is the number of page records the worker streamed for this
-	// batch; the coordinator cross-checks it against what it spooled.
+	// batch. The coordinator only logs it: TCP ordering already delivered
+	// every page frame before this settle.
 	Pages int `json:"pages"`
 	// FailedSites maps permanently failed sites to their last error.
 	FailedSites map[string]string `json:"failedSites,omitempty"`

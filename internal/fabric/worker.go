@@ -161,11 +161,7 @@ func (w *worker) session(ctx context.Context) (done, productive bool, err error)
 		}
 	}()
 
-	hello, err := wire.Encode(&wire.Hello{Worker: w.cfg.Name})
-	if err != nil {
-		return true, false, err
-	}
-	if err := conn.WriteMessage(wsproto.OpText, hello); err != nil {
+	if err := writeFrame(conn, &wire.Hello{Worker: w.cfg.Name}); err != nil {
 		return false, false, err
 	}
 	dec, err := readFrame(conn, 2*wsproto.HandshakeTimeout)
@@ -204,11 +200,7 @@ func (w *worker) session(ctx context.Context) (done, productive bool, err error)
 		if err := ctx.Err(); err != nil {
 			return true, productive, err
 		}
-		lease, err := wire.EncodeControl(wire.TypeLease)
-		if err != nil {
-			return true, productive, err
-		}
-		if err := conn.WriteMessage(wsproto.OpText, lease); err != nil {
+		if err := writeControl(conn, wire.TypeLease); err != nil {
 			return false, productive, err
 		}
 		grant, drained, err := w.waitGrant(conn, idle)
@@ -294,10 +286,7 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 	// inbound frames are acks to our own heartbeats, and each send is
 	// followed synchronously by its ack read — no frames are left
 	// behind for the post-batch reader.
-	period := w.ttl / 3
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
+	period := heartbeatPeriod(w.ttl)
 	stop := make(chan struct{})
 	kdone := make(chan error, 1)
 	go func() {
@@ -312,11 +301,7 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 				kdone <- nil
 				return
 			case <-t.C:
-				hb, err := wire.Encode(&wire.Heartbeat{Batch: batch.ID})
-				if err == nil {
-					err = conn.WriteMessage(wsproto.OpText, hb)
-				}
-				if err != nil {
+				if err := writeFrame(conn, &wire.Heartbeat{Batch: batch.ID}); err != nil {
 					cancel()
 					kdone <- err
 					return
@@ -360,22 +345,25 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 		return false, ctx.Err()
 	case runErr != nil:
 		w.cfg.Logf("fabric: worker %s: batch %s failed: %v", w.cfg.Name, batch.ID, runErr)
-		data, err := wire.Encode(&wire.Fail{Batch: batch.ID, Err: runErr.Error()})
-		if err == nil {
-			err = conn.WriteMessage(wsproto.OpText, data)
-		}
+		err := writeFrame(conn, &wire.Fail{Batch: batch.ID, Err: runErr.Error()})
 		return err != nil, err
 	default:
-		data, err := wire.Encode(&wire.Complete{Batch: batch.ID, Pages: pages, FailedSites: failedSites})
-		if err == nil {
-			err = conn.WriteMessage(wsproto.OpText, data)
-		}
-		if err != nil {
+		if err := writeFrame(conn, &wire.Complete{Batch: batch.ID, Pages: pages, FailedSites: failedSites}); err != nil {
 			return true, err
 		}
 		w.cfg.Logf("fabric: worker %s: batch %s complete (%d pages)", w.cfg.Name, batch.ID, pages)
 		return false, nil
 	}
+}
+
+// heartbeatPeriod is how often a worker heartbeats a lease of the given
+// TTL, and how often the coordinator sends a worker waiting for a grant
+// a wait keepalive.
+func heartbeatPeriod(ttl time.Duration) time.Duration {
+	if p := ttl / 3; p >= 10*time.Millisecond {
+		return p
+	}
+	return 10 * time.Millisecond
 }
 
 // errLeaseLost marks a batch abandoned because the coordinator

@@ -80,15 +80,13 @@ const (
 	MMatchEval = "match.eval"
 
 	// Fabric dispatcher (internal/fabric). Workers gauges the connected
-	// worker sessions on the coordinator; leases_inflight gauges batch
-	// leases currently held; reclaims counts leases taken back from
-	// dead workers; heartbeats counts lease extensions received;
-	// batches_done counts settled batches; pages_streamed counts page
-	// records ingested off the wire; batch_rtt times a batch from grant
-	// to completion.
+	// worker sessions on the coordinator; heartbeats counts lease
+	// extensions received; batches_done counts settled batches;
+	// pages_streamed counts page records ingested off the wire; batch_rtt
+	// times a batch from grant to completion. Leases in flight and
+	// reclaims are the coordinator queue's queue.leased and
+	// queue.requeues.
 	MFabricWorkers       = "fabric.workers"
-	MFabricLeases        = "fabric.leases_inflight"
-	MFabricReclaims      = "fabric.reclaims"
 	MFabricHeartbeats    = "fabric.heartbeats"
 	MFabricBatchesDone   = "fabric.batches_done"
 	MFabricPagesStreamed = "fabric.pages_streamed"
@@ -200,8 +198,6 @@ var (
 	MatchEval        = Default.Histogram(MMatchEval)
 
 	FabricWorkers       = Default.Gauge(MFabricWorkers)
-	FabricLeases        = Default.Gauge(MFabricLeases)
-	FabricReclaims      = Default.Counter(MFabricReclaims)
 	FabricHeartbeats    = Default.Counter(MFabricHeartbeats)
 	FabricBatchesDone   = Default.Counter(MFabricBatchesDone)
 	FabricPagesStreamed = Default.Counter(MFabricPagesStreamed)
