@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	webgen [-publishers N] [-seed S] [-era pre|post] [-addr 127.0.0.1:0]
+//	webgen [-publishers N] [-seed S] [-era pre|post]
 //	       [-list-hosts] [-dump-rules]
 //
 // Explore it with:

@@ -1,5 +1,6 @@
-// Command wscrawl runs a single crawl of the synthetic web and writes
-// the measurement dataset as JSON, for later analysis with wsanalyze.
+// Command wscrawl runs one crawl of the synthetic web and writes its
+// dataset as JSON (render it with wsrepro crawl.json), in one process
+// or spread over a coordinator and any number of workers.
 //
 // Usage:
 //
@@ -9,56 +10,57 @@
 //	        [-shards N] [-store] [-store-dir DIR]
 //	        [-metrics-addr HOST:PORT] [-progress DUR]
 //	        [-fault-profile NAME] [-fault-seed S]
+//	wscrawl -coordinate HOST:PORT -out crawl1.json -checkpoint FILE
+//	        [crawl flags above] [-batch-size N] [-lease-ttl DUR]
+//	        [-query-addr HOST:PORT]
 //	wscrawl -worker ws://HOST:PORT/fabric [-worker-name NAME] [-workers N]
 //	        [-seed S] [-fault-profile NAME] [-fault-seed S]
 //
-// With -worker the process joins a wscoordd coordinator as a crawl
-// worker instead of running its own crawl: it pulls leased site batches
-// over WebSocket, rebuilds the synthetic world from the coordinator's
-// crawl config, runs the normal page pipeline, and streams page records
-// back (internal/fabric). Most local-crawl flags are irrelevant in this
-// mode — the coordinator dictates the crawl — and -out is not needed;
-// -workers still sets the in-process crawl parallelism, -seed drives
-// only dial backoff and frame masking, and -fault-profile degrades the
-// coordinator link. See OPERATIONS.md "Distributed crawls".
-//
-// -fault-profile degrades the crawl's network with deterministic,
-// seeded fault injection (internal/faultnet): latency, torn writes,
-// truncation, resets, handshake stalls — per the named profile. The
-// same -fault-seed reproduces the same fault schedule and therefore
-// the same dataset. See OPERATIONS.md "Chaos testing".
-//
 // With -checkpoint or -spool-dir the crawl runs through the durable
 // orchestrator (internal/dispatch): progress is checkpointed, failed
-// sites are retried with backoff, pages are spooled to sharded JSONL
-// files as they arrive, and -resume continues an interrupted crawl
-// without re-visiting completed sites. The dataset is always written
-// atomically (temp file + rename), so a crash cannot leave a truncated
-// JSON file behind.
+// sites retry with backoff, pages spool to sharded JSONL files, and
+// -resume continues an interrupted crawl without re-visiting completed
+// sites. -store also streams every page into a columnar store
+// (internal/colstore) sealed at each checkpoint, queryable with wsquery
+// during and after the crawl; -out is then derived from it (-store-dir
+// moves it and implies -store). SIGINT/SIGTERM commit a final
+// checkpoint and exit 1 with a -resume hint. The dataset is written
+// atomically, so a crash never leaves a truncated file.
 //
-// -store additionally streams every page into an embedded columnar
-// store (internal/colstore) next to the spool, sealed durably at each
-// checkpoint, so the dataset is queryable with wsquery while the crawl
-// runs and after it finishes. -store-dir overrides the store location
-// (and implies -store). Requires the durable orchestrator. See
-// OPERATIONS.md "Query service".
+// -coordinate serves the same durable crawl to -worker processes
+// instead of crawling: the site list is cut into seeded batches
+// (-batch-size), leased over WebSocket (-lease-ttl), and the streamed
+// pages go to the same ledger; -retries counts per batch, -fault-profile
+// degrades the worker links, and -query-addr serves the query API over
+// the live store. The "serving ws://…" line names the worker URL.
+// Restarted with the same flags and -resume on the same address, it
+// continues from the last settled batch while workers retry their
+// dials. A worker takes its crawl config from the coordinator; its
+// -seed drives only dial backoff and frame masking. The dataset is
+// byte-identical to a local crawl's for any number of workers
+// (DESIGN.md §12, OPERATIONS.md "Distributed crawls").
 //
-// -metrics-addr serves expvar (/debug/vars) and pprof (/debug/pprof)
-// on the given address (":0" picks a port, printed to stderr).
-// -progress prints a crawl progress line to stderr at the given
-// interval: pages/sec, queue depth, retries, and per-stage latency
-// quantiles. Neither affects the output dataset — metrics observe the
-// crawl, they never feed back into it. See OPERATIONS.md.
+// -fault-profile injects seeded network faults (internal/faultnet): the
+// same -fault-seed, the same dataset. -metrics-addr (expvar + pprof)
+// and -progress (stderr) only observe. See OPERATIONS.md.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
+	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/faultnet"
@@ -66,90 +68,94 @@ import (
 	"repro/internal/webgen"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// logf prints one stderr line under the command's prefix.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "wscrawl: "+format+"\n", args...)
+}
+
+// run is the whole command; it returns the exit status so deferred
+// clean-up runs on every path.
+func run(args []string) int {
+	fs := flag.NewFlagSet("wscrawl", flag.ContinueOnError)
 	var (
-		out         = flag.String("out", "", "output dataset path (required)")
-		eraFlag     = flag.String("era", "pre", "crawl era: pre or post (relative to the Chrome 58 patch)")
-		index       = flag.Int("index", 0, "crawl index (perturbs session randomness)")
-		publishers  = flag.Int("publishers", 600, "number of generic publishers")
-		workers     = flag.Int("workers", 8, "parallel crawl workers")
-		pages       = flag.Int("pages", 15, "page budget per site")
-		seed        = flag.Int64("seed", 20170419, "world seed")
-		version     = flag.Int("version", 0, "browser version (default: 57 pre-patch, 58 post-patch)")
-		checkpoint  = flag.String("checkpoint", "", "checkpoint state file (enables the durable orchestrator)")
-		spoolDir    = flag.String("spool-dir", "", "spool shard directory (enables the durable orchestrator)")
-		resume      = flag.Bool("resume", false, "resume an interrupted crawl from its checkpoint")
-		retries     = flag.Int("retries", 0, "per-site attempt budget for the orchestrator (default 3)")
-		shards      = flag.Int("shards", 0, "spool shard count (default 8)")
-		storeFlag   = flag.Bool("store", false, "stream pages into an embedded columnar store (requires the durable orchestrator; query with wsquery)")
-		storeDir    = flag.String("store-dir", "", "columnar store directory (default: <spool parent>/store-crawl<index>; implies -store)")
-		metricsAddr = flag.String("metrics-addr", "", "serve expvar + pprof on this address (\":0\" picks a port)")
-		progress    = flag.Duration("progress", 0, "print progress to stderr at this interval (0 = off)")
-		faultProf   = flag.String("fault-profile", "", "inject network faults from this profile: "+strings.Join(faultnet.Names(), ", "))
-		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault schedules (same seed = same faults)")
-		workerURL   = flag.String("worker", "", "join the wscoordd coordinator at this ws:// URL as a crawl worker")
-		workerName  = flag.String("worker-name", "", "worker name in coordinator logs (default: w<pid>)")
+		out         = fs.String("out", "", "output dataset path (required)")
+		eraFlag     = fs.String("era", "pre", "crawl era: pre or post (relative to the Chrome 58 patch)")
+		index       = fs.Int("index", 0, "crawl index (perturbs session randomness)")
+		publishers  = fs.Int("publishers", 600, "number of generic publishers")
+		workers     = fs.Int("workers", 8, "parallel crawl workers")
+		pages       = fs.Int("pages", 15, "page budget per site")
+		seed        = fs.Int64("seed", 20170419, "world seed")
+		version     = fs.Int("version", 0, "browser version (default: 57 pre-patch, 58 post-patch)")
+		checkpoint  = fs.String("checkpoint", "", "checkpoint state file (enables the durable orchestrator)")
+		spoolDir    = fs.String("spool-dir", "", "spool shard directory (enables the durable orchestrator)")
+		resume      = fs.Bool("resume", false, "resume an interrupted crawl from its checkpoint")
+		retries     = fs.Int("retries", 0, "per-site (per-batch with -coordinate) attempt budget (default 3)")
+		shards      = fs.Int("shards", 0, "spool shard count (default 8)")
+		storeFlag   = fs.Bool("store", false, "stream pages into an embedded columnar store (requires the durable orchestrator; query with wsquery)")
+		storeDir    = fs.String("store-dir", "", "columnar store directory (default: <spool parent>/store-crawl<index>; implies -store)")
+		metricsAddr = fs.String("metrics-addr", "", "serve expvar + pprof on this address (\":0\" picks a port)")
+		progress    = fs.Duration("progress", 0, "print progress to stderr at this interval (0 = off)")
+		faultProf   = fs.String("fault-profile", "", "inject network faults from this profile: "+strings.Join(faultnet.Names(), ", "))
+		faultSeed   = fs.Int64("fault-seed", 1, "seed for the fault schedules (same seed = same faults)")
+		coordAddr   = fs.String("coordinate", "", "coordinate a distributed crawl: serve batches to -worker processes on this address (\":0\" picks a port)")
+		batchSize   = fs.Int("batch-size", 0, "with -coordinate: sites per leased batch (default 16)")
+		leaseTTL    = fs.Duration("lease-ttl", 0, "with -coordinate: batch lease TTL (default 30s)")
+		queryAddr   = fs.String("query-addr", "", "with -coordinate: serve the store query API on this address (requires -store)")
+		workerURL   = fs.String("worker", "", "join the coordinator at this ws:// URL as a crawl worker")
+		workerName  = fs.String("worker-name", fmt.Sprintf("w%d", os.Getpid()), "worker name in coordinator logs")
 	)
-	flag.Parse()
-	if *workerURL != "" {
-		name := *workerName
-		if name == "" {
-			name = fmt.Sprintf("w%d", os.Getpid())
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		err := core.RunFabricWorker(context.Background(), core.FabricWorkerOptions{
-			Name:         name,
+		return 2
+	}
+	usage := func(msg string) int {
+		logf("%s", msg)
+		fs.Usage()
+		return 2
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	if *workerURL != "" {
+		if *coordAddr != "" {
+			return usage("-worker and -coordinate are two roles; pick one")
+		}
+		err := core.RunFabricWorker(ctx, core.FabricWorkerOptions{
+			Name:         *workerName,
 			URL:          *workerURL,
 			Workers:      *workers,
 			Seed:         *seed,
 			FaultProfile: *faultProf,
 			FaultSeed:    *faultSeed,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "wscrawl: "+format+"\n", args...)
-			},
+			Logf:         logf,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wscrawl:", err)
-			os.Exit(1)
+			logf("%v", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "wscrawl: worker %s done: crawl drained\n", name)
-		return
+		logf("worker %s done: crawl drained", *workerName)
+		return 0
 	}
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "wscrawl: -out is required")
-		flag.Usage()
-		os.Exit(2)
+		return usage("-out is required")
 	}
 
-	if *metricsAddr != "" {
-		msrv, err := obs.Serve(*metricsAddr, obs.Default)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wscrawl:", err)
-			os.Exit(1)
-		}
-		defer msrv.Close()
-		fmt.Fprintf(os.Stderr, "wscrawl: metrics on http://%s/debug/vars (pprof at /debug/pprof/)\n", msrv.Addr())
+	era, bv := webgen.EraPrePatch, 57
+	switch *eraFlag {
+	case "pre":
+	case "post":
+		era, bv = webgen.EraPostPatch, 58
+	default:
+		return usage(fmt.Sprintf("unknown era %q", *eraFlag))
 	}
-	if *progress > 0 {
-		rep := obs.NewReporter(os.Stderr, *progress, obs.Default)
-		rep.Start()
-		defer rep.Stop()
+	if *version != 0 {
+		bv = *version
 	}
-
-	era := webgen.EraPrePatch
-	if *eraFlag == "post" {
-		era = webgen.EraPostPatch
-	} else if *eraFlag != "pre" {
-		fmt.Fprintf(os.Stderr, "wscrawl: unknown era %q\n", *eraFlag)
-		os.Exit(2)
-	}
-	bv := *version
-	if bv == 0 {
-		bv = 57
-		if era == webgen.EraPostPatch {
-			bv = 58
-		}
-	}
-
 	spec := core.CrawlSpec{
 		Name:           fmt.Sprintf("%s-crawl-%d", era, *index),
 		Era:            era,
@@ -159,9 +165,8 @@ func main() {
 	opts := core.Options{
 		Seed: *seed, NumPublishers: *publishers, Workers: *workers, PagesPerSite: *pages,
 		FaultProfile: *faultProf, FaultSeed: *faultSeed,
+		Store: *storeFlag || *storeDir != "",
 	}
-
-	opts.Store = *storeFlag || *storeDir != ""
 	if *checkpoint != "" || *spoolDir != "" || *resume {
 		cp, sd := *checkpoint, *spoolDir
 		// Derive whichever of the two paths was not given from the
@@ -184,29 +189,122 @@ func main() {
 			MaxAttempts:    *retries,
 			NumShards:      *shards,
 		}
-	} else if opts.Store {
-		fmt.Fprintln(os.Stderr, "wscrawl: -store requires the durable orchestrator; pass -checkpoint or -spool-dir")
-		os.Exit(2)
+	} else if opts.Store || *coordAddr != "" {
+		return usage("-store and -coordinate require the durable orchestrator; pass -checkpoint or -spool-dir")
+	}
+	if *queryAddr != "" && (*coordAddr == "" || !opts.Store) {
+		return usage("-query-addr requires -coordinate and -store")
 	}
 
-	res, err := core.RunCrawl(context.Background(), opts, spec)
+	if *metricsAddr != "" {
+		msrv, err := obs.Serve(*metricsAddr, obs.Default)
+		if err != nil {
+			logf("%v", err)
+			return 1
+		}
+		defer msrv.Close()
+		logf("metrics on http://%s/debug/vars (pprof at /debug/pprof/)", msrv.Addr())
+	}
+	if *progress > 0 {
+		rep := obs.NewReporter(os.Stderr, *progress, obs.Default)
+		rep.Start()
+		defer rep.Stop()
+	}
+
+	var (
+		ds      *analysis.Dataset
+		crawled int
+		err     error
+	)
+	if *coordAddr != "" {
+		ds, crawled, err = coordinate(ctx, opts, spec, *coordAddr, *batchSize, *leaseTTL, *queryAddr)
+	} else {
+		ds, crawled, err = crawlHere(ctx, opts, spec)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wscrawl:", err)
-		os.Exit(1)
+		logf("%v", err)
+		if ctx.Err() != nil && opts.Dispatch != nil {
+			logf("interrupted; progress checkpointed to %s; rerun with the same flags and -resume to continue", opts.Dispatch.CheckpointPath)
+		}
+		return 1
 	}
 
-	if err := dispatch.WriteAtomic(*out, res.Dataset.WriteJSON); err != nil {
-		fmt.Fprintln(os.Stderr, "wscrawl:", err)
-		os.Exit(1)
+	if err := dispatch.WriteAtomic(*out, ds.WriteJSON); err != nil {
+		logf("%v", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "wscrawl: %d sites, %d pages, %d sockets, %d A&A domains -> %s\n",
-		len(res.Dataset.Sites), res.Stats.Pages, len(res.Dataset.Sockets), len(res.Dataset.AADomains), *out)
-	if d := res.Dispatch; d != nil {
-		fmt.Fprintf(os.Stderr, "wscrawl: dispatch: %d/%d sites done, %d failed, %d retries, %d lease requeues, %d resumed from checkpoint\n",
-			d.Progress.Done, d.Progress.Total, d.Progress.Failed, d.Progress.Retries, d.Progress.Requeues, d.ResumedDone)
-	}
+	logf("%d sites, %d pages, %d sockets, %d A&A domains -> %s",
+		len(ds.Sites), crawled, len(ds.Sockets), len(ds.AADomains), *out)
 	if opts.Store {
-		fmt.Fprintf(os.Stderr, "wscrawl: columnar store sealed at %s (query with: wsquery -store-dir %s -addr :0)\n",
+		logf("columnar store sealed at %s (query with: wsquery -store-dir %s -addr :0)",
 			opts.Dispatch.StoreDir, opts.Dispatch.StoreDir)
 	}
+	return 0
+}
+
+// crawlHere runs the crawl in this process and returns its dataset and
+// page count.
+func crawlHere(ctx context.Context, opts core.Options, spec core.CrawlSpec) (*analysis.Dataset, int, error) {
+	res, err := core.RunCrawl(ctx, opts, spec)
+	if err != nil {
+		return nil, 0, err
+	}
+	if d := res.Dispatch; d != nil {
+		logf("dispatch: %d/%d sites done, %d failed, %d retries, %d lease requeues, %d resumed from checkpoint",
+			d.Progress.Done, d.Progress.Total, d.Progress.Failed, d.Progress.Retries, d.Progress.Requeues, d.ResumedDone)
+	}
+	return res.Dataset, int(res.Stats.Pages), nil
+}
+
+// coordinate serves the crawl's batches to -worker processes on addr
+// until every batch has settled, then derives the dataset from the
+// ledger the workers' pages were appended to.
+func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, addr string, batchSize int, leaseTTL time.Duration, queryAddr string) (*analysis.Dataset, int, error) {
+	d := opts.Dispatch
+	coord, err := core.StartFabricCoordinator(opts, spec, core.FabricCoordinatorOptions{
+		Addr:           addr,
+		BatchSize:      batchSize,
+		NumShards:      d.NumShards,
+		LeaseTTL:       leaseTTL,
+		MaxAttempts:    d.MaxAttempts,
+		CheckpointPath: d.CheckpointPath,
+		SpoolDir:       d.SpoolDir,
+		Resume:         d.Resume,
+		StoreDir:       d.StoreDir,
+		FaultProfile:   opts.FaultProfile,
+		FaultSeed:      opts.FaultSeed,
+		Logf:           logf,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	// An early return (interrupt, listen failure) still checkpoints
+	// every settled batch for a -resume run.
+	defer coord.Close()
+	if queryAddr != "" {
+		ln, err := net.Listen("tcp", queryAddr)
+		if err != nil {
+			return nil, 0, err
+		}
+		defer ln.Close()
+		go func() { _ = http.Serve(ln, colstore.NewHandler(coord.Store())) }()
+		logf("query API on http://%s (live: /dataset, /tables, /chains)", ln.Addr())
+	}
+	// The e2e harness scrapes this exact line for the worker URL.
+	logf("serving %s", coord.URL())
+	if err := coord.Wait(ctx); err != nil {
+		return nil, 0, err
+	}
+
+	ds, stats, err := coord.Finalize(core.FabricDatasetMeta(spec))
+	if err == nil {
+		err = coord.Close()
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	prog := coord.Progress()
+	logf("fabric: %d/%d batches done, %d failed, %d batches resumed, %d failed sites, %d duplicate pages",
+		prog.Done, prog.Total, prog.Failed, coord.ResumedDone(), len(coord.FailedSites()), stats.Duplicates)
+	return ds, stats.Pages, nil
 }

@@ -7,10 +7,11 @@
 //
 // Usage:
 //
-//	wsload -addr HOST:PORT [-conns N] [-msgs N] [-size BYTES]
-//	       [-rate MSGS/S -duration D] [-ramp D] [-binary RATIO]
-//	       [-verify] [-seed S] [-fault PROFILE] [-json]
-//	wsload -serve [...]        # self-serve an in-process echo server
+//	wsload -addr HOST:PORT [-host NAME] [-path PATH] [-conns N]
+//	       [-msgs N] [-size BYTES] [-rate MSGS/S -duration D] [-ramp D]
+//	       [-binary RATIO] [-verify] [-seed S] [-fault PROFILE] [-json]
+//	wsload -serve [-max-conns N] [-max-accepted N] [...]
+//	       # self-serve an in-process echo server
 //
 // With no -rate the generator runs closed-loop: each connection keeps
 // exactly one message in flight and sends -msgs messages. With -rate

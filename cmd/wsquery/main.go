@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	wsquery -store-dir state/store-crawl0 -addr 127.0.0.1:8080
-//	wsquery -store-dir state/store-crawl0 -table 3 [-top 10]
+//	wsquery -store-dir state/store-crawl0 -addr 127.0.0.1:8080 [-metrics-addr HOST:PORT]
+//	wsquery -store-dir state/store-crawl0 -table 3 [-top 15]
 //	wsquery -store-dir state/store-crawl0 -dataset > dataset.json
 //
 // The store is opened read-only, so wsquery can follow a crawl that is
@@ -31,7 +31,7 @@ func main() {
 		storeDir    = flag.String("store-dir", "", "columnar store directory (required)")
 		addr        = flag.String("addr", "", "serve the query API on this address (\":0\" picks a port)")
 		table       = flag.Int("table", 0, "print this table (1-5) and exit")
-		topN        = flag.Int("top", 0, "row budget for tables 2-4 (default 10)")
+		topN        = flag.Int("top", 0, "row budget for tables 2-4 (default 15)")
 		dataset     = flag.Bool("dataset", false, "print the store-derived dataset JSON and exit")
 		metricsAddr = flag.String("metrics-addr", "", "serve expvar + pprof on this address")
 	)

@@ -5,6 +5,9 @@ import (
 	"sort"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/devtools"
+	"repro/internal/inclusion"
 )
 
 // TimelineEvent is one entry of the Figure 1 WRB timeline.
@@ -39,6 +42,29 @@ func RenderFigure1() string {
 	return b.String()
 }
 
+// RenderFigure2 builds the paper's Figure 2 example trace and renders
+// its inclusion tree: a worked example, not crawl output.
+func RenderFigure2() string {
+	tr := devtools.NewTrace()
+	for _, ev := range []devtools.Event{
+		devtools.FrameNavigated{FrameID: "F1", URL: "http://pub/index.html", Initiator: devtools.ParserInitiator("F1")},
+		devtools.ScriptParsed{ScriptID: "S1", URL: "http://pub/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
+		devtools.ScriptParsed{ScriptID: "S2", URL: "http://ads/script.js", FrameID: "F1", Initiator: devtools.ScriptInitiator("S1")},
+		devtools.RequestWillBeSent{RequestID: "R1", URL: "http://ads/image.img", Type: devtools.ResourceImage, FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub/index.html"},
+		devtools.WebSocketCreated{SocketID: "W1", URL: "ws://adnet/data.ws", FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub/index.html"},
+		devtools.ScriptParsed{ScriptID: "S3", URL: "http://tracker/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
+	} {
+		tr.Record(ev)
+	}
+	tree, err := inclusion.Build(tr)
+	if err != nil {
+		return fmt.Sprintf("figure 2 demo failed: %v\n", err)
+	}
+	return "Figure 2: inclusion tree for the paper's example page\n" +
+		"(note the WebSocket as a child of the requesting JavaScript)\n\n" +
+		tree.RenderASCII()
+}
+
 // RankBin is one Figure 3 data point: the share of sites in a rank bin
 // exhibiting A&A and non-A&A sockets.
 type RankBin struct {
@@ -59,25 +85,10 @@ type RankBin struct {
 // happens (10K–20K), coarser bins in the long tail.
 var DefaultRankEdges = []int{0, 10_000, 20_000, 50_000, 100_000, 200_000, 400_000, 600_000, 800_000, 1_000_000}
 
-// Figure3 bins crawled sites by fixed-width rank bins and computes the
-// socket-prevalence series (Figure 3 plots these two curves over rank).
-func Figure3(binSize int, datasets ...*Dataset) []RankBin {
-	if binSize <= 0 {
-		binSize = 10_000
-	}
-	var edges []int
-	for e := 0; e <= 1_000_000; e += binSize {
-		edges = append(edges, e)
-	}
-	return Figure3Binned(edges, datasets...)
-}
-
-// Figure3Binned computes the Figure 3 series over explicit bin edges
-// (each bin spans [edges[i], edges[i+1]); the final bin is open-ended).
+// Figure3Binned computes the Figure 3 socket-prevalence series (the two
+// curves it plots over rank) over explicit bin edges: each bin spans
+// [edges[i], edges[i+1]) and the final bin is open-ended.
 func Figure3Binned(edges []int, datasets ...*Dataset) []RankBin {
-	if len(edges) == 0 {
-		edges = DefaultRankEdges
-	}
 	binFor := func(rank int) int {
 		lo := edges[0]
 		for _, e := range edges {

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/analysis"
@@ -269,30 +270,14 @@ func (e *Engine) Labels(q LabelsQuery) []LabelRow {
 	return out
 }
 
-// Table computes one of the paper's tables (1–5) from the snapshot,
-// returning the rows as a JSON-able value and the rendered text form.
-// topN bounds Tables 2–4 (0 = their render default of 10).
+// Table computes one of the paper's Tables 1–5 from the snapshot
+// through analysis.Sections: its rows, JSON-able, and their text. topN
+// bounds Tables 2–4 (0 = the report's 15).
 func (e *Engine) Table(n, topN int) (any, string, bool) {
+	if n < 1 || n > 5 {
+		return nil, "", false
+	}
 	ds, _, _ := e.snapshot()
-	if topN <= 0 {
-		topN = 10
-	}
-	switch n {
-	case 1:
-		rows := analysis.Table1(ds)
-		return rows, analysis.RenderTable1(rows), true
-	case 2:
-		rows := analysis.Table2(topN, ds)
-		return rows, analysis.RenderTable2(rows), true
-	case 3:
-		rows := analysis.Table3(topN, ds)
-		return rows, analysis.RenderTable3(rows), true
-	case 4:
-		rows := analysis.Table4(topN, ds)
-		return rows, analysis.RenderTable4(rows), true
-	case 5:
-		res := analysis.Table5(ds)
-		return res, analysis.RenderTable5(res), true
-	}
-	return nil, "", false
+	rows, text := analysis.Lookup("table", strconv.Itoa(n)).Build(topN, ds)
+	return rows, text, true
 }

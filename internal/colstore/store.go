@@ -512,7 +512,7 @@ func (s *Store) Close() error {
 }
 
 // ReadSegment decodes one sealed segment file — the low-level tool the
-// crash tests and wsanalyze-style tooling use.
+// crash tests use.
 func ReadSegment(path string) ([]*analysis.PageRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
@@ -274,34 +273,6 @@ func (s *Study) Datasets() []*analysis.Dataset {
 	return out
 }
 
-// Report renders every table and figure of the paper's evaluation.
-func (s *Study) Report() string {
-	ds := s.Datasets()
-	var b strings.Builder
-	b.WriteString("=== Reproduction: How Tracking Companies Circumvented Ad Blockers Using WebSockets ===\n\n")
-	b.WriteString("--- Table 1: High-level crawl statistics ---\n")
-	b.WriteString(analysis.RenderTable1(analysis.Table1(ds...)))
-	b.WriteString("\n--- Table 2: Top 15 WebSocket initiators ---\n")
-	b.WriteString(analysis.RenderTable2(analysis.Table2(15, ds...)))
-	b.WriteString("\n--- Table 3: Top 15 A&A WebSocket receivers ---\n")
-	b.WriteString(analysis.RenderTable3(analysis.Table3(15, ds...)))
-	b.WriteString("\n--- Table 4: Top 15 initiator/receiver pairs ---\n")
-	b.WriteString(analysis.RenderTable4(analysis.Table4(15, ds...)))
-	b.WriteString("\n--- Table 5: Content sent/received over A&A sockets vs HTTP/S ---\n")
-	b.WriteString(analysis.RenderTable5(analysis.Table5(ds...)))
-	b.WriteString("\n--- Figure 1 ---\n")
-	b.WriteString(analysis.RenderFigure1())
-	b.WriteString("\n--- Figure 3 ---\n")
-	b.WriteString(analysis.RenderFigure3(analysis.Figure3Binned(analysis.DefaultRankEdges, ds...)))
-	b.WriteString("\n--- Figure 4 ---\n")
-	b.WriteString(analysis.RenderFigure4(analysis.Figure4(6, ds...)))
-	b.WriteString("\n")
-	b.WriteString(analysis.RenderOverview(analysis.ComputeOverview(ds...)))
-	b.WriteString("\n")
-	b.WriteString(analysis.RenderReceiverCategories(analysis.ReceiverCategories(ds...)))
-	if len(ds) >= 2 {
-		b.WriteString("\n")
-		b.WriteString(analysis.RenderChurn(analysis.ComputeChurn(ds[0], ds[len(ds)-1], analysis.UnionAASet(ds...))))
-	}
-	return b.String()
-}
+// Report renders every table and figure of the paper's evaluation
+// (analysis.Report over the study's datasets).
+func (s *Study) Report() string { return analysis.Report(s.Datasets()...) }

@@ -15,18 +15,6 @@ import (
 	"repro/internal/webgen"
 )
 
-// renderAllTables renders Tables 1-5 — the paper's full tabular
-// evaluation — from one dataset.
-func renderAllTables(ds *analysis.Dataset) string {
-	var b bytes.Buffer
-	b.WriteString(analysis.RenderTable1(analysis.Table1(ds)))
-	b.WriteString(analysis.RenderTable2(analysis.Table2(10, ds)))
-	b.WriteString(analysis.RenderTable3(analysis.Table3(10, ds)))
-	b.WriteString(analysis.RenderTable4(analysis.Table4(10, ds)))
-	b.WriteString(analysis.RenderTable5(analysis.Table5(ds)))
-	return b.String()
-}
-
 func storeDatasetBytes(t *testing.T, ds *analysis.Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -38,9 +26,9 @@ func storeDatasetBytes(t *testing.T, ds *analysis.Dataset) []byte {
 
 // TestStoreDifferential runs the pinned bench-crawl world through both
 // dataset paths — end-of-run spool merge vs streaming columnar store —
-// and requires byte-identical datasets and byte-identical rendered
-// Table 1-5 output, from the live run and from a cold read-only open of
-// the sealed segments.
+// and requires byte-identical datasets and byte-identical reports, from
+// the live run and from a cold read-only open of the sealed segments;
+// the query engine's Tables 1-5 are the report's sections.
 func TestStoreDifferential(t *testing.T) {
 	spec := CrawlSpec{Name: "bench", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57}
 	ctx := context.Background()
@@ -51,7 +39,7 @@ func TestStoreDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := storeDatasetBytes(t, mergeRes.Dataset)
-	oracleTables := renderAllTables(mergeRes.Dataset)
+	oracleTables := analysis.Report(mergeRes.Dataset)
 
 	stateDir := filepath.Join(t.TempDir(), "state")
 	storeOpts := benchCrawlOptions(stateDir)
@@ -63,7 +51,7 @@ func TestStoreDifferential(t *testing.T) {
 	if !bytes.Equal(storeDatasetBytes(t, storeRes.Dataset), oracle) {
 		t.Error("store-derived dataset differs from merge-derived dataset")
 	}
-	if got := renderAllTables(storeRes.Dataset); got != oracleTables {
+	if got := analysis.Report(storeRes.Dataset); got != oracleTables {
 		t.Errorf("store-derived tables differ:\n--- store ---\n%s\n--- merge ---\n%s", got, oracleTables)
 	}
 
@@ -77,8 +65,15 @@ func TestStoreDifferential(t *testing.T) {
 	if !bytes.Equal(storeDatasetBytes(t, roDS), oracle) {
 		t.Error("sealed on-disk store differs from merge-derived dataset")
 	}
-	if got := renderAllTables(roDS); got != oracleTables {
+	if got := analysis.Report(roDS); got != oracleTables {
 		t.Error("sealed on-disk store renders different tables")
+	}
+	engine := colstore.NewEngine(ro)
+	for n := 1; n <= 5; n++ {
+		_, got, ok := engine.Table(n, 0)
+		if want := analysis.Lookup("table", fmt.Sprint(n)).Render(roDS); !ok || got != want {
+			t.Errorf("query engine's Table %d differs from the report's:\n--- engine ---\n%s\n--- report ---\n%s", n, got, want)
+		}
 	}
 }
 
@@ -177,7 +172,7 @@ func TestFabricStoreDifferential(t *testing.T) {
 	if storeStats.Pages != mergeStats.Pages {
 		t.Errorf("store folded %d pages, merge saw %d", storeStats.Pages, mergeStats.Pages)
 	}
-	if got, want := renderAllTables(storeDS), renderAllTables(mergeDS); got != want {
+	if got, want := analysis.Report(storeDS), analysis.Report(mergeDS); got != want {
 		t.Error("fabric store renders different tables than the merge")
 	}
 	liveDS, _ := coord.Store().Dataset()

@@ -16,12 +16,11 @@ import "sort"
 // JobState is the durable lifecycle state of a queued job.
 type JobState string
 
-// The four job states. Leased is a runtime-only state: exporting a
-// leased job for a checkpoint demotes it to pending (the lease dies
+// The durable job states. A leased job has no state of its own:
+// exporting it for a checkpoint records it as pending (the lease dies
 // with the process that held it).
 const (
 	JobPending JobState = "pending"
-	JobLeased  JobState = "leased"
 	JobDone    JobState = "done"
 	JobFailed  JobState = "failed"
 )

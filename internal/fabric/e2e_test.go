@@ -3,25 +3,30 @@ package fabric
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/dispatch"
 )
 
 // The e2e tests prove the acceptance keystone across real processes:
-// wscoordd and wscrawl -worker binaries, real TCP, real kill -9. The
+// wscrawl -coordinate and wscrawl -worker, real TCP, real kill -9. The
 // same seeds must produce a byte-identical merged dataset for 1, 2,
 // and 4 workers, across a mid-crawl worker kill, across a mid-crawl
 // coordinator kill-and-resume — and identical to the single-process
 // durable path (wscrawl -checkpoint), which ties the fabric to the
-// repo's established determinism contract.
+// repo's established determinism contract, including after that path
+// is interrupted by SIGINT and resumed.
 
 // e2eFlags is the shared crawl geometry; every run below must use the
 // same values or the byte-comparison is meaningless.
@@ -30,14 +35,12 @@ var e2eFlags = []string{
 	"-publishers", "18", "-pages", "2",
 }
 
-func buildBinaries(t *testing.T) (coordBin, crawlBin, queryBin string) {
+func buildBinaries(t *testing.T) (crawlBin, queryBin string) {
 	t.Helper()
 	bin := t.TempDir()
-	coordBin = filepath.Join(bin, "wscoordd")
 	crawlBin = filepath.Join(bin, "wscrawl")
 	queryBin = filepath.Join(bin, "wsquery")
 	for path, pkg := range map[string]string{
-		coordBin: "repro/cmd/wscoordd",
 		crawlBin: "repro/cmd/wscrawl",
 		queryBin: "repro/cmd/wsquery",
 	} {
@@ -46,10 +49,10 @@ func buildBinaries(t *testing.T) (coordBin, crawlBin, queryBin string) {
 			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 		}
 	}
-	return coordBin, crawlBin, queryBin
+	return crawlBin, queryBin
 }
 
-// coordProc wraps a running wscoordd with live stderr scanning.
+// coordProc wraps a running wscrawl -coordinate with live stderr scanning.
 type coordProc struct {
 	cmd      *exec.Cmd
 	urlCh    chan string
@@ -66,15 +69,15 @@ func (p *coordProc) log(t *testing.T) string {
 	return strings.Join(p.lines, "\n")
 }
 
-// startCoord launches wscoordd and scans its stderr for the serving
-// URL and batch-complete events.
+// startCoord launches wscrawl -coordinate and scans its stderr for the
+// serving URL and batch-complete events.
 func startCoord(t *testing.T, bin, dir, addr string, resume bool, extra ...string) *coordProc {
 	t.Helper()
 	args := []string{
 		"-out", filepath.Join(dir, "dataset.json"),
 		"-checkpoint", filepath.Join(dir, "checkpoint.json"),
 		"-spool-dir", filepath.Join(dir, "spool"),
-		"-addr", addr,
+		"-coordinate", addr,
 		"-batch-size", "3",
 		"-lease-ttl", "2s",
 	}
@@ -105,7 +108,7 @@ func startCoord(t *testing.T, bin, dir, addr string, resume bool, extra ...strin
 			p.mu.Lock()
 			p.lines = append(p.lines, line)
 			p.mu.Unlock()
-			if rest, ok := strings.CutPrefix(line, "wscoordd: serving "); ok {
+			if rest, ok := strings.CutPrefix(line, "wscrawl: serving "); ok {
 				select {
 				case p.urlCh <- rest:
 				default:
@@ -129,9 +132,9 @@ func (p *coordProc) url(t *testing.T) string {
 	case u := <-p.urlCh:
 		return u
 	case err := <-p.done:
-		t.Fatalf("wscoordd exited before serving: %v\n%s", err, p.log(t))
+		t.Fatalf("coordinator exited before serving: %v\n%s", err, p.log(t))
 	case <-time.After(30 * time.Second):
-		t.Fatalf("wscoordd never served\n%s", p.log(t))
+		t.Fatalf("coordinator never served\n%s", p.log(t))
 	}
 	return ""
 }
@@ -151,10 +154,10 @@ func startWorker(t *testing.T, bin, url, name string, seed int) *exec.Cmd {
 
 // runDistributed runs one full distributed crawl with n workers and
 // returns the merged dataset bytes.
-func runDistributed(t *testing.T, coordBin, crawlBin string, n int) []byte {
+func runDistributed(t *testing.T, crawlBin string, n int) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	coord := startCoord(t, coordBin, dir, "127.0.0.1:0", false)
+	coord := startCoord(t, crawlBin, dir, "127.0.0.1:0", false)
 	url := coord.url(t)
 	workers := make([]*exec.Cmd, n)
 	for i := range workers {
@@ -163,10 +166,10 @@ func runDistributed(t *testing.T, coordBin, crawlBin string, n int) []byte {
 	select {
 	case err := <-coord.done:
 		if err != nil {
-			t.Fatalf("wscoordd failed: %v\n%s", err, coord.log(t))
+			t.Fatalf("coordinator failed: %v\n%s", err, coord.log(t))
 		}
 	case <-time.After(120 * time.Second):
-		t.Fatalf("wscoordd never finished\n%s", coord.log(t))
+		t.Fatalf("coordinator never finished\n%s", coord.log(t))
 	}
 	for i, w := range workers {
 		if err := w.Wait(); err != nil {
@@ -184,16 +187,16 @@ func TestE2EDistributedCrawl(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e: real-process crawl skipped in -short mode")
 	}
-	coordBin, crawlBin, queryBin := buildBinaries(t)
+	crawlBin, queryBin := buildBinaries(t)
 
-	ref := runDistributed(t, coordBin, crawlBin, 1)
+	ref := runDistributed(t, crawlBin, 1)
 	if len(ref) == 0 {
 		t.Fatal("reference dataset is empty")
 	}
 
 	t.Run("worker counts converge", func(t *testing.T) {
 		for _, n := range []int{2, 4} {
-			if got := runDistributed(t, coordBin, crawlBin, n); !bytes.Equal(got, ref) {
+			if got := runDistributed(t, crawlBin, n); !bytes.Equal(got, ref) {
 				t.Errorf("%d-worker dataset differs from 1-worker dataset (%d vs %d bytes)",
 					n, len(got), len(ref))
 			}
@@ -223,9 +226,63 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		}
 	})
 
+	t.Run("local SIGINT checkpoints and resumes", func(t *testing.T) {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "local.json")
+		cpPath := filepath.Join(dir, "checkpoint.json")
+		args := append([]string{"-out", out, "-checkpoint", cpPath}, e2eFlags...)
+		// The slow profile stretches the crawl to seconds without moving
+		// a byte of its dataset, so the interrupt lands mid-crawl.
+		cmd := exec.Command(crawlBin, append(args, "-workers", "2", "-fault-profile", "slow")...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			if cp, err := dispatch.LoadCheckpoint(cpPath); err == nil && len(cp.Done) > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no site checkpointed before the interrupt\n%s", stderr.String())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err := cmd.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+		var exit *exec.ExitError
+		if err := cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("interrupted wscrawl: %v, want exit status 1\n%s", err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-resume to continue") {
+			t.Errorf("interrupted wscrawl printed no resume hint:\n%s", stderr.String())
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("interrupted wscrawl wrote its dataset (stat: %v)", err)
+		}
+
+		msg, err := exec.Command(crawlBin, append(args, "-workers", "4", "-resume")...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("resumed wscrawl: %v\n%s", err, msg)
+		}
+		if m := regexp.MustCompile(`(\d+) resumed from checkpoint`).FindSubmatch(msg); m == nil || string(m[1]) == "0" {
+			t.Errorf("resumed wscrawl recovered no sites from the interrupted run:\n%s", msg)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("dataset after SIGINT and resume differs (%d vs %d bytes)", len(got), len(ref))
+		}
+	})
+
 	t.Run("worker SIGKILL mid-crawl", func(t *testing.T) {
 		dir := t.TempDir()
-		coord := startCoord(t, coordBin, dir, "127.0.0.1:0", false)
+		coord := startCoord(t, crawlBin, dir, "127.0.0.1:0", false)
 		url := coord.url(t)
 		victim := startWorker(t, crawlBin, url, "victim", 1)
 		survivor := startWorker(t, crawlBin, url, "survivor", 2)
@@ -242,7 +299,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		select {
 		case err := <-coord.done:
 			if err != nil {
-				t.Fatalf("wscoordd failed after worker kill: %v\n%s", err, coord.log(t))
+				t.Fatalf("coordinator failed after worker kill: %v\n%s", err, coord.log(t))
 			}
 		case <-time.After(120 * time.Second):
 			t.Fatalf("crawl never finished after worker kill\n%s", coord.log(t))
@@ -274,7 +331,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		// kill -9 below can land mid-segment-write, and resume must
 		// recover the store to byte-agreement with the merge.
 		storeDir := filepath.Join(dir, "store")
-		c1 := startCoord(t, coordBin, dir, addr, false, "-store-dir", storeDir)
+		c1 := startCoord(t, crawlBin, dir, addr, false, "-store-dir", storeDir)
 		url := c1.url(t)
 		worker := startWorker(t, crawlBin, url, "w0", 1)
 		select {
@@ -292,11 +349,11 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		var c2 *coordProc
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			c2 = startCoord(t, coordBin, dir, addr, true, "-store-dir", storeDir)
+			c2 = startCoord(t, crawlBin, dir, addr, true, "-store-dir", storeDir)
 			select {
 			case err := <-c2.done:
 				if time.Now().After(deadline) {
-					t.Fatalf("restarted wscoordd kept failing: %v\n%s", err, c2.log(t))
+					t.Fatalf("restarted coordinator kept failing: %v\n%s", err, c2.log(t))
 				}
 				time.Sleep(100 * time.Millisecond) // port not yet released
 				continue
@@ -310,7 +367,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		select {
 		case err := <-c2.done:
 			if err != nil {
-				t.Fatalf("resumed wscoordd failed: %v\n%s", err, c2.log(t))
+				t.Fatalf("resumed coordinator failed: %v\n%s", err, c2.log(t))
 			}
 		case <-time.After(120 * time.Second):
 			t.Fatalf("resumed crawl never finished\n%s", c2.log(t))

@@ -68,9 +68,9 @@ func completeBatch(t *testing.T, conn *wsproto.Conn, batch wire.Batch) {
 }
 
 // TestCoordinatorAnswersDrainedBeforeClose is the drained-vs-shutdown
-// race as wscoordd meets it: a worker settles the crawl's last batch and
-// asks for another a moment later, while the coordinator's owner calls
-// Wait and then Close straight away. The worker must still hear drained;
+// race as wscrawl -coordinate meets it: a worker settles the crawl's
+// last batch and asks for another a moment later, while the
+// coordinator's owner calls Wait and then Close straight away. The worker must still hear drained;
 // one cut off instead redials a coordinator that is gone and exits in
 // error.
 func TestCoordinatorAnswersDrainedBeforeClose(t *testing.T) {
@@ -178,8 +178,8 @@ func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 }
 
 // TestCoordinatorFinalizeRefusesLatePages keeps a session attached past
-// Finalize, as wscoordd's workers are, and streams one more page through
-// it: the session must drop, and the page must reach neither the spool
+// Finalize, as a coordinator's workers are, and streams one more page
+// through it: the session must drop, and the page must reach neither the spool
 // nor the dataset Finalize already handed out.
 func TestCoordinatorFinalizeRefusesLatePages(t *testing.T) {
 	sites := testSites(4)

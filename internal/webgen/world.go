@@ -25,11 +25,6 @@ type Config struct {
 	CrawlIndex int
 }
 
-// DefaultConfig returns the scale used by tests and examples.
-func DefaultConfig() Config {
-	return Config{Seed: 20170419, NumPublishers: 400, Era: EraPrePatch}
-}
-
 // Publisher is one website in the synthetic Alexa sample.
 type Publisher struct {
 	// Index is the publisher's position in World.Publishers.
