@@ -36,7 +36,11 @@ race:
 # and to their 64 KiB head cap, the web server's in-process transports
 # to its wire, and the fabric frame decoder to its own re-encoding
 # (FuzzWireDecode: accepted frames round-trip); FuzzParse feeds htmlparse
-# hostile bytes and holds its attributes to the map parser. Seed corpora
+# hostile bytes and holds its attributes to the map parser. The two
+# decoders a resume trusts: FuzzLoadCheckpoint (hostile checkpoint bytes
+# are refused or round-trip through WriteAtomic) and FuzzLedgerReplay (a
+# resumed ledger over arbitrary shard bytes and extent refuses without
+# touching the shard, or folds what MergeShards merges). Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
 # interesting stay in the Go build cache, and a failing input is
 # written under the package's testdata/fuzz to be committed with the fix.
@@ -52,6 +56,8 @@ fuzz-smoke:
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadServerHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/webserver -run '^$$' -fuzz '^FuzzTransportsAgree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLedgerReplay$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled

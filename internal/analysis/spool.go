@@ -1,18 +1,20 @@
 // Spool records: the durable per-page form of a crawl measurement.
 //
-// The dispatch orchestrator (internal/dispatch) appends one PageRecord
-// per crawled page to sharded JSONL spool files as pages arrive, so a
-// crash loses at most the page being written. MergeShards streams the
-// shards back and folds them into a Dataset without ever holding all
-// pages in memory: per-page records are aggregated on the fly and only
-// the dataset's own output (site summaries, socket records, per-domain
-// HTTP aggregates, label counts) is retained.
+// The dispatch ledger (internal/dispatch) appends one PageRecord per
+// crawled page to sharded JSONL spool files as pages arrive, so a crash
+// loses at most the page being written, and folds each record into a
+// Folder as it goes; a resumed ledger folds the records already in the
+// spool when it opens. The fold never holds all pages in memory: records
+// are aggregated on the fly and only the dataset's own output (site
+// summaries, socket records, per-domain HTTP aggregates, label counts)
+// is retained. MergeShards folds shard files the same way; it is the
+// oracle the tests hold the ledger to.
 //
 // A PageRecord carries the labeler observation *deltas* its page
 // contributed (A&A hits, non-A&A hits, CDN adjacency counts) rather
 // than any derived label state, so D′ — the a(d) ≥ 0.1·n(d) rule of
-// §3.2 — can be recomputed exactly from the summed deltas at merge
-// time. This is what makes a resumed crawl converge to the same
+// §3.2 — can be recomputed exactly from the summed deltas when the fold
+// is finalized. This is what makes a resumed crawl converge to the same
 // Dataset as an uninterrupted one.
 package analysis
 
@@ -199,19 +201,6 @@ type MergeStats struct {
 	Truncated int
 }
 
-// MergeOptions tunes a merge beyond MergeShards' defaults.
-type MergeOptions struct {
-	// MinShardBytes, when non-nil, is parallel to the shard paths: each
-	// entry is that shard's durable extent as recorded by a dispatch
-	// checkpoint (Checkpoint.ShardBytes). The checkpoint vouches that
-	// every byte before the extent is part of a complete, flushed line,
-	// so a torn (unterminated) tail starting inside the extent means
-	// durable data has gone missing and the merge fails hard instead of
-	// skipping it. Tails beginning at or past the extent remain ordinary
-	// crash remnants and are tolerated.
-	MinShardBytes []int64
-}
-
 // MergeShards streams PageRecords out of spool shard files and folds
 // them into a Dataset. Records are deduplicated by (site, pageURL),
 // first occurrence wins — safe because site crawls are deterministic,
@@ -220,19 +209,9 @@ type MergeOptions struct {
 // position) and therefore byte-identical across runs regardless of
 // worker scheduling.
 //
-// MergeShards reads the shards sequentially in a single goroutine;
-// callers running merges concurrently must use distinct shard sets.
-// Merge throughput is recorded in the obs registry (merge.pages,
-// merge.duplicates, stage.merge).
+// No crawl path calls it — a crawl's dataset is its ledger's fold — but
+// the tests hold that fold to it, over the spool the crawl left behind.
 func MergeShards(meta DatasetMeta, paths []string) (*Dataset, MergeStats, error) {
-	return MergeShardsOpts(meta, paths, MergeOptions{})
-}
-
-// MergeShardsOpts is MergeShards with checkpoint-aware strictness: when
-// opts.MinShardBytes records the durable extents a checkpoint vouched
-// for, torn tails inside those extents fail the merge instead of being
-// skipped as crash remnants.
-func MergeShardsOpts(meta DatasetMeta, paths []string, opts MergeOptions) (*Dataset, MergeStats, error) {
 	mergeSpan := obs.StartSpan(obs.StageMerge)
 	agg := newShardMerger(meta)
 	stats := MergeStats{Shards: len(paths)}
@@ -240,12 +219,8 @@ func MergeShardsOpts(meta DatasetMeta, paths []string, opts MergeOptions) (*Data
 	// out past the fold of the line they belong to, so sequential shard
 	// merges can share it instead of re-allocating 64 KiB per file.
 	br := bufio.NewReaderSize(nil, 64*1024)
-	for i, path := range paths {
-		var min int64
-		if i < len(opts.MinShardBytes) {
-			min = opts.MinShardBytes[i]
-		}
-		if err := mergeShardFile(path, br, agg, &stats, min); err != nil {
+	for _, path := range paths {
+		if err := mergeShardFile(path, br, agg, &stats); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -256,36 +231,21 @@ func MergeShardsOpts(meta DatasetMeta, paths []string, opts MergeOptions) (*Data
 	return ds, stats, nil
 }
 
-// mergeShardFile streams one shard into the merger, tracking byte
-// offsets so trailing fragments can be judged against the durable
-// extent a checkpoint recorded (minBytes; 0 when no checkpoint spoke
-// for this shard). Only an *unterminated* trailing fragment can be a
-// crash torn mid-append, and only when it starts at or past minBytes —
-// inside the extent the checkpoint promised complete lines, so a torn
-// tail there means durable data went missing. A newline-terminated
-// line that fails to decode was written complete; that is corruption
-// and fails the merge regardless of position, final line included.
-func mergeShardFile(path string, br *bufio.Reader, agg *shardMerger, stats *MergeStats, minBytes int64) error {
+// mergeShardFile streams one shard into the merger.
+func mergeShardFile(path string, br *bufio.Reader, agg *shardMerger, stats *MergeStats) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("analysis: open shard: %w", err)
 	}
 	defer f.Close()
 	br.Reset(f)
-	var off int64
 	line := 0
 	for {
 		raw, err := br.ReadBytes('\n')
-		start := off
-		off += int64(len(raw))
 		if err == io.EOF {
-			if len(raw) == 0 {
-				return nil
+			if len(raw) > 0 {
+				stats.Truncated++
 			}
-			if start < minBytes {
-				return fmt.Errorf("analysis: shard %s: torn line at offset %d inside the checkpoint's durable extent (%d bytes) — the spool lost data the checkpoint vouched for", path, start, minBytes)
-			}
-			stats.Truncated++
 			return nil
 		}
 		if err != nil {

@@ -154,39 +154,6 @@ func TestMergeShardsRejectsCorruptTerminatedFinalLine(t *testing.T) {
 	}
 }
 
-// TestMergeShardsRejectsTornLineWithinExtent: a checkpoint's recorded
-// spool extent promises every byte before it is a durable, complete
-// line. A torn (unterminated) tail that starts inside that extent means
-// the shard lost data the checkpoint vouched for — a hard error, never
-// a skip.
-func TestMergeShardsRejectsTornLineWithinExtent(t *testing.T) {
-	good := encodeLine(t, samplePageRecord())
-	torn := `{"site":"pub.com","rank":7,"pageUrl":"http://pub.com/tor`
-	path := writeShard(t, good, torn)
-
-	// Extent covers the whole file: the torn tail is inside it.
-	all := int64(len(good) + len(torn))
-	_, stats, err := MergeShardsOpts(DatasetMeta{Name: "c"}, []string{path},
-		MergeOptions{MinShardBytes: []int64{all}})
-	if err == nil {
-		t.Fatalf("torn line within recorded extent accepted (stats %+v)", stats)
-	}
-
-	// Extent stops at the last complete line: the tail is a legitimate
-	// crash remnant and is skipped, exactly like the extent-less path.
-	ds, stats, err := MergeShardsOpts(DatasetMeta{Name: "c"}, []string{path},
-		MergeOptions{MinShardBytes: []int64{int64(len(good))}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Pages != 1 || stats.Truncated != 1 {
-		t.Errorf("stats = %+v, want 1 page / 1 truncated", stats)
-	}
-	if len(ds.Sites) != 1 {
-		t.Errorf("sites = %+v", ds.Sites)
-	}
-}
-
 func TestMergeShardsDerivesAADomainsFromDeltas(t *testing.T) {
 	// tracker.com: 2 A&A obs vs 10 non ⇒ 2 >= 0.1*10, in D′.
 	// almost.com: 1 A&A obs vs 11 non ⇒ 1 < 1.1, out.

@@ -1,12 +1,11 @@
 // Package colstore is the embedded append-only columnar dataset store:
-// the streaming replacement for the post-hoc JSONL-spool → MergeShards
-// → one-big-JSON pipeline, built for crawls too large to re-read at the
-// end.
+// a crawl's fold with its own durable, queryable segments, built for
+// crawls too large to re-read at the end.
 //
 // PageRecords are ingested incrementally as the crawl runs. Each record
 // folds straight into the incremental Table 1–5 aggregation (the same
-// analysis.Folder fold the merge path uses, so the derived dataset is
-// byte-identical by construction) and is buffered on its site's shard.
+// analysis.Folder fold a store-less ledger keeps, so the derived dataset
+// is byte-identical by construction) and is buffered on its site's shard.
 // At every group-commit boundary — and whenever a shard's buffer
 // reaches SegmentPages — the shard's buffered records are sealed into
 // an immutable dictionary-encoded segment file: written to a temp file,
@@ -18,7 +17,7 @@
 //
 // Recovery replays sealed segments through the fold in (shard, seq)
 // order. Records deduplicate by (site, pageURL) with first-occurrence
-// wins — exactly like the spool merge — so a crawl killed mid-run and
+// wins — exactly like the spool replay — so a crawl killed mid-run and
 // resumed converges on the same dataset: sites the checkpoint marked
 // done were sealed before the checkpoint was written (the dispatch
 // ledger seals at the same boundary it flushes the spool), and
@@ -438,7 +437,8 @@ func (s *Store) Rescan() error {
 }
 
 // Dataset snapshots the store-derived dataset: canonical, immutable,
-// and — after the same records — byte-identical to MergeShards' output.
+// and — after the same records — byte-identical to a store-less ledger's
+// fold, and to the tests' MergeShards oracle.
 // Callable at any point during the crawl.
 func (s *Store) Dataset() (*analysis.Dataset, analysis.MergeStats) {
 	ds, stats := s.folder.Snapshot()
@@ -447,8 +447,8 @@ func (s *Store) Dataset() (*analysis.Dataset, analysis.MergeStats) {
 }
 
 // Finalize closes out the crawl's aggregation, reporting merge metrics
-// exactly like a spool merge would (merge.pages, merge.duplicates,
-// stage.merge). Call once, when the crawl is done.
+// exactly like a store-less ledger's fold does (merge.pages,
+// merge.duplicates, stage.merge). Call once, when the crawl is done.
 func (s *Store) Finalize() (*analysis.Dataset, analysis.MergeStats) {
 	ds, stats := s.folder.Finalize()
 	stats.Shards = s.shards

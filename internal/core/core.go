@@ -66,10 +66,10 @@ type Options struct {
 	// Store routes dispatch-path crawls through the embedded columnar
 	// store (internal/colstore): every page record is ingested as it
 	// arrives, segments seal atomically at each checkpoint boundary, and
-	// the crawl's dataset is served from the store's incremental
-	// aggregate instead of the end-of-run spool merge. The spool stays
-	// behind as the differential oracle — store-derived tables are
-	// byte-identical to merge-derived ones (TestStoreDifferential).
+	// the store owns the crawl's fold, so the dataset is its incremental
+	// aggregate. The spool stays behind as the differential oracle —
+	// store-derived tables are byte-identical to merge-derived ones
+	// (TestStoreDifferential).
 	// Requires Dispatch; the sealed store is queryable with cmd/wsquery.
 	Store bool
 	// FaultProfile, when non-empty, names a faultnet profile (see

@@ -18,8 +18,8 @@ func batched(cfg Config) Config {
 	return cfg
 }
 
-// mergeOracle is the end-of-run decode pass a fresh run skips: the
-// dataset merged from the spool shards a finished run left in dir.
+// mergeOracle is the decode pass no run makes: the dataset merged from
+// the spool shards a finished run left in dir.
 func mergeOracle(t *testing.T, cfg Config, dir string) (*analysis.Dataset, analysis.MergeStats) {
 	t.Helper()
 	ds, stats, err := analysis.MergeShards(cfg.Meta, spoolPaths(dir, cfg.NumShards))
@@ -104,6 +104,9 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	}
 	if !bytes.Equal(datasetBytes(t, full), datasetBytes(t, res.Dataset)) {
 		t.Error("killed+resumed batched run differs from uninterrupted seed run")
+	}
+	if own, _ := mergeOracle(t, cfg2, dir); !bytes.Equal(datasetBytes(t, own), datasetBytes(t, res.Dataset)) {
+		t.Error("killed+resumed batched run differs from the merge of its own spool")
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 	"repro/internal/colstore"
 )
 
-// CheckpointVersion is the on-disk format version. Version 2 added the
-// optional shardBytes spool guard; version 3 added the optional
-// batchSize and failedSites fields that let the fabric coordinator share
-// the format (its jobs are batch IDs). Version-1 and -2 single-process
-// files still load, so upgrading mid-study does not strand a checkpoint.
+// CheckpointVersion is the on-disk format version, and the only one
+// LoadCheckpoint reads. Version 2 added the shardBytes spool guard;
+// version 3 added the optional batchSize and failedSites fields that let
+// the fabric coordinator share the format (its jobs are batch IDs). Older
+// files are refused with the start-fresh hint.
 const CheckpointVersion = 3
 
 // CheckpointError reports a checkpoint that cannot drive a resume:
@@ -48,7 +48,7 @@ const hintWrongCrawl = "point -checkpoint/-spool-dir at the original crawl's sta
 // atomically (temp file + rename in the same directory), so a crash can
 // never leave a torn checkpoint behind; at worst the file is one
 // generation stale, which resume tolerates because re-crawled pages
-// deduplicate in the spool merge.
+// deduplicate in the fold.
 //
 // Format: a single JSON object —
 //
@@ -85,10 +85,10 @@ type Checkpoint struct {
 	// to their last error (batch mode only, v3+).
 	FailedSites map[string]string `json:"failedSites,omitempty"`
 	// ShardBytes records each spool shard's durable size at checkpoint
-	// time (v2+). On resume every shard must be at least this large
-	// after tail repair; a smaller shard means the spool does not match
-	// the checkpoint (deleted, swapped, or damaged) and resuming would
-	// silently drop the completed sites' pages from the merged dataset.
+	// time: its extent. A resume replays every shard against it, and a
+	// shard that is shorter, or whose complete lines end before it, does
+	// not match the checkpoint (deleted, swapped, or damaged); resuming
+	// would silently drop the completed sites' pages from the dataset.
 	ShardBytes []int64 `json:"shardBytes,omitempty"`
 }
 
@@ -101,10 +101,10 @@ func (c *Checkpoint) WriteAtomic(path string) error {
 	})
 }
 
-// LoadCheckpoint reads a checkpoint file. Undecodable bytes and
-// unsupported format versions surface as *CheckpointError: both mean a
-// resume cannot be trusted and must fail fast rather than run a crawl
-// that silently drops the checkpointed progress.
+// LoadCheckpoint reads a checkpoint file. Undecodable bytes and any
+// format version but CheckpointVersion surface as *CheckpointError: both
+// mean a resume cannot be trusted and must fail fast rather than run a
+// crawl that silently drops the checkpointed progress.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -115,20 +115,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.NewDecoder(f).Decode(&c); err != nil {
 		return nil, &CheckpointError{Path: path, Reason: fmt.Sprintf("corrupt checkpoint: %v", err), Hint: hintStartFresh}
 	}
-	if c.Version < 1 || c.Version > CheckpointVersion {
+	if c.Version != CheckpointVersion {
 		return nil, &CheckpointError{
 			Path: path, Version: c.Version,
-			Reason: fmt.Sprintf("unsupported format version (this build reads v1..v%d)", CheckpointVersion),
-			Hint:   hintStartFresh,
-		}
-	}
-	if c.Version < 3 && c.BatchSize > 0 {
-		// Before v3 the coordinator wrote its own format under the same
-		// version numbers; its batch records are not in this struct, so
-		// resuming would silently treat every batch as fresh.
-		return nil, &CheckpointError{
-			Path: path, Version: c.Version,
-			Reason: "coordinator checkpoint in the retired pre-v3 format",
+			Reason: fmt.Sprintf("unsupported format version (this build reads v%d only)", CheckpointVersion),
 			Hint:   hintStartFresh,
 		}
 	}

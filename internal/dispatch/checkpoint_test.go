@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,43 +99,89 @@ func TestLoadCheckpointRejectsBadVersion(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointAcrossVersions: v1 and v2 single-process files keep
-// loading under the v3 build, while a coordinator file in the retired
-// pre-v3 format (same version numbers, batch records this struct cannot
-// see) is refused loudly with the start-fresh hint instead of resuming
-// as an empty crawl.
+// TestLoadCheckpointAcrossVersions: the v3 build reads v3 only. A v1
+// or v2 single-process file, and a file in the retired coordinator
+// format that shared those version numbers, are refused loudly with the
+// version and the start-fresh hint instead of resuming.
 func TestLoadCheckpointAcrossVersions(t *testing.T) {
 	dir := t.TempDir()
-	load := func(body string) (*Checkpoint, error) {
+	for _, tc := range []struct {
+		version int
+		body    string
+	}{
+		{1, `{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"]}`},
+		{2, `{"version":2,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"],"shardBytes":[10,0]}`},
+		{1, `{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"batchSize":4,` +
+			`"totalBatches":3,"totalSites":10,"batches":[{"domain":"b0001","state":"done"}],"shardBytes":[64,128]}`},
+	} {
 		path := filepath.Join(dir, "cp.json")
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return LoadCheckpoint(path)
-	}
-	for _, body := range []string{
-		`{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"]}`,
-		`{"version":2,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"],"shardBytes":[10,0]}`,
-	} {
-		cp, err := load(body)
-		if err != nil {
-			t.Errorf("single-process file refused: %v\n%s", err, body)
+		_, err := LoadCheckpoint(path)
+		var ce *CheckpointError
+		if !errors.As(err, &ce) {
+			t.Errorf("err = %v (%T), want *CheckpointError\n%s", err, err, tc.body)
 			continue
 		}
-		if jobs := cp.Jobs(); len(jobs) != 1 || jobs[0].Domain != "a.com" || jobs[0].State != JobDone {
-			t.Errorf("v%d jobs = %+v", cp.Version, jobs)
+		if ce.Version != tc.version || !strings.Contains(ce.Error(), "reads v3 only") || ce.Hint != hintStartFresh {
+			t.Errorf("error %q lacks the version, the reason or the start-fresh hint", ce)
 		}
 	}
-	// What PR 6..12 coordinators wrote (wire.Checkpoint v1).
-	_, err := load(`{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"batchSize":4,` +
-		`"totalBatches":3,"totalSites":10,"batches":[{"domain":"b0001","state":"done"}],"shardBytes":[64,128]}`)
-	var ce *CheckpointError
-	if !errors.As(err, &ce) {
-		t.Fatalf("old coordinator file: err = %v (%T), want *CheckpointError", err, err)
-	}
-	if ce.Version != 1 || !strings.Contains(ce.Error(), "pre-v3") || !strings.Contains(ce.Error(), "start the crawl from scratch") {
-		t.Errorf("old coordinator file: error %q lacks the version, the reason or the start-fresh hint", ce)
-	}
+}
+
+// FuzzLoadCheckpoint feeds LoadCheckpoint hostile bytes. It must refuse
+// them with a *CheckpointError or return a checkpoint that WriteAtomic
+// writes and LoadCheckpoint reads back unchanged: what a resume loads is
+// what its next commit would write.
+func FuzzLoadCheckpoint(f *testing.F) {
+	f.Add([]byte(`{"version":3,"name":"crawl-1","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":4,` +
+		`"done":["a.com","b.com"],"failed":{"c.com":"boom"},"attempts":{"d.com":1},"shardBytes":[120,0]}`))
+	f.Add([]byte(`{"version":3,"name":"pre-crawl-0","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":10,` +
+		`"batchSize":4,"done":["b0000"],"failedSites":{"x.com":"gone"},"shardBytes":[64,128]}`))
+	f.Add([]byte(`{"version":2,"name":"c","done":null,"shardBytes":[]}`))
+	f.Add([]byte(`{"version":3,"done":[],"failed":{},"VERSION":3,"name":"\ud800"} trailing`))
+	f.Add([]byte(`{]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "cp.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			var ce *CheckpointError
+			if !errors.As(err, &ce) {
+				t.Fatalf("err = %v (%T), want *CheckpointError", err, err)
+			}
+			return
+		}
+		if err := cp.WriteAtomic(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("a loaded checkpoint does not load back: %v", err)
+		}
+		// omitempty writes an empty map or shardBytes as nothing.
+		for _, c := range []*Checkpoint{cp, back} {
+			if len(c.Failed) == 0 {
+				c.Failed = nil
+			}
+			if len(c.Attempts) == 0 {
+				c.Attempts = nil
+			}
+			if len(c.FailedSites) == 0 {
+				c.FailedSites = nil
+			}
+			if len(c.ShardBytes) == 0 {
+				c.ShardBytes = nil
+			}
+		}
+		if !reflect.DeepEqual(cp, back) {
+			t.Fatalf("checkpoint changed across WriteAtomic:\n%+v\n%+v", cp, back)
+		}
+	})
 }
 
 // TestWriteAtomicSyncsParentDir: rename-based atomic writes are only

@@ -13,12 +13,13 @@
 //   - retries with exponential backoff + seeded jitter up to an attempt
 //     budget, with errors classified retryable vs fatal;
 //   - the Ledger (ledger.go), which owns everything durable: every
-//     crawled page is appended to one of N JSONL spool shards (and, with
-//     StoreDir, ingested into the columnar store), progress is
-//     checkpointed to a state file written atomically, and the dataset
-//     is derived from the store, a live fold, or a streaming merge of
-//     the shards — so -resume continues an interrupted crawl without
-//     re-visiting completed sites and converges on the same bytes;
+//     crawled page is appended to one of N JSONL spool shards and folded
+//     (with StoreDir, ingested into the columnar store, which owns the
+//     fold), progress is checkpointed to a state file written atomically,
+//     and the dataset is the finalized fold. A resume replays what the
+//     spool (or the store) already holds into the fold as it opens — so
+//     -resume continues an interrupted crawl without re-visiting
+//     completed sites and converges on the same bytes;
 //   - Run, which wires the queue to the crawler's worker pool and decides
 //     when the ledger commits.
 //
@@ -119,12 +120,12 @@ type Config struct {
 
 // Result is the outcome of an orchestrated crawl.
 type Result struct {
-	// Dataset is the merged measurement output (nil when the run was
-	// cancelled before the merge).
+	// Dataset is the measurement output (nil when the run was cancelled
+	// before Finalize).
 	Dataset *analysis.Dataset
 	// Stats aggregates the crawler's attempt-level counters.
 	Stats crawler.Stats
-	// Merge describes the shard merge.
+	// Merge describes what the ledger's fold consumed.
 	Merge analysis.MergeStats
 	// Progress is the final queue state.
 	Progress Progress

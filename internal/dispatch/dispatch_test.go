@@ -202,6 +202,9 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	if !bytes.Equal(datasetBytes(t, full.Dataset), datasetBytes(t, res2.Dataset)) {
 		t.Error("resumed dataset differs from uninterrupted run")
 	}
+	if own, _ := mergeOracle(t, cfg2, dir); !bytes.Equal(datasetBytes(t, own), datasetBytes(t, res2.Dataset)) {
+		t.Error("resumed dataset differs from the merge of its own spool")
+	}
 	t1Full := analysis.Table1(full.Dataset)
 	t1Resumed := analysis.Table1(res2.Dataset)
 	if !reflect.DeepEqual(t1Full, t1Resumed) {

@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/analysis"
@@ -47,14 +50,14 @@ type LedgerConfig struct {
 // and the fabric coordinator, decide what to crawl and when to commit;
 // the ledger decides what "durable" means (DESIGN.md §7):
 //
-//   - OpenLedger: load the checkpoint, check it against the crawl, repair
-//     and verify the spool it vouches for, open or replay the store;
+//   - OpenLedger: load the checkpoint, check it against the crawl, open
+//     or replay the store, replay the spool the checkpoint vouches for
+//     (folding it when there is no store) and cut a crash remnant;
 //   - Append / AppendLine: spool one page, then fold or ingest it;
 //   - Commit: flush the spool, seal the store, record the shard extents,
 //     publish the checkpoint atomically — in that order, so a checkpoint
 //     never marks a job done whose pages are not durable in both sinks;
-//   - Finalize: derive the dataset (store if present, else the live fold
-//     on a fresh run, else a merge of the shards);
+//   - Finalize: finalize the fold (the store's when there is one);
 //   - Close: flush and release everything.
 //
 // All methods are safe for concurrent use. Finalize ends the append
@@ -65,7 +68,7 @@ type Ledger struct {
 	resumed *Checkpoint      // nil on a fresh run
 	spool   *Spooler         // always set
 	store   *colstore.Store  // nil without StoreDir
-	folder  *analysis.Folder // non-nil only on a fresh run without a store
+	folder  *analysis.Folder // nil with a store, which owns the fold
 
 	commitMu sync.Mutex // serializes checkpoint generations
 
@@ -77,11 +80,11 @@ type Ledger struct {
 var ErrFinalized = errors.New("dispatch: ledger already finalized")
 
 // OpenLedger opens a crawl's durable state, fresh or resumed. A resume
-// whose checkpoint is corrupt, from another crawl, or vouching for more
-// spool than is on disk fails with a *CheckpointError; a resume with no
-// checkpoint file at all starts fresh. A failed open leaves the state on
-// disk as it found it — in particular a fresh open over an existing
-// store is refused before the spool is truncated.
+// whose checkpoint is corrupt, from another crawl, or vouching for spool
+// bytes that are gone or changed fails with a *CheckpointError; a resume
+// with no checkpoint file at all starts fresh. A failed open leaves the
+// spool and the checkpoint as it found them — in particular a fresh open
+// over an existing store is refused before the spool is truncated.
 func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.SpoolDir == "" || cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("dispatch: SpoolDir and CheckpointPath are required")
@@ -91,6 +94,9 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	}
 	cfg.Crawl.Version = CheckpointVersion
 	l := &Ledger{cfg: cfg}
+	if cfg.StoreDir == "" {
+		l.folder = analysis.NewFolder(cfg.Meta)
+	}
 	if cfg.Resume {
 		cp, lerr := LoadCheckpoint(cfg.CheckpointPath)
 		switch {
@@ -106,10 +112,10 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 		}
 	}
 
-	// Everything that can refuse the open comes before the spool, whose
-	// fresh open truncates the shards: a store that already exists
-	// without Resume must fail with the spool — the state a retry with
-	// Resume continues from — untouched. Opening the store destroys
+	// Everything that can refuse the open comes before the spool is
+	// written: a fresh open truncates the shards, so a store that already
+	// exists without Resume must fail with the spool — the state a retry
+	// with Resume continues from — untouched. Opening the store destroys
 	// nothing and holds no file handle (it creates or replays; Commit
 	// seals before it publishes, so the sealed segments cover every job a
 	// checkpoint marks done), so a later failure has nothing to undo.
@@ -125,31 +131,104 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 			return nil, err
 		}
 	}
-
+	if l.resumed != nil {
+		// The checkpoint promises its done jobs' pages are in the spool;
+		// replay it before skipping a single job, or a resume against the
+		// wrong, short or damaged spool would produce a partial dataset.
+		if err := l.replaySpool(); err != nil {
+			return nil, err
+		}
+	}
 	l.spool, err = OpenSpoolBatch(cfg.SpoolDir, cfg.Crawl.NumShards, l.resumed != nil, groupCommit)
 	if err != nil {
 		return nil, err
 	}
-	if l.resumed != nil {
-		// The checkpoint promises its done jobs' pages are in the spool;
-		// verify before skipping a single job, or a resume against the
-		// wrong/empty spool would silently produce a partial dataset.
-		if verr := l.spool.VerifyMinSizes(l.resumed.ShardBytes); verr != nil {
-			l.spool.Close()
-			return nil, &CheckpointError{Path: cfg.CheckpointPath, Version: l.resumed.Version, Reason: verr.Error(), Hint: hintStartFresh}
+	return l, nil
+}
+
+// replaySpool is a resumed open's one read of the spool. It reads each
+// shard once: every complete line is folded into the ledger's fold or,
+// with a store (which replays its own segments), only scanned. Each
+// shard is then judged against the extent the checkpoint recorded for
+// it. A shard shorter than its extent, a torn last line that starts
+// inside it, or a complete line that does not decode means the spool
+// lost or changed bytes the checkpoint vouched for: the open is refused.
+// A torn line at or past the extent is what a crash mid-flush leaves,
+// and is cut — but only once every shard has passed, so a refusal
+// changes no byte.
+func (l *Ledger) replaySpool() error {
+	cp := l.resumed
+	refuse := func(format string, args ...any) error {
+		return &CheckpointError{Path: l.cfg.CheckpointPath, Version: cp.Version, Reason: fmt.Sprintf(format, args...), Hint: hintStartFresh}
+	}
+	if len(cp.ShardBytes) != l.cfg.Crawl.NumShards {
+		return refuse("checkpoint recorded %d spool shards, configured %d", len(cp.ShardBytes), l.cfg.Crawl.NumShards)
+	}
+	type cut struct {
+		path string
+		keep int64
+	}
+	var cuts []cut
+	br := bufio.NewReaderSize(nil, 64*1024) // one read buffer for every shard
+	for i, extent := range cp.ShardBytes {
+		name := shardName(i)
+		path := filepath.Join(l.cfg.SpoolDir, name)
+		size, complete, bad, err := replayShard(path, br, l.folder)
+		switch {
+		case err != nil:
+			return err
+		case bad != "":
+			return refuse("spool shard %s %s", name, bad)
+		case size < extent:
+			return refuse("spool shard %s holds %d bytes, checkpoint recorded %d — spool does not match checkpoint", name, size, extent)
+		case complete < extent:
+			return refuse("spool shard %s: torn line at offset %d inside the checkpoint's extent of %d bytes — spool does not match checkpoint", name, complete, extent)
+		case complete < size:
+			cuts = append(cuts, cut{path, complete})
 		}
 	}
-
-	if l.store == nil && l.resumed == nil {
-		// A fresh run sees every record as it is spooled, so it folds them
-		// live and skips the decode pass over the shards at the end. A
-		// resumed run cannot: the shards already hold records that never
-		// pass through this process, so Finalize merges them instead. The
-		// output is identical either way — folding applies the merge's own
-		// aggregation and deduplication.
-		l.folder = analysis.NewFolder(cfg.Meta)
+	for _, c := range cuts {
+		if err := os.Truncate(c.path, c.keep); err != nil {
+			return fmt.Errorf("dispatch: cut torn spool tail: %w", err)
+		}
 	}
-	return l, nil
+	return nil
+}
+
+// replayShard reads one spool shard, folding each complete line into
+// fold (nil: only scanning it), and returns the shard's size and the
+// length of its complete-line prefix. A complete line that does not
+// decode stops the read and comes back as bad, naming the line. A
+// missing shard is empty.
+func replayShard(path string, br *bufio.Reader, fold *analysis.Folder) (size, complete int64, bad string, err error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, 0, "", nil
+	}
+	if err != nil {
+		return 0, 0, "", fmt.Errorf("dispatch: replay spool: %w", err)
+	}
+	defer f.Close()
+	br.Reset(f)
+	for line := 1; ; line++ {
+		raw, err := br.ReadBytes('\n')
+		size += int64(len(raw))
+		if err == io.EOF {
+			return size, complete, "", nil
+		}
+		if err != nil {
+			return 0, 0, "", fmt.Errorf("dispatch: replay spool %s: %w", path, err)
+		}
+		complete = size
+		if fold == nil || len(raw) == 1 {
+			continue
+		}
+		rec, err := analysis.DecodeSpoolLine(raw[:len(raw)-1])
+		if err != nil {
+			return 0, 0, fmt.Sprintf("line %d: %v", line, err), nil
+		}
+		fold.Fold(rec)
+	}
 }
 
 // Resumed returns the checkpoint this ledger resumed from: its Jobs, its
@@ -208,18 +287,16 @@ func (l *Ledger) append(rec *analysis.PageRecord, write func(w *bufio.Writer) er
 	return l.sink(rec)
 }
 
-// sink hands a spooled record to the dataset side. It runs after the
-// spool append, so the spool stays a superset of the store: a record the
-// store sealed is always recoverable from the spool too. Re-crawled
-// duplicates fold to nothing exactly as they dedup in a merge.
+// sink hands a spooled record to the fold. It runs after the spool
+// append, so the spool stays a superset of the store: a record the store
+// sealed is always recoverable from the spool too. Re-crawled duplicates
+// fold to nothing, as replayed ones do.
 func (l *Ledger) sink(rec *analysis.PageRecord) error {
-	switch {
-	case l.store != nil:
+	if l.store != nil {
 		_, err := l.store.Ingest(rec)
 		return err
-	case l.folder != nil:
-		l.folder.Fold(rec)
 	}
+	l.folder.Fold(rec)
 	return nil
 }
 
@@ -259,36 +336,27 @@ func (l *Ledger) Commit(snapshot func() (jobs []JobRecord, failedSites map[strin
 	return cp.WriteAtomic(l.cfg.CheckpointPath)
 }
 
-// Finalize derives the crawl's dataset by the one rule: from the store
-// when there is one (it folded this run's pages at ingest and prior
-// runs' at replay), else from the live fold on a fresh run, else by
-// merging the shards with their flushed sizes as the floor — which turns
-// a torn tail into the hard error it is once crash remnants were
-// repaired at open. All three are byte-identical over the same pages.
+// Finalize derives the crawl's dataset by its one rule: finalize the
+// fold. The store owns the fold when there is one (it folded this run's
+// pages at ingest and earlier runs' at its replay); otherwise the
+// ledger's own fold holds this run's pages and, on a resume, every page
+// the spool replay folded at open.
 func (l *Ledger) Finalize() (*analysis.Dataset, analysis.MergeStats, error) {
 	l.appendMu.Lock()
 	l.finalized = true
 	l.appendMu.Unlock()
-	// Flush the group-commit tail whichever path runs: the shards are
-	// the merge's input, the store path's differential oracle, and the
-	// durable resume source.
+	// Flush the group-commit tail: the shards are the durable resume
+	// source and the oracle the tests hold the fold to.
 	if err := l.spool.Flush(); err != nil {
 		return nil, analysis.MergeStats{}, err
 	}
-	switch {
-	case l.store != nil:
+	if l.store != nil {
 		ds, stats := l.store.Finalize()
 		return ds, stats, nil
-	case l.folder != nil:
-		ds, stats := l.folder.Finalize()
-		stats.Shards = l.spool.NumShards()
-		return ds, stats, nil
 	}
-	sizes, err := l.spool.ShardSizes()
-	if err != nil {
-		return nil, analysis.MergeStats{}, err
-	}
-	return analysis.MergeShardsOpts(l.cfg.Meta, l.spool.Paths(), analysis.MergeOptions{MinShardBytes: sizes})
+	ds, stats := l.folder.Finalize()
+	stats.Shards = l.spool.NumShards()
+	return ds, stats, nil
 }
 
 // Close flushes and closes the spool and seals the store's tail, so the

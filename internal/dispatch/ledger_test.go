@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -342,67 +343,238 @@ func TestLedgerAppendLineRejectsNonRecords(t *testing.T) {
 	}
 }
 
-// TestLedgerResumeFailsLoudly: a resumed ledger refuses a checkpoint
-// from another crawl and a spool smaller than the checkpoint vouches
-// for, and treats a missing checkpoint as a fresh start.
+// TestLedgerResumeFailsLoudly kills a crawl once 4 of its 9 sites are
+// committed, damages what it left one way per row, and opens it again.
+// A row that names an error must be refused at open — before a single
+// Append — with that error, and with the spool and the checkpoint byte
+// for byte as the row left them. A row that names none must open, and
+// its crawl must still finish to the merge of its own spool.
 func TestLedgerResumeFailsLoudly(t *testing.T) {
-	r := &ledgerRun{t: t, dir: t.TempDir(), store: true}
-	r.open(false)
-	r.crawl(0, 4)
-	if err := r.l.Close(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		store bool
+		// damage changes the killed crawl's state or the config that
+		// reopens it (Resume is set) and returns the error the open must
+		// fail with, "" when it must open.
+		damage func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string
+		// hint is the refusal's *CheckpointError hint; "" for a refusal
+		// that is not about the checkpoint.
+		hint string
+		// then runs after the open (or the refusal) against the ledger r
+		// reopens.
+		then func(t *testing.T, r *ledgerRun)
+	}{{
+		name: "another seed",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			cfg.Crawl.Seed++
+			return "seed"
+		},
+		hint: hintWrongCrawl,
+	}, {
+		name: "checkpoint short of shards",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			cp := loadCP(t, r)
+			cp.ShardBytes = cp.ShardBytes[:1]
+			if err := cp.WriteAtomic(cfg.CheckpointPath); err != nil {
+				t.Fatal(err)
+			}
+			return "checkpoint recorded 1 spool shards"
+		},
+		hint: hintStartFresh,
+	}, {
+		name: "shard emptied",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			path, extent := vouchedShard(t, r)
+			if err := os.Truncate(path, 0); err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("holds 0 bytes, checkpoint recorded %d", extent)
+		},
+		hint: hintStartFresh,
+	}, {
+		// The shard's last vouched line loses its final 7 bytes: a torn
+		// tail inside the extent that the open must report at the size it
+		// found, not cut to the size of the line before.
+		name: "shard cut mid-line inside its extent",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			path, extent := vouchedShard(t, r)
+			if err := os.Truncate(path, extent-7); err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("holds %d bytes, checkpoint recorded %d", extent-7, extent)
+		},
+		hint: hintStartFresh,
+	}, {
+		// As above, but refilled to its full extent with bytes that end
+		// no line: the shard is long enough, and the store that makes the
+		// replay scan instead of decode does not hide the torn line.
+		name:  "torn line inside the extent",
+		store: true,
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			path, extent := vouchedShard(t, r)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(data[extent-7:], "garbage")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			torn := bytes.LastIndexByte(data[:extent-7], '\n') + 1
+			return fmt.Sprintf("torn line at offset %d inside the checkpoint's extent of %d bytes", torn, extent)
+		},
+		hint: hintStartFresh,
+	}, {
+		// A complete line the checkpoint vouches for no longer decodes.
+		// Without a store it would otherwise only surface after the
+		// resumed crawl had committed a checkpoint vouching for it.
+		name: "corrupt line inside the extent",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			path, _ := vouchedShard(t, r)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[0] = '!'
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return filepath.Base(path) + " line 1: analysis: decode spool record: invalid character '!'"
+		},
+		hint: hintStartFresh,
+	}, {
+		// Rerunning a store crawl without Resume is refused by the store,
+		// and before the fresh spool open truncates the shards the
+		// checkpoint vouches for: the retry with Resume that the error
+		// recommends must find them there.
+		name:  "fresh open over the store",
+		store: true,
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			cfg.Resume = false
+			return "pass Resume"
+		},
+		then: func(t *testing.T, r *ledgerRun) {
+			r.open(true)
+			defer r.l.Close()
+			if got := r.l.Resumed().Done; len(got) != 4 {
+				t.Errorf("resume after the refused fresh open restored %d done jobs, want 4", len(got))
+			}
+		},
+	}, {
+		// A crash mid-flush leaves a torn line past the extent: a remnant
+		// the open cuts, after which the crawl appends and finishes as if
+		// it had never been written.
+		name: "torn line past the extent",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			path, _ := vouchedShard(t, r)
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteString(`{"site":"site00.com","rank":1,"pageUrl":"http://site0`); err != nil {
+				t.Fatal(err)
+			}
+			return ""
+		},
+		then: func(t *testing.T, r *ledgerRun) {
+			path, extent := vouchedShard(t, r)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != extent {
+				t.Errorf("torn remnant not cut: the shard holds %d bytes, want %d", fi.Size(), extent)
+			}
+			r.crawl(4, ledgerSites)
+			r.finish()
+		},
+	}, {
+		name: "no checkpoint file",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			if err := os.Remove(cfg.CheckpointPath); err != nil {
+				t.Fatal(err)
+			}
+			return ""
+		},
+		then: func(t *testing.T, r *ledgerRun) {
+			defer r.l.Close()
+			if r.l.Resumed() != nil {
+				t.Error("a missing checkpoint resumed something")
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Sites 0-4 and a page of site 5, committed after sites 1 and
+			// 3, and then the process dies: no Close, so the shards hold
+			// exactly the extents the checkpoint vouches for.
+			r := &ledgerRun{t: t, dir: t.TempDir(), store: tc.store}
+			r.open(false)
+			r.crawl(0, 5)
+			r.append(5, 0)
+			cfg := r.l.cfg
+			cfg.Resume = true
+			want := tc.damage(t, r, &cfg)
+			if want == "" {
+				r.open(true)
+				tc.then(t, r)
+				return
+			}
+			before := ledgerState(t, r)
+			l, err := OpenLedger(cfg)
+			if err == nil {
+				l.Close()
+				t.Fatalf("the open succeeded, want %q", want)
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want %q", err, want)
+			}
+			var ce *CheckpointError
+			if tc.hint != "" && (!errors.As(err, &ce) || ce.Hint != tc.hint) {
+				t.Errorf("err = %v (%T), want a *CheckpointError with hint %q", err, err, tc.hint)
+			}
+			if !bytes.Equal(before, ledgerState(t, r)) {
+				t.Error("a refused open changed the spool or the checkpoint")
+			}
+			if tc.then != nil {
+				tc.then(t, r)
+			}
+		})
 	}
-	cfg := r.l.cfg
+}
 
-	// Rerunning a store crawl without Resume is refused by the store —
-	// and must be refused before the fresh spool open truncates the
-	// shards the checkpoint vouches for, or the retry with Resume that
-	// the error recommends would find them gone.
-	before := readShards(t, r.l.spool.Paths())
-	if _, err := OpenLedger(cfg); err == nil || !strings.Contains(err.Error(), "pass Resume") {
-		t.Errorf("fresh open over an existing store: err = %v, want the store's refusal", err)
-	}
-	if !bytes.Equal(before, readShards(t, r.l.spool.Paths())) {
-		t.Fatal("a refused fresh open changed the spool")
-	}
-	cfg.Resume = true
-	l, err := OpenLedger(cfg)
+// loadCP loads the checkpoint r's crawl last committed.
+func loadCP(t *testing.T, r *ledgerRun) *Checkpoint {
+	t.Helper()
+	cp, err := LoadCheckpoint(r.l.cfg.CheckpointPath)
 	if err != nil {
-		t.Fatalf("resume after the refused fresh open: %v", err)
-	}
-	if got := l.Resumed().Done; len(got) != 4 {
-		t.Errorf("resume after the refused fresh open restored %d done jobs, want 4", len(got))
-	}
-	l.Close()
-	cfg.Resume = false
-
-	other := cfg
-	other.Resume = true
-	other.Crawl.Seed++
-	var ce *CheckpointError
-	if _, err := OpenLedger(other); !errors.As(err, &ce) || !strings.Contains(err.Error(), "seed") {
-		t.Errorf("resume under another seed: err = %v, want a CheckpointError naming the seed", err)
-	}
-
-	if err := os.Truncate(r.l.spool.Paths()[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Resume = true
-	if _, err := OpenLedger(cfg); !errors.As(err, &ce) || !strings.Contains(err.Error(), "does not match checkpoint") {
-		t.Errorf("resume over a truncated shard: err = %v, want the spool-guard CheckpointError", err)
-	}
+	return cp
+}
 
-	if err := os.Remove(cfg.CheckpointPath); err != nil {
-		t.Fatal(err)
+// vouchedShard returns the shard the last checkpoint vouches for the
+// most bytes of, and that extent.
+func vouchedShard(t *testing.T, r *ledgerRun) (string, int64) {
+	t.Helper()
+	cp := loadCP(t, r)
+	best := 0
+	for i, n := range cp.ShardBytes {
+		if n > cp.ShardBytes[best] {
+			best = i
+		}
 	}
-	l, err = OpenLedger(cfg)
-	if err != nil {
-		t.Fatalf("resume without a checkpoint file: %v", err)
+	if cp.ShardBytes[best] < 16 {
+		t.Fatalf("checkpoint vouches for no spool line: %v", cp.ShardBytes)
 	}
-	defer l.Close()
-	if l.Resumed() != nil {
-		t.Error("a missing checkpoint resumed something")
-	}
+	return r.l.spool.Paths()[best], cp.ShardBytes[best]
+}
+
+// ledgerState is every byte a ledger's open may not change when it
+// refuses: the shards, then the checkpoint.
+func ledgerState(t *testing.T, r *ledgerRun) []byte {
+	t.Helper()
+	return readShards(t, append(r.l.spool.Paths(), r.l.cfg.CheckpointPath))
 }
 
 // readShards returns the concatenated bytes of the shard files.
@@ -447,4 +619,94 @@ func TestLedgerFinalizeEndsAppends(t *testing.T) {
 			t.Errorf("store=%v: a late append reached the spool", store)
 		}
 	}
+}
+
+// FuzzLedgerReplay resumes a one-shard crawl over arbitrary shard bytes
+// and an arbitrary extent for them. The open must never panic. Where it
+// refuses, the shard must be byte for byte as it was; and it must refuse
+// exactly when the shard's complete lines end before the extent, or one
+// of them does not decode (analysis.MergeShards fails on it). Where it
+// opens, the shard must end at its last complete line, and the ledger's
+// dataset must be the merge of that prefix.
+func FuzzLedgerReplay(f *testing.F) {
+	// Short lines keep the minimizer's passes over an interesting input
+	// short.
+	good := []byte(`{"site":"a.com","rank":1,"pageUrl":"a/1","aaObs":{"t.com":1}}` + "\n" +
+		`{"site":"a.com","rank":1,"pageUrl":"a/1"}` + "\n" +
+		`{"site":"b.com","rank":2,"pageUrl":"b/","sockets":[{"url":"ws://t.com/"}]}` + "\n")
+	n := int64(len(good))
+	torn := append(good[:n:n], `{"site":"b.com","ra`...)
+	f.Add(good, n)
+	f.Add(good, n+1)
+	f.Add(torn, n)
+	f.Add(torn, n+3)
+	f.Add([]byte("\n{corrupt\n"), int64(0))
+	f.Add([]byte{}, int64(-1))
+	f.Fuzz(func(t *testing.T, shard []byte, extent int64) {
+		dir := t.TempDir()
+		cfg := LedgerConfig{
+			Crawl:          Checkpoint{Name: "fuzz", Seed: 1, NumShards: 1, PagesPerSite: ledgerPages, TotalSites: 2},
+			Meta:           ledgerMeta,
+			SpoolDir:       filepath.Join(dir, "spool"),
+			CheckpointPath: filepath.Join(dir, "cp.json"),
+			Resume:         true,
+		}
+		cp := cfg.Crawl
+		cp.Version = CheckpointVersion
+		cp.ShardBytes = []int64{extent}
+		data, err := json.Marshal(&cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(cfg.SpoolDir, shardName(0))
+		if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, shard, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		kept := shard[:bytes.LastIndexByte(shard, '\n')+1]
+		oraclePath := filepath.Join(dir, "kept.jsonl")
+		if err := os.WriteFile(oraclePath, kept, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		oracle, _, merr := analysis.MergeShards(ledgerMeta, []string{oraclePath})
+		refuse := int64(len(kept)) < extent || merr != nil
+
+		l, err := OpenLedger(cfg)
+		disk, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			var ce *CheckpointError
+			if !errors.As(err, &ce) {
+				t.Fatalf("err = %v (%T), want *CheckpointError", err, err)
+			}
+			if !refuse {
+				t.Fatalf("refused a shard whose complete lines cover the extent %d and merge: %v", extent, err)
+			}
+			if !bytes.Equal(disk, shard) {
+				t.Fatal("a refused open changed the shard")
+			}
+			return
+		}
+		defer l.Close()
+		if refuse {
+			t.Fatalf("opened over extent %d with %d complete bytes (merge: %v)", extent, len(kept), merr)
+		}
+		if !bytes.Equal(disk, kept) {
+			t.Fatalf("the shard holds %d bytes after the open, want its %d complete ones", len(disk), len(kept))
+		}
+		ds, _, err := l.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(datasetBytes(t, ds), datasetBytes(t, oracle)) {
+			t.Fatal("the replayed fold differs from the merge of the kept prefix")
+		}
+	})
 }

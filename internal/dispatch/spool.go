@@ -2,10 +2,8 @@ package dispatch
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -21,10 +19,10 @@ import (
 // shard (fnv64a(domain) mod shards). Appends are group-committed under
 // the Spooler's BatchPolicy, so a crash loses at most one unflushed
 // group per shard (one line under the zero policy). The loss is repaired
-// identically on resume either way: a partially written final line is
-// truncated away, lost pages belong to jobs the checkpoint does not mark
-// done (Ledger.Commit flushes first), and re-crawled pages are
-// deduplicated by (site, pageURL) at merge.
+// identically on resume either way: the Ledger's replay cuts a partially
+// written final line, lost pages belong to jobs the checkpoint does not
+// mark done (Ledger.Commit flushes first), and re-crawled pages are
+// deduplicated by (site, pageURL) in the fold.
 type Spooler struct {
 	dir    string
 	batch  BatchPolicy
@@ -39,7 +37,7 @@ type Spooler struct {
 // them as a group, trading the per-record flush syscall for a bounded
 // durability window. The durability contract moves with it: Flush runs
 // at every group boundary, before a checkpoint publishes ShardBytes,
-// before any merge, and on Close, so checkpointed progress never
+// before Finalize, and on Close, so checkpointed progress never
 // vouches for bytes the spool has not written.
 type BatchPolicy struct {
 	// Pages is how many records a shard may buffer between flushes.
@@ -72,8 +70,9 @@ func shardName(i int) string { return fmt.Sprintf("shard-%03d.jsonl", i) }
 
 // OpenSpoolBatch opens (or creates) a spool directory with numShards
 // shard files under the given group-commit policy. With resume=false any
-// existing shard files are truncated; with resume=true they are repaired
-// (torn final lines dropped) and opened for append.
+// existing shard files are truncated; with resume=true they are opened
+// for append as they are (a resumed Ledger has already replayed them and
+// cut any torn final line).
 func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (*Spooler, error) {
 	if numShards <= 0 {
 		numShards = DefaultShards
@@ -84,12 +83,6 @@ func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (
 	s := &Spooler{dir: dir, batch: batch}
 	for i := 0; i < numShards; i++ {
 		path := filepath.Join(dir, shardName(i))
-		if resume {
-			if err := repairShardTail(path); err != nil {
-				s.Close()
-				return nil, err
-			}
-		}
 		flags := os.O_CREATE | os.O_WRONLY
 		if resume {
 			flags |= os.O_APPEND
@@ -110,35 +103,6 @@ func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (
 		s.shards = append(s.shards, &shardFile{f: f, w: w})
 	}
 	return s, nil
-}
-
-// repairShardTail truncates a shard file after its last complete line,
-// dropping any torn tail a crash left behind. A missing file is fine.
-func repairShardTail(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("dispatch: repair shard %s: %w", path, err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var complete int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == nil {
-			complete += int64(len(line))
-			continue
-		}
-		if !errors.Is(err, io.EOF) {
-			return fmt.Errorf("dispatch: repair shard %s: %w", path, err)
-		}
-		// A final segment without a newline is a torn write; leave it
-		// out of the kept prefix.
-		break
-	}
-	return f.Truncate(complete)
 }
 
 // NumShards returns the shard count.
@@ -235,31 +199,6 @@ func (s *Spooler) ShardSizes() ([]int64, error) {
 		out[i] = fi.Size()
 	}
 	return out, nil
-}
-
-// VerifyMinSizes checks that every shard holds at least the recorded
-// number of durable bytes (a checkpoint's ShardBytes). Shards only
-// grow, so after tail repair any shard smaller than its recorded size
-// proves the spool no longer matches the checkpoint — resuming would
-// silently drop already-completed pages from the merged dataset.
-func (s *Spooler) VerifyMinSizes(min []int64) error {
-	if len(min) == 0 {
-		return nil // v1 checkpoint: no guard recorded
-	}
-	if len(min) != len(s.shards) {
-		return fmt.Errorf("dispatch: checkpoint recorded %d spool shards, found %d", len(min), len(s.shards))
-	}
-	sizes, err := s.ShardSizes()
-	if err != nil {
-		return err
-	}
-	for i, want := range min {
-		if sizes[i] < want {
-			return fmt.Errorf("dispatch: spool shard %s holds %d bytes, checkpoint recorded %d — spool does not match checkpoint",
-				shardName(i), sizes[i], want)
-		}
-	}
-	return nil
 }
 
 // Close flushes and closes every shard.

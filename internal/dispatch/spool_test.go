@@ -75,38 +75,3 @@ func TestSpoolerFreshRunTruncatesOldShards(t *testing.T) {
 		}
 	}
 }
-
-func TestSpoolerResumeRepairsTornTail(t *testing.T) {
-	dir := t.TempDir()
-	sp, _ := OpenSpoolBatch(dir, 1, false, BatchPolicy{})
-	sp.Append(rec("a.com", "http://a.com/"))
-	sp.Append(rec("a.com", "http://a.com/x"))
-	sp.Close()
-
-	// Simulate a crash mid-append: a torn line with no newline.
-	path := filepath.Join(dir, shardName(0))
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	f.WriteString(`{"site":"a.com","rank":1,"pageUrl":"http://a.co`)
-	f.Close()
-
-	sp2, err := OpenSpoolBatch(dir, 1, true, BatchPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp2.Append(rec("b.com", "http://b.com/"))
-	sp2.Close()
-
-	ds, stats, err := analysis.MergeShards(analysis.DatasetMeta{Name: "t"}, []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Pages != 3 {
-		t.Errorf("pages = %d, want 3 (torn line dropped, append readable)", stats.Pages)
-	}
-	if stats.Truncated != 0 {
-		t.Errorf("truncated = %d after repair, want 0", stats.Truncated)
-	}
-	if len(ds.Sites) != 2 {
-		t.Errorf("sites = %v", ds.Sites)
-	}
-}

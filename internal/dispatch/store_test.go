@@ -125,6 +125,9 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	if !bytes.Equal(datasetBytes(t, res2.Dataset), oracle) {
 		t.Error("resumed store-derived dataset differs from uninterrupted run")
 	}
+	if own, _ := mergeOracle(t, cfg2, dir); !bytes.Equal(datasetBytes(t, own), oracle) {
+		t.Error("the merge of the resumed run's own spool differs from the uninterrupted run")
+	}
 
 	// The query service's view of the finished crawl — a read-only open
 	// of the sealed segments — agrees with the oracle too.

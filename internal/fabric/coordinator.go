@@ -46,7 +46,7 @@ type CoordinatorConfig struct {
 	// boundary, so the crawl is queryable (cmd/wsquery, or Store for the
 	// in-process API) while it runs; Finalize then derives the dataset
 	// from it. The spool keeps the raw lines regardless — merging them is
-	// the differential oracle the store must match byte for byte.
+	// the tests' oracle the store must match byte for byte.
 	StoreDir string
 	// Fault, when enabled, degrades every accepted worker connection
 	// with the given faultnet profile (fresh schedule per conn, keyed
@@ -226,10 +226,10 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 func (c *Coordinator) Store() *colstore.Store { return c.ledger.Store() }
 
 // Finalize commits a final checkpoint and derives the crawl dataset by
-// the ledger's one rule (store, else live fold, else shard merge). All
-// three deduplicate (site, pageURL) and canonicalize every ordering, so
-// the result is byte-identical no matter how many workers streamed the
-// pages or in what interleaving. Finalize ends the ledger's append
+// the ledger's one rule: finalize the fold (the store's when there is
+// one). The fold deduplicates (site, pageURL) and canonicalizes every
+// ordering, so the result is byte-identical no matter how many workers
+// streamed the pages, in what interleaving, or across how many resumes. Finalize ends the ledger's append
 // phase, so a page still streaming from a stale attempt is refused (its
 // session drops) instead of changing the returned dataset. meta must be
 // the identity the crawl config implies; it is checked, not used.

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/dispatch"
 )
 
@@ -183,6 +184,31 @@ func runDistributed(t *testing.T, crawlBin string, n int) []byte {
 	return data
 }
 
+// checkSpoolOracle holds a dataset a crawl wrote to the merge of the
+// spool it left in dir, under the identity the dataset names.
+func checkSpoolOracle(t *testing.T, dir string, dataset []byte) {
+	t.Helper()
+	ds, err := analysis.ReadJSON(bytes.NewReader(dataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := filepath.Glob(filepath.Join(dir, "spool", "shard-*.jsonl"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no spool shards in %s: %v", dir, err)
+	}
+	oracle, _, err := analysis.MergeShards(analysis.DatasetMeta{Name: ds.Name, Era: ds.Era, CrawlIndex: ds.CrawlIndex}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := oracle.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dataset, want.Bytes()) {
+		t.Errorf("dataset differs from the merge of its own spool (%d vs %d bytes)", len(dataset), want.Len())
+	}
+}
+
 func TestE2EDistributedCrawl(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e: real-process crawl skipped in -short mode")
@@ -277,6 +303,87 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		}
 		if !bytes.Equal(got, ref) {
 			t.Errorf("dataset after SIGINT and resume differs (%d vs %d bytes)", len(got), len(ref))
+		}
+		checkSpoolOracle(t, dir, got)
+	})
+
+	t.Run("local resume refuses a corrupt spool", func(t *testing.T) {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "local.json")
+		cpPath := filepath.Join(dir, "checkpoint.json")
+		args := append([]string{"-out", out, "-checkpoint", cpPath, "-workers", "2"}, e2eFlags...)
+		cmd := exec.Command(crawlBin, append(args, "-fault-profile", "slow")...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
+		var cp *dispatch.Checkpoint
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			var err error
+			if cp, err = dispatch.LoadCheckpoint(cpPath); err == nil && len(cp.Done) > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no site checkpointed before the kill\n%s", stderr.String())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+			t.Fatal(err)
+		}
+		cmd.Wait()
+		// The kill may land after a later commit than the one polled above.
+		cp, err := dispatch.LoadCheckpoint(cpPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Corrupt the first line of a shard the checkpoint vouches for,
+		// keeping it newline-terminated: a complete write gone bad.
+		shard := -1
+		for i, n := range cp.ShardBytes {
+			if n > 0 {
+				shard = i
+				break
+			}
+		}
+		if shard < 0 {
+			t.Fatalf("checkpoint vouches for no spool bytes: %v", cp.ShardBytes)
+		}
+		path := filepath.Join(dir, "spool", fmt.Sprintf("shard-%03d.jsonl", shard))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0] = '!'
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(cpPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		msg, err := exec.Command(crawlBin, append(args, "-resume")...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("resume over a corrupt spool: %v, want exit status 1\n%s", err, msg)
+		}
+		if !strings.Contains(string(msg), "start the crawl from scratch") {
+			t.Errorf("refused resume printed no start-fresh hint:\n%s", msg)
+		}
+		after, err := os.ReadFile(cpPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Error("the refused resume rewrote the checkpoint")
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("the refused resume wrote a dataset (stat: %v)", err)
 		}
 	})
 
@@ -382,6 +489,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			t.Errorf("dataset after coordinator kill+resume differs (%d vs %d bytes)", len(got), len(ref))
 		}
+		checkSpoolOracle(t, dir, got)
 
 		// The query service's view of the sealed store — a separate
 		// binary, reading only the segment files — must reproduce the

@@ -392,7 +392,8 @@ func TestFabricSurvivesWorkerKill(t *testing.T) {
 // TestFabricSurvivesCoordinatorRestart: the coordinator dies mid-crawl
 // and comes back with -resume semantics on the same address; the worker
 // rides the outage out on dial retry, completed batches are not re-run,
-// and the final spool is canonical-identical to a clean run.
+// the final spool is canonical-identical to a clean run, and the dataset
+// the resumed coordinator folded is the merge of that spool.
 func TestFabricSurvivesCoordinatorRestart(t *testing.T) {
 	sites := testSites(24)
 	want := expectedLines(sites, testPages)
@@ -442,6 +443,7 @@ func TestFabricSurvivesCoordinatorRestart(t *testing.T) {
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker: %v", err)
 	}
+	finalizeBytes(t, c2, dir)
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -531,6 +533,59 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 		}
 		if !strings.Contains(ce.Error(), "batch size") {
 			t.Errorf("error %q does not name the mismatched flag", ce)
+		}
+	})
+	t.Run("corrupt spool line", func(t *testing.T) {
+		// A line the checkpoint vouches for no longer decodes: the resumed
+		// coordinator must refuse before it serves a batch, not after its
+		// workers finish the crawl.
+		dir := t.TempDir()
+		c := startTestCoordinator(t, dir, sites, coordOpts{batchSize: 2})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := runTestWorker(ctx, "w0", c.URL(), workerOpts{seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := dispatch.LoadCheckpoint(filepath.Join(dir, "checkpoint.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := -1
+		for i, n := range cp.ShardBytes {
+			if n > 0 {
+				shard = i
+				break
+			}
+		}
+		if shard < 0 {
+			t.Fatalf("checkpoint vouches for no spool bytes: %v", cp.ShardBytes)
+		}
+		name := fmt.Sprintf("shard-%03d.jsonl", shard)
+		path := filepath.Join(dir, "spool", name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0] = '!'
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o := newOpts(dir)
+		o.addr = "127.0.0.1:0"
+		o.ttl = time.Second
+		c2, err := startTestCoordinator2(dir, sites, o)
+		if err == nil {
+			c2.Close()
+		}
+		var ce *dispatch.CheckpointError
+		if !errors.As(err, &ce) {
+			t.Fatalf("error = %v (%T), want *dispatch.CheckpointError", err, err)
+		}
+		if !strings.Contains(ce.Error(), name+" line 1") {
+			t.Errorf("error %q does not name the shard and line", ce)
 		}
 	})
 }
