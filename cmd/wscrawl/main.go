@@ -18,9 +18,9 @@
 //
 // With -checkpoint or -spool-dir the crawl runs through the durable
 // orchestrator (internal/dispatch): progress is checkpointed, failed
-// sites retry with backoff, pages spool to sharded JSONL files, and
-// -resume continues an interrupted crawl without re-visiting completed
-// sites. -store also streams every page into a columnar store
+// sites retry with backoff up to -retries attempts each, pages spool to
+// sharded JSONL files, and -resume continues an interrupted crawl
+// without re-visiting completed sites. -store also streams every page into a columnar store
 // (internal/colstore) sealed at each checkpoint, queryable with wsquery
 // during and after the crawl; -out is then derived from it (-store-dir
 // moves it and implies -store). SIGINT/SIGTERM commit a final
@@ -28,17 +28,18 @@
 // atomically, so a crash never leaves a truncated file.
 //
 // -coordinate serves the same durable crawl to -worker processes
-// instead of crawling: the site list is cut into seeded batches
-// (-batch-size), leased over WebSocket (-lease-ttl), and the streamed
-// pages go to the same ledger; -retries counts per batch, -fault-profile
-// degrades the worker links, and -query-addr serves the query API over
-// the live store. The "serving ws://…" line names the worker URL.
-// Restarted with the same flags and -resume on the same address, it
-// continues from the last settled batch while workers retry their
-// dials. A worker takes its crawl config from the coordinator; its
-// -seed drives only dial backoff and frame masking. The dataset is
-// byte-identical to a local crawl's for any number of workers
-// (DESIGN.md §12, OPERATIONS.md "Distributed crawls").
+// instead of crawling: the same site queue is leased over WebSocket in
+// grants of up to -batch-size sites (-lease-ttl), the streamed pages go
+// to the same ledger, and a site a worker reports failed retries under
+// the same per-site -retries budget; -fault-profile degrades the worker
+// links, and -query-addr serves the query API over the live store. The
+// "serving ws://…" line names the worker URL. Restarted with the same
+// flags and -resume on the same address, it continues from the last
+// settled grant while workers retry their dials; either role resumes
+// the other's checkpoint. A worker takes its crawl config from the
+// coordinator; its -seed drives only dial backoff and frame masking.
+// The dataset is byte-identical to a local crawl's for any number of
+// workers (DESIGN.md §12, OPERATIONS.md "Distributed crawls").
 //
 // -fault-profile injects seeded network faults (internal/faultnet): the
 // same -fault-seed, the same dataset. -metrics-addr (expvar + pprof)
@@ -91,7 +92,7 @@ func run(args []string) int {
 		checkpoint  = fs.String("checkpoint", "", "checkpoint state file (enables the durable orchestrator)")
 		spoolDir    = fs.String("spool-dir", "", "spool shard directory (enables the durable orchestrator)")
 		resume      = fs.Bool("resume", false, "resume an interrupted crawl from its checkpoint")
-		retries     = fs.Int("retries", 0, "per-site (per-batch with -coordinate) attempt budget (default 3)")
+		retries     = fs.Int("retries", 0, "per-site attempt budget, in either role (default 3)")
 		shards      = fs.Int("shards", 0, "spool shard count (default 8)")
 		storeFlag   = fs.Bool("store", false, "stream pages into an embedded columnar store (requires the durable orchestrator; query with wsquery)")
 		storeDir    = fs.String("store-dir", "", "columnar store directory (default: <spool parent>/store-crawl<index>; implies -store)")
@@ -99,9 +100,9 @@ func run(args []string) int {
 		progress    = fs.Duration("progress", 0, "print progress to stderr at this interval (0 = off)")
 		faultProf   = fs.String("fault-profile", "", "inject network faults from this profile: "+strings.Join(faultnet.Names(), ", "))
 		faultSeed   = fs.Int64("fault-seed", 1, "seed for the fault schedules (same seed = same faults)")
-		coordAddr   = fs.String("coordinate", "", "coordinate a distributed crawl: serve batches to -worker processes on this address (\":0\" picks a port)")
-		batchSize   = fs.Int("batch-size", 0, "with -coordinate: sites per leased batch (default 16)")
-		leaseTTL    = fs.Duration("lease-ttl", 0, "with -coordinate: batch lease TTL (default 30s)")
+		coordAddr   = fs.String("coordinate", "", "coordinate a distributed crawl: lease sites to -worker processes on this address (\":0\" picks a port)")
+		batchSize   = fs.Int("batch-size", 0, "with -coordinate: most sites per grant (default 16)")
+		leaseTTL    = fs.Duration("lease-ttl", 0, "with -coordinate: grant lease TTL (default 30s)")
 		queryAddr   = fs.String("query-addr", "", "with -coordinate: serve the store query API on this address (requires -store)")
 		workerURL   = fs.String("worker", "", "join the coordinator at this ws:// URL as a crawl worker")
 		workerName  = fs.String("worker-name", fmt.Sprintf("w%d", os.Getpid()), "worker name in coordinator logs")
@@ -250,15 +251,21 @@ func crawlHere(ctx context.Context, opts core.Options, spec core.CrawlSpec) (*an
 		return nil, 0, err
 	}
 	if d := res.Dispatch; d != nil {
-		logf("dispatch: %d/%d sites done, %d failed, %d retries, %d lease requeues, %d resumed from checkpoint",
-			d.Progress.Done, d.Progress.Total, d.Progress.Failed, d.Progress.Retries, d.Progress.Requeues, d.ResumedDone)
+		logSites(d.Progress, d.ResumedDone)
 	}
 	return res.Dataset, int(res.Stats.Pages), nil
 }
 
-// coordinate serves the crawl's batches to -worker processes on addr
-// until every batch has settled, then derives the dataset from the
-// ledger the workers' pages were appended to.
+// logSites prints the crawl's site outcomes, the one summary line of
+// either role.
+func logSites(p dispatch.Progress, resumed int) {
+	logf("dispatch: %d/%d sites done, %d failed, %d retries, %d lease requeues, %d resumed from checkpoint",
+		p.Done, p.Total, p.Failed, p.Retries, p.Requeues, resumed)
+}
+
+// coordinate leases the crawl's sites to -worker processes on addr until
+// every site has settled, then derives the dataset from the ledger the
+// workers' pages were appended to.
 func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, addr string, batchSize int, leaseTTL time.Duration, queryAddr string) (*analysis.Dataset, int, error) {
 	d := opts.Dispatch
 	coord, err := core.StartFabricCoordinator(opts, spec, core.FabricCoordinatorOptions{
@@ -279,7 +286,7 @@ func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, add
 		return nil, 0, err
 	}
 	// An early return (interrupt, listen failure) still checkpoints
-	// every settled batch for a -resume run.
+	// every settled site for a -resume run.
 	defer coord.Close()
 	if queryAddr != "" {
 		ln, err := net.Listen("tcp", queryAddr)
@@ -303,8 +310,6 @@ func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, add
 	if err != nil {
 		return nil, 0, err
 	}
-	prog := coord.Progress()
-	logf("fabric: %d/%d batches done, %d failed, %d batches resumed, %d failed sites, %d duplicate pages",
-		prog.Done, prog.Total, prog.Failed, coord.ResumedDone(), len(coord.FailedSites()), stats.Duplicates)
+	logSites(coord.Progress(), coord.ResumedDone())
 	return ds, stats.Pages, nil
 }

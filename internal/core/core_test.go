@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/dispatch"
 	"repro/internal/webgen"
 )
 
@@ -121,6 +123,105 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 	if got := storeDatasetBytes(t, ds); !bytes.Equal(got, want) {
 		t.Errorf("fabric dataset (%d bytes) differs from in-memory (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestResumeAcrossRoles: a local crawl and a fabric coordinator write
+// one checkpoint format with one header, so each resumes the other's
+// interrupted crawl and converges on the uninterrupted dataset byte for
+// byte. Crawl 1, not 0, so the per-crawl seed is part of what must agree.
+func TestResumeAcrossRoles(t *testing.T) {
+	opts := Options{Seed: 4242, NumPublishers: 40, Workers: 1, PagesPerSite: 3}
+	spec := CrawlSpec{Name: "roles", Era: webgen.EraPrePatch, CrawlIndex: 1, BrowserVersion: 57}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	ref, err := RunCrawl(ctx, opts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := storeDatasetBytes(t, ref.Dataset)
+	total := len(FabricSites(opts, spec))
+
+	// Each interruption stops its role once a few sites are done and
+	// leaves a checkpoint behind; each resume finishes the crawl in the
+	// other role and reports how many sites the checkpoint held.
+	fabricUntil := func(t *testing.T, cp, spool string, resume, interrupt bool) ([]byte, int) {
+		coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
+			Addr: "127.0.0.1:0", BatchSize: 2, CheckpointPath: cp, SpoolDir: spool, Resume: resume, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		if !interrupt {
+			runFabricWorkers(ctx, t, coord, 2)
+			ds, _, err := coord.Finalize(FabricDatasetMeta(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return storeDatasetBytes(t, ds), coord.ResumedDone()
+		}
+		wctx, stop := context.WithCancel(ctx)
+		werr := make(chan error, 1)
+		go func() {
+			werr <- RunFabricWorker(wctx, FabricWorkerOptions{Name: "w0", URL: coord.URL(), Workers: 1, Seed: 1})
+		}()
+		for coord.Progress().Done < 3 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		stop()
+		<-werr
+		if err := coord.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return nil, 0
+	}
+	localUntil := func(t *testing.T, cp, spool string, resume, interrupt bool) ([]byte, int) {
+		o := opts
+		o.Dispatch = &DispatchOptions{CheckpointPath: cp, SpoolDir: spool, Resume: resume}
+		if !interrupt {
+			res, err := RunCrawl(ctx, o, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return storeDatasetBytes(t, res.Dataset), res.Dispatch.ResumedDone
+		}
+		lctx, stop := context.WithCancel(ctx)
+		go func() {
+			defer stop()
+			for lctx.Err() == nil {
+				if c, err := dispatch.LoadCheckpoint(cp); err == nil && len(c.Done) > 0 {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+		if _, err := RunCrawl(lctx, o, spec); !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted local crawl returned %v, want it cancelled", err)
+		}
+		return nil, 0
+	}
+	type role func(t *testing.T, cp, spool string, resume, interrupt bool) ([]byte, int)
+	for _, tc := range []struct {
+		name              string
+		interrupt, resume role
+	}{
+		{"fabric interrupted, local resumes", fabricUntil, localUntil},
+		{"local interrupted, fabric resumes", localUntil, fabricUntil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cp, spool := filepath.Join(dir, "checkpoint.json"), filepath.Join(dir, "spool")
+			tc.interrupt(t, cp, spool, false, true)
+			got, resumed := tc.resume(t, cp, spool, true, false)
+			t.Logf("the resume took over %d of %d sites done", resumed, total)
+			if resumed == 0 || resumed >= total {
+				t.Errorf("the resume took over %d of %d sites done; want an interrupted crawl", resumed, total)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("resumed dataset (%d bytes) differs from the uninterrupted one (%d bytes)", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -1,10 +1,10 @@
 // Fabric wiring: adapters that run the page plane under the distributed
 // dispatcher (internal/fabric). The coordinator side builds the site
-// list and batch plan from the same synthetic-world parameters a local
-// crawl uses; the worker side rebuilds the page plane (plane.go) from
-// the CrawlConfig the coordinator broadcasts, so every worker crawls an
-// identical world and a site's spool lines are byte-identical no matter
-// which worker — or how many workers — produced them (DESIGN.md §12).
+// list from the same synthetic-world parameters a local crawl uses; the
+// worker side rebuilds the page plane (plane.go) from the CrawlConfig the
+// coordinator broadcasts, so every worker crawls an identical world and
+// a site's spool lines are byte-identical no matter which worker — or
+// how many workers — produced them (DESIGN.md §12).
 
 package core
 
@@ -56,7 +56,7 @@ func FabricSites(opts Options, spec CrawlSpec) []crawler.Site {
 	return siteRoster(newWorld(withDefaults(opts), spec))
 }
 
-// FabricRunner executes leased batches on a worker: it owns the page
+// FabricRunner executes grants on a worker: it owns the page
 // plane rebuilt from the coordinator's crawl config — the same plane,
 // with the same per-site seeded browsers, that RunCrawl runs locally.
 type FabricRunner struct {
@@ -98,16 +98,16 @@ func (r *FabricRunner) Close() error {
 	return nil
 }
 
-// batchSource feeds one batch's sites to the crawl worker pool and
-// collects permanent site failures.
-type batchSource struct {
+// grantSource feeds one grant's sites to the crawl worker pool and
+// collects the sites whose attempt failed.
+type grantSource struct {
 	mu     sync.Mutex
 	sites  []crawler.Site
 	next   int
 	failed map[string]string
 }
 
-func (s *batchSource) Next(ctx context.Context) (crawler.Site, bool) {
+func (s *grantSource) Next(ctx context.Context) (crawler.Site, bool) {
 	if ctx.Err() != nil {
 		return crawler.Site{}, false
 	}
@@ -121,7 +121,7 @@ func (s *batchSource) Next(ctx context.Context) (crawler.Site, bool) {
 	return site, true
 }
 
-func (s *batchSource) Done(site crawler.Site, pages int, err error) {
+func (s *grantSource) Done(site crawler.Site, pages int, err error) {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return
 	}
@@ -133,25 +133,24 @@ func (s *batchSource) Done(site crawler.Site, pages int, err error) {
 	s.failed[site.Domain] = err.Error()
 }
 
-// RunBatch crawls every site in the batch, streaming each page record
+// RunBatch crawls every site of a grant once, streaming each page record
 // as a pre-encoded spool line. Browsers are seeded per site
-// (crawler.SiteSeed), so the lines are independent of batch membership,
-// worker identity, and crawl order — re-running a batch anywhere
-// reproduces them byte for byte. There is no per-site retry here:
-// retries happen at batch granularity through the coordinator's lease
-// attempts.
+// (crawler.SiteSeed), so the lines are independent of grant membership,
+// worker identity, and crawl order — re-running a site anywhere
+// reproduces them byte for byte. There is no retry here: the sites that
+// failed go back in the Complete frame, and the coordinator's queue
+// retries each under the RetryPolicy a local crawl's sites get.
 func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, line []byte) error) (int, map[string]string, error) {
 	sites := make([]crawler.Site, len(batch.Sites))
 	for i, s := range batch.Sites {
 		sites[i] = crawler.Site{Domain: s.Domain, Rank: s.Rank}
 	}
-	src := &batchSource{sites: sites}
+	src := &grantSource{sites: sites}
 	var pages atomic.Int64
 	cfg := r.plane.crawlerConfig(func(site crawler.Site, pageURL string, res *browser.PageResult) {
 		rec, err := r.plane.recorder.RecordPage(site, pageURL, res)
 		if err != nil {
-			src.Done(site, 0, err)
-			return
+			return // unparseable page: drop it, as the local paths do
 		}
 		var buf bytes.Buffer
 		if err := analysis.EncodeSpoolRecord(&buf, rec); err != nil {
@@ -160,7 +159,7 @@ func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func
 		}
 		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 		if err := emit(site.Domain, line); err != nil {
-			return // emit cancels the batch context itself
+			return // emit cancels the grant context itself
 		}
 		pages.Add(1)
 	})
@@ -177,13 +176,14 @@ func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func
 type FabricCoordinatorOptions struct {
 	// Addr is the listen address (":0" picks a port).
 	Addr string
-	// BatchSize is sites per leased batch (default 16).
+	// BatchSize is the most sites one grant leases (default 16).
 	BatchSize int
 	// NumShards is the spool shard count (default 8).
 	NumShards int
-	// LeaseTTL bounds unheartbeated batch leases (default 30s).
+	// LeaseTTL bounds unheartbeated grants (default 30s).
 	LeaseTTL time.Duration
-	// MaxAttempts is the per-batch attempt budget (default 3).
+	// MaxAttempts is the per-site attempt budget (default 3), as on the
+	// local path.
 	MaxAttempts int
 	// CheckpointPath / SpoolDir locate the coordinator's durable state.
 	CheckpointPath string
@@ -203,7 +203,7 @@ type FabricCoordinatorOptions struct {
 }
 
 // StartFabricCoordinator derives the site list for a crawl spec and
-// starts a batch coordinator serving it.
+// starts a coordinator serving it.
 func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOptions) (*fabric.Coordinator, error) {
 	fault, err := faultProfile(fo.FaultProfile)
 	if err != nil {
@@ -244,7 +244,7 @@ type FabricWorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// RunFabricWorker joins a coordinator and executes leased batches with
+// RunFabricWorker joins a coordinator and executes grants with
 // the full page pipeline until the crawl drains or ctx ends.
 func RunFabricWorker(ctx context.Context, wo FabricWorkerOptions) error {
 	fault, err := faultProfile(wo.FaultProfile)

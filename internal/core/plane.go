@@ -128,7 +128,7 @@ func (p *pagePlane) crawlSeed() int64 { return p.opts.Seed + int64(p.spec.CrawlI
 
 // browserFor builds the browser for one site, seeded from (crawl seed,
 // site) alone, so a site's records are independent of worker
-// assignment, batch membership, retries and resume boundaries. Fetches
+// assignment, grant membership, retries and resume boundaries. Fetches
 // and WebSockets go in-process (webserver.Fetch, webserver.DialSocket)
 // unless faults are armed — bypassing the wire would bypass the
 // injected faults — and an armed profile also wraps the browser's
@@ -155,7 +155,7 @@ func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 }
 
 // crawlerConfig is the worker-pool configuration for crawls that drive
-// crawler.Crawl/CrawlSource themselves (in-memory, fabric batches); the
+// crawler.Crawl/CrawlSource themselves (in-memory, fabric grants); the
 // dispatch orchestrator assembles the same values from dispatch.Config.
 func (p *pagePlane) crawlerConfig(onPage func(crawler.Site, string, *browser.PageResult)) crawler.Config {
 	return crawler.Config{

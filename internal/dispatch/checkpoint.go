@@ -11,11 +11,11 @@ import (
 )
 
 // CheckpointVersion is the on-disk format version, and the only one
-// LoadCheckpoint reads. Version 2 added the shardBytes spool guard;
-// version 3 added the optional batchSize and failedSites fields that let
-// the fabric coordinator share the format (its jobs are batch IDs). Older
-// files are refused with the start-fresh hint.
-const CheckpointVersion = 3
+// LoadCheckpoint reads; older files are refused with the start-fresh
+// hint. From version 4 a local crawl and a fabric coordinator write one
+// header and record sites as jobs, so their files differ in progress
+// only.
+const CheckpointVersion = 4
 
 // CheckpointError reports a checkpoint that cannot drive a resume:
 // corrupt bytes, an unsupported format version, or an incompatibility
@@ -53,37 +53,30 @@ const hintWrongCrawl = "point -checkpoint/-spool-dir at the original crawl's sta
 // Format: a single JSON object —
 //
 //	{
-//	  "version": 3,
+//	  "version": 4,
 //	  "name": "Apr 02-05, 2017",   // crawl identity
-//	  "seed": 20170419,            // study seed (guards mixed resumes)
+//	  "seed": 20170419,            // per-crawl seed (guards mixed resumes)
 //	  "numShards": 8,              // spool shard count (must match)
 //	  "pagesPerSite": 15,
 //	  "totalSites": 600,
-//	  "batchSize": 16,             // coordinator only: jobs are batch IDs
-//	  "done": ["a.com", ...],      // completed jobs, sorted
-//	  "failed": {"b.com": "..."},  // exhausted jobs with last error
-//	  "attempts": {"c.com": 2},    // attempt counts of unfinished jobs
-//	  "failedSites": {"d.com": "..."}, // coordinator only: per-site failures
+//	  "done": ["a.com", ...],      // completed sites, sorted
+//	  "failed": {"b.com": "..."},  // exhausted sites with last error
+//	  "attempts": {"c.com": 2},    // attempt counts of unfinished sites
 //	  "shardBytes": [4096, ...]    // spool guard
 //	}
+//
+// A local crawl and a fabric coordinator write the same file, so either
+// role resumes the other's checkpoint.
 type Checkpoint struct {
-	Version      int    `json:"version"`
-	Name         string `json:"name"`
-	Seed         int64  `json:"seed"`
-	NumShards    int    `json:"numShards"`
-	PagesPerSite int    `json:"pagesPerSite"`
-	TotalSites   int    `json:"totalSites"`
-	// BatchSize is 0 for a single-process crawl, whose jobs are sites.
-	// The fabric coordinator records its sites-per-batch here (v3+); its
-	// jobs are then batch IDs, whose membership is re-derived from
-	// (Seed, BatchSize) on resume and never persisted.
-	BatchSize int               `json:"batchSize,omitempty"`
-	Done      []string          `json:"done"`
-	Failed    map[string]string `json:"failed,omitempty"`
-	Attempts  map[string]int    `json:"attempts,omitempty"`
-	// FailedSites maps permanently failed sites inside completed batches
-	// to their last error (batch mode only, v3+).
-	FailedSites map[string]string `json:"failedSites,omitempty"`
+	Version      int               `json:"version"`
+	Name         string            `json:"name"`
+	Seed         int64             `json:"seed"`
+	NumShards    int               `json:"numShards"`
+	PagesPerSite int               `json:"pagesPerSite"`
+	TotalSites   int               `json:"totalSites"`
+	Done         []string          `json:"done"`
+	Failed       map[string]string `json:"failed,omitempty"`
+	Attempts     map[string]int    `json:"attempts,omitempty"`
 	// ShardBytes records each spool shard's durable size at checkpoint
 	// time: its extent. A resume replays every shard against it, and a
 	// shard that is shorter, or whose complete lines end before it, does
@@ -126,8 +119,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // Compatible verifies that a checkpoint belongs to the crawl being
-// resumed: same identity, seed, shard layout, page budget, site count
-// and batch size as want's header (want's progress fields are ignored).
+// resumed: same identity, seed, shard layout, page budget and site count
+// as want's header (want's progress fields are ignored).
 // A mismatch is a *CheckpointError; resuming across one would mix two
 // different crawls' state into one partial dataset.
 func (c *Checkpoint) Compatible(path string, want *Checkpoint) error {
@@ -145,8 +138,6 @@ func (c *Checkpoint) Compatible(path string, want *Checkpoint) error {
 		return mismatch(fmt.Sprintf("checkpoint page budget %d != configured %d", c.PagesPerSite, want.PagesPerSite))
 	case c.TotalSites != want.TotalSites:
 		return mismatch(fmt.Sprintf("checkpoint covers %d sites, configured %d", c.TotalSites, want.TotalSites))
-	case c.BatchSize != want.BatchSize:
-		return mismatch(fmt.Sprintf("checkpoint batch size %d != configured %d (0 = single-process crawl)", c.BatchSize, want.BatchSize))
 	}
 	return nil
 }

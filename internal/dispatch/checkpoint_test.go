@@ -44,13 +44,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointCompatible exercises every mismatch arm, for a
-// single-process checkpoint (jobs are sites) and a coordinator's (jobs
-// are batches), including each refusing to resume as the other.
+// TestCheckpointCompatible exercises every mismatch arm. A local crawl
+// and a fabric coordinator write one header, so there is no role row.
 func TestCheckpointCompatible(t *testing.T) {
 	site := Checkpoint{Name: "x", Seed: 1, NumShards: 8, PagesPerSite: 15, TotalSites: 10}
-	batch := site
-	batch.BatchSize = 16
 	for _, tc := range []struct {
 		name   string
 		have   Checkpoint
@@ -63,11 +60,6 @@ func TestCheckpointCompatible(t *testing.T) {
 		{"shards", site, func(w *Checkpoint) { w.NumShards = 4 }, "shards"},
 		{"pages", site, func(w *Checkpoint) { w.PagesPerSite = 5 }, "budget"},
 		{"totalSites", site, func(w *Checkpoint) { w.TotalSites = 99 }, "sites"},
-		{"site file under a coordinator", site, func(w *Checkpoint) { w.BatchSize = 16 }, "batch size"},
-		{"batch same", batch, func(*Checkpoint) {}, ""},
-		{"batchSize", batch, func(w *Checkpoint) { w.BatchSize = 8 }, "batch size"},
-		{"batch totalSites", batch, func(w *Checkpoint) { w.TotalSites = 99 }, "sites"},
-		{"coordinator file under wscrawl", batch, func(w *Checkpoint) { w.BatchSize = 0 }, "batch size"},
 	} {
 		want := tc.have
 		tc.mutate(&want)
@@ -99,10 +91,11 @@ func TestLoadCheckpointRejectsBadVersion(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointAcrossVersions: the v3 build reads v3 only. A v1
-// or v2 single-process file, and a file in the retired coordinator
-// format that shared those version numbers, are refused loudly with the
-// version and the start-fresh hint instead of resuming.
+// TestLoadCheckpointAcrossVersions: the v4 build reads v4 only. A v1,
+// v2 or v3 single-process file, a v3 coordinator's file (jobs were batch
+// IDs), and a file in the retired coordinator format that shared the v1
+// number, are refused loudly with the version and the start-fresh hint
+// instead of resuming.
 func TestLoadCheckpointAcrossVersions(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -113,6 +106,9 @@ func TestLoadCheckpointAcrossVersions(t *testing.T) {
 		{2, `{"version":2,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"],"shardBytes":[10,0]}`},
 		{1, `{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"batchSize":4,` +
 			`"totalBatches":3,"totalSites":10,"batches":[{"domain":"b0001","state":"done"}],"shardBytes":[64,128]}`},
+		{3, `{"version":3,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"],"shardBytes":[10,0]}`},
+		{3, `{"version":3,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":10,"batchSize":4,` +
+			`"done":["b0000"],"failedSites":{"x.com":"gone"},"shardBytes":[64,128]}`},
 	} {
 		path := filepath.Join(dir, "cp.json")
 		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
@@ -124,7 +120,7 @@ func TestLoadCheckpointAcrossVersions(t *testing.T) {
 			t.Errorf("err = %v (%T), want *CheckpointError\n%s", err, err, tc.body)
 			continue
 		}
-		if ce.Version != tc.version || !strings.Contains(ce.Error(), "reads v3 only") || ce.Hint != hintStartFresh {
+		if ce.Version != tc.version || !strings.Contains(ce.Error(), "reads v4 only") || ce.Hint != hintStartFresh {
 			t.Errorf("error %q lacks the version, the reason or the start-fresh hint", ce)
 		}
 	}
@@ -135,12 +131,12 @@ func TestLoadCheckpointAcrossVersions(t *testing.T) {
 // writes and LoadCheckpoint reads back unchanged: what a resume loads is
 // what its next commit would write.
 func FuzzLoadCheckpoint(f *testing.F) {
-	f.Add([]byte(`{"version":3,"name":"crawl-1","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":4,` +
+	f.Add([]byte(`{"version":4,"name":"crawl-1","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":4,` +
 		`"done":["a.com","b.com"],"failed":{"c.com":"boom"},"attempts":{"d.com":1},"shardBytes":[120,0]}`))
 	f.Add([]byte(`{"version":3,"name":"pre-crawl-0","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":10,` +
 		`"batchSize":4,"done":["b0000"],"failedSites":{"x.com":"gone"},"shardBytes":[64,128]}`))
 	f.Add([]byte(`{"version":2,"name":"c","done":null,"shardBytes":[]}`))
-	f.Add([]byte(`{"version":3,"done":[],"failed":{},"VERSION":3,"name":"\ud800"} trailing`))
+	f.Add([]byte(`{"version":4,"done":[],"failed":{},"VERSION":4,"name":"\ud800"} trailing`))
 	f.Add([]byte(`{]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -170,9 +166,6 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			}
 			if len(c.Attempts) == 0 {
 				c.Attempts = nil
-			}
-			if len(c.FailedSites) == 0 {
-				c.FailedSites = nil
 			}
 			if len(c.ShardBytes) == 0 {
 				c.ShardBytes = nil
@@ -243,8 +236,8 @@ func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 		}
 	}
 
-	if err := l.Commit(func() ([]JobRecord, map[string]string) {
-		return []JobRecord{{Domain: "pub.com", Rank: 1, State: JobDone, Attempts: 1}}, nil
+	if err := l.Commit(func() []JobRecord {
+		return []JobRecord{{Domain: "pub.com", Rank: 1, State: JobDone, Attempts: 1}}
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@
 //     callers' only clock: a blocked Lease wakes on the next settle or
 //     deadline, and Drained closes when the last job turns terminal;
 //   - retries with exponential backoff + seeded jitter up to an attempt
-//     budget, with errors classified retryable vs fatal;
+//     budget: every failure retries until the budget is spent;
 //   - the Ledger (ledger.go), which owns everything durable: every
 //     crawled page is appended to one of N JSONL spool shards and folded
 //     (with StoreDir, ingested into the columnar store, which owns the
@@ -23,9 +23,11 @@
 //   - Run, which wires the queue to the crawler's worker pool and decides
 //     when the ledger commits.
 //
-// The fabric coordinator (internal/fabric) is the ledger's other caller:
-// same queue with batches as the leased unit, same ledger, a wire session
-// per worker blocked in Lease instead of a local worker pool.
+// The fabric coordinator (internal/fabric) is the queue's and the
+// ledger's other caller: the same queue over the same sites, each grant
+// a group of site leases taken in one claim step, the same ledger, and a
+// wire session per worker blocked in Lease instead of a local worker
+// pool. A site therefore has one outcome model on both paths.
 //
 // Determinism: browsers are built per site (crawler.SiteSeed), so a
 // site's records are a pure function of (seed, site) — independent of
@@ -238,10 +240,11 @@ type orchestrator struct {
 
 // Next leases the next site for a worker.
 func (o *orchestrator) Next(ctx context.Context) (crawler.Site, bool) {
-	l, ok := o.queue.Lease(ctx)
+	ls, ok := o.queue.Lease(ctx, 1)
 	if !ok {
 		return crawler.Site{}, false
 	}
+	l := ls[0]
 	o.mu.Lock()
 	if o.active == nil {
 		o.active = map[string]*Lease{}
@@ -252,7 +255,7 @@ func (o *orchestrator) Next(ctx context.Context) (crawler.Site, bool) {
 }
 
 // Done settles a site attempt: complete, release (cancelled), or fail
-// (classified + retried by the queue).
+// (retried by the queue until the attempt budget is spent).
 func (o *orchestrator) Done(site crawler.Site, pages int, err error) {
 	o.mu.Lock()
 	l := o.active[site.Domain]
@@ -326,9 +329,7 @@ func (o *orchestrator) maybeCheckpoint() {
 
 // commit checkpoints the queue's current job states.
 func (o *orchestrator) commit() error {
-	return o.ledger.Commit(func() ([]JobRecord, map[string]string) {
-		return o.queue.ExportJobs(), nil
-	})
+	return o.ledger.Commit(o.queue.ExportJobs)
 }
 
 // appendErr returns the first ledger append failure, if any.

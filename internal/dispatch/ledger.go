@@ -25,8 +25,8 @@ var groupCommit = BatchPolicy{Pages: 64, Bytes: 256 * 1024}
 // LedgerConfig locates and identifies one crawl's durable state.
 type LedgerConfig struct {
 	// Crawl is the checkpoint header: the identity (Name, Seed, NumShards,
-	// PagesPerSite, TotalSites, BatchSize) every checkpoint this ledger
-	// writes carries and a resumed one must match. NumShards defaults to
+	// PagesPerSite, TotalSites) every checkpoint this ledger writes
+	// carries and a resumed one must match. NumShards defaults to
 	// DefaultShards; progress fields are ignored.
 	Crawl Checkpoint
 	// Meta names the derived dataset (and the store's identity).
@@ -231,8 +231,8 @@ func replayShard(path string, br *bufio.Reader, fold *analysis.Folder) (size, co
 	}
 }
 
-// Resumed returns the checkpoint this ledger resumed from: its Jobs, its
-// FailedSites, its Done count. Nil on a fresh run.
+// Resumed returns the checkpoint this ledger resumed from: its Jobs and
+// its Done count. Nil on a fresh run.
 func (l *Ledger) Resumed() *Checkpoint { return l.resumed }
 
 // Store returns the live columnar store (nil without StoreDir), for the
@@ -301,14 +301,13 @@ func (l *Ledger) sink(rec *analysis.PageRecord) error {
 }
 
 // Commit publishes one checkpoint generation. snapshot is called under
-// the commit lock and must return the job states (and, in batch mode,
-// the per-site failures) to record. Everything a done job appended
-// happened before the snapshot, so the flush and seal that follow cover
-// it, and the extents read after them are the durable sizes the
-// checkpoint vouches for. Any failure leaves the previous checkpoint
+// the commit lock and must return the job states to record. Everything a
+// done job appended happened before the snapshot, so the flush and seal
+// that follow cover it, and the extents read after them are the durable
+// sizes the checkpoint vouches for. Any failure leaves the previous checkpoint
 // file in place — a stale checkpoint only costs re-crawling, one without
 // its spool guard would let a resume skip pages that are gone.
-func (l *Ledger) Commit(snapshot func() (jobs []JobRecord, failedSites map[string]string)) error {
+func (l *Ledger) Commit(snapshot func() []JobRecord) error {
 	l.commitMu.Lock()
 	defer l.commitMu.Unlock()
 	span := obs.StartSpan(obs.StageCheckpoint)
@@ -317,9 +316,7 @@ func (l *Ledger) Commit(snapshot func() (jobs []JobRecord, failedSites map[strin
 		obs.CheckpointWrites.Inc()
 	}()
 	cp := l.cfg.Crawl
-	jobs, failedSites := snapshot()
-	cp.SetJobs(jobs)
-	cp.FailedSites = failedSites
+	cp.SetJobs(snapshot())
 	if err := l.spool.Flush(); err != nil {
 		return err
 	}

@@ -121,7 +121,7 @@ func (r *ledgerRun) crawl(from, to int) {
 // disk — in the spool, and with a store in sealed segments.
 func (r *ledgerRun) commit() {
 	r.t.Helper()
-	if err := r.l.Commit(func() ([]JobRecord, map[string]string) { return r.jobs, nil }); err != nil {
+	if err := r.l.Commit(func() []JobRecord { return r.jobs }); err != nil {
 		r.t.Fatal(err)
 	}
 	cp, err := LoadCheckpoint(r.l.cfg.CheckpointPath)
@@ -297,7 +297,7 @@ func TestLedgerCommitNeverPublishesWithoutSpoolGuard(t *testing.T) {
 	}
 	r.append(2, 0)
 	r.jobs = append(r.jobs, JobRecord{Domain: ledgerSite(2), State: JobDone})
-	err = r.l.Commit(func() ([]JobRecord, map[string]string) { return r.jobs, nil })
+	err = r.l.Commit(func() []JobRecord { return r.jobs })
 	if err == nil || !strings.Contains(err.Error(), "stat shard") {
 		t.Fatalf("Commit over an unstattable shard: err = %v, want the stat failure", err)
 	}

@@ -137,17 +137,20 @@ type Lease struct {
 	Attempt int
 }
 
-// Lease blocks until a site is available and claims it. ok=false means
-// the queue is drained (every site done or failed) or ctx is done. A
-// blocked Lease sleeps until the next settle or the earliest backoff or
-// lease deadline, so expired leases come back without anyone polling.
-func (q *Queue) Lease(ctx context.Context) (*Lease, bool) {
+// Lease blocks until a site is available and claims up to n ready sites
+// (at least one), lowest seq first, in one claim step: a local crawl
+// worker takes one, a fabric grant up to its batch size. Each lease is
+// heartbeat and settled on its own. ok=false means the queue is drained
+// (every site done or failed) or ctx is done. A blocked Lease sleeps
+// until the next settle or the earliest backoff or lease deadline, so
+// expired leases come back without anyone polling.
+func (q *Queue) Lease(ctx context.Context, n int) ([]*Lease, bool) {
 	// Check before each claim: a cancelled worker that Released its site
 	// must not be handed the same site straight back.
 	for ctx.Err() == nil {
-		l, changed, wait := q.claim()
-		if l != nil {
-			return l, true
+		ls, changed, wait := q.claim(max(n, 1))
+		if len(ls) > 0 {
+			return ls, true
 		}
 		if changed == nil { // drained
 			return nil, false
@@ -163,22 +166,31 @@ func (q *Queue) Lease(ctx context.Context) (*Lease, bool) {
 	return nil, false
 }
 
-// claim is Lease's one non-blocking step: it reclaims expired leases and
-// claims the lowest-seq ready job. With nothing ready it returns the
-// channel the next state change closes and how long until the earliest
-// deadline; a drained queue returns neither.
-func (q *Queue) claim() (l *Lease, changed <-chan struct{}, wait time.Duration) {
+// claim is Lease's one non-blocking step. In one pass in seq order it
+// reclaims expired leases and claims up to n ready jobs. With nothing
+// ready it returns the channel the next state change closes and how long
+// until the earliest deadline; a drained queue returns neither.
+func (q *Queue) claim(n int) (ls []*Lease, changed <-chan struct{}, wait time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.now()
-	q.reclaimExpired(now)
-	if j := q.nextReady(now); j != nil {
+	for _, dom := range q.order {
+		j := q.jobs[dom]
+		if j.state == stateLeased && !now.Before(j.expiry) {
+			q.reclaimLocked(j, now)
+		}
+		if len(ls) == n || j.state != statePending || now.Before(j.readyAt) {
+			continue
+		}
 		j.state = stateLeased
 		j.attempts++
 		j.expiry = now.Add(q.leaseTTL)
 		q.tokens++
 		j.token = q.tokens
-		return &Lease{q: q, token: j.token, Site: j.site, Attempt: j.attempts}, nil, 0
+		ls = append(ls, &Lease{q: q, token: j.token, Site: j.site, Attempt: j.attempts})
+	}
+	if len(ls) > 0 {
+		return ls, nil, 0
 	}
 	if q.terminal == len(q.jobs) {
 		return nil, nil, 0
@@ -202,49 +214,31 @@ func (q *Queue) finishLocked(j *job, st jobState) {
 	j.state = st
 }
 
-// reclaimExpired re-queues every leased site whose TTL has elapsed.
-// The reclaim consumes the dead attempt and is bounded by the same
-// budget as ordinary failures, but the site becomes ready immediately:
-// an expired lease indicates a dead worker, not a misbehaving site, so
-// there is nothing to back off from.
-func (q *Queue) reclaimExpired(now time.Time) {
-	for _, dom := range q.order {
-		j := q.jobs[dom]
-		if j.state != stateLeased || now.Before(j.expiry) {
-			continue
-		}
-		j.token = 0
-		q.requeues++
-		q.settleFailureLocked(j, "lease expired", Retryable, now)
-		if j.state == statePending {
-			j.readyAt = now
-		}
+// reclaimLocked re-queues a leased job whose TTL has elapsed. The
+// reclaim consumes the dead attempt and is bounded by the same budget as
+// ordinary failures, but the site becomes ready immediately: an expired
+// lease indicates a dead worker, not a misbehaving site, so there is
+// nothing to back off from.
+func (q *Queue) reclaimLocked(j *job, now time.Time) {
+	j.token = 0
+	q.requeues++
+	q.settleFailureLocked(j, "lease expired", now)
+	if j.state == statePending {
+		j.readyAt = now
 	}
 }
 
-// settleFailureLocked routes a failed attempt: requeue with backoff or
-// mark failed when the budget is spent / the error is fatal.
-func (q *Queue) settleFailureLocked(j *job, msg string, class Class, now time.Time) {
+// settleFailureLocked routes a failed attempt: requeue with backoff, or
+// mark failed once the attempt budget is spent.
+func (q *Queue) settleFailureLocked(j *job, msg string, now time.Time) {
 	j.lastErr = msg
-	if class == FatalClass || j.attempts >= q.policy.MaxAttempts {
+	if j.attempts >= q.policy.MaxAttempts {
 		q.finishLocked(j, stateFailed)
 		return
 	}
 	j.state = statePending
 	j.readyAt = now.Add(q.policy.Delay(j.attempts, q.rng))
 	q.retries++
-}
-
-// nextReady returns the lowest-seq pending job whose backoff has
-// elapsed.
-func (q *Queue) nextReady(now time.Time) *job {
-	for _, dom := range q.order {
-		j := q.jobs[dom]
-		if j.state == statePending && !now.Before(j.readyAt) {
-			return j
-		}
-	}
-	return nil
 }
 
 // nextWakeLocked computes how long a blocked Lease call may sleep:
@@ -313,8 +307,9 @@ func (l *Lease) Complete() bool {
 	return true
 }
 
-// Fail reports a failed attempt; the queue decides between retry (with
-// backoff) and permanent failure. Stale leases are ignored.
+// Fail reports a failed attempt: the site retries with backoff until
+// the policy's attempt budget is spent, then turns failed with err as
+// its last error. Stale leases are ignored.
 func (l *Lease) Fail(err error) bool {
 	q := l.q
 	q.mu.Lock()
@@ -328,7 +323,7 @@ func (l *Lease) Fail(err error) bool {
 		msg = err.Error()
 	}
 	j.token = 0
-	q.settleFailureLocked(j, msg, DefaultClassify(err), q.now())
+	q.settleFailureLocked(j, msg, q.now())
 	q.wakeLocked()
 	return true
 }

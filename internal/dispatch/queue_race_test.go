@@ -3,6 +3,8 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,11 +19,21 @@ import (
 // settles (Complete or Fail) while a clock goroutine forces lease expiry
 // through an advancing injected clock, so the other holders' Lease calls
 // reclaim the lease — the exact interleaving a dead-worker reclaim races
-// against a worker that was merely slow. Under -race (the Makefile gate runs this package
-// with GOMAXPROCS=4) any unsynchronized access fails the run; the
+// against a worker that was merely slow. One holder claims two leases per
+// step, as a fabric grant does, and works them in turn, so a reclaim of
+// one races its sibling's settle. Under -race (the Makefile gate runs this
+// package with GOMAXPROCS=4) any unsynchronized access fails the run; the
 // invariant checks catch double settlement: every job must settle
-// exactly once into a terminal state, no matter who wins the race.
+// exactly once into a terminal state, no matter who wins the race. With a
+// budget of one attempt every failure and every reclaim is terminal at
+// once; with eight, failed and reclaimed jobs are granted again.
 func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
+	for _, budget := range []int{1, 8} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) { raceSettleAndReclaim(t, budget) })
+	}
+}
+
+func raceSettleAndReclaim(t *testing.T, budget int) {
 	const jobs = 64
 	sites := make([]crawler.Site, jobs)
 	for i := range sites {
@@ -39,7 +51,7 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 		LeaseTTL: ttl,
 		Seed:     1,
 		Now:      now,
-		Retry:    RetryPolicy{MaxAttempts: 8, BaseDelay: time.Nanosecond, MaxDelay: time.Nanosecond, JitterFrac: -1},
+		Retry:    RetryPolicy{MaxAttempts: budget, BaseDelay: time.Nanosecond, MaxDelay: time.Nanosecond, JitterFrac: -1},
 	})
 
 	stop := make(chan struct{})
@@ -57,42 +69,44 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 	}()
 
 	const holders = 8
+	var pairs atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(holders)
+	start := make(chan struct{}) // no holder drains the queue before the others start
 	for w := 0; w < holders; w++ {
 		go func(w int) {
 			defer wg.Done()
+			<-start
+			n := 1
+			if w == 0 {
+				n = 2 // the grant-shaped holder
+			}
 			for {
-				l, ok := q.Lease(context.Background())
+				ls, ok := q.Lease(context.Background(), n)
 				if !ok {
 					return
 				}
-				// Hammer heartbeats; a false return means a reclaim won
-				// and this lease is dead — settles must then be
-				// no-ops (asserted via the terminal counts below).
-				alive := true
-				for i := 0; i < 3; i++ {
-					if !l.Heartbeat() {
-						alive = false
-						break
+				if len(ls) == 2 {
+					pairs.Add(1)
+				}
+				for _, l := range ls {
+					// Hammer heartbeats; a false return means a reclaim
+					// won and this lease is dead — its settle must then
+					// be a no-op (asserted via the terminal counts below).
+					for i := 0; i < 3 && l.Heartbeat(); i++ {
+						runtime.Gosched() // let the clock and the other holders in
 					}
-				}
-				var settled bool
-				if w%2 == 0 {
-					settled = l.Complete()
-				} else {
-					settled = l.Fail(Fatal(errors.New("holder failed")))
-				}
-				if settled && !alive {
-					// Settling can still win if expiry happened after the
-					// last heartbeat check — that is fine; what cannot
-					// happen is settling twice, checked below.
-					continue
+					if w%2 == 0 {
+						l.Complete()
+					} else {
+						l.Fail(errors.New("holder failed"))
+					}
 				}
 			}
 		}(w)
 	}
 
+	close(start)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -119,11 +133,14 @@ func TestLeaseConcurrentSettleAndReclaim(t *testing.T) {
 		default:
 			t.Fatalf("job %s left %s", r.Domain, r.State)
 		}
+		if r.Attempts > budget {
+			t.Fatalf("job %s ran %d attempts on a budget of %d", r.Domain, r.Attempts, budget)
+		}
 	}
 	if doneN != p.Done || failN != p.Failed {
 		t.Fatalf("snapshot/export disagree: %d/%d vs %+v", doneN, failN, p)
 	}
-	t.Logf("done=%d failed=%d reclaims=%d", doneN, failN, p.Requeues)
+	t.Logf("done=%d failed=%d reclaims=%d two-lease claims=%d", doneN, failN, p.Requeues, pairs.Load())
 }
 
 // domainN names the i-th synthetic job.
@@ -142,12 +159,12 @@ func TestLeaseStaleSettleIsNoOp(t *testing.T) {
 		Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Nanosecond, MaxDelay: time.Nanosecond, JitterFrac: -1},
 	})
 	ctx := context.Background()
-	l, ok := q.Lease(ctx)
+	l, ok := leaseOne(ctx, q)
 	if !ok {
 		t.Fatal("no lease")
 	}
 	clock.Add(int64(time.Second)) // expire it
-	l2, ok := q.Lease(ctx)        // reclaims it and grants it again
+	l2, ok := leaseOne(ctx, q)    // reclaims it and grants it again
 	if !ok || l2.Attempt != 2 || q.Progress().Requeues != 1 {
 		t.Fatalf("lease after expiry = %+v, %v, progress %+v; want the reclaimed job's attempt 2", l2, ok, q.Progress())
 	}

@@ -24,6 +24,15 @@ func testSites(n int) []crawler.Site {
 	return sites
 }
 
+// leaseOne is Lease(ctx, 1), for tests that hold one site at a time.
+func leaseOne(ctx context.Context, q *Queue) (*Lease, bool) {
+	ls, ok := q.Lease(ctx, 1)
+	if !ok {
+		return nil, false
+	}
+	return ls[0], true
+}
+
 func newTestQueue(n int, ttl time.Duration, retry RetryPolicy) (*Queue, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 	q := NewQueue(testSites(n), QueueConfig{LeaseTTL: ttl, Retry: retry, Seed: 1, Now: clk.now})
@@ -35,7 +44,7 @@ func TestQueueLeaseOrderAndComplete(t *testing.T) {
 	ctx := context.Background()
 	var got []string
 	for i := 0; i < 3; i++ {
-		l, ok := q.Lease(ctx)
+		l, ok := leaseOne(ctx, q)
 		if !ok {
 			t.Fatal("queue drained early")
 		}
@@ -53,7 +62,7 @@ func TestQueueLeaseOrderAndComplete(t *testing.T) {
 			t.Errorf("lease order %v, want %v", got, want)
 		}
 	}
-	if _, ok := q.Lease(ctx); ok {
+	if _, ok := leaseOne(ctx, q); ok {
 		t.Error("drained queue still leased")
 	}
 	p := q.Progress()
@@ -68,7 +77,7 @@ func TestQueueRetryWithBackoffThenBudgetExhaustion(t *testing.T) {
 
 	for attempt := 1; attempt <= 3; attempt++ {
 		clk.advance(time.Second) // clear any backoff gate
-		l, ok := q.Lease(ctx)
+		l, ok := leaseOne(ctx, q)
 		if !ok {
 			t.Fatalf("attempt %d: queue drained", attempt)
 		}
@@ -78,7 +87,7 @@ func TestQueueRetryWithBackoffThenBudgetExhaustion(t *testing.T) {
 		l.Fail(errors.New("flaky"))
 	}
 	clk.advance(time.Minute)
-	if _, ok := q.Lease(ctx); ok {
+	if _, ok := leaseOne(ctx, q); ok {
 		t.Error("exhausted site leased again")
 	}
 	p := q.Progress()
@@ -93,16 +102,22 @@ func TestQueueRetryWithBackoffThenBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestQueueFatalErrorSkipsRetry(t *testing.T) {
-	q, _ := newTestQueue(1, time.Minute, RetryPolicy{MaxAttempts: 5})
-	l, ok := q.Lease(context.Background())
+// TestQueueOneAttemptBudgetFailsAtOnce: with a budget of one attempt,
+// the first failure is terminal — there is no other way to make a
+// failure permanent.
+func TestQueueOneAttemptBudgetFailsAtOnce(t *testing.T) {
+	q, _ := newTestQueue(1, time.Minute, RetryPolicy{MaxAttempts: 1})
+	l, ok := leaseOne(context.Background(), q)
 	if !ok {
 		t.Fatal("no lease")
 	}
-	l.Fail(Fatal(errors.New("永 broken")))
+	l.Fail(errors.New("永 broken"))
 	p := q.Progress()
 	if p.Failed != 1 || p.Retries != 0 {
-		t.Errorf("progress after fatal = %+v", p)
+		t.Errorf("progress after the only attempt failed = %+v", p)
+	}
+	if rec := q.ExportJobs()[0]; rec.State != JobFailed || rec.LastErr != "永 broken" || rec.Attempts != 1 {
+		t.Errorf("exported %+v, want failed at attempt 1 with the error", rec)
 	}
 }
 
@@ -110,13 +125,13 @@ func TestQueueLeaseExpiryRequeuesAndIgnoresStaleLease(t *testing.T) {
 	q, clk := newTestQueue(1, 10*time.Second, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond})
 	ctx := context.Background()
 
-	l1, ok := q.Lease(ctx)
+	l1, ok := leaseOne(ctx, q)
 	if !ok {
 		t.Fatal("no lease")
 	}
 	clk.advance(11 * time.Second) // lease dies unheartbeaten
 
-	l2, ok := q.Lease(ctx)
+	l2, ok := leaseOne(ctx, q)
 	if !ok {
 		t.Fatal("expired site not requeued")
 	}
@@ -144,13 +159,13 @@ func TestQueueLeaseExpiryRequeuesAndIgnoresStaleLease(t *testing.T) {
 func TestQueueHeartbeatKeepsLeaseAlive(t *testing.T) {
 	q, clk := newTestQueue(2, 10*time.Second, RetryPolicy{})
 	ctx := context.Background()
-	l1, _ := q.Lease(ctx)
+	l1, _ := leaseOne(ctx, q)
 	clk.advance(8 * time.Second)
 	if !l1.Heartbeat() {
 		t.Fatal("heartbeat rejected")
 	}
 	clk.advance(8 * time.Second) // t=16s < heartbeat(8s)+TTL(10s)
-	l2, ok := q.Lease(ctx)
+	l2, ok := leaseOne(ctx, q)
 	if !ok {
 		t.Fatal("second site unavailable")
 	}
@@ -165,11 +180,11 @@ func TestQueueHeartbeatKeepsLeaseAlive(t *testing.T) {
 func TestQueueReleaseDoesNotConsumeAttempt(t *testing.T) {
 	q, _ := newTestQueue(1, time.Minute, RetryPolicy{})
 	ctx := context.Background()
-	l, _ := q.Lease(ctx)
+	l, _ := leaseOne(ctx, q)
 	if !l.Release() {
 		t.Fatal("release rejected")
 	}
-	l2, ok := q.Lease(ctx)
+	l2, ok := leaseOne(ctx, q)
 	if !ok {
 		t.Fatal("released site unavailable")
 	}
@@ -181,12 +196,12 @@ func TestQueueReleaseDoesNotConsumeAttempt(t *testing.T) {
 func TestQueueLeaseRespectsContext(t *testing.T) {
 	q, _ := newTestQueue(1, time.Minute, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Hour})
 	ctx := context.Background()
-	l, _ := q.Lease(ctx)
+	l, _ := leaseOne(ctx, q)
 	l.Fail(errors.New("flaky")) // requeued with a 1h backoff
 	cctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, ok := q.Lease(cctx); ok {
+	if _, ok := leaseOne(cctx, q); ok {
 		t.Error("leased a site still in backoff")
 	}
 	if time.Since(start) > 5*time.Second {
@@ -222,18 +237,5 @@ func TestRetryPolicyDelayGrowthAndJitter(t *testing.T) {
 	b := jittered.Delay(2, rand.New(rand.NewSource(3)))
 	if a != b {
 		t.Errorf("jitter not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestDefaultClassify(t *testing.T) {
-	if DefaultClassify(errors.New("x")) != Retryable {
-		t.Error("plain error not retryable")
-	}
-	if DefaultClassify(Fatal(errors.New("x"))) != FatalClass {
-		t.Error("Fatal error not fatal")
-	}
-	wrapped := errors.Join(errors.New("context"), Fatal(errors.New("inner")))
-	if !IsFatal(wrapped) {
-		t.Error("IsFatal missed wrapped fatal")
 	}
 }

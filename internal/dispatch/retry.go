@@ -7,41 +7,10 @@ import (
 	"time"
 )
 
-// Class is the retry classification of a site failure.
-type Class int
-
-const (
-	// Retryable failures (flaky pages, transient network errors,
-	// recovered panics) re-enter the queue with backoff until the
-	// attempt budget is spent.
-	Retryable Class = iota
-	// FatalClass failures are permanent: the site is marked failed
-	// immediately and never retried.
-	FatalClass
-)
-
-// fatalError marks an error as permanent.
-type fatalError struct{ err error }
-
-func (e *fatalError) Error() string { return "fatal: " + e.err.Error() }
-func (e *fatalError) Unwrap() error { return e.err }
-
-// Fatal wraps err so the default classifier treats it as permanent.
-func Fatal(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &fatalError{err: err}
-}
-
-// IsFatal reports whether err was marked with Fatal.
-func IsFatal(err error) bool {
-	var fe *fatalError
-	return errors.As(err, &fe)
-}
-
 // RetryPolicy governs how failed sites are retried: exponential backoff
-// with seeded jitter, up to a total attempt budget.
+// with seeded jitter, up to a total attempt budget. It is the one rule on
+// both crawl paths — a failure, whether a local error or a message a
+// fabric worker reported, retries until the budget is spent.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget per site, including the
 	// first (default 3). 1 means no retries.
@@ -74,17 +43,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		p.JitterFrac = 0.5
 	}
 	return p
-}
-
-// DefaultClassify decides whether an error is worth retrying:
-// Fatal-wrapped errors are permanent and everything else is retryable.
-// Context cancellation never reaches classification (cancelled sites are
-// released back to the queue uncounted).
-func DefaultClassify(err error) Class {
-	if IsFatal(err) {
-		return FatalClass
-	}
-	return Retryable
 }
 
 // Delay computes the backoff before attempt+1, given that `attempt`

@@ -30,10 +30,9 @@ const (
 // nothing tied to the in-memory representation (no lease tokens, no
 // monotonic deadlines).
 type JobRecord struct {
-	// Domain identifies the job (the site's registrable domain, or a
-	// batch ID on the fabric path).
+	// Domain identifies the job: the site's registrable domain.
 	Domain string `json:"domain"`
-	// Rank is the site's list rank (0 when the job is not a site).
+	// Rank is the site's list rank.
 	Rank int `json:"rank,omitempty"`
 	// State is the job's lifecycle state.
 	State JobState `json:"state"`

@@ -49,64 +49,36 @@ func TestJobRecordGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestCheckpointGoldenJSON pins the v3 checkpoint encoding end to end,
-// in both of its modes: a single-process crawl (jobs are sites — the v2
-// bytes but for the version number) and a coordinator's (batchSize set,
-// jobs are batch IDs, per-site failures alongside).
+// TestCheckpointGoldenJSON pins the v4 checkpoint encoding end to end.
+// A local crawl and a fabric coordinator both write it: their jobs are
+// sites, and the v3 coordinator's batchSize and failedSites are gone.
 func TestCheckpointGoldenJSON(t *testing.T) {
-	site := &Checkpoint{
+	cp := &Checkpoint{
 		Version: CheckpointVersion, Name: "crawl-1", Seed: 42,
 		NumShards: 2, PagesPerSite: 5, TotalSites: 3,
 	}
-	site.SetJobs([]JobRecord{
-		{Domain: "a.com", State: JobDone},
-		{Domain: "b.com", State: JobFailed, Attempts: 3, LastErr: "boom"},
-		{Domain: "c.com", State: JobPending, Attempts: 1},
+	cp.SetJobs([]JobRecord{
+		{Domain: "a.com", Rank: 1, State: JobDone, Attempts: 2},
+		{Domain: "b.com", Rank: 2, State: JobFailed, Attempts: 3, LastErr: "boom"},
+		{Domain: "c.com", Rank: 3, State: JobPending, Attempts: 1, LastErr: "lease expired"},
 	})
-	site.ShardBytes = []int64{128, 0}
-
-	batch := &Checkpoint{
-		Version: CheckpointVersion, Name: "pre-crawl-0", Seed: 42,
-		NumShards: 2, PagesPerSite: 5, TotalSites: 10, BatchSize: 4,
+	cp.ShardBytes = []int64{128, 0}
+	const golden = `{"version":4,"name":"crawl-1","seed":42,"numShards":2,"pagesPerSite":5,` +
+		`"totalSites":3,"done":["a.com"],"failed":{"b.com":"boom"},` +
+		`"attempts":{"b.com":3,"c.com":1},"shardBytes":[128,0]}`
+	data, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch.SetJobs([]JobRecord{
-		{Domain: "b0001", Rank: 1, State: JobDone, Attempts: 1},
-		{Domain: "b0000", State: JobPending, Attempts: 2, LastErr: "lease expired"},
-		{Domain: "b0002", Rank: 2, State: JobPending},
-	})
-	batch.FailedSites = map[string]string{"x.com": "homepage 500"}
-	batch.ShardBytes = []int64{64, 128}
-
-	for _, tc := range []struct {
-		name   string
-		cp     *Checkpoint
-		golden string
-	}{
-		{"site", site, `{"version":3,"name":"crawl-1","seed":42,"numShards":2,"pagesPerSite":5,` +
-			`"totalSites":3,"done":["a.com"],"failed":{"b.com":"boom"},` +
-			`"attempts":{"b.com":3,"c.com":1},"shardBytes":[128,0]}`},
-		{"batch", batch, `{"version":3,"name":"pre-crawl-0","seed":42,"numShards":2,"pagesPerSite":5,` +
-			`"totalSites":10,"batchSize":4,"done":["b0001"],"attempts":{"b0000":2},` +
-			`"failedSites":{"x.com":"homepage 500"},"shardBytes":[64,128]}`},
-	} {
-		data, err := json.Marshal(tc.cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != tc.golden {
-			t.Errorf("%s: encoding drifted:\n got %s\nwant %s", tc.name, data, tc.golden)
-		}
-		var back Checkpoint
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		// omitempty drops the empty maps SetJobs leaves behind.
-		if len(tc.cp.Failed) == 0 {
-			tc.cp.Failed = nil
-		}
-		if !reflect.DeepEqual(&back, tc.cp) {
-			t.Errorf("%s: round trip mismatch:\n got %+v\nwant %+v", tc.name, back, tc.cp)
-		}
+	if string(data) != golden {
+		t.Errorf("encoding drifted:\n got %s\nwant %s", data, golden)
+	}
+	var back Checkpoint
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, cp) {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, cp)
 	}
 }
 
@@ -132,18 +104,18 @@ func TestJobsSetJobsInverse(t *testing.T) {
 // die with their process) but keep their attempt counts.
 func TestQueueExportRestoreJobs(t *testing.T) {
 	sites := []crawler.Site{{Domain: "a.com", Rank: 1}, {Domain: "b.com", Rank: 2}, {Domain: "c.com", Rank: 3}, {Domain: "d.com", Rank: 4}}
-	q := NewQueue(sites, QueueConfig{Seed: 1})
+	q := NewQueue(sites, QueueConfig{Seed: 1, Retry: RetryPolicy{MaxAttempts: 1}})
 	ctx := context.Background()
-	la, _ := q.Lease(ctx)
+	la, _ := leaseOne(ctx, q)
 	la.Complete()
-	lb, _ := q.Lease(ctx)
-	lb.Fail(Fatal(errors.New("boom")))
-	if _, ok := q.Lease(ctx); !ok {
+	lb, _ := leaseOne(ctx, q)
+	lb.Fail(errors.New("boom"))
+	if _, ok := leaseOne(ctx, q); !ok {
 		t.Fatal("expected a third lease (left leased on purpose)")
 	}
 
 	recs := q.ExportJobs()
-	q2 := NewQueue(sites, QueueConfig{Seed: 1})
+	q2 := NewQueue(sites, QueueConfig{Seed: 1, Retry: RetryPolicy{MaxAttempts: 1}})
 	q2.RestoreJobs(recs)
 	p := q2.Progress()
 	if p.Done != 1 || p.Failed != 1 || p.Pending != 2 || p.Leased != 0 {

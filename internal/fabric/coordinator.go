@@ -25,21 +25,22 @@ type CoordinatorConfig struct {
 	Crawl wire.CrawlConfig
 	// Sites is the full crawl target list, in rank order. Required.
 	Sites []crawler.Site
-	// BatchSize is the number of sites per leased batch (default 16).
+	// BatchSize is the most sites one grant leases (default 16).
 	BatchSize int
 	// NumShards is the spool shard count (default 8).
 	NumShards int
-	// LeaseTTL bounds how long a batch may go without a heartbeat
-	// before its lease is reclaimed (default 30s).
+	// LeaseTTL bounds how long a grant may go without a heartbeat
+	// before its sites' leases are reclaimed (default 30s).
 	LeaseTTL time.Duration
-	// Retry is the batch retry policy (zero value = defaults).
+	// Retry is the per-site retry policy (zero value = defaults), the
+	// one dispatch.Run applies to a local crawl.
 	Retry dispatch.RetryPolicy
 	// CheckpointPath is the coordinator's durable state file. Required.
 	CheckpointPath string
 	// SpoolDir receives the sharded JSONL spool files. Required.
 	SpoolDir string
 	// Resume loads CheckpointPath (when present) and skips completed
-	// batches instead of starting from scratch.
+	// sites instead of starting from scratch.
 	Resume bool
 	// StoreDir, when non-empty, also ingests every streamed page record
 	// into a columnar store at this directory, sealed at each checkpoint
@@ -59,27 +60,26 @@ type CoordinatorConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Coordinator serves deterministic job batches to a worker fleet over
-// the fabric protocol and appends their page records to the crawl's
-// dispatch.Ledger. Batch leasing, heartbeats, TTL reclaim, and retry
-// budgets all reuse dispatch.Queue with batches as the leased unit, and
-// the queue is the coordinator's only clock: a waiting session blocks in
-// its Lease, and Wait in its Drained. The ledger commits after every
-// settled batch, so a killed coordinator resumes without losing completed
-// work. What is the coordinator's own is the wire session loop and the
-// decision when to commit; everything durable is the ledger's (DESIGN.md
-// §7).
+// Coordinator leases a crawl's sites to a worker fleet over the fabric
+// protocol and appends their page records to the crawl's
+// dispatch.Ledger. Leasing, heartbeats, TTL reclaim, and retry budgets
+// are dispatch.Queue's, over the same sites dispatch.Run queues: a grant
+// is up to BatchSize site leases from one claim step, and each site
+// settles on its own. The queue is the coordinator's only clock: a
+// waiting session blocks in its Lease, and Wait in its Drained. The
+// ledger commits after every settled grant, so a killed coordinator
+// resumes without losing completed work. What is the coordinator's own is
+// the wire session loop and the decision when to commit; everything
+// durable is the ledger's (DESIGN.md §7).
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	batches map[string]wire.Batch // by batch ID
-	queue   *dispatch.Queue
-	ledger  *dispatch.Ledger
-	ln      net.Listener
+	cfg    CoordinatorConfig
+	queue  *dispatch.Queue
+	ledger *dispatch.Ledger
+	ln     net.Listener
 
-	mu          sync.Mutex
-	failedSites map[string]string
-	conns       map[*wsproto.Conn]struct{}
-	closed      bool
+	mu     sync.Mutex
+	conns  map[*wsproto.Conn]struct{}
+	closed bool
 
 	resumedDone int
 
@@ -93,9 +93,9 @@ type Coordinator struct {
 	wg        sync.WaitGroup
 }
 
-// StartCoordinator builds the batch plan, opens the crawl's ledger
-// (restoring any checkpoint), and starts serving workers on addr
-// (host:port; ":0" picks a port — see Addr).
+// StartCoordinator queues the crawl's sites, opens its ledger (restoring
+// any checkpoint), and starts serving workers on addr (host:port; ":0"
+// picks a port — see Addr).
 func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Crawl.Name == "" || len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("fabric: coordinator needs a crawl name and a site list")
@@ -110,33 +110,24 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 		cfg.Logf = func(string, ...any) {}
 	}
 
-	batches := MakeBatches(cfg.Sites, cfg.BatchSize, cfg.Crawl.Seed)
-	byID := make(map[string]wire.Batch, len(batches))
-	pseudo := make([]crawler.Site, len(batches))
-	for i, b := range batches {
-		byID[b.ID] = b
-		pseudo[i] = crawler.Site{Domain: b.ID, Rank: b.Seq}
-	}
-	c := &Coordinator{
-		cfg:         cfg,
-		batches:     byID,
-		failedSites: map[string]string{},
-		conns:       map[*wsproto.Conn]struct{}{},
-	}
-	c.queue = dispatch.NewQueue(pseudo, dispatch.QueueConfig{
+	// The per-crawl seed core's page plane crawls with, which is also
+	// what dispatch.Run records: a local checkpoint and a coordinator's
+	// of the same crawl differ in progress only.
+	seed := cfg.Crawl.Seed + int64(cfg.Crawl.CrawlIndex)
+	c := &Coordinator{cfg: cfg, conns: map[*wsproto.Conn]struct{}{}}
+	c.queue = dispatch.NewQueue(cfg.Sites, dispatch.QueueConfig{
 		LeaseTTL: cfg.LeaseTTL,
 		Retry:    cfg.Retry,
-		Seed:     cfg.Crawl.Seed,
+		Seed:     seed,
 	})
 
 	ledger, err := dispatch.OpenLedger(dispatch.LedgerConfig{
 		Crawl: dispatch.Checkpoint{
 			Name:         cfg.Crawl.Name,
-			Seed:         cfg.Crawl.Seed,
+			Seed:         seed,
 			NumShards:    cfg.NumShards,
 			PagesPerSite: cfg.Crawl.PagesPerSite,
 			TotalSites:   len(cfg.Sites),
-			BatchSize:    cfg.BatchSize,
 		},
 		Meta:           c.meta(),
 		SpoolDir:       cfg.SpoolDir,
@@ -149,12 +140,7 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	}
 	c.ledger = ledger
 	if cp := ledger.Resumed(); cp != nil {
-		// Batch membership is re-derived from the seed above; the
-		// checkpoint only says which batch IDs are settled.
 		c.queue.RestoreJobs(cp.Jobs())
-		for dom, msg := range cp.FailedSites {
-			c.failedSites[dom] = msg
-		}
 		c.resumedDone = len(cp.Done)
 	}
 
@@ -172,8 +158,8 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	c.cancel = cancel
 	c.wg.Add(1)
 	go c.acceptLoop(ctx)
-	c.logf("fabric: coordinator on %s: %d sites in %d batches (%d resumed done)",
-		ln.Addr(), len(cfg.Sites), len(batches), c.resumedDone)
+	c.logf("fabric: coordinator on %s: %d sites, up to %d per grant (%d resumed done)",
+		ln.Addr(), len(cfg.Sites), cfg.BatchSize, c.resumedDone)
 	return c, nil
 }
 
@@ -189,25 +175,25 @@ func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
 // URL returns the ws:// URL workers dial.
 func (c *Coordinator) URL() string { return fmt.Sprintf("ws://%s/fabric", c.ln.Addr()) }
 
-// Progress snapshots the batch queue (Total/Done/Failed count batches,
-// not sites).
+// Progress snapshots the site queue.
 func (c *Coordinator) Progress() dispatch.Progress { return c.queue.Progress() }
 
-// ResumedDone is how many batches the checkpoint already covered.
+// ResumedDone is how many sites the checkpoint already covered.
 func (c *Coordinator) ResumedDone() int { return c.resumedDone }
 
-// FailedSites returns permanently failed sites reported by workers.
+// FailedSites maps the sites that spent their attempt budget to their
+// last error, read off the queue as dispatch.Run reads its own.
 func (c *Coordinator) FailedSites() map[string]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]string, len(c.failedSites))
-	for dom, msg := range c.failedSites {
-		out[dom] = msg
+	out := map[string]string{}
+	for _, rec := range c.queue.ExportJobs() {
+		if rec.State == dispatch.JobFailed {
+			out[rec.Domain] = rec.LastErr
+		}
 	}
 	return out
 }
 
-// Wait blocks until every batch is settled and each session that owed a
+// Wait blocks until every site is settled and each session that owed a
 // worker an answer has written it, or until ctx ends. A Close after Wait
 // therefore never cuts a worker off before it hears drained.
 func (c *Coordinator) Wait(ctx context.Context) error {
@@ -351,15 +337,14 @@ func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 	defer obs.FabricWorkers.Add(-1)
 	c.logf("fabric: worker %s connected", hello.Worker)
 
-	held := map[string]*dispatch.Lease{}
-	grantedAt := map[string]time.Time{}
+	s := &session{conn: conn, worker: hello.Worker, held: map[string]*grant{}}
 	defer func() {
 		// A dropped session releases its leases immediately (without
 		// consuming an attempt) instead of waiting out the TTL: the
 		// worker is gone, and on reconnect its heartbeats for the old
-		// lease are answered invalid, so it abandons the batch.
-		for _, l := range held {
-			l.Release()
+		// grant are answered invalid, so it abandons the grant.
+		for _, g := range s.held {
+			g.settle((*dispatch.Lease).Release)
 		}
 	}()
 
@@ -369,7 +354,7 @@ func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 			return
 		}
 		c.answering.RLock()
-		ok := c.serve(ctx, conn, hello.Worker, dec, held, grantedAt)
+		ok := c.serve(ctx, s, dec)
 		c.answering.RUnlock()
 		if !ok {
 			return
@@ -377,25 +362,64 @@ func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 	}
 }
 
+// session is one worker connection's state: the grants it holds.
+type session struct {
+	conn   *wsproto.Conn
+	worker string
+	held   map[string]*grant // by grant ID
+	grants int               // grants issued so far; names the next
+}
+
+// grant is the site leases one claim step took for a worker, under the
+// session's name for them.
+type grant struct {
+	leases []*dispatch.Lease
+	at     time.Time
+}
+
+// heartbeat extends every lease of the grant. The grant is valid only if
+// each lease still is; otherwise the worker abandons it, so the rest are
+// released.
+func (g *grant) heartbeat() bool {
+	if g.settle((*dispatch.Lease).Heartbeat) == len(g.leases) {
+		return true
+	}
+	g.settle((*dispatch.Lease).Release)
+	return false
+}
+
+// settle applies op to every lease of the grant (none for a nil grant)
+// and counts the leases it still owned.
+func (g *grant) settle(op func(*dispatch.Lease) bool) (live int) {
+	if g == nil {
+		return 0
+	}
+	for _, l := range g.leases {
+		if op(l) {
+			live++
+		}
+	}
+	return live
+}
+
 // serve acts on one worker frame and writes its answer, if it has one.
 // false ends the session.
-func (c *Coordinator) serve(ctx context.Context, conn *wsproto.Conn, worker string, dec wire.Decoded, held map[string]*dispatch.Lease, grantedAt map[string]time.Time) bool {
+func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) bool {
 	switch m := dec.Msg.(type) {
 	case nil: // control frame
 		if dec.Type != wire.TypeLease {
-			c.logf("fabric: worker %s sent unexpected %q", worker, dec.Type)
+			c.logf("fabric: worker %s sent unexpected %q", s.worker, dec.Type)
 			return false
 		}
-		return c.grant(ctx, conn, worker, held, grantedAt)
+		return c.grant(ctx, s)
 	case *wire.Heartbeat:
 		obs.FabricHeartbeats.Inc()
-		l := held[m.Batch]
-		valid := l != nil && l.Heartbeat()
+		g := s.held[m.Batch]
+		valid := g != nil && g.heartbeat()
 		if !valid {
-			delete(held, m.Batch)
-			delete(grantedAt, m.Batch)
+			delete(s.held, m.Batch)
 		}
-		return writeFrame(conn, &wire.HeartbeatAck{Batch: m.Batch, Valid: valid}) == nil
+		return writeFrame(s.conn, &wire.HeartbeatAck{Batch: m.Batch, Valid: valid}) == nil
 	case *wire.Page:
 		// Append even when the lease was already reclaimed: a stale
 		// attempt streams the same bytes a live one does (per-site
@@ -404,88 +428,89 @@ func (c *Coordinator) serve(ctx context.Context, conn *wsproto.Conn, worker stri
 		// page record, or one arriving after Finalize, never reaches the
 		// spool: the session drops and its leases go back to the queue.
 		if err := c.ledger.AppendLine(m.Site, m.Line); err != nil {
-			c.logf("fabric: page for batch %s from %s rejected: %v", m.Batch, worker, err)
+			c.logf("fabric: page for grant %s from %s rejected: %v", m.Batch, s.worker, err)
 			return false
 		}
 		obs.FabricPagesStreamed.Inc()
 		return true
 	case *wire.Complete:
-		// TCP ordering means every page frame of this batch was appended
+		// TCP ordering means every page frame of this grant was appended
 		// to the ledger before this settle; the commit below makes them
-		// durable before the batch is vouched for.
-		l := held[m.Batch]
-		delete(held, m.Batch)
-		if l != nil && l.Complete() {
-			c.mu.Lock()
-			for dom, msg := range m.FailedSites {
-				c.failedSites[dom] = msg
+		// durable before a site is vouched for. Each site settles on its
+		// own: the ones the worker names failed this attempt and retry
+		// under the policy, as a local crawl's failed sites do.
+		g := s.held[m.Batch]
+		delete(s.held, m.Batch)
+		settled := g.settle(func(l *dispatch.Lease) bool {
+			if msg, failed := m.FailedSites[l.Site.Domain]; failed {
+				return l.Fail(errors.New(msg))
 			}
-			c.mu.Unlock()
-			obs.FabricBatchesDone.Inc()
-			if t0, ok := grantedAt[m.Batch]; ok {
-				obs.FabricBatchRTT.ObserveSince(t0)
-			}
-			p := c.queue.Progress()
-			c.logf("fabric: batch %s complete (%d pages) from %s [%d/%d done]",
-				m.Batch, m.Pages, worker, p.Done, p.Total)
-			if err := c.commit(); err != nil {
-				c.logf("fabric: checkpoint: %v", err)
-			}
-		} else {
-			c.logf("fabric: stale complete for batch %s from %s ignored", m.Batch, worker)
+			return l.Complete()
+		})
+		if settled == 0 {
+			c.logf("fabric: stale complete for grant %s from %s ignored", m.Batch, s.worker)
+			break
 		}
-		delete(grantedAt, m.Batch)
+		obs.FabricBatchesDone.Inc()
+		obs.FabricBatchRTT.ObserveSince(g.at)
+		p := c.queue.Progress()
+		c.logf("fabric: grant %s complete (%d pages, %d sites failed) from %s [%d/%d sites done]",
+			m.Batch, m.Pages, len(m.FailedSites), s.worker, p.Done, p.Total)
+		c.commitLogged()
 	case *wire.Fail:
-		l := held[m.Batch]
-		delete(held, m.Batch)
-		delete(grantedAt, m.Batch)
-		if l != nil && l.Fail(errors.New(m.Err)) {
-			c.logf("fabric: batch %s failed on %s: %s", m.Batch, worker, m.Err)
-			if err := c.commit(); err != nil {
-				c.logf("fabric: checkpoint: %v", err)
-			}
+		g := s.held[m.Batch]
+		delete(s.held, m.Batch)
+		if g.settle(func(l *dispatch.Lease) bool { return l.Fail(errors.New(m.Err)) }) > 0 {
+			c.logf("fabric: grant %s failed on %s: %s", m.Batch, s.worker, m.Err)
+			c.commitLogged()
 		}
 	default:
-		c.logf("fabric: worker %s sent unexpected %q", worker, dec.Type)
+		c.logf("fabric: worker %s sent unexpected %q", s.worker, dec.Type)
 		return false
 	}
 	// A settle that leaves the queue drained is answered drained at once,
 	// while Wait is still held off: the worker hears it before Close.
-	return !c.drained() || writeControl(conn, wire.TypeDrained) == nil
+	return !c.drained() || writeControl(s.conn, wire.TypeDrained) == nil
 }
 
 // grant answers one lease request. It blocks in the queue's Lease,
-// sending a wait keepalive every worker heartbeat period, until a batch
-// is granted (true) or the queue drains or the coordinator closes
-// (false: the session ends).
-func (c *Coordinator) grant(ctx context.Context, conn *wsproto.Conn, worker string, held map[string]*dispatch.Lease, grantedAt map[string]time.Time) bool {
+// sending a wait keepalive every worker heartbeat period, until up to
+// BatchSize sites are granted (true) or the queue drains or the
+// coordinator closes (false: the session ends).
+func (c *Coordinator) grant(ctx context.Context, s *session) bool {
 	for {
 		lctx, cancel := context.WithTimeout(ctx, heartbeatPeriod(c.cfg.LeaseTTL))
-		l, ok := c.queue.Lease(lctx)
+		leases, ok := c.queue.Lease(lctx, c.cfg.BatchSize)
 		cancel()
 		switch {
 		case ok:
-			b := c.batches[l.Site.Domain]
-			if writeFrame(conn, &wire.Grant{Batch: b, Attempt: l.Attempt}) != nil {
-				l.Release()
+			s.grants++
+			b := wire.Batch{ID: fmt.Sprintf("g%d", s.grants), Seq: s.grants}
+			attempt := 0
+			for _, l := range leases {
+				b.Sites = append(b.Sites, wire.Site{Domain: l.Site.Domain, Rank: l.Site.Rank})
+				attempt = max(attempt, l.Attempt)
+			}
+			g := &grant{leases: leases, at: time.Now()}
+			if writeFrame(s.conn, &wire.Grant{Batch: b, Attempt: attempt}) != nil {
+				g.settle((*dispatch.Lease).Release)
 				return false
 			}
-			held[b.ID] = l
-			grantedAt[b.ID] = time.Now()
-			c.logf("fabric: batch %s (attempt %d, %d sites) -> %s", b.ID, l.Attempt, len(b.Sites), worker)
+			s.held[b.ID] = g
+			c.logf("fabric: grant %s (attempt %d, %d sites) -> %s", b.ID, attempt, len(b.Sites), s.worker)
 			return true
 		case ctx.Err() != nil:
 			return false
 		case c.drained():
-			_ = writeControl(conn, wire.TypeDrained)
+			_ = writeControl(s.conn, wire.TypeDrained)
 			return false
-		case writeControl(conn, wire.TypeWait) != nil:
+		case writeControl(s.conn, wire.TypeWait) != nil:
 			return false
 		}
 	}
 }
 
-// drained reports whether every batch is settled.
+// drained reports whether every site is settled.
 func (c *Coordinator) drained() bool {
 	select {
 	case <-c.queue.Drained():
@@ -495,14 +520,17 @@ func (c *Coordinator) drained() bool {
 	}
 }
 
-// commit checkpoints batch-level progress. Called after every settled
-// batch and on Close, so a killed coordinator is at worst one batch
-// stale — and re-running that batch produces identical spool bytes
-// anyway.
-func (c *Coordinator) commit() error {
-	return c.ledger.Commit(func() ([]dispatch.JobRecord, map[string]string) {
-		return c.queue.ExportJobs(), c.FailedSites()
-	})
+// commit checkpoints the site queue. Called after every settled grant
+// and on Close, so a killed coordinator is at worst one grant stale — and
+// re-crawling its sites produces identical spool bytes anyway.
+func (c *Coordinator) commit() error { return c.ledger.Commit(c.queue.ExportJobs) }
+
+// commitLogged is commit after a settle, whose failure only costs
+// re-crawling: the next settle or Close commits again.
+func (c *Coordinator) commitLogged() {
+	if err := c.commit(); err != nil {
+		c.logf("fabric: checkpoint: %v", err)
+	}
 }
 
 func (c *Coordinator) logf(format string, args ...any) { c.cfg.Logf(format, args...) }

@@ -27,14 +27,38 @@ import (
 type fakeRunner struct {
 	pagesPerSite int
 	pageDelay    time.Duration
-	failSites    map[string]string
+	faults       *siteFaults // nil: every site succeeds
+}
+
+// siteFaults fails chosen sites on their first runs, counting runs
+// across every runner that shares it (one per worker), so a site's
+// first run is the crawl's first, whichever worker made it.
+type siteFaults struct {
+	mu    sync.Mutex
+	fails map[string]int // site → how many of its first runs fail
+	runs  map[string]int
+}
+
+// run counts one run of site and returns the error it fails with, or
+// "" when it succeeds.
+func (f *siteFaults) run(site string) string {
+	if f == nil {
+		return ""
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.runs[site]++
+	if n := f.runs[site]; n <= f.fails[site] {
+		return fmt.Sprintf("homepage 500 (run %d)", n)
+	}
+	return ""
 }
 
 func (r *fakeRunner) RunBatch(ctx context.Context, b wire.Batch, emit func(string, []byte) error) (int, map[string]string, error) {
 	pages := 0
 	var failed map[string]string
 	for _, s := range b.Sites {
-		if msg, ok := r.failSites[s.Domain]; ok {
+		if msg := r.faults.run(s.Domain); msg != "" {
 			if failed == nil {
 				failed = map[string]string{}
 			}
@@ -141,14 +165,15 @@ func testCrawlConfig(numSites int) wire.CrawlConfig {
 }
 
 type coordOpts struct {
-	addr      string
-	ttl       time.Duration
-	batchSize int
-	resume    bool
-	store     bool
-	fault     string
-	faultSeed int64
-	logf      func(format string, args ...any)
+	addr        string
+	ttl         time.Duration
+	batchSize   int
+	maxAttempts int // default 5
+	resume      bool
+	store       bool
+	fault       string
+	faultSeed   int64
+	logf        func(format string, args ...any)
 }
 
 func startTestCoordinator(t *testing.T, dir string, sites []crawler.Site, o coordOpts) *Coordinator {
@@ -173,9 +198,10 @@ func startTestCoordinator(t *testing.T, dir string, sites []crawler.Site, o coor
 }
 
 type workerOpts struct {
-	seed  int64
-	delay time.Duration
-	fault string
+	seed   int64
+	delay  time.Duration
+	fault  string
+	faults *siteFaults
 }
 
 func runTestWorker(ctx context.Context, name, url string, o workerOpts) error {
@@ -196,7 +222,7 @@ func runTestWorker(ctx context.Context, name, url string, o workerOpts) error {
 		Name: name,
 		URL:  url,
 		NewRunner: func(cfg wire.CrawlConfig) (BatchRunner, error) {
-			return &fakeRunner{pagesPerSite: cfg.PagesPerSite, pageDelay: o.delay}, nil
+			return &fakeRunner{pagesPerSite: cfg.PagesPerSite, pageDelay: o.delay, faults: o.faults}, nil
 		},
 		Seed:     o.seed,
 		WrapConn: wrap,
@@ -222,52 +248,6 @@ func checkNoGoroutineLeak(t *testing.T, base int) {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	t.Fatalf("goroutine leak: baseline %d, now %d\n%s", base, runtime.NumGoroutine(), buf[:n])
-}
-
-// TestMakeBatchesDeterministic: same inputs, same plan; the plan covers
-// every site exactly once; different seeds shuffle membership.
-func TestMakeBatchesDeterministic(t *testing.T) {
-	sites := testSites(37)
-	a := MakeBatches(sites, 5, 42)
-	b := MakeBatches(sites, 5, 42)
-	if len(a) != 8 {
-		t.Fatalf("37 sites / size 5 = %d batches, want 8", len(a))
-	}
-	seen := map[string]int{}
-	for i, batch := range a {
-		if batch.ID != BatchID(i) || batch.Seq != i {
-			t.Errorf("batch %d: ID %q Seq %d", i, batch.ID, batch.Seq)
-		}
-		if batch.ID != b[i].ID || len(batch.Sites) != len(b[i].Sites) {
-			t.Fatalf("same seed produced different plans at %d", i)
-		}
-		for j, s := range batch.Sites {
-			if s != b[i].Sites[j] {
-				t.Fatalf("same seed produced different membership: %v vs %v", s, b[i].Sites[j])
-			}
-			seen[s.Domain]++
-		}
-	}
-	if len(seen) != len(sites) {
-		t.Errorf("plan covers %d distinct sites, want %d", len(seen), len(sites))
-	}
-	for dom, n := range seen {
-		if n != 1 {
-			t.Errorf("site %s appears %d times", dom, n)
-		}
-	}
-	c := MakeBatches(sites, 5, 43)
-	same := true
-	for i := range a {
-		for j := range a[i].Sites {
-			if a[i].Sites[j] != c[i].Sites[j] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical membership")
-	}
 }
 
 // TestFabricConvergesAcrossWorkerCounts is the acceptance keystone in
@@ -313,37 +293,81 @@ func TestFabricConvergesAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestFabricFailedSitesPropagate: per-site failures inside a batch
-// reach the coordinator without failing the batch.
-func TestFabricFailedSitesPropagate(t *testing.T) {
+// TestFabricRetriesFailedSites: a site that fails inside a grant retries
+// under the coordinator's RetryPolicy, site by site, as dispatch.Run
+// retries a local crawl's (TestRetryRecoversFlakySite and
+// TestRetryBudgetExhaustion hold these rows there). A flaky site
+// recovers at its second attempt with its pages spooled, a dead one
+// spends its whole budget and keeps the runner's last error — which is
+// all FailedSites reports — every other site is done at its first
+// attempt, and Progress counts sites.
+func TestFabricRetriesFailedSites(t *testing.T) {
+	const flaky, dead = "site003.com", "site007.com"
 	sites := testSites(12)
-	dir := t.TempDir()
-	c := startTestCoordinator(t, dir, sites, coordOpts{})
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(ctx, WorkerConfig{
-			Name: "w0", URL: c.URL(),
-			NewRunner: func(cfg wire.CrawlConfig) (BatchRunner, error) {
-				return &fakeRunner{
-					pagesPerSite: cfg.PagesPerSite,
-					failSites:    map[string]string{"site003.com": "homepage 500"},
-				}, nil
-			},
-			Seed: 1,
+	var live []crawler.Site
+	for _, s := range sites {
+		if s.Domain != dead {
+			live = append(live, s)
+		}
+	}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			c := startTestCoordinator(t, dir, sites, coordOpts{maxAttempts: 3})
+			defer c.Close()
+			faults := &siteFaults{fails: map[string]int{flaky: 1, dead: 1 << 30}, runs: map[string]int{}}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = runTestWorker(ctx, fmt.Sprintf("w%d", i), c.URL(), workerOpts{seed: int64(i + 1), faults: faults})
+				}(i)
+			}
+			if err := c.Wait(ctx); err != nil {
+				t.Fatalf("coordinator never drained: %v", err)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("worker %d: %v", i, err)
+				}
+			}
+
+			jobs := map[string]dispatch.JobRecord{}
+			for _, rec := range c.queue.ExportJobs() {
+				jobs[rec.Domain] = rec
+			}
+			for _, s := range sites {
+				state, attempts := dispatch.JobDone, 1
+				switch s.Domain {
+				case flaky:
+					attempts = 2
+				case dead:
+					state, attempts = dispatch.JobFailed, 3
+				}
+				if rec := jobs[s.Domain]; rec.State != state || rec.Attempts != attempts {
+					t.Errorf("%s: %s at attempt %d, want %s at attempt %d", s.Domain, rec.State, rec.Attempts, state, attempts)
+				}
+			}
+			if got := jobs[dead].LastErr; got != "homepage 500 (run 3)" {
+				t.Errorf("dead site's last error = %q, want the runner's error of its third run", got)
+			}
+			want := dispatch.Progress{Total: 12, Done: 11, Failed: 1, Retries: 3}
+			if p := c.Progress(); p != want {
+				t.Errorf("progress %+v, want %+v", p, want)
+			}
+			if failed := c.FailedSites(); len(failed) != 1 || failed[dead] != "homepage 500 (run 3)" {
+				t.Errorf("failed sites = %v, want only %s with its last error", failed, dead)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			diffLines(t, "spool", canonicalSpool(t, filepath.Join(dir, "spool")), expectedLines(live, testPages))
 		})
-	}()
-	if err := c.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	failed := c.FailedSites()
-	if failed["site003.com"] != "homepage 500" {
-		t.Errorf("failed sites = %v, want site003.com recorded", failed)
 	}
 }
 
@@ -461,13 +485,16 @@ func startTestCoordinator2(dir string, sites []crawler.Site, o coordOpts) (*Coor
 		}
 		fault = p
 	}
+	if o.maxAttempts == 0 {
+		o.maxAttempts = 5
+	}
 	cfg := CoordinatorConfig{
 		Crawl:          testCrawlConfig(len(sites)),
 		Sites:          sites,
 		BatchSize:      o.batchSize,
 		NumShards:      4,
 		LeaseTTL:       o.ttl,
-		Retry:          dispatch.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		Retry:          dispatch.RetryPolicy{MaxAttempts: o.maxAttempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 		SpoolDir:       filepath.Join(dir, "spool"),
 		Resume:         o.resume,
@@ -525,13 +552,12 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 		o := newOpts(dir)
 		o.addr = "127.0.0.1:0"
 		o.ttl = time.Second
-		o.batchSize = 4 // changed: different batch plan
-		_, err := startTestCoordinator2(dir, sites, o)
+		_, err := startTestCoordinator2(dir, testSites(9), o) // changed: another publisher count
 		var ce *dispatch.CheckpointError
 		if !errors.As(err, &ce) {
 			t.Fatalf("error = %v (%T), want *dispatch.CheckpointError", err, err)
 		}
-		if !strings.Contains(ce.Error(), "batch size") {
+		if !strings.Contains(ce.Error(), "covers 8 sites, configured 9") {
 			t.Errorf("error %q does not name the mismatched flag", ce)
 		}
 	})

@@ -34,29 +34,29 @@ const (
 	// TypeWelcome (C→W) accepts a session and carries the crawl
 	// configuration the worker must reproduce locally.
 	TypeWelcome = "welcome"
-	// TypeLease (W→C) requests the next job batch.
+	// TypeLease (W→C) requests the next grant of sites.
 	TypeLease = "lease"
-	// TypeGrant (C→W) leases one batch to the worker.
+	// TypeGrant (C→W) leases a group of sites to the worker.
 	TypeGrant = "grant"
 	// TypeWait (C→W) is a keepalive while the worker is queued for a
-	// batch: nothing is ready yet, but the queue is not drained.
+	// grant: nothing is ready yet, but the queue is not drained.
 	TypeWait = "wait"
-	// TypeDrained (C→W) reports that every batch is settled; the worker
+	// TypeDrained (C→W) reports that every site is settled; the worker
 	// should disconnect.
 	TypeDrained = "drained"
-	// TypeHeartbeat (W→C) extends the worker's lease on a batch.
+	// TypeHeartbeat (W→C) extends the worker's leases on a grant.
 	TypeHeartbeat = "heartbeat"
 	// TypeHeartbeatAck (C→W) answers a heartbeat; Valid=false tells the
-	// worker its lease was reclaimed and the batch must be abandoned.
+	// worker a lease was reclaimed and the grant must be abandoned.
 	TypeHeartbeatAck = "heartbeat_ack"
 	// TypePage (W→C) streams one spooled page record (the exact bytes
-	// of one spool line) from a leased batch.
+	// of one spool line) from a grant.
 	TypePage = "page"
-	// TypeComplete (W→C) settles a batch: every site was attempted,
-	// all its pages were streamed.
+	// TypeComplete (W→C) settles a grant: every site was attempted and
+	// all its pages were streamed; each site settles on its own.
 	TypeComplete = "complete"
-	// TypeFail (W→C) reports a batch the worker could not run; the
-	// coordinator requeues it under the retry policy.
+	// TypeFail (W→C) reports a grant the worker could not run; the
+	// coordinator fails each of its sites under the retry policy.
 	TypeFail = "fail"
 )
 
@@ -66,10 +66,10 @@ type Site struct {
 	Rank   int    `json:"rank,omitempty"`
 }
 
-// Batch is one leased unit of crawl work: a stable ID plus the sites
-// it covers. IDs are stable across runs ("b0000", "b0001", …, in
-// assignment order), which is what lets a restarted coordinator mark
-// checkpointed batches done without re-deriving anything but the seed.
+// Batch is one grant of crawl work: the sites one claim step leased to
+// the worker, in rank order, under an ID that names the grant within its
+// session (Seq numbers the session's grants). Heartbeats, pages and
+// settles cite the ID; nothing outside the session does.
 type Batch struct {
 	ID    string `json:"id"`
 	Seq   int    `json:"seq"`
@@ -113,14 +113,15 @@ type Welcome struct {
 	LeaseTTLMillis int64 `json:"leaseTtlMillis"`
 }
 
-// Grant leases a batch to the worker.
+// Grant leases a group of sites to the worker.
 type Grant struct {
 	Batch Batch `json:"batch"`
-	// Attempt is 1 for the batch's first lease, 2 for its first retry…
+	// Attempt is the highest attempt among the grant's sites: 1 when
+	// every site is on its first try, 2 when one is on its first retry…
 	Attempt int `json:"attempt"`
 }
 
-// Heartbeat extends a batch lease.
+// Heartbeat extends every lease of a grant.
 type Heartbeat struct {
 	Batch string `json:"batch"`
 }
@@ -128,8 +129,9 @@ type Heartbeat struct {
 // HeartbeatAck answers a heartbeat.
 type HeartbeatAck struct {
 	Batch string `json:"batch"`
-	// Valid is false when the lease was reclaimed; the worker must
-	// abandon the batch (another worker may already be re-running it).
+	// Valid is false when a lease of the grant was reclaimed; the worker
+	// must abandon the grant (another worker may already be re-running
+	// its sites), and the coordinator releases the rest.
 	Valid bool `json:"valid"`
 }
 
@@ -146,18 +148,20 @@ type Page struct {
 	Line json.RawMessage `json:"line"`
 }
 
-// Complete settles a batch.
+// Complete settles a grant.
 type Complete struct {
 	Batch string `json:"batch"`
 	// Pages is the number of page records the worker streamed for this
-	// batch. The coordinator only logs it: TCP ordering already delivered
+	// grant. The coordinator only logs it: TCP ordering already delivered
 	// every page frame before this settle.
 	Pages int `json:"pages"`
-	// FailedSites maps permanently failed sites to their last error.
+	// FailedSites maps the sites that failed in this attempt to their
+	// error. Each retries under the coordinator's retry policy, as a
+	// failed site of a local crawl does; every other site is done.
 	FailedSites map[string]string `json:"failedSites,omitempty"`
 }
 
-// Fail reports a batch attempt the worker could not finish.
+// Fail reports a grant the worker could not finish.
 type Fail struct {
 	Batch string `json:"batch"`
 	Err   string `json:"err"`

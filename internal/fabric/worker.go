@@ -17,14 +17,14 @@ import (
 	"repro/internal/wsproto"
 )
 
-// A BatchRunner executes one leased batch: it crawls every site in the
-// batch and hands each page record — already encoded as a spool line —
-// to emit. It must be deterministic per site: re-running a site with
-// the same crawl config yields byte-identical lines, which is what
-// makes lease reclaims and duplicate attempts harmless (the merge
-// deduplicates identical pages). failedSites reports sites that
-// permanently failed inside an otherwise-successful batch; a non-nil
-// err fails the whole batch attempt.
+// A BatchRunner executes one grant: it crawls every site in it once and
+// hands each page record — already encoded as a spool line — to emit. It
+// must be deterministic per site: re-running a site with the same crawl
+// config yields byte-identical lines, which is what makes lease reclaims
+// and duplicate attempts harmless (the fold deduplicates identical
+// pages). failedSites reports the sites whose attempt failed — the
+// coordinator retries each under its retry policy — and a non-nil err
+// fails every site of the grant.
 type BatchRunner interface {
 	RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, line []byte) error) (pages int, failedSites map[string]string, err error)
 	Close() error
@@ -36,7 +36,7 @@ type WorkerConfig struct {
 	Name string
 	// URL is the coordinator's ws:// endpoint. Required.
 	URL string
-	// NewRunner builds the batch executor once the first welcome frame
+	// NewRunner builds the grant executor once the first welcome frame
 	// delivers the crawl config. Required.
 	NewRunner func(wire.CrawlConfig) (BatchRunner, error)
 	// Seed drives dial-retry backoff jitter and WebSocket masking —
@@ -44,7 +44,7 @@ type WorkerConfig struct {
 	Seed int64
 	// DialRetry bounds reconnect attempts (zero value = defaults).
 	// Backoff counts *consecutive non-productive* attempts: any session
-	// that grants a batch or reports the queue drained resets it, so a
+	// that is granted sites or hears the queue drained resets it, so a
 	// worker survives coordinator restarts of any count, as long as the
 	// coordinator comes back within the retry budget each time.
 	DialRetry dispatch.RetryPolicy
@@ -84,12 +84,12 @@ type worker struct {
 	ttl    time.Duration
 }
 
-// RunWorker pulls leased batches from the coordinator at cfg.URL and
-// executes them until the coordinator reports the queue drained or ctx
-// ends. It reconnects with seeded backoff across coordinator outages
-// and abandons in-flight batches whose leases the coordinator
-// invalidates (they are re-granted elsewhere; duplicate pages merge
-// away). Returns nil once the crawl is drained.
+// RunWorker pulls grants from the coordinator at cfg.URL and executes
+// them until the coordinator reports the queue drained or ctx ends. It
+// reconnects with seeded backoff across coordinator outages and
+// abandons in-flight grants whose leases the coordinator invalidates
+// (their sites are granted elsewhere; duplicate pages fold away).
+// Returns nil once the crawl is drained.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Name == "" || cfg.URL == "" || cfg.NewRunner == nil {
 		return fmt.Errorf("fabric: worker needs Name, URL, and NewRunner")
@@ -135,7 +135,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 // session runs one connection lifetime: dial, hello/welcome, then
 // lease→run→settle until the conn breaks or the queue drains. done
 // means RunWorker should return (drained, fatal config error, or ctx
-// end); productive means the coordinator granted at least one batch or
+// end); productive means the coordinator granted sites at least once or
 // reported drained, which resets the reconnect budget.
 func (w *worker) session(ctx context.Context) (done, productive bool, err error) {
 	d := &wsproto.Dialer{
@@ -212,7 +212,7 @@ func (w *worker) session(ctx context.Context) (done, productive bool, err error)
 			return true, true, nil
 		}
 		productive = true
-		w.cfg.Logf("fabric: worker %s: batch %s (attempt %d, %d sites)",
+		w.cfg.Logf("fabric: worker %s: grant %s (attempt %d, %d sites)",
 			w.cfg.Name, grant.Batch.ID, grant.Attempt, len(grant.Batch.Sites))
 		connBroken, err := w.runBatch(ctx, conn, grant.Batch)
 		if connBroken {
@@ -225,7 +225,7 @@ func (w *worker) session(ctx context.Context) (done, productive bool, err error)
 }
 
 // waitGrant reads frames after a lease request until the coordinator
-// grants a batch or declares the queue drained; wait keepalives just
+// grants sites or declares the queue drained; wait keepalives just
 // refresh the deadline.
 func (w *worker) waitGrant(conn *wsproto.Conn, idle time.Duration) (*wire.Grant, bool, error) {
 	for {
@@ -250,11 +250,11 @@ func (w *worker) waitGrant(conn *wsproto.Conn, idle time.Duration) (*wire.Grant,
 	}
 }
 
-// runBatch executes one granted batch: it streams page frames as the
-// runner produces them, heartbeats the lease from a keeper goroutine,
-// and settles with a complete or fail frame. connBroken=true means the
+// runBatch executes one grant: it streams page frames as the runner
+// produces them, heartbeats the grant from a keeper goroutine, and
+// settles with a complete or fail frame. connBroken=true means the
 // connection is unusable and session must return for a redial; the
-// batch is implicitly abandoned (its lease expires and is reclaimed).
+// grant is implicitly abandoned (its leases expire and are reclaimed).
 func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Batch) (connBroken bool, err error) {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -282,10 +282,10 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 	}
 
 	// The keeper owns the connection's read side for the duration of
-	// the batch: the coordinator sends nothing unsolicited, so the only
+	// the grant: the coordinator sends nothing unsolicited, so the only
 	// inbound frames are acks to our own heartbeats, and each send is
 	// followed synchronously by its ack read — no frames are left
-	// behind for the post-batch reader.
+	// behind for the post-grant reader.
 	period := heartbeatPeriod(w.ttl)
 	stop := make(chan struct{})
 	kdone := make(chan error, 1)
@@ -320,7 +320,7 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 				}
 				if !ack.Valid {
 					// Lease reclaimed (we were presumed dead). Abandon:
-					// whoever re-runs the batch emits identical bytes.
+					// whoever re-runs the sites emits identical bytes.
 					cancel()
 					kdone <- errLeaseLost
 					return
@@ -344,14 +344,14 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 	case ctx.Err() != nil:
 		return false, ctx.Err()
 	case runErr != nil:
-		w.cfg.Logf("fabric: worker %s: batch %s failed: %v", w.cfg.Name, batch.ID, runErr)
+		w.cfg.Logf("fabric: worker %s: grant %s failed: %v", w.cfg.Name, batch.ID, runErr)
 		err := writeFrame(conn, &wire.Fail{Batch: batch.ID, Err: runErr.Error()})
 		return err != nil, err
 	default:
 		if err := writeFrame(conn, &wire.Complete{Batch: batch.ID, Pages: pages, FailedSites: failedSites}); err != nil {
 			return true, err
 		}
-		w.cfg.Logf("fabric: worker %s: batch %s complete (%d pages)", w.cfg.Name, batch.ID, pages)
+		w.cfg.Logf("fabric: worker %s: grant %s complete (%d pages)", w.cfg.Name, batch.ID, pages)
 		return false, nil
 	}
 }
@@ -366,6 +366,6 @@ func heartbeatPeriod(ttl time.Duration) time.Duration {
 	return 10 * time.Millisecond
 }
 
-// errLeaseLost marks a batch abandoned because the coordinator
+// errLeaseLost marks a grant abandoned because the coordinator
 // invalidated its lease; it never escapes RunWorker.
 var errLeaseLost = errors.New("fabric: lease lost")
