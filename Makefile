@@ -18,11 +18,12 @@ test:
 # The dispatch orchestrator and crawler are heavily concurrent; the
 # race detector is part of the standard gate. The second pass pins
 # GOMAXPROCS above the worker counts used in tests so the scheduler
-# actually interleaves dispatch workers, spool writers, and stats
-# observers on separate Ps.
+# actually interleaves dispatch workers, spool writers, stats
+# observers, and query handlers sharing the engine's snapshot views on
+# separate Ps.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/dispatch/... ./internal/crawler/... ./internal/obs/... ./internal/fabric/...
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/dispatch/... ./internal/crawler/... ./internal/obs/... ./internal/fabric/... ./internal/colstore/...
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'Chaos' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestFabricSoak' ./internal/fabric/
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestLoadSoak' ./internal/loadgen/
@@ -103,7 +104,8 @@ lint:
 # are assertions in the ordinary tests (TestHotOpsZeroAlloc,
 # TestIndexedMatchZeroAlloc, TestPageFrameEncodeAllocs,
 # TestSteadyStateZeroAlloc, TestWriteFrameZeroAlloc,
-# TestStoreIngestAllocs, TestPageAllocBudget); speed is `make bench`'s.
+# TestStoreIngestAllocs, TestCachedQueryAllocs, TestPageAllocBudget);
+# speed is `make bench`'s.
 pkg-bench-smoke:
 	$(GO) test ./internal/... -run '^$$' -bench . -benchtime 1x
 

@@ -55,12 +55,12 @@ func main() {
 	engine := colstore.NewEngine(store)
 
 	if *table != 0 {
-		_, text, ok := engine.Table(*table, *topN)
+		sec, rows, ok := engine.Table(*table)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "wsquery: no such table %d (tables are 1-5)\n", *table)
 			os.Exit(2)
 		}
-		fmt.Print(text)
+		fmt.Print(sec.Text(sec.Cut(rows, *topN)))
 		return
 	}
 	if *dataset {

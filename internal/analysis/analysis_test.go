@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -240,6 +241,31 @@ func TestTable4(t *testing.T) {
 	out := RenderTable4(rows)
 	if !strings.Contains(out, "A&A domain\titself") && !strings.Contains(out, "A&A domain") {
 		t.Errorf("render missing self row:\n%s", out)
+	}
+}
+
+// TestTable4Cut: a cut keeps the first top ranked pairs and then the
+// self-aggregate row, and leaves the full rows it cut from untouched.
+func TestTable4Cut(t *testing.T) {
+	pre, post := fixtureDatasets()
+	full := Table4(0, pre, post)
+	ranked, self := full[:len(full)-1], full[len(full)-1]
+	if !self.SelfAggregate || len(ranked) < 2 {
+		t.Fatalf("fixture gives %d ranked pairs, self row %+v", len(ranked), self)
+	}
+	before := fmt.Sprint(full)
+	for top := 1; top <= len(ranked)+1; top++ {
+		got := cutPairs(full, top)
+		want := append(append([]PairRow{}, ranked[:min(top, len(ranked))]...), self)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("cut to %d: %+v, want %+v", top, got, want)
+		}
+		if fmt.Sprint(Table4(top, pre, post)) != fmt.Sprint(want) {
+			t.Errorf("Table4(%d) differs from the cut of the full table", top)
+		}
+	}
+	if fmt.Sprint(full) != before {
+		t.Error("cutting modified the full rows")
 	}
 }
 

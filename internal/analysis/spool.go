@@ -277,10 +277,11 @@ func mergeShardFile(path string, br *bufio.Reader, agg *shardMerger, stats *Merg
 // canonical order regardless of arrival order. Fold is safe for
 // concurrent use; Finalize must only be called once all folds are done.
 type Folder struct {
-	mu  sync.Mutex
-	agg *shardMerger // guarded by mu
-	n   int          // guarded by mu; distinct pages folded
-	dup int          // guarded by mu; duplicates skipped
+	mu      sync.Mutex
+	agg     *shardMerger // guarded by mu
+	n       int          // guarded by mu; distinct pages folded
+	dup     int          // guarded by mu; duplicates skipped
+	version uint64       // guarded by mu; bumped by every Fold
 }
 
 // NewFolder starts an empty incremental fold for one dataset.
@@ -294,6 +295,7 @@ func NewFolder(meta DatasetMeta) *Folder {
 func (f *Folder) Fold(rec *PageRecord) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.version++
 	if f.agg.fold(rec) {
 		f.n++
 		return true
@@ -314,27 +316,40 @@ func (f *Folder) Fold(rec *PageRecord) bool {
 func (f *Folder) Snapshot() (*Dataset, MergeStats) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ds := f.agg.finalize()
-	http := make(map[string]*DomainTraffic, len(ds.HTTPByDomain))
-	for dom, t := range ds.HTTPByDomain {
-		cp := *t
-		cp.SentItems = copyCounts(t.SentItems)
-		cp.RecvClasses = copyCounts(t.RecvClasses)
-		http[dom] = &cp
-	}
-	ds.HTTPByDomain = http
-	return ds, MergeStats{Pages: f.n, Duplicates: f.dup}
+	return f.agg.snapshot(), MergeStats{Pages: f.n, Duplicates: f.dup}
 }
 
-// ObsCounts returns copies of the folded labeler observation deltas:
-// per-domain A&A hits, non-A&A hits, and opaque-CDN adjacency counts.
-// These are the inputs the §3.2 threshold rule derives D′ from; the
-// query service's labels endpoint exposes them alongside the derived
-// flag.
-func (f *Folder) ObsCounts() (aa, non, cdn map[string]int) {
+// FoldState is one consistent read of a fold: a Snapshot, the labeler
+// observation deltas its D′ was derived from, and the fold version both
+// reflect. The counts are copies, like the snapshot's.
+type FoldState struct {
+	Dataset *Dataset
+	Stats   MergeStats
+	Version uint64
+	// AAObs, NonAAObs and CDNObs are the per-domain A&A hits, non-A&A
+	// hits and opaque-CDN adjacency counts: the inputs of the §3.2
+	// threshold rule, which the query service's labels endpoint shows
+	// beside the verdict.
+	AAObs, NonAAObs, CDNObs map[string]int
+}
+
+// State snapshots the fold together with its observation counts and
+// version under one lock, so no fold can land between them.
+func (f *Folder) State() FoldState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return copyCounts(f.agg.aa), copyCounts(f.agg.non), copyCounts(f.agg.cdn)
+	return FoldState{
+		Dataset: f.agg.snapshot(), Stats: MergeStats{Pages: f.n, Duplicates: f.dup}, Version: f.version,
+		AAObs: copyCounts(f.agg.aa), NonAAObs: copyCounts(f.agg.non), CDNObs: copyCounts(f.agg.cdn),
+	}
+}
+
+// Version counts the Fold calls so far, duplicates included: a reader
+// holding a State of the same version holds the fold's current state.
+func (f *Folder) Version() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.version
 }
 
 func copyCounts(m map[string]int) map[string]int {
@@ -452,6 +467,21 @@ func (m *shardMerger) fold(rec *PageRecord) bool {
 		m.cdn[h] += n
 	}
 	return true
+}
+
+// snapshot is finalize with the per-domain HTTP aggregates copied, so
+// the dataset shares no mutable state with later folds.
+func (m *shardMerger) snapshot() *Dataset {
+	ds := m.finalize()
+	http := make(map[string]*DomainTraffic, len(ds.HTTPByDomain))
+	for dom, t := range ds.HTTPByDomain {
+		cp := *t
+		cp.SentItems = copyCounts(t.SentItems)
+		cp.RecvClasses = copyCounts(t.RecvClasses)
+		http[dom] = &cp
+	}
+	ds.HTTPByDomain = http
+	return ds
 }
 
 // finalize assembles the canonical Dataset: derives D′ from the summed

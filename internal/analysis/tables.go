@@ -26,8 +26,9 @@ type Table1Row struct {
 
 // Table1 computes the high-level statistics for each dataset, using the
 // union A&A set across all datasets so crawls are comparable.
-func Table1(datasets ...*Dataset) []Table1Row {
-	aa := UnionAASet(datasets...)
+func Table1(datasets ...*Dataset) []Table1Row { return table1(UnionAASet(datasets...), datasets) }
+
+func table1(aa map[string]bool, datasets []*Dataset) []Table1Row {
 	rows := make([]Table1Row, 0, len(datasets))
 	for _, d := range datasets {
 		row := Table1Row{Crawl: d.Name, Era: d.Era, Sites: len(d.Sites)}
@@ -106,19 +107,25 @@ func RenderTable1(rows []Table1Row) string {
 
 // InitiatorRow is one row of Table 2.
 type InitiatorRow struct {
-	Domain        string
-	IsAA          bool
-	Receivers     int
-	AAReceivers   int
-	SocketCount   int
-	receiverSet   map[string]bool
-	aaReceiverSet map[string]bool
+	Domain      string
+	IsAA        bool
+	Receivers   int
+	AAReceivers int
+	SocketCount int
 }
 
 // Table2 ranks initiator domains by unique receivers (Table 2).
 func Table2(topN int, datasets ...*Dataset) []InitiatorRow {
-	aa := UnionAASet(datasets...)
-	rows := map[string]*InitiatorRow{}
+	return cutRanked(table2(UnionAASet(datasets...), datasets), topN)
+}
+
+// table2 is every ranked row of Table 2.
+func table2(aa map[string]bool, datasets []*Dataset) []InitiatorRow {
+	type acc struct {
+		row                    InitiatorRow
+		receivers, aaReceivers map[string]bool
+	}
+	rows := map[string]*acc{}
 	for _, d := range datasets {
 		for _, ws := range d.Sockets {
 			init := ws.InitiatorDomain
@@ -127,21 +134,21 @@ func Table2(topN int, datasets ...*Dataset) []InitiatorRow {
 			}
 			r := rows[init]
 			if r == nil {
-				r = &InitiatorRow{Domain: init, IsAA: aa[init], receiverSet: map[string]bool{}, aaReceiverSet: map[string]bool{}}
+				r = &acc{row: InitiatorRow{Domain: init, IsAA: aa[init]}, receivers: map[string]bool{}, aaReceivers: map[string]bool{}}
 				rows[init] = r
 			}
-			r.SocketCount++
-			r.receiverSet[ws.ReceiverDomain] = true
+			r.row.SocketCount++
+			r.receivers[ws.ReceiverDomain] = true
 			if aa[ws.ReceiverDomain] {
-				r.aaReceiverSet[ws.ReceiverDomain] = true
+				r.aaReceivers[ws.ReceiverDomain] = true
 			}
 		}
 	}
 	out := make([]InitiatorRow, 0, len(rows))
 	for _, r := range rows {
-		r.Receivers = len(r.receiverSet)
-		r.AAReceivers = len(r.aaReceiverSet)
-		out = append(out, *r)
+		r.row.Receivers = len(r.receivers)
+		r.row.AAReceivers = len(r.aaReceivers)
+		out = append(out, r.row)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Receivers != out[j].Receivers {
@@ -152,10 +159,17 @@ func Table2(topN int, datasets ...*Dataset) []InitiatorRow {
 		}
 		return out[i].Domain < out[j].Domain
 	})
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
-	}
 	return out
+}
+
+// cutRanked bounds a ranked table to its first top rows (top <= 0 keeps
+// them all). The cut shares rows' backing array and caps its capacity,
+// so an append to the cut can never write into rows.
+func cutRanked[R any](rows []R, top int) []R {
+	if top > 0 && len(rows) > top {
+		return rows[:top:top]
+	}
+	return rows
 }
 
 // RenderTable2 formats Table 2 (A&A initiators are starred, standing in
@@ -177,19 +191,24 @@ func RenderTable2(rows []InitiatorRow) string {
 
 // ReceiverRow is one row of Table 3.
 type ReceiverRow struct {
-	Domain          string
-	Initiators      int
-	AAInitiators    int
-	SocketCount     int
-	initiatorSet    map[string]bool
-	aaInitiatorSet  map[string]bool
-	chainsBlockable int
+	Domain       string
+	Initiators   int
+	AAInitiators int
+	SocketCount  int
 }
 
 // Table3 ranks A&A receiver domains by unique initiators (Table 3).
 func Table3(topN int, datasets ...*Dataset) []ReceiverRow {
-	aa := UnionAASet(datasets...)
-	rows := map[string]*ReceiverRow{}
+	return cutRanked(table3(UnionAASet(datasets...), datasets), topN)
+}
+
+// table3 is every ranked row of Table 3.
+func table3(aa map[string]bool, datasets []*Dataset) []ReceiverRow {
+	type acc struct {
+		row                      ReceiverRow
+		initiators, aaInitiators map[string]bool
+	}
+	rows := map[string]*acc{}
 	for _, d := range datasets {
 		for _, ws := range d.Sockets {
 			if !aa[ws.ReceiverDomain] {
@@ -197,26 +216,23 @@ func Table3(topN int, datasets ...*Dataset) []ReceiverRow {
 			}
 			r := rows[ws.ReceiverDomain]
 			if r == nil {
-				r = &ReceiverRow{Domain: ws.ReceiverDomain, initiatorSet: map[string]bool{}, aaInitiatorSet: map[string]bool{}}
+				r = &acc{row: ReceiverRow{Domain: ws.ReceiverDomain}, initiators: map[string]bool{}, aaInitiators: map[string]bool{}}
 				rows[ws.ReceiverDomain] = r
 			}
-			r.SocketCount++
+			r.row.SocketCount++
 			if ws.InitiatorDomain != "" {
-				r.initiatorSet[ws.InitiatorDomain] = true
+				r.initiators[ws.InitiatorDomain] = true
 				if aa[ws.InitiatorDomain] {
-					r.aaInitiatorSet[ws.InitiatorDomain] = true
+					r.aaInitiators[ws.InitiatorDomain] = true
 				}
-			}
-			if ws.ChainBlocked {
-				r.chainsBlockable++
 			}
 		}
 	}
 	out := make([]ReceiverRow, 0, len(rows))
 	for _, r := range rows {
-		r.Initiators = len(r.initiatorSet)
-		r.AAInitiators = len(r.aaInitiatorSet)
-		out = append(out, *r)
+		r.row.Initiators = len(r.initiators)
+		r.row.AAInitiators = len(r.aaInitiators)
+		out = append(out, r.row)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Initiators != out[j].Initiators {
@@ -227,9 +243,6 @@ func Table3(topN int, datasets ...*Dataset) []ReceiverRow {
 		}
 		return out[i].Domain < out[j].Domain
 	})
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
-	}
 	return out
 }
 
@@ -259,7 +272,11 @@ type PairRow struct {
 // Table4 ranks initiator/receiver pairs with at least one A&A party,
 // aggregating self-pairs into one final row as the paper does.
 func Table4(topN int, datasets ...*Dataset) []PairRow {
-	aa := UnionAASet(datasets...)
+	return cutPairs(table4(UnionAASet(datasets...), datasets), topN)
+}
+
+// table4 is every ranked row of Table 4, then the self-aggregate row.
+func table4(aa map[string]bool, datasets []*Dataset) []PairRow {
 	type key struct{ init, recv string }
 	pairs := map[key]int{}
 	selfTotal := 0
@@ -293,9 +310,6 @@ func Table4(topN int, datasets ...*Dataset) []PairRow {
 		}
 		return out[i].Receiver < out[j].Receiver
 	})
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
-	}
 	if selfTotal > 0 {
 		out = append(out, PairRow{
 			Initiator: "A&A domain", Receiver: "itself",
@@ -304,6 +318,20 @@ func Table4(topN int, datasets ...*Dataset) []PairRow {
 		})
 	}
 	return out
+}
+
+// cutPairs bounds Table 4 to its first top ranked pairs, keeping the
+// self-aggregate row after them. Like cutRanked it never writes into
+// rows: a cut that drops pairs gets a fresh slice.
+func cutPairs(rows []PairRow, top int) []PairRow {
+	ranked, self := rows, rows[len(rows):]
+	if n := len(rows); n > 0 && rows[n-1].SelfAggregate {
+		ranked, self = rows[:n-1], rows[n-1:]
+	}
+	if top <= 0 || len(ranked) <= top {
+		return rows
+	}
+	return append(append(make([]PairRow, 0, top+len(self)), ranked[:top]...), self...)
 }
 
 // RenderTable4 formats Table 4.
@@ -349,8 +377,9 @@ type Table5Result struct {
 
 // Table5 classifies content flowing over A&A sockets versus HTTP/S to
 // A&A domains.
-func Table5(datasets ...*Dataset) Table5Result {
-	aa := UnionAASet(datasets...)
+func Table5(datasets ...*Dataset) Table5Result { return table5(UnionAASet(datasets...), datasets) }
+
+func table5(aa map[string]bool, datasets []*Dataset) Table5Result {
 	var res Table5Result
 	wsItems := map[string]int{}
 	wsRecv := map[string]int{}

@@ -2,6 +2,8 @@ package colstore
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/analysis"
@@ -94,9 +96,12 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreQuery is the steady-state query service: a chains
-// group-by over the version-cached snapshot, the request shape the
-// HTTP API serves while a crawl runs.
+// BenchmarkStoreQuery is the steady-state query service over the
+// version-cached snapshot, the request shapes the HTTP API serves while
+// a crawl runs: a chains group-by, which filters every socket per
+// request, and a whole /tables request for Table 2, which cuts and
+// encodes the snapshot's cached rows. TestCachedQueryAllocs pins the
+// table row's allocation budget.
 func BenchmarkStoreQuery(b *testing.B) {
 	st, err := Open(Config{Dir: b.TempDir(), NumShards: 4, Meta: testMeta(), SegmentPages: 1 << 30})
 	if err != nil {
@@ -107,13 +112,26 @@ func BenchmarkStoreQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	e := NewEngine(st)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := e.Chains(ChainsQuery{GroupBy: "pair", AA: "received"})
-		if res.Total == 0 {
-			b.Fatal("query matched nothing")
+	b.Run("chains", func(b *testing.B) {
+		e := NewEngine(st)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res := e.Chains(ChainsQuery{GroupBy: "pair", AA: "received"})
+			if res.Total == 0 {
+				b.Fatal("query matched nothing")
+			}
 		}
-	}
+	})
+	b.Run("table", func(b *testing.B) {
+		h := NewHandler(st)
+		w := &bufferWriter{header: http.Header{}}
+		req := httptest.NewRequest(http.MethodGet, "/tables?table=2&top=15", nil)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serveBuffered(h, w, req)
+			if w.status != http.StatusOK || w.body.Len() == 0 {
+				b.Fatalf("status %d, %d body bytes", w.status, w.body.Len())
+			}
+		}
+	})
 }

@@ -2,7 +2,7 @@ package colstore
 
 import (
 	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -21,7 +21,10 @@ import (
 //	GET /refresh
 //
 // /tables renders through analysis.Sections, so its text is the
-// report's; top bounds Tables 2–4 and defaults to the paper's 15.
+// report's; top bounds Tables 2–4 and defaults to the paper's 15. The
+// engine computes each table's rows and the label list once per
+// snapshot, on first use; a request cuts or filters them, renders text
+// only for format=text, and encodes. Response bytes are never cached.
 // /dataset streams the full store-derived dataset JSON — byte-identical
 // to the merge oracle's WriteJSON, which is how the differential tests
 // compare a served store against a merged spool. /refresh rescans the
@@ -32,15 +35,17 @@ func NewHandler(store *Store) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/tables", func(w http.ResponseWriter, r *http.Request) {
 		serve(w, r, func() error {
-			n, _ := strconv.Atoi(r.URL.Query().Get("table"))
-			topN, _ := strconv.Atoi(r.URL.Query().Get("top"))
-			rows, text, ok := e.Table(n, topN)
+			v := r.URL.Query()
+			n, _ := strconv.Atoi(v.Get("table"))
+			top, _ := strconv.Atoi(v.Get("top"))
+			sec, rows, ok := e.Table(n)
 			if !ok {
 				return badRequest("table must be 1..5")
 			}
-			if r.URL.Query().Get("format") == "text" {
+			rows = sec.Cut(rows, top)
+			if v.Get("format") == "text" {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				_, werr := fmt.Fprint(w, text)
+				_, werr := io.WriteString(w, sec.Text(rows))
 				return werr
 			}
 			return writeJSON(w, rows)
@@ -48,10 +53,11 @@ func NewHandler(store *Store) http.Handler {
 	})
 	mux.HandleFunc("/sites", func(w http.ResponseWriter, r *http.Request) {
 		serve(w, r, func() error {
-			q := SitesQuery{Domain: r.URL.Query().Get("domain")}
-			q.MinRank, _ = strconv.Atoi(r.URL.Query().Get("minRank"))
-			q.MaxRank, _ = strconv.Atoi(r.URL.Query().Get("maxRank"))
-			q.WithSockets = r.URL.Query().Get("withSockets") == "true"
+			v := r.URL.Query()
+			q := SitesQuery{Domain: v.Get("domain")}
+			q.MinRank, _ = strconv.Atoi(v.Get("minRank"))
+			q.MaxRank, _ = strconv.Atoi(v.Get("maxRank"))
+			q.WithSockets = v.Get("withSockets") == "true"
 			return writeJSON(w, e.Sites(q))
 		})
 	})
@@ -90,7 +96,8 @@ func NewHandler(store *Store) http.Handler {
 	})
 	mux.HandleFunc("/labels", func(w http.ResponseWriter, r *http.Request) {
 		serve(w, r, func() error {
-			q := LabelsQuery{Domain: r.URL.Query().Get("domain"), OnlyAA: r.URL.Query().Get("onlyAA") == "true"}
+			v := r.URL.Query()
+			q := LabelsQuery{Domain: v.Get("domain"), OnlyAA: v.Get("onlyAA") == "true"}
 			return writeJSON(w, e.Labels(q))
 		})
 	})

@@ -11,40 +11,60 @@ import (
 // Engine executes read-side queries over a store. It snapshots the
 // store's fold lazily and caches the snapshot by fold version, so any
 // number of queries between ingests share one canonical dataset and a
-// query mid-crawl is just a fold-version check away from free.
+// query mid-crawl is just a fold-version check away from free. The
+// snapshot also carries what is derived from it — Tables 1–5 and the
+// label list — each built by the first query that needs it and dropped
+// with the snapshot, so a query only filters, cuts and encodes.
 type Engine struct {
 	store *Store
 
-	mu      sync.Mutex
-	version uint64
-	fresh   bool
-	snap    *analysis.Dataset
-	stats   analysis.MergeStats
-	aa      map[string]bool
+	mu   sync.Mutex
+	snap *snapshot // guarded by mu; nil until the first query
+}
+
+// snapshot is one fold version of the store and its derived views. It
+// is immutable once built, apart from each view's one-time build, and
+// holds at most one row set per table plus one label list, however
+// many queries read it.
+type snapshot struct {
+	analysis.FoldState
+	aa     map[string]bool // D′ as a set: analysis.UnionAASet of the one dataset
+	tables [5]view[any]
+	labels view[[]LabelRow]
+}
+
+// view is a value derived from a snapshot, built at most once.
+type view[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (v *view[T]) get(build func() T) T {
+	v.once.Do(func() { v.v = build() })
+	return v.v
 }
 
 // NewEngine builds a query engine over store.
 func NewEngine(store *Store) *Engine { return &Engine{store: store} }
 
-// snapshot returns the cached dataset + A&A set, rebuilding when the
-// store has folded records since.
-func (e *Engine) snapshot() (*analysis.Dataset, analysis.MergeStats, map[string]bool) {
+// snapshot returns the current snapshot, replacing it when the store
+// has folded records since. The dataset, counts and version come from
+// one read of the fold, so every view agrees with the version it is
+// cached under.
+func (e *Engine) snapshot() *snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if v := e.store.Version(); !e.fresh || v != e.version {
-		ds, stats := e.store.Dataset()
-		e.snap, e.stats = ds, stats
-		e.aa = ds.AASet()
-		e.version = v
-		e.fresh = true
+	if e.snap == nil || e.store.Version() != e.snap.Version {
+		st := e.store.state()
+		e.snap = &snapshot{FoldState: st, aa: st.Dataset.AASet()}
 	}
-	return e.snap, e.stats, e.aa
+	return e.snap
 }
 
 // Dataset returns the engine's current snapshot.
 func (e *Engine) Dataset() (*analysis.Dataset, analysis.MergeStats) {
-	ds, stats, _ := e.snapshot()
-	return ds, stats
+	s := e.snapshot()
+	return s.Dataset, s.Stats
 }
 
 // SitesQuery filters the per-site crawl outcomes.
@@ -60,9 +80,8 @@ type SitesQuery struct {
 
 // Sites runs q; results keep the dataset's canonical rank order.
 func (e *Engine) Sites(q SitesQuery) []analysis.SiteSummary {
-	ds, _, _ := e.snapshot()
 	out := []analysis.SiteSummary{}
-	for _, s := range ds.Sites {
+	for _, s := range e.snapshot().Dataset.Sites {
 		if q.Domain != "" && s.Domain != q.Domain {
 			continue
 		}
@@ -184,12 +203,12 @@ func (q *ChainsQuery) groupKey(ws *analysis.SocketRecord) []string {
 
 // Chains runs q over the snapshot's canonical socket order.
 func (e *Engine) Chains(q ChainsQuery) ChainsResult {
-	ds, _, aa := e.snapshot()
+	snap := e.snapshot()
 	res := ChainsResult{}
 	groups := map[string]*ChainGroup{}
-	for i := range ds.Sockets {
-		ws := &ds.Sockets[i]
-		if !q.match(ws, aa) {
+	for i := range snap.Dataset.Sockets {
+		ws := &snap.Dataset.Sockets[i]
+		if !q.match(ws, snap.aa) {
 			continue
 		}
 		res.Total++
@@ -242,42 +261,52 @@ type LabelsQuery struct {
 	OnlyAA bool   // only domains in D′
 }
 
-// Labels lists the observation deltas behind D′, sorted by domain.
+// Labels lists the observation deltas behind D′, sorted by domain. An
+// unfiltered query returns the snapshot's shared label view, which
+// callers must not modify.
 func (e *Engine) Labels(q LabelsQuery) []LabelRow {
-	_, _, aa := e.snapshot()
-	aaObs, nonObs, cdnObs := e.store.ObsCounts()
-	domains := map[string]bool{}
-	for d := range aaObs {
-		domains[d] = true
-	}
-	for d := range nonObs {
-		domains[d] = true
-	}
-	for d := range cdnObs {
-		domains[d] = true
+	snap := e.snapshot()
+	rows := snap.labels.get(snap.labelRows)
+	if q.Domain == "" && !q.OnlyAA {
+		return rows
 	}
 	out := []LabelRow{}
+	for _, r := range rows {
+		if (q.Domain == "" || r.Domain == q.Domain) && (!q.OnlyAA || r.AA) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// labelRows builds the label view: every domain with an observation,
+// its counts and its verdict, sorted by domain.
+func (s *snapshot) labelRows() []LabelRow {
+	domains := map[string]bool{}
+	for _, counts := range []map[string]int{s.AAObs, s.NonAAObs, s.CDNObs} {
+		for d := range counts {
+			domains[d] = true
+		}
+	}
+	out := make([]LabelRow, 0, len(domains))
 	for d := range domains {
-		if q.Domain != "" && d != q.Domain {
-			continue
-		}
-		if q.OnlyAA && !aa[d] {
-			continue
-		}
-		out = append(out, LabelRow{Domain: d, AAObs: aaObs[d], NonAA: nonObs[d], CDNObs: cdnObs[d], AA: aa[d]})
+		out = append(out, LabelRow{Domain: d, AAObs: s.AAObs[d], NonAA: s.NonAAObs[d], CDNObs: s.CDNObs[d], AA: s.aa[d]})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out
 }
 
-// Table computes one of the paper's Tables 1–5 from the snapshot
-// through analysis.Sections: its rows, JSON-able, and their text. topN
-// bounds Tables 2–4 (0 = the report's 15).
-func (e *Engine) Table(n, topN int) (any, string, bool) {
+// Table returns the section of one of the paper's Tables 1–5 and its
+// rows over the snapshot, every ranked row included. The rows are
+// computed by the first call on a snapshot and shared by every later
+// one, so callers only read them: sec.Cut bounds them to a request's
+// top and sec.Text renders them, exactly as the report does.
+func (e *Engine) Table(n int) (sec *analysis.Section, rows any, ok bool) {
 	if n < 1 || n > 5 {
-		return nil, "", false
+		return nil, nil, false
 	}
-	ds, _, _ := e.snapshot()
-	rows, text := analysis.Lookup("table", strconv.Itoa(n)).Build(topN, ds)
-	return rows, text, true
+	sec = analysis.Lookup("table", strconv.Itoa(n))
+	snap := e.snapshot()
+	rows = snap.tables[n-1].get(func() any { return sec.Rows(snap.aa, snap.Dataset) })
+	return sec, rows, true
 }

@@ -3,13 +3,16 @@ package colstore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/labeler"
 )
 
 func queryStore(t *testing.T) *Store {
@@ -113,11 +116,133 @@ func TestEngineLabels(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotCache: queries between ingests reuse one snapshot;
-// an ingest invalidates it.
-func TestEngineSnapshotCache(t *testing.T) {
-	st := queryStore(t)
+// TestLabelsOneFoldVersion: while a crawl keeps folding, every label
+// row pairs a domain's counts with the verdict the §3.2 rule gives on
+// those same counts, never counts from one fold version and D′ from
+// another. Each domain's verdict flips twice as the records land.
+func TestLabelsOneFoldVersion(t *testing.T) {
+	st, err := Open(Config{Dir: t.TempDir(), NumShards: 2, Meta: testMeta(), SegmentPages: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := NewEngine(st)
+	const domains = 200
+	var recs []*analysis.PageRecord
+	for i := 0; i < 2*domains; i++ {
+		rec := testRecord(fmt.Sprintf("site%d.com", i), i+1, 0)
+		flip := fmt.Sprintf("flip%d.com", i/2)
+		if i%2 == 0 {
+			rec.AAObs = map[string]int{flip: 1} // into D′
+		} else {
+			rec.NonAAObs = map[string]int{flip: 100} // out again
+		}
+		recs = append(recs, rec)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, rec := range recs {
+			if _, err := st.Ingest(rec); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for checked := false; ; checked = true {
+		select {
+		case <-done:
+			if checked {
+				return
+			}
+		default:
+		}
+		for _, r := range e.Labels(LabelsQuery{}) {
+			if want := r.AAObs > 0 && float64(r.AAObs) >= labeler.Threshold*float64(r.NonAA); r.AA != want {
+				t.Fatalf("label row %+v: the §3.2 rule on its counts says aa=%v", r, want)
+			}
+		}
+	}
+}
+
+// tableRecords are allRecords plus sockets between several initiators
+// and A&A receivers, so Tables 2–4 rank more rows than the smallest
+// cuts keep and Table 4 still ends in its self-aggregate row.
+func tableRecords() []*analysis.PageRecord {
+	recs := allRecords()
+	for j, rec := range recs {
+		for k := 0; k <= j%3; k++ {
+			init, recv := fmt.Sprintf("ads%d.com", (j+k)%4), fmt.Sprintf("rt%d.com", (j*k+k)%5)
+			rec.Sockets = append(rec.Sockets, analysis.SocketRecord{
+				Site: rec.Site, Rank: rec.Rank, PageURL: rec.PageURL,
+				URL: "wss://" + recv + "/s", ReceiverDomain: recv, InitiatorDomain: init,
+				ChainDomains: []string{rec.Site, init}, CrossOrigin: true, HandshakeOK: true,
+				ChainBlocked: k == 1, FramesSent: k, FramesRecv: 1,
+				SentItems: []string{"cookies"}, RecvClasses: []string{"html"},
+			})
+			rec.AAObs[recv]++
+			if k%2 == 0 {
+				rec.AAObs[init]++
+			}
+		}
+	}
+	return recs
+}
+
+// tableStore is a writable store holding tableRecords.
+func tableStore(t *testing.T) *Store {
+	t.Helper()
+	st, err := Open(Config{Dir: t.TempDir(), NumShards: 2, Meta: testMeta()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range tableRecords() {
+		if _, err := st.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// tableTops are the /tables cuts the differential checks: the default,
+// cuts below and at the report's 15, and one above every table's size.
+var tableTops = []int{0, 1, 3, 15, 10000}
+
+// checkTables is the /tables differential: for Tables 1–5, every cut
+// in tableTops and both formats, the served body must equal
+// analysis.Sections' Build over want, encoded as the handler encodes
+// it. A view kept from an older snapshot fails it.
+func checkTables(t *testing.T, url string, want *analysis.Dataset) {
+	t.Helper()
+	for n := 1; n <= 5; n++ {
+		sec := analysis.Lookup("table", fmt.Sprint(n))
+		for _, top := range tableTops {
+			rows, text := sec.Build(top, want)
+			var js bytes.Buffer
+			enc := json.NewEncoder(&js)
+			enc.SetIndent("", " ")
+			if err := enc.Encode(rows); err != nil {
+				t.Fatal(err)
+			}
+			path := fmt.Sprintf("%s/tables?table=%d&top=%d", url, n, top)
+			if status, body := get(t, path); status != http.StatusOK || !bytes.Equal(body, js.Bytes()) {
+				t.Errorf("%s: status %d, body differs from Build:\n%s\nwant:\n%s", path, status, body, js.Bytes())
+			}
+			if status, body := get(t, path+"&format=text"); status != http.StatusOK || string(body) != text {
+				t.Errorf("%s&format=text: status %d, body differs from Build:\n%s\nwant:\n%s", path, status, body, text)
+			}
+		}
+	}
+}
+
+// TestEngineSnapshotCache: queries between ingests reuse one snapshot
+// and its views; an ingest invalidates both.
+func TestEngineSnapshotCache(t *testing.T) {
+	st := tableStore(t)
+	e := NewEngine(st)
+	srv := httptest.NewServer(NewHandler(st))
+	defer srv.Close()
+	ds0, _ := st.Dataset()
+	checkTables(t, srv.URL, ds0)
 	ds1, _ := e.Dataset()
 	ds2, _ := e.Dataset()
 	if ds1 != ds2 {
@@ -132,6 +257,59 @@ func TestEngineSnapshotCache(t *testing.T) {
 	}
 	if len(ds3.Sites) != len(ds1.Sites)+1 {
 		t.Errorf("new snapshot has %d sites, want %d", len(ds3.Sites), len(ds1.Sites)+1)
+	}
+	checkTables(t, srv.URL, ds3)
+	var labels []LabelRow
+	if _, body := get(t, srv.URL+"/labels?domain=tracker.com"); json.Unmarshal(body, &labels) != nil || len(labels) != 1 {
+		t.Fatalf("/labels?domain=tracker.com: %s", body)
+	}
+	want := NewEngine(st).Labels(LabelsQuery{Domain: "tracker.com"})
+	if labels[0] != want[0] {
+		t.Errorf("/labels after ingest: %+v, a fresh engine says %+v", labels[0], want[0])
+	}
+}
+
+// TestEngineViewsHeldOnce: however many distinct cuts are asked for,
+// an unchanged snapshot holds one row set per table and one label
+// list, each built once.
+func TestEngineViewsHeldOnce(t *testing.T) {
+	e := NewEngine(tableStore(t))
+	held := func() (*snapshot, int) {
+		e.mu.Lock()
+		snap := e.snap
+		e.mu.Unlock()
+		size := 0
+		for i := range snap.tables {
+			b, err := json.Marshal(snap.tables[i].v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size += len(b)
+		}
+		b, err := json.Marshal(snap.labels.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, size + len(b)
+	}
+	query := func(top int) {
+		for n := 1; n <= 5; n++ {
+			sec, rows, ok := e.Table(n)
+			if !ok {
+				t.Fatalf("table %d missing", n)
+			}
+			sec.Cut(rows, top)
+		}
+		e.Labels(LabelsQuery{OnlyAA: top%2 == 0})
+	}
+	query(0)
+	snap0, size0 := held()
+	for top := 1; top <= 1000; top++ {
+		query(top)
+	}
+	snap1, size1 := held()
+	if snap1 != snap0 || size1 != size0 {
+		t.Errorf("after 1000 distinct cuts the engine holds %d bytes of views (snapshot replaced: %v), want %d", size1, snap1 != snap0, size0)
 	}
 }
 
@@ -211,7 +389,7 @@ func TestHTTPRefreshFollowsSeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := allRecords()
+	recs := tableRecords()
 	for _, rec := range recs[:6] {
 		if _, err := st.Ingest(rec); err != nil {
 			t.Fatal(err)
@@ -227,6 +405,10 @@ func TestHTTPRefreshFollowsSeals(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewHandler(ro))
 	defer srv.Close()
+	// Build the reader's views before the refresh, so a view that
+	// outlived its snapshot would show in the differential below.
+	first, _ := st.Dataset()
+	checkTables(t, srv.URL, first)
 
 	for _, rec := range recs[6:] {
 		if _, err := st.Ingest(rec); err != nil {
@@ -246,5 +428,60 @@ func TestHTTPRefreshFollowsSeals(t *testing.T) {
 	want, _ := st.Dataset()
 	if !bytes.Equal(body, datasetBytes(t, want)) {
 		t.Error("reader /dataset differs from writer's dataset after refresh")
+	}
+	checkTables(t, srv.URL, want)
+}
+
+// bufferWriter is a reusable http.ResponseWriter, so a measured request
+// costs only what the handler does.
+type bufferWriter struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (w *bufferWriter) Header() http.Header         { return w.header }
+func (w *bufferWriter) WriteHeader(status int)      { w.status = status }
+func (w *bufferWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// serveBuffered serves one request through h into w, reset first.
+func serveBuffered(h http.Handler, w *bufferWriter, req *http.Request) {
+	clear(w.header)
+	w.status = http.StatusOK
+	w.body.Reset()
+	h.ServeHTTP(w, req)
+}
+
+// TestCachedQueryAllocs pins what a repeated query costs on an
+// unchanged snapshot: parse the URL, cut or filter a view, encode.
+// Measured with go1.24: 16 allocations for /tables?table=5 and 18 for
+// /labels?onlyAA=true; each bound allows 3 more. Recomputing Table 5's
+// rows per request adds 11 and rebuilding the label list adds 7, so
+// either creeping back into the request path fails the pin.
+func TestCachedQueryAllocs(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("encoding/json's sync.Pool drops items at random under the race detector")
+			}
+		}
+	}
+	h := NewHandler(tableStore(t))
+	w := &bufferWriter{header: http.Header{}}
+	for _, c := range []struct {
+		path  string
+		bound float64
+	}{
+		{"/tables?table=5", 16 + 3},
+		{"/labels?onlyAA=true", 18 + 3},
+	} {
+		req := httptest.NewRequest(http.MethodGet, c.path, nil)
+		serveBuffered(h, w, req) // builds the snapshot and the view
+		if w.status != http.StatusOK {
+			t.Fatalf("%s: status %d", c.path, w.status)
+		}
+		if avg := testing.AllocsPerRun(200, func() { serveBuffered(h, w, req) }); avg > c.bound {
+			t.Errorf("%s allocates %.1f per request, want <= %.0f", c.path, avg, c.bound)
+		}
 	}
 }

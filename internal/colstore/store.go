@@ -96,7 +96,6 @@ type Store struct {
 	seq      []int                    // per shard, next segment seq; guarded by mu
 	segments int                      // sealed segments; guarded by mu
 	consumed map[string]bool          // segment files folded; guarded by mu
-	version  uint64                   // bumped per fold; guarded by mu
 	pages    int                      // distinct records folded; guarded by mu
 	dups     int                      // duplicates dropped; guarded by mu
 }
@@ -321,7 +320,6 @@ func (s *Store) replaySegments() error {
 			} else {
 				s.dups++
 			}
-			s.version++
 		}
 		if seq >= s.seq[shard] {
 			s.seq[shard] = seq + 1
@@ -354,7 +352,6 @@ func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	fresh := s.folder.Fold(rec)
 	shard, full := -1, false
 	s.mu.Lock()
-	s.version++
 	if fresh {
 		s.pages++
 		shard = s.ShardFor(rec.Site)
@@ -455,10 +452,12 @@ func (s *Store) Finalize() (*analysis.Dataset, analysis.MergeStats) {
 	return ds, stats
 }
 
-// ObsCounts exposes the folded labeler observation deltas for the query
-// service's labels endpoint.
-func (s *Store) ObsCounts() (aa, non, cdn map[string]int) {
-	return s.folder.ObsCounts()
+// state is one consistent read of the store's fold — dataset,
+// observation counts and version together — for the query engine.
+func (s *Store) state() analysis.FoldState {
+	st := s.folder.State()
+	st.Stats.Shards = s.shards
+	return st
 }
 
 // Meta returns the crawl identity the store was opened with.
@@ -466,11 +465,7 @@ func (s *Store) Meta() analysis.DatasetMeta { return s.meta }
 
 // Version increases with every folded record; the query layer uses it
 // to cache snapshots.
-func (s *Store) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
-}
+func (s *Store) Version() uint64 { return s.folder.Version() }
 
 // Stats describes the store's physical and logical state.
 type Stats struct {
