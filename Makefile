@@ -41,7 +41,10 @@ race:
 # decoders a resume trusts: FuzzLoadCheckpoint (hostile checkpoint bytes
 # are refused or round-trip through WriteAtomic) and FuzzLedgerReplay (a
 # resumed ledger over arbitrary shard bytes and extent refuses without
-# touching the shard, or folds what MergeShards merges). Seed corpora
+# touching the shard, or folds what MergeShards merges). The store's
+# segment decoder, FuzzDecodeSegment: hostile bytes (also resealed with
+# a valid checksum) are refused without a length taken on trust, and an
+# accepted segment round-trips encode → decode → encode. Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
 # interesting stay in the Go build cache, and a failing input is
 # written under the package's testdata/fuzz to be committed with the fix.
@@ -59,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fabric/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLedgerReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled

@@ -16,16 +16,20 @@
 //	wscrawl -worker ws://HOST:PORT/fabric [-worker-name NAME] [-workers N]
 //	        [-seed S] [-fault-profile NAME] [-fault-seed S]
 //
-// With -checkpoint or -spool-dir the crawl runs through the durable
-// orchestrator (internal/dispatch): progress is checkpointed, failed
-// sites retry with backoff up to -retries attempts each, pages spool to
-// sharded JSONL files, and -resume continues an interrupted crawl
-// without re-visiting completed sites. -store also streams every page into a columnar store
+// Every crawl runs through the durable orchestrator (internal/dispatch):
+// progress is checkpointed, failed sites retry with backoff up to
+// -retries attempts each, pages spool to sharded JSONL files, and the
+// run ends with one "dispatch: N/M sites done, …" outcome line.
+// -checkpoint or -spool-dir keeps that state; without either it lives in
+// a temporary directory removed at exit. -resume continues an
+// interrupted crawl from its -checkpoint/-spool-dir without re-visiting
+// completed sites. -store also streams every page into a columnar store
 // (internal/colstore) sealed at each checkpoint, queryable with wsquery
 // during and after the crawl; -out is then derived from it (-store-dir
 // moves it and implies -store). SIGINT/SIGTERM commit a final
-// checkpoint and exit 1 with a -resume hint. The dataset is written
-// atomically, so a crash never leaves a truncated file.
+// checkpoint and exit 1, with a -resume hint when the state has a
+// location. The dataset is written atomically, so a crash never leaves
+// a truncated file.
 //
 // -coordinate serves the same durable crawl to -worker processes
 // instead of crawling: the same site queue is leased over WebSocket in
@@ -89,12 +93,12 @@ func run(args []string) int {
 		pages       = fs.Int("pages", 15, "page budget per site")
 		seed        = fs.Int64("seed", 20170419, "world seed")
 		version     = fs.Int("version", 0, "browser version (default: 57 pre-patch, 58 post-patch)")
-		checkpoint  = fs.String("checkpoint", "", "checkpoint state file (enables the durable orchestrator)")
-		spoolDir    = fs.String("spool-dir", "", "spool shard directory (enables the durable orchestrator)")
+		checkpoint  = fs.String("checkpoint", "", "checkpoint state file (default: a temp dir removed at exit)")
+		spoolDir    = fs.String("spool-dir", "", "spool shard directory (default: beside -checkpoint, else a temp dir)")
 		resume      = fs.Bool("resume", false, "resume an interrupted crawl from its checkpoint")
 		retries     = fs.Int("retries", 0, "per-site attempt budget, in either role (default 3)")
 		shards      = fs.Int("shards", 0, "spool shard count (default 8)")
-		storeFlag   = fs.Bool("store", false, "stream pages into an embedded columnar store (requires the durable orchestrator; query with wsquery)")
+		storeFlag   = fs.Bool("store", false, "stream pages into an embedded columnar store (requires -checkpoint, -spool-dir or -store-dir; query with wsquery)")
 		storeDir    = fs.String("store-dir", "", "columnar store directory (default: <spool parent>/store-crawl<index>; implies -store)")
 		metricsAddr = fs.String("metrics-addr", "", "serve expvar + pprof on this address (\":0\" picks a port)")
 		progress    = fs.Duration("progress", 0, "print progress to stderr at this interval (0 = off)")
@@ -168,30 +172,37 @@ func run(args []string) int {
 		FaultProfile: *faultProf, FaultSeed: *faultSeed,
 		Store: *storeFlag || *storeDir != "",
 	}
-	if *checkpoint != "" || *spoolDir != "" || *resume {
-		cp, sd := *checkpoint, *spoolDir
+	// Every crawl keeps a checkpoint and a spool; only state that must
+	// outlive the process needs a location (without one, core keeps it
+	// in a temporary directory).
+	located := *checkpoint != "" || *spoolDir != ""
+	switch {
+	case *resume && !located:
+		return usage("-resume requires -checkpoint or -spool-dir")
+	case opts.Store && !located && *storeDir == "":
+		return usage("-store requires -checkpoint, -spool-dir or -store-dir")
+	case *coordAddr != "" && !located:
+		return usage("-coordinate requires -checkpoint or -spool-dir")
+	}
+	opts.Dispatch = &core.DispatchOptions{
+		StoreDir:    *storeDir,
+		Resume:      *resume,
+		MaxAttempts: *retries,
+		NumShards:   *shards,
+	}
+	if d := opts.Dispatch; located {
 		// Derive whichever of the two paths was not given from the
-		// other, so a single flag is enough to go durable.
-		if sd == "" {
-			sd = filepath.Join(filepath.Dir(cp), "spool")
+		// other, so a single flag is enough to locate the crawl.
+		d.CheckpointPath, d.SpoolDir = *checkpoint, *spoolDir
+		if d.SpoolDir == "" {
+			d.SpoolDir = filepath.Join(filepath.Dir(d.CheckpointPath), "spool")
 		}
-		if cp == "" {
-			cp = filepath.Join(sd, "checkpoint.json")
+		if d.CheckpointPath == "" {
+			d.CheckpointPath = filepath.Join(d.SpoolDir, "checkpoint.json")
 		}
-		st := *storeDir
-		if st == "" && opts.Store {
-			st = filepath.Join(filepath.Dir(sd), fmt.Sprintf("store-crawl%d", *index))
+		if d.StoreDir == "" && opts.Store {
+			d.StoreDir = filepath.Join(filepath.Dir(d.SpoolDir), fmt.Sprintf("store-crawl%d", *index))
 		}
-		opts.Dispatch = &core.DispatchOptions{
-			CheckpointPath: cp,
-			SpoolDir:       sd,
-			StoreDir:       st,
-			Resume:         *resume,
-			MaxAttempts:    *retries,
-			NumShards:      *shards,
-		}
-	} else if opts.Store || *coordAddr != "" {
-		return usage("-store and -coordinate require the durable orchestrator; pass -checkpoint or -spool-dir")
 	}
 	if *queryAddr != "" && (*coordAddr == "" || !opts.Store) {
 		return usage("-query-addr requires -coordinate and -store")
@@ -224,13 +235,13 @@ func run(args []string) int {
 	}
 	if err != nil {
 		logf("%v", err)
-		if ctx.Err() != nil && opts.Dispatch != nil {
+		if ctx.Err() != nil && located {
 			logf("interrupted; progress checkpointed to %s; rerun with the same flags and -resume to continue", opts.Dispatch.CheckpointPath)
 		}
 		return 1
 	}
 
-	if err := dispatch.WriteAtomic(*out, ds.WriteJSON); err != nil {
+	if err := colstore.WriteAtomic(*out, ds.WriteJSON); err != nil {
 		logf("%v", err)
 		return 1
 	}
@@ -250,9 +261,7 @@ func crawlHere(ctx context.Context, opts core.Options, spec core.CrawlSpec) (*an
 	if err != nil {
 		return nil, 0, err
 	}
-	if d := res.Dispatch; d != nil {
-		logSites(d.Progress, d.ResumedDone)
-	}
+	logSites(res.Dispatch.Progress, res.Dispatch.ResumedDone)
 	return res.Dataset, int(res.Stats.Pages), nil
 }
 

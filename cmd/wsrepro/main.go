@@ -21,9 +21,10 @@
 //
 // The four crawls run through the durable orchestrator
 // (internal/dispatch): each keeps a checkpoint and sharded page spool
-// under -state (a temporary directory, removed on exit, when unset),
-// and an interrupted study (SIGINT/SIGTERM checkpoint first) resumes
-// with -state DIR -resume without re-crawling completed crawls.
+// under -state (when unset, in a temporary directory the crawl removes
+// as it ends), and an interrupted study (SIGINT/SIGTERM checkpoint
+// first) resumes with -state DIR -resume without re-crawling completed
+// crawls.
 // -metrics-addr (expvar + pprof) and -progress (stderr) only observe:
 // the output is byte-identical with or without them (OPERATIONS.md).
 package main
@@ -42,15 +43,15 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command. It returns the exit status, so deferred
-// clean-up (the temporary state directory above all) runs on every path.
+// clean-up runs on every path.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wsrepro", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -124,24 +125,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	} else {
-		state := *stateDir
-		if state == "" {
-			tmp, err := os.MkdirTemp("", "wsrepro-state-*")
-			if err != nil {
-				return fail(err)
-			}
-			defer os.RemoveAll(tmp)
-			state = tmp
-		} else if err := os.MkdirAll(state, 0o755); err != nil {
-			return fail(err)
-		}
 		study, err := core.RunStudy(ctx, core.Options{
 			Seed:          *seed,
 			NumPublishers: *publishers,
 			Workers:       *workers,
 			PagesPerSite:  *pages,
 			Dispatch: &core.DispatchOptions{
-				StateDir:    state,
+				StateDir:    *stateDir,
 				Resume:      *resume,
 				MaxAttempts: *retries,
 			},
@@ -149,15 +139,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fail(err)
 			if *stateDir != "" {
-				fmt.Fprintf(stderr, "wsrepro: state kept in %s; rerun with -state %s -resume to continue\n", state, state)
+				fmt.Fprintf(stderr, "wsrepro: state kept in %s; rerun with -state %s -resume to continue\n", *stateDir, *stateDir)
 			}
 			return 1
 		}
 		for _, r := range study.Results {
-			if d := r.Dispatch; d != nil {
-				fmt.Fprintf(stderr, "wsrepro: %s: %d/%d sites, %d retries, %d failed, %d resumed\n",
-					r.Spec.Name, d.Progress.Done, d.Progress.Total, d.Progress.Retries, d.Progress.Failed, d.ResumedDone)
-			}
+			d := r.Dispatch
+			fmt.Fprintf(stderr, "wsrepro: %s: %d/%d sites, %d retries, %d failed, %d resumed\n",
+				r.Spec.Name, d.Progress.Done, d.Progress.Total, d.Progress.Retries, d.Progress.Failed, d.ResumedDone)
 		}
 		ds = study.Datasets()
 	}
@@ -172,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for i, d := range ds {
 			path := filepath.Join(*jsonDir, fmt.Sprintf("crawl%d.json", i+1))
-			if err := dispatch.WriteAtomic(path, d.WriteJSON); err != nil {
+			if err := colstore.WriteAtomic(path, d.WriteJSON); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintf(stderr, "wrote %s\n", path)
@@ -239,7 +228,7 @@ func writeCSVs(dir string, ds []*analysis.Dataset, stderr io.Writer) error {
 		{"sockets.csv", func(w io.Writer) error { return analysis.WriteSocketsCSV(w, ds...) }},
 	} {
 		path := filepath.Join(dir, csv.name)
-		if err := dispatch.WriteAtomic(path, csv.write); err != nil {
+		if err := colstore.WriteAtomic(path, csv.write); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %s\n", path)

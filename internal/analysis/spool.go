@@ -7,8 +7,8 @@
 // spool when it opens. The fold never holds all pages in memory: records
 // are aggregated on the fly and only the dataset's own output (site
 // summaries, socket records, per-domain HTTP aggregates, label counts)
-// is retained. MergeShards folds shard files the same way; it is the
-// oracle the tests hold the ledger to.
+// is retained. The tests hold the fold to a merge of the spool it left
+// behind (internal/analysis/oracle).
 //
 // A PageRecord carries the labeler observation *deltas* its page
 // contributed (A&A hits, non-A&A hits, CDN adjacency counts) rather
@@ -19,11 +19,9 @@
 package analysis
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -193,88 +191,15 @@ type MergeStats struct {
 	// (site, pageURL) was already merged — re-crawled sites after a
 	// resume land here.
 	Duplicates int
-	// Truncated counts shards ending in an *unterminated* trailing
-	// fragment (a crash mid-append); the fragment is ignored. Only a
-	// missing final newline qualifies: a newline-terminated line that
-	// fails to decode was written complete and is corruption, which
-	// fails the merge outright no matter where in the shard it sits.
-	Truncated int
-}
-
-// MergeShards streams PageRecords out of spool shard files and folds
-// them into a Dataset. Records are deduplicated by (site, pageURL),
-// first occurrence wins — safe because site crawls are deterministic,
-// so a re-crawled page carries an identical record. The output is
-// canonically ordered (sites by rank, sockets by site/page/tree
-// position) and therefore byte-identical across runs regardless of
-// worker scheduling.
-//
-// No crawl path calls it — a crawl's dataset is its ledger's fold — but
-// the tests hold that fold to it, over the spool the crawl left behind.
-func MergeShards(meta DatasetMeta, paths []string) (*Dataset, MergeStats, error) {
-	mergeSpan := obs.StartSpan(obs.StageMerge)
-	agg := newShardMerger(meta)
-	stats := MergeStats{Shards: len(paths)}
-	// One read buffer serves every shard: the reader never hands bytes
-	// out past the fold of the line they belong to, so sequential shard
-	// merges can share it instead of re-allocating 64 KiB per file.
-	br := bufio.NewReaderSize(nil, 64*1024)
-	for _, path := range paths {
-		if err := mergeShardFile(path, br, agg, &stats); err != nil {
-			return nil, stats, err
-		}
-	}
-	ds := agg.finalize()
-	mergeSpan.End()
-	obs.MergePages.Add(int64(stats.Pages))
-	obs.MergeDuplicates.Add(int64(stats.Duplicates))
-	return ds, stats, nil
-}
-
-// mergeShardFile streams one shard into the merger.
-func mergeShardFile(path string, br *bufio.Reader, agg *shardMerger, stats *MergeStats) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("analysis: open shard: %w", err)
-	}
-	defer f.Close()
-	br.Reset(f)
-	line := 0
-	for {
-		raw, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			if len(raw) > 0 {
-				stats.Truncated++
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("analysis: read shard %s: %w", path, err)
-		}
-		line++
-		trimmed := raw[:len(raw)-1]
-		if len(trimmed) == 0 {
-			continue
-		}
-		rec, derr := DecodeSpoolLine(trimmed)
-		if derr != nil {
-			return fmt.Errorf("analysis: shard %s line %d: %w", path, line, derr)
-		}
-		if agg.fold(rec) {
-			stats.Pages++
-		} else {
-			stats.Duplicates++
-		}
-	}
 }
 
 // Folder folds PageRecords into a Dataset incrementally as pages
 // arrive, sparing the finalize step a full decode pass over the spool.
-// It applies exactly the same aggregation and (site, pageURL)
-// deduplication as MergeShards, so a crawl folded live produces a
-// Dataset byte-identical to one merged from its spool shards — the
-// records for a given page are deterministic, and finalize imposes the
-// canonical order regardless of arrival order. Fold is safe for
+// Records are deduplicated by (site, pageURL), first occurrence wins,
+// so a crawl folded live produces a Dataset byte-identical to one
+// merged from its spool shards — the records for a given page are
+// deterministic, and finalize imposes the canonical order regardless of
+// arrival order. Fold is safe for
 // concurrent use; Finalize must only be called once all folds are done.
 type Folder struct {
 	mu      sync.Mutex

@@ -2,7 +2,9 @@ package colstore
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/obs"
 )
@@ -16,10 +18,11 @@ import (
 // in the parent directory's entry table, which the kernel is free to
 // hold dirty in cache. On power loss after the rename but before the
 // directory flushes, the directory can come back pointing at the old
-// file, or at nothing. Every atomic-publish path (checkpoints, dataset
-// exports, segment seals) must therefore end with SyncDir on the parent
-// directory; only then may the caller treat the publish as durable —
-// e.g. record a spool extent, ack a batch, or report a segment sealed.
+// file, or at nothing. Every atomic publish (checkpoints, dataset
+// exports, segment seals, the store manifest) therefore goes through
+// WriteAtomic, which ends with SyncDir on the parent directory; only
+// then may the caller treat the publish as durable — e.g. record a
+// spool extent, ack a batch, or report a segment sealed.
 //
 // Each successful sync is counted in store.dir_syncs, which is also
 // what the regression tests observe to prove the contract holds.
@@ -37,4 +40,36 @@ func SyncDir(dir string) error {
 	}
 	obs.StoreDirSyncs.Add(1)
 	return nil
+}
+
+// WriteAtomic publishes a file: write into a temp file in the same
+// directory, fsync it, rename it over path, then SyncDir the parent.
+// Readers never observe a partial write, a crash cannot truncate an
+// existing file, and the swap is durable once WriteAtomic returns. A
+// failed write leaves the old file as it was and removes the temp file.
+func WriteAtomic(path string, write func(w io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("colstore: atomic write %s: %w", path, err)
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err = write(tmp); err != nil {
+		return fmt.Errorf("colstore: atomic write %s: %w", path, err)
+	}
+	if err = tmp.Sync(); err != nil {
+		return fmt.Errorf("colstore: atomic write %s: sync: %w", path, err)
+	}
+	if err = tmp.Close(); err != nil {
+		return fmt.Errorf("colstore: atomic write %s: close: %w", path, err)
+	}
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("colstore: atomic write %s: rename: %w", path, err)
+	}
+	return SyncDir(dir)
 }

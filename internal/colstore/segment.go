@@ -286,23 +286,25 @@ func (d *segDecoder) byte() byte {
 	return b
 }
 
+// fits reports whether n elements of at least a byte each fit in the
+// bytes left, failing the decode when they do not: a hostile length is
+// an error, never an allocation.
+func (d *segDecoder) fits(n uint64, what string) bool {
+	if d.err == nil && n > uint64(len(d.data)-d.off) {
+		d.fail("colstore: segment: %s claims %d entries, %d bytes left", what, n, len(d.data)-d.off)
+	}
+	return d.err == nil
+}
+
 func (d *segDecoder) dict() []string {
 	n := d.uv()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.data)) {
-		d.fail("colstore: segment: dictionary claims %d entries", n)
+	if !d.fits(n, "dictionary") {
 		return nil
 	}
 	vals := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
 		l := d.uv()
-		if d.err != nil {
-			return nil
-		}
-		if uint64(d.off)+l > uint64(len(d.data)) {
-			d.fail("colstore: segment: dictionary entry overruns data")
+		if !d.fits(l, "dictionary entry") {
 			return nil
 		}
 		vals = append(vals, string(d.data[d.off:d.off+int(l)]))
@@ -325,7 +327,7 @@ func (d *segDecoder) lookup(vals []string, what string) string {
 
 func (d *segDecoder) slice(vals []string, what string) []string {
 	marker := d.uv()
-	if marker == 0 || d.err != nil {
+	if marker == 0 || !d.fits(marker-1, what) {
 		return nil
 	}
 	n := marker - 1
@@ -338,7 +340,7 @@ func (d *segDecoder) slice(vals []string, what string) []string {
 
 func (d *segDecoder) counts(vals []string, what string) map[string]int {
 	marker := d.uv()
-	if marker == 0 || d.err != nil {
+	if marker == 0 || !d.fits(marker-1, what) {
 		return nil
 	}
 	n := marker - 1
@@ -375,6 +377,10 @@ func decodeSegment(data []byte) (shard, seq int, recs []*analysis.PageRecord, er
 	if int(bodyLen) != crcOff-20 || dictsOff > colsOff || colsOff > bodyLen {
 		return 0, 0, nil, fmt.Errorf("colstore: segment footer offsets inconsistent")
 	}
+	// Every record and every socket takes at least a byte of columns.
+	if records > bodyLen-colsOff || sockets > bodyLen-colsOff {
+		return 0, 0, nil, fmt.Errorf("colstore: segment footer claims %d records, %d sockets in %d column bytes", records, sockets, bodyLen-colsOff)
+	}
 
 	d := &segDecoder{data: data[:bodyLen], off: len(segMagic)}
 	if v := d.uv(); d.err == nil && v != segVersion {
@@ -408,22 +414,22 @@ func decodeSegment(data []byte) (shard, seq int, recs []*analysis.PageRecord, er
 		recs[i].PageURL = d.lookup(strs, "pageURL")
 	}
 	// sockets
-	total := 0
+	total := uint64(0)
 	for i := 0; i < n; i++ {
-		c := int(d.uv())
+		c := d.uv()
 		if d.err != nil {
 			break
 		}
-		total += c
-		if total > int(sockets) {
+		if c > uint64(sockets)-total {
 			d.fail("colstore: segment socket counts exceed footer total %d", sockets)
 			break
 		}
+		total += c
 		if c > 0 {
 			recs[i].Sockets = make([]analysis.SocketRecord, c)
 		}
 	}
-	if d.err == nil && total != int(sockets) {
+	if d.err == nil && total != uint64(sockets) {
 		d.fail("colstore: segment socket counts sum %d, footer says %d", total, sockets)
 	}
 	for i := 0; i < n; i++ {
@@ -452,7 +458,7 @@ func decodeSegment(data []byte) (shard, seq int, recs []*analysis.PageRecord, er
 	// http
 	for i := 0; i < n; i++ {
 		marker := d.uv()
-		if marker == 0 || d.err != nil {
+		if marker == 0 || !d.fits(marker-1, "http") {
 			continue
 		}
 		m := make(map[string]*analysis.DomainTraffic, marker-1)

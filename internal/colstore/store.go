@@ -207,7 +207,7 @@ func (s *Store) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("colstore: encode manifest: %w", err)
 	}
-	return s.publish(filepath.Join(s.dir, manifestName), append(data, '\n'))
+	return publish(filepath.Join(s.dir, manifestName), append(data, '\n'))
 }
 
 func (s *Store) checkManifest(m *manifest) error {
@@ -220,32 +220,12 @@ func (s *Store) checkManifest(m *manifest) error {
 	return nil
 }
 
-// publish atomically writes data at path under the rename-durability
-// contract: temp file, fsync, rename, parent-dir sync.
-func (s *Store) publish(path string, data []byte) (err error) {
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("colstore: publish %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(data); err != nil {
-		return fmt.Errorf("colstore: publish %s: %w", path, err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("colstore: publish %s: sync: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("colstore: publish %s: close: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("colstore: publish %s: rename: %w", path, err)
-	}
-	return SyncDir(s.dir)
+// publish atomically writes data at path (WriteAtomic).
+func publish(path string, data []byte) error {
+	return WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 func (s *Store) removeTemps() error {
@@ -406,7 +386,7 @@ func (s *Store) sealShard(shard int) error {
 	span := obs.StartSpan(obs.StoreSeal)
 	name := segmentName(shard, seq)
 	data := encodeSegment(shard, seq, recs)
-	if err := s.publish(filepath.Join(s.dir, name), data); err != nil {
+	if err := publish(filepath.Join(s.dir, name), data); err != nil {
 		// The segment never became durable; put the records back so a
 		// later Seal retries them. Prepend keeps intra-shard order.
 		s.mu.Lock()
@@ -435,7 +415,7 @@ func (s *Store) Rescan() error {
 
 // Dataset snapshots the store-derived dataset: canonical, immutable,
 // and — after the same records — byte-identical to a store-less ledger's
-// fold, and to the tests' MergeShards oracle.
+// fold, and to the tests' spool merge (oracle.MergeShards).
 // Callable at any point during the crawl.
 func (s *Store) Dataset() (*analysis.Dataset, analysis.MergeStats) {
 	ds, stats := s.folder.Snapshot()

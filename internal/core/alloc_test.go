@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/browser"
+	"repro/internal/crawler"
 	"repro/internal/obs"
 )
 
@@ -45,27 +48,38 @@ func crawlTenSites(t *testing.T) tenSiteCost {
 		t.Skip("crawls 150 pages")
 	}
 	opts := Options{Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 15}
-	plane, err := newPagePlane(opts, DefaultCrawls()[0], false)
+	plane, err := newPagePlane(opts, DefaultCrawls()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plane.Close()
-	plane.sites = plane.sites[:10]
+	folder := analysis.NewFolder(FabricDatasetMeta(plane.spec))
+	cfg := plane.crawlerConfig(func(site crawler.Site, pageURL string, res *browser.PageResult) {
+		rec, err := plane.recorder.RecordPage(site, pageURL, res)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		folder.Fold(rec)
+	})
 
+	var stats crawler.Stats
 	var before, after runtime.MemStats
 	runtime.GC()
 	matches, requests := obs.MatchRequests.Value(), obs.BrowserRequests.Value()
 	runtime.ReadMemStats(&before)
-	res, err := plane.crawlInMemory(context.Background())
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	for _, site := range plane.sites[:10] {
+		if _, err := crawler.CrawlSite(context.Background(), plane.browserFor(site), site, cfg, &stats); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res.Stats.Pages < 100 {
-		t.Fatalf("crawl loaded %d pages, want ten sites' worth", res.Stats.Pages)
+	folder.Finalize()
+	runtime.ReadMemStats(&after)
+	if stats.Pages < 100 {
+		t.Fatalf("crawl loaded %d pages, want ten sites' worth", stats.Pages)
 	}
 	return tenSiteCost{
-		pages:    res.Stats.Pages,
+		pages:    stats.Pages,
 		mallocs:  after.Mallocs - before.Mallocs,
 		matches:  uint64(obs.MatchRequests.Value() - matches),
 		requests: uint64(obs.BrowserRequests.Value() - requests),

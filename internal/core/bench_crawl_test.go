@@ -42,7 +42,7 @@ func benchCrawl(b *testing.B, reference bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := benchCrawlOptions(filepath.Join(b.TempDir(), "state"))
-		res, err := runCrawl(ctx, opts, spec, reference)
+		res, err := crawlPlane(ctx, opts, spec, reference)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func benchCrawl(b *testing.B, reference bool) {
 func BenchmarkCrawlPipeline(b *testing.B) { benchCrawl(b, false) }
 
 // BenchmarkCrawlPipelineReference is the retained seed path — the
-// pre-optimization plane (pagePlane.reference) the differential test
+// pre-optimization plane (newReferencePlane) the differential test
 // compares against.
 // The gap between the two is the PR's claimed win; if it collapses,
 // an optimization has quietly stopped engaging.

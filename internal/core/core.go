@@ -8,7 +8,11 @@
 //	study, err := core.RunStudy(ctx, core.DefaultOptions())
 //	fmt.Println(study.Report())
 //
-// Individual crawls are available through RunCrawl. Custom worlds and
+// Individual crawls are available through RunCrawl. Every crawl runs
+// through the durable orchestrator (internal/dispatch) with one queue
+// and one ledger; a crawl whose Options name no location keeps that
+// state in a temporary directory. The fabric entry points (fabric.go)
+// serve the same queue and ledger to remote workers. Custom worlds and
 // blocker-equipped browsers are built from the underlying packages
 // directly (webgen, webserver, browser.New with adblock extensions), as
 // the programs under examples/ do.
@@ -16,7 +20,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 
 	"repro/internal/analysis"
@@ -59,9 +65,10 @@ type Options struct {
 	Workers int
 	// PagesPerSite is the per-site page budget (paper: 15).
 	PagesPerSite int
-	// Dispatch, if non-nil, routes crawls through the durable
-	// orchestrator (internal/dispatch): lease-backed queue, retries,
-	// checkpoint/resume, and sharded spooling.
+	// Dispatch locates and tunes the durable orchestrator every crawl
+	// runs through (internal/dispatch): lease-backed queue, retries,
+	// checkpoint/resume, and sharded spooling. Nil, like options naming
+	// no location, keeps each crawl's state in a temporary directory.
 	Dispatch *DispatchOptions
 	// Store routes dispatch-path crawls through the embedded columnar
 	// store (internal/colstore): every page record is ingested as it
@@ -70,7 +77,8 @@ type Options struct {
 	// aggregate. The spool stays behind as the differential oracle —
 	// store-derived tables are byte-identical to merge-derived ones
 	// (TestStoreDifferential).
-	// Requires Dispatch; the sealed store is queryable with cmd/wsquery.
+	// Requires a location (Dispatch.StateDir or Dispatch.StoreDir); the
+	// sealed store is queryable with cmd/wsquery.
 	Store bool
 	// FaultProfile, when non-empty, names a faultnet profile (see
 	// faultnet.Names) injected on both sides of the wire: uniformly on
@@ -85,8 +93,8 @@ type Options struct {
 // DispatchOptions configures the durable orchestrator path.
 type DispatchOptions struct {
 	// StateDir is the root for per-crawl checkpoints and spool shards
-	// (crawlN.checkpoint.json, spool-crawlN/). Required unless both
-	// CheckpointPath and SpoolDir are set for a single-crawl run.
+	// (crawlN.checkpoint.json, spool-crawlN/). When it, CheckpointPath
+	// and SpoolDir are all empty, the crawl uses a temporary directory.
 	StateDir string
 	// CheckpointPath / SpoolDir / StoreDir override the StateDir-derived
 	// layout for single-crawl use (cmd/wscrawl's -checkpoint /
@@ -141,65 +149,52 @@ type CrawlResult struct {
 	Spec    CrawlSpec
 	Dataset *analysis.Dataset
 	Stats   crawler.Stats
-	// Dispatch carries the orchestrator's extra outcome (retries,
-	// resume counters, failed sites) when the dispatch path ran.
+	// Dispatch carries the orchestrator's per-site outcome (retries,
+	// resume counters, failed sites).
 	Dispatch *dispatch.Result
 }
 
-// RunCrawl generates the world for a crawl spec, serves it, crawls it,
-// and returns the measurement dataset. With opts.Dispatch set the crawl
-// runs through the durable orchestrator (checkpointed, retried,
-// resumable); otherwise it is a one-shot in-memory pass. Both run the
-// same page plane, so the dataset is byte-identical either way.
+// RunCrawl generates the world for a crawl spec, serves it, crawls it
+// through the durable orchestrator (internal/dispatch: lease-backed
+// queue, retries, checkpoint, sharded spool) and returns the measurement
+// dataset. When opts.Dispatch names no location, the crawl's state lives
+// in a temporary directory that is removed before RunCrawl returns.
 func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, error) {
-	return runCrawl(ctx, opts, spec, false)
-}
-
-// runCrawl is RunCrawl with the plane selection exposed: reference=true
-// is the differential oracle (see pagePlane.reference).
-func runCrawl(ctx context.Context, opts Options, spec CrawlSpec, reference bool) (*CrawlResult, error) {
-	if opts.Store && opts.Dispatch == nil {
-		return nil, fmt.Errorf("core: crawl %q: Options.Store requires the dispatch path (set Options.Dispatch)", spec.Name)
-	}
-	plane, err := newPagePlane(opts, spec, reference)
+	plane, err := newPagePlane(opts, spec)
 	if err != nil {
 		return nil, err
 	}
 	defer plane.Close()
-	var res *CrawlResult
-	if opts.Dispatch != nil {
-		res, err = plane.crawlDispatch(ctx)
-	} else {
-		res, err = plane.crawlInMemory(ctx)
-	}
+	res, err := plane.crawl(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: crawl %q: %w", spec.Name, err)
 	}
 	return res, nil
 }
 
-// crawlInMemory is the one-shot pass: every page record is folded
-// straight into the dataset by the same analysis.Folder the dispatch
-// path folds through, with nothing written to disk.
-func (p *pagePlane) crawlInMemory(ctx context.Context) (*CrawlResult, error) {
-	folder := analysis.NewFolder(FabricDatasetMeta(p.spec))
-	stats, err := crawler.Crawl(ctx, p.sites, p.crawlerConfig(func(site crawler.Site, pageURL string, res *browser.PageResult) {
-		rec, err := p.recorder.RecordPage(site, pageURL, res)
-		if err != nil {
-			return // unparseable page: drop it, as the dispatch path does
-		}
-		folder.Fold(rec)
-	}))
-	if err != nil {
-		return nil, err
+// crawl runs the plane's sites through dispatch.Run. Only state that must
+// outlive the process needs a location: a resume reads a checkpoint and
+// a store is queried after the crawl, so both refuse a crawl that names
+// none.
+func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
+	var d DispatchOptions
+	if p.opts.Dispatch != nil {
+		d = *p.opts.Dispatch
 	}
-	ds, _ := folder.Finalize()
-	return &CrawlResult{Spec: p.spec, Dataset: ds, Stats: stats}, nil
-}
-
-// crawlDispatch routes the crawl through the durable orchestrator.
-func (p *pagePlane) crawlDispatch(ctx context.Context) (*CrawlResult, error) {
-	d := p.opts.Dispatch
+	if d.StateDir == "" && d.CheckpointPath == "" && d.SpoolDir == "" {
+		switch {
+		case d.Resume:
+			return nil, errors.New("resuming needs the interrupted crawl's location (StateDir, CheckpointPath or SpoolDir)")
+		case p.opts.Store && d.StoreDir == "":
+			return nil, errors.New("Options.Store needs a location (StateDir or StoreDir)")
+		}
+		tmp, err := os.MkdirTemp("", "crawl-state-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(tmp)
+		d.StateDir = tmp
+	}
 	storeDir := ""
 	if p.opts.Store {
 		storeDir = d.storeDir(p.spec)

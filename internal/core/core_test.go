@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,12 +20,23 @@ func smallOpts() Options {
 	return Options{Seed: 77, NumPublishers: 60, Workers: 8, PagesPerSite: 4}
 }
 
+// TestRunCrawlEndToEnd crawls with no location: the orchestrator's
+// state lives in a temporary directory that RunCrawl removes, and the
+// per-site outcome is reported all the same.
 func TestRunCrawlEndToEnd(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	res, err := RunCrawl(context.Background(), smallOpts(), CrawlSpec{
 		Name: "test-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("crawl left %d entries in the temp dir (first: %s)", len(left), left[0].Name())
+	}
+	if p := res.Dispatch.Progress; p.Total == 0 || p.Done+p.Failed != p.Total {
+		t.Errorf("dispatch progress %+v: want every site settled", p)
 	}
 	d := res.Dataset
 	if len(d.Sites) == 0 {
@@ -54,10 +66,10 @@ func TestRunCrawlEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunCrawlDeterministic: the in-memory path is a pure function of
-// (Options, CrawlSpec) — eight workers racing over the site list still
-// serialize to the same bytes, because browsers are seeded per site and
-// the fold's finalize imposes the canonical order.
+// TestRunCrawlDeterministic: a crawl is a pure function of (Options,
+// CrawlSpec) — eight workers racing over the site queue still serialize
+// to the same bytes, because browsers are seeded per site and the fold's
+// finalize imposes the canonical order.
 func TestRunCrawlDeterministic(t *testing.T) {
 	spec := CrawlSpec{Name: "det", Era: webgen.EraPrePatch, CrawlIndex: 1, BrowserVersion: 57}
 	run := func() []byte {
@@ -75,24 +87,14 @@ func TestRunCrawlDeterministic(t *testing.T) {
 	}
 }
 
-// TestEntryPointsAgree: the same (Options, CrawlSpec) through in-memory
-// RunCrawl, dispatched RunCrawl, and a fabric coordinator with two
-// production workers yields one dataset, byte for byte — all three run
-// the same page plane.
+// TestEntryPointsAgree: the same (Options, CrawlSpec) through RunCrawl
+// and through a fabric coordinator with two production workers yields
+// one dataset, byte for byte — both run the same page plane.
 func TestEntryPointsAgree(t *testing.T) {
 	opts := Options{Seed: 4242, NumPublishers: 18, Workers: 3, PagesPerSite: 3}
 	spec := CrawlSpec{Name: "agree", Era: webgen.EraPostPatch, CrawlIndex: 2, BrowserVersion: 58}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-
-	inMemory, err := RunCrawl(ctx, opts, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := storeDatasetBytes(t, inMemory.Dataset)
-	if len(inMemory.Dataset.Sockets) == 0 || len(inMemory.Dataset.AADomains) == 0 {
-		t.Fatal("world too quiet to compare entry points")
-	}
 
 	dispatched := opts
 	dispatched.Dispatch = &DispatchOptions{StateDir: filepath.Join(t.TempDir(), "state")}
@@ -100,8 +102,9 @@ func TestEntryPointsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := storeDatasetBytes(t, res.Dataset); !bytes.Equal(got, want) {
-		t.Errorf("dispatched dataset (%d bytes) differs from in-memory (%d bytes)", len(got), len(want))
+	want := storeDatasetBytes(t, res.Dataset)
+	if len(res.Dataset.Sockets) == 0 || len(res.Dataset.AADomains) == 0 {
+		t.Fatal("world too quiet to compare entry points")
 	}
 
 	dir := t.TempDir()
@@ -122,7 +125,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := storeDatasetBytes(t, ds); !bytes.Equal(got, want) {
-		t.Errorf("fabric dataset (%d bytes) differs from in-memory (%d bytes)", len(got), len(want))
+		t.Errorf("fabric dataset (%d bytes) differs from the dispatched one (%d bytes)", len(got), len(want))
 	}
 }
 

@@ -85,7 +85,7 @@ func NewFabricRunner(cfg wire.CrawlConfig, workers int) (*FabricRunner, error) {
 		Era:            era,
 		CrawlIndex:     cfg.CrawlIndex,
 		BrowserVersion: cfg.BrowserVersion,
-	}, false)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -16,14 +16,13 @@ import (
 	"repro/internal/webserver"
 )
 
-// pagePlane is the one page pipeline behind every crawl entry point —
-// in-memory RunCrawl, dispatched RunCrawl, and the fabric worker's
-// FabricRunner. It owns the served synthetic world, the rule lists and
-// labeler behind the recorder, and the site roster, and it is the only
-// place a browser is configured. Because all three entry points crawl
-// through the same plane with per-site seeded browsers, the same
-// (Options, CrawlSpec) yields a byte-identical dataset whichever one
-// ran it (TestEntryPointsAgree).
+// pagePlane is the one page pipeline behind both crawl entry points —
+// RunCrawl and the fabric worker's FabricRunner. It owns the served
+// synthetic world, the rule lists and labeler behind the recorder, and
+// the site roster, and it is the only place a browser is configured.
+// Because both entry points crawl through the same plane with per-site
+// seeded browsers, the same (Options, CrawlSpec) yields a byte-identical
+// dataset whichever one ran it (TestEntryPointsAgree).
 type pagePlane struct {
 	opts   Options
 	spec   CrawlSpec
@@ -37,13 +36,10 @@ type pagePlane struct {
 	sites     []crawler.Site
 	fault     faultnet.Profile
 	faultSeed int64
-	// reference selects the retained seed plane — wire fetches through
-	// the full TCP + net/http stack, fresh per-page scratch, un-pooled
-	// recorder; the durable ledger under it is the same either way. It
-	// produces the same bytes as the shipping plane and exists only as
-	// the differential oracle proving that: TestPipelineDifferential and
-	// BenchmarkCrawlPipelineReference are the only callers that set it.
-	reference bool
+	// newBrowser, when set, builds each site's browser from the
+	// configuration browserFor assembles in place of browser.New. Only
+	// the tests' reference plane sets it.
+	newBrowser func(browser.Config) *browser.Browser
 }
 
 // newWorld generates the synthetic web for one crawl of the study.
@@ -81,7 +77,7 @@ func faultProfile(name string) (faultnet.Profile, error) {
 
 // newPagePlane generates and serves the world for one crawl and builds
 // the measurement stack over it. The caller must Close the plane.
-func newPagePlane(opts Options, spec CrawlSpec, reference bool) (*pagePlane, error) {
+func newPagePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
 	opts = withDefaults(opts)
 	fault, err := faultProfile(opts.FaultProfile)
 	if err != nil {
@@ -107,11 +103,10 @@ func newPagePlane(opts Options, spec CrawlSpec, reference bool) (*pagePlane, err
 		server:    server,
 		client:    server.Client(),
 		resolve:   server.Resolver(),
-		recorder:  &analysis.Recorder{Label: lab, Pooled: !reference},
+		recorder:  &analysis.Recorder{Label: lab, Pooled: true},
 		sites:     siteRoster(world),
 		fault:     fault,
 		faultSeed: faultSeed,
-		reference: reference,
 	}, nil
 }
 
@@ -140,23 +135,25 @@ func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 		Seed:         crawler.SiteSeed(p.crawlSeed(), site.Domain),
 		HTTPClient:   p.client,
 		ResolveWS:    p.resolve,
-		ReuseScratch: !p.reference,
-	}
-	if !p.reference && !p.fault.Enabled() {
-		cfg.Fetch, cfg.DialWS = p.server.Fetch, p.server.DialSocket
+		ReuseScratch: true,
 	}
 	if p.fault.Enabled() {
 		cfg.Fault = p.fault
 		cfg.FaultSeed = p.faultSeed
 		cfg.DialRetries = 2
 		cfg.DialRetryBackoff = 5 * time.Millisecond
+	} else {
+		cfg.Fetch, cfg.DialWS = p.server.Fetch, p.server.DialSocket
+	}
+	if p.newBrowser != nil {
+		return p.newBrowser(cfg)
 	}
 	return browser.New(cfg)
 }
 
-// crawlerConfig is the worker-pool configuration for crawls that drive
-// crawler.Crawl/CrawlSource themselves (in-memory, fabric grants); the
-// dispatch orchestrator assembles the same values from dispatch.Config.
+// crawlerConfig is the worker-pool configuration for the fabric
+// worker's grants, which drive crawler.CrawlSource themselves;
+// dispatch.Run assembles the same values from dispatch.Config.
 func (p *pagePlane) crawlerConfig(onPage func(crawler.Site, string, *browser.PageResult)) crawler.Config {
 	return crawler.Config{
 		Workers:      p.opts.Workers,

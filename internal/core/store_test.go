@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/oracle"
 	"repro/internal/colstore"
 	"repro/internal/fabric"
 	"repro/internal/webgen"
@@ -38,7 +39,7 @@ func TestStoreDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := storeDatasetBytes(t, mergeRes.Dataset)
+	want := storeDatasetBytes(t, mergeRes.Dataset)
 	oracleTables := analysis.Report(mergeRes.Dataset)
 
 	stateDir := filepath.Join(t.TempDir(), "state")
@@ -48,7 +49,7 @@ func TestStoreDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(storeDatasetBytes(t, storeRes.Dataset), oracle) {
+	if !bytes.Equal(storeDatasetBytes(t, storeRes.Dataset), want) {
 		t.Error("store-derived dataset differs from merge-derived dataset")
 	}
 	if got := analysis.Report(storeRes.Dataset); got != oracleTables {
@@ -62,7 +63,7 @@ func TestStoreDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	roDS, _ := ro.Dataset()
-	if !bytes.Equal(storeDatasetBytes(t, roDS), oracle) {
+	if !bytes.Equal(storeDatasetBytes(t, roDS), want) {
 		t.Error("sealed on-disk store differs from merge-derived dataset")
 	}
 	if got := analysis.Report(roDS); got != oracleTables {
@@ -81,15 +82,28 @@ func TestStoreDifferential(t *testing.T) {
 	}
 }
 
-// TestStoreRequiresDispatch pins the Options contract: the store rides
-// the dispatch path's checkpoint/seal boundary, so enabling it without
-// Dispatch is a configuration error, not a silent fallback.
+// TestStoreRequiresDispatch pins the Options contract: the store is
+// queried after the crawl, so enabling it without a location to keep it
+// in is a configuration error, not a store sealed into a temporary
+// directory and removed.
 func TestStoreRequiresDispatch(t *testing.T) {
 	_, err := RunCrawl(context.Background(), Options{
 		Seed: 1, NumPublishers: 2, Workers: 1, PagesPerSite: 1, Store: true,
 	}, CrawlSpec{Name: "bad", Era: webgen.EraPrePatch, BrowserVersion: 57})
 	if err == nil {
 		t.Fatal("Store without Dispatch accepted")
+	}
+}
+
+// TestResumeNeedsLocation: a resume reads the interrupted crawl's
+// checkpoint, so a crawl naming no location cannot resume one.
+func TestResumeNeedsLocation(t *testing.T) {
+	_, err := RunCrawl(context.Background(), Options{
+		Seed: 1, NumPublishers: 2, Workers: 1, PagesPerSite: 1,
+		Dispatch: &DispatchOptions{Resume: true},
+	}, CrawlSpec{Name: "bad", Era: webgen.EraPrePatch, BrowserVersion: 57})
+	if err == nil {
+		t.Fatal("Resume without a location accepted")
 	}
 }
 
@@ -165,12 +179,12 @@ func TestFabricStoreDifferential(t *testing.T) {
 	if err != nil || len(shards) != 4 {
 		t.Fatalf("spool shards = %v (%v), want 4", shards, err)
 	}
-	mergeDS, mergeStats, err := analysis.MergeShards(FabricDatasetMeta(spec), shards)
+	mergeDS, mergeStats, err := oracle.MergeShards(FabricDatasetMeta(spec), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := storeDatasetBytes(t, mergeDS)
-	if !bytes.Equal(storeDatasetBytes(t, storeDS), oracle) {
+	want := storeDatasetBytes(t, mergeDS)
+	if !bytes.Equal(storeDatasetBytes(t, storeDS), want) {
 		t.Error("fabric store dataset differs from the merge of the coordinator's spool")
 	}
 	if storeStats.Pages != mergeStats.Pages {
@@ -180,7 +194,7 @@ func TestFabricStoreDifferential(t *testing.T) {
 		t.Error("fabric store renders different tables than the merge")
 	}
 	liveDS, _ := coord.Store().Dataset()
-	if !bytes.Equal(storeDatasetBytes(t, liveDS), oracle) {
+	if !bytes.Equal(storeDatasetBytes(t, liveDS), want) {
 		t.Error("the live store the query API serves differs from the merge")
 	}
 	if err := coord.Close(); err != nil {
@@ -191,7 +205,7 @@ func TestFabricStoreDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	roDS, _ := ro.Dataset()
-	if !bytes.Equal(storeDatasetBytes(t, roDS), oracle) {
+	if !bytes.Equal(storeDatasetBytes(t, roDS), want) {
 		t.Error("sealed fabric store differs from the merge of the coordinator's spool")
 	}
 }

@@ -47,7 +47,6 @@ func crawlOver(t *testing.T, plane *pagePlane, dial func(context.Context, string
 		run.traces[pageURL] = data
 		run.sockets += bytes.Count(data, []byte(`"Network.webSocketCreated"`))
 	})
-	cfg.Workers = 1
 	cfg.SiteBrowser = func(site crawler.Site) *browser.Browser {
 		return browser.New(browser.Config{
 			Version:      plane.spec.BrowserVersion,
@@ -59,8 +58,11 @@ func crawlOver(t *testing.T, plane *pagePlane, dial func(context.Context, string
 			DialWS:       dial,
 		})
 	}
-	if _, err := crawler.Crawl(context.Background(), plane.sites, cfg); err != nil {
-		t.Fatal(err)
+	var crawled crawler.Stats
+	for _, site := range plane.sites {
+		if _, err := crawler.CrawlSite(context.Background(), cfg.SiteBrowser(site), site, cfg, &crawled); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// The server counts a socket's last messages as its loop unwinds.
 	for deadline := time.Now().Add(5 * time.Second); obs.WSConnsActive.Value() != 0; time.Sleep(time.Millisecond) {
@@ -89,7 +91,7 @@ func crawlOver(t *testing.T, plane *pagePlane, dial func(context.Context, string
 // counter by the same amount.
 func TestSocketTransportsAgree(t *testing.T) {
 	opts := Options{Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 4}
-	plane, err := newPagePlane(opts, DefaultCrawls()[0], false)
+	plane, err := newPagePlane(opts, DefaultCrawls()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestSocketTransportsAgree(t *testing.T) {
 func TestReferencePlaneWireClientIsBounded(t *testing.T) {
 	base := runtime.NumGoroutine()
 	opts := Options{Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 1}
-	plane, err := newPagePlane(opts, DefaultCrawls()[0], true)
+	plane, err := newReferencePlane(opts, DefaultCrawls()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,16 @@
 // pages when the homepage offers fewer.
 //
 // The crawler is deterministic per (seed, site) and runs sites across a
-// worker pool. Sites come from a pluggable Source: a plain slice for
-// one-shot crawls, or a durable lease-backed queue (internal/dispatch)
-// for crawls that must survive crashes and retries. Every site is
-// crawled with a fresh browser from Config.SiteBrowser (one synthetic
-// user per site, like a clean Chrome profile per visit), so a site's
-// results do not depend on which worker crawled it or in what order.
+// worker pool. Sites come from a Source: the durable lease-backed queue
+// of internal/dispatch for every local crawl, or one fabric grant's
+// sites on a fabric worker. Every site is crawled with a fresh browser
+// from Config.SiteBrowser (one synthetic user per site, like a clean
+// Chrome profile per visit), so a site's results do not depend on which
+// worker crawled it or in what order.
 package crawler
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -49,7 +48,7 @@ type Config struct {
 	// site's results independent of worker assignment and visit order,
 	// which every entry point relies on for byte-identical datasets and
 	// the dispatch orchestrator for deterministic retries and resume.
-	// Required by Crawl/CrawlSource; CrawlSite takes its browser directly.
+	// Required by CrawlSource; CrawlSite takes its browser directly.
 	SiteBrowser func(site Site) *browser.Browser
 	// OnPage receives every successfully loaded page. It may be called
 	// concurrently from workers.
@@ -61,7 +60,7 @@ type Config struct {
 //
 // Concurrency: workers increment the shared *Stats with atomic adds
 // while the crawl runs. Reading the fields directly is safe only after
-// Crawl/CrawlSource has returned; a concurrent observer (a progress
+// CrawlSource has returned; a concurrent observer (a progress
 // reporter, a test asserting mid-crawl invariants) must go through
 // Snapshot, which loads every counter atomically. The same counters
 // are mirrored to the obs registry (crawl.pages, crawl.page_errors,
@@ -127,73 +126,6 @@ type Source interface {
 	// loaded and the error (nil for a completed site, ctx.Err() for a
 	// cancelled one, *SiteError / *PanicError for failures).
 	Done(site Site, pages int, err error)
-}
-
-// sliceSource feeds a fixed site list in order.
-type sliceSource struct {
-	mu      sync.Mutex
-	sites   []Site
-	next    int
-	settled int
-	failed  int
-}
-
-// SliceSource wraps a fixed site list as a Source. The source exports
-// queue-depth gauges (queue.total/pending/leased/done/failed) to the
-// obs registry so a plain in-memory crawl shows the same progress line
-// a dispatched one does.
-func SliceSource(sites []Site) Source {
-	s := &sliceSource{sites: sites}
-	s.gauge(obs.MQueueTotal, func() int64 { return int64(len(s.sites)) })
-	s.gauge(obs.MQueuePending, func() int64 { return int64(len(s.sites) - s.next) })
-	s.gauge(obs.MQueueLeased, func() int64 { return int64(s.next - s.settled) })
-	s.gauge(obs.MQueueDone, func() int64 { return int64(s.settled - s.failed) })
-	s.gauge(obs.MQueueFailed, func() int64 { return int64(s.failed) })
-	return s
-}
-
-// gauge registers fn as a function gauge, taking the source lock.
-func (s *sliceSource) gauge(name string, fn func() int64) {
-	obs.Default.GaugeFunc(name, func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return fn()
-	})
-}
-
-func (s *sliceSource) Next(ctx context.Context) (Site, bool) {
-	if ctx.Err() != nil {
-		return Site{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.next >= len(s.sites) {
-		return Site{}, false
-	}
-	site := s.sites[s.next]
-	s.next++
-	return site, true
-}
-
-func (s *sliceSource) Done(_ Site, _ int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.settled++
-	if err != nil && !released(err) {
-		s.failed++
-	}
-}
-
-// released reports whether a site outcome is a cancellation rather
-// than a failure.
-func released(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Crawl visits every site and reports aggregate stats. It stops early
-// when ctx is cancelled, returning the stats so far plus ctx.Err().
-func Crawl(ctx context.Context, sites []Site, cfg Config) (Stats, error) {
-	return CrawlSource(ctx, SliceSource(sites), cfg)
 }
 
 // CrawlSource runs the worker pool against an arbitrary site source.

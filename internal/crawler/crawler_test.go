@@ -34,6 +34,30 @@ func siteBrowser(s *webserver.Server, seed int64) func(Site) *browser.Browser {
 	}
 }
 
+// listSource feeds a fixed site list to CrawlSource, in order.
+type listSource struct {
+	mu    sync.Mutex
+	sites []Site
+}
+
+func (s *listSource) Next(ctx context.Context) (Site, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ctx.Err() != nil || len(s.sites) == 0 {
+		return Site{}, false
+	}
+	site := s.sites[0]
+	s.sites = s.sites[1:]
+	return site, true
+}
+
+func (s *listSource) Done(Site, int, error) {}
+
+// crawlList runs the worker pool over a fixed site list.
+func crawlList(ctx context.Context, sites []Site, cfg Config) (Stats, error) {
+	return CrawlSource(ctx, &listSource{sites: sites}, cfg)
+}
+
 func TestCrawlRespectsPageBudget(t *testing.T) {
 	w, s := testEnv(t)
 	var mu sync.Mutex
@@ -53,7 +77,7 @@ func TestCrawlRespectsPageBudget(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	stats, err := Crawl(context.Background(), sites, cfg)
+	stats, err := crawlList(context.Background(), sites, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +111,7 @@ func TestCrawlVisitsHomepageFirst(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	if _, err := Crawl(context.Background(), []Site{site}, cfg); err != nil {
+	if _, err := crawlList(context.Background(), []Site{site}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) == 0 || order[0] != "http://"+site.Domain+"/" {
@@ -110,7 +134,7 @@ func TestCrawlDeterministicLinkSampling(t *testing.T) {
 			},
 		}
 		site := Site{Domain: w.Publishers[2].Domain, Rank: 3}
-		if _, err := Crawl(context.Background(), []Site{site}, cfg); err != nil {
+		if _, err := crawlList(context.Background(), []Site{site}, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return pages
@@ -142,7 +166,7 @@ func TestCrawlCancellation(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	_, err := Crawl(ctx, sites, cfg)
+	_, err := crawlList(ctx, sites, cfg)
 	if err == nil {
 		t.Error("cancelled crawl returned nil error")
 	}
@@ -233,7 +257,7 @@ func TestCrawlPanicDoesNotKillCrawl(t *testing.T) {
 			})
 		},
 	}
-	stats, err := Crawl(context.Background(), sites, cfg)
+	stats, err := crawlList(context.Background(), sites, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +298,7 @@ func TestCrawlCancellationStatsConsistent(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	stats, err := Crawl(ctx, sites, cfg)
+	stats, err := crawlList(ctx, sites, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -292,7 +316,7 @@ func TestCrawlCancellationStatsConsistent(t *testing.T) {
 }
 
 func TestCrawlRequiresBrowserFactory(t *testing.T) {
-	if _, err := Crawl(context.Background(), nil, Config{}); err == nil {
+	if _, err := crawlList(context.Background(), nil, Config{}); err == nil {
 		t.Error("missing SiteBrowser accepted")
 	}
 }
@@ -304,7 +328,7 @@ func TestCrawlCountsErrors(t *testing.T) {
 		SiteBrowser: siteBrowser(s, 3),
 	}
 	// A site outside the world: its homepage fetch 502s.
-	stats, err := Crawl(context.Background(), []Site{{Domain: "no-such-site.example", Rank: 1}}, cfg)
+	stats, err := crawlList(context.Background(), []Site{{Domain: "no-such-site.example", Rank: 1}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

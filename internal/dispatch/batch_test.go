@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/oracle"
 	"repro/internal/crawler"
 )
 
@@ -20,9 +21,9 @@ func batched(cfg Config) Config {
 
 // mergeOracle is the decode pass no run makes: the dataset merged from
 // the spool shards a finished run left in dir.
-func mergeOracle(t *testing.T, cfg Config, dir string) (*analysis.Dataset, analysis.MergeStats) {
+func mergeOracle(t *testing.T, cfg Config, dir string) (*analysis.Dataset, oracle.MergeStats) {
 	t.Helper()
-	ds, stats, err := analysis.MergeShards(cfg.Meta, spoolPaths(dir, cfg.NumShards))
+	ds, stats, err := oracle.MergeShards(cfg.Meta, spoolPaths(dir, cfg.NumShards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,11 @@ func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged, mstats := mergeOracle(t, cfg, dir)
-	oracle := datasetBytes(t, merged)
-	if !bytes.Equal(oracle, datasetBytes(t, opt.Dataset)) {
+	want := datasetBytes(t, merged)
+	if !bytes.Equal(want, datasetBytes(t, opt.Dataset)) {
 		t.Error("batched+folded dataset differs from the merge of its own spool")
 	}
-	if !bytes.Equal(oracle, datasetBytes(t, seed.Dataset)) {
+	if !bytes.Equal(want, datasetBytes(t, seed.Dataset)) {
 		t.Error("un-pooled run's dataset differs from the pooled run's merged spool")
 	}
 	// The folded run must still report real merge stats.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/colstore"
 )
@@ -85,9 +84,10 @@ type Checkpoint struct {
 	ShardBytes []int64 `json:"shardBytes,omitempty"`
 }
 
-// WriteAtomic persists the checkpoint with temp-file+rename semantics.
+// WriteAtomic persists the checkpoint with temp-file+rename semantics
+// (colstore.WriteAtomic).
 func (c *Checkpoint) WriteAtomic(path string) error {
-	return WriteAtomic(path, func(w io.Writer) error {
+	return colstore.WriteAtomic(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
 		return enc.Encode(c)
@@ -138,45 +138,6 @@ func (c *Checkpoint) Compatible(path string, want *Checkpoint) error {
 		return mismatch(fmt.Sprintf("checkpoint page budget %d != configured %d", c.PagesPerSite, want.PagesPerSite))
 	case c.TotalSites != want.TotalSites:
 		return mismatch(fmt.Sprintf("checkpoint covers %d sites, configured %d", c.TotalSites, want.TotalSites))
-	}
-	return nil
-}
-
-// WriteAtomic writes a file via a temp file in the same directory plus
-// os.Rename, so readers never observe a partial write and a crash
-// cannot truncate an existing file. The write callback receives a
-// buffered writer that is flushed and synced before the rename. After
-// the rename the parent directory is fsynced (colstore.SyncDir has the
-// full contract): without it the rename only exists in the directory's
-// dirty cache, and power loss could resurrect the old checkpoint — or
-// delete a first-generation one outright — after the caller already
-// treated the new state as durable.
-func WriteAtomic(path string, write func(w io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("dispatch: atomic write %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = write(tmp); err != nil {
-		return fmt.Errorf("dispatch: atomic write %s: %w", path, err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("dispatch: atomic write %s: sync: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("dispatch: atomic write %s: close: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("dispatch: atomic write %s: rename: %w", path, err)
-	}
-	if err = colstore.SyncDir(dir); err != nil {
-		return fmt.Errorf("dispatch: atomic write %s: %w", path, err)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/obs"
 )
 
@@ -181,15 +182,13 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // crash-durable once the parent directory's entry is synced — without
 // it, power loss after the rename can leave the directory pointing at
 // the old file or at nothing. The dir-sync helper counts each
-// successful directory sync in store.dir_syncs; every WriteAtomic must
-// perform one.
+// successful directory sync in store.dir_syncs; every checkpoint write
+// must perform one.
 func TestWriteAtomicSyncsParentDir(t *testing.T) {
 	before := obs.Default.Snapshot().Counters["store.dir_syncs"]
-	path := filepath.Join(t.TempDir(), "data.json")
-	if err := WriteAtomic(path, func(w io.Writer) error {
-		_, err := io.WriteString(w, "x")
-		return err
-	}); err != nil {
+	path := filepath.Join(t.TempDir(), "cp.json")
+	cp := &Checkpoint{Version: CheckpointVersion, Name: "crawl-1", NumShards: 1, TotalSites: 1}
+	if err := cp.WriteAtomic(path); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default.Snapshot().Counters["store.dir_syncs"]
@@ -267,7 +266,7 @@ func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 func TestWriteAtomicPreservesOldFileOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.json")
-	if err := WriteAtomic(path, func(w io.Writer) error {
+	if err := colstore.WriteAtomic(path, func(w io.Writer) error {
 		_, err := io.WriteString(w, "original")
 		return err
 	}); err != nil {
@@ -275,7 +274,7 @@ func TestWriteAtomicPreservesOldFileOnFailure(t *testing.T) {
 	}
 	// A failing writer must leave the original intact and clean up its
 	// temp file.
-	err := WriteAtomic(path, func(w io.Writer) error {
+	err := colstore.WriteAtomic(path, func(w io.Writer) error {
 		io.WriteString(w, "partial garbage")
 		return errors.New("write failed")
 	})

@@ -1,7 +1,10 @@
 // Package dispatch is the durable crawl orchestrator: the layer that
-// turns the one-shot in-memory crawler into the multi-day,
-// crash-surviving measurement infrastructure the paper's §3.3 crawls
-// (4 passes over ~100K sites) actually require.
+// turns the crawler's worker pool into the multi-day, crash-surviving
+// measurement infrastructure the paper's §3.3 crawls (4 passes over
+// ~100K sites) actually require. Every local crawl runs through Run
+// (core.RunCrawl keeps a crawl that names no location in a temporary
+// directory), so every crawl has a queue, retries and a per-site
+// outcome.
 //
 // It combines four mechanisms:
 //

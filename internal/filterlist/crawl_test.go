@@ -40,8 +40,7 @@ func TestCrawlDecisionsMatchLinear(t *testing.T) {
 		sites = append(sites, crawler.Site{Domain: p.Domain, Rank: p.Rank})
 	}
 	var asked, blocked atomic.Int64
-	_, err = crawler.Crawl(context.Background(), sites, crawler.Config{
-		Workers:      4,
+	cfg := crawler.Config{
 		PagesPerSite: 3,
 		Seed:         77,
 		SiteBrowser: func(site crawler.Site) *browser.Browser {
@@ -80,9 +79,12 @@ func TestCrawlDecisionsMatchLinear(t *testing.T) {
 				return true
 			})
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	var stats crawler.Stats
+	for _, site := range sites {
+		if _, err := crawler.CrawlSite(context.Background(), cfg.SiteBrowser(site), site, cfg, &stats); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A crawl that asked little, or never met a blocked resource, proved
 	// nothing.

@@ -12,10 +12,9 @@ const (
 	MSiteErrors = "crawl.site_errors"
 	MSitePanics = "crawl.site_panics"
 
-	// Site-queue depth gauges. Registered as function gauges by
-	// whichever source feeds the crawl: internal/dispatch's durable
-	// queue exports all of them; the in-memory slice source exports the
-	// subset it can observe.
+	// Site-queue depth gauges, registered as function gauges by
+	// internal/dispatch's queue, which feeds every crawl (a local one's
+	// workers and a fabric coordinator's grants alike).
 	MQueueTotal    = "queue.total"
 	MQueuePending  = "queue.pending"
 	MQueueLeased   = "queue.leased"
@@ -121,7 +120,7 @@ const (
 	// segments gauges sealed segments currently live across all shards;
 	// bytes counts sealed segment bytes written; dir_syncs counts parent
 	// directory fsyncs after atomic renames (the rename-durability
-	// contract — dispatch's WriteAtomic reports here too); queries
+	// contract: every colstore.WriteAtomic publish); queries
 	// counts query-API requests served. seal times segment encode+seal;
 	// query times query-API request handling.
 	MStorePages      = "store.pages"
