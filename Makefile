@@ -29,19 +29,23 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestLoadSoak' ./internal/loadgen/
 
 # Native fuzz targets, each for a short FUZZTIME (`go test -fuzz` takes
-# one target per invocation). The differential targets hold the
-# on-demand PRNG to math/rand, the content scanners to the regexps they
-# replaced, the filter-list parser + indexed matcher to the linear scan,
-# the script codec to encoding/json, the WebSocket handshake parsers
-# (the first decoders that face another process's bytes) to net/http's
-# and to their 64 KiB head cap, the web server's in-process transports
-# to its wire, and the fabric frame decoder to its own re-encoding
-# (FuzzWireDecode: accepted frames round-trip); FuzzParse feeds htmlparse
-# hostile bytes and holds its attributes to the map parser. The two
-# decoders a resume trusts: FuzzLoadCheckpoint (hostile checkpoint bytes
-# are refused or round-trip through WriteAtomic) and FuzzLedgerReplay (a
-# resumed ledger over arbitrary shard bytes and extent refuses without
-# touching the shard, or folds what MergeShards merges). The store's
+# one target per invocation); 17 of them. The differential targets hold
+# the on-demand PRNG to math/rand, the content scanners to the regexps
+# they replaced, the filter-list parser + indexed matcher to the linear
+# scan, the three hand JSON codecs to encoding/json (the script codec,
+# the spool codec, and the fabric frame decoder — FuzzWireDecode also
+# holds accepted frames to their own re-encoding), urlutil.Parse's fast
+# path to net/url, the WebSocket handshake parsers (the first decoders
+# that face another process's bytes) to net/http's and to their 64 KiB
+# head cap, and the web server's in-process transports to its wire;
+# FuzzParse feeds htmlparse hostile bytes and holds its attributes to
+# the map parser. FuzzAppendLine: a worker's page line is refused with
+# the spool and fold untouched, or appended verbatim and folded as
+# encoding/json decodes it. The two decoders a resume trusts:
+# FuzzLoadCheckpoint (hostile checkpoint bytes are refused or round-trip
+# through WriteAtomic) and FuzzLedgerReplay (a resumed ledger over
+# arbitrary shard bytes and extent refuses without touching the shard,
+# or folds what MergeShards merges). The store's
 # segment decoder, FuzzDecodeSegment: hostile bytes (also resealed with
 # a valid checksum) are refused without a length taken on trust, and an
 # accepted segment round-trips encode → decode → encode. Seed corpora
@@ -56,12 +60,15 @@ fuzz-smoke:
 	$(GO) test ./internal/htmlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filterlist -run '^$$' -fuzz '^FuzzMatchMatchesLinear$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/script -run '^$$' -fuzz '^FuzzProgramCodecMatchesJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzSpoolCodecMatchesJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/urlutil -run '^$$' -fuzz '^FuzzParseMatchesNetURL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadClientHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadServerHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/webserver -run '^$$' -fuzz '^FuzzTransportsAgree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLedgerReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzAppendLine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size

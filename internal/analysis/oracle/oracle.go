@@ -75,6 +75,11 @@ func mergeShardFile(path string, br *bufio.Reader, folder *analysis.Folder, stat
 		if derr != nil {
 			return fmt.Errorf("oracle: shard %s line %d: %w", path, line, derr)
 		}
+		for _, t := range rec.HTTP {
+			if t == nil {
+				return fmt.Errorf("oracle: shard %s line %d: null HTTP entry", path, line)
+			}
+		}
 		folder.Fold(rec)
 	}
 }

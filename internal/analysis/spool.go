@@ -19,9 +19,7 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -48,28 +46,6 @@ type PageRecord struct {
 	NonAAObs map[string]int `json:"nonAaObs,omitempty"`
 	// CDNObs counts opaque-CDN adjacency sightings on this page.
 	CDNObs map[string]int `json:"cdnObs,omitempty"`
-}
-
-// EncodeSpoolRecord writes rec as one JSONL line. The encoding is
-// deterministic (encoding/json sorts map keys), so identical crawls
-// produce byte-identical spool lines.
-func EncodeSpoolRecord(w io.Writer, rec *PageRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("analysis: encode spool record: %w", err)
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// DecodeSpoolLine parses one spool line back into a PageRecord.
-func DecodeSpoolLine(line []byte) (*PageRecord, error) {
-	var rec PageRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return nil, fmt.Errorf("analysis: decode spool record: %w", err)
-	}
-	return &rec, nil
 }
 
 // Recorder converts live page loads into PageRecords. It reads the

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -133,6 +132,10 @@ func (s *grantSource) Done(site crawler.Site, pages int, err error) {
 	s.failed[site.Domain] = err.Error()
 }
 
+// lineBufs pools RunBatch's spool line buffers: emit is done with a
+// line when it returns.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // RunBatch crawls every site of a grant once, streaming each page record
 // as a pre-encoded spool line. Browsers are seeded per site
 // (crawler.SiteSeed), so the lines are independent of grant membership,
@@ -152,13 +155,15 @@ func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func
 		if err != nil {
 			return // unparseable page: drop it, as the local paths do
 		}
-		var buf bytes.Buffer
-		if err := analysis.EncodeSpoolRecord(&buf, rec); err != nil {
+		bp := lineBufs.Get().(*[]byte)
+		defer lineBufs.Put(bp)
+		line, err := analysis.AppendSpoolRecord((*bp)[:0], rec)
+		*bp = line
+		if err != nil {
 			src.Done(site, 0, err)
 			return
 		}
-		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
-		if err := emit(site.Domain, line); err != nil {
+		if err := emit(site.Domain, line[:len(line)-1]); err != nil {
 			return // emit cancels the grant context itself
 		}
 		pages.Add(1)

@@ -223,7 +223,7 @@ func replayShard(path string, br *bufio.Reader, fold *analysis.Folder) (size, co
 		if fold == nil || len(raw) == 1 {
 			continue
 		}
-		rec, err := analysis.DecodeSpoolLine(raw[:len(raw)-1])
+		rec, err := decodeLine(raw[:len(raw)-1])
 		if err != nil {
 			return 0, 0, fmt.Sprintf("line %d: %v", line, err), nil
 		}
@@ -242,8 +242,8 @@ func (l *Ledger) Store() *colstore.Store { return l.store }
 // Append spools one page record, then folds or ingests it. The page is
 // durable once a later Commit returns.
 func (l *Ledger) Append(rec *analysis.PageRecord) error {
-	return l.append(rec, func(w *bufio.Writer) error {
-		return analysis.EncodeSpoolRecord(w, rec)
+	return l.append(rec, func(dst []byte) ([]byte, error) {
+		return analysis.AppendSpoolRecord(dst, rec)
 	})
 }
 
@@ -256,31 +256,43 @@ func (l *Ledger) AppendLine(site string, line []byte) error {
 	if bytes.IndexByte(line, '\n') >= 0 {
 		return fmt.Errorf("dispatch: page line spans several lines")
 	}
-	rec, err := analysis.DecodeSpoolLine(line)
+	rec, err := decodeLine(line)
 	if err != nil {
 		return err
 	}
 	if rec.Site == "" || rec.Site != site {
 		return fmt.Errorf("dispatch: page line is for site %q, want %q", rec.Site, site)
 	}
-	return l.append(rec, func(w *bufio.Writer) error {
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-		return w.WriteByte('\n')
+	return l.append(rec, func(dst []byte) ([]byte, error) {
+		return append(append(dst, line...), '\n'), nil
 	})
 }
 
-// append is the one way bytes reach a shard: write renders rec's spool
+// decodeLine decodes one spool line into a record the fold and the store
+// can take: both read every HTTP entry, so a null one is refused.
+func decodeLine(line []byte) (*analysis.PageRecord, error) {
+	rec, err := analysis.DecodeSpoolLine(line)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range rec.HTTP {
+		if t == nil {
+			return nil, fmt.Errorf("dispatch: page record has a null HTTP entry")
+		}
+	}
+	return rec, nil
+}
+
+// append is the one way bytes reach a shard: line renders rec's spool
 // line into its shard, then rec goes to the dataset side.
-func (l *Ledger) append(rec *analysis.PageRecord, write func(w *bufio.Writer) error) error {
+func (l *Ledger) append(rec *analysis.PageRecord, line func(dst []byte) ([]byte, error)) error {
 	l.appendMu.RLock()
 	defer l.appendMu.RUnlock()
 	if l.finalized {
 		return ErrFinalized
 	}
 	span := obs.StartSpan(obs.CrawlCommit)
-	if err := l.spool.append(rec.Site, write); err != nil {
+	if err := l.spool.append(rec.Site, line); err != nil {
 		return err
 	}
 	span.End()

@@ -642,6 +642,7 @@ func FuzzLedgerReplay(f *testing.F) {
 	f.Add(torn, n)
 	f.Add(torn, n+3)
 	f.Add([]byte("\n{corrupt\n"), int64(0))
+	f.Add([]byte(`{"site":"a.com","rank":1,"pageUrl":"a/1","http":{"t.com":null}}`+"\n"), int64(0))
 	f.Add([]byte{}, int64(-1))
 	f.Fuzz(func(t *testing.T, shard []byte, extent int64) {
 		dir := t.TempDir()
@@ -708,6 +709,93 @@ func FuzzLedgerReplay(f *testing.F) {
 		}
 		if !bytes.Equal(datasetBytes(t, ds), datasetBytes(t, want)) {
 			t.Fatal("the replayed fold differs from the merge of the kept prefix")
+		}
+	})
+}
+
+// FuzzAppendLine hands AppendLine — where the spool codec first meets
+// another process's bytes — an arbitrary line for an arbitrary site, on
+// a one-shard ledger that already holds one page. It must never panic,
+// and it must do one of two things: refuse the line, with the shard's
+// bytes and the fold as they were; or append it verbatim plus '\n' and
+// fold the record json.Unmarshal gives for it. It refuses exactly the
+// lines that are not one line, do not decode, name another site (or
+// none), or hold a null HTTP entry, which neither the fold nor the store
+// can take.
+func FuzzAppendLine(f *testing.F) {
+	for _, rec := range []*analysis.PageRecord{ledgerRecord(1, 0), ledgerRecord(1, 1)} {
+		line, err := analysis.AppendSpoolRecord(nil, rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line[:len(line)-1], rec.Site)
+	}
+	f.Add([]byte(`{"site":"a.com","rank":1,"pageUrl":"a/1","aaObs":{"t.com":1}}`), "a.com")
+	f.Add([]byte(`{"site":"a.com","rank":1,"pageUrl":"a/1","aaObs":{"t.com":1}}`), "b.com")
+	f.Add([]byte(`{"site":"a.com","rank":1,"pageUrl":"a/1","http":{"t.com":null}}`), "a.com")
+	f.Add([]byte(`{"site": "a.com", "Rank":1, "pageUrl":"a/1"}`), "a.com")
+	f.Add([]byte("{\"site\":\"a.com\",\n\"rank\":1}"), "a.com")
+	f.Add([]byte(`{"site":"","rank":1,"pageUrl":"a/1"}`), "")
+	f.Add([]byte(`{torn`), "a.com")
+	f.Fuzz(func(t *testing.T, line []byte, site string) {
+		dir := t.TempDir()
+		l, err := OpenLedger(LedgerConfig{
+			Crawl:          Checkpoint{Name: "fuzz", Seed: 1, NumShards: 1, PagesPerSite: ledgerPages, TotalSites: 2},
+			Meta:           ledgerMeta,
+			SpoolDir:       filepath.Join(dir, "spool"),
+			CheckpointPath: filepath.Join(dir, "cp.json"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		first := ledgerRecord(0, 0)
+		if err := l.Append(first); err != nil {
+			t.Fatal(err)
+		}
+		shard := func() []byte {
+			t.Helper()
+			if err := l.spool.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(l.spool.Paths()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		before := shard()
+
+		var rec analysis.PageRecord
+		accept := bytes.IndexByte(line, '\n') < 0 && json.Unmarshal(line, &rec) == nil &&
+			rec.Site != "" && rec.Site == site
+		for _, traffic := range rec.HTTP {
+			accept = accept && traffic != nil
+		}
+		want := analysis.NewFolder(ledgerMeta)
+		want.Fold(first)
+
+		err = l.AppendLine(site, line)
+		after := shard()
+		switch {
+		case err != nil && accept:
+			t.Fatalf("AppendLine(%q, %q) refused a line json.Unmarshal takes: %v", site, line, err)
+		case err != nil && !bytes.Equal(after, before):
+			t.Fatalf("AppendLine(%q, %q) refused the line but changed the shard", site, line)
+		case err == nil && !accept:
+			t.Fatalf("AppendLine(%q, %q) took a line it must refuse", site, line)
+		case err == nil && !bytes.Equal(after, append(append(before, line...), '\n')):
+			t.Fatalf("AppendLine(%q, %q) did not append the line verbatim", site, line)
+		case err == nil:
+			want.Fold(&rec)
+		}
+		got, _, err := l.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDS, _ := want.Finalize()
+		if !bytes.Equal(datasetBytes(t, got), datasetBytes(t, wantDS)) {
+			t.Fatalf("AppendLine(%q, %q) (err %v): the fold differs from the oracle's", site, line, err)
 		}
 	})
 }

@@ -56,7 +56,8 @@ type shardFile struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
-	pending int // guarded by mu; records buffered since the last flush
+	pending int    // guarded by mu; records buffered since the last flush
+	line    []byte // guarded by mu; the line being appended, reused
 }
 
 // DefaultShards is the spool shard count used wherever a config leaves
@@ -141,19 +142,24 @@ func (c countingWriter) Write(p []byte) (int, error) {
 // becomes durable at the next group boundary, Flush, or Close (at once
 // under the zero BatchPolicy).
 func (s *Spooler) Append(rec *analysis.PageRecord) error {
-	return s.append(rec.Site, func(w *bufio.Writer) error {
-		return analysis.EncodeSpoolRecord(w, rec)
+	return s.append(rec.Site, func(dst []byte) ([]byte, error) {
+		return analysis.AppendSpoolRecord(dst, rec)
 	})
 }
 
-// append writes one line into domain's shard buffer and commits the
+// append renders one line, newline included, into the shard's reused
+// line buffer, writes it into domain's shard buffer and commits the
 // shard's group when the policy says so.
-func (s *Spooler) append(domain string, write func(w *bufio.Writer) error) error {
+func (s *Spooler) append(domain string, line func(dst []byte) ([]byte, error)) error {
 	span := obs.StartSpan(obs.StageSpool)
 	sh := s.shards[s.ShardFor(domain)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := write(sh.w); err != nil {
+	var err error
+	if sh.line, err = line(sh.line[:0]); err != nil {
+		return err
+	}
+	if _, err = sh.w.Write(sh.line); err != nil {
 		return err
 	}
 	sh.pending++

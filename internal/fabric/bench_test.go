@@ -19,8 +19,8 @@ func benchPage() *wire.Page {
 	}
 }
 
-// TestPageFrameEncodeAllocs: encoding a page frame costs two allocations
-// (payload marshal + envelope), and a third would multiply across every
+// TestPageFrameEncodeAllocs: encoding a page frame costs one allocation
+// (the frame, sized exactly), and a second would multiply across every
 // page of a crawl.
 func TestPageFrameEncodeAllocs(t *testing.T) {
 	if info, ok := debug.ReadBuildInfo(); ok {
@@ -36,8 +36,8 @@ func TestPageFrameEncodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("page frame encode: %.1f allocs, want <= 2", allocs)
+	if allocs > 1 {
+		t.Errorf("page frame encode: %.1f allocs, want <= 1", allocs)
 	}
 }
 

@@ -106,9 +106,6 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 
 	// The per-crawl seed core's page plane crawls with, which is also
 	// what dispatch.Run records: a local checkpoint and a coordinator's
@@ -453,9 +450,12 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		}
 		obs.FabricBatchesDone.Inc()
 		obs.FabricBatchRTT.ObserveSince(g.at)
-		p := c.queue.Progress()
-		c.logf("fabric: grant %s complete (%d pages, %d sites failed) from %s [%d/%d sites done]",
-			m.Batch, m.Pages, len(m.FailedSites), s.worker, p.Done, p.Total)
+		if c.cfg.Logf != nil {
+			// Progress scans every job: only a line someone reads pays it.
+			p := c.queue.Progress()
+			c.logf("fabric: grant %s complete (%d pages, %d sites failed) from %s [%d/%d sites done]",
+				m.Batch, m.Pages, len(m.FailedSites), s.worker, p.Done, p.Total)
+		}
 		c.commitLogged()
 	case *wire.Fail:
 		g := s.held[m.Batch]
@@ -533,7 +533,11 @@ func (c *Coordinator) commitLogged() {
 	}
 }
 
-func (c *Coordinator) logf(format string, args ...any) { c.cfg.Logf(format, args...) }
+func (c *Coordinator) logf(format string, args ...any) {
+	if c.cfg.Logf != nil {
+		c.cfg.Logf(format, args...)
+	}
+}
 
 // readFrame reads one protocol frame under a fresh idle deadline.
 func readFrame(conn *wsproto.Conn, idle time.Duration) (wire.Decoded, error) {

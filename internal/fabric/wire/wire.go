@@ -141,7 +141,7 @@ type Page struct {
 	// Site is the page's site domain (selects the spool shard; the
 	// coordinator refuses a line that names another site).
 	Site string `json:"site"`
-	// Line is one spool line, exactly as analysis.EncodeSpoolRecord
+	// Line is one spool line, exactly as analysis.AppendSpoolRecord
 	// wrote it (without the trailing newline). The coordinator appends
 	// it verbatim, so the distributed spool is byte-identical to a
 	// local one.
@@ -197,6 +197,11 @@ func (*Fail) frameType() string         { return TypeFail }
 
 // Encode renders one message as a versioned frame.
 func Encode(m Message) ([]byte, error) {
+	if p, ok := m.(*Page); ok && p != nil {
+		if data, ok := encodePage(p); ok {
+			return data, nil
+		}
+	}
 	f := frame{V: Version, Type: m.frameType()}
 	switch v := m.(type) {
 	case *Hello:
@@ -241,6 +246,9 @@ type Decoded struct {
 // payload presence are all enforced here so session loops never see a
 // half-formed message.
 func Decode(data []byte) (Decoded, error) {
+	if p, ok := decodePage(data); ok {
+		return Decoded{Type: TypePage, Msg: p}, nil
+	}
 	var f frame
 	if err := json.Unmarshal(data, &f); err != nil {
 		return Decoded{}, fmt.Errorf("wire: malformed frame: %w", err)

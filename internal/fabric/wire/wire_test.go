@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -112,8 +114,112 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 	}
 }
 
+// refDecode is Decode as it was before the page frame's cursor:
+// encoding/json and the envelope checks. It is the oracle; production
+// reaches encoding/json for a page frame only on its fallback branch.
+func refDecode(data []byte) (Decoded, error) {
+	var f frame
+	if err := json.Unmarshal(data, &f); err != nil {
+		return Decoded{}, fmt.Errorf("wire: malformed frame: %w", err)
+	}
+	if f.V != Version {
+		return Decoded{}, fmt.Errorf("wire: protocol version %d, this build speaks v%d", f.V, Version)
+	}
+	payloads := map[string]Message{
+		TypeHello: f.Hello, TypeWelcome: f.Welcome, TypeGrant: f.Grant, TypeHeartbeat: f.Heartbeat,
+		TypeHeartbeatAck: f.HeartbeatAck, TypePage: f.Page, TypeComplete: f.Complete, TypeFail: f.Fail,
+	}
+	switch msg, ok := payloads[f.Type]; {
+	case f.Type == TypeLease || f.Type == TypeWait || f.Type == TypeDrained:
+		return Decoded{Type: f.Type}, nil
+	case !ok:
+		return Decoded{}, fmt.Errorf("wire: unknown frame type %q", f.Type)
+	case reflect.ValueOf(msg).IsNil():
+		return Decoded{}, missing(f.Type)
+	default:
+		return Decoded{Type: f.Type, Msg: msg}, nil
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// pageSeeds are page frames on both sides of the cursor's shape; '@'
+// stands for a backslash.
+var pageSeeds = []string{
+	`{"v":1,"type":"page","page":{"batch":"b@u0026@u003c@u003e","site":"a.com","line":{"s":"x@u0026y@"@@@/@b@f@n@r@t@u2028é"}}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":[1,-0.5e+3,0,true,false,null,{},[],"",{"a":[{}]}]}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":null}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":"x"}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a": 1}}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1} }}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":"<&>"}}}`,
+	"{\"v\":1,\"type\":\"page\",\"page\":{\"batch\":\"b1\",\"site\":\"a.com\",\"line\":\"\xe2\x80\xa8\xff\"}}",
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1}},"hello":{"worker":"w"}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1},"site":"b.com"}}`,
+	`{"v":1,"type":"page","page":{"batch":"b@"1","site":"a.com","line":1}}`,
+	`{"v":1,"type":"page","page":{"batch":"b@u00e9","site":"a.com","line":1}}`,
+	`{"v":1,"type":"page","page":{"batch":"é","site":"a.com","line":1}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":01}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":1.}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1,}}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1}}}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com"}}`,
+	`{"v":1,"type":"page","page":{}}`,
+	`{"v":1,"type":"page","page":null}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":` + strings.Repeat("[", 70) + strings.Repeat("]", 70) + `}}`,
+}
+
+// TestPageFrameSeeds runs the page seeds as a plain table and pins
+// which of them the cursor takes.
+func TestPageFrameSeeds(t *testing.T) {
+	fast := 0
+	for _, seed := range pageSeeds {
+		data := []byte(strings.ReplaceAll(seed, "@", `\`))
+		checkFrame(t, data)
+		if _, ok := decodePage(data); ok {
+			fast++
+		}
+	}
+	// The first four; the rest are encoding/json's to accept or refuse.
+	if fast != 4 {
+		t.Errorf("cursor took %d of %d page seeds, want 4", fast, len(pageSeeds))
+	}
+}
+
+// checkFrame holds Decode to the oracle on one frame — same frame, same
+// error — and Encode of an accepted frame to json.Marshal.
+func checkFrame(t *testing.T, data []byte) {
+	t.Helper()
+	dec, err := Decode(data)
+	ref, refErr := refDecode(data)
+	if errText(err) != errText(refErr) || !reflect.DeepEqual(dec, ref) {
+		t.Fatalf("Decode(%q) = %+v, %v; encoding/json gives %+v, %v", data, dec, err, ref, refErr)
+	}
+	if err != nil || dec.Msg == nil {
+		return
+	}
+	p, ok := dec.Msg.(*Page)
+	if !ok {
+		return // only the page frame has a hand encoder
+	}
+	got, err := Encode(p)
+	want, refErr := json.Marshal(&frame{V: Version, Type: TypePage, Page: p})
+	if errText(err) != errText(refErr) || !bytes.Equal(got, want) {
+		t.Fatalf("Encode(%+v) = %q, %v; json.Marshal gives %q, %v", dec.Msg, got, err, want, refErr)
+	}
+}
+
 // FuzzWireDecode feeds Decode hostile bytes, seeded from the golden
-// encodings. It must never panic, and any frame it accepts must
+// encodings and the page seeds. It must never panic, and it must agree
+// with encoding/json (refDecode) on every frame: the same frame
+// accepted, the same error otherwise; a page frame it accepts must
+// encode to json.Marshal's bytes. Any frame it accepts must also
 // re-encode to bytes that decode to an equal frame. "Equal" is the
 // wire's own equality — same type, same re-encoded bytes — because
 // Decode keeps a page line's raw spacing and an empty failedSites map,
@@ -125,7 +231,11 @@ func FuzzWireDecode(f *testing.F) {
 	for _, golden := range goldenControl {
 		f.Add([]byte(golden))
 	}
+	for _, seed := range pageSeeds {
+		f.Add([]byte(strings.ReplaceAll(seed, "@", `\`)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFrame(t, data)
 		dec, err := Decode(data)
 		if err != nil {
 			return

@@ -44,6 +44,8 @@ func render(e ast.Expr) string {
 		return render(v.X) + "." + v.Sel.Name
 	case *ast.IndexExpr:
 		return render(v.X) + "[]"
+	case *ast.SliceExpr:
+		return render(v.X) + "[:]"
 	case *ast.CallExpr:
 		return render(v.Fun) + "()"
 	case *ast.StarExpr:

@@ -29,7 +29,7 @@ func maporderAnalyzer() *Analyzer {
 		Run: func(p *Pass) {
 			info := p.Pkg.TypesInfo
 			for _, f := range p.Pkg.Files {
-				sortName := importName(f, "sort")
+				sorts := sorters{sort: importName(f, "sort"), slices: importName(f, "slices")}
 				for _, fn := range funcDecls(f) {
 					ast.Inspect(fn.Body, func(n ast.Node) bool {
 						rs, ok := n.(*ast.RangeStmt)
@@ -37,7 +37,7 @@ func maporderAnalyzer() *Analyzer {
 							return true
 						}
 						if _, isMap := info.TypeOf(rs.X).Underlying().(*types.Map); isMap {
-							checkMapRange(p, fn, rs, sortName)
+							checkMapRange(p, fn, rs, sorts)
 						}
 						return true
 					})
@@ -47,10 +47,23 @@ func maporderAnalyzer() *Analyzer {
 	}
 }
 
+// sorters names a file's imports of the packages whose calls count as
+// a later sort: any function of sort, and slicesSorts of slices ("" when
+// the file does not import the package).
+type sorters struct{ sort, slices string }
+
+// slicesSorts are the slices functions that reorder their argument.
+var slicesSorts = map[string]bool{"Sort": true, "SortFunc": true, "SortStableFunc": true}
+
+// sorts reports whether a call of pkg.name sorts its argument.
+func (s sorters) sorts(pkg, name string) bool {
+	return pkg != "" && (pkg == s.sort || pkg == s.slices && slicesSorts[name])
+}
+
 // checkMapRange inspects one range-over-map statement: direct writes
 // are flagged outright; appends are flagged unless a sort mentioning
 // the target follows the loop.
-func checkMapRange(p *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt, sortName string) {
+func checkMapRange(p *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt, sorts sorters) {
 	type appendSite struct {
 		target string
 		pos    token.Pos
@@ -84,7 +97,7 @@ func checkMapRange(p *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt, sortName string
 	})
 
 	for _, site := range appends {
-		if sortName != "" && sortedAfter(fn, rs, sortName, site.target) {
+		if sortedAfter(fn, rs, sorts, site.target) {
 			continue
 		}
 		p.Reportf(site.pos,
@@ -93,10 +106,11 @@ func checkMapRange(p *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt, sortName string
 	}
 }
 
-// sortedAfter reports whether a sort.* call positioned after the range
-// loop references target in any argument (sort.Strings(target),
-// sort.Slice(target, func...), and friends).
-func sortedAfter(fn *ast.FuncDecl, rs *ast.RangeStmt, sortName, target string) bool {
+// sortedAfter reports whether a sort.* or slices.Sort* call positioned
+// after the range loop references target in any argument
+// (sort.Strings(target), sort.Slice(target, func...),
+// slices.Sort(target[i:]) and friends).
+func sortedAfter(fn *ast.FuncDecl, rs *ast.RangeStmt, sorts sorters, target string) bool {
 	found := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if found {
@@ -111,7 +125,7 @@ func sortedAfter(fn *ast.FuncDecl, rs *ast.RangeStmt, sortName, target string) b
 			return true
 		}
 		x, ok := sel.X.(*ast.Ident)
-		if !ok || x.Name != sortName {
+		if !ok || !sorts.sorts(x.Name, sel.Sel.Name) {
 			return true
 		}
 		for _, arg := range call.Args {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 )
 
@@ -37,6 +38,26 @@ func rowsSortSlice(m map[string]int) []string {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
 	return rows
+}
+
+func keysSlicesSorted(m map[string]int, from int) []string {
+	out := make([]string, from)
+	for k := range m {
+		out = append(out, k) // slices.Sort of a slice of out: legal
+	}
+	slices.Sort(out[from:])
+	return out
+}
+
+func keysSlicesSearched(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k) // want "append to out in map-iteration order"
+	}
+	if slices.Contains(out, "") { // not a sort
+		return nil
+	}
+	return out
 }
 
 func dump(w io.Writer, m map[string]int) {

@@ -291,3 +291,37 @@ func sameURL(a, b *URL) bool {
 		a.Port == b.Port && a.Path == b.Path && a.Query == b.Query &&
 		a.String() == b.String()
 }
+
+// FuzzParseMatchesNetURL holds the fast path to the net/url path on
+// arbitrary strings: whatever parseFast accepts, parseStd accepts too,
+// with equal URL fields and equal String(); and Parse fails exactly
+// when parseStd does.
+func FuzzParseMatchesNetURL(f *testing.F) {
+	for _, seed := range []string{
+		"http://example.com", "http://example.com/", "https://sub.tracker-cdn.net:8443/w.js?pub=news.com&pg=3",
+		"ws://adnet.com/data.ws?sid=7&u=42", "wss://x.doubleclick.net:443/sock", "http://127.0.0.1:9000/img/1.gif",
+		"http://a.co/p?q=hello world&x=a+b", "http://a.co?x", "http://a.co:0080//x", "http://a.co/~u;v=1!(x)'*",
+		"http://Example.COM/Upper", "http://a.co/p%20q", "http://a.co/p#frag", "http://user@a.co/",
+		"http://a.co:abc/", "http://[::1]:80/", "http://a.co/\x7f", "mailto:x@a.co", "/relative", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		std, stdErr := parseStd(raw)
+		if fast, ok := parseFast(raw); ok {
+			if stdErr != nil {
+				t.Fatalf("parseFast(%q) accepted, net/url refuses: %v", raw, stdErr)
+			}
+			if !sameURL(fast, std) {
+				t.Fatalf("parseFast(%q) = %+v (%s), net/url = %+v (%s)", raw, fast, fast, std, std)
+			}
+		}
+		got, err := Parse(raw)
+		if (err == nil) != (stdErr == nil) {
+			t.Fatalf("Parse(%q) err = %v, net/url err = %v", raw, err, stdErr)
+		}
+		if err == nil && !sameURL(got, std) {
+			t.Fatalf("Parse(%q) = %+v, net/url = %+v", raw, got, std)
+		}
+	})
+}
