@@ -29,7 +29,7 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestLoadSoak' ./internal/loadgen/
 
 # Native fuzz targets, each for a short FUZZTIME (`go test -fuzz` takes
-# one target per invocation); 17 of them. The differential targets hold
+# one target per invocation); 18 of them. The differential targets hold
 # the on-demand PRNG to math/rand, the content scanners to the regexps
 # they replaced, the filter-list parser + indexed matcher to the linear
 # scan, the three hand JSON codecs to encoding/json (the script codec,
@@ -38,6 +38,10 @@ race:
 # path to net/url, the WebSocket handshake parsers (the first decoders
 # that face another process's bytes) to net/http's and to their 64 KiB
 # head cap, and the web server's in-process transports to its wire;
+# FuzzReadMessage feeds the shipping frame reader (Conn.ReadMessage)
+# hostile bytes on both sides of a connection — no panic, no message
+# held past the conn's cap, every input ends in an error — and holds
+# naiveWriteFrame's fragmented frames to a whole read-back;
 # FuzzParse feeds htmlparse hostile bytes and holds its attributes to
 # the map parser. FuzzAppendLine: a worker's page line is refused with
 # the spool and fold untouched, or appended verbatim and folded as
@@ -64,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/urlutil -run '^$$' -fuzz '^FuzzParseMatchesNetURL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadClientHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadServerHandshake$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/webserver -run '^$$' -fuzz '^FuzzTransportsAgree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME)

@@ -39,7 +39,7 @@
 // links, and -query-addr serves the query API over the live store. The
 // "serving ws://…" line names the worker URL. Restarted with the same
 // flags and -resume on the same address, it continues from the last
-// settled grant while workers retry their dials; either role resumes
+// checkpoint while workers retry their dials; either role resumes
 // the other's checkpoint. A worker takes its crawl config from the
 // coordinator; its -seed drives only dial backoff and frame masking.
 // The dataset is byte-identical to a local crawl's for any number of

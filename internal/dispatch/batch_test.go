@@ -83,7 +83,7 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	defer cancel()
 	var pages atomic.Int64
 	cfg := batched(env.config(dir, 2))
-	cfg.CheckpointEvery = 1
+	cfg.commitEvery = 1
 	cfg.OnPage = func(crawler.Site, string) {
 		if pages.Add(1) == 9 {
 			cancel()
@@ -94,7 +94,7 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	}
 
 	cfg2 := batched(env.config(dir, 2))
-	cfg2.CheckpointEvery = 1
+	cfg2.commitEvery = 1
 	cfg2.Resume = true
 	res, err := Run(context.Background(), cfg2)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"repro/internal/colstore"
+	"repro/internal/obs"
 )
 
 // CheckpointVersion is the on-disk format version, and the only one
@@ -85,10 +86,10 @@ type Checkpoint struct {
 }
 
 // WriteAtomic persists the checkpoint with temp-file+rename semantics
-// (colstore.WriteAtomic).
+// (colstore.WriteAtomic), counting its bytes in checkpoint.bytes.
 func (c *Checkpoint) WriteAtomic(path string) error {
 	return colstore.WriteAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
+		enc := json.NewEncoder(countingWriter{w, obs.CheckpointBytes})
 		enc.SetIndent("", " ")
 		return enc.Encode(c)
 	})

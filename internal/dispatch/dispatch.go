@@ -23,8 +23,8 @@
 //     spool (or the store) already holds into the fold as it opens — so
 //     -resume continues an interrupted crawl without re-visiting
 //     completed sites and converges on the same bytes;
-//   - Run, which wires the queue to the crawler's worker pool and decides
-//     when the ledger commits.
+//   - Run, which wires the queue to the crawler's worker pool and reports
+//     each settled site to the ledger.
 //
 // The fabric coordinator (internal/fabric) is the queue's and the
 // ledger's other caller: the same queue over the same sites, each grant
@@ -45,9 +45,10 @@
 // dispatch state themselves. Durability contract (stated once, in
 // DESIGN.md §7): a job is marked done in a checkpoint only after its
 // pages were flushed to the spool and sealed into the store, checkpoints
-// are atomic (temp file + rename + directory sync) and therefore at worst
-// one generation stale, and nothing in the package holds crawl results
-// only in memory past those sinks.
+// are atomic (temp file + rename + directory sync), and nothing in the
+// package holds crawl results only in memory past those sinks. One commit
+// rule serves both paths (Ledger.Settled): a killed crawl is at most
+// max(8, N/128) − 1 settled sites stale.
 //
 // Observability: the queue exports depth/retry gauges, and the
 // checkpoint and spool paths record latency histograms, to the obs
@@ -97,12 +98,10 @@ type Config struct {
 	// CheckpointPath is the crawl's durable state file. Required.
 	CheckpointPath string
 	// Resume loads CheckpointPath (when present) and skips completed
-	// sites instead of starting from scratch.
-	Resume bool
-	// CheckpointEvery writes the checkpoint after this many site
-	// completions (default 8). A final checkpoint is always written
+	// sites instead of starting from scratch. The ledger commits by its
+	// one rule (Ledger.Settled), and a final checkpoint is always written
 	// when Run returns, including on cancellation.
-	CheckpointEvery int
+	Resume bool
 
 	// Retry is the retry policy (zero value = 3 attempts, 100ms base
 	// backoff doubling to 5s, half-delay jitter). A site may go the
@@ -119,8 +118,10 @@ type Config struct {
 	// spooled (progress reporting, fault-injection tests).
 	OnPage func(site crawler.Site, pageURL string)
 
-	// now overrides the clock in tests.
-	now func() time.Time
+	// now overrides the clock, and commitEvery the ledger's commit
+	// cadence, in tests.
+	now         func() time.Time
+	commitEvery int
 }
 
 // Result is the outcome of an orchestrated crawl.
@@ -155,9 +156,6 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 	if cfg.PagesPerSite <= 0 {
 		cfg.PagesPerSite = 15
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 8
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -175,6 +173,7 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 		CheckpointPath: cfg.CheckpointPath,
 		StoreDir:       cfg.StoreDir,
 		Resume:         cfg.Resume,
+		commitEvery:    cfg.commitEvery,
 	})
 	if err != nil {
 		return nil, err
@@ -208,19 +207,14 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 
 	// Always leave a fresh checkpoint behind, even (especially) when
 	// cancelled: that is what a later -resume picks up.
-	if cpErr := o.commit(); cpErr != nil && crawlErr == nil {
+	if cpErr := ledger.Commit(queue.ExportJobs); cpErr != nil && crawlErr == nil {
 		crawlErr = cpErr
 	}
 	if aErr := o.appendErr(); aErr != nil && crawlErr == nil {
 		crawlErr = aErr
 	}
 	res.Progress = queue.Progress()
-	res.FailedSites = map[string]string{}
-	for _, rec := range queue.ExportJobs() {
-		if rec.State == JobFailed {
-			res.FailedSites[rec.Domain] = rec.LastErr
-		}
-	}
+	res.FailedSites = queue.FailedSites()
 	if crawlErr != nil {
 		return res, crawlErr
 	}
@@ -229,7 +223,7 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 }
 
 // orchestrator implements crawler.Source over the queue: the lease and
-// retry policy, and when the ledger commits.
+// retry policy, and reporting each settle to the ledger.
 type orchestrator struct {
 	cfg    Config
 	queue  *Queue
@@ -237,7 +231,6 @@ type orchestrator struct {
 
 	mu           sync.Mutex
 	active       map[string]*Lease
-	completions  int
 	appendFailed error
 }
 
@@ -267,16 +260,17 @@ func (o *orchestrator) Done(site crawler.Site, pages int, err error) {
 	if l == nil {
 		return
 	}
+	var settled bool
 	switch {
 	case err == nil:
-		if l.Complete() {
-			o.maybeCheckpoint()
-		}
+		settled = l.Complete()
 	case released(err):
 		l.Release()
 	default:
-		l.Fail(err)
-		o.maybeCheckpoint()
+		settled = l.Fail(err)
+	}
+	if settled {
+		_ = o.ledger.Settled(1, o.queue.ExportJobs) // a later commit retries
 	}
 }
 
@@ -317,22 +311,6 @@ func (o *orchestrator) onPage(site crawler.Site, pageURL string, res *browser.Pa
 	if o.cfg.OnPage != nil {
 		o.cfg.OnPage(site, pageURL)
 	}
-}
-
-// maybeCheckpoint commits every CheckpointEvery settled sites.
-func (o *orchestrator) maybeCheckpoint() {
-	o.mu.Lock()
-	o.completions++
-	due := o.completions%o.cfg.CheckpointEvery == 0
-	o.mu.Unlock()
-	if due {
-		_ = o.commit() // next periodic commit or the final one retries
-	}
-}
-
-// commit checkpoints the queue's current job states.
-func (o *orchestrator) commit() error {
-	return o.ledger.Commit(o.queue.ExportJobs)
 }
 
 // appendErr returns the first ledger append failure, if any.

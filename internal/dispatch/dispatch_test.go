@@ -164,7 +164,7 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	defer cancel()
 	var pages atomic.Int64
 	cfg := env.config(dir, 2)
-	cfg.CheckpointEvery = 1
+	cfg.commitEvery = 1
 	cfg.OnPage = func(crawler.Site, string) {
 		if pages.Add(1) == 10 {
 			cancel()
@@ -187,7 +187,7 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 
 	// Resume and converge.
 	cfg2 := env.config(dir, 2)
-	cfg2.CheckpointEvery = 1
+	cfg2.commitEvery = 1
 	cfg2.Resume = true
 	res2, err := Run(context.Background(), cfg2)
 	if err != nil {

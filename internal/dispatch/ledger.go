@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/colstore"
@@ -42,18 +43,23 @@ type LedgerConfig struct {
 	// Resume loads CheckpointPath (when present) and continues from it
 	// instead of starting from scratch.
 	Resume bool
+
+	commitEvery int // settled attempts per commit: max(8, TotalSites/128) unless a test pins kill points
 }
 
 // Ledger owns a crawl's durable state — the spool, the optional columnar
 // store, the live fold and the checkpoint file — and is the only place
 // the ordering between them exists. Its two callers, Run's orchestrator
-// and the fabric coordinator, decide what to crawl and when to commit;
-// the ledger decides what "durable" means (DESIGN.md §7):
+// and the fabric coordinator, decide what to crawl and report each
+// settle; the ledger decides when to commit and what "durable" means
+// (DESIGN.md §7):
 //
 //   - OpenLedger: load the checkpoint, check it against the crawl, open
 //     or replay the store, replay the spool the checkpoint vouches for
 //     (folding it when there is no store) and cut a crash remnant;
 //   - Append / AppendLine: spool one page, then fold or ingest it;
+//   - Settled: the one commit rule, once every max(8, TotalSites/128)
+//     settled attempts — about 128 checkpoints per crawl;
 //   - Commit: flush the spool, seal the store, record the shard extents,
 //     publish the checkpoint atomically — in that order, so a checkpoint
 //     never marks a job done whose pages are not durable in both sinks;
@@ -71,6 +77,8 @@ type Ledger struct {
 	folder  *analysis.Folder // nil with a store, which owns the fold
 
 	commitMu sync.Mutex // serializes checkpoint generations
+
+	sinceCommit atomic.Int64 // attempts settled since Settled last committed
 
 	appendMu  sync.RWMutex // held shared by appends, exclusively by Finalize
 	finalized bool         // guarded by appendMu
@@ -91,6 +99,9 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	}
 	if cfg.Crawl.NumShards <= 0 {
 		cfg.Crawl.NumShards = DefaultShards
+	}
+	if cfg.commitEvery <= 0 {
+		cfg.commitEvery = max(8, cfg.Crawl.TotalSites/128)
 	}
 	cfg.Crawl.Version = CheckpointVersion
 	l := &Ledger{cfg: cfg}
@@ -310,6 +321,19 @@ func (l *Ledger) sink(rec *analysis.PageRecord) error {
 	}
 	l.folder.Fold(rec)
 	return nil
+}
+
+// Settled is the one commit rule: both callers report every settle of n
+// attempts (complete or fail), and the ledger commits, at most once per
+// call, once max(8, TotalSites/128) have settled since it last did — so a
+// crawl writes about 128 checkpoints, O(N) bytes in all. snapshot is
+// Commit's; a failed commit costs only re-crawling, as the next retries.
+func (l *Ledger) Settled(n int, snapshot func() []JobRecord) error {
+	since := l.sinceCommit.Add(int64(n))
+	if since < int64(l.cfg.commitEvery) || !l.sinceCommit.CompareAndSwap(since, 0) {
+		return nil // not due, or a later settle takes the commit
+	}
+	return l.Commit(snapshot)
 }
 
 // Commit publishes one checkpoint generation. snapshot is called under

@@ -17,14 +17,13 @@ type jobState int
 const (
 	statePending jobState = iota
 	stateLeased
-	stateDone
+	stateDone // this state and the next are terminal
 	stateFailed
 )
 
 // job is one site's queue entry.
 type job struct {
 	site     crawler.Site
-	seq      int // position in the original site list (determinism)
 	state    jobState
 	attempts int       // attempts started so far
 	readyAt  time.Time // backoff gate while pending
@@ -41,18 +40,22 @@ type job struct {
 // the retry budget is spent. The queue is its callers' only clock: a
 // blocked Lease wakes on the next settle or deadline, and Drained closes
 // when the last job turns terminal. All methods are safe for concurrent
-// use.
+// use. It keeps books instead of scanning: per-state counts make
+// Progress O(1), and every lease and backed-off retry lies between the
+// settled and frontier cursors, a window throughput × backoff wide.
 type Queue struct {
 	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // domains in seq order
+	jobs     []job          // in seq (site-list) order
+	index    map[string]int // domain → position in jobs
+	settled  int            // jobs[:settled] are terminal
+	frontier int            // jobs[frontier:] were never leased
+	count    [4]int         // jobs per state
 	leaseTTL time.Duration
 	policy   RetryPolicy
 	rng      *rand.Rand // jitter source
 	now      func() time.Time
 	signal   chan struct{} // closed and replaced on every state change
-	drained  chan struct{} // closed once terminal == len(jobs)
-	terminal int           // jobs done or failed
+	drained  chan struct{} // closed once every job is terminal
 
 	tokens   uint64
 	retries  int64 // failed attempts that were re-queued
@@ -81,8 +84,8 @@ func NewQueue(sites []crawler.Site, cfg QueueConfig) *Queue {
 		cfg.Now = time.Now
 	}
 	q := &Queue{
-		jobs:     make(map[string]*job, len(sites)),
-		order:    make([]string, 0, len(sites)),
+		jobs:     make([]job, 0, len(sites)),
+		index:    make(map[string]int, len(sites)),
 		leaseTTL: cfg.LeaseTTL,
 		policy:   cfg.Retry.withDefaults(),
 		rng:      detrand.New(cfg.Seed),
@@ -90,13 +93,14 @@ func NewQueue(sites []crawler.Site, cfg QueueConfig) *Queue {
 		signal:   make(chan struct{}),
 		drained:  make(chan struct{}),
 	}
-	for i, s := range sites {
-		if _, dup := q.jobs[s.Domain]; dup {
+	for _, s := range sites {
+		if _, dup := q.index[s.Domain]; dup {
 			continue
 		}
-		q.jobs[s.Domain] = &job{site: s, seq: i}
-		q.order = append(q.order, s.Domain)
+		q.index[s.Domain] = len(q.jobs)
+		q.jobs = append(q.jobs, job{site: s})
 	}
+	q.count[statePending] = len(q.jobs)
 	if len(q.jobs) == 0 {
 		close(q.drained)
 	}
@@ -106,9 +110,9 @@ func NewQueue(sites []crawler.Site, cfg QueueConfig) *Queue {
 
 // exportGauges registers the queue's depth and retry counters as
 // function gauges on the obs registry, so the progress reporter and the
-// expvar endpoint see live queue state. Each gauge snapshots Progress
-// under the queue lock; the reporter cadence (~1/s) keeps that cheap
-// even at 100K sites. A newer queue (the next crawl of a study) simply
+// expvar endpoint see live queue state. Each gauge reads Progress, the
+// queue's kept counts, under the queue lock: O(1) at any crawl size.
+// A newer queue (the next crawl of a study) simply
 // re-registers the same names and takes the gauges over.
 func (q *Queue) exportGauges() {
 	for name, pick := range map[string]func(Progress) int64{
@@ -130,6 +134,7 @@ func (q *Queue) exportGauges() {
 // Fail, or Release.
 type Lease struct {
 	q     *Queue
+	j     *job
 	token uint64
 	// Site is the leased crawl target.
 	Site crawler.Site
@@ -166,52 +171,65 @@ func (q *Queue) Lease(ctx context.Context, n int) ([]*Lease, bool) {
 	return nil, false
 }
 
-// claim is Lease's one non-blocking step. In one pass in seq order it
-// reclaims expired leases and claims up to n ready jobs. With nothing
-// ready it returns the channel the next state change closes and how long
-// until the earliest deadline; a drained queue returns neither.
+// claim is Lease's one non-blocking step. In seq order it reclaims
+// expired leases and claims up to n ready jobs: it reads the window, then
+// past the frontier (terminal or ready jobs) until n are claimed. With
+// nothing ready it returns the channel the next state change closes and
+// how long until the earliest deadline; a drained queue returns neither.
 func (q *Queue) claim(n int) (ls []*Lease, changed <-chan struct{}, wait time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.now()
-	for _, dom := range q.order {
-		j := q.jobs[dom]
+	for q.settled < len(q.jobs) && q.jobs[q.settled].state >= stateDone {
+		q.settled++
+	}
+	for i := q.settled; i < q.frontier; i++ {
+		j := &q.jobs[i]
 		if j.state == stateLeased && !now.Before(j.expiry) {
 			q.reclaimLocked(j, now)
 		}
-		if len(ls) == n || j.state != statePending || now.Before(j.readyAt) {
-			continue
+		if len(ls) < n && j.state == statePending && !now.Before(j.readyAt) {
+			ls = append(ls, q.leaseLocked(j, now))
 		}
-		j.state = stateLeased
-		j.attempts++
-		j.expiry = now.Add(q.leaseTTL)
-		q.tokens++
-		j.token = q.tokens
-		ls = append(ls, &Lease{q: q, token: j.token, Site: j.site, Attempt: j.attempts})
+	}
+	for ; len(ls) < n && q.frontier < len(q.jobs); q.frontier++ {
+		if j := &q.jobs[q.frontier]; j.state == statePending {
+			ls = append(ls, q.leaseLocked(j, now))
+		}
 	}
 	if len(ls) > 0 {
 		return ls, nil, 0
 	}
-	if q.terminal == len(q.jobs) {
+	if q.count[statePending]+q.count[stateLeased] == 0 { // drained
 		return nil, nil, 0
 	}
 	return nil, q.signal, q.nextWakeLocked(now)
+}
+
+// leaseLocked grants a lease on the pending job j.
+func (q *Queue) leaseLocked(j *job, now time.Time) *Lease {
+	q.setLocked(j, stateLeased)
+	j.attempts++
+	j.expiry = now.Add(q.leaseTTL)
+	q.tokens++
+	j.token = q.tokens
+	return &Lease{q: q, j: j, token: j.token, Site: j.site, Attempt: j.attempts}
 }
 
 // Drained returns a channel that is closed once every job is done or
 // failed — by the settle or restore that makes the last job terminal.
 func (q *Queue) Drained() <-chan struct{} { return q.drained }
 
-// finishLocked makes j terminal, closing drained if it was the last job
-// that was not.
-func (q *Queue) finishLocked(j *job, st jobState) {
-	if j.state != stateDone && j.state != stateFailed {
-		q.terminal++
-		if q.terminal == len(q.jobs) {
-			close(q.drained)
-		}
-	}
+// setLocked moves j to state st and keeps the per-state counts, closing
+// drained when j is the last job to turn terminal.
+func (q *Queue) setLocked(j *job, st jobState) {
+	was := j.state
+	q.count[j.state]--
+	q.count[st]++
 	j.state = st
+	if was < stateDone && st >= stateDone && q.count[stateDone]+q.count[stateFailed] == len(q.jobs) {
+		close(q.drained)
+	}
 }
 
 // reclaimLocked re-queues a leased job whose TTL has elapsed. The
@@ -233,20 +251,22 @@ func (q *Queue) reclaimLocked(j *job, now time.Time) {
 func (q *Queue) settleFailureLocked(j *job, msg string, now time.Time) {
 	j.lastErr = msg
 	if j.attempts >= q.policy.MaxAttempts {
-		q.finishLocked(j, stateFailed)
+		q.setLocked(j, stateFailed)
 		return
 	}
-	j.state = statePending
+	q.setLocked(j, statePending)
 	j.readyAt = now.Add(q.policy.Delay(j.attempts, q.rng))
 	q.retries++
 }
 
 // nextWakeLocked computes how long a blocked Lease call may sleep:
-// until the earliest backoff expiry or lease deadline.
+// until the earliest backoff expiry or lease deadline, all of which lie
+// in the claim window.
 func (q *Queue) nextWakeLocked(now time.Time) time.Duration {
 	const idle = 250 * time.Millisecond
 	wait := idle
-	for _, j := range q.jobs {
+	for i := q.settled; i < q.frontier; i++ {
+		j := &q.jobs[i]
 		var at time.Time
 		switch j.state {
 		case statePending:
@@ -272,19 +292,13 @@ func (q *Queue) wakeLocked() {
 	q.signal = make(chan struct{})
 }
 
-// valid reports whether the lease still owns its job.
-func (l *Lease) valid(j *job) bool {
-	return j != nil && j.state == stateLeased && j.token == l.token
-}
-
 // Heartbeat extends the lease TTL. It returns false when the lease has
 // already been reclaimed (the worker should abandon the site).
 func (l *Lease) Heartbeat() bool {
-	q := l.q
+	q, j := l.q, l.j
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j := q.jobs[l.Site.Domain]
-	if !l.valid(j) {
+	if j.state != stateLeased || j.token != l.token {
 		return false
 	}
 	j.expiry = q.now().Add(q.leaseTTL)
@@ -294,14 +308,13 @@ func (l *Lease) Heartbeat() bool {
 // Complete marks the site done. Stale leases are ignored (returns
 // false).
 func (l *Lease) Complete() bool {
-	q := l.q
+	q, j := l.q, l.j
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j := q.jobs[l.Site.Domain]
-	if !l.valid(j) {
+	if j.state != stateLeased || j.token != l.token {
 		return false
 	}
-	q.finishLocked(j, stateDone)
+	q.setLocked(j, stateDone)
 	j.token = 0
 	q.wakeLocked()
 	return true
@@ -311,11 +324,10 @@ func (l *Lease) Complete() bool {
 // the policy's attempt budget is spent, then turns failed with err as
 // its last error. Stale leases are ignored.
 func (l *Lease) Fail(err error) bool {
-	q := l.q
+	q, j := l.q, l.j
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j := q.jobs[l.Site.Domain]
-	if !l.valid(j) {
+	if j.state != stateLeased || j.token != l.token {
 		return false
 	}
 	msg := "unknown error"
@@ -332,14 +344,13 @@ func (l *Lease) Fail(err error) bool {
 // used when a crawl is cancelled rather than failed, so a resumed run
 // retries the site with a fresh budget.
 func (l *Lease) Release() bool {
-	q := l.q
+	q, j := l.q, l.j
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j := q.jobs[l.Site.Domain]
-	if !l.valid(j) {
+	if j.state != stateLeased || j.token != l.token {
 		return false
 	}
-	j.state = statePending
+	q.setLocked(j, statePending)
 	j.attempts--
 	j.token = 0
 	j.readyAt = time.Time{}
@@ -357,18 +368,22 @@ type Progress struct {
 func (q *Queue) Progress() Progress {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	p := Progress{Total: len(q.jobs), Retries: q.retries, Requeues: q.requeues}
-	for _, j := range q.jobs {
-		switch j.state {
-		case stateDone:
-			p.Done++
-		case stateFailed:
-			p.Failed++
-		case stateLeased:
-			p.Leased++
-		default:
-			p.Pending++
+	return Progress{
+		Total: len(q.jobs), Done: q.count[stateDone], Failed: q.count[stateFailed],
+		Pending: q.count[statePending], Leased: q.count[stateLeased],
+		Retries: q.retries, Requeues: q.requeues,
+	}
+}
+
+// FailedSites maps each site that spent its attempt budget to its last error.
+func (q *Queue) FailedSites() map[string]string {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make(map[string]string, q.count[stateFailed])
+	for i := range q.jobs {
+		if j := &q.jobs[i]; j.state == stateFailed {
+			out[j.site.Domain] = j.lastErr
 		}
 	}
-	return p
+	return out
 }

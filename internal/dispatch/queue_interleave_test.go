@@ -149,14 +149,11 @@ func (w *ilWorld) fork() *ilWorld {
 	f.cfg.Now = clk.now
 	p := w.q
 	q := &Queue{
-		jobs: make(map[string]*job, len(p.jobs)), order: p.order,
+		jobs: append([]job(nil), p.jobs...), index: p.index,
+		settled: p.settled, frontier: p.frontier, count: p.count,
 		leaseTTL: p.leaseTTL, policy: p.policy, rng: p.rng, now: clk.now,
-		signal: make(chan struct{}), drained: make(chan struct{}), terminal: p.terminal,
+		signal: make(chan struct{}), drained: make(chan struct{}),
 		tokens: p.tokens, retries: p.retries, requeues: p.requeues,
-	}
-	for dom, j := range p.jobs {
-		c := *j
-		q.jobs[dom] = &c
 	}
 	if isClosed(p.drained) {
 		close(q.drained)
@@ -165,7 +162,7 @@ func (w *ilWorld) fork() *ilWorld {
 	for h, held := range w.held {
 		for _, hl := range held {
 			l := *hl.l
-			l.q = q
+			l.q, l.j = q, &q.jobs[q.index[l.Site.Domain]]
 			hl.l = &l
 			f.held[h] = append(f.held[h], hl)
 		}
@@ -322,8 +319,8 @@ func (w *ilWorld) claim(h, n int, before []JobRecord) error {
 func (w *ilWorld) key() string {
 	rel := func(at time.Time) int64 { return int64(max(at.Sub(w.clk.t), 0) / ilTick) }
 	b := make([]byte, 0, 64)
-	for _, dom := range w.q.order {
-		j := w.q.jobs[dom]
+	for i := range w.q.jobs {
+		j := &w.q.jobs[i]
 		var at int64 // the one deadline the job's state heeds
 		switch j.state {
 		case statePending:

@@ -1,0 +1,220 @@
+package dispatch
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"repro/internal/analysis"
+	"repro/internal/browser"
+	"repro/internal/crawler"
+	"repro/internal/labeler"
+	"repro/internal/obs"
+	"repro/internal/urlutil"
+)
+
+// The scaling gate compares a crawl with one eight times its size, in
+// one process. The coordinator's half runs at twice the sites: below
+// 16 × 128 = 2 048 sites the ledger's threshold, max(8, N/128), is
+// smaller than a 16-site grant, so every grant commits and the grant,
+// not the rule, sets the cadence.
+var (
+	localSizes       = [2]int{1000, 8000}
+	coordinatorSizes = [2]int{2000, 16000}
+)
+
+// scaleCost is what dispatch spent on one crawl, per settled site.
+type scaleCost struct {
+	nsPerSite         float64
+	checkpointPerSite float64 // checkpoint bytes written
+}
+
+// TestDispatchScales is the host-independent scaling gate for dispatch:
+// what the queue and the ledger cost per site must not grow with the
+// crawl. It runs each of dispatch's two callers at two sizes eight times
+// apart with no page plane behind them — dispatch.Run over a browser
+// that serves one tiny page and records with an empty labeler, and the
+// coordinator's loop of 16-site grants settled through the ledger — and
+// compares the two sizes on two terms:
+//
+//   - checkpoint bytes written per settled site stay within 1.25×. The
+//     count is deterministic (one local worker; the coordinator loop is
+//     sequential), and a commit cadence that does not grow with the crawl
+//     makes it grow with N, since every commit rewrites the whole job
+//     list;
+//   - the best-of-3 wall time per site, less the time spent committing,
+//     does not grow more than 1.5×. A claim that walks every job makes it
+//     grow with N. Commits are left to the bytes term: their fsyncs would
+//     swamp the small crawl, which commits eight times as often per site.
+//     This half skips under the race detector, whose overhead is not
+//     uniform.
+func TestDispatchScales(t *testing.T) {
+	for _, path := range []struct {
+		name  string
+		sizes [2]int
+		run   func(t *testing.T, n int) scaleCost
+	}{
+		{"local", localSizes, scaleLocal},
+		{"coordinator", coordinatorSizes, scaleCoordinator},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			reps := 3 // best of 3 for the timing half
+			if raceEnabled() {
+				reps = 1
+			}
+			// The sizes alternate, so a busy host slows both alike.
+			var costs [2]scaleCost
+			for rep := 0; rep < reps; rep++ {
+				for i, n := range path.sizes {
+					c := path.run(t, n)
+					if rep == 0 || c.nsPerSite < costs[i].nsPerSite {
+						costs[i].nsPerSite = c.nsPerSite
+					}
+					if rep > 0 && c.checkpointPerSite != costs[i].checkpointPerSite {
+						t.Fatalf("%d sites: checkpoint bytes per site %.1f, then %.1f: not deterministic", n, costs[i].checkpointPerSite, c.checkpointPerSite)
+					}
+					costs[i].checkpointPerSite = c.checkpointPerSite
+				}
+			}
+			for i, n := range path.sizes {
+				t.Logf("%5d sites: %8.0f ns/site outside commits, %7.1f checkpoint B/site", n, costs[i].nsPerSite, costs[i].checkpointPerSite)
+			}
+			small, large := costs[0], costs[1]
+			if r := ratio(large.checkpointPerSite, small.checkpointPerSite); r > 1.25 {
+				t.Errorf("checkpoint bytes per site differ %.2f× between %d and %d sites (limit 1.25×)", r, path.sizes[0], path.sizes[1])
+			}
+			if raceEnabled() {
+				t.Log("timing half skipped under the race detector")
+				return
+			}
+			if r := large.nsPerSite / small.nsPerSite; r > 1.5 {
+				t.Errorf("ns per site at %d sites is %.2f× that at %d (limit 1.5×)", path.sizes[1], r, path.sizes[0])
+			}
+		})
+	}
+}
+
+// ratio is the larger of a and b over the smaller.
+func ratio(a, b float64) float64 { return max(a, b) / min(a, b) }
+
+// scaleSites names n sites.
+func scaleSites(n int) []crawler.Site {
+	sites := make([]crawler.Site, n)
+	for i := range sites {
+		sites[i] = crawler.Site{Domain: fmt.Sprintf("site%05d.test", i), Rank: i + 1}
+	}
+	return sites
+}
+
+// measure runs crawl and charges its wall time outside commits and the
+// checkpoint bytes it wrote to its n sites.
+func measure(t *testing.T, n int, crawl func()) scaleCost {
+	t.Helper()
+	bytes0, committing0 := obs.CheckpointBytes.Value(), obs.StageCheckpoint.Sum()
+	start := time.Now()
+	crawl()
+	elapsed := time.Since(start) - (obs.StageCheckpoint.Sum() - committing0)
+	return scaleCost{
+		nsPerSite:         float64(elapsed.Nanoseconds()) / float64(n),
+		checkpointPerSite: float64(obs.CheckpointBytes.Value()-bytes0) / float64(n),
+	}
+}
+
+// tinyPage is the whole stub web: every URL serves it.
+var tinyPage = []byte("<html><head><title>t</title></head><body><p>ok</p></body></html>")
+
+// scaleLocal is one dispatch.Run over n sites of one tiny page each.
+func scaleLocal(t *testing.T, n int) scaleCost {
+	dir := t.TempDir()
+	cfg := Config{
+		Name:         "scale",
+		Meta:         analysis.DatasetMeta{Name: "scale"},
+		Sites:        scaleSites(n),
+		Workers:      1,
+		PagesPerSite: 1,
+		Seed:         1,
+		NewBrowser: func(site crawler.Site, _ int) *browser.Browser {
+			return browser.New(browser.Config{
+				Version: 57,
+				Seed:    crawler.SiteSeed(1, site.Domain),
+				Fetch: func(*urlutil.URL, []byte) (int, string, []byte, error) {
+					return 200, "text/html", tinyPage, nil
+				},
+			})
+		},
+		Recorder:       analysis.NewRecorder(labeler.New()),
+		SpoolDir:       filepath.Join(dir, "spool"),
+		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+	}
+	var res *Result
+	cost := measure(t, n, func() {
+		var err error
+		if res, err = Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if p := res.Progress; p.Done != n {
+		t.Fatalf("local crawl settled %+v, want %d done", p, n)
+	}
+	return cost
+}
+
+// scaleCoordinator is the coordinator's dispatch loop over n sites: lease
+// a grant of up to 16 sites, append one page per site, complete each
+// lease, and report the settle to the ledger — what fabric.Coordinator
+// does per grant, without the wire.
+func scaleCoordinator(t *testing.T, n int) scaleCost {
+	dir := t.TempDir()
+	sites := scaleSites(n)
+	q := NewQueue(sites, QueueConfig{Seed: 1})
+	l, err := OpenLedger(LedgerConfig{
+		Crawl:          Checkpoint{Name: "scale", Seed: 1, PagesPerSite: 1, TotalSites: n},
+		Meta:           analysis.DatasetMeta{Name: "scale"},
+		SpoolDir:       filepath.Join(dir, "spool"),
+		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cost := measure(t, n, func() {
+		for {
+			ls, ok := q.Lease(context.Background(), 16)
+			if !ok {
+				break
+			}
+			for _, le := range ls {
+				if err := l.Append(rec(le.Site.Domain, "http://"+le.Site.Domain+"/")); err != nil {
+					t.Fatal(err)
+				}
+				le.Complete()
+			}
+			if err := l.Settled(len(ls), q.ExportJobs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Commit(q.ExportJobs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if p := q.Progress(); p.Done != n {
+		t.Fatalf("coordinator loop settled %+v, want %d done", p, n)
+	}
+	return cost
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector.
+func raceEnabled() bool {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
+}

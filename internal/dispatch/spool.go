@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -97,9 +98,9 @@ func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (
 		}
 		var w *bufio.Writer
 		if batch.Bytes > 0 {
-			w = bufio.NewWriterSize(countingWriter{f}, batch.Bytes)
+			w = bufio.NewWriterSize(countingWriter{f, obs.SpoolBytes}, batch.Bytes)
 		} else {
-			w = bufio.NewWriter(countingWriter{f})
+			w = bufio.NewWriter(countingWriter{f, obs.SpoolBytes})
 		}
 		s.shards = append(s.shards, &shardFile{f: f, w: w})
 	}
@@ -125,16 +126,17 @@ func (s *Spooler) ShardFor(domain string) int {
 	return int(h.Sum64() % uint64(len(s.shards)))
 }
 
-// countingWriter counts every byte that reaches a shard file in the
-// spool.bytes metric. It sits under the bufio layer, so the count
-// reflects durably flushed bytes, not buffered ones.
+// countingWriter counts every byte written through it in a metric:
+// spool.bytes under a shard's bufio layer, so the count reflects flushed
+// bytes, not buffered ones, and checkpoint.bytes.
 type countingWriter struct {
-	f *os.File
+	w io.Writer
+	n *obs.Counter
 }
 
 func (c countingWriter) Write(p []byte) (int, error) {
-	n, err := c.f.Write(p)
-	obs.SpoolBytes.Add(int64(n))
+	n, err := c.w.Write(p)
+	c.n.Add(int64(n))
 	return n, err
 }
 

@@ -93,7 +93,7 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	defer cancel()
 	var pages atomic.Int64
 	cfg := env.config(dir, 2)
-	cfg.CheckpointEvery = 1
+	cfg.commitEvery = 1
 	cfg.StoreDir = filepath.Join(dir, "store")
 	cfg.OnPage = func(crawler.Site, string) {
 		if pages.Add(1) == 10 {
@@ -112,7 +112,7 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	}
 
 	cfg2 := env.config(dir, 2)
-	cfg2.CheckpointEvery = 1
+	cfg2.commitEvery = 1
 	cfg2.StoreDir = cfg.StoreDir
 	cfg2.Resume = true
 	res2, err := Run(context.Background(), cfg2)

@@ -48,10 +48,10 @@ type JobRecord struct {
 func (q *Queue) ExportJobs() []JobRecord {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]JobRecord, 0, len(q.order))
-	for _, dom := range q.order {
-		j := q.jobs[dom]
-		rec := JobRecord{Domain: dom, Rank: j.site.Rank, Attempts: j.attempts, LastErr: j.lastErr}
+	out := make([]JobRecord, 0, len(q.jobs))
+	for i := range q.jobs {
+		j := &q.jobs[i]
+		rec := JobRecord{Domain: j.site.Domain, Rank: j.site.Rank, Attempts: j.attempts, LastErr: j.lastErr}
 		switch j.state {
 		case stateDone:
 			rec.State = JobDone
@@ -73,15 +73,16 @@ func (q *Queue) RestoreJobs(recs []JobRecord) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, rec := range recs {
-		j := q.jobs[rec.Domain]
-		if j == nil {
+		i, ok := q.index[rec.Domain]
+		if !ok {
 			continue
 		}
+		j := &q.jobs[i]
 		switch rec.State {
 		case JobDone:
-			q.finishLocked(j, stateDone)
+			q.setLocked(j, stateDone)
 		case JobFailed:
-			q.finishLocked(j, stateFailed)
+			q.setLocked(j, stateFailed)
 			j.lastErr = rec.LastErr
 		}
 		if rec.Attempts > 0 {

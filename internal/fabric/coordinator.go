@@ -66,11 +66,11 @@ type CoordinatorConfig struct {
 // are dispatch.Queue's, over the same sites dispatch.Run queues: a grant
 // is up to BatchSize site leases from one claim step, and each site
 // settles on its own. The queue is the coordinator's only clock: a
-// waiting session blocks in its Lease, and Wait in its Drained. The
-// ledger commits after every settled grant, so a killed coordinator
-// resumes without losing completed work. What is the coordinator's own is
-// the wire session loop and the decision when to commit; everything
-// durable is the ledger's (DESIGN.md §7).
+// waiting session blocks in its Lease, and Wait in its Drained. What is
+// the coordinator's own is the wire session loop; everything durable,
+// and when to commit it, is the ledger's (DESIGN.md §7): a killed
+// coordinator resumes at most max(8, N/128) − 1 settled sites stale, as a
+// local crawl does, and re-crawls them into identical spool bytes.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	queue  *dispatch.Queue
@@ -180,15 +180,7 @@ func (c *Coordinator) ResumedDone() int { return c.resumedDone }
 
 // FailedSites maps the sites that spent their attempt budget to their
 // last error, read off the queue as dispatch.Run reads its own.
-func (c *Coordinator) FailedSites() map[string]string {
-	out := map[string]string{}
-	for _, rec := range c.queue.ExportJobs() {
-		if rec.State == dispatch.JobFailed {
-			out[rec.Domain] = rec.LastErr
-		}
-	}
-	return out
-}
+func (c *Coordinator) FailedSites() map[string]string { return c.queue.FailedSites() }
 
 // Wait blocks until every site is settled and each session that owed a
 // worker an answer has written it, or until ctx ends. A Close after Wait
@@ -220,7 +212,7 @@ func (c *Coordinator) Finalize(meta analysis.DatasetMeta) (*analysis.Dataset, an
 	if meta != c.meta() {
 		return nil, analysis.MergeStats{}, fmt.Errorf("fabric: Finalize for dataset %+v, but the crawl is %+v", meta, c.meta())
 	}
-	if err := c.commit(); err != nil {
+	if err := c.ledger.Commit(c.queue.ExportJobs); err != nil {
 		return nil, analysis.MergeStats{}, err
 	}
 	return c.ledger.Finalize()
@@ -233,7 +225,7 @@ func (c *Coordinator) Close() error {
 	if !c.shutdown() {
 		return nil
 	}
-	err := c.commit()
+	err := c.ledger.Commit(c.queue.ExportJobs)
 	if lErr := c.ledger.Close(); lErr != nil && err == nil {
 		err = lErr
 	}
@@ -400,8 +392,9 @@ func (g *grant) settle(op func(*dispatch.Lease) bool) (live int) {
 }
 
 // serve acts on one worker frame and writes its answer, if it has one.
-// false ends the session.
+// false ends the session. Each settle is reported to the ledger.
 func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) bool {
+	var settled int // site attempts this frame settled
 	switch m := dec.Msg.(type) {
 	case nil: // control frame
 		if dec.Type != wire.TypeLease {
@@ -438,7 +431,7 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		// under the policy, as a local crawl's failed sites do.
 		g := s.held[m.Batch]
 		delete(s.held, m.Batch)
-		settled := g.settle(func(l *dispatch.Lease) bool {
+		settled = g.settle(func(l *dispatch.Lease) bool {
 			if msg, failed := m.FailedSites[l.Site.Domain]; failed {
 				return l.Fail(errors.New(msg))
 			}
@@ -450,23 +443,23 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		}
 		obs.FabricBatchesDone.Inc()
 		obs.FabricBatchRTT.ObserveSince(g.at)
-		if c.cfg.Logf != nil {
-			// Progress scans every job: only a line someone reads pays it.
-			p := c.queue.Progress()
-			c.logf("fabric: grant %s complete (%d pages, %d sites failed) from %s [%d/%d sites done]",
-				m.Batch, m.Pages, len(m.FailedSites), s.worker, p.Done, p.Total)
-		}
-		c.commitLogged()
+		p := c.queue.Progress()
+		c.logf("fabric: grant %s complete (%d pages, %d sites failed) from %s [%d/%d sites done]",
+			m.Batch, m.Pages, len(m.FailedSites), s.worker, p.Done, p.Total)
 	case *wire.Fail:
 		g := s.held[m.Batch]
 		delete(s.held, m.Batch)
-		if g.settle(func(l *dispatch.Lease) bool { return l.Fail(errors.New(m.Err)) }) > 0 {
+		if settled = g.settle(func(l *dispatch.Lease) bool { return l.Fail(errors.New(m.Err)) }); settled > 0 {
 			c.logf("fabric: grant %s failed on %s: %s", m.Batch, s.worker, m.Err)
-			c.commitLogged()
 		}
 	default:
 		c.logf("fabric: worker %s sent unexpected %q", s.worker, dec.Type)
 		return false
+	}
+	if settled > 0 {
+		if err := c.ledger.Settled(settled, c.queue.ExportJobs); err != nil {
+			c.logf("fabric: checkpoint: %v", err) // the next due settle or Close retries
+		}
 	}
 	// A settle that leaves the queue drained is answered drained at once,
 	// while Wait is still held off: the worker hears it before Close.
@@ -512,25 +505,8 @@ func (c *Coordinator) grant(ctx context.Context, s *session) bool {
 
 // drained reports whether every site is settled.
 func (c *Coordinator) drained() bool {
-	select {
-	case <-c.queue.Drained():
-		return true
-	default:
-		return false
-	}
-}
-
-// commit checkpoints the site queue. Called after every settled grant
-// and on Close, so a killed coordinator is at worst one grant stale — and
-// re-crawling its sites produces identical spool bytes anyway.
-func (c *Coordinator) commit() error { return c.ledger.Commit(c.queue.ExportJobs) }
-
-// commitLogged is commit after a settle, whose failure only costs
-// re-crawling: the next settle or Close commits again.
-func (c *Coordinator) commitLogged() {
-	if err := c.commit(); err != nil {
-		c.logf("fabric: checkpoint: %v", err)
-	}
+	p := c.queue.Progress()
+	return p.Done+p.Failed == p.Total
 }
 
 func (c *Coordinator) logf(format string, args ...any) {

@@ -442,10 +442,15 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		c1 := startCoord(t, crawlBin, dir, addr, false, "-store-dir", storeDir)
 		url := c1.url(t)
 		worker := startWorker(t, crawlBin, url, "w0", 1)
-		select {
-		case <-c1.complete:
-		case <-time.After(60 * time.Second):
-			t.Fatalf("no batch completed before coordinator kill\n%s", c1.log(t))
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			if cp, err := dispatch.LoadCheckpoint(filepath.Join(dir, "checkpoint.json")); err == nil && len(cp.Done) > 0 {
+				break // the ledger's commit rule has written its first checkpoint
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no checkpoint written before coordinator kill\n%s", c1.log(t))
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 		if err := c1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
 			t.Fatal(err)
@@ -455,7 +460,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		// Restart on the same address with -resume; the worker's dial
 		// retry (default budget: ~25s of backoff) rides the gap out.
 		var c2 *coordProc
-		deadline := time.Now().Add(15 * time.Second)
+		deadline = time.Now().Add(15 * time.Second)
 		for {
 			c2 = startCoord(t, crawlBin, dir, addr, true, "-store-dir", storeDir)
 			select {

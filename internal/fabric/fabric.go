@@ -17,10 +17,11 @@
 //     coordinator is the second caller (dispatch.Run is the first): page
 //     records stream back as pre-encoded spool lines and are appended
 //     verbatim (Ledger.AppendLine), so the distributed spool is
-//     byte-identical to a locally written one; progress is committed
-//     after every settled grant, in the single-process checkpoint format
-//     (either role resumes the other's checkpoint); and the final dataset
-//     comes from the ledger's one finalize rule;
+//     byte-identical to a locally written one; progress is committed by
+//     the ledger's one commit rule, the local crawl's, in the
+//     single-process checkpoint format (either role resumes the other's
+//     checkpoint); and the final dataset comes from the ledger's one
+//     finalize rule;
 //   - coordinator↔worker links accept faultnet profiles, and workers
 //     survive coordinator restarts via seeded dial retry.
 //

@@ -15,6 +15,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/oracle"
 	"repro/internal/crawler"
+	"repro/internal/dispatch"
 	"repro/internal/fabric/wire"
 	"repro/internal/wsproto"
 )
@@ -296,7 +297,10 @@ func TestFabricStoreSurvivesCoordinatorKill(t *testing.T) {
 	go func() {
 		workerDone <- runTestWorker(ctx, "w0", "ws://"+addr+"/fabric", workerOpts{seed: 1, delay: 2 * time.Millisecond})
 	}()
-	for c1.Progress().Done < 3 {
+	for {
+		if cp, err := dispatch.LoadCheckpoint(filepath.Join(dir, "checkpoint.json")); err == nil && len(cp.Done) > 0 {
+			break // the ledger's commit rule has written its first checkpoint
+		}
 		select {
 		case <-ctx.Done():
 			t.Fatal("no progress before the kill")

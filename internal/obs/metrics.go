@@ -25,6 +25,7 @@ const (
 
 	// Durability layer.
 	MCheckpointWrites = "checkpoint.writes"
+	MCheckpointBytes  = "checkpoint.bytes"
 	MSpoolAppends     = "spool.appends"
 	MSpoolBytes       = "spool.bytes"
 	MMergePages       = "merge.pages"
@@ -165,6 +166,7 @@ var (
 	CrawlSitePanics = Default.Counter(MSitePanics)
 
 	CheckpointWrites = Default.Counter(MCheckpointWrites)
+	CheckpointBytes  = Default.Counter(MCheckpointBytes)
 	SpoolAppends     = Default.Counter(MSpoolAppends)
 	SpoolBytes       = Default.Counter(MSpoolBytes)
 	MergePages       = Default.Counter(MMergePages)

@@ -153,15 +153,21 @@ func (c *cursor) lit(l string) bool {
 	return true
 }
 
+// maxHint caps the size hint of a list: a body of commas must not buy an
+// allocation in proportion to them before the cursor declines it.
+const maxHint = 32
+
 // list decodes the rest of a non-empty array (the encoder omits empty
-// ones) whose '[' has been consumed, sized once from a count of its
-// top-level commas. The count is exact for every literal the cursor
-// goes on to accept: no accepted string holds a quote.
+// ones) whose '[' has been consumed, its capacity hinted by a count of
+// its top-level commas up to maxHint. The count is exact for every
+// literal the cursor goes on to accept: no accepted string holds a quote.
 func list[T any](c *cursor, elem func(*cursor, *T) bool) ([]T, bool) {
 	n, depth, quoted := 1, 0, false
 count:
 	for _, b := range []byte(c.s[c.i:]) {
 		switch {
+		case n == maxHint:
+			break count
 		case b == '"':
 			quoted = !quoted
 		case quoted:
@@ -176,13 +182,20 @@ count:
 			n++
 		}
 	}
-	out := make([]T, n)
-	for i := range out {
-		if i > 0 && !c.lit(",") || !elem(c, &out[i]) {
+	out := make([]T, 0, n)
+	for {
+		var zero T
+		out = append(out, zero)
+		if !elem(c, &out[len(out)-1]) {
+			return nil, false
+		}
+		if c.lit("]") {
+			return out, true
+		}
+		if !c.lit(",") {
 			return nil, false
 		}
 	}
-	return out, c.lit("]")
 }
 
 func (c *cursor) op(o *Op) bool {

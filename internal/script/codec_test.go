@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -275,4 +276,27 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	ref := testing.AllocsPerRun(200, func() { _, _ = refDecode(body) })
 	t.Logf("encoding/json decoder: %.0f allocs", ref)
+}
+
+// TestCursorBoundsHints: the cursor sizes a list from a count of its
+// commas, so a hostile body of commas must not buy an allocation in
+// proportion to them before it is declined (an Op is 72 bytes: 100 000
+// commas asked for 7.2 MB).
+func TestCursorBoundsHints(t *testing.T) {
+	commas := strings.Repeat(",", 100000)
+	for _, lit := range []string{
+		`{"ops":[` + commas + `]}`,
+		`{"ops":[{"do":"open_websocket","send":[` + commas + `]}]}`,
+		`{"ops":[{"do":"open_websocket","send":[{"kinds":[` + commas + `]}]}]}`,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, ok := script.FastDecode(lit); ok {
+			t.Fatalf("accepted %.60q…", lit)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("declining %.60q… allocated %d bytes", lit, n)
+		}
+	}
 }

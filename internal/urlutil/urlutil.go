@@ -119,9 +119,10 @@ func parseFast(raw string) (*URL, bool) {
 		return nil, false
 	}
 	u := &URL{Raw: raw, Scheme: scheme, Host: host, Port: port, Path: path, Query: query}
-	if end < len(rest) && rest[end] == '/' {
-		// The input spelled out its path, so reassembly reproduces it
-		// verbatim: String() can return the original bytes.
+	if end < len(rest) && rest[end] == '/' && (query != "" || raw[len(raw)-1] != '?') {
+		// The input spelled out its path, and any '?' has a query after
+		// it, so reassembly reproduces it verbatim: String() can return
+		// the original bytes.
 		u.str = raw
 	}
 	return u, true
