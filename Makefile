@@ -29,12 +29,14 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestLoadSoak' ./internal/loadgen/
 
 # Native fuzz targets, each for a short FUZZTIME (`go test -fuzz` takes
-# one target per invocation); 18 of them. The differential targets hold
+# one target per invocation); TestFuzzSmokeListsEveryTarget holds this
+# list to every func Fuzz… in the tree. The differential targets hold
 # the on-demand PRNG to math/rand, the content scanners to the regexps
 # they replaced, the filter-list parser + indexed matcher to the linear
-# scan, the three hand JSON codecs to encoding/json (the script codec,
-# the spool codec, and the fabric frame decoder — FuzzWireDecode also
-# holds accepted frames to their own re-encoding), urlutil.Parse's fast
+# scan, the three hand JSON codecs — the script codec, the spool codec
+# and the fabric frame codec, schema walkers over internal/jsonshape —
+# to encoding/json (FuzzWireDecode also holds accepted frames to their
+# own re-encoding), urlutil.Parse's fast
 # path to net/url, the WebSocket handshake parsers (the first decoders
 # that face another process's bytes) to net/http's and to their 64 KiB
 # head cap, and the web server's in-process transports to its wire;

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -166,4 +167,67 @@ func TestCommandSurfaceMatchesDocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzSmokeLine is one target of the Makefile's fuzz-smoke recipe, and
+// fuzzFunc a native fuzz target's declaration.
+var (
+	fuzzSmokeLine = regexp.MustCompile(`\$\(GO\) test (\S+) -run '\^\$\$' -fuzz '\^(Fuzz\w+)\$\$'`)
+	fuzzFunc      = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+)
+
+// TestFuzzSmokeListsEveryTarget: `make fuzz-smoke` runs every native
+// fuzz target in the tree exactly once. A func Fuzz… in a _test.go file
+// that the recipe misses, a target it lists twice, or one it lists that
+// no test file declares, fails here instead of drifting from the list.
+func TestFuzzSmokeListsEveryTarget(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, ok := strings.Cut(string(makefile), "\nfuzz-smoke:\n")
+	if !ok {
+		t.Fatal("Makefile has no fuzz-smoke target")
+	}
+	recipe, _, _ = strings.Cut(recipe, "\n\n")
+	listed := map[string]int{}
+	for _, m := range fuzzSmokeLine.FindAllStringSubmatch(recipe, -1) {
+		listed[m[1]+" "+m[2]]++
+	}
+	declared := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			declared["./"+filepath.ToSlash(filepath.Dir(path))+" "+m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for target := range declared {
+		if listed[target] == 0 {
+			t.Errorf("make fuzz-smoke does not run %s", target)
+		}
+	}
+	for target, n := range listed {
+		switch {
+		case n > 1:
+			t.Errorf("make fuzz-smoke runs %s %d times", target, n)
+		case !declared[target]:
+			t.Errorf("make fuzz-smoke runs %s, which no test file declares", target)
+		}
+	}
+	t.Logf("%d fuzz targets", len(declared))
 }

@@ -20,6 +20,7 @@ package analysis
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -46,6 +47,16 @@ type PageRecord struct {
 	NonAAObs map[string]int `json:"nonAaObs,omitempty"`
 	// CDNObs counts opaque-CDN adjacency sightings on this page.
 	CDNObs map[string]int `json:"cdnObs,omitempty"`
+}
+
+// ShardFor maps a site domain to one of n shards: FNV-1a (hash/fnv's
+// New64a) of the domain, mod n. The spool and the column store both
+// partition records by it, and its values decide which file each record
+// goes to on disk, so they must never change (TestShardForIsFNV1a).
+func ShardFor(domain string, n int) int {
+	h := fnv.New64a()
+	h.Write([]byte(domain))
+	return int(h.Sum64() % uint64(n))
 }
 
 // Recorder converts live page loads into PageRecords. It reads the

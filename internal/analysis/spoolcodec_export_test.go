@@ -13,7 +13,7 @@ var FastDecodeSpool = decodeSpoolFast
 func FastEncodeSpool(rec *PageRecord) (line []byte, ok bool) {
 	var e spoolEnc
 	e.record(rec)
-	return e.b, !e.bad
+	return e.B, !e.Bad
 }
 
 // SkipIfRace is skipIfRace, for the allocation tests outside the

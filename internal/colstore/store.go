@@ -32,7 +32,6 @@ package colstore
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -311,12 +310,10 @@ func (s *Store) replaySegments() error {
 	return nil
 }
 
-// ShardFor maps a site domain to its shard, with the same hash the
-// spool uses so the two partitions agree.
+// ShardFor maps a site domain to its shard: analysis.ShardFor, the
+// spool's rule, so the two partitions agree.
 func (s *Store) ShardFor(domain string) int {
-	h := fnv.New64a()
-	h.Write([]byte(domain))
-	return int(h.Sum64() % uint64(s.shards))
+	return analysis.ShardFor(domain, s.shards)
 }
 
 // Ingest folds one page record into the live aggregation and buffers it

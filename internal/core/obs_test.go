@@ -104,11 +104,7 @@ func TestCrawlPopulatesMetrics(t *testing.T) {
 // appended to the row's single prefix.
 func documentedMetrics(t *testing.T) map[string]string {
 	t.Helper()
-	doc, err := os.ReadFile(filepath.Join("..", "..", "OPERATIONS.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, table, ok := strings.Cut(string(doc), "### Metric names\n")
+	_, table, ok := strings.Cut(operationsDoc(t), "### Metric names\n")
 	if !ok {
 		t.Fatal(`OPERATIONS.md has no "### Metric names" section`)
 	}
@@ -156,6 +152,37 @@ func documentedMetrics(t *testing.T) map[string]string {
 	return out
 }
 
+func operationsDoc(t *testing.T) string {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(doc)
+}
+
+// troubleshootingMetrics returns the metric names OPERATIONS.md's two
+// troubleshooting sections cite: every backticked lower-case dotted name
+// (`crawl.commit`). Go identifiers (`webserver.Fetch`) carry a capital,
+// and the sections write file names without backticks.
+func troubleshootingMetrics(t *testing.T) []string {
+	t.Helper()
+	doc := operationsDoc(t)
+	metric := regexp.MustCompile("`([a-z][a-z0-9_]*(?:\\.[a-z0-9_]+)+)`")
+	var out []string
+	for _, heading := range []string{"### Troubleshooting a slow crawl\n", "## Troubleshooting\n"} {
+		_, section, ok := strings.Cut(doc, heading)
+		if !ok {
+			t.Fatalf("OPERATIONS.md has no %q section", strings.TrimSpace(heading))
+		}
+		section, _, _ = strings.Cut(section, "\n## ")
+		for _, m := range metric.FindAllStringSubmatch(section, -1) {
+			out = append(out, m[1])
+		}
+	}
+	return out
+}
+
 // TestMetricCatalogueMatchesDocs holds OPERATIONS.md's "Metric names"
 // table to the registry: after a crawl (which registers the lazily
 // added queue.* function gauges) every registered metric is documented
@@ -187,4 +214,11 @@ func TestMetricCatalogueMatchesDocs(t *testing.T) {
 			t.Errorf("OPERATIONS.md documents %s (%s), which nothing registers", name, kind)
 		}
 	}
+	cited := troubleshootingMetrics(t)
+	for _, name := range cited {
+		if _, ok := registered[name]; !ok {
+			t.Errorf("OPERATIONS.md's troubleshooting cites %s, which nothing registers", name)
+		}
+	}
+	t.Logf("troubleshooting cites %d metrics", len(cited))
 }

@@ -3,7 +3,6 @@ package dispatch
 import (
 	"bufio"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,7 +16,7 @@ import (
 //
 // Layout: <dir>/shard-NNN.jsonl, one file per shard, one JSON-encoded
 // analysis.PageRecord per line. A site's pages always land in the same
-// shard (fnv64a(domain) mod shards). Appends are group-committed under
+// shard (analysis.ShardFor). Appends are group-committed under
 // the Spooler's BatchPolicy, so a crash loses at most one unflushed
 // group per shard (one line under the zero policy). The loss is repaired
 // identically on resume either way: the Ledger's replay cuts a partially
@@ -119,11 +118,9 @@ func (s *Spooler) Paths() []string {
 	return out
 }
 
-// ShardFor maps a site domain to its shard index.
+// ShardFor maps a site domain to its shard index (analysis.ShardFor).
 func (s *Spooler) ShardFor(domain string) int {
-	h := fnv.New64a()
-	h.Write([]byte(domain))
-	return int(h.Sum64() % uint64(len(s.shards)))
+	return analysis.ShardFor(domain, len(s.shards))
 }
 
 // countingWriter counts every byte written through it in a metric:

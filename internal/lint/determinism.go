@@ -19,6 +19,7 @@ var deterministicPackages = map[string]bool{
 	"repro/internal/wsproto":     true,
 	"repro/internal/faultnet":    true,
 	"repro/internal/fabric/wire": true,
+	"repro/internal/jsonshape":   true,
 	"repro/internal/colstore":    true,
 }
 

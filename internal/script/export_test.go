@@ -12,7 +12,7 @@ var FastDecode = decodeFast
 func FastEncode(p *Program) (lit []byte, ok bool) {
 	var e enc
 	e.program(p)
-	return e.b, !e.bad
+	return e.B, !e.Bad
 }
 
 // Assign is the text that introduces the literal in a body.

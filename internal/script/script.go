@@ -115,17 +115,18 @@ func (p *Program) Encode() ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := enc{b: make([]byte, 0, p.sizeHint())}
-	e.lit(prologue)
-	if e.program(p); e.bad {
+	var e enc
+	e.B = make([]byte, 0, p.sizeHint())
+	e.Lit(prologue)
+	if e.program(p); e.Bad {
 		data, err := json.Marshal(p)
 		if err != nil {
 			return nil, fmt.Errorf("script: encode: %w", err)
 		}
-		e.b = append(e.b[:len(prologue)], data...)
+		e.B = append(e.B[:len(prologue)], data...)
 	}
-	e.lit(epilogue)
-	return e.b, nil
+	e.Lit(epilogue)
+	return e.B, nil
 }
 
 // MustEncode is Encode, panicking on error; for generator tables.

@@ -310,7 +310,13 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 	c.inFrag = false
 	for {
 		fin, op, plen, masked, key, err := c.readHeader()
-		if err != nil {
+		switch err {
+		case nil:
+		case ErrReservedBits, ErrInvalidOpcode, ErrBadPayloadLength, ErrControlTooLong, ErrControlFragmented:
+			// A header RFC 6455 §5.2 forbids fails the connection.
+			c.failConn(CloseProtocolError)
+			return 0, nil, err
+		default:
 			return 0, nil, err
 		}
 		// Enforce masking direction (RFC 6455 §5.1).
@@ -400,7 +406,12 @@ func (c *Conn) handleControl(op Opcode, payload []byte) (done bool, err error) {
 		return false, nil
 	case OpClose:
 		code, reason, perr := parseClosePayload(payload)
-		if perr != nil {
+		switch perr {
+		case nil:
+		case ErrInvalidUTF8:
+			c.failConn(CloseInvalidPayload)
+			return true, perr
+		default:
 			c.failConn(CloseProtocolError)
 			return true, perr
 		}

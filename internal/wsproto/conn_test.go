@@ -3,6 +3,7 @@ package wsproto
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -180,6 +181,81 @@ func TestConnRejectsInvalidUTF8Text(t *testing.T) {
 	_, _, err := server.ReadMessage()
 	if err != ErrInvalidUTF8 {
 		t.Errorf("got %v, want ErrInvalidUTF8", err)
+	}
+}
+
+// TestConnFailsProtocolViolations is an Autobahn-style RFC 6455 case
+// table: each row sends the server one frame the RFC forbids and checks
+// both the error ReadMessage returns and the close code the peer reads
+// once the caller closes, as a deferred Close does.
+func TestConnFailsProtocolViolations(t *testing.T) {
+	// frame builds a client frame masked with a zero key; b0 holds FIN,
+	// RSV and the opcode, ext the extended length.
+	frame := func(b0, len7 byte, ext, payload []byte) []byte {
+		b := append(append([]byte{b0, 0x80 | len7}, ext...), 0, 0, 0, 0)
+		return append(b, payload...)
+	}
+	short := func(b0 byte, payload []byte) []byte { return frame(b0, byte(len(payload)), nil, payload) }
+	closeWith := func(code uint16, reason string) []byte {
+		return short(0x88, append(binary.BigEndian.AppendUint16(nil, code), reason...))
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		err  error
+		code int
+	}{
+		{"reserved bit 1", short(0xC1, []byte("x")), ErrReservedBits, CloseProtocolError},
+		{"reserved bit 3", short(0x91, []byte("x")), ErrReservedBits, CloseProtocolError},
+		{"reserved data opcode", short(0x83, nil), ErrInvalidOpcode, CloseProtocolError},
+		{"reserved control opcode", short(0x8B, nil), ErrInvalidOpcode, CloseProtocolError},
+		{"non-minimal 16-bit length", frame(0x81, 126, []byte{0, 5}, []byte("hello")), ErrBadPayloadLength, CloseProtocolError},
+		{"non-minimal 64-bit length", frame(0x82, 127, []byte{0, 0, 0, 0, 0, 0, 0, 200}, make([]byte, 200)), ErrBadPayloadLength, CloseProtocolError},
+		{"oversized ping", frame(0x89, 126, []byte{0, 126}, make([]byte, 126)), ErrControlTooLong, CloseProtocolError},
+		{"fragmented ping", short(0x09, []byte("p")), ErrControlFragmented, CloseProtocolError},
+		{"1-byte close", short(0x88, []byte{0x03}), ErrInvalidCloseFrame, CloseProtocolError},
+		{"close code 1005", closeWith(1005, ""), ErrInvalidCloseFrame, CloseProtocolError},
+		{"close code 1006", closeWith(1006, ""), ErrInvalidCloseFrame, CloseProtocolError},
+		{"close code 999", closeWith(999, ""), ErrInvalidCloseFrame, CloseProtocolError},
+		{"close code 5000", closeWith(5000, ""), ErrInvalidCloseFrame, CloseProtocolError},
+		{"close reason not UTF-8", closeWith(1000, "\xff\xfe"), ErrInvalidUTF8, CloseInvalidPayload},
+		{"text not UTF-8", short(0x81, []byte{0xFF, 0xFE, 0xFD}), ErrInvalidUTF8, CloseInvalidPayload},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cc, sc := net.Pipe()
+			server := newConn(sc, nil, false, rand.New(rand.NewSource(9)))
+			// net.Pipe is unbuffered: the peer writes and reads on goroutines
+			// of their own, and the write ends when the server shuts down.
+			wrote := make(chan struct{})
+			go func() {
+				_, _ = cc.Write(tc.in)
+				close(wrote)
+			}()
+			peer := make(chan *Frame, 1)
+			go func() {
+				f, _ := ReadFrame(cc, 0)
+				peer <- f
+			}()
+			_, _, err := server.ReadMessage()
+			server.Close()
+			var f *Frame
+			select {
+			case f = <-peer:
+			case <-time.After(5 * time.Second):
+				t.Fatal("peer read nothing")
+			}
+			cc.Close()
+			<-wrote
+			if err != tc.err {
+				t.Errorf("ReadMessage: %v, want %v", err, tc.err)
+			}
+			if f == nil || f.Opcode != OpClose {
+				t.Fatalf("peer read %+v, want a close frame", f)
+			}
+			if code, _, _ := parseClosePayload(f.Payload); code != tc.code {
+				t.Errorf("peer read close code %d, want %d", code, tc.code)
+			}
+		})
 	}
 }
 

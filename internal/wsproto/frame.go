@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // Opcode identifies the frame type per RFC 6455 §5.2.
@@ -106,7 +107,7 @@ var (
 	ErrUnmaskedClient     = errors.New("wsproto: client frame not masked")
 	ErrMaskedServer       = errors.New("wsproto: server frame masked")
 	ErrInvalidCloseFrame  = errors.New("wsproto: malformed close frame payload")
-	ErrInvalidUTF8        = errors.New("wsproto: invalid UTF-8 in text message")
+	ErrInvalidUTF8        = errors.New("wsproto: invalid UTF-8 in text message or close reason")
 	ErrUnexpectedContinue = errors.New("wsproto: continuation frame without preceding data frame")
 	ErrExpectedContinue   = errors.New("wsproto: new data frame while fragmented message in progress")
 )
@@ -311,8 +312,11 @@ func parseClosePayload(p []byte) (code int, reason string, err error) {
 		return 0, "", ErrInvalidCloseFrame
 	}
 	code = int(binary.BigEndian.Uint16(p[:2]))
-	if !validCloseCode(code) {
+	switch {
+	case !validCloseCode(code):
 		return 0, "", ErrInvalidCloseFrame
+	case !utf8.Valid(p[2:]): // §5.5.1: the reason is UTF-8
+		return 0, "", ErrInvalidUTF8
 	}
 	return code, string(p[2:]), nil
 }
