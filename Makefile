@@ -15,12 +15,12 @@ vet:
 test:
 	$(GO) test ./...
 
-# The dispatch orchestrator and crawler are heavily concurrent; the
-# race detector is part of the standard gate. The second pass pins
-# GOMAXPROCS above the worker counts used in tests so the scheduler
-# actually interleaves dispatch workers, spool writers, stats
-# observers, and query handlers sharing the engine's snapshot views on
-# separate Ps.
+# Dispatch's grant loops, the fabric's sessions and the crawler pool
+# are heavily concurrent; the race detector is part of the standard
+# gate. The second pass pins GOMAXPROCS above the worker counts used in
+# tests so the scheduler actually interleaves grant loops, spool
+# writers, stats observers, and query handlers sharing the engine's
+# snapshot views on separate Ps.
 race:
 	$(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/dispatch/... ./internal/crawler/... ./internal/obs/... ./internal/fabric/... ./internal/colstore/...

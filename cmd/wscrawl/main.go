@@ -16,8 +16,9 @@
 //	wscrawl -worker ws://HOST:PORT/fabric [-worker-name NAME] [-workers N]
 //	        [-seed S] [-fault-profile NAME] [-fault-seed S]
 //
-// Every crawl runs through the durable orchestrator (internal/dispatch):
-// progress is checkpointed, failed sites retry with backoff up to
+// Every crawl runs through dispatch's durable grant loop
+// (internal/dispatch), in-process or, with -coordinate, over the wire to
+// -worker processes: progress is checkpointed, failed sites retry with backoff up to
 // -retries attempts each, pages spool to sharded JSONL files, and the
 // run ends with one "dispatch: N/M sites done, …" outcome line.
 // -checkpoint or -spool-dir keeps that state; without either it lives in

@@ -69,7 +69,7 @@ func TestResumeRequiresLocation(t *testing.T) {
 }
 
 // TestPlainCrawlReportsSitesAndLeavesOnlyItsDataset: a crawl with no
-// location runs through the same orchestrator as a durable one, prints
+// location runs through the same grant loop as a durable one, prints
 // the same per-site outcome line, and leaves nothing behind but -out.
 func TestPlainCrawlReportsSitesAndLeavesOnlyItsDataset(t *testing.T) {
 	dir, tmp := t.TempDir(), t.TempDir()

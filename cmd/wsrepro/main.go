@@ -19,7 +19,7 @@
 // it renders them instead of crawling: the four files -json wrote give
 // the study's report byte for byte. Figures 1 and 2 need no crawl.
 //
-// The four crawls run through the durable orchestrator
+// The four crawls run through dispatch's durable grant loop
 // (internal/dispatch): each keeps a checkpoint and sharded page spool
 // under -state (when unset, in a temporary directory the crawl removes
 // as it ends), and an interrupted study (SIGINT/SIGTERM checkpoint
@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		figure      = fs.String("figure", "", "print only one figure: "+sectionNames("figure"))
 		jsonDir     = fs.String("json", "", "also write per-crawl datasets as JSON into this directory")
 		csvDir      = fs.String("csv", "", "also write table1/figure3/sockets as CSV into this directory")
-		stateDir    = fs.String("state", "", "orchestrator state directory (checkpoints + spools; default: a temp dir)")
+		stateDir    = fs.String("state", "", "crawl state directory (checkpoints + spools; default: a temp dir)")
 		resume      = fs.Bool("resume", false, "resume an interrupted study from -state checkpoints")
 		retries     = fs.Int("retries", 0, "per-site attempt budget (default 3)")
 		metricsAddr = fs.String("metrics-addr", "", "serve expvar + pprof on this address (\":0\" picks a port)")

@@ -59,7 +59,26 @@ func EncodeSpoolRecord(w io.Writer, rec *PageRecord) error {
 
 // DecodeSpoolLine parses one spool line back into a PageRecord.
 func DecodeSpoolLine(line []byte) (*PageRecord, error) {
-	if rec, ok := decodeSpoolFast(line); ok {
+	return (*SpoolDecoder)(nil).Decode(line)
+}
+
+// A SpoolDecoder is DecodeSpoolLine for a caller that folds each record
+// and drops it (Folder.Fold keeps no map of a record): it decodes into
+// one record whose maps and HTTP entries it recycles, so they are valid
+// only until the next Decode. Strings and socket lists are fresh, as
+// DecodeSpoolLine's are. A SpoolDecoder is not safe for concurrent use;
+// the nil one recycles nothing.
+type SpoolDecoder struct {
+	rec               PageRecord
+	http              map[string]*DomainTraffic
+	traffic           []*DomainTraffic // HTTP entries: the first nTraffic are in use
+	counts            []map[string]int // count maps: the first nCounts are in use
+	nTraffic, nCounts int
+}
+
+// Decode parses one spool line.
+func (d *SpoolDecoder) Decode(line []byte) (*PageRecord, error) {
+	if rec, ok := decodeSpoolFast(line, d); ok {
 		return rec, nil
 	}
 	var rec PageRecord
@@ -202,12 +221,20 @@ type spoolCur struct {
 	// strings name can hand out again instead of copying.
 	r   *PageRecord
 	key string
+	d   *SpoolDecoder // recycles r's maps; nil makes them
 }
 
-// decodeSpoolFast decodes line if it has the encoder's shape.
-func decodeSpoolFast(line []byte) (*PageRecord, bool) {
-	r := &PageRecord{}
-	c := &spoolCur{Cursor: jsonshape.Cursor[[]byte]{S: line}, r: r}
+// decodeSpoolFast decodes line if it has the encoder's shape, into d's
+// record (a fresh one when d is nil).
+func decodeSpoolFast(line []byte, d *SpoolDecoder) (*PageRecord, bool) {
+	var r *PageRecord
+	if d != nil {
+		d.rec, d.nTraffic, d.nCounts = PageRecord{}, 0, 0
+		r = &d.rec
+	} else {
+		r = &PageRecord{}
+	}
+	c := &spoolCur{Cursor: jsonshape.Cursor[[]byte]{S: line}, r: r, d: d}
 	if !c.Lit(`{"site":`) || !c.Str(&r.Site) || !c.Lit(`,"rank":`) || !c.Int(&r.Rank) ||
 		!c.Lit(`,"pageUrl":`) || !c.Str(&r.PageURL) {
 		return nil, false
@@ -217,16 +244,24 @@ func decodeSpoolFast(line []byte) (*PageRecord, bool) {
 		r.Sockets, ok = jsonshape.List(&c.Cursor, c.socket)
 	}
 	if ok && c.Lit(`,"http":{`) {
-		r.HTTP, ok = object(c, c.traffic)
+		var http map[string]*DomainTraffic
+		if d != nil {
+			if d.http == nil {
+				d.http = map[string]*DomainTraffic{}
+			}
+			clear(d.http)
+			http = d.http
+		}
+		r.HTTP, ok = object(c, http, c.traffic)
 	}
 	if ok && c.Lit(`,"aaObs":{`) {
-		r.AAObs, ok = object(c, c.count)
+		r.AAObs, ok = object(c, c.countMap(), c.count)
 	}
 	if ok && c.Lit(`,"nonAaObs":{`) {
-		r.NonAAObs, ok = object(c, c.count)
+		r.NonAAObs, ok = object(c, c.countMap(), c.count)
 	}
 	if ok && c.Lit(`,"cdnObs":{`) {
-		r.CDNObs, ok = object(c, c.count)
+		r.CDNObs, ok = object(c, c.countMap(), c.count)
 	}
 	if !ok || !c.Lit("}") || !c.Done() {
 		return nil, false
@@ -244,9 +279,11 @@ func (c *spoolCur) member(first bool) bool {
 }
 
 // object decodes the rest of a non-empty map whose '{' has been
-// consumed, elem reading each value.
-func object[V any](c *spoolCur, elem func() (V, bool)) (map[string]V, bool) {
-	m := make(map[string]V, c.Hint())
+// consumed into m (a new map when nil), elem reading each value.
+func object[V any](c *spoolCur, m map[string]V, elem func() (V, bool)) (map[string]V, bool) {
+	if m == nil {
+		m = make(map[string]V, c.Hint())
+	}
 	for first := true; ; first = false {
 		if !c.member(first) {
 			return nil, false
@@ -260,6 +297,22 @@ func object[V any](c *spoolCur, elem func() (V, bool)) (map[string]V, bool) {
 			return m, true
 		}
 	}
+}
+
+// countMap is the empty map object fills with counts: the decoder's
+// next recycled one, or nil (a new one) without a decoder.
+func (c *spoolCur) countMap() map[string]int {
+	d := c.d
+	if d == nil {
+		return nil
+	}
+	if d.nCounts == len(d.counts) {
+		d.counts = append(d.counts, map[string]int{})
+	}
+	m := d.counts[d.nCounts]
+	d.nCounts++
+	clear(m)
+	return m
 }
 
 // count reads a value of a map of counts.
@@ -373,6 +426,14 @@ func (c *spoolCur) traffic() (*DomainTraffic, bool) {
 		return nil, true
 	}
 	t := &DomainTraffic{}
+	if d := c.d; d != nil {
+		if d.nTraffic == len(d.traffic) {
+			d.traffic = append(d.traffic, t)
+		}
+		t = d.traffic[d.nTraffic]
+		d.nTraffic++
+		*t = DomainTraffic{}
+	}
 	if !c.Lit(`{"domain":`) || !c.name(&t.Domain) || !c.Lit(`,"requests":`) || !c.Int(&t.Requests) {
 		return nil, false
 	}
@@ -380,10 +441,10 @@ func (c *spoolCur) traffic() (*DomainTraffic, bool) {
 	// checks the next one against.
 	key, ok := c.key, true
 	if c.Lit(`,"sentItems":{`) {
-		t.SentItems, ok = object(c, c.count)
+		t.SentItems, ok = object(c, c.countMap(), c.count)
 	}
 	if ok && c.Lit(`,"recvClasses":{`) {
-		t.RecvClasses, ok = object(c, c.count)
+		t.RecvClasses, ok = object(c, c.countMap(), c.count)
 	}
 	c.key = key
 	if !ok || !c.Lit(`,"chainsBlocked":`) || !c.Int(&t.ChainsBlocked) || !c.Lit("}") {

@@ -4,9 +4,9 @@ package analysis
 // they decline (AppendSpoolRecord and DecodeSpoolLine hide that behind
 // the encoding/json fallback).
 
-// FastDecodeSpool is decodeSpoolFast: ok is false when line is outside
-// its shape.
-var FastDecodeSpool = decodeSpoolFast
+// FastDecodeSpool is decodeSpoolFast into a fresh record: ok is false
+// when line is outside its shape.
+func FastDecodeSpool(line []byte) (*PageRecord, bool) { return decodeSpoolFast(line, nil) }
 
 // FastEncodeSpool renders rec's line, without its newline, by hand; ok
 // is false when a string of rec is not plain.

@@ -45,17 +45,23 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkDecode holds DecodeSpoolLine to the oracle on one line: same
-// record, same nil-ness, same error.
+// recycled is the SpoolDecoder every checkDecode also runs, so each line
+// is decoded into maps the lines before it left behind.
+var recycled analysis.SpoolDecoder
+
+// checkDecode holds DecodeSpoolLine and a recycling SpoolDecoder to the
+// oracle on one line: same record, same nil-ness, same error.
 func checkDecode(t *testing.T, line []byte) {
 	t.Helper()
-	got, gotErr := analysis.DecodeSpoolLine(line)
 	want, wantErr := refDecode(line)
-	if errText(gotErr) != errText(wantErr) {
-		t.Fatalf("DecodeSpoolLine(%q): err %v, oracle %v", line, gotErr, wantErr)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeSpoolLine(%q):\n got %#v\nwant %#v", line, got, want)
+	for _, d := range []*analysis.SpoolDecoder{nil, &recycled} {
+		got, gotErr := d.Decode(line)
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("decode %q (recycling %v): err %v, oracle %v", line, d != nil, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode %q (recycling %v):\n got %#v\nwant %#v", line, d != nil, got, want)
+		}
 	}
 }
 
@@ -288,8 +294,9 @@ func TestCrawlLinesTakeHandPath(t *testing.T) {
 // each string the record does not already hold — lists and maps are
 // sized once, and a repeated domain or Table 5 item is not copied again.
 const (
-	spoolEncodeBudget = 0
-	spoolDecodeBudget = 44
+	spoolEncodeBudget         = 0
+	spoolDecodeBudget         = 44
+	spoolRecycledDecodeBudget = 18
 )
 
 // TestSpoolCodecAllocs pins the codec's allocations per record over a
@@ -319,17 +326,28 @@ func TestSpoolCodecAllocs(t *testing.T) {
 			}
 		}
 	}) / n
+	var d analysis.SpoolDecoder
+	dec2 := testing.AllocsPerRun(20, func() {
+		for _, line := range lines {
+			if _, err := d.Decode(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / n
 	ref := testing.AllocsPerRun(5, func() {
 		for _, line := range lines {
 			_, _ = refDecode(line)
 		}
 	}) / n
-	t.Logf("%d records: %.1f allocs to encode, %.1f to decode (encoding/json: %.1f)", len(recs), enc, dec, ref)
+	t.Logf("%d records: %.1f allocs to encode, %.1f to decode, %.1f recycling (encoding/json: %.1f)", len(recs), enc, dec, dec2, ref)
 	if enc > spoolEncodeBudget {
 		t.Errorf("AppendSpoolRecord: %.1f allocs/record, budget %d", enc, spoolEncodeBudget)
 	}
 	if dec > spoolDecodeBudget {
 		t.Errorf("DecodeSpoolLine: %.1f allocs/record, budget %d", dec, spoolDecodeBudget)
+	}
+	if dec2 > spoolRecycledDecodeBudget {
+		t.Errorf("SpoolDecoder.Decode: %.1f allocs/record, budget %d", dec2, spoolRecycledDecodeBudget)
 	}
 }
 

@@ -5,21 +5,17 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/analysis"
-	"repro/internal/browser"
-	"repro/internal/crawler"
 	"repro/internal/obs"
 )
 
 // pageAllocBudget is the ceiling on heap allocations per page for
-// visiting and recording a page on the shipping plane. The path stood
-// at ≈ 730 before scripts were decoded in place, a request's URL was
-// parsed once and DOM attributes stopped being maps, at ≈ 445 after,
-// and at ≈ 405 once sockets left TCP and net/http and the inclusion
-// tree adopted the browser's parsed URLs (≈ 440 under -race, where
-// sync.Pool drops items at random). The headroom is about what one of
-// those cuts saved: undoing one shows in the logged figure, undoing two
-// fails.
+// visiting, recording and committing a page on the shipped path. Visit
+// and record stood at ≈ 730 before scripts were decoded in place, a
+// request's URL was parsed once and DOM attributes stopped being maps,
+// at ≈ 445 after, and at ≈ 400 once sockets left TCP and net/http and
+// the inclusion tree adopted the browser's parsed URLs (≈ 440 under
+// -race, where sync.Pool drops items at random). Counting the ledger's
+// decode of each page's spool line, its fold and the queue adds ≈ 40.
 const pageAllocBudget = 470
 
 // matchesPerRequestBudget is the ceiling on filter-list evaluations per
@@ -38,48 +34,42 @@ type tenSiteCost struct {
 	mallocs, matches, requests uint64
 }
 
-// crawlTenSites crawls a fixed ten sites in memory — visit, inclusion
-// tree, labeling, record, fold; one worker, no disk — and counts heap
-// allocations, filter-list evaluations and browser requests across it.
-// World build, list parsing and server start are outside the counts.
+// crawlTenSites crawls a fixed ten sites through the one shipped page
+// path — dispatch.Run's grant loop over the plane's runGrant: visit,
+// inclusion tree, labeling, record, spool line, the ledger's decode and
+// fold; one worker — and counts heap allocations, filter-list
+// evaluations and browser requests across it. World build, list parsing
+// and server start are outside the counts.
 func crawlTenSites(t *testing.T) tenSiteCost {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("crawls 150 pages")
 	}
-	opts := Options{Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 15}
+	opts := Options{
+		Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 15,
+		Dispatch: &DispatchOptions{StateDir: t.TempDir()},
+	}
 	plane, err := newPagePlane(opts, DefaultCrawls()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plane.Close()
-	folder := analysis.NewFolder(FabricDatasetMeta(plane.spec))
-	cfg := plane.crawlerConfig(func(site crawler.Site, pageURL string, res *browser.PageResult) {
-		rec, err := plane.recorder.RecordPage(site, pageURL, res)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		folder.Fold(rec)
-	})
+	plane.sites = plane.sites[:10]
 
-	var stats crawler.Stats
 	var before, after runtime.MemStats
 	runtime.GC()
 	matches, requests := obs.MatchRequests.Value(), obs.BrowserRequests.Value()
 	runtime.ReadMemStats(&before)
-	for _, site := range plane.sites[:10] {
-		if _, err := crawler.CrawlSite(context.Background(), plane.browserFor(site), site, cfg, &stats); err != nil {
-			t.Fatal(err)
-		}
+	res, err := plane.crawl(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	folder.Finalize()
 	runtime.ReadMemStats(&after)
-	if stats.Pages < 100 {
-		t.Fatalf("crawl loaded %d pages, want ten sites' worth", stats.Pages)
+	if res.Stats.Pages < 100 {
+		t.Fatalf("crawl loaded %d pages, want ten sites' worth", res.Stats.Pages)
 	}
 	return tenSiteCost{
-		pages:    stats.Pages,
+		pages:    res.Stats.Pages,
 		mallocs:  after.Mallocs - before.Mallocs,
 		matches:  uint64(obs.MatchRequests.Value() - matches),
 		requests: uint64(obs.BrowserRequests.Value() - requests),

@@ -8,11 +8,13 @@
 //	study, err := core.RunStudy(ctx, core.DefaultOptions())
 //	fmt.Println(study.Report())
 //
-// Individual crawls are available through RunCrawl. Every crawl runs
-// through the durable orchestrator (internal/dispatch) with one queue
-// and one ledger; a crawl whose Options name no location keeps that
-// state in a temporary directory. The fabric entry points (fabric.go)
-// serve the same queue and ledger to remote workers. Custom worlds and
+// Individual crawls are available through RunCrawl. Every crawl is one
+// loop over internal/dispatch's queue and ledger — lease a grant, crawl
+// its sites through the page plane (plane.go), emit each page as a spool
+// line into the ledger, settle the grant — which RunCrawl runs
+// in-process (dispatch.Run) and the fabric entry points (fabric.go) run
+// over the wire; a crawl whose Options name no location keeps its state
+// in a temporary directory. Custom worlds and
 // blocker-equipped browsers are built from the underlying packages
 // directly (webgen, webserver, browser.New with adblock extensions), as
 // the programs under examples/ do.
@@ -26,7 +28,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/analysis"
-	"repro/internal/browser"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
 	"repro/internal/webgen"
@@ -65,8 +66,8 @@ type Options struct {
 	Workers int
 	// PagesPerSite is the per-site page budget (paper: 15).
 	PagesPerSite int
-	// Dispatch locates and tunes the durable orchestrator every crawl
-	// runs through (internal/dispatch): lease-backed queue, retries,
+	// Dispatch locates and tunes the durable grant loop every crawl runs
+	// through (internal/dispatch): lease-backed queue, retries,
 	// checkpoint/resume, and sharded spooling. Nil, like options naming
 	// no location, keeps each crawl's state in a temporary directory.
 	Dispatch *DispatchOptions
@@ -90,7 +91,7 @@ type Options struct {
 	FaultSeed    int64
 }
 
-// DispatchOptions configures the durable orchestrator path.
+// DispatchOptions configures a crawl's durable state.
 type DispatchOptions struct {
 	// StateDir is the root for per-crawl checkpoints and spool shards
 	// (crawlN.checkpoint.json, spool-crawlN/). When it, CheckpointPath
@@ -149,13 +150,13 @@ type CrawlResult struct {
 	Spec    CrawlSpec
 	Dataset *analysis.Dataset
 	Stats   crawler.Stats
-	// Dispatch carries the orchestrator's per-site outcome (retries,
+	// Dispatch carries dispatch's per-site outcome (retries,
 	// resume counters, failed sites).
 	Dispatch *dispatch.Result
 }
 
 // RunCrawl generates the world for a crawl spec, serves it, crawls it
-// through the durable orchestrator (internal/dispatch: lease-backed
+// through dispatch.Run's grant loop (internal/dispatch: lease-backed
 // queue, retries, checkpoint, sharded spool) and returns the measurement
 // dataset. When opts.Dispatch names no location, the crawl's state lives
 // in a temporary directory that is removed before RunCrawl returns.
@@ -172,10 +173,11 @@ func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, 
 	return res, nil
 }
 
-// crawl runs the plane's sites through dispatch.Run. Only state that must
-// outlive the process needs a location: a resume reads a checkpoint and
-// a store is queried after the crawl, so both refuse a crawl that names
-// none.
+// crawl runs the plane's sites through dispatch.Run, each grant with
+// runGrant, and counts the attempts in the result's Stats. Only state
+// that must outlive the process needs a location: a resume reads a
+// checkpoint and a store is queried after the crawl, so both refuse a
+// crawl that names none.
 func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 	var d DispatchOptions
 	if p.opts.Dispatch != nil {
@@ -199,15 +201,18 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 	if p.opts.Store {
 		storeDir = d.storeDir(p.spec)
 	}
+	var stats crawler.Stats
 	res, err := dispatch.Run(ctx, dispatch.Config{
-		Name:           p.spec.Name,
-		Meta:           FabricDatasetMeta(p.spec),
-		Sites:          p.sites,
-		Workers:        p.opts.Workers,
-		PagesPerSite:   p.opts.PagesPerSite,
-		Seed:           p.crawlSeed(),
-		NewBrowser:     func(site crawler.Site, _ int) *browser.Browser { return p.browserFor(site) },
-		Recorder:       p.recorder,
+		Name:         p.spec.Name,
+		Meta:         FabricDatasetMeta(p.spec),
+		Sites:        p.sites,
+		Workers:      p.opts.Workers,
+		PagesPerSite: p.opts.PagesPerSite,
+		Seed:         p.crawlSeed(),
+		RunGrant: func(ctx context.Context, sites []crawler.Site, _ int, emit func(string, []byte) error) (map[string]string, error) {
+			_, failed, err := p.runGrant(ctx, sites, &stats, emit)
+			return failed, err
+		},
 		SpoolDir:       d.spoolDir(p.spec),
 		NumShards:      d.NumShards,
 		CheckpointPath: d.checkpointPath(p.spec),
@@ -218,7 +223,7 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CrawlResult{Spec: p.spec, Dataset: res.Dataset, Stats: res.Stats, Dispatch: res}, nil
+	return &CrawlResult{Spec: p.spec, Dataset: res.Dataset, Stats: stats, Dispatch: res}, nil
 }
 
 // Study is the completed four-crawl measurement.

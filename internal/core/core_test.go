@@ -20,7 +20,7 @@ func smallOpts() Options {
 	return Options{Seed: 77, NumPublishers: 60, Workers: 8, PagesPerSite: 4}
 }
 
-// TestRunCrawlEndToEnd crawls with no location: the orchestrator's
+// TestRunCrawlEndToEnd crawls with no location: the crawl's durable
 // state lives in a temporary directory that RunCrawl removes, and the
 // per-site outcome is reported all the same.
 func TestRunCrawlEndToEnd(t *testing.T) {

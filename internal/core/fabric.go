@@ -10,15 +10,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/browser"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
 	"repro/internal/fabric"
@@ -97,84 +94,21 @@ func (r *FabricRunner) Close() error {
 	return nil
 }
 
-// grantSource feeds one grant's sites to the crawl worker pool and
-// collects the sites whose attempt failed.
-type grantSource struct {
-	mu     sync.Mutex
-	sites  []crawler.Site
-	next   int
-	failed map[string]string
-}
-
-func (s *grantSource) Next(ctx context.Context) (crawler.Site, bool) {
-	if ctx.Err() != nil {
-		return crawler.Site{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.next >= len(s.sites) {
-		return crawler.Site{}, false
-	}
-	site := s.sites[s.next]
-	s.next++
-	return site, true
-}
-
-func (s *grantSource) Done(site crawler.Site, pages int, err error) {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed == nil {
-		s.failed = map[string]string{}
-	}
-	s.failed[site.Domain] = err.Error()
-}
-
-// lineBufs pools RunBatch's spool line buffers: emit is done with a
-// line when it returns.
-var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // RunBatch crawls every site of a grant once, streaming each page record
-// as a pre-encoded spool line. Browsers are seeded per site
-// (crawler.SiteSeed), so the lines are independent of grant membership,
-// worker identity, and crawl order — re-running a site anywhere
-// reproduces them byte for byte. There is no retry here: the sites that
-// failed go back in the Complete frame, and the coordinator's queue
-// retries each under the RetryPolicy a local crawl's sites get.
+// as a pre-encoded spool line: the plane's runGrant, as a local crawl's
+// worker loops run it. Browsers are seeded per site (crawler.SiteSeed),
+// so the lines are independent of grant membership, worker identity, and
+// crawl order — re-running a site anywhere reproduces them byte for
+// byte. There is no retry here: the sites that failed go back in the
+// Complete frame, and the coordinator's queue retries each under the
+// RetryPolicy a local crawl's sites get.
 func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, line []byte) error) (int, map[string]string, error) {
 	sites := make([]crawler.Site, len(batch.Sites))
 	for i, s := range batch.Sites {
 		sites[i] = crawler.Site{Domain: s.Domain, Rank: s.Rank}
 	}
-	src := &grantSource{sites: sites}
-	var pages atomic.Int64
-	cfg := r.plane.crawlerConfig(func(site crawler.Site, pageURL string, res *browser.PageResult) {
-		rec, err := r.plane.recorder.RecordPage(site, pageURL, res)
-		if err != nil {
-			return // unparseable page: drop it, as the local paths do
-		}
-		bp := lineBufs.Get().(*[]byte)
-		defer lineBufs.Put(bp)
-		line, err := analysis.AppendSpoolRecord((*bp)[:0], rec)
-		*bp = line
-		if err != nil {
-			src.Done(site, 0, err)
-			return
-		}
-		if err := emit(site.Domain, line[:len(line)-1]); err != nil {
-			return // emit cancels the grant context itself
-		}
-		pages.Add(1)
-	})
-	if _, err := crawler.CrawlSource(ctx, src, cfg); err != nil {
-		return int(pages.Load()), nil, err
-	}
-	src.mu.Lock()
-	failed := src.failed
-	src.mu.Unlock()
-	return int(pages.Load()), failed, nil
+	var stats crawler.Stats
+	return r.plane.runGrant(ctx, sites, &stats, emit)
 }
 
 // FabricCoordinatorOptions parameterizes StartFabricCoordinator.

@@ -3,17 +3,18 @@
 // to 15 of them at random, topping up from links discovered on visited
 // pages when the homepage offers fewer.
 //
-// The crawler is deterministic per (seed, site) and runs sites across a
-// worker pool. Sites come from a Source: the durable lease-backed queue
-// of internal/dispatch for every local crawl, or one fabric grant's
-// sites on a fabric worker. Every site is crawled with a fresh browser
-// from Config.SiteBrowser (one synthetic user per site, like a clean
-// Chrome profile per visit), so a site's results do not depend on which
-// worker crawled it or in what order.
+// The crawler is deterministic per (seed, site) and runs the sites of
+// one grant — the sites internal/dispatch leased to one holder, a local
+// worker loop or a fabric worker — across a worker pool (Crawl). Every
+// site is crawled with a fresh browser from Config.SiteBrowser (one
+// synthetic user per site, like a clean Chrome profile per visit), so a
+// site's results do not depend on which worker crawled it or in what
+// order.
 package crawler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -47,8 +48,8 @@ type Config struct {
 	// (SiteSeed), not from anything about the worker: that keeps a
 	// site's results independent of worker assignment and visit order,
 	// which every entry point relies on for byte-identical datasets and
-	// the dispatch orchestrator for deterministic retries and resume.
-	// Required by CrawlSource; CrawlSite takes its browser directly.
+	// dispatch for deterministic retries and resume. Required by Crawl;
+	// CrawlSite takes its browser directly.
 	SiteBrowser func(site Site) *browser.Browser
 	// OnPage receives every successfully loaded page. It may be called
 	// concurrently from workers.
@@ -60,7 +61,7 @@ type Config struct {
 //
 // Concurrency: workers increment the shared *Stats with atomic adds
 // while the crawl runs. Reading the fields directly is safe only after
-// CrawlSource has returned; a concurrent observer (a progress
+// every Crawl sharing them has returned; a concurrent observer (a progress
 // reporter, a test asserting mid-crawl invariants) must go through
 // Snapshot, which loads every counter atomically. The same counters
 // are mirrored to the obs registry (crawl.pages, crawl.page_errors,
@@ -115,49 +116,51 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("crawler: panic crawling %s: %v", e.Site, e.Value)
 }
 
-// Source yields sites to a crawl's worker pool. Implementations must be
-// safe for concurrent use.
-type Source interface {
-	// Next returns the next site to crawl, blocking until one is
-	// available. ok=false means the source is drained (or ctx is done)
-	// and the worker should exit.
-	Next(ctx context.Context) (site Site, ok bool)
-	// Done reports the outcome of a site crawl: the number of pages
-	// loaded and the error (nil for a completed site, ctx.Err() for a
-	// cancelled one, *SiteError / *PanicError for failures).
-	Done(site Site, pages int, err error)
-}
-
-// CrawlSource runs the worker pool against an arbitrary site source.
-// Workers pull sites with src.Next, crawl them with per-site panic
-// recovery, and report each outcome with src.Done.
-func CrawlSource(ctx context.Context, src Source, cfg Config) (Stats, error) {
+// Crawl is the worker pool: it crawls each of sites once across
+// min(cfg.Workers, len(sites)) goroutines, every site with a fresh
+// browser from cfg.SiteBrowser and with per-site panic recovery, and
+// returns the sites whose attempt failed with their errors. A site cut
+// short by cancellation is not a failure; err is ctx.Err() once ctx
+// ends. stats accumulates the attempt counters and may be shared across
+// calls.
+func Crawl(ctx context.Context, sites []Site, cfg Config, stats *Stats) (failed map[string]string, err error) {
 	if cfg.SiteBrowser == nil {
-		return Stats{}, fmt.Errorf("crawler: Config.SiteBrowser is required")
+		return nil, fmt.Errorf("crawler: Config.SiteBrowser is required")
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 8
 	}
-
-	var stats Stats
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	var (
+		next atomic.Int64
+		mu   sync.Mutex
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < min(workers, len(sites)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				site, ok := src.Next(ctx)
-				if !ok {
+				i := int(next.Add(1)) - 1
+				if i >= len(sites) || ctx.Err() != nil {
 					return
 				}
-				pages, err := CrawlSite(ctx, cfg.SiteBrowser(site), site, cfg, &stats)
-				src.Done(site, pages, err)
+				site := sites[i]
+				_, err := CrawlSite(ctx, cfg.SiteBrowser(site), site, cfg, stats)
+				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					continue
+				}
+				mu.Lock()
+				if failed == nil {
+					failed = map[string]string{}
+				}
+				failed[site.Domain] = err.Error()
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	return stats, ctx.Err()
+	return failed, ctx.Err()
 }
 
 // CrawlSite crawls one site with the given browser: the homepage plus
@@ -306,8 +309,8 @@ func shuffled(rng *rand.Rand, in []string) []string {
 
 // SiteSeed derives a per-site browser seed: results for a site become a
 // pure function of (seed, site), independent of worker assignment —
-// the property the dispatch orchestrator needs so retried and resumed
-// sites reproduce their original records exactly.
+// the property dispatch needs so retried and resumed sites reproduce
+// their original records exactly.
 func SiteSeed(seed int64, domain string) int64 {
 	return siteKey("site|", seed, domain)
 }

@@ -34,28 +34,11 @@ func siteBrowser(s *webserver.Server, seed int64) func(Site) *browser.Browser {
 	}
 }
 
-// listSource feeds a fixed site list to CrawlSource, in order.
-type listSource struct {
-	mu    sync.Mutex
-	sites []Site
-}
-
-func (s *listSource) Next(ctx context.Context) (Site, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ctx.Err() != nil || len(s.sites) == 0 {
-		return Site{}, false
-	}
-	site := s.sites[0]
-	s.sites = s.sites[1:]
-	return site, true
-}
-
-func (s *listSource) Done(Site, int, error) {}
-
 // crawlList runs the worker pool over a fixed site list.
 func crawlList(ctx context.Context, sites []Site, cfg Config) (Stats, error) {
-	return CrawlSource(ctx, &listSource{sites: sites}, cfg)
+	var stats Stats
+	_, err := Crawl(ctx, sites, cfg, &stats)
+	return stats, err
 }
 
 func TestCrawlRespectsPageBudget(t *testing.T) {
@@ -327,13 +310,18 @@ func TestCrawlCountsErrors(t *testing.T) {
 		Workers: 1, PagesPerSite: 3, Seed: 1,
 		SiteBrowser: siteBrowser(s, 3),
 	}
-	// A site outside the world: its homepage fetch 502s.
-	stats, err := crawlList(context.Background(), []Site{{Domain: "no-such-site.example", Rank: 1}}, cfg)
+	// A site outside the world: its homepage fetch 502s, and its attempt
+	// is reported failed.
+	var stats Stats
+	failed, err := Crawl(context.Background(), []Site{{Domain: "no-such-site.example", Rank: 1}}, cfg, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.PageErrors == 0 {
 		t.Error("error not counted for unknown site")
+	}
+	if _, ok := failed["no-such-site.example"]; !ok || len(failed) != 1 {
+		t.Errorf("failed sites = %v, want the unknown site", failed)
 	}
 }
 

@@ -9,14 +9,14 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/oracle"
-	"repro/internal/crawler"
 )
 
-// batched returns cfg flipped onto the shipping plane's pooled recorder
+// pooled returns a runner on the shipping plane's pooled recorder
 // scratch (the ledger's spool writes are group-committed either way).
-func batched(cfg Config) Config {
-	cfg.Recorder.Pooled = true
-	return cfg
+func pooled(env *testEnv) *testRunner {
+	r := env.runner()
+	r.rec.Pooled = true
+	return r
 }
 
 // mergeOracle is the decode pass no run makes: the dataset merged from
@@ -37,12 +37,12 @@ func mergeOracle(t *testing.T, cfg Config, dir string) (*analysis.Dataset, oracl
 func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 	env := newTestEnv(t, 16)
 
-	seed, err := Run(context.Background(), env.config(t.TempDir(), 2))
+	seed, err := Run(context.Background(), env.config(t.TempDir(), 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cfg := batched(env.config(dir, 2))
+	cfg := env.config(dir, 2, pooled(env))
 	opt, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	env := newTestEnv(t, 16)
 
 	fullDir := t.TempDir()
-	fullCfg := env.config(fullDir, 2)
+	fullCfg := env.config(fullDir, 2, nil)
 	if _, err := Run(context.Background(), fullCfg); err != nil {
 		t.Fatal(err)
 	}
@@ -82,18 +82,19 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var pages atomic.Int64
-	cfg := batched(env.config(dir, 2))
-	cfg.commitEvery = 1
-	cfg.OnPage = func(crawler.Site, string) {
+	r := pooled(env)
+	r.onPage = func() {
 		if pages.Add(1) == 9 {
 			cancel()
 		}
 	}
+	cfg := env.config(dir, 2, r)
+	cfg.commitEvery = 1
 	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
 
-	cfg2 := batched(env.config(dir, 2))
+	cfg2 := env.config(dir, 2, pooled(env))
 	cfg2.commitEvery = 1
 	cfg2.Resume = true
 	res, err := Run(context.Background(), cfg2)

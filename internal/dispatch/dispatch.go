@@ -1,61 +1,48 @@
-// Package dispatch is the durable crawl orchestrator: the layer that
-// turns the crawler's worker pool into the multi-day, crash-surviving
-// measurement infrastructure the paper's §3.3 crawls (4 passes over
-// ~100K sites) actually require. Every local crawl runs through Run
-// (core.RunCrawl keeps a crawl that names no location in a temporary
-// directory), so every crawl has a queue, retries and a per-site
-// outcome.
+// Package dispatch owns a crawl's sites and its durable state: what
+// turns page crawling into the crash-surviving infrastructure the
+// paper's §3.3 crawls (4 passes over ~100K sites) require. Every crawl
+// is one loop — lease a grant, crawl its sites, hand each page to the
+// ledger as a spool line, settle the grant — which Run drives with
+// in-process worker loops (core.RunCrawl runs every local crawl through
+// it, in a temporary directory when it names no location) and the
+// fabric coordinator (internal/fabric) drives over the wire.
 //
-// It combines four mechanisms:
+//   - The Queue leases sites in one claim step (a Grant: one site for
+//     Run's loops, up to a batch for a fabric session); a holder
+//     heartbeats while crawling and a site whose lease TTL elapses is
+//     re-queued. The queue is its callers' only clock: a blocked Lease
+//     wakes on the next settle or deadline, and Drained closes when the
+//     last job turns terminal.
+//   - Failures retry with exponential backoff and seeded jitter up to an
+//     attempt budget (RetryPolicy). Grant.Settle is the one settle path,
+//     so a site has one outcome model in both roles.
+//   - The Ledger (ledger.go) owns everything durable. Ledger.AppendLine,
+//     its one entry, appends each page line to one of N JSONL spool
+//     shards and folds the decoded record (with StoreDir, the columnar
+//     store ingests it and owns the fold); Ledger.Settled commits the
+//     checkpoint atomically; the dataset is the finalized fold. A resume
+//     replays the spool (or the store) into the fold as it opens — the
+//     live fold and the replay decode the same bytes — so -resume skips
+//     completed sites and converges on the same dataset.
 //
-//   - a job queue with lease-based claiming: a worker leases a site,
-//     heartbeats while crawling it, and the site is re-queued if the
-//     lease TTL elapses (dead or wedged worker). The queue is its
-//     callers' only clock: a blocked Lease wakes on the next settle or
-//     deadline, and Drained closes when the last job turns terminal;
-//   - retries with exponential backoff + seeded jitter up to an attempt
-//     budget: every failure retries until the budget is spent;
-//   - the Ledger (ledger.go), which owns everything durable: every
-//     crawled page is appended to one of N JSONL spool shards and folded
-//     (with StoreDir, ingested into the columnar store, which owns the
-//     fold), progress is checkpointed to a state file written atomically,
-//     and the dataset is the finalized fold. A resume replays what the
-//     spool (or the store) already holds into the fold as it opens — so
-//     -resume continues an interrupted crawl without re-visiting
-//     completed sites and converges on the same bytes;
-//   - Run, which wires the queue to the crawler's worker pool and reports
-//     each settled site to the ledger.
+// Determinism: a GrantRunner seeds its browsers per site
+// (crawler.SiteSeed), so a site's lines are a pure function of (seed,
+// site), independent of worker assignment, retries and resume
+// boundaries; fault-free runs and resumed ones give byte-identical
+// datasets.
 //
-// The fabric coordinator (internal/fabric) is the queue's and the
-// ledger's other caller: the same queue over the same sites, each grant
-// a group of site leases taken in one claim step, the same ledger, and a
-// wire session per worker blocked in Lease instead of a local worker
-// pool. A site therefore has one outcome model on both paths.
-//
-// Determinism: browsers are built per site (crawler.SiteSeed), so a
-// site's records are a pure function of (seed, site) — independent of
-// worker assignment, retry count, and resume boundaries. Two fault-free
-// runs produce byte-identical merged datasets, and a crawl killed
-// mid-run converges, after resume, to exactly the dataset of an
-// uninterrupted run.
-//
-// Concurrency contract: Queue, Lease, Spooler and Ledger are safe for
-// concurrent use by any number of workers; the ledger serializes
-// checkpoint generations internally, so callers never coordinate around
-// dispatch state themselves. Durability contract (stated once, in
-// DESIGN.md §7): a job is marked done in a checkpoint only after its
+// Concurrency: Queue, Lease, Grant, Spooler and Ledger are safe for
+// concurrent use; the ledger serializes checkpoint generations itself.
+// Durability (DESIGN.md §7): a checkpoint marks a job done only after its
 // pages were flushed to the spool and sealed into the store, checkpoints
-// are atomic (temp file + rename + directory sync), and nothing in the
-// package holds crawl results only in memory past those sinks. One commit
-// rule serves both paths (Ledger.Settled): a killed crawl is at most
+// are atomic (temp file + rename + directory sync), and one commit rule
+// serves both roles (Ledger.Settled): a killed crawl is at most
 // max(8, N/128) − 1 settled sites stale.
 //
-// Observability: the queue exports depth/retry gauges, and the
-// checkpoint and spool paths record latency histograms, to the obs
-// registry (queue.*, checkpoint.*, spool.*, stage.spool,
-// stage.checkpoint — see DESIGN.md §8). Instrumentation is read-only
-// with respect to crawl data: it never alters records, ordering, or
-// the merged dataset.
+// Observability: the queue exports depth/retry gauges, and the ledger
+// records latency histograms (queue.*, checkpoint.*, spool.*,
+// stage.spool, stage.checkpoint, crawl.commit — DESIGN.md §8). None of it
+// alters records, ordering, or the merged dataset.
 package dispatch
 
 import (
@@ -65,12 +52,18 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/browser"
 	"repro/internal/crawler"
-	"repro/internal/obs"
 )
 
-// Config parameterizes an orchestrated crawl.
+// A GrantRunner crawls the sites of one grant, each once, and hands every
+// page to emit as one spool line of its site, without the newline.
+// attempt is the grant's highest attempt number (1 on a first try). It
+// returns the sites whose attempt failed with their errors, and ctx.Err()
+// once ctx ends. A fabric worker's BatchRunner is the same contract
+// behind the wire.
+type GrantRunner func(ctx context.Context, sites []crawler.Site, attempt int, emit func(site string, line []byte) error) (failed map[string]string, err error)
+
+// Config parameterizes a local crawl.
 type Config struct {
 	// Name identifies the crawl (checkpoint identity).
 	Name string
@@ -78,18 +71,19 @@ type Config struct {
 	Meta analysis.DatasetMeta
 	// Sites is the full crawl target list, in rank order.
 	Sites []crawler.Site
-	// Workers is the crawl parallelism (default 8).
+	// Workers is how many worker loops lease and crawl sites at once
+	// (default 8).
 	Workers int
-	// PagesPerSite is the per-site page budget (default 15).
+	// PagesPerSite is the per-site page budget (default 15), part of the
+	// checkpoint's identity.
 	PagesPerSite int
-	// Seed drives link sampling and backoff jitter.
+	// Seed is the crawl seed, part of the checkpoint's identity; it also
+	// drives backoff jitter.
 	Seed int64
-	// NewBrowser builds a browser for one site attempt. Seed it with
-	// crawler.SiteSeed (not the attempt) to keep retries deterministic.
-	// Required.
-	NewBrowser func(site crawler.Site, attempt int) *browser.Browser
-	// Recorder converts page loads into spool records. Required.
-	Recorder *analysis.Recorder
+	// RunGrant crawls each grant. It must seed its browsers per site
+	// (crawler.SiteSeed), not per attempt, to keep retries
+	// deterministic. Required.
+	RunGrant GrantRunner
 
 	// SpoolDir receives the sharded JSONL spool files. Required.
 	SpoolDir string
@@ -105,8 +99,8 @@ type Config struct {
 
 	// Retry is the retry policy (zero value = 3 attempts, 100ms base
 	// backoff doubling to 5s, half-delay jitter). A site may go the
-	// queue's default lease TTL without a heartbeat; heartbeats are sent
-	// per crawled page.
+	// queue's default lease TTL without a heartbeat; every emitted page
+	// heartbeats its grant.
 	Retry RetryPolicy
 
 	// StoreDir, when non-empty, also ingests every spooled page record
@@ -114,23 +108,17 @@ type Config struct {
 	// dataset from it (see LedgerConfig.StoreDir).
 	StoreDir string
 
-	// OnPage, when set, observes every page after its record has been
-	// spooled (progress reporting, fault-injection tests).
-	OnPage func(site crawler.Site, pageURL string)
-
 	// now overrides the clock, and commitEvery the ledger's commit
 	// cadence, in tests.
 	now         func() time.Time
 	commitEvery int
 }
 
-// Result is the outcome of an orchestrated crawl.
+// Result is the outcome of a local crawl.
 type Result struct {
 	// Dataset is the measurement output (nil when the run was cancelled
 	// before Finalize).
 	Dataset *analysis.Dataset
-	// Stats aggregates the crawler's attempt-level counters.
-	Stats crawler.Stats
 	// Merge describes what the ledger's fold consumed.
 	Merge analysis.MergeStats
 	// Progress is the final queue state.
@@ -141,20 +129,20 @@ type Result struct {
 	ResumedDone int
 }
 
-// Run executes the orchestrated crawl: open the ledger (restoring the
-// checkpoint on resume), lease sites to workers, append their pages,
-// commit progress, and derive the final dataset. On cancellation it
-// commits a final checkpoint and returns ctx.Err(); a later Resume run
-// continues where it stopped.
+// Run executes a local crawl: open the ledger (restoring the checkpoint
+// on resume), run Workers grant loops over the queue, commit progress,
+// and derive the final dataset. On cancellation it commits a final
+// checkpoint and returns ctx.Err(); a later Resume run continues where
+// it stopped.
 func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
-	if cfg.NewBrowser == nil {
-		return nil, fmt.Errorf("dispatch: Config.NewBrowser is required")
-	}
-	if cfg.Recorder == nil {
-		return nil, fmt.Errorf("dispatch: Config.Recorder is required")
+	if cfg.RunGrant == nil {
+		return nil, fmt.Errorf("dispatch: Config.RunGrant is required")
 	}
 	if cfg.PagesPerSite <= 0 {
 		cfg.PagesPerSite = 15
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = 8
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -195,23 +183,11 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 		res.ResumedDone = len(cp.Done)
 	}
 
-	o := &orchestrator{cfg: cfg, queue: queue, ledger: ledger}
-	stats, crawlErr := crawler.CrawlSource(ctx, o, crawler.Config{
-		Workers:      cfg.Workers,
-		PagesPerSite: cfg.PagesPerSite,
-		Seed:         cfg.Seed,
-		SiteBrowser:  o.browserFor,
-		OnPage:       o.onPage,
-	})
-	res.Stats = stats
-
+	crawlErr := work(ctx, cfg, queue, ledger)
 	// Always leave a fresh checkpoint behind, even (especially) when
 	// cancelled: that is what a later -resume picks up.
 	if cpErr := ledger.Commit(queue.ExportJobs); cpErr != nil && crawlErr == nil {
 		crawlErr = cpErr
-	}
-	if aErr := o.appendErr(); aErr != nil && crawlErr == nil {
-		crawlErr = aErr
 	}
 	res.Progress = queue.Progress()
 	res.FailedSites = queue.FailedSites()
@@ -222,100 +198,43 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 	return res, err
 }
 
-// orchestrator implements crawler.Source over the queue: the lease and
-// retry policy, and reporting each settle to the ledger.
-type orchestrator struct {
-	cfg    Config
-	queue  *Queue
-	ledger *Ledger
-
-	mu           sync.Mutex
-	active       map[string]*Lease
-	appendFailed error
-}
-
-// Next leases the next site for a worker.
-func (o *orchestrator) Next(ctx context.Context) (crawler.Site, bool) {
-	ls, ok := o.queue.Lease(ctx, 1)
-	if !ok {
-		return crawler.Site{}, false
+// work runs cfg.Workers loops that each lease one site per grant, crawl
+// it with cfg.RunGrant and settle it — the loop a fabric session runs
+// over the wire. Every emitted page goes to the ledger and heartbeats its
+// grant; a page the ledger refuses stops every loop and is the crawl's
+// error.
+func work(ctx context.Context, cfg Config, queue *Queue, ledger *Ledger) error {
+	wctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var (
+		wg        sync.WaitGroup
+		refused   sync.Once
+		appendErr error
+	)
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				g, ok := queue.Grant(wctx, 1, ledger)
+				if !ok {
+					return
+				}
+				failed, err := cfg.RunGrant(wctx, g.Sites(), g.Attempt(), func(site string, line []byte) error {
+					if err := ledger.AppendLine(site, line); err != nil {
+						refused.Do(func() { appendErr = err; stop() })
+						return err
+					}
+					g.Heartbeat()
+					return nil
+				})
+				g.Settle(failed, err) // a failed commit costs only re-crawling; a later one retries
+			}
+		}()
 	}
-	l := ls[0]
-	o.mu.Lock()
-	if o.active == nil {
-		o.active = map[string]*Lease{}
+	wg.Wait()
+	if appendErr != nil {
+		return appendErr
 	}
-	o.active[l.Site.Domain] = l
-	o.mu.Unlock()
-	return l.Site, true
-}
-
-// Done settles a site attempt: complete, release (cancelled), or fail
-// (retried by the queue until the attempt budget is spent).
-func (o *orchestrator) Done(site crawler.Site, pages int, err error) {
-	o.mu.Lock()
-	l := o.active[site.Domain]
-	delete(o.active, site.Domain)
-	o.mu.Unlock()
-	if l == nil {
-		return
-	}
-	var settled bool
-	switch {
-	case err == nil:
-		settled = l.Complete()
-	case released(err):
-		l.Release()
-	default:
-		settled = l.Fail(err)
-	}
-	if settled {
-		_ = o.ledger.Settled(1, o.queue.ExportJobs) // a later commit retries
-	}
-}
-
-// browserFor builds the per-site browser, threading the attempt number
-// through for fault-injection hooks.
-func (o *orchestrator) browserFor(site crawler.Site) *browser.Browser {
-	o.mu.Lock()
-	attempt := 1
-	if l := o.active[site.Domain]; l != nil {
-		attempt = l.Attempt
-	}
-	o.mu.Unlock()
-	return o.cfg.NewBrowser(site, attempt)
-}
-
-// onPage records, appends, and heartbeats one crawled page.
-func (o *orchestrator) onPage(site crawler.Site, pageURL string, res *browser.PageResult) {
-	recordSpan := obs.StartSpan(obs.CrawlRecord)
-	rec, err := o.cfg.Recorder.RecordPage(site, pageURL, res)
-	if err != nil {
-		return // unparseable page: drop it
-	}
-	recordSpan.End()
-	if err := o.ledger.Append(rec); err != nil {
-		o.mu.Lock()
-		if o.appendFailed == nil {
-			o.appendFailed = err
-		}
-		o.mu.Unlock()
-		return
-	}
-	o.mu.Lock()
-	l := o.active[site.Domain]
-	o.mu.Unlock()
-	if l != nil {
-		l.Heartbeat()
-	}
-	if o.cfg.OnPage != nil {
-		o.cfg.OnPage(site, pageURL)
-	}
-}
-
-// appendErr returns the first ledger append failure, if any.
-func (o *orchestrator) appendErr() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.appendFailed
+	return ctx.Err()
 }

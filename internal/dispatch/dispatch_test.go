@@ -44,17 +44,6 @@ func newTestEnv(t *testing.T, publishers int) *testEnv {
 	return &testEnv{world: w, server: s, sites: sites}
 }
 
-// recorder builds a fresh recorder; the labeler is only read by the
-// dispatch path, never mutated, so per-run instances are equivalent.
-func (e *testEnv) recorder() *analysis.Recorder {
-	lab := labeler.New(
-		filterlist.Parse("easylist", e.world.EasyListText()),
-		filterlist.Parse("easyprivacy", e.world.EasyPrivacyText()),
-	)
-	lab.SetCDNMap(e.world.CloudfrontMap())
-	return analysis.NewRecorder(lab)
-}
-
 const testSeed = 99
 
 func (e *testEnv) goodBrowser(site crawler.Site) *browser.Browser {
@@ -66,8 +55,59 @@ func (e *testEnv) goodBrowser(site crawler.Site) *browser.Browser {
 	})
 }
 
-// config returns a baseline dispatch config rooted at dir.
-func (e *testEnv) config(dir string, workers int) Config {
+// testRunner is core's page plane in miniature, the GrantRunner every
+// test crawl runs: each site with the browser browserFor builds for its
+// attempt, each page recorded, encoded as a spool line and emitted.
+type testRunner struct {
+	rec        *analysis.Recorder
+	browserFor func(site crawler.Site, attempt int) *browser.Browser
+	// onPage, when set, runs after each page the ledger took.
+	onPage func()
+	stats  crawler.Stats
+}
+
+// runner builds a test runner over good browsers; the labeler is only
+// read by the record step, never mutated, so per-run instances are
+// equivalent.
+func (e *testEnv) runner() *testRunner {
+	lab := labeler.New(
+		filterlist.Parse("easylist", e.world.EasyListText()),
+		filterlist.Parse("easyprivacy", e.world.EasyPrivacyText()),
+	)
+	lab.SetCDNMap(e.world.CloudfrontMap())
+	return &testRunner{
+		rec:        analysis.NewRecorder(lab),
+		browserFor: func(site crawler.Site, _ int) *browser.Browser { return e.goodBrowser(site) },
+	}
+}
+
+func (r *testRunner) run(ctx context.Context, sites []crawler.Site, attempt int, emit func(string, []byte) error) (map[string]string, error) {
+	return crawler.Crawl(ctx, sites, crawler.Config{
+		PagesPerSite: 3,
+		Seed:         testSeed,
+		SiteBrowser:  func(site crawler.Site) *browser.Browser { return r.browserFor(site, attempt) },
+		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
+			rec, err := r.rec.RecordPage(site, pageURL, res)
+			if err != nil {
+				return
+			}
+			line, err := analysis.AppendSpoolRecord(nil, rec)
+			if err != nil {
+				panic(err)
+			}
+			if emit(site.Domain, line[:len(line)-1]) == nil && r.onPage != nil {
+				r.onPage()
+			}
+		},
+	}, &r.stats)
+}
+
+// config returns a baseline dispatch config rooted at dir, crawling with
+// r (a fresh env.runner() when nil).
+func (e *testEnv) config(dir string, workers int, r *testRunner) Config {
+	if r == nil {
+		r = e.runner()
+	}
 	return Config{
 		Name:           "test-crawl",
 		Meta:           analysis.DatasetMeta{Name: "test-crawl", Era: "pre-patch", CrawlIndex: 0},
@@ -75,8 +115,7 @@ func (e *testEnv) config(dir string, workers int) Config {
 		Workers:        workers,
 		PagesPerSite:   3,
 		Seed:           testSeed,
-		NewBrowser:     func(site crawler.Site, attempt int) *browser.Browser { return e.goodBrowser(site) },
-		Recorder:       e.recorder(),
+		RunGrant:       r.run,
 		SpoolDir:       filepath.Join(dir, "spool"),
 		NumShards:      4,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
@@ -99,7 +138,7 @@ func datasetBytes(t *testing.T, d *analysis.Dataset) []byte {
 func TestDeterministicShardsAndDataset(t *testing.T) {
 	env := newTestEnv(t, 20)
 	run := func(dir string, workers int) *Result {
-		res, err := Run(context.Background(), env.config(dir, workers))
+		res, err := Run(context.Background(), env.config(dir, workers, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +190,7 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	env := newTestEnv(t, 20)
 
 	fullDir := t.TempDir()
-	full, err := Run(context.Background(), env.config(fullDir, 2))
+	full, err := Run(context.Background(), env.config(fullDir, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +202,14 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var pages atomic.Int64
-	cfg := env.config(dir, 2)
-	cfg.commitEvery = 1
-	cfg.OnPage = func(crawler.Site, string) {
+	r := env.runner()
+	r.onPage = func() {
 		if pages.Add(1) == 10 {
 			cancel()
 		}
 	}
+	cfg := env.config(dir, 2, r)
+	cfg.commitEvery = 1
 	res1, err := Run(ctx, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
@@ -186,7 +226,8 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	}
 
 	// Resume and converge.
-	cfg2 := env.config(dir, 2)
+	r2 := env.runner()
+	cfg2 := env.config(dir, 2, r2)
 	cfg2.commitEvery = 1
 	cfg2.Resume = true
 	res2, err := Run(context.Background(), cfg2)
@@ -196,8 +237,8 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	if res2.ResumedDone != len(cp.Done) {
 		t.Errorf("resumed %d sites, checkpoint had %d", res2.ResumedDone, len(cp.Done))
 	}
-	if res2.Stats.Sites >= int64(len(env.sites)) {
-		t.Errorf("resume re-crawled everything: %d site attempts", res2.Stats.Sites)
+	if r2.stats.Sites >= int64(len(env.sites)) {
+		t.Errorf("resume re-crawled everything: %d site attempts", r2.stats.Sites)
 	}
 	if !bytes.Equal(datasetBytes(t, full.Dataset), datasetBytes(t, res2.Dataset)) {
 		t.Error("resumed dataset differs from uninterrupted run")
@@ -227,14 +268,14 @@ func TestRetryRecoversFlakySite(t *testing.T) {
 	flaky := env.sites[3].Domain
 
 	cleanDir := t.TempDir()
-	clean, err := Run(context.Background(), env.config(cleanDir, 2))
+	clean, err := Run(context.Background(), env.config(cleanDir, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	cfg := env.config(dir, 2)
-	cfg.NewBrowser = func(site crawler.Site, attempt int) *browser.Browser {
+	r := env.runner()
+	r.browserFor = func(site crawler.Site, attempt int) *browser.Browser {
 		if site.Domain == flaky && attempt == 1 {
 			return browser.New(browser.Config{
 				Version:    57,
@@ -245,14 +286,14 @@ func TestRetryRecoversFlakySite(t *testing.T) {
 		}
 		return env.goodBrowser(site)
 	}
-	res, err := Run(context.Background(), cfg)
+	res, err := Run(context.Background(), env.config(dir, 2, r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Progress.Retries < 1 {
 		t.Errorf("retries = %d, want >= 1", res.Progress.Retries)
 	}
-	if res.Stats.SiteErrors == 0 {
+	if r.stats.SiteErrors == 0 {
 		t.Error("failed attempt not counted in SiteErrors")
 	}
 	if len(res.FailedSites) != 0 {
@@ -270,9 +311,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	dead := env.sites[0].Domain
 
 	dir := t.TempDir()
-	cfg := env.config(dir, 2)
-	cfg.Retry.MaxAttempts = 2
-	cfg.NewBrowser = func(site crawler.Site, attempt int) *browser.Browser {
+	r := env.runner()
+	r.browserFor = func(site crawler.Site, attempt int) *browser.Browser {
 		if site.Domain == dead {
 			return browser.New(browser.Config{
 				Version:    57,
@@ -283,6 +323,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 		}
 		return env.goodBrowser(site)
 	}
+	cfg := env.config(dir, 2, r)
+	cfg.Retry.MaxAttempts = 2
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -311,17 +353,12 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // TestRunValidatesConfig covers the required-field errors.
 func TestRunValidatesConfig(t *testing.T) {
 	env := newTestEnv(t, 2)
-	base := env.config(t.TempDir(), 1)
+	base := env.config(t.TempDir(), 1, nil)
 
-	missingBrowser := base
-	missingBrowser.NewBrowser = nil
-	if _, err := Run(context.Background(), missingBrowser); err == nil {
-		t.Error("missing NewBrowser accepted")
-	}
-	missingRec := base
-	missingRec.Recorder = nil
-	if _, err := Run(context.Background(), missingRec); err == nil {
-		t.Error("missing Recorder accepted")
+	missingRunner := base
+	missingRunner.RunGrant = nil
+	if _, err := Run(context.Background(), missingRunner); err == nil {
+		t.Error("missing RunGrant accepted")
 	}
 	missingSpool := base
 	missingSpool.SpoolDir = ""
@@ -335,16 +372,16 @@ func TestRunValidatesConfig(t *testing.T) {
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	env := newTestEnv(t, 4)
 	dir := t.TempDir()
-	if _, err := Run(context.Background(), env.config(dir, 1)); err != nil {
+	if _, err := Run(context.Background(), env.config(dir, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
-	bad := env.config(dir, 1)
+	bad := env.config(dir, 1, nil)
 	bad.Resume = true
 	bad.Seed = testSeed + 1
 	if _, err := Run(context.Background(), bad); err == nil {
 		t.Error("seed mismatch accepted on resume")
 	}
-	bad2 := env.config(dir, 1)
+	bad2 := env.config(dir, 1, nil)
 	bad2.Resume = true
 	bad2.NumShards = 2
 	if _, err := Run(context.Background(), bad2); err == nil {

@@ -49,15 +49,15 @@ type LedgerConfig struct {
 
 // Ledger owns a crawl's durable state — the spool, the optional columnar
 // store, the live fold and the checkpoint file — and is the only place
-// the ordering between them exists. Its two callers, Run's orchestrator
-// and the fabric coordinator, decide what to crawl and report each
-// settle; the ledger decides when to commit and what "durable" means
-// (DESIGN.md §7):
+// the ordering between them exists. Its callers — Run's worker loops and
+// the fabric coordinator's sessions — decide what to crawl and settle
+// their grants; the ledger decides when to commit and what "durable"
+// means (DESIGN.md §7):
 //
 //   - OpenLedger: load the checkpoint, check it against the crawl, open
 //     or replay the store, replay the spool the checkpoint vouches for
 //     (folding it when there is no store) and cut a crash remnant;
-//   - Append / AppendLine: spool one page, then fold or ingest it;
+//   - AppendLine: spool one page line, then fold or ingest its record;
 //   - Settled: the one commit rule, once every max(8, TotalSites/128)
 //     settled attempts — about 128 checkpoints per crawl;
 //   - Commit: flush the spool, seal the store, record the shard extents,
@@ -82,6 +82,12 @@ type Ledger struct {
 
 	appendMu  sync.RWMutex // held shared by appends, exclusively by Finalize
 	finalized bool         // guarded by appendMu
+
+	// decoders recycles the fold's line decoders, whose records the fold
+	// drops (a store keeps its records, so it decodes fresh ones). It is
+	// a free list rather than a sync.Pool so the race detector's random
+	// pool drops do not leak into the allocation budget.
+	decoders chan *analysis.SpoolDecoder
 }
 
 // ErrFinalized is returned by appends that arrive after Finalize.
@@ -107,6 +113,10 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	l := &Ledger{cfg: cfg}
 	if cfg.StoreDir == "" {
 		l.folder = analysis.NewFolder(cfg.Meta)
+		// One decoder per concurrent append: 16 covers the worker
+		// counts crawls run with; a decoder returned to a full list is
+		// left to the collector.
+		l.decoders = make(chan *analysis.SpoolDecoder, 16)
 	}
 	if cfg.Resume {
 		cp, lerr := LoadCheckpoint(cfg.CheckpointPath)
@@ -181,10 +191,11 @@ func (l *Ledger) replaySpool() error {
 	}
 	var cuts []cut
 	br := bufio.NewReaderSize(nil, 64*1024) // one read buffer for every shard
+	var dec analysis.SpoolDecoder
 	for i, extent := range cp.ShardBytes {
 		name := shardName(i)
 		path := filepath.Join(l.cfg.SpoolDir, name)
-		size, complete, bad, err := replayShard(path, br, l.folder)
+		size, complete, bad, err := replayShard(path, br, &dec, l.folder)
 		switch {
 		case err != nil:
 			return err
@@ -206,12 +217,12 @@ func (l *Ledger) replaySpool() error {
 	return nil
 }
 
-// replayShard reads one spool shard, folding each complete line into
-// fold (nil: only scanning it), and returns the shard's size and the
-// length of its complete-line prefix. A complete line that does not
-// decode stops the read and comes back as bad, naming the line. A
-// missing shard is empty.
-func replayShard(path string, br *bufio.Reader, fold *analysis.Folder) (size, complete int64, bad string, err error) {
+// replayShard reads one spool shard, folding each complete line dec
+// decodes into fold (nil: only scanning it), and returns the shard's
+// size and the length of its complete-line prefix. A complete line that
+// does not decode stops the read and comes back as bad, naming the line.
+// A missing shard is empty.
+func replayShard(path string, br *bufio.Reader, dec *analysis.SpoolDecoder, fold *analysis.Folder) (size, complete int64, bad string, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, 0, "", nil
@@ -234,7 +245,7 @@ func replayShard(path string, br *bufio.Reader, fold *analysis.Folder) (size, co
 		if fold == nil || len(raw) == 1 {
 			continue
 		}
-		rec, err := decodeLine(raw[:len(raw)-1])
+		rec, err := decodeLine(dec, raw[:len(raw)-1])
 		if err != nil {
 			return 0, 0, fmt.Sprintf("line %d: %v", line, err), nil
 		}
@@ -250,39 +261,58 @@ func (l *Ledger) Resumed() *Checkpoint { return l.resumed }
 // in-process query API. The ledger keeps ownership.
 func (l *Ledger) Store() *colstore.Store { return l.store }
 
-// Append spools one page record, then folds or ingests it. The page is
-// durable once a later Commit returns.
-func (l *Ledger) Append(rec *analysis.PageRecord) error {
-	return l.append(rec, func(dst []byte) ([]byte, error) {
-		return analysis.AppendSpoolRecord(dst, rec)
-	})
-}
-
-// AppendLine is Append for a page a fabric worker already encoded: line
-// is one spool line (without its newline) for a page of site. It is
-// decoded once — which is also what keeps bytes that are not that site's
-// page record out of the spool — written verbatim, and the decoded
-// record goes to the fold or store.
+// AppendLine is the ledger's one entry for pages: line is one spool
+// line (without its newline) for a page of site, as a grant runner
+// emitted it — in-process or from a fabric worker. It is decoded once,
+// which is also what keeps bytes that are not that site's page record
+// out of the spool, written verbatim, and the decoded record goes to the
+// fold or store: the live fold and a resume's replay fold the same
+// decoded bytes. The page is durable once a later Commit returns.
 func (l *Ledger) AppendLine(site string, line []byte) error {
+	span := obs.StartSpan(obs.CrawlCommit)
 	if bytes.IndexByte(line, '\n') >= 0 {
 		return fmt.Errorf("dispatch: page line spans several lines")
 	}
-	rec, err := decodeLine(line)
+	var dec *analysis.SpoolDecoder
+	if l.decoders != nil {
+		select {
+		case dec = <-l.decoders:
+		default:
+			dec = new(analysis.SpoolDecoder)
+		}
+		defer func() {
+			select {
+			case l.decoders <- dec:
+			default:
+			}
+		}()
+	}
+	rec, err := decodeLine(dec, line)
 	if err != nil {
 		return err
 	}
 	if rec.Site == "" || rec.Site != site {
 		return fmt.Errorf("dispatch: page line is for site %q, want %q", rec.Site, site)
 	}
-	return l.append(rec, func(dst []byte) ([]byte, error) {
+	l.appendMu.RLock()
+	defer l.appendMu.RUnlock()
+	if l.finalized {
+		return ErrFinalized
+	}
+	if err := l.spool.append(site, func(dst []byte) ([]byte, error) {
 		return append(append(dst, line...), '\n'), nil
-	})
+	}); err != nil {
+		return err
+	}
+	span.End()
+	return l.sink(rec)
 }
 
-// decodeLine decodes one spool line into a record the fold and the store
-// can take: both read every HTTP entry, so a null one is refused.
-func decodeLine(line []byte) (*analysis.PageRecord, error) {
-	rec, err := analysis.DecodeSpoolLine(line)
+// decodeLine decodes one spool line with dec (nil: into a fresh record)
+// into a record the fold and the store can take: both read every HTTP
+// entry, so a null one is refused.
+func decodeLine(dec *analysis.SpoolDecoder, line []byte) (*analysis.PageRecord, error) {
+	rec, err := dec.Decode(line)
 	if err != nil {
 		return nil, err
 	}
@@ -292,22 +322,6 @@ func decodeLine(line []byte) (*analysis.PageRecord, error) {
 		}
 	}
 	return rec, nil
-}
-
-// append is the one way bytes reach a shard: line renders rec's spool
-// line into its shard, then rec goes to the dataset side.
-func (l *Ledger) append(rec *analysis.PageRecord, line func(dst []byte) ([]byte, error)) error {
-	l.appendMu.RLock()
-	defer l.appendMu.RUnlock()
-	if l.finalized {
-		return ErrFinalized
-	}
-	span := obs.StartSpan(obs.CrawlCommit)
-	if err := l.spool.append(rec.Site, line); err != nil {
-		return err
-	}
-	span.End()
-	return l.sink(rec)
 }
 
 // sink hands a spooled record to the fold. It runs after the spool
@@ -323,7 +337,7 @@ func (l *Ledger) sink(rec *analysis.PageRecord) error {
 	return nil
 }
 
-// Settled is the one commit rule: both callers report every settle of n
+// Settled is the one commit rule: Grant.Settle reports every settle of n
 // attempts (complete or fail), and the ledger commits, at most once per
 // call, once max(8, TotalSites/128) have settled since it last did — so a
 // crawl writes about 128 checkpoints, O(N) bytes in all. snapshot is

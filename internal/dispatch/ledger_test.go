@@ -13,6 +13,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/oracle"
 	"repro/internal/colstore"
+	"repro/internal/fabric/wire"
 )
 
 const (
@@ -84,20 +85,36 @@ func (r *ledgerRun) open(resume bool) {
 	}
 }
 
+// recordLine is rec's spool line, without the newline, as a grant
+// runner emits it.
+func recordLine(t *testing.T, rec *analysis.PageRecord) []byte {
+	t.Helper()
+	line, err := analysis.AppendSpoolRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line[:len(line)-1]
+}
+
+// append hands the ledger page p of site i: the line as a local worker
+// loop emits it or, with lines set, as a fabric worker ships it — inside
+// a page frame, off the wire.
 func (r *ledgerRun) append(i, p int) {
 	r.t.Helper()
 	rec := ledgerRecord(i, p)
-	var err error
+	line := recordLine(r.t, rec)
 	if r.lines {
-		var buf bytes.Buffer
-		if err := analysis.EncodeSpoolRecord(&buf, rec); err != nil {
+		frame, err := wire.Encode(&wire.Page{Batch: "g1", Site: rec.Site, Line: line})
+		if err != nil {
 			r.t.Fatal(err)
 		}
-		err = r.l.AppendLine(rec.Site, bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
-	} else {
-		err = r.l.Append(rec)
+		dec, err := wire.Decode(frame)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		line = dec.Msg.(*wire.Page).Line
 	}
-	if err != nil {
+	if err := r.l.AppendLine(rec.Site, line); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -206,11 +223,11 @@ func (r *ledgerRun) finish() []byte {
 }
 
 // TestLedger runs the ledger through {fold, store} × {fresh, dropped
-// without Close then resumed} × {record append, line append}. Every row
-// must hold the commit invariants after every Commit, finalize to the
-// merge of its own spool, and produce the one dataset; fresh rows must
-// also leave byte-identical shard files whichever way pages were
-// appended.
+// without Close then resumed} × {lines emitted in-process, lines shipped
+// in page frames}. Every row must hold the commit invariants after every
+// Commit, finalize to the merge of its own spool, and produce the one
+// dataset; fresh rows must also leave byte-identical shard files
+// whichever way the lines arrived.
 func TestLedger(t *testing.T) {
 	var want []byte
 	shards := map[string][]byte{}
@@ -268,7 +285,7 @@ func TestLedger(t *testing.T) {
 						}
 						key := fmt.Sprintf("%v/%d", store, i)
 						if prev, ok := shards[key]; ok && !bytes.Equal(prev, data) {
-							t.Errorf("shard %d differs between record and line appends", i)
+							t.Errorf("shard %d differs between in-process and framed lines", i)
 						}
 						shards[key] = data
 					}
@@ -607,8 +624,8 @@ func TestLedgerFinalizeEndsAppends(t *testing.T) {
 		}
 		want := datasetBytes(t, ds)
 		shards := readShards(t, r.l.spool.Paths())
-		if err := r.l.Append(ledgerRecord(5, 0)); !errors.Is(err, ErrFinalized) {
-			t.Errorf("store=%v: Append after Finalize: err = %v, want ErrFinalized", store, err)
+		if err := r.l.AppendLine(ledgerSite(5), recordLine(t, ledgerRecord(5, 0))); !errors.Is(err, ErrFinalized) {
+			t.Errorf("store=%v: AppendLine after Finalize: err = %v, want ErrFinalized", store, err)
 		}
 		if !bytes.Equal(want, datasetBytes(t, ds)) {
 			t.Errorf("store=%v: a late append changed the finalized dataset", store)
@@ -750,7 +767,7 @@ func FuzzAppendLine(f *testing.F) {
 		}
 		defer l.Close()
 		first := ledgerRecord(0, 0)
-		if err := l.Append(first); err != nil {
+		if err := l.AppendLine(first.Site, recordLine(t, first)); err != nil {
 			t.Fatal(err)
 		}
 		shard := func() []byte {

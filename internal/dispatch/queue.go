@@ -87,7 +87,7 @@ func NewQueue(sites []crawler.Site, cfg QueueConfig) *Queue {
 		jobs:     make([]job, 0, len(sites)),
 		index:    make(map[string]int, len(sites)),
 		leaseTTL: cfg.LeaseTTL,
-		policy:   cfg.Retry.withDefaults(),
+		policy:   cfg.Retry.WithDefaults(),
 		rng:      detrand.New(cfg.Seed),
 		now:      cfg.Now,
 		signal:   make(chan struct{}),

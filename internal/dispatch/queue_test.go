@@ -210,7 +210,7 @@ func TestQueueLeaseRespectsContext(t *testing.T) {
 }
 
 func TestRetryPolicyDelayGrowthAndJitter(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, JitterFrac: -1}.withDefaults()
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, JitterFrac: -1}.WithDefaults()
 	if p.JitterFrac != 0 {
 		t.Fatalf("JitterFrac = %v", p.JitterFrac)
 	}

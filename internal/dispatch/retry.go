@@ -26,8 +26,8 @@ type RetryPolicy struct {
 	JitterFrac float64
 }
 
-// withDefaults fills zero fields.
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// WithDefaults fills the zero fields with the defaults above.
+func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
 	}

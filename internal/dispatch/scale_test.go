@@ -9,11 +9,8 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/browser"
 	"repro/internal/crawler"
-	"repro/internal/labeler"
 	"repro/internal/obs"
-	"repro/internal/urlutil"
 )
 
 // The scaling gate compares a crawl with one eight times its size, in
@@ -35,9 +32,9 @@ type scaleCost struct {
 // TestDispatchScales is the host-independent scaling gate for dispatch:
 // what the queue and the ledger cost per site must not grow with the
 // crawl. It runs each of dispatch's two callers at two sizes eight times
-// apart with no page plane behind them — dispatch.Run over a browser
-// that serves one tiny page and records with an empty labeler, and the
-// coordinator's loop of 16-site grants settled through the ledger — and
+// apart with no page plane behind them — dispatch.Run over a runner that
+// emits one small line per site, and the coordinator's loop of 16-site
+// grants settled through the ledger — and
 // compares the two sizes on two terms:
 //
 //   - checkpoint bytes written per settled site stay within 1.25×. The
@@ -123,10 +120,8 @@ func measure(t *testing.T, n int, crawl func()) scaleCost {
 	}
 }
 
-// tinyPage is the whole stub web: every URL serves it.
-var tinyPage = []byte("<html><head><title>t</title></head><body><p>ok</p></body></html>")
-
-// scaleLocal is one dispatch.Run over n sites of one tiny page each.
+// scaleLocal is one dispatch.Run over n sites with a runner that emits
+// one small page line per site.
 func scaleLocal(t *testing.T, n int) scaleCost {
 	dir := t.TempDir()
 	cfg := Config{
@@ -136,16 +131,14 @@ func scaleLocal(t *testing.T, n int) scaleCost {
 		Workers:      1,
 		PagesPerSite: 1,
 		Seed:         1,
-		NewBrowser: func(site crawler.Site, _ int) *browser.Browser {
-			return browser.New(browser.Config{
-				Version: 57,
-				Seed:    crawler.SiteSeed(1, site.Domain),
-				Fetch: func(*urlutil.URL, []byte) (int, string, []byte, error) {
-					return 200, "text/html", tinyPage, nil
-				},
-			})
+		RunGrant: func(_ context.Context, sites []crawler.Site, _ int, emit func(string, []byte) error) (map[string]string, error) {
+			for _, s := range sites {
+				if err := emit(s.Domain, recordLine(t, rec(s.Domain, "http://"+s.Domain+"/"))); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
 		},
-		Recorder:       analysis.NewRecorder(labeler.New()),
 		SpoolDir:       filepath.Join(dir, "spool"),
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 	}
@@ -163,9 +156,8 @@ func scaleLocal(t *testing.T, n int) scaleCost {
 }
 
 // scaleCoordinator is the coordinator's dispatch loop over n sites: lease
-// a grant of up to 16 sites, append one page per site, complete each
-// lease, and report the settle to the ledger — what fabric.Coordinator
-// does per grant, without the wire.
+// a grant of up to 16 sites, append one page line per site and settle
+// the grant — what fabric.Coordinator does per grant, without the wire.
 func scaleCoordinator(t *testing.T, n int) scaleCost {
 	dir := t.TempDir()
 	sites := scaleSites(n)
@@ -182,17 +174,16 @@ func scaleCoordinator(t *testing.T, n int) scaleCost {
 	defer l.Close()
 	cost := measure(t, n, func() {
 		for {
-			ls, ok := q.Lease(context.Background(), 16)
+			g, ok := q.Grant(context.Background(), 16, l)
 			if !ok {
 				break
 			}
-			for _, le := range ls {
-				if err := l.Append(rec(le.Site.Domain, "http://"+le.Site.Domain+"/")); err != nil {
+			for _, s := range g.Sites() {
+				if err := l.AppendLine(s.Domain, recordLine(t, rec(s.Domain, "http://"+s.Domain+"/"))); err != nil {
 					t.Fatal(err)
 				}
-				le.Complete()
 			}
-			if err := l.Settled(len(ls), q.ExportJobs); err != nil {
+			if _, err := g.Settle(nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/analysis/oracle"
 	"repro/internal/colstore"
-	"repro/internal/crawler"
 )
 
 // spoolPaths reconstructs a run's shard file paths.
@@ -31,14 +30,14 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 	env := newTestEnv(t, 16)
 
 	mergeDir := t.TempDir()
-	mergeRes, err := Run(context.Background(), env.config(mergeDir, 2))
+	mergeRes, err := Run(context.Background(), env.config(mergeDir, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := datasetBytes(t, mergeRes.Dataset)
 
 	storeDir := t.TempDir()
-	cfg := env.config(storeDir, 2)
+	cfg := env.config(storeDir, 2, nil)
 	cfg.StoreDir = filepath.Join(storeDir, "store")
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -82,7 +81,7 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	env := newTestEnv(t, 20)
 
 	fullDir := t.TempDir()
-	full, err := Run(context.Background(), env.config(fullDir, 2))
+	full, err := Run(context.Background(), env.config(fullDir, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +91,15 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var pages atomic.Int64
-	cfg := env.config(dir, 2)
-	cfg.commitEvery = 1
-	cfg.StoreDir = filepath.Join(dir, "store")
-	cfg.OnPage = func(crawler.Site, string) {
+	r := env.runner()
+	r.onPage = func() {
 		if pages.Add(1) == 10 {
 			cancel()
 		}
 	}
+	cfg := env.config(dir, 2, r)
+	cfg.commitEvery = 1
+	cfg.StoreDir = filepath.Join(dir, "store")
 	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
@@ -111,7 +111,7 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 		t.Fatalf("checkpoint done = %d sites, want a strict subset", len(cp.Done))
 	}
 
-	cfg2 := env.config(dir, 2)
+	cfg2 := env.config(dir, 2, nil)
 	cfg2.commitEvery = 1
 	cfg2.StoreDir = cfg.StoreDir
 	cfg2.Resume = true

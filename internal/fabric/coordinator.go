@@ -60,17 +60,17 @@ type CoordinatorConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Coordinator leases a crawl's sites to a worker fleet over the fabric
-// protocol and appends their page records to the crawl's
-// dispatch.Ledger. Leasing, heartbeats, TTL reclaim, and retry budgets
-// are dispatch.Queue's, over the same sites dispatch.Run queues: a grant
-// is up to BatchSize site leases from one claim step, and each site
-// settles on its own. The queue is the coordinator's only clock: a
-// waiting session blocks in its Lease, and Wait in its Drained. What is
-// the coordinator's own is the wire session loop; everything durable,
-// and when to commit it, is the ledger's (DESIGN.md §7): a killed
-// coordinator resumes at most max(8, N/128) − 1 settled sites stale, as a
-// local crawl does, and re-crawls them into identical spool bytes.
+// Coordinator runs dispatch.Run's grant loop over the wire: it leases a
+// crawl's sites to a worker fleet as dispatch.Grants of up to BatchSize
+// sites, appends their page lines to the crawl's dispatch.Ledger, and
+// settles each grant through it. Leasing, heartbeats, TTL reclaim, retry
+// budgets and settling are dispatch's, over the same sites dispatch.Run
+// queues. The queue is the coordinator's only clock: a waiting session
+// blocks in its Grant, and Wait in its Drained. What is the
+// coordinator's own is the wire session loop; everything durable, and
+// when to commit it, is the ledger's (DESIGN.md §7): a killed coordinator
+// resumes at most max(8, N/128) − 1 settled sites stale, as a local crawl
+// does, and re-crawls them into identical spool bytes.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	queue  *dispatch.Queue
@@ -86,10 +86,10 @@ type Coordinator struct {
 	// answering is read-held by a session from reading a frame until its
 	// answer is written. Wait takes it once the queue has drained, so it
 	// returns only after every answer then owed — drained, for a lease or
-	// a settle — is out. A session may block while holding it (in Lease),
-	// but never on Wait: once the queue has drained, Lease returns at once.
+	// a settle — is out. A session may block while holding it (in Grant),
+	// but never on Wait: once the queue has drained, Grant returns at once.
 	answering sync.RWMutex
-	cancel    context.CancelFunc // ends every session's Lease
+	cancel    context.CancelFunc // ends every session's Grant
 	wg        sync.WaitGroup
 }
 
@@ -232,7 +232,7 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// shutdown stops serving — listener, sessions, their Lease calls — and
+// shutdown stops serving — listener, sessions, their Grant calls — and
 // leaves the ledger untouched. false means it already ran.
 func (c *Coordinator) shutdown() bool {
 	c.mu.Lock()
@@ -326,14 +326,14 @@ func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 	defer obs.FabricWorkers.Add(-1)
 	c.logf("fabric: worker %s connected", hello.Worker)
 
-	s := &session{conn: conn, worker: hello.Worker, held: map[string]*grant{}}
+	s := &session{conn: conn, worker: hello.Worker, held: map[string]*dispatch.Grant{}}
 	defer func() {
 		// A dropped session releases its leases immediately (without
 		// consuming an attempt) instead of waiting out the TTL: the
 		// worker is gone, and on reconnect its heartbeats for the old
 		// grant are answered invalid, so it abandons the grant.
 		for _, g := range s.held {
-			g.settle((*dispatch.Lease).Release)
+			g.Release()
 		}
 	}()
 
@@ -355,46 +355,24 @@ func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 type session struct {
 	conn   *wsproto.Conn
 	worker string
-	held   map[string]*grant // by grant ID
-	grants int               // grants issued so far; names the next
+	held   map[string]*dispatch.Grant // by grant ID
+	grants int                        // grants issued so far; names the next
 }
 
-// grant is the site leases one claim step took for a worker, under the
-// session's name for them.
-type grant struct {
-	leases []*dispatch.Lease
-	at     time.Time
-}
-
-// heartbeat extends every lease of the grant. The grant is valid only if
-// each lease still is; otherwise the worker abandons it, so the rest are
-// released.
-func (g *grant) heartbeat() bool {
-	if g.settle((*dispatch.Lease).Heartbeat) == len(g.leases) {
-		return true
-	}
-	g.settle((*dispatch.Lease).Release)
-	return false
-}
-
-// settle applies op to every lease of the grant (none for a nil grant)
-// and counts the leases it still owned.
-func (g *grant) settle(op func(*dispatch.Lease) bool) (live int) {
-	if g == nil {
-		return 0
-	}
-	for _, l := range g.leases {
-		if op(l) {
-			live++
-		}
-	}
-	return live
+// take removes and returns the grant the worker names (nil if it holds
+// none by that ID).
+func (s *session) take(id string) *dispatch.Grant {
+	g := s.held[id]
+	delete(s.held, id)
+	return g
 }
 
 // serve acts on one worker frame and writes its answer, if it has one.
-// false ends the session. Each settle is reported to the ledger.
+// false ends the session. Settles go through the grant, which reports
+// them to the ledger.
 func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) bool {
 	var settled int // site attempts this frame settled
+	var commitErr error
 	switch m := dec.Msg.(type) {
 	case nil: // control frame
 		if dec.Type != wire.TypeLease {
@@ -405,7 +383,7 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 	case *wire.Heartbeat:
 		obs.FabricHeartbeats.Inc()
 		g := s.held[m.Batch]
-		valid := g != nil && g.heartbeat()
+		valid := g != nil && g.Heartbeat()
 		if !valid {
 			delete(s.held, m.Batch)
 		}
@@ -425,72 +403,58 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		return true
 	case *wire.Complete:
 		// TCP ordering means every page frame of this grant was appended
-		// to the ledger before this settle; the commit below makes them
-		// durable before a site is vouched for. Each site settles on its
-		// own: the ones the worker names failed this attempt and retry
+		// to the ledger before this settle; the commit it makes due makes
+		// them durable before a site is vouched for. Each site settles on
+		// its own: the ones the worker names failed this attempt and retry
 		// under the policy, as a local crawl's failed sites do.
-		g := s.held[m.Batch]
-		delete(s.held, m.Batch)
-		settled = g.settle(func(l *dispatch.Lease) bool {
-			if msg, failed := m.FailedSites[l.Site.Domain]; failed {
-				return l.Fail(errors.New(msg))
-			}
-			return l.Complete()
-		})
-		if settled == 0 {
+		g := s.take(m.Batch)
+		if settled, commitErr = g.Settle(m.FailedSites, nil); settled == 0 {
 			c.logf("fabric: stale complete for grant %s from %s ignored", m.Batch, s.worker)
 			break
 		}
 		obs.FabricBatchesDone.Inc()
-		obs.FabricBatchRTT.ObserveSince(g.at)
+		obs.FabricBatchRTT.ObserveSince(g.At)
 		p := c.queue.Progress()
 		c.logf("fabric: grant %s complete (%d pages, %d sites failed) from %s [%d/%d sites done]",
 			m.Batch, m.Pages, len(m.FailedSites), s.worker, p.Done, p.Total)
 	case *wire.Fail:
-		g := s.held[m.Batch]
-		delete(s.held, m.Batch)
-		if settled = g.settle(func(l *dispatch.Lease) bool { return l.Fail(errors.New(m.Err)) }); settled > 0 {
+		if settled, commitErr = s.take(m.Batch).Settle(nil, errors.New(m.Err)); settled > 0 {
 			c.logf("fabric: grant %s failed on %s: %s", m.Batch, s.worker, m.Err)
 		}
 	default:
 		c.logf("fabric: worker %s sent unexpected %q", s.worker, dec.Type)
 		return false
 	}
-	if settled > 0 {
-		if err := c.ledger.Settled(settled, c.queue.ExportJobs); err != nil {
-			c.logf("fabric: checkpoint: %v", err) // the next due settle or Close retries
-		}
+	if commitErr != nil {
+		c.logf("fabric: checkpoint: %v", commitErr) // the next due settle or Close retries
 	}
 	// A settle that leaves the queue drained is answered drained at once,
 	// while Wait is still held off: the worker hears it before Close.
 	return !c.drained() || writeControl(s.conn, wire.TypeDrained) == nil
 }
 
-// grant answers one lease request. It blocks in the queue's Lease,
+// grant answers one lease request. It blocks in the queue's Grant,
 // sending a wait keepalive every worker heartbeat period, until up to
 // BatchSize sites are granted (true) or the queue drains or the
 // coordinator closes (false: the session ends).
 func (c *Coordinator) grant(ctx context.Context, s *session) bool {
 	for {
 		lctx, cancel := context.WithTimeout(ctx, heartbeatPeriod(c.cfg.LeaseTTL))
-		leases, ok := c.queue.Lease(lctx, c.cfg.BatchSize)
+		g, ok := c.queue.Grant(lctx, c.cfg.BatchSize, c.ledger)
 		cancel()
 		switch {
 		case ok:
 			s.grants++
 			b := wire.Batch{ID: fmt.Sprintf("g%d", s.grants), Seq: s.grants}
-			attempt := 0
-			for _, l := range leases {
-				b.Sites = append(b.Sites, wire.Site{Domain: l.Site.Domain, Rank: l.Site.Rank})
-				attempt = max(attempt, l.Attempt)
+			for _, site := range g.Sites() {
+				b.Sites = append(b.Sites, wire.Site{Domain: site.Domain, Rank: site.Rank})
 			}
-			g := &grant{leases: leases, at: time.Now()}
-			if writeFrame(s.conn, &wire.Grant{Batch: b, Attempt: attempt}) != nil {
-				g.settle((*dispatch.Lease).Release)
+			if writeFrame(s.conn, &wire.Grant{Batch: b, Attempt: g.Attempt()}) != nil {
+				g.Release()
 				return false
 			}
 			s.held[b.ID] = g
-			c.logf("fabric: grant %s (attempt %d, %d sites) -> %s", b.ID, attempt, len(b.Sites), s.worker)
+			c.logf("fabric: grant %s (attempt %d, %d sites) -> %s", b.ID, g.Attempt(), len(b.Sites), s.worker)
 			return true
 		case ctx.Err() != nil:
 			return false

@@ -1,27 +1,26 @@
-// Package fabric is the distributed crawl dispatcher: a coordinator
-// that leases a crawl's sites to a fleet of worker processes, in grants
-// of up to a batch size, over our own WebSocket stack (internal/wsproto),
-// speaking the versioned protocol defined in internal/fabric/wire.
+// Package fabric runs dispatch's grant loop over the wire: a
+// coordinator leases a crawl's sites to a fleet of worker processes, in
+// grants of up to a batch size, over our own WebSocket stack
+// (internal/wsproto), speaking the versioned protocol defined in
+// internal/fabric/wire. dispatch.Run runs the same loop in-process.
 //
 // The fabric composes the repo's existing machinery rather than
 // reinventing it:
 //
-//   - leasing, heartbeats, TTL reclaim, and retry budgets are
-//     internal/dispatch's Queue over the crawl's real site list — the
-//     queue dispatch.Run builds. A grant is the site leases one claim
-//     step took; a heartbeat extends them all, a complete settles each
-//     site on its own (the sites the worker reports failed retry under
-//     the one RetryPolicy, exactly as a local crawl's do), and a fail
-//     fails them all. A site has one outcome model on both paths;
-//   - everything durable is internal/dispatch's Ledger, of which the
-//     coordinator is the second caller (dispatch.Run is the first): page
-//     records stream back as pre-encoded spool lines and are appended
-//     verbatim (Ledger.AppendLine), so the distributed spool is
-//     byte-identical to a locally written one; progress is committed by
-//     the ledger's one commit rule, the local crawl's, in the
-//     single-process checkpoint format (either role resumes the other's
-//     checkpoint); and the final dataset comes from the ledger's one
-//     finalize rule;
+//   - leasing, heartbeats, TTL reclaim, retry budgets and settling are
+//     internal/dispatch's: a session holds dispatch.Grants from the queue
+//     dispatch.Run builds over the crawl's real site list. A heartbeat
+//     extends a grant's leases, a complete settles each site on its own
+//     (the sites the worker reports failed retry under the one
+//     RetryPolicy, exactly as a local crawl's do), and a fail fails them
+//     all. A site has one outcome model on both paths;
+//   - everything durable is internal/dispatch's Ledger: page records
+//     stream back as the spool lines a grant runner emits and go through
+//     Ledger.AppendLine, the ledger's one entry, as a local crawl's do —
+//     so the distributed spool is byte-identical to a locally written
+//     one; progress is committed by the ledger's one commit rule in the
+//     one checkpoint format (either role resumes the other's checkpoint);
+//     and the final dataset comes from the ledger's one finalize rule;
 //   - coordinator↔worker links accept faultnet profiles, and workers
 //     survive coordinator restarts via seeded dial retry.
 //
@@ -35,7 +34,7 @@
 //
 // Concurrency: the coordinator runs one session goroutine per worker
 // connection plus an accept loop, and no timers of its own: a session
-// waiting for a grant blocks in the queue's Lease, which also reclaims
+// waiting for a grant blocks in the queue's Grant, which also reclaims
 // expired leases. All shared state (queue, ledger) is internally
 // synchronized. Workers run the page pipeline with their own crawl
 // parallelism and serialize protocol writes through the wsproto

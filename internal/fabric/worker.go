@@ -17,8 +17,9 @@ import (
 	"repro/internal/wsproto"
 )
 
-// A BatchRunner executes one grant: it crawls every site in it once and
-// hands each page record — already encoded as a spool line — to emit. It
+// A BatchRunner executes one grant — dispatch.GrantRunner's contract,
+// behind the wire: it crawls every site in it once and hands each page
+// record — already encoded as a spool line — to emit. It
 // must be deterministic per site: re-running a site with the same crawl
 // config yields byte-identical lines, which is what makes lease reclaims
 // and duplicate attempts harmless (the fold deduplicates identical
@@ -42,7 +43,8 @@ type WorkerConfig struct {
 	// Seed drives dial-retry backoff jitter and WebSocket masking —
 	// the worker's only randomness, so runs are reproducible.
 	Seed int64
-	// DialRetry bounds reconnect attempts (zero value = defaults).
+	// DialRetry bounds reconnect attempts (zero value = 10 attempts, the
+	// rest RetryPolicy's defaults).
 	// Backoff counts *consecutive non-productive* attempts: any session
 	// that is granted sites or hears the queue drained resets it, so a
 	// worker survives coordinator restarts of any count, as long as the
@@ -59,20 +61,12 @@ func (cfg *WorkerConfig) withDefaults() {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	// dispatch keeps its defaulting helper unexported; mirror the same
-	// floors here so a zero policy behaves sanely.
+	// The attempt budget is the worker's own; the backoff is the retry
+	// policy's default.
 	if cfg.DialRetry.MaxAttempts <= 0 {
 		cfg.DialRetry.MaxAttempts = 10
 	}
-	if cfg.DialRetry.BaseDelay <= 0 {
-		cfg.DialRetry.BaseDelay = 100 * time.Millisecond
-	}
-	if cfg.DialRetry.MaxDelay <= 0 {
-		cfg.DialRetry.MaxDelay = 5 * time.Second
-	}
-	if cfg.DialRetry.JitterFrac == 0 {
-		cfg.DialRetry.JitterFrac = 0.5
-	}
+	cfg.DialRetry = cfg.DialRetry.WithDefaults()
 }
 
 // worker is the connection-loop state of one RunWorker call.

@@ -147,9 +147,10 @@ const (
 	// stage.* histograms time individual operations (a fetch, a spool
 	// write), the crawl.* histograms time the page-granular phases the
 	// crawl capacity model is built on: visit is the browser's full
-	// page load, record is trace→PageRecord conversion, commit is the
-	// durable spool append (including any group-commit flush), and page
-	// is the whole visit→record→commit turnaround.
+	// page load, record is trace→PageRecord→spool line, commit is the
+	// ledger's decode of the line and its durable spool append
+	// (including any group-commit flush), and page is the whole
+	// visit→record→commit turnaround.
 	MCrawlVisit  = "crawl.visit"
 	MCrawlRecord = "crawl.record"
 	MCrawlCommit = "crawl.commit"
