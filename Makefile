@@ -144,11 +144,16 @@ bench:
 # sinks (live fold, columnar store), and the four-crawl study itself.
 # Their digest gates fail unless the fabric dataset, the store-derived
 # crawl 0 and the study's crawl 0 are each byte-identical to a second
-# run on the plain dispatch path.
+# run on the plain dispatch path. The traced study and store_crawl runs
+# execute bench's hand-built twin of the page path, the only caller of
+# the benchpin.go shims, and its traced-vs-untraced digest gate holds
+# that twin to the shipped path.
 bench-smoke:
 	$(GO) run ./bench --workload fabric --seconds 1 --trace 0
 	$(GO) run ./bench --workload store_crawl --seconds 1 --trace 0
 	$(GO) run ./bench --workload study --seconds 1 --trace 0
+	$(GO) run ./bench --workload store_crawl --seconds 1 --trace 1
+	$(GO) run ./bench --workload study --seconds 1 --trace 1
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -134,13 +134,8 @@ func (c *Recorder) socketRecord(sc *recordScratch, site crawler.Site, pageURL, p
 		FramesSent:      len(ws.Sent),
 		FramesRecv:      len(ws.Received),
 	}
-	var chain []*inclusion.Node
-	if sc != nil {
-		sc.chain = ws.AppendChain(sc.chain[:0])
-		chain = sc.chain
-	} else {
-		chain = ws.Chain()
-	}
+	sc.chain = ws.AppendChain(sc.chain[:0])
+	chain := sc.chain
 	for _, n := range chain[:len(chain)-1] {
 		rec.ChainDomains = append(rec.ChainDomains, c.Label.NodeDomain(n))
 		rec.ChainURLs = append(rec.ChainURLs, n.URL)
@@ -153,30 +148,20 @@ func (c *Recorder) socketRecord(sc *recordScratch, site crawler.Site, pageURL, p
 	// Sent items: handshake headers plus every data frame, flattened
 	// into one scratch slice — MergeItems is a pure union, so flattening
 	// the per-frame sets first cannot change its output.
-	var flat []string
-	if sc != nil {
-		flat = sc.items[:0]
-	}
-	flat = content.AppendSentHeaders(flat, ws.HandshakeHeader)
+	flat := content.AppendSentHeaders(sc.items[:0], ws.HandshakeHeader)
 	for _, f := range ws.Sent {
 		flat = content.AppendSent(flat, f.Payload)
 	}
-	if sc != nil {
-		sc.items = flat
-	}
+	sc.items = flat
 	// MergeItems allocates the result fresh: rec retains it, so it must
-	// never alias the pooled scratch.
+	// never alias the scratch.
 	rec.SentItems = content.MergeItems(flat)
 
-	recvSeen := map[string]bool{}
-	if sc != nil {
-		clear(sc.recvSeen)
-		recvSeen = sc.recvSeen
-	}
+	clear(sc.recvSeen)
 	for _, f := range ws.Received {
 		cls := content.ClassifyReceived(f.Payload)
-		if cls != "" && !recvSeen[cls] {
-			recvSeen[cls] = true
+		if cls != "" && !sc.recvSeen[cls] {
+			sc.recvSeen[cls] = true
 			rec.RecvClasses = append(rec.RecvClasses, cls)
 		}
 		for _, ref := range content.ExtractAdRefs(f.Payload) {
@@ -193,16 +178,10 @@ func (c *Recorder) socketRecord(sc *recordScratch, site crawler.Site, pageURL, p
 // httpObservations aggregates one tree's HTTP requests per domain.
 func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pageHost string) map[string]*DomainTraffic {
 	out := map[string]*DomainTraffic{}
-	var reqs []*inclusion.Node
-	if sc != nil {
-		// The sockets listing in RecordPage is done with sc.nodes by the
-		// time httpObservations runs, so the scratch can be recycled.
-		sc.nodes = tree.AppendKind(sc.nodes[:0], inclusion.KindRequest)
-		reqs = sc.nodes
-	} else {
-		reqs = tree.Requests()
-	}
-	for _, req := range reqs {
+	// The sockets listing in RecordPage is done with sc.nodes by the
+	// time httpObservations runs, so the scratch can be recycled.
+	sc.nodes = tree.AppendKind(sc.nodes[:0], inclusion.KindRequest)
+	for _, req := range sc.nodes {
 		dom := c.Label.NodeDomain(req)
 		if dom == "" {
 			continue
@@ -217,15 +196,9 @@ func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pag
 		// MergeItems union can be replaced by an in-place duplicate scan
 		// over the (tiny) flattened set: each distinct item increments
 		// its count exactly once, same as counting the merged set.
-		var items []string
-		if sc != nil {
-			items = sc.items[:0]
-		}
-		items = content.AppendSentHeaders(items, req.Header)
+		items := content.AppendSentHeaders(sc.items[:0], req.Header)
 		items = content.AppendSent(items, req.ReqBody)
-		if sc != nil {
-			sc.items = items
-		}
+		sc.items = items
 		for i, item := range items {
 			dup := false
 			for _, prev := range items[:i] {
@@ -243,14 +216,8 @@ func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pag
 		}
 		// As with sockets: a chain counts as blockable when a script
 		// *leading to* the resource matches, not the leaf itself.
-		var chain []*inclusion.Node
-		if sc != nil {
-			sc.chain = req.AppendChain(sc.chain[:0])
-			chain = sc.chain
-		} else {
-			chain = req.Chain()
-		}
-		if c.Label.MatchChain(chain[:len(chain)-1], pageHost) {
+		sc.chain = req.AppendChain(sc.chain[:0])
+		if c.Label.MatchChain(sc.chain[:len(sc.chain)-1], pageHost) {
 			t.ChainsBlocked++
 		}
 	}

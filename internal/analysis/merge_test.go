@@ -42,11 +42,11 @@ func samplePageRecord() *analysis.PageRecord {
 
 func TestSpoolRecordRoundTrip(t *testing.T) {
 	rec := samplePageRecord()
-	var buf bytes.Buffer
-	if err := analysis.EncodeSpoolRecord(&buf, rec); err != nil {
+	encoded, err := analysis.AppendSpoolRecord(nil, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+	line := bytes.TrimSuffix(encoded, []byte("\n"))
 	if bytes.ContainsRune(line, '\n') {
 		t.Fatal("encoded record spans multiple lines")
 	}
@@ -59,9 +59,8 @@ func TestSpoolRecordRoundTrip(t *testing.T) {
 	}
 
 	// Deterministic bytes: encoding the same record twice is identical.
-	var buf2 bytes.Buffer
-	analysis.EncodeSpoolRecord(&buf2, samplePageRecord())
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	again, _ := analysis.AppendSpoolRecord(nil, samplePageRecord())
+	if !bytes.Equal(encoded, again) {
 		t.Error("encoding is not deterministic")
 	}
 }
@@ -81,11 +80,11 @@ func writeShard(t *testing.T, lines ...string) string {
 
 func encodeLine(t *testing.T, rec *analysis.PageRecord) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := analysis.EncodeSpoolRecord(&buf, rec); err != nil {
+	line, err := analysis.AppendSpoolRecord(nil, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
+	return string(line)
 }
 
 func TestMergeShardsDedupesByPage(t *testing.T) {
@@ -224,7 +223,11 @@ func TestFolderAndMergeShardsAgree(t *testing.T) {
 			if !folder.Fold(rec) {
 				t.Errorf("Fold(%s): duplicate on a single pass", pageURL)
 			}
-			if err := analysis.EncodeSpoolRecord(f, rec); err != nil {
+			line, err := analysis.AppendSpoolRecord(nil, rec)
+			if err == nil {
+				_, err = f.Write(line)
+			}
+			if err != nil {
 				t.Errorf("spool: %v", err)
 			}
 		},

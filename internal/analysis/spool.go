@@ -65,25 +65,27 @@ func ShardFor(domain string, n int) int {
 // RecordPage times its two pipeline stages into the obs registry
 // (stage.tree, stage.label); the timings observe the work without
 // influencing the records produced.
+//
+// Ownership: RecordPage works in per-page scratch it recycles across
+// calls — the inclusion tree comes from an arena Builder, and chain
+// walks, node listings and content items reuse their buffers — but a
+// returned PageRecord never aliases that scratch: records outlive the
+// page, scratch does not (TestRecorderReuseMatchesFreshRecorders).
 type Recorder struct {
 	Label *labeler.Labeler
 
-	// Pooled enables per-page scratch reuse: inclusion trees come from
-	// a pooled arena Builder, and chain walks, node listings, and
-	// content-item scratch are recycled across pages. The records
-	// produced are identical to the zero-value (seed) path — they never
-	// alias pooled memory — as the pipeline differential test proves.
+	// Pooled is read by nothing: every Recorder recycles its scratch.
+	// It stays declared only so bench/ compiles until ROADMAP 1(b).
 	Pooled bool
 
 	// scratch pools *recordScratch; every RecordPage Get is paired with
-	// a deferred Put, and nothing from the scratch escapes into the
-	// returned PageRecord.
+	// a deferred Put.
 	scratch sync.Pool
 }
 
-// recordScratch is the per-page working state RecordPage recycles when
-// the Recorder runs pooled. The inclusion tree it builds is valid only
-// until the next RecordPage that reuses this scratch.
+// recordScratch is the per-page working state RecordPage recycles. The
+// inclusion tree it builds is valid only until the next RecordPage that
+// reuses this scratch.
 type recordScratch struct {
 	builder  *inclusion.Builder
 	nodes    []*inclusion.Node
@@ -92,33 +94,18 @@ type recordScratch struct {
 	recvSeen map[string]bool
 }
 
-func (r *Recorder) getScratch() *recordScratch {
-	if sc, ok := r.scratch.Get().(*recordScratch); ok {
-		return sc
-	}
-	return &recordScratch{builder: inclusion.NewBuilder(), recvSeen: map[string]bool{}}
-}
-
-func (r *Recorder) putScratch(sc *recordScratch) { r.scratch.Put(sc) }
-
 // NewRecorder builds a recorder over a configured labeler.
 func NewRecorder(lab *labeler.Labeler) *Recorder { return &Recorder{Label: lab} }
 
 // RecordPage builds the spool record for one crawled page.
 func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.PageResult) (*PageRecord, error) {
-	var sc *recordScratch
-	if r.Pooled {
-		sc = r.getScratch()
-		defer r.putScratch(sc)
+	sc, ok := r.scratch.Get().(*recordScratch)
+	if !ok {
+		sc = &recordScratch{builder: inclusion.NewBuilder(), recvSeen: map[string]bool{}}
 	}
+	defer r.scratch.Put(sc)
 	treeSpan := obs.StartSpan(obs.StageTree)
-	var tree *inclusion.Tree
-	var err error
-	if sc != nil {
-		tree, err = sc.builder.Build(res.Trace)
-	} else {
-		tree, err = inclusion.Build(res.Trace)
-	}
+	tree, err := sc.builder.Build(res.Trace)
 	if err != nil {
 		// Failed builds are not a tree-stage sample; the span is dropped.
 		return nil, fmt.Errorf("analysis: build inclusion tree for %s: %w", pageURL, err)
@@ -138,14 +125,8 @@ func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.Pa
 		}
 	}
 	rec := &PageRecord{Site: site.Domain, Rank: site.Rank, PageURL: pageURL}
-	var sockets []*inclusion.Node
-	if sc != nil {
-		sc.nodes = tree.AppendKind(sc.nodes[:0], inclusion.KindWebSocket)
-		sockets = sc.nodes
-	} else {
-		sockets = tree.Sockets()
-	}
-	for _, ws := range sockets {
+	sc.nodes = tree.AppendKind(sc.nodes[:0], inclusion.KindWebSocket)
+	for _, ws := range sc.nodes {
 		rec.Sockets = append(rec.Sockets, r.socketRecord(sc, site, pageURL, pageHost, ws))
 	}
 	rec.HTTP = r.httpObservations(sc, tree, pageHost)

@@ -15,16 +15,21 @@ import (
 )
 
 // pooledRecordBudget is the ceiling on heap allocations per page for a
-// pooled Recorder once its scratch is warm: ≈ 37 on the test's pages,
-// against ≈ 148 unpooled. A RecordPage that stopped returning its
-// scratch to the pool rebuilds the arena builder, its maps and the walk
-// buffers every page (≈ 79) and fails here; the whole-crawl
-// TestPageAllocBudget in core has the headroom to miss that.
+// Recorder once its scratch is warm: ≈ 37 on the test's pages. A
+// RecordPage that stopped returning its scratch to the pool rebuilds the
+// arena builder, its maps and the walk buffers every page (≈ 79) and
+// fails here; the whole-crawl TestPageAllocBudget in core has the
+// headroom to miss that.
 const pooledRecordBudget = 45
 
 // TestRecorderPooledSteadyState records a fixed set of crawled pages
-// again and again through one pooled Recorder and holds the per-page
+// again and again through one Recorder and holds the per-page
 // allocation count to pooledRecordBudget.
+//
+// A PageResult is valid only until its browser's next Visit, so each
+// page is held from a browser of its own: a fresh browser with the
+// site's seed replays the site's visits up to that page and visits
+// nothing after it, which reproduces the page the crawl saw.
 func TestRecorderPooledSteadyState(t *testing.T) {
 	skipIfRace(t)
 	w := webgen.NewWorld(webgen.Config{Seed: 31, NumPublishers: 6, Era: webgen.EraPrePatch})
@@ -39,51 +44,57 @@ func TestRecorderPooledSteadyState(t *testing.T) {
 	)
 	lab.SetCDNMap(w.CloudfrontMap())
 
+	newBrowser := func(site crawler.Site) *browser.Browser {
+		return browser.New(browser.Config{
+			Version: 57, Seed: crawler.SiteSeed(5, site.Domain),
+			HTTPClient: s.Client(), ResolveWS: s.Resolver(),
+		})
+	}
+	visited := map[string][]string{} // site → the page URLs its crawl visited, in order
+	cfg := crawler.Config{
+		PagesPerSite: 3, Seed: 5,
+		OnPage: func(site crawler.Site, pageURL string, _ *browser.PageResult) {
+			visited[site.Domain] = append(visited[site.Domain], pageURL)
+		},
+	}
 	type page struct {
 		site crawler.Site
 		url  string
 		res  *browser.PageResult
 	}
 	var pages []page
-	sites := make([]crawler.Site, 0, len(w.Publishers))
-	for _, p := range w.Publishers {
-		sites = append(sites, crawler.Site{Domain: p.Domain, Rank: p.Rank})
-	}
-	cfg := crawler.Config{
-		PagesPerSite: 3, Seed: 5,
-		SiteBrowser: func(site crawler.Site) *browser.Browser {
-			return browser.New(browser.Config{
-				Version: 57, Seed: crawler.SiteSeed(5, site.Domain),
-				HTTPClient: s.Client(), ResolveWS: s.Resolver(),
-			})
-		},
-		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
-			pages = append(pages, page{site, pageURL, res})
-		},
-	}
 	var stats crawler.Stats
-	for _, site := range sites {
-		if _, err := crawler.CrawlSite(context.Background(), cfg.SiteBrowser(site), site, cfg, &stats); err != nil {
+	for _, p := range w.Publishers {
+		site := crawler.Site{Domain: p.Domain, Rank: p.Rank}
+		if _, err := crawler.CrawlSite(context.Background(), newBrowser(site), site, cfg, &stats); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	perPage := func(r *Recorder) float64 {
-		record := func() {
-			for _, p := range pages {
-				if _, err := r.RecordPage(p.site, p.url, p.res); err != nil {
+		urls := visited[site.Domain]
+		for i := range urls {
+			b := newBrowser(site)
+			var res *browser.PageResult
+			for _, u := range urls[:i+1] {
+				if res, err = b.Visit(context.Background(), u); err != nil {
 					t.Fatal(err)
 				}
 			}
+			pages = append(pages, page{site, urls[i], res})
 		}
-		record() // warm the scratch
-		return testing.AllocsPerRun(5, record) / float64(len(pages))
 	}
-	pooled := perPage(&Recorder{Label: lab, Pooled: true})
-	unpooled := perPage(&Recorder{Label: lab})
-	t.Logf("%d pages: %.1f allocs/page pooled, %.1f unpooled (budget %d)", len(pages), pooled, unpooled, pooledRecordBudget)
-	if pooled > pooledRecordBudget {
-		t.Errorf("pooled RecordPage: %.1f allocs/page, budget %d", pooled, pooledRecordBudget)
+
+	r := &Recorder{Label: lab}
+	record := func() {
+		for _, p := range pages {
+			if _, err := r.RecordPage(p.site, p.url, p.res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	record() // warm the scratch
+	perPage := testing.AllocsPerRun(5, record) / float64(len(pages))
+	t.Logf("%d pages: %.1f allocs/page (budget %d)", len(pages), perPage, pooledRecordBudget)
+	if perPage > pooledRecordBudget {
+		t.Errorf("RecordPage: %.1f allocs/page, budget %d", perPage, pooledRecordBudget)
 	}
 }
 

@@ -3,7 +3,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 
@@ -43,20 +42,6 @@ func AppendSpoolRecord(dst []byte, rec *PageRecord) ([]byte, error) {
 	return append(append(dst, data...), '\n'), nil
 }
 
-// EncodeSpoolRecord writes rec as one spool line (AppendSpoolRecord) to
-// w, through a pooled buffer.
-func EncodeSpoolRecord(w io.Writer, rec *PageRecord) error {
-	bp := lineBufs.Get().(*[]byte)
-	defer lineBufs.Put(bp)
-	line, err := AppendSpoolRecord((*bp)[:0], rec)
-	*bp = line
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(line)
-	return err
-}
-
 // DecodeSpoolLine parses one spool line back into a PageRecord.
 func DecodeSpoolLine(line []byte) (*PageRecord, error) {
 	return (*SpoolDecoder)(nil).Decode(line)
@@ -88,12 +73,8 @@ func (d *SpoolDecoder) Decode(line []byte) (*PageRecord, error) {
 	return &rec, nil
 }
 
-var (
-	// keyStacks pools the encoder's sorted-key scratch.
-	keyStacks = sync.Pool{New: func() any { return new([]string) }}
-	// lineBufs pools EncodeSpoolRecord's line buffers.
-	lineBufs = sync.Pool{New: func() any { return new([]byte) }}
-)
+// keyStacks pools the encoder's sorted-key scratch.
+var keyStacks = sync.Pool{New: func() any { return new([]string) }}
 
 // spoolEnc appends the line.
 type spoolEnc struct {

@@ -207,9 +207,9 @@ func TestSpoolCodecSeeds(t *testing.T) {
 	}
 }
 
-// crawlRecords crawls a pre-patch world of the given size and returns
-// every page's record.
-func crawlRecords(t *testing.T, publishers, pages int) []*analysis.PageRecord {
+// crawlPages crawls a pre-patch world of the given size and hands every
+// loaded page, with the labeler records are made under, to onPage.
+func crawlPages(t *testing.T, publishers, pages int, onPage func(lab *labeler.Labeler, site crawler.Site, pageURL string, res *browser.PageResult)) {
 	t.Helper()
 	w := webgen.NewWorld(webgen.Config{Seed: 20170419, NumPublishers: publishers, Era: webgen.EraPrePatch})
 	s, err := webserver.Start(w)
@@ -222,8 +222,6 @@ func crawlRecords(t *testing.T, publishers, pages int) []*analysis.PageRecord {
 		filterlist.Parse("easyprivacy", w.EasyPrivacyText()),
 	)
 	lab.SetCDNMap(w.CloudfrontMap())
-	recorder := analysis.NewRecorder(lab)
-	var recs []*analysis.PageRecord
 	cfg := crawler.Config{
 		PagesPerSite: pages, Seed: 5,
 		SiteBrowser: func(site crawler.Site) *browser.Browser {
@@ -233,12 +231,7 @@ func crawlRecords(t *testing.T, publishers, pages int) []*analysis.PageRecord {
 			})
 		},
 		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
-			rec, err := recorder.RecordPage(site, pageURL, res)
-			if err != nil {
-				t.Errorf("RecordPage(%s): %v", pageURL, err)
-				return
-			}
-			recs = append(recs, rec)
+			onPage(lab, site, pageURL, res)
 		},
 	}
 	var stats crawler.Stats
@@ -248,7 +241,71 @@ func crawlRecords(t *testing.T, publishers, pages int) []*analysis.PageRecord {
 			t.Fatal(err)
 		}
 	}
+}
+
+// crawlRecords crawls a pre-patch world of the given size and returns
+// every page's record, all made by one Recorder.
+func crawlRecords(t *testing.T, publishers, pages int) []*analysis.PageRecord {
+	t.Helper()
+	var recorder *analysis.Recorder
+	var recs []*analysis.PageRecord
+	crawlPages(t, publishers, pages, func(lab *labeler.Labeler, site crawler.Site, pageURL string, res *browser.PageResult) {
+		if recorder == nil {
+			recorder = analysis.NewRecorder(lab)
+		}
+		rec, err := recorder.RecordPage(site, pageURL, res)
+		if err != nil {
+			t.Errorf("RecordPage(%s): %v", pageURL, err)
+			return
+		}
+		recs = append(recs, rec)
+	})
 	return recs
+}
+
+// TestRecorderReuseMatchesFreshRecorders is the recorder's oracle: the
+// records one Recorder makes across a crawl, recycling its scratch from
+// page to page and held until the crawl ends, encode byte for byte as a
+// fresh Recorder's record of each page, encoded as soon as it is made.
+// A record that aliases the recycled scratch changes under a later page
+// and fails here.
+func TestRecorderReuseMatchesFreshRecorders(t *testing.T) {
+	var reused *analysis.Recorder
+	var held []*analysis.PageRecord
+	var fresh [][]byte
+	crawlPages(t, 20, 4, func(lab *labeler.Labeler, site crawler.Site, pageURL string, res *browser.PageResult) {
+		if reused == nil {
+			reused = analysis.NewRecorder(lab)
+		}
+		rec, err := reused.RecordPage(site, pageURL, res)
+		if err != nil {
+			t.Fatalf("RecordPage(%s): %v", pageURL, err)
+		}
+		held = append(held, rec)
+		if rec, err = analysis.NewRecorder(lab).RecordPage(site, pageURL, res); err != nil {
+			t.Fatalf("fresh RecordPage(%s): %v", pageURL, err)
+		}
+		line, err := analysis.AppendSpoolRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, line)
+	})
+	sockets := 0
+	for i, rec := range held {
+		sockets += len(rec.Sockets)
+		line, err := analysis.AppendSpoolRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, fresh[i]) {
+			t.Fatalf("page %s: reused recorder's record\n got %s\nwant %s", rec.PageURL, line, fresh[i])
+		}
+	}
+	if len(held) == 0 || sockets == 0 {
+		t.Fatalf("crawl too quiet to compare: %d pages, %d sockets", len(held), sockets)
+	}
+	t.Logf("%d pages, %d sockets", len(held), sockets)
 }
 
 // TestCrawlLinesTakeHandPath: every record of a 40-publisher crawl is

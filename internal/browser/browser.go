@@ -110,16 +110,9 @@ type Config struct {
 	DialRetries      int
 	DialRetryBackoff time.Duration
 
-	// ReuseScratch reuses per-page storage across Visit calls on this
-	// browser: the trace and its event slab, the ID allocator, the
-	// request-header maps, and the link scratch. Page results are
-	// byte-identical to the default fresh-allocation path (the pipeline
-	// differential test in internal/core proves it), but ownership
-	// tightens: the PageResult returned by Visit — its Trace, events,
-	// bodies, and Links — is valid only until the next Visit on the
-	// same Browser. The crawler honors that window (links are copied
-	// and OnPage completes before the next visit); callers that retain
-	// results across visits must leave this off.
+	// ReuseScratch is read by nothing: every Browser reuses its
+	// per-page storage (see PageResult). It stays declared only so
+	// bench/ compiles until ROADMAP 1(b).
 	ReuseScratch bool
 }
 
@@ -141,15 +134,14 @@ type Browser struct {
 	dialSeq    int64
 	backoffRng *rand.Rand
 
-	// scratch is the reused per-page storage, non-nil only under
-	// Config.ReuseScratch. Browsers are single-visit-at-a-time, so the
-	// scratch needs no lock.
+	// scratch is the reused per-page storage. Browsers are
+	// single-visit-at-a-time, so the scratch needs no lock.
 	scratch *visitScratch
 }
 
 // visitScratch is one browser's reusable per-page storage. Everything
-// here is recycled by begin() at the top of each Visit; see
-// Config.ReuseScratch for the ownership contract.
+// here is recycled by begin() at the top of each Visit; see PageResult
+// for the ownership contract.
 type visitScratch struct {
 	trace  devtools.Trace
 	alloc  devtools.IDAllocator
@@ -163,6 +155,8 @@ type visitScratch struct {
 	headerMaps []map[string]string
 	headerUsed int
 }
+
+func newVisitScratch() *visitScratch { return &visitScratch{seen: map[string]bool{}} }
 
 // begin recycles the scratch for a new page load and returns its
 // embedded pageLoad, wired to the reused trace and allocator.
@@ -178,13 +172,10 @@ func (s *visitScratch) begin(b *Browser, ctx context.Context, rawURL string, u *
 	return &s.load
 }
 
-// header hands out a request-header map: a cleared arena map under
-// ReuseScratch, a fresh one otherwise.
+// header hands out a request-header map: a cleared map from the page's
+// arena.
 func (b *Browser) header() map[string]string {
 	s := b.scratch
-	if s == nil {
-		return make(map[string]string, 3)
-	}
 	if s.headerUsed == len(s.headerMaps) {
 		s.headerMaps = append(s.headerMaps, make(map[string]string, 3))
 	}
@@ -219,9 +210,7 @@ func New(cfg Config, exts ...Extension) *Browser {
 		cookies: map[string]string{},
 		backoffRng: detrand.New(
 			faultnet.DeriveSeed(cfg.FaultSeed, cfg.Seed, 0x7e77)),
-	}
-	if cfg.ReuseScratch {
-		b.scratch = &visitScratch{seen: map[string]bool{}}
+		scratch: newVisitScratch(),
 	}
 	for _, ext := range exts {
 		ext.Install(b.reg)
@@ -238,7 +227,14 @@ func (b *Browser) Version() int { return b.cfg.Version }
 // UserAgent returns the browser's User-Agent string.
 func (b *Browser) UserAgent() string { return b.state.UserAgent }
 
-// PageResult is the outcome of one page load.
+// PageResult is the outcome of one page load. The browser reuses its
+// per-page storage — the trace and its event slab, the ID allocator, the
+// request-header maps and the link list — so a PageResult, its Trace,
+// events, bodies and Links included, is valid only until the next Visit
+// on the same Browser. The crawler honours that window: links are copied
+// and OnPage completes before the next visit. A caller that keeps a
+// result past it copies what it keeps, or visits with a browser of its
+// own.
 type PageResult struct {
 	// URL is the page's URL.
 	URL string
@@ -265,24 +261,13 @@ type pageLoad struct {
 }
 
 // Visit loads a page and everything it includes, returning the DOM, the
-// trace, and the extracted links.
+// trace, and the extracted links, valid until the next Visit.
 func (b *Browser) Visit(ctx context.Context, rawURL string) (*PageResult, error) {
 	u, err := urlutil.Parse(rawURL)
 	if err != nil {
 		return nil, err
 	}
-	var load *pageLoad
-	if b.scratch != nil {
-		load = b.scratch.begin(b, ctx, rawURL, u)
-	} else {
-		load = &pageLoad{
-			b:       b,
-			ctx:     ctx,
-			alloc:   &devtools.IDAllocator{},
-			result:  &PageResult{URL: rawURL, Trace: devtools.NewTrace()},
-			pageURL: u,
-		}
-	}
+	load := b.scratch.begin(b, ctx, rawURL, u)
 	frameID := load.alloc.NextFrame()
 	load.result.Trace.Record(devtools.FrameNavigated{FrameID: frameID, URL: rawURL, Initiator: devtools.ParserInitiator(frameID), Parsed: u})
 
@@ -715,10 +700,7 @@ func (l *pageLoad) dialWebSocket(dialer *wsproto.Dialer, rawURL string) (*wsprot
 
 // extractLinks collects same-site links from the document.
 func (l *pageLoad) extractLinks(doc *dom.Node) {
-	seen := map[string]bool{}
-	if s := l.b.scratch; s != nil {
-		seen = s.seen // cleared by begin()
-	}
+	seen := l.b.scratch.seen // cleared by begin()
 	for _, a := range doc.GetElementsByTag("a") {
 		href := a.Attr("href")
 		if href == "" {

@@ -33,7 +33,7 @@ func TestResolveRefURLInQuery(t *testing.T) {
 	}
 
 	// And the effect the bug had: the link was silently dropped.
-	l := &pageLoad{b: &Browser{}, pageURL: base, result: &PageResult{}}
+	l := &pageLoad{b: &Browser{scratch: newVisitScratch()}, pageURL: base, result: &PageResult{}}
 	l.extractLinks(htmlparse.Parse(`<a href="/out?to=http://x.example/">out</a><a href="/plain">plain</a>`))
 	want := []string{"http://pub.example/out?to=http://x.example/", "http://pub.example/plain"}
 	if !reflect.DeepEqual(l.result.Links, want) {

@@ -44,11 +44,11 @@ func testRecord(site string, rank, i int) *analysis.PageRecord {
 
 func spoolLine(t *testing.T, rec *analysis.PageRecord) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := analysis.EncodeSpoolRecord(&buf, rec); err != nil {
+	line, err := analysis.AppendSpoolRecord(nil, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+	return bytes.TrimSuffix(line, []byte("\n"))
 }
 
 // TestSegmentRoundTrip: records must survive the columnar encode

@@ -65,9 +65,9 @@ func benchCrawl(b *testing.B, reference bool) {
 // spool, live folding.
 func BenchmarkCrawlPipeline(b *testing.B) { benchCrawl(b, false) }
 
-// BenchmarkCrawlPipelineReference is the retained seed path — the
-// pre-optimization plane (newReferencePlane) the differential test
-// compares against.
-// The gap between the two is the PR's claimed win; if it collapses,
-// an optimization has quietly stopped engaging.
+// BenchmarkCrawlPipelineReference is the reference plane the
+// differential test compares against (newReferencePlane): the shipping
+// plane over the TCP + net/http transport. The gap between the two is
+// what the in-process transports buy; if it collapses, they have
+// quietly stopped engaging.
 func BenchmarkCrawlPipelineReference(b *testing.B) { benchCrawl(b, true) }

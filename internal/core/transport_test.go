@@ -49,13 +49,12 @@ func crawlOver(t *testing.T, plane *pagePlane, dial func(context.Context, string
 	})
 	cfg.SiteBrowser = func(site crawler.Site) *browser.Browser {
 		return browser.New(browser.Config{
-			Version:      plane.spec.BrowserVersion,
-			Seed:         crawler.SiteSeed(plane.crawlSeed(), site.Domain),
-			HTTPClient:   plane.client,
-			ResolveWS:    plane.resolve,
-			ReuseScratch: true,
-			Fetch:        plane.server.Fetch,
-			DialWS:       dial,
+			Version:    plane.spec.BrowserVersion,
+			Seed:       crawler.SiteSeed(plane.crawlSeed(), site.Domain),
+			HTTPClient: plane.client,
+			ResolveWS:  plane.resolve,
+			Fetch:      plane.server.Fetch,
+			DialWS:     dial,
 		})
 	}
 	var crawled crawler.Stats

@@ -255,7 +255,7 @@ func (WebSocketClosed) Method() string { return "Network.webSocketClosed" }
 // recording appends into storage allocated by earlier pages. Reset
 // invalidates everything previously reachable through Events — callers
 // that reuse traces own the ordering between consumers finishing and
-// the next Reset (see browser.Config.ReuseScratch).
+// the next Reset (see browser.PageResult).
 type Trace struct {
 	mu     sync.Mutex
 	Events []Event

@@ -4,20 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/oracle"
 )
-
-// pooled returns a runner on the shipping plane's pooled recorder
-// scratch (the ledger's spool writes are group-committed either way).
-func pooled(env *testEnv) *testRunner {
-	r := env.runner()
-	r.rec.Pooled = true
-	return r
-}
 
 // mergeOracle is the decode pass no run makes: the dataset merged from
 // the spool shards a finished run left in dir.
@@ -31,18 +24,22 @@ func mergeOracle(t *testing.T, cfg Config, dir string) (*analysis.Dataset, oracl
 }
 
 // TestBatchedPipelineMatchesSeedDataset is the dispatch half of the
-// differential invariant: group commit plus live folding — with the
-// recorder pooled or not — produces the same dataset bytes as the merge
-// of the spool the folded run left behind.
+// differential invariant: group commit plus live folding produces the
+// same dataset bytes as the merge of the spool the folded run left
+// behind, and as a one-worker run that flushes and checkpoints after
+// every settled site — the nearest the ledger comes to the seed's
+// flush per record.
 func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 	env := newTestEnv(t, 16)
 
-	seed, err := Run(context.Background(), env.config(t.TempDir(), 2, nil))
+	seedCfg := env.config(t.TempDir(), 1, nil)
+	seedCfg.commitEvery = 1
+	seed, err := Run(context.Background(), seedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cfg := env.config(dir, 2, pooled(env))
+	cfg := env.config(dir, 2, nil)
 	opt, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +50,7 @@ func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 		t.Error("batched+folded dataset differs from the merge of its own spool")
 	}
 	if !bytes.Equal(want, datasetBytes(t, seed.Dataset)) {
-		t.Error("un-pooled run's dataset differs from the pooled run's merged spool")
+		t.Error("per-site-commit run's dataset differs from the batched run's merged spool")
 	}
 	// The folded run must still report real merge stats.
 	if opt.Merge.Pages == 0 || opt.Merge.Pages != mstats.Pages || opt.Merge.Shards != mstats.Shards {
@@ -82,7 +79,7 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var pages atomic.Int64
-	r := pooled(env)
+	r := env.runner()
 	r.onPage = func() {
 		if pages.Add(1) == 9 {
 			cancel()
@@ -94,7 +91,7 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
 
-	cfg2 := env.config(dir, 2, pooled(env))
+	cfg2 := env.config(dir, 2, nil)
 	cfg2.commitEvery = 1
 	cfg2.Resume = true
 	res, err := Run(context.Background(), cfg2)
@@ -112,40 +109,44 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	}
 }
 
-// TestBatchedSpoolAppendAllocs pins the group-committed append path's
-// allocation profile: with a write buffer sized for the batch, appends
-// between commit boundaries are one JSON encode plus buffered copies —
-// no per-record file writes, no buffer regrowth. The flush-per-record
-// zero policy is measured alongside as the ceiling.
+// TestBatchedSpoolAppendAllocs pins the group-committed append path:
+// appends between group boundaries reach no file — the shard stays empty
+// until its groupPages-th line commits the group — and, with a write
+// buffer sized for the group, an append is one record encode plus
+// buffered copies: no per-record file writes, no buffer regrowth.
 func TestBatchedSpoolAppendAllocs(t *testing.T) {
-	appendAllocs := func(batch BatchPolicy) float64 {
-		dir := t.TempDir()
-		sp, err := OpenSpoolBatch(dir, 2, false, batch)
+	dir := t.TempDir()
+	sp, err := openSpool(dir, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	r := rec("alpha.com", "http://alpha.com/")
+	shard := sp.Paths()[sp.ShardFor(r.Site)]
+	size := func() int64 {
+		fi, err := os.Stat(shard)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sp.Close()
-		r := rec("alpha.com", "http://alpha.com/")
-		// Warm the encoder and the shard's write buffer.
-		for i := 0; i < 128; i++ {
-			if err := sp.Append(r); err != nil {
-				t.Fatal(err)
-			}
+		return fi.Size()
+	}
+	for i := 1; i <= 2*groupPages; i++ {
+		if err := appendRec(sp, r); err != nil {
+			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(500, func() {
-			if err := sp.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		})
+		if got, committed := size(), i/groupPages > 0; (got > 0) != committed {
+			t.Fatalf("after %d appends the shard holds %d bytes; group boundary every %d", i, got, groupPages)
+		}
 	}
-	batched := appendAllocs(BatchPolicy{Pages: 64, Bytes: 256 * 1024})
-	seeded := appendAllocs(BatchPolicy{})
-	if batched > seeded {
-		t.Errorf("batched append allocates more than the per-record path: %.1f vs %.1f", batched, seeded)
-	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := appendRec(sp, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs per append", allocs)
 	// The encode itself dominates; a small fixed bound catches any
 	// return to per-append buffer churn.
-	if batched > 12 {
-		t.Errorf("batched append: %.1f allocs, want <= 12", batched)
+	if allocs > 12 {
+		t.Errorf("batched append: %.1f allocs, want <= 12", allocs)
 	}
 }

@@ -17,12 +17,6 @@ import (
 	"repro/internal/obs"
 )
 
-// groupCommit is the ledger's one spool group-commit policy: a shard
-// buffers up to 64 pages or 256 KiB between flushes. Durability does not
-// depend on it — Commit flushes before it vouches for anything — it only
-// bounds how much re-crawling a crash costs.
-var groupCommit = BatchPolicy{Pages: 64, Bytes: 256 * 1024}
-
 // LedgerConfig locates and identifies one crawl's durable state.
 type LedgerConfig struct {
 	// Crawl is the checkpoint header: the identity (Name, Seed, NumShards,
@@ -160,7 +154,7 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 			return nil, err
 		}
 	}
-	l.spool, err = OpenSpoolBatch(cfg.SpoolDir, cfg.Crawl.NumShards, l.resumed != nil, groupCommit)
+	l.spool, err = openSpool(cfg.SpoolDir, cfg.Crawl.NumShards, l.resumed != nil)
 	if err != nil {
 		return nil, err
 	}

@@ -16,41 +16,33 @@ import (
 //
 // Layout: <dir>/shard-NNN.jsonl, one file per shard, one JSON-encoded
 // analysis.PageRecord per line. A site's pages always land in the same
-// shard (analysis.ShardFor). Appends are group-committed under
-// the Spooler's BatchPolicy, so a crash loses at most one unflushed
-// group per shard (one line under the zero policy). The loss is repaired
-// identically on resume either way: the Ledger's replay cuts a partially
-// written final line, lost pages belong to jobs the checkpoint does not
-// mark done (Ledger.Commit flushes first), and re-crawled pages are
-// deduplicated by (site, pageURL) in the fold.
+// shard (analysis.ShardFor). Each shard owns its write buffer and line
+// buffer under its mutex, and an append copies its line, so the caller's
+// bytes are free again once append returns.
+//
+// Appends are group-committed: a shard buffers up to groupPages lines
+// in a groupBytes write buffer (a full buffer flushes early) and commits
+// them to the OS as a group. A crash therefore loses at most one
+// unflushed group per shard, and that loss is repaired on resume: the
+// Ledger's replay cuts a partially written final line, lost pages belong
+// to jobs the checkpoint does not mark done (Ledger.Commit flushes
+// first), and re-crawled pages are deduplicated by (site, pageURL) in
+// the fold. So Flush runs at every group boundary, before a checkpoint
+// publishes ShardBytes, before Finalize and on Close, and checkpointed
+// progress never vouches for bytes the spool has not written.
 type Spooler struct {
 	dir    string
-	batch  BatchPolicy
 	shards []*shardFile
 }
 
-// BatchPolicy configures spool group commit. The zero value flushes
-// every record to the OS before its append is acknowledged (tests and
-// the benchmark's reference measurements use it; the Ledger always
-// group-commits). With Pages > 1, a shard buffers up to
-// Pages records (or Bytes bytes, whichever fills first) and commits
-// them as a group, trading the per-record flush syscall for a bounded
-// durability window. The durability contract moves with it: Flush runs
-// at every group boundary, before a checkpoint publishes ShardBytes,
-// before Finalize, and on Close, so checkpointed progress never
-// vouches for bytes the spool has not written.
-type BatchPolicy struct {
-	// Pages is how many records a shard may buffer between flushes.
-	// 0 or 1 flushes every record.
-	Pages int
-	// Bytes sizes each shard's write buffer (default 4 KiB when 0); a
-	// full buffer flushes to the OS early, making Bytes the group's
-	// size boundary.
-	Bytes int
-}
-
-// groupCommit reports whether appends run batched.
-func (p BatchPolicy) groupCommit() bool { return p.Pages > 1 }
+// The one group-commit policy: a shard buffers up to 64 pages or
+// 256 KiB between flushes. Durability does not depend on it — Commit
+// flushes before it vouches for anything — it only bounds how much
+// re-crawling a crash costs.
+const (
+	groupPages = 64
+	groupBytes = 256 * 1024
+)
 
 type shardFile struct {
 	mu      sync.Mutex
@@ -69,19 +61,18 @@ const DefaultShards = 8
 // shardName names shard i's spool file.
 func shardName(i int) string { return fmt.Sprintf("shard-%03d.jsonl", i) }
 
-// OpenSpoolBatch opens (or creates) a spool directory with numShards
-// shard files under the given group-commit policy. With resume=false any
-// existing shard files are truncated; with resume=true they are opened
-// for append as they are (a resumed Ledger has already replayed them and
-// cut any torn final line).
-func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (*Spooler, error) {
+// openSpool opens (or creates) a spool directory with numShards shard
+// files. With resume=false any existing shard files are truncated; with
+// resume=true they are opened for append as they are (a resumed Ledger
+// has already replayed them and cut any torn final line).
+func openSpool(dir string, numShards int, resume bool) (*Spooler, error) {
 	if numShards <= 0 {
 		numShards = DefaultShards
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dispatch: spool dir: %w", err)
 	}
-	s := &Spooler{dir: dir, batch: batch}
+	s := &Spooler{dir: dir}
 	for i := 0; i < numShards; i++ {
 		path := filepath.Join(dir, shardName(i))
 		flags := os.O_CREATE | os.O_WRONLY
@@ -95,12 +86,7 @@ func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (
 			s.Close()
 			return nil, fmt.Errorf("dispatch: open shard: %w", err)
 		}
-		var w *bufio.Writer
-		if batch.Bytes > 0 {
-			w = bufio.NewWriterSize(countingWriter{f, obs.SpoolBytes}, batch.Bytes)
-		} else {
-			w = bufio.NewWriter(countingWriter{f, obs.SpoolBytes})
-		}
+		w := bufio.NewWriterSize(countingWriter{f, obs.SpoolBytes}, groupBytes)
 		s.shards = append(s.shards, &shardFile{f: f, w: w})
 	}
 	return s, nil
@@ -137,18 +123,10 @@ func (c countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Append appends one page record to its site's shard. The record
-// becomes durable at the next group boundary, Flush, or Close (at once
-// under the zero BatchPolicy).
-func (s *Spooler) Append(rec *analysis.PageRecord) error {
-	return s.append(rec.Site, func(dst []byte) ([]byte, error) {
-		return analysis.AppendSpoolRecord(dst, rec)
-	})
-}
-
 // append renders one line, newline included, into the shard's reused
-// line buffer, writes it into domain's shard buffer and commits the
-// shard's group when the policy says so.
+// line buffer and writes it into domain's shard buffer, committing the
+// shard's group at its groupPages boundary. The line becomes durable at
+// that boundary, a Flush, or Close.
 func (s *Spooler) append(domain string, line func(dst []byte) ([]byte, error)) error {
 	span := obs.StartSpan(obs.StageSpool)
 	sh := s.shards[s.ShardFor(domain)]
@@ -162,7 +140,7 @@ func (s *Spooler) append(domain string, line func(dst []byte) ([]byte, error)) e
 		return err
 	}
 	sh.pending++
-	if !s.batch.groupCommit() || sh.pending >= s.batch.Pages {
+	if sh.pending >= groupPages {
 		if err := sh.w.Flush(); err != nil {
 			return err
 		}
@@ -191,9 +169,8 @@ func (s *Spooler) Flush() error {
 
 // ShardSizes returns the current on-disk size of every shard file, in
 // shard order. Sizes are meaningful at flush boundaries: flushes write
-// whole lines under the shard lock, so a size observed after Flush (or
-// between per-record-flushed appends) is durable-prefix-accurate.
-// Group-commit callers must Flush before trusting the sizes.
+// whole lines under the shard lock, so a size observed after Flush is
+// durable-prefix-accurate. Callers must Flush before trusting the sizes.
 func (s *Spooler) ShardSizes() ([]int64, error) {
 	out := make([]int64, len(s.shards))
 	for i, path := range s.Paths() {

@@ -13,9 +13,16 @@ func rec(site, page string) *analysis.PageRecord {
 	return &analysis.PageRecord{Site: site, Rank: 1, PageURL: page}
 }
 
+// appendRec appends r's spool line as the ledger appends a page line.
+func appendRec(sp *Spooler, r *analysis.PageRecord) error {
+	return sp.append(r.Site, func(dst []byte) ([]byte, error) {
+		return analysis.AppendSpoolRecord(dst, r)
+	})
+}
+
 func TestSpoolerShardAffinityAndLayout(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := OpenSpoolBatch(dir, 4, false, BatchPolicy{})
+	sp, err := openSpool(dir, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +38,12 @@ func TestSpoolerShardAffinityAndLayout(t *testing.T) {
 		}
 	}
 	for _, p := range []string{"http://alpha.com/", "http://alpha.com/a", "http://alpha.com/b"} {
-		if err := sp.Append(rec("alpha.com", p)); err != nil {
+		if err := appendRec(sp, rec("alpha.com", p)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := sp.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, shardName(shard)))
 	if err != nil {
@@ -59,11 +69,11 @@ func TestSpoolerShardAffinityAndLayout(t *testing.T) {
 
 func TestSpoolerFreshRunTruncatesOldShards(t *testing.T) {
 	dir := t.TempDir()
-	sp, _ := OpenSpoolBatch(dir, 2, false, BatchPolicy{})
-	sp.Append(rec("a.com", "http://a.com/"))
+	sp, _ := openSpool(dir, 2, false)
+	appendRec(sp, rec("a.com", "http://a.com/"))
 	sp.Close()
 
-	sp2, err := OpenSpoolBatch(dir, 2, false, BatchPolicy{})
+	sp2, err := openSpool(dir, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

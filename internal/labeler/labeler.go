@@ -211,22 +211,3 @@ func (l *Labeler) MatchChain(chain []*inclusion.Node, pageHost string) bool {
 	}
 	return false
 }
-
-// MatchURLs is MatchChain over bare URL strings with the given types,
-// used when only compact records survive (dataset replay).
-func (l *Labeler) MatchURLs(urls []string, types []devtools.ResourceType, pageHost string) bool {
-	for i, raw := range urls {
-		u, err := urlutil.Parse(raw)
-		if err != nil {
-			continue
-		}
-		typ := devtools.ResourceScript
-		if i < len(types) {
-			typ = types[i]
-		}
-		if l.group.Match(filterlist.Request{URL: u, Type: typ, PageHost: pageHost}).Blocked {
-			return true
-		}
-	}
-	return false
-}

@@ -208,14 +208,3 @@ func TestMatchChain(t *testing.T) {
 		t.Error("chain through A&A parent script not flagged")
 	}
 }
-
-func TestMatchURLs(t *testing.T) {
-	el, ep := testLists()
-	l := New(el, ep)
-	if !l.MatchURLs([]string{"http://pub.example/", "http://cdn.adnet.example/w.js"}, nil, "pub.example") {
-		t.Error("MatchURLs missed blocked script")
-	}
-	if l.MatchURLs([]string{"http://pub.example/", "http://benign.example/x.js"}, nil, "pub.example") {
-		t.Error("MatchURLs false positive")
-	}
-}

@@ -70,12 +70,6 @@ const (
 	MMatchIndexTokens = "match.index_tokens"
 	MMatchIndexRest   = "match.index_rest"
 
-	// MMatchCacheHits names a counter nothing registers or advances:
-	// the decision cache it counted is gone. The name stays because the
-	// frozen benchmark (bench/crawl.go) reads it for
-	// filterlist.cache_hit_ratio, which now reports 0.
-	MMatchCacheHits = "match.cache_hits"
-
 	// MMatchEval times every Group.Match evaluation (tokenize excluded).
 	MMatchEval = "match.eval"
 
