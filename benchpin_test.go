@@ -16,6 +16,7 @@ import (
 var benchPinFields = []struct{ pkg, typ, field string }{
 	{"repro/internal/analysis", "Recorder", "Pooled"},
 	{"repro/internal/browser", "Config", "ReuseScratch"},
+	{"repro/internal/colstore", "Config", "NumShards"},
 }
 
 // TestBenchPinsStayInBench: a package's benchpin.go declares API that

@@ -7,7 +7,7 @@
 //	wscrawl -out crawl1.json [-era pre|post] [-index N] [-publishers N]
 //	        [-workers N] [-pages N] [-seed S] [-version 57]
 //	        [-checkpoint FILE] [-spool-dir DIR] [-resume] [-retries N]
-//	        [-shards N] [-store] [-store-dir DIR]
+//	        [-store] [-store-dir DIR]
 //	        [-metrics-addr HOST:PORT] [-progress DUR]
 //	        [-fault-profile NAME] [-fault-seed S]
 //	wscrawl -coordinate HOST:PORT -out crawl1.json -checkpoint FILE
@@ -98,7 +98,6 @@ func run(args []string) int {
 		spoolDir    = fs.String("spool-dir", "", "spool shard directory (default: beside -checkpoint, else a temp dir)")
 		resume      = fs.Bool("resume", false, "resume an interrupted crawl from its checkpoint")
 		retries     = fs.Int("retries", 0, "per-site attempt budget, in either role (default 3)")
-		shards      = fs.Int("shards", 0, "spool shard count (default 8)")
 		storeFlag   = fs.Bool("store", false, "stream pages into an embedded columnar store (requires -checkpoint, -spool-dir or -store-dir; query with wsquery)")
 		storeDir    = fs.String("store-dir", "", "columnar store directory (default: <spool parent>/store-crawl<index>; implies -store)")
 		metricsAddr = fs.String("metrics-addr", "", "serve expvar + pprof on this address (\":0\" picks a port)")
@@ -189,7 +188,6 @@ func run(args []string) int {
 		StoreDir:    *storeDir,
 		Resume:      *resume,
 		MaxAttempts: *retries,
-		NumShards:   *shards,
 	}
 	if d := opts.Dispatch; located {
 		// Derive whichever of the two paths was not given from the
@@ -281,7 +279,6 @@ func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, add
 	coord, err := core.StartFabricCoordinator(opts, spec, core.FabricCoordinatorOptions{
 		Addr:           addr,
 		BatchSize:      batchSize,
-		NumShards:      d.NumShards,
 		LeaseTTL:       leaseTTL,
 		MaxAttempts:    d.MaxAttempts,
 		CheckpointPath: d.CheckpointPath,

@@ -50,7 +50,7 @@ func TestDocumentedEndpointsAreServed(t *testing.T) {
 	}
 
 	meta := analysis.DatasetMeta{Name: "endpoints", Era: "pre-patch"}
-	store, err := colstore.Open(colstore.Config{Dir: filepath.Join(t.TempDir(), "store"), NumShards: 2, Meta: meta})
+	store, err := colstore.Open(colstore.Config{Dir: filepath.Join(t.TempDir(), "store"), Meta: meta})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,11 @@ func benchRecords(n int, salt int) []*analysis.PageRecord {
 	return recs
 }
 
-// BenchmarkStoreIngest is the hot ingest path — fold + shard buffer —
+// BenchmarkStoreIngest is the hot ingest path — fold + segment buffer —
 // with sealing deferred, the per-record cost the dispatch pipeline pays
 // on every page. TestStoreIngestAllocs pins its allocation budget.
 func BenchmarkStoreIngest(b *testing.B) {
-	st, err := Open(Config{Dir: b.TempDir(), NumShards: 4, Meta: testMeta(), SegmentPages: 1 << 30})
+	st, err := Open(Config{Dir: b.TempDir(), Meta: testMeta(), SegmentPages: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,12 +40,12 @@ func BenchmarkStoreIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreSeal is the group-commit boundary: encode each shard's
-// buffered records into a columnar segment and publish it durably
-// (write temp, fsync, rename, fsync dir). One iteration seals 256
-// records across 4 shards — fsync cost dominates, as in production.
+// BenchmarkStoreSeal is the group-commit boundary: encode the buffered
+// records into one columnar segment and publish it durably (write temp,
+// fsync, rename, fsync dir). One iteration seals 256 records — fsync
+// cost dominates, as in production.
 func BenchmarkStoreSeal(b *testing.B) {
-	st, err := Open(Config{Dir: b.TempDir(), NumShards: 4, Meta: testMeta(), SegmentPages: 1 << 30})
+	st, err := Open(Config{Dir: b.TempDir(), Meta: testMeta(), SegmentPages: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkStoreSeal(b *testing.B) {
 // fold, and snapshot the canonical dataset.
 func BenchmarkStoreOpenReplay(b *testing.B) {
 	dir := b.TempDir()
-	st, err := Open(Config{Dir: dir, NumShards: 4, Meta: testMeta(), SegmentPages: 128})
+	st, err := Open(Config{Dir: dir, Meta: testMeta(), SegmentPages: 128})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 // encodes the snapshot's cached rows. TestCachedQueryAllocs pins the
 // table row's allocation budget.
 func BenchmarkStoreQuery(b *testing.B) {
-	st, err := Open(Config{Dir: b.TempDir(), NumShards: 4, Meta: testMeta(), SegmentPages: 1 << 30})
+	st, err := Open(Config{Dir: b.TempDir(), Meta: testMeta(), SegmentPages: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 func queryStore(t *testing.T) *Store {
 	t.Helper()
-	st, err := Open(Config{Dir: t.TempDir(), NumShards: 2, Meta: testMeta()})
+	st, err := Open(Config{Dir: t.TempDir(), Meta: testMeta()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEngineLabels(t *testing.T) {
 // those same counts, never counts from one fold version and D′ from
 // another. Each domain's verdict flips twice as the records land.
 func TestLabelsOneFoldVersion(t *testing.T) {
-	st, err := Open(Config{Dir: t.TempDir(), NumShards: 2, Meta: testMeta(), SegmentPages: 1 << 30})
+	st, err := Open(Config{Dir: t.TempDir(), Meta: testMeta(), SegmentPages: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func tableRecords() []*analysis.PageRecord {
 // tableStore is a writable store holding tableRecords.
 func tableStore(t *testing.T) *Store {
 	t.Helper()
-	st, err := Open(Config{Dir: t.TempDir(), NumShards: 2, Meta: testMeta()})
+	st, err := Open(Config{Dir: t.TempDir(), Meta: testMeta()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestHTTPQueryService(t *testing.T) {
 // live-crawl query path across processes.
 func TestHTTPRefreshFollowsSeals(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir, NumShards: 2, Meta: testMeta()})
+	st, err := Open(Config{Dir: dir, Meta: testMeta()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,13 @@ import (
 )
 
 // Segment file layout (DESIGN.md §15). A segment is the sealed, durable
-// unit of the columnar store: one batch of PageRecords for one shard,
+// unit of the columnar store: one commit's batch of PageRecords,
 // dictionary-encoded and written atomically (tmp + fsync + rename +
 // parent-dir sync).
 //
 //	"WSCOLSG1"                  8-byte header magic
-//	uvarint version (1)
-//	uvarint shard, uvarint seq
+//	uvarint version (2)
+//	uvarint seq
 //	dict doms                   site/receiver/initiator/HTTP/label-obs domains
 //	dict labels                 sent-item and recv-class vocabulary
 //	dict strs                   page/socket/chain URLs, ad samples
@@ -53,7 +53,7 @@ import (
 const (
 	segMagic    = "WSCOLSG1"
 	segEndMagic = "WSCOLEND"
-	segVersion  = 1
+	segVersion  = 2
 	segTailLen  = 20 + 4 + 8 // footer + crc + end magic
 )
 
@@ -128,8 +128,8 @@ func (e *segEncoder) counts(m map[string]int, d *dict) {
 	}
 }
 
-// encodeSegment serializes one shard's record batch into segment bytes.
-func encodeSegment(shard, seq int, recs []*analysis.PageRecord) []byte {
+// encodeSegment serializes one record batch into segment bytes.
+func encodeSegment(seq int, recs []*analysis.PageRecord) []byte {
 	e := &segEncoder{doms: newDict(), labels: newDict(), strs: newDict()}
 
 	// pages
@@ -215,7 +215,6 @@ func encodeSegment(shard, seq int, recs []*analysis.PageRecord) []byte {
 	buf := make([]byte, 0, len(e.cols)+4096)
 	buf = append(buf, segMagic...)
 	buf = binary.AppendUvarint(buf, segVersion)
-	buf = binary.AppendUvarint(buf, uint64(shard))
 	buf = binary.AppendUvarint(buf, uint64(seq))
 	dictsOff := uint32(len(buf))
 	buf = appendDict(buf, e.doms)
@@ -353,20 +352,20 @@ func (d *segDecoder) counts(vals []string, what string) map[string]int {
 }
 
 // decodeSegment validates and deserializes a sealed segment.
-func decodeSegment(data []byte) (shard, seq int, recs []*analysis.PageRecord, err error) {
+func decodeSegment(data []byte) (seq int, recs []*analysis.PageRecord, err error) {
 	if len(data) < len(segMagic)+segTailLen {
-		return 0, 0, nil, fmt.Errorf("colstore: segment too short (%d bytes)", len(data))
+		return 0, nil, fmt.Errorf("colstore: segment too short (%d bytes)", len(data))
 	}
 	if string(data[:len(segMagic)]) != segMagic {
-		return 0, 0, nil, fmt.Errorf("colstore: bad segment magic")
+		return 0, nil, fmt.Errorf("colstore: bad segment magic")
 	}
 	if string(data[len(data)-8:]) != segEndMagic {
-		return 0, 0, nil, fmt.Errorf("colstore: segment missing end magic (torn write)")
+		return 0, nil, fmt.Errorf("colstore: segment missing end magic (torn write)")
 	}
 	crcOff := len(data) - 12
 	want := binary.LittleEndian.Uint32(data[crcOff:])
 	if got := crc32.ChecksumIEEE(data[:crcOff]); got != want {
-		return 0, 0, nil, fmt.Errorf("colstore: segment checksum mismatch (got %08x, want %08x)", got, want)
+		return 0, nil, fmt.Errorf("colstore: segment checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	ftr := data[crcOff-20 : crcOff]
 	dictsOff := binary.LittleEndian.Uint32(ftr[0:])
@@ -375,27 +374,26 @@ func decodeSegment(data []byte) (shard, seq int, recs []*analysis.PageRecord, er
 	sockets := binary.LittleEndian.Uint32(ftr[12:])
 	bodyLen := binary.LittleEndian.Uint32(ftr[16:])
 	if int(bodyLen) != crcOff-20 || dictsOff > colsOff || colsOff > bodyLen {
-		return 0, 0, nil, fmt.Errorf("colstore: segment footer offsets inconsistent")
+		return 0, nil, fmt.Errorf("colstore: segment footer offsets inconsistent")
 	}
 	// Every record and every socket takes at least a byte of columns.
 	if records > bodyLen-colsOff || sockets > bodyLen-colsOff {
-		return 0, 0, nil, fmt.Errorf("colstore: segment footer claims %d records, %d sockets in %d column bytes", records, sockets, bodyLen-colsOff)
+		return 0, nil, fmt.Errorf("colstore: segment footer claims %d records, %d sockets in %d column bytes", records, sockets, bodyLen-colsOff)
 	}
 
 	d := &segDecoder{data: data[:bodyLen], off: len(segMagic)}
 	if v := d.uv(); d.err == nil && v != segVersion {
-		return 0, 0, nil, fmt.Errorf("colstore: unsupported segment version %d", v)
+		return 0, nil, fmt.Errorf("colstore: unsupported segment version %d", v)
 	}
-	shard = int(d.uv())
 	seq = int(d.uv())
 	if d.err == nil && d.off != int(dictsOff) {
-		return 0, 0, nil, fmt.Errorf("colstore: segment header/footer disagree on dictionary offset")
+		return 0, nil, fmt.Errorf("colstore: segment header/footer disagree on dictionary offset")
 	}
 	doms := d.dict()
 	labels := d.dict()
 	strs := d.dict()
 	if d.err == nil && d.off != int(colsOff) {
-		return 0, 0, nil, fmt.Errorf("colstore: segment dictionaries/footer disagree on column offset")
+		return 0, nil, fmt.Errorf("colstore: segment dictionaries/footer disagree on column offset")
 	}
 
 	n := int(records)
@@ -485,10 +483,10 @@ func decodeSegment(data []byte) (shard, seq int, recs []*analysis.PageRecord, er
 		recs[i].CDNObs = d.counts(doms, "cdn obs")
 	}
 	if d.err != nil {
-		return 0, 0, nil, d.err
+		return 0, nil, d.err
 	}
 	if d.off != len(d.data) {
-		return 0, 0, nil, fmt.Errorf("colstore: segment has %d trailing column bytes", len(d.data)-d.off)
+		return 0, nil, fmt.Errorf("colstore: segment has %d trailing column bytes", len(d.data)-d.off)
 	}
-	return shard, seq, recs, nil
+	return seq, recs, nil
 }

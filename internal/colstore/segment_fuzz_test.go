@@ -37,30 +37,30 @@ func FuzzDecodeSegment(f *testing.F) {
 		testRecord("pub.com", 1, 1),
 		{Site: "bare.com", Rank: 3, PageURL: "http://bare.com/"},
 	}
-	full := encodeSegment(3, 7, recs)
+	full := encodeSegment(7, recs)
 	f.Add(full)
-	f.Add(encodeSegment(0, 0, nil))
-	f.Add(encodeSegment(1, 2, recs[2:]))
+	f.Add(encodeSegment(0, nil))
+	f.Add(encodeSegment(2, recs[2:]))
 	f.Add(full[:len(full)/2])
 	f.Add([]byte(segMagic + "\x01\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, resealed(data)} {
-			shard, seq, got, err := decodeSegment(in)
+			seq, got, err := decodeSegment(in)
 			if err != nil {
 				continue
 			}
 			if len(got) > len(in) {
 				t.Fatalf("%d bytes decoded to %d records", len(in), len(got))
 			}
-			enc := encodeSegment(shard, seq, got)
-			shard2, seq2, again, err := decodeSegment(enc)
+			enc := encodeSegment(seq, got)
+			seq2, again, err := decodeSegment(enc)
 			if err != nil {
 				t.Fatalf("re-encoded segment does not decode: %v", err)
 			}
-			if shard2 != shard || seq2 != seq {
-				t.Fatalf("shard/seq %d/%d came back as %d/%d", shard, seq, shard2, seq2)
+			if seq2 != seq {
+				t.Fatalf("seq %d came back as %d", seq, seq2)
 			}
-			if !bytes.Equal(encodeSegment(shard2, seq2, again), enc) {
+			if !bytes.Equal(encodeSegment(seq2, again), enc) {
 				t.Fatal("encode → decode → encode is not byte-identical")
 			}
 		}

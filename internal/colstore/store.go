@@ -5,23 +5,22 @@
 // PageRecords are ingested incrementally as the crawl runs. Each record
 // folds straight into the incremental Table 1–5 aggregation (the same
 // analysis.Folder fold a store-less ledger keeps, so the derived dataset
-// is byte-identical by construction) and is buffered on its site's shard.
-// At every group-commit boundary — and whenever a shard's buffer
-// reaches SegmentPages — the shard's buffered records are sealed into
-// an immutable dictionary-encoded segment file: written to a temp file,
+// is byte-identical by construction) and is buffered for the next
+// segment. At every group-commit boundary — and whenever the buffer
+// reaches SegmentPages — the buffered records are sealed into one
+// immutable dictionary-encoded segment file: written to a temp file,
 // fsynced, renamed into place, and made durable with a parent-directory
 // sync (SyncDir documents that contract). A sealed segment is therefore
 // all-or-nothing: recovery either sees the complete CRC-verified file
 // or no file at all, and anything in between is a hard error, never a
 // skip.
 //
-// Recovery replays sealed segments through the fold in (shard, seq)
-// order. Records deduplicate by (site, pageURL) with first-occurrence
-// wins — exactly like the spool replay — so a crawl killed mid-run and
-// resumed converges on the same dataset: sites the checkpoint marked
-// done were sealed before the checkpoint was written (the dispatch
-// ledger seals at the same boundary it flushes the spool), and
-// everything else is
+// Recovery replays sealed segments through the fold in seq order.
+// Records deduplicate by (site, pageURL) with first-occurrence wins —
+// exactly like the spool replay — so a crawl killed mid-run and resumed
+// converges on the same dataset: sites the checkpoint marked done were
+// sealed before the checkpoint was written (the dispatch ledger seals
+// at the same boundary it flushes the spool), and everything else is
 // re-crawled deterministically and deduplicated on re-ingest.
 //
 // The read side (query.go, http.go) serves filter/group-by queries over
@@ -47,7 +46,7 @@ import (
 const manifestName = "store.json"
 
 // manifestVersion is the on-disk store format version.
-const manifestVersion = 1
+const manifestVersion = 2
 
 // manifest pins the store's identity so a resume (or a reader) cannot
 // mix segments from a different crawl into one dataset.
@@ -56,16 +55,14 @@ type manifest struct {
 	Name       string `json:"name"`
 	Era        string `json:"era,omitempty"`
 	CrawlIndex int    `json:"crawlIndex"`
-	NumShards  int    `json:"numShards"`
 }
 
 // Config parameterizes Open.
 type Config struct {
 	// Dir is the store directory (created if missing).
 	Dir string
-	// NumShards is the shard count; use the spool's shard count so
-	// store segments and spool shards partition the site space the same
-	// way.
+	// NumShards is read by nothing: the store has one append sequence.
+	// It stays declared only so bench/ compiles until ROADMAP 1(b).
 	NumShards int
 	// Meta names the crawl; it becomes the dataset identity.
 	Meta analysis.DatasetMeta
@@ -73,8 +70,8 @@ type Config struct {
 	// segments. Without Resume the directory must be empty of store
 	// state.
 	Resume bool
-	// SegmentPages caps a shard's buffered records before an automatic
-	// seal (default 512). Explicit Seal calls flush smaller segments at
+	// SegmentPages caps the buffered records before an automatic seal
+	// (default 512). Explicit Seal calls flush smaller segments at
 	// group-commit boundaries.
 	SegmentPages int
 }
@@ -83,27 +80,28 @@ type Config struct {
 // concurrent use; Ingest runs on crawl worker goroutines.
 type Store struct {
 	dir      string
-	shards   int
 	meta     analysis.DatasetMeta
 	segPages int
 	readonly bool
 
 	folder *analysis.Folder
 
+	// sealMu is held by a seal from taking the buffer until the segment
+	// is published or the records are put back, so a Seal that returns
+	// has seen every seal before it finish.
+	sealMu sync.Mutex
+
 	mu       sync.Mutex
-	pending  [][]*analysis.PageRecord // per shard; guarded by mu
-	seq      []int                    // per shard, next segment seq; guarded by mu
-	segments int                      // sealed segments; guarded by mu
-	consumed map[string]bool          // segment files folded; guarded by mu
-	pages    int                      // distinct records folded; guarded by mu
-	dups     int                      // duplicates dropped; guarded by mu
+	pending  []*analysis.PageRecord // guarded by mu
+	seq      int                    // next segment seq; guarded by mu
+	segments int                    // sealed segments; guarded by mu
+	consumed map[string]bool        // segment files folded; guarded by mu
+	pages    int                    // distinct records folded; guarded by mu
+	dups     int                    // duplicates dropped; guarded by mu
 }
 
 // Open creates or resumes a writable store.
 func Open(cfg Config) (*Store, error) {
-	if cfg.NumShards <= 0 {
-		cfg.NumShards = 1
-	}
 	if cfg.SegmentPages <= 0 {
 		cfg.SegmentPages = 512
 	}
@@ -112,12 +110,9 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		dir:      cfg.Dir,
-		shards:   cfg.NumShards,
 		meta:     cfg.Meta,
 		segPages: cfg.SegmentPages,
 		folder:   analysis.NewFolder(cfg.Meta),
-		pending:  make([][]*analysis.PageRecord, cfg.NumShards),
-		seq:      make([]int, cfg.NumShards),
 		consumed: map[string]bool{},
 	}
 	m, err := loadManifest(cfg.Dir)
@@ -162,12 +157,9 @@ func OpenRead(dir string) (*Store, error) {
 	meta := analysis.DatasetMeta{Name: m.Name, Era: m.Era, CrawlIndex: m.CrawlIndex}
 	s := &Store{
 		dir:      dir,
-		shards:   m.NumShards,
 		meta:     meta,
 		readonly: true,
 		folder:   analysis.NewFolder(meta),
-		pending:  make([][]*analysis.PageRecord, m.NumShards),
-		seq:      make([]int, m.NumShards),
 		consumed: map[string]bool{},
 	}
 	if err := s.replaySegments(); err != nil {
@@ -200,7 +192,6 @@ func (s *Store) writeManifest() error {
 		Name:       s.meta.Name,
 		Era:        s.meta.Era,
 		CrawlIndex: s.meta.CrawlIndex,
-		NumShards:  s.shards,
 	}
 	data, err := json.Marshal(&m)
 	if err != nil {
@@ -210,11 +201,8 @@ func (s *Store) writeManifest() error {
 }
 
 func (s *Store) checkManifest(m *manifest) error {
-	switch {
-	case m.Name != s.meta.Name || m.Era != s.meta.Era || m.CrawlIndex != s.meta.CrawlIndex:
+	if m.Name != s.meta.Name || m.Era != s.meta.Era || m.CrawlIndex != s.meta.CrawlIndex {
 		return fmt.Errorf("colstore: %s holds crawl %q era %q index %d, not %q/%q/%d — point at the original crawl's store or start fresh", s.dir, m.Name, m.Era, m.CrawlIndex, s.meta.Name, s.meta.Era, s.meta.CrawlIndex)
-	case m.NumShards != s.shards:
-		return fmt.Errorf("colstore: %s has %d shards, configured %d", s.dir, m.NumShards, s.shards)
 	}
 	return nil
 }
@@ -243,12 +231,12 @@ func (s *Store) removeTemps() error {
 }
 
 // segmentName formats a sealed segment's file name; lexical order is
-// (shard, seq) order.
-func segmentName(shard, seq int) string {
-	return fmt.Sprintf("seg-%03d-%06d.col", shard, seq)
+// seq order.
+func segmentName(seq int) string {
+	return fmt.Sprintf("seg-%06d.col", seq)
 }
 
-// listSegments returns the sealed segment files in (shard, seq) order.
+// listSegments returns the sealed segment files in seq order.
 func listSegments(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -285,12 +273,9 @@ func (s *Store) replaySegments() error {
 		if err != nil {
 			return fmt.Errorf("colstore: read segment: %w", err)
 		}
-		shard, seq, recs, err := decodeSegment(data)
+		seq, recs, err := decodeSegment(data)
 		if err != nil {
 			return fmt.Errorf("colstore: sealed segment %s is damaged: %w", name, err)
-		}
-		if shard < 0 || shard >= s.shards {
-			return fmt.Errorf("colstore: segment %s claims shard %d of %d", name, shard, s.shards)
 		}
 		s.mu.Lock()
 		for _, rec := range recs {
@@ -300,8 +285,8 @@ func (s *Store) replaySegments() error {
 				s.dups++
 			}
 		}
-		if seq >= s.seq[shard] {
-			s.seq[shard] = seq + 1
+		if seq >= s.seq {
+			s.seq = seq + 1
 		}
 		s.consumed[name] = true
 		s.segments++
@@ -310,30 +295,23 @@ func (s *Store) replaySegments() error {
 	return nil
 }
 
-// ShardFor maps a site domain to its shard: analysis.ShardFor, the
-// spool's rule, so the two partitions agree.
-func (s *Store) ShardFor(domain string) int {
-	return analysis.ShardFor(domain, s.shards)
-}
-
 // Ingest folds one page record into the live aggregation and buffers it
-// for its shard's next segment. It reports whether the record was fresh
-// (false = duplicate of an already-ingested (site, pageURL), dropped).
-// The record is retained by reference until sealed; callers must not
-// mutate it afterwards — the dispatch ingest path hands over the same
-// immutable records it spools.
+// for the next segment. It reports whether the record was fresh (false =
+// duplicate of an already-ingested (site, pageURL), dropped). The record
+// is retained by reference until sealed; callers must not mutate it
+// afterwards — the dispatch ingest path hands over the same immutable
+// records it spools.
 func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	if s.readonly {
 		return false, fmt.Errorf("colstore: store %s is read-only", s.dir)
 	}
 	fresh := s.folder.Fold(rec)
-	shard, full := -1, false
+	full := false
 	s.mu.Lock()
 	if fresh {
 		s.pages++
-		shard = s.ShardFor(rec.Site)
-		s.pending[shard] = append(s.pending[shard], rec)
-		full = len(s.pending[shard]) >= s.segPages
+		s.pending = append(s.pending, rec)
+		full = len(s.pending) >= s.segPages
 	} else {
 		s.dups++
 	}
@@ -344,56 +322,53 @@ func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	}
 	obs.StorePages.Inc()
 	if full {
-		return true, s.sealShard(shard)
+		return true, s.seal(s.segPages)
 	}
 	return true, nil
 }
 
-// Seal writes every shard's buffered records into sealed segment files.
-// Call it at group-commit boundaries: dispatch.Ledger.Commit seals after
-// the spool flush and before the checkpoint is published, so a
-// checkpoint never marks a job done whose pages are not in a durable
-// segment.
+// Seal writes the buffered records into one sealed segment file, after
+// any seal already in flight has finished. Call it at group-commit
+// boundaries: dispatch.Ledger.Commit seals after the spool flush and
+// before the checkpoint is published, so a checkpoint never marks a job
+// done whose pages are not in a durable segment.
 func (s *Store) Seal() error {
 	if s.readonly {
 		return fmt.Errorf("colstore: store %s is read-only", s.dir)
 	}
-	for shard := 0; shard < s.shards; shard++ {
-		if err := s.sealShard(shard); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.seal(1)
 }
 
-// sealShard seals one shard's buffer (no-op when empty).
-func (s *Store) sealShard(shard int) error {
+// seal seals the buffer into the next segment when it holds at least
+// atLeast records; Ingest's auto-seal passes SegmentPages, so of several
+// ingests that filled the buffer only the first seals.
+func (s *Store) seal(atLeast int) error {
+	s.sealMu.Lock()
+	defer s.sealMu.Unlock()
 	s.mu.Lock()
-	recs := s.pending[shard]
-	seq := s.seq[shard]
-	if len(recs) > 0 {
-		s.seq[shard] = seq + 1
-		s.pending[shard] = nil
+	recs, seq := s.pending, s.seq
+	if len(recs) >= atLeast {
+		s.pending = nil
 	}
 	s.mu.Unlock()
-	if len(recs) == 0 {
+	if len(recs) < atLeast {
 		return nil
 	}
 
 	span := obs.StartSpan(obs.StoreSeal)
-	name := segmentName(shard, seq)
-	data := encodeSegment(shard, seq, recs)
+	name := segmentName(seq)
+	data := encodeSegment(seq, recs)
 	if err := publish(filepath.Join(s.dir, name), data); err != nil {
 		// The segment never became durable; put the records back so a
-		// later Seal retries them. Prepend keeps intra-shard order.
+		// later Seal retries them. Prepend keeps ingest order.
 		s.mu.Lock()
-		s.pending[shard] = append(recs, s.pending[shard]...)
-		s.seq[shard] = seq
+		s.pending = append(recs, s.pending...)
 		s.mu.Unlock()
 		return err
 	}
 	span.End()
 	s.mu.Lock()
+	s.seq = seq + 1
 	s.consumed[name] = true
 	s.segments++
 	s.mu.Unlock()
@@ -415,26 +390,20 @@ func (s *Store) Rescan() error {
 // fold, and to the tests' spool merge (oracle.MergeShards).
 // Callable at any point during the crawl.
 func (s *Store) Dataset() (*analysis.Dataset, analysis.MergeStats) {
-	ds, stats := s.folder.Snapshot()
-	stats.Shards = s.shards
-	return ds, stats
+	return s.folder.Snapshot()
 }
 
 // Finalize closes out the crawl's aggregation, reporting merge metrics
 // exactly like a store-less ledger's fold does (merge.pages,
 // merge.duplicates, stage.merge). Call once, when the crawl is done.
 func (s *Store) Finalize() (*analysis.Dataset, analysis.MergeStats) {
-	ds, stats := s.folder.Finalize()
-	stats.Shards = s.shards
-	return ds, stats
+	return s.folder.Finalize()
 }
 
 // state is one consistent read of the store's fold — dataset,
 // observation counts and version together — for the query engine.
 func (s *Store) state() analysis.FoldState {
-	st := s.folder.State()
-	st.Stats.Shards = s.shards
-	return st
+	return s.folder.State()
 }
 
 // Meta returns the crawl identity the store was opened with.
@@ -446,31 +415,25 @@ func (s *Store) Version() uint64 { return s.folder.Version() }
 
 // Stats describes the store's physical and logical state.
 type Stats struct {
-	Dir       string `json:"dir"`
-	NumShards int    `json:"numShards"`
-	Segments  int    `json:"segments"`
-	Pages     int    `json:"pages"`
-	Dups      int    `json:"duplicates"`
-	Pending   int    `json:"pendingRecords"`
-	ReadOnly  bool   `json:"readOnly"`
+	Dir      string `json:"dir"`
+	Segments int    `json:"segments"`
+	Pages    int    `json:"pages"`
+	Dups     int    `json:"duplicates"`
+	Pending  int    `json:"pendingRecords"`
+	ReadOnly bool   `json:"readOnly"`
 }
 
 // Stats reports the store's current state.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pending := 0
-	for _, p := range s.pending {
-		pending += len(p)
-	}
 	return Stats{
-		Dir:       s.dir,
-		NumShards: s.shards,
-		Segments:  s.segments,
-		Pages:     s.pages,
-		Dups:      s.dups,
-		Pending:   pending,
-		ReadOnly:  s.readonly,
+		Dir:      s.dir,
+		Segments: s.segments,
+		Pages:    s.pages,
+		Dups:     s.dups,
+		Pending:  len(s.pending),
+		ReadOnly: s.readonly,
 	}
 }
 
@@ -490,7 +453,7 @@ func ReadSegment(path string) ([]*analysis.PageRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("colstore: read segment: %w", err)
 	}
-	_, _, recs, err := decodeSegment(data)
+	_, recs, err := decodeSegment(data)
 	return recs, err
 }
 

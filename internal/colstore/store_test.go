@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,13 +71,13 @@ func TestSegmentRoundTrip(t *testing.T) {
 				ChainDomains:    []string{}, ChainURLs: []string{},
 			}}},
 	}
-	data := encodeSegment(3, 7, recs)
-	shard, seq, got, err := decodeSegment(data)
+	data := encodeSegment(7, recs)
+	seq, got, err := decodeSegment(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shard != 3 || seq != 7 {
-		t.Errorf("shard/seq = %d/%d, want 3/7", shard, seq)
+	if seq != 7 {
+		t.Errorf("seq = %d, want 7", seq)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
@@ -90,7 +91,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 	// Dictionary IDs assign in first-use order, so identical batches
 	// encode byte-identically.
-	if !bytes.Equal(data, encodeSegment(3, 7, recs)) {
+	if !bytes.Equal(data, encodeSegment(7, recs)) {
 		t.Error("segment encoding is not deterministic")
 	}
 }
@@ -99,16 +100,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 // truncation or bit flip must fail decode, never yield partial records.
 func TestSegmentRejectsDamage(t *testing.T) {
 	recs := []*analysis.PageRecord{testRecord("pub.com", 1, 0), testRecord("pub.com", 1, 1)}
-	data := encodeSegment(0, 0, recs)
+	data := encodeSegment(0, recs)
 	for _, cut := range []int{len(data) - 1, len(data) - 9, len(data) / 2, 10, 0} {
-		if _, _, _, err := decodeSegment(data[:cut]); err == nil {
+		if _, _, err := decodeSegment(data[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", cut)
 		}
 	}
 	for _, flip := range []int{9, len(data) / 2, len(data) - 20} {
 		bad := bytes.Clone(data)
 		bad[flip] ^= 0xff
-		if _, _, _, err := decodeSegment(bad); err == nil {
+		if _, _, err := decodeSegment(bad); err == nil {
 			t.Errorf("bit flip at %d accepted", flip)
 		}
 	}
@@ -157,7 +158,7 @@ func foldOracle(t *testing.T, recs []*analysis.PageRecord) []byte {
 func TestStoreIngestSealReopen(t *testing.T) {
 	dir := t.TempDir()
 	recs := allRecords()
-	st, err := Open(Config{Dir: dir, NumShards: 4, Meta: testMeta()})
+	st, err := Open(Config{Dir: dir, Meta: testMeta()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestStoreIngestSealReopen(t *testing.T) {
 		if !fresh {
 			t.Fatalf("record %d reported duplicate", i)
 		}
-		// Mid-crawl seals: exercise multi-segment shards.
+		// Mid-crawl seals: exercise a multi-segment store.
 		if i == 3 || i == 7 {
 			if err := st.Seal(); err != nil {
 				t.Fatal(err)
@@ -191,8 +192,16 @@ func TestStoreIngestSealReopen(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// One append sequence: each Seal wrote one segment, Close the third.
+	names, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(names, " "); got != "seg-000000.col seg-000001.col seg-000002.col" {
+		t.Errorf("segments = %s", got)
+	}
 
-	re, err := Open(Config{Dir: dir, NumShards: 4, Meta: testMeta(), Resume: true})
+	re, err := Open(Config{Dir: dir, Meta: testMeta(), Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,20 +214,20 @@ func TestStoreIngestSealReopen(t *testing.T) {
 	}
 
 	// A second Resume against different meta must refuse.
-	if _, err := Open(Config{Dir: dir, NumShards: 4, Meta: analysis.DatasetMeta{Name: "other"}, Resume: true}); err == nil {
+	if _, err := Open(Config{Dir: dir, Meta: analysis.DatasetMeta{Name: "other"}, Resume: true}); err == nil {
 		t.Error("resume with wrong crawl identity accepted")
 	}
 	// Re-open without Resume must refuse too.
-	if _, err := Open(Config{Dir: dir, NumShards: 4, Meta: testMeta()}); err == nil {
+	if _, err := Open(Config{Dir: dir, Meta: testMeta()}); err == nil {
 		t.Error("open over existing store without Resume accepted")
 	}
 }
 
-// TestStoreAutoSeal: a shard's buffer sealing at SegmentPages without
-// any explicit Seal call.
+// TestStoreAutoSeal: the buffer sealing at SegmentPages without any
+// explicit Seal call.
 func TestStoreAutoSeal(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir, NumShards: 1, Meta: testMeta(), SegmentPages: 3})
+	st, err := Open(Config{Dir: dir, Meta: testMeta(), SegmentPages: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +248,131 @@ func TestStoreAutoSeal(t *testing.T) {
 	}
 }
 
+// TestSealWaitsForInFlightSeal: a Seal that returns has seen every seal
+// started before it finish — including the one an Ingest started when
+// the buffer filled, whose records Seal no longer finds buffered. The
+// ledger publishes a checkpoint as soon as Seal returns, so a Seal that
+// returned early would let it vouch for pages in no durable segment.
+func TestSealWaitsForInFlightSeal(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		dir := t.TempDir()
+		st, err := Open(Config{Dir: dir, Meta: testMeta(), SegmentPages: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Ingest(testRecord("pub.com", 1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := st.Ingest(testRecord("pub.com", 1, 1)) // fills the buffer: auto-seal
+			done <- err
+		}()
+		for s := st.Stats(); s.Pages < 2 || s.Pending > 0; s = st.Stats() {
+			runtime.Gosched() // until the auto-seal has taken the buffer
+		}
+		if err := st.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		names, err := listSegments(dir)
+		if ierr := <-done; ierr != nil {
+			t.Fatal(ierr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) != 1 {
+			t.Fatalf("trial %d: Seal returned with %d segments on disk, want the auto-seal's 1", trial, len(names))
+		}
+	}
+}
+
+// TestConcurrentIngestAndSeal: workers ingesting at once, auto-sealing
+// every few records, while Seal runs alongside, leave one contiguous
+// segment sequence that replays to every record.
+func TestConcurrentIngestAndSeal(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Config{Dir: dir, Meta: testMeta(), SegmentPages: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 4, 50
+	var recs []*analysis.PageRecord
+	for i := 0; i < workers*each; i++ {
+		recs = append(recs, testRecord(fmt.Sprintf("site%d.com", i%workers), i%workers+1, i/workers))
+	}
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for _, rec := range recs[w*each : (w+1)*each] {
+				if _, err := st.Ingest(rec); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for done := 0; done < workers; {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done++
+		default:
+			if err := st.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		if name != segmentName(i) {
+			t.Fatalf("segment %d is %s, want %s", i, name, segmentName(i))
+		}
+	}
+	ro, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, stats := ro.Dataset()
+	if stats.Pages != len(recs) || stats.Duplicates != 0 {
+		t.Fatalf("replayed %+v, want %d pages", stats, len(recs))
+	}
+	if !bytes.Equal(datasetBytes(t, ds), foldOracle(t, recs)) {
+		t.Error("replayed dataset differs from the fold oracle")
+	}
+}
+
+// TestStoreRefusesV1 pins the format break of the unsharded store: a v1
+// manifest (which carried a shard count) and a v1 segment header (which
+// carried a shard field) are refused, never read as v2.
+func TestStoreRefusesV1(t *testing.T) {
+	dir := t.TempDir()
+	v1 := `{"version":1,"name":"store-test","era":"pre","crawlIndex":0,"numShards":8}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Dir: dir, Meta: testMeta(), Resume: true}); err == nil || !strings.Contains(err.Error(), "unsupported store version 1") {
+		t.Errorf("Open of a v1 store: err = %v", err)
+	}
+	if _, err := OpenRead(dir); err == nil || !strings.Contains(err.Error(), "unsupported store version 1") {
+		t.Errorf("OpenRead of a v1 store: err = %v", err)
+	}
+	seg := encodeSegment(0, []*analysis.PageRecord{testRecord("pub.com", 1, 0)})
+	seg[len(segMagic)] = 1
+	if _, _, err := decodeSegment(resealed(seg)); err == nil || !strings.Contains(err.Error(), "unsupported segment version 1") {
+		t.Errorf("decode of a v1 segment: err = %v", err)
+	}
+}
+
 // TestStoreCrashMidSealRecovers sweeps a SIGKILL through every byte of
 // a segment write: a kill mid-seal can only ever leave a partial temp
 // file (the rename that publishes a segment is atomic), and for every
@@ -247,12 +381,12 @@ func TestStoreAutoSeal(t *testing.T) {
 func TestStoreCrashMidSealRecovers(t *testing.T) {
 	recs := allRecords()
 	sealed := recs[:6]
-	torn := encodeSegment(0, 99, recs[6:])
+	torn := encodeSegment(99, recs[6:])
 
 	base := t.TempDir()
 	for cut := 0; cut <= len(torn); cut += len(torn)/64 + 1 {
 		dir := filepath.Join(base, fmt.Sprintf("cut-%d", cut))
-		st, err := Open(Config{Dir: dir, NumShards: 2, Meta: testMeta()})
+		st, err := Open(Config{Dir: dir, Meta: testMeta()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +399,11 @@ func TestStoreCrashMidSealRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The kill: a torn temp file, cut bytes long.
-		tmp := filepath.Join(dir, segmentName(0, 99)+".tmp-123")
+		tmp := filepath.Join(dir, segmentName(99)+".tmp-123")
 		if err := os.WriteFile(tmp, torn[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(Config{Dir: dir, NumShards: 2, Meta: testMeta(), Resume: true})
+		re, err := Open(Config{Dir: dir, Meta: testMeta(), Resume: true})
 		if err != nil {
 			t.Fatalf("cut %d: resume failed: %v", cut, err)
 		}
@@ -291,7 +425,7 @@ func TestStoreCrashMidSealRecovers(t *testing.T) {
 // store must refuse to open rather than silently drop pages.
 func TestStoreTornSealedSegmentIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir, NumShards: 1, Meta: testMeta()})
+	st, err := Open(Config{Dir: dir, Meta: testMeta()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +446,7 @@ func TestStoreTornSealedSegmentIsHardError(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Config{Dir: dir, NumShards: 1, Meta: testMeta(), Resume: true}); err == nil {
+	if _, err := Open(Config{Dir: dir, Meta: testMeta(), Resume: true}); err == nil {
 		t.Error("torn sealed segment accepted on resume")
 	} else if !strings.Contains(err.Error(), "damaged") {
 		t.Errorf("unexpected error: %v", err)
@@ -327,7 +461,7 @@ func TestStoreTornSealedSegmentIsHardError(t *testing.T) {
 func TestOpenReadFollowsLiveStore(t *testing.T) {
 	dir := t.TempDir()
 	recs := allRecords()
-	st, err := Open(Config{Dir: dir, NumShards: 2, Meta: testMeta()})
+	st, err := Open(Config{Dir: dir, Meta: testMeta()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +513,7 @@ func TestOpenReadFollowsLiveStore(t *testing.T) {
 // key, map growth); the pin catches accidental per-ingest overhead like
 // re-encoding or scratch churn.
 func TestStoreIngestAllocs(t *testing.T) {
-	st, err := Open(Config{Dir: t.TempDir(), NumShards: 4, Meta: testMeta(), SegmentPages: 1 << 30})
+	st, err := Open(Config{Dir: t.TempDir(), Meta: testMeta(), SegmentPages: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

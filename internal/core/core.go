@@ -105,8 +105,6 @@ type DispatchOptions struct {
 	StoreDir       string
 	// Resume continues an interrupted crawl from its checkpoint.
 	Resume bool
-	// NumShards is the spool shard count (default 8).
-	NumShards int
 	// MaxAttempts is the per-site attempt budget (default 3).
 	MaxAttempts int
 }
@@ -214,7 +212,6 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 			return failed, err
 		},
 		SpoolDir:       d.spoolDir(p.spec),
-		NumShards:      d.NumShards,
 		CheckpointPath: d.checkpointPath(p.spec),
 		StoreDir:       storeDir,
 		Resume:         d.Resume,

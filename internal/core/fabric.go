@@ -117,8 +117,6 @@ type FabricCoordinatorOptions struct {
 	Addr string
 	// BatchSize is the most sites one grant leases (default 16).
 	BatchSize int
-	// NumShards is the spool shard count (default 8).
-	NumShards int
 	// LeaseTTL bounds unheartbeated grants (default 30s).
 	LeaseTTL time.Duration
 	// MaxAttempts is the per-site attempt budget (default 3), as on the
@@ -152,7 +150,6 @@ func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOp
 		Crawl:          FabricCrawlConfig(opts, spec),
 		Sites:          FabricSites(opts, spec),
 		BatchSize:      fo.BatchSize,
-		NumShards:      fo.NumShards,
 		LeaseTTL:       fo.LeaseTTL,
 		Retry:          dispatch.RetryPolicy{MaxAttempts: fo.MaxAttempts},
 		CheckpointPath: fo.CheckpointPath,

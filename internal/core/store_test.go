@@ -12,7 +12,9 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/oracle"
 	"repro/internal/colstore"
+	"repro/internal/dispatch"
 	"repro/internal/fabric"
+	"repro/internal/obs"
 	"repro/internal/webgen"
 )
 
@@ -79,6 +81,37 @@ func TestStoreDifferential(t *testing.T) {
 		if want := analysis.Lookup("table", fmt.Sprint(n)).Render(roDS); got != want {
 			t.Errorf("query engine's Table %d differs from the report's:\n--- engine ---\n%s\n--- report ---\n%s", n, got, want)
 		}
+	}
+}
+
+// TestStoreSealsOncePerCommit gates the store's write cost at the
+// study's size (150 publishers × 15 pages): a commit covers max(8, N/128)
+// settled sites, fewer pages than SegmentPages, and seals them into one
+// segment — so a store crawl writes one segment, and one publish's
+// directory sync, per commit that had pages: every commit but at most
+// the final one.
+func TestStoreSealsOncePerCommit(t *testing.T) {
+	stateDir := t.TempDir()
+	opts := benchCrawlOptions(stateDir)
+	opts.NumPublishers, opts.PagesPerSite, opts.Store = 150, 15, true
+	spec := CrawlSpec{Name: "seals", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57}
+	before := obs.Default.Snapshot()
+	if _, err := RunCrawl(context.Background(), opts, spec); err != nil {
+		t.Fatal(err)
+	}
+	after := obs.Default.Snapshot()
+	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+	seals, commits := delta(obs.MStoreSeals), delta(obs.MCheckpointWrites)
+	if commits < 8 || seals < commits-1 || seals > commits {
+		t.Errorf("%d seals over %d commits, want one per commit that had pages (%d or %d)", seals, commits, commits-1, commits)
+	}
+	// The manifest, every segment and every checkpoint: one sync each.
+	if syncs := delta(obs.MStoreDirSyncs); syncs != 1+seals+commits {
+		t.Errorf("%d directory syncs, want %d (manifest + %d seals + %d checkpoints)", syncs, 1+seals+commits, seals, commits)
+	}
+	segs, err := filepath.Glob(filepath.Join(stateDir, "store-crawl0", "seg-*.col"))
+	if err != nil || int64(len(segs)) != seals {
+		t.Errorf("%d segment files (%v), want the %d seals'", len(segs), err, seals)
 	}
 }
 
@@ -154,7 +187,6 @@ func TestFabricStoreDifferential(t *testing.T) {
 	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
 		Addr:           "127.0.0.1:0",
 		BatchSize:      4,
-		NumShards:      4,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 		SpoolDir:       filepath.Join(dir, "spool"),
 		StoreDir:       filepath.Join(dir, "store"),
@@ -176,8 +208,8 @@ func TestFabricStoreDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards, err := filepath.Glob(filepath.Join(dir, "spool", "shard-*.jsonl"))
-	if err != nil || len(shards) != 4 {
-		t.Fatalf("spool shards = %v (%v), want 4", shards, err)
+	if err != nil || len(shards) != dispatch.DefaultShards {
+		t.Fatalf("spool shards = %v (%v), want %d", shards, err, dispatch.DefaultShards)
 	}
 	mergeDS, mergeStats, err := oracle.MergeShards(FabricDatasetMeta(spec), shards)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // the spool shards a finished run left in dir.
 func mergeOracle(t *testing.T, cfg Config, dir string) (*analysis.Dataset, oracle.MergeStats) {
 	t.Helper()
-	ds, stats, err := oracle.MergeShards(cfg.Meta, spoolPaths(dir, cfg.NumShards))
+	ds, stats, err := oracle.MergeShards(cfg.Meta, spoolPaths(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 // buffered copies: no per-record file writes, no buffer regrowth.
 func TestBatchedSpoolAppendAllocs(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := openSpool(dir, 2, false)
+	sp, err := openSpool(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}

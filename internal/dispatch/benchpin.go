@@ -19,12 +19,12 @@ type BatchPolicy struct {
 }
 
 // OpenSpoolBatch is openSpool for a caller that names the spool's one
-// group-commit policy.
+// shard count and group-commit policy.
 func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (*Spooler, error) {
-	if batch != (BatchPolicy{Pages: groupPages, Bytes: groupBytes}) {
-		return nil, fmt.Errorf("dispatch: spool group commit is %d pages / %d bytes, not %+v", groupPages, groupBytes, batch)
+	if numShards != DefaultShards || batch != (BatchPolicy{Pages: groupPages, Bytes: groupBytes}) {
+		return nil, fmt.Errorf("dispatch: the spool has %d shards and commits groups of %d pages / %d bytes, not %d shards and %+v", DefaultShards, groupPages, groupBytes, numShards, batch)
 	}
-	return openSpool(dir, numShards, resume)
+	return openSpool(dir, resume)
 }
 
 // Append encodes one page record and appends its line to its site's

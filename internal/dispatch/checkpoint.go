@@ -77,7 +77,7 @@ type Checkpoint struct {
 	Done         []string          `json:"done"`
 	Failed       map[string]string `json:"failed,omitempty"`
 	Attempts     map[string]int    `json:"attempts,omitempty"`
-	// ShardBytes records each spool shard's durable size at checkpoint
+	// ShardBytes records each spool shard's flushed size at checkpoint
 	// time: its extent. A resume replays every shard against it, and a
 	// shard that is shorter, or whose complete lines end before it, does
 	// not match the checkpoint (deleted, swapped, or damaged); resuming
@@ -134,7 +134,7 @@ func (c *Checkpoint) Compatible(path string, want *Checkpoint) error {
 	case c.Seed != want.Seed:
 		return mismatch(fmt.Sprintf("checkpoint seed %d != configured seed %d", c.Seed, want.Seed))
 	case c.NumShards != want.NumShards:
-		return mismatch(fmt.Sprintf("checkpoint has %d spool shards, configured %d", c.NumShards, want.NumShards))
+		return mismatch(fmt.Sprintf("checkpoint has %d spool shards, the spool has %d", c.NumShards, want.NumShards))
 	case c.PagesPerSite != want.PagesPerSite:
 		return mismatch(fmt.Sprintf("checkpoint page budget %d != configured %d", c.PagesPerSite, want.PagesPerSite))
 	case c.TotalSites != want.TotalSites:

@@ -211,7 +211,7 @@ func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 	dir := t.TempDir()
 	cpPath := filepath.Join(dir, "cp.json")
 	l, err := OpenLedger(LedgerConfig{
-		Crawl:          Checkpoint{Name: "t", Seed: 1, NumShards: 2, PagesPerSite: 5, TotalSites: 1},
+		Crawl:          Checkpoint{Name: "t", Seed: 1, PagesPerSite: 5, TotalSites: 1},
 		SpoolDir:       dir,
 		CheckpointPath: cpPath,
 	})

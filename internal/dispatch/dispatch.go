@@ -34,10 +34,10 @@
 // Concurrency: Queue, Lease, Grant, Spooler and Ledger are safe for
 // concurrent use; the ledger serializes checkpoint generations itself.
 // Durability (DESIGN.md §7): a checkpoint marks a job done only after its
-// pages were flushed to the spool and sealed into the store, checkpoints
-// are atomic (temp file + rename + directory sync), and one commit rule
-// serves both roles (Ledger.Settled): a killed crawl is at most
-// max(8, N/128) − 1 settled sites stale.
+// pages were flushed to the spool (not fsynced) and sealed into the
+// store, checkpoints are atomic (temp file + rename + directory sync),
+// and one commit rule serves both roles (Ledger.Settled): a killed crawl
+// is at most max(8, N/128) − 1 settled sites stale.
 //
 // Observability: the queue exports depth/retry gauges, and the ledger
 // records latency histograms (queue.*, checkpoint.*, spool.*,
@@ -87,8 +87,6 @@ type Config struct {
 
 	// SpoolDir receives the sharded JSONL spool files. Required.
 	SpoolDir string
-	// NumShards is the spool shard count (default 8).
-	NumShards int
 	// CheckpointPath is the crawl's durable state file. Required.
 	CheckpointPath string
 	// Resume loads CheckpointPath (when present) and skips completed
@@ -152,7 +150,6 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 		Crawl: Checkpoint{
 			Name:         cfg.Name,
 			Seed:         cfg.Seed,
-			NumShards:    cfg.NumShards,
 			PagesPerSite: cfg.PagesPerSite,
 			TotalSites:   len(cfg.Sites),
 		},

@@ -117,7 +117,6 @@ func (e *testEnv) config(dir string, workers int, r *testRunner) Config {
 		Seed:           testSeed,
 		RunGrant:       r.run,
 		SpoolDir:       filepath.Join(dir, "spool"),
-		NumShards:      4,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 		Retry:          RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
@@ -368,7 +367,8 @@ func TestRunValidatesConfig(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedCheckpoint: resuming with a different
-// seed or shard layout must fail loudly rather than corrupt the spool.
+// seed, or over a checkpoint of another shard layout, must fail loudly
+// rather than corrupt the spool.
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	env := newTestEnv(t, 4)
 	dir := t.TempDir()
@@ -381,10 +381,17 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	if _, err := Run(context.Background(), bad); err == nil {
 		t.Error("seed mismatch accepted on resume")
 	}
-	bad2 := env.config(dir, 1, nil)
-	bad2.Resume = true
-	bad2.NumShards = 2
-	if _, err := Run(context.Background(), bad2); err == nil {
+	cfg := env.config(dir, 1, nil)
+	cp, err := LoadCheckpoint(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.NumShards = 2
+	if err := cp.WriteAtomic(cfg.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = true
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("shard count mismatch accepted on resume")
 	}
 }

@@ -19,10 +19,10 @@ import (
 
 // LedgerConfig locates and identifies one crawl's durable state.
 type LedgerConfig struct {
-	// Crawl is the checkpoint header: the identity (Name, Seed, NumShards,
+	// Crawl is the checkpoint header: the identity (Name, Seed,
 	// PagesPerSite, TotalSites) every checkpoint this ledger writes
-	// carries and a resumed one must match. NumShards defaults to
-	// DefaultShards; progress fields are ignored.
+	// carries and a resumed one must match. OpenLedger sets Version and
+	// NumShards (DefaultShards); progress fields are ignored.
 	Crawl Checkpoint
 	// Meta names the derived dataset (and the store's identity).
 	Meta analysis.DatasetMeta
@@ -56,7 +56,10 @@ type LedgerConfig struct {
 //     settled attempts — about 128 checkpoints per crawl;
 //   - Commit: flush the spool, seal the store, record the shard extents,
 //     publish the checkpoint atomically — in that order, so a checkpoint
-//     never marks a job done whose pages are not durable in both sinks;
+//     never marks a job done whose pages are not in a sealed segment and
+//     flushed to the spool. Segments and checkpoints are fsynced; the
+//     spool is not, so a killed process always resumes, while after an
+//     OS crash or power loss a resume may be refused (start fresh);
 //   - Finalize: finalize the fold (the store's when there is one);
 //   - Close: flush and release everything.
 //
@@ -97,13 +100,11 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.SpoolDir == "" || cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("dispatch: SpoolDir and CheckpointPath are required")
 	}
-	if cfg.Crawl.NumShards <= 0 {
-		cfg.Crawl.NumShards = DefaultShards
-	}
 	if cfg.commitEvery <= 0 {
 		cfg.commitEvery = max(8, cfg.Crawl.TotalSites/128)
 	}
 	cfg.Crawl.Version = CheckpointVersion
+	cfg.Crawl.NumShards = DefaultShards
 	l := &Ledger{cfg: cfg}
 	if cfg.StoreDir == "" {
 		l.folder = analysis.NewFolder(cfg.Meta)
@@ -137,10 +138,9 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	var err error
 	if cfg.StoreDir != "" {
 		l.store, err = colstore.Open(colstore.Config{
-			Dir:       cfg.StoreDir,
-			NumShards: cfg.Crawl.NumShards,
-			Meta:      cfg.Meta,
-			Resume:    cfg.Resume,
+			Dir:    cfg.StoreDir,
+			Meta:   cfg.Meta,
+			Resume: cfg.Resume,
 		})
 		if err != nil {
 			return nil, err
@@ -154,7 +154,7 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 			return nil, err
 		}
 	}
-	l.spool, err = openSpool(cfg.SpoolDir, cfg.Crawl.NumShards, l.resumed != nil)
+	l.spool, err = openSpool(cfg.SpoolDir, l.resumed != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +176,8 @@ func (l *Ledger) replaySpool() error {
 	refuse := func(format string, args ...any) error {
 		return &CheckpointError{Path: l.cfg.CheckpointPath, Version: cp.Version, Reason: fmt.Sprintf(format, args...), Hint: hintStartFresh}
 	}
-	if len(cp.ShardBytes) != l.cfg.Crawl.NumShards {
-		return refuse("checkpoint recorded %d spool shards, configured %d", len(cp.ShardBytes), l.cfg.Crawl.NumShards)
+	if len(cp.ShardBytes) != DefaultShards {
+		return refuse("checkpoint recorded %d spool shards, the spool has %d", len(cp.ShardBytes), DefaultShards)
 	}
 	type cut struct {
 		path string
@@ -261,7 +261,7 @@ func (l *Ledger) Store() *colstore.Store { return l.store }
 // which is also what keeps bytes that are not that site's page record
 // out of the spool, written verbatim, and the decoded record goes to the
 // fold or store: the live fold and a resume's replay fold the same
-// decoded bytes. The page is durable once a later Commit returns.
+// decoded bytes. The page is committed once a later Commit returns.
 func (l *Ledger) AppendLine(site string, line []byte) error {
 	span := obs.StartSpan(obs.CrawlCommit)
 	if bytes.IndexByte(line, '\n') >= 0 {
@@ -347,7 +347,7 @@ func (l *Ledger) Settled(n int, snapshot func() []JobRecord) error {
 // Commit publishes one checkpoint generation. snapshot is called under
 // the commit lock and must return the job states to record. Everything a
 // done job appended happened before the snapshot, so the flush and seal
-// that follow cover it, and the extents read after them are the durable
+// that follow cover it, and the extents read after them are the flushed
 // sizes the checkpoint vouches for. Any failure leaves the previous checkpoint
 // file in place — a stale checkpoint only costs re-crawling, one without
 // its spool guard would let a resume skip pages that are gone.
@@ -391,11 +391,11 @@ func (l *Ledger) Finalize() (*analysis.Dataset, analysis.MergeStats, error) {
 	if err := l.spool.Flush(); err != nil {
 		return nil, analysis.MergeStats{}, err
 	}
+	finalize := l.folder.Finalize
 	if l.store != nil {
-		ds, stats := l.store.Finalize()
-		return ds, stats, nil
+		finalize = l.store.Finalize
 	}
-	ds, stats := l.folder.Finalize()
+	ds, stats := finalize()
 	stats.Shards = l.spool.NumShards()
 	return ds, stats, nil
 }

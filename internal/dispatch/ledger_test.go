@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ type ledgerRun struct {
 func (r *ledgerRun) open(resume bool) {
 	r.t.Helper()
 	cfg := LedgerConfig{
-		Crawl:          Checkpoint{Name: "ledger-test", Seed: 7, NumShards: 3, PagesPerSite: ledgerPages, TotalSites: ledgerSites},
+		Crawl:          Checkpoint{Name: "ledger-test", Seed: 7, PagesPerSite: ledgerPages, TotalSites: ledgerSites},
 		Meta:           ledgerMeta,
 		SpoolDir:       filepath.Join(r.dir, "spool"),
 		CheckpointPath: filepath.Join(r.dir, "cp.json"),
@@ -639,13 +640,14 @@ func TestLedgerFinalizeEndsAppends(t *testing.T) {
 	}
 }
 
-// FuzzLedgerReplay resumes a one-shard crawl over arbitrary shard bytes
-// and an arbitrary extent for them. The open must never panic. Where it
-// refuses, the shard must be byte for byte as it was; and it must refuse
-// exactly when the shard's complete lines end before the extent, or one
-// of them does not decode (oracle.MergeShards fails on it). Where it
-// opens, the shard must end at its last complete line, and the ledger's
-// dataset must be the merge of that prefix.
+// FuzzLedgerReplay resumes a crawl over arbitrary bytes in its first
+// shard and an arbitrary extent for them; the other shards are empty.
+// The open must never panic. Where it refuses, the shard must be byte
+// for byte as it was; and it must refuse exactly when the shard's
+// complete lines end before the extent, or one of them does not decode
+// (oracle.MergeShards fails on it). Where it opens, the shard must end
+// at its last complete line, and the ledger's dataset must be the merge
+// of that prefix.
 func FuzzLedgerReplay(f *testing.F) {
 	// Short lines keep the minimizer's passes over an interesting input
 	// short.
@@ -664,7 +666,7 @@ func FuzzLedgerReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shard []byte, extent int64) {
 		dir := t.TempDir()
 		cfg := LedgerConfig{
-			Crawl:          Checkpoint{Name: "fuzz", Seed: 1, NumShards: 1, PagesPerSite: ledgerPages, TotalSites: 2},
+			Crawl:          Checkpoint{Name: "fuzz", Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2},
 			Meta:           ledgerMeta,
 			SpoolDir:       filepath.Join(dir, "spool"),
 			CheckpointPath: filepath.Join(dir, "cp.json"),
@@ -672,7 +674,9 @@ func FuzzLedgerReplay(f *testing.F) {
 		}
 		cp := cfg.Crawl
 		cp.Version = CheckpointVersion
-		cp.ShardBytes = []int64{extent}
+		cp.NumShards = DefaultShards
+		cp.ShardBytes = make([]int64, DefaultShards)
+		cp.ShardBytes[0] = extent
 		data, err := json.Marshal(&cp)
 		if err != nil {
 			t.Fatal(err)
@@ -732,10 +736,10 @@ func FuzzLedgerReplay(f *testing.F) {
 
 // FuzzAppendLine hands AppendLine — where the spool codec first meets
 // another process's bytes — an arbitrary line for an arbitrary site, on
-// a one-shard ledger that already holds one page. It must never panic,
-// and it must do one of two things: refuse the line, with the shard's
-// bytes and the fold as they were; or append it verbatim plus '\n' and
-// fold the record json.Unmarshal gives for it. It refuses exactly the
+// a ledger that already holds one page. It must never panic, and it must
+// do one of two things: refuse the line, with the spool's bytes and the
+// fold as they were; or append it verbatim plus '\n' to the site's shard
+// and fold the record json.Unmarshal gives for it. It refuses exactly the
 // lines that are not one line, do not decode, name another site (or
 // none), or hold a null HTTP entry, which neither the fold nor the store
 // can take.
@@ -757,7 +761,7 @@ func FuzzAppendLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte, site string) {
 		dir := t.TempDir()
 		l, err := OpenLedger(LedgerConfig{
-			Crawl:          Checkpoint{Name: "fuzz", Seed: 1, NumShards: 1, PagesPerSite: ledgerPages, TotalSites: 2},
+			Crawl:          Checkpoint{Name: "fuzz", Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2},
 			Meta:           ledgerMeta,
 			SpoolDir:       filepath.Join(dir, "spool"),
 			CheckpointPath: filepath.Join(dir, "cp.json"),
@@ -770,18 +774,25 @@ func FuzzAppendLine(f *testing.F) {
 		if err := l.AppendLine(first.Site, recordLine(t, first)); err != nil {
 			t.Fatal(err)
 		}
-		shard := func() []byte {
+		shards := func() [][]byte {
 			t.Helper()
 			if err := l.spool.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			data, err := os.ReadFile(l.spool.Paths()[0])
-			if err != nil {
-				t.Fatal(err)
+			var out [][]byte
+			for _, path := range l.spool.Paths() {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, data)
 			}
-			return data
+			return out
 		}
-		before := shard()
+		before := shards()
+		appended := slices.Clone(before)
+		i := l.spool.ShardFor(site)
+		appended[i] = append(append(bytes.Clone(before[i]), line...), '\n')
 
 		var rec analysis.PageRecord
 		accept := bytes.IndexByte(line, '\n') < 0 && json.Unmarshal(line, &rec) == nil &&
@@ -793,15 +804,15 @@ func FuzzAppendLine(f *testing.F) {
 		want.Fold(first)
 
 		err = l.AppendLine(site, line)
-		after := shard()
+		after := shards()
 		switch {
 		case err != nil && accept:
 			t.Fatalf("AppendLine(%q, %q) refused a line json.Unmarshal takes: %v", site, line, err)
-		case err != nil && !bytes.Equal(after, before):
-			t.Fatalf("AppendLine(%q, %q) refused the line but changed the shard", site, line)
+		case err != nil && !slices.EqualFunc(after, before, bytes.Equal):
+			t.Fatalf("AppendLine(%q, %q) refused the line but changed the spool", site, line)
 		case err == nil && !accept:
 			t.Fatalf("AppendLine(%q, %q) took a line it must refuse", site, line)
-		case err == nil && !bytes.Equal(after, append(append(before, line...), '\n')):
+		case err == nil && !slices.EqualFunc(after, appended, bytes.Equal):
 			t.Fatalf("AppendLine(%q, %q) did not append the line verbatim", site, line)
 		case err == nil:
 			want.Fold(&rec)

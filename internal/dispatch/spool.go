@@ -52,28 +52,23 @@ type shardFile struct {
 	line    []byte // guarded by mu; the line being appended, reused
 }
 
-// DefaultShards is the spool shard count used wherever a config leaves
-// NumShards unset. The Ledger applies it to the spool and the columnar
-// store alike, since checkpoints record the count and refuse to resume
-// under another.
+// DefaultShards is the spool's shard count. Checkpoints record it, and a
+// resume refuses a checkpoint that records another.
 const DefaultShards = 8
 
 // shardName names shard i's spool file.
 func shardName(i int) string { return fmt.Sprintf("shard-%03d.jsonl", i) }
 
-// openSpool opens (or creates) a spool directory with numShards shard
-// files. With resume=false any existing shard files are truncated; with
-// resume=true they are opened for append as they are (a resumed Ledger
-// has already replayed them and cut any torn final line).
-func openSpool(dir string, numShards int, resume bool) (*Spooler, error) {
-	if numShards <= 0 {
-		numShards = DefaultShards
-	}
+// openSpool opens (or creates) a spool directory with DefaultShards
+// shard files. With resume=false any existing shard files are truncated;
+// with resume=true they are opened for append as they are (a resumed
+// Ledger has already replayed them and cut any torn final line).
+func openSpool(dir string, resume bool) (*Spooler, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dispatch: spool dir: %w", err)
 	}
 	s := &Spooler{dir: dir}
-	for i := 0; i < numShards; i++ {
+	for i := 0; i < DefaultShards; i++ {
 		path := filepath.Join(dir, shardName(i))
 		flags := os.O_CREATE | os.O_WRONLY
 		if resume {
@@ -125,7 +120,7 @@ func (c countingWriter) Write(p []byte) (int, error) {
 
 // append renders one line, newline included, into the shard's reused
 // line buffer and writes it into domain's shard buffer, committing the
-// shard's group at its groupPages boundary. The line becomes durable at
+// shard's group at its groupPages boundary. The line reaches the OS at
 // that boundary, a Flush, or Close.
 func (s *Spooler) append(domain string, line func(dst []byte) ([]byte, error)) error {
 	span := obs.StartSpan(obs.StageSpool)
@@ -152,8 +147,10 @@ func (s *Spooler) append(domain string, line func(dst []byte) ([]byte, error)) e
 }
 
 // Flush commits every shard's buffered records to the OS. It is the
-// group-commit boundary the durability contract hangs on: ShardSizes are
+// group-commit boundary the resume contract hangs on: ShardSizes are
 // only trustworthy, and the shard files only complete, after a Flush.
+// It does not fsync: flushed bytes survive a killed process, not an OS
+// crash or power loss (DESIGN.md §7).
 func (s *Spooler) Flush() error {
 	var first error
 	for _, sh := range s.shards {

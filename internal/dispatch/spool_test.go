@@ -22,12 +22,12 @@ func appendRec(sp *Spooler, r *analysis.PageRecord) error {
 
 func TestSpoolerShardAffinityAndLayout(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := openSpool(dir, 4, false)
+	sp, err := openSpool(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	if sp.NumShards() != 4 {
+	if sp.NumShards() != DefaultShards {
 		t.Fatalf("shards = %d", sp.NumShards())
 	}
 	// A site's pages always land in its one shard.
@@ -53,7 +53,7 @@ func TestSpoolerShardAffinityAndLayout(t *testing.T) {
 		t.Errorf("shard has %d lines, want 3", lines)
 	}
 	// Other shards exist but are empty.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultShards; i++ {
 		if i == shard {
 			continue
 		}
@@ -69,11 +69,11 @@ func TestSpoolerShardAffinityAndLayout(t *testing.T) {
 
 func TestSpoolerFreshRunTruncatesOldShards(t *testing.T) {
 	dir := t.TempDir()
-	sp, _ := openSpool(dir, 2, false)
+	sp, _ := openSpool(dir, false)
 	appendRec(sp, rec("a.com", "http://a.com/"))
 	sp.Close()
 
-	sp2, err := openSpool(dir, 2, false)
+	sp2, err := openSpool(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}

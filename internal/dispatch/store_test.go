@@ -13,8 +13,8 @@ import (
 )
 
 // spoolPaths reconstructs a run's shard file paths.
-func spoolPaths(dir string, shards int) []string {
-	paths := make([]string, shards)
+func spoolPaths(dir string) []string {
+	paths := make([]string, DefaultShards)
 	for i := range paths {
 		paths[i] = filepath.Join(dir, "spool", shardName(i))
 	}
@@ -63,7 +63,7 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 
 	// The spool the store run retained is still the merge oracle's input:
 	// merging it yields the identical dataset yet again.
-	spoolDS, _, err := oracle.MergeShards(cfg.Meta, spoolPaths(storeDir, cfg.NumShards))
+	spoolDS, _, err := oracle.MergeShards(cfg.Meta, spoolPaths(storeDir))
 	if err != nil {
 		t.Fatal(err)
 	}

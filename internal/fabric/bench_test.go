@@ -80,7 +80,6 @@ func BenchmarkFabricCrawlRoundTrip(b *testing.B) {
 			Crawl:          testCrawlConfig(len(sites)),
 			Sites:          sites,
 			BatchSize:      4,
-			NumShards:      4,
 			LeaseTTL:       2 * time.Second,
 			CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 			SpoolDir:       filepath.Join(dir, "spool"),

@@ -27,8 +27,6 @@ type CoordinatorConfig struct {
 	Sites []crawler.Site
 	// BatchSize is the most sites one grant leases (default 16).
 	BatchSize int
-	// NumShards is the spool shard count (default 8).
-	NumShards int
 	// LeaseTTL bounds how long a grant may go without a heartbeat
 	// before its sites' leases are reclaimed (default 30s).
 	LeaseTTL time.Duration
@@ -122,7 +120,6 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 		Crawl: dispatch.Checkpoint{
 			Name:         cfg.Crawl.Name,
 			Seed:         seed,
-			NumShards:    cfg.NumShards,
 			PagesPerSite: cfg.Crawl.PagesPerSite,
 			TotalSites:   len(cfg.Sites),
 		},

@@ -492,7 +492,6 @@ func startTestCoordinator2(dir string, sites []crawler.Site, o coordOpts) (*Coor
 		Crawl:          testCrawlConfig(len(sites)),
 		Sites:          sites,
 		BatchSize:      o.batchSize,
-		NumShards:      4,
 		LeaseTTL:       o.ttl,
 		Retry:          dispatch.RetryPolicy{MaxAttempts: o.maxAttempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
