@@ -54,7 +54,9 @@ race:
 # or folds what MergeShards merges). The store's
 # segment decoder, FuzzDecodeSegment: hostile bytes (also resealed with
 # a valid checksum) are refused without a length taken on trust, and an
-# accepted segment round-trips encode → decode → encode. Seed corpora
+# accepted segment round-trips encode → decode → encode. The query
+# service's indenter, FuzzIndentMatchesStdlib: jsonshape.Indent over
+# any compacted valid value equals json.Indent(…, "", " "). Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds
 # interesting stay in the Go build cache, and a failing input is
 # written under the package's testdata/fuzz to be committed with the fix.
@@ -77,6 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLedgerReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzAppendLine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jsonshape -run '^$$' -fuzz '^FuzzIndentMatchesStdlib$$' -fuzztime $(FUZZTIME)
 
 # Chaos soak (DESIGN.md §11, OPERATIONS.md "Chaos testing"): full-size
 # crawls under every faultnet profile, asserting termination, settled

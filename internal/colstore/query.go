@@ -1,8 +1,11 @@
 package colstore
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/analysis"
@@ -185,27 +188,37 @@ func (q *ChainsQuery) match(ws *analysis.SocketRecord, aa map[string]bool) bool 
 	return true
 }
 
-func (q *ChainsQuery) groupKey(ws *analysis.SocketRecord) []string {
+// groupKey is one chains group's identity: the grouped site, domain or
+// class in a, and for "pair" the initiator in a and the receiver in b.
+type groupKey struct{ a, b string }
+
+// groupKeys appends ws's group keys to keys.
+func (q *ChainsQuery) groupKeys(ws *analysis.SocketRecord, keys []groupKey) []groupKey {
 	switch q.GroupBy {
 	case "site":
-		return []string{ws.Site}
+		return append(keys, groupKey{a: ws.Site})
 	case "initiator":
-		return []string{ws.InitiatorDomain}
+		return append(keys, groupKey{a: ws.InitiatorDomain})
 	case "receiver":
-		return []string{ws.ReceiverDomain}
+		return append(keys, groupKey{a: ws.ReceiverDomain})
 	case "pair":
-		return []string{ws.InitiatorDomain + " -> " + ws.ReceiverDomain}
+		return append(keys, groupKey{ws.InitiatorDomain, ws.ReceiverDomain})
 	case "recvClass":
-		return ws.RecvClasses
+		for _, c := range ws.RecvClasses {
+			keys = append(keys, groupKey{a: c})
+		}
 	}
-	return nil
+	return keys
 }
 
-// Chains runs q over the snapshot's canonical socket order.
+// Chains runs q over the snapshot's canonical socket order. A group-by
+// counts each match into its group's slot, found through a map keyed by
+// groupKey, and names each group once, after the scan.
 func (e *Engine) Chains(q ChainsQuery) ChainsResult {
 	snap := e.snapshot()
 	res := ChainsResult{}
-	groups := map[string]*ChainGroup{}
+	slots := map[groupKey]int{}
+	var keys, scan []groupKey // keys[i] is res.Groups[i]'s
 	for i := range snap.Dataset.Sockets {
 		ws := &snap.Dataset.Sockets[i]
 		if !q.match(ws, snap.aa) {
@@ -213,12 +226,16 @@ func (e *Engine) Chains(q ChainsQuery) ChainsResult {
 		}
 		res.Total++
 		if q.GroupBy != "" {
-			for _, key := range q.groupKey(ws) {
-				g := groups[key]
-				if g == nil {
-					g = &ChainGroup{Key: key}
-					groups[key] = g
+			scan = q.groupKeys(ws, scan[:0])
+			for _, k := range scan {
+				slot, ok := slots[k]
+				if !ok {
+					slot = len(keys)
+					slots[k] = slot
+					keys = append(keys, k)
+					res.Groups = append(res.Groups, ChainGroup{})
 				}
+				g := &res.Groups[slot]
 				g.Sockets++
 				if ws.ChainBlocked {
 					g.Blocked++
@@ -230,18 +247,18 @@ func (e *Engine) Chains(q ChainsQuery) ChainsResult {
 			res.Sockets = append(res.Sockets, *ws)
 		}
 	}
-	if q.GroupBy != "" {
-		res.Groups = make([]ChainGroup, 0, len(groups))
-		for _, g := range groups {
-			res.Groups = append(res.Groups, *g)
+	for i, k := range keys {
+		res.Groups[i].Key = k.a
+		if q.GroupBy == "pair" {
+			res.Groups[i].Key = k.a + " -> " + k.b
 		}
-		sort.Slice(res.Groups, func(i, j int) bool {
-			if res.Groups[i].Sockets != res.Groups[j].Sockets {
-				return res.Groups[i].Sockets > res.Groups[j].Sockets
-			}
-			return res.Groups[i].Key < res.Groups[j].Key
-		})
 	}
+	slices.SortFunc(res.Groups, func(x, y ChainGroup) int {
+		if c := cmp.Compare(y.Sockets, x.Sockets); c != 0 {
+			return c
+		}
+		return strings.Compare(x.Key, y.Key)
+	})
 	return res
 }
 

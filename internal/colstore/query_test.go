@@ -217,19 +217,61 @@ func checkTables(t *testing.T, url string, want *analysis.Dataset) {
 		sec := analysis.Lookup("table", fmt.Sprint(n))
 		for _, top := range tableTops {
 			rows, text := sec.Build(top, want)
-			var js bytes.Buffer
-			enc := json.NewEncoder(&js)
-			enc.SetIndent("", " ")
-			if err := enc.Encode(rows); err != nil {
-				t.Fatal(err)
-			}
+			js := encodeIndented(t, rows)
 			path := fmt.Sprintf("%s/tables?table=%d&top=%d", url, n, top)
-			if status, body := get(t, path); status != http.StatusOK || !bytes.Equal(body, js.Bytes()) {
-				t.Errorf("%s: status %d, body differs from Build:\n%s\nwant:\n%s", path, status, body, js.Bytes())
+			if status, body := get(t, path); status != http.StatusOK || !bytes.Equal(body, js) {
+				t.Errorf("%s: status %d, body differs from Build:\n%s\nwant:\n%s", path, status, body, js)
 			}
 			if status, body := get(t, path+"&format=text"); status != http.StatusOK || string(body) != text {
 				t.Errorf("%s&format=text: status %d, body differs from Build:\n%s\nwant:\n%s", path, status, body, text)
 			}
+		}
+	}
+}
+
+// encodeIndented is v as json.Encoder with SetIndent("", " ") writes
+// it: the bytes every JSON query response must be.
+func encodeIndented(t *testing.T, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// checkQueries is the differential for the other JSON endpoints: each
+// served /chains, /sites, /labels and /storestats body must equal
+// encodeIndented over what a fresh engine on st returns for the same
+// query.
+func checkQueries(t *testing.T, url string, st *Store) {
+	t.Helper()
+	e := NewEngine(st)
+	yes, no := true, false
+	for _, c := range []struct {
+		path string
+		want any
+	}{
+		{"/chains", e.Chains(ChainsQuery{})},
+		{"/chains?limit=2", e.Chains(ChainsQuery{Limit: 2})},
+		{"/chains?groupBy=site", e.Chains(ChainsQuery{GroupBy: "site"})},
+		{"/chains?aa=initiated&groupBy=initiator", e.Chains(ChainsQuery{AA: "initiated", GroupBy: "initiator"})},
+		{"/chains?groupBy=receiver&blocked=false", e.Chains(ChainsQuery{GroupBy: "receiver", Blocked: &no})},
+		{"/chains?groupBy=pair&limit=50", e.Chains(ChainsQuery{GroupBy: "pair", Limit: 50})},
+		{"/chains?groupBy=recvClass&crossOrigin=true", e.Chains(ChainsQuery{GroupBy: "recvClass", CrossOrigin: &yes})},
+		{"/chains?site=nomatch.com&groupBy=pair", e.Chains(ChainsQuery{Site: "nomatch.com", GroupBy: "pair"})},
+		{"/sites", e.Sites(SitesQuery{})},
+		{"/sites?withSockets=true&minRank=2", e.Sites(SitesQuery{WithSockets: true, MinRank: 2})},
+		{"/sites?domain=nomatch.com", e.Sites(SitesQuery{Domain: "nomatch.com"})},
+		{"/labels", e.Labels(LabelsQuery{})},
+		{"/labels?onlyAA=true", e.Labels(LabelsQuery{OnlyAA: true})},
+		{"/storestats", st.Stats()},
+	} {
+		want := encodeIndented(t, c.want)
+		if status, body := get(t, url+c.path); status != http.StatusOK || !bytes.Equal(body, want) {
+			t.Errorf("%s: status %d, body differs from the engine's result:\n%s\nwant:\n%s", c.path, status, body, want)
 		}
 	}
 }
@@ -243,6 +285,7 @@ func TestEngineSnapshotCache(t *testing.T) {
 	defer srv.Close()
 	ds0, _ := st.Dataset()
 	checkTables(t, srv.URL, ds0)
+	checkQueries(t, srv.URL, st)
 	ds1, _ := e.Dataset()
 	ds2, _ := e.Dataset()
 	if ds1 != ds2 {
@@ -259,6 +302,7 @@ func TestEngineSnapshotCache(t *testing.T) {
 		t.Errorf("new snapshot has %d sites, want %d", len(ds3.Sites), len(ds1.Sites)+1)
 	}
 	checkTables(t, srv.URL, ds3)
+	checkQueries(t, srv.URL, st)
 	var labels []LabelRow
 	if _, body := get(t, srv.URL+"/labels?domain=tracker.com"); json.Unmarshal(body, &labels) != nil || len(labels) != 1 {
 		t.Fatalf("/labels?domain=tracker.com: %s", body)
@@ -367,6 +411,23 @@ func TestHTTPQueryService(t *testing.T) {
 		t.Errorf("/chains bad aa: status %d, want 400", status)
 	}
 
+	// A malformed parameter is a 400 naming it, never its default.
+	for _, c := range []struct{ path, param string }{
+		{"/tables?table=2&top=abc", "top"},
+		{"/tables?table=2&format=text&top=1.5", "top"},
+		{"/sites?minRank=1O", "minRank"},
+		{"/sites?maxRank=-", "maxRank"},
+		{"/sites?withSockets=1", "withSockets"},
+		{"/chains?limit=ten", "limit"},
+		{"/chains?crossOrigin=yes", "crossOrigin"},
+		{"/chains?groupBy=site&blocked=TRUE", "blocked"},
+		{"/labels?onlyAA=on", "onlyAA"},
+	} {
+		if status, body := get(t, srv.URL+c.path); status != http.StatusBadRequest || !strings.HasPrefix(string(body), c.param+" must be ") {
+			t.Errorf("%s: status %d %q, want 400 naming %s", c.path, status, body, c.param)
+		}
+	}
+
 	status, body = get(t, srv.URL+"/labels?onlyAA=true")
 	var labels []LabelRow
 	if status != http.StatusOK || json.Unmarshal(body, &labels) != nil || len(labels) != 1 {
@@ -430,6 +491,7 @@ func TestHTTPRefreshFollowsSeals(t *testing.T) {
 		t.Error("reader /dataset differs from writer's dataset after refresh")
 	}
 	checkTables(t, srv.URL, want)
+	checkQueries(t, srv.URL, ro)
 }
 
 // bufferWriter is a reusable http.ResponseWriter, so a measured request
@@ -453,11 +515,12 @@ func serveBuffered(h http.Handler, w *bufferWriter, req *http.Request) {
 }
 
 // TestCachedQueryAllocs pins what a repeated query costs on an
-// unchanged snapshot: parse the URL, cut or filter a view, encode.
-// Measured with go1.24: 16 allocations for /tables?table=5 and 18 for
-// /labels?onlyAA=true; each bound allows 3 more. Recomputing Table 5's
-// rows per request adds 11 and rebuilding the label list adds 7, so
-// either creeping back into the request path fails the pin.
+// unchanged snapshot: parse the URL, cut or filter a view, marshal,
+// indent. The rows are the bench's store_read mix; each bound is the
+// count measured with go1.24 plus 3. A per-socket key creeping back
+// into the chains group-by adds one allocation per matching socket,
+// and recomputing a table's rows or the label list per request adds
+// 7 or more, so either fails the pin.
 func TestCachedQueryAllocs(t *testing.T) {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
@@ -472,8 +535,14 @@ func TestCachedQueryAllocs(t *testing.T) {
 		path  string
 		bound float64
 	}{
-		{"/tables?table=5", 16 + 3},
-		{"/labels?onlyAA=true", 18 + 3},
+		{"/tables?table=1", 5 + 3},
+		{"/tables?table=2&top=15", 7 + 3},
+		{"/tables?table=5", 5 + 3},
+		{"/chains?aa=initiated&groupBy=initiator", 16 + 3},
+		{"/chains?groupBy=pair&limit=50", 38 + 3},
+		{"/sites?withSockets=true", 9 + 3},
+		{"/labels?onlyAA=true", 11 + 3},
+		{"/storestats", 3 + 3},
 	} {
 		req := httptest.NewRequest(http.MethodGet, c.path, nil)
 		serveBuffered(h, w, req) // builds the snapshot and the view

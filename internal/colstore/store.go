@@ -86,16 +86,18 @@ type Store struct {
 
 	folder *analysis.Folder
 
-	// sealMu is held by a seal from taking the buffer until the segment
+	// segMu is held by a seal from taking the buffer until the segment
 	// is published or the records are put back, so a Seal that returns
-	// has seen every seal before it finish.
-	sealMu sync.Mutex
+	// has seen every seal before it finish; and by a replay from listing
+	// the segments until it has marked them consumed, so concurrent
+	// rescans fold each segment once.
+	segMu sync.Mutex
 
 	mu       sync.Mutex
 	pending  []*analysis.PageRecord // guarded by mu
 	seq      int                    // next segment seq; guarded by mu
 	segments int                    // sealed segments; guarded by mu
-	consumed map[string]bool        // segment files folded; guarded by mu
+	consumed map[string]bool        // segment files folded; guarded by segMu
 	pages    int                    // distinct records folded; guarded by mu
 	dups     int                    // duplicates dropped; guarded by mu
 }
@@ -258,15 +260,14 @@ func listSegments(dir string) ([]string, error) {
 // dir-synced, so a torn or corrupt one means the storage lied, and
 // silently skipping it would drop pages the checkpoint vouched for.
 func (s *Store) replaySegments() error {
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
 	names, err := listSegments(s.dir)
 	if err != nil {
 		return err
 	}
 	for _, name := range names {
-		s.mu.Lock()
-		seen := s.consumed[name]
-		s.mu.Unlock()
-		if seen {
+		if s.consumed[name] {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(s.dir, name))
@@ -343,8 +344,8 @@ func (s *Store) Seal() error {
 // atLeast records; Ingest's auto-seal passes SegmentPages, so of several
 // ingests that filled the buffer only the first seals.
 func (s *Store) seal(atLeast int) error {
-	s.sealMu.Lock()
-	defer s.sealMu.Unlock()
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
 	s.mu.Lock()
 	recs, seq := s.pending, s.seq
 	if len(recs) >= atLeast {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -505,6 +506,49 @@ func TestOpenReadFollowsLiveStore(t *testing.T) {
 	}
 	if got, want := datasetBytes(t, ds), foldOracle(t, recs); !bytes.Equal(got, want) {
 		t.Error("reader dataset differs from fold oracle after rescan")
+	}
+}
+
+// TestConcurrentRescanFoldsEachSegmentOnce: rescans running at once —
+// concurrent /refresh requests on a wsquery — fold every segment sealed
+// since the reader opened exactly once, however they interleave.
+func TestConcurrentRescanFoldsEachSegmentOnce(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Config{Dir: dir, Meta: testMeta(), SegmentPages: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const segments = 20
+	var recs []*analysis.PageRecord
+	for i := 0; i < segments*50; i++ {
+		recs = append(recs, testRecord(fmt.Sprintf("site%03d.com", i/10), i/10+1, i%10))
+	}
+	for _, rec := range recs {
+		if _, err := st.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names, err := listSegments(dir); err != nil || len(names) != segments {
+		t.Fatalf("%d segments on disk (%v), want %d", len(names), err, segments)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := ro.Rescan(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if s := ro.Stats(); s.Segments != segments || s.Pages != len(recs) || s.Dups != 0 {
+		t.Errorf("after 8 concurrent rescans: %d segments, %d pages, %d duplicates; want %d, %d, 0",
+			s.Segments, s.Pages, s.Dups, segments, len(recs))
 	}
 }
 

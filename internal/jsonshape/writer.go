@@ -6,7 +6,9 @@
 // Each codec walks its own schema over these primitives and leaves any
 // other value to encoding/json, so for every input its bytes and decoded
 // values are the standard library's (FuzzProgramCodecMatchesJSON,
-// FuzzSpoolCodecMatchesJSON, FuzzWireDecode).
+// FuzzSpoolCodecMatchesJSON, FuzzWireDecode). Indent, the query
+// service's indenter, is held to json.Indent the same way
+// (FuzzIndentMatchesStdlib).
 package jsonshape
 
 import "strconv"
