@@ -43,7 +43,10 @@ race:
 # FuzzReadMessage feeds the shipping frame reader (Conn.ReadMessage)
 # hostile bytes on both sides of a connection — no panic, no message
 # held past the conn's cap, every input ends in an error — and holds
-# naiveWriteFrame's fragmented frames to a whole read-back;
+# naiveWriteFrame's fragmented frames to a whole read-back, and
+# FuzzConnWriteMatchesNaive holds the shipping frame writer
+# (Conn.writeFrame) to naiveWriteFrame's bytes on both sides and reads
+# each frame back;
 # FuzzParse feeds htmlparse hostile bytes and holds its attributes to
 # the map parser. FuzzAppendLine: a worker's page line is refused with
 # the spool and fold untouched, or appended verbatim and folded as
@@ -73,6 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadClientHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadServerHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wsproto -run '^$$' -fuzz '^FuzzConnWriteMatchesNaive$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/webserver -run '^$$' -fuzz '^FuzzTransportsAgree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME)

@@ -30,7 +30,6 @@ import (
 	"repro/internal/urlutil"
 	"repro/internal/webgen"
 	"repro/internal/webserver"
-	"repro/internal/wsproto"
 )
 
 // ---- shared study fixture ----
@@ -484,25 +483,6 @@ func scriptRequestTree(b *testing.B, pageURL string, urls []string) *inclusion.T
 }
 
 // ---- substrate micro-benchmarks ----
-
-// BenchmarkWSFrameRoundTrip measures the RFC 6455 codec.
-func BenchmarkWSFrameRoundTrip(b *testing.B) {
-	payload := []byte(strings.Repeat("tracking-data;", 64))
-	var buf strings.Builder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		f := &wsproto.Frame{FIN: true, Opcode: wsproto.OpText, Masked: true, MaskKey: [4]byte{1, 2, 3, 4}, Payload: payload}
-		if err := wsproto.WriteFrame(&buf, f); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wsproto.ReadFrame(strings.NewReader(buf.String()), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(payload)))
-}
 
 // BenchmarkFilterMatch measures rule matching against the generated
 // EasyList + EasyPrivacy.

@@ -33,9 +33,11 @@ func main() {
 	)
 	flag.Parse()
 
-	era := webgen.EraPrePatch
-	if *eraFlag == "post" {
-		era = webgen.EraPostPatch
+	era, err := webgen.ParseEra(*eraFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "webgen:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	world := webgen.NewWorld(webgen.Config{Seed: *seed, NumPublishers: *publishers, Era: era})
 

@@ -150,13 +150,13 @@ func run(args []string) int {
 		return usage("-out is required")
 	}
 
-	era, bv := webgen.EraPrePatch, 57
-	switch *eraFlag {
-	case "pre":
-	case "post":
-		era, bv = webgen.EraPostPatch, 58
-	default:
-		return usage(fmt.Sprintf("unknown era %q", *eraFlag))
+	era, err := webgen.ParseEra(*eraFlag)
+	if err != nil {
+		return usage(err.Error())
+	}
+	bv := 57
+	if era == webgen.EraPostPatch {
+		bv = 58
 	}
 	if *version != 0 {
 		bv = *version
@@ -225,7 +225,6 @@ func run(args []string) int {
 	var (
 		ds      *analysis.Dataset
 		crawled int
-		err     error
 	)
 	if *coordAddr != "" {
 		ds, crawled, err = coordinate(ctx, opts, spec, *coordAddr, *batchSize, *leaseTTL, *queryAddr)

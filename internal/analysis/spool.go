@@ -50,9 +50,9 @@ type PageRecord struct {
 }
 
 // ShardFor maps a site domain to one of n shards: FNV-1a (hash/fnv's
-// New64a) of the domain, mod n. The spool and the column store both
-// partition records by it, and its values decide which file each record
-// goes to on disk, so they must never change (TestShardForIsFNV1a).
+// New64a) of the domain, mod n. The spool partitions records by it, and
+// its values decide which shard file each record goes to on disk, so
+// they must never change (TestShardForIsFNV1a).
 func ShardFor(domain string, n int) int {
 	h := fnv.New64a()
 	h.Write([]byte(domain))

@@ -112,7 +112,7 @@ func skipIfRace(t *testing.T) {
 }
 
 // TestShardForIsFNV1a pins ShardFor, which picks the file every spool
-// line and store segment record lands in, to hash/fnv's New64a mod n,
+// line lands in, to hash/fnv's New64a mod n,
 // and to literal values any change of hash or reduction would move.
 func TestShardForIsFNV1a(t *testing.T) {
 	for _, tc := range []struct {

@@ -62,14 +62,9 @@ type FabricRunner struct {
 // NewFabricRunner rebuilds the measurement stack from a coordinator's
 // crawl config.
 func NewFabricRunner(cfg wire.CrawlConfig, workers int) (*FabricRunner, error) {
-	var era webgen.Era
-	switch cfg.Era {
-	case webgen.EraPrePatch.String():
-		era = webgen.EraPrePatch
-	case webgen.EraPostPatch.String():
-		era = webgen.EraPostPatch
-	default:
-		return nil, fmt.Errorf("core: fabric crawl config has unknown era %q", cfg.Era)
+	era, err := webgen.ParseEra(cfg.Era)
+	if err != nil {
+		return nil, fmt.Errorf("core: fabric crawl config: %w", err)
 	}
 	plane, err := newPagePlane(Options{
 		Seed:          cfg.Seed,

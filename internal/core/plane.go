@@ -125,7 +125,7 @@ func (p *pagePlane) Close() {
 
 // crawlSeed drives link sampling and, through crawler.SiteSeed, every
 // browser of this crawl.
-func (p *pagePlane) crawlSeed() int64 { return p.opts.Seed + int64(p.spec.CrawlIndex) }
+func (p *pagePlane) crawlSeed() int64 { return crawler.CrawlSeed(p.opts.Seed, p.spec.CrawlIndex) }
 
 // browserFor builds the browser for one site, seeded from (crawl seed,
 // site) alone, so a site's records are independent of worker

@@ -108,7 +108,7 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	// The per-crawl seed core's page plane crawls with, which is also
 	// what dispatch.Run records: a local checkpoint and a coordinator's
 	// of the same crawl differ in progress only.
-	seed := cfg.Crawl.Seed + int64(cfg.Crawl.CrawlIndex)
+	seed := crawler.CrawlSeed(cfg.Crawl.Seed, cfg.Crawl.CrawlIndex)
 	c := &Coordinator{cfg: cfg, conns: map[*wsproto.Conn]struct{}{}}
 	c.queue = dispatch.NewQueue(cfg.Sites, dispatch.QueueConfig{
 		LeaseTTL: cfg.LeaseTTL,
@@ -287,7 +287,11 @@ func (c *Coordinator) untrack(conn *wsproto.Conn) {
 // deadline fires, or the queue drains.
 func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 	defer c.wg.Done()
-	conn, _, err := wsproto.Accept(nc, nil)
+	p, err := wsproto.ReadRequest(nc)
+	if err != nil {
+		return
+	}
+	conn, err := p.Accept("")
 	if err != nil {
 		return
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/oracle"
 	"repro/internal/crawler"
+	"repro/internal/detrand"
 	"repro/internal/dispatch"
 	"repro/internal/fabric/wire"
 	"repro/internal/wsproto"
@@ -30,7 +31,8 @@ import (
 // grant — and returns the conn plus the granted batch.
 func rawSession(t *testing.T, ctx context.Context, url, name string) (*wsproto.Conn, wire.Batch) {
 	t.Helper()
-	conn, _, err := wsproto.Dial(ctx, url)
+	d := wsproto.Dialer{Rand: detrand.New(1)}
+	conn, _, err := d.Dial(ctx, url)
 	if err != nil {
 		t.Fatal(err)
 	}

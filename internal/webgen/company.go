@@ -12,6 +12,8 @@
 package webgen
 
 import (
+	"fmt"
+
 	"repro/internal/payload"
 )
 
@@ -31,6 +33,18 @@ func (e Era) String() string {
 		return "pre-patch"
 	}
 	return "post-patch"
+}
+
+// ParseEra reads an era by its flag name ("pre", "post") or by its
+// String ("pre-patch", "post-patch"), and refuses anything else.
+func ParseEra(s string) (Era, error) {
+	switch s {
+	case "pre", EraPrePatch.String():
+		return EraPrePatch, nil
+	case "post", EraPostPatch.String():
+		return EraPostPatch, nil
+	}
+	return 0, fmt.Errorf("unknown era %q: want pre, post, pre-patch or post-patch", s)
 }
 
 // Category classifies a company's business, mirroring §4.2's taxonomy.

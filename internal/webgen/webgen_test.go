@@ -209,6 +209,35 @@ func TestEraChangesInitiators(t *testing.T) {
 	}
 }
 
+// TestParseEra: each era parses from its flag name and its String, and
+// anything else — a typo, another case — is refused, not read as
+// pre-patch.
+func TestParseEra(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Era
+		ok   bool
+	}{
+		{"pre", EraPrePatch, true},
+		{"pre-patch", EraPrePatch, true},
+		{"post", EraPostPatch, true},
+		{"post-patch", EraPostPatch, true},
+		{EraPostPatch.String(), EraPostPatch, true},
+		{"Post", 0, false},
+		{"post-patched", 0, false},
+		{"", 0, false},
+		{"bogus", 0, false},
+	} {
+		got, err := ParseEra(tc.in)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseEra(%q) = %v, %v, want %v", tc.in, got, err, tc.want)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "pre, post, pre-patch or post-patch")) {
+			t.Errorf("ParseEra(%q) = %v, %v, want an error naming the valid eras", tc.in, got, err)
+		}
+	}
+}
+
 func TestWSEndpointResolution(t *testing.T) {
 	w := testWorld(EraPrePatch)
 	ep, ok := w.WSEndpointFor("intercom.io", "/ws")

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/webgen"
 	"repro/internal/wsproto"
 )
@@ -96,7 +97,7 @@ func TestServeCompanyScript(t *testing.T) {
 
 func TestWebSocketEndToEnd(t *testing.T) {
 	s := startTestServer(t)
-	d := wsproto.Dialer{ResolveAddr: s.Resolver()}
+	d := wsproto.Dialer{ResolveAddr: s.Resolver(), Rand: detrand.New(1)}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -106,7 +107,7 @@ func TestWebSocketEndToEnd(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := conn.WriteText("ua=Mozilla/5.0 (test)"); err != nil {
+	if err := conn.WriteMessage(wsproto.OpText, []byte("ua=Mozilla/5.0 (test)")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -133,13 +134,13 @@ func TestWebSocketEndToEnd(t *testing.T) {
 
 func TestWebSocketZeroResponses(t *testing.T) {
 	s := startTestServer(t)
-	d := wsproto.Dialer{ResolveAddr: s.Resolver()}
+	d := wsproto.Dialer{ResolveAddr: s.Resolver(), Rand: detrand.New(2)}
 	conn, _, err := d.Dial(context.Background(), "ws://intercom.io/ws?sid=t2&n=0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Client sends, server stays silent, client closes: no deadlock.
-	if err := conn.WriteText("cookie=uid=1"); err != nil {
+	if err := conn.WriteMessage(wsproto.OpText, []byte("cookie=uid=1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Close(); err != nil {
@@ -149,7 +150,7 @@ func TestWebSocketZeroResponses(t *testing.T) {
 
 func TestWebSocketUnknownEndpoint(t *testing.T) {
 	s := startTestServer(t)
-	d := wsproto.Dialer{ResolveAddr: s.Resolver()}
+	d := wsproto.Dialer{ResolveAddr: s.Resolver(), Rand: detrand.New(3)}
 	if _, _, err := d.Dial(context.Background(), "ws://intercom.io/not-an-endpoint"); err == nil {
 		t.Error("dial to unknown endpoint succeeded")
 	}
@@ -160,7 +161,6 @@ func TestWebSocketUnknownEndpoint(t *testing.T) {
 
 func TestConcurrentMixedLoad(t *testing.T) {
 	s := startTestServer(t)
-	d := wsproto.Dialer{ResolveAddr: s.Resolver()}
 	client := s.Client()
 	errc := make(chan error, 20)
 	for i := 0; i < 10; i++ {
@@ -174,6 +174,9 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			errc <- err
 		}(i)
 		go func(i int) {
+			// A conn keeps drawing masking keys from its Dialer's Rand,
+			// so concurrent conns each get their own.
+			d := wsproto.Dialer{ResolveAddr: s.Resolver(), Rand: detrand.New(int64(i))}
 			conn, _, err := d.Dial(context.Background(), "ws://zopim.com/ws?sid=c&n=1")
 			if err == nil {
 				_, _, rerr := conn.ReadMessage()
@@ -192,7 +195,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 
 func TestCloseDropsSockets(t *testing.T) {
 	s := startTestServer(t)
-	d := wsproto.Dialer{ResolveAddr: s.Resolver()}
+	d := wsproto.Dialer{ResolveAddr: s.Resolver(), Rand: detrand.New(4)}
 	conn, _, err := d.Dial(context.Background(), "ws://pusher.com/ws?sid=z&n=0")
 	if err != nil {
 		t.Fatal(err)

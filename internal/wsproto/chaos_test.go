@@ -29,7 +29,7 @@ func withHandshakeTimeout(t *testing.T, d time.Duration) {
 
 // TestAcceptHalfWrittenHandshakeTimesOut is the slow-loris regression:
 // before the handshake deadline existed, a client that wrote half a
-// request line and went silent parked the Accept goroutine forever.
+// request line and went silent parked the accepting goroutine forever.
 func TestAcceptHalfWrittenHandshakeTimesOut(t *testing.T) {
 	withHandshakeTimeout(t, 100*time.Millisecond)
 	client, server := net.Pipe()
@@ -42,19 +42,19 @@ func TestAcceptHalfWrittenHandshakeTimesOut(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := Accept(server, nil)
+		_, err := ReadRequest(server)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Accept succeeded on a half-written handshake")
+			t.Fatal("ReadRequest succeeded on a half-written handshake")
 		}
 		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Errorf("Accept err = %v, want a deadline error", err)
+			t.Errorf("ReadRequest err = %v, want a deadline error", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Accept wedged on a half-written handshake")
+		t.Fatal("ReadRequest wedged on a half-written handshake")
 	}
 }
 
@@ -72,13 +72,13 @@ func TestWriteHandshakeErrorBounded(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := Accept(server, nil)
+		_, err := ReadRequest(server)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrNotGET) {
-			t.Errorf("Accept err = %v, want ErrNotGET", err)
+			t.Errorf("ReadRequest err = %v, want ErrNotGET", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("writeHandshakeError wedged on a non-reading peer")
@@ -203,7 +203,7 @@ func TestWriteMessageTruncatedTransport(t *testing.T) {
 	defer conn.Close()
 	defer b.Close()
 	done := make(chan error, 1)
-	go func() { done <- conn.WriteText("a payload longer than the budget") }()
+	go func() { done <- conn.WriteMessage(OpText, []byte("a payload longer than the budget")) }()
 	select {
 	case err := <-done:
 		if err == nil {

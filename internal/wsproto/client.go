@@ -3,6 +3,7 @@ package wsproto
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -12,9 +13,10 @@ import (
 	"repro/internal/urlutil"
 )
 
-// Dialer opens client WebSocket connections. The zero value dials the
-// host named in the URL over TCP; NetDial and rewriting hooks let the
-// synthetic-web browser route every virtual host to one loopback server.
+// Dialer opens client WebSocket connections. With only Rand set it dials
+// the host named in the URL over TCP; NetDial and rewriting hooks let
+// the synthetic-web browser route every virtual host to one loopback
+// server.
 type Dialer struct {
 	// NetDial, if non-nil, replaces net.Dial for the underlying
 	// transport connection. addr is the host:port derived from the URL
@@ -25,8 +27,11 @@ type Dialer struct {
 	// address. The Host header still carries the original virtual host.
 	ResolveAddr func(hostport string) string
 
-	// Rand supplies masking keys and handshake nonces; nil means a
-	// time-seeded source.
+	// Rand supplies masking keys and handshake nonces, so the bytes a
+	// conn puts on the wire are a function of its seed. It is required:
+	// Dial refuses a nil Rand before any network I/O. Each conn dialed
+	// keeps drawing its keys from Rand, which is not safe for
+	// concurrent use: conns written concurrently need their own.
 	Rand *rand.Rand
 
 	// Header is added to the opening handshake request (e.g. Origin,
@@ -47,6 +52,9 @@ type Dialer struct {
 // synthetic web has no CA infrastructure, and nothing in the measurement
 // depends on transport encryption — only on scheme labels.
 func (d *Dialer) Dial(ctx context.Context, rawURL string) (*Conn, http.Header, error) {
+	if d.Rand == nil {
+		return nil, nil, errors.New("wsproto: Dialer.Rand is nil")
+	}
 	u, err := urlutil.Parse(rawURL)
 	if err != nil {
 		return nil, nil, err
@@ -70,17 +78,6 @@ func (d *Dialer) Dial(ctx context.Context, rawURL string) (*Conn, http.Header, e
 	if d.WrapConn != nil {
 		nc = d.WrapConn(nc)
 	}
-	rng := d.Rand
-	if rng == nil {
-		// The one sanctioned nondeterministic RNG in the protocol layer:
-		// a zero Dialer dialing an arbitrary server gets fresh masking
-		// keys and nonces, per the security intent of RFC 6455 §5.3.
-		// Every in-repo caller on a measurement path (browser, tests)
-		// injects a seeded RNG instead, so recorded traffic stays a pure
-		// function of the crawl seed.
-		//lint:allow determinism intentional fallback for un-seeded interop dials; measurement paths always inject Rand
-		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
 	// The handshake I/O must always run under a deadline — a server
 	// that accepts TCP and then goes silent would otherwise hang the
 	// read forever. The context deadline wins when set; otherwise the
@@ -90,7 +87,7 @@ func (d *Dialer) Dial(ctx context.Context, rawURL string) (*Conn, http.Header, e
 	} else {
 		_ = nc.SetDeadline(handshakeDeadline())
 	}
-	key := GenerateKey(rng)
+	key := GenerateKey(d.Rand)
 	// The handshake writer is pooled: it is needed only until the
 	// request bytes are flushed, unlike the conn's reader, which lives
 	// for the connection's lifetime (see pool.go).
@@ -112,13 +109,7 @@ func (d *Dialer) Dial(ctx context.Context, rawURL string) (*Conn, http.Header, e
 	// manage their own read/write deadlines from here.
 	head.lift()
 	_ = nc.SetDeadline(time.Time{})
-	conn := newConn(nc, br, true, rng)
+	conn := newConn(nc, br, true, d.Rand)
 	conn.Subprotocol = respHdr.Get("Sec-Websocket-Protocol")
 	return conn, respHdr, nil
-}
-
-// Dial is a convenience wrapper using a zero Dialer.
-func Dial(ctx context.Context, rawURL string) (*Conn, http.Header, error) {
-	var d Dialer
-	return d.Dial(ctx, rawURL)
 }

@@ -1,12 +1,14 @@
 package wsproto
 
 // Conformance vectors for the frame codec: known byte sequences from
-// RFC 6455 §5.7 and hand-derived edge cases, checked in both directions
-// (decode the wire bytes, and re-encode to the same bytes).
+// RFC 6455 §5.7 and hand-derived edge cases, checked in both directions:
+// Conn decodes the wire bytes, and naiveWriteFrame — the oracle
+// Conn's writer is held to — encodes to the same bytes.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 )
@@ -107,12 +109,15 @@ func rfcVectors() []struct {
 	}
 }
 
+// TestConformanceDecode reads each vector on the side that receives it
+// (masked frames on a server conn): the header parser yields the frame,
+// and ReadMessage yields each vector that is a whole message.
 func TestConformanceDecode(t *testing.T) {
 	for _, v := range rfcVectors() {
 		t.Run(v.name, func(t *testing.T) {
-			got, err := ReadFrame(bytes.NewReader(v.wire), 0)
+			got, err := readFrame(wireConn(v.wire, !v.frame.Masked))
 			if err != nil {
-				t.Fatalf("ReadFrame: %v", err)
+				t.Fatalf("readFrame: %v", err)
 			}
 			if got.FIN != v.frame.FIN || got.Opcode != v.frame.Opcode || got.Masked != v.frame.Masked {
 				t.Errorf("header mismatch: got %+v", got)
@@ -123,54 +128,97 @@ func TestConformanceDecode(t *testing.T) {
 			if !bytes.Equal(got.Payload, v.frame.Payload) {
 				t.Errorf("payload mismatch: %d bytes vs %d", len(got.Payload), len(v.frame.Payload))
 			}
+			if !v.frame.FIN || v.frame.Opcode != OpText && v.frame.Opcode != OpBinary {
+				return
+			}
+			op, msg, err := wireConn(v.wire, !v.frame.Masked).ReadMessage()
+			if err != nil || op != v.frame.Opcode || !bytes.Equal(msg, v.frame.Payload) {
+				t.Errorf("ReadMessage = %v, %d bytes, %v", op, len(msg), err)
+			}
 		})
 	}
 }
 
+// TestConformanceEncode holds the oracle to the RFC bytes, and a server
+// conn to them on every unmasked vector. A client's key comes from its
+// rng; TestPooledClientBytesMatchReference holds masked writes to the
+// oracle.
 func TestConformanceEncode(t *testing.T) {
 	for _, v := range rfcVectors() {
 		t.Run(v.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			f := v.frame
-			if err := WriteFrame(&buf, &f); err != nil {
-				t.Fatalf("WriteFrame: %v", err)
+			if err := naiveWriteFrame(&buf, &f); err != nil {
+				t.Fatalf("naiveWriteFrame: %v", err)
 			}
-			if !bytes.Equal(buf.Bytes(), v.wire) {
-				limit := 16
-				got, want := buf.Bytes(), v.wire
-				if len(got) > limit {
-					got = got[:limit]
-				}
-				if len(want) > limit {
-					want = want[:limit]
-				}
-				t.Errorf("wire mismatch: got % x..., want % x... (lengths %d vs %d)",
-					got, want, buf.Len(), len(v.wire))
+			checkWire(t, "naiveWriteFrame", buf.Bytes(), v.wire)
+			if f.Masked {
+				return
 			}
+			_, server, _, s2c := memPair(1, 2)
+			if err := server.writeFrame(&f); err != nil {
+				t.Fatalf("writeFrame: %v", err)
+			}
+			checkWire(t, "Conn", s2c.Bytes(), v.wire)
 		})
 	}
 }
 
-// TestConformanceStreamReassembly feeds all RFC vectors through one
-// reader as a contiguous stream.
+func checkWire(t *testing.T, who string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	t.Errorf("%s wire mismatch: got % x..., want % x... (lengths %d vs %d)",
+		who, head(got), head(want), len(got), len(want))
+}
+
+// TestConformanceStreamReassembly feeds the vectors of each direction
+// through one conn's ReadMessage as a contiguous stream: fragments
+// assemble, control frames are answered in between, and every message
+// comes out whole. The unmasked stream ends in its close frame, the
+// masked one at the end of input.
 func TestConformanceStreamReassembly(t *testing.T) {
-	var stream bytes.Buffer
-	vs := rfcVectors()
-	for _, v := range vs {
-		stream.Write(v.wire)
+	type message struct {
+		op      Opcode
+		payload []byte
 	}
-	r := bytes.NewReader(stream.Bytes())
-	for i, v := range vs {
-		got, err := ReadFrame(r, 0)
-		if err != nil {
-			t.Fatalf("frame %d (%s): %v", i, v.name, err)
+	for _, masked := range []bool{false, true} {
+		var stream bytes.Buffer
+		var want []message
+		var cur message
+		for _, v := range rfcVectors() {
+			if v.frame.Masked != masked {
+				continue
+			}
+			stream.Write(v.wire)
+			if v.frame.Opcode.IsControl() {
+				continue
+			}
+			if v.frame.Opcode != OpContinuation {
+				cur.op = v.frame.Opcode
+			}
+			cur.payload = append(cur.payload, v.frame.Payload...)
+			if v.frame.FIN {
+				want = append(want, cur)
+				cur = message{}
+			}
 		}
-		if got.Opcode != v.frame.Opcode || !bytes.Equal(got.Payload, v.frame.Payload) {
-			t.Fatalf("frame %d (%s) corrupted in stream", i, v.name)
+		c := wireConn(stream.Bytes(), !masked)
+		for i, w := range want {
+			op, msg, err := c.ReadMessage()
+			if err != nil {
+				t.Fatalf("masked=%v message %d: %v", masked, i, err)
+			}
+			if op != w.op || !bytes.Equal(msg, w.payload) {
+				t.Fatalf("masked=%v message %d corrupted in stream: %v, %d bytes", masked, i, op, len(msg))
+			}
 		}
-	}
-	if _, err := ReadFrame(r, 0); err != io.EOF {
-		t.Errorf("stream end: %v, want EOF", err)
+		_, _, err := c.ReadMessage()
+		var ce *CloseError
+		if masked && err != io.EOF || !masked && (!errors.As(err, &ce) || ce.Code != CloseNoStatus) {
+			t.Errorf("masked=%v stream end: %v", masked, err)
+		}
 	}
 }
 
@@ -180,8 +228,8 @@ func TestConformanceStreamReassembly(t *testing.T) {
 func TestConformanceTruncations(t *testing.T) {
 	wire := []byte{0x81, 0x85, 0x37, 0xfa, 0x21, 0x3d, 0x7f, 0x9f, 0x4d, 0x51, 0x58}
 	for cut := 1; cut < len(wire); cut++ {
-		_, err := ReadFrame(bytes.NewReader(wire[:cut]), 0)
-		if err == nil {
+		_, msg, err := wireConn(wire[:cut], false).ReadMessage()
+		if err == nil || msg != nil {
 			t.Errorf("prefix of %d bytes decoded successfully", cut)
 		}
 	}
@@ -190,22 +238,20 @@ func TestConformanceTruncations(t *testing.T) {
 // TestConformanceMaskedRoundTripAllOffsets checks masking at every
 // payload length 0..67 to cover all mask-key phase alignments.
 func TestConformanceMaskedRoundTripAllOffsets(t *testing.T) {
-	key := [4]byte{0xA1, 0xB2, 0xC3, 0xD4}
+	client, server, _, _ := memPair(13, 14)
 	for n := 0; n <= 67; n++ {
 		payload := make([]byte, n)
 		for i := range payload {
 			payload[i] = byte(i * 7)
 		}
-		var buf bytes.Buffer
-		f := Frame{FIN: true, Opcode: OpBinary, Masked: true, MaskKey: key, Payload: payload}
-		if err := WriteFrame(&buf, &f); err != nil {
+		if err := client.WriteMessage(OpBinary, payload); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		got, err := ReadFrame(&buf, 0)
+		_, got, err := server.ReadMessage()
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !bytes.Equal(got.Payload, payload) {
+		if !bytes.Equal(got, payload) {
 			t.Fatalf("n=%d: payload corrupted", n)
 		}
 	}

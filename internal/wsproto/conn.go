@@ -25,29 +25,11 @@ func (e *CloseError) Error() string {
 	return fmt.Sprintf("wsproto: connection closed: code=%d reason=%q", e.Code, e.Reason)
 }
 
-// IsCloseError reports whether err is a *CloseError with one of the given
-// codes (or any close error when no codes are given).
-func IsCloseError(err error, codes ...int) bool {
-	var ce *CloseError
-	if !errors.As(err, &ce) {
-		return false
-	}
-	if len(codes) == 0 {
-		return true
-	}
-	for _, c := range codes {
-		if ce.Code == c {
-			return true
-		}
-	}
-	return false
-}
-
 // ErrConnClosed is returned by writes after the connection is closed.
 var ErrConnClosed = errors.New("wsproto: use of closed connection")
 
-// DefaultMaxMessageSize bounds assembled message sizes unless overridden
-// with SetMaxMessageSize.
+// DefaultMaxMessageSize bounds the size of an assembled incoming
+// message.
 const DefaultMaxMessageSize = 1 << 22 // 4 MiB
 
 // Conn is an established WebSocket connection. It is safe for one
@@ -89,11 +71,6 @@ type Conn struct {
 
 	// Subprotocol is the agreed subprotocol ("" if none).
 	Subprotocol string
-
-	// PingHandler, if set, is invoked for incoming pings after the
-	// automatic pong reply. PongHandler is invoked for incoming pongs.
-	PingHandler func(payload []byte)
-	PongHandler func(payload []byte)
 }
 
 func newConn(c net.Conn, br *bufio.Reader, isClient bool, rng *rand.Rand) *Conn {
@@ -105,7 +82,7 @@ func newConn(c net.Conn, br *bufio.Reader, isClient bool, rng *rand.Rand) *Conn 
 		// Every constructor must choose its RNG explicitly: a silent
 		// time-seeded fallback here once made client masking keys — and
 		// therefore recorded frame bytes — nondeterministic. Dialer.Dial
-		// owns the one sanctioned nondeterministic fallback.
+		// refuses a nil Rand before it dials.
 		panic("wsproto: newConn requires an explicit rng")
 	}
 	return &Conn{
@@ -116,9 +93,6 @@ func newConn(c net.Conn, br *bufio.Reader, isClient bool, rng *rand.Rand) *Conn 
 		maxMsgSize: DefaultMaxMessageSize,
 	}
 }
-
-// SetMaxMessageSize bounds the size of assembled incoming messages.
-func (c *Conn) SetMaxMessageSize(n int64) { c.maxMsgSize = n }
 
 // LocalAddr returns the local network address.
 func (c *Conn) LocalAddr() net.Addr { return c.conn.LocalAddr() }
@@ -146,58 +120,14 @@ func (c *Conn) WriteMessage(op Opcode, payload []byte) error {
 	return c.writeFrame(&Frame{FIN: true, Opcode: op, Payload: payload})
 }
 
-// WriteText sends a text message.
-func (c *Conn) WriteText(s string) error { return c.WriteMessage(OpText, []byte(s)) }
-
-// WriteBinary sends a binary message.
-func (c *Conn) WriteBinary(b []byte) error { return c.WriteMessage(OpBinary, b) }
-
-// WriteFragmented sends payload as a fragmented message split into chunks
-// of at most chunk bytes, exercising continuation-frame handling.
-func (c *Conn) WriteFragmented(op Opcode, payload []byte, chunk int) error {
-	if chunk <= 0 {
-		return fmt.Errorf("wsproto: invalid chunk size %d", chunk)
-	}
-	first := true
-	for {
-		n := len(payload)
-		if n > chunk {
-			n = chunk
-		}
-		f := &Frame{FIN: n == len(payload), Payload: payload[:n]}
-		if first {
-			f.Opcode = op
-			first = false
-		} else {
-			f.Opcode = OpContinuation
-		}
-		if err := c.writeFrame(f); err != nil {
-			return err
-		}
-		payload = payload[n:]
-		if len(payload) == 0 && f.FIN {
-			return nil
-		}
-	}
-}
-
-// Ping sends a ping control frame.
-func (c *Conn) Ping(payload []byte) error {
-	return c.writeFrame(&Frame{FIN: true, Opcode: OpPing, Payload: payload})
-}
-
-// Pong sends an unsolicited pong control frame.
-func (c *Conn) Pong(payload []byte) error {
-	return c.writeFrame(&Frame{FIN: true, Opcode: OpPong, Payload: payload})
-}
-
 // writeFrame encodes and sends one frame. The wire bytes are built in
 // the conn's reused write scratch: masking copies into it instead of a
 // fresh slice, and header + payload leave in a single Write (write
 // coalescing) except for large unmasked payloads, which are written
 // directly after the header to skip the copy. Steady-state writes
 // perform zero allocations; the bytes produced are identical to the
-// package-level WriteFrame reference codec (conformance-tested).
+// tests' reference encoder, naiveWriteFrame (conformance-tested and
+// fuzzed).
 func (c *Conn) writeFrame(f *Frame) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -386,8 +316,7 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 
 // handleControl processes a control frame. It returns done=true when the
 // frame was a close frame (err carries the *CloseError). The payload
-// slice aliases the conn's control scratch: handlers that retain it
-// must copy.
+// slice aliases the conn's control scratch.
 func (c *Conn) handleControl(op Opcode, payload []byte) (done bool, err error) {
 	switch op {
 	case OpPing:
@@ -395,14 +324,8 @@ func (c *Conn) handleControl(op Opcode, payload []byte) (done bool, err error) {
 		// explicit operation. writeFrame copies the payload into the
 		// write scratch before the control buffer is reused.
 		_ = c.writeFrame(&Frame{FIN: true, Opcode: OpPong, Payload: payload})
-		if c.PingHandler != nil {
-			c.PingHandler(payload)
-		}
 		return false, nil
 	case OpPong:
-		if c.PongHandler != nil {
-			c.PongHandler(payload)
-		}
 		return false, nil
 	case OpClose:
 		code, reason, perr := parseClosePayload(payload)
@@ -419,7 +342,7 @@ func (c *Conn) handleControl(op Opcode, payload []byte) (done bool, err error) {
 		if echo == CloseNoStatus {
 			echo = CloseNormal
 		}
-		c.sendClose(echo, "")
+		c.sendClose(echo)
 		c.shutdown()
 		return true, &CloseError{Code: code, Reason: reason}
 	}
@@ -428,16 +351,12 @@ func (c *Conn) handleControl(op Opcode, payload []byte) (done bool, err error) {
 
 // Close performs the closing handshake with a normal close code and tears
 // down the connection without waiting for the peer's reply.
-func (c *Conn) Close() error { return c.CloseWithCode(CloseNormal, "") }
-
-// CloseWithCode sends a close frame with the given code and reason, then
-// closes the underlying connection.
-func (c *Conn) CloseWithCode(code int, reason string) error {
-	c.sendClose(code, reason)
+func (c *Conn) Close() error {
+	c.sendClose(CloseNormal)
 	return c.shutdown()
 }
 
-func (c *Conn) sendClose(code int, reason string) {
+func (c *Conn) sendClose(code int) {
 	c.closeSentMu.Lock()
 	sent := c.closeSent
 	c.closeSent = true
@@ -449,7 +368,7 @@ func (c *Conn) sendClose(code int, reason string) {
 	// not be able to wedge teardown.
 	//lint:allow determinism I/O deadline arithmetic only; never reaches protocol bytes or the dataset
 	_ = c.conn.SetWriteDeadline(time.Now().Add(time.Second))
-	_ = c.writeFrame(&Frame{FIN: true, Opcode: OpClose, Payload: closePayload(code, reason)})
+	_ = c.writeFrame(&Frame{FIN: true, Opcode: OpClose, Payload: closePayload(code, "")})
 	_ = c.conn.SetWriteDeadline(time.Time{})
 }
 
@@ -457,7 +376,7 @@ func (c *Conn) sendClose(code int, reason string) {
 // the given code and drops the connection (RFC 6455 §7.1.7 "Fail the
 // WebSocket Connection").
 func (c *Conn) failConn(code int) {
-	c.sendClose(code, "")
+	c.sendClose(code)
 	_ = c.shutdown()
 }
 

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -42,9 +41,9 @@ func TestConnEcho(t *testing.T) {
 			done <- errors.New("server got wrong message")
 			return
 		}
-		done <- server.WriteText("ack")
+		done <- server.WriteMessage(OpText, []byte("ack"))
 	}()
-	if err := client.WriteText("hello tracker"); err != nil {
+	if err := client.WriteMessage(OpText, []byte("hello tracker")); err != nil {
 		t.Fatal(err)
 	}
 	op, msg, err := client.ReadMessage()
@@ -59,11 +58,28 @@ func TestConnEcho(t *testing.T) {
 	}
 }
 
+// writeFragmented sends payload as one op message split into frames of
+// at most chunk bytes.
+func writeFragmented(c *Conn, op Opcode, payload []byte, chunk int) error {
+	for first := true; first || len(payload) > 0; first = false {
+		n := min(chunk, len(payload))
+		f := &Frame{FIN: n == len(payload), Opcode: OpContinuation, Payload: payload[:n]}
+		if first {
+			f.Opcode = op
+		}
+		if err := c.writeFrame(f); err != nil {
+			return err
+		}
+		payload = payload[n:]
+	}
+	return nil
+}
+
 func TestConnFragmentedMessage(t *testing.T) {
 	client, server := pipePair(t)
 	payload := bytes.Repeat([]byte("0123456789"), 100)
 	go func() {
-		_ = client.WriteFragmented(OpBinary, payload, 64)
+		_ = writeFragmented(client, OpBinary, payload, 64)
 	}()
 	op, msg, err := server.ReadMessage()
 	if err != nil {
@@ -74,58 +90,39 @@ func TestConnFragmentedMessage(t *testing.T) {
 	}
 }
 
+// TestConnPingPong: a read answers a ping with a pong carrying the same
+// payload, and a read passes over a pong.
 func TestConnPingPong(t *testing.T) {
-	client, server := pipePair(t)
-	var mu sync.Mutex
-	var gotPing []byte
-	server.PingHandler = func(p []byte) {
-		mu.Lock()
-		gotPing = append([]byte(nil), p...)
-		mu.Unlock()
-	}
-	pong := make(chan []byte, 1)
-	client.PongHandler = func(p []byte) { pong <- append([]byte(nil), p...) }
-
-	// Server read loop handles the ping and replies with a pong; a
-	// following data message unblocks both sides.
-	go func() {
-		_, _, _ = server.ReadMessage() // consumes ping, then blocks on data
-	}()
-	if err := client.Ping([]byte("beat")); err != nil {
+	client, server, _, s2c := memPair(7, 8)
+	if err := client.writeFrame(&Frame{FIN: true, Opcode: OpPing, Payload: []byte("beat")}); err != nil {
 		t.Fatal(err)
 	}
-	// Client reads: first the auto-pong, then nothing else; send a real
-	// message from the server to complete the read.
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		_ = server.WriteText("data")
-	}()
-	op, msg, err := client.ReadMessage()
+	if err := client.WriteMessage(OpText, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	op, msg, err := server.ReadMessage()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if op != OpText || string(msg) != "data" {
 		t.Errorf("got (%v, %q)", op, msg)
 	}
-	select {
-	case p := <-pong:
-		if string(p) != "beat" {
-			t.Errorf("pong payload = %q", p)
-		}
-	case <-time.After(time.Second):
-		t.Error("no pong received")
+	if pong, err := readFrame(wireConn(s2c.Bytes(), true)); err != nil || pong.Opcode != OpPong || string(pong.Payload) != "beat" {
+		t.Errorf("server answered the ping with %+v, %v", pong, err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if string(gotPing) != "beat" {
-		t.Errorf("server ping handler got %q", gotPing)
+	if err := server.WriteMessage(OpText, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if _, msg, err := client.ReadMessage(); err != nil || string(msg) != "after" {
+		t.Errorf("client read past the pong: %q, %v", msg, err)
 	}
 }
 
 func TestConnCloseHandshake(t *testing.T) {
 	client, server := pipePair(t)
 	go func() {
-		_ = client.CloseWithCode(CloseGoingAway, "navigating away")
+		_ = client.writeFrame(&Frame{FIN: true, Opcode: OpClose, Payload: closePayload(CloseGoingAway, "navigating away")})
+		_ = client.shutdown()
 	}()
 	_, _, err := server.ReadMessage()
 	var ce *CloseError
@@ -135,12 +132,6 @@ func TestConnCloseHandshake(t *testing.T) {
 	if ce.Code != CloseGoingAway || ce.Reason != "navigating away" {
 		t.Errorf("close = %+v", ce)
 	}
-	if !IsCloseError(err, CloseGoingAway) {
-		t.Error("IsCloseError(CloseGoingAway) = false")
-	}
-	if IsCloseError(err, CloseNormal) {
-		t.Error("IsCloseError(CloseNormal) = true for going-away close")
-	}
 }
 
 func TestConnWriteAfterClose(t *testing.T) {
@@ -149,7 +140,7 @@ func TestConnWriteAfterClose(t *testing.T) {
 	if err := client.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.WriteText("late"); err != ErrConnClosed {
+	if err := client.WriteMessage(OpText, []byte("late")); err != ErrConnClosed {
 		t.Errorf("write after close: got %v, want ErrConnClosed", err)
 	}
 }
@@ -162,7 +153,7 @@ func TestConnRejectsUnmaskedClientFrame(t *testing.T) {
 	go func() {
 		// Write an unmasked frame from the "client" side: a protocol
 		// violation the server must reject.
-		_ = WriteFrame(cc, &Frame{FIN: true, Opcode: OpText, Payload: []byte("x")})
+		_ = naiveWriteFrame(cc, &Frame{FIN: true, Opcode: OpText, Payload: []byte("x")})
 		// Drain whatever the server sends back (close frame).
 		io.Copy(io.Discard, cc)
 	}()
@@ -233,7 +224,7 @@ func TestConnFailsProtocolViolations(t *testing.T) {
 			}()
 			peer := make(chan *Frame, 1)
 			go func() {
-				f, _ := ReadFrame(cc, 0)
+				f, _ := readFrame(newConn(cc, nil, true, rand.New(rand.NewSource(10))))
 				peer <- f
 			}()
 			_, _, err := server.ReadMessage()
@@ -286,7 +277,7 @@ func TestConnRejectsInterleavedDataFrames(t *testing.T) {
 
 func TestConnMessageSizeLimit(t *testing.T) {
 	client, server := pipePair(t)
-	server.SetMaxMessageSize(100)
+	server.maxMsgSize = 100
 	errc := make(chan error, 1)
 	go func() {
 		_, _, err := server.ReadMessage()
@@ -296,7 +287,7 @@ func TestConnMessageSizeLimit(t *testing.T) {
 		// Under-limit frames accumulate via fragmentation past the
 		// limit; the write may block or fail once the server drops the
 		// connection, so it runs on its own goroutine.
-		_ = client.WriteFragmented(OpBinary, make([]byte, 300), 50)
+		_ = writeFragmented(client, OpBinary, make([]byte, 300), 50)
 	}()
 	go io.Copy(io.Discard, client.conn)
 	select {
@@ -320,7 +311,11 @@ func TestDialAndUpgradeOverTCP(t *testing.T) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/echo", func(w http.ResponseWriter, r *http.Request) {
-		conn, err := Upgrade(w, r)
+		p, err := FromHTTP(w, r)
+		if err != nil {
+			return
+		}
+		conn, err := p.Accept("")
 		if err != nil {
 			return
 		}
@@ -342,6 +337,7 @@ func TestDialAndUpgradeOverTCP(t *testing.T) {
 	d := Dialer{
 		ResolveAddr: func(hostport string) string { return ln.Addr().String() },
 		Header:      http.Header{"Origin": {"http://pub.example"}},
+		Rand:        rand.New(rand.NewSource(11)),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -354,7 +350,7 @@ func TestDialAndUpgradeOverTCP(t *testing.T) {
 		t.Error("missing Upgrade in response headers")
 	}
 	for i := 0; i < 3; i++ {
-		if err := conn.WriteText("ping-data"); err != nil {
+		if err := conn.WriteMessage(OpText, []byte("ping-data")); err != nil {
 			t.Fatal(err)
 		}
 		op, msg, err := conn.ReadMessage()
@@ -368,14 +364,28 @@ func TestDialAndUpgradeOverTCP(t *testing.T) {
 }
 
 func TestDialRejectsNonWSURL(t *testing.T) {
-	_, _, err := Dial(context.Background(), "http://example.com/")
+	d := Dialer{Rand: rand.New(rand.NewSource(12))}
+	_, _, err := d.Dial(context.Background(), "http://example.com/")
 	if err == nil || !strings.Contains(err.Error(), "not a ws/wss URL") {
 		t.Errorf("got %v", err)
 	}
 }
 
-// TestAcceptRaw exercises the raw-listener server path (Accept) including
-// subprotocol negotiation.
+// TestDialRequiresRand: masking keys and nonces must come from the
+// caller's seed, so a Dialer without Rand fails before it dials.
+func TestDialRequiresRand(t *testing.T) {
+	d := Dialer{NetDial: func(context.Context, string, string) (net.Conn, error) {
+		t.Error("Dial reached the network with a nil Rand")
+		return nil, errors.New("dial refused")
+	}}
+	_, _, err := d.Dial(context.Background(), "ws://tracker.example/socket")
+	if err == nil || !strings.Contains(err.Error(), "Rand is nil") {
+		t.Errorf("got %v, want a nil-Rand error", err)
+	}
+}
+
+// TestAcceptRaw exercises the raw-listener server path (ReadRequest,
+// then Accept) including subprotocol negotiation.
 func TestAcceptRaw(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -387,25 +397,29 @@ func TestAcceptRaw(t *testing.T) {
 		if err != nil {
 			return
 		}
-		conn, hs, err := Accept(nc, func(offered []string) string {
-			for _, p := range offered {
-				if p == "tracking-v2" {
-					return p
-				}
+		p, err := ReadRequest(nc)
+		if err != nil {
+			return
+		}
+		sub := ""
+		for _, offered := range p.Request.Protocols {
+			if offered == "tracking-v2" {
+				sub = offered
 			}
-			return ""
-		})
+		}
+		conn, err := p.Accept(sub)
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		_ = conn.WriteText("host=" + hs.Host)
+		_ = conn.WriteMessage(OpText, []byte("host="+p.Request.Host))
 		_, _, _ = conn.ReadMessage() // wait for close
 	}()
 
 	d := Dialer{
 		ResolveAddr: func(string) string { return ln.Addr().String() },
 		Header:      http.Header{"Sec-WebSocket-Protocol": {"tracking-v1, tracking-v2"}},
+		Rand:        rand.New(rand.NewSource(13)),
 	}
 	conn, _, err := d.Dial(context.Background(), "ws://rt.example/feed")
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"unicode/utf8"
 )
 
@@ -179,107 +178,6 @@ func appendMasked(dst []byte, key [4]byte, payload []byte) []byte {
 	dst = append(dst, payload...)
 	maskBytes(key, 0, dst[off:])
 	return dst
-}
-
-// WriteFrame encodes f to w. The payload is masked on the wire when
-// f.Masked is set; f.Payload itself is not modified. The mask copy is
-// drawn from an internal pool, so steady-state writes do not allocate;
-// Conn's write path adds write coalescing on top (see conn.go).
-func WriteFrame(w io.Writer, f *Frame) error {
-	if err := validateFrame(f); err != nil {
-		return err
-	}
-	pooled := maskBufPool.Get().(*[]byte)
-	buf := appendFrameHeader((*pooled)[:0], f)
-	var err error
-	if f.Masked {
-		// Masking must copy anyway, so the masked payload rides in the
-		// same buffer as the header: one Write for the whole frame.
-		buf = appendMasked(buf, f.MaskKey, f.Payload)
-		_, err = w.Write(buf)
-	} else {
-		if _, err = w.Write(buf); err == nil && len(f.Payload) > 0 {
-			if _, err = w.Write(f.Payload); err != nil {
-				*pooled = shrink(buf)
-				maskBufPool.Put(pooled)
-				return fmt.Errorf("wsproto: write frame payload: %w", err)
-			}
-		}
-	}
-	*pooled = shrink(buf)
-	maskBufPool.Put(pooled)
-	if err != nil {
-		return fmt.Errorf("wsproto: write frame header: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame decodes one frame from r. maxSize bounds the accepted payload
-// length (0 means no limit). The returned payload is already unmasked.
-func ReadFrame(r io.Reader, maxSize int64) (*Frame, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	f := &Frame{
-		FIN:    hdr[0]&0x80 != 0,
-		Opcode: Opcode(hdr[0] & 0x0F),
-		Masked: hdr[1]&0x80 != 0,
-	}
-	if hdr[0]&0x70 != 0 {
-		return nil, ErrReservedBits
-	}
-	if !validOpcode(f.Opcode) {
-		return nil, ErrInvalidOpcode
-	}
-	plen := int64(hdr[1] & 0x7F)
-	switch plen {
-	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return nil, err
-		}
-		plen = int64(binary.BigEndian.Uint16(ext[:]))
-		if plen < 126 {
-			return nil, ErrBadPayloadLength
-		}
-	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return nil, err
-		}
-		v := binary.BigEndian.Uint64(ext[:])
-		if v&(1<<63) != 0 || v <= 0xFFFF {
-			return nil, ErrBadPayloadLength
-		}
-		plen = int64(v)
-	}
-	if f.Opcode.IsControl() {
-		if plen > maxControlPayload {
-			return nil, ErrControlTooLong
-		}
-		if !f.FIN {
-			return nil, ErrControlFragmented
-		}
-	}
-	if maxSize > 0 && plen > maxSize {
-		return nil, ErrFrameTooLarge
-	}
-	if f.Masked {
-		if _, err := io.ReadFull(r, f.MaskKey[:]); err != nil {
-			return nil, err
-		}
-	}
-	if plen > 0 {
-		f.Payload = make([]byte, plen)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return nil, err
-		}
-		if f.Masked {
-			maskBytes(f.MaskKey, 0, f.Payload)
-		}
-	}
-	return f, nil
 }
 
 // maskBytes XORs b in place with the masking key, starting at key offset

@@ -8,6 +8,18 @@ import (
 	"testing/quick"
 )
 
+// sendFrame writes f from the side of a memPair that masks as f asks —
+// the client, under a key its rng draws, or the unmasked server — and
+// returns the peer that reads it.
+func sendFrame(client, server *Conn, f *Frame) (*Conn, error) {
+	if f.Masked {
+		return server, client.writeFrame(f)
+	}
+	return client, server.writeFrame(f)
+}
+
+// TestFrameRoundTrip writes each frame with Conn.writeFrame and reads it
+// back with the peer's header parser.
 func TestFrameRoundTrip(t *testing.T) {
 	tests := []Frame{
 		{FIN: true, Opcode: OpText, Payload: []byte("hello")},
@@ -17,39 +29,44 @@ func TestFrameRoundTrip(t *testing.T) {
 		{FIN: true, Opcode: OpPing, Payload: []byte("p")},
 		{FIN: true, Opcode: OpPong, Payload: nil},
 		{FIN: true, Opcode: OpClose, Payload: closePayload(CloseNormal, "bye")},
-		{FIN: true, Opcode: OpText, Masked: true, MaskKey: [4]byte{1, 2, 3, 4}, Payload: []byte("masked payload")},
+		{FIN: true, Opcode: OpText, Masked: true, Payload: []byte("masked payload")},
 	}
+	client, server, _, _ := memPair(1, 2)
 	for i, f := range tests {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &f); err != nil {
-			t.Fatalf("case %d: WriteFrame: %v", i, err)
-		}
-		got, err := ReadFrame(&buf, 0)
+		sent := f
+		peer, err := sendFrame(client, server, &sent)
 		if err != nil {
-			t.Fatalf("case %d: ReadFrame: %v", i, err)
+			t.Fatalf("case %d: writeFrame: %v", i, err)
 		}
-		if got.FIN != f.FIN || got.Opcode != f.Opcode || got.Masked != f.Masked || !bytes.Equal(got.Payload, f.Payload) {
+		got, err := readFrame(peer)
+		if err != nil {
+			t.Fatalf("case %d: readFrame: %v", i, err)
+		}
+		if got.FIN != f.FIN || got.Opcode != f.Opcode || got.Masked != f.Masked || got.MaskKey != sent.MaskKey || !bytes.Equal(got.Payload, f.Payload) {
 			t.Errorf("case %d: round trip mismatch: got %+v want %+v", i, got, f)
 		}
 	}
 }
 
 // TestFrameRoundTripProperty uses testing/quick over random payloads,
-// opcodes, and mask keys: decode(encode(f)) == f for all valid frames.
+// opcodes, FIN bits and directions: what one conn writes, its peer
+// reads back whole, and nothing is left over.
 func TestFrameRoundTripProperty(t *testing.T) {
-	f := func(payload []byte, opSel uint8, fin, masked bool, key [4]byte) bool {
+	client, server, c2s, s2c := memPair(3, 4)
+	f := func(payload []byte, opSel uint8, fin, masked bool) bool {
 		ops := []Opcode{OpText, OpBinary, OpContinuation}
-		fr := Frame{FIN: fin, Opcode: ops[int(opSel)%len(ops)], Masked: masked, MaskKey: key, Payload: payload}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &fr); err != nil {
+		fr := Frame{FIN: fin, Opcode: ops[int(opSel)%len(ops)], Masked: masked, Payload: payload}
+		sent := fr
+		peer, err := sendFrame(client, server, &sent)
+		if err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf, 0)
+		got, err := readFrame(peer)
 		if err != nil {
 			return false
 		}
 		return got.FIN == fr.FIN && got.Opcode == fr.Opcode && got.Masked == fr.Masked &&
-			bytes.Equal(got.Payload, fr.Payload) && buf.Len() == 0
+			bytes.Equal(got.Payload, fr.Payload) && c2s.Len() == 0 && s2c.Len() == 0 && peer.br.Buffered() == 0
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(42))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -57,20 +74,20 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestMaskingOnWire verifies that a masked frame's payload is actually
+// TestMaskingOnWire verifies that a client's payload is actually
 // XOR-transformed on the wire, not sent in the clear.
 func TestMaskingOnWire(t *testing.T) {
-	f := Frame{FIN: true, Opcode: OpText, Masked: true, MaskKey: [4]byte{0xFF, 0x00, 0xFF, 0x00}, Payload: []byte("secret-tracking-id")}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &f); err != nil {
+	client, _, c2s, _ := memPair(5, 6)
+	payload := []byte("secret-tracking-id")
+	if err := client.WriteMessage(OpText, payload); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(buf.Bytes(), f.Payload) {
+	if bytes.Contains(c2s.Bytes(), payload) {
 		t.Error("masked payload appears in cleartext on the wire")
 	}
 	// The original payload must not be clobbered by masking.
-	if string(f.Payload) != "secret-tracking-id" {
-		t.Error("WriteFrame mutated the caller's payload")
+	if string(payload) != "secret-tracking-id" {
+		t.Error("WriteMessage mutated the caller's payload")
 	}
 }
 
@@ -89,26 +106,28 @@ func TestMaskBytesOffset(t *testing.T) {
 }
 
 func TestControlFrameLimits(t *testing.T) {
+	client, server, _, _ := memPair(7, 8)
 	long := bytes.Repeat([]byte{'x'}, 126)
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{FIN: true, Opcode: OpPing, Payload: long}); err != ErrControlTooLong {
-		t.Errorf("oversized ping: got %v, want ErrControlTooLong", err)
-	}
-	if err := WriteFrame(&buf, &Frame{FIN: false, Opcode: OpPing, Payload: []byte("x")}); err != ErrControlFragmented {
-		t.Errorf("fragmented ping: got %v, want ErrControlFragmented", err)
+	for _, c := range []*Conn{client, server} {
+		if err := c.writeFrame(&Frame{FIN: true, Opcode: OpPing, Payload: long}); err != ErrControlTooLong {
+			t.Errorf("oversized ping: got %v, want ErrControlTooLong", err)
+		}
+		if err := c.writeFrame(&Frame{FIN: false, Opcode: OpPing, Payload: []byte("x")}); err != ErrControlFragmented {
+			t.Errorf("fragmented ping: got %v, want ErrControlFragmented", err)
+		}
 	}
 }
 
 func TestReadFrameRejectsReservedBits(t *testing.T) {
 	raw := []byte{0x80 | 0x40 | byte(OpText), 0x00} // RSV1 set
-	if _, err := ReadFrame(bytes.NewReader(raw), 0); err != ErrReservedBits {
+	if _, err := readFrame(wireConn(raw, true)); err != ErrReservedBits {
 		t.Errorf("got %v, want ErrReservedBits", err)
 	}
 }
 
 func TestReadFrameRejectsInvalidOpcode(t *testing.T) {
 	raw := []byte{0x80 | 0x3, 0x00} // opcode 0x3 is reserved
-	if _, err := ReadFrame(bytes.NewReader(raw), 0); err != ErrInvalidOpcode {
+	if _, err := readFrame(wireConn(raw, true)); err != ErrInvalidOpcode {
 		t.Errorf("got %v, want ErrInvalidOpcode", err)
 	}
 }
@@ -116,7 +135,7 @@ func TestReadFrameRejectsInvalidOpcode(t *testing.T) {
 func TestReadFrameRejectsNonMinimalLength(t *testing.T) {
 	// 16-bit extended length used for a 5-byte payload: non-minimal.
 	raw := []byte{0x80 | byte(OpText), 126, 0, 5, 'h', 'e', 'l', 'l', 'o'}
-	if _, err := ReadFrame(bytes.NewReader(raw), 0); err != ErrBadPayloadLength {
+	if _, err := readFrame(wireConn(raw, true)); err != ErrBadPayloadLength {
 		t.Errorf("got %v, want ErrBadPayloadLength", err)
 	}
 	// 64-bit extended length for a value that fits in 16 bits.
@@ -124,18 +143,20 @@ func TestReadFrameRejectsNonMinimalLength(t *testing.T) {
 	raw[0] = 0x80 | byte(OpBinary)
 	raw[1] = 127
 	binary.BigEndian.PutUint64(raw[2:], 100)
-	if _, err := ReadFrame(bytes.NewReader(raw), 0); err != ErrBadPayloadLength {
+	if _, err := readFrame(wireConn(raw, true)); err != ErrBadPayloadLength {
 		t.Errorf("got %v, want ErrBadPayloadLength", err)
 	}
 }
 
+// TestReadFrameEnforcesMaxSize: one frame past the conn's message cap
+// fails the read.
 func TestReadFrameEnforcesMaxSize(t *testing.T) {
-	f := Frame{FIN: true, Opcode: OpBinary, Payload: make([]byte, 4096)}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &f); err != nil {
+	client, server, _, _ := memPair(9, 10)
+	server.maxMsgSize = 100
+	if err := client.WriteMessage(OpBinary, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(&buf, 100); err != ErrFrameTooLarge {
+	if _, _, err := server.ReadMessage(); err != ErrFrameTooLarge {
 		t.Errorf("got %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // Buffer pooling (DESIGN.md §13). The frame codec's steady-state paths
 // must not allocate per message: at the serving scale ROADMAP item 1
 // targets, a fresh mask copy per write and a fresh payload slice per
-// read turn straight into GC pressure that caps msgs/sec. Three reuse
+// read turn straight into GC pressure that caps msgs/sec. Two reuse
 // mechanisms cover the hot paths:
 //
 //   - Per-conn scratch buffers (Conn.wbuf, Conn.msgBuf): a Conn already
@@ -18,12 +18,10 @@ import (
 //     working set and are dropped back to nil after an outsized frame so
 //     a single large message cannot pin maxRetainedBuf×conns of memory
 //     across a million idle connections.
-//   - maskBufPool: the package-level WriteFrame has no conn to hang
-//     scratch off, so its mask copy draws from a sync.Pool instead.
 //   - handshakeWriterPool: the opening handshake needs a *bufio.Writer
-//     for exactly the duration of one request or response; Dial and
-//     Accept borrow one and return it as soon as the handshake bytes
-//     are flushed.
+//     for exactly the duration of one request or response;
+//     Dialer.Dial and Pending.Accept borrow one and return it as soon
+//     as the handshake bytes are flushed.
 //
 // The conn's *bufio.Reader is deliberately NOT pooled: it is owned by
 // the read loop for the whole connection lifetime, and teardown can
@@ -64,10 +62,6 @@ func shrink(b []byte) []byte {
 	}
 	return b[:0]
 }
-
-// maskBufPool backs the package-level WriteFrame's mask copy. Buffers
-// are stored as *[]byte to keep Put/Get allocation-free.
-var maskBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // handshakeWriterPool recycles the bufio.Writer used for exactly the
 // handshake flush on both the dial and accept paths.

@@ -19,9 +19,9 @@ import (
 	"time"
 )
 
-// naiveWriteFrame is the seed implementation of WriteFrame, kept
-// verbatim as the bytes-on-the-wire oracle: header into a fresh array,
-// mask copy into a fresh slice, two writes.
+// naiveWriteFrame is the seed's frame encoder, kept verbatim as the
+// bytes-on-the-wire oracle: header into a fresh array, mask copy into a
+// fresh slice, two writes.
 func naiveWriteFrame(w io.Writer, f *Frame) error {
 	if err := validateFrame(f); err != nil {
 		return err
@@ -105,6 +105,34 @@ func memPair(clientSeed, serverSeed int64) (client, server *Conn, c2s, s2c *byte
 	return client, server, c2s, s2c
 }
 
+// wireConn builds a conn on one side of a connection whose peer sent
+// in; what it writes back is discarded.
+func wireConn(in []byte, isClient bool) *Conn {
+	return newConn(&discardConn{memConn{in: bytes.NewBuffer(in)}}, nil, isClient, rand.New(rand.NewSource(1)))
+}
+
+// readFrame reads one frame off c through the conn's own header parser,
+// readHeader, and unmasks its payload: the single-frame view a codec
+// case needs, where ReadMessage assembles messages and answers control
+// frames.
+func readFrame(c *Conn) (*Frame, error) {
+	fin, op, plen, masked, key, err := c.readHeader()
+	if err != nil {
+		return nil, err
+	}
+	f := &Frame{FIN: fin, Opcode: op, Masked: masked, MaskKey: key}
+	if plen > 0 {
+		f.Payload = make([]byte, plen)
+		if _, err := io.ReadFull(c.br, f.Payload); err != nil {
+			return nil, err
+		}
+		if masked {
+			maskBytes(key, 0, f.Payload)
+		}
+	}
+	return f, nil
+}
+
 // conformanceSizes are the payload sizes the pooled codec must prove
 // byte-equivalence at: the RFC length-encoding boundaries (125/126,
 // 65535/65536), the conn's bufio size (4096), the write-coalescing
@@ -172,33 +200,6 @@ func TestPooledServerBytesMatchReference(t *testing.T) {
 	}
 }
 
-// TestPooledWriteFrameMatchesReference covers the package-level
-// WriteFrame (pool-backed mask buffer) against the oracle, including
-// control frames and fragment headers.
-func TestPooledWriteFrameMatchesReference(t *testing.T) {
-	frames := []*Frame{
-		{FIN: true, Opcode: OpText, Payload: []byte("hello")},
-		{FIN: true, Opcode: OpText, Payload: nil, Masked: true, MaskKey: [4]byte{1, 2, 3, 4}},
-		{FIN: false, Opcode: OpBinary, Payload: fillPattern(300, 9)},
-		{FIN: true, Opcode: OpContinuation, Payload: fillPattern(300, 9)},
-		{FIN: true, Opcode: OpPing, Payload: []byte("beat"), Masked: true, MaskKey: [4]byte{9, 8, 7, 6}},
-		{FIN: true, Opcode: OpClose, Payload: closePayload(CloseNormal, "bye")},
-		{FIN: true, Opcode: OpBinary, Payload: fillPattern(70000, 5), Masked: true, MaskKey: [4]byte{0xAA, 0, 0xFF, 1}},
-	}
-	for i, f := range frames {
-		var got, want bytes.Buffer
-		if err := WriteFrame(&got, f); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if err := naiveWriteFrame(&want, f); err != nil {
-			t.Fatalf("frame %d reference: %v", i, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("frame %d: pooled WriteFrame bytes diverge from reference", i)
-		}
-	}
-}
-
 // TestPooledRoundTripBoundarySizes echoes every boundary size through
 // both pooled codecs (client → server → client) and checks payload
 // integrity end to end.
@@ -257,12 +258,10 @@ func TestZeroLengthMaskedFrames(t *testing.T) {
 // payloads out of the partially assembled message buffer, the auto-pong
 // must echo each ping, and the assembled message must be intact.
 func TestInterleavedControlDuringFragmentedRead(t *testing.T) {
-	client, server, _, _ := memPair(31, 32)
+	client, server, _, s2c := memPair(31, 32)
 	part1 := fillPattern(1000, 1)
 	part2 := fillPattern(1000, 2)
 	part3 := fillPattern(1000, 3)
-	var pings [][]byte
-	server.PingHandler = func(p []byte) { pings = append(pings, append([]byte(nil), p...)) }
 
 	mustWrite := func(f *Frame) {
 		t.Helper()
@@ -284,22 +283,22 @@ func TestInterleavedControlDuringFragmentedRead(t *testing.T) {
 	if op != OpBinary || !bytes.Equal(msg, want) {
 		t.Fatalf("fragmented message corrupted by interleaved pings: %d bytes", len(msg))
 	}
-	if len(pings) != 2 || string(pings[0]) != "ping-one" || string(pings[1]) != "ping-two" {
-		t.Fatalf("pings = %q", pings)
+	// The auto-pongs are all the server wrote, in ping order.
+	var pongs bytes.Buffer
+	for _, p := range []string{"ping-one", "ping-two"} {
+		if err := naiveWriteFrame(&pongs, &Frame{FIN: true, Opcode: OpPong, Payload: []byte(p)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The auto-pongs went back to the client; its next read would
-	// process them. Send a data message to give the read something to
-	// return, and check the pong payloads via the handler.
-	var pongs [][]byte
-	client.PongHandler = func(p []byte) { pongs = append(pongs, append([]byte(nil), p...)) }
-	if err := server.WriteText("done"); err != nil {
+	if !bytes.Equal(s2c.Bytes(), pongs.Bytes()) {
+		t.Fatalf("server wrote % x, want the two pongs % x", s2c.Bytes(), pongs.Bytes())
+	}
+	// The client's read passes over the pongs to the next data message.
+	if err := server.WriteMessage(OpText, []byte("done")); err != nil {
 		t.Fatal(err)
 	}
 	if _, msg, err = client.ReadMessage(); err != nil || string(msg) != "done" {
 		t.Fatalf("client read: %q, %v", msg, err)
-	}
-	if len(pongs) != 2 || string(pongs[0]) != "ping-one" || string(pongs[1]) != "ping-two" {
-		t.Fatalf("pongs = %q", pongs)
 	}
 }
 
@@ -369,29 +368,6 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state echo path allocates %.1f allocs/msg, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestWriteFrameZeroAlloc is the package-level WriteFrame's row of the
-// same gate: its header and mask copy come from maskBufPool, so once
-// the pool is warm a frame allocates nothing, masked or not. A write
-// path that kept the buffer instead of returning it would allocate a
-// fresh one per frame.
-func TestWriteFrameZeroAlloc(t *testing.T) {
-	skipIfRace(t)
-	for _, f := range []*Frame{
-		{FIN: true, Opcode: OpBinary, Payload: benchPayload(1024), Masked: true, MaskKey: [4]byte{1, 2, 3, 4}},
-		{FIN: true, Opcode: OpText, Payload: benchPayload(128)},
-	} {
-		write := func() {
-			if err := WriteFrame(io.Discard, f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		write()
-		if allocs := testing.AllocsPerRun(200, write); allocs != 0 {
-			t.Errorf("WriteFrame (masked=%v) allocates %.1f allocs/frame, want 0", f.Masked, allocs)
-		}
 	}
 }
 
@@ -584,18 +560,4 @@ func BenchmarkWSEchoTCP(b *testing.B) {
 	b.StopTimer()
 	client.shutdown()
 	wg.Wait()
-}
-
-var errBenchSink error
-
-// BenchmarkWSWriteFramePooled prices the package-level WriteFrame's
-// pooled mask path (the seed implementation allocated the mask copy
-// per call).
-func BenchmarkWSWriteFramePooled(b *testing.B) {
-	f := &Frame{FIN: true, Opcode: OpBinary, Payload: benchPayload(1024), Masked: true, MaskKey: [4]byte{1, 2, 3, 4}}
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		errBenchSink = WriteFrame(io.Discard, f)
-	}
 }

@@ -125,40 +125,6 @@ func (p *Pending) Reject(status int, msg string) {
 	p.nc.Close()
 }
 
-// Accept performs the server side of the opening handshake on a raw
-// network connection that has not yet read the HTTP request, and returns
-// the established Conn plus the parsed handshake. selectProtocol, if
-// non-nil, picks the agreed subprotocol from the client's offer.
-//
-// The whole handshake runs under HandshakeTimeout; the deadline is
-// lifted once the upgrade completes.
-func Accept(nc net.Conn, selectProtocol func(offered []string) string) (*Conn, *HandshakeRequest, error) {
-	p, err := ReadRequest(nc)
-	if err != nil {
-		return nil, nil, err
-	}
-	sub := ""
-	if selectProtocol != nil {
-		sub = selectProtocol(p.Request.Protocols)
-	}
-	conn, err := p.Accept(sub)
-	if err != nil {
-		return nil, nil, err
-	}
-	return conn, p.Request, nil
-}
-
-// Upgrade completes the upgrade of a net/http request that is a
-// WebSocket opening handshake: FromHTTP, then Accept with no
-// subprotocol.
-func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
-	p, err := FromHTTP(w, r)
-	if err != nil {
-		return nil, err
-	}
-	return p.Accept("")
-}
-
 // writeHTTPError answers an opening handshake that will not be upgraded
 // with a minimal HTTP error before the caller drops the connection. The
 // write is bounded by a deadline (mirroring sendClose in conn.go): a
