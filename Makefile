@@ -18,8 +18,8 @@ test:
 # Dispatch's grant loops, the fabric's sessions and the crawler pool
 # are heavily concurrent; the race detector is part of the standard
 # gate. The second pass pins GOMAXPROCS above the worker counts used in
-# tests so the scheduler actually interleaves grant loops, spool
-# writers, stats observers, and query handlers sharing the engine's
+# tests so the scheduler actually interleaves grant loops, store
+# ingests, stats observers, and query handlers sharing the engine's
 # snapshot views on separate Ps.
 race:
 	$(GO) test -race ./...
@@ -49,12 +49,12 @@ race:
 # each frame back;
 # FuzzParse feeds htmlparse hostile bytes and holds its attributes to
 # the map parser. FuzzAppendLine: a worker's page line is refused with
-# the spool and fold untouched, or appended verbatim and folded as
+# the store and its fold untouched, or folded and sealed as
 # encoding/json decodes it. The two decoders a resume trusts:
 # FuzzLoadCheckpoint (hostile checkpoint bytes are refused or round-trip
-# through WriteAtomic) and FuzzLedgerReplay (a resumed ledger over
-# arbitrary shard bytes and extent refuses without touching the shard,
-# or folds what MergeShards merges). The store's
+# through WriteAtomic) and FuzzLedgerReplay (a resumed ledger over an
+# arbitrary segment a v5 checkpoint vouches for refuses without
+# touching a file, or folds the segment's records). The store's
 # segment decoder, FuzzDecodeSegment: hostile bytes (also resealed with
 # a valid checksum) are refused without a length taken on trust, and an
 # accepted segment round-trips encode → decode → encode. The query
@@ -147,8 +147,8 @@ bench:
 	$(GO) run ./bench
 
 # One-second fabric, store_crawl and study workloads for ci: the durable
-# ledger's two callers (fabric coordinator, dispatch.Run) times its two
-# sinks (live fold, columnar store), and the four-crawl study itself.
+# ledger's two callers (fabric coordinator, dispatch.Run), the
+# columnar store every crawl writes, and the four-crawl study itself.
 # Their digest gates fail unless the fabric dataset, the store-derived
 # crawl 0 and the study's crawl 0 are each byte-identical to a second
 # run on the plain dispatch path. The traced study and store_crawl runs

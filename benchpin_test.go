@@ -17,6 +17,10 @@ var benchPinFields = []struct{ pkg, typ, field string }{
 	{"repro/internal/analysis", "Recorder", "Pooled"},
 	{"repro/internal/browser", "Config", "ReuseScratch"},
 	{"repro/internal/colstore", "Config", "NumShards"},
+	{"repro/internal/core", "Options", "Store"},
+	{"repro/internal/core", "FabricCoordinatorOptions", "SpoolDir"},
+	{"repro/internal/dispatch", "Checkpoint", "NumShards"},
+	{"repro/internal/dispatch", "Checkpoint", "ShardBytes"},
 }
 
 // TestBenchPinsStayInBench: a package's benchpin.go declares API that
@@ -26,7 +30,7 @@ var benchPinFields = []struct{ pkg, typ, field string }{
 // a benchpin.go declares or one of benchPinFields, and every exported
 // pin must still be used by bench/ (one it no longer uses is deleted,
 // not kept). The module is type-checked, so a use is the object itself
-// (Spooler.Append, not any method named Append).
+// (the spool writer's Append, not any method named Append).
 func TestBenchPinsStayInBench(t *testing.T) {
 	pkgs, err := lint.LoadModule(".")
 	if err != nil {

@@ -6,8 +6,7 @@
 //
 //	wscrawl -out crawl1.json [-era pre|post] [-index N] [-publishers N]
 //	        [-workers N] [-pages N] [-seed S] [-version 57]
-//	        [-checkpoint FILE] [-spool-dir DIR] [-resume] [-retries N]
-//	        [-store] [-store-dir DIR]
+//	        [-checkpoint FILE] [-store-dir DIR] [-resume] [-retries N]
 //	        [-metrics-addr HOST:PORT] [-progress DUR]
 //	        [-fault-profile NAME] [-fault-seed S]
 //	wscrawl -coordinate HOST:PORT -out crawl1.json -checkpoint FILE
@@ -18,19 +17,20 @@
 //
 // Every crawl runs through dispatch's durable grant loop
 // (internal/dispatch), in-process or, with -coordinate, over the wire to
-// -worker processes: progress is checkpointed, failed sites retry with backoff up to
-// -retries attempts each, pages spool to sharded JSONL files, and the
-// run ends with one "dispatch: N/M sites done, …" outcome line.
-// -checkpoint or -spool-dir keeps that state; without either it lives in
-// a temporary directory removed at exit. -resume continues an
-// interrupted crawl from its -checkpoint/-spool-dir without re-visiting
-// completed sites. -store also streams every page into a columnar store
-// (internal/colstore) sealed at each checkpoint, queryable with wsquery
-// during and after the crawl; -out is then derived from it (-store-dir
-// moves it and implies -store). SIGINT/SIGTERM commit a final
-// checkpoint and exit 1, with a -resume hint when the state has a
-// location. The dataset is written atomically, so a crash never leaves
-// a truncated file.
+// -worker processes: progress is checkpointed, failed sites retry with
+// backoff up to -retries attempts each, every page streams into a
+// columnar store (internal/colstore) sealed at each checkpoint and
+// queryable with wsquery during and after the crawl, -out is derived
+// from that store, and the run ends with one "dispatch: N/M sites done,
+// …" outcome line. -checkpoint keeps that state, the store in
+// store-crawl<index> beside the checkpoint (-store-dir moves it);
+// without -checkpoint the checkpoint, and the store unless -store-dir
+// names one, live in a temporary directory removed at exit. -resume
+// continues an interrupted crawl from its -checkpoint without
+// re-visiting completed sites. SIGINT/SIGTERM commit a final checkpoint
+// and exit 1, with a -resume hint when the state has a location. The
+// dataset is written atomically, so a crash never leaves a truncated
+// file.
 //
 // -coordinate serves the same durable crawl to -worker processes
 // instead of crawling: the same site queue is leased over WebSocket in
@@ -60,7 +60,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -95,11 +94,9 @@ func run(args []string) int {
 		seed        = fs.Int64("seed", 20170419, "world seed")
 		version     = fs.Int("version", 0, "browser version (default: 57 pre-patch, 58 post-patch)")
 		checkpoint  = fs.String("checkpoint", "", "checkpoint state file (default: a temp dir removed at exit)")
-		spoolDir    = fs.String("spool-dir", "", "spool shard directory (default: beside -checkpoint, else a temp dir)")
+		storeDir    = fs.String("store-dir", "", "columnar store directory, queryable with wsquery (default: store-crawl<index> beside -checkpoint, else a temp dir)")
 		resume      = fs.Bool("resume", false, "resume an interrupted crawl from its checkpoint")
 		retries     = fs.Int("retries", 0, "per-site attempt budget, in either role (default 3)")
-		storeFlag   = fs.Bool("store", false, "stream pages into an embedded columnar store (requires -checkpoint, -spool-dir or -store-dir; query with wsquery)")
-		storeDir    = fs.String("store-dir", "", "columnar store directory (default: <spool parent>/store-crawl<index>; implies -store)")
 		metricsAddr = fs.String("metrics-addr", "", "serve expvar + pprof on this address (\":0\" picks a port)")
 		progress    = fs.Duration("progress", 0, "print progress to stderr at this interval (0 = off)")
 		faultProf   = fs.String("fault-profile", "", "inject network faults from this profile: "+strings.Join(faultnet.Names(), ", "))
@@ -107,7 +104,7 @@ func run(args []string) int {
 		coordAddr   = fs.String("coordinate", "", "coordinate a distributed crawl: lease sites to -worker processes on this address (\":0\" picks a port)")
 		batchSize   = fs.Int("batch-size", 0, "with -coordinate: most sites per grant (default 16)")
 		leaseTTL    = fs.Duration("lease-ttl", 0, "with -coordinate: grant lease TTL (default 30s)")
-		queryAddr   = fs.String("query-addr", "", "with -coordinate: serve the store query API on this address (requires -store)")
+		queryAddr   = fs.String("query-addr", "", "with -coordinate: serve the store query API on this address")
 		workerURL   = fs.String("worker", "", "join the coordinator at this ws:// URL as a crawl worker")
 		workerName  = fs.String("worker-name", fmt.Sprintf("w%d", os.Getpid()), "worker name in coordinator logs")
 	)
@@ -170,41 +167,24 @@ func run(args []string) int {
 	opts := core.Options{
 		Seed: *seed, NumPublishers: *publishers, Workers: *workers, PagesPerSite: *pages,
 		FaultProfile: *faultProf, FaultSeed: *faultSeed,
-		Store: *storeFlag || *storeDir != "",
 	}
-	// Every crawl keeps a checkpoint and a spool; only state that must
+	// Every crawl keeps a checkpoint and a store; only state that must
 	// outlive the process needs a location (without one, core keeps it
 	// in a temporary directory).
-	located := *checkpoint != "" || *spoolDir != ""
+	located := *checkpoint != ""
 	switch {
 	case *resume && !located:
-		return usage("-resume requires -checkpoint or -spool-dir")
-	case opts.Store && !located && *storeDir == "":
-		return usage("-store requires -checkpoint, -spool-dir or -store-dir")
+		return usage("-resume requires -checkpoint")
 	case *coordAddr != "" && !located:
-		return usage("-coordinate requires -checkpoint or -spool-dir")
+		return usage("-coordinate requires -checkpoint")
+	case *queryAddr != "" && *coordAddr == "":
+		return usage("-query-addr requires -coordinate")
 	}
 	opts.Dispatch = &core.DispatchOptions{
-		StoreDir:    *storeDir,
-		Resume:      *resume,
-		MaxAttempts: *retries,
-	}
-	if d := opts.Dispatch; located {
-		// Derive whichever of the two paths was not given from the
-		// other, so a single flag is enough to locate the crawl.
-		d.CheckpointPath, d.SpoolDir = *checkpoint, *spoolDir
-		if d.SpoolDir == "" {
-			d.SpoolDir = filepath.Join(filepath.Dir(d.CheckpointPath), "spool")
-		}
-		if d.CheckpointPath == "" {
-			d.CheckpointPath = filepath.Join(d.SpoolDir, "checkpoint.json")
-		}
-		if d.StoreDir == "" && opts.Store {
-			d.StoreDir = filepath.Join(filepath.Dir(d.SpoolDir), fmt.Sprintf("store-crawl%d", *index))
-		}
-	}
-	if *queryAddr != "" && (*coordAddr == "" || !opts.Store) {
-		return usage("-query-addr requires -coordinate and -store")
+		CheckpointPath: *checkpoint,
+		StoreDir:       *storeDir,
+		Resume:         *resume,
+		MaxAttempts:    *retries,
 	}
 
 	if *metricsAddr != "" {
@@ -245,9 +225,9 @@ func run(args []string) int {
 	}
 	logf("%d sites, %d pages, %d sockets, %d A&A domains -> %s",
 		len(ds.Sites), crawled, len(ds.Sockets), len(ds.AADomains), *out)
-	if opts.Store {
-		logf("columnar store sealed at %s (query with: wsquery -store-dir %s -addr :0)",
-			opts.Dispatch.StoreDir, opts.Dispatch.StoreDir)
+	if located || *storeDir != "" {
+		dir := opts.Dispatch.StorePath(spec)
+		logf("columnar store sealed at %s (query with: wsquery -store-dir %s -addr :0)", dir, dir)
 	}
 	return 0
 }
@@ -281,9 +261,8 @@ func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, add
 		LeaseTTL:       leaseTTL,
 		MaxAttempts:    d.MaxAttempts,
 		CheckpointPath: d.CheckpointPath,
-		SpoolDir:       d.SpoolDir,
-		Resume:         d.Resume,
 		StoreDir:       d.StoreDir,
+		Resume:         d.Resume,
 		FaultProfile:   opts.FaultProfile,
 		FaultSeed:      opts.FaultSeed,
 		Logf:           logf,

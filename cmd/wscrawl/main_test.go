@@ -58,8 +58,8 @@ func entries(t *testing.T, dir string) []string {
 }
 
 // TestResumeRequiresLocation: -resume reads an interrupted crawl's
-// checkpoint, so without -checkpoint or -spool-dir it is a usage error —
-// not a fresh crawl that leaves ./spool behind in the working directory.
+// checkpoint, so without -checkpoint it is a usage error — not a fresh
+// crawl that leaves state behind in the working directory.
 func TestResumeRequiresLocation(t *testing.T) {
 	dir := t.TempDir()
 	wscrawl(t, dir, 2, append(crawlFlags, "-out", "x.json", "-resume")...)
@@ -83,5 +83,26 @@ func TestPlainCrawlReportsSitesAndLeavesOnlyItsDataset(t *testing.T) {
 	}
 	if left := entries(t, tmp); len(left) != 0 {
 		t.Errorf("crawl left %v in the temp dir", left)
+	}
+}
+
+// TestStoreDirAloneKeepsOnlyTheStore: -store-dir without -checkpoint
+// keeps the crawl's store, queryable after the run, while its checkpoint
+// lives and dies in the temp dir.
+func TestStoreDirAloneKeepsOnlyTheStore(t *testing.T) {
+	dir, tmp := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	stderr := wscrawl(t, dir, 0, append(crawlFlags, "-out", "x.json", "-store-dir", "st")...)
+	if !strings.Contains(stderr, "columnar store sealed at st") {
+		t.Errorf("no store line:\n%s", stderr)
+	}
+	if left := entries(t, dir); len(left) != 2 || left[0] != "st" || left[1] != "x.json" {
+		t.Errorf("working directory holds %v, want st and x.json", left)
+	}
+	if left := entries(t, tmp); len(left) != 0 {
+		t.Errorf("crawl left %v in the temp dir", left)
+	}
+	if st := entries(t, filepath.Join(dir, "st")); len(st) < 2 || st[len(st)-1] != "store.json" {
+		t.Errorf("store directory holds %v, want sealed segments and store.json", st)
 	}
 }

@@ -1,17 +1,14 @@
-// Spool-record and spool-merge tests, from outside the package: the
-// merge oracle (internal/analysis/oracle) imports analysis.
+// Spool-record and fold tests, from outside the package, as the ledger
+// uses both: it decodes each page line and folds the record.
 package analysis_test
 
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/oracle"
 	"repro/internal/browser"
 	"repro/internal/crawler"
 	"repro/internal/filterlist"
@@ -65,41 +62,38 @@ func TestSpoolRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func writeShard(t *testing.T, lines ...string) string {
+// foldLines decodes each spool line and folds it, as the ledger takes
+// every page.
+func foldLines(t *testing.T, lines ...[]byte) (*analysis.Dataset, analysis.MergeStats) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "shard-000.jsonl")
-	var buf bytes.Buffer
-	for _, l := range lines {
-		buf.WriteString(l)
+	folder := analysis.NewFolder(analysis.DatasetMeta{Name: "c"})
+	for _, line := range lines {
+		rec, err := analysis.DecodeSpoolLine(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		folder.Fold(rec)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return folder.Finalize()
 }
 
-func encodeLine(t *testing.T, rec *analysis.PageRecord) string {
+func encodeLine(t *testing.T, rec *analysis.PageRecord) []byte {
 	t.Helper()
 	line, err := analysis.AppendSpoolRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(line)
+	return line
 }
 
-func TestMergeShardsDedupesByPage(t *testing.T) {
+func TestFoldDedupesByPage(t *testing.T) {
 	first := samplePageRecord()
 	dup := samplePageRecord()
 	dup.HTTP["cdn.com"].Requests = 999 // must lose: first occurrence wins
 	other := samplePageRecord()
 	other.PageURL = "http://pub.com/q"
 
-	path := writeShard(t,
-		encodeLine(t, first), encodeLine(t, dup), encodeLine(t, other))
-	ds, stats, err := oracle.MergeShards(analysis.DatasetMeta{Name: "c"}, []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, stats := foldLines(t, encodeLine(t, first), encodeLine(t, dup), encodeLine(t, other))
 	if stats.Pages != 2 || stats.Duplicates != 1 {
 		t.Errorf("stats = %+v, want 2 pages / 1 duplicate", stats)
 	}
@@ -112,75 +106,26 @@ func TestMergeShardsDedupesByPage(t *testing.T) {
 	}
 }
 
-func TestMergeShardsToleratesTornFinalLine(t *testing.T) {
-	path := writeShard(t,
-		encodeLine(t, samplePageRecord()),
-		`{"site":"pub.com","rank":7,"pageUrl":"http://pub.com/tor`) // no newline
-	ds, stats, err := oracle.MergeShards(analysis.DatasetMeta{Name: "c"}, []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Pages != 1 || stats.Truncated != 1 {
-		t.Errorf("stats = %+v, want 1 page / 1 truncated", stats)
-	}
-	if len(ds.Sites) != 1 {
-		t.Errorf("sites = %+v", ds.Sites)
-	}
-}
-
-func TestMergeShardsRejectsInteriorCorruption(t *testing.T) {
-	path := writeShard(t,
-		"{corrupt\n",
-		encodeLine(t, samplePageRecord()))
-	if _, _, err := oracle.MergeShards(analysis.DatasetMeta{Name: "c"}, []string{path}); err == nil {
-		t.Error("interior corruption accepted")
-	}
-}
-
-// TestMergeShardsRejectsCorruptTerminatedFinalLine: only an
-// *unterminated* trailing fragment can be a crash-torn append; a final
-// line that is newline-terminated but undecodable was written complete
-// and is corruption — it must fail the merge like any interior line,
-// not be silently skipped just because nothing follows it.
-func TestMergeShardsRejectsCorruptTerminatedFinalLine(t *testing.T) {
-	path := writeShard(t,
-		encodeLine(t, samplePageRecord()),
-		"{corrupt\n") // terminated: a complete, corrupt write
-	_, stats, err := oracle.MergeShards(analysis.DatasetMeta{Name: "c"}, []string{path})
-	if err == nil {
-		t.Fatalf("corrupt terminated final line accepted (stats %+v)", stats)
-	}
-	if stats.Truncated != 0 {
-		t.Errorf("corruption misreported as a torn tail: %+v", stats)
-	}
-}
-
-func TestMergeShardsDerivesAADomainsFromDeltas(t *testing.T) {
+func TestFoldDerivesAADomainsFromDeltas(t *testing.T) {
 	// tracker.com: 2 A&A obs vs 10 non ⇒ 2 >= 0.1*10, in D′.
 	// almost.com: 1 A&A obs vs 11 non ⇒ 1 < 1.1, out.
 	// quiet.com: only non-A&A obs, out.
-	recs := []*analysis.PageRecord{
-		{Site: "a.com", Rank: 1, PageURL: "http://a.com/",
-			AAObs:    map[string]int{"tracker.com": 2, "almost.com": 1},
-			NonAAObs: map[string]int{"tracker.com": 10, "almost.com": 11, "quiet.com": 5}},
-	}
-	path := writeShard(t, encodeLine(t, recs[0]))
-	ds, _, err := oracle.MergeShards(analysis.DatasetMeta{Name: "c"}, []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := &analysis.PageRecord{Site: "a.com", Rank: 1, PageURL: "http://a.com/",
+		AAObs:    map[string]int{"tracker.com": 2, "almost.com": 1},
+		NonAAObs: map[string]int{"tracker.com": 10, "almost.com": 11, "quiet.com": 5}}
+	ds, _ := foldLines(t, encodeLine(t, rec))
 	if want := []string{"tracker.com"}; !reflect.DeepEqual(ds.AADomains, want) {
 		t.Errorf("AADomains = %v, want %v", ds.AADomains, want)
 	}
 }
 
-// TestFolderAndMergeShardsAgree crawls a small synthetic world once and
-// takes its page records down both aggregation paths — folded live as
-// every crawl does, and Recorder→spool→MergeShards, the oracle the
-// tests hold each crawl's fold to — and requires byte-identical
-// datasets: same site summaries, canonical socket order, HTTP
-// aggregates, and the same derived D′.
-func TestFolderAndMergeShardsAgree(t *testing.T) {
+// TestFolderAndDecodedLinesAgree crawls a small synthetic world once
+// and folds its page records two ways — the recorder's records as they
+// are, and each record encoded as a spool line and decoded again, as
+// the ledger takes every page — and requires byte-identical datasets:
+// same site summaries, canonical socket order, HTTP aggregates, and the
+// same derived D′.
+func TestFolderAndDecodedLinesAgree(t *testing.T) {
 	w := webgen.NewWorld(webgen.Config{Seed: 31, NumPublishers: 12, Era: webgen.EraPrePatch})
 	s, err := webserver.Start(w)
 	if err != nil {
@@ -196,11 +141,7 @@ func TestFolderAndMergeShardsAgree(t *testing.T) {
 	recorder := analysis.NewRecorder(lab)
 	meta := analysis.DatasetMeta{Name: "c", Era: "pre-patch"}
 	folder := analysis.NewFolder(meta)
-	spool := filepath.Join(t.TempDir(), "shard-000.jsonl")
-	f, err := os.Create(spool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	decoded := analysis.NewFolder(meta)
 
 	sites := make([]crawler.Site, 0, len(w.Publishers))
 	for _, p := range w.Publishers {
@@ -224,12 +165,16 @@ func TestFolderAndMergeShardsAgree(t *testing.T) {
 				t.Errorf("Fold(%s): duplicate on a single pass", pageURL)
 			}
 			line, err := analysis.AppendSpoolRecord(nil, rec)
-			if err == nil {
-				_, err = f.Write(line)
-			}
 			if err != nil {
-				t.Errorf("spool: %v", err)
+				t.Errorf("encode %s: %v", pageURL, err)
+				return
 			}
+			back, err := analysis.DecodeSpoolLine(line[:len(line)-1])
+			if err != nil {
+				t.Errorf("decode %s: %v", pageURL, err)
+				return
+			}
+			decoded.Fold(back)
 		},
 	}
 	var stats crawler.Stats
@@ -238,20 +183,14 @@ func TestFolderAndMergeShardsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	live, liveStats := folder.Finalize()
-	merged, mstats, err := oracle.MergeShards(meta, []string{spool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mstats.Duplicates != 0 || mstats.Truncated != 0 {
-		t.Errorf("merge stats = %+v", mstats)
+	merged, mstats := decoded.Finalize()
+	if mstats.Duplicates != 0 {
+		t.Errorf("decoded fold stats = %+v", mstats)
 	}
 	if liveStats.Pages != mstats.Pages || mstats.Pages == 0 {
-		t.Errorf("folded %d pages, merged %d", liveStats.Pages, mstats.Pages)
+		t.Errorf("folded %d pages, %d decoded", liveStats.Pages, mstats.Pages)
 	}
 	if len(live.Sockets) == 0 || len(live.AADomains) == 0 {
 		t.Fatalf("world too quiet to compare: %d sockets, %d A&A domains", len(live.Sockets), len(live.AADomains))
@@ -264,6 +203,6 @@ func TestFolderAndMergeShardsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("folded dataset (%d bytes) differs from merged dataset (%d bytes)", a.Len(), b.Len())
+		t.Errorf("folded dataset (%d bytes) differs from the decoded lines' (%d bytes)", a.Len(), b.Len())
 	}
 }

@@ -1,14 +1,14 @@
 // Spool records: the durable per-page form of a crawl measurement.
 //
-// The dispatch ledger (internal/dispatch) appends one PageRecord per
-// crawled page to sharded JSONL spool files as pages arrive, so a crash
-// loses at most the page being written, and folds each record into a
-// Folder as it goes; a resumed ledger folds the records already in the
-// spool when it opens. The fold never holds all pages in memory: records
-// are aggregated on the fly and only the dataset's own output (site
-// summaries, socket records, per-domain HTTP aggregates, label counts)
-// is retained. The tests hold the fold to a merge of the spool it left
-// behind (internal/analysis/oracle).
+// A grant runner emits one PageRecord per crawled page as a spool line
+// (spoolcodec.go), in-process or over the fabric's wire. The dispatch
+// ledger (internal/dispatch) decodes each line and hands the record to
+// the crawl's columnar store (internal/colstore), which folds it into a
+// Folder and seals it into its segments; a resumed store folds the
+// records of its sealed segments when it opens. The fold never holds all
+// pages in memory: records are aggregated on the fly and only the
+// dataset's own output (site summaries, socket records, per-domain HTTP
+// aggregates, label counts) is retained.
 //
 // A PageRecord carries the labeler observation *deltas* its page
 // contributed (A&A hits, non-A&A hits, CDN adjacency counts) rather
@@ -20,7 +20,6 @@ package analysis
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -47,16 +46,6 @@ type PageRecord struct {
 	NonAAObs map[string]int `json:"nonAaObs,omitempty"`
 	// CDNObs counts opaque-CDN adjacency sightings on this page.
 	CDNObs map[string]int `json:"cdnObs,omitempty"`
-}
-
-// ShardFor maps a site domain to one of n shards: FNV-1a (hash/fnv's
-// New64a) of the domain, mod n. The spool partitions records by it, and
-// its values decide which shard file each record goes to on disk, so
-// they must never change (TestShardForIsFNV1a).
-func ShardFor(domain string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(domain))
-	return int(h.Sum64() % uint64(n))
 }
 
 // Recorder converts live page loads into PageRecords. It reads the
@@ -149,26 +138,23 @@ type DatasetMeta struct {
 	CrawlIndex int
 }
 
-// MergeStats reports what a merge consumed.
+// MergeStats reports what a fold consumed.
 type MergeStats struct {
-	// Shards is the number of spool files read.
-	Shards int
 	// Pages is the number of distinct pages folded into the dataset.
 	Pages int
-	// Duplicates counts spool records skipped because their
-	// (site, pageURL) was already merged — re-crawled sites after a
-	// resume land here.
+	// Duplicates counts records skipped because their (site, pageURL)
+	// was already folded — re-crawled sites after a resume land here.
 	Duplicates int
 }
 
 // Folder folds PageRecords into a Dataset incrementally as pages
-// arrive, sparing the finalize step a full decode pass over the spool.
+// arrive, sparing the finalize step a full pass over the crawl's pages.
 // Records are deduplicated by (site, pageURL), first occurrence wins,
-// so a crawl folded live produces a Dataset byte-identical to one
-// merged from its spool shards — the records for a given page are
-// deterministic, and finalize imposes the canonical order regardless of
-// arrival order. Fold is safe for
-// concurrent use; Finalize must only be called once all folds are done.
+// so a crawl folded live produces a Dataset byte-identical to a replay
+// of its store — the records for a given page are deterministic, and
+// finalize imposes the canonical order regardless of arrival order.
+// Fold is safe for concurrent use; Finalize must only be called once
+// all folds are done.
 type Folder struct {
 	mu      sync.Mutex
 	agg     *shardMerger // guarded by mu
@@ -183,8 +169,9 @@ func NewFolder(meta DatasetMeta) *Folder {
 }
 
 // Fold merges one page record, reporting false for duplicates. The
-// record's maps and socket slices are retained by reference; callers
-// must not mutate a record after folding it.
+// record's socket records, and their slices, are retained by reference
+// (its maps are copied); callers must not mutate those after folding
+// the record.
 func (f *Folder) Fold(rec *PageRecord) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"context"
-	"hash/fnv"
 	"runtime/debug"
 	"testing"
 
@@ -107,33 +106,6 @@ func skipIfRace(t *testing.T) {
 			if s.Key == "-race" && s.Value == "true" {
 				t.Skip("sync.Pool drops items at random under the race detector")
 			}
-		}
-	}
-}
-
-// TestShardForIsFNV1a pins ShardFor, which picks the file every spool
-// line lands in, to hash/fnv's New64a mod n,
-// and to literal values any change of hash or reduction would move.
-func TestShardForIsFNV1a(t *testing.T) {
-	for _, tc := range []struct {
-		domain string
-		n      int
-		want   int
-	}{
-		{"a.com", 4, 3},
-		{"alpha.com", 16, 4},
-		{"site017.com", 7, 6},
-		{"publisher-00042.example", 16, 4},
-		{"33across.com", 4, 1},
-		{"", 7, 2},
-	} {
-		h := fnv.New64a()
-		h.Write([]byte(tc.domain))
-		if ref := int(h.Sum64() % uint64(tc.n)); ref != tc.want {
-			t.Fatalf("pin %q mod %d = %d, but hash/fnv gives %d", tc.domain, tc.n, tc.want, ref)
-		}
-		if got := ShardFor(tc.domain, tc.n); got != tc.want {
-			t.Errorf("ShardFor(%q, %d) = %d, want %d", tc.domain, tc.n, got, tc.want)
 		}
 	}
 }

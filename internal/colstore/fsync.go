@@ -21,8 +21,8 @@ import (
 // file, or at nothing. Every atomic publish (checkpoints, dataset
 // exports, segment seals, the store manifest) therefore goes through
 // WriteAtomic, which ends with SyncDir on the parent directory; only
-// then may the caller treat the publish as durable — e.g. record a
-// spool extent, ack a batch, or report a segment sealed.
+// then may the caller treat the publish as durable — e.g. count a
+// segment in a checkpoint, or report a dataset written.
 //
 // Each successful sync is counted in store.dir_syncs, which is also
 // what the regression tests observe to prove the contract holds.

@@ -35,8 +35,8 @@ import (
 // blocked (not true or false), is a 400 naming the parameter; an empty
 // value is an absent one.
 // /dataset streams the full store-derived dataset JSON — byte-identical
-// to the merge oracle's WriteJSON, which is how the differential tests
-// compare a served store against a merged spool. /refresh rescans the
+// to the crawl's own dataset's WriteJSON, which is how the differential
+// tests compare a served store against the crawl that wrote it. /refresh rescans the
 // store directory for newly sealed segments, the live-query path for a
 // read-only store following an active crawl.
 func NewHandler(store *Store) http.Handler {

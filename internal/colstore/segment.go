@@ -28,15 +28,16 @@ import (
 //
 // The end magic plus CRC make torn or bit-rotted segments detectable
 // without trusting any length field; the footer lets a reader validate
-// section offsets and sizes before decoding. Dictionaries assign IDs in
-// first-use order during the column encode, so identical record batches
-// produce byte-identical segments.
+// section offsets and sizes before decoding. Records are encoded as they
+// are ingested, each into every column, and dictionaries assign IDs in
+// first-use order, so identical record sequences produce byte-identical
+// segments.
 //
 // Columns, in order. Lengths of nil-able slices/maps are encoded with a
 // +1 marker (0 = nil, n+1 = n elements) so nil-ness survives the round
 // trip exactly — chainDomains/chainUrls marshal null vs [] differently
 // in dataset JSON, and the store's output must stay byte-identical to
-// the spool-merge oracle's. Map entries are always encoded sorted by
+// a fold of the same records. Map entries are always encoded sorted by
 // key. Signed int fields use zigzag varints; IDs and lengths uvarints.
 //
 //	pages:   site domID ×n, rank ×n, pageURL strID ×n
@@ -63,16 +64,24 @@ type dict struct {
 	vals []string
 }
 
-func newDict() *dict { return &dict{ids: map[string]uint64{}} }
-
 func (d *dict) id(s string) uint64 {
 	if id, ok := d.ids[s]; ok {
 		return id
+	}
+	if d.ids == nil {
+		d.ids = map[string]uint64{}
 	}
 	id := uint64(len(d.vals))
 	d.ids[s] = id
 	d.vals = append(d.vals, s)
 	return id
+}
+
+// reset empties the dictionary, keeping its storage.
+func (d *dict) reset() {
+	clear(d.ids)
+	clear(d.vals)
+	d.vals = d.vals[:0]
 }
 
 func appendDict(buf []byte, d *dict) []byte {
@@ -84,153 +93,161 @@ func appendDict(buf []byte, d *dict) []byte {
 	return buf
 }
 
-// segEncoder holds the three dictionaries and the growing column buffer
-// while a segment encodes.
+// The segment's columns, in file order.
+const (
+	colSite = iota
+	colRank
+	colPageURL
+	colSocketCount
+	colSockets
+	colHTTP
+	colAAObs
+	colNonAAObs
+	colCDNObs
+	numCols
+)
+
+// segEncoder is one segment being built: records are encoded into its
+// columns as they are added, so nothing holds a record until the seal,
+// and appendSegment assembles the file. Its storage — dictionaries,
+// columns, key scratch — is kept across reset.
 type segEncoder struct {
-	doms   *dict
-	labels *dict
-	strs   *dict
-	cols   []byte
+	doms, labels, strs dict
+	cols               [numCols][]byte
+	records, sockets   int
+	httpKeys, keys     []string // sorted-key scratch: HTTP keys, count-map keys
+	out                []byte   // the segment last assembled, a buffer the next reuses
 }
 
-func (e *segEncoder) uv(v uint64)  { e.cols = binary.AppendUvarint(e.cols, v) }
-func (e *segEncoder) sv(v int)     { e.cols = binary.AppendVarint(e.cols, int64(v)) }
-func (e *segEncoder) dom(s string) { e.uv(e.doms.id(s)) }
-func (e *segEncoder) str(s string) { e.uv(e.strs.id(s)) }
+func (e *segEncoder) uv(c int, v uint64) { e.cols[c] = binary.AppendUvarint(e.cols[c], v) }
+func (e *segEncoder) sv(c int, v int)    { e.cols[c] = binary.AppendVarint(e.cols[c], int64(v)) }
 
 // slice encodes a nil-able string slice with the +1 nil marker.
-func (e *segEncoder) slice(vals []string, d *dict) {
+func (e *segEncoder) slice(c int, vals []string, d *dict) {
 	if vals == nil {
-		e.uv(0)
+		e.uv(c, 0)
 		return
 	}
-	e.uv(uint64(len(vals)) + 1)
+	e.uv(c, uint64(len(vals))+1)
 	for _, v := range vals {
-		e.uv(d.id(v))
+		e.uv(c, d.id(v))
 	}
 }
 
 // counts encodes a nil-able map[string]int sorted by key against d.
-func (e *segEncoder) counts(m map[string]int, d *dict) {
+func (e *segEncoder) counts(c int, m map[string]int, d *dict) {
 	if m == nil {
-		e.uv(0)
+		e.uv(c, 0)
 		return
 	}
-	e.uv(uint64(len(m)) + 1)
-	keys := make([]string, 0, len(m))
+	e.uv(c, uint64(len(m))+1)
+	e.keys = e.keys[:0]
 	for k := range m {
-		keys = append(keys, k)
+		e.keys = append(e.keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e.uv(d.id(k))
-		e.sv(m[k])
+	sort.Strings(e.keys)
+	for _, k := range e.keys {
+		e.uv(c, d.id(k))
+		e.sv(c, m[k])
 	}
 }
 
-// encodeSegment serializes one record batch into segment bytes.
-func encodeSegment(seq int, recs []*analysis.PageRecord) []byte {
-	e := &segEncoder{doms: newDict(), labels: newDict(), strs: newDict()}
-
-	// pages
-	for _, r := range recs {
-		e.dom(r.Site)
-	}
-	for _, r := range recs {
-		e.sv(r.Rank)
-	}
-	for _, r := range recs {
-		e.str(r.PageURL)
-	}
-	// sockets
-	sockets := 0
-	for _, r := range recs {
-		e.uv(uint64(len(r.Sockets)))
-		sockets += len(r.Sockets)
-	}
-	for _, r := range recs {
-		for i := range r.Sockets {
-			ws := &r.Sockets[i]
-			e.dom(ws.Site)
-			e.sv(ws.Rank)
-			e.str(ws.PageURL)
-			e.str(ws.URL)
-			e.dom(ws.ReceiverDomain)
-			e.dom(ws.InitiatorDomain)
-			e.slice(ws.ChainDomains, e.doms)
-			e.slice(ws.ChainURLs, e.strs)
-			var flags byte
-			if ws.CrossOrigin {
-				flags |= 1
-			}
-			if ws.HandshakeOK {
-				flags |= 2
-			}
-			if ws.ChainBlocked {
-				flags |= 4
-			}
-			e.cols = append(e.cols, flags)
-			e.sv(ws.FramesSent)
-			e.sv(ws.FramesRecv)
-			e.slice(ws.SentItems, e.labels)
-			e.slice(ws.RecvClasses, e.labels)
-			e.sv(ws.AdRefs)
-			e.slice(ws.AdSamples, e.strs)
+// add encodes one record into the columns.
+func (e *segEncoder) add(r *analysis.PageRecord) {
+	e.uv(colSite, e.doms.id(r.Site))
+	e.sv(colRank, r.Rank)
+	e.uv(colPageURL, e.strs.id(r.PageURL))
+	e.uv(colSocketCount, uint64(len(r.Sockets)))
+	for i := range r.Sockets {
+		ws := &r.Sockets[i]
+		const c = colSockets
+		e.uv(c, e.doms.id(ws.Site))
+		e.sv(c, ws.Rank)
+		e.uv(c, e.strs.id(ws.PageURL))
+		e.uv(c, e.strs.id(ws.URL))
+		e.uv(c, e.doms.id(ws.ReceiverDomain))
+		e.uv(c, e.doms.id(ws.InitiatorDomain))
+		e.slice(c, ws.ChainDomains, &e.doms)
+		e.slice(c, ws.ChainURLs, &e.strs)
+		var flags byte
+		if ws.CrossOrigin {
+			flags |= 1
 		}
-	}
-	// http
-	for _, r := range recs {
-		if r.HTTP == nil {
-			e.uv(0)
-			continue
+		if ws.HandshakeOK {
+			flags |= 2
 		}
-		e.uv(uint64(len(r.HTTP)) + 1)
-		keys := make([]string, 0, len(r.HTTP))
+		if ws.ChainBlocked {
+			flags |= 4
+		}
+		e.cols[c] = append(e.cols[c], flags)
+		e.sv(c, ws.FramesSent)
+		e.sv(c, ws.FramesRecv)
+		e.slice(c, ws.SentItems, &e.labels)
+		e.slice(c, ws.RecvClasses, &e.labels)
+		e.sv(c, ws.AdRefs)
+		e.slice(c, ws.AdSamples, &e.strs)
+	}
+	if r.HTTP == nil {
+		e.uv(colHTTP, 0)
+	} else {
+		e.uv(colHTTP, uint64(len(r.HTTP))+1)
+		e.httpKeys = e.httpKeys[:0]
 		for k := range r.HTTP {
-			keys = append(keys, k)
+			e.httpKeys = append(e.httpKeys, k)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		sort.Strings(e.httpKeys)
+		for _, k := range e.httpKeys {
 			t := r.HTTP[k]
-			e.dom(k)
-			e.dom(t.Domain)
-			e.sv(t.Requests)
-			e.sv(t.ChainsBlocked)
-			e.counts(t.SentItems, e.labels)
-			e.counts(t.RecvClasses, e.labels)
+			e.uv(colHTTP, e.doms.id(k))
+			e.uv(colHTTP, e.doms.id(t.Domain))
+			e.sv(colHTTP, t.Requests)
+			e.sv(colHTTP, t.ChainsBlocked)
+			e.counts(colHTTP, t.SentItems, &e.labels)
+			e.counts(colHTTP, t.RecvClasses, &e.labels)
 		}
 	}
-	// obs
-	for _, r := range recs {
-		e.counts(r.AAObs, e.doms)
-	}
-	for _, r := range recs {
-		e.counts(r.NonAAObs, e.doms)
-	}
-	for _, r := range recs {
-		e.counts(r.CDNObs, e.doms)
-	}
+	e.counts(colAAObs, r.AAObs, &e.doms)
+	e.counts(colNonAAObs, r.NonAAObs, &e.doms)
+	e.counts(colCDNObs, r.CDNObs, &e.doms)
+	e.records++
+	e.sockets += len(r.Sockets)
+}
 
-	// Assemble: header, dicts, columns, footer, crc, end magic.
-	buf := make([]byte, 0, len(e.cols)+4096)
+// appendSegment appends the segment file of the records added so far,
+// numbered seq, to buf: header, dicts, columns, footer, crc, end magic.
+func (e *segEncoder) appendSegment(buf []byte, seq int) []byte {
 	buf = append(buf, segMagic...)
 	buf = binary.AppendUvarint(buf, segVersion)
 	buf = binary.AppendUvarint(buf, uint64(seq))
 	dictsOff := uint32(len(buf))
-	buf = appendDict(buf, e.doms)
-	buf = appendDict(buf, e.labels)
-	buf = appendDict(buf, e.strs)
+	buf = appendDict(buf, &e.doms)
+	buf = appendDict(buf, &e.labels)
+	buf = appendDict(buf, &e.strs)
 	colsOff := uint32(len(buf))
-	buf = append(buf, e.cols...)
+	for _, col := range e.cols {
+		buf = append(buf, col...)
+	}
 	bodyLen := uint32(len(buf))
 	buf = binary.LittleEndian.AppendUint32(buf, dictsOff)
 	buf = binary.LittleEndian.AppendUint32(buf, colsOff)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(sockets))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.records))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.sockets))
 	buf = binary.LittleEndian.AppendUint32(buf, bodyLen)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	buf = append(buf, segEndMagic...)
-	return buf
+	return append(buf, segEndMagic...)
+}
+
+// reset empties the encoder for the next segment, keeping its storage.
+func (e *segEncoder) reset() {
+	e.doms.reset()
+	e.labels.reset()
+	e.strs.reset()
+	for i := range e.cols {
+		e.cols[i] = e.cols[i][:0]
+	}
+	e.records, e.sockets = 0, 0
+	clear(e.httpKeys[:cap(e.httpKeys)])
+	clear(e.keys[:cap(e.keys)])
 }
 
 // segDecoder walks a validated segment byte slice.

@@ -1,27 +1,27 @@
 // Package colstore is the embedded append-only columnar dataset store:
-// a crawl's fold with its own durable, queryable segments, built for
-// crawls too large to re-read at the end.
+// every crawl's one durable record of its pages, its fold, and the
+// query service over it.
 //
 // PageRecords are ingested incrementally as the crawl runs. Each record
-// folds straight into the incremental Table 1–5 aggregation (the same
-// analysis.Folder fold a store-less ledger keeps, so the derived dataset
-// is byte-identical by construction) and is buffered for the next
-// segment. At every group-commit boundary — and whenever the buffer
-// reaches SegmentPages — the buffered records are sealed into one
-// immutable dictionary-encoded segment file: written to a temp file,
-// fsynced, renamed into place, and made durable with a parent-directory
-// sync (SyncDir documents that contract). A sealed segment is therefore
-// all-or-nothing: recovery either sees the complete CRC-verified file
-// or no file at all, and anything in between is a hard error, never a
-// skip.
+// folds straight into the incremental Table 1–5 aggregation (an
+// analysis.Folder) and is encoded into the columns of the next segment,
+// so the store keeps no record once Ingest returns. At every
+// group-commit boundary — and whenever the buffer reaches SegmentPages —
+// the buffered columns are sealed into one immutable dictionary-encoded
+// segment file: written to a temp file, fsynced, renamed into place, and
+// made durable with a parent-directory sync (SyncDir documents that
+// contract). A sealed segment is therefore all-or-nothing: recovery
+// either sees the complete CRC-verified file or no file at all, and
+// anything in between is a hard error, never a skip.
 //
 // Recovery replays sealed segments through the fold in seq order.
-// Records deduplicate by (site, pageURL) with first-occurrence wins —
-// exactly like the spool replay — so a crawl killed mid-run and resumed
-// converges on the same dataset: sites the checkpoint marked done were
-// sealed before the checkpoint was written (the dispatch ledger seals
-// at the same boundary it flushes the spool), and everything else is
-// re-crawled deterministically and deduplicated on re-ingest.
+// Records deduplicate by (site, pageURL) with first-occurrence wins, so
+// a crawl killed mid-run and resumed converges on the same dataset:
+// sites the checkpoint marked done were sealed before the checkpoint
+// was written (the dispatch ledger seals, then publishes), and
+// everything else is re-crawled deterministically and deduplicated on
+// re-ingest. store.json pins the crawl's identity, so a resume never
+// folds another crawl's segments.
 //
 // The read side (query.go, http.go) serves filter/group-by queries over
 // snapshots of the fold; OpenRead opens a store read-only — of a live
@@ -45,16 +45,25 @@ import (
 // manifestName is the store's identity file, written once at creation.
 const manifestName = "store.json"
 
-// manifestVersion is the on-disk store format version.
-const manifestVersion = 2
+// manifestVersion is the on-disk store format version. Version 3 pins
+// the seed, page budget and site count beside the dataset identity.
+const manifestVersion = 3
 
 // manifest pins the store's identity so a resume (or a reader) cannot
 // mix segments from a different crawl into one dataset.
 type manifest struct {
-	Version    int    `json:"version"`
-	Name       string `json:"name"`
-	Era        string `json:"era,omitempty"`
-	CrawlIndex int    `json:"crawlIndex"`
+	Version      int    `json:"version"`
+	Name         string `json:"name"`
+	Era          string `json:"era,omitempty"`
+	CrawlIndex   int    `json:"crawlIndex"`
+	Seed         int64  `json:"seed"`
+	PagesPerSite int    `json:"pagesPerSite"`
+	TotalSites   int    `json:"totalSites"`
+}
+
+func (m *manifest) String() string {
+	return fmt.Sprintf("crawl %q (era %q, index %d, seed %d, %d pages × %d sites)",
+		m.Name, m.Era, m.CrawlIndex, m.Seed, m.PagesPerSite, m.TotalSites)
 }
 
 // Config parameterizes Open.
@@ -66,6 +75,12 @@ type Config struct {
 	NumShards int
 	// Meta names the crawl; it becomes the dataset identity.
 	Meta analysis.DatasetMeta
+	// Seed, PagesPerSite and TotalSites complete the crawl's identity:
+	// store.json pins them beside Meta, and a resume of a store that
+	// names another crawl is refused.
+	Seed         int64
+	PagesPerSite int
+	TotalSites   int
 	// Resume accepts an existing store directory and replays its sealed
 	// segments. Without Resume the directory must be empty of store
 	// state.
@@ -80,26 +95,28 @@ type Config struct {
 // concurrent use; Ingest runs on crawl worker goroutines.
 type Store struct {
 	dir      string
-	meta     analysis.DatasetMeta
+	id       manifest
 	segPages int
 	readonly bool
 
 	folder *analysis.Folder
 
 	// segMu is held by a seal from taking the buffer until the segment
-	// is published or the records are put back, so a Seal that returns
-	// has seen every seal before it finish; and by a replay from listing
-	// the segments until it has marked them consumed, so concurrent
-	// rescans fold each segment once.
+	// is published or kept for a retry, so a Seal that returns has seen
+	// every seal before it finish; and by a replay from listing the
+	// segments until it has marked them consumed, so concurrent rescans
+	// fold each segment once.
 	segMu sync.Mutex
+	spare *segEncoder // the last sealed buffer, reset; guarded by segMu
+	retry []byte      // a segment whose publish failed, sealed again first; guarded by segMu
 
 	mu       sync.Mutex
-	pending  []*analysis.PageRecord // guarded by mu
-	seq      int                    // next segment seq; guarded by mu
-	segments int                    // sealed segments; guarded by mu
-	consumed map[string]bool        // segment files folded; guarded by segMu
-	pages    int                    // distinct records folded; guarded by mu
-	dups     int                    // duplicates dropped; guarded by mu
+	pending  *segEncoder     // the records buffered for the next segment; guarded by mu
+	seq      int             // next segment seq; guarded by mu
+	segments int             // sealed segments; guarded by mu
+	consumed map[string]bool // segment files folded; guarded by segMu
+	pages    int             // distinct records folded; guarded by mu
+	dups     int             // duplicates dropped; guarded by mu
 }
 
 // Open creates or resumes a writable store.
@@ -111,10 +128,15 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("colstore: open: %w", err)
 	}
 	s := &Store{
-		dir:      cfg.Dir,
-		meta:     cfg.Meta,
+		dir: cfg.Dir,
+		id: manifest{
+			Version: manifestVersion,
+			Name:    cfg.Meta.Name, Era: cfg.Meta.Era, CrawlIndex: cfg.Meta.CrawlIndex,
+			Seed: cfg.Seed, PagesPerSite: cfg.PagesPerSite, TotalSites: cfg.TotalSites,
+		},
 		segPages: cfg.SegmentPages,
 		folder:   analysis.NewFolder(cfg.Meta),
+		pending:  new(segEncoder),
 		consumed: map[string]bool{},
 	}
 	m, err := loadManifest(cfg.Dir)
@@ -127,10 +149,8 @@ func Open(cfg Config) (*Store, error) {
 		}
 	case !cfg.Resume:
 		return nil, fmt.Errorf("colstore: open %s: store already exists (crawl %q); pass Resume to continue it", cfg.Dir, m.Name)
-	default:
-		if err := s.checkManifest(m); err != nil {
-			return nil, err
-		}
+	case *m != s.id:
+		return nil, fmt.Errorf("colstore: %s holds %v, not %v — point at the original crawl's store or start fresh", s.dir, m, &s.id)
 	}
 	// A crash can leave a temp file behind mid-seal; it was never
 	// renamed, so it holds nothing the store vouched for. Remove it
@@ -156,14 +176,8 @@ func OpenRead(dir string) (*Store, error) {
 	if m == nil {
 		return nil, fmt.Errorf("colstore: open %s: no store manifest", dir)
 	}
-	meta := analysis.DatasetMeta{Name: m.Name, Era: m.Era, CrawlIndex: m.CrawlIndex}
-	s := &Store{
-		dir:      dir,
-		meta:     meta,
-		readonly: true,
-		folder:   analysis.NewFolder(meta),
-		consumed: map[string]bool{},
-	}
+	s := &Store{dir: dir, id: *m, readonly: true, consumed: map[string]bool{}}
+	s.folder = analysis.NewFolder(s.Meta())
 	if err := s.replaySegments(); err != nil {
 		return nil, err
 	}
@@ -189,24 +203,11 @@ func loadManifest(dir string) (*manifest, error) {
 }
 
 func (s *Store) writeManifest() error {
-	m := manifest{
-		Version:    manifestVersion,
-		Name:       s.meta.Name,
-		Era:        s.meta.Era,
-		CrawlIndex: s.meta.CrawlIndex,
-	}
-	data, err := json.Marshal(&m)
+	data, err := json.Marshal(&s.id)
 	if err != nil {
 		return fmt.Errorf("colstore: encode manifest: %w", err)
 	}
 	return publish(filepath.Join(s.dir, manifestName), append(data, '\n'))
-}
-
-func (s *Store) checkManifest(m *manifest) error {
-	if m.Name != s.meta.Name || m.Era != s.meta.Era || m.CrawlIndex != s.meta.CrawlIndex {
-		return fmt.Errorf("colstore: %s holds crawl %q era %q index %d, not %q/%q/%d — point at the original crawl's store or start fresh", s.dir, m.Name, m.Era, m.CrawlIndex, s.meta.Name, s.meta.Era, s.meta.CrawlIndex)
-	}
-	return nil
 }
 
 // publish atomically writes data at path (WriteAtomic).
@@ -275,6 +276,11 @@ func (s *Store) replaySegments() error {
 			return fmt.Errorf("colstore: read segment: %w", err)
 		}
 		seq, recs, err := decodeSegment(data)
+		if err == nil && name != segmentName(seq) {
+			// A segment is sealed under its own seq; one under another
+			// name was moved, and the sequence can no longer be trusted.
+			err = fmt.Errorf("colstore: segment header names seq %d", seq)
+		}
 		if err != nil {
 			return fmt.Errorf("colstore: sealed segment %s is damaged: %w", name, err)
 		}
@@ -296,12 +302,12 @@ func (s *Store) replaySegments() error {
 	return nil
 }
 
-// Ingest folds one page record into the live aggregation and buffers it
-// for the next segment. It reports whether the record was fresh (false =
-// duplicate of an already-ingested (site, pageURL), dropped). The record
-// is retained by reference until sealed; callers must not mutate it
-// afterwards — the dispatch ingest path hands over the same immutable
-// records it spools.
+// Ingest folds one page record into the live aggregation and encodes
+// it into the next segment's columns. It reports whether the record was
+// fresh (false = duplicate of an already-ingested (site, pageURL),
+// dropped). The store keeps no part of rec but its strings (the fold
+// copies what it keeps), so the caller may reuse the record's maps and
+// slices once Ingest returns.
 func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	if s.readonly {
 		return false, fmt.Errorf("colstore: store %s is read-only", s.dir)
@@ -311,8 +317,8 @@ func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	s.mu.Lock()
 	if fresh {
 		s.pages++
-		s.pending = append(s.pending, rec)
-		full = len(s.pending) >= s.segPages
+		s.pending.add(rec)
+		full = s.pending.records >= s.segPages
 	} else {
 		s.dups++
 	}
@@ -330,9 +336,9 @@ func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 
 // Seal writes the buffered records into one sealed segment file, after
 // any seal already in flight has finished. Call it at group-commit
-// boundaries: dispatch.Ledger.Commit seals after the spool flush and
-// before the checkpoint is published, so a checkpoint never marks a job
-// done whose pages are not in a durable segment.
+// boundaries: dispatch.Ledger.Commit seals before it publishes the
+// checkpoint, so a checkpoint never marks a job done whose pages are
+// not in a durable segment.
 func (s *Store) Seal() error {
 	if s.readonly {
 		return fmt.Errorf("colstore: store %s is read-only", s.dir)
@@ -340,43 +346,97 @@ func (s *Store) Seal() error {
 	return s.seal(1)
 }
 
-// seal seals the buffer into the next segment when it holds at least
-// atLeast records; Ingest's auto-seal passes SegmentPages, so of several
+// seal first publishes a segment an earlier seal failed to, then seals
+// the buffer into the next segment when it holds at least atLeast
+// records; Ingest's auto-seal passes SegmentPages, so of several
 // ingests that filled the buffer only the first seals.
 func (s *Store) seal(atLeast int) error {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
+	if s.retry != nil {
+		name, err := s.publishSegment(s.retry)
+		if err != nil {
+			return err
+		}
+		s.consumed[name] = true
+		s.retry = nil
+	}
 	s.mu.Lock()
-	recs, seq := s.pending, s.seq
-	if len(recs) >= atLeast {
-		s.pending = nil
+	enc, seq := s.pending, s.seq
+	take := enc.records >= atLeast
+	if take {
+		if s.pending = s.spare; s.pending == nil {
+			s.pending = new(segEncoder)
+		}
+		s.spare = nil
 	}
 	s.mu.Unlock()
-	if len(recs) < atLeast {
+	if !take {
 		return nil
 	}
 
 	span := obs.StartSpan(obs.StoreSeal)
-	name := segmentName(seq)
-	data := encodeSegment(seq, recs)
-	if err := publish(filepath.Join(s.dir, name), data); err != nil {
-		// The segment never became durable; put the records back so a
-		// later Seal retries them. Prepend keeps ingest order.
-		s.mu.Lock()
-		s.pending = append(recs, s.pending...)
-		s.mu.Unlock()
-		return err
+	// The segment's bytes reuse the last one's buffer, which the publish
+	// below is done with once it returns.
+	data := enc.appendSegment(enc.out[:0], seq)
+	enc.out = data
+	name, err := s.publishSegment(data)
+	if err != nil {
+		// The segment never became durable: keep its bytes (the buffer
+		// goes with them) so the next seal publishes them first, under
+		// the same seq.
+		s.retry, enc.out = data, nil
+	} else {
+		s.consumed[name] = true
+		span.End()
 	}
-	span.End()
+	enc.reset()
+	s.spare = enc
+	return err
+}
+
+// publishSegment publishes data as the segment numbered s.seq, advances
+// the sequence, and returns the segment's file name for the caller —
+// which holds segMu — to mark consumed.
+func (s *Store) publishSegment(data []byte) (string, error) {
 	s.mu.Lock()
-	s.seq = seq + 1
-	s.consumed[name] = true
+	name := segmentName(s.seq)
+	s.mu.Unlock()
+	if err := publish(filepath.Join(s.dir, name), data); err != nil {
+		return "", err
+	}
+	s.mu.Lock()
+	s.seq++
 	s.segments++
 	s.mu.Unlock()
 	obs.StoreSeals.Inc()
 	obs.StoreSegments.Add(1)
 	obs.StoreBytes.Add(int64(len(data)))
-	return nil
+	return name, nil
+}
+
+// Sealed returns how many segments the store's sequence holds: those
+// numbered 0 to Sealed()-1. A checkpoint taken after a Seal vouches for
+// that many.
+func (s *Store) Sealed() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seq
+}
+
+// MissingSegment returns the name of the first of segments 0 to n-1
+// that the store has not folded, or "" when it has folded them all: a
+// resume's check that every segment its checkpoint vouches for was
+// there to replay.
+func (s *Store) MissingSegment(n int) string {
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	for seq := 0; seq < n; seq++ {
+		if name := segmentName(seq); !s.consumed[name] {
+			return name
+		}
+	}
+	return ""
 }
 
 // Rescan folds any segments sealed since the store was opened (or last
@@ -387,16 +447,16 @@ func (s *Store) Rescan() error {
 }
 
 // Dataset snapshots the store-derived dataset: canonical, immutable,
-// and — after the same records — byte-identical to a store-less ledger's
-// fold, and to the tests' spool merge (oracle.MergeShards).
-// Callable at any point during the crawl.
+// and — after the same records — byte-identical to any other fold of
+// them, a cold OpenRead's included. Callable at any point during the
+// crawl.
 func (s *Store) Dataset() (*analysis.Dataset, analysis.MergeStats) {
 	return s.folder.Snapshot()
 }
 
-// Finalize closes out the crawl's aggregation, reporting merge metrics
-// exactly like a store-less ledger's fold does (merge.pages,
-// merge.duplicates, stage.merge). Call once, when the crawl is done.
+// Finalize closes out the crawl's aggregation, reporting its merge
+// metrics (merge.pages, merge.duplicates, stage.merge). Call once, when
+// the crawl is done.
 func (s *Store) Finalize() (*analysis.Dataset, analysis.MergeStats) {
 	return s.folder.Finalize()
 }
@@ -408,7 +468,9 @@ func (s *Store) state() analysis.FoldState {
 }
 
 // Meta returns the crawl identity the store was opened with.
-func (s *Store) Meta() analysis.DatasetMeta { return s.meta }
+func (s *Store) Meta() analysis.DatasetMeta {
+	return analysis.DatasetMeta{Name: s.id.Name, Era: s.id.Era, CrawlIndex: s.id.CrawlIndex}
+}
 
 // Version increases with every folded record; the query layer uses it
 // to cache snapshots.
@@ -428,12 +490,16 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	pending := 0
+	if s.pending != nil { // nil on a read-only store
+		pending = s.pending.records
+	}
 	return Stats{
 		Dir:      s.dir,
 		Segments: s.segments,
 		Pages:    s.pages,
 		Dups:     s.dups,
-		Pending:  len(s.pending),
+		Pending:  pending,
 		ReadOnly: s.readonly,
 	}
 }

@@ -44,6 +44,16 @@ func testRecord(site string, rank, i int) *analysis.PageRecord {
 	return rec
 }
 
+// encodeSegment is the segment a store seals as seq after ingesting
+// recs, in order.
+func encodeSegment(seq int, recs []*analysis.PageRecord) []byte {
+	var e segEncoder
+	for _, rec := range recs {
+		e.add(rec)
+	}
+	return e.appendSegment(nil, seq)
+}
+
 func spoolLine(t *testing.T, rec *analysis.PageRecord) []byte {
 	t.Helper()
 	line, err := analysis.AppendSpoolRecord(nil, rec)
@@ -91,9 +101,21 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 
 	// Dictionary IDs assign in first-use order, so identical batches
-	// encode byte-identically.
+	// encode byte-identically — also through an encoder that was reset
+	// after sealing another batch.
 	if !bytes.Equal(data, encodeSegment(7, recs)) {
 		t.Error("segment encoding is not deterministic")
+	}
+	var e segEncoder
+	for _, rec := range allRecords() {
+		e.add(rec)
+	}
+	e.reset()
+	for _, rec := range recs {
+		e.add(rec)
+	}
+	if !bytes.Equal(data, e.appendSegment(nil, 7)) {
+		t.Error("a reset encoder encodes the batch differently")
 	}
 }
 
@@ -352,25 +374,166 @@ func TestConcurrentIngestAndSeal(t *testing.T) {
 	}
 }
 
-// TestStoreRefusesV1 pins the format break of the unsharded store: a v1
-// manifest (which carried a shard count) and a v1 segment header (which
-// carried a shard field) are refused, never read as v2.
+// TestStoreRefusesV1 pins the format breaks of the store: a v1
+// manifest (which carried a shard count), a v2 one (which pinned no
+// seed, page budget or site count) and a v1 segment header (which
+// carried a shard field) are refused, never read as the current version.
 func TestStoreRefusesV1(t *testing.T) {
-	dir := t.TempDir()
-	v1 := `{"version":1,"name":"store-test","era":"pre","crawlIndex":0,"numShards":8}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(Config{Dir: dir, Meta: testMeta(), Resume: true}); err == nil || !strings.Contains(err.Error(), "unsupported store version 1") {
-		t.Errorf("Open of a v1 store: err = %v", err)
-	}
-	if _, err := OpenRead(dir); err == nil || !strings.Contains(err.Error(), "unsupported store version 1") {
-		t.Errorf("OpenRead of a v1 store: err = %v", err)
+	for v, old := range map[int]string{
+		1: `{"version":1,"name":"store-test","era":"pre","crawlIndex":0,"numShards":8}`,
+		2: `{"version":2,"name":"store-test","era":"pre","crawlIndex":0}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(old+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("unsupported store version %d", v)
+		if _, err := Open(Config{Dir: dir, Meta: testMeta(), Resume: true}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Open of a v%d store: err = %v", v, err)
+		}
+		if _, err := OpenRead(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenRead of a v%d store: err = %v", v, err)
+		}
 	}
 	seg := encodeSegment(0, []*analysis.PageRecord{testRecord("pub.com", 1, 0)})
 	seg[len(segMagic)] = 1
 	if _, _, err := decodeSegment(resealed(seg)); err == nil || !strings.Contains(err.Error(), "unsupported segment version 1") {
 		t.Errorf("decode of a v1 segment: err = %v", err)
+	}
+}
+
+// TestStoreResumeRefusesAnotherCrawl: store.json pins the crawl's
+// seed, page budget and site count beside its dataset identity, and a
+// resume that names another value of any of them is refused before it
+// folds a segment or changes a byte.
+func TestStoreResumeRefusesAnotherCrawl(t *testing.T) {
+	base := Config{Meta: testMeta(), Seed: 7, PagesPerSite: 4, TotalSites: 3}
+	for name, change := range map[string]func(*Config){
+		"seed":         func(c *Config) { c.Seed++ },
+		"page budget":  func(c *Config) { c.PagesPerSite++ },
+		"site count":   func(c *Config) { c.TotalSites++ },
+		"crawl index":  func(c *Config) { c.Meta.CrawlIndex++ },
+		"nothing else": func(c *Config) {},
+	} {
+		cfg := base
+		cfg.Dir = t.TempDir()
+		st, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range allRecords() {
+			if _, err := st.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, cfg.Dir)
+		change(&cfg)
+		cfg.Resume = true
+		re, err := Open(cfg)
+		if name == "nothing else" {
+			if err != nil {
+				t.Fatalf("resume of the same crawl: %v", err)
+			}
+			if _, stats := re.Dataset(); stats.Pages != len(allRecords()) {
+				t.Errorf("resume of the same crawl replayed %d pages, want %d", stats.Pages, len(allRecords()))
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "start fresh") {
+			t.Errorf("resume with another %s: err = %v, want a refusal", name, err)
+		}
+		if !bytes.Equal(before, dirBytes(t, cfg.Dir)) {
+			t.Errorf("refused resume with another %s changed the store", name)
+		}
+	}
+}
+
+// dirBytes concatenates the names and contents of dir's files.
+func dirBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(append(all, e.Name()...), data...)
+	}
+	return all
+}
+
+// TestSealRetriesFailedPublish: a segment whose publish fails is
+// published by the next seal, under the same seq and ahead of the
+// records ingested since, so the sequence stays contiguous and no
+// record is lost or duplicated.
+func TestSealRetriesFailedPublish(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Config{Dir: dir, Meta: testMeta()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := allRecords()
+	for _, rec := range recs[:4] {
+		if _, err := st.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	// The store directory disappears under the next seal.
+	moved := dir + ".moved"
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs[4:8] {
+		if _, err := st.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Seal(); err == nil {
+		t.Fatal("Seal into a missing directory succeeded")
+	}
+	if err := os.Rename(moved, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs[8:] {
+		if _, err := st.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 3 || st.Sealed() != 3 {
+		t.Fatalf("segments %v, Sealed() = %d; want seg 0-2", names, st.Sealed())
+	}
+	for i, want := range [][]*analysis.PageRecord{recs[:4], recs[4:8], recs[8:]} {
+		got, err := ReadSegment(filepath.Join(dir, segmentName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || got[0].PageURL != want[0].PageURL {
+			t.Errorf("segment %d holds %d records from %s, want %d from %s", i, len(got), got[0].PageURL, len(want), want[0].PageURL)
+		}
+	}
+	ro, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds, _ := ro.Dataset(); !bytes.Equal(datasetBytes(t, ds), foldOracle(t, recs)) {
+		t.Error("replayed dataset differs from the fold oracle")
 	}
 }
 

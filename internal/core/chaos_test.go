@@ -36,7 +36,6 @@ func chaosCrawl(t *testing.T, stateDir, profile string, faultSeed int64, publish
 			FaultProfile: profile, FaultSeed: faultSeed,
 			Dispatch: &DispatchOptions{
 				CheckpointPath: filepath.Join(stateDir, "checkpoint.json"),
-				SpoolDir:       filepath.Join(stateDir, "spool"),
 			},
 		}, CrawlSpec{Name: "chaos-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57})
 		done <- outcome{res, err}
@@ -161,7 +160,6 @@ func TestChaosDisabledIsByteIdenticalToPlainRun(t *testing.T) {
 		Seed: 77, NumPublishers: 8, Workers: 4, PagesPerSite: 2,
 		Dispatch: &DispatchOptions{
 			CheckpointPath: filepath.Join(t.TempDir(), "checkpoint.json"),
-			SpoolDir:       filepath.Join(t.TempDir(), "spool"),
 		},
 	}, CrawlSpec{Name: "chaos-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57})
 	if err != nil {

@@ -11,10 +11,11 @@
 // Individual crawls are available through RunCrawl. Every crawl is one
 // loop over internal/dispatch's queue and ledger — lease a grant, crawl
 // its sites through the page plane (plane.go), emit each page as a spool
-// line into the ledger, settle the grant — which RunCrawl runs
-// in-process (dispatch.Run) and the fabric entry points (fabric.go) run
-// over the wire; a crawl whose Options name no location keeps its state
-// in a temporary directory. Custom worlds and
+// line into the ledger, which ingests it into the crawl's columnar
+// store, settle the grant — which RunCrawl runs in-process
+// (dispatch.Run) and the fabric entry points (fabric.go) run over the
+// wire; a crawl whose Options name no location keeps its state in a
+// temporary directory. Custom worlds and
 // blocker-equipped browsers are built from the underlying packages
 // directly (webgen, webserver, browser.New with adblock extensions), as
 // the programs under examples/ do.
@@ -68,18 +69,15 @@ type Options struct {
 	PagesPerSite int
 	// Dispatch locates and tunes the durable grant loop every crawl runs
 	// through (internal/dispatch): lease-backed queue, retries,
-	// checkpoint/resume, and sharded spooling. Nil, like options naming
-	// no location, keeps each crawl's state in a temporary directory.
+	// checkpoint/resume, and the crawl's columnar store
+	// (internal/colstore), which ingests every page record as it
+	// arrives, seals its segments atomically at each checkpoint boundary
+	// and owns the crawl's fold, and which cmd/wsquery queries. Nil, like
+	// options naming no location, keeps each crawl's state in a
+	// temporary directory.
 	Dispatch *DispatchOptions
-	// Store routes dispatch-path crawls through the embedded columnar
-	// store (internal/colstore): every page record is ingested as it
-	// arrives, segments seal atomically at each checkpoint boundary, and
-	// the store owns the crawl's fold, so the dataset is its incremental
-	// aggregate. The spool stays behind as the differential oracle —
-	// store-derived tables are byte-identical to merge-derived ones
-	// (TestStoreDifferential).
-	// Requires a location (Dispatch.StateDir or Dispatch.StoreDir); the
-	// sealed store is queryable with cmd/wsquery.
+	// Store is read by nothing: every crawl writes its store. It stays
+	// declared only so bench/ compiles until ROADMAP 1(b).
 	Store bool
 	// FaultProfile, when non-empty, names a faultnet profile (see
 	// faultnet.Names) injected on both sides of the wire: uniformly on
@@ -93,15 +91,15 @@ type Options struct {
 
 // DispatchOptions configures a crawl's durable state.
 type DispatchOptions struct {
-	// StateDir is the root for per-crawl checkpoints and spool shards
-	// (crawlN.checkpoint.json, spool-crawlN/). When it, CheckpointPath
-	// and SpoolDir are all empty, the crawl uses a temporary directory.
+	// StateDir is the root for per-crawl checkpoints and stores
+	// (crawlN.checkpoint.json, store-crawlN/). When it and
+	// CheckpointPath are both empty, the crawl keeps its checkpoint, and
+	// its store unless StoreDir names one, in a temporary directory.
 	StateDir string
-	// CheckpointPath / SpoolDir / StoreDir override the StateDir-derived
-	// layout for single-crawl use (cmd/wscrawl's -checkpoint /
-	// -spool-dir / -store-dir).
+	// CheckpointPath / StoreDir override the StateDir-derived layout for
+	// single-crawl use (cmd/wscrawl's -checkpoint / -store-dir); the
+	// store defaults to store-crawlN beside the checkpoint.
 	CheckpointPath string
-	SpoolDir       string
 	StoreDir       string
 	// Resume continues an interrupted crawl from its checkpoint.
 	Resume bool
@@ -117,20 +115,19 @@ func (d *DispatchOptions) checkpointPath(spec CrawlSpec) string {
 	return filepath.Join(d.StateDir, fmt.Sprintf("crawl%d.checkpoint.json", spec.CrawlIndex))
 }
 
-// spoolDir resolves the spool directory for one crawl.
-func (d *DispatchOptions) spoolDir(spec CrawlSpec) string {
-	if d.SpoolDir != "" {
-		return d.SpoolDir
-	}
-	return filepath.Join(d.StateDir, fmt.Sprintf("spool-crawl%d", spec.CrawlIndex))
-}
-
-// storeDir resolves the columnar store directory for one crawl.
-func (d *DispatchOptions) storeDir(spec CrawlSpec) string {
+// StorePath resolves the columnar store directory of one crawl:
+// StoreDir, else store-crawlN beside the crawl's checkpoint.
+func (d *DispatchOptions) StorePath(spec CrawlSpec) string {
 	if d.StoreDir != "" {
 		return d.StoreDir
 	}
-	return filepath.Join(d.StateDir, fmt.Sprintf("store-crawl%d", spec.CrawlIndex))
+	return storeBeside(d.checkpointPath(spec), spec)
+}
+
+// storeBeside is where a crawl's store lives by default: store-crawlN
+// in the directory of its checkpoint.
+func storeBeside(checkpointPath string, spec CrawlSpec) string {
+	return filepath.Join(filepath.Dir(checkpointPath), fmt.Sprintf("store-crawl%d", spec.CrawlIndex))
 }
 
 // DefaultOptions returns the laptop-scale defaults.
@@ -155,9 +152,10 @@ type CrawlResult struct {
 
 // RunCrawl generates the world for a crawl spec, serves it, crawls it
 // through dispatch.Run's grant loop (internal/dispatch: lease-backed
-// queue, retries, checkpoint, sharded spool) and returns the measurement
-// dataset. When opts.Dispatch names no location, the crawl's state lives
-// in a temporary directory that is removed before RunCrawl returns.
+// queue, retries, checkpoint, columnar store) and returns the
+// measurement dataset. When opts.Dispatch names no location, the
+// crawl's state lives in a temporary directory that is removed before
+// RunCrawl returns.
 func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, error) {
 	plane, err := newPagePlane(opts, spec)
 	if err != nil {
@@ -173,20 +171,16 @@ func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, 
 
 // crawl runs the plane's sites through dispatch.Run, each grant with
 // runGrant, and counts the attempts in the result's Stats. Only state
-// that must outlive the process needs a location: a resume reads a
-// checkpoint and a store is queried after the crawl, so both refuse a
-// crawl that names none.
+// that must outlive the process needs a location, and a resume reads a
+// checkpoint, so it refuses a crawl that names none.
 func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 	var d DispatchOptions
 	if p.opts.Dispatch != nil {
 		d = *p.opts.Dispatch
 	}
-	if d.StateDir == "" && d.CheckpointPath == "" && d.SpoolDir == "" {
-		switch {
-		case d.Resume:
-			return nil, errors.New("resuming needs the interrupted crawl's location (StateDir, CheckpointPath or SpoolDir)")
-		case p.opts.Store && d.StoreDir == "":
-			return nil, errors.New("Options.Store needs a location (StateDir or StoreDir)")
+	if d.StateDir == "" && d.CheckpointPath == "" {
+		if d.Resume {
+			return nil, errors.New("resuming needs the interrupted crawl's location (StateDir or CheckpointPath)")
 		}
 		tmp, err := os.MkdirTemp("", "crawl-state-*")
 		if err != nil {
@@ -194,10 +188,6 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 		}
 		defer os.RemoveAll(tmp)
 		d.StateDir = tmp
-	}
-	storeDir := ""
-	if p.opts.Store {
-		storeDir = d.storeDir(p.spec)
 	}
 	var stats crawler.Stats
 	res, err := dispatch.Run(ctx, dispatch.Config{
@@ -211,9 +201,8 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 			_, failed, err := p.runGrant(ctx, sites, &stats, emit)
 			return failed, err
 		},
-		SpoolDir:       d.spoolDir(p.spec),
 		CheckpointPath: d.checkpointPath(p.spec),
-		StoreDir:       storeDir,
+		StoreDir:       d.StorePath(p.spec),
 		Resume:         d.Resume,
 		Retry:          dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
 	})

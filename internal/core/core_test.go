@@ -112,7 +112,6 @@ func TestEntryPointsAgree(t *testing.T) {
 		Addr:           "127.0.0.1:0",
 		BatchSize:      4,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		SpoolDir:       filepath.Join(dir, "spool"),
 		Logf:           t.Logf,
 	})
 	if err != nil {
@@ -148,9 +147,9 @@ func TestResumeAcrossRoles(t *testing.T) {
 	// Each interruption stops its role once a few sites are done and
 	// leaves a checkpoint behind; each resume finishes the crawl in the
 	// other role and reports how many sites the checkpoint held.
-	fabricUntil := func(t *testing.T, cp, spool string, resume, interrupt bool) ([]byte, int) {
+	fabricUntil := func(t *testing.T, cp string, resume, interrupt bool) ([]byte, int) {
 		coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
-			Addr: "127.0.0.1:0", BatchSize: 2, CheckpointPath: cp, SpoolDir: spool, Resume: resume, Logf: t.Logf,
+			Addr: "127.0.0.1:0", BatchSize: 2, CheckpointPath: cp, Resume: resume, Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -179,9 +178,9 @@ func TestResumeAcrossRoles(t *testing.T) {
 		}
 		return nil, 0
 	}
-	localUntil := func(t *testing.T, cp, spool string, resume, interrupt bool) ([]byte, int) {
+	localUntil := func(t *testing.T, cp string, resume, interrupt bool) ([]byte, int) {
 		o := opts
-		o.Dispatch = &DispatchOptions{CheckpointPath: cp, SpoolDir: spool, Resume: resume}
+		o.Dispatch = &DispatchOptions{CheckpointPath: cp, Resume: resume}
 		if !interrupt {
 			res, err := RunCrawl(ctx, o, spec)
 			if err != nil {
@@ -204,7 +203,7 @@ func TestResumeAcrossRoles(t *testing.T) {
 		}
 		return nil, 0
 	}
-	type role func(t *testing.T, cp, spool string, resume, interrupt bool) ([]byte, int)
+	type role func(t *testing.T, cp string, resume, interrupt bool) ([]byte, int)
 	for _, tc := range []struct {
 		name              string
 		interrupt, resume role
@@ -214,9 +213,9 @@ func TestResumeAcrossRoles(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cp, spool := filepath.Join(dir, "checkpoint.json"), filepath.Join(dir, "spool")
-			tc.interrupt(t, cp, spool, false, true)
-			got, resumed := tc.resume(t, cp, spool, true, false)
+			cp := filepath.Join(dir, "checkpoint.json")
+			tc.interrupt(t, cp, false, true)
+			got, resumed := tc.resume(t, cp, true, false)
 			t.Logf("the resume took over %d of %d sites done", resumed, total)
 			if resumed == 0 || resumed >= total {
 				t.Errorf("the resume took over %d of %d sites done; want an interrupted crawl", resumed, total)

@@ -117,14 +117,16 @@ type FabricCoordinatorOptions struct {
 	// MaxAttempts is the per-site attempt budget (default 3), as on the
 	// local path.
 	MaxAttempts int
-	// CheckpointPath / SpoolDir locate the coordinator's durable state.
+	// CheckpointPath locates the coordinator's durable state. Required.
 	CheckpointPath string
-	SpoolDir       string
+	// SpoolDir is read by nothing: no crawl writes a spool. It stays
+	// declared only so bench/ compiles until ROADMAP 1(b).
+	SpoolDir string
 	// Resume continues from CheckpointPath instead of starting fresh.
 	Resume bool
-	// StoreDir, when non-empty, also streams every page record into a
-	// columnar store at this directory (see
-	// fabric.CoordinatorConfig.StoreDir).
+	// StoreDir is the crawl's columnar store (see
+	// fabric.CoordinatorConfig.StoreDir); empty means store-crawlN beside
+	// CheckpointPath, where a local crawl keeps it.
 	StoreDir string
 	// FaultProfile, when non-empty, degrades every worker link with the
 	// named faultnet profile, keyed on FaultSeed.
@@ -141,6 +143,10 @@ func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOp
 	if err != nil {
 		return nil, err
 	}
+	storeDir := fo.StoreDir
+	if storeDir == "" {
+		storeDir = storeBeside(fo.CheckpointPath, spec)
+	}
 	return fabric.StartCoordinator(fo.Addr, fabric.CoordinatorConfig{
 		Crawl:          FabricCrawlConfig(opts, spec),
 		Sites:          FabricSites(opts, spec),
@@ -148,9 +154,8 @@ func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOp
 		LeaseTTL:       fo.LeaseTTL,
 		Retry:          dispatch.RetryPolicy{MaxAttempts: fo.MaxAttempts},
 		CheckpointPath: fo.CheckpointPath,
-		SpoolDir:       fo.SpoolDir,
+		StoreDir:       storeDir,
 		Resume:         fo.Resume,
-		StoreDir:       fo.StoreDir,
 		Fault:          fault,
 		FaultSeed:      fo.FaultSeed,
 		Logf:           fo.Logf,

@@ -7,51 +7,68 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/oracle"
+	"repro/internal/colstore"
 )
 
 // foldHeapLimit bounds the heap a crawl's fold keeps reachable against a
-// fresh fold of the same spool. Every fold decodes what it folds, so
-// nothing it keeps shares memory with a page body and the two retain
-// the same. A fold that keeps the recorder's live records keeps the page
-// bodies their socket strings alias: 1.44× at this size.
+// fresh fold of the same pages' decoded spool lines. Every fold decodes
+// what it folds, so nothing it keeps shares memory with a page body and
+// the two retain the same. A fold that keeps the recorder's live records
+// keeps the page bodies their socket strings alias: 1.44× at this size.
 const foldHeapLimit = 1.05
 
 // TestFoldHeapMatchesReplay crawls 40 publishers × 15 pages with one
-// worker through RunCrawl, without and with the store, and compares the
-// heap the crawl's dataset — its ledger's (or store's) finalized fold —
-// keeps reachable with what the dataset of a fresh Folder replayed from
-// the crawl's own spool keeps, each after forced collections.
+// worker through RunCrawl and compares the heap the crawl's dataset —
+// its store's finalized fold — keeps reachable with what the dataset of
+// a fresh Folder keeps, each after forced collections. The fresh fold
+// takes the records of the crawl's own sealed segments as the ledger
+// takes every page: each encoded as a spool line and decoded again, so
+// it holds its own copy of every string (a segment's records share the
+// strings of its dictionaries, which would retain less).
 func TestFoldHeapMatchesReplay(t *testing.T) {
-	for _, store := range []bool{false, true} {
-		dir := t.TempDir()
-		opts := Options{
-			Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 15,
-			Store: store, Dispatch: &DispatchOptions{StateDir: dir},
-		}
-		spec := DefaultCrawls()[0]
-		res, err := RunCrawl(context.Background(), opts, spec)
+	dir := t.TempDir()
+	opts := Options{
+		Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 15,
+		Dispatch: &DispatchOptions{StateDir: dir},
+	}
+	spec := DefaultCrawls()[0]
+	res, err := RunCrawl(context.Background(), opts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crawled := retained(&res.Dataset)
+
+	segs, err := filepath.Glob(filepath.Join(opts.Dispatch.StorePath(spec), "seg-*.col"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("store segments: %v, %v", segs, err)
+	}
+	folder := analysis.NewFolder(FabricDatasetMeta(spec))
+	for _, seg := range segs {
+		recs, err := colstore.ReadSegment(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crawled := retained(&res.Dataset)
+		for _, rec := range recs {
+			line, err := analysis.AppendSpoolRecord(nil, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := analysis.DecodeSpoolLine(line[:len(line)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			folder.Fold(decoded)
+		}
+	}
+	replay, _ := folder.Finalize()
+	folder = nil
+	replayed := retained(&replay)
 
-		paths, err := filepath.Glob(filepath.Join(opts.Dispatch.spoolDir(spec), "shard-*.jsonl"))
-		if err != nil || len(paths) == 0 {
-			t.Fatalf("spool shards: %v, %v", paths, err)
-		}
-		replay, _, err := oracle.MergeShards(FabricDatasetMeta(spec), paths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed := retained(&replay)
-
-		ratio := float64(crawled) / float64(replayed)
-		t.Logf("store=%v: the crawl's fold keeps %d B reachable, a replay of its spool %d B: %.3f× (limit %.2f×)",
-			store, crawled, replayed, ratio, foldHeapLimit)
-		if ratio > foldHeapLimit {
-			t.Errorf("store=%v: the crawl's fold keeps %.3f× the heap a replay of its spool does (limit %.2f×)", store, ratio, foldHeapLimit)
-		}
+	ratio := float64(crawled) / float64(replayed)
+	t.Logf("the crawl's fold keeps %d B reachable, a replay of its store %d B: %.3f× (limit %.2f×)",
+		crawled, replayed, ratio, foldHeapLimit)
+	if ratio > foldHeapLimit {
+		t.Errorf("the crawl's fold keeps %.3f× the heap a replay of its store does (limit %.2f×)", ratio, foldHeapLimit)
 	}
 }
 

@@ -23,7 +23,6 @@ func datasetBytes(t *testing.T, stateDir string) []byte {
 		Seed: 77, NumPublishers: 40, Workers: 6, PagesPerSite: 3,
 		Dispatch: &DispatchOptions{
 			CheckpointPath: filepath.Join(stateDir, "checkpoint.json"),
-			SpoolDir:       filepath.Join(stateDir, "spool"),
 		},
 	}, CrawlSpec{Name: "obs-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57})
 	if err != nil {
@@ -68,7 +67,7 @@ func TestCrawlPopulatesMetrics(t *testing.T) {
 	after := obs.Default.Snapshot()
 
 	for _, name := range []string{obs.MPages, obs.MSites, obs.MBrowserRequests,
-		obs.MServerRequests, obs.MSpoolAppends, obs.MCheckpointWrites, obs.MMergePages,
+		obs.MServerRequests, obs.MStorePages, obs.MCheckpointWrites, obs.MMergePages,
 		obs.MMatchRequests} {
 		if after.Counters[name] <= before.Counters[name] {
 			t.Errorf("counter %s did not advance (%d -> %d)",
@@ -83,7 +82,7 @@ func TestCrawlPopulatesMetrics(t *testing.T) {
 		t.Errorf("queue.done = %d, want %d (all sites settled)", done, total)
 	}
 	for _, name := range []string{obs.MStageFetch, obs.MStageParse, obs.MStageTree,
-		obs.MStageLabel, obs.MStageSpool, obs.MStageCheckpoint, obs.MStageMerge,
+		obs.MStageLabel, obs.MStoreSeal, obs.MStageCheckpoint, obs.MStageMerge,
 		obs.MCrawlPage, obs.MCrawlVisit, obs.MCrawlRecord, obs.MCrawlCommit,
 		obs.MMatchEval} {
 		if after.Hists[name].Count <= before.Hists[name].Count {

@@ -13,16 +13,15 @@ import (
 
 // crawlCost is what one store-backed crawl cost, per site.
 type crawlCost struct {
-	allocs, spoolBytes, segmentBytes, segmentFiles float64
+	allocs, segmentBytes, segmentFiles float64
 }
 
 // TestCrawlScales is the page plane's half of the scaling gate: one
-// store-backed crawl of the real plane at 60 and at 480 publishers × 2
-// pages, and per site, each of these stays within 1.25× between the two
-// sizes — heap allocations from the first lease to the rendered report
-// (page loads, the fold and the store's ingest, Finalize with the
-// labeler's D′ pass, Report), spool bytes, sealed segment bytes and
-// segment files. World build, list parsing and server start are outside
+// crawl of the real plane at 60 and at 480 publishers × 2 pages, and per
+// site, each of these stays within 1.25× between the two sizes — heap
+// allocations from the first lease to the rendered report (page loads,
+// the store's ingest and fold, Finalize with the labeler's D′ pass,
+// Report), sealed segment bytes and segment files. World build, list parsing and server start are outside
 // the counts, and one crawl worker makes the commits, so the seals, land
 // on the same sites every run. Every other gate runs at 150 publishers or
 // fewer.
@@ -35,8 +34,8 @@ func TestCrawlScales(t *testing.T) {
 	for i, n := range sizes {
 		costs[i] = measureCrawl(t, n)
 		c := costs[i]
-		t.Logf("%3d publishers, per site: %.0f allocs, %.0f spool B, %.0f segment B, %.3f segment files",
-			n, c.allocs, c.spoolBytes, c.segmentBytes, c.segmentFiles)
+		t.Logf("%3d publishers, per site: %.0f allocs, %.0f segment B, %.3f segment files",
+			n, c.allocs, c.segmentBytes, c.segmentFiles)
 	}
 	small, large := costs[0], costs[1]
 	for _, term := range []struct {
@@ -44,7 +43,6 @@ func TestCrawlScales(t *testing.T) {
 		small, large float64
 	}{
 		{"allocations", small.allocs, large.allocs},
-		{"spool bytes", small.spoolBytes, large.spoolBytes},
 		{"segment bytes", small.segmentBytes, large.segmentBytes},
 		{"segment files", small.segmentFiles, large.segmentFiles},
 	} {
@@ -61,7 +59,7 @@ func measureCrawl(t *testing.T, publishers int) crawlCost {
 	dir := t.TempDir()
 	opts := Options{
 		Seed: 20170419, NumPublishers: publishers, Workers: 1, PagesPerSite: 2,
-		Store: true, Dispatch: &DispatchOptions{StateDir: dir},
+		Dispatch: &DispatchOptions{StateDir: dir},
 	}
 	spec := DefaultCrawls()[0]
 	plane, err := newPagePlane(opts, spec)
@@ -83,11 +81,9 @@ func measureCrawl(t *testing.T, publishers int) crawlCost {
 	runtime.ReadMemStats(&after)
 
 	sites := float64(len(plane.sites))
-	_, spoolBytes := dirFiles(t, opts.Dispatch.spoolDir(spec), "")
-	segFiles, segBytes := dirFiles(t, opts.Dispatch.storeDir(spec), ".col")
+	segFiles, segBytes := dirFiles(t, opts.Dispatch.StorePath(spec), ".col")
 	return crawlCost{
 		allocs:       float64(after.Mallocs-before.Mallocs) / sites,
-		spoolBytes:   float64(spoolBytes) / sites,
 		segmentBytes: float64(segBytes) / sites,
 		segmentFiles: float64(segFiles) / sites,
 	}

@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/oracle"
 	"repro/internal/colstore"
-	"repro/internal/dispatch"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/webgen"
@@ -27,36 +25,31 @@ func storeDatasetBytes(t *testing.T, ds *analysis.Dataset) []byte {
 	return buf.Bytes()
 }
 
-// TestStoreDifferential runs the pinned bench-crawl world through both
-// dataset paths — end-of-run spool merge vs streaming columnar store —
-// and requires byte-identical datasets and byte-identical reports, from
-// the live run and from a cold read-only open of the sealed segments;
-// the query engine's Tables 1-5 are the report's sections.
+// storeDataset is the dataset a cold read-only open of the sealed store
+// at dir derives: what cmd/wsquery serves.
+func storeDataset(t *testing.T, dir string) *analysis.Dataset {
+	t.Helper()
+	ro, err := colstore.OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := ro.Dataset()
+	return ds
+}
+
+// TestStoreDifferential runs the pinned bench-crawl world and holds its
+// dataset and report to a cold read-only open of the store the crawl
+// left behind, byte for byte; the query engine's Tables 1-5 are the
+// report's sections.
 func TestStoreDifferential(t *testing.T) {
 	spec := CrawlSpec{Name: "bench", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57}
-	ctx := context.Background()
-
-	mergeOpts := benchCrawlOptions(filepath.Join(t.TempDir(), "state"))
-	mergeRes, err := RunCrawl(ctx, mergeOpts, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := storeDatasetBytes(t, mergeRes.Dataset)
-	oracleTables := analysis.Report(mergeRes.Dataset)
-
 	stateDir := filepath.Join(t.TempDir(), "state")
-	storeOpts := benchCrawlOptions(stateDir)
-	storeOpts.Store = true
-	storeRes, err := RunCrawl(ctx, storeOpts, spec)
+	res, err := RunCrawl(context.Background(), benchCrawlOptions(stateDir), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(storeDatasetBytes(t, storeRes.Dataset), want) {
-		t.Error("store-derived dataset differs from merge-derived dataset")
-	}
-	if got := analysis.Report(storeRes.Dataset); got != oracleTables {
-		t.Errorf("store-derived tables differ:\n--- store ---\n%s\n--- merge ---\n%s", got, oracleTables)
-	}
+	want := storeDatasetBytes(t, res.Dataset)
+	tables := analysis.Report(res.Dataset)
 
 	// RunCrawl closed the ledger (sealing the store); the on-disk segments
 	// alone must reproduce the same dataset and tables for cmd/wsquery.
@@ -66,10 +59,10 @@ func TestStoreDifferential(t *testing.T) {
 	}
 	roDS, _ := ro.Dataset()
 	if !bytes.Equal(storeDatasetBytes(t, roDS), want) {
-		t.Error("sealed on-disk store differs from merge-derived dataset")
+		t.Error("sealed on-disk store differs from the crawl's dataset")
 	}
-	if got := analysis.Report(roDS); got != oracleTables {
-		t.Error("sealed on-disk store renders different tables")
+	if got := analysis.Report(roDS); got != tables {
+		t.Errorf("sealed on-disk store renders different tables:\n--- store ---\n%s\n--- crawl ---\n%s", got, tables)
 	}
 	engine := colstore.NewEngine(ro)
 	for n := 1; n <= 5; n++ {
@@ -93,7 +86,7 @@ func TestStoreDifferential(t *testing.T) {
 func TestStoreSealsOncePerCommit(t *testing.T) {
 	stateDir := t.TempDir()
 	opts := benchCrawlOptions(stateDir)
-	opts.NumPublishers, opts.PagesPerSite, opts.Store = 150, 15, true
+	opts.NumPublishers, opts.PagesPerSite = 150, 15
 	spec := CrawlSpec{Name: "seals", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57}
 	before := obs.Default.Snapshot()
 	if _, err := RunCrawl(context.Background(), opts, spec); err != nil {
@@ -112,19 +105,6 @@ func TestStoreSealsOncePerCommit(t *testing.T) {
 	segs, err := filepath.Glob(filepath.Join(stateDir, "store-crawl0", "seg-*.col"))
 	if err != nil || int64(len(segs)) != seals {
 		t.Errorf("%d segment files (%v), want the %d seals'", len(segs), err, seals)
-	}
-}
-
-// TestStoreRequiresDispatch pins the Options contract: the store is
-// queried after the crawl, so enabling it without a location to keep it
-// in is a configuration error, not a store sealed into a temporary
-// directory and removed.
-func TestStoreRequiresDispatch(t *testing.T) {
-	_, err := RunCrawl(context.Background(), Options{
-		Seed: 1, NumPublishers: 2, Workers: 1, PagesPerSite: 1, Store: true,
-	}, CrawlSpec{Name: "bad", Era: webgen.EraPrePatch, BrowserVersion: 57})
-	if err == nil {
-		t.Fatal("Store without Dispatch accepted")
 	}
 }
 
@@ -170,10 +150,11 @@ func runFabricWorkers(ctx context.Context, t *testing.T, coord *fabric.Coordinat
 }
 
 // TestFabricStoreDifferential streams the pinned bench-crawl world
-// through a coordinator with two real-pipeline workers and a store: the
-// dataset Finalize derives from the store must match the merge of the
-// coordinator's own spool (the retained oracle) byte for byte, live and
-// after a cold read-only open of the sealed segments.
+// through a coordinator with two real-pipeline workers: the dataset
+// Finalize derives from the coordinator's store — which, named by no
+// StoreDir, is store-crawl0 beside the checkpoint, where a local crawl
+// keeps it — must match a cold read-only open of that store byte for
+// byte, as must the live store the query API serves.
 func TestFabricStoreDifferential(t *testing.T) {
 	opts := Options{
 		Seed:          benchCrawlSeed,
@@ -188,8 +169,6 @@ func TestFabricStoreDifferential(t *testing.T) {
 		Addr:           "127.0.0.1:0",
 		BatchSize:      4,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		SpoolDir:       filepath.Join(dir, "spool"),
-		StoreDir:       filepath.Join(dir, "store"),
 		Logf:           t.Logf,
 	})
 	if err != nil {
@@ -201,43 +180,25 @@ func TestFabricStoreDifferential(t *testing.T) {
 	defer cancel()
 	runFabricWorkers(ctx, t, coord, 2)
 
-	// Finalize commits the last checkpoint (flushing the spool, sealing
-	// the store) and derives the dataset from the store.
+	// Finalize commits the last checkpoint (sealing the store) and
+	// derives the dataset from the store.
 	storeDS, storeStats, err := coord.Finalize(FabricDatasetMeta(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := filepath.Glob(filepath.Join(dir, "spool", "shard-*.jsonl"))
-	if err != nil || len(shards) != dispatch.DefaultShards {
-		t.Fatalf("spool shards = %v (%v), want %d", shards, err, dispatch.DefaultShards)
-	}
-	mergeDS, mergeStats, err := oracle.MergeShards(FabricDatasetMeta(spec), shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := storeDatasetBytes(t, mergeDS)
-	if !bytes.Equal(storeDatasetBytes(t, storeDS), want) {
-		t.Error("fabric store dataset differs from the merge of the coordinator's spool")
-	}
-	if storeStats.Pages != mergeStats.Pages {
-		t.Errorf("store folded %d pages, merge saw %d", storeStats.Pages, mergeStats.Pages)
-	}
-	if got, want := analysis.Report(storeDS), analysis.Report(mergeDS); got != want {
-		t.Error("fabric store renders different tables than the merge")
-	}
-	liveDS, _ := coord.Store().Dataset()
-	if !bytes.Equal(storeDatasetBytes(t, liveDS), want) {
-		t.Error("the live store the query API serves differs from the merge")
+	got := storeDatasetBytes(t, storeDS)
+	liveDS, liveStats := coord.Store().Dataset()
+	if !bytes.Equal(storeDatasetBytes(t, liveDS), got) || liveStats.Pages != storeStats.Pages {
+		t.Error("the live store the query API serves differs from the finalized dataset")
 	}
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := colstore.OpenRead(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
+	cold := storeDataset(t, filepath.Join(dir, "store-crawl0"))
+	if !bytes.Equal(storeDatasetBytes(t, cold), got) {
+		t.Error("sealed fabric store differs from the coordinator's dataset")
 	}
-	roDS, _ := ro.Dataset()
-	if !bytes.Equal(storeDatasetBytes(t, roDS), want) {
-		t.Error("sealed fabric store differs from the merge of the coordinator's spool")
+	if analysis.Report(cold) != analysis.Report(storeDS) {
+		t.Error("sealed fabric store renders different tables than the coordinator's dataset")
 	}
 }

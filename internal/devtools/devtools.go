@@ -404,7 +404,7 @@ func deref(ev Event) Event {
 
 // IDAllocator hands out sequential typed IDs for one page load. The
 // rendered IDs ("F1", "S2", "R3", "W4", …) are pinned byte-for-byte by
-// TestIDAllocatorGolden: they appear verbatim in spooled datasets, so
+// TestIDAllocatorGolden: they appear verbatim in stored datasets, so
 // the formatting is a compatibility surface.
 type IDAllocator struct {
 	mu                             sync.Mutex

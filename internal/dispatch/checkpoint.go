@@ -14,8 +14,9 @@ import (
 // LoadCheckpoint reads; older files are refused with the start-fresh
 // hint. From version 4 a local crawl and a fabric coordinator write one
 // header and record sites as jobs, so their files differ in progress
-// only.
-const CheckpointVersion = 4
+// only; version 5 vouches for the store's sealed segments, where
+// version 4 vouched for spool extents.
+const CheckpointVersion = 5
 
 // CheckpointError reports a checkpoint that cannot drive a resume:
 // corrupt bytes, an unsupported format version, or an incompatibility
@@ -39,10 +40,10 @@ func (e *CheckpointError) Error() string {
 }
 
 // hintStartFresh is the standard remediation for an unusable checkpoint.
-const hintStartFresh = "delete the checkpoint and spool directory, or rerun without -resume, to start the crawl from scratch"
+const hintStartFresh = "delete the checkpoint and the store directory to start the crawl from scratch"
 
 // hintWrongCrawl is the remediation for a checkpoint from another crawl.
-const hintWrongCrawl = "point -checkpoint/-spool-dir at the original crawl's state, or match the original crawl's flags"
+const hintWrongCrawl = "point -checkpoint (and -store-dir) at the original crawl's state, or match the original crawl's flags"
 
 // Checkpoint is the durable progress state of a crawl. It is written
 // atomically (temp file + rename in the same directory), so a crash can
@@ -53,16 +54,15 @@ const hintWrongCrawl = "point -checkpoint/-spool-dir at the original crawl's sta
 // Format: a single JSON object —
 //
 //	{
-//	  "version": 4,
+//	  "version": 5,
 //	  "name": "Apr 02-05, 2017",   // crawl identity
 //	  "seed": 20170419,            // per-crawl seed (guards mixed resumes)
-//	  "numShards": 8,              // spool shard count (must match)
 //	  "pagesPerSite": 15,
 //	  "totalSites": 600,
 //	  "done": ["a.com", ...],      // completed sites, sorted
 //	  "failed": {"b.com": "..."},  // exhausted sites with last error
 //	  "attempts": {"c.com": 2},    // attempt counts of unfinished sites
-//	  "shardBytes": [4096, ...]    // spool guard
+//	  "segments": 12               // store guard
 //	}
 //
 // A local crawl and a fabric coordinator write the same file, so either
@@ -71,18 +71,34 @@ type Checkpoint struct {
 	Version      int               `json:"version"`
 	Name         string            `json:"name"`
 	Seed         int64             `json:"seed"`
-	NumShards    int               `json:"numShards"`
 	PagesPerSite int               `json:"pagesPerSite"`
 	TotalSites   int               `json:"totalSites"`
 	Done         []string          `json:"done"`
 	Failed       map[string]string `json:"failed,omitempty"`
 	Attempts     map[string]int    `json:"attempts,omitempty"`
-	// ShardBytes records each spool shard's flushed size at checkpoint
-	// time: its extent. A resume replays every shard against it, and a
-	// shard that is shorter, or whose complete lines end before it, does
-	// not match the checkpoint (deleted, swapped, or damaged); resuming
-	// would silently drop the completed sites' pages from the dataset.
-	ShardBytes []int64 `json:"shardBytes,omitempty"`
+	// Segments is how many sealed store segments the checkpoint vouches
+	// for: seg-000000 up to Segments-1 hold every page of every done
+	// site. A resume whose store lacks one of them would silently drop
+	// those pages from the dataset, so it is refused.
+	Segments int `json:"segments"`
+
+	// NumShards and ShardBytes are read by nothing and never written to
+	// a file: the checkpoint vouches for no spool. They stay declared
+	// only so bench/ compiles until ROADMAP 1(b).
+	NumShards  int     `json:"-"`
+	ShardBytes []int64 `json:"-"`
+}
+
+// countingWriter counts every byte written through it in a metric.
+type countingWriter struct {
+	w io.Writer
+	n *obs.Counter
+}
+
+func (c countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n.Add(int64(n))
+	return n, err
 }
 
 // WriteAtomic persists the checkpoint with temp-file+rename semantics
@@ -120,8 +136,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // Compatible verifies that a checkpoint belongs to the crawl being
-// resumed: same identity, seed, shard layout, page budget and site count
-// as want's header (want's progress fields are ignored).
+// resumed: same identity, seed, page budget and site count as want's
+// header (want's progress fields are ignored).
 // A mismatch is a *CheckpointError; resuming across one would mix two
 // different crawls' state into one partial dataset.
 func (c *Checkpoint) Compatible(path string, want *Checkpoint) error {
@@ -133,8 +149,6 @@ func (c *Checkpoint) Compatible(path string, want *Checkpoint) error {
 		return mismatch(fmt.Sprintf("checkpoint is for crawl %q, not %q", c.Name, want.Name))
 	case c.Seed != want.Seed:
 		return mismatch(fmt.Sprintf("checkpoint seed %d != configured seed %d", c.Seed, want.Seed))
-	case c.NumShards != want.NumShards:
-		return mismatch(fmt.Sprintf("checkpoint has %d spool shards, the spool has %d", c.NumShards, want.NumShards))
 	case c.PagesPerSite != want.PagesPerSite:
 		return mismatch(fmt.Sprintf("checkpoint page budget %d != configured %d", c.PagesPerSite, want.PagesPerSite))
 	case c.TotalSites != want.TotalSites:

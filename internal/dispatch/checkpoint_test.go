@@ -21,12 +21,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Version:      CheckpointVersion,
 		Name:         "crawl-1",
 		Seed:         42,
-		NumShards:    4,
 		PagesPerSite: 15,
 		TotalSites:   100,
 		Done:         []string{"a.com", "b.com"},
 		Failed:       map[string]string{"c.com": "boom"},
 		Attempts:     map[string]int{"c.com": 3, "d.com": 1},
+		Segments:     4,
 	}
 	if err := cp.WriteAtomic(path); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != cp.Name || got.Seed != cp.Seed || len(got.Done) != 2 || got.Failed["c.com"] != "boom" || got.Attempts["d.com"] != 1 {
+	if got.Name != cp.Name || got.Seed != cp.Seed || len(got.Done) != 2 || got.Failed["c.com"] != "boom" || got.Attempts["d.com"] != 1 || got.Segments != 4 {
 		t.Errorf("roundtrip mismatch: %+v", got)
 	}
 	// No temp droppings.
@@ -48,7 +48,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointCompatible exercises every mismatch arm. A local crawl
 // and a fabric coordinator write one header, so there is no role row.
 func TestCheckpointCompatible(t *testing.T) {
-	site := Checkpoint{Name: "x", Seed: 1, NumShards: 8, PagesPerSite: 15, TotalSites: 10}
+	site := Checkpoint{Name: "x", Seed: 1, PagesPerSite: 15, TotalSites: 10}
 	for _, tc := range []struct {
 		name   string
 		have   Checkpoint
@@ -58,7 +58,6 @@ func TestCheckpointCompatible(t *testing.T) {
 		{"same", site, func(*Checkpoint) {}, ""},
 		{"name", site, func(w *Checkpoint) { w.Name = "y" }, "crawl"},
 		{"seed", site, func(w *Checkpoint) { w.Seed = 2 }, "seed"},
-		{"shards", site, func(w *Checkpoint) { w.NumShards = 4 }, "shards"},
 		{"pages", site, func(w *Checkpoint) { w.PagesPerSite = 5 }, "budget"},
 		{"totalSites", site, func(w *Checkpoint) { w.TotalSites = 99 }, "sites"},
 	} {
@@ -92,11 +91,12 @@ func TestLoadCheckpointRejectsBadVersion(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointAcrossVersions: the v4 build reads v4 only. A v1,
+// TestLoadCheckpointAcrossVersions: the v5 build reads v5 only. A v1,
 // v2 or v3 single-process file, a v3 coordinator's file (jobs were batch
-// IDs), and a file in the retired coordinator format that shared the v1
-// number, are refused loudly with the version and the start-fresh hint
-// instead of resuming.
+// IDs), a file in the retired coordinator format that shared the v1
+// number, and a v4 file of either role (it vouched for spool extents,
+// not store segments) are refused loudly with the version and the
+// start-fresh hint instead of resuming.
 func TestLoadCheckpointAcrossVersions(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -110,6 +110,8 @@ func TestLoadCheckpointAcrossVersions(t *testing.T) {
 		{3, `{"version":3,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"],"shardBytes":[10,0]}`},
 		{3, `{"version":3,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":10,"batchSize":4,` +
 			`"done":["b0000"],"failedSites":{"x.com":"gone"},"shardBytes":[64,128]}`},
+		{4, `{"version":4,"name":"c","seed":1,"numShards":8,"pagesPerSite":5,"totalSites":3,"done":["a.com"],` +
+			`"attempts":{"b.com":1},"shardBytes":[10,0,0,0,0,0,0,0]}`},
 	} {
 		path := filepath.Join(dir, "cp.json")
 		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
@@ -121,7 +123,7 @@ func TestLoadCheckpointAcrossVersions(t *testing.T) {
 			t.Errorf("err = %v (%T), want *CheckpointError\n%s", err, err, tc.body)
 			continue
 		}
-		if ce.Version != tc.version || !strings.Contains(ce.Error(), "reads v4 only") || ce.Hint != hintStartFresh {
+		if ce.Version != tc.version || !strings.Contains(ce.Error(), "reads v5 only") || ce.Hint != hintStartFresh {
 			t.Errorf("error %q lacks the version, the reason or the start-fresh hint", ce)
 		}
 	}
@@ -132,12 +134,14 @@ func TestLoadCheckpointAcrossVersions(t *testing.T) {
 // writes and LoadCheckpoint reads back unchanged: what a resume loads is
 // what its next commit would write.
 func FuzzLoadCheckpoint(f *testing.F) {
+	f.Add([]byte(`{"version":5,"name":"crawl-1","seed":42,"pagesPerSite":5,"totalSites":4,` +
+		`"done":["a.com","b.com"],"failed":{"c.com":"boom"},"attempts":{"d.com":1},"segments":3}`))
 	f.Add([]byte(`{"version":4,"name":"crawl-1","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":4,` +
 		`"done":["a.com","b.com"],"failed":{"c.com":"boom"},"attempts":{"d.com":1},"shardBytes":[120,0]}`))
 	f.Add([]byte(`{"version":3,"name":"pre-crawl-0","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":10,` +
 		`"batchSize":4,"done":["b0000"],"failedSites":{"x.com":"gone"},"shardBytes":[64,128]}`))
 	f.Add([]byte(`{"version":2,"name":"c","done":null,"shardBytes":[]}`))
-	f.Add([]byte(`{"version":4,"done":[],"failed":{},"VERSION":4,"name":"\ud800"} trailing`))
+	f.Add([]byte(`{"version":5,"done":[],"failed":{},"VERSION":5,"name":"\ud800","shardBytes":[1]} trailing`))
 	f.Add([]byte(`{]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -160,16 +164,13 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("a loaded checkpoint does not load back: %v", err)
 		}
-		// omitempty writes an empty map or shardBytes as nothing.
+		// omitempty writes an empty map as nothing.
 		for _, c := range []*Checkpoint{cp, back} {
 			if len(c.Failed) == 0 {
 				c.Failed = nil
 			}
 			if len(c.Attempts) == 0 {
 				c.Attempts = nil
-			}
-			if len(c.ShardBytes) == 0 {
-				c.ShardBytes = nil
 			}
 		}
 		if !reflect.DeepEqual(cp, back) {
@@ -187,7 +188,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 func TestWriteAtomicSyncsParentDir(t *testing.T) {
 	before := obs.Default.Snapshot().Counters["store.dir_syncs"]
 	path := filepath.Join(t.TempDir(), "cp.json")
-	cp := &Checkpoint{Version: CheckpointVersion, Name: "crawl-1", NumShards: 1, TotalSites: 1}
+	cp := &Checkpoint{Version: CheckpointVersion, Name: "crawl-1", TotalSites: 1}
 	if err := cp.WriteAtomic(path); err != nil {
 		t.Fatal(err)
 	}
@@ -197,23 +198,22 @@ func TestWriteAtomicSyncsParentDir(t *testing.T) {
 	}
 }
 
-// TestCheckpointExtentsCoverBufferedGroups pins the Commit group-commit
-// audit: a checkpoint must never record spool extents that precede a
-// buffered-but-unflushed group, nor vouch for jobs whose pages are still
-// in a write buffer. Commit's safe ordering is jobs-snapshot → Flush →
-// ShardSizes: any job done at snapshot time appended its pages before
-// the snapshot, so the flush that follows covers them, and the recorded
-// extents equal the durable on-disk sizes. This test leaves appends in
-// the ledger's group-commit buffer (too few to trip it), commits, and
-// requires the recorded extents to match disk and cover every appended
-// byte.
-func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
+// TestCheckpointSegmentsCoverBufferedRecords pins the Commit audit: a
+// checkpoint must never vouch for jobs whose pages are still in the
+// store's unsealed buffer. Commit's safe ordering is jobs-snapshot →
+// Seal → segment count: any job done at snapshot time appended its
+// pages before the snapshot, so the seal that follows covers them, and
+// the recorded count names exactly the segments on disk. This test
+// leaves appends in the buffer (too few to trip an auto-seal), commits,
+// and requires the vouched segments to exist and hold every page.
+func TestCheckpointSegmentsCoverBufferedRecords(t *testing.T) {
 	dir := t.TempDir()
 	cpPath := filepath.Join(dir, "cp.json")
+	storeDir := filepath.Join(dir, "store")
 	l, err := OpenLedger(LedgerConfig{
 		Crawl:          Checkpoint{Name: "t", Seed: 1, PagesPerSite: 5, TotalSites: 1},
-		SpoolDir:       dir,
 		CheckpointPath: cpPath,
+		StoreDir:       storeDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,15 +224,9 @@ func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Precondition: the appends really are sitting in the group buffer.
-	pre, err := l.spool.ShardSizes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range pre {
-		if b != 0 {
-			t.Fatalf("shard %d has %d bytes on disk before any flush; the ledger did not buffer", i, b)
-		}
+	// Precondition: the appends really are sitting in the buffer.
+	if segs, _ := filepath.Glob(filepath.Join(storeDir, "seg-*.col")); len(segs) != 0 || l.Store().Stats().Pending != 5 {
+		t.Fatalf("%d segments on disk and %d records buffered before any commit; the store did not buffer", len(segs), l.Store().Stats().Pending)
 	}
 
 	if err := l.Commit(func() []JobRecord {
@@ -244,22 +238,19 @@ func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := l.spool.ShardSizes()
+	segs, err := filepath.Glob(filepath.Join(storeDir, "seg-*.col"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.ShardBytes) != len(disk) {
-		t.Fatalf("checkpoint recorded %d shard extents, spool has %d shards", len(cp.ShardBytes), len(disk))
+	if cp.Segments != 1 || len(segs) != 1 {
+		t.Fatalf("checkpoint vouches for %d segments, %d on disk; want the 1 the commit sealed", cp.Segments, len(segs))
 	}
-	var total int64
-	for i, b := range cp.ShardBytes {
-		if b != disk[i] {
-			t.Errorf("shard %d: checkpoint extent %d != on-disk size %d", i, b, disk[i])
-		}
-		total += b
+	recs, err := colstore.ReadSegment(segs[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total == 0 {
-		t.Error("checkpoint recorded empty extents while appends sat in the group buffer — the buffered group was never flushed before the extents were read")
+	if len(recs) != 5 {
+		t.Errorf("the vouched segment holds %d pages, want the 5 appended before the commit", len(recs))
 	}
 }
 

@@ -17,13 +17,13 @@
 //     attempt budget (RetryPolicy). Grant.Settle is the one settle path,
 //     so a site has one outcome model in both roles.
 //   - The Ledger (ledger.go) owns everything durable. Ledger.AppendLine,
-//     its one entry, appends each page line to one of N JSONL spool
-//     shards and folds the decoded record (with StoreDir, the columnar
-//     store ingests it and owns the fold); Ledger.Settled commits the
-//     checkpoint atomically; the dataset is the finalized fold. A resume
-//     replays the spool (or the store) into the fold as it opens — the
-//     live fold and the replay decode the same bytes — so -resume skips
-//     completed sites and converges on the same dataset.
+//     its one entry, decodes each page line and ingests the record into
+//     the crawl's columnar store (internal/colstore), which folds it and
+//     encodes it into its next segment; Ledger.Settled seals the store
+//     and commits the checkpoint atomically; the dataset is the store's
+//     finalized fold. A resume replays the sealed segments into the fold
+//     as it opens, so -resume skips completed sites and converges on the
+//     same dataset.
 //
 // Determinism: a GrantRunner seeds its browsers per site
 // (crawler.SiteSeed), so a site's lines are a pure function of (seed,
@@ -31,18 +31,18 @@
 // boundaries; fault-free runs and resumed ones give byte-identical
 // datasets.
 //
-// Concurrency: Queue, Lease, Grant, Spooler and Ledger are safe for
-// concurrent use; the ledger serializes checkpoint generations itself.
+// Concurrency: Queue, Lease, Grant and Ledger are safe for concurrent
+// use; the ledger serializes checkpoint generations itself.
 // Durability (DESIGN.md §7): a checkpoint marks a job done only after its
-// pages were flushed to the spool (not fsynced) and sealed into the
-// store, checkpoints are atomic (temp file + rename + directory sync),
-// and one commit rule serves both roles (Ledger.Settled): a killed crawl
-// is at most max(8, N/128) − 1 settled sites stale.
+// pages were sealed into the store, seals and checkpoints are atomic
+// (temp file + fsync + rename + directory sync), and one commit rule
+// serves both roles (Ledger.Settled): a killed crawl is at most
+// max(8, N/128) − 1 settled sites stale.
 //
 // Observability: the queue exports depth/retry gauges, and the ledger
-// records latency histograms (queue.*, checkpoint.*, spool.*,
-// stage.spool, stage.checkpoint, crawl.commit — DESIGN.md §8). None of it
-// alters records, ordering, or the merged dataset.
+// records latency histograms (queue.*, checkpoint.*, stage.checkpoint,
+// crawl.commit — DESIGN.md §8). None of it alters records, ordering, or
+// the merged dataset.
 package dispatch
 
 import (
@@ -85,10 +85,11 @@ type Config struct {
 	// deterministic. Required.
 	RunGrant GrantRunner
 
-	// SpoolDir receives the sharded JSONL spool files. Required.
-	SpoolDir string
 	// CheckpointPath is the crawl's durable state file. Required.
 	CheckpointPath string
+	// StoreDir is the crawl's columnar store (LedgerConfig.StoreDir).
+	// Required.
+	StoreDir string
 	// Resume loads CheckpointPath (when present) and skips completed
 	// sites instead of starting from scratch. The ledger commits by its
 	// one rule (Ledger.Settled), and a final checkpoint is always written
@@ -100,11 +101,6 @@ type Config struct {
 	// queue's default lease TTL without a heartbeat; every emitted page
 	// heartbeats its grant.
 	Retry RetryPolicy
-
-	// StoreDir, when non-empty, also ingests every spooled page record
-	// into a columnar store at this directory and derives the final
-	// dataset from it (see LedgerConfig.StoreDir).
-	StoreDir string
 
 	// now overrides the clock, and commitEvery the ledger's commit
 	// cadence, in tests.
@@ -154,7 +150,6 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 			TotalSites:   len(cfg.Sites),
 		},
 		Meta:           cfg.Meta,
-		SpoolDir:       cfg.SpoolDir,
 		CheckpointPath: cfg.CheckpointPath,
 		StoreDir:       cfg.StoreDir,
 		Resume:         cfg.Resume,
@@ -191,8 +186,8 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 	if crawlErr != nil {
 		return res, crawlErr
 	}
-	res.Dataset, res.Merge, err = ledger.Finalize()
-	return res, err
+	res.Dataset, res.Merge = ledger.Finalize()
+	return res, nil
 }
 
 // work runs cfg.Workers loops that each lease one site per grant, crawl

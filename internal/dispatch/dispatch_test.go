@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/filterlist"
 	"repro/internal/labeler"
@@ -116,10 +117,42 @@ func (e *testEnv) config(dir string, workers int, r *testRunner) Config {
 		PagesPerSite:   3,
 		Seed:           testSeed,
 		RunGrant:       r.run,
-		SpoolDir:       filepath.Join(dir, "spool"),
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+		StoreDir:       filepath.Join(dir, "store"),
 		Retry:          RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
+}
+
+// coldStore is the dataset a cold read-only open of the store a
+// finished run left in dir derives: the query service's view, and the
+// oracle a run's own dataset is held to.
+func coldStore(t *testing.T, dir string) []byte {
+	t.Helper()
+	st, err := colstore.OpenRead(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := st.Dataset()
+	return datasetBytes(t, ds)
+}
+
+// storeFiles maps the name of each file of the store a run left in dir
+// to its bytes.
+func storeFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, "store", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
 }
 
 func datasetBytes(t *testing.T, d *analysis.Dataset) []byte {
@@ -132,7 +165,7 @@ func datasetBytes(t *testing.T, d *analysis.Dataset) []byte {
 }
 
 // TestDeterministicShardsAndDataset: same seed, no faults ⇒ identical
-// spool shard bytes (single worker) and byte-identical merged datasets
+// store segment bytes (single worker) and byte-identical datasets
 // regardless of worker count.
 func TestDeterministicShardsAndDataset(t *testing.T) {
 	env := newTestEnv(t, 20)
@@ -148,20 +181,11 @@ func TestDeterministicShardsAndDataset(t *testing.T) {
 	resB := run(dirB, 1)
 	resC := run(dirC, 4)
 
-	// Single-worker runs replay the same lease order: shard files are
-	// byte-identical.
-	for i := 0; i < 4; i++ {
-		a, err := os.ReadFile(filepath.Join(dirA, "spool", shardName(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirB, "spool", shardName(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("shard %d differs between identical runs", i)
-		}
+	// Single-worker runs replay the same lease order: the stores'
+	// files are byte-identical.
+	segsA, segsB := storeFiles(t, dirA), storeFiles(t, dirB)
+	if len(segsA) < 2 || !reflect.DeepEqual(segsA, segsB) {
+		t.Errorf("stores differ between identical runs: %d and %d files", len(segsA), len(segsB))
 	}
 
 	// The merged dataset is canonical: identical bytes even across
@@ -242,8 +266,8 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	if !bytes.Equal(datasetBytes(t, full.Dataset), datasetBytes(t, res2.Dataset)) {
 		t.Error("resumed dataset differs from uninterrupted run")
 	}
-	if own, _ := mergeOracle(t, cfg2, dir); !bytes.Equal(datasetBytes(t, own), datasetBytes(t, res2.Dataset)) {
-		t.Error("resumed dataset differs from the merge of its own spool")
+	if !bytes.Equal(coldStore(t, dir), datasetBytes(t, res2.Dataset)) {
+		t.Error("resumed dataset differs from a cold read of its own store")
 	}
 	t1Full := analysis.Table1(full.Dataset)
 	t1Resumed := analysis.Table1(res2.Dataset)
@@ -359,16 +383,16 @@ func TestRunValidatesConfig(t *testing.T) {
 	if _, err := Run(context.Background(), missingRunner); err == nil {
 		t.Error("missing RunGrant accepted")
 	}
-	missingSpool := base
-	missingSpool.SpoolDir = ""
-	if _, err := Run(context.Background(), missingSpool); err == nil {
-		t.Error("missing SpoolDir accepted")
+	missingStore := base
+	missingStore.StoreDir = ""
+	if _, err := Run(context.Background(), missingStore); err == nil {
+		t.Error("missing StoreDir accepted")
 	}
 }
 
 // TestResumeRejectsMismatchedCheckpoint: resuming with a different
-// seed, or over a checkpoint of another shard layout, must fail loudly
-// rather than corrupt the spool.
+// seed, or over a checkpoint of another page budget, must fail loudly
+// rather than mix two crawls' pages.
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	env := newTestEnv(t, 4)
 	dir := t.TempDir()
@@ -386,12 +410,12 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp.NumShards = 2
+	cp.PagesPerSite++
 	if err := cp.WriteAtomic(cfg.CheckpointPath); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Resume = true
 	if _, err := Run(context.Background(), cfg); err == nil {
-		t.Error("shard count mismatch accepted on resume")
+		t.Error("page budget mismatch accepted on resume")
 	}
 }

@@ -139,8 +139,8 @@ func scaleLocal(t *testing.T, n int) scaleCost {
 			}
 			return nil, nil
 		},
-		SpoolDir:       filepath.Join(dir, "spool"),
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+		StoreDir:       filepath.Join(dir, "store"),
 	}
 	var res *Result
 	cost := measure(t, n, func() {
@@ -165,8 +165,8 @@ func scaleCoordinator(t *testing.T, n int) scaleCost {
 	l, err := OpenLedger(LedgerConfig{
 		Crawl:          Checkpoint{Name: "scale", Seed: 1, PagesPerSite: 1, TotalSites: n},
 		Meta:           analysis.DatasetMeta{Name: "scale"},
-		SpoolDir:       filepath.Join(dir, "spool"),
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+		StoreDir:       filepath.Join(dir, "store"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,75 +8,67 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/analysis/oracle"
+	"repro/internal/analysis"
 	"repro/internal/colstore"
 )
 
-// spoolPaths reconstructs a run's shard file paths.
-func spoolPaths(dir string) []string {
-	paths := make([]string, DefaultShards)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, "spool", shardName(i))
-	}
-	return paths
-}
-
-// TestStoreMatchesMergeOracle is the tentpole differential: a crawl
-// streamed into the columnar store produces a dataset byte-identical to
-// the spool-merge path — from the live Run result, from the sealed
-// on-disk segments alone, and from merging the spool the store run left
-// behind.
-func TestStoreMatchesMergeOracle(t *testing.T) {
-	env := newTestEnv(t, 16)
-
-	mergeDir := t.TempDir()
-	mergeRes, err := Run(context.Background(), env.config(mergeDir, 2, nil))
+// mergeSegments is the fold no run makes: every record of every sealed
+// segment the run left in storeDir, decoded one segment file at a time
+// and folded in seq order into a fresh analysis.Folder — the store's
+// replay, rebuilt from its parts.
+func mergeSegments(t *testing.T, meta analysis.DatasetMeta, storeDir string) (*analysis.Dataset, analysis.MergeStats) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(storeDir, "seg-*.col"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := datasetBytes(t, mergeRes.Dataset)
+	folder := analysis.NewFolder(meta)
+	for _, seg := range segs {
+		recs, err := colstore.ReadSegment(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			folder.Fold(rec)
+		}
+	}
+	return folder.Snapshot()
+}
 
-	storeDir := t.TempDir()
-	cfg := env.config(storeDir, 2, nil)
-	cfg.StoreDir = filepath.Join(storeDir, "store")
+// TestStoreMatchesMergeOracle is the store's differential: a crawl's
+// dataset — the store's live fold — is byte-identical to a cold
+// read-only open of the store it left behind and to a merge of that
+// store's segment files folded one by one.
+func TestStoreMatchesMergeOracle(t *testing.T) {
+	env := newTestEnv(t, 16)
+
+	dir := t.TempDir()
+	cfg := env.config(dir, 2, nil)
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := datasetBytes(t, res.Dataset); !bytes.Equal(got, want) {
-		t.Error("store-derived dataset differs from merge-derived run")
-	}
-	if res.Merge.Pages == 0 || res.Merge.Pages != mergeRes.Merge.Pages {
-		t.Errorf("store folded %d pages, merge run saw %d", res.Merge.Pages, mergeRes.Merge.Pages)
-	}
+	got := datasetBytes(t, res.Dataset)
 
 	// The sealed segments alone (Run closed the ledger, sealing the tail)
 	// — a fresh read-only open, no live state — reproduce the same bytes.
-	ro, err := colstore.OpenRead(filepath.Join(storeDir, "store"))
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(coldStore(t, dir), got) {
+		t.Error("re-opened store dataset differs from the run's")
 	}
-	roDS, _ := ro.Dataset()
-	if !bytes.Equal(datasetBytes(t, roDS), want) {
-		t.Error("re-opened store dataset differs from merge want")
+	merged, stats := mergeSegments(t, cfg.Meta, cfg.StoreDir)
+	if !bytes.Equal(datasetBytes(t, merged), got) {
+		t.Error("the merge of the store's segments differs from the run's dataset")
 	}
-
-	// The spool the store run retained is still the merge oracle's input:
-	// merging it yields the identical dataset yet again.
-	spoolDS, _, err := oracle.MergeShards(cfg.Meta, spoolPaths(storeDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(datasetBytes(t, spoolDS), want) {
-		t.Error("merging the store run's spool differs from the want")
+	if res.Merge.Pages == 0 || res.Merge.Pages != stats.Pages || stats.Duplicates != 0 {
+		t.Errorf("store folded %+v, the segment merge %+v", res.Merge, stats)
 	}
 }
 
-// TestStoreKillAndResumeConverges: a store-backed crawl cancelled
-// mid-run resumes from its checkpoint plus sealed segments and converges
-// byte-for-byte with an uninterrupted fold-path run. (A cancelled Run
-// still closes its ledger; TestLedger's dropped rows cover the process
-// death that loses unsealed records.)
+// TestStoreKillAndResumeConverges: a crawl cancelled mid-run resumes
+// from its checkpoint plus sealed segments and converges byte-for-byte
+// with an uninterrupted run. (A cancelled Run still closes its ledger;
+// TestLedger's dropped rows cover the process death that loses unsealed
+// records.)
 func TestStoreKillAndResumeConverges(t *testing.T) {
 	env := newTestEnv(t, 20)
 
@@ -99,7 +91,6 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	}
 	cfg := env.config(dir, 2, r)
 	cfg.commitEvery = 1
-	cfg.StoreDir = filepath.Join(dir, "store")
 	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
@@ -113,7 +104,6 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 
 	cfg2 := env.config(dir, 2, nil)
 	cfg2.commitEvery = 1
-	cfg2.StoreDir = cfg.StoreDir
 	cfg2.Resume = true
 	res2, err := Run(context.Background(), cfg2)
 	if err != nil {
@@ -123,20 +113,14 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 		t.Errorf("resumed %d sites, checkpoint had %d", res2.ResumedDone, len(cp.Done))
 	}
 	if !bytes.Equal(datasetBytes(t, res2.Dataset), want) {
-		t.Error("resumed store-derived dataset differs from uninterrupted run")
+		t.Error("resumed dataset differs from uninterrupted run")
 	}
-	if own, _ := mergeOracle(t, cfg2, dir); !bytes.Equal(datasetBytes(t, own), want) {
-		t.Error("the merge of the resumed run's own spool differs from the uninterrupted run")
-	}
-
 	// The query service's view of the finished crawl — a read-only open
-	// of the sealed segments — agrees with the oracle too.
-	ro, err := colstore.OpenRead(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	roDS, _ := ro.Dataset()
-	if !bytes.Equal(datasetBytes(t, roDS), want) {
+	// of the sealed segments — and the merge of those segments agree.
+	if !bytes.Equal(coldStore(t, dir), want) {
 		t.Error("sealed store after kill+resume differs from want")
+	}
+	if merged, _ := mergeSegments(t, cfg2.Meta, cfg2.StoreDir); !bytes.Equal(datasetBytes(t, merged), want) {
+		t.Error("the merge of the resumed run's segments differs from the uninterrupted run")
 	}
 }

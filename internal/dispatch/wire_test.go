@@ -49,23 +49,23 @@ func TestJobRecordGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestCheckpointGoldenJSON pins the v4 checkpoint encoding end to end.
+// TestCheckpointGoldenJSON pins the v5 checkpoint encoding end to end.
 // A local crawl and a fabric coordinator both write it: their jobs are
-// sites, and the v3 coordinator's batchSize and failedSites are gone.
+// sites, the v3 coordinator's batchSize and failedSites are gone, and
+// the store's segment count has replaced v4's numShards and shardBytes.
 func TestCheckpointGoldenJSON(t *testing.T) {
 	cp := &Checkpoint{
 		Version: CheckpointVersion, Name: "crawl-1", Seed: 42,
-		NumShards: 2, PagesPerSite: 5, TotalSites: 3,
+		PagesPerSite: 5, TotalSites: 3, Segments: 4,
 	}
 	cp.SetJobs([]JobRecord{
 		{Domain: "a.com", Rank: 1, State: JobDone, Attempts: 2},
 		{Domain: "b.com", Rank: 2, State: JobFailed, Attempts: 3, LastErr: "boom"},
 		{Domain: "c.com", Rank: 3, State: JobPending, Attempts: 1, LastErr: "lease expired"},
 	})
-	cp.ShardBytes = []int64{128, 0}
-	const golden = `{"version":4,"name":"crawl-1","seed":42,"numShards":2,"pagesPerSite":5,` +
+	const golden = `{"version":5,"name":"crawl-1","seed":42,"pagesPerSite":5,` +
 		`"totalSites":3,"done":["a.com"],"failed":{"b.com":"boom"},` +
-		`"attempts":{"b.com":3,"c.com":1},"shardBytes":[128,0]}`
+		`"attempts":{"b.com":3,"c.com":1},"segments":4}`
 	data, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +79,11 @@ func TestCheckpointGoldenJSON(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&back, cp) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, cp)
+	}
+	// The fields bench/ still sets stay out of the file.
+	cp.NumShards, cp.ShardBytes = 8, []int64{128}
+	if again, err := json.Marshal(cp); err != nil || string(again) != golden {
+		t.Errorf("NumShards/ShardBytes reached the encoding: %s (%v)", again, err)
 	}
 }
 

@@ -82,7 +82,7 @@ func BenchmarkFabricCrawlRoundTrip(b *testing.B) {
 			BatchSize:      4,
 			LeaseTTL:       2 * time.Second,
 			CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-			SpoolDir:       filepath.Join(dir, "spool"),
+			StoreDir:       filepath.Join(dir, "store"),
 		})
 		if err != nil {
 			b.Fatal(err)

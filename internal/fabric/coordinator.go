@@ -35,18 +35,14 @@ type CoordinatorConfig struct {
 	Retry dispatch.RetryPolicy
 	// CheckpointPath is the coordinator's durable state file. Required.
 	CheckpointPath string
-	// SpoolDir receives the sharded JSONL spool files. Required.
-	SpoolDir string
+	// StoreDir is the columnar store every streamed page record is
+	// ingested into, sealed at each checkpoint boundary, so the crawl is
+	// queryable (cmd/wsquery, or Store for the in-process API) while it
+	// runs; Finalize derives the dataset from it. Required.
+	StoreDir string
 	// Resume loads CheckpointPath (when present) and skips completed
 	// sites instead of starting from scratch.
 	Resume bool
-	// StoreDir, when non-empty, also ingests every streamed page record
-	// into a columnar store at this directory, sealed at each checkpoint
-	// boundary, so the crawl is queryable (cmd/wsquery, or Store for the
-	// in-process API) while it runs; Finalize then derives the dataset
-	// from it. The spool keeps the raw lines regardless — merging them is
-	// the tests' oracle the store must match byte for byte.
-	StoreDir string
 	// Fault, when enabled, degrades every accepted worker connection
 	// with the given faultnet profile (fresh schedule per conn, keyed
 	// on FaultSeed).
@@ -68,7 +64,7 @@ type CoordinatorConfig struct {
 // coordinator's own is the wire session loop; everything durable, and
 // when to commit it, is the ledger's (DESIGN.md §7): a killed coordinator
 // resumes at most max(8, N/128) − 1 settled sites stale, as a local crawl
-// does, and re-crawls them into identical spool bytes.
+// does, and re-crawls them into identical records.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	queue  *dispatch.Queue
@@ -124,7 +120,6 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 			TotalSites:   len(cfg.Sites),
 		},
 		Meta:           c.meta(),
-		SpoolDir:       cfg.SpoolDir,
 		CheckpointPath: cfg.CheckpointPath,
 		StoreDir:       cfg.StoreDir,
 		Resume:         cfg.Resume,
@@ -193,18 +188,19 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	return nil
 }
 
-// Store returns the live columnar store (nil without StoreDir) for an
-// in-process query API; the coordinator keeps ownership.
+// Store returns the live columnar store for an in-process query API;
+// the coordinator keeps ownership.
 func (c *Coordinator) Store() *colstore.Store { return c.ledger.Store() }
 
 // Finalize commits a final checkpoint and derives the crawl dataset by
-// the ledger's one rule: finalize the fold (the store's when there is
-// one). The fold deduplicates (site, pageURL) and canonicalizes every
-// ordering, so the result is byte-identical no matter how many workers
-// streamed the pages, in what interleaving, or across how many resumes. Finalize ends the ledger's append
-// phase, so a page still streaming from a stale attempt is refused (its
-// session drops) instead of changing the returned dataset. meta must be
-// the identity the crawl config implies; it is checked, not used.
+// the ledger's one rule: finalize the store's fold. The fold
+// deduplicates (site, pageURL) and canonicalizes every ordering, so the
+// result is byte-identical no matter how many workers streamed the
+// pages, in what interleaving, or across how many resumes. Finalize ends
+// the ledger's append phase, so a page still streaming from a stale
+// attempt is refused (its session drops) instead of changing the
+// returned dataset. meta must be the identity the crawl config implies;
+// it is checked, not used.
 func (c *Coordinator) Finalize(meta analysis.DatasetMeta) (*analysis.Dataset, analysis.MergeStats, error) {
 	if meta != c.meta() {
 		return nil, analysis.MergeStats{}, fmt.Errorf("fabric: Finalize for dataset %+v, but the crawl is %+v", meta, c.meta())
@@ -212,12 +208,13 @@ func (c *Coordinator) Finalize(meta analysis.DatasetMeta) (*analysis.Dataset, an
 	if err := c.ledger.Commit(c.queue.ExportJobs); err != nil {
 		return nil, analysis.MergeStats{}, err
 	}
-	return c.ledger.Finalize()
+	ds, stats := c.ledger.Finalize()
+	return ds, stats, nil
 }
 
 // Close stops the coordinator: the listener closes, every worker
 // session drops, a final checkpoint is committed, and the ledger is
-// flushed and closed. Safe to call more than once.
+// closed. Safe to call more than once.
 func (c *Coordinator) Close() error {
 	if !c.shutdown() {
 		return nil
@@ -395,7 +392,7 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		// seeding), and re-crawled pages deduplicate, so the append is
 		// harmless and refusing it would buy nothing. A line that is not a
 		// page record, or one arriving after Finalize, never reaches the
-		// spool: the session drops and its leases go back to the queue.
+		// store: the session drops and its leases go back to the queue.
 		if err := c.ledger.AppendLine(m.Site, m.Line); err != nil {
 			c.logf("fabric: page for grant %s from %s rejected: %v", m.Batch, s.worker, err)
 			return false

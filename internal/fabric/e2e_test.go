@@ -16,8 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/analysis/oracle"
+	"repro/internal/colstore"
 	"repro/internal/dispatch"
 )
 
@@ -78,7 +77,6 @@ func startCoord(t *testing.T, bin, dir, addr string, resume bool, extra ...strin
 	args := []string{
 		"-out", filepath.Join(dir, "dataset.json"),
 		"-checkpoint", filepath.Join(dir, "checkpoint.json"),
-		"-spool-dir", filepath.Join(dir, "spool"),
 		"-coordinate", addr,
 		"-batch-size", "3",
 		"-lease-ttl", "2s",
@@ -185,28 +183,21 @@ func runDistributed(t *testing.T, crawlBin string, n int) []byte {
 	return data
 }
 
-// checkSpoolOracle holds a dataset a crawl wrote to the merge of the
-// spool it left in dir, under the identity the dataset names.
-func checkSpoolOracle(t *testing.T, dir string, dataset []byte) {
+// checkStoreOracle holds a dataset a crawl wrote to a cold read-only
+// open of the store it left at storeDir.
+func checkStoreOracle(t *testing.T, storeDir string, dataset []byte) {
 	t.Helper()
-	ds, err := analysis.ReadJSON(bytes.NewReader(dataset))
+	st, err := colstore.OpenRead(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := filepath.Glob(filepath.Join(dir, "spool", "shard-*.jsonl"))
-	if err != nil || len(shards) == 0 {
-		t.Fatalf("no spool shards in %s: %v", dir, err)
-	}
-	merged, _, err := oracle.MergeShards(analysis.DatasetMeta{Name: ds.Name, Era: ds.Era, CrawlIndex: ds.CrawlIndex}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, _ := st.Dataset()
 	var want bytes.Buffer
-	if err := merged.WriteJSON(&want); err != nil {
+	if err := ds.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dataset, want.Bytes()) {
-		t.Errorf("dataset differs from the merge of its own spool (%d vs %d bytes)", len(dataset), want.Len())
+		t.Errorf("dataset differs from a cold read of its own store (%d vs %d bytes)", len(dataset), want.Len())
 	}
 }
 
@@ -236,7 +227,6 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		args := []string{
 			"-out", out,
 			"-checkpoint", filepath.Join(dir, "checkpoint.json"),
-			"-spool-dir", filepath.Join(dir, "spool"),
 			"-workers", "4",
 		}
 		args = append(args, e2eFlags...)
@@ -305,10 +295,12 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			t.Errorf("dataset after SIGINT and resume differs (%d vs %d bytes)", len(got), len(ref))
 		}
-		checkSpoolOracle(t, dir, got)
+		// The store sits beside the checkpoint, named after the crawl's
+		// index.
+		checkStoreOracle(t, filepath.Join(dir, "store-crawl0"), got)
 	})
 
-	t.Run("local resume refuses a corrupt spool", func(t *testing.T) {
+	t.Run("local resume refuses a store missing a vouched segment", func(t *testing.T) {
 		dir := t.TempDir()
 		out := filepath.Join(dir, "local.json")
 		cpPath := filepath.Join(dir, "checkpoint.json")
@@ -342,28 +334,20 @@ func TestE2EDistributedCrawl(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Corrupt the first line of a shard the checkpoint vouches for,
-		// keeping it newline-terminated: a complete write gone bad.
-		shard := -1
-		for i, n := range cp.ShardBytes {
-			if n > 0 {
-				shard = i
-				break
-			}
+		// Delete the last segment the checkpoint vouches for: the pages
+		// of sites it marks done are gone.
+		if cp.Segments == 0 {
+			t.Fatalf("checkpoint vouches for no segment: %+v", cp)
 		}
-		if shard < 0 {
-			t.Fatalf("checkpoint vouches for no spool bytes: %v", cp.ShardBytes)
-		}
-		path := filepath.Join(dir, "spool", fmt.Sprintf("shard-%03d.jsonl", shard))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] = '!'
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		storeDir := filepath.Join(dir, "store-crawl0")
+		if err := os.Remove(filepath.Join(storeDir, fmt.Sprintf("seg-%06d.col", cp.Segments-1))); err != nil {
 			t.Fatal(err)
 		}
 		before, err := os.ReadFile(cpPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		beforeStore, err := os.ReadDir(storeDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +355,10 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		msg, err := exec.Command(crawlBin, append(args, "-resume")...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("resume over a corrupt spool: %v, want exit status 1\n%s", err, msg)
+			t.Fatalf("resume over a store missing a segment: %v, want exit status 1\n%s", err, msg)
+		}
+		if !strings.Contains(string(msg), "is missing") {
+			t.Errorf("refused resume did not name the missing segment:\n%s", msg)
 		}
 		if !strings.Contains(string(msg), "start the crawl from scratch") {
 			t.Errorf("refused resume printed no start-fresh hint:\n%s", msg)
@@ -382,6 +369,9 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		}
 		if !bytes.Equal(before, after) {
 			t.Error("the refused resume rewrote the checkpoint")
+		}
+		if afterStore, err := os.ReadDir(storeDir); err != nil || len(afterStore) != len(beforeStore) {
+			t.Errorf("the refused resume changed the store: %d files, then %d (%v)", len(beforeStore), len(afterStore), err)
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("the refused resume wrote a dataset (stat: %v)", err)
@@ -435,9 +425,10 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		addr := ln.Addr().String()
 		ln.Close()
 
-		// The coordinator also streams pages into a columnar store: the
-		// kill -9 below can land mid-segment-write, and resume must
-		// recover the store to byte-agreement with the merge.
+		// The coordinator streams pages into a columnar store, here at an
+		// explicit -store-dir: the kill -9 below can land mid-segment-write,
+		// and resume must recover the store to byte-agreement with an
+		// uninterrupted crawl.
 		storeDir := filepath.Join(dir, "store")
 		c1 := startCoord(t, crawlBin, dir, addr, false, "-store-dir", storeDir)
 		url := c1.url(t)
@@ -495,17 +486,17 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			t.Errorf("dataset after coordinator kill+resume differs (%d vs %d bytes)", len(got), len(ref))
 		}
-		checkSpoolOracle(t, dir, got)
+		checkStoreOracle(t, storeDir, got)
 
 		// The query service's view of the sealed store — a separate
 		// binary, reading only the segment files — must reproduce the
-		// merged dataset byte for byte despite the mid-crawl kill.
+		// dataset byte for byte despite the mid-crawl kill.
 		queried, err := exec.Command(queryBin, "-store-dir", storeDir, "-dataset").Output()
 		if err != nil {
 			t.Fatalf("wsquery: %v\n%s", err, c2.log(t))
 		}
 		if !bytes.Equal(queried, ref) {
-			t.Errorf("wsquery dataset after kill+resume differs from merge (%d vs %d bytes)", len(queried), len(ref))
+			t.Errorf("wsquery dataset after kill+resume differs from the uninterrupted one (%d vs %d bytes)", len(queried), len(ref))
 		}
 	})
 }

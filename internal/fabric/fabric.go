@@ -17,8 +17,8 @@
 //   - everything durable is internal/dispatch's Ledger: page records
 //     stream back as the spool lines a grant runner emits and go through
 //     Ledger.AppendLine, the ledger's one entry, as a local crawl's do —
-//     so the distributed spool is byte-identical to a locally written
-//     one; progress is committed by the ledger's one commit rule in the
+//     so the coordinator's store holds the same records a local crawl's
+//     does; progress is committed by the ledger's one commit rule in the
 //     one checkpoint format (either role resumes the other's checkpoint);
 //     and the final dataset comes from the ledger's one finalize rule;
 //   - coordinator↔worker links accept faultnet profiles, and workers

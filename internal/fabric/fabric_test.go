@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
 	"repro/internal/fabric/wire"
@@ -21,7 +23,7 @@ import (
 )
 
 // fakeRunner is a deterministic BatchRunner: every site yields
-// pagesPerSite fixed lines, so the canonical spool content is a pure
+// pagesPerSite fixed lines, so the canonical store content is a pure
 // function of the site list — exactly the property the real pipeline
 // has — without paying for real page loads in protocol tests.
 type fakeRunner struct {
@@ -102,7 +104,7 @@ func testSites(n int) []crawler.Site {
 	return sites
 }
 
-// expectedLines is the canonical spool content for a full crawl of
+// expectedLines is the canonical store content for a full crawl of
 // sites: every page line exactly once, sorted.
 func expectedLines(sites []crawler.Site, pagesPerSite int) []string {
 	var out []string
@@ -115,29 +117,29 @@ func expectedLines(sites []crawler.Site, pagesPerSite int) []string {
 	return out
 }
 
-// canonicalSpool reads every spool shard and returns the deduplicated,
-// sorted line set — the same canonicalization the real merge applies.
-func canonicalSpool(t *testing.T, dir string) []string {
+// canonicalStore reads every sealed segment of the store at dir and
+// returns its records as spool lines, sorted. The store keeps a page
+// once however often it was streamed (duplicates are dropped at ingest
+// and at replay), so a line that appears twice is a bug, not noise.
+func canonicalStore(t *testing.T, dir string) []string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.col"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	var out []string
+	for _, seg := range segs {
+		recs, err := colstore.ReadSegment(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line != "" {
-				seen[line] = true
+		for _, rec := range recs {
+			line, err := analysis.AppendSpoolRecord(nil, rec)
+			if err != nil {
+				t.Fatal(err)
 			}
+			out = append(out, string(line[:len(line)-1]))
 		}
-	}
-	out := make([]string, 0, len(seen))
-	for line := range seen {
-		out = append(out, line)
 	}
 	sort.Strings(out)
 	return out
@@ -170,7 +172,6 @@ type coordOpts struct {
 	batchSize   int
 	maxAttempts int // default 5
 	resume      bool
-	store       bool
 	fault       string
 	faultSeed   int64
 	logf        func(format string, args ...any)
@@ -251,7 +252,7 @@ func checkNoGoroutineLeak(t *testing.T, base int) {
 }
 
 // TestFabricConvergesAcrossWorkerCounts is the acceptance keystone in
-// process form: 1, 2, and 4 workers produce the same canonical spool
+// process form: 1, 2, and 4 workers produce the same canonical store
 // content, equal to the full expected page set.
 func TestFabricConvergesAcrossWorkerCounts(t *testing.T) {
 	sites := testSites(30)
@@ -288,7 +289,7 @@ func TestFabricConvergesAcrossWorkerCounts(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			diffLines(t, "spool", canonicalSpool(t, filepath.Join(dir, "spool")), want)
+			diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), want)
 		})
 	}
 }
@@ -297,7 +298,7 @@ func TestFabricConvergesAcrossWorkerCounts(t *testing.T) {
 // under the coordinator's RetryPolicy, site by site, as dispatch.Run
 // retries a local crawl's (TestRetryRecoversFlakySite and
 // TestRetryBudgetExhaustion hold these rows there). A flaky site
-// recovers at its second attempt with its pages spooled, a dead one
+// recovers at its second attempt with its pages stored, a dead one
 // spends its whole budget and keeps the runner's last error — which is
 // all FailedSites reports — every other site is done at its first
 // attempt, and Progress counts sites.
@@ -366,14 +367,14 @@ func TestFabricRetriesFailedSites(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			diffLines(t, "spool", canonicalSpool(t, filepath.Join(dir, "spool")), expectedLines(live, testPages))
+			diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), expectedLines(live, testPages))
 		})
 	}
 }
 
 // TestFabricSurvivesWorkerKill: killing a worker mid-batch loses
 // nothing — the lease expires, the batch is reclaimed and re-granted,
-// and the canonical spool still matches a clean run exactly.
+// and the canonical store still matches a clean run exactly.
 func TestFabricSurvivesWorkerKill(t *testing.T) {
 	sites := testSites(24)
 	want := expectedLines(sites, testPages)
@@ -410,14 +411,14 @@ func TestFabricSurvivesWorkerKill(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	diffLines(t, "spool", canonicalSpool(t, filepath.Join(dir, "spool")), want)
+	diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), want)
 }
 
 // TestFabricSurvivesCoordinatorRestart: the coordinator dies mid-crawl
 // and comes back with -resume semantics on the same address; the worker
 // rides the outage out on dial retry, completed batches are not re-run,
-// the final spool is canonical-identical to a clean run, and the dataset
-// the resumed coordinator folded is the merge of that spool.
+// the final store is canonical-identical to a clean run, and the dataset
+// the resumed coordinator folded is a cold read of that store.
 func TestFabricSurvivesCoordinatorRestart(t *testing.T) {
 	sites := testSites(24)
 	want := expectedLines(sites, testPages)
@@ -471,7 +472,7 @@ func TestFabricSurvivesCoordinatorRestart(t *testing.T) {
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	diffLines(t, "spool", canonicalSpool(t, filepath.Join(dir, "spool")), want)
+	diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), want)
 }
 
 // startTestCoordinator2 is startTestCoordinator without the defaults
@@ -495,14 +496,11 @@ func startTestCoordinator2(dir string, sites []crawler.Site, o coordOpts) (*Coor
 		LeaseTTL:       o.ttl,
 		Retry:          dispatch.RetryPolicy{MaxAttempts: o.maxAttempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		SpoolDir:       filepath.Join(dir, "spool"),
+		StoreDir:       filepath.Join(dir, "store"),
 		Resume:         o.resume,
 		Fault:          fault,
 		FaultSeed:      o.faultSeed,
 		Logf:           o.logf,
-	}
-	if o.store {
-		cfg.StoreDir = filepath.Join(dir, "store")
 	}
 	return StartCoordinator(o.addr, cfg)
 }
@@ -560,10 +558,10 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 			t.Errorf("error %q does not name the mismatched flag", ce)
 		}
 	})
-	t.Run("corrupt spool line", func(t *testing.T) {
-		// A line the checkpoint vouches for no longer decodes: the resumed
+	t.Run("vouched segment missing", func(t *testing.T) {
+		// A segment the checkpoint vouches for is gone: the resumed
 		// coordinator must refuse before it serves a batch, not after its
-		// workers finish the crawl.
+		// workers finish the crawl without the pages it held.
 		dir := t.TempDir()
 		c := startTestCoordinator(t, dir, sites, coordOpts{batchSize: 2})
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -578,24 +576,10 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shard := -1
-		for i, n := range cp.ShardBytes {
-			if n > 0 {
-				shard = i
-				break
-			}
+		if cp.Segments == 0 {
+			t.Fatalf("checkpoint vouches for no segment: %+v", cp)
 		}
-		if shard < 0 {
-			t.Fatalf("checkpoint vouches for no spool bytes: %v", cp.ShardBytes)
-		}
-		name := fmt.Sprintf("shard-%03d.jsonl", shard)
-		path := filepath.Join(dir, "spool", name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] = '!'
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.Remove(filepath.Join(dir, "store", "seg-000000.col")); err != nil {
 			t.Fatal(err)
 		}
 		o := newOpts(dir)
@@ -609,8 +593,8 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("error = %v (%T), want *dispatch.CheckpointError", err, err)
 		}
-		if !strings.Contains(ce.Error(), name+" line 1") {
-			t.Errorf("error %q does not name the shard and line", ce)
+		if !strings.Contains(ce.Error(), "seg-000000.col is missing") {
+			t.Errorf("error %q does not name the missing segment", ce)
 		}
 	})
 }
@@ -676,7 +660,7 @@ func TestFabricSoak(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			diffLines(t, "spool under "+profile, canonicalSpool(t, filepath.Join(dir, "spool")), want)
+			diffLines(t, "store under "+profile, canonicalStore(t, filepath.Join(dir, "store")), want)
 		})
 	}
 	checkNoGoroutineLeak(t, base)

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/oracle"
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/detrand"
 	"repro/internal/dispatch"
@@ -23,9 +23,9 @@ import (
 
 // The coordinator is one of the dispatch.Ledger's two callers; these
 // tests cover what only a real session can: a bad page frame is stopped
-// before the spool, so is a page arriving after Finalize, the worker that
-// drains the queue hears so before Close, and a store-backed coordinator
-// killed mid-crawl resumes to the uninterrupted dataset.
+// before the store, so is a page arriving after Finalize, the worker that
+// drains the queue hears so before Close, and a coordinator killed
+// mid-crawl resumes to the uninterrupted dataset.
 
 // rawSession opens a worker session by hand — hello, welcome, lease,
 // grant — and returns the conn plus the granted batch.
@@ -111,7 +111,7 @@ func TestCoordinatorAnswersDrainedBeforeClose(t *testing.T) {
 // ledger's decode catches it) and bytes that are not JSON at all (the
 // frame decode does). Either way the session is dropped and logged, the
 // lease goes back to the queue, a healthy worker finishes the crawl, and
-// no shard file ever holds the bad bytes.
+// segment ever holds the bad bytes.
 func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 	sites := testSites(6)
 	dir := t.TempDir()
@@ -168,8 +168,8 @@ func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	shards, _ := filepath.Glob(filepath.Join(dir, "spool", "shard-*.jsonl"))
-	for _, path := range shards {
+	segs, _ := filepath.Glob(filepath.Join(dir, "store", "seg-*.col"))
+	for _, path := range segs {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -178,13 +178,13 @@ func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 			t.Errorf("%s holds the rejected line", path)
 		}
 	}
-	diffLines(t, "spool", canonicalSpool(t, filepath.Join(dir, "spool")), expectedLines(sites, testPages))
+	diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), expectedLines(sites, testPages))
 }
 
 // TestCoordinatorFinalizeRefusesLatePages keeps a session attached past
 // Finalize, as a coordinator's workers are, and streams one more page
-// through it: the session must drop, and the page must reach neither the spool
-// nor the dataset Finalize already handed out.
+// through it: the session must drop, and the page must reach neither the
+// store nor the dataset Finalize already handed out.
 func TestCoordinatorFinalizeRefusesLatePages(t *testing.T) {
 	sites := testSites(4)
 	dir := t.TempDir()
@@ -230,61 +230,58 @@ func TestCoordinatorFinalizeRefusesLatePages(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Error("a page after Finalize changed the finalized dataset")
 	}
-	diffLines(t, "spool", canonicalSpool(t, filepath.Join(dir, "spool")), expectedLines(sites, testPages))
+	diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), expectedLines(sites, testPages))
 }
 
-// finalizeBytes finalizes a drained coordinator and checks the result
-// against the merge of its own spool before returning the dataset JSON.
+// finalizeBytes finalizes a drained coordinator, closes it, and checks
+// the result against a cold read-only open of its own store before
+// returning the dataset JSON.
 func finalizeBytes(t *testing.T, c *Coordinator, dir string) []byte {
 	t.Helper()
-	meta := analysis.DatasetMeta{Name: "fabric-test", Era: "pre"}
-	ds, _, err := c.Finalize(meta)
+	ds, _, err := c.Finalize(analysis.DatasetMeta{Name: "fabric-test", Era: "pre"})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var got, want bytes.Buffer
 	if err := ds.WriteJSON(&got); err != nil {
 		t.Fatal(err)
 	}
-	shards, _ := filepath.Glob(filepath.Join(dir, "spool", "shard-*.jsonl"))
-	merged, _, err := oracle.MergeShards(meta, shards)
+	st, err := colstore.OpenRead(filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := merged.WriteJSON(&want); err != nil {
+	cold, _ := st.Dataset()
+	if err := cold.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("Finalize differs from the merge of the coordinator's own spool")
+		t.Error("Finalize differs from a cold read of the coordinator's own store")
 	}
 	return got.Bytes()
 }
 
-// TestFabricStoreSurvivesCoordinatorKill: a coordinator with a store
-// dies mid-crawl — no final commit, no Close, so the spool's buffered
-// groups and the store's unsealed records are lost exactly as under
-// SIGKILL — and a restart with Resume on the same address converges on
-// the dataset of an uninterrupted crawl, with or without a store.
+// TestFabricStoreSurvivesCoordinatorKill: a coordinator dies mid-crawl
+// — no final commit, no Close, so the store's unsealed records are lost
+// exactly as under SIGKILL — and a restart with Resume on the same
+// address converges on the dataset of an uninterrupted crawl.
 func TestFabricStoreSurvivesCoordinatorKill(t *testing.T) {
 	sites := testSites(24)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	crawl := func(dir string, store bool) []byte {
-		c := startTestCoordinator(t, dir, sites, coordOpts{batchSize: 2, store: store})
-		defer c.Close()
-		if err := runTestWorker(ctx, "w0", c.URL(), workerOpts{seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-		return finalizeBytes(t, c, dir)
+	ref := t.TempDir()
+	c := startTestCoordinator(t, ref, sites, coordOpts{batchSize: 2})
+	defer c.Close()
+	if err := runTestWorker(ctx, "w0", c.URL(), workerOpts{seed: 1}); err != nil {
+		t.Fatal(err)
 	}
-	want := crawl(t.TempDir(), false)
-	if !bytes.Equal(crawl(t.TempDir(), true), want) {
-		t.Fatal("uninterrupted store-backed crawl differs from the fold-backed one")
+	if err := c.Wait(ctx); err != nil {
+		t.Fatal(err)
 	}
+	want := finalizeBytes(t, c, ref)
 
 	dir := t.TempDir()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -293,7 +290,7 @@ func TestFabricStoreSurvivesCoordinatorKill(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	opts := coordOpts{addr: addr, ttl: 500 * time.Millisecond, batchSize: 2, store: true}
+	opts := coordOpts{addr: addr, ttl: 500 * time.Millisecond, batchSize: 2}
 	c1 := startTestCoordinator(t, dir, sites, opts)
 	workerDone := make(chan error, 1)
 	go func() {
@@ -326,7 +323,7 @@ func TestFabricStoreSurvivesCoordinatorKill(t *testing.T) {
 		t.Fatalf("worker: %v", err)
 	}
 	if !bytes.Equal(finalizeBytes(t, c2, dir), want) {
-		t.Error("killed and resumed store-backed crawl differs from the uninterrupted dataset")
+		t.Error("killed and resumed crawl differs from the uninterrupted dataset")
 	}
 }
 

@@ -49,7 +49,7 @@ const (
 	// TypeHeartbeatAck (C→W) answers a heartbeat; Valid=false tells the
 	// worker a lease was reclaimed and the grant must be abandoned.
 	TypeHeartbeatAck = "heartbeat_ack"
-	// TypePage (W→C) streams one spooled page record (the exact bytes
+	// TypePage (W→C) streams one page record (the exact bytes
 	// of one spool line) from a grant.
 	TypePage = "page"
 	// TypeComplete (W→C) settles a grant: every site was attempted and
@@ -135,16 +135,16 @@ type HeartbeatAck struct {
 	Valid bool `json:"valid"`
 }
 
-// Page streams one spooled page record.
+// Page streams one page record as its spool line.
 type Page struct {
 	Batch string `json:"batch"`
-	// Site is the page's site domain (selects the spool shard; the
-	// coordinator refuses a line that names another site).
+	// Site is the page's site domain (the coordinator refuses a line
+	// that names another site).
 	Site string `json:"site"`
 	// Line is one spool line, exactly as analysis.AppendSpoolRecord
-	// wrote it (without the trailing newline). The coordinator appends
-	// it verbatim, so the distributed spool is byte-identical to a
-	// local one.
+	// wrote it (without the trailing newline). The coordinator's ledger
+	// decodes it as a local crawl's ledger decodes a local line, so the
+	// distributed store holds the records a local one does.
 	Line json.RawMessage `json:"line"`
 }
 

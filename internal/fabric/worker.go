@@ -177,7 +177,7 @@ func (w *worker) session(ctx context.Context) (done, productive bool, err error)
 	} else if !reflect.DeepEqual(*w.crawl, welcome.Crawl) {
 		// The coordinator restarted with different flags; our synthetic
 		// world no longer matches and silently mixing them would poison
-		// the spool. Refuse loudly.
+		// the store. Refuse loudly.
 		return true, false, fmt.Errorf("fabric: coordinator crawl config changed across reconnect: had %+v, got %+v",
 			*w.crawl, welcome.Crawl)
 	}

@@ -77,7 +77,7 @@ func BenchmarkRegistrySnapshot(b *testing.B) {
 	for _, n := range []string{MPages, MPageErrors, MSites} {
 		r.Counter(n).Add(10)
 	}
-	for _, n := range []string{MStageFetch, MStageParse, MStageTree, MStageLabel, MStageSpool} {
+	for _, n := range []string{MStageFetch, MStageParse, MStageTree, MStageLabel, MStageCheckpoint} {
 		h := r.Histogram(n)
 		for i := 0; i < 1000; i++ {
 			h.Observe(time.Duration(i) * time.Microsecond)

@@ -7,7 +7,7 @@ import (
 
 // defaultBounds are the histogram bucket upper bounds: powers of two
 // from 1µs to ~34s. 26 buckets cover every latency the pipeline
-// produces — a sub-microsecond spool append up to a wedged multi-second
+// produces — a sub-microsecond filter-list match up to a wedged multi-second
 // page fetch — with ≤2× relative quantile error, which is plenty for
 // progress lines and regression hunting.
 var defaultBounds = func() []int64 {

@@ -26,8 +26,6 @@ const (
 	// Durability layer.
 	MCheckpointWrites = "checkpoint.writes"
 	MCheckpointBytes  = "checkpoint.bytes"
-	MSpoolAppends     = "spool.appends"
-	MSpoolBytes       = "spool.bytes"
 	MMergePages       = "merge.pages"
 	MMergeDuplicates  = "merge.duplicates"
 
@@ -133,18 +131,17 @@ const (
 	MStageParse      = "stage.parse"
 	MStageTree       = "stage.tree"
 	MStageLabel      = "stage.label"
-	MStageSpool      = "stage.spool"
 	MStageCheckpoint = "stage.checkpoint"
 	MStageMerge      = "stage.merge"
 
 	// Per-page phase histograms, one sample per crawled page. Where the
-	// stage.* histograms time individual operations (a fetch, a spool
-	// write), the crawl.* histograms time the page-granular phases the
-	// crawl capacity model is built on: visit is the browser's full
+	// stage.* histograms time individual operations (a fetch, a
+	// checkpoint), the crawl.* histograms time the page-granular phases
+	// the crawl capacity model is built on: visit is the browser's full
 	// page load, record is trace→PageRecord→spool line, commit is the
-	// ledger's decode of the line and its durable spool append
-	// (including any group-commit flush), and page is the whole
-	// visit→record→commit turnaround.
+	// ledger's decode of the line and the store's ingest of its record
+	// (fold and column encode, plus any automatic seal), and page is the
+	// whole visit→record→commit turnaround.
 	MCrawlVisit  = "crawl.visit"
 	MCrawlRecord = "crawl.record"
 	MCrawlCommit = "crawl.commit"
@@ -162,8 +159,6 @@ var (
 
 	CheckpointWrites = Default.Counter(MCheckpointWrites)
 	CheckpointBytes  = Default.Counter(MCheckpointBytes)
-	SpoolAppends     = Default.Counter(MSpoolAppends)
-	SpoolBytes       = Default.Counter(MSpoolBytes)
 	MergePages       = Default.Counter(MMergePages)
 	MergeDuplicates  = Default.Counter(MMergeDuplicates)
 
@@ -229,7 +224,6 @@ var (
 	StageParse      = Default.Histogram(MStageParse)
 	StageTree       = Default.Histogram(MStageTree)
 	StageLabel      = Default.Histogram(MStageLabel)
-	StageSpool      = Default.Histogram(MStageSpool)
 	StageCheckpoint = Default.Histogram(MStageCheckpoint)
 	StageMerge      = Default.Histogram(MStageMerge)
 )

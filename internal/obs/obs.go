@@ -1,7 +1,7 @@
 // Package obs is the crawl-wide observability subsystem: a
 // dependency-free metrics registry (counters, gauges, bounded duration
 // histograms with quantile snapshots), per-stage span timing for the
-// crawl pipeline (fetch → parse → inclusion-tree → label → spool), a
+// crawl pipeline (fetch → parse → inclusion-tree → label → commit), a
 // periodic progress reporter, and an expvar + pprof HTTP endpoint.
 //
 // Concurrency contract: every metric type is safe for concurrent use
@@ -15,7 +15,7 @@
 //
 // Output-determinism contract: obs observes the pipeline and never
 // feeds back into it. Nothing in this package is consulted by crawl,
-// label, spool, or merge logic, so enabling metrics, the reporter, or
+// label, store, or merge logic, so enabling metrics, the reporter, or
 // the HTTP endpoint cannot change a single byte of the measurement
 // dataset (internal/core's integration test asserts exactly this).
 //

@@ -103,7 +103,6 @@ var stageOrder = []struct{ name, label string }{
 	{MStageParse, "parse"},
 	{MStageTree, "tree"},
 	{MStageLabel, "label"},
-	{MStageSpool, "spool"},
 }
 
 // RenderProgress renders one progress line from two snapshots: cur for

@@ -25,15 +25,15 @@ func TestRenderProgressGolden(t *testing.T) {
 		fetch.Observe(900 * time.Microsecond) // (512µs,1.024ms] bucket
 	}
 	fetch.Observe(7 * time.Millisecond) // (4.096ms,8.192ms] bucket
-	spool := r.Histogram(MStageSpool)
-	spool.Observe(3 * time.Microsecond) // (2µs,4µs] bucket
+	label := r.Histogram(MStageLabel)
+	label.Observe(3 * time.Microsecond) // (2µs,4µs] bucket
 
 	cur := r.Snapshot()
 	prev := Snapshot{Counters: map[string]int64{MPages: 220}}
 	got := RenderProgress(cur, prev, 12*time.Second, time.Second)
 	want := "progress 12s: pages=240 (20.0/s) page_errs=3" +
 		" queue[done=16/60 leased=4 pending=40 failed=0 retries=1 requeues=0]" +
-		" fetch[p50=1.02ms p99=8.19ms] spool[p50=4µs p99=4µs]"
+		" fetch[p50=1.02ms p99=8.19ms] label[p50=4µs p99=4µs]"
 	if got != want {
 		t.Errorf("progress line mismatch:\n got: %s\nwant: %s", got, want)
 	}
