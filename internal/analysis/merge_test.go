@@ -1,16 +1,20 @@
-// Spool-record and fold tests, from outside the package, as the ledger
-// uses both: it decodes each page line and folds the record.
+// Spool-record, fold and spool-layout tests, from outside the package,
+// as the ledger uses the first two — it decodes each page line and
+// folds the record — and as dispatch, which imports analysis, writes
+// the spool lines bench times.
 package analysis_test
 
 import (
 	"bytes"
 	"context"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
 	"repro/internal/crawler"
+	"repro/internal/dispatch"
 	"repro/internal/filterlist"
 	"repro/internal/labeler"
 	"repro/internal/webgen"
@@ -86,7 +90,9 @@ func encodeLine(t *testing.T, rec *analysis.PageRecord) []byte {
 	return line
 }
 
-func TestFoldDedupesByPage(t *testing.T) {
+// TestMergeShardsDedupesByPage: the merge behind every fold keeps the
+// first record of a (site, page) and drops the ones after it.
+func TestMergeShardsDedupesByPage(t *testing.T) {
 	first := samplePageRecord()
 	dup := samplePageRecord()
 	dup.HTTP["cdn.com"].Requests = 999 // must lose: first occurrence wins
@@ -106,7 +112,9 @@ func TestFoldDedupesByPage(t *testing.T) {
 	}
 }
 
-func TestFoldDerivesAADomainsFromDeltas(t *testing.T) {
+// TestMergeShardsDerivesAADomainsFromDeltas: the merge derives D′ from
+// the summed labeler deltas, with the labeler's threshold rule.
+func TestMergeShardsDerivesAADomainsFromDeltas(t *testing.T) {
 	// tracker.com: 2 A&A obs vs 10 non ⇒ 2 >= 0.1*10, in D′.
 	// almost.com: 1 A&A obs vs 11 non ⇒ 1 < 1.1, out.
 	// quiet.com: only non-A&A obs, out.
@@ -119,13 +127,13 @@ func TestFoldDerivesAADomainsFromDeltas(t *testing.T) {
 	}
 }
 
-// TestFolderAndDecodedLinesAgree crawls a small synthetic world once
-// and folds its page records two ways — the recorder's records as they
-// are, and each record encoded as a spool line and decoded again, as
-// the ledger takes every page — and requires byte-identical datasets:
-// same site summaries, canonical socket order, HTTP aggregates, and the
-// same derived D′.
-func TestFolderAndDecodedLinesAgree(t *testing.T) {
+// TestFolderAndMergeShardsAgree crawls a small synthetic world once and
+// folds its page records two ways — the recorder's records as they are,
+// and each record encoded as a spool line and decoded again, as the
+// ledger takes every page into its store — and requires byte-identical
+// datasets: same site summaries, canonical socket order, HTTP
+// aggregates, and the same derived D′.
+func TestFolderAndMergeShardsAgree(t *testing.T) {
 	w := webgen.NewWorld(webgen.Config{Seed: 31, NumPublishers: 12, Era: webgen.EraPrePatch})
 	s, err := webserver.Start(w)
 	if err != nil {
@@ -204,5 +212,53 @@ func TestFolderAndDecodedLinesAgree(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("folded dataset (%d bytes) differs from the decoded lines' (%d bytes)", a.Len(), b.Len())
+	}
+}
+
+// TestShardForIsFNV1a pins the spool's shard rule — FNV-1a of the site
+// domain, mod the shard count — through the file each site's line lands
+// in: the layout bench's traced twin of the page path writes and times.
+func TestShardForIsFNV1a(t *testing.T) {
+	const shards = 8
+	dir := t.TempDir()
+	sp, err := dispatch.OpenSpoolBatch(dir, shards, false, dispatch.BatchPolicy{Pages: 64, Bytes: 256 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	for _, tc := range []struct {
+		domain string
+		want   int
+	}{
+		{"a.com", 7},
+		{"alpha.com", 4},
+		{"site017.com", 1},
+		{"publisher-00042.example", 4},
+		{"33across.com", 5},
+	} {
+		h := fnv.New64a()
+		h.Write([]byte(tc.domain))
+		if ref := int(h.Sum64() % shards); ref != tc.want {
+			t.Fatalf("pin %q mod %d = %d, but hash/fnv gives %d", tc.domain, shards, tc.want, ref)
+		}
+		before, err := sp.ShardSizes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Append(&analysis.PageRecord{Site: tc.domain, Rank: 1, PageURL: "http://" + tc.domain + "/"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := sp.ShardSizes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range after {
+			if grew := after[i] > before[i]; grew != (i == tc.want) {
+				t.Errorf("%s: shard %d grew %v, want its line in shard %d only", tc.domain, i, grew, tc.want)
+			}
+		}
 	}
 }

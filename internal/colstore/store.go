@@ -42,6 +42,19 @@ import (
 	"repro/internal/obs"
 )
 
+// DamagedSegmentError is a sealed segment that fails validation on
+// replay: post-publish damage, or a file moved into another's place.
+type DamagedSegmentError struct {
+	Name string // the segment's file name
+	Err  error  // what its validation found
+}
+
+func (e *DamagedSegmentError) Error() string {
+	return fmt.Sprintf("colstore: sealed segment %s is damaged: %v", e.Name, e.Err)
+}
+
+func (e *DamagedSegmentError) Unwrap() error { return e.Err }
+
 // manifestName is the store's identity file, written once at creation.
 const manifestName = "store.json"
 
@@ -282,7 +295,7 @@ func (s *Store) replaySegments() error {
 			err = fmt.Errorf("colstore: segment header names seq %d", seq)
 		}
 		if err != nil {
-			return fmt.Errorf("colstore: sealed segment %s is damaged: %w", name, err)
+			return &DamagedSegmentError{Name: name, Err: err}
 		}
 		s.mu.Lock()
 		for _, rec := range recs {

@@ -198,15 +198,17 @@ func TestWriteAtomicSyncsParentDir(t *testing.T) {
 	}
 }
 
-// TestCheckpointSegmentsCoverBufferedRecords pins the Commit audit: a
-// checkpoint must never vouch for jobs whose pages are still in the
-// store's unsealed buffer. Commit's safe ordering is jobs-snapshot →
+// TestCheckpointExtentsCoverBufferedGroups pins the Commit audit: a
+// checkpoint's extent — the sealed segments it vouches for — must cover
+// the group of records still buffered in the store's unsealed segment
+// when it commits; it never vouches for jobs whose pages are only
+// buffered. Commit's safe ordering is jobs-snapshot →
 // Seal → segment count: any job done at snapshot time appended its
 // pages before the snapshot, so the seal that follows covers them, and
 // the recorded count names exactly the segments on disk. This test
 // leaves appends in the buffer (too few to trip an auto-seal), commits,
 // and requires the vouched segments to exist and hold every page.
-func TestCheckpointSegmentsCoverBufferedRecords(t *testing.T) {
+func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 	dir := t.TempDir()
 	cpPath := filepath.Join(dir, "cp.json")
 	storeDir := filepath.Join(dir, "store")

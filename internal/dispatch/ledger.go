@@ -85,10 +85,10 @@ var ErrFinalized = errors.New("dispatch: ledger already finalized")
 
 // OpenLedger opens a crawl's durable state, fresh or resumed. A resume
 // whose checkpoint is corrupt, from another crawl, or vouching for
-// sealed segments that are gone fails with a *CheckpointError, and one
-// over a store of another crawl fails too; a resume with no checkpoint
-// file at all replays whatever its own crawl's store holds, and starts
-// fresh without one. A failed open leaves the store and the checkpoint
+// sealed segments that are gone or damaged fails with a
+// *CheckpointError, and one over a store of another crawl fails too; a
+// resume with no checkpoint file at all replays whatever its own
+// crawl's store holds, and starts fresh without one. A failed open leaves the store and the checkpoint
 // as it found them.
 func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.StoreDir == "" || cfg.CheckpointPath == "" {
@@ -130,6 +130,12 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 		TotalSites:   cfg.Crawl.TotalSites,
 		Resume:       cfg.Resume,
 	})
+	var damaged *colstore.DamagedSegmentError
+	if err != nil && l.resumed != nil && errors.As(err, &damaged) {
+		// A damaged sealed segment cannot be replayed or repaired, and
+		// the checkpoint's done jobs may have their pages in it.
+		return nil, &CheckpointError{Path: cfg.CheckpointPath, Version: l.resumed.Version, Reason: err.Error(), Hint: hintStartFresh}
+	}
 	if err != nil {
 		return nil, err
 	}

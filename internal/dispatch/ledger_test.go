@@ -197,65 +197,96 @@ func (r *ledgerRun) finish() []byte {
 	return got
 }
 
-// TestLedger runs the ledger through {fresh, dropped without Close then
+// finishFromStore is finish for a crawl whose dataset is read from its
+// store rather than handed out by Finalize (as wsquery reads one): it
+// commits and closes without Finalize, and the cold read-only open of
+// the store must equal a merge of the store's own segments.
+func (r *ledgerRun) finishFromStore() []byte {
+	r.t.Helper()
+	r.commit()
+	if err := r.l.Close(); err != nil {
+		r.t.Fatal(err)
+	}
+	got := coldStore(r.t, r.dir)
+	want, mstats := mergeSegments(r.t, ledgerMeta, r.l.cfg.StoreDir)
+	if !bytes.Equal(got, datasetBytes(r.t, want)) {
+		r.t.Error("the store read cold differs from the merge of its own segments")
+	}
+	if mstats.Pages != ledgerSites*ledgerPages {
+		r.t.Errorf("the store's segments hold %d pages, want %d", mstats.Pages, ledgerSites*ledgerPages)
+	}
+	return got
+}
+
+// TestLedger runs the ledger through {dataset from Finalize, dataset
+// read back from the store alone} × {fresh, dropped without Close then
 // resumed} × {lines emitted in-process, lines shipped in page frames}.
-// Every row must hold the commit invariants after every Commit, finalize
+// Every row must hold the commit invariants after every Commit, finish
 // to the merge of its own segments, and produce the one dataset; fresh
 // rows must also leave byte-identical stores whichever way the lines
-// arrived.
+// arrived and whether or not Finalize ran.
 func TestLedger(t *testing.T) {
 	var want []byte
 	var store map[string][]byte
-	for _, dropped := range []bool{false, true} {
-		for _, lines := range []bool{false, true} {
-			name := fmt.Sprintf("dropped=%v/lines=%v", dropped, lines)
-			t.Run(name, func(t *testing.T) {
-				r := &ledgerRun{t: t, dir: t.TempDir(), lines: lines}
-				r.open(false)
-				if dropped {
-					// Five sites (the last one appended but never
-					// committed), a page of a sixth, then the process
-					// dies: no Close, so the store's unsealed records
-					// are simply gone.
-					r.crawl(0, 5)
-					r.append(5, 0)
-					r.open(true)
-					done := 0
-					for _, j := range r.jobs {
-						if j.State == JobDone {
-							done++
+	for _, fromStore := range []bool{false, true} {
+		for _, dropped := range []bool{false, true} {
+			for _, lines := range []bool{false, true} {
+				name := fmt.Sprintf("store=%v/dropped=%v/lines=%v", fromStore, dropped, lines)
+				t.Run(name, func(t *testing.T) {
+					r := &ledgerRun{t: t, dir: t.TempDir(), lines: lines}
+					r.open(false)
+					if dropped {
+						// Five sites (the last one appended but never
+						// committed), a page of a sixth, then the process
+						// dies: no Close, so the store's unsealed records
+						// are simply gone.
+						r.crawl(0, 5)
+						r.append(5, 0)
+						r.open(true)
+						done := 0
+						for _, j := range r.jobs {
+							if j.State == JobDone {
+								done++
+							}
 						}
+						if done != 4 {
+							t.Fatalf("resumed %d done jobs, want the 4 the last commit covered", done)
+						}
+						r.crawl(4, ledgerSites)
+					} else {
+						r.crawl(0, ledgerSites)
 					}
-					if done != 4 {
-						t.Fatalf("resumed %d done jobs, want the 4 the last commit covered", done)
+					var got []byte
+					if fromStore {
+						got = r.finishFromStore()
+					} else {
+						got = r.finish()
 					}
-					r.crawl(4, ledgerSites)
-				} else {
-					r.crawl(0, ledgerSites)
-				}
-				got := r.finish()
-				if want == nil {
-					want = got
-				} else if !bytes.Equal(got, want) {
-					t.Error("dataset differs from the other rows'")
-				}
-				if dropped {
-					return
-				}
-				files := storeFiles(t, r.dir)
-				if store != nil && !reflect.DeepEqual(files, store) {
-					t.Error("the store differs between in-process and framed lines")
-				}
-				store = files
-			})
+					if want == nil {
+						want = got
+					} else if !bytes.Equal(got, want) {
+						t.Error("dataset differs from the other rows'")
+					}
+					if dropped {
+						return
+					}
+					files := storeFiles(t, r.dir)
+					if store != nil && !reflect.DeepEqual(files, store) {
+						t.Error("the store differs from another fresh row's")
+					}
+					store = files
+				})
+			}
 		}
 	}
 }
 
-// TestLedgerCommitNeverPublishesWithoutSeal: when the seal fails, Commit
-// must fail and leave the previous checkpoint in place. Publishing
-// anyway would vouch for pages in no durable segment.
-func TestLedgerCommitNeverPublishesWithoutSeal(t *testing.T) {
+// TestLedgerCommitNeverPublishesWithoutSpoolGuard: the guard that keeps
+// a checkpoint from vouching for pages outside the crawl's durable
+// record is the seal. When the seal fails, Commit must fail and leave
+// the previous checkpoint in place. Publishing anyway would vouch for
+// pages in no durable segment.
+func TestLedgerCommitNeverPublishesWithoutSpoolGuard(t *testing.T) {
 	r := &ledgerRun{t: t, dir: t.TempDir()}
 	r.open(false)
 	defer r.l.Close()
@@ -382,21 +413,71 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		},
 		hint: hintStartFresh,
 	}, {
-		// A flipped byte in a sealed segment fails its checksum: the
-		// store refuses to replay it rather than drop its pages.
-		name: "vouched segment damaged",
+		// A crash after a seal and before the checkpoint that would
+		// vouch for it: the store holds a third segment, which the
+		// resume replays; the re-crawled pages it holds fold to nothing.
+		name: "checkpoint short of shards",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			path := filepath.Join(cfg.StoreDir, "seg-000000.col")
-			data, err := os.ReadFile(path)
-			if err != nil {
+			if err := r.l.Store().Seal(); err != nil {
 				t.Fatal(err)
 			}
-			data[len(data)/2] ^= 0xff
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
+			if cp := loadCP(t, r); cp.Segments != 2 || r.l.Store().Sealed() != 3 {
+				t.Fatalf("checkpoint vouches for %d segments of %d, want 2 of 3", cp.Segments, r.l.Store().Sealed())
 			}
-			return "sealed segment seg-000000.col is damaged"
+			return ""
 		},
+		then: func(t *testing.T, r *ledgerRun) {
+			if got := len(r.l.Resumed().Done); got != 4 {
+				t.Errorf("resumed %d done jobs, want the 4 the checkpoint covered", got)
+			}
+			if _, stats := r.l.Store().Dataset(); stats.Pages != 5*ledgerPages+1 {
+				t.Errorf("the open replayed %d pages, want every sealed one, %d", stats.Pages, 5*ledgerPages+1)
+			}
+			r.crawl(4, ledgerSites)
+			r.finish()
+		},
+	}, {
+		// The rows below damage a sealed segment file the checkpoint
+		// vouches for — a shard of the crawl's durable record, inside
+		// the extent the checkpoint covers. Each fails the segment's
+		// validation, and the resume is refused rather than replay a
+		// partial store.
+		name: "shard emptied",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			return damageSegment(t, cfg, "seg-000001.col", func(data []byte) []byte { return nil })
+		},
+		hint: hintStartFresh,
+	}, {
+		// The segment loses its final 7 bytes, as a torn write would
+		// leave it.
+		name: "shard cut mid-line inside its extent",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			return damageSegment(t, cfg, "seg-000001.col", func(data []byte) []byte { return data[:len(data)-7] })
+		},
+		hint: hintStartFresh,
+	}, {
+		// As above, but refilled to its full length with bytes that are
+		// not what was sealed: the file is long enough, and only its
+		// checksum finds the tear.
+		name: "torn line inside the extent",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			return damageSegment(t, cfg, "seg-000001.col", func(data []byte) []byte {
+				copy(data[len(data)-7:], "garbage")
+				return data
+			})
+		},
+		hint: hintStartFresh,
+	}, {
+		// A flipped byte mid-segment: a complete record the checkpoint
+		// vouches for no longer decodes.
+		name: "corrupt line inside the extent",
+		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+			return damageSegment(t, cfg, "seg-000000.col", func(data []byte) []byte {
+				data[len(data)/2] ^= 0xff
+				return data
+			})
+		},
+		hint: hintStartFresh,
 	}, {
 		// A segment renamed into another's place names its own seq.
 		name: "segment under another name",
@@ -406,6 +487,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 			}
 			return "sealed segment seg-000002.col is damaged: colstore: segment header names seq 1"
 		},
+		hint: hintStartFresh,
 	}, {
 		// Rerunning a crawl without Resume is refused by the store: the
 		// retry with Resume that the error recommends must find the
@@ -423,10 +505,10 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 			}
 		},
 	}, {
-		// A crash mid-seal leaves a temp file that was never renamed:
-		// the open removes it, and the crawl finishes as if it had never
-		// been written.
-		name: "torn seal past the checkpoint",
+		// A crash mid-seal leaves a torn temp file past the extent, never
+		// renamed into a segment: the open removes it, and the crawl
+		// finishes as if it had never been written.
+		name: "torn line past the extent",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
 			tmp := filepath.Join(cfg.StoreDir, "seg-000002.col.tmp-1")
 			if err := os.WriteFile(tmp, []byte("WSCOLSG1 torn"), 0o644); err != nil {
@@ -499,6 +581,22 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 			}
 		})
 	}
+}
+
+// damageSegment rewrites the sealed segment name of cfg's store with
+// what damage makes of its bytes, and returns the refusal a resume over
+// it must fail with.
+func damageSegment(t *testing.T, cfg *LedgerConfig, name string, damage func([]byte) []byte) string {
+	t.Helper()
+	path := filepath.Join(cfg.StoreDir, name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, damage(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return "sealed segment " + name + " is damaged"
 }
 
 // loadCP loads the checkpoint r's crawl last committed.

@@ -300,7 +300,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		checkStoreOracle(t, filepath.Join(dir, "store-crawl0"), got)
 	})
 
-	t.Run("local resume refuses a store missing a vouched segment", func(t *testing.T) {
+	t.Run("local resume refuses a corrupt spool", func(t *testing.T) {
 		dir := t.TempDir()
 		out := filepath.Join(dir, "local.json")
 		cpPath := filepath.Join(dir, "checkpoint.json")
@@ -334,31 +334,35 @@ func TestE2EDistributedCrawl(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Delete the last segment the checkpoint vouches for: the pages
-		// of sites it marks done are gone.
+		// Flip a byte of the last segment the checkpoint vouches for:
+		// the crawl's durable record of sites it marks done no longer
+		// decodes.
 		if cp.Segments == 0 {
 			t.Fatalf("checkpoint vouches for no segment: %+v", cp)
 		}
 		storeDir := filepath.Join(dir, "store-crawl0")
-		if err := os.Remove(filepath.Join(storeDir, fmt.Sprintf("seg-%06d.col", cp.Segments-1))); err != nil {
+		seg := filepath.Join(storeDir, fmt.Sprintf("seg-%06d.col", cp.Segments-1))
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		before, err := os.ReadFile(cpPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		beforeStore, err := os.ReadDir(storeDir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		beforeStore := storeBytes(t, storeDir)
 
 		msg, err := exec.Command(crawlBin, append(args, "-resume")...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("resume over a store missing a segment: %v, want exit status 1\n%s", err, msg)
+			t.Fatalf("resume over a corrupt segment: %v, want exit status 1\n%s", err, msg)
 		}
-		if !strings.Contains(string(msg), "is missing") {
-			t.Errorf("refused resume did not name the missing segment:\n%s", msg)
+		if !strings.Contains(string(msg), "is damaged") {
+			t.Errorf("refused resume did not name the damaged segment:\n%s", msg)
 		}
 		if !strings.Contains(string(msg), "start the crawl from scratch") {
 			t.Errorf("refused resume printed no start-fresh hint:\n%s", msg)
@@ -370,8 +374,8 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		if !bytes.Equal(before, after) {
 			t.Error("the refused resume rewrote the checkpoint")
 		}
-		if afterStore, err := os.ReadDir(storeDir); err != nil || len(afterStore) != len(beforeStore) {
-			t.Errorf("the refused resume changed the store: %d files, then %d (%v)", len(beforeStore), len(afterStore), err)
+		if !bytes.Equal(beforeStore, storeBytes(t, storeDir)) {
+			t.Error("the refused resume changed the store")
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("the refused resume wrote a dataset (stat: %v)", err)
@@ -499,4 +503,23 @@ func TestE2EDistributedCrawl(t *testing.T) {
 			t.Errorf("wsquery dataset after kill+resume differs from the uninterrupted one (%d vs %d bytes)", len(queried), len(ref))
 		}
 	})
+}
+
+// storeBytes is the name and contents of every file in storeDir, in
+// name order: what a refused resume may not change.
+func storeBytes(t *testing.T, storeDir string) []byte {
+	t.Helper()
+	entries, err := os.ReadDir(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(storeDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(append(all, e.Name()...), data...)
+	}
+	return all
 }

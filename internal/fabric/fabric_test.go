@@ -558,10 +558,12 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 			t.Errorf("error %q does not name the mismatched flag", ce)
 		}
 	})
-	t.Run("vouched segment missing", func(t *testing.T) {
-		// A segment the checkpoint vouches for is gone: the resumed
-		// coordinator must refuse before it serves a batch, not after its
-		// workers finish the crawl without the pages it held.
+	// damaged crawls the sites once, damages what the crawl left, and
+	// requires the resumed coordinator to refuse with a checkpoint error
+	// that says so — before it serves a batch, not after its workers
+	// finish the crawl without the pages the damage took.
+	damaged := func(t *testing.T, damage func(t *testing.T, storeDir string), want string) {
+		t.Helper()
 		dir := t.TempDir()
 		c := startTestCoordinator(t, dir, sites, coordOpts{batchSize: 2})
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -579,9 +581,7 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 		if cp.Segments == 0 {
 			t.Fatalf("checkpoint vouches for no segment: %+v", cp)
 		}
-		if err := os.Remove(filepath.Join(dir, "store", "seg-000000.col")); err != nil {
-			t.Fatal(err)
-		}
+		damage(t, filepath.Join(dir, "store"))
 		o := newOpts(dir)
 		o.addr = "127.0.0.1:0"
 		o.ttl = time.Second
@@ -593,9 +593,31 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("error = %v (%T), want *dispatch.CheckpointError", err, err)
 		}
-		if !strings.Contains(ce.Error(), "seg-000000.col is missing") {
-			t.Errorf("error %q does not name the missing segment", ce)
+		if !strings.Contains(ce.Error(), want) {
+			t.Errorf("error %q does not say %q", ce, want)
 		}
+	}
+	t.Run("vouched segment missing", func(t *testing.T) {
+		damaged(t, func(t *testing.T, storeDir string) {
+			if err := os.Remove(filepath.Join(storeDir, "seg-000000.col")); err != nil {
+				t.Fatal(err)
+			}
+		}, "seg-000000.col is missing")
+	})
+	t.Run("corrupt spool line", func(t *testing.T) {
+		// A page record the checkpoint vouches for no longer decodes:
+		// a flipped byte in the sealed segment that holds it.
+		damaged(t, func(t *testing.T, storeDir string) {
+			path := filepath.Join(storeDir, "seg-000000.col")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0xff
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "sealed segment seg-000000.col is damaged")
 	})
 }
 
