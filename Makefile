@@ -50,14 +50,16 @@ race:
 # FuzzParse feeds htmlparse hostile bytes and holds its attributes to
 # the map parser. FuzzAppendLine: a worker's page line is refused with
 # the store and its fold untouched, or folded and sealed as
-# encoding/json decodes it. The two decoders a resume trusts:
-# FuzzLoadCheckpoint (hostile checkpoint bytes are refused or round-trip
-# through WriteAtomic) and FuzzLedgerReplay (a resumed ledger over an
-# arbitrary segment a v5 checkpoint vouches for refuses without
-# touching a file, or folds the segment's records). The store's
-# segment decoder, FuzzDecodeSegment: hostile bytes (also resealed with
-# a valid checksum) are refused without a length taken on trust, and an
-# accepted segment round-trips encode → decode → encode. The query
+# encoding/json decodes it. The two inputs a resume trusts, both in the
+# store: FuzzLoadCheckpoint (a hostile store manifest is refused without
+# touching a file unless it names this build's version and the crawl)
+# and FuzzLedgerReplay (a resumed ledger over an arbitrary segment with
+# outcome rows, or one past a gap, refuses without touching a file, or
+# folds the segment's records and rebuilds a queue matching its rows).
+# The store's segment decoder, FuzzDecodeSegment: hostile bytes (also
+# resealed with a valid checksum) are refused without a length taken on
+# trust, and an accepted segment, outcome rows included, round-trips
+# encode → decode → encode. The query
 # service's indenter, FuzzIndentMatchesStdlib: jsonshape.Indent over
 # any compacted valid value equals json.Indent(…, "", " "). Seed corpora
 # are committed (f.Add and testdata/fuzz); inputs the fuzzer finds

@@ -19,8 +19,6 @@ var benchPinFields = []struct{ pkg, typ, field string }{
 	{"repro/internal/colstore", "Config", "NumShards"},
 	{"repro/internal/core", "Options", "Store"},
 	{"repro/internal/core", "FabricCoordinatorOptions", "SpoolDir"},
-	{"repro/internal/dispatch", "Checkpoint", "NumShards"},
-	{"repro/internal/dispatch", "Checkpoint", "ShardBytes"},
 }
 
 // TestBenchPinsStayInBench: a package's benchpin.go declares API that

@@ -6,10 +6,10 @@
 //
 //	wscrawl -out crawl1.json [-era pre|post] [-index N] [-publishers N]
 //	        [-workers N] [-pages N] [-seed S] [-version 57]
-//	        [-checkpoint FILE] [-store-dir DIR] [-resume] [-retries N]
+//	        [-store-dir DIR] [-resume] [-retries N]
 //	        [-metrics-addr HOST:PORT] [-progress DUR]
 //	        [-fault-profile NAME] [-fault-seed S]
-//	wscrawl -coordinate HOST:PORT -out crawl1.json -checkpoint FILE
+//	wscrawl -coordinate HOST:PORT -out crawl1.json -store-dir DIR
 //	        [crawl flags above] [-batch-size N] [-lease-ttl DUR]
 //	        [-query-addr HOST:PORT]
 //	wscrawl -worker ws://HOST:PORT/fabric [-worker-name NAME] [-workers N]
@@ -17,20 +17,18 @@
 //
 // Every crawl runs through dispatch's durable grant loop
 // (internal/dispatch), in-process or, with -coordinate, over the wire to
-// -worker processes: progress is checkpointed, failed sites retry with
-// backoff up to -retries attempts each, every page streams into a
-// columnar store (internal/colstore) sealed at each checkpoint and
+// -worker processes: failed sites retry with backoff up to -retries
+// attempts each, every page and every settled attempt's outcome streams
+// into a columnar store (internal/colstore) sealed at each commit and
 // queryable with wsquery during and after the crawl, -out is derived
 // from that store, and the run ends with one "dispatch: N/M sites done,
-// …" outcome line. -checkpoint keeps that state, the store in
-// store-crawl<index> beside the checkpoint (-store-dir moves it);
-// without -checkpoint the checkpoint, and the store unless -store-dir
-// names one, live in a temporary directory removed at exit. -resume
-// continues an interrupted crawl from its -checkpoint without
-// re-visiting completed sites. SIGINT/SIGTERM commit a final checkpoint
-// and exit 1, with a -resume hint when the state has a location. The
-// dataset is written atomically, so a crash never leaves a truncated
-// file.
+// …" outcome line. The store is the crawl's one durable state:
+// -store-dir keeps it; without -store-dir it lives in a temporary
+// directory removed at exit. -resume continues an interrupted crawl
+// from its -store-dir without re-visiting completed sites.
+// SIGINT/SIGTERM commit what has settled and exit 1, with a -resume hint
+// when the store has a location. The dataset is written atomically, so
+// a crash never leaves a truncated file.
 //
 // -coordinate serves the same durable crawl to -worker processes
 // instead of crawling: the same site queue is leased over WebSocket in
@@ -40,8 +38,8 @@
 // links, and -query-addr serves the query API over the live store. The
 // "serving ws://…" line names the worker URL. Restarted with the same
 // flags and -resume on the same address, it continues from the last
-// checkpoint while workers retry their dials; either role resumes
-// the other's checkpoint. A worker takes its crawl config from the
+// commit while workers retry their dials; either role resumes the
+// other's store. A worker takes its crawl config from the
 // coordinator; its -seed drives only dial backoff and frame masking.
 // The dataset is byte-identical to a local crawl's for any number of
 // workers (DESIGN.md §12, OPERATIONS.md "Distributed crawls").
@@ -93,9 +91,8 @@ func run(args []string) int {
 		pages       = fs.Int("pages", 15, "page budget per site")
 		seed        = fs.Int64("seed", 20170419, "world seed")
 		version     = fs.Int("version", 0, "browser version (default: 57 pre-patch, 58 post-patch)")
-		checkpoint  = fs.String("checkpoint", "", "checkpoint state file (default: a temp dir removed at exit)")
-		storeDir    = fs.String("store-dir", "", "columnar store directory, queryable with wsquery (default: store-crawl<index> beside -checkpoint, else a temp dir)")
-		resume      = fs.Bool("resume", false, "resume an interrupted crawl from its checkpoint")
+		storeDir    = fs.String("store-dir", "", "columnar store directory, the crawl's one durable state, queryable with wsquery (default: a temp dir removed at exit)")
+		resume      = fs.Bool("resume", false, "resume an interrupted crawl from its -store-dir")
 		retries     = fs.Int("retries", 0, "per-site attempt budget, in either role (default 3)")
 		metricsAddr = fs.String("metrics-addr", "", "serve expvar + pprof on this address (\":0\" picks a port)")
 		progress    = fs.Duration("progress", 0, "print progress to stderr at this interval (0 = off)")
@@ -168,23 +165,22 @@ func run(args []string) int {
 		Seed: *seed, NumPublishers: *publishers, Workers: *workers, PagesPerSite: *pages,
 		FaultProfile: *faultProf, FaultSeed: *faultSeed,
 	}
-	// Every crawl keeps a checkpoint and a store; only state that must
-	// outlive the process needs a location (without one, core keeps it
-	// in a temporary directory).
-	located := *checkpoint != ""
+	// Every crawl keeps a store; only state that must outlive the
+	// process needs a location (without one, core keeps it in a
+	// temporary directory).
+	located := *storeDir != ""
 	switch {
 	case *resume && !located:
-		return usage("-resume requires -checkpoint")
+		return usage("-resume requires -store-dir")
 	case *coordAddr != "" && !located:
-		return usage("-coordinate requires -checkpoint")
+		return usage("-coordinate requires -store-dir")
 	case *queryAddr != "" && *coordAddr == "":
 		return usage("-query-addr requires -coordinate")
 	}
 	opts.Dispatch = &core.DispatchOptions{
-		CheckpointPath: *checkpoint,
-		StoreDir:       *storeDir,
-		Resume:         *resume,
-		MaxAttempts:    *retries,
+		StoreDir:    *storeDir,
+		Resume:      *resume,
+		MaxAttempts: *retries,
 	}
 
 	if *metricsAddr != "" {
@@ -214,7 +210,7 @@ func run(args []string) int {
 	if err != nil {
 		logf("%v", err)
 		if ctx.Err() != nil && located {
-			logf("interrupted; progress checkpointed to %s; rerun with the same flags and -resume to continue", opts.Dispatch.CheckpointPath)
+			logf("interrupted; progress committed to %s; rerun with the same flags and -resume to continue", *storeDir)
 		}
 		return 1
 	}
@@ -225,9 +221,8 @@ func run(args []string) int {
 	}
 	logf("%d sites, %d pages, %d sockets, %d A&A domains -> %s",
 		len(ds.Sites), crawled, len(ds.Sockets), len(ds.AADomains), *out)
-	if located || *storeDir != "" {
-		dir := opts.Dispatch.StorePath(spec)
-		logf("columnar store sealed at %s (query with: wsquery -store-dir %s -addr :0)", dir, dir)
+	if located {
+		logf("columnar store sealed at %s (query with: wsquery -store-dir %s -addr :0)", *storeDir, *storeDir)
 	}
 	return 0
 }
@@ -246,7 +241,7 @@ func crawlHere(ctx context.Context, opts core.Options, spec core.CrawlSpec) (*an
 // logSites prints the crawl's site outcomes, the one summary line of
 // either role.
 func logSites(p dispatch.Progress, resumed int) {
-	logf("dispatch: %d/%d sites done, %d failed, %d retries, %d lease requeues, %d resumed from checkpoint",
+	logf("dispatch: %d/%d sites done, %d failed, %d retries, %d lease requeues, %d resumed from the store",
 		p.Done, p.Total, p.Failed, p.Retries, p.Requeues, resumed)
 }
 
@@ -256,22 +251,21 @@ func logSites(p dispatch.Progress, resumed int) {
 func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, addr string, batchSize int, leaseTTL time.Duration, queryAddr string) (*analysis.Dataset, int, error) {
 	d := opts.Dispatch
 	coord, err := core.StartFabricCoordinator(opts, spec, core.FabricCoordinatorOptions{
-		Addr:           addr,
-		BatchSize:      batchSize,
-		LeaseTTL:       leaseTTL,
-		MaxAttempts:    d.MaxAttempts,
-		CheckpointPath: d.CheckpointPath,
-		StoreDir:       d.StoreDir,
-		Resume:         d.Resume,
-		FaultProfile:   opts.FaultProfile,
-		FaultSeed:      opts.FaultSeed,
-		Logf:           logf,
+		Addr:         addr,
+		BatchSize:    batchSize,
+		LeaseTTL:     leaseTTL,
+		MaxAttempts:  d.MaxAttempts,
+		StoreDir:     d.StoreDir,
+		Resume:       d.Resume,
+		FaultProfile: opts.FaultProfile,
+		FaultSeed:    opts.FaultSeed,
+		Logf:         logf,
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	// An early return (interrupt, listen failure) still checkpoints
-	// every settled site for a -resume run.
+	// An early return (interrupt, listen failure) still commits every
+	// settled site for a -resume run.
 	defer coord.Close()
 	if queryAddr != "" {
 		ln, err := net.Listen("tcp", queryAddr)

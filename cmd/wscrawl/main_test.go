@@ -58,11 +58,18 @@ func entries(t *testing.T, dir string) []string {
 }
 
 // TestResumeRequiresLocation: -resume reads an interrupted crawl's
-// checkpoint, so without -checkpoint it is a usage error — not a fresh
-// crawl that leaves state behind in the working directory.
+// store, so without -store-dir it is a usage error — not a fresh crawl
+// that leaves state behind in the working directory — and so is
+// -coordinate, whose state must outlive it. -checkpoint is no flag.
 func TestResumeRequiresLocation(t *testing.T) {
 	dir := t.TempDir()
-	wscrawl(t, dir, 2, append(crawlFlags, "-out", "x.json", "-resume")...)
+	for _, args := range [][]string{
+		{"-out", "x.json", "-resume"},
+		{"-out", "x.json", "-coordinate", "127.0.0.1:0"},
+		{"-out", "x.json", "-checkpoint", "cp.json"},
+	} {
+		wscrawl(t, dir, 2, append(crawlFlags, args...)...)
+	}
 	if left := entries(t, dir); len(left) != 0 {
 		t.Errorf("refused run left %v in the working directory", left)
 	}
@@ -86,9 +93,9 @@ func TestPlainCrawlReportsSitesAndLeavesOnlyItsDataset(t *testing.T) {
 	}
 }
 
-// TestStoreDirAloneKeepsOnlyTheStore: -store-dir without -checkpoint
-// keeps the crawl's store, queryable after the run, while its checkpoint
-// lives and dies in the temp dir.
+// TestStoreDirAloneKeepsOnlyTheStore: -store-dir keeps the crawl's
+// store — its one durable state, queryable after the run — and nothing
+// else: no checkpoint file beside it, nothing in the temp dir.
 func TestStoreDirAloneKeepsOnlyTheStore(t *testing.T) {
 	dir, tmp := t.TempDir(), t.TempDir()
 	t.Setenv("TMPDIR", tmp)

@@ -20,12 +20,12 @@
 // the study's report byte for byte. Figures 1 and 2 need no crawl.
 //
 // The four crawls run through dispatch's durable grant loop
-// (internal/dispatch): each keeps a checkpoint (crawlN.checkpoint.json)
-// and its columnar store of pages (store-crawlN, queryable with
-// wsquery) under -state (when unset, in a temporary directory the crawl
-// removes as it ends), and an interrupted study (SIGINT/SIGTERM
-// checkpoint first) resumes with -state DIR -resume without re-crawling
-// completed crawls.
+// (internal/dispatch): each keeps its columnar store — its pages and
+// the outcome of every settled attempt, its one durable state
+// (store-crawlN, queryable with wsquery) — under -state (when unset, in
+// a temporary directory the crawl removes as it ends), and an
+// interrupted study (SIGINT/SIGTERM commit first) resumes with -state
+// DIR -resume without re-crawling completed crawls.
 // -metrics-addr (expvar + pprof) and -progress (stderr) only observe:
 // the output is byte-identical with or without them (OPERATIONS.md).
 package main
@@ -65,8 +65,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		figure      = fs.String("figure", "", "print only one figure: "+sectionNames("figure"))
 		jsonDir     = fs.String("json", "", "also write per-crawl datasets as JSON into this directory")
 		csvDir      = fs.String("csv", "", "also write table1/figure3/sockets as CSV into this directory")
-		stateDir    = fs.String("state", "", "crawl state directory (checkpoints + stores; default: a temp dir)")
-		resume      = fs.Bool("resume", false, "resume an interrupted study from -state checkpoints")
+		stateDir    = fs.String("state", "", "crawl state directory (one store per crawl; default: a temp dir)")
+		resume      = fs.Bool("resume", false, "resume an interrupted study from the -state stores")
 		retries     = fs.Int("retries", 0, "per-site attempt budget (default 3)")
 		metricsAddr = fs.String("metrics-addr", "", "serve expvar + pprof on this address (\":0\" picks a port)")
 		progress    = fs.Duration("progress", 0, "print progress to stderr at this interval (0 = off)")

@@ -18,11 +18,11 @@ import (
 // in the parent directory's entry table, which the kernel is free to
 // hold dirty in cache. On power loss after the rename but before the
 // directory flushes, the directory can come back pointing at the old
-// file, or at nothing. Every atomic publish (checkpoints, dataset
-// exports, segment seals, the store manifest) therefore goes through
-// WriteAtomic, which ends with SyncDir on the parent directory; only
-// then may the caller treat the publish as durable — e.g. count a
-// segment in a checkpoint, or report a dataset written.
+// file, or at nothing. Every atomic publish (dataset exports, segment
+// seals, the store manifest) therefore goes through WriteAtomic, which
+// ends with SyncDir on the parent directory; only then may the caller
+// treat the publish as durable — e.g. treat a seal as a commit, or
+// report a dataset written.
 //
 // Each successful sync is counted in store.dir_syncs, which is also
 // what the regression tests observe to prove the contract holds.

@@ -10,19 +10,19 @@ import (
 )
 
 // Segment file layout (DESIGN.md §15). A segment is the sealed, durable
-// unit of the columnar store: one commit's batch of PageRecords,
-// dictionary-encoded and written atomically (tmp + fsync + rename +
-// parent-dir sync).
+// unit of the columnar store: one commit's batch of PageRecords and the
+// outcome rows of the attempts it settled, dictionary-encoded and
+// written atomically (tmp + fsync + rename + parent-dir sync).
 //
 //	"WSCOLSG1"                  8-byte header magic
-//	uvarint version (2)
+//	uvarint version (3)
 //	uvarint seq
 //	dict doms                   site/receiver/initiator/HTTP/label-obs domains
 //	dict labels                 sent-item and recv-class vocabulary
-//	dict strs                   page/socket/chain URLs, ad samples
+//	dict strs                   page/socket/chain URLs, ad samples, errors
 //	columns                     column-major record data (see below)
-//	footer                      5 × uint32 LE: dictsOff, colsOff,
-//	                            records, sockets, bodyLen
+//	footer                      6 × uint32 LE: dictsOff, colsOff,
+//	                            records, sockets, outcomes, bodyLen
 //	uint32 LE crc32(IEEE)       over everything before it (footer incl.)
 //	"WSCOLEND"                  8-byte end magic
 //
@@ -51,11 +51,35 @@ import (
 //	         domain field domID, requests, chainsBlocked,
 //	         sentItems map, recvClasses map
 //	obs:     per-page AAObs, NonAAObs, CDNObs maps (domID → count)
+//	outcomes: per row: domain domID, attempt, state byte
+//	         (0 done, 1 retry, 2 failed), error strID
 const (
 	segMagic    = "WSCOLSG1"
 	segEndMagic = "WSCOLEND"
-	segVersion  = 2
-	segTailLen  = 20 + 4 + 8 // footer + crc + end magic
+	segVersion  = 3
+	segTailLen  = 24 + 4 + 8 // footer + crc + end magic
+)
+
+// Outcome is one settled attempt of a site: the row a crawl's settle
+// appends to the store after that site's pages, so any sealed prefix
+// that holds the row holds the pages too. It carries no clock and no
+// worker, so a single-worker crawl's store stays byte-deterministic.
+type Outcome struct {
+	Domain  string
+	Attempt int          // the attempt's number: 1 for a first try
+	State   OutcomeState // where the settle moved the site
+	Err     string       // the attempt's error; "" when done
+}
+
+// OutcomeState is where a settle moved its site.
+type OutcomeState uint8
+
+// The outcome states: done and failed are terminal; retry puts the
+// site back in the queue.
+const (
+	OutcomeDone OutcomeState = iota
+	OutcomeRetry
+	OutcomeFailed
 )
 
 // dict assigns dense IDs to strings in first-use order.
@@ -104,19 +128,20 @@ const (
 	colAAObs
 	colNonAAObs
 	colCDNObs
+	colOutcomes
 	numCols
 )
 
-// segEncoder is one segment being built: records are encoded into its
-// columns as they are added, so nothing holds a record until the seal,
-// and appendSegment assembles the file. Its storage — dictionaries,
-// columns, key scratch — is kept across reset.
+// segEncoder is one segment being built: records and outcome rows are
+// encoded into its columns as they are added, so nothing holds a record
+// until the seal, and appendSegment assembles the file. Its storage —
+// dictionaries, columns, key scratch — is kept across reset.
 type segEncoder struct {
-	doms, labels, strs dict
-	cols               [numCols][]byte
-	records, sockets   int
-	httpKeys, keys     []string // sorted-key scratch: HTTP keys, count-map keys
-	out                []byte   // the segment last assembled, a buffer the next reuses
+	doms, labels, strs         dict
+	cols                       [numCols][]byte
+	records, sockets, outcomes int
+	httpKeys, keys             []string // sorted-key scratch: HTTP keys, count-map keys
+	out                        []byte   // the segment last assembled, a buffer the next reuses
 }
 
 func (e *segEncoder) uv(c int, v uint64) { e.cols[c] = binary.AppendUvarint(e.cols[c], v) }
@@ -213,7 +238,16 @@ func (e *segEncoder) add(r *analysis.PageRecord) {
 	e.sockets += len(r.Sockets)
 }
 
-// appendSegment appends the segment file of the records added so far,
+// addOutcome encodes one outcome row.
+func (e *segEncoder) addOutcome(o Outcome) {
+	e.uv(colOutcomes, e.doms.id(o.Domain))
+	e.uv(colOutcomes, uint64(o.Attempt))
+	e.cols[colOutcomes] = append(e.cols[colOutcomes], byte(o.State))
+	e.uv(colOutcomes, e.strs.id(o.Err))
+	e.outcomes++
+}
+
+// appendSegment appends the segment file of the records and rows added so far,
 // numbered seq, to buf: header, dicts, columns, footer, crc, end magic.
 func (e *segEncoder) appendSegment(buf []byte, seq int) []byte {
 	buf = append(buf, segMagic...)
@@ -232,6 +266,7 @@ func (e *segEncoder) appendSegment(buf []byte, seq int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, colsOff)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.records))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.sockets))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.outcomes))
 	buf = binary.LittleEndian.AppendUint32(buf, bodyLen)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return append(buf, segEndMagic...)
@@ -245,7 +280,7 @@ func (e *segEncoder) reset() {
 	for i := range e.cols {
 		e.cols[i] = e.cols[i][:0]
 	}
-	e.records, e.sockets = 0, 0
+	e.records, e.sockets, e.outcomes = 0, 0, 0
 	clear(e.httpKeys[:cap(e.httpKeys)])
 	clear(e.keys[:cap(e.keys)])
 }
@@ -368,49 +403,52 @@ func (d *segDecoder) counts(vals []string, what string) map[string]int {
 	return out
 }
 
-// decodeSegment validates and deserializes a sealed segment.
-func decodeSegment(data []byte) (seq int, recs []*analysis.PageRecord, err error) {
+// decodeSegment validates and deserializes a sealed segment: its page
+// records and its outcome rows.
+func decodeSegment(data []byte) (seq int, recs []*analysis.PageRecord, rows []Outcome, err error) {
 	if len(data) < len(segMagic)+segTailLen {
-		return 0, nil, fmt.Errorf("colstore: segment too short (%d bytes)", len(data))
+		return 0, nil, nil, fmt.Errorf("colstore: segment too short (%d bytes)", len(data))
 	}
 	if string(data[:len(segMagic)]) != segMagic {
-		return 0, nil, fmt.Errorf("colstore: bad segment magic")
+		return 0, nil, nil, fmt.Errorf("colstore: bad segment magic")
 	}
 	if string(data[len(data)-8:]) != segEndMagic {
-		return 0, nil, fmt.Errorf("colstore: segment missing end magic (torn write)")
+		return 0, nil, nil, fmt.Errorf("colstore: segment missing end magic (torn write)")
 	}
 	crcOff := len(data) - 12
 	want := binary.LittleEndian.Uint32(data[crcOff:])
 	if got := crc32.ChecksumIEEE(data[:crcOff]); got != want {
-		return 0, nil, fmt.Errorf("colstore: segment checksum mismatch (got %08x, want %08x)", got, want)
+		return 0, nil, nil, fmt.Errorf("colstore: segment checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	ftr := data[crcOff-20 : crcOff]
+	ftr := data[crcOff-24 : crcOff]
 	dictsOff := binary.LittleEndian.Uint32(ftr[0:])
 	colsOff := binary.LittleEndian.Uint32(ftr[4:])
 	records := binary.LittleEndian.Uint32(ftr[8:])
 	sockets := binary.LittleEndian.Uint32(ftr[12:])
-	bodyLen := binary.LittleEndian.Uint32(ftr[16:])
-	if int(bodyLen) != crcOff-20 || dictsOff > colsOff || colsOff > bodyLen {
-		return 0, nil, fmt.Errorf("colstore: segment footer offsets inconsistent")
+	outcomes := binary.LittleEndian.Uint32(ftr[16:])
+	bodyLen := binary.LittleEndian.Uint32(ftr[20:])
+	if int(bodyLen) != crcOff-24 || dictsOff > colsOff || colsOff > bodyLen {
+		return 0, nil, nil, fmt.Errorf("colstore: segment footer offsets inconsistent")
 	}
-	// Every record and every socket takes at least a byte of columns.
-	if records > bodyLen-colsOff || sockets > bodyLen-colsOff {
-		return 0, nil, fmt.Errorf("colstore: segment footer claims %d records, %d sockets in %d column bytes", records, sockets, bodyLen-colsOff)
+	// Every record, socket and outcome row takes at least a byte of
+	// columns.
+	if cols := bodyLen - colsOff; records > cols || sockets > cols || outcomes > cols {
+		return 0, nil, nil, fmt.Errorf("colstore: segment footer claims %d records, %d sockets, %d outcomes in %d column bytes", records, sockets, outcomes, cols)
 	}
 
 	d := &segDecoder{data: data[:bodyLen], off: len(segMagic)}
 	if v := d.uv(); d.err == nil && v != segVersion {
-		return 0, nil, fmt.Errorf("colstore: unsupported segment version %d", v)
+		return 0, nil, nil, fmt.Errorf("colstore: unsupported segment version %d", v)
 	}
 	seq = int(d.uv())
 	if d.err == nil && d.off != int(dictsOff) {
-		return 0, nil, fmt.Errorf("colstore: segment header/footer disagree on dictionary offset")
+		return 0, nil, nil, fmt.Errorf("colstore: segment header/footer disagree on dictionary offset")
 	}
 	doms := d.dict()
 	labels := d.dict()
 	strs := d.dict()
 	if d.err == nil && d.off != int(colsOff) {
-		return 0, nil, fmt.Errorf("colstore: segment dictionaries/footer disagree on column offset")
+		return 0, nil, nil, fmt.Errorf("colstore: segment dictionaries/footer disagree on column offset")
 	}
 
 	n := int(records)
@@ -499,11 +537,27 @@ func decodeSegment(data []byte) (seq int, recs []*analysis.PageRecord, err error
 	for i := 0; i < n; i++ {
 		recs[i].CDNObs = d.counts(doms, "cdn obs")
 	}
+	// outcomes
+	rows = make([]Outcome, outcomes)
+	for i := range rows {
+		o := &rows[i]
+		o.Domain = d.lookup(doms, "outcome domain")
+		o.Attempt = int(d.uv())
+		o.State = OutcomeState(d.byte())
+		o.Err = d.lookup(strs, "outcome error")
+		if d.err == nil && (o.Attempt < 1 || o.Attempt > maxAttempt || o.State > OutcomeFailed) {
+			d.fail("colstore: segment outcome row %d: attempt %d, state %d", i, o.Attempt, o.State)
+		}
+	}
 	if d.err != nil {
-		return 0, nil, d.err
+		return 0, nil, nil, d.err
 	}
 	if d.off != len(d.data) {
-		return 0, nil, fmt.Errorf("colstore: segment has %d trailing column bytes", len(d.data)-d.off)
+		return 0, nil, nil, fmt.Errorf("colstore: segment has %d trailing column bytes", len(d.data)-d.off)
 	}
-	return seq, recs, nil
+	return seq, recs, rows, nil
 }
+
+// maxAttempt bounds an outcome row's attempt number, far above any
+// attempt budget, so a decoded row's number fits an int everywhere.
+const maxAttempt = 1 << 20

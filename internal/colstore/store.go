@@ -1,27 +1,30 @@
 // Package colstore is the embedded append-only columnar dataset store:
-// every crawl's one durable record of its pages, its fold, and the
-// query service over it.
+// a crawl's one durable state — its pages, the outcome of every
+// settled attempt, its fold — and the query service over it.
 //
 // PageRecords are ingested incrementally as the crawl runs. Each record
 // folds straight into the incremental Table 1–5 aggregation (an
 // analysis.Folder) and is encoded into the columns of the next segment,
-// so the store keeps no record once Ingest returns. At every
-// group-commit boundary — and whenever the buffer reaches SegmentPages —
-// the buffered columns are sealed into one immutable dictionary-encoded
-// segment file: written to a temp file, fsynced, renamed into place, and
-// made durable with a parent-directory sync (SyncDir documents that
-// contract). A sealed segment is therefore all-or-nothing: recovery
-// either sees the complete CRC-verified file or no file at all, and
-// anything in between is a hard error, never a skip.
+// so the store keeps no record once Ingest returns; a settled attempt
+// appends its outcome row (AppendOutcomes) after its site's pages. At
+// every group-commit boundary — and whenever the buffer reaches
+// SegmentPages — the buffered columns are sealed into one immutable
+// dictionary-encoded segment file: written to a temp file, fsynced,
+// renamed into place, and made durable with a parent-directory sync
+// (SyncDir documents that contract). A sealed segment is therefore
+// all-or-nothing: recovery either sees the complete CRC-verified file or
+// no file at all, and anything in between is a hard error, never a skip.
 //
-// Recovery replays sealed segments through the fold in seq order.
-// Records deduplicate by (site, pageURL) with first-occurrence wins, so
-// a crawl killed mid-run and resumed converges on the same dataset:
-// sites the checkpoint marked done were sealed before the checkpoint
-// was written (the dispatch ledger seals, then publishes), and
+// Recovery replays sealed segments through the fold in seq order and
+// hands their outcome rows to the writer (TakeOutcomes), which rebuilds
+// its queue from them. Records deduplicate by (site, pageURL) with
+// first-occurrence wins, so a crawl killed mid-run and resumed converges
+// on the same dataset: a site's outcome row was appended after its
+// pages, so a sealed prefix that holds the row holds the pages, and
 // everything else is re-crawled deterministically and deduplicated on
-// re-ingest. store.json pins the crawl's identity, so a resume never
-// folds another crawl's segments.
+// re-ingest. Segments are published in seq order, so a gap below the
+// highest seq is damage and is refused. store.json pins the crawl's
+// identity, so a resume never folds another crawl's segments.
 //
 // The read side (query.go, http.go) serves filter/group-by queries over
 // snapshots of the fold; OpenRead opens a store read-only — of a live
@@ -55,12 +58,25 @@ func (e *DamagedSegmentError) Error() string {
 
 func (e *DamagedSegmentError) Unwrap() error { return e.Err }
 
+// ManifestError is a store.json a resume cannot continue: undecodable,
+// of another format version, or naming another crawl (Foreign).
+type ManifestError struct {
+	Dir     string
+	Version int  // the manifest's format version; 0 when undecodable
+	Foreign bool // the manifest names another crawl
+	Reason  string
+}
+
+func (e *ManifestError) Error() string { return fmt.Sprintf("colstore: %s: %s", e.Dir, e.Reason) }
+
 // manifestName is the store's identity file, written once at creation.
 const manifestName = "store.json"
 
-// manifestVersion is the on-disk store format version. Version 3 pins
-// the seed, page budget and site count beside the dataset identity.
-const manifestVersion = 3
+// ManifestVersion is the on-disk store format version. Version 3 pinned
+// the seed, page budget and site count beside the dataset identity;
+// version 4 stores hold outcome rows (segment format v3), so a resume
+// needs no other file.
+const ManifestVersion = 4
 
 // manifest pins the store's identity so a resume (or a reader) cannot
 // mix segments from a different crawl into one dataset.
@@ -130,6 +146,7 @@ type Store struct {
 	consumed map[string]bool // segment files folded; guarded by segMu
 	pages    int             // distinct records folded; guarded by mu
 	dups     int             // duplicates dropped; guarded by mu
+	replayed []Outcome       // the outcome rows Open replayed, until taken; guarded by mu
 }
 
 // Open creates or resumes a writable store.
@@ -143,7 +160,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		dir: cfg.Dir,
 		id: manifest{
-			Version: manifestVersion,
+			Version: ManifestVersion,
 			Name:    cfg.Meta.Name, Era: cfg.Meta.Era, CrawlIndex: cfg.Meta.CrawlIndex,
 			Seed: cfg.Seed, PagesPerSite: cfg.PagesPerSite, TotalSites: cfg.TotalSites,
 		},
@@ -163,7 +180,8 @@ func Open(cfg Config) (*Store, error) {
 	case !cfg.Resume:
 		return nil, fmt.Errorf("colstore: open %s: store already exists (crawl %q); pass Resume to continue it", cfg.Dir, m.Name)
 	case *m != s.id:
-		return nil, fmt.Errorf("colstore: %s holds %v, not %v — point at the original crawl's store or start fresh", s.dir, m, &s.id)
+		return nil, &ManifestError{Dir: s.dir, Version: m.Version, Foreign: true,
+			Reason: fmt.Sprintf("holds %v, not %v — point at the original crawl's store or start fresh", m, &s.id)}
 	}
 	// A crash can leave a temp file behind mid-seal; it was never
 	// renamed, so it holds nothing the store vouched for. Remove it
@@ -207,10 +225,11 @@ func loadManifest(dir string) (*manifest, error) {
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("colstore: corrupt manifest in %s: %w", dir, err)
+		return nil, &ManifestError{Dir: dir, Reason: fmt.Sprintf("corrupt manifest: %v", err)}
 	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("colstore: %s: unsupported store version %d (this build reads v%d)", dir, m.Version, manifestVersion)
+	if m.Version != ManifestVersion {
+		return nil, &ManifestError{Dir: dir, Version: m.Version,
+			Reason: fmt.Sprintf("unsupported store version %d (this build reads v%d)", m.Version, ManifestVersion)}
 	}
 	return &m, nil
 }
@@ -269,16 +288,24 @@ func listSegments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// replaySegments folds every not-yet-consumed sealed segment. A sealed
-// segment that fails validation is a hard error: seals are atomic and
-// dir-synced, so a torn or corrupt one means the storage lied, and
-// silently skipping it would drop pages the checkpoint vouched for.
+// replaySegments folds every not-yet-consumed sealed segment, keeping a
+// writable store's outcome rows for TakeOutcomes. A sealed segment that
+// fails validation is a hard error, and so is a gap in the sequence
+// below its highest seq: seals are atomic, dir-synced and published in
+// seq order, so either means the storage lied, and silently skipping it
+// would drop pages whose sites an outcome row marks done. A missing
+// last segment is no gap: it is what a crash before that seal leaves.
 func (s *Store) replaySegments() error {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
 	names, err := listSegments(s.dir)
 	if err != nil {
 		return err
+	}
+	for i, name := range names {
+		if want := segmentName(i); name != want {
+			return &DamagedSegmentError{Name: want, Err: fmt.Errorf("the file is missing, and %s follows it", name)}
+		}
 	}
 	for _, name := range names {
 		if s.consumed[name] {
@@ -288,7 +315,7 @@ func (s *Store) replaySegments() error {
 		if err != nil {
 			return fmt.Errorf("colstore: read segment: %w", err)
 		}
-		seq, recs, err := decodeSegment(data)
+		seq, recs, rows, err := decodeSegment(data)
 		if err == nil && name != segmentName(seq) {
 			// A segment is sealed under its own seq; one under another
 			// name was moved, and the sequence can no longer be trusted.
@@ -304,6 +331,9 @@ func (s *Store) replaySegments() error {
 			} else {
 				s.dups++
 			}
+		}
+		if !s.readonly {
+			s.replayed = append(s.replayed, rows...)
 		}
 		if seq >= s.seq {
 			s.seq = seq + 1
@@ -342,28 +372,51 @@ func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	}
 	obs.StorePages.Inc()
 	if full {
-		return true, s.seal(s.segPages)
+		return true, s.seal(true)
 	}
 	return true, nil
 }
 
-// Seal writes the buffered records into one sealed segment file, after
-// any seal already in flight has finished. Call it at group-commit
-// boundaries: dispatch.Ledger.Commit seals before it publishes the
-// checkpoint, so a checkpoint never marks a job done whose pages are
-// not in a durable segment.
+// AppendOutcomes buffers outcome rows for the next segment. Append a
+// site's row after its pages were ingested: any segment prefix that then
+// holds the row holds the pages too.
+func (s *Store) AppendOutcomes(rows ...Outcome) error {
+	if s.readonly {
+		return fmt.Errorf("colstore: store %s is read-only", s.dir)
+	}
+	s.mu.Lock()
+	for _, o := range rows {
+		s.pending.addOutcome(o)
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// TakeOutcomes returns the outcome rows Open replayed, in seal order,
+// and drops the store's reference to them. A read-only store keeps none.
+func (s *Store) TakeOutcomes() []Outcome {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rows := s.replayed
+	s.replayed = nil
+	return rows
+}
+
+// Seal writes the buffered records and outcome rows into one sealed
+// segment file, after any seal already in flight has finished; with
+// nothing buffered it writes nothing. dispatch.Ledger.Commit is a Seal.
 func (s *Store) Seal() error {
 	if s.readonly {
 		return fmt.Errorf("colstore: store %s is read-only", s.dir)
 	}
-	return s.seal(1)
+	return s.seal(false)
 }
 
 // seal first publishes a segment an earlier seal failed to, then seals
-// the buffer into the next segment when it holds at least atLeast
-// records; Ingest's auto-seal passes SegmentPages, so of several
-// ingests that filled the buffer only the first seals.
-func (s *Store) seal(atLeast int) error {
+// the buffer into the next segment: an explicit seal when it holds
+// anything, Ingest's auto-seal when it holds SegmentPages records, so
+// of several ingests that filled the buffer only the first seals.
+func (s *Store) seal(auto bool) error {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
 	if s.retry != nil {
@@ -376,7 +429,7 @@ func (s *Store) seal(atLeast int) error {
 	}
 	s.mu.Lock()
 	enc, seq := s.pending, s.seq
-	take := enc.records >= atLeast
+	take := enc.records >= s.segPages || !auto && enc.records+enc.outcomes > 0
 	if take {
 		if s.pending = s.spare; s.pending == nil {
 			s.pending = new(segEncoder)
@@ -426,30 +479,6 @@ func (s *Store) publishSegment(data []byte) (string, error) {
 	obs.StoreSegments.Add(1)
 	obs.StoreBytes.Add(int64(len(data)))
 	return name, nil
-}
-
-// Sealed returns how many segments the store's sequence holds: those
-// numbered 0 to Sealed()-1. A checkpoint taken after a Seal vouches for
-// that many.
-func (s *Store) Sealed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-// MissingSegment returns the name of the first of segments 0 to n-1
-// that the store has not folded, or "" when it has folded them all: a
-// resume's check that every segment its checkpoint vouches for was
-// there to replay.
-func (s *Store) MissingSegment(n int) string {
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
-	for seq := 0; seq < n; seq++ {
-		if name := segmentName(seq); !s.consumed[name] {
-			return name
-		}
-	}
-	return ""
 }
 
 // Rescan folds any segments sealed since the store was opened (or last
@@ -526,15 +555,15 @@ func (s *Store) Close() error {
 	return s.Seal()
 }
 
-// ReadSegment decodes one sealed segment file — the low-level tool the
-// crash tests use.
-func ReadSegment(path string) ([]*analysis.PageRecord, error) {
+// ReadSegment decodes one sealed segment file's records and outcome
+// rows — the low-level tool the crash tests use.
+func ReadSegment(path string) ([]*analysis.PageRecord, []Outcome, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("colstore: read segment: %w", err)
+		return nil, nil, fmt.Errorf("colstore: read segment: %w", err)
 	}
-	_, recs, err := decodeSegment(data)
-	return recs, err
+	_, recs, rows, err := decodeSegment(data)
+	return recs, rows, err
 }
 
 var _ io.Closer = (*Store)(nil)

@@ -2,9 +2,11 @@ package colstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -45,13 +47,25 @@ func testRecord(site string, rank, i int) *analysis.PageRecord {
 }
 
 // encodeSegment is the segment a store seals as seq after ingesting
-// recs, in order.
-func encodeSegment(seq int, recs []*analysis.PageRecord) []byte {
+// recs, in order, and appending rows.
+func encodeSegment(seq int, recs []*analysis.PageRecord, rows ...Outcome) []byte {
 	var e segEncoder
 	for _, rec := range recs {
 		e.add(rec)
 	}
+	for _, o := range rows {
+		e.addOutcome(o)
+	}
 	return e.appendSegment(nil, seq)
+}
+
+// testOutcomes are one row of each state.
+func testOutcomes() []Outcome {
+	return []Outcome{
+		{Domain: "pub.com", Attempt: 1, State: OutcomeDone},
+		{Domain: "news.com", Attempt: 1, State: OutcomeRetry, Err: "reset"},
+		{Domain: "news.com", Attempt: 2, State: OutcomeFailed, Err: "reset"},
+	}
 }
 
 func spoolLine(t *testing.T, rec *analysis.PageRecord) []byte {
@@ -82,13 +96,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 				ChainDomains:    []string{}, ChainURLs: []string{},
 			}}},
 	}
-	data := encodeSegment(7, recs)
-	seq, got, err := decodeSegment(data)
+	data := encodeSegment(7, recs, testOutcomes()...)
+	seq, got, rows, err := decodeSegment(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq != 7 {
 		t.Errorf("seq = %d, want 7", seq)
+	}
+	if !reflect.DeepEqual(rows, testOutcomes()) {
+		t.Errorf("outcome rows came back as %+v", rows)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
@@ -103,16 +120,20 @@ func TestSegmentRoundTrip(t *testing.T) {
 	// Dictionary IDs assign in first-use order, so identical batches
 	// encode byte-identically — also through an encoder that was reset
 	// after sealing another batch.
-	if !bytes.Equal(data, encodeSegment(7, recs)) {
+	if !bytes.Equal(data, encodeSegment(7, recs, testOutcomes()...)) {
 		t.Error("segment encoding is not deterministic")
 	}
 	var e segEncoder
 	for _, rec := range allRecords() {
 		e.add(rec)
 	}
+	e.addOutcome(Outcome{Domain: "x.com", Attempt: 3, State: OutcomeFailed, Err: "x"})
 	e.reset()
 	for _, rec := range recs {
 		e.add(rec)
+	}
+	for _, o := range testOutcomes() {
+		e.addOutcome(o)
 	}
 	if !bytes.Equal(data, e.appendSegment(nil, 7)) {
 		t.Error("a reset encoder encodes the batch differently")
@@ -123,16 +144,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 // truncation or bit flip must fail decode, never yield partial records.
 func TestSegmentRejectsDamage(t *testing.T) {
 	recs := []*analysis.PageRecord{testRecord("pub.com", 1, 0), testRecord("pub.com", 1, 1)}
-	data := encodeSegment(0, recs)
+	data := encodeSegment(0, recs, testOutcomes()...)
 	for _, cut := range []int{len(data) - 1, len(data) - 9, len(data) / 2, 10, 0} {
-		if _, _, err := decodeSegment(data[:cut]); err == nil {
+		if _, _, _, err := decodeSegment(data[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", cut)
 		}
 	}
 	for _, flip := range []int{9, len(data) / 2, len(data) - 20} {
 		bad := bytes.Clone(data)
 		bad[flip] ^= 0xff
-		if _, _, err := decodeSegment(bad); err == nil {
+		if _, _, _, err := decodeSegment(bad); err == nil {
 			t.Errorf("bit flip at %d accepted", flip)
 		}
 	}
@@ -376,12 +397,14 @@ func TestConcurrentIngestAndSeal(t *testing.T) {
 
 // TestStoreRefusesV1 pins the format breaks of the store: a v1
 // manifest (which carried a shard count), a v2 one (which pinned no
-// seed, page budget or site count) and a v1 segment header (which
-// carried a shard field) are refused, never read as the current version.
+// seed, page budget or site count), a v3 one (whose segments held no
+// outcome rows: its crawl's progress was in a checkpoint file), and v1
+// and v2 segment headers are refused, never read as the current version.
 func TestStoreRefusesV1(t *testing.T) {
 	for v, old := range map[int]string{
 		1: `{"version":1,"name":"store-test","era":"pre","crawlIndex":0,"numShards":8}`,
 		2: `{"version":2,"name":"store-test","era":"pre","crawlIndex":0}`,
+		3: `{"version":3,"name":"store-test","era":"pre","crawlIndex":0,"seed":0,"pagesPerSite":0,"totalSites":0}`,
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(old+"\n"), 0o644); err != nil {
@@ -395,10 +418,114 @@ func TestStoreRefusesV1(t *testing.T) {
 			t.Errorf("OpenRead of a v%d store: err = %v", v, err)
 		}
 	}
-	seg := encodeSegment(0, []*analysis.PageRecord{testRecord("pub.com", 1, 0)})
-	seg[len(segMagic)] = 1
-	if _, _, err := decodeSegment(resealed(seg)); err == nil || !strings.Contains(err.Error(), "unsupported segment version 1") {
-		t.Errorf("decode of a v1 segment: err = %v", err)
+	for _, v := range []byte{1, 2} {
+		seg := encodeSegment(0, []*analysis.PageRecord{testRecord("pub.com", 1, 0)})
+		seg[len(segMagic)] = v
+		if _, _, _, err := decodeSegment(resealed(seg)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported segment version %d", v)) {
+			t.Errorf("decode of a v%d segment: err = %v", v, err)
+		}
+	}
+}
+
+// TestStoreRefusesMissingMiddleSegment: segments are published in seq
+// order, so a store missing a segment below its highest seq was damaged;
+// both opens refuse it, naming the missing file, rather than serve the
+// rest as a plausible partial dataset. A missing last segment is what a
+// crash before that seal leaves, and opens.
+func TestStoreRefusesMissingMiddleSegment(t *testing.T) {
+	recs := allRecords()
+	for _, tc := range []struct {
+		gone  int
+		pages int // replayed when the open is allowed; -1 = refused
+	}{{gone: 0, pages: -1}, {gone: 1, pages: -1}, {gone: 2, pages: 8}} {
+		dir := t.TempDir()
+		st, err := Open(Config{Dir: dir, Meta: testMeta()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			if _, err := st.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+			if i%4 == 3 {
+				if err := st.Seal(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := os.Remove(filepath.Join(dir, segmentName(tc.gone))); err != nil {
+			t.Fatal(err)
+		}
+		ro, rerr := OpenRead(dir)
+		w, werr := Open(Config{Dir: dir, Meta: testMeta(), Resume: true})
+		if tc.pages < 0 {
+			for _, err := range []error{rerr, werr} {
+				var damaged *DamagedSegmentError
+				if !errors.As(err, &damaged) || damaged.Name != segmentName(tc.gone) || !strings.Contains(err.Error(), "missing") {
+					t.Errorf("segment %d deleted: err = %v, want a *DamagedSegmentError naming %s", tc.gone, err, segmentName(tc.gone))
+				}
+			}
+			continue
+		}
+		if rerr != nil || werr != nil {
+			t.Fatalf("last segment deleted: OpenRead %v, Open %v", rerr, werr)
+		}
+		if ro.Stats().Pages != tc.pages || w.Stats().Pages != tc.pages {
+			t.Errorf("last segment deleted: replayed %d and %d pages, want %d", ro.Stats().Pages, w.Stats().Pages, tc.pages)
+		}
+	}
+}
+
+// TestStoreReplaysOutcomeRows: the rows appended after a site's pages
+// are sealed with them, a seal with rows and no pages still publishes a
+// segment, and a writable resume hands every sealed row back once, in
+// seal order; a read-only open keeps none.
+func TestStoreReplaysOutcomeRows(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Config{Dir: dir, Meta: testMeta()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := testOutcomes()
+	for _, rec := range allRecords()[:4] {
+		if _, err := st.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.AppendOutcomes(rows[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendOutcomes(rows[1:]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := listSegments(dir); len(names) != 2 {
+		t.Fatalf("sealed %v, want a second segment holding only rows", names)
+	}
+	if got := st.TakeOutcomes(); got != nil {
+		t.Errorf("a fresh store replayed rows %+v", got)
+	}
+	re, err := Open(Config{Dir: dir, Meta: testMeta(), Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.TakeOutcomes(); !reflect.DeepEqual(got, rows) {
+		t.Errorf("resume replayed rows %+v, want %+v", got, rows)
+	}
+	if got := re.TakeOutcomes(); got != nil {
+		t.Errorf("rows handed out twice: %+v", got)
+	}
+	ro, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ro.TakeOutcomes(); got != nil || ro.AppendOutcomes(rows[0]) == nil {
+		t.Errorf("a read-only store kept rows %+v or took one", got)
 	}
 }
 
@@ -516,11 +643,11 @@ func TestSealRetriesFailedPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 3 || st.Sealed() != 3 {
-		t.Fatalf("segments %v, Sealed() = %d; want seg 0-2", names, st.Sealed())
+	if len(names) != 3 || st.Stats().Segments != 3 {
+		t.Fatalf("segments %v, Stats().Segments = %d; want seg 0-2", names, st.Stats().Segments)
 	}
 	for i, want := range [][]*analysis.PageRecord{recs[:4], recs[4:8], recs[8:]} {
-		got, err := ReadSegment(filepath.Join(dir, segmentName(i)))
+		got, _, err := ReadSegment(filepath.Join(dir, segmentName(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

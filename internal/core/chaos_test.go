@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -34,9 +33,7 @@ func chaosCrawl(t *testing.T, stateDir, profile string, faultSeed int64, publish
 		res, err := RunCrawl(context.Background(), Options{
 			Seed: 77, NumPublishers: publishers, Workers: 4, PagesPerSite: 2,
 			FaultProfile: profile, FaultSeed: faultSeed,
-			Dispatch: &DispatchOptions{
-				CheckpointPath: filepath.Join(stateDir, "checkpoint.json"),
-			},
+			Dispatch: &DispatchOptions{StateDir: stateDir},
 		}, CrawlSpec{Name: "chaos-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57})
 		done <- outcome{res, err}
 	}()
@@ -158,9 +155,7 @@ func TestChaosDisabledIsByteIdenticalToPlainRun(t *testing.T) {
 	// fields at all), same crawl parameters.
 	res, err := RunCrawl(context.Background(), Options{
 		Seed: 77, NumPublishers: 8, Workers: 4, PagesPerSite: 2,
-		Dispatch: &DispatchOptions{
-			CheckpointPath: filepath.Join(t.TempDir(), "checkpoint.json"),
-		},
+		Dispatch: &DispatchOptions{StateDir: t.TempDir()},
 	}, CrawlSpec{Name: "chaos-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57})
 	if err != nil {
 		t.Fatal(err)

@@ -68,13 +68,13 @@ type Options struct {
 	// PagesPerSite is the per-site page budget (paper: 15).
 	PagesPerSite int
 	// Dispatch locates and tunes the durable grant loop every crawl runs
-	// through (internal/dispatch): lease-backed queue, retries,
-	// checkpoint/resume, and the crawl's columnar store
-	// (internal/colstore), which ingests every page record as it
-	// arrives, seals its segments atomically at each checkpoint boundary
-	// and owns the crawl's fold, and which cmd/wsquery queries. Nil, like
-	// options naming no location, keeps each crawl's state in a
-	// temporary directory.
+	// through (internal/dispatch): lease-backed queue, retries, resume,
+	// and the crawl's columnar store (internal/colstore) — its one
+	// durable state — which ingests every page record and every settled
+	// attempt's outcome row as they arrive, seals its segments atomically
+	// at each commit and owns the crawl's fold, and which cmd/wsquery
+	// queries. Nil, like options naming no location, keeps each crawl's
+	// store in a temporary directory.
 	Dispatch *DispatchOptions
 	// Store is read by nothing: every crawl writes its store. It stays
 	// declared only so bench/ compiles until ROADMAP 1(b).
@@ -89,45 +89,34 @@ type Options struct {
 	FaultSeed    int64
 }
 
-// DispatchOptions configures a crawl's durable state.
+// DispatchOptions configures a crawl's durable state: its store.
 type DispatchOptions struct {
-	// StateDir is the root for per-crawl checkpoints and stores
-	// (crawlN.checkpoint.json, store-crawlN/). When it and
-	// CheckpointPath are both empty, the crawl keeps its checkpoint, and
-	// its store unless StoreDir names one, in a temporary directory.
+	// StateDir is the root for per-crawl stores (store-crawlN/). When it
+	// and StoreDir are both empty, the crawl keeps its store in a
+	// temporary directory.
 	StateDir string
-	// CheckpointPath / StoreDir override the StateDir-derived layout for
-	// single-crawl use (cmd/wscrawl's -checkpoint / -store-dir); the
-	// store defaults to store-crawlN beside the checkpoint.
-	CheckpointPath string
-	StoreDir       string
-	// Resume continues an interrupted crawl from its checkpoint.
+	// StoreDir overrides the StateDir-derived layout for single-crawl
+	// use (cmd/wscrawl's -store-dir).
+	StoreDir string
+	// Resume continues an interrupted crawl from its store.
 	Resume bool
 	// MaxAttempts is the per-site attempt budget (default 3).
 	MaxAttempts int
 }
 
-// checkpointPath resolves the checkpoint file for one crawl.
-func (d *DispatchOptions) checkpointPath(spec CrawlSpec) string {
-	if d.CheckpointPath != "" {
-		return d.CheckpointPath
-	}
-	return filepath.Join(d.StateDir, fmt.Sprintf("crawl%d.checkpoint.json", spec.CrawlIndex))
-}
-
 // StorePath resolves the columnar store directory of one crawl:
-// StoreDir, else store-crawlN beside the crawl's checkpoint.
+// StoreDir, else store-crawlN under StateDir.
 func (d *DispatchOptions) StorePath(spec CrawlSpec) string {
 	if d.StoreDir != "" {
 		return d.StoreDir
 	}
-	return storeBeside(d.checkpointPath(spec), spec)
+	return storeIn(d.StateDir, spec)
 }
 
-// storeBeside is where a crawl's store lives by default: store-crawlN
-// in the directory of its checkpoint.
-func storeBeside(checkpointPath string, spec CrawlSpec) string {
-	return filepath.Join(filepath.Dir(checkpointPath), fmt.Sprintf("store-crawl%d", spec.CrawlIndex))
+// storeIn is where a crawl's store lives by default: store-crawlN in
+// dir.
+func storeIn(dir string, spec CrawlSpec) string {
+	return filepath.Join(dir, fmt.Sprintf("store-crawl%d", spec.CrawlIndex))
 }
 
 // DefaultOptions returns the laptop-scale defaults.
@@ -152,10 +141,9 @@ type CrawlResult struct {
 
 // RunCrawl generates the world for a crawl spec, serves it, crawls it
 // through dispatch.Run's grant loop (internal/dispatch: lease-backed
-// queue, retries, checkpoint, columnar store) and returns the
-// measurement dataset. When opts.Dispatch names no location, the
-// crawl's state lives in a temporary directory that is removed before
-// RunCrawl returns.
+// queue, retries, columnar store) and returns the measurement dataset.
+// When opts.Dispatch names no location, the crawl's store lives in a
+// temporary directory that is removed before RunCrawl returns.
 func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, error) {
 	plane, err := newPagePlane(opts, spec)
 	if err != nil {
@@ -172,15 +160,15 @@ func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, 
 // crawl runs the plane's sites through dispatch.Run, each grant with
 // runGrant, and counts the attempts in the result's Stats. Only state
 // that must outlive the process needs a location, and a resume reads a
-// checkpoint, so it refuses a crawl that names none.
+// store, so it refuses a crawl that names none.
 func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 	var d DispatchOptions
 	if p.opts.Dispatch != nil {
 		d = *p.opts.Dispatch
 	}
-	if d.StateDir == "" && d.CheckpointPath == "" {
+	if d.StateDir == "" && d.StoreDir == "" {
 		if d.Resume {
-			return nil, errors.New("resuming needs the interrupted crawl's location (StateDir or CheckpointPath)")
+			return nil, errors.New("resuming needs the interrupted crawl's location (StateDir or StoreDir)")
 		}
 		tmp, err := os.MkdirTemp("", "crawl-state-*")
 		if err != nil {
@@ -191,7 +179,6 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 	}
 	var stats crawler.Stats
 	res, err := dispatch.Run(ctx, dispatch.Config{
-		Name:         p.spec.Name,
 		Meta:         FabricDatasetMeta(p.spec),
 		Sites:        p.sites,
 		Workers:      p.opts.Workers,
@@ -201,10 +188,9 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 			_, failed, err := p.runGrant(ctx, sites, &stats, emit)
 			return failed, err
 		},
-		CheckpointPath: d.checkpointPath(p.spec),
-		StoreDir:       d.StorePath(p.spec),
-		Resume:         d.Resume,
-		Retry:          dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
+		StoreDir: d.StorePath(p.spec),
+		Resume:   d.Resume,
+		Retry:    dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/dispatch"
 	"repro/internal/webgen"
 )
 
@@ -109,10 +108,10 @@ func TestEntryPointsAgree(t *testing.T) {
 
 	dir := t.TempDir()
 	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
-		Addr:           "127.0.0.1:0",
-		BatchSize:      4,
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		Logf:           t.Logf,
+		Addr:      "127.0.0.1:0",
+		BatchSize: 4,
+		StoreDir:  filepath.Join(dir, "store"),
+		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +127,8 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossRoles: a local crawl and a fabric coordinator write
-// one checkpoint format with one header, so each resumes the other's
+// TestResumeAcrossRoles: a local crawl and a fabric coordinator keep
+// one store format that pins one identity, so each resumes the other's
 // interrupted crawl and converges on the uninterrupted dataset byte for
 // byte. Crawl 1, not 0, so the per-crawl seed is part of what must agree.
 func TestResumeAcrossRoles(t *testing.T) {
@@ -145,11 +144,11 @@ func TestResumeAcrossRoles(t *testing.T) {
 	total := len(FabricSites(opts, spec))
 
 	// Each interruption stops its role once a few sites are done and
-	// leaves a checkpoint behind; each resume finishes the crawl in the
-	// other role and reports how many sites the checkpoint held.
-	fabricUntil := func(t *testing.T, cp string, resume, interrupt bool) ([]byte, int) {
+	// leaves its store behind; each resume finishes the crawl in the
+	// other role and reports how many sites the store's rows marked done.
+	fabricUntil := func(t *testing.T, store string, resume, interrupt bool) ([]byte, int) {
 		coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
-			Addr: "127.0.0.1:0", BatchSize: 2, CheckpointPath: cp, Resume: resume, Logf: t.Logf,
+			Addr: "127.0.0.1:0", BatchSize: 2, StoreDir: store, Resume: resume, Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -178,9 +177,9 @@ func TestResumeAcrossRoles(t *testing.T) {
 		}
 		return nil, 0
 	}
-	localUntil := func(t *testing.T, cp string, resume, interrupt bool) ([]byte, int) {
+	localUntil := func(t *testing.T, store string, resume, interrupt bool) ([]byte, int) {
 		o := opts
-		o.Dispatch = &DispatchOptions{CheckpointPath: cp, Resume: resume}
+		o.Dispatch = &DispatchOptions{StoreDir: store, Resume: resume}
 		if !interrupt {
 			res, err := RunCrawl(ctx, o, spec)
 			if err != nil {
@@ -192,7 +191,7 @@ func TestResumeAcrossRoles(t *testing.T) {
 		go func() {
 			defer stop()
 			for lctx.Err() == nil {
-				if c, err := dispatch.LoadCheckpoint(cp); err == nil && len(c.Done) > 0 {
+				if sealedDone(t, store) > 0 {
 					return
 				}
 				time.Sleep(time.Millisecond)
@@ -203,7 +202,7 @@ func TestResumeAcrossRoles(t *testing.T) {
 		}
 		return nil, 0
 	}
-	type role func(t *testing.T, cp string, resume, interrupt bool) ([]byte, int)
+	type role func(t *testing.T, store string, resume, interrupt bool) ([]byte, int)
 	for _, tc := range []struct {
 		name              string
 		interrupt, resume role
@@ -212,10 +211,9 @@ func TestResumeAcrossRoles(t *testing.T) {
 		{"local interrupted, fabric resumes", localUntil, fabricUntil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cp := filepath.Join(dir, "checkpoint.json")
-			tc.interrupt(t, cp, false, true)
-			got, resumed := tc.resume(t, cp, true, false)
+			store := filepath.Join(t.TempDir(), "store-crawl1")
+			tc.interrupt(t, store, false, true)
+			got, resumed := tc.resume(t, store, true, false)
 			t.Logf("the resume took over %d of %d sites done", resumed, total)
 			if resumed == 0 || resumed >= total {
 				t.Errorf("the resume took over %d of %d sites done; want an interrupted crawl", resumed, total)

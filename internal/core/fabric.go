@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -117,16 +118,18 @@ type FabricCoordinatorOptions struct {
 	// MaxAttempts is the per-site attempt budget (default 3), as on the
 	// local path.
 	MaxAttempts int
-	// CheckpointPath locates the coordinator's durable state. Required.
+	// CheckpointPath names no file: nothing is written at it. When
+	// StoreDir is empty it places the store, as store-crawlN in the
+	// directory of this path; bench/ sets only it.
 	CheckpointPath string
 	// SpoolDir is read by nothing: no crawl writes a spool. It stays
 	// declared only so bench/ compiles until ROADMAP 1(b).
 	SpoolDir string
-	// Resume continues from CheckpointPath instead of starting fresh.
+	// Resume continues from the crawl's store instead of starting fresh.
 	Resume bool
-	// StoreDir is the crawl's columnar store (see
+	// StoreDir is the crawl's columnar store, its one durable state (see
 	// fabric.CoordinatorConfig.StoreDir); empty means store-crawlN beside
-	// CheckpointPath, where a local crawl keeps it.
+	// CheckpointPath.
 	StoreDir string
 	// FaultProfile, when non-empty, degrades every worker link with the
 	// named faultnet profile, keyed on FaultSeed.
@@ -145,20 +148,19 @@ func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOp
 	}
 	storeDir := fo.StoreDir
 	if storeDir == "" {
-		storeDir = storeBeside(fo.CheckpointPath, spec)
+		storeDir = storeIn(filepath.Dir(fo.CheckpointPath), spec)
 	}
 	return fabric.StartCoordinator(fo.Addr, fabric.CoordinatorConfig{
-		Crawl:          FabricCrawlConfig(opts, spec),
-		Sites:          FabricSites(opts, spec),
-		BatchSize:      fo.BatchSize,
-		LeaseTTL:       fo.LeaseTTL,
-		Retry:          dispatch.RetryPolicy{MaxAttempts: fo.MaxAttempts},
-		CheckpointPath: fo.CheckpointPath,
-		StoreDir:       storeDir,
-		Resume:         fo.Resume,
-		Fault:          fault,
-		FaultSeed:      fo.FaultSeed,
-		Logf:           fo.Logf,
+		Crawl:     FabricCrawlConfig(opts, spec),
+		Sites:     FabricSites(opts, spec),
+		BatchSize: fo.BatchSize,
+		LeaseTTL:  fo.LeaseTTL,
+		Retry:     dispatch.RetryPolicy{MaxAttempts: fo.MaxAttempts},
+		StoreDir:  storeDir,
+		Resume:    fo.Resume,
+		Fault:     fault,
+		FaultSeed: fo.FaultSeed,
+		Logf:      fo.Logf,
 	})
 }
 

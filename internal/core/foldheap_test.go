@@ -44,7 +44,7 @@ func TestFoldHeapMatchesReplay(t *testing.T) {
 	}
 	folder := analysis.NewFolder(FabricDatasetMeta(spec))
 	for _, seg := range segs {
-		recs, err := colstore.ReadSegment(seg)
+		recs, _, err := colstore.ReadSegment(seg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,9 +21,7 @@ func datasetBytes(t *testing.T, stateDir string) []byte {
 	t.Helper()
 	res, err := RunCrawl(context.Background(), Options{
 		Seed: 77, NumPublishers: 40, Workers: 6, PagesPerSite: 3,
-		Dispatch: &DispatchOptions{
-			CheckpointPath: filepath.Join(stateDir, "checkpoint.json"),
-		},
+		Dispatch: &DispatchOptions{StateDir: stateDir},
 	}, CrawlSpec{Name: "obs-crawl", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57})
 	if err != nil {
 		t.Fatal(err)

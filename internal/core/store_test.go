@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -15,6 +16,29 @@ import (
 	"repro/internal/obs"
 	"repro/internal/webgen"
 )
+
+// sealedDone is how many sites the outcome rows of the sealed segments
+// of the store at dir mark done: what a resume of it skips.
+func sealedDone(t *testing.T, dir string) int {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := map[string]bool{}
+	for _, seg := range segs {
+		_, rows, err := colstore.ReadSegment(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if row.State == colstore.OutcomeDone {
+				done[row.Domain] = true
+			}
+		}
+	}
+	return len(done)
+}
 
 func storeDatasetBytes(t *testing.T, ds *analysis.Dataset) []byte {
 	t.Helper()
@@ -79,10 +103,12 @@ func TestStoreDifferential(t *testing.T) {
 
 // TestStoreSealsOncePerCommit gates the store's write cost at the
 // study's size (150 publishers × 15 pages): a commit covers max(8, N/128)
-// settled sites, fewer pages than SegmentPages, and seals them into one
-// segment — so a store crawl writes one segment, and one publish's
-// directory sync, per commit that had pages: every commit but at most
-// the final one.
+// settled sites, fewer pages than SegmentPages, and seals them with
+// their outcome rows into one segment — so a crawl writes one segment,
+// and one publish's directory sync, per commit that had anything to
+// seal: every commit but at most the final one. A commit is that seal
+// and nothing else: the directory syncs are the manifest's and one per
+// seal.
 func TestStoreSealsOncePerCommit(t *testing.T) {
 	stateDir := t.TempDir()
 	opts := benchCrawlOptions(stateDir)
@@ -96,11 +122,11 @@ func TestStoreSealsOncePerCommit(t *testing.T) {
 	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
 	seals, commits := delta(obs.MStoreSeals), delta(obs.MCheckpointWrites)
 	if commits < 8 || seals < commits-1 || seals > commits {
-		t.Errorf("%d seals over %d commits, want one per commit that had pages (%d or %d)", seals, commits, commits-1, commits)
+		t.Errorf("%d seals over %d commits, want one per commit that had anything to seal (%d or %d)", seals, commits, commits-1, commits)
 	}
-	// The manifest, every segment and every checkpoint: one sync each.
-	if syncs := delta(obs.MStoreDirSyncs); syncs != 1+seals+commits {
-		t.Errorf("%d directory syncs, want %d (manifest + %d seals + %d checkpoints)", syncs, 1+seals+commits, seals, commits)
+	// The manifest and every segment: one sync each.
+	if syncs := delta(obs.MStoreDirSyncs); syncs != 1+seals {
+		t.Errorf("%d directory syncs, want %d (manifest + %d seals)", syncs, 1+seals, seals)
 	}
 	segs, err := filepath.Glob(filepath.Join(stateDir, "store-crawl0", "seg-*.col"))
 	if err != nil || int64(len(segs)) != seals {
@@ -109,7 +135,7 @@ func TestStoreSealsOncePerCommit(t *testing.T) {
 }
 
 // TestResumeNeedsLocation: a resume reads the interrupted crawl's
-// checkpoint, so a crawl naming no location cannot resume one.
+// store, so a crawl naming no location cannot resume one.
 func TestResumeNeedsLocation(t *testing.T) {
 	_, err := RunCrawl(context.Background(), Options{
 		Seed: 1, NumPublishers: 2, Workers: 1, PagesPerSite: 1,
@@ -152,8 +178,8 @@ func runFabricWorkers(ctx context.Context, t *testing.T, coord *fabric.Coordinat
 // TestFabricStoreDifferential streams the pinned bench-crawl world
 // through a coordinator with two real-pipeline workers: the dataset
 // Finalize derives from the coordinator's store — which, named by no
-// StoreDir, is store-crawl0 beside the checkpoint, where a local crawl
-// keeps it — must match a cold read-only open of that store byte for
+// StoreDir, is store-crawl0 beside CheckpointPath, where no file is
+// written — must match a cold read-only open of that store byte for
 // byte, as must the live store the query API serves.
 func TestFabricStoreDifferential(t *testing.T) {
 	opts := Options{
@@ -180,8 +206,8 @@ func TestFabricStoreDifferential(t *testing.T) {
 	defer cancel()
 	runFabricWorkers(ctx, t, coord, 2)
 
-	// Finalize commits the last checkpoint (sealing the store) and
-	// derives the dataset from the store.
+	// Finalize derives the dataset from the store's fold; Close commits
+	// the store's tail.
 	storeDS, storeStats, err := coord.Finalize(FabricDatasetMeta(spec))
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +223,9 @@ func TestFabricStoreDifferential(t *testing.T) {
 	cold := storeDataset(t, filepath.Join(dir, "store-crawl0"))
 	if !bytes.Equal(storeDatasetBytes(t, cold), got) {
 		t.Error("sealed fabric store differs from the coordinator's dataset")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json")); !os.IsNotExist(err) {
+		t.Errorf("the coordinator wrote at CheckpointPath (stat: %v)", err)
 	}
 	if analysis.Report(cold) != analysis.Report(storeDS) {
 		t.Error("sealed fabric store renders different tables than the coordinator's dataset")

@@ -309,7 +309,7 @@ func shuffled(rng *rand.Rand, in []string) []string {
 
 // CrawlSeed derives the seed of one crawl of a study from the study's
 // seed. It drives the crawl's link sampling, roots every SiteSeed of the
-// crawl, and is the seed its checkpoint records, so every role that runs
+// crawl, and is the seed its store pins, so every role that runs
 // or resumes the crawl — local, coordinator, worker — must derive it
 // here.
 func CrawlSeed(seed int64, crawlIndex int) int64 { return seed + int64(crawlIndex) }

@@ -3,19 +3,86 @@ package dispatch
 // This file exists only so bench/ compiles unchanged until ROADMAP 1(b)
 // replaces bench's hand-built twin of the page path with the product's
 // own spans; 1(b) deletes it. Nothing outside bench/ may use what it
-// declares (TestBenchPinsStayInBench). No crawl writes a spool: the
-// columnar store is a crawl's one durable record of its pages.
+// declares (TestBenchPinsStayInBench). No crawl writes a spool or a
+// checkpoint file: the columnar store is a crawl's one durable state.
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/colstore"
 )
+
+// CheckpointVersion is the version of the retired checkpoint file's
+// format, which bench's twin still writes.
+const CheckpointVersion = 5
+
+// Checkpoint is the retired checkpoint file's header and progress, as
+// bench's twin of the page path fills and writes it.
+type Checkpoint struct {
+	Version      int               `json:"version"`
+	Name         string            `json:"name"`
+	Seed         int64             `json:"seed"`
+	PagesPerSite int               `json:"pagesPerSite"`
+	TotalSites   int               `json:"totalSites"`
+	Done         []string          `json:"done"`
+	Failed       map[string]string `json:"failed,omitempty"`
+	Attempts     map[string]int    `json:"attempts,omitempty"`
+	NumShards    int               `json:"-"`
+	ShardBytes   []int64           `json:"-"`
+}
+
+// The job states bench's twin records.
+const (
+	JobDone   = "done"
+	JobFailed = "failed"
+)
+
+// JobRecord is one site's progress, as bench's twin records it.
+type JobRecord struct {
+	Domain   string
+	Rank     int
+	State    string // JobDone or JobFailed
+	Attempts int
+	LastErr  string
+}
+
+// SetJobs fills the checkpoint's progress fields from job records.
+func (c *Checkpoint) SetJobs(recs []JobRecord) {
+	c.Done = nil
+	c.Failed = map[string]string{}
+	c.Attempts = map[string]int{}
+	for _, rec := range recs {
+		switch rec.State {
+		case JobDone:
+			c.Done = append(c.Done, rec.Domain)
+		case JobFailed:
+			c.Failed[rec.Domain] = rec.LastErr
+		}
+		if rec.Attempts > 0 && rec.State != JobDone {
+			c.Attempts[rec.Domain] = rec.Attempts
+		}
+	}
+	sort.Strings(c.Done)
+}
+
+// WriteAtomic writes the checkpoint as indented JSON with
+// colstore.WriteAtomic.
+func (c *Checkpoint) WriteAtomic(path string) error {
+	return colstore.WriteAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(c)
+	})
+}
 
 // BatchPolicy names a spool group-commit policy. The spool has one,
 // {Pages: 64, Bytes: 256 KiB}; OpenSpoolBatch refuses any other.

@@ -1,12 +1,13 @@
 package dispatch
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -14,65 +15,91 @@ import (
 	"repro/internal/obs"
 )
 
+// A crawl's progress lives in its store: each settled attempt's outcome
+// row, sealed with its site's pages. These tests keep the names of the
+// checkpoint file's tests, and hold the store to what that file promised.
+
+// TestCheckpointRoundTrip: the progress a ledger commits — done sites,
+// a failed site's error, the attempts an unfinished site settled — comes
+// back on a resume as the same queue, and the commits leave no temp
+// droppings beside the store's files.
 func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cp.json")
-	cp := &Checkpoint{
-		Version:      CheckpointVersion,
-		Name:         "crawl-1",
-		Seed:         42,
-		PagesPerSite: 15,
-		TotalSites:   100,
-		Done:         []string{"a.com", "b.com"},
-		Failed:       map[string]string{"c.com": "boom"},
-		Attempts:     map[string]int{"c.com": 3, "d.com": 1},
-		Segments:     4,
+	r := &ledgerRun{t: t, dir: t.TempDir()}
+	r.open(false)
+	for i := 0; i < 4; i++ {
+		for p := 0; p < ledgerPages; p++ {
+			r.append(i, p)
+		}
 	}
-	if err := cp.WriteAtomic(path); err != nil {
-		t.Fatal(err)
+	r.settle(
+		colstore.Outcome{Domain: ledgerSite(0), Attempt: 1, State: colstore.OutcomeDone},
+		colstore.Outcome{Domain: ledgerSite(1), Attempt: 2, State: colstore.OutcomeDone},
+		colstore.Outcome{Domain: ledgerSite(2), Attempt: 3, State: colstore.OutcomeFailed, Err: "boom"},
+		colstore.Outcome{Domain: ledgerSite(3), Attempt: 1, State: colstore.OutcomeRetry, Err: "reset"},
+	)
+	r.commit()
+	r.open(true)
+	defer r.l.Close()
+	want := map[string]jobRec{
+		ledgerSite(0): {Domain: ledgerSite(0), State: "done", Attempts: 1},
+		ledgerSite(1): {Domain: ledgerSite(1), State: "done", Attempts: 2},
+		ledgerSite(2): {Domain: ledgerSite(2), State: "failed", Attempts: 3, LastErr: "boom"},
+		ledgerSite(3): {Domain: ledgerSite(3), State: "pending", Attempts: 1, LastErr: "reset"},
 	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, got := range jobsOf(r.q) {
+		if w, ok := want[got.Domain]; ok && got != w || !ok && got != (jobRec{Domain: got.Domain, State: "pending"}) {
+			t.Errorf("resumed %+v, want %+v", got, w)
+		}
 	}
-	if got.Name != cp.Name || got.Seed != cp.Seed || len(got.Done) != 2 || got.Failed["c.com"] != "boom" || got.Attempts["d.com"] != 1 || got.Segments != 4 {
-		t.Errorf("roundtrip mismatch: %+v", got)
+	if r.resumedDone != 2 {
+		t.Errorf("resumed %d done sites, want 2", r.resumedDone)
 	}
-	// No temp droppings.
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Errorf("leftover files: %v", entries)
+	entries, _ := os.ReadDir(r.l.cfg.StoreDir)
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Errorf("leftover temp file %s", e.Name())
+		}
 	}
 }
 
-// TestCheckpointCompatible exercises every mismatch arm. A local crawl
-// and a fabric coordinator write one header, so there is no role row.
+// TestCheckpointCompatible exercises every identity arm: a resume that
+// names another crawl, seed, page budget or site count than the store
+// pins is refused with the wrong-crawl hint. A local crawl and a fabric
+// coordinator pin one identity, so there is no role row.
 func TestCheckpointCompatible(t *testing.T) {
-	site := Checkpoint{Name: "x", Seed: 1, PagesPerSite: 15, TotalSites: 10}
 	for _, tc := range []struct {
 		name   string
-		have   Checkpoint
-		mutate func(want *Checkpoint)
+		mutate func(cfg *LedgerConfig)
 		expect string // "" = compatible
 	}{
-		{"same", site, func(*Checkpoint) {}, ""},
-		{"name", site, func(w *Checkpoint) { w.Name = "y" }, "crawl"},
-		{"seed", site, func(w *Checkpoint) { w.Seed = 2 }, "seed"},
-		{"pages", site, func(w *Checkpoint) { w.PagesPerSite = 5 }, "budget"},
-		{"totalSites", site, func(w *Checkpoint) { w.TotalSites = 99 }, "sites"},
+		{"same", func(*LedgerConfig) {}, ""},
+		{"name", func(c *LedgerConfig) { c.Meta.Name = "other" }, `crawl "other"`},
+		{"seed", func(c *LedgerConfig) { c.Seed = 2 }, "seed 2"},
+		{"pages", func(c *LedgerConfig) { c.PagesPerSite = 5 }, "5 pages"},
+		{"totalSites", func(c *LedgerConfig) { c.TotalSites = 99 }, "99 sites"},
 	} {
-		want := tc.have
-		tc.mutate(&want)
-		err := tc.have.Compatible("cp.json", &want)
+		dir := t.TempDir()
+		l, err := OpenLedger(ledgerConfig(dir, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cfg := ledgerConfig(dir, true)
+		tc.mutate(&cfg)
+		l, err = OpenLedger(cfg)
 		if tc.expect == "" {
 			if err != nil {
-				t.Errorf("%s: compatible rejected: %v", tc.name, err)
+				t.Errorf("%s: compatible resume refused: %v", tc.name, err)
+			} else {
+				l.Close()
 			}
 			continue
 		}
 		var ce *CheckpointError
-		if !errors.As(err, &ce) {
-			t.Errorf("%s: error %v (%T), want *CheckpointError", tc.name, err, err)
+		if !errors.As(err, &ce) || ce.Hint != hintWrongCrawl || ce.Path != cfg.StoreDir {
+			t.Errorf("%s: error %v (%T), want a *CheckpointError on %s with the wrong-crawl hint", tc.name, err, err, cfg.StoreDir)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.expect) {
@@ -81,100 +108,118 @@ func TestCheckpointCompatible(t *testing.T) {
 	}
 }
 
-func TestLoadCheckpointRejectsBadVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	if err := os.WriteFile(path, []byte(`{"version": 99}`), 0o644); err != nil {
+// writeManifest replaces the store manifest of the ledger test crawl in
+// dir with body.
+func writeManifest(t *testing.T, dir, body string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, "store", "store.json"), []byte(body), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path); err == nil {
-		t.Error("future version accepted")
 	}
 }
 
-// TestLoadCheckpointAcrossVersions: the v5 build reads v5 only. A v1,
-// v2 or v3 single-process file, a v3 coordinator's file (jobs were batch
-// IDs), a file in the retired coordinator format that shared the v1
-// number, and a v4 file of either role (it vouched for spool extents,
-// not store segments) are refused loudly with the version and the
-// start-fresh hint instead of resuming.
-func TestLoadCheckpointAcrossVersions(t *testing.T) {
+func TestLoadCheckpointRejectsBadVersion(t *testing.T) {
 	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "store"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeManifest(t, dir, `{"version": 99}`)
+	if _, err := OpenLedger(ledgerConfig(dir, true)); err == nil {
+		t.Error("future store version accepted")
+	}
+}
+
+// TestLoadCheckpointAcrossVersions: the v4 store build reads v4 stores
+// only. State an older build left — a v1, v2 or v3 store, the last with
+// the v5 checkpoint file that vouched for its segments beside it — is
+// refused loudly with the store's version and the start-fresh hint
+// instead of resuming, and no file changes.
+func TestLoadCheckpointAcrossVersions(t *testing.T) {
 	for _, tc := range []struct {
 		version int
 		body    string
 	}{
-		{1, `{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"]}`},
-		{2, `{"version":2,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"],"shardBytes":[10,0]}`},
-		{1, `{"version":1,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"batchSize":4,` +
-			`"totalBatches":3,"totalSites":10,"batches":[{"domain":"b0001","state":"done"}],"shardBytes":[64,128]}`},
-		{3, `{"version":3,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":3,"done":["a.com"],"shardBytes":[10,0]}`},
-		{3, `{"version":3,"name":"c","seed":1,"numShards":2,"pagesPerSite":5,"totalSites":10,"batchSize":4,` +
-			`"done":["b0000"],"failedSites":{"x.com":"gone"},"shardBytes":[64,128]}`},
-		{4, `{"version":4,"name":"c","seed":1,"numShards":8,"pagesPerSite":5,"totalSites":3,"done":["a.com"],` +
-			`"attempts":{"b.com":1},"shardBytes":[10,0,0,0,0,0,0,0]}`},
+		{1, `{"version":1,"name":"ledger-test","era":"pre-patch","crawlIndex":0,"numShards":8}`},
+		{2, `{"version":2,"name":"ledger-test","era":"pre-patch","crawlIndex":0}`},
+		{3, `{"version":3,"name":"ledger-test","era":"pre-patch","crawlIndex":0,"seed":7,"pagesPerSite":3,"totalSites":9}`},
 	} {
-		path := filepath.Join(dir, "cp.json")
-		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+		r := &ledgerRun{t: t, dir: t.TempDir()}
+		r.open(false)
+		r.crawl(0, 4)
+		writeManifest(t, r.dir, tc.body+"\n")
+		if err := os.WriteFile(filepath.Join(r.dir, "cp.json"), []byte(`{"version":5,"name":"ledger-test","seed":7,"pagesPerSite":3,"totalSites":9,"done":["site00.com"],"segments":2}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadCheckpoint(path)
+		before := ledgerState(t, r.dir)
+		_, err := OpenLedger(ledgerConfig(r.dir, true))
 		var ce *CheckpointError
 		if !errors.As(err, &ce) {
 			t.Errorf("err = %v (%T), want *CheckpointError\n%s", err, err, tc.body)
 			continue
 		}
-		if ce.Version != tc.version || !strings.Contains(ce.Error(), "reads v5 only") || ce.Hint != hintStartFresh {
+		if ce.Version != tc.version || !strings.Contains(ce.Error(), "reads v4") || ce.Hint != hintStartFresh {
 			t.Errorf("error %q lacks the version, the reason or the start-fresh hint", ce)
+		}
+		if !bytes.Equal(before, ledgerState(t, r.dir)) {
+			t.Error("a refused resume changed a file")
 		}
 	}
 }
 
-// FuzzLoadCheckpoint feeds LoadCheckpoint hostile bytes. It must refuse
-// them with a *CheckpointError or return a checkpoint that WriteAtomic
-// writes and LoadCheckpoint reads back unchanged: what a resume loads is
-// what its next commit would write.
+// FuzzLoadCheckpoint feeds a resume hostile bytes as its store's
+// manifest — the crawl identity the checkpoint's header used to carry.
+// The resume must open exactly when the bytes decode to this build's
+// version and the crawl's identity; any other bytes are refused with a
+// *CheckpointError and every file as it was.
 func FuzzLoadCheckpoint(f *testing.F) {
-	f.Add([]byte(`{"version":5,"name":"crawl-1","seed":42,"pagesPerSite":5,"totalSites":4,` +
-		`"done":["a.com","b.com"],"failed":{"c.com":"boom"},"attempts":{"d.com":1},"segments":3}`))
-	f.Add([]byte(`{"version":4,"name":"crawl-1","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":4,` +
-		`"done":["a.com","b.com"],"failed":{"c.com":"boom"},"attempts":{"d.com":1},"shardBytes":[120,0]}`))
-	f.Add([]byte(`{"version":3,"name":"pre-crawl-0","seed":42,"numShards":2,"pagesPerSite":5,"totalSites":10,` +
-		`"batchSize":4,"done":["b0000"],"failedSites":{"x.com":"gone"},"shardBytes":[64,128]}`))
-	f.Add([]byte(`{"version":2,"name":"c","done":null,"shardBytes":[]}`))
-	f.Add([]byte(`{"version":5,"done":[],"failed":{},"VERSION":5,"name":"\ud800","shardBytes":[1]} trailing`))
+	f.Add([]byte(`{"version":4,"name":"ledger-test","era":"pre-patch","crawlIndex":0,"seed":7,"pagesPerSite":3,"totalSites":9}`))
+	f.Add([]byte(`{"version":4,"name":"ledger-test","era":"pre-patch","crawlIndex":0,"seed":8,"pagesPerSite":3,"totalSites":9}`))
+	f.Add([]byte(`{"version":3,"name":"ledger-test","era":"pre-patch","crawlIndex":0,"seed":7,"pagesPerSite":3,"totalSites":9}`))
+	f.Add([]byte(`{"VERSION":4,"Name":"ledger-test","era":"pre-patch","seed":7,"pagesPerSite":3,"totalSites":9,"done":[]} `))
+	f.Add([]byte(`{"version":4,"name":"\ud800","seed":7} trailing`))
 	f.Add([]byte(`{]`))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, manifest []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "cp.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		cfg := ledgerConfig(dir, false)
+		l, err := OpenLedger(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := LoadCheckpoint(path)
-		if err != nil {
-			var ce *CheckpointError
-			if !errors.As(err, &ce) {
-				t.Fatalf("err = %v (%T), want *CheckpointError", err, err)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		writeManifest(t, dir, string(manifest))
+		var m struct {
+			Version      int    `json:"version"`
+			Name         string `json:"name"`
+			Era          string `json:"era,omitempty"`
+			CrawlIndex   int    `json:"crawlIndex"`
+			Seed         int64  `json:"seed"`
+			PagesPerSite int    `json:"pagesPerSite"`
+			TotalSites   int    `json:"totalSites"`
+		}
+		open := json.Unmarshal(manifest, &m) == nil && m.Version == colstore.ManifestVersion &&
+			m.Name == cfg.Meta.Name && m.Era == cfg.Meta.Era && m.CrawlIndex == cfg.Meta.CrawlIndex &&
+			m.Seed == cfg.Seed && m.PagesPerSite == cfg.PagesPerSite && m.TotalSites == cfg.TotalSites
+
+		before := ledgerState(t, dir)
+		cfg.Resume = true
+		l, err = OpenLedger(cfg)
+		if err == nil {
+			l.Close()
+			if !open {
+				t.Fatalf("resumed over the manifest %q", manifest)
 			}
 			return
 		}
-		if err := cp.WriteAtomic(path); err != nil {
-			t.Fatal(err)
+		var ce *CheckpointError
+		if !errors.As(err, &ce) {
+			t.Fatalf("err = %v (%T), want *CheckpointError", err, err)
 		}
-		back, err := LoadCheckpoint(path)
-		if err != nil {
-			t.Fatalf("a loaded checkpoint does not load back: %v", err)
+		if open {
+			t.Fatalf("refused the crawl's own manifest %q: %v", manifest, err)
 		}
-		// omitempty writes an empty map as nothing.
-		for _, c := range []*Checkpoint{cp, back} {
-			if len(c.Failed) == 0 {
-				c.Failed = nil
-			}
-			if len(c.Attempts) == 0 {
-				c.Attempts = nil
-			}
-		}
-		if !reflect.DeepEqual(cp, back) {
-			t.Fatalf("checkpoint changed across WriteAtomic:\n%+v\n%+v", cp, back)
+		if !bytes.Equal(before, ledgerState(t, dir)) {
+			t.Fatal("a refused resume changed a file")
 		}
 	})
 }
@@ -183,40 +228,35 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // crash-durable once the parent directory's entry is synced — without
 // it, power loss after the rename can leave the directory pointing at
 // the old file or at nothing. The dir-sync helper counts each
-// successful directory sync in store.dir_syncs; every checkpoint write
+// successful directory sync in store.dir_syncs; every commit that seals
 // must perform one.
 func TestWriteAtomicSyncsParentDir(t *testing.T) {
+	r := &ledgerRun{t: t, dir: t.TempDir()}
+	r.open(false)
+	defer r.l.Close()
+	r.append(0, 0)
+	r.settle(colstore.Outcome{Domain: ledgerSite(0), Attempt: 1, State: colstore.OutcomeDone})
 	before := obs.Default.Snapshot().Counters["store.dir_syncs"]
-	path := filepath.Join(t.TempDir(), "cp.json")
-	cp := &Checkpoint{Version: CheckpointVersion, Name: "crawl-1", TotalSites: 1}
-	if err := cp.WriteAtomic(path); err != nil {
+	if err := r.l.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default.Snapshot().Counters["store.dir_syncs"]
 	if after <= before {
-		t.Errorf("WriteAtomic did not sync the parent directory (store.dir_syncs %d -> %d)", before, after)
+		t.Errorf("Commit did not sync the store directory (store.dir_syncs %d -> %d)", before, after)
 	}
 }
 
 // TestCheckpointExtentsCoverBufferedGroups pins the Commit audit: a
-// checkpoint's extent — the sealed segments it vouches for — must cover
-// the group of records still buffered in the store's unsealed segment
-// when it commits; it never vouches for jobs whose pages are only
-// buffered. Commit's safe ordering is jobs-snapshot →
-// Seal → segment count: any job done at snapshot time appended its
-// pages before the snapshot, so the seal that follows covers them, and
-// the recorded count names exactly the segments on disk. This test
-// leaves appends in the buffer (too few to trip an auto-seal), commits,
-// and requires the vouched segments to exist and hold every page.
+// commit seals the group of records still buffered in the store's
+// unsealed segment together with the outcome rows appended after them,
+// so it never marks a site done whose pages are only buffered. This
+// test leaves appends in the buffer (too few to trip an auto-seal),
+// settles the site, commits, and requires the one sealed segment to hold
+// every page and the row.
 func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 	dir := t.TempDir()
-	cpPath := filepath.Join(dir, "cp.json")
 	storeDir := filepath.Join(dir, "store")
-	l, err := OpenLedger(LedgerConfig{
-		Crawl:          Checkpoint{Name: "t", Seed: 1, PagesPerSite: 5, TotalSites: 1},
-		CheckpointPath: cpPath,
-		StoreDir:       storeDir,
-	})
+	l, err := OpenLedger(LedgerConfig{Meta: ledgerMeta, Seed: 1, PagesPerSite: 5, TotalSites: 1, StoreDir: storeDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,29 +270,25 @@ func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 	if segs, _ := filepath.Glob(filepath.Join(storeDir, "seg-*.col")); len(segs) != 0 || l.Store().Stats().Pending != 5 {
 		t.Fatalf("%d segments on disk and %d records buffered before any commit; the store did not buffer", len(segs), l.Store().Stats().Pending)
 	}
-
-	if err := l.Commit(func() []JobRecord {
-		return []JobRecord{{Domain: "pub.com", Rank: 1, State: JobDone, Attempts: 1}}
-	}); err != nil {
+	if err := l.Settled([]colstore.Outcome{{Domain: "pub.com", Attempt: 1, State: colstore.OutcomeDone}}); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := LoadCheckpoint(cpPath)
-	if err != nil {
+	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(storeDir, "seg-*.col"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Segments != 1 || len(segs) != 1 {
-		t.Fatalf("checkpoint vouches for %d segments, %d on disk; want the 1 the commit sealed", cp.Segments, len(segs))
+	if len(segs) != 1 {
+		t.Fatalf("%d segments on disk, want the 1 the commit sealed", len(segs))
 	}
-	recs, err := colstore.ReadSegment(segs[0])
+	recs, rows, err := colstore.ReadSegment(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 5 {
-		t.Errorf("the vouched segment holds %d pages, want the 5 appended before the commit", len(recs))
+	if len(recs) != 5 || len(rows) != 1 || rows[0].Domain != "pub.com" {
+		t.Errorf("the sealed segment holds %d pages and rows %+v, want the 5 appended before the commit and pub.com's row", len(recs), rows)
 	}
 }
 

@@ -16,14 +16,15 @@
 //   - Failures retry with exponential backoff and seeded jitter up to an
 //     attempt budget (RetryPolicy). Grant.Settle is the one settle path,
 //     so a site has one outcome model in both roles.
-//   - The Ledger (ledger.go) owns everything durable. Ledger.AppendLine,
-//     its one entry, decodes each page line and ingests the record into
-//     the crawl's columnar store (internal/colstore), which folds it and
-//     encodes it into its next segment; Ledger.Settled seals the store
-//     and commits the checkpoint atomically; the dataset is the store's
-//     finalized fold. A resume replays the sealed segments into the fold
-//     as it opens, so -resume skips completed sites and converges on the
-//     same dataset.
+//   - The Ledger (ledger.go) owns everything durable: the crawl's
+//     columnar store (internal/colstore). Ledger.AppendLine, its one
+//     entry for pages, decodes each page line and ingests the record,
+//     which the store folds and encodes into its next segment;
+//     Ledger.Settled appends each settled attempt's outcome row after its
+//     site's pages and seals the store when a commit is due; the dataset
+//     is the store's finalized fold. A resume replays the sealed segments
+//     into the fold and rebuilds the queue from their rows, so -resume
+//     skips completed sites and converges on the same dataset.
 //
 // Determinism: a GrantRunner seeds its browsers per site
 // (crawler.SiteSeed), so a site's lines are a pure function of (seed,
@@ -32,17 +33,18 @@
 // datasets.
 //
 // Concurrency: Queue, Lease, Grant and Ledger are safe for concurrent
-// use; the ledger serializes checkpoint generations itself.
-// Durability (DESIGN.md §7): a checkpoint marks a job done only after its
-// pages were sealed into the store, seals and checkpoints are atomic
-// (temp file + fsync + rename + directory sync), and one commit rule
-// serves both roles (Ledger.Settled): a killed crawl is at most
-// max(8, N/128) − 1 settled sites stale.
+// use; the store serializes its seals itself.
+// Durability (DESIGN.md §7): a site's outcome row follows its pages
+// into the store, so a sealed segment prefix never marks a site done
+// whose pages it lacks; seals are atomic (temp file + fsync + rename +
+// directory sync), and one commit rule serves both roles
+// (Ledger.Settled): a killed crawl is at most max(8, N/128) − 1 settled
+// sites stale.
 //
 // Observability: the queue exports depth/retry gauges, and the ledger
-// records latency histograms (queue.*, checkpoint.*, stage.checkpoint,
-// crawl.commit — DESIGN.md §8). None of it alters records, ordering, or
-// the merged dataset.
+// counts and times its commits (queue.*, checkpoint.writes,
+// stage.checkpoint, crawl.commit — DESIGN.md §8). None of it alters
+// records, ordering, or the merged dataset.
 package dispatch
 
 import (
@@ -65,9 +67,7 @@ type GrantRunner func(ctx context.Context, sites []crawler.Site, attempt int, em
 
 // Config parameterizes a local crawl.
 type Config struct {
-	// Name identifies the crawl (checkpoint identity).
-	Name string
-	// Meta names the merged dataset.
+	// Meta names the merged dataset, and is part of the store's identity.
 	Meta analysis.DatasetMeta
 	// Sites is the full crawl target list, in rank order.
 	Sites []crawler.Site
@@ -75,9 +75,9 @@ type Config struct {
 	// (default 8).
 	Workers int
 	// PagesPerSite is the per-site page budget (default 15), part of the
-	// checkpoint's identity.
+	// store's identity.
 	PagesPerSite int
-	// Seed is the crawl seed, part of the checkpoint's identity; it also
+	// Seed is the crawl seed, part of the store's identity; it also
 	// drives backoff jitter.
 	Seed int64
 	// RunGrant crawls each grant. It must seed its browsers per site
@@ -85,15 +85,13 @@ type Config struct {
 	// deterministic. Required.
 	RunGrant GrantRunner
 
-	// CheckpointPath is the crawl's durable state file. Required.
-	CheckpointPath string
-	// StoreDir is the crawl's columnar store (LedgerConfig.StoreDir).
-	// Required.
+	// StoreDir is the crawl's columnar store and its one durable state
+	// (LedgerConfig.StoreDir). Required.
 	StoreDir string
-	// Resume loads CheckpointPath (when present) and skips completed
-	// sites instead of starting from scratch. The ledger commits by its
-	// one rule (Ledger.Settled), and a final checkpoint is always written
-	// when Run returns, including on cancellation.
+	// Resume replays StoreDir (when present) and skips completed sites
+	// instead of starting from scratch. The ledger commits by its one
+	// rule (Ledger.Settled), and a final commit is always made when Run
+	// returns, including on cancellation.
 	Resume bool
 
 	// Retry is the retry policy (zero value = 3 attempts, 100ms base
@@ -119,16 +117,16 @@ type Result struct {
 	Progress Progress
 	// FailedSites maps permanently failed sites to their last error.
 	FailedSites map[string]string
-	// ResumedDone is how many sites the checkpoint already covered.
+	// ResumedDone is how many sites the resumed store's rows marked done.
 	ResumedDone int
 }
 
-// Run executes a local crawl: open the ledger (restoring the checkpoint
-// on resume), run Workers grant loops over the queue, commit progress,
-// and derive the final dataset. On cancellation it commits a final
-// checkpoint and returns ctx.Err(); a later Resume run continues where
-// it stopped.
-func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
+// Run executes a local crawl: open the ledger (rebuilding the queue
+// from the store on resume), run Workers grant loops over the queue,
+// commit progress, and derive the final dataset. On cancellation it
+// commits what has settled and returns ctx.Err(); a later Resume run
+// continues where it stopped.
+func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.RunGrant == nil {
 		return nil, fmt.Errorf("dispatch: Config.RunGrant is required")
 	}
@@ -143,43 +141,29 @@ func Run(ctx context.Context, cfg Config) (_ *Result, err error) {
 	}
 
 	ledger, err := OpenLedger(LedgerConfig{
-		Crawl: Checkpoint{
-			Name:         cfg.Name,
-			Seed:         cfg.Seed,
-			PagesPerSite: cfg.PagesPerSite,
-			TotalSites:   len(cfg.Sites),
-		},
-		Meta:           cfg.Meta,
-		CheckpointPath: cfg.CheckpointPath,
-		StoreDir:       cfg.StoreDir,
-		Resume:         cfg.Resume,
-		commitEvery:    cfg.commitEvery,
+		Meta:         cfg.Meta,
+		Seed:         cfg.Seed,
+		PagesPerSite: cfg.PagesPerSite,
+		TotalSites:   len(cfg.Sites),
+		StoreDir:     cfg.StoreDir,
+		Resume:       cfg.Resume,
+		commitEvery:  cfg.commitEvery,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if cerr := ledger.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-
 	queue := NewQueue(cfg.Sites, QueueConfig{
 		Retry: cfg.Retry,
 		Seed:  cfg.Seed,
 		Now:   cfg.now,
 	})
-	res := &Result{}
-	if cp := ledger.Resumed(); cp != nil {
-		queue.RestoreJobs(cp.Jobs())
-		res.ResumedDone = len(cp.Done)
-	}
+	res := &Result{ResumedDone: ledger.Restore(queue)}
 
 	crawlErr := work(ctx, cfg, queue, ledger)
-	// Always leave a fresh checkpoint behind, even (especially) when
-	// cancelled: that is what a later -resume picks up.
-	if cpErr := ledger.Commit(queue.ExportJobs); cpErr != nil && crawlErr == nil {
-		crawlErr = cpErr
+	// Always commit what settled, even (especially) when cancelled: that
+	// is what a later -resume picks up.
+	if cErr := ledger.Close(); cErr != nil && crawlErr == nil {
+		crawlErr = cErr
 	}
 	res.Progress = queue.Progress()
 	res.FailedSites = queue.FailedSites()

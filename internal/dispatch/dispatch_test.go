@@ -110,16 +110,14 @@ func (e *testEnv) config(dir string, workers int, r *testRunner) Config {
 		r = e.runner()
 	}
 	return Config{
-		Name:           "test-crawl",
-		Meta:           analysis.DatasetMeta{Name: "test-crawl", Era: "pre-patch", CrawlIndex: 0},
-		Sites:          e.sites,
-		Workers:        workers,
-		PagesPerSite:   3,
-		Seed:           testSeed,
-		RunGrant:       r.run,
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		StoreDir:       filepath.Join(dir, "store"),
-		Retry:          RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
+		Meta:         analysis.DatasetMeta{Name: "test-crawl", Era: "pre-patch", CrawlIndex: 0},
+		Sites:        e.sites,
+		Workers:      workers,
+		PagesPerSite: 3,
+		Seed:         testSeed,
+		RunGrant:     r.run,
+		StoreDir:     filepath.Join(dir, "store"),
+		Retry:        RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
 }
 
@@ -206,9 +204,9 @@ func TestDeterministicShardsAndDataset(t *testing.T) {
 }
 
 // TestKillAndResumeConvergesToUninterruptedRun is the acceptance
-// scenario: a crawl killed mid-run, resumed from its checkpoint,
-// produces the same dataset — and the same Table 1 rows — as an
-// uninterrupted run with the same seed.
+// scenario: a crawl killed mid-run, resumed from its store, produces the
+// same dataset — and the same Table 1 rows — as an uninterrupted run
+// with the same seed.
 func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	env := newTestEnv(t, 20)
 
@@ -218,9 +216,8 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: kill (cancel) after 10 spooled pages, with a
-	// checkpoint after every site so the kill lands between
-	// checkpoints too.
+	// Interrupted run: kill (cancel) after 10 emitted pages, with a
+	// commit after every site so the kill lands between commits too.
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -240,12 +237,9 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	if res1.Dataset != nil {
 		t.Error("cancelled run produced a dataset")
 	}
-	cp, err := LoadCheckpoint(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatalf("no checkpoint after kill: %v", err)
-	}
-	if len(cp.Done) == 0 || len(cp.Done) == len(env.sites) {
-		t.Fatalf("checkpoint done = %d sites, want a strict subset", len(cp.Done))
+	done := doneSites(sealedRows(t, cfg.StoreDir))
+	if len(done) == 0 || len(done) == len(env.sites) {
+		t.Fatalf("the store marks %d sites done, want a strict subset", len(done))
 	}
 
 	// Resume and converge.
@@ -257,8 +251,8 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.ResumedDone != len(cp.Done) {
-		t.Errorf("resumed %d sites, checkpoint had %d", res2.ResumedDone, len(cp.Done))
+	if res2.ResumedDone != len(done) {
+		t.Errorf("resumed %d sites, the store marked %d done", res2.ResumedDone, len(done))
 	}
 	if r2.stats.Sites >= int64(len(env.sites)) {
 		t.Errorf("resume re-crawled everything: %d site attempts", r2.stats.Sites)
@@ -363,13 +357,16 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 			t.Error("dead site leaked into the dataset")
 		}
 	}
-	// The checkpoint records the permanent failure for later audits.
-	cp, err := LoadCheckpoint(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
+	// The store records the permanent failure, after one retry row per
+	// earlier attempt, for later audits.
+	var got []colstore.Outcome
+	for _, row := range sealedRows(t, cfg.StoreDir) {
+		if row.Domain == dead {
+			got = append(got, row)
+		}
 	}
-	if _, ok := cp.Failed[dead]; !ok {
-		t.Errorf("checkpoint failed set: %v", cp.Failed)
+	if len(got) != 2 || got[0].State != colstore.OutcomeRetry || got[1].State != colstore.OutcomeFailed || got[1].Attempt != 2 || got[1].Err == "" {
+		t.Errorf("the dead site's rows: %+v, want a retry then a failure at attempt 2", got)
 	}
 }
 
@@ -391,8 +388,8 @@ func TestRunValidatesConfig(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedCheckpoint: resuming with a different
-// seed, or over a checkpoint of another page budget, must fail loudly
-// rather than mix two crawls' pages.
+// seed or page budget than the store pins must fail loudly rather than
+// mix two crawls' pages.
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	env := newTestEnv(t, 4)
 	dir := t.TempDir()
@@ -406,14 +403,7 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 		t.Error("seed mismatch accepted on resume")
 	}
 	cfg := env.config(dir, 1, nil)
-	cp, err := LoadCheckpoint(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.PagesPerSite++
-	if err := cp.WriteAtomic(cfg.CheckpointPath); err != nil {
-		t.Fatal(err)
-	}
+	cfg.PagesPerSite++
 	cfg.Resume = true
 	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("page budget mismatch accepted on resume")

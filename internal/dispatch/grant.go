@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 )
 
@@ -62,31 +63,33 @@ func (g *Grant) Heartbeat() bool {
 // Settle ends the grant's attempt. With err == nil every site completes
 // except the ones failed names, which fail with their message and retry
 // under the retry policy; a cancellation releases every site without
-// spending its attempt; any other err fails them all. It returns how many
-// leases it settled (stale ones are ignored; a nil grant settles nothing)
-// and the error of the commit the settle made due, if that failed — the
-// next due settle retries it.
+// spending its attempt; any other err fails them all. Each settled site's
+// outcome row goes to the ledger after the site's pages. It returns how
+// many leases it settled (stale ones are ignored; a nil grant settles
+// nothing) and the error of the commit the settle made due, if that
+// failed — the next due settle retries it.
 func (g *Grant) Settle(failed map[string]string, err error) (settled int, commitErr error) {
 	switch {
 	case g == nil:
 		return 0, nil
-	case err == nil:
-		settled = g.each(func(l *Lease) bool {
-			if msg, ok := failed[l.Site.Domain]; ok {
-				return l.Fail(errors.New(msg))
-			}
-			return l.Complete()
-		})
 	case released(err):
 		g.Release()
 		return 0, nil
-	default:
-		settled = g.each(func(l *Lease) bool { return l.Fail(err) })
 	}
-	if settled == 0 {
+	var rows []colstore.Outcome
+	for _, l := range g.leases {
+		failure := err
+		if msg, ok := failed[l.Site.Domain]; ok && err == nil {
+			failure = errors.New(msg)
+		}
+		if row, ok := l.settle(failure); ok {
+			rows = append(rows, row)
+		}
+	}
+	if len(rows) == 0 {
 		return 0, nil
 	}
-	return settled, g.ledger.Settled(settled, g.leases[0].q.ExportJobs)
+	return len(rows), g.ledger.Settled(rows)
 }
 
 // Release returns every site of the grant to the queue without spending

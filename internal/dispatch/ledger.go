@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io/fs"
 	"sync"
 	"sync/atomic"
 
@@ -13,24 +12,48 @@ import (
 	"repro/internal/obs"
 )
 
+// CheckpointError reports crawl state a resume cannot continue: a
+// damaged or gapped store, a store of another format version, or one of
+// another crawl. It is a hard error by design — resuming past it would
+// silently produce a partial crawl — and it always carries an actionable
+// hint.
+type CheckpointError struct {
+	// Path is the store directory.
+	Path string
+	// Version is the store's format version (0 when undecodable).
+	Version int
+	// Reason says what is wrong.
+	Reason string
+	// Hint says what the operator should do about it.
+	Hint string
+}
+
+// Error renders the versioned, actionable message.
+func (e *CheckpointError) Error() string {
+	return fmt.Sprintf("dispatch: crawl state %s (format v%d): %s — %s", e.Path, e.Version, e.Reason, e.Hint)
+}
+
+// hintStartFresh is the standard remediation for unusable crawl state.
+const hintStartFresh = "delete the store directory to start the crawl from scratch"
+
+// hintWrongCrawl is the remediation for another crawl's state.
+const hintWrongCrawl = "point -store-dir (or -state) at the original crawl's store, or match the original crawl's flags"
+
 // LedgerConfig locates and identifies one crawl's durable state.
 type LedgerConfig struct {
-	// Crawl is the checkpoint header: the identity (Name, Seed,
-	// PagesPerSite, TotalSites) every checkpoint this ledger writes
-	// carries and a resumed one must match. OpenLedger sets Version;
-	// progress fields are ignored.
-	Crawl Checkpoint
-	// Meta names the derived dataset (and, with Crawl, the store's
-	// identity).
-	Meta analysis.DatasetMeta
-	// CheckpointPath is the crawl's durable state file. Required.
-	CheckpointPath string
-	// StoreDir is the columnar store every page is ingested into: the
-	// crawl's one durable record of its pages, queryable with
-	// cmd/wsquery while the crawl runs, and the source of its dataset.
-	// Required.
+	// Meta names the derived dataset. With Seed, PagesPerSite and
+	// TotalSites it is the crawl's identity, which the store pins and a
+	// resume must match.
+	Meta         analysis.DatasetMeta
+	Seed         int64
+	PagesPerSite int
+	TotalSites   int
+	// StoreDir is the columnar store every page and every settled
+	// attempt's outcome row is appended to: the crawl's one durable
+	// state, queryable with cmd/wsquery while the crawl runs, and the
+	// source of its dataset. Required.
 	StoreDir string
-	// Resume loads CheckpointPath (when present) and continues from it
+	// Resume replays the store (when present) and continues from it
 	// instead of starting from scratch.
 	Resume bool
 
@@ -38,35 +61,31 @@ type LedgerConfig struct {
 }
 
 // Ledger owns a crawl's durable state — the columnar store, which holds
-// its pages and their fold, and the checkpoint file — and is the only
-// place the ordering between them exists. Its callers — Run's worker
-// loops and the fabric coordinator's sessions — decide what to crawl and
-// settle their grants; the ledger decides when to commit and what
-// "durable" means (DESIGN.md §7):
+// its pages, the outcome row of every settled attempt, and their fold —
+// and is the only place the ordering between them exists. Its callers —
+// Run's worker loops and the fabric coordinator's sessions — decide what
+// to crawl and settle their grants; the ledger decides when to commit
+// and what "durable" means (DESIGN.md §7):
 //
-//   - OpenLedger: load the checkpoint, check it against the crawl, open
-//     the store (a resume replays its sealed segments into the fold) and
-//     check that every segment the checkpoint vouches for was there;
+//   - OpenLedger: open the store — a resume replays its sealed segments
+//     into the fold, and Restore rebuilds a queue from their rows;
 //   - AppendLine: decode one page line and ingest its record;
-//   - Settled: the one commit rule, once every max(8, TotalSites/128)
-//     settled attempts — about 128 checkpoints per crawl;
-//   - Commit: seal the store, then publish the checkpoint, which records
-//     how many sealed segments it vouches for, atomically — in that
-//     order, so a checkpoint never marks a job done whose pages are not
-//     in a sealed segment. Segments and checkpoints are fsynced, so a
-//     resume survives a killed process and an OS crash alike;
+//   - Settled: append a settle's outcome rows after their sites' pages,
+//     and apply the one commit rule, once every max(8, TotalSites/128)
+//     settled attempts — about 128 commits per crawl;
+//   - Commit: seal the store. A sealed prefix that holds a site's row
+//     holds its pages, so a commit never marks a site done whose pages
+//     are not durable. Segments are fsynced, so a resume survives a
+//     killed process and an OS crash alike;
 //   - Finalize: finalize the store's fold;
-//   - Close: seal the store's tail.
+//   - Close: commit the store's tail.
 //
 // All methods are safe for concurrent use. Finalize ends the append
 // phase: it waits for appends in flight and later ones fail with
 // ErrFinalized, so the dataset it returns is never folded into again.
 type Ledger struct {
-	cfg     LedgerConfig
-	resumed *Checkpoint // nil on a fresh run
-	store   *colstore.Store
-
-	commitMu sync.Mutex // serializes checkpoint generations
+	cfg   LedgerConfig
+	store *colstore.Store
 
 	sinceCommit atomic.Int64 // attempts settled since Settled last committed
 
@@ -84,79 +103,57 @@ type Ledger struct {
 var ErrFinalized = errors.New("dispatch: ledger already finalized")
 
 // OpenLedger opens a crawl's durable state, fresh or resumed. A resume
-// whose checkpoint is corrupt, from another crawl, or vouching for
-// sealed segments that are gone or damaged fails with a
-// *CheckpointError, and one over a store of another crawl fails too; a
-// resume with no checkpoint file at all replays whatever its own
-// crawl's store holds, and starts fresh without one. A failed open leaves the store and the checkpoint
-// as it found them.
+// over a store that is damaged, has a gap in its segments, is of another
+// format version or of another crawl fails with a *CheckpointError; one
+// with no store starts fresh. Opening writes nothing but a new store's
+// manifest, so a failed open leaves the state as it found it.
 func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
-	if cfg.StoreDir == "" || cfg.CheckpointPath == "" {
-		return nil, fmt.Errorf("dispatch: StoreDir and CheckpointPath are required")
+	if cfg.StoreDir == "" {
+		return nil, fmt.Errorf("dispatch: StoreDir is required")
 	}
 	if cfg.commitEvery <= 0 {
-		cfg.commitEvery = max(8, cfg.Crawl.TotalSites/128)
+		cfg.commitEvery = max(8, cfg.TotalSites/128)
 	}
-	cfg.Crawl.Version = CheckpointVersion
 	// One decoder per concurrent append: 16 covers the worker counts
 	// crawls run with; a decoder returned to a full list is left to the
 	// collector.
 	l := &Ledger{cfg: cfg, decoders: make(chan *analysis.SpoolDecoder, 16)}
-	if cfg.Resume {
-		cp, lerr := LoadCheckpoint(cfg.CheckpointPath)
-		switch {
-		case lerr == nil:
-			if cerr := cp.Compatible(cfg.CheckpointPath, &cfg.Crawl); cerr != nil {
-				return nil, cerr
-			}
-			l.resumed = cp
-		case errors.Is(lerr, fs.ErrNotExist):
-			// Nothing to skip; run every site.
-		default:
-			return nil, lerr
-		}
-	}
-
-	// The store pins the crawl's whole identity, so a resume over
-	// another crawl's store — with or without a checkpoint — is refused
-	// before a segment is folded. Opening it writes nothing but a new
-	// store's manifest.
 	var err error
 	l.store, err = colstore.Open(colstore.Config{
 		Dir:          cfg.StoreDir,
 		Meta:         cfg.Meta,
-		Seed:         cfg.Crawl.Seed,
-		PagesPerSite: cfg.Crawl.PagesPerSite,
-		TotalSites:   cfg.Crawl.TotalSites,
+		Seed:         cfg.Seed,
+		PagesPerSite: cfg.PagesPerSite,
+		TotalSites:   cfg.TotalSites,
 		Resume:       cfg.Resume,
 	})
-	var damaged *colstore.DamagedSegmentError
-	if err != nil && l.resumed != nil && errors.As(err, &damaged) {
-		// A damaged sealed segment cannot be replayed or repaired, and
-		// the checkpoint's done jobs may have their pages in it.
-		return nil, &CheckpointError{Path: cfg.CheckpointPath, Version: l.resumed.Version, Reason: err.Error(), Hint: hintStartFresh}
+	if err != nil && cfg.Resume {
+		var damaged *colstore.DamagedSegmentError
+		var manifest *colstore.ManifestError
+		switch {
+		case errors.As(err, &damaged):
+			// A damaged or missing sealed segment cannot be replayed or
+			// repaired, and its rows may mark sites done.
+			return nil, &CheckpointError{Path: cfg.StoreDir, Version: colstore.ManifestVersion, Reason: err.Error(), Hint: hintStartFresh}
+		case errors.As(err, &manifest) && manifest.Foreign:
+			return nil, &CheckpointError{Path: cfg.StoreDir, Version: manifest.Version, Reason: err.Error(), Hint: hintWrongCrawl}
+		case errors.As(err, &manifest):
+			return nil, &CheckpointError{Path: cfg.StoreDir, Version: manifest.Version, Reason: err.Error(), Hint: hintStartFresh}
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	if cp := l.resumed; cp != nil {
-		// The checkpoint promises its done jobs' pages are in the
-		// segments it vouches for; resuming without one of them would
-		// skip those pages and produce a partial dataset.
-		if name := l.store.MissingSegment(cp.Segments); name != "" {
-			return nil, &CheckpointError{
-				Path: cfg.CheckpointPath, Version: cp.Version,
-				Reason: fmt.Sprintf("store segment %s is missing: the checkpoint vouches for %d sealed segments in %s", name, cp.Segments, cfg.StoreDir),
-				Hint:   hintStartFresh,
-			}
-		}
-	}
 	return l, nil
 }
 
-// Resumed returns the checkpoint this ledger resumed from: its Jobs and
-// its Done count. Nil on a fresh run.
-func (l *Ledger) Resumed() *Checkpoint { return l.resumed }
+// Restore rebuilds a fresh queue from the outcome rows the store
+// replayed, and returns how many sites they mark done. Only settled
+// attempts count: an attempt killed in flight left no row, so its site
+// re-runs without spending budget, as a released one does.
+func (l *Ledger) Restore(q *Queue) (done int) {
+	return q.restore(l.store.TakeOutcomes())
+}
 
 // Store returns the live columnar store, for the in-process query API.
 // The ledger keeps ownership.
@@ -210,40 +207,34 @@ func (l *Ledger) AppendLine(site string, line []byte) error {
 	return err
 }
 
-// Settled is the one commit rule: Grant.Settle reports every settle of n
-// attempts (complete or fail), and the ledger commits, at most once per
-// call, once max(8, TotalSites/128) have settled since it last did — so a
-// crawl writes about 128 checkpoints, O(N) bytes in all. snapshot is
-// Commit's; a failed commit costs only re-crawling, as the next retries.
-func (l *Ledger) Settled(n int, snapshot func() []JobRecord) error {
-	since := l.sinceCommit.Add(int64(n))
+// Settled is the one commit rule: Grant.Settle reports the outcome rows
+// of every settle (complete or fail) after its sites' pages were
+// appended, and the ledger appends them and commits, at most once per
+// call, once max(8, TotalSites/128) attempts have settled since it last
+// did — so a crawl seals about 128 commits, O(N) bytes in all. A failed
+// commit costs only re-crawling, as the next retries it.
+func (l *Ledger) Settled(rows []colstore.Outcome) error {
+	if err := l.store.AppendOutcomes(rows...); err != nil {
+		return err
+	}
+	since := l.sinceCommit.Add(int64(len(rows)))
 	if since < int64(l.cfg.commitEvery) || !l.sinceCommit.CompareAndSwap(since, 0) {
 		return nil // not due, or a later settle takes the commit
 	}
-	return l.Commit(snapshot)
+	return l.Commit()
 }
 
-// Commit publishes one checkpoint generation. snapshot is called under
-// the commit lock and must return the job states to record. Everything a
-// done job appended happened before the snapshot, so the seal that
-// follows covers it, and the segment count read after it is what the
-// checkpoint vouches for. Any failure leaves the previous checkpoint
-// file in place — a stale checkpoint only costs re-crawling.
-func (l *Ledger) Commit(snapshot func() []JobRecord) error {
-	l.commitMu.Lock()
-	defer l.commitMu.Unlock()
+// Commit seals everything appended so far — pages and outcome rows —
+// into the store's next segment; with nothing appended it writes
+// nothing. A failed seal keeps its bytes for the next one, and costs a
+// crash in between only re-crawling.
+func (l *Ledger) Commit() error {
 	span := obs.StartSpan(obs.StageCheckpoint)
 	defer func() {
 		span.End()
 		obs.CheckpointWrites.Inc()
 	}()
-	cp := l.cfg.Crawl
-	cp.SetJobs(snapshot())
-	if err := l.store.Seal(); err != nil {
-		return err
-	}
-	cp.Segments = l.store.Sealed()
-	return cp.WriteAtomic(l.cfg.CheckpointPath)
+	return l.store.Seal()
 }
 
 // Finalize derives the crawl's dataset: the store's fold, which took
@@ -256,7 +247,7 @@ func (l *Ledger) Finalize() (*analysis.Dataset, analysis.MergeStats) {
 	return l.store.Finalize()
 }
 
-// Close seals the store's tail, so the on-disk store holds everything
-// appended (wsquery over a finished crawl needs no live process). It
-// does not write a checkpoint.
-func (l *Ledger) Close() error { return l.store.Close() }
+// Close commits the store's tail, so the on-disk store holds everything
+// appended (wsquery over a finished crawl needs no live process) and a
+// later resume continues from every settled attempt.
+func (l *Ledger) Close() error { return l.Commit() }

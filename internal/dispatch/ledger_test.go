@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/colstore"
+	"repro/internal/crawler"
 	"repro/internal/fabric/wire"
 )
 
@@ -53,24 +54,35 @@ func ledgerRecord(i, p int) *analysis.PageRecord {
 }
 
 // ledgerRun drives one Ledger the way its two callers do: append a
-// job's pages, mark the job done, commit every other job.
+// site's pages, settle the site, commit every other site.
 type ledgerRun struct {
-	t     *testing.T
-	dir   string
-	lines bool
-	l     *Ledger
-	jobs  []JobRecord
+	t           *testing.T
+	dir         string
+	lines       bool
+	l           *Ledger
+	q           *Queue // the queue the open restored
+	resumedDone int
 }
 
 // ledgerConfig is the config of the ledger test crawl rooted at dir.
 func ledgerConfig(dir string, resume bool) LedgerConfig {
 	return LedgerConfig{
-		Crawl:          Checkpoint{Name: "ledger-test", Seed: 7, PagesPerSite: ledgerPages, TotalSites: ledgerSites},
-		Meta:           ledgerMeta,
-		CheckpointPath: filepath.Join(dir, "cp.json"),
-		StoreDir:       filepath.Join(dir, "store"),
-		Resume:         resume,
+		Meta:         ledgerMeta,
+		Seed:         7,
+		PagesPerSite: ledgerPages,
+		TotalSites:   ledgerSites,
+		StoreDir:     filepath.Join(dir, "store"),
+		Resume:       resume,
 	}
+}
+
+// ledgerQueue is a queue over the ledger test crawl's sites.
+func ledgerQueue() *Queue {
+	sites := make([]crawler.Site, ledgerSites)
+	for i := range sites {
+		sites[i] = crawler.Site{Domain: ledgerSite(i), Rank: i + 1}
+	}
+	return NewQueue(sites, QueueConfig{Seed: 7})
 }
 
 func (r *ledgerRun) open(resume bool) {
@@ -79,10 +91,16 @@ func (r *ledgerRun) open(resume bool) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	r.l = l
-	r.jobs = nil
-	if cp := l.Resumed(); cp != nil {
-		r.jobs = cp.Jobs()
+	r.l, r.q = l, ledgerQueue()
+	r.resumedDone = l.Restore(r.q)
+}
+
+// settle reports outcome rows to the ledger's commit rule, as a grant's
+// settle does.
+func (r *ledgerRun) settle(rows ...colstore.Outcome) {
+	r.t.Helper()
+	if err := r.l.Settled(rows); err != nil {
+		r.t.Fatal(err)
 	}
 }
 
@@ -124,50 +142,56 @@ func (r *ledgerRun) append(i, p int) {
 	}
 }
 
-// crawl appends sites [from, to) in full, committing after every second
-// one and checking the commit invariants each time.
+// crawl appends sites [from, to) in full and settles each done,
+// committing after every second one and checking the commit invariant
+// each time.
 func (r *ledgerRun) crawl(from, to int) {
 	r.t.Helper()
 	for i := from; i < to; i++ {
 		for p := 0; p < ledgerPages; p++ {
 			r.append(i, p)
 		}
-		r.jobs = append(r.jobs, JobRecord{Domain: ledgerSite(i), State: JobDone})
+		r.settle(colstore.Outcome{Domain: ledgerSite(i), Attempt: 1, State: colstore.OutcomeDone})
 		if (i-from)%2 == 1 {
 			r.commit()
 		}
 	}
 }
 
-// commit commits and asserts invariant (a): the checkpoint vouches for
-// exactly the segments the store has sealed, and every page of every
-// done job is in one of them.
+// commit commits and asserts invariant (a): every page of every site a
+// sealed row marks done is in that row's segment or an earlier one.
 func (r *ledgerRun) commit() {
 	r.t.Helper()
-	if err := r.l.Commit(func() []JobRecord { return r.jobs }); err != nil {
+	if err := r.l.Commit(); err != nil {
 		r.t.Fatal(err)
 	}
-	cp, err := LoadCheckpoint(r.l.cfg.CheckpointPath)
+	checkRowsFollowPages(r.t, r.l.cfg.StoreDir, ledgerPages)
+}
+
+// checkRowsFollowPages reads the sealed segments of the store at
+// storeDir in seq order and requires every site a row marks done to
+// have its pages (page 0 to pages-1 of the ledger test records) in the
+// row's segment or an earlier one.
+func checkRowsFollowPages(t *testing.T, storeDir string, pages int) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(storeDir, "seg-*.col"))
 	if err != nil {
-		r.t.Fatal(err)
-	}
-	if cp.Segments != r.l.Store().Sealed() {
-		r.t.Errorf("checkpoint vouches for %d segments, the store has sealed %d", cp.Segments, r.l.Store().Sealed())
+		t.Fatal(err)
 	}
 	sealed := map[string]bool{}
-	for seq := 0; seq < cp.Segments; seq++ {
-		recs, err := colstore.ReadSegment(filepath.Join(r.l.cfg.StoreDir, fmt.Sprintf("seg-%06d.col", seq)))
+	for _, name := range names {
+		recs, rows, err := colstore.ReadSegment(name)
 		if err != nil {
-			r.t.Fatal(err)
+			t.Fatal(err)
 		}
 		for _, rec := range recs {
 			sealed[rec.PageURL] = true
 		}
-	}
-	for _, dom := range cp.Done {
-		for p := 0; p < ledgerPages; p++ {
-			if page := fmt.Sprintf("http://%s/p%d", dom, p); !sealed[page] {
-				r.t.Errorf("checkpoint marks %s done but %s is not in a segment it vouches for", dom, page)
+		for _, row := range rows {
+			for p := 0; p < pages && row.State == colstore.OutcomeDone; p++ {
+				if page := fmt.Sprintf("http://%s/p%d", row.Domain, p); !sealed[page] {
+					t.Errorf("%s marks %s done but %s is in no segment up to it", filepath.Base(name), row.Domain, page)
+				}
 			}
 		}
 	}
@@ -243,14 +267,8 @@ func TestLedger(t *testing.T) {
 						r.crawl(0, 5)
 						r.append(5, 0)
 						r.open(true)
-						done := 0
-						for _, j := range r.jobs {
-							if j.State == JobDone {
-								done++
-							}
-						}
-						if done != 4 {
-							t.Fatalf("resumed %d done jobs, want the 4 the last commit covered", done)
+						if r.resumedDone != 4 {
+							t.Fatalf("resumed %d done sites, want the 4 the last commit covered", r.resumedDone)
 						}
 						r.crawl(4, ledgerSites)
 					} else {
@@ -281,47 +299,37 @@ func TestLedger(t *testing.T) {
 	}
 }
 
-// TestLedgerCommitNeverPublishesWithoutSpoolGuard: the guard that keeps
-// a checkpoint from vouching for pages outside the crawl's durable
-// record is the seal. When the seal fails, Commit must fail and leave
-// the previous checkpoint in place. Publishing anyway would vouch for
-// pages in no durable segment.
+// TestLedgerCommitNeverPublishesWithoutSpoolGuard: a site is committed
+// only by the seal that publishes its row after its pages. When the seal
+// fails, Commit must fail and publish nothing — the store's files stay
+// as they were — and the next commit publishes the pages and the row
+// together, in order.
 func TestLedgerCommitNeverPublishesWithoutSpoolGuard(t *testing.T) {
 	r := &ledgerRun{t: t, dir: t.TempDir()}
 	r.open(false)
 	defer r.l.Close()
 	r.crawl(0, 2)
-	before, err := os.ReadFile(r.l.cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The store directory disappears under the seal.
 	storeDir := r.l.cfg.StoreDir
+	before := ledgerState(t, storeDir)
 	if err := os.Rename(storeDir, storeDir+".moved"); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < ledgerPages; p++ {
 		r.append(2, p)
 	}
-	r.jobs = append(r.jobs, JobRecord{Domain: ledgerSite(2), State: JobDone})
-	if err := r.l.Commit(func() []JobRecord { return r.jobs }); err == nil {
+	r.settle(colstore.Outcome{Domain: ledgerSite(2), Attempt: 1, State: colstore.OutcomeDone})
+	if err := r.l.Commit(); err == nil {
 		t.Fatal("Commit over a store it cannot seal into succeeded")
 	}
-	after, err := os.ReadFile(r.l.cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("failed Commit replaced the previous checkpoint")
-	}
-	if entries, _ := os.ReadDir(r.dir); len(entries) != 2 {
-		t.Errorf("failed Commit left droppings next to the checkpoint: %v", entries)
-	}
-	// Once the store is back, the next commit seals what the failed one
-	// could not, and vouches for it.
 	if err := os.Rename(storeDir+".moved", storeDir); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(before, ledgerState(t, storeDir)) {
+		t.Error("a failed Commit changed the store's files")
+	}
+	// Once the store is back, the next commit seals what the failed one
+	// could not.
 	r.crawl(3, ledgerSites)
 	r.finish()
 }
@@ -357,9 +365,9 @@ func TestLedgerAppendLineRejectsNonRecords(t *testing.T) {
 // TestLedgerResumeFailsLoudly kills a crawl once 4 of its 9 sites are
 // committed, damages what it left one way per row, and opens it again.
 // A row that names an error must be refused at open — before a single
-// Append — with that error, and with the store and the checkpoint byte
-// for byte as the row left them. A row that names none must open, and
-// its crawl must still finish to the merge of its own segments.
+// Append — with that error, and with the store byte for byte as the row
+// left it. A row that names none must open, and its crawl must still
+// finish to the merge of its own segments.
 func TestLedgerResumeFailsLoudly(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -368,7 +376,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// fail with, "" when it must open.
 		damage func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string
 		// hint is the refusal's *CheckpointError hint; "" for a refusal
-		// that is not about the checkpoint.
+		// that is not about a resume.
 		hint string
 		// then runs after the open (or the refusal) against the ledger r
 		// reopens.
@@ -376,59 +384,71 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 	}{{
 		name: "another seed",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			cfg.Crawl.Seed++
+			cfg.Seed++
 			return "seed"
 		},
 		hint: hintWrongCrawl,
 	}, {
-		// Without a checkpoint to compare against, the store's own
-		// identity refuses it: a store of seed 7 is not folded into a
-		// crawl of seed 8.
+		// A crawl killed before its first commit left only the store's
+		// manifest, which pins its identity all the same: a store of
+		// seed 7 is not folded into a crawl of seed 8.
 		name: "another seed, no checkpoint",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			if err := os.Remove(cfg.CheckpointPath); err != nil {
+			if err := os.RemoveAll(cfg.StoreDir); err != nil {
 				t.Fatal(err)
 			}
-			cfg.Crawl.Seed++
+			fresh := *cfg
+			fresh.Resume = false
+			l, err := OpenLedger(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Seed++
+			_ = l // killed: no Close
 			return "seed 7"
 		},
+		hint: hintWrongCrawl,
 	}, {
+		// A segment below the highest one is gone: a gap, which only
+		// damage leaves, and its rows may have marked sites done.
 		name: "vouched segment deleted",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			if err := os.Remove(filepath.Join(cfg.StoreDir, "seg-000001.col")); err != nil {
+			if err := os.Remove(filepath.Join(cfg.StoreDir, "seg-000000.col")); err != nil {
 				t.Fatal(err)
 			}
-			return "store segment seg-000001.col is missing: the checkpoint vouches for 2 sealed segments"
+			return "sealed segment seg-000000.col is damaged: the file is missing, and seg-000001.col follows it"
 		},
 		hint: hintStartFresh,
 	}, {
+		// A copy of the last segment lands three seqs past it: the
+		// sequence now claims more segments than it holds.
 		name: "checkpoint vouches for more segments",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			cp := loadCP(t, r)
-			cp.Segments += 3
-			if err := cp.WriteAtomic(cfg.CheckpointPath); err != nil {
+			data, err := os.ReadFile(filepath.Join(cfg.StoreDir, "seg-000001.col"))
+			if err != nil {
 				t.Fatal(err)
 			}
-			return "store segment seg-000002.col is missing: the checkpoint vouches for 5 sealed segments"
+			if err := os.WriteFile(filepath.Join(cfg.StoreDir, "seg-000004.col"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return "sealed segment seg-000002.col is damaged: the file is missing, and seg-000004.col follows it"
 		},
 		hint: hintStartFresh,
 	}, {
-		// A crash after a seal and before the checkpoint that would
-		// vouch for it: the store holds a third segment, which the
-		// resume replays; the re-crawled pages it holds fold to nothing.
+		// A seal no commit asked for — the auto-seal of a full buffer —
+		// is as durable as a commit's: the resume replays the third
+		// segment, and with it site 4's row; the re-crawled pages fold
+		// to nothing.
 		name: "checkpoint short of shards",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
 			if err := r.l.Store().Seal(); err != nil {
 				t.Fatal(err)
 			}
-			if cp := loadCP(t, r); cp.Segments != 2 || r.l.Store().Sealed() != 3 {
-				t.Fatalf("checkpoint vouches for %d segments of %d, want 2 of 3", cp.Segments, r.l.Store().Sealed())
-			}
 			return ""
 		},
 		then: func(t *testing.T, r *ledgerRun) {
-			if got := len(r.l.Resumed().Done); got != 4 {
-				t.Errorf("resumed %d done jobs, want the 4 the checkpoint covered", got)
+			if r.resumedDone != 5 {
+				t.Errorf("resumed %d done sites, want the 5 the sealed rows mark done", r.resumedDone)
 			}
 			if _, stats := r.l.Store().Dataset(); stats.Pages != 5*ledgerPages+1 {
 				t.Errorf("the open replayed %d pages, want every sealed one, %d", stats.Pages, 5*ledgerPages+1)
@@ -437,11 +457,10 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 			r.finish()
 		},
 	}, {
-		// The rows below damage a sealed segment file the checkpoint
-		// vouches for — a shard of the crawl's durable record, inside
-		// the extent the checkpoint covers. Each fails the segment's
-		// validation, and the resume is refused rather than replay a
-		// partial store.
+		// The rows below damage a sealed segment file — a shard of the
+		// crawl's durable record, whose rows may mark sites done. Each
+		// fails the segment's validation, and the resume is refused
+		// rather than replay a partial store.
 		name: "shard emptied",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
 			return damageSegment(t, cfg, "seg-000001.col", func(data []byte) []byte { return nil })
@@ -468,8 +487,8 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		},
 		hint: hintStartFresh,
 	}, {
-		// A flipped byte mid-segment: a complete record the checkpoint
-		// vouches for no longer decodes.
+		// A flipped byte mid-segment: a complete sealed record no longer
+		// decodes.
 		name: "corrupt line inside the extent",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
 			return damageSegment(t, cfg, "seg-000000.col", func(data []byte) []byte {
@@ -479,10 +498,14 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		},
 		hint: hintStartFresh,
 	}, {
-		// A segment renamed into another's place names its own seq.
+		// A segment copied into the next one's place names its own seq.
 		name: "segment under another name",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			if err := os.Rename(filepath.Join(cfg.StoreDir, "seg-000001.col"), filepath.Join(cfg.StoreDir, "seg-000002.col")); err != nil {
+			data, err := os.ReadFile(filepath.Join(cfg.StoreDir, "seg-000001.col"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cfg.StoreDir, "seg-000002.col"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return "sealed segment seg-000002.col is damaged: colstore: segment header names seq 1"
@@ -491,7 +514,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 	}, {
 		// Rerunning a crawl without Resume is refused by the store: the
 		// retry with Resume that the error recommends must find the
-		// segments the checkpoint vouches for there.
+		// committed sites there.
 		name: "fresh open over the store",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
 			cfg.Resume = false
@@ -500,8 +523,8 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		then: func(t *testing.T, r *ledgerRun) {
 			r.open(true)
 			defer r.l.Close()
-			if got := r.l.Resumed().Done; len(got) != 4 {
-				t.Errorf("resume after the refused fresh open restored %d done jobs, want 4", len(got))
+			if r.resumedDone != 4 {
+				t.Errorf("resume after the refused fresh open restored %d done sites, want 4", r.resumedDone)
 			}
 		},
 	}, {
@@ -524,18 +547,35 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 			r.finish()
 		},
 	}, {
-		// With no checkpoint nothing is skipped, and the crawl's own
-		// store is replayed: the re-crawled pages fold to nothing.
+		// Segments that hold pages and no outcome row — sealed by a
+		// crawl that settled nothing — skip nothing, and are replayed:
+		// the re-crawled pages fold to nothing.
 		name: "no checkpoint file",
 		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			if err := os.Remove(cfg.CheckpointPath); err != nil {
+			if err := os.RemoveAll(cfg.StoreDir); err != nil {
+				t.Fatal(err)
+			}
+			fresh := *cfg
+			fresh.Resume = false
+			l, err := OpenLedger(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				for p := 0; p < ledgerPages; p++ {
+					if err := l.AppendLine(ledgerSite(i), recordLine(t, ledgerRecord(i, p))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := l.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			return ""
 		},
 		then: func(t *testing.T, r *ledgerRun) {
-			if r.l.Resumed() != nil {
-				t.Error("a missing checkpoint resumed something")
+			if r.resumedDone != 0 {
+				t.Errorf("a store without rows resumed %d done sites", r.resumedDone)
 			}
 			if _, stats := r.l.Store().Dataset(); stats.Pages != 4*ledgerPages {
 				t.Errorf("the open replayed %d pages, want the 4 sealed sites' %d", stats.Pages, 4*ledgerPages)
@@ -547,7 +587,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Sites 0-4 and a page of site 5, committed after sites 1 and
 			// 3, and then the process dies: no Close, so the store holds
-			// exactly the two segments the checkpoint vouches for.
+			// exactly the two segments those commits sealed.
 			r := &ledgerRun{t: t, dir: t.TempDir()}
 			r.open(false)
 			r.crawl(0, 5)
@@ -574,7 +614,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 				t.Errorf("err = %v (%T), want a *CheckpointError with hint %q", err, err, tc.hint)
 			}
 			if !bytes.Equal(before, ledgerState(t, r.dir)) {
-				t.Error("a refused open changed the store or the checkpoint")
+				t.Error("a refused open changed the store")
 			}
 			if tc.then != nil {
 				tc.then(t, r)
@@ -599,19 +639,8 @@ func damageSegment(t *testing.T, cfg *LedgerConfig, name string, damage func([]b
 	return "sealed segment " + name + " is damaged"
 }
 
-// loadCP loads the checkpoint r's crawl last committed.
-func loadCP(t *testing.T, r *ledgerRun) *Checkpoint {
-	t.Helper()
-	cp, err := LoadCheckpoint(r.l.cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cp
-}
-
 // ledgerState is every byte a ledger's open may not change when it
-// refuses: the names and contents of every file under dir — the store's
-// and the checkpoint.
+// refuses: the names and contents of every file under dir.
 func ledgerState(t *testing.T, dir string) []byte {
 	t.Helper()
 	var all []byte
@@ -654,14 +683,15 @@ func TestLedgerFinalizeEndsAppends(t *testing.T) {
 }
 
 // FuzzLedgerReplay resumes a crawl over arbitrary bytes as its store's
-// first segment, under a v5 checkpoint that vouches for 0, 1 or 2
-// segments. The open must never panic. It must refuse — with every file
-// byte for byte as it was — when the checkpoint vouches for a segment
-// that is not there, or the segment does not decode
-// (colstore.ReadSegment fails on it); the only other refusal is a
-// segment that decodes but names another seq than its file. Where it
-// opens, the ledger's dataset must be the fold of the segment's
-// records.
+// one segment, filed as seg-000000.col or, with gap odd, as
+// seg-000001.col with nothing below it. The open must never panic. It
+// must refuse — with every file byte for byte as it was — a gap, and a
+// segment that does not decode (colstore.ReadSegment fails on it); the
+// only other refusal is a segment that decodes but names another seq
+// than its file. Where it opens, the ledger's dataset must be the fold
+// of the segment's records, and the queue it restores must match the
+// segment's outcome rows: a site's first done or failed row settles it
+// for good, and its attempts are the highest its rows settled.
 func FuzzLedgerReplay(f *testing.F) {
 	dir := f.TempDir()
 	st, err := colstore.Open(colstore.Config{Dir: dir, Meta: ledgerMeta})
@@ -673,10 +703,20 @@ func FuzzLedgerReplay(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	rows := []colstore.Outcome{
+		{Domain: ledgerSite(0), Attempt: 2, State: colstore.OutcomeDone},
+		{Domain: ledgerSite(1), Attempt: 1, State: colstore.OutcomeRetry, Err: "reset"},
+	}
+	if err := st.AppendOutcomes(rows...); err != nil {
+		f.Fatal(err)
+	}
 	if err := st.Seal(); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := st.Ingest(ledgerRecord(1, 0)); err != nil {
+		f.Fatal(err)
+	}
+	if err := st.AppendOutcomes(colstore.Outcome{Domain: ledgerSite(1), Attempt: 2, State: colstore.OutcomeFailed, Err: "gone"}); err != nil {
 		f.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -687,22 +727,17 @@ func FuzzLedgerReplay(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(seg, uint8(0))
 		f.Add(seg, uint8(1))
-		f.Add(seg, uint8(2))
 		f.Add(seg[:len(seg)-3], uint8(0))
 	}
 	f.Add([]byte("WSCOLSG1"), uint8(0))
 	f.Add([]byte{}, uint8(1))
-	f.Fuzz(func(t *testing.T, seg []byte, vouched uint8) {
+	f.Fuzz(func(t *testing.T, seg []byte, gap uint8) {
 		dir := t.TempDir()
-		cfg := LedgerConfig{
-			Crawl:          Checkpoint{Name: "fuzz", Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2},
-			Meta:           ledgerMeta,
-			CheckpointPath: filepath.Join(dir, "cp.json"),
-			StoreDir:       filepath.Join(dir, "store"),
-		}
-		// A fresh open writes the store's manifest; then the checkpoint
-		// and the fuzzed segment are put beside it.
+		cfg := LedgerConfig{Meta: ledgerMeta, Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2, StoreDir: filepath.Join(dir, "store")}
+		// A fresh open writes the store's manifest; then the fuzzed
+		// segment is put beside it.
 		l, err := OpenLedger(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -710,18 +745,12 @@ func FuzzLedgerReplay(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		cp := cfg.Crawl
-		cp.Version = CheckpointVersion
-		cp.Segments = int(vouched % 3)
-		if err := cp.WriteAtomic(cfg.CheckpointPath); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(cfg.StoreDir, "seg-000000.col")
+		path := filepath.Join(cfg.StoreDir, fmt.Sprintf("seg-%06d.col", gap%2))
 		if err := os.WriteFile(path, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recs, rerr := colstore.ReadSegment(path)
-		refuse := cp.Segments > 1 || rerr != nil
+		recs, rows, rerr := colstore.ReadSegment(path)
+		refuse := gap%2 == 1 || rerr != nil
 
 		before := ledgerState(t, dir)
 		cfg.Resume = true
@@ -731,13 +760,13 @@ func FuzzLedgerReplay(f *testing.F) {
 				t.Fatal("a refused open changed a file")
 			}
 			if !refuse && !strings.Contains(err.Error(), "segment header names seq") {
-				t.Fatalf("refused a decodable segment the checkpoint may vouch for: %v", err)
+				t.Fatalf("refused a decodable segment: %v", err)
 			}
 			return
 		}
 		defer l.Close()
 		if refuse {
-			t.Fatalf("opened with %d vouched segments over a segment that reads as %v", cp.Segments, rerr)
+			t.Fatalf("opened over a gap (%v) or a segment that reads as %v", gap%2 == 1, rerr)
 		}
 		want := analysis.NewFolder(ledgerMeta)
 		for _, rec := range recs {
@@ -747,6 +776,38 @@ func FuzzLedgerReplay(f *testing.F) {
 		wantDS, _ := want.Finalize()
 		if !bytes.Equal(datasetBytes(t, ds), datasetBytes(t, wantDS)) {
 			t.Fatal("the replayed fold differs from the fold of the segment's records")
+		}
+
+		q := NewQueue([]crawler.Site{{Domain: ledgerSite(0), Rank: 1}, {Domain: ledgerSite(1), Rank: 2}}, QueueConfig{Seed: 1})
+		done := l.Restore(q)
+		oracle := map[string]jobRec{
+			ledgerSite(0): {Domain: ledgerSite(0), State: "pending"},
+			ledgerSite(1): {Domain: ledgerSite(1), State: "pending"},
+		}
+		wantDone := 0
+		for _, row := range rows {
+			j, ok := oracle[row.Domain]
+			if !ok || j.State != "pending" {
+				continue // another crawl's site, or one settled for good
+			}
+			j.Attempts = max(j.Attempts, row.Attempt)
+			j.LastErr = row.Err
+			switch row.State {
+			case colstore.OutcomeDone:
+				j.State = "done"
+				wantDone++
+			case colstore.OutcomeFailed:
+				j.State = "failed"
+			}
+			oracle[row.Domain] = j
+		}
+		for _, got := range jobsOf(q) {
+			if w := oracle[got.Domain]; got != w {
+				t.Fatalf("restored %+v from rows %+v, want %+v", got, rows, w)
+			}
+		}
+		if done != wantDone {
+			t.Fatalf("Restore reported %d done sites, the rows mark %d", done, wantDone)
 		}
 	})
 }
@@ -777,12 +838,7 @@ func FuzzAppendLine(f *testing.F) {
 	f.Add([]byte(`{torn`), "a.com")
 	f.Fuzz(func(t *testing.T, line []byte, site string) {
 		dir := t.TempDir()
-		l, err := OpenLedger(LedgerConfig{
-			Crawl:          Checkpoint{Name: "fuzz", Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2},
-			Meta:           ledgerMeta,
-			CheckpointPath: filepath.Join(dir, "cp.json"),
-			StoreDir:       filepath.Join(dir, "store"),
-		})
+		l, err := OpenLedger(LedgerConfig{Meta: ledgerMeta, Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2, StoreDir: filepath.Join(dir, "store")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -825,7 +881,7 @@ func FuzzAppendLine(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		sealed, err := colstore.ReadSegment(filepath.Join(dir, "store", "seg-000000.col"))
+		sealed, _, err := colstore.ReadSegment(filepath.Join(dir, "store", "seg-000000.col"))
 		if err != nil {
 			t.Fatal(err)
 		}

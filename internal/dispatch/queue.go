@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/detrand"
 	"repro/internal/obs"
@@ -130,8 +131,8 @@ func (q *Queue) exportGauges() {
 }
 
 // Lease is a claim on one site. The holder must Heartbeat often enough
-// to keep the claim alive and finish with exactly one of Complete,
-// Fail, or Release.
+// to keep the claim alive and finish with exactly one settle
+// (Grant.Settle) or Release.
 type Lease struct {
 	q     *Queue
 	j     *job
@@ -214,6 +215,34 @@ func (q *Queue) leaseLocked(j *job, now time.Time) *Lease {
 	q.tokens++
 	j.token = q.tokens
 	return &Lease{q: q, j: j, token: j.token, Site: j.site, Attempt: j.attempts}
+}
+
+// restore applies a resumed store's outcome rows, in seal order, to a
+// fresh queue: done and failed rows make their sites terminal, a failed
+// row keeping its error, and every row restores the attempts its site
+// had settled. Rows of sites not in the queue are ignored. It returns
+// how many sites turned done.
+func (q *Queue) restore(rows []colstore.Outcome) (done int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, row := range rows {
+		i, ok := q.index[row.Domain]
+		if !ok || q.jobs[i].state >= stateDone {
+			continue
+		}
+		j := &q.jobs[i]
+		j.attempts = max(j.attempts, row.Attempt)
+		j.lastErr = row.Err
+		switch row.State {
+		case colstore.OutcomeDone:
+			q.setLocked(j, stateDone)
+			done++
+		case colstore.OutcomeFailed:
+			q.setLocked(j, stateFailed)
+		}
+	}
+	q.wakeLocked()
+	return done
 }
 
 // Drained returns a channel that is closed once every job is done or
@@ -305,39 +334,31 @@ func (l *Lease) Heartbeat() bool {
 	return true
 }
 
-// Complete marks the site done. Stale leases are ignored (returns
-// false).
-func (l *Lease) Complete() bool {
+// settle ends the lease's attempt — done with a nil failure; else
+// failed, so the site retries with backoff until the policy's attempt
+// budget is spent and then turns failed with the failure as its last
+// error — and returns its outcome row. ok=false means the lease was
+// stale (reclaimed, released or settled) and nothing changed.
+func (l *Lease) settle(failure error) (row colstore.Outcome, ok bool) {
 	q, j := l.q, l.j
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if j.state != stateLeased || j.token != l.token {
-		return false
-	}
-	q.setLocked(j, stateDone)
-	j.token = 0
-	q.wakeLocked()
-	return true
-}
-
-// Fail reports a failed attempt: the site retries with backoff until
-// the policy's attempt budget is spent, then turns failed with err as
-// its last error. Stale leases are ignored.
-func (l *Lease) Fail(err error) bool {
-	q, j := l.q, l.j
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if j.state != stateLeased || j.token != l.token {
-		return false
-	}
-	msg := "unknown error"
-	if err != nil {
-		msg = err.Error()
+		return row, false
 	}
 	j.token = 0
-	q.settleFailureLocked(j, msg, q.now())
+	row = colstore.Outcome{Domain: j.site.Domain, Attempt: l.Attempt, State: colstore.OutcomeDone}
+	if failure != nil {
+		q.settleFailureLocked(j, failure.Error(), q.now())
+		row.State, row.Err = colstore.OutcomeRetry, j.lastErr
+		if j.state == stateFailed {
+			row.State = colstore.OutcomeFailed
+		}
+	} else {
+		q.setLocked(j, stateDone)
+	}
 	q.wakeLocked()
-	return true
+	return row, true
 }
 
 // Release returns the site to the queue without consuming the attempt —

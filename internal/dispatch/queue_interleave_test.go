@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/colstore"
 )
 
 // TestQueueInterleavings drives two lease holders over three jobs
@@ -14,7 +16,8 @@ import (
 // injected clock, and checks the queue's contract after each event:
 //
 //   - a job that turns terminal stays terminal in the same state, so
-//     every job becomes terminal exactly once;
+//     every job becomes terminal exactly once — except across a resume,
+//     which reopens a job that only lease expiries failed;
 //   - no lease is granted once Drained has closed;
 //   - Drained is closed if and only if every job is terminal;
 //   - the leases of one claim (a holder claims one or two, as a local
@@ -25,8 +28,11 @@ import (
 //   - a settle or heartbeat on a stale lease returns false, and on a
 //     live one true — "stale" judged by a model of the lease rule that
 //     is independent of the queue's tokens;
-//   - a resume (RestoreJobs of ExportJobs into a fresh queue) preserves
-//     done, failed and attempt counts.
+//   - a resume (a fresh queue restored from every outcome row the
+//     settles wrote) gives each job the state, attempts and error its
+//     rows settled — a first done or failed row is final — and agrees
+//     with the live queue: a done job has a done row, and a terminal row
+//     names the job's live state.
 //
 // The clock advances one tick per event; a late heartbeat first jumps it
 // a whole TTL. Each event runs on a fork of the world it extends.
@@ -126,6 +132,7 @@ type ilWorld struct {
 	cfg     QueueConfig
 	q       *Queue
 	held    [2][]ilHeld
+	rows    []colstore.Outcome // every settle's outcome row, as a store keeps them
 	resumed bool
 
 	staleSettles, pairClaims int
@@ -145,7 +152,7 @@ func newILWorld() *ilWorld {
 // replaying it. The jitter source is shared: the policy draws none.
 func (w *ilWorld) fork() *ilWorld {
 	clk := *w.clk
-	f := &ilWorld{clk: &clk, cfg: w.cfg, resumed: w.resumed}
+	f := &ilWorld{clk: &clk, cfg: w.cfg, rows: append([]colstore.Outcome(nil), w.rows...), resumed: w.resumed}
 	f.cfg.Now = clk.now
 	p := w.q
 	q := &Queue{
@@ -196,9 +203,32 @@ func (w *ilWorld) enabled() []ilEvent {
 	return out
 }
 
+// settledJobs is what the outcome rows settled for each job, in site
+// order: the model a restore must match.
+func (w *ilWorld) settledJobs() []jobRec {
+	out := make([]jobRec, len(w.q.jobs))
+	for i := range out {
+		out[i] = jobRec{Domain: w.q.jobs[i].site.Domain, State: "pending"}
+	}
+	for _, row := range w.rows {
+		j := &out[w.q.index[row.Domain]]
+		if j.State != "pending" {
+			continue
+		}
+		j.Attempts, j.LastErr = max(j.Attempts, row.Attempt), row.Err
+		switch row.State {
+		case colstore.OutcomeDone:
+			j.State = "done"
+		case colstore.OutcomeFailed:
+			j.State = "failed"
+		}
+	}
+	return out
+}
+
 // apply runs one event and checks every invariant after it.
 func (w *ilWorld) apply(e ilEvent) error {
-	before := w.q.ExportJobs()
+	before := jobsOf(w.q)
 	w.clk.advance(ilTick)
 	h := e.holder
 	switch e.kind {
@@ -207,13 +237,13 @@ func (w *ilWorld) apply(e ilEvent) error {
 			return err
 		}
 	case ilResume:
-		recs := w.q.ExportJobs()
 		q := NewQueue(testSites(3), w.cfg)
-		q.RestoreJobs(recs)
-		for i, got := range q.ExportJobs() {
-			want := recs[i]
-			if got.State != want.State || got.Attempts != want.Attempts || (want.State == JobFailed && got.LastErr != want.LastErr) {
-				return fmt.Errorf("resume turned %+v into %+v", want, got)
+		q.restore(w.rows)
+		want := w.settledJobs()
+		for i, got := range jobsOf(q) {
+			live := before[i]
+			if got != want[i] || live.State == "done" && got.State != "done" || got.State != "pending" && got.State != live.State {
+				return fmt.Errorf("resume from rows %+v turned live %+v into %+v, want %+v", w.rows, live, got, want[i])
 			}
 		}
 		w.q, w.held, w.resumed = q, [2][]ilHeld{}, true
@@ -223,15 +253,19 @@ func (w *ilWorld) apply(e ilEvent) error {
 		}
 		hl := &w.held[h][e.lease]
 		var ok bool
+		var row colstore.Outcome
 		switch e.kind {
 		case ilHeartbeat, ilLate:
 			ok = hl.l.Heartbeat()
 		case ilComplete:
-			ok = hl.l.Complete()
+			row, ok = hl.l.settle(nil)
 		case ilFail:
-			ok = hl.l.Fail(errors.New("flaky"))
+			row, ok = hl.l.settle(errors.New("flaky"))
 		case ilRelease:
 			ok = hl.l.Release()
+		}
+		if ok && (e.kind == ilComplete || e.kind == ilFail) {
+			w.rows = append(w.rows, row)
 		}
 		if ok != hl.live {
 			return fmt.Errorf("%s on a lease the model calls live=%v returned %v", ilKindNames[e.kind], hl.live, ok)
@@ -244,20 +278,22 @@ func (w *ilWorld) apply(e ilEvent) error {
 		} else {
 			w.held[h] = append(w.held[h][:e.lease:e.lease], w.held[h][e.lease+1:]...)
 		}
-		for i, rec := range w.q.ExportJobs() {
+		for i, rec := range jobsOf(w.q) {
 			if rec.Domain != before[i].Domain || (rec != before[i] && rec.Domain != hl.l.Site.Domain) {
 				return fmt.Errorf("%s on %s changed %+v into %+v", ilKindNames[e.kind], hl.l.Site.Domain, before[i], rec)
 			}
 		}
 	}
 
-	after := w.q.ExportJobs()
+	after := jobsOf(w.q)
 	allTerminal := true
 	for i, rec := range after {
-		if s := before[i].State; (s == JobDone || s == JobFailed) && rec.State != s {
+		// A resume may reopen a job a lease expiry failed: that attempt
+		// never settled, so no row holds it.
+		if s := before[i].State; s != "pending" && rec.State != s && e.kind != ilResume {
 			return fmt.Errorf("%s left terminal state %s for %s", rec.Domain, s, rec.State)
 		}
-		allTerminal = allTerminal && (rec.State == JobDone || rec.State == JobFailed)
+		allTerminal = allTerminal && rec.State != "pending"
 	}
 	if drained := isClosed(w.q.Drained()); drained != allTerminal {
 		return fmt.Errorf("Drained closed=%v with every job terminal=%v: %+v", drained, allTerminal, after)
@@ -267,7 +303,7 @@ func (w *ilWorld) apply(e ilEvent) error {
 
 // claim runs one claim step of up to n leases for holder h and checks
 // what it granted against the model and the pre-claim export.
-func (w *ilWorld) claim(h, n int, before []JobRecord) error {
+func (w *ilWorld) claim(h, n int, before []jobRec) error {
 	for o := range w.held {
 		for i := range w.held[o] {
 			if hl := &w.held[o][i]; hl.live && !w.clk.t.Before(hl.expiry) {
@@ -292,7 +328,7 @@ func (w *ilWorld) claim(h, n int, before []JobRecord) error {
 	}
 	for i, l := range ls {
 		dom := l.Site.Domain
-		if s := before[seq[dom]].State; s != JobPending {
+		if s := before[seq[dom]].State; s != "pending" {
 			return fmt.Errorf("%s leased from state %s", dom, s)
 		}
 		if i > 0 && seq[dom] <= seq[ls[i-1].Site.Domain] {
@@ -344,6 +380,9 @@ func (w *ilWorld) key() string {
 			b = append(b, ' ')
 		}
 		b = append(b, ']')
+	}
+	for _, j := range w.settledJobs() {
+		b = append(b, j.State[0], byte('0'+j.Attempts))
 	}
 	if w.resumed {
 		b = append(b, 'r')

@@ -122,13 +122,13 @@ func raceSettleAndReclaim(t *testing.T, budget int) {
 		t.Fatalf("non-terminal final state: %+v", p)
 	}
 	// Every job settled exactly once: terminal states partition the jobs.
-	recs := q.ExportJobs()
+	recs := jobsOf(q)
 	var doneN, failN int
 	for _, r := range recs {
 		switch r.State {
-		case JobDone:
+		case "done":
 			doneN++
-		case JobFailed:
+		case "failed":
 			failN++
 		default:
 			t.Fatalf("job %s left %s", r.Domain, r.State)

@@ -33,6 +33,47 @@ func leaseOne(ctx context.Context, q *Queue) (*Lease, bool) {
 	return ls[0], true
 }
 
+// Complete settles the lease done, as Grant.Settle does a completed
+// site; false when the lease was stale.
+func (l *Lease) Complete() bool {
+	_, ok := l.settle(nil)
+	return ok
+}
+
+// Fail settles the lease failed with err, as Grant.Settle does a failed
+// site; false when the lease was stale.
+func (l *Lease) Fail(err error) bool {
+	_, ok := l.settle(err)
+	return ok
+}
+
+// jobRec is one job as the tests read it; a leased job reads as pending
+// (a lease dies with the process that holds it).
+type jobRec struct {
+	Domain   string
+	State    string // pending, done or failed
+	Attempts int
+	LastErr  string
+}
+
+// jobsOf reads every job of q, in site-list order.
+func jobsOf(q *Queue) []jobRec {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make([]jobRec, len(q.jobs))
+	for i := range q.jobs {
+		j := &q.jobs[i]
+		out[i] = jobRec{Domain: j.site.Domain, State: "pending", Attempts: j.attempts, LastErr: j.lastErr}
+		switch j.state {
+		case stateDone:
+			out[i].State = "done"
+		case stateFailed:
+			out[i].State = "failed"
+		}
+	}
+	return out
+}
+
 func newTestQueue(n int, ttl time.Duration, retry RetryPolicy) (*Queue, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 	q := NewQueue(testSites(n), QueueConfig{LeaseTTL: ttl, Retry: retry, Seed: 1, Now: clk.now})
@@ -97,8 +138,8 @@ func TestQueueRetryWithBackoffThenBudgetExhaustion(t *testing.T) {
 	if p.Retries != 2 {
 		t.Errorf("retries = %d, want 2", p.Retries)
 	}
-	if rec := q.ExportJobs()[0]; rec.State != JobFailed || rec.LastErr != "flaky" {
-		t.Errorf("exported %+v, want failed with message flaky", rec)
+	if rec := jobsOf(q)[0]; rec.State != "failed" || rec.LastErr != "flaky" {
+		t.Errorf("job %+v, want failed with message flaky", rec)
 	}
 }
 
@@ -116,8 +157,8 @@ func TestQueueOneAttemptBudgetFailsAtOnce(t *testing.T) {
 	if p.Failed != 1 || p.Retries != 0 {
 		t.Errorf("progress after the only attempt failed = %+v", p)
 	}
-	if rec := q.ExportJobs()[0]; rec.State != JobFailed || rec.LastErr != "永 broken" || rec.Attempts != 1 {
-		t.Errorf("exported %+v, want failed at attempt 1 with the error", rec)
+	if rec := jobsOf(q)[0]; rec.State != "failed" || rec.LastErr != "永 broken" || rec.Attempts != 1 {
+		t.Errorf("job %+v, want failed at attempt 1 with the error", rec)
 	}
 }
 

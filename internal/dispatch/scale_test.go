@@ -25,8 +25,8 @@ var (
 
 // scaleCost is what dispatch spent on one crawl, per settled site.
 type scaleCost struct {
-	nsPerSite         float64
-	checkpointPerSite float64 // checkpoint bytes written
+	nsPerSite    float64
+	statePerSite float64 // durable state bytes written: store.bytes
 }
 
 // TestDispatchScales is the host-independent scaling gate for dispatch:
@@ -37,11 +37,12 @@ type scaleCost struct {
 // grants settled through the ledger — and
 // compares the two sizes on two terms:
 //
-//   - checkpoint bytes written per settled site stay within 1.25×. The
-//     count is deterministic (one local worker; the coordinator loop is
-//     sequential), and a commit cadence that does not grow with the crawl
-//     makes it grow with N, since every commit rewrites the whole job
-//     list;
+//   - durable state bytes written per settled site — the store's
+//     segments: the pages and the outcome rows, each written once, plus
+//     a header per seal — stay within 1.25×. The count is deterministic
+//     (one local worker; the coordinator loop is sequential), and
+//     anything a commit rewrites in full, or a commit cadence that does
+//     not grow with the crawl, makes it grow with N;
 //   - the best-of-3 wall time per site, less the time spent committing,
 //     does not grow more than 1.5×. A claim that walks every job makes it
 //     grow with N. Commits are left to the bytes term: their fsyncs would
@@ -70,18 +71,18 @@ func TestDispatchScales(t *testing.T) {
 					if rep == 0 || c.nsPerSite < costs[i].nsPerSite {
 						costs[i].nsPerSite = c.nsPerSite
 					}
-					if rep > 0 && c.checkpointPerSite != costs[i].checkpointPerSite {
-						t.Fatalf("%d sites: checkpoint bytes per site %.1f, then %.1f: not deterministic", n, costs[i].checkpointPerSite, c.checkpointPerSite)
+					if rep > 0 && c.statePerSite != costs[i].statePerSite {
+						t.Fatalf("%d sites: state bytes per site %.1f, then %.1f: not deterministic", n, costs[i].statePerSite, c.statePerSite)
 					}
-					costs[i].checkpointPerSite = c.checkpointPerSite
+					costs[i].statePerSite = c.statePerSite
 				}
 			}
 			for i, n := range path.sizes {
-				t.Logf("%5d sites: %8.0f ns/site outside commits, %7.1f checkpoint B/site", n, costs[i].nsPerSite, costs[i].checkpointPerSite)
+				t.Logf("%5d sites: %8.0f ns/site outside commits, %7.1f state B/site", n, costs[i].nsPerSite, costs[i].statePerSite)
 			}
 			small, large := costs[0], costs[1]
-			if r := ratio(large.checkpointPerSite, small.checkpointPerSite); r > 1.25 {
-				t.Errorf("checkpoint bytes per site differ %.2f× between %d and %d sites (limit 1.25×)", r, path.sizes[0], path.sizes[1])
+			if r := ratio(large.statePerSite, small.statePerSite); r > 1.25 {
+				t.Errorf("state bytes per site differ %.2f× between %d and %d sites (limit 1.25×)", r, path.sizes[0], path.sizes[1])
 			}
 			if raceEnabled() {
 				t.Log("timing half skipped under the race detector")
@@ -107,16 +108,16 @@ func scaleSites(n int) []crawler.Site {
 }
 
 // measure runs crawl and charges its wall time outside commits and the
-// checkpoint bytes it wrote to its n sites.
+// durable state bytes it wrote to its n sites.
 func measure(t *testing.T, n int, crawl func()) scaleCost {
 	t.Helper()
-	bytes0, committing0 := obs.CheckpointBytes.Value(), obs.StageCheckpoint.Sum()
+	bytes0, committing0 := obs.StoreBytes.Value(), obs.StageCheckpoint.Sum()
 	start := time.Now()
 	crawl()
 	elapsed := time.Since(start) - (obs.StageCheckpoint.Sum() - committing0)
 	return scaleCost{
-		nsPerSite:         float64(elapsed.Nanoseconds()) / float64(n),
-		checkpointPerSite: float64(obs.CheckpointBytes.Value()-bytes0) / float64(n),
+		nsPerSite:    float64(elapsed.Nanoseconds()) / float64(n),
+		statePerSite: float64(obs.StoreBytes.Value()-bytes0) / float64(n),
 	}
 }
 
@@ -125,7 +126,6 @@ func measure(t *testing.T, n int, crawl func()) scaleCost {
 func scaleLocal(t *testing.T, n int) scaleCost {
 	dir := t.TempDir()
 	cfg := Config{
-		Name:         "scale",
 		Meta:         analysis.DatasetMeta{Name: "scale"},
 		Sites:        scaleSites(n),
 		Workers:      1,
@@ -139,8 +139,7 @@ func scaleLocal(t *testing.T, n int) scaleCost {
 			}
 			return nil, nil
 		},
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		StoreDir:       filepath.Join(dir, "store"),
+		StoreDir: filepath.Join(dir, "store"),
 	}
 	var res *Result
 	cost := measure(t, n, func() {
@@ -163,10 +162,11 @@ func scaleCoordinator(t *testing.T, n int) scaleCost {
 	sites := scaleSites(n)
 	q := NewQueue(sites, QueueConfig{Seed: 1})
 	l, err := OpenLedger(LedgerConfig{
-		Crawl:          Checkpoint{Name: "scale", Seed: 1, PagesPerSite: 1, TotalSites: n},
-		Meta:           analysis.DatasetMeta{Name: "scale"},
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		StoreDir:       filepath.Join(dir, "store"),
+		Meta:         analysis.DatasetMeta{Name: "scale"},
+		Seed:         1,
+		PagesPerSite: 1,
+		TotalSites:   n,
+		StoreDir:     filepath.Join(dir, "store"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func scaleCoordinator(t *testing.T, n int) scaleCost {
 				t.Fatal(err)
 			}
 		}
-		if err := l.Commit(q.ExportJobs); err != nil {
+		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -24,7 +26,7 @@ func mergeSegments(t *testing.T, meta analysis.DatasetMeta, storeDir string) (*a
 	}
 	folder := analysis.NewFolder(meta)
 	for _, seg := range segs {
-		recs, err := colstore.ReadSegment(seg)
+		recs, _, err := colstore.ReadSegment(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,6 +35,36 @@ func mergeSegments(t *testing.T, meta analysis.DatasetMeta, storeDir string) (*a
 		}
 	}
 	return folder.Snapshot()
+}
+
+// sealedRows reads the outcome rows of every sealed segment of the store
+// at storeDir, in seal order: what a resume of it restores.
+func sealedRows(t *testing.T, storeDir string) []colstore.Outcome {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(storeDir, "seg-*.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []colstore.Outcome
+	for _, seg := range segs {
+		_, segRows, err := colstore.ReadSegment(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, segRows...)
+	}
+	return rows
+}
+
+// doneSites is the set of sites rows mark done.
+func doneSites(rows []colstore.Outcome) map[string]bool {
+	done := map[string]bool{}
+	for _, row := range rows {
+		if row.State == colstore.OutcomeDone {
+			done[row.Domain] = true
+		}
+	}
+	return done
 }
 
 // TestStoreMatchesMergeOracle is the store's differential: a crawl's
@@ -65,8 +97,8 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 }
 
 // TestStoreKillAndResumeConverges: a crawl cancelled mid-run resumes
-// from its checkpoint plus sealed segments and converges byte-for-byte
-// with an uninterrupted run. (A cancelled Run still closes its ledger;
+// from its sealed segments and converges byte-for-byte with an
+// uninterrupted run. (A cancelled Run still closes its ledger;
 // TestLedger's dropped rows cover the process death that loses unsealed
 // records.)
 func TestStoreKillAndResumeConverges(t *testing.T) {
@@ -94,12 +126,9 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
-	cp, err := LoadCheckpoint(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatalf("no checkpoint after kill: %v", err)
-	}
-	if len(cp.Done) == 0 || len(cp.Done) == len(env.sites) {
-		t.Fatalf("checkpoint done = %d sites, want a strict subset", len(cp.Done))
+	done := doneSites(sealedRows(t, cfg.StoreDir))
+	if len(done) == 0 || len(done) == len(env.sites) {
+		t.Fatalf("the store marks %d sites done, want a strict subset", len(done))
 	}
 
 	cfg2 := env.config(dir, 2, nil)
@@ -109,8 +138,8 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.ResumedDone != len(cp.Done) {
-		t.Errorf("resumed %d sites, checkpoint had %d", res2.ResumedDone, len(cp.Done))
+	if res2.ResumedDone != len(done) {
+		t.Errorf("resumed %d sites, the store marked %d done", res2.ResumedDone, len(done))
 	}
 	if !bytes.Equal(datasetBytes(t, res2.Dataset), want) {
 		t.Error("resumed dataset differs from uninterrupted run")
@@ -123,4 +152,86 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	if merged, _ := mergeSegments(t, cfg2.Meta, cfg2.StoreDir); !bytes.Equal(datasetBytes(t, merged), want) {
 		t.Error("the merge of the resumed run's segments differs from the uninterrupted run")
 	}
+}
+
+// TestResumeFromEveryCommitBoundary: every durable write of a crawl is
+// the store's manifest or one segment publish, so the states a crash can
+// leave are the manifest plus segments 0 to k-1, with or without the
+// torn temp of segment k beside them. The test crawls with a commit per
+// settled site, then resumes a copy of every such prefix — k from 0 to
+// the number of seals, each clean and with a torn temp — and every resume
+// must skip exactly the sites the prefix's rows mark done and converge on
+// the uninterrupted crawl's dataset byte for byte.
+func TestResumeFromEveryCommitBoundary(t *testing.T) {
+	env := newTestEnv(t, 12)
+	fullDir := t.TempDir()
+	cfg := env.config(fullDir, 1, nil)
+	cfg.commitEvery = 1
+	full, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := datasetBytes(t, full.Dataset)
+	segs, err := filepath.Glob(filepath.Join(cfg.StoreDir, "seg-*.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < len(env.sites) {
+		t.Fatalf("%d seals for %d sites: the crawl did not commit per site", len(segs), len(env.sites))
+	}
+	manifest, err := os.ReadFile(filepath.Join(cfg.StoreDir, "store.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	points := 0
+	for k := 0; k <= len(segs); k++ {
+		for _, torn := range []bool{false, true} {
+			dir := t.TempDir()
+			store := filepath.Join(dir, "store")
+			if err := os.MkdirAll(store, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			files := map[string][]byte{"store.json": manifest}
+			for _, seg := range segs[:k] {
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[filepath.Base(seg)] = data
+			}
+			if torn {
+				data := []byte("WSCOLSG1 torn")
+				if k < len(segs) {
+					if data, err = os.ReadFile(segs[k]); err != nil {
+						t.Fatal(err)
+					}
+					data = data[:len(data)/2]
+				}
+				files[fmt.Sprintf("seg-%06d.col.tmp-1", k)] = data
+			}
+			for name, data := range files {
+				if err := os.WriteFile(filepath.Join(store, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := doneSites(sealedRows(t, store))
+
+			rcfg := env.config(dir, 2, nil)
+			rcfg.commitEvery = 1
+			rcfg.Resume = true
+			res, err := Run(context.Background(), rcfg)
+			if err != nil {
+				t.Fatalf("prefix %d (torn temp %v): %v", k, torn, err)
+			}
+			if res.ResumedDone != len(done) {
+				t.Errorf("prefix %d (torn temp %v): resumed %d sites, its rows mark %d done", k, torn, res.ResumedDone, len(done))
+			}
+			if !bytes.Equal(datasetBytes(t, res.Dataset), want) || !bytes.Equal(coldStore(t, dir), want) {
+				t.Errorf("prefix %d (torn temp %v): the resumed dataset differs from the uninterrupted crawl's", k, torn)
+			}
+			points++
+		}
+	}
+	t.Logf("%d crash points covered: %d seals, each prefix clean and with a torn temp", points, len(segs))
 }

@@ -70,19 +70,18 @@ func BenchmarkFabricWireDecodePage(b *testing.B) {
 // BenchmarkFabricCrawlRoundTrip runs one complete distributed crawl per
 // iteration — coordinator, one worker, 16 sites in 4 batches over real
 // loopback TCP — measuring the end-to-end dispatch overhead (grants,
-// heartbeats, page streaming, settles, checkpoints) without real page
+// heartbeats, page streaming, settles, commits) without real page
 // loads.
 func BenchmarkFabricCrawlRoundTrip(b *testing.B) {
 	sites := testSites(16)
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
 		c, err := StartCoordinator("127.0.0.1:0", CoordinatorConfig{
-			Crawl:          testCrawlConfig(len(sites)),
-			Sites:          sites,
-			BatchSize:      4,
-			LeaseTTL:       2 * time.Second,
-			CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-			StoreDir:       filepath.Join(dir, "store"),
+			Crawl:     testCrawlConfig(len(sites)),
+			Sites:     sites,
+			BatchSize: 4,
+			LeaseTTL:  2 * time.Second,
+			StoreDir:  filepath.Join(dir, "store"),
 		})
 		if err != nil {
 			b.Fatal(err)

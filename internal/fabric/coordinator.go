@@ -33,15 +33,14 @@ type CoordinatorConfig struct {
 	// Retry is the per-site retry policy (zero value = defaults), the
 	// one dispatch.Run applies to a local crawl.
 	Retry dispatch.RetryPolicy
-	// CheckpointPath is the coordinator's durable state file. Required.
-	CheckpointPath string
-	// StoreDir is the columnar store every streamed page record is
-	// ingested into, sealed at each checkpoint boundary, so the crawl is
-	// queryable (cmd/wsquery, or Store for the in-process API) while it
-	// runs; Finalize derives the dataset from it. Required.
+	// StoreDir is the crawl's one durable state: the columnar store every
+	// streamed page record and every settled attempt's outcome row is
+	// appended to, sealed at each commit, so the crawl is queryable
+	// (cmd/wsquery, or Store for the in-process API) while it runs;
+	// Finalize derives the dataset from it. Required.
 	StoreDir string
-	// Resume loads CheckpointPath (when present) and skips completed
-	// sites instead of starting from scratch.
+	// Resume replays StoreDir (when present) and skips completed sites
+	// instead of starting from scratch.
 	Resume bool
 	// Fault, when enabled, degrades every accepted worker connection
 	// with the given faultnet profile (fresh schedule per conn, keyed
@@ -87,9 +86,9 @@ type Coordinator struct {
 	wg        sync.WaitGroup
 }
 
-// StartCoordinator queues the crawl's sites, opens its ledger (restoring
-// any checkpoint), and starts serving workers on addr (host:port; ":0"
-// picks a port — see Addr).
+// StartCoordinator queues the crawl's sites, opens its ledger (rebuilding
+// the queue from a resumed store), and starts serving workers on addr
+// (host:port; ":0" picks a port — see Addr).
 func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Crawl.Name == "" || len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("fabric: coordinator needs a crawl name and a site list")
@@ -102,8 +101,8 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	}
 
 	// The per-crawl seed core's page plane crawls with, which is also
-	// what dispatch.Run records: a local checkpoint and a coordinator's
-	// of the same crawl differ in progress only.
+	// what dispatch.Run records: a local crawl's store and a
+	// coordinator's of the same crawl pin one identity.
 	seed := crawler.CrawlSeed(cfg.Crawl.Seed, cfg.Crawl.CrawlIndex)
 	c := &Coordinator{cfg: cfg, conns: map[*wsproto.Conn]struct{}{}}
 	c.queue = dispatch.NewQueue(cfg.Sites, dispatch.QueueConfig{
@@ -113,25 +112,18 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	})
 
 	ledger, err := dispatch.OpenLedger(dispatch.LedgerConfig{
-		Crawl: dispatch.Checkpoint{
-			Name:         cfg.Crawl.Name,
-			Seed:         seed,
-			PagesPerSite: cfg.Crawl.PagesPerSite,
-			TotalSites:   len(cfg.Sites),
-		},
-		Meta:           c.meta(),
-		CheckpointPath: cfg.CheckpointPath,
-		StoreDir:       cfg.StoreDir,
-		Resume:         cfg.Resume,
+		Meta:         c.meta(),
+		Seed:         seed,
+		PagesPerSite: cfg.Crawl.PagesPerSite,
+		TotalSites:   len(cfg.Sites),
+		StoreDir:     cfg.StoreDir,
+		Resume:       cfg.Resume,
 	})
 	if err != nil {
 		return nil, err
 	}
 	c.ledger = ledger
-	if cp := ledger.Resumed(); cp != nil {
-		c.queue.RestoreJobs(cp.Jobs())
-		c.resumedDone = len(cp.Done)
-	}
+	c.resumedDone = ledger.Restore(c.queue)
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -167,7 +159,7 @@ func (c *Coordinator) URL() string { return fmt.Sprintf("ws://%s/fabric", c.ln.A
 // Progress snapshots the site queue.
 func (c *Coordinator) Progress() dispatch.Progress { return c.queue.Progress() }
 
-// ResumedDone is how many sites the checkpoint already covered.
+// ResumedDone is how many sites the resumed store's rows marked done.
 func (c *Coordinator) ResumedDone() int { return c.resumedDone }
 
 // FailedSites maps the sites that spent their attempt budget to their
@@ -192,38 +184,31 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 // the coordinator keeps ownership.
 func (c *Coordinator) Store() *colstore.Store { return c.ledger.Store() }
 
-// Finalize commits a final checkpoint and derives the crawl dataset by
-// the ledger's one rule: finalize the store's fold. The fold
-// deduplicates (site, pageURL) and canonicalizes every ordering, so the
-// result is byte-identical no matter how many workers streamed the
-// pages, in what interleaving, or across how many resumes. Finalize ends
-// the ledger's append phase, so a page still streaming from a stale
-// attempt is refused (its session drops) instead of changing the
-// returned dataset. meta must be the identity the crawl config implies;
-// it is checked, not used.
+// Finalize derives the crawl dataset by the ledger's one rule: finalize
+// the store's fold. The fold deduplicates (site, pageURL) and
+// canonicalizes every ordering, so the result is byte-identical no
+// matter how many workers streamed the pages, in what interleaving, or
+// across how many resumes. Finalize ends the ledger's append phase, so a
+// page still streaming from a stale attempt is refused (its session
+// drops) instead of changing the returned dataset; Close commits. meta
+// must be the identity the crawl config implies; it is checked, not
+// used.
 func (c *Coordinator) Finalize(meta analysis.DatasetMeta) (*analysis.Dataset, analysis.MergeStats, error) {
 	if meta != c.meta() {
 		return nil, analysis.MergeStats{}, fmt.Errorf("fabric: Finalize for dataset %+v, but the crawl is %+v", meta, c.meta())
-	}
-	if err := c.ledger.Commit(c.queue.ExportJobs); err != nil {
-		return nil, analysis.MergeStats{}, err
 	}
 	ds, stats := c.ledger.Finalize()
 	return ds, stats, nil
 }
 
 // Close stops the coordinator: the listener closes, every worker
-// session drops, a final checkpoint is committed, and the ledger is
-// closed. Safe to call more than once.
+// session drops, and the ledger commits what has settled. Safe to call
+// more than once.
 func (c *Coordinator) Close() error {
 	if !c.shutdown() {
 		return nil
 	}
-	err := c.ledger.Commit(c.queue.ExportJobs)
-	if lErr := c.ledger.Close(); lErr != nil && err == nil {
-		err = lErr
-	}
-	return err
+	return c.ledger.Close()
 }
 
 // shutdown stops serving — listener, sessions, their Grant calls — and
@@ -424,7 +409,7 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		return false
 	}
 	if commitErr != nil {
-		c.logf("fabric: checkpoint: %v", commitErr) // the next due settle or Close retries
+		c.logf("fabric: commit: %v", commitErr) // the next due settle or Close retries
 	}
 	// A settle that leaves the queue drained is answered drained at once,
 	// while Wait is still held off: the worker hears it before Close.

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/colstore"
-	"repro/internal/dispatch"
 )
 
 // The e2e tests prove the acceptance keystone across real processes:
@@ -25,7 +24,7 @@ import (
 // same seeds must produce a byte-identical merged dataset for 1, 2,
 // and 4 workers, across a mid-crawl worker kill, across a mid-crawl
 // coordinator kill-and-resume — and identical to the single-process
-// durable path (wscrawl -checkpoint), which ties the fabric to the
+// durable path (wscrawl -store-dir), which ties the fabric to the
 // repo's established determinism contract, including after that path
 // is interrupted by SIGINT and resumed.
 
@@ -76,7 +75,7 @@ func startCoord(t *testing.T, bin, dir, addr string, resume bool, extra ...strin
 	t.Helper()
 	args := []string{
 		"-out", filepath.Join(dir, "dataset.json"),
-		"-checkpoint", filepath.Join(dir, "checkpoint.json"),
+		"-store-dir", filepath.Join(dir, "store"),
 		"-coordinate", addr,
 		"-batch-size", "3",
 		"-lease-ttl", "2s",
@@ -226,7 +225,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		out := filepath.Join(dir, "local.json")
 		args := []string{
 			"-out", out,
-			"-checkpoint", filepath.Join(dir, "checkpoint.json"),
+			"-store-dir", filepath.Join(dir, "store"),
 			"-workers", "4",
 		}
 		args = append(args, e2eFlags...)
@@ -246,8 +245,8 @@ func TestE2EDistributedCrawl(t *testing.T) {
 	t.Run("local SIGINT checkpoints and resumes", func(t *testing.T) {
 		dir := t.TempDir()
 		out := filepath.Join(dir, "local.json")
-		cpPath := filepath.Join(dir, "checkpoint.json")
-		args := append([]string{"-out", out, "-checkpoint", cpPath}, e2eFlags...)
+		storeDir := filepath.Join(dir, "store-crawl0")
+		args := append([]string{"-out", out, "-store-dir", storeDir}, e2eFlags...)
 		// The slow profile stretches the crawl to seconds without moving
 		// a byte of its dataset, so the interrupt lands mid-crawl.
 		cmd := exec.Command(crawlBin, append(args, "-workers", "2", "-fault-profile", "slow")...)
@@ -259,11 +258,11 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
 		deadline := time.Now().Add(60 * time.Second)
 		for {
-			if cp, err := dispatch.LoadCheckpoint(cpPath); err == nil && len(cp.Done) > 0 {
+			if done, _ := sealedDone(t, storeDir); done > 0 {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("no site checkpointed before the interrupt\n%s", stderr.String())
+				t.Fatalf("no site committed before the interrupt\n%s", stderr.String())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -285,7 +284,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resumed wscrawl: %v\n%s", err, msg)
 		}
-		if m := regexp.MustCompile(`(\d+) resumed from checkpoint`).FindSubmatch(msg); m == nil || string(m[1]) == "0" {
+		if m := regexp.MustCompile(`(\d+) resumed from the store`).FindSubmatch(msg); m == nil || string(m[1]) == "0" {
 			t.Errorf("resumed wscrawl recovered no sites from the interrupted run:\n%s", msg)
 		}
 		got, err := os.ReadFile(out)
@@ -295,16 +294,14 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			t.Errorf("dataset after SIGINT and resume differs (%d vs %d bytes)", len(got), len(ref))
 		}
-		// The store sits beside the checkpoint, named after the crawl's
-		// index.
-		checkStoreOracle(t, filepath.Join(dir, "store-crawl0"), got)
+		checkStoreOracle(t, storeDir, got)
 	})
 
 	t.Run("local resume refuses a corrupt spool", func(t *testing.T) {
 		dir := t.TempDir()
 		out := filepath.Join(dir, "local.json")
-		cpPath := filepath.Join(dir, "checkpoint.json")
-		args := append([]string{"-out", out, "-checkpoint", cpPath, "-workers", "2"}, e2eFlags...)
+		storeDir := filepath.Join(dir, "store-crawl0")
+		args := append([]string{"-out", out, "-store-dir", storeDir, "-workers", "2"}, e2eFlags...)
 		cmd := exec.Command(crawlBin, append(args, "-fault-profile", "slow")...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
@@ -312,15 +309,13 @@ func TestE2EDistributedCrawl(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
-		var cp *dispatch.Checkpoint
 		deadline := time.Now().Add(60 * time.Second)
 		for {
-			var err error
-			if cp, err = dispatch.LoadCheckpoint(cpPath); err == nil && len(cp.Done) > 0 {
+			if done, _ := sealedDone(t, storeDir); done > 0 {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("no site checkpointed before the kill\n%s", stderr.String())
+				t.Fatalf("no site committed before the kill\n%s", stderr.String())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -328,30 +323,19 @@ func TestE2EDistributedCrawl(t *testing.T) {
 			t.Fatal(err)
 		}
 		cmd.Wait()
-		// The kill may land after a later commit than the one polled above.
-		cp, err := dispatch.LoadCheckpoint(cpPath)
-		if err != nil {
-			t.Fatal(err)
-		}
 
-		// Flip a byte of the last segment the checkpoint vouches for:
-		// the crawl's durable record of sites it marks done no longer
+		// Flip a byte of the last sealed segment — the kill may land
+		// after a later commit than the one polled above: the crawl's
+		// durable record of the sites its rows mark done no longer
 		// decodes.
-		if cp.Segments == 0 {
-			t.Fatalf("checkpoint vouches for no segment: %+v", cp)
-		}
-		storeDir := filepath.Join(dir, "store-crawl0")
-		seg := filepath.Join(storeDir, fmt.Sprintf("seg-%06d.col", cp.Segments-1))
+		_, segments := sealedDone(t, storeDir)
+		seg := filepath.Join(storeDir, fmt.Sprintf("seg-%06d.col", segments-1))
 		data, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		data[len(data)/2] ^= 0xff
 		if err := os.WriteFile(seg, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before, err := os.ReadFile(cpPath)
-		if err != nil {
 			t.Fatal(err)
 		}
 		beforeStore := storeBytes(t, storeDir)
@@ -366,13 +350,6 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		}
 		if !strings.Contains(string(msg), "start the crawl from scratch") {
 			t.Errorf("refused resume printed no start-fresh hint:\n%s", msg)
-		}
-		after, err := os.ReadFile(cpPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(before, after) {
-			t.Error("the refused resume rewrote the checkpoint")
 		}
 		if !bytes.Equal(beforeStore, storeBytes(t, storeDir)) {
 			t.Error("the refused resume changed the store")
@@ -429,21 +406,20 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		addr := ln.Addr().String()
 		ln.Close()
 
-		// The coordinator streams pages into a columnar store, here at an
-		// explicit -store-dir: the kill -9 below can land mid-segment-write,
-		// and resume must recover the store to byte-agreement with an
-		// uninterrupted crawl.
+		// The coordinator streams pages into its columnar store: the kill
+		// -9 below can land mid-segment-write, and resume must recover the
+		// store to byte-agreement with an uninterrupted crawl.
 		storeDir := filepath.Join(dir, "store")
-		c1 := startCoord(t, crawlBin, dir, addr, false, "-store-dir", storeDir)
+		c1 := startCoord(t, crawlBin, dir, addr, false)
 		url := c1.url(t)
 		worker := startWorker(t, crawlBin, url, "w0", 1)
 		deadline := time.Now().Add(60 * time.Second)
 		for {
-			if cp, err := dispatch.LoadCheckpoint(filepath.Join(dir, "checkpoint.json")); err == nil && len(cp.Done) > 0 {
-				break // the ledger's commit rule has written its first checkpoint
+			if done, _ := sealedDone(t, storeDir); done > 0 {
+				break // the ledger's commit rule has sealed its first rows
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("no checkpoint written before coordinator kill\n%s", c1.log(t))
+				t.Fatalf("no commit before coordinator kill\n%s", c1.log(t))
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -457,7 +433,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		var c2 *coordProc
 		deadline = time.Now().Add(15 * time.Second)
 		for {
-			c2 = startCoord(t, crawlBin, dir, addr, true, "-store-dir", storeDir)
+			c2 = startCoord(t, crawlBin, dir, addr, true)
 			select {
 			case err := <-c2.done:
 				if time.Now().After(deadline) {

@@ -18,9 +18,10 @@
 //     stream back as the spool lines a grant runner emits and go through
 //     Ledger.AppendLine, the ledger's one entry, as a local crawl's do —
 //     so the coordinator's store holds the same records a local crawl's
-//     does; progress is committed by the ledger's one commit rule in the
-//     one checkpoint format (either role resumes the other's checkpoint);
-//     and the final dataset comes from the ledger's one finalize rule;
+//     does, each settled site's outcome row follows its pages into that
+//     store, and progress is committed by the ledger's one commit rule
+//     (either role resumes the other's store); and the final dataset
+//     comes from the ledger's one finalize rule;
 //   - coordinator↔worker links accept faultnet profiles, and workers
 //     survive coordinator restarts via seeded dial retry.
 //

@@ -129,7 +129,7 @@ func canonicalStore(t *testing.T, dir string) []string {
 	}
 	var out []string
 	for _, seg := range segs {
-		recs, err := colstore.ReadSegment(seg)
+		recs, _, err := colstore.ReadSegment(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,25 +338,6 @@ func TestFabricRetriesFailedSites(t *testing.T) {
 				}
 			}
 
-			jobs := map[string]dispatch.JobRecord{}
-			for _, rec := range c.queue.ExportJobs() {
-				jobs[rec.Domain] = rec
-			}
-			for _, s := range sites {
-				state, attempts := dispatch.JobDone, 1
-				switch s.Domain {
-				case flaky:
-					attempts = 2
-				case dead:
-					state, attempts = dispatch.JobFailed, 3
-				}
-				if rec := jobs[s.Domain]; rec.State != state || rec.Attempts != attempts {
-					t.Errorf("%s: %s at attempt %d, want %s at attempt %d", s.Domain, rec.State, rec.Attempts, state, attempts)
-				}
-			}
-			if got := jobs[dead].LastErr; got != "homepage 500 (run 3)" {
-				t.Errorf("dead site's last error = %q, want the runner's error of its third run", got)
-			}
 			want := dispatch.Progress{Total: 12, Done: 11, Failed: 1, Retries: 3}
 			if p := c.Progress(); p != want {
 				t.Errorf("progress %+v, want %+v", p, want)
@@ -366,6 +347,27 @@ func TestFabricRetriesFailedSites(t *testing.T) {
 			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
+			}
+			// Each site's last outcome row is where its attempts ended.
+			last := map[string]colstore.Outcome{}
+			rows, _ := sealedRows(t, filepath.Join(dir, "store"))
+			for _, row := range rows {
+				last[row.Domain] = row
+			}
+			for _, s := range sites {
+				state, attempt := colstore.OutcomeDone, 1
+				switch s.Domain {
+				case flaky:
+					attempt = 2
+				case dead:
+					state, attempt = colstore.OutcomeFailed, 3
+				}
+				if row := last[s.Domain]; row.State != state || row.Attempt != attempt {
+					t.Errorf("%s: last row %+v, want state %d at attempt %d", s.Domain, row, state, attempt)
+				}
+			}
+			if got := last[dead].Err; got != "homepage 500 (run 3)" {
+				t.Errorf("dead site's last error = %q, want the runner's error of its third run", got)
 			}
 			diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), expectedLines(live, testPages))
 		})
@@ -490,33 +492,39 @@ func startTestCoordinator2(dir string, sites []crawler.Site, o coordOpts) (*Coor
 		o.maxAttempts = 5
 	}
 	cfg := CoordinatorConfig{
-		Crawl:          testCrawlConfig(len(sites)),
-		Sites:          sites,
-		BatchSize:      o.batchSize,
-		LeaseTTL:       o.ttl,
-		Retry:          dispatch.RetryPolicy{MaxAttempts: o.maxAttempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-		StoreDir:       filepath.Join(dir, "store"),
-		Resume:         o.resume,
-		Fault:          fault,
-		FaultSeed:      o.faultSeed,
-		Logf:           o.logf,
+		Crawl:     testCrawlConfig(len(sites)),
+		Sites:     sites,
+		BatchSize: o.batchSize,
+		LeaseTTL:  o.ttl,
+		Retry:     dispatch.RetryPolicy{MaxAttempts: o.maxAttempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		StoreDir:  filepath.Join(dir, "store"),
+		Resume:    o.resume,
+		Fault:     fault,
+		FaultSeed: o.faultSeed,
+		Logf:      o.logf,
 	}
 	return StartCoordinator(o.addr, cfg)
 }
 
-// TestCoordinatorResumeFailsFast: corrupt, wrong-version, and
-// incompatible checkpoints are refused before any listener opens, with
-// the versioned, actionable error the single-process path uses.
+// TestCoordinatorResumeFailsFast: a corrupt, wrong-version,
+// incompatible or damaged store is refused before any listener opens,
+// with the versioned, actionable error the single-process path uses.
 func TestCoordinatorResumeFailsFast(t *testing.T) {
 	sites := testSites(8)
 	newOpts := func(dir string) coordOpts { return coordOpts{batchSize: 2, resume: true} }
+	manifest := func(t *testing.T, dir, body string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(dir, "store"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "store", "store.json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	t.Run("corrupt", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte("{]"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		manifest(t, dir, "{]")
 		_, err := startTestCoordinator2(dir, sites, coordOpts{addr: "127.0.0.1:0", ttl: time.Second, batchSize: 2, resume: true})
 		var ce *dispatch.CheckpointError
 		if !errors.As(err, &ce) {
@@ -528,9 +536,7 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 	})
 	t.Run("wrong version", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte(`{"version":99}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		manifest(t, dir, `{"version":99}`)
 		_, err := startTestCoordinator2(dir, sites, coordOpts{addr: "127.0.0.1:0", ttl: time.Second, batchSize: 2, resume: true})
 		var ce *dispatch.CheckpointError
 		if !errors.As(err, &ce) {
@@ -543,7 +549,7 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 	t.Run("incompatible flags", func(t *testing.T) {
 		dir := t.TempDir()
 		c := startTestCoordinator(t, dir, sites, coordOpts{batchSize: 2})
-		if err := c.Close(); err != nil { // writes a valid checkpoint
+		if err := c.Close(); err != nil { // leaves a valid store
 			t.Fatal(err)
 		}
 		o := newOpts(dir)
@@ -554,17 +560,19 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("error = %v (%T), want *dispatch.CheckpointError", err, err)
 		}
-		if !strings.Contains(ce.Error(), "covers 8 sites, configured 9") {
+		if !strings.Contains(ce.Error(), "× 8 sites), not") || !strings.Contains(ce.Error(), "× 9 sites)") {
 			t.Errorf("error %q does not name the mismatched flag", ce)
 		}
 	})
-	// damaged crawls the sites once, damages what the crawl left, and
-	// requires the resumed coordinator to refuse with a checkpoint error
-	// that says so — before it serves a batch, not after its workers
-	// finish the crawl without the pages the damage took.
+	// damaged crawls 16 sites once — two commits, two segments — damages
+	// what the crawl left, and requires the resumed coordinator to refuse
+	// with a *dispatch.CheckpointError that says so — before it serves a
+	// batch, not after its workers finish the crawl without the pages the
+	// damage took.
 	damaged := func(t *testing.T, damage func(t *testing.T, storeDir string), want string) {
 		t.Helper()
 		dir := t.TempDir()
+		sites := testSites(16)
 		c := startTestCoordinator(t, dir, sites, coordOpts{batchSize: 2})
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -574,12 +582,8 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := dispatch.LoadCheckpoint(filepath.Join(dir, "checkpoint.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cp.Segments == 0 {
-			t.Fatalf("checkpoint vouches for no segment: %+v", cp)
+		if done, segments := sealedDone(t, filepath.Join(dir, "store")); done != len(sites) || segments < 2 {
+			t.Fatalf("the crawl sealed %d done sites in %d segments, want %d in 2 or more", done, segments, len(sites))
 		}
 		damage(t, filepath.Join(dir, "store"))
 		o := newOpts(dir)
@@ -602,11 +606,11 @@ func TestCoordinatorResumeFailsFast(t *testing.T) {
 			if err := os.Remove(filepath.Join(storeDir, "seg-000000.col")); err != nil {
 				t.Fatal(err)
 			}
-		}, "seg-000000.col is missing")
+		}, "seg-000000.col is damaged: the file is missing")
 	})
 	t.Run("corrupt spool line", func(t *testing.T) {
-		// A page record the checkpoint vouches for no longer decodes:
-		// a flipped byte in the sealed segment that holds it.
+		// A sealed page record no longer decodes: a flipped byte in the
+		// segment that holds it.
 		damaged(t, func(t *testing.T, storeDir string) {
 			path := filepath.Join(storeDir, "seg-000000.col")
 			data, err := os.ReadFile(path)

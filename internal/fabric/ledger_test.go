@@ -16,7 +16,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/detrand"
-	"repro/internal/dispatch"
 	"repro/internal/fabric/wire"
 	"repro/internal/wsproto"
 )
@@ -297,8 +296,8 @@ func TestFabricStoreSurvivesCoordinatorKill(t *testing.T) {
 		workerDone <- runTestWorker(ctx, "w0", "ws://"+addr+"/fabric", workerOpts{seed: 1, delay: 2 * time.Millisecond})
 	}()
 	for {
-		if cp, err := dispatch.LoadCheckpoint(filepath.Join(dir, "checkpoint.json")); err == nil && len(cp.Done) > 0 {
-			break // the ledger's commit rule has written its first checkpoint
+		if done, _ := sealedDone(t, filepath.Join(dir, "store")); done > 0 {
+			break // the ledger's commit rule has sealed its first rows
 		}
 		select {
 		case <-ctx.Done():
@@ -327,6 +326,40 @@ func TestFabricStoreSurvivesCoordinatorKill(t *testing.T) {
 	}
 }
 
+// sealedRows reads the sealed segments of the store at storeDir and
+// returns their outcome rows, in seal order, and how many segments it
+// read.
+func sealedRows(t *testing.T, storeDir string) (rows []colstore.Outcome, segments int) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(storeDir, "seg-*.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		_, segRows, err := colstore.ReadSegment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, segRows...)
+	}
+	return rows, len(names)
+}
+
+// sealedDone is how many sites the sealed outcome rows of the store at
+// storeDir mark done — what a resume of the store skips — and how many
+// segments hold them.
+func sealedDone(t *testing.T, storeDir string) (done, segments int) {
+	t.Helper()
+	rows, segments := sealedRows(t, storeDir)
+	sites := map[string]bool{}
+	for _, row := range rows {
+		if row.State == colstore.OutcomeDone {
+			sites[row.Domain] = true
+		}
+	}
+	return len(sites), segments
+}
+
 // restartTestCoordinator starts a coordinator on an address a previous
 // one just released, retrying while the kernel still holds the port.
 func restartTestCoordinator(t *testing.T, ctx context.Context, dir string, sites []crawler.Site, o coordOpts) *Coordinator {
@@ -342,4 +375,83 @@ func restartTestCoordinator(t *testing.T, ctx context.Context, dir string, sites
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
+}
+
+// TestCoordinatorResumesEveryCommitPrefix is the coordinator's row of
+// dispatch's TestResumeFromEveryCommitBoundary: a crash can leave the
+// store's manifest plus segments 0 to k-1, with or without the torn temp
+// of segment k, and a coordinator resumed over a copy of any such prefix
+// of its own crawl must skip exactly the sites the prefix's rows mark
+// done and converge on the uninterrupted crawl's dataset.
+func TestCoordinatorResumesEveryCommitPrefix(t *testing.T) {
+	sites := testSites(24)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ref := t.TempDir()
+	c := startTestCoordinator(t, ref, sites, coordOpts{batchSize: 2})
+	if err := runTestWorker(ctx, "w0", c.URL(), workerOpts{seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := finalizeBytes(t, c, ref)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(ref, "store")
+	segs, err := filepath.Glob(filepath.Join(store, "seg-*.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 2 {
+		t.Fatalf("the crawl sealed %d segments, want a commit boundary inside it", len(segs))
+	}
+	points := 0
+	for k := 0; k <= len(segs); k++ {
+		for _, torn := range []bool{false, true} {
+			dir := t.TempDir()
+			copied := filepath.Join(dir, "store")
+			if err := os.MkdirAll(copied, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			names := []string{"store.json"}
+			for _, seg := range segs[:k] {
+				names = append(names, filepath.Base(seg))
+			}
+			for _, name := range names {
+				data, err := os.ReadFile(filepath.Join(store, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(copied, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if torn {
+				if err := os.WriteFile(filepath.Join(copied, fmt.Sprintf("seg-%06d.col.tmp-1", k)), []byte("WSCOLSG1 torn"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done, _ := sealedDone(t, copied)
+			c := startTestCoordinator(t, dir, sites, coordOpts{batchSize: 2, resume: true})
+			if c.ResumedDone() != done {
+				t.Errorf("prefix %d (torn temp %v): resumed %d sites, its rows mark %d done", k, torn, c.ResumedDone(), done)
+			}
+			if err := runTestWorker(ctx, "w0", c.URL(), workerOpts{seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(finalizeBytes(t, c, dir), want) {
+				t.Errorf("prefix %d (torn temp %v): the resumed dataset differs from the uninterrupted crawl's", k, torn)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			points++
+		}
+	}
+	t.Logf("%d crash points covered: %d seals, each prefix clean and with a torn temp", points, len(segs))
 }

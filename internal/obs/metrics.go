@@ -25,7 +25,6 @@ const (
 
 	// Durability layer.
 	MCheckpointWrites = "checkpoint.writes"
-	MCheckpointBytes  = "checkpoint.bytes"
 	MMergePages       = "merge.pages"
 	MMergeDuplicates  = "merge.duplicates"
 
@@ -136,7 +135,7 @@ const (
 
 	// Per-page phase histograms, one sample per crawled page. Where the
 	// stage.* histograms time individual operations (a fetch, a
-	// checkpoint), the crawl.* histograms time the page-granular phases
+	// commit), the crawl.* histograms time the page-granular phases
 	// the crawl capacity model is built on: visit is the browser's full
 	// page load, record is trace→PageRecord→spool line, commit is the
 	// ledger's decode of the line and the store's ingest of its record
@@ -158,7 +157,6 @@ var (
 	CrawlSitePanics = Default.Counter(MSitePanics)
 
 	CheckpointWrites = Default.Counter(MCheckpointWrites)
-	CheckpointBytes  = Default.Counter(MCheckpointBytes)
 	MergePages       = Default.Counter(MMergePages)
 	MergeDuplicates  = Default.Counter(MMergeDuplicates)
 
