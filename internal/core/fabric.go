@@ -10,6 +10,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -129,7 +130,7 @@ type FabricCoordinatorOptions struct {
 	Resume bool
 	// StoreDir is the crawl's columnar store, its one durable state (see
 	// fabric.CoordinatorConfig.StoreDir); empty means store-crawlN beside
-	// CheckpointPath.
+	// CheckpointPath. One of the two is required.
 	StoreDir string
 	// FaultProfile, when non-empty, degrades every worker link with the
 	// named faultnet profile, keyed on FaultSeed.
@@ -140,8 +141,12 @@ type FabricCoordinatorOptions struct {
 }
 
 // StartFabricCoordinator derives the site list for a crawl spec and
-// starts a coordinator serving it.
+// starts a coordinator serving it. Its store must outlive the process,
+// so it refuses options that name no location for it.
 func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOptions) (*fabric.Coordinator, error) {
+	if fo.StoreDir == "" && fo.CheckpointPath == "" {
+		return nil, errors.New("core: a fabric coordinator needs its store's location (StoreDir or CheckpointPath)")
+	}
 	fault, err := faultProfile(fo.FaultProfile)
 	if err != nil {
 		return nil, err

@@ -146,6 +146,22 @@ func TestResumeNeedsLocation(t *testing.T) {
 	}
 }
 
+// TestFabricCoordinatorNeedsLocation: a coordinator's store must
+// outlive the process, so options naming no location for it are refused
+// before anything is written — not placed in the working directory.
+func TestFabricCoordinatorNeedsLocation(t *testing.T) {
+	opts := Options{Seed: 1, NumPublishers: 2, Workers: 1, PagesPerSite: 1}
+	spec := CrawlSpec{Name: "bad", Era: webgen.EraPrePatch, BrowserVersion: 57}
+	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{Addr: "127.0.0.1:0"})
+	if err == nil {
+		coord.Close()
+		t.Fatal("a coordinator without a store location started")
+	}
+	if _, serr := os.Stat(storeIn(".", spec)); !os.IsNotExist(serr) {
+		t.Errorf("the refused start left %s in the working directory (%v)", storeIn(".", spec), serr)
+	}
+}
+
 // runFabricWorkers attaches n production workers to coord and waits for
 // the crawl to drain and every worker to exit cleanly.
 func runFabricWorkers(ctx context.Context, t *testing.T, coord *fabric.Coordinator, n int) {

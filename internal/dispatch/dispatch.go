@@ -10,7 +10,7 @@
 //   - The Queue leases sites in one claim step (a Grant: one site for
 //     Run's loops, up to a batch for a fabric session); a holder
 //     heartbeats while crawling and a site whose lease TTL elapses is
-//     re-queued. The queue is its callers' only clock: a blocked Lease
+//     re-queued. The queue is its callers' only clock: a blocked Grant
 //     wakes on the next settle or deadline, and Drained closes when the
 //     last job turns terminal.
 //   - Failures retry with exponential backoff and seeded jitter up to an

@@ -20,10 +20,17 @@ type Grant struct {
 	ledger *Ledger
 }
 
-// Grant blocks in Lease for up to n sites and hands them out as one
-// grant whose settles ledger commits. ok=false as for Lease.
+// Grant blocks until up to n sites are leased (at least one) and hands
+// them out as one grant whose settles ledger commits. ok=false means the
+// queue is drained or ctx is done. The outcome rows of the leases its
+// claim steps reclaimed go to the ledger first, as a settle's do, so an
+// attempt that a lease expiry spent stays spent across a resume; a
+// commit they make due that fails is retried by the next one.
 func (q *Queue) Grant(ctx context.Context, n int, ledger *Ledger) (*Grant, bool) {
-	ls, ok := q.Lease(ctx, n)
+	ls, expired, ok := q.lease(ctx, n)
+	if len(expired) > 0 {
+		_ = ledger.Settled(expired)
+	}
 	if !ok {
 		return nil, false
 	}

@@ -70,9 +70,10 @@ type LedgerConfig struct {
 //   - OpenLedger: open the store — a resume replays its sealed segments
 //     into the fold, and Restore rebuilds a queue from their rows;
 //   - AppendLine: decode one page line and ingest its record;
-//   - Settled: append a settle's outcome rows after their sites' pages,
-//     and apply the one commit rule, once every max(8, TotalSites/128)
-//     settled attempts — about 128 commits per crawl;
+//   - Settled: append a settle's or a reclaim's outcome rows after
+//     their sites' pages, and apply the one commit rule, once every
+//     max(8, TotalSites/128) settled attempts — about 128 commits per
+//     crawl;
 //   - Commit: seal the store. A sealed prefix that holds a site's row
 //     holds its pages, so a commit never marks a site done whose pages
 //     are not durable. Segments are fsynced, so a resume survives a
@@ -150,7 +151,8 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 // Restore rebuilds a fresh queue from the outcome rows the store
 // replayed, and returns how many sites they mark done. Only settled
 // attempts count: an attempt killed in flight left no row, so its site
-// re-runs without spending budget, as a released one does.
+// re-runs without spending budget, as a released one does; one a lease
+// expiry reclaimed left its row.
 func (l *Ledger) Restore(q *Queue) (done int) {
 	return q.restore(l.store.TakeOutcomes())
 }
@@ -209,9 +211,10 @@ func (l *Ledger) AppendLine(site string, line []byte) error {
 
 // Settled is the one commit rule: Grant.Settle reports the outcome rows
 // of every settle (complete or fail) after its sites' pages were
-// appended, and the ledger appends them and commits, at most once per
-// call, once max(8, TotalSites/128) attempts have settled since it last
-// did — so a crawl seals about 128 commits, O(N) bytes in all. A failed
+// appended, Queue.Grant those of every lease a claim reclaimed, and the
+// ledger appends them and commits, at most once per call, once
+// max(8, TotalSites/128) attempts have settled since it last did — so a
+// crawl seals about 128 commits, O(N) bytes in all. A failed
 // commit costs only re-crawling, as the next retries it.
 func (l *Ledger) Settled(rows []colstore.Outcome) error {
 	if err := l.store.AppendOutcomes(rows...); err != nil {

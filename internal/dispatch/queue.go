@@ -39,7 +39,7 @@ type job struct {
 // standard work-dispatcher contract that lets a crawl survive dead or
 // wedged workers. Failed sites re-enter with exponential backoff until
 // the retry budget is spent. The queue is its callers' only clock: a
-// blocked Lease wakes on the next settle or deadline, and Drained closes
+// blocked Grant wakes on the next settle or deadline, and Drained closes
 // when the last job turns terminal. All methods are safe for concurrent
 // use. It keeps books instead of scanning: per-state counts make
 // Progress O(1), and every lease and backed-off retry lies between the
@@ -143,23 +143,26 @@ type Lease struct {
 	Attempt int
 }
 
-// Lease blocks until a site is available and claims up to n ready sites
+// lease blocks until a site is available and claims up to n ready sites
 // (at least one), lowest seq first, in one claim step: a local crawl
 // worker takes one, a fabric grant up to its batch size. Each lease is
 // heartbeat and settled on its own. ok=false means the queue is drained
-// (every site done or failed) or ctx is done. A blocked Lease sleeps
+// (every site done or failed) or ctx is done. A blocked lease sleeps
 // until the next settle or the earliest backoff or lease deadline, so
-// expired leases come back without anyone polling.
-func (q *Queue) Lease(ctx context.Context, n int) ([]*Lease, bool) {
+// expired leases come back without anyone polling. expired holds the
+// outcome rows of the leases its claim steps reclaimed, whatever ok is:
+// the caller owes them to the ledger, as Grant hands them on.
+func (q *Queue) lease(ctx context.Context, n int) (ls []*Lease, expired []colstore.Outcome, ok bool) {
 	// Check before each claim: a cancelled worker that Released its site
 	// must not be handed the same site straight back.
 	for ctx.Err() == nil {
-		ls, changed, wait := q.claim(max(n, 1))
+		ls, rows, changed, wait := q.claim(max(n, 1))
+		expired = append(expired, rows...)
 		if len(ls) > 0 {
-			return ls, true
+			return ls, expired, true
 		}
 		if changed == nil { // drained
-			return nil, false
+			return nil, expired, false
 		}
 		timer := time.NewTimer(wait)
 		select {
@@ -169,15 +172,16 @@ func (q *Queue) Lease(ctx context.Context, n int) ([]*Lease, bool) {
 		}
 		timer.Stop()
 	}
-	return nil, false
+	return nil, expired, false
 }
 
-// claim is Lease's one non-blocking step. In seq order it reclaims
+// claim is lease's one non-blocking step. In seq order it reclaims
 // expired leases and claims up to n ready jobs: it reads the window, then
-// past the frontier (terminal or ready jobs) until n are claimed. With
-// nothing ready it returns the channel the next state change closes and
-// how long until the earliest deadline; a drained queue returns neither.
-func (q *Queue) claim(n int) (ls []*Lease, changed <-chan struct{}, wait time.Duration) {
+// past the frontier (terminal or ready jobs) until n are claimed. It
+// returns the outcome row of each lease it reclaimed. With nothing ready
+// it returns the channel the next state change closes and how long until
+// the earliest deadline; a drained queue returns neither.
+func (q *Queue) claim(n int) (ls []*Lease, expired []colstore.Outcome, changed <-chan struct{}, wait time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.now()
@@ -187,7 +191,7 @@ func (q *Queue) claim(n int) (ls []*Lease, changed <-chan struct{}, wait time.Du
 	for i := q.settled; i < q.frontier; i++ {
 		j := &q.jobs[i]
 		if j.state == stateLeased && !now.Before(j.expiry) {
-			q.reclaimLocked(j, now)
+			expired = append(expired, q.reclaimLocked(j, now))
 		}
 		if len(ls) < n && j.state == statePending && !now.Before(j.readyAt) {
 			ls = append(ls, q.leaseLocked(j, now))
@@ -199,12 +203,12 @@ func (q *Queue) claim(n int) (ls []*Lease, changed <-chan struct{}, wait time.Du
 		}
 	}
 	if len(ls) > 0 {
-		return ls, nil, 0
+		return ls, expired, nil, 0
 	}
 	if q.count[statePending]+q.count[stateLeased] == 0 { // drained
-		return nil, nil, 0
+		return nil, expired, nil, 0
 	}
-	return nil, q.signal, q.nextWakeLocked(now)
+	return nil, expired, q.signal, q.nextWakeLocked(now)
 }
 
 // leaseLocked grants a lease on the pending job j.
@@ -261,34 +265,40 @@ func (q *Queue) setLocked(j *job, st jobState) {
 	}
 }
 
-// reclaimLocked re-queues a leased job whose TTL has elapsed. The
-// reclaim consumes the dead attempt and is bounded by the same budget as
-// ordinary failures, but the site becomes ready immediately: an expired
-// lease indicates a dead worker, not a misbehaving site, so there is
-// nothing to back off from.
-func (q *Queue) reclaimLocked(j *job, now time.Time) {
+// reclaimLocked re-queues a leased job whose TTL has elapsed and
+// returns the expired attempt's outcome row. The reclaim consumes the
+// dead attempt and is bounded by the same budget as ordinary failures,
+// but the site becomes ready immediately: an expired lease indicates a
+// dead worker, not a misbehaving site, so there is nothing to back off
+// from.
+func (q *Queue) reclaimLocked(j *job, now time.Time) colstore.Outcome {
 	j.token = 0
 	q.requeues++
-	q.settleFailureLocked(j, "lease expired", now)
+	row := q.settleFailureLocked(j, "lease expired", now)
 	if j.state == statePending {
 		j.readyAt = now
 	}
+	return row
 }
 
-// settleFailureLocked routes a failed attempt: requeue with backoff, or
-// mark failed once the attempt budget is spent.
-func (q *Queue) settleFailureLocked(j *job, msg string, now time.Time) {
+// settleFailureLocked routes a failed attempt — requeue with backoff, or
+// mark failed once the attempt budget is spent — and returns its outcome
+// row.
+func (q *Queue) settleFailureLocked(j *job, msg string, now time.Time) colstore.Outcome {
 	j.lastErr = msg
+	row := colstore.Outcome{Domain: j.site.Domain, Attempt: j.attempts, State: colstore.OutcomeFailed, Err: msg}
 	if j.attempts >= q.policy.MaxAttempts {
 		q.setLocked(j, stateFailed)
-		return
+		return row
 	}
 	q.setLocked(j, statePending)
 	j.readyAt = now.Add(q.policy.Delay(j.attempts, q.rng))
 	q.retries++
+	row.State = colstore.OutcomeRetry
+	return row
 }
 
-// nextWakeLocked computes how long a blocked Lease call may sleep:
+// nextWakeLocked computes how long a blocked lease call may sleep:
 // until the earliest backoff expiry or lease deadline, all of which lie
 // in the claim window.
 func (q *Queue) nextWakeLocked(now time.Time) time.Duration {
@@ -315,7 +325,7 @@ func (q *Queue) nextWakeLocked(now time.Time) time.Duration {
 	return wait
 }
 
-// wakeLocked signals every blocked Lease call that state changed.
+// wakeLocked signals every blocked lease call that state changed.
 func (q *Queue) wakeLocked() {
 	close(q.signal)
 	q.signal = make(chan struct{})
@@ -347,14 +357,10 @@ func (l *Lease) settle(failure error) (row colstore.Outcome, ok bool) {
 		return row, false
 	}
 	j.token = 0
-	row = colstore.Outcome{Domain: j.site.Domain, Attempt: l.Attempt, State: colstore.OutcomeDone}
 	if failure != nil {
-		q.settleFailureLocked(j, failure.Error(), q.now())
-		row.State, row.Err = colstore.OutcomeRetry, j.lastErr
-		if j.state == stateFailed {
-			row.State = colstore.OutcomeFailed
-		}
+		row = q.settleFailureLocked(j, failure.Error(), q.now())
 	} else {
+		row = colstore.Outcome{Domain: j.site.Domain, Attempt: l.Attempt, State: colstore.OutcomeDone}
 		q.setLocked(j, stateDone)
 	}
 	q.wakeLocked()

@@ -16,8 +16,7 @@ import (
 // injected clock, and checks the queue's contract after each event:
 //
 //   - a job that turns terminal stays terminal in the same state, so
-//     every job becomes terminal exactly once — except across a resume,
-//     which reopens a job that only lease expiries failed;
+//     every job becomes terminal exactly once, across a resume too;
 //   - no lease is granted once Drained has closed;
 //   - Drained is closed if and only if every job is terminal;
 //   - the leases of one claim (a holder claims one or two, as a local
@@ -29,10 +28,10 @@ import (
 //     live one true — "stale" judged by a model of the lease rule that
 //     is independent of the queue's tokens;
 //   - a resume (a fresh queue restored from every outcome row the
-//     settles wrote) gives each job the state, attempts and error its
-//     rows settled — a first done or failed row is final — and agrees
-//     with the live queue: a done job has a done row, and a terminal row
-//     names the job's live state.
+//     settles and the claim steps' reclaims wrote) gives each job the
+//     state, attempts and error its rows settled — a first done or
+//     failed row is final — and keeps every job of the live queue in
+//     its state: done, failed, or pending (a lease reads as pending).
 //
 // The clock advances one tick per event; a late heartbeat first jumps it
 // a whole TTL. Each event runs on a fork of the world it extends.
@@ -132,7 +131,7 @@ type ilWorld struct {
 	cfg     QueueConfig
 	q       *Queue
 	held    [2][]ilHeld
-	rows    []colstore.Outcome // every settle's outcome row, as a store keeps them
+	rows    []colstore.Outcome // every settle's and reclaim's outcome row, as a store keeps them
 	resumed bool
 
 	staleSettles, pairClaims int
@@ -242,7 +241,7 @@ func (w *ilWorld) apply(e ilEvent) error {
 		want := w.settledJobs()
 		for i, got := range jobsOf(q) {
 			live := before[i]
-			if got != want[i] || live.State == "done" && got.State != "done" || got.State != "pending" && got.State != live.State {
+			if got != want[i] || got.State != live.State {
 				return fmt.Errorf("resume from rows %+v turned live %+v into %+v, want %+v", w.rows, live, got, want[i])
 			}
 		}
@@ -288,9 +287,7 @@ func (w *ilWorld) apply(e ilEvent) error {
 	after := jobsOf(w.q)
 	allTerminal := true
 	for i, rec := range after {
-		// A resume may reopen a job a lease expiry failed: that attempt
-		// never settled, so no row holds it.
-		if s := before[i].State; s != "pending" && rec.State != s && e.kind != ilResume {
+		if s := before[i].State; s != "pending" && rec.State != s {
 			return fmt.Errorf("%s left terminal state %s for %s", rec.Domain, s, rec.State)
 		}
 		allTerminal = allTerminal && rec.State != "pending"
@@ -312,7 +309,8 @@ func (w *ilWorld) claim(h, n int, before []jobRec) error {
 		}
 	}
 	wasDrained := isClosed(w.q.Drained())
-	ls, _, _ := w.q.claim(n)
+	ls, expired, _, _ := w.q.claim(n)
+	w.rows = append(w.rows, expired...)
 	if len(ls) == 0 {
 		return nil
 	}

@@ -17,7 +17,7 @@ import (
 // lifecycle, mirroring the crawler/labeler race-audit precedent: for
 // each of many jobs, a holder goroutine hammers Heartbeat and then
 // settles (Complete or Fail) while a clock goroutine forces lease expiry
-// through an advancing injected clock, so the other holders' Lease calls
+// through an advancing injected clock, so the other holders' lease calls
 // reclaim the lease — the exact interleaving a dead-worker reclaim races
 // against a worker that was merely slow. One holder claims two leases per
 // step, as a fabric grant does, and works them in turn, so a reclaim of
@@ -41,7 +41,7 @@ func raceSettleAndReclaim(t *testing.T, budget int) {
 	}
 
 	// An atomically advancing fake clock: the clock goroutine jumps it
-	// past the lease TTL, so the reclaim inside one holder's Lease and
+	// past the lease TTL, so the reclaim inside one holder's lease call and
 	// another's Heartbeat/settle calls genuinely interleave on the same
 	// leases.
 	var clock atomic.Int64
@@ -82,7 +82,7 @@ func raceSettleAndReclaim(t *testing.T, budget int) {
 				n = 2 // the grant-shaped holder
 			}
 			for {
-				ls, ok := q.Lease(context.Background(), n)
+				ls, _, ok := q.lease(context.Background(), n)
 				if !ok {
 					return
 				}

@@ -24,9 +24,9 @@ func testSites(n int) []crawler.Site {
 	return sites
 }
 
-// leaseOne is Lease(ctx, 1), for tests that hold one site at a time.
+// leaseOne is lease(ctx, 1), for tests that hold one site at a time.
 func leaseOne(ctx context.Context, q *Queue) (*Lease, bool) {
-	ls, ok := q.Lease(ctx, 1)
+	ls, _, ok := q.lease(ctx, 1)
 	if !ok {
 		return nil, false
 	}
@@ -246,7 +246,7 @@ func TestQueueLeaseRespectsContext(t *testing.T) {
 		t.Error("leased a site still in backoff")
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Error("Lease did not honor context cancellation")
+		t.Error("lease did not honor context cancellation")
 	}
 }
 

@@ -156,7 +156,7 @@ func TestQueueExportRestoreJobs(t *testing.T) {
 	lc, _ := leaseOne(ctx, q) // b.com backs off: c.com
 	settle(lc, errors.New("flaky"))
 	clk.advance(time.Minute)
-	ls, ok := q.Lease(ctx, 2) // b.com's and c.com's second attempts
+	ls, _, ok := q.lease(ctx, 2) // b.com's and c.com's second attempts
 	if !ok || len(ls) != 2 {
 		t.Fatal("expected the two retries")
 	}
@@ -178,5 +178,55 @@ func TestQueueExportRestoreJobs(t *testing.T) {
 	}
 	if got := jobsOf(q2); !reflect.DeepEqual(got, want) {
 		t.Errorf("restored %+v, want %+v", got, want)
+	}
+}
+
+// TestLeaseExpiryRowsSurviveResume spends a site's whole budget on lease
+// expiries alone — its holders die without settling — and resumes: the
+// reclaims' outcome rows went to the ledger through Grant, so the
+// resumed queue has the site failed as the live one does, instead of
+// handing it a fresh budget.
+func TestLeaseExpiryRowsSurviveResume(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLedger(ledgerConfig(dir, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	sites := []crawler.Site{{Domain: ledgerSite(0), Rank: 1}, {Domain: ledgerSite(1), Rank: 2}}
+	cfg := QueueConfig{LeaseTTL: time.Minute, Seed: 7, Now: clk.now, Retry: RetryPolicy{MaxAttempts: 2}}
+	q := NewQueue(sites, cfg)
+	ctx := context.Background()
+	var got []string
+	for i := 0; i < 3; i++ { // site 0 twice, its holders die; then site 1
+		g, ok := q.Grant(ctx, 1, l)
+		if !ok {
+			t.Fatal("no grant")
+		}
+		got = append(got, g.Sites()[0].Domain)
+		clk.advance(2 * time.Minute)
+	}
+	if want := []string{ledgerSite(0), ledgerSite(0), ledgerSite(1)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("granted %v, want %v", got, want)
+	}
+	live := jobsOf(q)
+	if live[0].State != "failed" {
+		t.Fatalf("live queue has %+v, want failed", live[0])
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := OpenLedger(ledgerConfig(dir, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2 := NewQueue(sites, cfg)
+	l2.Restore(q2)
+	if resumed := jobsOf(q2); resumed[0] != live[0] {
+		t.Errorf("resumed %+v, want the live %+v", resumed[0], live[0])
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
