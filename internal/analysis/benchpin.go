@@ -6,23 +6,18 @@ package analysis
 // declares (TestBenchPinsStayInBench).
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
-	"sync"
 )
 
-// lineBufs pools EncodeSpoolRecord's line buffers.
-var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// EncodeSpoolRecord writes rec as one spool line (AppendSpoolRecord) to
-// w, through a pooled buffer.
+// EncodeSpoolRecord writes rec to w as one spool line: its encoding/json
+// form and a newline.
 func EncodeSpoolRecord(w io.Writer, rec *PageRecord) error {
-	bp := lineBufs.Get().(*[]byte)
-	defer lineBufs.Put(bp)
-	line, err := AppendSpoolRecord((*bp)[:0], rec)
-	*bp = line
+	data, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("analysis: encode spool record: %w", err)
 	}
-	_, err = w.Write(line)
+	_, err = w.Write(append(data, '\n'))
 	return err
 }

@@ -1,5 +1,5 @@
 // Package analysis holds the crawl dataset model, the Recorder and
-// Folder that build datasets from live page loads (spool.go), and the
+// Folder that build datasets from live page loads (record.go), and the
 // generators for every table and figure in the paper's evaluation (§4).
 package analysis
 
@@ -120,15 +120,15 @@ func UnionAASet(datasets ...*Dataset) map[string]bool {
 }
 
 // socketRecord converts one socket node into a compact record,
-// classifying sent and received content.
+// classifying sent and received content. pageURL is the record's own.
 func (c *Recorder) socketRecord(sc *recordScratch, site crawler.Site, pageURL, pageHost string, ws *inclusion.Node) SocketRecord {
 	rec := SocketRecord{
 		Site:            site.Domain,
 		Rank:            site.Rank,
 		PageURL:         pageURL,
-		URL:             ws.URL,
-		ReceiverDomain:  c.Label.NodeDomain(ws),
-		InitiatorDomain: c.Label.NodeDomain(ws.Parent),
+		URL:             sc.own(ws.URL),
+		ReceiverDomain:  sc.own(c.Label.NodeDomain(ws)),
+		InitiatorDomain: sc.own(c.Label.NodeDomain(ws.Parent)),
 		CrossOrigin:     inclusion.CrossOrigin(ws),
 		HandshakeOK:     ws.HandshakeStatus == 101,
 		FramesSent:      len(ws.Sent),
@@ -137,8 +137,8 @@ func (c *Recorder) socketRecord(sc *recordScratch, site crawler.Site, pageURL, p
 	sc.chain = ws.AppendChain(sc.chain[:0])
 	chain := sc.chain
 	for _, n := range chain[:len(chain)-1] {
-		rec.ChainDomains = append(rec.ChainDomains, c.Label.NodeDomain(n))
-		rec.ChainURLs = append(rec.ChainURLs, n.URL)
+		rec.ChainDomains = append(rec.ChainDomains, sc.own(c.Label.NodeDomain(n)))
+		rec.ChainURLs = append(rec.ChainURLs, sc.own(n.URL))
 	}
 	// The §4.2 post-hoc check asks whether "scripts in the inclusion
 	// chains leading to A&A sockets would have been blocked" — the
@@ -188,6 +188,7 @@ func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pag
 		}
 		t := out[dom]
 		if t == nil {
+			dom = sc.own(dom)
 			t = &DomainTraffic{Domain: dom, SentItems: map[string]int{}, RecvClasses: map[string]int{}}
 			out[dom] = t
 		}

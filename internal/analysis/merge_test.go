@@ -1,7 +1,7 @@
-// Spool-record, fold and spool-layout tests, from outside the package,
-// as the ledger uses the first two — it decodes each page line and
-// folds the record — and as dispatch, which imports analysis, writes
-// the spool lines bench times.
+// Page-record, fold and spool-layout tests, from outside the package,
+// as the ledger uses the first two — it folds each page record, decoded
+// from its page block when a fabric worker sent it — and as dispatch,
+// which imports analysis, writes the spool lines bench times.
 package analysis_test
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
 	"repro/internal/filterlist"
@@ -41,17 +42,12 @@ func samplePageRecord() *analysis.PageRecord {
 	}
 }
 
+// TestSpoolRecordRoundTrip: a record survives its page block deeply
+// equal, and the block's bytes are a function of the record.
 func TestSpoolRecordRoundTrip(t *testing.T) {
 	rec := samplePageRecord()
-	encoded, err := analysis.AppendSpoolRecord(nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := bytes.TrimSuffix(encoded, []byte("\n"))
-	if bytes.ContainsRune(line, '\n') {
-		t.Fatal("encoded record spans multiple lines")
-	}
-	got, err := analysis.DecodeSpoolLine(line)
+	block := colstore.AppendPageBlock(nil, rec)
+	got, err := colstore.DecodePageBlock(block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,34 +56,18 @@ func TestSpoolRecordRoundTrip(t *testing.T) {
 	}
 
 	// Deterministic bytes: encoding the same record twice is identical.
-	again, _ := analysis.AppendSpoolRecord(nil, samplePageRecord())
-	if !bytes.Equal(encoded, again) {
+	if again := colstore.AppendPageBlock(nil, samplePageRecord()); !bytes.Equal(block, again) {
 		t.Error("encoding is not deterministic")
 	}
 }
 
-// foldLines decodes each spool line and folds it, as the ledger takes
-// every page.
-func foldLines(t *testing.T, lines ...[]byte) (*analysis.Dataset, analysis.MergeStats) {
-	t.Helper()
+// foldRecords folds each record, as the ledger takes every page.
+func foldRecords(recs ...*analysis.PageRecord) (*analysis.Dataset, analysis.MergeStats) {
 	folder := analysis.NewFolder(analysis.DatasetMeta{Name: "c"})
-	for _, line := range lines {
-		rec, err := analysis.DecodeSpoolLine(bytes.TrimSuffix(line, []byte("\n")))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, rec := range recs {
 		folder.Fold(rec)
 	}
 	return folder.Finalize()
-}
-
-func encodeLine(t *testing.T, rec *analysis.PageRecord) []byte {
-	t.Helper()
-	line, err := analysis.AppendSpoolRecord(nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return line
 }
 
 // TestMergeShardsDedupesByPage: the merge behind every fold keeps the
@@ -99,7 +79,7 @@ func TestMergeShardsDedupesByPage(t *testing.T) {
 	other := samplePageRecord()
 	other.PageURL = "http://pub.com/q"
 
-	ds, stats := foldLines(t, encodeLine(t, first), encodeLine(t, dup), encodeLine(t, other))
+	ds, stats := foldRecords(first, dup, other)
 	if stats.Pages != 2 || stats.Duplicates != 1 {
 		t.Errorf("stats = %+v, want 2 pages / 1 duplicate", stats)
 	}
@@ -121,7 +101,7 @@ func TestMergeShardsDerivesAADomainsFromDeltas(t *testing.T) {
 	rec := &analysis.PageRecord{Site: "a.com", Rank: 1, PageURL: "http://a.com/",
 		AAObs:    map[string]int{"tracker.com": 2, "almost.com": 1},
 		NonAAObs: map[string]int{"tracker.com": 10, "almost.com": 11, "quiet.com": 5}}
-	ds, _ := foldLines(t, encodeLine(t, rec))
+	ds, _ := foldRecords(rec)
 	if want := []string{"tracker.com"}; !reflect.DeepEqual(ds.AADomains, want) {
 		t.Errorf("AADomains = %v, want %v", ds.AADomains, want)
 	}
@@ -129,8 +109,9 @@ func TestMergeShardsDerivesAADomainsFromDeltas(t *testing.T) {
 
 // TestFolderAndMergeShardsAgree crawls a small synthetic world once and
 // folds its page records two ways — the recorder's records as they are,
-// and each record encoded as a spool line and decoded again, as the
-// ledger takes every page into its store — and requires byte-identical
+// as a local crawl's ledger takes every page into its store, and each
+// record sent through its page block, as a fabric coordinator's ledger
+// takes it — and requires byte-identical
 // datasets: same site summaries, canonical socket order, HTTP
 // aggregates, and the same derived D′.
 func TestFolderAndMergeShardsAgree(t *testing.T) {
@@ -172,12 +153,7 @@ func TestFolderAndMergeShardsAgree(t *testing.T) {
 			if !folder.Fold(rec) {
 				t.Errorf("Fold(%s): duplicate on a single pass", pageURL)
 			}
-			line, err := analysis.AppendSpoolRecord(nil, rec)
-			if err != nil {
-				t.Errorf("encode %s: %v", pageURL, err)
-				return
-			}
-			back, err := analysis.DecodeSpoolLine(line[:len(line)-1])
+			back, err := colstore.DecodePageBlock(colstore.AppendPageBlock(nil, rec))
 			if err != nil {
 				t.Errorf("decode %s: %v", pageURL, err)
 				return
@@ -211,7 +187,7 @@ func TestFolderAndMergeShardsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("folded dataset (%d bytes) differs from the decoded lines' (%d bytes)", a.Len(), b.Len())
+		t.Errorf("folded dataset (%d bytes) differs from the decoded blocks' (%d bytes)", a.Len(), b.Len())
 	}
 }
 

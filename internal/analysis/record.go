@@ -1,14 +1,15 @@
-// Spool records: the durable per-page form of a crawl measurement.
+// Page records: the per-page form of a crawl measurement.
 //
-// A grant runner emits one PageRecord per crawled page as a spool line
-// (spoolcodec.go), in-process or over the fabric's wire. The dispatch
-// ledger (internal/dispatch) decodes each line and hands the record to
-// the crawl's columnar store (internal/colstore), which folds it into a
-// Folder and seals it into its segments; a resumed store folds the
-// records of its sealed segments when it opens. The fold never holds all
-// pages in memory: records are aggregated on the fly and only the
-// dataset's own output (site summaries, socket records, per-domain HTTP
-// aggregates, label counts) is retained.
+// A grant runner emits one PageRecord per crawled page: in-process
+// straight to the dispatch ledger (internal/dispatch), or from a fabric
+// worker as a page block, the one-record segment image the columnar
+// store (internal/colstore) encodes and decodes. The ledger hands the
+// record to the crawl's store, which folds it into a Folder and seals it
+// into its segments; a resumed store folds the records of its sealed
+// segments when it opens. The fold never holds all pages in memory:
+// records are aggregated on the fly and only the dataset's own output
+// (site summaries, socket records, per-domain HTTP aggregates, label
+// counts) is retained.
 //
 // A PageRecord carries the labeler observation *deltas* its page
 // contributed (A&A hits, non-A&A hits, CDN adjacency counts) rather
@@ -21,6 +22,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/browser"
@@ -31,8 +33,9 @@ import (
 	"repro/internal/urlutil"
 )
 
-// PageRecord is one crawled page in spool form: everything the dataset
-// needs from the page, plus the labeler deltas it contributed.
+// PageRecord is one crawled page: everything the dataset needs from the
+// page, plus the labeler deltas it contributed. Its JSON form is the
+// spool line of the benchmark harness's spool writers.
 type PageRecord struct {
 	Site    string `json:"site"`
 	Rank    int    `json:"rank"`
@@ -59,7 +62,12 @@ type PageRecord struct {
 // calls — the inclusion tree comes from an arena Builder, and chain
 // walks, node listings and content items reuse their buffers — but a
 // returned PageRecord never aliases that scratch: records outlive the
-// page, scratch does not (TestRecorderReuseMatchesFreshRecorders).
+// page, scratch does not (TestRecorderReuseMatchesFreshRecorders). Nor
+// does it alias the page's trace: every string it takes from there —
+// the page, socket and chain URLs, and the domains and hosts cut out of
+// URLs — is a copy, made once per page, so the fold can keep a record's
+// strings without keeping the page bodies they were cut from. Ad
+// captions are copies already (content.ExtractAdRefs).
 type Recorder struct {
 	Label *labeler.Labeler
 
@@ -81,18 +89,45 @@ type recordScratch struct {
 	chain    []*inclusion.Node
 	items    []string
 	recvSeen map[string]bool
+	// owned maps each trace string the page's record took to the
+	// record's copy of it.
+	owned map[string]string
+}
+
+// own returns the record's copy of s, making it on first use.
+func (sc *recordScratch) own(s string) string {
+	if c, ok := sc.owned[s]; ok {
+		return c
+	}
+	c := strings.Clone(s)
+	sc.owned[c] = c
+	return c
+}
+
+// ownCounts is m with every key replaced by the record's copy; nil when
+// m is empty.
+func (sc *recordScratch) ownCounts(m map[string]int) map[string]int {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]int, len(m))
+	for k, n := range m {
+		out[sc.own(k)] = n
+	}
+	return out
 }
 
 // NewRecorder builds a recorder over a configured labeler.
 func NewRecorder(lab *labeler.Labeler) *Recorder { return &Recorder{Label: lab} }
 
-// RecordPage builds the spool record for one crawled page.
+// RecordPage builds the record of one crawled page.
 func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.PageResult) (*PageRecord, error) {
 	sc, ok := r.scratch.Get().(*recordScratch)
 	if !ok {
-		sc = &recordScratch{builder: inclusion.NewBuilder(), recvSeen: map[string]bool{}}
+		sc = &recordScratch{builder: inclusion.NewBuilder(), recvSeen: map[string]bool{}, owned: map[string]string{}}
 	}
 	defer r.scratch.Put(sc)
+	clear(sc.owned)
 	treeSpan := obs.StartSpan(obs.StageTree)
 	tree, err := sc.builder.Build(res.Trace)
 	if err != nil {
@@ -113,21 +148,15 @@ func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.Pa
 			pageHost = u.Host
 		}
 	}
-	rec := &PageRecord{Site: site.Domain, Rank: site.Rank, PageURL: pageURL}
+	rec := &PageRecord{Site: site.Domain, Rank: site.Rank, PageURL: sc.own(pageURL)}
 	sc.nodes = tree.AppendKind(sc.nodes[:0], inclusion.KindWebSocket)
 	for _, ws := range sc.nodes {
-		rec.Sockets = append(rec.Sockets, r.socketRecord(sc, site, pageURL, pageHost, ws))
+		rec.Sockets = append(rec.Sockets, r.socketRecord(sc, site, rec.PageURL, pageHost, ws))
 	}
 	rec.HTTP = r.httpObservations(sc, tree, pageHost)
-	if len(aa) > 0 {
-		rec.AAObs = aa
-	}
-	if len(non) > 0 {
-		rec.NonAAObs = non
-	}
-	if len(cdn) > 0 {
-		rec.CDNObs = cdn
-	}
+	rec.AAObs = sc.ownCounts(aa)
+	rec.NonAAObs = sc.ownCounts(non)
+	rec.CDNObs = sc.ownCounts(cdn)
 	return rec, nil
 }
 

@@ -14,12 +14,14 @@ import (
 )
 
 // pooledRecordBudget is the ceiling on heap allocations per page for a
-// Recorder once its scratch is warm: ≈ 37 on the test's pages. A
-// RecordPage that stopped returning its scratch to the pool rebuilds the
-// arena builder, its maps and the walk buffers every page (≈ 79) and
-// fails here; the whole-crawl TestPageAllocBudget in core has the
-// headroom to miss that.
-const pooledRecordBudget = 45
+// Recorder once its scratch is warm: ≈ 47 on the test's pages, ≈ 10 of
+// them the record's own copies of the strings it takes from the trace
+// (≈ 37 before records owned them; the ledger's decode of a JSON line
+// made those copies, at ≈ 18–39 a page). A RecordPage that stopped
+// returning its scratch to the pool rebuilds the arena builder, its maps
+// and the walk buffers every page (≈ 42 more) and fails here; the
+// whole-crawl TestPageAllocBudget in core has the headroom to miss that.
+const pooledRecordBudget = 55
 
 // TestRecorderPooledSteadyState records a fixed set of crawled pages
 // again and again through one Recorder and holds the per-page
@@ -109,3 +111,7 @@ func skipIfRace(t *testing.T) {
 		}
 	}
 }
+
+// SkipIfRace is skipIfRace, for the allocation tests outside the
+// package.
+var SkipIfRace = skipIfRace

@@ -348,9 +348,10 @@ func (s *Store) replaySegments() error {
 // Ingest folds one page record into the live aggregation and encodes
 // it into the next segment's columns. It reports whether the record was
 // fresh (false = duplicate of an already-ingested (site, pageURL),
-// dropped). The store keeps no part of rec but its strings (the fold
-// copies what it keeps), so the caller may reuse the record's maps and
-// slices once Ingest returns.
+// dropped). The store keeps rec's strings and its socket records'
+// slices (the fold copies the rest of what it keeps), so rec must own
+// its strings and the caller may reuse only the record's maps once
+// Ingest returns.
 func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	if s.readonly {
 		return false, fmt.Errorf("colstore: store %s is read-only", s.dir)

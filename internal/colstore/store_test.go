@@ -68,18 +68,9 @@ func testOutcomes() []Outcome {
 	}
 }
 
-func spoolLine(t *testing.T, rec *analysis.PageRecord) []byte {
-	t.Helper()
-	line, err := analysis.AppendSpoolRecord(nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.TrimSuffix(line, []byte("\n"))
-}
-
 // TestSegmentRoundTrip: records must survive the columnar encode
-// byte-exactly in spool-JSON terms, including nil-vs-empty slice
-// distinctions (chainDomains marshals null vs []).
+// exactly, including nil-vs-empty slice distinctions (chainDomains
+// marshals null vs [] in the dataset's JSON).
 func TestSegmentRoundTrip(t *testing.T) {
 	recs := []*analysis.PageRecord{
 		testRecord("pub.com", 1, 0),
@@ -111,9 +102,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
 	}
 	for i := range recs {
-		want, gotLine := spoolLine(t, recs[i]), spoolLine(t, got[i])
-		if !bytes.Equal(want, gotLine) {
-			t.Errorf("record %d round-trip mismatch:\n want %s\n got  %s", i, want, gotLine)
+		if !reflect.DeepEqual(recs[i], got[i]) {
+			t.Errorf("record %d round-trip mismatch:\n want %+v\n got  %+v", i, recs[i], got[i])
 		}
 	}
 

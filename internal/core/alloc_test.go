@@ -13,10 +13,14 @@ import (
 // and record stood at ≈ 730 before scripts were decoded in place, a
 // request's URL was parsed once and DOM attributes stopped being maps,
 // at ≈ 445 after, and at ≈ 400 once sockets left TCP and net/http and
-// the inclusion tree adopted the browser's parsed URLs (≈ 440 under
-// -race, where sync.Pool drops items at random). Counting the ledger's
-// decode of each page's spool line, its fold and the queue adds ≈ 40.
-const pageAllocBudget = 470
+// the inclusion tree adopted the browser's parsed URLs. Until the ledger
+// took each page's record as it is, it decoded a JSON line of it, which
+// made the record's string copies: ≈ 419 a page (≈ 456 under -race,
+// where sync.Pool drops items at random). Now the recorder copies the
+// strings it takes from the trace once a page and the ledger folds and
+// encodes the record: ≈ 414 (≈ 451 under -race); the budget keeps the
+// race reading's headroom of 14.
+const pageAllocBudget = 465
 
 // matchesPerRequestBudget is the ceiling on filter-list evaluations per
 // browser request on the same crawl. Every request is matched once
@@ -36,8 +40,8 @@ type tenSiteCost struct {
 
 // crawlTenSites crawls a fixed ten sites through the one shipped page
 // path — dispatch.Run's grant loop over the plane's runGrant: visit,
-// inclusion tree, labeling, record, spool line, the ledger's decode and
-// fold; one worker — and counts heap allocations, filter-list
+// inclusion tree, labeling, record, the ledger's fold and encode; one
+// worker — and counts heap allocations, filter-list
 // evaluations and browser requests across it. World build, list parsing
 // and server start are outside the counts.
 func crawlTenSites(t *testing.T) tenSiteCost {

@@ -9,7 +9,7 @@ import (
 
 // The bench-crawl world: one pinned config, small enough to iterate in
 // CI, big enough that every pipeline stage (fetch, parse, script, ws,
-// tree, label, spool encode, merge) does real work.
+// tree, label, record, store encode, merge) does real work.
 const (
 	benchCrawlSeed    = 20180411
 	benchCrawlSites   = 24
@@ -62,7 +62,7 @@ func benchCrawl(b *testing.B, reference bool) {
 
 // BenchmarkCrawlPipeline is the shipping configuration: in-process
 // fetch plane, scratch/pool reuse at every layer, group-committed
-// spool, live folding.
+// store, live folding.
 func BenchmarkCrawlPipeline(b *testing.B) { benchCrawl(b, false) }
 
 // BenchmarkCrawlPipelineReference is the reference plane the

@@ -10,9 +10,9 @@
 //
 // Individual crawls are available through RunCrawl. Every crawl is one
 // loop over internal/dispatch's queue and ledger — lease a grant, crawl
-// its sites through the page plane (plane.go), emit each page as a spool
-// line into the ledger, which ingests it into the crawl's columnar
-// store, settle the grant — which RunCrawl runs in-process
+// its sites through the page plane (plane.go), emit each page's record
+// into the ledger, which ingests it into the crawl's columnar store,
+// settle the grant — which RunCrawl runs in-process
 // (dispatch.Run) and the fabric entry points (fabric.go) run over the
 // wire; a crawl whose Options name no location keeps its state in a
 // temporary directory. Custom worlds and
@@ -184,7 +184,7 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 		Workers:      p.opts.Workers,
 		PagesPerSite: p.opts.PagesPerSite,
 		Seed:         p.crawlSeed(),
-		RunGrant: func(ctx context.Context, sites []crawler.Site, _ int, emit func(string, []byte) error) (map[string]string, error) {
+		RunGrant: func(ctx context.Context, sites []crawler.Site, _ int, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 			_, failed, err := p.runGrant(ctx, sites, &stats, emit)
 			return failed, err
 		},

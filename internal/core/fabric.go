@@ -3,8 +3,8 @@
 // list from the same synthetic-world parameters a local crawl uses; the
 // worker side rebuilds the page plane (plane.go) from the CrawlConfig the
 // coordinator broadcasts, so every worker crawls an identical world and
-// a site's spool lines are byte-identical no matter which worker — or
-// how many workers — produced them (DESIGN.md §12).
+// a site's records are identical no matter which worker — or how many
+// workers — produced them (DESIGN.md §12).
 
 package core
 
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
 	"repro/internal/fabric"
@@ -92,20 +93,22 @@ func (r *FabricRunner) Close() error {
 }
 
 // RunBatch crawls every site of a grant once, streaming each page record
-// as a pre-encoded spool line: the plane's runGrant, as a local crawl's
-// worker loops run it. Browsers are seeded per site (crawler.SiteSeed),
-// so the lines are independent of grant membership, worker identity, and
-// crawl order — re-running a site anywhere reproduces them byte for
-// byte. There is no retry here: the sites that failed go back in the
-// Complete frame, and the coordinator's queue retries each under the
-// RetryPolicy a local crawl's sites get.
-func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, line []byte) error) (int, map[string]string, error) {
+// as its page block (colstore.AppendPageBlock): the plane's runGrant, as
+// a local crawl's worker loops run it. Browsers are seeded per site
+// (crawler.SiteSeed), so the blocks are independent of grant membership,
+// worker identity, and crawl order — re-running a site anywhere
+// reproduces them byte for byte. There is no retry here: the sites that
+// failed go back in the Complete frame, and the coordinator's queue
+// retries each under the RetryPolicy a local crawl's sites get.
+func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, block []byte) error) (int, map[string]string, error) {
 	sites := make([]crawler.Site, len(batch.Sites))
 	for i, s := range batch.Sites {
 		sites[i] = crawler.Site{Domain: s.Domain, Rank: s.Rank}
 	}
 	var stats crawler.Stats
-	return r.plane.runGrant(ctx, sites, &stats, emit)
+	return r.plane.runGrant(ctx, sites, &stats, func(site string, rec *analysis.PageRecord) error {
+		return emit(site, colstore.AppendPageBlock(nil, rec))
+	})
 }
 
 // FabricCoordinatorOptions parameterizes StartFabricCoordinator.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,9 +23,9 @@ import (
 // RunCrawl and the fabric worker's FabricRunner, which both crawl a
 // grant with runGrant. It owns the served synthetic world, the rule
 // lists and labeler behind the recorder, and the site roster, and it is
-// the only place a browser is configured and a page becomes a spool
-// line. Because both entry points crawl through the same plane with
-// per-site seeded browsers and hand the ledger the same lines, the same
+// the only place a browser is configured and a page becomes a record.
+// Because both entry points crawl through the same plane with per-site
+// seeded browsers and hand the ledger the same records, the same
 // (Options, CrawlSpec) yields a byte-identical dataset whichever one ran
 // it (TestEntryPointsAgree).
 type pagePlane struct {
@@ -168,10 +167,10 @@ func (p *pagePlane) crawlerConfig(onPage func(crawler.Site, string, *browser.Pag
 }
 
 // runGrant crawls one grant's sites through the plane's worker pool and
-// emits every page as a spool line: the page path of both roles, behind
+// emits every page's record: the page path of both roles, behind
 // dispatch.Run's worker loops and a fabric worker's RunBatch alike. It
 // returns the pages emitted and the sites whose attempt failed.
-func (p *pagePlane) runGrant(ctx context.Context, sites []crawler.Site, stats *crawler.Stats, emit func(site string, line []byte) error) (int, map[string]string, error) {
+func (p *pagePlane) runGrant(ctx context.Context, sites []crawler.Site, stats *crawler.Stats, emit func(site string, rec *analysis.PageRecord) error) (int, map[string]string, error) {
 	var pages atomic.Int64
 	failed, err := crawler.Crawl(ctx, sites, p.crawlerConfig(func(site crawler.Site, pageURL string, res *browser.PageResult) {
 		if p.emitPage(site, pageURL, res, emit) {
@@ -181,29 +180,15 @@ func (p *pagePlane) runGrant(ctx context.Context, sites []crawler.Site, stats *c
 	return int(pages.Load()), failed, err
 }
 
-// lineBufs pools emitPage's spool line buffers: emit is done with a line
-// when it returns. A new buffer starts at 4 KiB, above most lines, so a
-// pool miss costs one allocation rather than a run of regrowths.
-var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
-
-// emitPage is the record step: it records one loaded page, encodes the
-// record as a spool line and hands the line to emit, timed as
-// crawl.record up to the emit. The record is dropped once encoded, and a
-// page that does not record or encode is dropped whole; true means emit
-// took the line.
-func (p *pagePlane) emitPage(site crawler.Site, pageURL string, res *browser.PageResult, emit func(site string, line []byte) error) bool {
+// emitPage is the record step: it records one loaded page, timed as
+// crawl.record, and hands the record to emit. A page that does not
+// record is dropped; true means emit took the record.
+func (p *pagePlane) emitPage(site crawler.Site, pageURL string, res *browser.PageResult, emit func(site string, rec *analysis.PageRecord) error) bool {
 	span := obs.StartSpan(obs.CrawlRecord)
 	rec, err := p.recorder.RecordPage(site, pageURL, res)
 	if err != nil {
 		return false // unparseable page
 	}
-	bp := lineBufs.Get().(*[]byte)
-	defer lineBufs.Put(bp)
-	line, err := analysis.AppendSpoolRecord((*bp)[:0], rec)
-	*bp = line
-	if err != nil {
-		return false
-	}
 	span.End()
-	return emit(site.Domain, line[:len(line)-1]) == nil
+	return emit(site.Domain, rec) == nil
 }

@@ -102,8 +102,8 @@ const (
 // spooler appends per-page records to sharded JSONL spool files:
 // <dir>/shard-NNN.jsonl, one JSON-encoded analysis.PageRecord per line,
 // a site's pages always in the same shard (shardFor). Each shard owns
-// its write buffer and line buffer under its mutex, and commits its
-// lines to the OS every groupPages lines, on Flush and on Close.
+// its write buffer and encoder under its mutex, and commits its lines to
+// the OS every groupPages lines, on Flush and on Close.
 type spooler struct {
 	dir    string
 	shards []*shardFile
@@ -113,8 +113,8 @@ type shardFile struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
-	pending int    // guarded by mu; records buffered since the last flush
-	line    []byte // guarded by mu; the line being appended, reused
+	pending int           // guarded by mu; records buffered since the last flush
+	enc     *json.Encoder // guarded by mu; writes a record and its newline to w
 }
 
 // shardFor maps a site domain to one of n shards: FNV-1a of the domain,
@@ -154,7 +154,8 @@ func OpenSpoolBatch(dir string, numShards int, resume bool, batch BatchPolicy) (
 			s.Close()
 			return nil, fmt.Errorf("dispatch: open shard: %w", err)
 		}
-		s.shards = append(s.shards, &shardFile{f: f, w: bufio.NewWriterSize(f, groupBytes)})
+		w := bufio.NewWriterSize(f, groupBytes)
+		s.shards = append(s.shards, &shardFile{f: f, w: w, enc: json.NewEncoder(w)})
 	}
 	return s, nil
 }
@@ -165,12 +166,8 @@ func (s *spooler) Append(rec *analysis.PageRecord) error {
 	sh := s.shards[shardFor(rec.Site, len(s.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var err error
-	if sh.line, err = analysis.AppendSpoolRecord(sh.line[:0], rec); err != nil {
-		return err
-	}
-	if _, err = sh.w.Write(sh.line); err != nil {
-		return err
+	if err := sh.enc.Encode(rec); err != nil {
+		return fmt.Errorf("dispatch: append spool record: %w", err)
 	}
 	sh.pending++
 	if sh.pending >= groupPages {

@@ -262,7 +262,7 @@ func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 5; i++ {
-		if err := l.AppendLine("pub.com", recordLine(t, rec("pub.com", fmt.Sprintf("http://pub.com/p%d", i)))); err != nil {
+		if err := l.Append("pub.com", rec("pub.com", fmt.Sprintf("http://pub.com/p%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package dispatch owns a crawl's sites and its durable state: what
 // turns page crawling into the crash-surviving infrastructure the
 // paper's §3.3 crawls (4 passes over ~100K sites) require. Every crawl
-// is one loop — lease a grant, crawl its sites, hand each page to the
-// ledger as a spool line, settle the grant — which Run drives with
+// is one loop — lease a grant, crawl its sites, hand each page's record
+// to the ledger, settle the grant — which Run drives with
 // in-process worker loops (core.RunCrawl runs every local crawl through
 // it, in a temporary directory when it names no location) and the
 // fabric coordinator (internal/fabric) drives over the wire.
@@ -17,9 +17,9 @@
 //     attempt budget (RetryPolicy). Grant.Settle is the one settle path,
 //     so a site has one outcome model in both roles.
 //   - The Ledger (ledger.go) owns everything durable: the crawl's
-//     columnar store (internal/colstore). Ledger.AppendLine, its one
-//     entry for pages, decodes each page line and ingests the record,
-//     which the store folds and encodes into its next segment;
+//     columnar store (internal/colstore). Ledger.Append, its one entry
+//     for pages, ingests each page record, which the store folds and
+//     encodes into its next segment;
 //     Ledger.Settled appends each settled attempt's outcome row after its
 //     site's pages and seals the store when a commit is due; the dataset
 //     is the store's finalized fold. A resume replays the sealed segments
@@ -27,7 +27,7 @@
 //     skips completed sites and converges on the same dataset.
 //
 // Determinism: a GrantRunner seeds its browsers per site
-// (crawler.SiteSeed), so a site's lines are a pure function of (seed,
+// (crawler.SiteSeed), so a site's records are a pure function of (seed,
 // site), independent of worker assignment, retries and resume
 // boundaries; fault-free runs and resumed ones give byte-identical
 // datasets.
@@ -58,12 +58,12 @@ import (
 )
 
 // A GrantRunner crawls the sites of one grant, each once, and hands every
-// page to emit as one spool line of its site, without the newline.
+// page to emit as the record of its site, which emit's ledger keeps.
 // attempt is the grant's highest attempt number (1 on a first try). It
 // returns the sites whose attempt failed with their errors, and ctx.Err()
 // once ctx ends. A fabric worker's BatchRunner is the same contract
 // behind the wire.
-type GrantRunner func(ctx context.Context, sites []crawler.Site, attempt int, emit func(site string, line []byte) error) (failed map[string]string, err error)
+type GrantRunner func(ctx context.Context, sites []crawler.Site, attempt int, emit func(site string, rec *analysis.PageRecord) error) (failed map[string]string, err error)
 
 // Config parameterizes a local crawl.
 type Config struct {
@@ -196,8 +196,8 @@ func work(ctx context.Context, cfg Config, queue *Queue, ledger *Ledger) error {
 				if !ok {
 					return
 				}
-				failed, err := cfg.RunGrant(wctx, g.Sites(), g.Attempt(), func(site string, line []byte) error {
-					if err := ledger.AppendLine(site, line); err != nil {
+				failed, err := cfg.RunGrant(wctx, g.Sites(), g.Attempt(), func(site string, rec *analysis.PageRecord) error {
+					if err := ledger.Append(site, rec); err != nil {
 						refused.Do(func() { appendErr = err; stop() })
 						return err
 					}

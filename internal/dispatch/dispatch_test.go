@@ -58,7 +58,7 @@ func (e *testEnv) goodBrowser(site crawler.Site) *browser.Browser {
 
 // testRunner is core's page plane in miniature, the GrantRunner every
 // test crawl runs: each site with the browser browserFor builds for its
-// attempt, each page recorded, encoded as a spool line and emitted.
+// attempt, each page recorded and its record emitted.
 type testRunner struct {
 	rec        *analysis.Recorder
 	browserFor func(site crawler.Site, attempt int) *browser.Browser
@@ -82,7 +82,7 @@ func (e *testEnv) runner() *testRunner {
 	}
 }
 
-func (r *testRunner) run(ctx context.Context, sites []crawler.Site, attempt int, emit func(string, []byte) error) (map[string]string, error) {
+func (r *testRunner) run(ctx context.Context, sites []crawler.Site, attempt int, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 	return crawler.Crawl(ctx, sites, crawler.Config{
 		PagesPerSite: 3,
 		Seed:         testSeed,
@@ -92,11 +92,7 @@ func (r *testRunner) run(ctx context.Context, sites []crawler.Site, attempt int,
 			if err != nil {
 				return
 			}
-			line, err := analysis.AppendSpoolRecord(nil, rec)
-			if err != nil {
-				panic(err)
-			}
-			if emit(site.Domain, line[:len(line)-1]) == nil && r.onPage != nil {
+			if emit(site.Domain, rec) == nil && r.onPage != nil {
 				r.onPage()
 			}
 		},

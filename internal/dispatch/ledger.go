@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -69,7 +68,7 @@ type LedgerConfig struct {
 //
 //   - OpenLedger: open the store — a resume replays its sealed segments
 //     into the fold, and Restore rebuilds a queue from their rows;
-//   - AppendLine: decode one page line and ingest its record;
+//   - Append: ingest one page record;
 //   - Settled: append a settle's or a reclaim's outcome rows after
 //     their sites' pages, and apply the one commit rule, once every
 //     max(8, TotalSites/128) settled attempts — about 128 commits per
@@ -92,12 +91,6 @@ type Ledger struct {
 
 	appendMu  sync.RWMutex // held shared by appends, exclusively by Finalize
 	finalized bool         // guarded by appendMu
-
-	// decoders recycles the line decoders, whose records the store keeps
-	// nothing of but strings. It is a free list rather than a sync.Pool
-	// so the race detector's random pool drops do not leak into the
-	// allocation budget.
-	decoders chan *analysis.SpoolDecoder
 }
 
 // ErrFinalized is returned by appends that arrive after Finalize.
@@ -115,10 +108,7 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.commitEvery <= 0 {
 		cfg.commitEvery = max(8, cfg.TotalSites/128)
 	}
-	// One decoder per concurrent append: 16 covers the worker counts
-	// crawls run with; a decoder returned to a full list is left to the
-	// collector.
-	l := &Ledger{cfg: cfg, decoders: make(chan *analysis.SpoolDecoder, 16)}
+	l := &Ledger{cfg: cfg}
 	var err error
 	l.store, err = colstore.Open(colstore.Config{
 		Dir:          cfg.StoreDir,
@@ -161,42 +151,23 @@ func (l *Ledger) Restore(q *Queue) (done int) {
 // The ledger keeps ownership.
 func (l *Ledger) Store() *colstore.Store { return l.store }
 
-// AppendLine is the ledger's one entry for pages: line is one spool
-// line (without its newline) for a page of site, as a grant runner
-// emitted it — in-process or from a fabric worker. It is decoded once,
-// which is also what keeps bytes that are not that site's page record
-// out of the store, and the record is ingested: folded, and encoded
-// into the next segment. The page is committed once a later Commit
-// returns.
-func (l *Ledger) AppendLine(site string, line []byte) error {
+// Append is the ledger's one entry for pages: rec is one page record of
+// site, as a grant runner emitted it — in-process, or decoded from a
+// fabric worker's page block. A record of another site, or one with a
+// nil HTTP entry, which the fold and the store would both read, is
+// refused; any other is ingested: folded, and encoded into the next
+// segment. The store keeps rec's strings and socket records, so a
+// record must own them (analysis.Recorder's do) and must not change
+// once appended. The page is committed once a later Commit returns.
+func (l *Ledger) Append(site string, rec *analysis.PageRecord) error {
 	span := obs.StartSpan(obs.CrawlCommit)
-	if bytes.IndexByte(line, '\n') >= 0 {
-		return fmt.Errorf("dispatch: page line spans several lines")
+	if rec.Site == "" || rec.Site != site {
+		return fmt.Errorf("dispatch: page record is for site %q, want %q", rec.Site, site)
 	}
-	var dec *analysis.SpoolDecoder
-	select {
-	case dec = <-l.decoders:
-	default:
-		dec = new(analysis.SpoolDecoder)
-	}
-	defer func() {
-		select {
-		case l.decoders <- dec:
-		default:
-		}
-	}()
-	rec, err := dec.Decode(line)
-	if err != nil {
-		return err
-	}
-	// The fold and the store read every HTTP entry.
 	for _, t := range rec.HTTP {
 		if t == nil {
 			return fmt.Errorf("dispatch: page record has a null HTTP entry")
 		}
-	}
-	if rec.Site == "" || rec.Site != site {
-		return fmt.Errorf("dispatch: page line is for site %q, want %q", rec.Site, site)
 	}
 	l.appendMu.RLock()
 	defer l.appendMu.RUnlock()
@@ -204,7 +175,7 @@ func (l *Ledger) AppendLine(site string, line []byte) error {
 		return ErrFinalized
 	}
 	// Re-crawled duplicates fold to nothing, as replayed ones do.
-	_, err = l.store.Ingest(rec)
+	_, err := l.store.Ingest(rec)
 	span.End()
 	return err
 }

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -108,26 +107,14 @@ func rec(site, page string) *analysis.PageRecord {
 	return &analysis.PageRecord{Site: site, Rank: 1, PageURL: page}
 }
 
-// recordLine is rec's spool line, without the newline, as a grant
-// runner emits it.
-func recordLine(t *testing.T, rec *analysis.PageRecord) []byte {
-	t.Helper()
-	line, err := analysis.AppendSpoolRecord(nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return line[:len(line)-1]
-}
-
-// append hands the ledger page p of site i: the line as a local worker
-// loop emits it or, with lines set, as a fabric worker ships it — inside
-// a page frame, off the wire.
+// append hands the ledger page p of site i: the record as a local
+// worker loop emits it or, with lines set, as a fabric coordinator takes
+// it — its page block inside a page frame, off the wire and decoded.
 func (r *ledgerRun) append(i, p int) {
 	r.t.Helper()
 	rec := ledgerRecord(i, p)
-	line := recordLine(r.t, rec)
 	if r.lines {
-		frame, err := wire.Encode(&wire.Page{Batch: "g1", Site: rec.Site, Line: line})
+		frame, err := wire.Encode(&wire.Page{Batch: "g1", Site: rec.Site, Line: colstore.AppendPageBlock(nil, rec)})
 		if err != nil {
 			r.t.Fatal(err)
 		}
@@ -135,9 +122,11 @@ func (r *ledgerRun) append(i, p int) {
 		if err != nil {
 			r.t.Fatal(err)
 		}
-		line = dec.Msg.(*wire.Page).Line
+		if rec, err = colstore.DecodePageBlock(dec.Msg.(*wire.Page).Line); err != nil {
+			r.t.Fatal(err)
+		}
 	}
-	if err := r.l.AppendLine(rec.Site, line); err != nil {
+	if err := r.l.Append(rec.Site, rec); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -244,11 +233,11 @@ func (r *ledgerRun) finishFromStore() []byte {
 
 // TestLedger runs the ledger through {dataset from Finalize, dataset
 // read back from the store alone} × {fresh, dropped without Close then
-// resumed} × {lines emitted in-process, lines shipped in page frames}.
-// Every row must hold the commit invariants after every Commit, finish
-// to the merge of its own segments, and produce the one dataset; fresh
-// rows must also leave byte-identical stores whichever way the lines
-// arrived and whether or not Finalize ran.
+// resumed} × {records emitted in-process, records shipped as page blocks
+// in page frames}. Every row must hold the commit invariants after every
+// Commit, finish to the merge of its own segments, and produce the one
+// dataset; fresh rows must also leave byte-identical stores whichever
+// way the records arrived and whether or not Finalize ran.
 func TestLedger(t *testing.T) {
 	var want []byte
 	var store map[string][]byte
@@ -335,23 +324,36 @@ func TestLedgerCommitNeverPublishesWithoutSpoolGuard(t *testing.T) {
 }
 
 // TestLedgerAppendLineRejectsNonRecords: bytes that are not one page
-// record on one line are refused before they reach the store.
+// block of the site, and records the fold cannot take, are refused
+// before they reach the store — on the fabric coordinator's path, the
+// block decode and then Append.
 func TestLedgerAppendLineRejectsNonRecords(t *testing.T) {
 	r := &ledgerRun{t: t, dir: t.TempDir(), lines: true}
 	r.open(false)
 	r.append(0, 0)
-	for _, line := range []string{
-		`{torn`,
-		`"{torn"`,
-		`[1,2]`,
-		`{}`,
-		`{"site":"b.com","rank":1,"pageUrl":"http://b.com/"}`, // another site's page
-		"{\"site\":\"a.com\",\n\"rank\":1}",
-		`{"site":"a.com","rank":1,"pageUrl":"a/1","http":{"t.com":null}}`,
+	good := colstore.AppendPageBlock(nil, rec("a.com", "http://a.com/"))
+	for name, block := range map[string][]byte{
+		"a JSON line":      []byte(`{"site":"a.com","rank":1,"pageUrl":"http://a.com/"}`),
+		"torn":             good[:len(good)-1],
+		"a trailing byte":  append(bytes.Clone(good), 0),
+		"another site's":   colstore.AppendPageBlock(nil, rec("b.com", "http://b.com/")),
+		"no site":          colstore.AppendPageBlock(nil, rec("", "http://a.com/")),
+		"empty":            nil,
+		"flipped checksum": append(bytes.Clone(good[:len(good)-12]), append([]byte{good[len(good)-12] ^ 1}, good[len(good)-11:]...)...),
 	} {
-		if err := r.l.AppendLine("a.com", []byte(line)); err == nil {
-			t.Errorf("AppendLine accepted %q", line)
+		rec, err := colstore.DecodePageBlock(block)
+		if err == nil {
+			err = r.l.Append("a.com", rec)
 		}
+		if err == nil {
+			t.Errorf("%s: block %x accepted", name, block)
+		}
+	}
+	// A record with a null HTTP entry has no block; Append refuses it.
+	nullHTTP := rec("a.com", "a/1")
+	nullHTTP.HTTP = map[string]*analysis.DomainTraffic{"t.com": nil}
+	if err := r.l.Append("a.com", nullHTTP); err == nil {
+		t.Error("Append accepted a record with a null HTTP entry")
 	}
 	if err := r.l.Close(); err != nil {
 		t.Fatal(err)
@@ -563,7 +565,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 			}
 			for i := 0; i < 4; i++ {
 				for p := 0; p < ledgerPages; p++ {
-					if err := l.AppendLine(ledgerSite(i), recordLine(t, ledgerRecord(i, p))); err != nil {
+					if err := l.Append(ledgerSite(i), ledgerRecord(i, p)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -668,8 +670,8 @@ func TestLedgerFinalizeEndsAppends(t *testing.T) {
 	r.crawl(0, 2)
 	ds, _ := r.l.Finalize()
 	want := datasetBytes(t, ds)
-	if err := r.l.AppendLine(ledgerSite(5), recordLine(t, ledgerRecord(5, 0))); !errors.Is(err, ErrFinalized) {
-		t.Errorf("AppendLine after Finalize: err = %v, want ErrFinalized", err)
+	if err := r.l.Append(ledgerSite(5), ledgerRecord(5, 0)); !errors.Is(err, ErrFinalized) {
+		t.Errorf("Append after Finalize: err = %v, want ErrFinalized", err)
 	}
 	if !bytes.Equal(want, datasetBytes(t, ds)) {
 		t.Error("a late append changed the finalized dataset")
@@ -812,31 +814,30 @@ func FuzzLedgerReplay(f *testing.F) {
 	})
 }
 
-// FuzzAppendLine hands AppendLine — where the spool codec first meets
-// another process's bytes — an arbitrary line for an arbitrary site, on
-// a ledger that already holds one page. It must never panic, and it must
-// do one of two things: refuse the line, with the store's counts and
-// fold as they were; or ingest the record json.Unmarshal gives for it,
-// folding it and sealing it so that it reads back from its segment as
-// that record. It refuses exactly the lines that are not one line, do
-// not decode, name another site (or none), or hold a null HTTP entry,
-// which neither the fold nor the store can take.
+// FuzzAppendLine hands the coordinator's page path — DecodePageBlock,
+// then Append, where a page block first meets another process's bytes —
+// arbitrary bytes for an arbitrary site, on a ledger that already holds
+// one page. It must never panic, and it must do one of two things:
+// refuse the bytes, with the store's counts and fold as they were; or
+// ingest the record the block holds, folding it and sealing it so that
+// it reads back from its segment as that record. It refuses exactly the
+// bytes that are not one page block and the blocks of a record that
+// names another site (or none).
 func FuzzAppendLine(f *testing.F) {
 	for _, rec := range []*analysis.PageRecord{ledgerRecord(1, 0), ledgerRecord(1, 1)} {
-		line, err := analysis.AppendSpoolRecord(nil, rec)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(line[:len(line)-1], rec.Site)
+		f.Add(colstore.AppendPageBlock(nil, rec), rec.Site)
 	}
+	aa := rec("a.com", "a/1")
+	aa.AAObs = map[string]int{"t.com": 1}
+	block := colstore.AppendPageBlock(nil, aa)
+	f.Add(block, "a.com")
+	f.Add(block, "b.com")
+	f.Add(colstore.AppendPageBlock(nil, rec("", "a/1")), "")
+	f.Add(block[:len(block)-1], "a.com")
+	f.Add(append(bytes.Clone(block), '\n'), "a.com")
 	f.Add([]byte(`{"site":"a.com","rank":1,"pageUrl":"a/1","aaObs":{"t.com":1}}`), "a.com")
-	f.Add([]byte(`{"site":"a.com","rank":1,"pageUrl":"a/1","aaObs":{"t.com":1}}`), "b.com")
-	f.Add([]byte(`{"site":"a.com","rank":1,"pageUrl":"a/1","http":{"t.com":null}}`), "a.com")
-	f.Add([]byte(`{"site": "a.com", "Rank":1, "pageUrl":"a/1"}`), "a.com")
-	f.Add([]byte("{\"site\":\"a.com\",\n\"rank\":1}"), "a.com")
-	f.Add([]byte(`{"site":"","rank":1,"pageUrl":"a/1"}`), "")
 	f.Add([]byte(`{torn`), "a.com")
-	f.Fuzz(func(t *testing.T, line []byte, site string) {
+	f.Fuzz(func(t *testing.T, data []byte, site string) {
 		dir := t.TempDir()
 		l, err := OpenLedger(LedgerConfig{Meta: ledgerMeta, Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2, StoreDir: filepath.Join(dir, "store")})
 		if err != nil {
@@ -844,36 +845,33 @@ func FuzzAppendLine(f *testing.F) {
 		}
 		defer l.Close()
 		first := ledgerRecord(0, 0)
-		if err := l.AppendLine(first.Site, recordLine(t, first)); err != nil {
+		if err := l.Append(first.Site, first); err != nil {
 			t.Fatal(err)
 		}
 		before := l.Store().Stats()
 
-		var rec analysis.PageRecord
-		accept := bytes.IndexByte(line, '\n') < 0 && json.Unmarshal(line, &rec) == nil &&
-			rec.Site != "" && rec.Site == site
-		for _, traffic := range rec.HTTP {
-			accept = accept && traffic != nil
-		}
+		rec, err := colstore.DecodePageBlock(data)
+		accept := err == nil && rec.Site != "" && rec.Site == site
 		want := analysis.NewFolder(ledgerMeta)
 		want.Fold(first)
-
-		err = l.AppendLine(site, line)
+		if err == nil {
+			err = l.Append(site, rec)
+		}
 		after := l.Store().Stats()
 		switch {
 		case err != nil && accept:
-			t.Fatalf("AppendLine(%q, %q) refused a line json.Unmarshal takes: %v", site, line, err)
+			t.Fatalf("Append(%q, block %x) refused a block of the site: %v", site, data, err)
 		case err != nil && after != before:
-			t.Fatalf("AppendLine(%q, %q) refused the line but changed the store: %+v, then %+v", site, line, before, after)
+			t.Fatalf("Append(%q, block %x) refused the block but changed the store: %+v, then %+v", site, data, before, after)
 		case err == nil && !accept:
-			t.Fatalf("AppendLine(%q, %q) took a line it must refuse", site, line)
+			t.Fatalf("Append(%q, block %x) took a block it must refuse", site, data)
 		case err == nil:
-			want.Fold(&rec)
+			want.Fold(rec)
 		}
 		got, _ := l.Finalize()
 		wantDS, _ := want.Finalize()
 		if !bytes.Equal(datasetBytes(t, got), datasetBytes(t, wantDS)) {
-			t.Fatalf("AppendLine(%q, %q) (err %v): the fold differs from the oracle's", site, line, err)
+			t.Fatalf("Append(%q, block %x) (err %v): the fold differs from the oracle's", site, data, err)
 		}
 		if !accept || after.Dups > before.Dups {
 			return
@@ -885,8 +883,8 @@ func FuzzAppendLine(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sealed) != 2 || !bytes.Equal(recordLine(t, sealed[1]), recordLine(t, &rec)) {
-			t.Fatalf("AppendLine(%q, %q): the sealed record reads back as %d records, want it as the second of 2", site, line, len(sealed))
+		if len(sealed) != 2 || !reflect.DeepEqual(sealed[1], rec) {
+			t.Fatalf("Append(%q, block %x): the sealed record reads back as %d records, want it as the second of 2", site, data, len(sealed))
 		}
 	})
 }

@@ -122,7 +122,7 @@ func measure(t *testing.T, n int, crawl func()) scaleCost {
 }
 
 // scaleLocal is one dispatch.Run over n sites with a runner that emits
-// one small page line per site.
+// one small page record per site.
 func scaleLocal(t *testing.T, n int) scaleCost {
 	dir := t.TempDir()
 	cfg := Config{
@@ -131,9 +131,9 @@ func scaleLocal(t *testing.T, n int) scaleCost {
 		Workers:      1,
 		PagesPerSite: 1,
 		Seed:         1,
-		RunGrant: func(_ context.Context, sites []crawler.Site, _ int, emit func(string, []byte) error) (map[string]string, error) {
+		RunGrant: func(_ context.Context, sites []crawler.Site, _ int, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 			for _, s := range sites {
-				if err := emit(s.Domain, recordLine(t, rec(s.Domain, "http://"+s.Domain+"/"))); err != nil {
+				if err := emit(s.Domain, rec(s.Domain, "http://"+s.Domain+"/")); err != nil {
 					return nil, err
 				}
 			}
@@ -155,7 +155,7 @@ func scaleLocal(t *testing.T, n int) scaleCost {
 }
 
 // scaleCoordinator is the coordinator's dispatch loop over n sites: lease
-// a grant of up to 16 sites, append one page line per site and settle
+// a grant of up to 16 sites, append one page record per site and settle
 // the grant — what fabric.Coordinator does per grant, without the wire.
 func scaleCoordinator(t *testing.T, n int) scaleCost {
 	dir := t.TempDir()
@@ -179,7 +179,7 @@ func scaleCoordinator(t *testing.T, n int) scaleCost {
 				break
 			}
 			for _, s := range g.Sites() {
-				if err := l.AppendLine(s.Domain, recordLine(t, rec(s.Domain, "http://"+s.Domain+"/"))); err != nil {
+				if err := l.Append(s.Domain, rec(s.Domain, "http://"+s.Domain+"/")); err != nil {
 					t.Fatal(err)
 				}
 			}

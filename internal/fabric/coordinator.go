@@ -55,7 +55,7 @@ type CoordinatorConfig struct {
 
 // Coordinator runs dispatch.Run's grant loop over the wire: it leases a
 // crawl's sites to a worker fleet as dispatch.Grants of up to BatchSize
-// sites, appends their page lines to the crawl's dispatch.Ledger, and
+// sites, appends their page records to the crawl's dispatch.Ledger, and
 // settles each grant through it. Leasing, heartbeats, TTL reclaim, retry
 // budgets and settling are dispatch's, over the same sites dispatch.Run
 // queues. The queue is the coordinator's only clock: a waiting session
@@ -375,10 +375,15 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		// Append even when the lease was already reclaimed: a stale
 		// attempt streams the same bytes a live one does (per-site
 		// seeding), and re-crawled pages deduplicate, so the append is
-		// harmless and refusing it would buy nothing. A line that is not a
-		// page record, or one arriving after Finalize, never reaches the
-		// store: the session drops and its leases go back to the queue.
-		if err := c.ledger.AppendLine(m.Site, m.Line); err != nil {
+		// harmless and refusing it would buy nothing. A frame that is not a
+		// page block of the frame's site, or one arriving after Finalize,
+		// never reaches the store: the session drops and its leases go
+		// back to the queue.
+		rec, err := colstore.DecodePageBlock(m.Line)
+		if err == nil {
+			err = c.ledger.Append(m.Site, rec)
+		}
+		if err != nil {
 			c.logf("fabric: page for grant %s from %s rejected: %v", m.Batch, s.worker, err)
 			return false
 		}

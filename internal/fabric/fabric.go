@@ -15,10 +15,10 @@
 //     RetryPolicy, exactly as a local crawl's do), and a fail fails them
 //     all. A site has one outcome model on both paths;
 //   - everything durable is internal/dispatch's Ledger: page records
-//     stream back as the spool lines a grant runner emits and go through
-//     Ledger.AppendLine, the ledger's one entry, as a local crawl's do —
-//     so the coordinator's store holds the same records a local crawl's
-//     does, each settled site's outcome row follows its pages into that
+//     stream back as page blocks (one-record colstore segment images),
+//     and each decoded record goes through Ledger.Append, the ledger's
+//     one entry, as a local crawl's records do — so the coordinator's
+//     store holds the same records a local crawl's does, each settled site's outcome row follows its pages into that
 //     store, and progress is committed by the ledger's one commit rule
 //     (either role resumes the other's store); and the final dataset
 //     comes from the ledger's one finalize rule;

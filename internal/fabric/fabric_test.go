@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -75,7 +76,7 @@ func (r *fakeRunner) RunBatch(ctx context.Context, b wire.Batch, emit func(strin
 				case <-time.After(r.pageDelay):
 				}
 			}
-			if err := emit(s.Domain, []byte(fakeLine(s, p))); err != nil {
+			if err := emit(s.Domain, fakeBlock(s, p)); err != nil {
 				return pages, nil, err
 			}
 			pages++
@@ -89,11 +90,29 @@ func (r *fakeRunner) RunBatch(ctx context.Context, b wire.Batch, emit func(strin
 
 func (r *fakeRunner) Close() error { return nil }
 
-// fakeLine is a minimal but real spool line: the coordinator's ledger
-// decodes every streamed line, and distinct pageUrls keep a site's pages
+// fakeRecord is a minimal but real page record: the coordinator's ledger
+// decodes every streamed block, and distinct pageUrls keep a site's pages
 // distinct under the live fold.
-func fakeLine(s wire.Site, page int) string {
-	return fmt.Sprintf(`{"site":%q,"rank":%d,"pageUrl":"http://%s/p%d"}`, s.Domain, s.Rank, s.Domain, page)
+func fakeRecord(s wire.Site, page int) *analysis.PageRecord {
+	return &analysis.PageRecord{Site: s.Domain, Rank: s.Rank, PageURL: fmt.Sprintf("http://%s/p%d", s.Domain, page)}
+}
+
+// fakeBlock is fakeRecord as a worker streams it: its page block.
+func fakeBlock(s wire.Site, page int) []byte {
+	return colstore.AppendPageBlock(nil, fakeRecord(s, page))
+}
+
+// fakeLine is fakeRecord as the canonical line the store comparisons
+// read: its JSON form.
+func fakeLine(s wire.Site, page int) string { return recordLine(fakeRecord(s, page)) }
+
+// recordLine is a record's JSON form.
+func recordLine(rec *analysis.PageRecord) string {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		panic(err)
+	}
+	return string(data)
 }
 
 func testSites(n int) []crawler.Site {
@@ -105,7 +124,7 @@ func testSites(n int) []crawler.Site {
 }
 
 // expectedLines is the canonical store content for a full crawl of
-// sites: every page line exactly once, sorted.
+// sites: every page's JSON line exactly once, sorted.
 func expectedLines(sites []crawler.Site, pagesPerSite int) []string {
 	var out []string
 	for _, s := range sites {
@@ -118,7 +137,7 @@ func expectedLines(sites []crawler.Site, pagesPerSite int) []string {
 }
 
 // canonicalStore reads every sealed segment of the store at dir and
-// returns its records as spool lines, sorted. The store keeps a page
+// returns its records as JSON lines, sorted. The store keeps a page
 // once however often it was streamed (duplicates are dropped at ingest
 // and at replay), so a line that appears twice is a bug, not noise.
 func canonicalStore(t *testing.T, dir string) []string {
@@ -134,11 +153,7 @@ func canonicalStore(t *testing.T, dir string) []string {
 			t.Fatal(err)
 		}
 		for _, rec := range recs {
-			line, err := analysis.AppendSpoolRecord(nil, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, string(line[:len(line)-1]))
+			out = append(out, recordLine(rec))
 		}
 	}
 	sort.Strings(out)

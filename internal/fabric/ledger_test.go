@@ -64,7 +64,7 @@ func completeBatch(t *testing.T, conn *wsproto.Conn, batch wire.Batch) {
 	t.Helper()
 	for _, s := range batch.Sites {
 		for p := 0; p < testPages; p++ {
-			sendFrame(t, conn, &wire.Page{Batch: batch.ID, Site: s.Domain, Line: []byte(fakeLine(s, p))})
+			sendFrame(t, conn, &wire.Page{Batch: batch.ID, Site: s.Domain, Line: fakeBlock(s, p)})
 		}
 	}
 	sendFrame(t, conn, &wire.Complete{Batch: batch.ID, Pages: len(batch.Sites) * testPages})
@@ -105,10 +105,10 @@ func TestCoordinatorAnswersDrainedBeforeClose(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsUndecodablePage streams page frames that are not
-// page records through real sessions: valid JSON that is no record (the
-// ledger's decode catches it) and bytes that are not JSON at all (the
-// frame decode does). Either way the session is dropped and logged, the
+// TestCoordinatorRejectsUndecodablePage streams page frames that carry
+// no page record through real sessions: a frame whose line is valid
+// base64 but no page block (the block decode catches it) and one that
+// is not JSON at all (the frame decode does). Either way the session is dropped and logged, the
 // lease goes back to the queue, a healthy worker finishes the crawl, and
 // segment ever holds the bad bytes.
 func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
@@ -125,13 +125,13 @@ func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	for i, line := range []string{`"{torn"`, `{torn`} {
+	for i, line := range []string{`"dG9ybg=="`, `{torn`} { // base64 of "torn", and no JSON
 		conn, batch := rawSession(t, ctx, c.URL(), fmt.Sprintf("bad%d", i))
-		good, err := wire.Encode(&wire.Page{Batch: batch.ID, Site: batch.Sites[0].Domain, Line: []byte(fakeLine(batch.Sites[0], 0))})
+		good, err := wire.Encode(&wire.Page{Batch: batch.ID, Site: batch.Sites[0].Domain, Line: fakeBlock(batch.Sites[0], 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad := fmt.Sprintf(`{"v":1,"type":"page","page":{"batch":%q,"site":%q,"line":%s}}`, batch.ID, batch.Sites[0].Domain, line)
+		bad := fmt.Sprintf(`{"v":%d,"type":"page","page":{"batch":%q,"site":%q,"line":%s}}`, wire.Version, batch.ID, batch.Sites[0].Domain, line)
 		for _, frame := range [][]byte{good, []byte(bad)} {
 			if err := conn.WriteMessage(wsproto.OpText, frame); err != nil {
 				t.Fatal(err)
@@ -139,7 +139,7 @@ func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 		}
 		// The coordinator hangs up instead of answering.
 		if dec, err := readFrame(conn, 5*time.Second); err == nil {
-			t.Errorf("session survived page line %s: got %q", line, dec.Type)
+			t.Errorf("session survived page frame line %s: got %q", line, dec.Type)
 		}
 		conn.Close()
 	}
@@ -210,7 +210,7 @@ func TestCoordinatorFinalizeRefusesLatePages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sendFrame(t, conn, &wire.Page{Batch: batch.ID, Site: batch.Sites[0].Domain, Line: []byte(fakeLine(batch.Sites[0], testPages))})
+	sendFrame(t, conn, &wire.Page{Batch: batch.ID, Site: batch.Sites[0].Domain, Line: fakeBlock(batch.Sites[0], testPages)})
 	dec, err := readFrame(conn, 5*time.Second)
 	if err == nil && dec.Type == wire.TypeDrained {
 		// The lingerer's Complete settled the last batch (the good worker

@@ -1,15 +1,20 @@
 // Package wire defines the fabric dispatcher's wire protocol: the
 // versioned JSON frames a crawl coordinator and its workers exchange
 // over a WebSocket (internal/wsproto) connection. (The coordinator's
-// durable state is a dispatch.Checkpoint, written by its dispatch.Ledger;
-// nothing on disk is defined here.)
+// durable state is its crawl's column store, written by its
+// dispatch.Ledger; nothing on disk is defined here.)
 //
 // Every frame is one WebSocket text message holding one JSON object
-// with a mandatory "v" (protocol version) and "type" field. Encoding
-// goes through Encode/Decode so version and type validation cannot be
-// skipped; the exact bytes are golden-tested (wire_test.go), because
-// byte drift here is a cross-process compatibility break, not a
-// refactor.
+// with a mandatory "v" (protocol version) and "type" field, encoded and
+// decoded by encoding/json. Encoding goes through Encode/Decode so
+// version and type validation cannot be skipped; the exact bytes are
+// golden-tested (wire_test.go), because byte drift here is a
+// cross-process compatibility break, not a refactor.
+//
+// Version 2 changed one frame: a page carries its record as a page
+// block — the one-record segment image of the crawl's column store
+// (colstore.AppendPageBlock) — which JSON renders as base64, where v1
+// carried the record's JSON line.
 //
 // The package is deliberately pure: types, encoding, and validation
 // only — no sockets, no clocks, no goroutines. It is on the wslint
@@ -25,7 +30,7 @@ import (
 // Version is the fabric protocol version. A coordinator refuses hellos
 // from other versions, and Decode refuses frames from other versions:
 // mixed fleets fail fast at the handshake, not mid-crawl.
-const Version = 1
+const Version = 2
 
 // Frame types, worker→coordinator (W→C) and coordinator→worker (C→W).
 const (
@@ -49,8 +54,8 @@ const (
 	// TypeHeartbeatAck (C→W) answers a heartbeat; Valid=false tells the
 	// worker a lease was reclaimed and the grant must be abandoned.
 	TypeHeartbeatAck = "heartbeat_ack"
-	// TypePage (W→C) streams one page record (the exact bytes
-	// of one spool line) from a grant.
+	// TypePage (W→C) streams one page record of a grant, as its page
+	// block.
 	TypePage = "page"
 	// TypeComplete (W→C) settles a grant: every site was attempted and
 	// all its pages were streamed; each site settles on its own.
@@ -135,17 +140,18 @@ type HeartbeatAck struct {
 	Valid bool `json:"valid"`
 }
 
-// Page streams one page record as its spool line.
+// Page streams one page record as its page block.
 type Page struct {
 	Batch string `json:"batch"`
-	// Site is the page's site domain (the coordinator refuses a line
-	// that names another site).
+	// Site is the page's site domain (the coordinator refuses a record
+	// of another site).
 	Site string `json:"site"`
-	// Line is one spool line, exactly as analysis.AppendSpoolRecord
-	// wrote it (without the trailing newline). The coordinator's ledger
-	// decodes it as a local crawl's ledger decodes a local line, so the
+	// Line is the record's page block, exactly as
+	// colstore.AppendPageBlock wrote it; JSON carries it as base64. The
+	// coordinator decodes it with colstore.DecodePageBlock and hands the
+	// record to its ledger as a local crawl hands its records, so the
 	// distributed store holds the records a local one does.
-	Line json.RawMessage `json:"line"`
+	Line []byte `json:"line"`
 }
 
 // Complete settles a grant.
@@ -197,11 +203,6 @@ func (*Fail) frameType() string         { return TypeFail }
 
 // Encode renders one message as a versioned frame.
 func Encode(m Message) ([]byte, error) {
-	if p, ok := m.(*Page); ok && p != nil {
-		if data, ok := encodePage(p); ok {
-			return data, nil
-		}
-	}
 	f := frame{V: Version, Type: m.frameType()}
 	switch v := m.(type) {
 	case *Hello:
@@ -246,9 +247,6 @@ type Decoded struct {
 // payload presence are all enforced here so session loops never see a
 // half-formed message.
 func Decode(data []byte) (Decoded, error) {
-	if p, ok := decodePage(data); ok {
-		return Decoded{Type: TypePage, Msg: p}, nil
-	}
 	var f frame
 	if err := json.Unmarshal(data, &f); err != nil {
 		return Decoded{}, fmt.Errorf("wire: malformed frame: %w", err)

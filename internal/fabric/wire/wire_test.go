@@ -16,7 +16,7 @@ var goldenFrames = []struct {
 	golden string
 }{
 	{"hello", &Hello{Worker: "w1"},
-		`{"v":1,"type":"hello","hello":{"worker":"w1"}}`},
+		`{"v":2,"type":"hello","hello":{"worker":"w1"}}`},
 	{"welcome", &Welcome{
 		Crawl: CrawlConfig{
 			Name: "pre-crawl-0", Era: "pre", CrawlIndex: 0, BrowserVersion: 57,
@@ -24,34 +24,33 @@ var goldenFrames = []struct {
 		},
 		LeaseTTLMillis: 30000,
 	},
-		`{"v":1,"type":"welcome","welcome":{"crawl":{"name":"pre-crawl-0",` +
+		`{"v":2,"type":"welcome","welcome":{"crawl":{"name":"pre-crawl-0",` +
 			`"era":"pre","crawlIndex":0,"browserVersion":57,"seed":20170419,` +
 			`"numPublishers":600,"pagesPerSite":15},"leaseTtlMillis":30000}}`},
 	{"grant", &Grant{
 		Batch:   Batch{ID: "b0002", Seq: 2, Sites: []Site{{Domain: "a.com", Rank: 1}, {Domain: "b.com", Rank: 2}}},
 		Attempt: 1,
 	},
-		`{"v":1,"type":"grant","grant":{"batch":{"id":"b0002","seq":2,` +
+		`{"v":2,"type":"grant","grant":{"batch":{"id":"b0002","seq":2,` +
 			`"sites":[{"domain":"a.com","rank":1},{"domain":"b.com","rank":2}]},"attempt":1}}`},
 	{"heartbeat", &Heartbeat{Batch: "b0002"},
-		`{"v":1,"type":"heartbeat","heartbeat":{"batch":"b0002"}}`},
+		`{"v":2,"type":"heartbeat","heartbeat":{"batch":"b0002"}}`},
 	{"heartbeat_ack", &HeartbeatAck{Batch: "b0002", Valid: true},
-		`{"v":1,"type":"heartbeat_ack","heartbeatAck":{"batch":"b0002","valid":true}}`},
-	{"page", &Page{Batch: "b0002", Site: "a.com", Line: json.RawMessage(`{"site":"a.com","rank":1,"pageUrl":"http://a.com/"}`)},
-		`{"v":1,"type":"page","page":{"batch":"b0002","site":"a.com",` +
-			`"line":{"site":"a.com","rank":1,"pageUrl":"http://a.com/"}}}`},
+		`{"v":2,"type":"heartbeat_ack","heartbeatAck":{"batch":"b0002","valid":true}}`},
+	{"page", &Page{Batch: "b0002", Site: "a.com", Line: []byte("WSCOLSG1\x03\x00")},
+		`{"v":2,"type":"page","page":{"batch":"b0002","site":"a.com","line":"V1NDT0xTRzEDAA=="}}`},
 	{"complete", &Complete{Batch: "b0002", Pages: 30, FailedSites: map[string]string{"b.com": "boom"}},
-		`{"v":1,"type":"complete","complete":{"batch":"b0002","pages":30,` +
+		`{"v":2,"type":"complete","complete":{"batch":"b0002","pages":30,` +
 			`"failedSites":{"b.com":"boom"}}}`},
 	{"fail", &Fail{Batch: "b0002", Err: "runner exploded"},
-		`{"v":1,"type":"fail","fail":{"batch":"b0002","err":"runner exploded"}}`},
+		`{"v":2,"type":"fail","fail":{"batch":"b0002","err":"runner exploded"}}`},
 }
 
 // goldenControl pins the payload-free frames.
 var goldenControl = map[string]string{
-	TypeLease:   `{"v":1,"type":"lease"}`,
-	TypeWait:    `{"v":1,"type":"wait"}`,
-	TypeDrained: `{"v":1,"type":"drained"}`,
+	TypeLease:   `{"v":2,"type":"lease"}`,
+	TypeWait:    `{"v":2,"type":"wait"}`,
+	TypeDrained: `{"v":2,"type":"drained"}`,
 }
 
 // TestFrameGoldenEncodings checks every frame type against its golden
@@ -104,8 +103,8 @@ func TestControlFrameGoldenEncodings(t *testing.T) {
 func TestDecodeRejectsBadFrames(t *testing.T) {
 	for name, raw := range map[string]string{
 		"wrong version":   `{"v":9,"type":"lease"}`,
-		"unknown type":    `{"v":1,"type":"gossip"}`,
-		"missing payload": `{"v":1,"type":"grant"}`,
+		"unknown type":    `{"v":2,"type":"gossip"}`,
+		"missing payload": `{"v":2,"type":"grant"}`,
 		"not json":        `{]`,
 	} {
 		if _, err := Decode([]byte(raw)); err == nil {
@@ -114,9 +113,9 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 	}
 }
 
-// refDecode is Decode as it was before the page frame's cursor:
-// encoding/json and the envelope checks. It is the oracle; production
-// reaches encoding/json for a page frame only on its fallback branch.
+// refDecode is Decode restated: encoding/json and the envelope checks,
+// with the payloads looked up in a table rather than switched on. It is
+// the oracle the page seeds and the fuzzer hold Decode to.
 func refDecode(data []byte) (Decoded, error) {
 	var f frame
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -148,47 +147,46 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// pageSeeds are page frames on both sides of the cursor's shape; '@'
-// stands for a backslash.
-var pageSeeds = []string{
-	`{"v":1,"type":"page","page":{"batch":"b@u0026@u003c@u003e","site":"a.com","line":{"s":"x@u0026y@"@@@/@b@f@n@r@t@u2028é"}}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":[1,-0.5e+3,0,true,false,null,{},[],"",{"a":[{}]}]}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":null}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":"x"}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a": 1}}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1} }}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":"<&>"}}}`,
-	"{\"v\":1,\"type\":\"page\",\"page\":{\"batch\":\"b1\",\"site\":\"a.com\",\"line\":\"\xe2\x80\xa8\xff\"}}",
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1}},"hello":{"worker":"w"}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1},"site":"b.com"}}`,
-	`{"v":1,"type":"page","page":{"batch":"b@"1","site":"a.com","line":1}}`,
-	`{"v":1,"type":"page","page":{"batch":"b@u00e9","site":"a.com","line":1}}`,
-	`{"v":1,"type":"page","page":{"batch":"é","site":"a.com","line":1}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":01}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":1.}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1,}}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"a":1}}}}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com"}}`,
-	`{"v":1,"type":"page","page":{}}`,
-	`{"v":1,"type":"page","page":null}`,
-	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":` + strings.Repeat("[", 70) + strings.Repeat("]", 70) + `}}`,
+// pageSeeds are v2 page frames around the line's base64 and the
+// envelope, and whether Decode takes each; '@' stands for a backslash.
+var pageSeeds = []struct {
+	frame string
+	ok    bool
+}{
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE="}}`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":""}}`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":null}}`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com"}}`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE"}}`, false},   // no padding
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE=x"}}`, false}, // past the padding
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"@u0056w=="}}`, true},      // a JSON escape in the base64
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1 NDT0xTRzE="}}`, false},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xT@nRzE="}}`, true}, // base64 skips newlines
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":{"site":"a.com"}}}`, false},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":[1,2]}}`, true}, // json fills a []byte from numbers too
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":1}}`, false},
+	{`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"site":"a.com","rank":1,"pageUrl":"p"}}}`, false}, // v1
+	{`{"v":2,"type":"page","page":null}`, false},
+	{`{"v":2,"type":"page","page":{}}`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="},"hello":{"worker":"w"}}`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ==","line":"Qg=="}}`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ==","Line":"Qg=="}}`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="}}}`, false},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="} }`, true},
+	{`{"v":2,"type":"page","page":{"batch":"b@u0026@"@@","site":"a.com","line":"QQ=="}}`, true},
+	{"{\"v\":2,\"type\":\"page\",\"page\":{\"batch\":\"\xff\",\"site\":\"a.com\",\"line\":\"QQ==\"}}", true},
+	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"` + strings.Repeat("QUFB", 1000) + `"}}`, true},
 }
 
 // TestPageFrameSeeds runs the page seeds as a plain table and pins
-// which of them the cursor takes.
+// which of them Decode takes.
 func TestPageFrameSeeds(t *testing.T) {
-	fast := 0
 	for _, seed := range pageSeeds {
-		data := []byte(strings.ReplaceAll(seed, "@", `\`))
+		data := []byte(strings.ReplaceAll(seed.frame, "@", `\`))
 		checkFrame(t, data)
-		if _, ok := decodePage(data); ok {
-			fast++
+		if _, err := Decode(data); (err == nil) != seed.ok {
+			t.Errorf("Decode(%.90s): error %v, want one %v", data, err, !seed.ok)
 		}
-	}
-	// The first four; the rest are encoding/json's to accept or refuse.
-	if fast != 4 {
-		t.Errorf("cursor took %d of %d page seeds, want 4", fast, len(pageSeeds))
 	}
 }
 
@@ -206,7 +204,7 @@ func checkFrame(t *testing.T, data []byte) {
 	}
 	p, ok := dec.Msg.(*Page)
 	if !ok {
-		return // only the page frame has a hand encoder
+		return
 	}
 	got, err := Encode(p)
 	want, refErr := json.Marshal(&frame{V: Version, Type: TypePage, Page: p})
@@ -217,13 +215,12 @@ func checkFrame(t *testing.T, data []byte) {
 
 // FuzzWireDecode feeds Decode hostile bytes, seeded from the golden
 // encodings and the page seeds. It must never panic, and it must agree
-// with encoding/json (refDecode) on every frame: the same frame
-// accepted, the same error otherwise; a page frame it accepts must
-// encode to json.Marshal's bytes. Any frame it accepts must also
-// re-encode to bytes that decode to an equal frame. "Equal" is the
-// wire's own equality — same type, same re-encoded bytes — because
-// Decode keeps a page line's raw spacing and an empty failedSites map,
-// both of which the encoder canonicalizes.
+// with refDecode on every frame: the same frame accepted, the same
+// error otherwise; a page frame it accepts must encode to
+// json.Marshal's bytes. Any frame it accepts must also re-encode to
+// bytes that decode to an equal frame. "Equal" is the wire's own
+// equality — same type, same re-encoded bytes — because Decode keeps
+// an empty failedSites map, which the encoder drops.
 func FuzzWireDecode(f *testing.F) {
 	for _, tc := range goldenFrames {
 		f.Add([]byte(tc.golden))
@@ -232,7 +229,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add([]byte(golden))
 	}
 	for _, seed := range pageSeeds {
-		f.Add([]byte(strings.ReplaceAll(seed, "@", `\`)))
+		f.Add([]byte(strings.ReplaceAll(seed.frame, "@", `\`)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFrame(t, data)

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -19,15 +18,16 @@ import (
 
 // A BatchRunner executes one grant — dispatch.GrantRunner's contract,
 // behind the wire: it crawls every site in it once and hands each page
-// record — already encoded as a spool line — to emit. It
-// must be deterministic per site: re-running a site with the same crawl
-// config yields byte-identical lines, which is what makes lease reclaims
+// record — already encoded as a page block (colstore.AppendPageBlock) —
+// to emit, which is done with the bytes when it returns. It must be
+// deterministic per site: re-running a site with the same crawl config
+// yields byte-identical blocks, which is what makes lease reclaims
 // and duplicate attempts harmless (the fold deduplicates identical
 // pages). failedSites reports the sites whose attempt failed — the
 // coordinator retries each under its retry policy — and a non-nil err
 // fails every site of the grant.
 type BatchRunner interface {
-	RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, line []byte) error) (pages int, failedSites map[string]string, err error)
+	RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, block []byte) error) (pages int, failedSites map[string]string, err error)
 	Close() error
 }
 
@@ -258,8 +258,8 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 	// own lock.
 	var emitMu sync.Mutex
 	var emitErr error
-	emit := func(site string, line []byte) error {
-		data, err := wire.Encode(&wire.Page{Batch: batch.ID, Site: site, Line: json.RawMessage(line)})
+	emit := func(site string, block []byte) error {
+		data, err := wire.Encode(&wire.Page{Batch: batch.ID, Site: site, Line: block})
 		if err == nil {
 			err = conn.WriteMessage(wsproto.OpText, data)
 		}

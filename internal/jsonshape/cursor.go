@@ -4,7 +4,7 @@ import "strings"
 
 // Cursor walks input of a codec's shape. Every method reports false at
 // the first byte outside the shape, which ends the walk (only a failed
-// Lit, next or Bool leaves I where it was). Over a string, Str hands out
+// Lit or next leaves I where it was). Over a string, Str hands out
 // substrings of the input; over a []byte, copies, which keep no part of
 // the input alive.
 type Cursor[S ~string | ~[]byte] struct {
@@ -33,9 +33,18 @@ func (c *Cursor[S]) next(b byte) bool {
 // Done reports whether the whole input has been read.
 func (c *Cursor[S]) Done() bool { return c.I == len(c.S) }
 
-// Quoted consumes a plain string and returns its bytes as the input
-// holds them, and how many escapes they include (Unescape decodes them).
-func (c *Cursor[S]) Quoted() (raw S, escapes int, ok bool) {
+// digits consumes a run of digits and returns its length.
+func (c *Cursor[S]) digits() int {
+	start := c.I
+	for c.I < len(c.S) && c.S[c.I] >= '0' && c.S[c.I] <= '9' {
+		c.I++
+	}
+	return c.I - start
+}
+
+// quoted consumes a plain string and returns its bytes as the input
+// holds them, and how many escapes they include (unescape decodes them).
+func (c *Cursor[S]) quoted() (raw S, escapes int, ok bool) {
 	if !c.next('"') {
 		return raw, 0, false
 	}
@@ -55,9 +64,9 @@ func (c *Cursor[S]) Quoted() (raw S, escapes int, ok bool) {
 	return c.S[start : c.I-1], escapes, true
 }
 
-// Unescape decodes a string Quoted returned with escapes > 0, whose
+// unescape decodes a string quoted returned with escapes > 0, whose
 // escapes must all be one of the three.
-func Unescape[S ~string | ~[]byte](raw S, escapes int) (string, bool) {
+func unescape[S ~string | ~[]byte](raw S, escapes int) (string, bool) {
 	if len(raw) < 6*escapes {
 		return "", false // an escape other than the three
 	}
@@ -88,12 +97,12 @@ func Unescape[S ~string | ~[]byte](raw S, escapes int) (string, bool) {
 
 // Str consumes a plain string into dst.
 func (c *Cursor[S]) Str(dst *string) bool {
-	raw, escapes, ok := c.Quoted()
+	raw, escapes, ok := c.quoted()
 	switch {
 	case !ok:
 		return false
 	case escapes > 0:
-		*dst, ok = Unescape(raw, escapes)
+		*dst, ok = unescape(raw, escapes)
 		return ok
 	}
 	*dst = string(raw)
@@ -119,19 +128,6 @@ func (c *Cursor[S]) Int(dst *int) bool {
 		return false
 	}
 	*dst = int(v)
-	return true
-}
-
-// Bool consumes true or false.
-func (c *Cursor[S]) Bool(dst *bool) bool {
-	switch {
-	case c.Lit("true"):
-		*dst = true
-	case c.Lit("false"):
-		*dst = false
-	default:
-		return false
-	}
 	return true
 }
 

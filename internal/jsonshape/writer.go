@@ -1,13 +1,11 @@
-// Package jsonshape owns the one JSON shape the hand codecs (the script
-// literal, the spool line and the page frame) read and write: the exact
-// bytes encoding/json gives over "plain" strings (printable ASCII, with
-// json's \u0026 \u003c \u003e escapes for & < > and no other escape),
-// canonical ints, and compact values holding nothing json would escape.
-// Each codec walks its own schema over these primitives and leaves any
-// other value to encoding/json, so for every input its bytes and decoded
-// values are the standard library's (FuzzProgramCodecMatchesJSON,
-// FuzzSpoolCodecMatchesJSON, FuzzWireDecode). Indent, the query
-// service's indenter, is held to json.Indent the same way
+// Package jsonshape owns the JSON shape of the one hand codec, the
+// script literal: the exact bytes encoding/json gives over "plain"
+// strings (printable ASCII, with json's \u0026 \u003c \u003e escapes
+// for & < > and no other escape) and canonical ints. The codec walks
+// its own schema over these primitives and leaves any other value to
+// encoding/json, so for every input its bytes and decoded values are
+// the standard library's (FuzzProgramCodecMatchesJSON). Indent, the
+// query service's indenter, is held to json.Indent the same way
 // (FuzzIndentMatchesStdlib).
 package jsonshape
 
@@ -75,9 +73,4 @@ func (w *Writer) Strs(pre string, v []string) {
 // Int appends pre and n.
 func (w *Writer) Int(pre string, n int) {
 	w.B = strconv.AppendInt(append(w.B, pre...), int64(n), 10)
-}
-
-// Bool appends pre and v.
-func (w *Writer) Bool(pre string, v bool) {
-	w.B = strconv.AppendBool(append(w.B, pre...), v)
 }

@@ -137,9 +137,10 @@ const (
 	// stage.* histograms time individual operations (a fetch, a
 	// commit), the crawl.* histograms time the page-granular phases
 	// the crawl capacity model is built on: visit is the browser's full
-	// page load, record is trace→PageRecord→spool line, commit is the
-	// ledger's decode of the line and the store's ingest of its record
-	// (fold and column encode, plus any automatic seal), and page is the
+	// page load, record is trace→PageRecord (tree, labels and the
+	// record's string copies), commit is the ledger's check of the
+	// record and the store's ingest of it (fold and column encode, plus
+	// any automatic seal), and page is the
 	// whole visit→record→commit turnaround.
 	MCrawlVisit  = "crawl.visit"
 	MCrawlRecord = "crawl.record"

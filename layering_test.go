@@ -11,7 +11,7 @@ import (
 )
 
 // TestCrawlLayersStayBelowThePagePlane: dispatch, fabric and crawler
-// lease, move and settle sites and page lines; what a page is belongs to
+// lease, move and settle sites and page records; what a page is belongs to
 // the page plane above them (core) and to the packages it assembles. So
 // none of their non-test files imports the browser, the synthetic web,
 // its server or the labeler — except crawler, whose pool drives the
