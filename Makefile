@@ -48,11 +48,13 @@ race:
 # (Conn.writeFrame) to naiveWriteFrame's bytes on both sides and reads
 # each frame back;
 # FuzzParse feeds htmlparse hostile bytes and holds its attributes to
-# the map parser. FuzzAppendLine: a worker's page line is refused with
-# the store and its fold untouched, or folded and sealed as
-# encoding/json decodes it. The two inputs a resume trusts, both in the
-# store: FuzzLoadCheckpoint (a hostile store manifest is refused without
-# touching a file unless it names this build's version and the crawl)
+# the map parser; FuzzParseArenaMatchesFresh parses them in sequence
+# through one reset arena, each document serialized as a fresh parse.
+# FuzzAppendLine: a worker's page line is refused with the store and
+# its fold untouched, or folded and sealed as encoding/json decodes it.
+# The two inputs a resume trusts, both in the store: FuzzLoadCheckpoint
+# (a hostile store manifest is refused without touching a file unless
+# it names this build's version and the crawl)
 # and FuzzLedgerReplay (a resumed ledger over an arbitrary segment with
 # outcome rows, or one past a gap, refuses without touching a file, or
 # folds the segment's records and rebuilds a queue matching its rows).
@@ -71,6 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzClassifyReceivedMatchesRegexp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzExtractAdRefsMatchesRegexp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/htmlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/htmlparse -run '^$$' -fuzz '^FuzzParseArenaMatchesFresh$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filterlist -run '^$$' -fuzz '^FuzzMatchMatchesLinear$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/script -run '^$$' -fuzz '^FuzzProgramCodecMatchesJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzSpoolCodecMatchesJSON$$' -fuzztime $(FUZZTIME)

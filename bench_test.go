@@ -224,12 +224,12 @@ func benchPageEnv(b *testing.B) *benchEnv {
 				}
 				scripts := map[devtools.ScriptID]string{}
 				for _, ev := range res.Trace.Events {
-					if sp, ok := ev.(devtools.ScriptParsed); ok {
+					if sp, ok := ev.(*devtools.ScriptParsed); ok {
 						scripts[sp.ScriptID] = sp.URL
 					}
 				}
 				for _, ev := range res.Trace.Events {
-					ws, ok := ev.(devtools.WebSocketCreated)
+					ws, ok := ev.(*devtools.WebSocketCreated)
 					if !ok {
 						continue
 					}
@@ -309,9 +309,9 @@ func BenchmarkAblationWRB(b *testing.B) {
 				}
 				for _, ev := range res.Trace.Events {
 					switch ev := ev.(type) {
-					case devtools.WebSocketCreated:
+					case *devtools.WebSocketCreated:
 						escaped++
-					case devtools.RequestBlocked:
+					case *devtools.RequestBlocked:
 						if ev.Type == devtools.ResourceWebSocket {
 							blocked++
 						}
@@ -354,7 +354,7 @@ func BenchmarkAblationPatterns(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, ev := range res.Trace.Events {
-					if rb, ok := ev.(devtools.RequestBlocked); ok && rb.Type == devtools.ResourceWebSocket {
+					if rb, ok := ev.(*devtools.RequestBlocked); ok && rb.Type == devtools.ResourceWebSocket {
 						wsBlocked++
 					}
 				}
@@ -468,9 +468,9 @@ func BenchmarkAblationThreshold(b *testing.B) {
 // the given URLs as script requests, in order.
 func scriptRequestTree(b *testing.B, pageURL string, urls []string) *inclusion.Tree {
 	tr := devtools.NewTrace()
-	tr.Record(devtools.FrameNavigated{FrameID: "F1", URL: pageURL, Initiator: devtools.ParserInitiator("F1")})
+	tr.Record(&devtools.FrameNavigated{FrameID: "F1", URL: pageURL, Initiator: devtools.ParserInitiator("F1")})
 	for i, u := range urls {
-		tr.Record(devtools.RequestWillBeSent{
+		tr.Record(&devtools.RequestWillBeSent{
 			RequestID: devtools.RequestID(fmt.Sprint("R", i)), URL: u, Type: devtools.ResourceScript,
 			FrameID: "F1", Initiator: devtools.ParserInitiator("F1"), FirstPartyURL: pageURL,
 		})
@@ -587,9 +587,9 @@ func BenchmarkAblationUBOExtra(b *testing.B) {
 				}
 				for _, ev := range res.Trace.Events {
 					switch ev := ev.(type) {
-					case devtools.WebSocketCreated:
+					case *devtools.WebSocketCreated:
 						escaped++
-					case devtools.RequestBlocked:
+					case *devtools.RequestBlocked:
 						if ev.Type == devtools.ResourceWebSocket {
 							blocked++
 						}
@@ -623,9 +623,9 @@ func BenchmarkAblationFeatureBlock(b *testing.B) {
 		}
 		for _, ev := range res.Trace.Events {
 			switch ev := ev.(type) {
-			case devtools.WebSocketCreated:
+			case *devtools.WebSocketCreated:
 				created++
-			case devtools.RequestBlocked:
+			case *devtools.RequestBlocked:
 				if ev.Type == devtools.ResourceWebSocket {
 					blocked++
 				}

@@ -58,13 +58,13 @@ func main() {
 		created, blocked, tracked := 0, 0, 0
 		for _, ev := range res.Trace.Events {
 			switch ev := ev.(type) {
-			case devtools.WebSocketCreated:
+			case *devtools.WebSocketCreated:
 				created++
-			case devtools.RequestBlocked:
+			case *devtools.RequestBlocked:
 				if ev.Type == devtools.ResourceWebSocket {
 					blocked++
 				}
-			case devtools.WebSocketFrameSent:
+			case *devtools.WebSocketFrameSent:
 				tracked += len(ev.Payload)
 			}
 		}
@@ -110,12 +110,12 @@ func findTrackedPage(world *webgen.World, server *webserver.Server) string {
 			}
 			scripts := map[devtools.ScriptID]string{}
 			for _, ev := range res.Trace.Events {
-				if sp, ok := ev.(devtools.ScriptParsed); ok {
+				if sp, ok := ev.(*devtools.ScriptParsed); ok {
 					scripts[sp.ScriptID] = sp.URL
 				}
 			}
 			for _, ev := range res.Trace.Events {
-				ws, ok := ev.(devtools.WebSocketCreated)
+				ws, ok := ev.(*devtools.WebSocketCreated)
 				if !ok {
 					continue
 				}

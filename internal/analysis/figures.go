@@ -47,12 +47,12 @@ func RenderFigure1() string {
 func RenderFigure2() string {
 	tr := devtools.NewTrace()
 	for _, ev := range []devtools.Event{
-		devtools.FrameNavigated{FrameID: "F1", URL: "http://pub/index.html", Initiator: devtools.ParserInitiator("F1")},
-		devtools.ScriptParsed{ScriptID: "S1", URL: "http://pub/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
-		devtools.ScriptParsed{ScriptID: "S2", URL: "http://ads/script.js", FrameID: "F1", Initiator: devtools.ScriptInitiator("S1")},
-		devtools.RequestWillBeSent{RequestID: "R1", URL: "http://ads/image.img", Type: devtools.ResourceImage, FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub/index.html"},
-		devtools.WebSocketCreated{SocketID: "W1", URL: "ws://adnet/data.ws", FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub/index.html"},
-		devtools.ScriptParsed{ScriptID: "S3", URL: "http://tracker/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
+		&devtools.FrameNavigated{FrameID: "F1", URL: "http://pub/index.html", Initiator: devtools.ParserInitiator("F1")},
+		&devtools.ScriptParsed{ScriptID: "S1", URL: "http://pub/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
+		&devtools.ScriptParsed{ScriptID: "S2", URL: "http://ads/script.js", FrameID: "F1", Initiator: devtools.ScriptInitiator("S1")},
+		&devtools.RequestWillBeSent{RequestID: "R1", URL: "http://ads/image.img", Type: devtools.ResourceImage, FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub/index.html"},
+		&devtools.WebSocketCreated{SocketID: "W1", URL: "ws://adnet/data.ws", FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub/index.html"},
+		&devtools.ScriptParsed{ScriptID: "S3", URL: "http://tracker/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
 	} {
 		tr.Record(ev)
 	}

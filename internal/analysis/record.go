@@ -89,6 +89,9 @@ type recordScratch struct {
 	chain    []*inclusion.Node
 	items    []string
 	recvSeen map[string]bool
+	// aa, non and cdn take the labeler's deltas; ownCounts copies them
+	// into the record.
+	aa, non, cdn map[string]int
 	// owned maps each trace string the page's record took to the
 	// record's copy of it.
 	owned map[string]string
@@ -124,10 +127,16 @@ func NewRecorder(lab *labeler.Labeler) *Recorder { return &Recorder{Label: lab} 
 func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.PageResult) (*PageRecord, error) {
 	sc, ok := r.scratch.Get().(*recordScratch)
 	if !ok {
-		sc = &recordScratch{builder: inclusion.NewBuilder(), recvSeen: map[string]bool{}, owned: map[string]string{}}
+		sc = &recordScratch{
+			builder: inclusion.NewBuilder(), recvSeen: map[string]bool{}, owned: map[string]string{},
+			aa: map[string]int{}, non: map[string]int{}, cdn: map[string]int{},
+		}
 	}
 	defer r.scratch.Put(sc)
 	clear(sc.owned)
+	clear(sc.aa)
+	clear(sc.non)
+	clear(sc.cdn)
 	treeSpan := obs.StartSpan(obs.StageTree)
 	tree, err := sc.builder.Build(res.Trace)
 	if err != nil {
@@ -136,7 +145,7 @@ func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.Pa
 	}
 	treeSpan.End()
 	labelSpan := obs.StartSpan(obs.StageLabel)
-	aa, non, cdn := r.Label.TagTree(tree)
+	r.Label.TagTreeInto(tree, sc.aa, sc.non, sc.cdn)
 	labelSpan.End()
 
 	// The tree's root frame is the page: its host is already parsed,
@@ -154,9 +163,9 @@ func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.Pa
 		rec.Sockets = append(rec.Sockets, r.socketRecord(sc, site, rec.PageURL, pageHost, ws))
 	}
 	rec.HTTP = r.httpObservations(sc, tree, pageHost)
-	rec.AAObs = sc.ownCounts(aa)
-	rec.NonAAObs = sc.ownCounts(non)
-	rec.CDNObs = sc.ownCounts(cdn)
+	rec.AAObs = sc.ownCounts(sc.aa)
+	rec.NonAAObs = sc.ownCounts(sc.non)
+	rec.CDNObs = sc.ownCounts(sc.cdn)
 	return rec, nil
 }
 

@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/content"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/payload"
 	"repro/internal/script"
+	"repro/internal/slab"
 	"repro/internal/urlutil"
 	"repro/internal/webrequest"
 	"repro/internal/wsproto"
@@ -134,8 +136,9 @@ type Browser struct {
 	dialSeq    int64
 	backoffRng *rand.Rand
 
-	// scratch is the reused per-page storage. Browsers are
-	// single-visit-at-a-time, so the scratch needs no lock.
+	// scratch is the reused per-page storage, which the first Visit
+	// takes from scratchPool (or makes) and Release gives back. Browsers
+	// are single-visit-at-a-time, so the scratch needs no lock.
 	scratch *visitScratch
 }
 
@@ -148,6 +151,10 @@ type visitScratch struct {
 	load   pageLoad
 	result PageResult
 	seen   map[string]bool // extractLinks dedup, cleared per page
+	// dom holds the page's documents, its frames' included; urls holds
+	// every URL the page parsed or resolved.
+	dom  htmlparse.Arena
+	urls slab.Slab[urlutil.URL]
 
 	// headerMaps is the arena of request-header maps handed out this
 	// page; maps are retained inside trace events until the next page's
@@ -159,17 +166,37 @@ type visitScratch struct {
 func newVisitScratch() *visitScratch { return &visitScratch{seen: map[string]bool{}} }
 
 // begin recycles the scratch for a new page load and returns its
-// embedded pageLoad, wired to the reused trace and allocator.
-func (s *visitScratch) begin(b *Browser, ctx context.Context, rawURL string, u *urlutil.URL) *pageLoad {
+// embedded pageLoad, wired to the reused trace and allocator. It also
+// drops the browser's pointer to the last page's document, whose nodes
+// the arena is about to hand out again.
+func (s *visitScratch) begin(b *Browser, ctx context.Context, rawURL string) *pageLoad {
 	s.trace.Reset()
 	s.alloc.Reset()
+	s.dom.Reset()
+	s.urls.Reset()
+	b.state.DOMSource = nil
 	s.headerUsed = 0
 	clear(s.seen)
 	links := s.result.Links
 	clear(links)
 	s.result = PageResult{URL: rawURL, Trace: &s.trace, Links: links[:0]}
-	s.load = pageLoad{b: b, ctx: ctx, alloc: &s.alloc, result: &s.result, pageURL: u}
+	s.load = pageLoad{b: b, ctx: ctx, alloc: &s.alloc, result: &s.result}
 	return &s.load
+}
+
+// parseURL parses raw into the page's URL slab.
+func (l *pageLoad) parseURL(raw string) (*urlutil.URL, error) {
+	u := l.b.scratch.urls.New()
+	if err := urlutil.ParseInto(u, raw); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// resolve resolves href against base (resolveRef) into the page's URL
+// slab.
+func (l *pageLoad) resolve(base *urlutil.URL, href string) (*urlutil.URL, error) {
+	return l.parseURL(resolveRef(base, href))
 }
 
 // header hands out a request-header map: a cleared map from the page's
@@ -210,7 +237,6 @@ func New(cfg Config, exts ...Extension) *Browser {
 		cookies: map[string]string{},
 		backoffRng: detrand.New(
 			faultnet.DeriveSeed(cfg.FaultSeed, cfg.Seed, 0x7e77)),
-		scratch: newVisitScratch(),
 	}
 	for _, ext := range exts {
 		ext.Install(b.reg)
@@ -221,6 +247,23 @@ func New(cfg Config, exts ...Extension) *Browser {
 	return b
 }
 
+// scratchPool holds the per-visit storage of released browsers, so that
+// the next browser's pages recycle what earlier pages grew instead of
+// growing their own: a crawl makes one browser per site.
+var scratchPool sync.Pool
+
+// Release gives the browser's per-visit storage back for another
+// browser's visits to recycle. Every PageResult the browser returned is
+// invalid after it; a later Visit takes storage again. A crawl releases
+// each site's browser once the site is done.
+func (b *Browser) Release() {
+	if b.scratch != nil {
+		b.state.DOMSource = nil
+		scratchPool.Put(b.scratch)
+		b.scratch = nil
+	}
+}
+
 // Version returns the modeled Chrome version.
 func (b *Browser) Version() int { return b.cfg.Version }
 
@@ -228,13 +271,14 @@ func (b *Browser) Version() int { return b.cfg.Version }
 func (b *Browser) UserAgent() string { return b.state.UserAgent }
 
 // PageResult is the outcome of one page load. The browser reuses its
-// per-page storage — the trace and its event slab, the ID allocator, the
-// request-header maps and the link list — so a PageResult, its Trace,
-// events, bodies and Links included, is valid only until the next Visit
-// on the same Browser. The crawler honours that window: links are copied
-// and OnPage completes before the next visit. A caller that keeps a
-// result past it copies what it keeps, or visits with a browser of its
-// own.
+// per-page storage — the trace and its event slabs, the ID allocator,
+// the request-header maps, the DOM arena, the parsed URLs and the link
+// list — so a PageResult, its Document, its Trace's events and their
+// parsed URLs, bodies and Links included, is valid only until the next
+// Visit on the same Browser, or its Release. The crawler honours that
+// window: links are copied and OnPage completes before the next visit.
+// A caller that keeps a result past it copies what it keeps, or visits
+// with a browser of its own.
 type PageResult struct {
 	// URL is the page's URL.
 	URL string
@@ -261,15 +305,23 @@ type pageLoad struct {
 }
 
 // Visit loads a page and everything it includes, returning the DOM, the
-// trace, and the extracted links, valid until the next Visit.
+// trace, and the extracted links, valid until the next Visit or
+// Release.
 func (b *Browser) Visit(ctx context.Context, rawURL string) (*PageResult, error) {
-	u, err := urlutil.Parse(rawURL)
+	if b.scratch == nil {
+		b.scratch, _ = scratchPool.Get().(*visitScratch)
+		if b.scratch == nil {
+			b.scratch = newVisitScratch()
+		}
+	}
+	load := b.scratch.begin(b, ctx, rawURL)
+	u, err := load.parseURL(rawURL)
 	if err != nil {
 		return nil, err
 	}
-	load := b.scratch.begin(b, ctx, rawURL, u)
+	load.pageURL = u
 	frameID := load.alloc.NextFrame()
-	load.result.Trace.Record(devtools.FrameNavigated{FrameID: frameID, URL: rawURL, Initiator: devtools.ParserInitiator(frameID), Parsed: u})
+	load.result.Trace.Record(&devtools.FrameNavigated{FrameID: frameID, URL: rawURL, Initiator: devtools.ParserInitiator(frameID), Parsed: u})
 
 	doc, ok := load.fetchDocument(frameID, u, devtools.ParserInitiator(frameID))
 	if !ok {
@@ -293,7 +345,7 @@ func (l *pageLoad) fetchDocument(frameID devtools.FrameID, u *urlutil.URL, init 
 		return nil, false
 	}
 	parseSpan := obs.StartSpan(obs.StageParse)
-	doc := htmlparse.Parse(string(body))
+	doc := l.b.scratch.dom.Parse(string(body))
 	parseSpan.End()
 	return doc, true
 }
@@ -314,13 +366,13 @@ func (l *pageLoad) processDocument(frameID devtools.FrameID, docURL *urlutil.URL
 			}
 		case "img":
 			if src := n.Attr("src"); src != "" {
-				if u, err := resolveRef(docURL, src); err == nil {
+				if u, err := l.resolve(docURL, src); err == nil {
 					l.request(u, devtools.ResourceImage, frameID, devtools.ParserInitiator(frameID), "", nil)
 				}
 			}
 		case "link":
 			if n.Attr("rel") == "stylesheet" {
-				if u, err := resolveRef(docURL, n.Attr("href")); err == nil {
+				if u, err := l.resolve(docURL, n.Attr("href")); err == nil {
 					l.request(u, devtools.ResourceStylesheet, frameID, devtools.ParserInitiator(frameID), "", nil)
 				}
 			}
@@ -338,7 +390,7 @@ func (l *pageLoad) loadFrame(parentFrame devtools.FrameID, baseURL *urlutil.URL,
 	if depth >= maxFrameDepth {
 		return
 	}
-	u, err := resolveRef(baseURL, src)
+	u, err := l.resolve(baseURL, src)
 	if err != nil {
 		return
 	}
@@ -347,10 +399,10 @@ func (l *pageLoad) loadFrame(parentFrame devtools.FrameID, baseURL *urlutil.URL,
 		return
 	}
 	childID := l.alloc.NextFrame()
-	l.result.Trace.Record(devtools.FrameNavigated{
+	l.result.Trace.Record(&devtools.FrameNavigated{
 		FrameID: childID, ParentFrameID: parentFrame, URL: u.String(), Initiator: init, Parsed: u,
 	})
-	l.processDocument(childID, u, htmlparse.Parse(string(body)), depth+1)
+	l.processDocument(childID, u, l.b.scratch.dom.Parse(string(body)), depth+1)
 }
 
 // loadScript fetches a remote script, emits scriptParsed, and executes
@@ -359,7 +411,7 @@ func (l *pageLoad) loadScript(frameID devtools.FrameID, baseURL *urlutil.URL, sr
 	if depth >= maxScriptDepth {
 		return
 	}
-	u, err := resolveRef(baseURL, src)
+	u, err := l.resolve(baseURL, src)
 	if err != nil {
 		return
 	}
@@ -375,7 +427,7 @@ func (l *pageLoad) loadScript(frameID devtools.FrameID, baseURL *urlutil.URL, sr
 // script, whose url is its document's plus "#inline", the document's.
 func (l *pageLoad) runScriptBody(frameID devtools.FrameID, baseURL *urlutil.URL, url string, parsed *urlutil.URL, body string, init devtools.Initiator, depth int, inline bool) {
 	scriptID := l.alloc.NextScript()
-	l.result.Trace.Record(devtools.ScriptParsed{
+	l.result.Trace.Record(&devtools.ScriptParsed{
 		ScriptID: scriptID, URL: url, FrameID: frameID, Initiator: init, Inline: inline, Parsed: parsed,
 	})
 	prog, err := script.Decode(body)
@@ -388,7 +440,7 @@ func (l *pageLoad) runScriptBody(frameID devtools.FrameID, baseURL *urlutil.URL,
 		case script.OpIncludeScript:
 			l.loadScript(frameID, baseURL, op.URL, self, depth+1)
 		case script.OpLoadImage:
-			if u, err := resolveRef(baseURL, op.URL); err == nil {
+			if u, err := l.resolve(baseURL, op.URL); err == nil {
 				l.request(u, devtools.ResourceImage, frameID, self, "", nil)
 			}
 		case script.OpHTTPBeacon:
@@ -403,7 +455,7 @@ func (l *pageLoad) runScriptBody(frameID devtools.FrameID, baseURL *urlutil.URL,
 
 // sendBeacon POSTs synthesized tracking data over HTTP (type XHR).
 func (l *pageLoad) sendBeacon(frameID devtools.FrameID, baseURL *urlutil.URL, op script.Op, init devtools.Initiator) {
-	u, err := resolveRef(baseURL, op.URL)
+	u, err := l.resolve(baseURL, op.URL)
 	if err != nil {
 		return
 	}
@@ -439,7 +491,7 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 	if verdict.Cancelled {
 		l.result.Blocked++
 		obs.BrowserBlocked.Inc()
-		l.result.Trace.Record(devtools.RequestBlocked{
+		l.result.Trace.Record(&devtools.RequestBlocked{
 			RequestID: reqID, URL: rawURL, Type: typ, FrameID: frameID,
 			Initiator: init, Extension: verdict.Extension, Rule: verdict.Rule,
 		})
@@ -453,7 +505,7 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 		header["Cookie"] = cookie
 	}
 	header["Referer"] = pageURL
-	l.result.Trace.Record(devtools.RequestWillBeSent{
+	l.result.Trace.Record(&devtools.RequestWillBeSent{
 		RequestID: reqID, URL: rawURL, Type: typ, FrameID: frameID,
 		Initiator: init, FirstPartyURL: pageURL, Header: header, Body: postBody, Parsed: u,
 	})
@@ -469,7 +521,7 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 			respBody = respBody[:256]
 		}
 	}
-	l.result.Trace.Record(devtools.ResponseReceived{
+	l.result.Trace.Record(&devtools.ResponseReceived{
 		RequestID: reqID, URL: rawURL, Status: status, MimeType: mime,
 		BodySize: len(body), Body: respBody,
 	})
@@ -532,7 +584,7 @@ func (b *Browser) existingCookie(domain string) string { return b.cookies[domain
 // open_websocket op: extension gate (subject to the WRB), handshake,
 // message exchange, close — emitting the Network.webSocket* events.
 func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init devtools.Initiator) {
-	u, err := urlutil.Parse(op.URL)
+	u, err := l.parseURL(op.URL)
 	if err != nil || !u.IsWebSocket() {
 		return
 	}
@@ -547,7 +599,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		if !allow {
 			l.result.Blocked++
 			obs.SocketsBlocked.Inc()
-			l.result.Trace.Record(devtools.RequestBlocked{
+			l.result.Trace.Record(&devtools.RequestBlocked{
 				RequestID: devtools.RequestID(sockID), URL: rawURL,
 				Type: devtools.ResourceWebSocket, FrameID: frameID,
 				Initiator: init, Extension: g.name, Rule: rule,
@@ -568,7 +620,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	if verdict.Cancelled {
 		l.result.Blocked++
 		obs.SocketsBlocked.Inc()
-		l.result.Trace.Record(devtools.RequestBlocked{
+		l.result.Trace.Record(&devtools.RequestBlocked{
 			RequestID: devtools.RequestID(sockID), URL: rawURL,
 			Type: devtools.ResourceWebSocket, FrameID: frameID,
 			Initiator: init, Extension: verdict.Extension, Rule: verdict.Rule,
@@ -577,7 +629,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	}
 
 	obs.SocketsOpened.Inc()
-	l.result.Trace.Record(devtools.WebSocketCreated{
+	l.result.Trace.Record(&devtools.WebSocketCreated{
 		SocketID: sockID, URL: rawURL, FrameID: frameID,
 		Initiator: init, FirstPartyURL: pageURL, Parsed: u,
 	})
@@ -587,7 +639,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	if op.SendCookie {
 		header["Cookie"] = l.b.cookieFor(u.RegistrableDomain())
 	}
-	l.result.Trace.Record(devtools.WebSocketWillSendHandshakeRequest{SocketID: sockID, Header: header})
+	l.result.Trace.Record(&devtools.WebSocketWillSendHandshakeRequest{SocketID: sockID, Header: header})
 
 	httpHeader := http.Header{}
 	for k, v := range header {
@@ -612,12 +664,12 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 	conn, err := l.dialWebSocket(&dialer, rawURL)
 	if err != nil {
 		l.result.NetErrors++
-		l.result.Trace.Record(devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 0})
-		l.result.Trace.Record(devtools.WebSocketClosed{SocketID: sockID, Code: wsproto.CloseAbnormal})
+		l.result.Trace.Record(&devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 0})
+		l.result.Trace.Record(&devtools.WebSocketClosed{SocketID: sockID, Code: wsproto.CloseAbnormal})
 		return
 	}
 	defer conn.Close()
-	l.result.Trace.Record(devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 101})
+	l.result.Trace.Record(&devtools.WebSocketHandshakeResponseReceived{SocketID: sockID, Status: 101})
 
 	// Every message send/receive below runs under a fresh SocketTimeout
 	// deadline: the timeout bounds *inactivity*, not session length, so
@@ -636,7 +688,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		if err := conn.WriteMessage(opcode, data); err != nil {
 			break
 		}
-		l.result.Trace.Record(devtools.WebSocketFrameSent{SocketID: sockID, Opcode: int(opcode), Payload: data})
+		l.result.Trace.Record(&devtools.WebSocketFrameSent{SocketID: sockID, Opcode: int(opcode), Payload: data})
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 	// Read the expected server pushes.
@@ -651,17 +703,17 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		// next read; the inclusion tree retains frame payloads for the
 		// Table 5 content analysis, so the event gets its own copy.
 		msg = append([]byte(nil), msg...)
-		l.result.Trace.Record(devtools.WebSocketFrameReceived{SocketID: sockID, Opcode: int(opcode), Payload: msg})
+		l.result.Trace.Record(&devtools.WebSocketFrameReceived{SocketID: sockID, Opcode: int(opcode), Payload: msg})
 		adRefs = append(adRefs, content.ExtractAdRefs(msg)...)
 	}
 	_ = conn.Close()
-	l.result.Trace.Record(devtools.WebSocketClosed{SocketID: sockID, Code: wsproto.CloseNormal})
+	l.result.Trace.Record(&devtools.WebSocketClosed{SocketID: sockID, Code: wsproto.CloseNormal})
 
 	// The Lockerdome pattern: creatives referenced in socket responses
 	// are fetched like any script-initiated image — and since the CDN
 	// host is unlisted, blockers never see a reason to stop them.
 	for _, ref := range adRefs {
-		if au, err := urlutil.Parse(ref.ImageURL); err == nil {
+		if au, err := l.parseURL(ref.ImageURL); err == nil {
 			l.request(au, devtools.ResourceImage, frameID, init, "", nil)
 		}
 	}
@@ -706,7 +758,7 @@ func (l *pageLoad) extractLinks(doc *dom.Node) {
 		if href == "" {
 			continue
 		}
-		u, err := resolveRef(l.pageURL, href)
+		u, err := l.resolve(l.pageURL, href)
 		if err != nil {
 			continue
 		}
@@ -721,24 +773,25 @@ func (l *pageLoad) extractLinks(doc *dom.Node) {
 	}
 }
 
-// resolveRef resolves href against base: absolute URLs pass through,
-// path-absolute and relative references resolve against the base.
-func resolveRef(base *urlutil.URL, href string) (*urlutil.URL, error) {
+// resolveRef resolves href against base into an absolute URL string:
+// absolute URLs pass through, path-absolute and relative references
+// resolve against the base.
+func resolveRef(base *urlutil.URL, href string) string {
 	if hasScheme(href) {
-		return urlutil.Parse(href)
+		return href
 	}
 	if strings.HasPrefix(href, "//") {
-		return urlutil.Parse(base.Scheme + ":" + href)
+		return base.Scheme + ":" + href
 	}
 	if strings.HasPrefix(href, "/") {
-		return urlutil.Parse(base.Origin() + href)
+		return base.Origin() + href
 	}
 	// Relative reference: resolve against the base path's directory.
 	dir := base.Path
 	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
 		dir = dir[:i+1]
 	}
-	return urlutil.Parse(base.Origin() + dir + href)
+	return base.Origin() + dir + href
 }
 
 // hasScheme reports whether href opens with scheme "://" — RFC 3986's

@@ -55,7 +55,7 @@ func findSocketPublisher(t *testing.T, e *env, b *Browser) (string, *PageResult)
 				continue
 			}
 			for _, ev := range res.Trace.Events {
-				if _, ok := ev.(devtools.WebSocketCreated); ok {
+				if _, ok := ev.(*devtools.WebSocketCreated); ok {
 					return p.Domain, res
 				}
 			}
@@ -104,11 +104,11 @@ func TestVisitBasicPage(t *testing.T) {
 	var sawDoc, sawScript bool
 	for _, ev := range res.Trace.Events {
 		switch ev := ev.(type) {
-		case devtools.RequestWillBeSent:
+		case *devtools.RequestWillBeSent:
 			if ev.Type == devtools.ResourceDocument {
 				sawDoc = true
 			}
-		case devtools.ScriptParsed:
+		case *devtools.ScriptParsed:
 			if strings.Contains(ev.URL, "/js/app.js") {
 				sawScript = true
 			}
@@ -127,9 +127,9 @@ func TestWebSocketLifecycleEvents(t *testing.T) {
 	states := map[devtools.SocketID][]string{}
 	for _, ev := range res.Trace.Events {
 		switch ev := ev.(type) {
-		case devtools.WebSocketCreated:
+		case *devtools.WebSocketCreated:
 			states[ev.SocketID] = append(states[ev.SocketID], "created")
-		case devtools.WebSocketWillSendHandshakeRequest:
+		case *devtools.WebSocketWillSendHandshakeRequest:
 			states[ev.SocketID] = append(states[ev.SocketID], "handshake")
 			if ev.Header["User-Agent"] == "" {
 				t.Error("handshake missing User-Agent")
@@ -137,12 +137,12 @@ func TestWebSocketLifecycleEvents(t *testing.T) {
 			if !strings.HasPrefix(ev.Header["Origin"], "http://") {
 				t.Error("handshake missing Origin")
 			}
-		case devtools.WebSocketHandshakeResponseReceived:
+		case *devtools.WebSocketHandshakeResponseReceived:
 			states[ev.SocketID] = append(states[ev.SocketID], "response")
 			if ev.Status != 101 {
 				t.Errorf("handshake status %d", ev.Status)
 			}
-		case devtools.WebSocketClosed:
+		case *devtools.WebSocketClosed:
 			states[ev.SocketID] = append(states[ev.SocketID], "closed")
 		}
 	}
@@ -164,15 +164,15 @@ func TestSocketChildOfScript(t *testing.T) {
 	b := e.browser(57)
 	_, res := findSocketPublisher(t, e, b)
 
-	scripts := map[devtools.ScriptID]devtools.ScriptParsed{}
+	scripts := map[devtools.ScriptID]*devtools.ScriptParsed{}
 	for _, ev := range res.Trace.Events {
-		if sp, ok := ev.(devtools.ScriptParsed); ok {
+		if sp, ok := ev.(*devtools.ScriptParsed); ok {
 			scripts[sp.ScriptID] = sp
 		}
 	}
 	checked := 0
 	for _, ev := range res.Trace.Events {
-		ws, ok := ev.(devtools.WebSocketCreated)
+		ws, ok := ev.(*devtools.WebSocketCreated)
 		if !ok {
 			continue
 		}
@@ -226,12 +226,12 @@ search:
 			}
 			scriptURLs := map[devtools.ScriptID]string{}
 			for _, ev := range res.Trace.Events {
-				if sp, ok := ev.(devtools.ScriptParsed); ok {
+				if sp, ok := ev.(*devtools.ScriptParsed); ok {
 					scriptURLs[sp.ScriptID] = sp.URL
 				}
 			}
 			for _, ev := range res.Trace.Events {
-				ws, ok := ev.(devtools.WebSocketCreated)
+				ws, ok := ev.(*devtools.WebSocketCreated)
 				if !ok || !isAAReceiver(ws.URL) {
 					continue
 				}
@@ -256,9 +256,9 @@ search:
 	countSockets := func(res *PageResult) (created, blocked int) {
 		for _, ev := range res.Trace.Events {
 			switch ev := ev.(type) {
-			case devtools.WebSocketCreated:
+			case *devtools.WebSocketCreated:
 				created++
-			case devtools.RequestBlocked:
+			case *devtools.RequestBlocked:
 				if ev.Type == devtools.ResourceWebSocket {
 					blocked++
 				}
@@ -311,7 +311,7 @@ func TestHTTPOnlyPatternsMissSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ev := range res.Trace.Events {
-		if rb, ok := ev.(devtools.RequestBlocked); ok && rb.Type == devtools.ResourceWebSocket {
+		if rb, ok := ev.(*devtools.RequestBlocked); ok && rb.Type == devtools.ResourceWebSocket {
 			t.Errorf("http-only patterns blocked a websocket: %s", rb.URL)
 		}
 	}
@@ -370,7 +370,7 @@ func TestFrameEvents(t *testing.T) {
 			}
 			frames := 0
 			for _, ev := range res.Trace.Events {
-				if fn, ok := ev.(devtools.FrameNavigated); ok && fn.ParentFrameID != "" {
+				if fn, ok := ev.(*devtools.FrameNavigated); ok && fn.ParentFrameID != "" {
 					frames++
 				}
 			}
@@ -407,7 +407,7 @@ func TestDOMExfiltrationCarriesLiveDocument(t *testing.T) {
 				continue
 			}
 			for _, ev := range res.Trace.Events {
-				fs, ok := ev.(devtools.WebSocketFrameSent)
+				fs, ok := ev.(*devtools.WebSocketFrameSent)
 				if !ok {
 					continue
 				}
@@ -433,7 +433,7 @@ func TestResolveRef(t *testing.T) {
 		{"rel.html", "http://pub.example/dir/rel.html"},
 	}
 	for _, tc := range tests {
-		u, err := resolveRef(base, tc.href)
+		u, err := urlutil.Parse(resolveRef(base, tc.href))
 		if err != nil {
 			t.Fatalf("resolveRef(%q): %v", tc.href, err)
 		}
@@ -482,7 +482,7 @@ search:
 				continue
 			}
 			for _, ev := range res.Trace.Events {
-				if ws, ok := ev.(devtools.WebSocketCreated); ok {
+				if ws, ok := ev.(*devtools.WebSocketCreated); ok {
 					u := urlutil.MustParse(ws.URL)
 					if c := e.world.CompanyByDomain(u.RegistrableDomain()); c != nil && c.AA && c.AcceptsWS {
 						pageURL = url
@@ -505,7 +505,7 @@ search:
 	}
 	blocked := 0
 	for _, ev := range res.Trace.Events {
-		if rb, ok := ev.(devtools.RequestBlocked); ok && rb.Type == devtools.ResourceWebSocket {
+		if rb, ok := ev.(*devtools.RequestBlocked); ok && rb.Type == devtools.ResourceWebSocket {
 			blocked++
 			if rb.Extension != "ubo-extra" {
 				t.Errorf("blocked by %q, want the guard", rb.Extension)
@@ -541,7 +541,7 @@ func TestFeatureBlockerKillsAllSockets(t *testing.T) {
 			continue
 		}
 		for _, ev := range res.Trace.Events {
-			if _, ok := ev.(devtools.WebSocketCreated); ok {
+			if _, ok := ev.(*devtools.WebSocketCreated); ok {
 				t.Fatal("a socket opened under the feature blocker")
 			}
 		}

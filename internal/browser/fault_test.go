@@ -147,7 +147,7 @@ func socketEnv(t *testing.T, wsAddr string, expect int, cfg Config) *Browser {
 
 func countFrames(res *PageResult) (received int) {
 	for _, ev := range res.Trace.Events {
-		if _, ok := ev.(devtools.WebSocketFrameReceived); ok {
+		if _, ok := ev.(*devtools.WebSocketFrameReceived); ok {
 			received++
 		}
 	}
@@ -208,7 +208,7 @@ func TestDialRetryRecoversTransientFailure(t *testing.T) {
 	}
 	ok101 := false
 	for _, ev := range res.Trace.Events {
-		if h, is := ev.(devtools.WebSocketHandshakeResponseReceived); is && h.Status == 101 {
+		if h, is := ev.(*devtools.WebSocketHandshakeResponseReceived); is && h.Status == 101 {
 			ok101 = true
 		}
 	}

@@ -172,9 +172,9 @@ func visitWithDeadline(t *testing.T, b *Browser) *PageResult {
 func socketEvents(res *PageResult) (created, closed int) {
 	for _, ev := range res.Trace.Events {
 		switch ev.(type) {
-		case devtools.WebSocketCreated:
+		case *devtools.WebSocketCreated:
 			created++
-		case devtools.WebSocketClosed:
+		case *devtools.WebSocketClosed:
 			closed++
 		}
 	}
@@ -211,7 +211,7 @@ func TestResilienceUnresponsiveServer(t *testing.T) {
 	}
 	// Handshake never completed: created + failed-handshake + closed.
 	for _, ev := range res.Trace.Events {
-		if h, ok := ev.(devtools.WebSocketHandshakeResponseReceived); ok && h.Status == 101 {
+		if h, ok := ev.(*devtools.WebSocketHandshakeResponseReceived); ok && h.Status == 101 {
 			t.Error("handshake reported success against a silent server")
 		}
 	}

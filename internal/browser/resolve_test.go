@@ -22,7 +22,7 @@ func TestResolveRefURLInQuery(t *testing.T) {
 		{"ws+v1.x-y://sock.example/s", "ws+v1.x-y://sock.example/s"},
 	}
 	for _, tc := range tests {
-		u, err := resolveRef(base, tc.href)
+		u, err := urlutil.Parse(resolveRef(base, tc.href))
 		if err != nil {
 			t.Errorf("resolveRef(%q): %v", tc.href, err)
 			continue

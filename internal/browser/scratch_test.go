@@ -59,3 +59,24 @@ func TestScratchReuseMatchesFreshScratch(t *testing.T) {
 	}
 	t.Logf("%d pages, %d links, %d sockets", pages, links, sockets)
 }
+
+// TestFailedVisitDropsDOMSource: a visit whose document fails to load
+// leaves no DOM-exfiltration source behind. The last page's document
+// lives in the DOM arena the failed visit has already recycled, so a
+// source still pointing at it would serialize nodes the next page owns.
+func TestFailedVisitDropsDOMSource(t *testing.T) {
+	e := newEnv(t, webgen.EraPrePatch)
+	b := e.browser(57)
+	if _, err := b.Visit(context.Background(), "http://"+e.world.Publishers[0].Domain+"/"); err != nil {
+		t.Fatal(err)
+	}
+	if b.state.DOMSource == nil {
+		t.Fatal("a loaded page left no DOM source")
+	}
+	if _, err := b.Visit(context.Background(), "http://not-in-world.example/"); err == nil {
+		t.Fatal("a page on an unknown host loaded")
+	}
+	if b.state.DOMSource != nil {
+		t.Errorf("after a failed visit the DOM source still serializes %q", b.state.DOMSource())
+	}
+}

@@ -59,9 +59,9 @@ func TestUnservedSocketHostStaysOnLoopback(t *testing.T) {
 		var evs []devtools.Event
 		for _, ev := range res.Trace.Events {
 			switch ev.(type) {
-			case devtools.WebSocketCreated, devtools.WebSocketWillSendHandshakeRequest,
-				devtools.WebSocketHandshakeResponseReceived, devtools.WebSocketFrameSent,
-				devtools.WebSocketFrameReceived, devtools.WebSocketClosed:
+			case *devtools.WebSocketCreated, *devtools.WebSocketWillSendHandshakeRequest,
+				*devtools.WebSocketHandshakeResponseReceived, *devtools.WebSocketFrameSent,
+				*devtools.WebSocketFrameReceived, *devtools.WebSocketClosed:
 				evs = append(evs, ev)
 			}
 		}
@@ -84,10 +84,10 @@ func TestUnservedSocketHostStaysOnLoopback(t *testing.T) {
 	if len(tcp) != 4 {
 		t.Fatalf("socket events = %+v, want created, handshake request, response, closed", tcp)
 	}
-	if h, ok := tcp[2].(devtools.WebSocketHandshakeResponseReceived); !ok || h.Status != 0 {
+	if h, ok := tcp[2].(*devtools.WebSocketHandshakeResponseReceived); !ok || h.Status != 0 {
 		t.Errorf("handshake response event = %+v, want status 0", tcp[2])
 	}
-	if c, ok := tcp[3].(devtools.WebSocketClosed); !ok || c.Code != wsproto.CloseAbnormal {
+	if c, ok := tcp[3].(*devtools.WebSocketClosed); !ok || c.Code != wsproto.CloseAbnormal {
 		t.Errorf("closed event = %+v, want code %d", tcp[3], wsproto.CloseAbnormal)
 	}
 }

@@ -118,7 +118,9 @@ func (e *PanicError) Error() string {
 
 // Crawl is the worker pool: it crawls each of sites once across
 // min(cfg.Workers, len(sites)) goroutines, every site with a fresh
-// browser from cfg.SiteBrowser and with per-site panic recovery, and
+// browser from cfg.SiteBrowser, released once the site is done so the
+// next site's pages recycle its per-visit storage (browser.Release), and
+// with per-site panic recovery, and
 // returns the sites whose attempt failed with their errors. A site cut
 // short by cancellation is not a failure; err is ctx.Err() once ctx
 // ends. stats accumulates the attempt counters and may be shared across
@@ -146,7 +148,9 @@ func Crawl(ctx context.Context, sites []Site, cfg Config, stats *Stats) (failed 
 					return
 				}
 				site := sites[i]
-				_, err := CrawlSite(ctx, cfg.SiteBrowser(site), site, cfg, stats)
+				b := cfg.SiteBrowser(site)
+				_, err := CrawlSite(ctx, b, site, cfg, stats)
+				b.Release()
 				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					continue
 				}

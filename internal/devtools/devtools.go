@@ -18,7 +18,8 @@
 // of the wire form (`json:"-"`): a live trace hands it to consumers so
 // they need not parse the string again, a decoded trace leaves it nil
 // and consumers parse on demand. Like webrequest.Details.Parsed it is
-// shared and read-only.
+// shared and read-only, and the browser's is valid as long as the event
+// is: until its next visit (see browser.PageResult).
 package devtools
 
 import (
@@ -27,6 +28,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/slab"
 	"repro/internal/urlutil"
 )
 
@@ -80,7 +82,8 @@ func ScriptInitiator(id ScriptID) Initiator { return Initiator{Type: "script", S
 // ParserInitiator builds a parser-typed initiator.
 func ParserInitiator(id FrameID) Initiator { return Initiator{Type: "parser", FrameID: id} }
 
-// Event is implemented by every devtools event.
+// Event is implemented by a pointer to every devtools event; a trace
+// holds its events by pointer.
 type Event interface {
 	// Method returns the CDP-style method name, e.g.
 	// "Network.webSocketCreated".
@@ -102,7 +105,7 @@ type ScriptParsed struct {
 }
 
 // Method implements Event.
-func (ScriptParsed) Method() string { return "Debugger.scriptParsed" }
+func (*ScriptParsed) Method() string { return "Debugger.scriptParsed" }
 
 // RequestWillBeSent is emitted before a network request leaves the
 // browser (after extension interposition, so blocked requests never
@@ -125,7 +128,7 @@ type RequestWillBeSent struct {
 }
 
 // Method implements Event.
-func (RequestWillBeSent) Method() string { return "Network.requestWillBeSent" }
+func (*RequestWillBeSent) Method() string { return "Network.requestWillBeSent" }
 
 // ResponseReceived is emitted when response headers and body arrive.
 type ResponseReceived struct {
@@ -140,7 +143,7 @@ type ResponseReceived struct {
 }
 
 // Method implements Event.
-func (ResponseReceived) Method() string { return "Network.responseReceived" }
+func (*ResponseReceived) Method() string { return "Network.responseReceived" }
 
 // RequestBlocked is emitted when an extension cancels a request. Stock
 // Chrome does not emit this; the synthetic browser does so ablation
@@ -160,7 +163,7 @@ type RequestBlocked struct {
 }
 
 // Method implements Event.
-func (RequestBlocked) Method() string { return "Network.requestBlocked" }
+func (*RequestBlocked) Method() string { return "Network.requestBlocked" }
 
 // FrameNavigated is emitted when a frame (top-level or iframe) commits a
 // navigation.
@@ -174,7 +177,7 @@ type FrameNavigated struct {
 }
 
 // Method implements Event.
-func (FrameNavigated) Method() string { return "Page.frameNavigated" }
+func (*FrameNavigated) Method() string { return "Page.frameNavigated" }
 
 // WebSocketCreated is emitted when script constructs a WebSocket. The
 // Initiator's script is the socket's parent in the inclusion tree
@@ -191,7 +194,7 @@ type WebSocketCreated struct {
 }
 
 // Method implements Event.
-func (WebSocketCreated) Method() string { return "Network.webSocketCreated" }
+func (*WebSocketCreated) Method() string { return "Network.webSocketCreated" }
 
 // WebSocketWillSendHandshakeRequest is emitted before the opening
 // handshake is sent.
@@ -201,7 +204,7 @@ type WebSocketWillSendHandshakeRequest struct {
 }
 
 // Method implements Event.
-func (WebSocketWillSendHandshakeRequest) Method() string {
+func (*WebSocketWillSendHandshakeRequest) Method() string {
 	return "Network.webSocketWillSendHandshakeRequest"
 }
 
@@ -213,7 +216,7 @@ type WebSocketHandshakeResponseReceived struct {
 }
 
 // Method implements Event.
-func (WebSocketHandshakeResponseReceived) Method() string {
+func (*WebSocketHandshakeResponseReceived) Method() string {
 	return "Network.webSocketHandshakeResponseReceived"
 }
 
@@ -225,7 +228,7 @@ type WebSocketFrameSent struct {
 }
 
 // Method implements Event.
-func (WebSocketFrameSent) Method() string { return "Network.webSocketFrameSent" }
+func (*WebSocketFrameSent) Method() string { return "Network.webSocketFrameSent" }
 
 // WebSocketFrameReceived is emitted for every data frame received.
 type WebSocketFrameReceived struct {
@@ -235,7 +238,7 @@ type WebSocketFrameReceived struct {
 }
 
 // Method implements Event.
-func (WebSocketFrameReceived) Method() string { return "Network.webSocketFrameReceived" }
+func (*WebSocketFrameReceived) Method() string { return "Network.webSocketFrameReceived" }
 
 // WebSocketClosed is emitted when the socket terminates.
 type WebSocketClosed struct {
@@ -244,43 +247,114 @@ type WebSocketClosed struct {
 }
 
 // Method implements Event.
-func (WebSocketClosed) Method() string { return "Network.webSocketClosed" }
+func (*WebSocketClosed) Method() string { return "Network.webSocketClosed" }
 
 // Trace is an ordered event log: the browser records a page load into
 // it, then it is replayed into the inclusion-tree builder or serialized
 // to JSON.
 //
-// A Trace may be reused across page loads via Reset: the event slab and
-// the MarshalJSON envelope scratch are retained, so steady-state
-// recording appends into storage allocated by earlier pages. Reset
-// invalidates everything previously reachable through Events — callers
-// that reuse traces own the ordering between consumers finishing and
-// the next Reset (see browser.PageResult).
+// Record copies each event into a slab of its kind that the trace keeps,
+// so a trace reused across page loads via Reset records into storage
+// earlier pages allocated. Reset invalidates every event previously
+// reachable through Events — callers that reuse traces own the ordering
+// between consumers finishing and the next Reset (see
+// browser.PageResult).
 type Trace struct {
 	mu     sync.Mutex
 	Events []Event
 
+	slabs eventSlabs // guarded by mu
+
 	// envs is MarshalJSON's reusable envelope scratch; guarded by mu.
 	envs []envelope
+}
+
+// eventSlabs holds a trace's recorded events, one slab per kind.
+type eventSlabs struct {
+	scriptParsed      slab.Slab[ScriptParsed]
+	requestWillBeSent slab.Slab[RequestWillBeSent]
+	responseReceived  slab.Slab[ResponseReceived]
+	requestBlocked    slab.Slab[RequestBlocked]
+	frameNavigated    slab.Slab[FrameNavigated]
+	wsCreated         slab.Slab[WebSocketCreated]
+	wsHandshake       slab.Slab[WebSocketWillSendHandshakeRequest]
+	wsHandshakeResp   slab.Slab[WebSocketHandshakeResponseReceived]
+	wsFrameSent       slab.Slab[WebSocketFrameSent]
+	wsFrameReceived   slab.Slab[WebSocketFrameReceived]
+	wsClosed          slab.Slab[WebSocketClosed]
+}
+
+func (s *eventSlabs) reset() {
+	s.scriptParsed.Reset()
+	s.requestWillBeSent.Reset()
+	s.responseReceived.Reset()
+	s.requestBlocked.Reset()
+	s.frameNavigated.Reset()
+	s.wsCreated.Reset()
+	s.wsHandshake.Reset()
+	s.wsHandshakeResp.Reset()
+	s.wsFrameSent.Reset()
+	s.wsFrameReceived.Reset()
+	s.wsClosed.Reset()
 }
 
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
 // Reset clears the trace for the next page load while keeping the event
-// slab (and marshal scratch) for reuse.
+// slabs (and marshal scratch) for reuse.
 func (t *Trace) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	clear(t.Events) // drop references so retired events can be collected
 	t.Events = t.Events[:0]
+	t.slabs.reset()
 }
 
-// Record appends an event.
+// Record appends a copy of ev held in the trace's slab for its kind.
+// Record keeps nothing of ev itself, so the caller's event need not
+// outlive the call.
 func (t *Trace) Record(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.Events = append(t.Events, ev)
+	s := &t.slabs
+	var held Event
+	switch e := ev.(type) {
+	case *ScriptParsed:
+		held = hold(&s.scriptParsed, e)
+	case *RequestWillBeSent:
+		held = hold(&s.requestWillBeSent, e)
+	case *ResponseReceived:
+		held = hold(&s.responseReceived, e)
+	case *RequestBlocked:
+		held = hold(&s.requestBlocked, e)
+	case *FrameNavigated:
+		held = hold(&s.frameNavigated, e)
+	case *WebSocketCreated:
+		held = hold(&s.wsCreated, e)
+	case *WebSocketWillSendHandshakeRequest:
+		held = hold(&s.wsHandshake, e)
+	case *WebSocketHandshakeResponseReceived:
+		held = hold(&s.wsHandshakeResp, e)
+	case *WebSocketFrameSent:
+		held = hold(&s.wsFrameSent, e)
+	case *WebSocketFrameReceived:
+		held = hold(&s.wsFrameReceived, e)
+	case *WebSocketClosed:
+		held = hold(&s.wsClosed, e)
+	default:
+		// Every Event is one of the kinds above; a panic here would not
+		// name the culprit's type, as that would make ev escape.
+		panic("devtools: Record of an event of no known kind")
+	}
+	t.Events = append(t.Events, held)
+}
+
+// hold copies *e into the slab and returns the slab's copy.
+func hold[E any](s *slab.Slab[E], e *E) *E {
+	p := s.New()
+	*p = *e
+	return p
 }
 
 // Len returns the number of recorded events.
@@ -325,15 +399,13 @@ func (t *Trace) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &envs); err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.Events = t.Events[:0]
+	t.Reset()
 	for _, env := range envs {
 		ev, err := decodeEvent(env.Method, env.Params)
 		if err != nil {
 			return err
 		}
-		t.Events = append(t.Events, ev)
+		t.Record(ev)
 	}
 	return nil
 }
@@ -369,37 +441,7 @@ func decodeEvent(method string, params json.RawMessage) (Event, error) {
 	if err := json.Unmarshal(params, ev); err != nil {
 		return nil, fmt.Errorf("devtools: decode %s: %w", method, err)
 	}
-	return deref(ev), nil
-}
-
-// deref normalizes decoded pointer events to values so traces compare
-// equal regardless of serialization round trips.
-func deref(ev Event) Event {
-	switch e := ev.(type) {
-	case *ScriptParsed:
-		return *e
-	case *RequestWillBeSent:
-		return *e
-	case *ResponseReceived:
-		return *e
-	case *RequestBlocked:
-		return *e
-	case *FrameNavigated:
-		return *e
-	case *WebSocketCreated:
-		return *e
-	case *WebSocketWillSendHandshakeRequest:
-		return *e
-	case *WebSocketHandshakeResponseReceived:
-		return *e
-	case *WebSocketFrameSent:
-		return *e
-	case *WebSocketFrameReceived:
-		return *e
-	case *WebSocketClosed:
-		return *e
-	}
-	return ev
+	return ev, nil
 }
 
 // IDAllocator hands out sequential typed IDs for one page load. The

@@ -10,18 +10,18 @@ import (
 
 func sampleEvents() []Event {
 	return []Event{
-		FrameNavigated{FrameID: "F1", URL: "http://pub.example/", Initiator: ParserInitiator("F1")},
-		ScriptParsed{ScriptID: "S1", URL: "http://pub.example/app.js", FrameID: "F1", Initiator: ParserInitiator("F1")},
-		ScriptParsed{ScriptID: "S2", URL: "http://ads.example/ads.js", FrameID: "F1", Initiator: ScriptInitiator("S1")},
-		RequestWillBeSent{RequestID: "R1", URL: "http://ads.example/ads.js", Type: ResourceScript, FrameID: "F1", Initiator: ScriptInitiator("S1"), FirstPartyURL: "http://pub.example/"},
-		ResponseReceived{RequestID: "R1", URL: "http://ads.example/ads.js", Status: 200, MimeType: "application/javascript", BodySize: 123},
-		WebSocketCreated{SocketID: "W1", URL: "ws://adnet.example/data.ws", FrameID: "F1", Initiator: ScriptInitiator("S2"), FirstPartyURL: "http://pub.example/"},
-		WebSocketWillSendHandshakeRequest{SocketID: "W1", Header: map[string]string{"Origin": "http://pub.example"}},
-		WebSocketHandshakeResponseReceived{SocketID: "W1", Status: 101},
-		WebSocketFrameSent{SocketID: "W1", Opcode: 1, Payload: []byte(`{"ua":"Mozilla/5.0"}`)},
-		WebSocketFrameReceived{SocketID: "W1", Opcode: 1, Payload: []byte(`<html>ad</html>`)},
-		WebSocketClosed{SocketID: "W1", Code: 1000},
-		RequestBlocked{RequestID: "R2", URL: "http://tracker.example/px.gif", Type: ResourceImage, FrameID: "F1", Initiator: ScriptInitiator("S2"), Extension: "adblock", Rule: "||tracker.example^"},
+		&FrameNavigated{FrameID: "F1", URL: "http://pub.example/", Initiator: ParserInitiator("F1")},
+		&ScriptParsed{ScriptID: "S1", URL: "http://pub.example/app.js", FrameID: "F1", Initiator: ParserInitiator("F1")},
+		&ScriptParsed{ScriptID: "S2", URL: "http://ads.example/ads.js", FrameID: "F1", Initiator: ScriptInitiator("S1")},
+		&RequestWillBeSent{RequestID: "R1", URL: "http://ads.example/ads.js", Type: ResourceScript, FrameID: "F1", Initiator: ScriptInitiator("S1"), FirstPartyURL: "http://pub.example/"},
+		&ResponseReceived{RequestID: "R1", URL: "http://ads.example/ads.js", Status: 200, MimeType: "application/javascript", BodySize: 123},
+		&WebSocketCreated{SocketID: "W1", URL: "ws://adnet.example/data.ws", FrameID: "F1", Initiator: ScriptInitiator("S2"), FirstPartyURL: "http://pub.example/"},
+		&WebSocketWillSendHandshakeRequest{SocketID: "W1", Header: map[string]string{"Origin": "http://pub.example"}},
+		&WebSocketHandshakeResponseReceived{SocketID: "W1", Status: 101},
+		&WebSocketFrameSent{SocketID: "W1", Opcode: 1, Payload: []byte(`{"ua":"Mozilla/5.0"}`)},
+		&WebSocketFrameReceived{SocketID: "W1", Opcode: 1, Payload: []byte(`<html>ad</html>`)},
+		&WebSocketClosed{SocketID: "W1", Code: 1000},
+		&RequestBlocked{RequestID: "R2", URL: "http://tracker.example/px.gif", Type: ResourceImage, FrameID: "F1", Initiator: ScriptInitiator("S2"), Extension: "adblock", Rule: "||tracker.example^"},
 	}
 }
 
@@ -153,7 +153,7 @@ func TestIDAllocatorGolden(t *testing.T) {
 // and envelope scratch are reused.
 func TestTraceReuseAllocs(t *testing.T) {
 	tr := NewTrace()
-	ev := WebSocketFrameSent{SocketID: "W1", Payload: []byte("x")}
+	ev := &WebSocketFrameSent{SocketID: "W1", Payload: []byte("x")}
 	// Warm the slab past any realistic page's event count.
 	for i := 0; i < 4096; i++ {
 		tr.Record(ev)

@@ -120,7 +120,7 @@ func checkOpenTags(t *testing.T, src string) {
 		if src[pos] != '<' {
 			continue
 		}
-		p := &parser{src: src, pos: pos}
+		p := &parser{src: src, pos: pos, arena: new(Arena)}
 		el, selfClose := p.parseOpenTag()
 		want, wantSelfClose, ok, end := refOpenTag(src, pos)
 		if (el != nil) != ok || selfClose != wantSelfClose || p.pos != end {

@@ -12,40 +12,54 @@ import (
 	"strings"
 
 	"repro/internal/dom"
+	"repro/internal/slab"
 )
 
-// Parse parses HTML source into a document node. Parsing is forgiving:
-// unknown constructs become text, unclosed elements are closed at EOF.
-func Parse(src string) *dom.Node {
-	p := &parser{src: src}
+// Arena is the storage documents are parsed into: their nodes and the
+// elements' attribute lists come from slabs that Reset recycles, so a
+// browser that parses every page into one arena allocates nothing for a
+// page's DOM once the arena has grown to its pages. A document parsed
+// into an arena is valid until the arena's next Reset. An Arena is not
+// safe for concurrent use; its zero value is ready to use.
+type Arena struct {
+	nodes slab.Slab[dom.Node]
+	attrs slab.Slab[dom.Attribute]
+	// tag gathers one open tag's attributes, with SetAttr's rules,
+	// before they move to attrs.
+	tag dom.Node
+}
+
+// Reset takes back every node and attribute list handed out since the
+// last Reset: the documents parsed into the arena are invalid after it.
+func (a *Arena) Reset() {
+	a.nodes.Reset()
+	a.attrs.Reset()
+}
+
+// Parse parses HTML source into a document node held by the arena.
+// Parsing is forgiving: unknown constructs become text, unclosed
+// elements are closed at EOF.
+func (a *Arena) Parse(src string) *dom.Node {
+	p := parser{src: src, arena: a}
 	doc := p.node(dom.DocumentNode, "")
 	p.parseChildren(doc, "")
 	return doc
 }
 
+// Parse parses HTML source into a document node of its own: Arena.Parse
+// on a fresh arena.
+func Parse(src string) *dom.Node { return new(Arena).Parse(src) }
+
 type parser struct {
-	src string
-	pos int
-	// slab is the unused rest of the current chunk of nodes. A document's
-	// nodes are allocated a chunk at a time and live exactly as long as
-	// the document does: any node keeps its whole chunk reachable.
-	slab []dom.Node
+	src   string
+	pos   int
+	arena *Arena
 }
 
-// bytesPerNode is how much source one node takes on the pages this
-// parser meets (13 to 26 bytes; 16 on average), which sizes a chunk
-// from the source still unparsed: one chunk for most documents, a small
-// second one for the denser.
-const bytesPerNode = 16
-
-// node returns a node of the given type from the slab; data is the
+// node returns a node of the given type from the arena; data is the
 // content of a text or comment node.
 func (p *parser) node(typ dom.NodeType, data string) *dom.Node {
-	if len(p.slab) == 0 {
-		p.slab = make([]dom.Node, (len(p.src)-p.pos)/bytesPerNode+4)
-	}
-	n := &p.slab[0]
-	p.slab = p.slab[1:]
+	n := p.arena.nodes.New()
 	n.Type, n.Data = typ, data
 	return n
 }
@@ -187,10 +201,23 @@ func hasPrefixFold(s, lower string) bool {
 }
 
 // parseOpenTag parses "<tag attr=val ...>" starting at p.pos (which points
-// at '<') into a new element, setting each attribute as it is read: a
-// repeated name keeps its last value. Returns nil if this is not a
-// well-formed open tag.
+// at '<') into a new element. Returns nil if this is not a well-formed
+// open tag.
 func (p *parser) parseOpenTag() (el *dom.Node, selfClose bool) {
+	tag := &p.arena.tag
+	el, selfClose = p.scanOpenTag(tag)
+	if n := len(tag.Attrs); n > 0 {
+		el.Attrs = p.arena.attrs.Make(n)
+		copy(el.Attrs, tag.Attrs)
+		clear(tag.Attrs)
+		tag.Attrs = tag.Attrs[:0]
+	}
+	return el, selfClose
+}
+
+// scanOpenTag is parseOpenTag's scan. It sets each attribute on tag as
+// it is read, so a repeated name keeps its last value.
+func (p *parser) scanOpenTag(tag *dom.Node) (el *dom.Node, selfClose bool) {
 	i := p.pos + 1
 	start := i
 	for i < len(p.src) && isNameByte(p.src[i]) {
@@ -235,7 +262,7 @@ func (p *parser) parseOpenTag() (el *dom.Node, selfClose bool) {
 			i++
 		}
 		if i >= len(p.src) || p.src[i] != '=' {
-			el.SetAttr(name, "") // bare attribute
+			tag.SetAttr(name, "") // bare attribute
 			continue
 		}
 		i++ // consume '='
@@ -243,7 +270,7 @@ func (p *parser) parseOpenTag() (el *dom.Node, selfClose bool) {
 			i++
 		}
 		if i >= len(p.src) {
-			el.SetAttr(name, "")
+			tag.SetAttr(name, "")
 			p.pos = i
 			return el, false
 		}
@@ -265,7 +292,7 @@ func (p *parser) parseOpenTag() (el *dom.Node, selfClose bool) {
 			}
 			val = p.src[valStart:i]
 		}
-		el.SetAttr(name, dom.UnescapeText(val))
+		tag.SetAttr(name, dom.UnescapeText(val))
 	}
 }
 

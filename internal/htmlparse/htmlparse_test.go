@@ -292,3 +292,38 @@ var parseSeeds = []string{
 	`<div id="x" class= data-k="v" id='y'`,
 	"<a \u0130=1 i\u0307=2 \u212a=3 k=4 \xff=5>",
 }
+
+// FuzzParseArenaMatchesFresh parses a sequence of documents — the input
+// split at each '\x1e' — through one arena the way a browser does: reset
+// before each page, a page's frames parsed into the arena beside it. Every
+// document must serialize exactly as a fresh parse of it does, the
+// previous document of the same page included, so nothing a recycled
+// node or attribute list held survives into the next.
+func FuzzParseArenaMatchesFresh(f *testing.F) {
+	f.Add(strings.Join(parseSeeds, "\x1e"))
+	for i := 1; i < len(parseSeeds); i++ {
+		f.Add(parseSeeds[i-1] + "\x1e" + parseSeeds[i])
+	}
+	// One page past the largest chunk an arena keeps, between small ones.
+	f.Add(`<a href=x>1</a>` + "\x1e" + strings.Repeat(`<p id=p class="c">t</p>`, 1500) + "\x1e" + `<img src=y alt>`)
+	var arena Arena
+	f.Fuzz(func(t *testing.T, src string) {
+		var prev *dom.Node
+		var prevWant string
+		for i, doc := range strings.Split(src, "\x1e") {
+			if i%2 == 0 {
+				arena.Reset()
+				prev = nil
+			}
+			got := arena.Parse(doc)
+			if want := Parse(doc).OuterHTML(); got.OuterHTML() != want {
+				t.Fatalf("document %d through the arena:\n got %q\nwant %q", i, got.OuterHTML(), want)
+			}
+			if prev != nil && prev.OuterHTML() != prevWant {
+				t.Fatalf("document %d changed once document %d shared its arena:\n got %q\nwant %q",
+					i-1, i, prev.OuterHTML(), prevWant)
+			}
+			prev, prevWant = got, got.OuterHTML()
+		}
+	})
+}

@@ -17,13 +17,13 @@ import (
 // creates, with the node's kind and ID.
 func eventURL(ev devtools.Event) (kind Kind, id string, u *urlutil.URL, ok bool) {
 	switch ev := ev.(type) {
-	case devtools.FrameNavigated:
+	case *devtools.FrameNavigated:
 		return KindFrame, string(ev.FrameID), ev.Parsed, true
-	case devtools.ScriptParsed:
+	case *devtools.ScriptParsed:
 		return KindScript, string(ev.ScriptID), ev.Parsed, true
-	case devtools.RequestWillBeSent:
+	case *devtools.RequestWillBeSent:
 		return KindRequest, string(ev.RequestID), ev.Parsed, true
-	case devtools.WebSocketCreated:
+	case *devtools.WebSocketCreated:
 		return KindWebSocket, string(ev.SocketID), ev.Parsed, true
 	}
 	return 0, "", nil, false

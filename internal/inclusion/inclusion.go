@@ -386,7 +386,7 @@ func attach(parent, child *Node) {
 
 func (t *Tree) apply(ev devtools.Event) error {
 	switch ev := ev.(type) {
-	case devtools.FrameNavigated:
+	case *devtools.FrameNavigated:
 		n := t.newNode()
 		n.Kind, n.ID, n.URL = KindFrame, string(ev.FrameID), ev.URL
 		n.adoptURL(ev.Parsed)
@@ -405,7 +405,7 @@ func (t *Tree) apply(ev devtools.Event) error {
 		}
 		t.frames[ev.FrameID] = n
 
-	case devtools.ScriptParsed:
+	case *devtools.ScriptParsed:
 		parent, err := t.parentFor(ev.Initiator, ev.FrameID)
 		if err != nil {
 			return err
@@ -416,7 +416,7 @@ func (t *Tree) apply(ev devtools.Event) error {
 		attach(parent, n)
 		t.scripts[ev.ScriptID] = n
 
-	case devtools.RequestWillBeSent:
+	case *devtools.RequestWillBeSent:
 		parent, err := t.parentFor(ev.Initiator, ev.FrameID)
 		if err != nil {
 			return err
@@ -428,14 +428,14 @@ func (t *Tree) apply(ev devtools.Event) error {
 		attach(parent, n)
 		t.reqs[ev.RequestID] = n
 
-	case devtools.ResponseReceived:
+	case *devtools.ResponseReceived:
 		if n, ok := t.reqs[ev.RequestID]; ok {
 			n.Status = ev.Status
 			n.MimeType = ev.MimeType
 			n.RespBody = ev.Body
 		}
 
-	case devtools.RequestBlocked:
+	case *devtools.RequestBlocked:
 		parent, err := t.parentFor(ev.Initiator, ev.FrameID)
 		if err != nil {
 			return err
@@ -446,7 +446,7 @@ func (t *Tree) apply(ev devtools.Event) error {
 		attach(parent, n)
 		t.Blocked = append(t.Blocked, n)
 
-	case devtools.WebSocketCreated:
+	case *devtools.WebSocketCreated:
 		parent, err := t.parentFor(ev.Initiator, ev.FrameID)
 		if err != nil {
 			return err
@@ -458,23 +458,23 @@ func (t *Tree) apply(ev devtools.Event) error {
 		attach(parent, n)
 		t.sockets[ev.SocketID] = n
 
-	case devtools.WebSocketWillSendHandshakeRequest:
+	case *devtools.WebSocketWillSendHandshakeRequest:
 		if n, ok := t.sockets[ev.SocketID]; ok {
 			n.HandshakeHeader = ev.Header
 		}
-	case devtools.WebSocketHandshakeResponseReceived:
+	case *devtools.WebSocketHandshakeResponseReceived:
 		if n, ok := t.sockets[ev.SocketID]; ok {
 			n.HandshakeStatus = ev.Status
 		}
-	case devtools.WebSocketFrameSent:
+	case *devtools.WebSocketFrameSent:
 		if n, ok := t.sockets[ev.SocketID]; ok {
 			n.Sent = append(n.Sent, WSFrame{Opcode: ev.Opcode, Payload: ev.Payload})
 		}
-	case devtools.WebSocketFrameReceived:
+	case *devtools.WebSocketFrameReceived:
 		if n, ok := t.sockets[ev.SocketID]; ok {
 			n.Received = append(n.Received, WSFrame{Opcode: ev.Opcode, Payload: ev.Payload})
 		}
-	case devtools.WebSocketClosed:
+	case *devtools.WebSocketClosed:
 		if n, ok := t.sockets[ev.SocketID]; ok {
 			n.CloseCode = ev.Code
 		}

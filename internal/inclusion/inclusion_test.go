@@ -18,19 +18,19 @@ import (
 func figure2Trace() *devtools.Trace {
 	tr := devtools.NewTrace()
 	for _, ev := range []devtools.Event{
-		devtools.FrameNavigated{FrameID: "F1", URL: "http://pub.com/index.html", Initiator: devtools.ParserInitiator("F1")},
-		devtools.ScriptParsed{ScriptID: "S1", URL: "http://pub.com/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
-		devtools.RequestWillBeSent{RequestID: "R1", URL: "http://ads.com/script.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S1"), FirstPartyURL: "http://pub.com/index.html"},
-		devtools.ResponseReceived{RequestID: "R1", Status: 200, MimeType: "application/javascript", BodySize: 10},
-		devtools.ScriptParsed{ScriptID: "S2", URL: "http://ads.com/script.js", FrameID: "F1", Initiator: devtools.ScriptInitiator("S1")},
-		devtools.RequestWillBeSent{RequestID: "R2", URL: "http://ads.com/image.img", Type: devtools.ResourceImage, FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub.com/index.html"},
-		devtools.WebSocketCreated{SocketID: "W1", URL: "ws://adnet.com/data.ws", FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub.com/index.html"},
-		devtools.WebSocketWillSendHandshakeRequest{SocketID: "W1", Header: map[string]string{"User-Agent": "Mozilla/5.0", "Origin": "http://pub.com"}},
-		devtools.WebSocketHandshakeResponseReceived{SocketID: "W1", Status: 101},
-		devtools.WebSocketFrameSent{SocketID: "W1", Opcode: 1, Payload: []byte("ua=Mozilla/5.0")},
-		devtools.WebSocketFrameReceived{SocketID: "W1", Opcode: 1, Payload: []byte("<div>ad</div>")},
-		devtools.WebSocketClosed{SocketID: "W1", Code: 1000},
-		devtools.ScriptParsed{ScriptID: "S3", URL: "http://tracker.com/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
+		&devtools.FrameNavigated{FrameID: "F1", URL: "http://pub.com/index.html", Initiator: devtools.ParserInitiator("F1")},
+		&devtools.ScriptParsed{ScriptID: "S1", URL: "http://pub.com/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
+		&devtools.RequestWillBeSent{RequestID: "R1", URL: "http://ads.com/script.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S1"), FirstPartyURL: "http://pub.com/index.html"},
+		&devtools.ResponseReceived{RequestID: "R1", Status: 200, MimeType: "application/javascript", BodySize: 10},
+		&devtools.ScriptParsed{ScriptID: "S2", URL: "http://ads.com/script.js", FrameID: "F1", Initiator: devtools.ScriptInitiator("S1")},
+		&devtools.RequestWillBeSent{RequestID: "R2", URL: "http://ads.com/image.img", Type: devtools.ResourceImage, FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub.com/index.html"},
+		&devtools.WebSocketCreated{SocketID: "W1", URL: "ws://adnet.com/data.ws", FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub.com/index.html"},
+		&devtools.WebSocketWillSendHandshakeRequest{SocketID: "W1", Header: map[string]string{"User-Agent": "Mozilla/5.0", "Origin": "http://pub.com"}},
+		&devtools.WebSocketHandshakeResponseReceived{SocketID: "W1", Status: 101},
+		&devtools.WebSocketFrameSent{SocketID: "W1", Opcode: 1, Payload: []byte("ua=Mozilla/5.0")},
+		&devtools.WebSocketFrameReceived{SocketID: "W1", Opcode: 1, Payload: []byte("<div>ad</div>")},
+		&devtools.WebSocketClosed{SocketID: "W1", Code: 1000},
+		&devtools.ScriptParsed{ScriptID: "S3", URL: "http://tracker.com/script.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
 	} {
 		tr.Record(ev)
 	}
@@ -134,14 +134,14 @@ func TestRefererMisattribution(t *testing.T) {
 
 func TestBuildRejectsUnknownParents(t *testing.T) {
 	tr := devtools.NewTrace()
-	tr.Record(devtools.FrameNavigated{FrameID: "F1", URL: "http://p.com/", Initiator: devtools.ParserInitiator("F1")})
-	tr.Record(devtools.WebSocketCreated{SocketID: "W1", URL: "ws://x.com/s", FrameID: "F1", Initiator: devtools.ScriptInitiator("S404")})
+	tr.Record(&devtools.FrameNavigated{FrameID: "F1", URL: "http://p.com/", Initiator: devtools.ParserInitiator("F1")})
+	tr.Record(&devtools.WebSocketCreated{SocketID: "W1", URL: "ws://x.com/s", FrameID: "F1", Initiator: devtools.ScriptInitiator("S404")})
 	if _, err := Build(tr); err == nil {
 		t.Error("unknown initiator script accepted")
 	}
 
 	tr2 := devtools.NewTrace()
-	tr2.Record(devtools.ScriptParsed{ScriptID: "S1", URL: "http://p.com/a.js", FrameID: "F9", Initiator: devtools.ParserInitiator("F9")})
+	tr2.Record(&devtools.ScriptParsed{ScriptID: "S1", URL: "http://p.com/a.js", FrameID: "F9", Initiator: devtools.ParserInitiator("F9")})
 	if _, err := Build(tr2); err == nil {
 		t.Error("trace without top frame accepted")
 	}
@@ -149,9 +149,9 @@ func TestBuildRejectsUnknownParents(t *testing.T) {
 
 func TestBlockedRequestsTracked(t *testing.T) {
 	tr := devtools.NewTrace()
-	tr.Record(devtools.FrameNavigated{FrameID: "F1", URL: "http://p.com/", Initiator: devtools.ParserInitiator("F1")})
-	tr.Record(devtools.ScriptParsed{ScriptID: "S1", URL: "http://p.com/a.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")})
-	tr.Record(devtools.RequestBlocked{RequestID: "R1", URL: "http://tracker.com/t.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S1"), Extension: "abp", Rule: "||tracker.com^"})
+	tr.Record(&devtools.FrameNavigated{FrameID: "F1", URL: "http://p.com/", Initiator: devtools.ParserInitiator("F1")})
+	tr.Record(&devtools.ScriptParsed{ScriptID: "S1", URL: "http://p.com/a.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")})
+	tr.Record(&devtools.RequestBlocked{RequestID: "R1", URL: "http://tracker.com/t.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S1"), Extension: "abp", Rule: "||tracker.com^"})
 	tree, err := Build(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +166,10 @@ func TestBlockedRequestsTracked(t *testing.T) {
 
 func TestIframeSubtree(t *testing.T) {
 	tr := devtools.NewTrace()
-	tr.Record(devtools.FrameNavigated{FrameID: "F1", URL: "http://p.com/", Initiator: devtools.ParserInitiator("F1")})
-	tr.Record(devtools.FrameNavigated{FrameID: "F2", ParentFrameID: "F1", URL: "http://ads.com/frame.html", Initiator: devtools.ParserInitiator("F1")})
-	tr.Record(devtools.ScriptParsed{ScriptID: "S1", URL: "http://ads.com/inner.js", FrameID: "F2", Initiator: devtools.ParserInitiator("F2")})
-	tr.Record(devtools.WebSocketCreated{SocketID: "W1", URL: "ws://rt.com/s", FrameID: "F2", Initiator: devtools.ScriptInitiator("S1"), FirstPartyURL: "http://p.com/"})
+	tr.Record(&devtools.FrameNavigated{FrameID: "F1", URL: "http://p.com/", Initiator: devtools.ParserInitiator("F1")})
+	tr.Record(&devtools.FrameNavigated{FrameID: "F2", ParentFrameID: "F1", URL: "http://ads.com/frame.html", Initiator: devtools.ParserInitiator("F1")})
+	tr.Record(&devtools.ScriptParsed{ScriptID: "S1", URL: "http://ads.com/inner.js", FrameID: "F2", Initiator: devtools.ParserInitiator("F2")})
+	tr.Record(&devtools.WebSocketCreated{SocketID: "W1", URL: "ws://rt.com/s", FrameID: "F2", Initiator: devtools.ScriptInitiator("S1"), FirstPartyURL: "http://p.com/"})
 	tree, err := Build(tr)
 	if err != nil {
 		t.Fatal(err)

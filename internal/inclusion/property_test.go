@@ -20,7 +20,7 @@ func genTrace(rng *rand.Rand) *devtools.Trace {
 	var alloc devtools.IDAllocator
 
 	rootFrame := alloc.NextFrame()
-	tr.Record(devtools.FrameNavigated{FrameID: rootFrame, URL: "http://pub.example/", Initiator: devtools.ParserInitiator(rootFrame)})
+	tr.Record(&devtools.FrameNavigated{FrameID: rootFrame, URL: "http://pub.example/", Initiator: devtools.ParserInitiator(rootFrame)})
 
 	frames := []devtools.FrameID{rootFrame}
 	var scripts []devtools.ScriptID
@@ -38,42 +38,42 @@ func genTrace(rng *rand.Rand) *devtools.Trace {
 		switch rng.Intn(5) {
 		case 0: // script
 			id := alloc.NextScript()
-			tr.Record(devtools.ScriptParsed{
+			tr.Record(&devtools.ScriptParsed{
 				ScriptID: id, URL: fmt.Sprintf("http://s%d.example/w.js", rng.Intn(8)),
 				FrameID: randFrame(), Initiator: randInitiator(),
 			})
 			scripts = append(scripts, id)
 		case 1: // request
 			id := alloc.NextRequest()
-			tr.Record(devtools.RequestWillBeSent{
+			tr.Record(&devtools.RequestWillBeSent{
 				RequestID: id, URL: fmt.Sprintf("http://r%d.example/x", rng.Intn(8)),
 				Type: devtools.ResourceImage, FrameID: randFrame(), Initiator: randInitiator(),
 				FirstPartyURL: "http://pub.example/",
 			})
 			if rng.Intn(2) == 0 {
-				tr.Record(devtools.ResponseReceived{RequestID: id, Status: 200, MimeType: "image/gif"})
+				tr.Record(&devtools.ResponseReceived{RequestID: id, Status: 200, MimeType: "image/gif"})
 			}
 		case 2: // iframe
 			id := alloc.NextFrame()
-			tr.Record(devtools.FrameNavigated{
+			tr.Record(&devtools.FrameNavigated{
 				FrameID: id, ParentFrameID: randFrame(),
 				URL: fmt.Sprintf("http://f%d.example/frame", rng.Intn(8)), Initiator: randInitiator(),
 			})
 			frames = append(frames, id)
 		case 3: // websocket lifecycle
 			id := alloc.NextSocket()
-			tr.Record(devtools.WebSocketCreated{
+			tr.Record(&devtools.WebSocketCreated{
 				SocketID: id, URL: fmt.Sprintf("ws://w%d.example/s", rng.Intn(8)),
 				FrameID: randFrame(), Initiator: randInitiator(),
 				FirstPartyURL: "http://pub.example/",
 			})
 			for k := 0; k < rng.Intn(3); k++ {
-				tr.Record(devtools.WebSocketFrameSent{SocketID: id, Opcode: 1, Payload: []byte("x")})
+				tr.Record(&devtools.WebSocketFrameSent{SocketID: id, Opcode: 1, Payload: []byte("x")})
 			}
-			tr.Record(devtools.WebSocketClosed{SocketID: id, Code: 1000})
+			tr.Record(&devtools.WebSocketClosed{SocketID: id, Code: 1000})
 		case 4: // blocked request
 			id := alloc.NextRequest()
-			tr.Record(devtools.RequestBlocked{
+			tr.Record(&devtools.RequestBlocked{
 				RequestID: id, URL: "http://blocked.example/x",
 				Type: devtools.ResourceScript, FrameID: randFrame(), Initiator: randInitiator(),
 				Extension: "abp",
@@ -140,15 +140,15 @@ func TestTreeInvariantsProperty(t *testing.T) {
 		var wantSockets, wantScripts, wantFrames, wantReqs, wantBlocked int
 		for _, ev := range tr.Events {
 			switch ev.(type) {
-			case devtools.WebSocketCreated:
+			case *devtools.WebSocketCreated:
 				wantSockets++
-			case devtools.ScriptParsed:
+			case *devtools.ScriptParsed:
 				wantScripts++
-			case devtools.FrameNavigated:
+			case *devtools.FrameNavigated:
 				wantFrames++
-			case devtools.RequestWillBeSent:
+			case *devtools.RequestWillBeSent:
 				wantReqs++
-			case devtools.RequestBlocked:
+			case *devtools.RequestBlocked:
 				wantBlocked++
 			}
 		}

@@ -117,14 +117,22 @@ func isOpaqueCDNHost(host string) bool {
 // per-domain observation deltas: A&A hits, non-A&A hits, and opaque-CDN
 // adjacency candidates. The deltas ride in the page's record and are
 // summed when the dataset is assembled (internal/analysis), which is
-// what lets a crawl checkpoint, resume and merge.
+// what lets a crawl checkpoint, resume and merge. TagTree is TagTreeInto
+// on maps of its own.
+func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
+	aa, non, cdn = map[string]int{}, map[string]int{}, map[string]int{}
+	l.TagTreeInto(t, aa, non, cdn)
+	return aa, non, cdn
+}
+
+// TagTreeInto is TagTree adding the page's deltas to the caller's maps,
+// which a recorder recycles from page to page.
 //
 // Each request's verdict stays on its node (inclusion.Node.Verdict), so
 // the chain questions asked of the same tree afterwards do not match
 // anything twice. A tree therefore belongs to the one labeler that
 // tags it.
-func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
-	aa, non, cdn = map[string]int{}, map[string]int{}, map[string]int{}
+func (l *Labeler) TagTreeInto(t *inclusion.Tree, aa, non, cdn map[string]int) {
 	pageHost := t.Root.Host() // the page is the root frame's document
 	var prevDomainAA bool
 	var prevHost string
@@ -155,7 +163,6 @@ func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
 		prevDomainAA = blocked
 		prevHost = host
 	}
-	return aa, non, cdn
 }
 
 // blocked reports whether the lists block node n — its URL u, asked as

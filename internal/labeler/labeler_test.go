@@ -128,17 +128,17 @@ func buildTree(t *testing.T) *inclusion.Tree {
 	t.Helper()
 	tr := devtools.NewTrace()
 	events := []devtools.Event{
-		devtools.FrameNavigated{FrameID: "F1", URL: "http://pub.example/", Initiator: devtools.ParserInitiator("F1")},
-		devtools.ScriptParsed{ScriptID: "S1", URL: "http://pub.example/app.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
+		&devtools.FrameNavigated{FrameID: "F1", URL: "http://pub.example/", Initiator: devtools.ParserInitiator("F1")},
+		&devtools.ScriptParsed{ScriptID: "S1", URL: "http://pub.example/app.js", FrameID: "F1", Initiator: devtools.ParserInitiator("F1")},
 		// A&A script request (matches easylist).
-		devtools.RequestWillBeSent{RequestID: "R1", URL: "http://cdn.adnet.example/w.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S1"), FirstPartyURL: "http://pub.example/"},
-		devtools.ScriptParsed{ScriptID: "S2", URL: "http://cdn.adnet.example/w.js", FrameID: "F1", Initiator: devtools.ScriptInitiator("S1")},
+		&devtools.RequestWillBeSent{RequestID: "R1", URL: "http://cdn.adnet.example/w.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S1"), FirstPartyURL: "http://pub.example/"},
+		&devtools.ScriptParsed{ScriptID: "S2", URL: "http://cdn.adnet.example/w.js", FrameID: "F1", Initiator: devtools.ScriptInitiator("S1")},
 		// Clean request from the A&A script.
-		devtools.RequestWillBeSent{RequestID: "R2", URL: "http://benign.example/lib.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub.example/"},
+		&devtools.RequestWillBeSent{RequestID: "R2", URL: "http://benign.example/lib.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub.example/"},
 		// Opaque CDN host right after the A&A request.
-		devtools.RequestWillBeSent{RequestID: "R3", URL: "http://dabc123.cloudfront.net/t.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S1"), FirstPartyURL: "http://pub.example/"},
+		&devtools.RequestWillBeSent{RequestID: "R3", URL: "http://dabc123.cloudfront.net/t.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ScriptInitiator("S1"), FirstPartyURL: "http://pub.example/"},
 		// Socket from the A&A script.
-		devtools.WebSocketCreated{SocketID: "W1", URL: "ws://partial.example/ws", FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub.example/"},
+		&devtools.WebSocketCreated{SocketID: "W1", URL: "ws://partial.example/ws", FrameID: "F1", Initiator: devtools.ScriptInitiator("S2"), FirstPartyURL: "http://pub.example/"},
 	}
 	for _, ev := range events {
 		tr.Record(ev)
@@ -172,9 +172,9 @@ func TestCDNAdjacencyCandidates(t *testing.T) {
 	}
 	// A direct sequence, A&A then CDN, is one.
 	tr := devtools.NewTrace()
-	tr.Record(devtools.FrameNavigated{FrameID: "F1", URL: "http://pub.example/", Initiator: devtools.ParserInitiator("F1")})
-	tr.Record(devtools.RequestWillBeSent{RequestID: "R1", URL: "http://cdn.adnet.example/w.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ParserInitiator("F1"), FirstPartyURL: "http://pub.example/"})
-	tr.Record(devtools.RequestWillBeSent{RequestID: "R2", URL: "http://dxyz9.cloudfront.net/t.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ParserInitiator("F1"), FirstPartyURL: "http://pub.example/"})
+	tr.Record(&devtools.FrameNavigated{FrameID: "F1", URL: "http://pub.example/", Initiator: devtools.ParserInitiator("F1")})
+	tr.Record(&devtools.RequestWillBeSent{RequestID: "R1", URL: "http://cdn.adnet.example/w.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ParserInitiator("F1"), FirstPartyURL: "http://pub.example/"})
+	tr.Record(&devtools.RequestWillBeSent{RequestID: "R2", URL: "http://dxyz9.cloudfront.net/t.js", Type: devtools.ResourceScript, FrameID: "F1", Initiator: devtools.ParserInitiator("F1"), FirstPartyURL: "http://pub.example/"})
 	tree2, err := inclusion.Build(tr)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -159,4 +160,29 @@ func TestExpvarMapFlattensHistograms(t *testing.T) {
 	if m["stage.x.p50_ns"] == 0 {
 		t.Error("stage.x.p50_ns missing")
 	}
+}
+
+// TestRuntimeGauges: every runtime gauge reads a value this Go release
+// exports, and allocating moves the allocation totals between two
+// snapshots.
+func TestRuntimeGauges(t *testing.T) {
+	before := Default.Snapshot()
+	sink := make([][]byte, 0, 64)
+	for i := 0; i < 64; i++ {
+		sink = append(sink, make([]byte, 4096))
+	}
+	runtime.GC()
+	after := Default.Snapshot()
+	for _, g := range runtimeGauges {
+		if after.Gauges[g.name] <= 0 {
+			t.Errorf("%s (%s) reads %d", g.name, g.sample, after.Gauges[g.name])
+		}
+	}
+	if d := after.Gauges[MRuntimeHeapAllocBytes] - before.Gauges[MRuntimeHeapAllocBytes]; d < 64*4096 {
+		t.Errorf("%s moved %d bytes over 256 KiB of allocations", MRuntimeHeapAllocBytes, d)
+	}
+	if d := after.Gauges[MRuntimeGCCycles] - before.Gauges[MRuntimeGCCycles]; d < 1 {
+		t.Errorf("%s moved %d over a forced GC", MRuntimeGCCycles, d)
+	}
+	runtime.KeepAlive(sink)
 }

@@ -31,54 +31,66 @@ type URL struct {
 	Query string
 
 	// str memoizes String() when the parsed input is already in
-	// canonical form. It is set only during Parse, before the URL is
+	// canonical form. It is set only while parsing, before the URL is
 	// shared, so later concurrent String() calls stay race-free.
 	str string
 }
 
 // Parse parses an absolute URL. It rejects relative references and URLs
 // without a host, since every resource in a crawl trace must be absolute.
+// It is ParseInto on a URL of its own.
+func Parse(raw string) (*URL, error) {
+	u := new(URL)
+	if err := ParseInto(u, raw); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// ParseInto parses raw into *dst, the caller's storage, with Parse's
+// rules; on error *dst is left as it was.
 //
 // Simple URLs — lowercase scheme and host, no userinfo, no fragment, no
-// percent-escapes, nothing the standard library would re-encode — take a
-// single-allocation fast path; anything else falls back to net/url. The
-// two paths produce identical URL values for every input the fast path
-// accepts (TestParseFastMatchesStd).
-func Parse(raw string) (*URL, error) {
-	if u, ok := parseFast(raw); ok {
-		return u, nil
+// percent-escapes, nothing the standard library would re-encode — take
+// a fast path that allocates nothing; anything else falls back to
+// net/url. The two paths produce identical URL values for every input
+// the fast path accepts (TestParseFastMatchesStd).
+func ParseInto(dst *URL, raw string) error {
+	if parseFast(dst, raw) {
+		return nil
 	}
 	u, err := url.Parse(raw)
 	if err != nil {
-		return nil, fmt.Errorf("urlutil: parse %q: %w", raw, err)
+		return fmt.Errorf("urlutil: parse %q: %w", raw, err)
 	}
 	if u.Scheme == "" {
-		return nil, fmt.Errorf("urlutil: parse %q: missing scheme", raw)
+		return fmt.Errorf("urlutil: parse %q: missing scheme", raw)
 	}
 	if u.Hostname() == "" {
-		return nil, fmt.Errorf("urlutil: parse %q: missing host", raw)
+		return fmt.Errorf("urlutil: parse %q: missing host", raw)
 	}
 	p := u.EscapedPath()
 	if p == "" {
 		p = "/"
 	}
-	return &URL{
+	*dst = URL{
 		Raw:    raw,
 		Scheme: strings.ToLower(u.Scheme),
 		Host:   strings.ToLower(u.Hostname()),
 		Port:   u.Port(),
 		Path:   p,
 		Query:  u.RawQuery,
-	}, nil
+	}
+	return nil
 }
 
-// parseFast hand-parses scheme://host[:port][/path][?query] for the
-// conservative subset of URLs where its output is bit-identical to the
-// net/url path in Parse: lowercase scheme and host, no userinfo,
-// fragment, percent-escape, or any byte the standard library would
-// re-encode. Returns ok=false (fall back to net/url) for anything it is
-// not certain about.
-func parseFast(raw string) (*URL, bool) {
+// parseFast hand-parses scheme://host[:port][/path][?query] into *dst
+// for the conservative subset of URLs where its output is bit-identical
+// to the net/url path in ParseInto: lowercase scheme and host, no
+// userinfo, fragment, percent-escape, or any byte the standard library
+// would re-encode. It returns false, leaving *dst alone, for anything
+// it is not certain about (ParseInto then falls back to net/url).
+func parseFast(dst *URL, raw string) bool {
 	var scheme, rest string
 	switch {
 	case strings.HasPrefix(raw, "http://"):
@@ -90,7 +102,7 @@ func parseFast(raw string) (*URL, bool) {
 	case strings.HasPrefix(raw, "wss://"):
 		scheme, rest = "wss", raw[len("wss://"):]
 	default:
-		return nil, false
+		return false
 	}
 	hostport, path, query := rest, "/", ""
 	end := 0 // first '/' or '?': the end of host[:port]
@@ -112,20 +124,20 @@ func parseFast(raw string) (*URL, bool) {
 	if c := strings.IndexByte(hostport, ':'); c >= 0 {
 		host, port = hostport[:c], hostport[c+1:]
 		if port == "" || !allDigits(port) {
-			return nil, false
+			return false
 		}
 	}
 	if host == "" || !simpleHost(host) || !simplePath(path) || !simpleQuery(query) {
-		return nil, false
+		return false
 	}
-	u := &URL{Raw: raw, Scheme: scheme, Host: host, Port: port, Path: path, Query: query}
+	*dst = URL{Raw: raw, Scheme: scheme, Host: host, Port: port, Path: path, Query: query}
 	if end < len(rest) && rest[end] == '/' && (query != "" || raw[len(raw)-1] != '?') {
 		// The input spelled out its path, and any '?' has a query after
 		// it, so reassembly reproduces it verbatim: String() can return
 		// the original bytes.
-		u.str = raw
+		dst.str = raw
 	}
-	return u, true
+	return true
 }
 
 func allDigits(s string) bool {

@@ -240,7 +240,7 @@ func TestParseFastMatchesStd(t *testing.T) {
 		"http://a.co/p?q=%zz#x",
 	}
 	for _, raw := range cases {
-		fast, fastOK := parseFast(raw)
+		fast, fastOK := fastOnly(raw)
 		std, stdErr := parseStd(raw)
 		if !fastOK {
 			// Fallback handles it; just confirm Parse agrees with std.
@@ -272,7 +272,7 @@ func TestParseFastMatchesStdQuick(t *testing.T) {
 	f := func(h, p, q, pt uint8) bool {
 		raw := "http://" + hosts[int(h)%len(hosts)] + ports[int(pt)%len(ports)] +
 			paths[int(p)%len(paths)] + queries[int(q)%len(queries)]
-		fast, ok := parseFast(raw)
+		fast, ok := fastOnly(raw)
 		if !ok {
 			return true
 		}
@@ -308,7 +308,7 @@ func FuzzParseMatchesNetURL(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		std, stdErr := parseStd(raw)
-		if fast, ok := parseFast(raw); ok {
+		if fast, ok := fastOnly(raw); ok {
 			if stdErr != nil {
 				t.Fatalf("parseFast(%q) accepted, net/url refuses: %v", raw, stdErr)
 			}
@@ -324,4 +324,42 @@ func FuzzParseMatchesNetURL(f *testing.F) {
 			t.Fatalf("Parse(%q) = %+v, net/url = %+v", raw, got, std)
 		}
 	})
+}
+
+// fastOnly runs parseFast alone, into a URL of its own.
+func fastOnly(raw string) (*URL, bool) {
+	u := new(URL)
+	return u, parseFast(u, raw)
+}
+
+// TestParseIntoOverwrites: ParseInto leaves nothing of the URL it
+// overwrites — the memoized String() included — and leaves the
+// destination alone when the input does not parse.
+func TestParseIntoOverwrites(t *testing.T) {
+	var u URL
+	if err := ParseInto(&u, "http://a.example/x/y?q=1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range []string{"wss://b.example:8443", "http://C.example/%7Ez", "http://a.example/x/y?q=1"} {
+		if err := ParseInto(&u, raw); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Parse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u != *want || u.String() != want.String() {
+			t.Errorf("ParseInto(%q) over an earlier URL = %+v, Parse = %+v", raw, u, *want)
+		}
+	}
+	before := u
+	if err := ParseInto(&u, "/relative"); err == nil {
+		t.Fatal("ParseInto accepted a relative reference")
+	}
+	if u != before {
+		t.Errorf("a failed ParseInto changed its destination: %+v, was %+v", u, before)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ParseInto(&u, "http://a.example/x/y?q=1") }); n != 0 {
+		t.Errorf("ParseInto of a fast-path URL allocated %.1f times, want 0", n)
+	}
 }

@@ -67,6 +67,17 @@ func (before statsSnapshot) since(s *Server) statsSnapshot {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test after five
+// seconds: for counters a server moves after the client has its answer.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // httpAnswer is everything a client observes of one HTTP exchange.
 type httpAnswer struct {
 	Status      int
@@ -174,12 +185,19 @@ func TestTransportErrorsMirror(t *testing.T) {
 			delta: statsSnapshot{Shed: 1, ObsShed: 1},
 			before: func(s *Server) {
 				// Hold the only slot for the server's lifetime.
+				obsBefore := obs.ServerHandshakes.Value()
 				d := wsproto.Dialer{ResolveAddr: s.Resolver(), Rand: detrand.New(9)}
 				conn, _, err := d.Dial(context.Background(), "ws://intercom.io/ws?sid=hold&n=0")
 				if err != nil {
 					t.Fatalf("holding the slot: %v", err)
 				}
 				t.Cleanup(func() { conn.Close() })
+				// The server counts a handshake after writing the 101 the
+				// dial returned on, so wait for the holder's count: landing
+				// later, it would move this row's counters or a later row's.
+				waitFor(t, "the slot holder's handshake count", func() bool {
+					return s.Stats.WSHandshakes.Load() == 1 && obs.ServerHandshakes.Value() > obsBefore
+				})
 			}},
 		{name: "server closed", url: "ws://intercom.io/ws?sid=a&n=0",
 			before: func(s *Server) { s.Close() }},
@@ -445,9 +463,9 @@ func TestSocketTimeoutBoundsWedgedInProcessPeer(t *testing.T) {
 			status, closed := -1, false
 			for _, ev := range res.Trace.Events {
 				switch ev := ev.(type) {
-				case devtools.WebSocketHandshakeResponseReceived:
+				case *devtools.WebSocketHandshakeResponseReceived:
 					status = ev.Status
-				case devtools.WebSocketClosed:
+				case *devtools.WebSocketClosed:
 					closed = true
 				}
 			}
