@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 3s
 
-.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak pkg-bench-smoke examples-smoke bench bench-smoke lint fmt-check ci clean
+.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak pkg-bench-smoke examples-smoke bench bench-smoke alloc-top lint fmt-check ci clean
 
 all: ci
 
@@ -31,7 +31,8 @@ race:
 # Native fuzz targets, each for a short FUZZTIME (`go test -fuzz` takes
 # one target per invocation); TestFuzzSmokeListsEveryTarget holds this
 # list to every func Fuzz… in the tree. The differential targets hold
-# the on-demand PRNG to math/rand, the content scanners to the regexps
+# the on-demand PRNG (New's and Make's) to math/rand, the appending
+# payload synthesizer to the strings.Join form it replaced, the content scanners to the regexps
 # they replaced, the filter-list parser + indexed matcher to the linear
 # scan, the three hand JSON codecs — the script codec, the spool codec
 # and the fabric frame codec, schema walkers over internal/jsonshape —
@@ -69,6 +70,7 @@ race:
 # written under the package's testdata/fuzz to be committed with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/detrand -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/payload -run '^$$' -fuzz '^FuzzAppendSynthesizeMatchesJoin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzAppendSentMatchesRegexp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzClassifyReceivedMatchesRegexp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/content -run '^$$' -fuzz '^FuzzExtractAdRefsMatchesRegexp$$' -fuzztime $(FUZZTIME)
@@ -166,6 +168,16 @@ bench-smoke:
 	$(GO) run ./bench --workload study --seconds 1 --trace 0
 	$(GO) run ./bench --workload store_crawl --seconds 1 --trace 1
 	$(GO) run ./bench --workload study --seconds 1 --trace 1
+
+# Where a crawled page's bytes go: TestPageAllocBudget's ten-site crawl
+# with every allocation profiled, and the 25 sites that allocate the most
+# bytes. The test binary and the profile live in a temp dir that is
+# removed on the way out.
+alloc-top:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test ./internal/core -run '^TestPageAllocBudget$$' -count=1 \
+		-memprofilerate=1 -memprofile "$$dir/mem.out" -o "$$dir/core.test" -outputdir "$$dir" >/dev/null && \
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 "$$dir/core.test" "$$dir/mem.out"
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -145,7 +145,7 @@ func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.Pa
 	}
 	treeSpan.End()
 	labelSpan := obs.StartSpan(obs.StageLabel)
-	r.Label.TagTreeInto(tree, sc.aa, sc.non, sc.cdn)
+	sc.nodes = r.Label.TagTreeInto(tree, sc.nodes, sc.aa, sc.non, sc.cdn)
 	labelSpan.End()
 
 	// The tree's root frame is the page: its host is already parsed,

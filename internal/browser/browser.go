@@ -20,6 +20,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/content"
 	"repro/internal/detrand"
@@ -81,8 +82,11 @@ type Config struct {
 	// observationally identical to a wire fetch — same status, content
 	// type, and body bytes — which internal/core's pipeline differential
 	// test proves for the webserver implementation. The returned body
-	// may alias server-owned bytes and must be treated as read-only;
-	// the browser never mutates response bodies.
+	// may alias server-owned bytes, and no one may write it after Fetch
+	// returns it, the browser included: the browser parses documents and
+	// scripts where they lie, and strings cut from a body — a link in a
+	// crawler's frontier — can outlive the visit (bodyString). A wire
+	// fetch meets the rule by construction: its bodies are io.ReadAll's.
 	Fetch func(u *urlutil.URL, postBody []byte) (status int, contentType string, body []byte, err error)
 	// ResolveWS maps host:port to a dial address for WebSockets
 	// (see webserver.Resolver). Required for pages that open sockets.
@@ -161,7 +165,27 @@ type visitScratch struct {
 	// begin(), then cleared and reused.
 	headerMaps []map[string]string
 	headerUsed int
+
+	// bytes holds the bytes the page sends and receives: beacon bodies,
+	// socket frames sent, copies of frames received (appendBytes).
+	// Trace events hold them until begin() rewinds it; nothing else
+	// keeps them — the recorder copies what it keeps.
+	bytes []byte
+	// progs holds the page's decoded script programs.
+	progs script.Scratch
+	// refs holds the URLs the page resolved from relative references.
+	// Links among them reach a crawler's frontier, so its chunks are
+	// never rewritten (slab.Text).
+	refs slab.Text
 }
+
+// Visit byte-buffer sizes: the buffer starts at visitBytes, and begin()
+// drops one a page grew past maxVisitBytes (a large DOM exfiltration)
+// rather than pin it for the rest of a crawl.
+const (
+	visitBytes    = 4 << 10
+	maxVisitBytes = 64 << 10
+)
 
 func newVisitScratch() *visitScratch { return &visitScratch{seen: map[string]bool{}} }
 
@@ -176,6 +200,11 @@ func (s *visitScratch) begin(b *Browser, ctx context.Context, rawURL string) *pa
 	s.urls.Reset()
 	b.state.DOMSource = nil
 	s.headerUsed = 0
+	if cap(s.bytes) > maxVisitBytes || s.bytes == nil {
+		s.bytes = make([]byte, 0, visitBytes)
+	}
+	s.bytes = s.bytes[:0]
+	s.progs.Reset()
 	clear(s.seen)
 	links := s.result.Links
 	clear(links)
@@ -193,10 +222,38 @@ func (l *pageLoad) parseURL(raw string) (*urlutil.URL, error) {
 	return u, nil
 }
 
-// resolve resolves href against base (resolveRef) into the page's URL
-// slab.
+// resolve resolves href against base into the page's URL slab: an
+// absolute URL passes through, and a path-absolute or relative
+// reference's absolute form (appendRef) is built in the page's refs.
 func (l *pageLoad) resolve(base *urlutil.URL, href string) (*urlutil.URL, error) {
-	return l.parseURL(resolveRef(base, href))
+	if hasScheme(href) {
+		return l.parseURL(href)
+	}
+	t := &l.b.scratch.refs
+	b := t.Grow(len(base.Scheme) + len("://:") + len(base.Host) + len(base.Port) + len(base.Path) + len(href))
+	return l.parseURL(t.Take(appendRef(b, base, href)))
+}
+
+// appendBytes appends to the page's byte buffer whatever fill appends to
+// it, and returns those bytes, capped so that an append to them moves
+// them off the buffer instead of overwriting what follows.
+func (l *pageLoad) appendBytes(fill func(dst []byte) []byte) []byte {
+	s := l.b.scratch
+	start := len(s.bytes)
+	s.bytes = fill(s.bytes)
+	return s.bytes[start:len(s.bytes):len(s.bytes)]
+}
+
+// bodyString returns a response body as a string that shares the body's
+// bytes, so that a document or script is parsed where it lies. That is
+// sound only because no one writes a body once Fetch or the wire has
+// returned it (Config.Fetch): strings cut from it can outlive the
+// visit, and bodies are never recycled.
+func bodyString(body []byte) string {
+	if len(body) == 0 {
+		return ""
+	}
+	return unsafe.String(&body[0], len(body))
 }
 
 // header hands out a request-header map: a cleared map from the page's
@@ -345,7 +402,7 @@ func (l *pageLoad) fetchDocument(frameID devtools.FrameID, u *urlutil.URL, init 
 		return nil, false
 	}
 	parseSpan := obs.StartSpan(obs.StageParse)
-	doc := l.b.scratch.dom.Parse(string(body))
+	doc := l.b.scratch.dom.Parse(bodyString(body))
 	parseSpan.End()
 	return doc, true
 }
@@ -402,7 +459,7 @@ func (l *pageLoad) loadFrame(parentFrame devtools.FrameID, baseURL *urlutil.URL,
 	l.result.Trace.Record(&devtools.FrameNavigated{
 		FrameID: childID, ParentFrameID: parentFrame, URL: u.String(), Initiator: init, Parsed: u,
 	})
-	l.processDocument(childID, u, l.b.scratch.dom.Parse(string(body)), depth+1)
+	l.processDocument(childID, u, l.b.scratch.dom.Parse(bodyString(body)), depth+1)
 }
 
 // loadScript fetches a remote script, emits scriptParsed, and executes
@@ -419,7 +476,7 @@ func (l *pageLoad) loadScript(frameID devtools.FrameID, baseURL *urlutil.URL, sr
 	if !ok {
 		return
 	}
-	l.runScriptBody(frameID, baseURL, u.String(), u, string(body), init, depth, false)
+	l.runScriptBody(frameID, baseURL, u.String(), u, bodyString(body), init, depth, false)
 }
 
 // runScriptBody registers the script with the debugger domain and
@@ -430,7 +487,7 @@ func (l *pageLoad) runScriptBody(frameID devtools.FrameID, baseURL *urlutil.URL,
 	l.result.Trace.Record(&devtools.ScriptParsed{
 		ScriptID: scriptID, URL: url, FrameID: frameID, Initiator: init, Inline: inline, Parsed: parsed,
 	})
-	prog, err := script.Decode(body)
+	prog, err := l.b.scratch.progs.Decode(body)
 	if err != nil || prog == nil {
 		return
 	}
@@ -459,12 +516,17 @@ func (l *pageLoad) sendBeacon(frameID devtools.FrameID, baseURL *urlutil.URL, op
 	if err != nil {
 		return
 	}
-	var body []byte
-	for i, spec := range op.Send {
-		if i > 0 {
-			body = append(body, '&')
+	body := l.appendBytes(func(dst []byte) []byte {
+		for i, spec := range op.Send {
+			if i > 0 {
+				dst = append(dst, '&')
+			}
+			dst = l.b.appendMessage(dst, spec)
 		}
-		body = append(body, l.b.synthesize(spec)...)
+		return dst
+	})
+	if len(body) == 0 {
+		body = nil // a beacon with nothing to send is a GET
 	}
 	cookie := ""
 	if op.SendCookie {
@@ -557,12 +619,12 @@ func (b *Browser) doHTTP(ctx context.Context, u *urlutil.URL, header map[string]
 	return resp.StatusCode, resp.Header.Get("Content-Type"), body, nil
 }
 
-// synthesize renders one message spec into payload bytes.
-func (b *Browser) synthesize(spec script.MessageSpec) []byte {
+// appendMessage appends one message spec's payload bytes to dst.
+func (b *Browser) appendMessage(dst []byte, spec script.MessageSpec) []byte {
 	if spec.Text != "" {
-		return []byte(spec.Text)
+		return append(dst, spec.Text...)
 	}
-	return payload.Synthesize(spec.Kinds, b.state, b.rng)
+	return payload.AppendSynthesize(dst, spec.Kinds, b.state, b.rng)
 }
 
 // cookieFor returns (creating if needed) this user's cookie string for a
@@ -679,7 +741,7 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 
 	// Send the script's messages.
 	for _, spec := range op.Send {
-		data := l.b.synthesize(spec)
+		data := l.appendBytes(func(dst []byte) []byte { return l.b.appendMessage(dst, spec) })
 		opcode := wsproto.OpText
 		if spec.Binary {
 			opcode = wsproto.OpBinary
@@ -701,8 +763,9 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		}
 		// ReadMessage returns a conn-owned buffer valid only until the
 		// next read; the inclusion tree retains frame payloads for the
-		// Table 5 content analysis, so the event gets its own copy.
-		msg = append([]byte(nil), msg...)
+		// Table 5 content analysis, so the event gets a copy in the
+		// page's byte buffer.
+		msg = l.appendBytes(func(dst []byte) []byte { return append(dst, msg...) })
 		l.result.Trace.Record(&devtools.WebSocketFrameReceived{SocketID: sockID, Opcode: int(opcode), Payload: msg})
 		adRefs = append(adRefs, content.ExtractAdRefs(msg)...)
 	}
@@ -750,48 +813,49 @@ func (l *pageLoad) dialWebSocket(dialer *wsproto.Dialer, rawURL string) (*wsprot
 	}
 }
 
-// extractLinks collects same-site links from the document.
+// extractLinks collects same-site links from the document, in document
+// order.
 func (l *pageLoad) extractLinks(doc *dom.Node) {
 	seen := l.b.scratch.seen // cleared by begin()
-	for _, a := range doc.GetElementsByTag("a") {
+	doc.Walk(func(a *dom.Node) bool {
+		if a.Type != dom.ElementNode || a.Tag != "a" {
+			return true
+		}
 		href := a.Attr("href")
 		if href == "" {
-			continue
+			return true
 		}
 		u, err := l.resolve(l.pageURL, href)
-		if err != nil {
-			continue
+		if err != nil || !urlutil.SameParty(u.Host, l.pageURL.Host) {
+			return true
 		}
-		if !urlutil.SameParty(u.Host, l.pageURL.Host) {
-			continue
-		}
-		s := u.String()
-		if !seen[s] {
+		if s := u.String(); !seen[s] {
 			seen[s] = true
 			l.result.Links = append(l.result.Links, s)
 		}
-	}
+		return true
+	})
 }
 
-// resolveRef resolves href against base into an absolute URL string:
-// absolute URLs pass through, path-absolute and relative references
-// resolve against the base.
-func resolveRef(base *urlutil.URL, href string) string {
-	if hasScheme(href) {
-		return href
-	}
+// appendRef appends the absolute form of href, a reference without a
+// scheme, resolved against base.
+func appendRef(dst []byte, base *urlutil.URL, href string) []byte {
 	if strings.HasPrefix(href, "//") {
-		return base.Scheme + ":" + href
+		return append(append(append(dst, base.Scheme...), ':'), href...)
+	}
+	dst = append(append(append(dst, base.Scheme...), "://"...), base.Host...)
+	if base.Port != "" {
+		dst = append(append(dst, ':'), base.Port...)
 	}
 	if strings.HasPrefix(href, "/") {
-		return base.Origin() + href
+		return append(dst, href...)
 	}
 	// Relative reference: resolve against the base path's directory.
 	dir := base.Path
 	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
 		dir = dir[:i+1]
 	}
-	return base.Origin() + dir + href
+	return append(append(dst, dir...), href...)
 }
 
 // hasScheme reports whether href opens with scheme "://" — RFC 3986's

@@ -8,6 +8,15 @@ import (
 	"repro/internal/urlutil"
 )
 
+// resolveRef is resolve's string: href itself when absolute, else
+// appendRef's.
+func resolveRef(base *urlutil.URL, href string) string {
+	if hasScheme(href) {
+		return href
+	}
+	return string(appendRef(nil, base, href))
+}
+
 // TestResolveRefURLInQuery: "://" inside a query (a redirector link)
 // does not make a reference absolute; only a scheme prefix does.
 func TestResolveRefURLInQuery(t *testing.T) {

@@ -18,30 +18,49 @@ import (
 // took each page's record as it is, it decoded a JSON line of it, which
 // made the record's string copies: ≈ 419 a page. With the recorder
 // copying the strings it takes from the trace once a page, it read ≈ 414
-// (≈ 451 under -race) against a budget of 465. Since a page's DOM nodes
-// and attribute lists, trace events and parsed URLs come from the
-// browser's per-visit storage, which the next site's browser takes over
-// (browser.Release), and the labeler's deltas from the recorder's
-// scratch, it reads 316: 9 of headroom, less than any one of those
-// pieces saves (reverted one at a time, the DOM arena reads 330, the URL
-// slab 338, the event slabs 358).
+// (≈ 451 under -race). Since a page's DOM nodes and attribute lists,
+// trace events and parsed URLs come from the browser's per-visit
+// storage, which the next site's browser takes over (browser.Release),
+// and the labeler's deltas from the recorder's scratch, it read 316.
+//
+// Since a page's bytes are made once it reads 114: the server plans a
+// page once per resource and builds what it serves in pooled storage,
+// its generators are values, the browser reads bodies where they lie,
+// decodes programs into its visit scratch, sends from its visit byte
+// buffer, and devtools IDs and the labeler's request list are no longer
+// made per page. Reverted one at a time on a copy of the tree, the
+// pieces read: served programs built in fresh memory 143, request IDs
+// rendered per page 138, programs decoded into fresh memory 136,
+// resources returned by pointer 132, generators that allocate 128, the
+// sent bytes allocated per message 123, entities unescaped through a
+// strings.Replacer 123, a body copied into a string 121, pages rendered
+// by size estimate 120, the labeler's request list made per page 120 —
+// each above the budget, which leaves 5 of headroom. (/js/app.js
+// building the whole plan reads 116 and is
+// TestServePageAllocBudget's to catch; placement drawn per page
+// allocates nothing and costs only CPU.)
 //
 // Under -race, sync.Pool drops a quarter of what is put, so the pooled
-// visit storage and recorder scratch are rebuilt at random: the reading
-// spreads over ≈ 348–360, and raceAllocExtra covers it.
+// visit storage, recorder scratch and server buffers are rebuilt at
+// random: the reading spreads over ≈ 165–171, and raceAllocExtra covers
+// it (it was 50 over a reading 235 higher, whose spread the pools made
+// smaller than it is now).
 const (
-	pageAllocBudget = 325
-	raceAllocExtra  = 50
+	pageAllocBudget = 119
+	raceAllocExtra  = 65
 )
 
 // pageBytesBudget is the ceiling on heap bytes allocated per page on the
 // same crawl (MemStats.TotalAlloc). It was ≈ 50 KB before the per-visit
-// storage above and reads ≈ 32.1–32.8 KB after; the budget catches the
-// smallest byte saving of those pieces reverted alone (the URL slab:
-// 34.6 KB; the event slabs 37.6 KB, the DOM arena 47.4 KB). Under -race
-// the rebuilt pooled storage spreads the reading over ≈ 50–66 KB.
+// storage, ≈ 32.1–32.8 KB after, and reads ≈ 19.6–20.3 KB since a
+// page's bytes are made once — a ten-site crawl, so the first pages'
+// growth of the pooled storage is in the figure: a long study reads
+// ≈ 10.7 KB. Of the pieces above, the budget catches by bytes a body
+// copied into a string (22.1 KB) and pages rendered by size estimate
+// (22.9 KB). Under -race the rebuilt pooled storage spreads the reading
+// over ≈ 43–56 KB.
 const (
-	pageBytesBudget = 34_000
+	pageBytesBudget = 21_000
 	raceBytesExtra  = 56_000
 )
 

@@ -1,6 +1,7 @@
-// Package detrand builds seeded *rand.Rand values whose stream is
-// exactly math/rand's for the same seed, without paying math/rand's
-// up-front seeding.
+// Package detrand builds seeded generators whose stream is exactly
+// math/rand's for the same seed, without paying math/rand's up-front
+// seeding: New's *rand.Rand, and Make's Rand, a value that costs no
+// allocation at all.
 //
 // rand.NewSource(seed) fills a 607-word additive lagged-Fibonacci
 // register (≈11 µs, 5.4 KB) before the first draw. The synthetic web
@@ -143,4 +144,79 @@ func buildTables() *seedTables {
 		t.cooked[i] = vec[i] ^ lehmerWords(refSeed*uint64(t.pow[i])%lehmerM)
 	}
 	return t
+}
+
+// Rand is a generator held by value: Make's stream is New's, draw for
+// draw, for the methods below, which are math/rand's own definitions
+// over the source. A Rand kept in a local variable costs no allocation,
+// where New's *rand.Rand costs one, so code that derives a generator per
+// key and draws a handful of numbers from it — the synthetic web's, per
+// page — uses Make. A Rand must not be copied once drawn from: past its
+// 273rd draw the copies would share one register.
+type Rand struct{ src source }
+
+// Make returns a generator whose output equals
+// rand.New(rand.NewSource(seed)) draw for draw.
+func Make(seed int64) Rand { return Rand{source{seed: normalize(seed)}} }
+
+// Int63 is rand.Rand.Int63.
+func (r *Rand) Int63() int64 { return r.src.Int63() }
+
+// Uint32 is rand.Rand.Uint32.
+func (r *Rand) Uint32() uint32 { return uint32(r.Int63() >> 31) }
+
+// Int31 is rand.Rand.Int31.
+func (r *Rand) Int31() int32 { return int32(r.Int63() >> 32) }
+
+// Int63n is rand.Rand.Int63n.
+func (r *Rand) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 {
+		return r.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > max {
+		v = r.Int63()
+	}
+	return v % n
+}
+
+// Int31n is rand.Rand.Int31n.
+func (r *Rand) Int31n(n int32) int32 {
+	if n <= 0 {
+		panic("invalid argument to Int31n")
+	}
+	if n&(n-1) == 0 {
+		return r.Int31() & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := r.Int31()
+	for v > max {
+		v = r.Int31()
+	}
+	return v % n
+}
+
+// Intn is rand.Rand.Intn.
+func (r *Rand) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(r.Int31n(int32(n)))
+	}
+	return int(r.Int63n(int64(n)))
+}
+
+// Float64 is rand.Rand.Float64, resampling the rare draw that rounds
+// to 1.
+func (r *Rand) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
 }

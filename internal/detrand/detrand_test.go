@@ -55,6 +55,40 @@ func compareStreams(t *testing.T, seed int64, got, want *rand.Rand, nDraws int) 
 	}
 }
 
+// compareValueStream is compareStreams for Make's value generator,
+// over the methods it has.
+func compareValueStream(t *testing.T, seed int64, got *Rand, want *rand.Rand, nDraws int) {
+	t.Helper()
+	pick := rand.New(rand.NewSource(seed ^ 0x5eed))
+	for d := 0; d < nDraws; d++ {
+		var g, w interface{}
+		op := pick.Intn(7)
+		switch op {
+		case 0:
+			g, w = got.Float64(), want.Float64()
+		case 1:
+			n := 1 + pick.Intn(1000)
+			g, w = got.Intn(n), want.Intn(n)
+		case 2:
+			n := 1 + pick.Int63n(math.MaxInt64-1)
+			g, w = got.Int63n(n), want.Int63n(n)
+		case 3:
+			g, w = got.Uint32(), want.Uint32()
+		case 4:
+			g, w = got.Int63(), want.Int63()
+		case 5:
+			n := 1 + pick.Int31n(math.MaxInt32-1)
+			g, w = got.Int31n(n), want.Int31n(n)
+		case 6:
+			n := 1 << pick.Intn(62) // a power of two masks; past 2³¹−1 Intn takes Int63n
+			g, w = got.Intn(n), want.Intn(n)
+		}
+		if g != w {
+			t.Fatalf("seed %d: value generator call %d (op %d) = %v, math/rand gives %v", seed, d, op, g, w)
+		}
+	}
+}
+
 func equal(a, b interface{}) bool {
 	switch x := a.(type) {
 	case []int:
@@ -95,6 +129,8 @@ func TestSourceMatchesMathRand(t *testing.T) {
 			}
 		}
 		compareStreams(t, seed, New(seed), rand.New(rand.NewSource(seed)), 900)
+		r := Make(seed)
+		compareValueStream(t, seed, &r, rand.New(rand.NewSource(seed)), 900)
 	}
 }
 
@@ -149,7 +185,21 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nDraws uint16) {
 		n := int(nDraws) % 2000
 		compareStreams(t, seed, New(seed), rand.New(rand.NewSource(seed)), n)
+		r := Make(seed)
+		compareValueStream(t, seed, &r, rand.New(rand.NewSource(seed)), n)
 	})
+}
+
+// A value generator in a local variable costs nothing to make or draw
+// from, before the hand-over.
+func TestMakeAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(200, func() {
+		r := Make(sink)
+		sink += int64(r.Intn(1000)) + int64(r.Float64()*10)
+	})
+	if allocs != 0 {
+		t.Fatalf("Make + two draws: %v allocs, want 0", allocs)
+	}
 }
 
 func BenchmarkNewOneDraw(b *testing.B) {

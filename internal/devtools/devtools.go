@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/slab"
@@ -454,13 +455,31 @@ type IDAllocator struct {
 	scratch                        [24]byte // guarded by mu; strconv render buffer
 }
 
-// next renders prefix + counter on the reused scratch. Only the final
-// string conversion allocates — that one allocation is the ID itself,
-// which outlives the allocator inside trace events.
+// idPrefixes are the ID kinds' prefixes; smallIDs[k][n] is the ID
+// numbered n of kind k, made once. A page load numbers from 1 again, so
+// nearly every ID is one of them.
+const idPrefixes = "FSRW"
+
+var smallIDs = func() (t [len(idPrefixes)][256]string) {
+	for k := range t {
+		for n := range t[k] {
+			t[k][n] = string(idPrefixes[k]) + strconv.Itoa(n)
+		}
+	}
+	return t
+}()
+
+// next returns prefix + counter: one of smallIDs, or rendered on the
+// reused scratch. Only the final string conversion allocates — that one
+// allocation is the ID itself, which outlives the allocator inside
+// trace events.
 func (a *IDAllocator) next(prefix byte, counter *int64) string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	*counter++
+	if k := strings.IndexByte(idPrefixes, prefix); k >= 0 && *counter < int64(len(smallIDs[k])) {
+		return smallIDs[k][*counter]
+	}
 	buf := append(a.scratch[:0], prefix)
 	buf = strconv.AppendInt(buf, *counter, 10)
 	return string(buf)

@@ -280,9 +280,8 @@ func (n *Node) writeHTML(b *strings.Builder) {
 // call) keeps the per-page parse path off the allocator — the per-call
 // form was the single largest allocation site in the crawl profile.
 var (
-	escapeTextReplacer   = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	escapeAttrReplacer   = strings.NewReplacer("&", "&amp;", `"`, "&quot;", "<", "&lt;")
-	unescapeTextReplacer = strings.NewReplacer("&lt;", "<", "&gt;", ">", "&quot;", `"`, "&#39;", "'", "&apos;", "'", "&amp;", "&")
+	escapeTextReplacer = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	escapeAttrReplacer = strings.NewReplacer("&", "&amp;", `"`, "&quot;", "<", "&lt;")
 )
 
 // EscapeText escapes text-node content for HTML.
@@ -301,13 +300,64 @@ func EscapeAttr(s string) string {
 	return escapeAttrReplacer.Replace(s)
 }
 
+// entities are the references UnescapeText rewrites. None is a prefix of
+// another, so at each '&' at most one applies.
+var entities = [...]struct{ ref, text string }{
+	{"&lt;", "<"}, {"&gt;", ">"}, {"&quot;", `"`}, {"&#39;", "'"}, {"&apos;", "'"}, {"&amp;", "&"},
+}
+
+// entityAt returns the entity s starts with, if any.
+func entityAt(s string) (ref, text string, ok bool) {
+	for _, e := range entities {
+		if strings.HasPrefix(s, e.ref) {
+			return e.ref, e.text, true
+		}
+	}
+	return "", "", false
+}
+
+// HasEntity reports whether s holds a reference UnescapeText rewrites.
+func HasEntity(s string) bool {
+	for i := strings.IndexByte(s, '&'); i >= 0; {
+		if _, _, ok := entityAt(s[i:]); ok {
+			return true
+		}
+		j := strings.IndexByte(s[i+1:], '&')
+		if j < 0 {
+			return false
+		}
+		i += 1 + j
+	}
+	return false
+}
+
+// AppendUnescaped appends UnescapeText(s) to dst. References are
+// rewritten left to right, and a rewrite's text is not read again:
+// "&amp;lt;" becomes "&lt;".
+func AppendUnescaped(dst []byte, s string) []byte {
+	for {
+		i := strings.IndexByte(s, '&')
+		if i < 0 {
+			return append(dst, s...)
+		}
+		dst = append(dst, s[:i]...)
+		s = s[i:]
+		if ref, text, ok := entityAt(s); ok {
+			dst = append(dst, text...)
+			s = s[len(ref):]
+		} else {
+			dst = append(dst, '&')
+			s = s[1:]
+		}
+	}
+}
+
 // UnescapeText reverses the entity encoding used by EscapeText/EscapeAttr
-// (plus the common &#39; and &apos; forms). Every entity it rewrites
-// starts with '&', so entity-free strings return unchanged without a
-// replacer pass.
+// (plus the common &#39; and &apos; forms). A string with no reference
+// to rewrite is returned as it is.
 func UnescapeText(s string) string {
-	if !strings.Contains(s, "&") {
+	if !HasEntity(s) {
 		return s
 	}
-	return unescapeTextReplacer.Replace(s)
+	return string(AppendUnescaped(make([]byte, 0, len(s)), s))
 }

@@ -217,3 +217,30 @@ func TestIsVoidElement(t *testing.T) {
 		t.Error("non-void misdetected")
 	}
 }
+
+// unescapeReplacer is UnescapeText as it was, a strings.Replacer: the
+// oracle for the hand scan.
+var unescapeReplacer = strings.NewReplacer("&lt;", "<", "&gt;", ">", "&quot;", `"`, "&#39;", "'", "&apos;", "'", "&amp;", "&")
+
+// TestUnescapeMatchesReplacer: over strings cut from entity fragments,
+// UnescapeText and HasEntity agree with the replacer, and a string with
+// nothing to rewrite comes back as itself.
+func TestUnescapeMatchesReplacer(t *testing.T) {
+	frags := []string{"&", "&amp;", "&lt;", "&gt;", "&quot;", "&#39;", "&apos;", "&am", "&#3", "lt;", "amp;", "a", "é", "<", ";", "&&"}
+	seed := uint32(7)
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := i % 9; n > 0; n-- {
+			seed = seed*1664525 + 1013904223
+			b.WriteString(frags[seed>>16%uint32(len(frags))])
+		}
+		s := b.String()
+		want := unescapeReplacer.Replace(s)
+		if got := UnescapeText(s); got != want {
+			t.Fatalf("UnescapeText(%q) = %q, replacer gives %q", s, got, want)
+		}
+		if HasEntity(s) != (want != s) {
+			t.Fatalf("HasEntity(%q) = %v, but the replacer gives %q", s, HasEntity(s), want)
+		}
+	}
+}

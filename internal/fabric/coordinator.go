@@ -168,7 +168,8 @@ func (c *Coordinator) FailedSites() map[string]string { return c.queue.FailedSit
 
 // Wait blocks until every site is settled and each session that owed a
 // worker an answer has written it, or until ctx ends. A Close after Wait
-// therefore never cuts a worker off before it hears drained.
+// therefore never cuts a worker off before it hears drained: Close tells
+// the sessions still waiting on a frame (shutdown).
 func (c *Coordinator) Wait(ctx context.Context) error {
 	select {
 	case <-c.queue.Drained():
@@ -212,7 +213,15 @@ func (c *Coordinator) Close() error {
 }
 
 // shutdown stops serving — listener, sessions, their Grant calls — and
-// leaves the ledger untouched. false means it already ran.
+// leaves the ledger to Close, but for tellDrained's commit. false means
+// it already ran.
+//
+// Once the queue has drained, every open session is owed drained before
+// its conn closes. Wait holds Close off only for sessions answering a
+// frame they have read; a worker whose lease request is still on the
+// wire when another's settle drains the queue has been read nothing
+// from, and would otherwise hear only the close and redial a finished
+// coordinator until its retry budget gives out.
 func (c *Coordinator) shutdown() bool {
 	c.mu.Lock()
 	if c.closed {
@@ -220,10 +229,20 @@ func (c *Coordinator) shutdown() bool {
 		return false
 	}
 	c.closed = true
+	conns := make([]*wsproto.Conn, 0, len(c.conns))
 	for conn := range c.conns {
-		conn.Close() // unblocks the session's read
+		//lint:allow maporder each session gets its own drained and close; their order is unobservable
+		conns = append(conns, conn)
 	}
 	c.mu.Unlock()
+	drained := c.drained()
+	for _, conn := range conns {
+		if drained {
+			_ = conn.SetWriteDeadline(time.Now().Add(drainedWriteTimeout))
+			_ = c.tellDrained(conn) // a worker already gone just misses it
+		}
+		conn.Close() // unblocks the session's read
+	}
 	c.cancel()
 	c.ln.Close()
 	c.wg.Wait()
@@ -418,7 +437,7 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 	}
 	// A settle that leaves the queue drained is answered drained at once,
 	// while Wait is still held off: the worker hears it before Close.
-	return !c.drained() || writeControl(s.conn, wire.TypeDrained) == nil
+	return !c.drained() || c.tellDrained(s.conn) == nil
 }
 
 // grant answers one lease request. It blocks in the queue's Grant,
@@ -447,12 +466,24 @@ func (c *Coordinator) grant(ctx context.Context, s *session) bool {
 		case ctx.Err() != nil:
 			return false
 		case c.drained():
-			_ = writeControl(s.conn, wire.TypeDrained)
+			_ = c.tellDrained(s.conn)
 			return false
 		case writeControl(s.conn, wire.TypeWait) != nil:
 			return false
 		}
 	}
+}
+
+// tellDrained tells a worker the queue is drained, once the ledger has
+// committed every attempt settled so far. A worker that hears drained
+// exits, so a coordinator killed after telling one must find no site to
+// re-crawl when it resumes: no worker would come back for it. A failed
+// commit is logged and the worker told anyway; Close retries it.
+func (c *Coordinator) tellDrained(conn *wsproto.Conn) error {
+	if err := c.ledger.Commit(); err != nil {
+		c.logf("fabric: commit: %v", err)
+	}
+	return writeControl(conn, wire.TypeDrained)
 }
 
 // drained reports whether every site is settled.
@@ -466,6 +497,10 @@ func (c *Coordinator) logf(format string, args ...any) {
 		c.cfg.Logf(format, args...)
 	}
 }
+
+// drainedWriteTimeout bounds shutdown's drained write to each session,
+// so a wedged peer cannot hold Close up.
+const drainedWriteTimeout = time.Second
 
 // readFrame reads one protocol frame under a fresh idle deadline.
 func readFrame(conn *wsproto.Conn, idle time.Duration) (wire.Decoded, error) {

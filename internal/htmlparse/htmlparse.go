@@ -27,6 +27,11 @@ type Arena struct {
 	// tag gathers one open tag's attributes, with SetAttr's rules,
 	// before they move to attrs.
 	tag dom.Node
+	// text holds the text and attribute values that had an entity to
+	// rewrite; every other string of a document is a substring of its
+	// source. Its chunks are never rewritten, not even after Reset: a
+	// value read from a document, a link's href, may outlive it.
+	text slab.Text
 }
 
 // Reset takes back every node and attribute list handed out since the
@@ -87,7 +92,7 @@ func (p *parser) parseChildren(parent *dom.Node, enclosing string) {
 			}
 			text := p.src[start:p.pos]
 			if strings.TrimSpace(text) != "" || parent.Type != dom.DocumentNode {
-				parent.AppendChild(p.node(dom.TextNode, dom.UnescapeText(text)))
+				parent.AppendChild(p.node(dom.TextNode, p.unescape(text)))
 			}
 			continue
 		}
@@ -292,8 +297,18 @@ func (p *parser) scanOpenTag(tag *dom.Node) (el *dom.Node, selfClose bool) {
 			}
 			val = p.src[valStart:i]
 		}
-		tag.SetAttr(name, dom.UnescapeText(val))
+		tag.SetAttr(name, p.unescape(val))
 	}
+}
+
+// unescape is dom.UnescapeText with a rewritten string built in the
+// arena's text.
+func (p *parser) unescape(s string) string {
+	if !dom.HasEntity(s) {
+		return s
+	}
+	t := &p.arena.text
+	return t.Take(dom.AppendUnescaped(t.Grow(len(s)), s))
 }
 
 func isNameByte(c byte) bool {

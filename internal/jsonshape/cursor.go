@@ -1,6 +1,10 @@
 package jsonshape
 
-import "strings"
+import (
+	"unsafe"
+
+	"repro/internal/slab"
+)
 
 // Cursor walks input of a codec's shape. Every method reports false at
 // the first byte outside the shape, which ends the walk (only a failed
@@ -70,43 +74,62 @@ func unescape[S ~string | ~[]byte](raw S, escapes int) (string, bool) {
 	if len(raw) < 6*escapes {
 		return "", false // an escape other than the three
 	}
-	var sb strings.Builder
-	sb.Grow(len(raw) - 5*escapes)
+	b, ok := appendUnescaped(make([]byte, 0, len(raw)-5*escapes), raw, escapes)
+	if !ok {
+		return "", false
+	}
+	// b is this call's own and never written again: strings.Builder's
+	// rule for its String.
+	return unsafe.String(unsafe.SliceData(b), len(b)), true
+}
+
+// appendUnescaped appends unescape's string to dst.
+func appendUnescaped[S ~string | ~[]byte](dst []byte, raw S, escapes int) ([]byte, bool) {
+	if len(raw) < 6*escapes {
+		return dst, false
+	}
 	for i := 0; i < len(raw); i++ {
 		if raw[i] != '\\' {
-			sb.WriteByte(raw[i])
+			dst = append(dst, raw[i])
 			continue
 		}
 		if len(raw)-i < 6 || string(raw[i:i+4]) != `\u00` {
-			return "", false
+			return dst, false
 		}
 		switch string(raw[i+4 : i+6]) {
 		case "26":
-			sb.WriteByte('&')
+			dst = append(dst, '&')
 		case "3c":
-			sb.WriteByte('<')
+			dst = append(dst, '<')
 		case "3e":
-			sb.WriteByte('>')
+			dst = append(dst, '>')
 		default:
-			return "", false
+			return dst, false
 		}
 		i += 5
 	}
-	return sb.String(), true
+	return dst, true
 }
 
-// Str consumes a plain string into dst.
-func (c *Cursor[S]) Str(dst *string) bool {
+// Str consumes a plain string into dst. A string that carried escapes
+// is built in t, or, when t is nil, in an allocation of its own.
+func (c *Cursor[S]) Str(dst *string, t *slab.Text) bool {
 	raw, escapes, ok := c.quoted()
 	switch {
 	case !ok:
 		return false
-	case escapes > 0:
+	case escapes == 0:
+		*dst = string(raw)
+		return true
+	case t == nil:
 		*dst, ok = unescape(raw, escapes)
 		return ok
 	}
-	*dst = string(raw)
-	return true
+	b, ok := appendUnescaped(t.Grow(len(raw)-5*escapes), raw, escapes)
+	if ok {
+		*dst = t.Take(b)
+	}
+	return ok
 }
 
 // Int consumes an int in canonical form (no leading zero, no "-0") of at
@@ -163,9 +186,17 @@ func (c *Cursor[S]) Hint() int {
 }
 
 // List decodes the rest of a non-empty array whose '[' has been
-// consumed, elem reading each member into place; its capacity is Hint's.
-func List[T any, S ~string | ~[]byte](c *Cursor[S], elem func(*T) bool) ([]T, bool) {
-	out := make([]T, 0, c.Hint())
+// consumed, elem reading each member into place. Its storage holds
+// Hint's count: from mk, which returns that many zero Ts — a slab's
+// Make — or, when mk is nil, an allocation of its own. A list longer
+// than that moves off it.
+func List[T any, S ~string | ~[]byte](c *Cursor[S], mk func(n int) []T, elem func(*T) bool) ([]T, bool) {
+	var out []T
+	if mk != nil {
+		out = mk(c.Hint())[:0]
+	} else {
+		out = make([]T, 0, c.Hint())
+	}
 	for {
 		var zero T
 		out = append(out, zero)

@@ -40,7 +40,7 @@ func testCursor[S ~string | ~[]byte](t *testing.T, in func(string) S) {
 		} {
 			cur := Cursor[S]{S: in(c.in)}
 			var got string
-			ok := cur.Str(&got)
+			ok := cur.Str(&got, nil)
 			if ok != c.ok || ok && (got != c.want || len(cur.S)-cur.I != c.rest) {
 				t.Errorf("Str(%q) = %q, %v, %d left; want %q, %v, %d left", c.in, got, ok, len(cur.S)-cur.I, c.want, c.ok, c.rest)
 			}
@@ -109,12 +109,12 @@ func testCursor[S ~string | ~[]byte](t *testing.T, in func(string) S) {
 		}
 		// List sizes from the capped hint and grows past it.
 		cur := Cursor[S]{S: in(commas(40))}
-		got, ok := List(&cur, cur.Int)
+		got, ok := List(&cur, nil, cur.Int)
 		if !ok || len(got) != 40 || !cur.Done() {
 			t.Errorf("List over 40 ints = %d members, %v", len(got), ok)
 		}
 		cur = Cursor[S]{S: in(commas(1000))}
-		if got, ok := List(&cur, func(*int) bool { return false }); ok || got != nil {
+		if got, ok := List(&cur, nil, func(*int) bool { return false }); ok || got != nil {
 			t.Errorf("List whose member fails = %v, %v; want nil, false", got, ok)
 		}
 	})
@@ -126,7 +126,7 @@ func TestStrCopiesBytes(t *testing.T) {
 	in := []byte(`"abc"`)
 	cur := Cursor[[]byte]{S: in}
 	var s string
-	if !cur.Str(&s) {
+	if !cur.Str(&s, nil) {
 		t.Fatal("Str refused a plain string")
 	}
 	in[1] = 'X'
@@ -147,7 +147,7 @@ func TestWriterMatchesCursor(t *testing.T) {
 		}
 		var fromString, fromBytes string
 		cs, cb := Cursor[string]{S: string(w.B)}, Cursor[[]byte]{S: w.B}
-		if !cs.Str(&fromString) || !cb.Str(&fromBytes) || fromString != s || fromBytes != s {
+		if !cs.Str(&fromString, nil) || !cb.Str(&fromBytes, nil) || fromString != s || fromBytes != s {
 			t.Errorf("Str(%q) wrote %s, read back %q and %q", s, w.B, fromString, fromBytes)
 		}
 	}

@@ -121,22 +121,25 @@ func isOpaqueCDNHost(host string) bool {
 // on maps of its own.
 func (l *Labeler) TagTree(t *inclusion.Tree) (aa, non, cdn map[string]int) {
 	aa, non, cdn = map[string]int{}, map[string]int{}, map[string]int{}
-	l.TagTreeInto(t, aa, non, cdn)
+	l.TagTreeInto(t, nil, aa, non, cdn)
 	return aa, non, cdn
 }
 
 // TagTreeInto is TagTree adding the page's deltas to the caller's maps,
-// which a recorder recycles from page to page.
+// which a recorder recycles from page to page, as it does reqs: the
+// page's request nodes are listed in reqs[:0], which is returned for
+// the next page.
 //
 // Each request's verdict stays on its node (inclusion.Node.Verdict), so
 // the chain questions asked of the same tree afterwards do not match
 // anything twice. A tree therefore belongs to the one labeler that
 // tags it.
-func (l *Labeler) TagTreeInto(t *inclusion.Tree, aa, non, cdn map[string]int) {
+func (l *Labeler) TagTreeInto(t *inclusion.Tree, reqs []*inclusion.Node, aa, non, cdn map[string]int) []*inclusion.Node {
 	pageHost := t.Root.Host() // the page is the root frame's document
 	var prevDomainAA bool
 	var prevHost string
-	for _, req := range t.Requests() {
+	reqs = t.AppendKind(reqs[:0], inclusion.KindRequest)
+	for _, req := range reqs {
 		u := req.ParsedURL()
 		if u == nil {
 			continue
@@ -163,6 +166,7 @@ func (l *Labeler) TagTreeInto(t *inclusion.Tree, aa, non, cdn map[string]int) {
 		prevDomainAA = blocked
 		prevHost = host
 	}
+	return reqs
 }
 
 // blocked reports whether the lists block node n — its URL u, asked as

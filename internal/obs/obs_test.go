@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"math"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -163,9 +165,14 @@ func TestExpvarMapFlattensHistograms(t *testing.T) {
 }
 
 // TestRuntimeGauges: every runtime gauge reads a value this Go release
-// exports, and allocating moves the allocation totals between two
-// snapshots.
+// exports — non-zero, but for the mark assists and idle marking a small
+// process may never have needed — and allocating moves the allocation
+// totals between two snapshots.
 func TestRuntimeGauges(t *testing.T) {
+	exported := map[string]metrics.ValueKind{}
+	for _, d := range metrics.All() {
+		exported[d.Name] = d.Kind
+	}
 	before := Default.Snapshot()
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 64; i++ {
@@ -174,9 +181,19 @@ func TestRuntimeGauges(t *testing.T) {
 	runtime.GC()
 	after := Default.Snapshot()
 	for _, g := range runtimeGauges {
-		if after.Gauges[g.name] <= 0 {
-			t.Errorf("%s (%s) reads %d", g.name, g.sample, after.Gauges[g.name])
+		if _, ok := exported[g.sample]; !ok {
+			t.Errorf("%s reads %s, which this Go release does not export", g.name, g.sample)
 		}
+		mayBeZero := g.name == MRuntimeGCMarkAssistNanos || g.name == MRuntimeGCMarkIdleNanos
+		if v := after.Gauges[g.name]; v < 0 || v == 0 && !mayBeZero {
+			t.Errorf("%s (%s) reads %d", g.name, g.sample, v)
+		}
+	}
+	if exported[schedLatencies] != metrics.KindFloat64Histogram {
+		t.Errorf("%s is not a histogram this Go release exports", schedLatencies)
+	}
+	if p50, p99 := after.Gauges[MRuntimeSchedLatencyP50Nanos], after.Gauges[MRuntimeSchedLatencyP99Nanos]; p50 < 0 || p99 < p50 {
+		t.Errorf("scheduling latency p50 %d ns, p99 %d ns", p50, p99)
 	}
 	if d := after.Gauges[MRuntimeHeapAllocBytes] - before.Gauges[MRuntimeHeapAllocBytes]; d < 64*4096 {
 		t.Errorf("%s moved %d bytes over 256 KiB of allocations", MRuntimeHeapAllocBytes, d)
@@ -185,4 +202,21 @@ func TestRuntimeGauges(t *testing.T) {
 		t.Errorf("%s moved %d over a forced GC", MRuntimeGCCycles, d)
 	}
 	runtime.KeepAlive(sink)
+}
+
+// TestHistogramQuantile: the quantile is the upper bound of the bucket
+// it falls in, or the lower bound of an unbounded last bucket.
+func TestHistogramQuantile(t *testing.T) {
+	h := &metrics.Float64Histogram{
+		Counts:  []uint64{50, 40, 9, 1},
+		Buckets: []float64{0, 1, 2, 4, math.Inf(1)},
+	}
+	for _, c := range []struct{ q, want float64 }{{0.5, 1}, {0.51, 2}, {0.9, 2}, {0.99, 4}, {1, 4}} {
+		if got := histogramQuantile(h, c.q); got != c.want {
+			t.Errorf("q%.2f = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := histogramQuantile(&metrics.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}, 0.5); got != 0 {
+		t.Errorf("empty histogram: %v, want 0", got)
+	}
 }

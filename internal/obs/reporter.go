@@ -146,6 +146,17 @@ func RenderProgress(cur, prev Snapshot, elapsed, interval time.Duration) string 
 		}
 		fmt.Fprintf(&b, " %s[p50=%s p99=%s]", st.label, fmtDur(h.P50), fmtDur(h.P99))
 	}
+
+	// The GC's share of the CPU the process used over the interval, and
+	// the heap live after the last GC: a share that climbs as the crawl
+	// goes on is allocation outrunning the collector.
+	if cpu := cur.Gauges[MRuntimeCPUNanos] - prev.Gauges[MRuntimeCPUNanos]; cpu > 0 {
+		gc := cur.Gauges[MRuntimeGCCPUNanos] - prev.Gauges[MRuntimeGCCPUNanos]
+		fmt.Fprintf(&b, " gc=%d%%", (100*gc+cpu/2)/cpu)
+	}
+	if live, ok := cur.Gauges[MRuntimeHeapLiveBytes]; ok {
+		fmt.Fprintf(&b, " live=%.1fMiB", float64(live)/(1<<20))
+	}
 	return b.String()
 }
 

@@ -27,13 +27,19 @@ func TestRenderProgressGolden(t *testing.T) {
 	fetch.Observe(7 * time.Millisecond) // (4.096ms,8.192ms] bucket
 	label := r.Histogram(MStageLabel)
 	label.Observe(3 * time.Microsecond) // (2µs,4µs] bucket
+	r.Gauge(MRuntimeCPUNanos).Set(9_000_000_000)
+	r.Gauge(MRuntimeGCCPUNanos).Set(2_500_000_000)
+	r.Gauge(MRuntimeHeapLiveBytes).Set(7 << 19) // 3.5 MiB
 
 	cur := r.Snapshot()
-	prev := Snapshot{Counters: map[string]int64{MPages: 220}}
+	prev := Snapshot{
+		Counters: map[string]int64{MPages: 220},
+		Gauges:   map[string]int64{MRuntimeCPUNanos: 7_000_000_000, MRuntimeGCCPUNanos: 2_000_000_000},
+	}
 	got := RenderProgress(cur, prev, 12*time.Second, time.Second)
 	want := "progress 12s: pages=240 (20.0/s) page_errs=3" +
 		" queue[done=16/60 leased=4 pending=40 failed=0 retries=1 requeues=0]" +
-		" fetch[p50=1.02ms p99=8.19ms] label[p50=4µs p99=4µs]"
+		" fetch[p50=1.02ms p99=8.19ms] label[p50=4µs p99=4µs] gc=25% live=3.5MiB"
 	if got != want {
 		t.Errorf("progress line mismatch:\n got: %s\nwant: %s", got, want)
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -138,55 +139,111 @@ func (s *ClientState) CookieHeader() string {
 // URL-encoded-style tracking payload (the dominant format in real
 // tracking traffic). Binary kinds produce undecodable bytes.
 func Synthesize(kinds []string, s *ClientState, rng *rand.Rand) []byte {
-	var fields []string
+	if b := AppendSynthesize(nil, kinds, s, rng); b != nil {
+		return b
+	}
+	return []byte{}
+}
+
+// AppendSynthesize appends Synthesize's message to dst and returns the
+// extended slice; the message is what follows dst's length. It draws
+// from rng exactly as Synthesize does.
+func AppendSynthesize(dst []byte, kinds []string, s *ClientState, rng *rand.Rand) []byte {
+	start := len(dst)
+	field := func(name string) {
+		if len(dst) > start {
+			dst = append(dst, '&')
+		}
+		dst = append(append(dst, name...), '=')
+	}
 	for _, k := range kinds {
 		switch k {
 		case KindUA:
-			fields = append(fields, "ua="+s.UserAgent)
+			field("ua")
+			dst = append(dst, s.UserAgent...)
 		case KindCookie:
-			ck := s.CookieHeader()
-			if ck == "" {
-				ck = "uid=" + s.UserID
+			field("cookie")
+			if len(s.Cookies) > 0 {
+				dst = append(dst, s.CookieHeader()...)
+			} else {
+				dst = append(append(dst, "uid="...), s.UserID...)
 			}
-			fields = append(fields, "cookie="+ck)
 		case KindIP:
-			fields = append(fields, "client_ip="+s.IP)
+			field("client_ip")
+			dst = append(dst, s.IP...)
 		case KindUserID:
-			fields = append(fields, "user_id="+s.UserID, "client_id="+s.ClientID)
+			field("user_id")
+			dst = append(dst, s.UserID...)
+			field("client_id")
+			dst = append(dst, s.ClientID...)
 		case KindDevice:
-			fields = append(fields, "device_type="+s.DeviceType, "device_family="+s.DeviceFam)
+			field("device_type")
+			dst = append(dst, s.DeviceType...)
+			field("device_family")
+			dst = append(dst, s.DeviceFam...)
 		case KindScreen:
-			fields = append(fields, fmt.Sprintf("screen=%dx%d", s.ScreenW, s.ScreenH))
+			field("screen")
+			dst = appendDims(dst, s.ScreenW, s.ScreenH)
 		case KindBrowser:
-			fields = append(fields, "browser_type="+s.BrowserType, "browser_family="+s.BrowserFam)
+			field("browser_type")
+			dst = append(dst, s.BrowserType...)
+			field("browser_family")
+			dst = append(dst, s.BrowserFam...)
 		case KindViewport:
-			fields = append(fields, fmt.Sprintf("viewport=%dx%d", s.ViewportW, s.ViewportH))
+			field("viewport")
+			dst = appendDims(dst, s.ViewportW, s.ViewportH)
 		case KindScroll:
-			fields = append(fields, fmt.Sprintf("scroll_pos=%d", rng.Intn(4000)))
+			field("scroll_pos")
+			dst = strconv.AppendInt(dst, int64(rng.Intn(4000)), 10)
 		case KindOrientation:
-			fields = append(fields, "orientation="+s.Orientation)
+			field("orientation")
+			dst = append(dst, s.Orientation...)
 		case KindFirstSeen:
-			fields = append(fields, "first_seen="+s.FirstSeen)
+			field("first_seen")
+			dst = append(dst, s.FirstSeen...)
 		case KindResolution:
-			fields = append(fields, fmt.Sprintf("resolution=%dx%dx24", s.ScreenW, s.ScreenH))
+			field("resolution")
+			dst = append(appendDims(dst, s.ScreenW, s.ScreenH), "x24"...)
 		case KindLanguage:
-			fields = append(fields, "lang="+s.Language)
+			field("lang")
+			dst = append(dst, s.Language...)
 		case KindDOM:
 			domSrc := "<html><head></head><body></body></html>"
 			if s.DOMSource != nil {
 				domSrc = s.DOMSource()
 			}
-			fields = append(fields, "dom="+base64.StdEncoding.EncodeToString([]byte(domSrc)))
+			field("dom")
+			dst = appendBase64(dst, domSrc)
 		case KindBinary:
-			raw := make([]byte, 48+rng.Intn(80))
+			dst = dst[:start]
+			n := 48 + rng.Intn(80)
+			dst = append(dst, make([]byte, n)...)
+			raw := dst[start:]
 			rng.Read(raw)
 			// Force invalid UTF-8 so the payload is genuinely
 			// undecodable, like the ~1% the authors could not decode.
 			raw[0] = 0xFF
-			return raw
+			return dst
 		}
 	}
-	return []byte(strings.Join(fields, "&"))
+	return dst
+}
+
+// appendDims appends w and h as "<w>x<h>".
+func appendDims(dst []byte, w, h int) []byte {
+	return strconv.AppendInt(append(strconv.AppendInt(dst, int64(w), 10), 'x'), int64(h), 10)
+}
+
+// appendBase64 appends the standard base64 encoding of s, a block of
+// whole 3-byte groups at a time so that s is never copied whole.
+func appendBase64(dst []byte, s string) []byte {
+	var block [48]byte
+	for len(s) > 0 {
+		n := copy(block[:], s)
+		dst = base64.StdEncoding.AppendEncode(dst, block[:n])
+		s = s[n:]
+	}
+	return dst
 }
 
 // Response kinds for server-pushed content.

@@ -1,6 +1,9 @@
 package script
 
-import "repro/internal/jsonshape"
+import (
+	"repro/internal/jsonshape"
+	"repro/internal/slab"
+)
 
 // The program literal has one shape: the one encoding/json gives a
 // Program — {"ops":[…]} with every field in declaration order, empty
@@ -69,25 +72,26 @@ func (e *enc) spec(m *MessageSpec) {
 	e.Lit("}")
 }
 
-// sizeHint is about the length of p's encoded body: keys, punctuation
-// and a few escapes per op, a typical kinds list per message. Falling
-// short only costs Encode a regrow.
-func (p *Program) sizeHint() int {
-	n := len(prologue) + len(epilogue)
-	for i := range p.Ops {
-		n += 80 + len(p.Ops[i].URL) + 64*len(p.Ops[i].Send)
-	}
-	return n
+// cursor walks a program literal; the strings it returns alias the
+// literal unless they carried an escape. With a scratch, the program and
+// its lists come from the scratch's slabs and escaped strings from its
+// text; without one, each is an allocation of its own.
+type cursor struct {
+	jsonshape.Cursor[string]
+	s    *Scratch
+	text *slab.Text // s's text; nil without a scratch
 }
 
-// cursor walks a program literal; the strings it returns alias the
-// literal unless they carried an escape.
-type cursor struct{ jsonshape.Cursor[string] }
-
 // decodeFast decodes lit if it has the encoder's shape.
-func decodeFast(lit string) (*Program, bool) {
-	c := &cursor{jsonshape.Cursor[string]{S: lit}}
-	p := &Program{}
+func decodeFast(lit string, s *Scratch) (*Program, bool) {
+	c := &cursor{Cursor: jsonshape.Cursor[string]{S: lit}, s: s}
+	var p *Program
+	var mk func(int) []Op
+	if s != nil {
+		p, c.text, mk = s.progs.New(), &s.text, s.ops.Make
+	} else {
+		p = &Program{}
+	}
 	switch {
 	case lit == `{"ops":null}`:
 		return p, true
@@ -98,22 +102,29 @@ func decodeFast(lit string) (*Program, bool) {
 		return nil, false
 	}
 	var ok bool
-	if p.Ops, ok = jsonshape.List(&c.Cursor, c.op); !ok || !c.Lit("}") || !c.Done() {
+	if p.Ops, ok = jsonshape.List(&c.Cursor, mk, c.op); !ok || !c.Lit("}") || !c.Done() {
 		return nil, false
 	}
 	return p, true
 }
 
+// str consumes a plain string into dst.
+func (c *cursor) str(dst *string) bool { return c.Str(dst, c.text) }
+
 func (c *cursor) op(o *Op) bool {
-	if !c.Lit(`{"do":`) || !c.Str(&o.Do) {
+	if !c.Lit(`{"do":`) || !c.str(&o.Do) {
 		return false
 	}
-	if c.Lit(`,"url":`) && !c.Str(&o.URL) {
+	if c.Lit(`,"url":`) && !c.str(&o.URL) {
 		return false
 	}
 	if c.Lit(`,"send":[`) {
+		var mk func(int) []MessageSpec
+		if c.s != nil {
+			mk = c.s.specs.Make
+		}
 		var ok bool
-		if o.Send, ok = jsonshape.List(&c.Cursor, c.spec); !ok {
+		if o.Send, ok = jsonshape.List(&c.Cursor, mk, c.spec); !ok {
 			return false
 		}
 	}
@@ -134,8 +145,12 @@ func (c *cursor) spec(m *MessageSpec) bool {
 	}
 	sep := "" // "," once the object has a member
 	if c.Lit(`"kinds":[`) {
+		var mk func(int) []string
+		if c.s != nil {
+			mk = c.s.kinds.Make
+		}
 		var ok bool
-		if m.Kinds, ok = jsonshape.List(&c.Cursor, c.Str); !ok {
+		if m.Kinds, ok = jsonshape.List(&c.Cursor, mk, c.str); !ok {
 			return false
 		}
 		sep = ","
@@ -143,7 +158,7 @@ func (c *cursor) spec(m *MessageSpec) bool {
 	if c.Lit(sep + `"binary":true`) {
 		m.Binary, sep = true, ","
 	}
-	if c.Lit(sep+`"text":`) && !c.Str(&m.Text) {
+	if c.Lit(sep+`"text":`) && !c.str(&m.Text) {
 		return false
 	}
 	return c.Lit("}")

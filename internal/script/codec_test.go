@@ -63,8 +63,11 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkDecode holds Decode to the oracle on one body: same program,
-// same nil-ness, same error.
+// checkScratch is the scratch checkDecode decodes into, reset per body.
+var checkScratch script.Scratch
+
+// checkDecode holds Decode, and Decode into a scratch, to the oracle on
+// one body: same program, same nil-ness, same error.
 func checkDecode(t *testing.T, body string) {
 	t.Helper()
 	got, gotErr := script.Decode(body)
@@ -74,6 +77,11 @@ func checkDecode(t *testing.T, body string) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Decode(%q):\n got %#v\nwant %#v", body, got, want)
+	}
+	checkScratch.Reset()
+	got, gotErr = checkScratch.Decode(body)
+	if errText(gotErr) != errText(wantErr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Scratch.Decode(%q) = %#v, %v; oracle %#v, %v", body, got, gotErr, want, wantErr)
 	}
 }
 
@@ -270,6 +278,12 @@ func TestCodecAllocs(t *testing.T) {
 	// Program + Ops + Send + 2×Kinds + 2 escaped URLs.
 	if n := testing.AllocsPerRun(200, func() { _, _ = script.Decode(body) }); n > 8 {
 		t.Errorf("Decode: %.0f allocs, budget 8", n)
+	}
+	// Into a scratch, the program, its lists and its escaped strings
+	// land in storage the scratch keeps: a text chunk now and then.
+	var s script.Scratch
+	if n := testing.AllocsPerRun(200, func() { s.Reset(); _, _ = s.Decode(body) }); n > 0.1 {
+		t.Errorf("Scratch.Decode: %.2f allocs, budget 0.1", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { _, _ = p.Encode() }); n > 2 {
 		t.Errorf("Encode: %.0f allocs, budget 2", n)

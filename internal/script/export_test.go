@@ -5,7 +5,7 @@ package script
 // encoding/json fallback).
 
 // FastDecode is decodeFast: ok is false when lit is outside its shape.
-var FastDecode = decodeFast
+func FastDecode(lit string) (*Program, bool) { return decodeFast(lit, nil) }
 
 // FastEncode renders p's literal by hand; ok is false when a string of
 // p is not plain.

@@ -20,9 +20,14 @@
 package script
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
+
+	"repro/internal/jsonshape"
+	"repro/internal/slab"
 )
 
 // Marker identifies script bodies that carry a program.
@@ -110,13 +115,19 @@ const (
 // Encode renders the program as a JavaScript-looking body. The literal
 // is encoding/json's rendering of p, byte for byte; programs of plain
 // strings are appended by hand (codec.go) and anything else goes
-// through json.Marshal itself.
+// through json.Marshal itself. The body is rendered in a pooled buffer
+// and returned as a copy of its own length: a served body is kept for
+// its page's life, so room to spare would be kept with it.
 func (p *Program) Encode() ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var e enc
-	e.B = make([]byte, 0, p.sizeHint())
+	buf, _ := encodeBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer encodeBufs.Put(buf)
+	e := enc{jsonshape.Writer{B: (*buf)[:0]}}
 	e.Lit(prologue)
 	if e.program(p); e.Bad {
 		data, err := json.Marshal(p)
@@ -126,8 +137,17 @@ func (p *Program) Encode() ([]byte, error) {
 		e.B = append(e.B[:len(prologue)], data...)
 	}
 	e.Lit(epilogue)
-	return e.B, nil
+	if cap(e.B) <= maxEncodeBuf {
+		*buf = e.B
+	}
+	return bytes.Clone(e.B), nil
 }
+
+// encodeBufs recycles Encode's buffers; one that grew past maxEncodeBuf
+// is dropped rather than kept.
+var encodeBufs sync.Pool
+
+const maxEncodeBuf = 64 << 10
 
 // MustEncode is Encode, panicking on error; for generator tables.
 func (p *Program) MustEncode() []byte {
@@ -143,7 +163,37 @@ func (p *Program) MustEncode() []byte {
 // behaviour, which is not an error. A literal in the encoder's own
 // shape is walked in place and its strings alias body; any other goes
 // through json.Unmarshal, with the same result for every input.
-func Decode(body string) (*Program, error) {
+func Decode(body string) (*Program, error) { return decode(body, nil) }
+
+// Scratch is storage programs are decoded into, for a caller that
+// decodes many: a program, its ops, message specs and kind lists come
+// from slabs that Reset recycles, and the strings that carried an
+// escape — the & of every URL with a query — from chunks that are never
+// rewritten (slab.Text). A program decoded into a scratch is valid until
+// the scratch's next Reset; decoding another leaves it as it was. Its
+// strings stay valid for as long as they are held. A Scratch is not safe
+// for concurrent use; its zero value is ready to use.
+type Scratch struct {
+	progs slab.Slab[Program]
+	ops   slab.Slab[Op]
+	specs slab.Slab[MessageSpec]
+	kinds slab.Slab[string]
+	text  slab.Text
+}
+
+// Decode is the package's Decode, with the program held by s.
+func (s *Scratch) Decode(body string) (*Program, error) { return decode(body, s) }
+
+// Reset takes back every program decoded into s since the last Reset.
+func (s *Scratch) Reset() {
+	s.progs.Reset()
+	s.ops.Reset()
+	s.specs.Reset()
+	s.kinds.Reset()
+}
+
+// decode is Decode, into s when s is not nil.
+func decode(body string, s *Scratch) (*Program, error) {
 	if !strings.Contains(body, Marker) {
 		return nil, nil
 	}
@@ -156,7 +206,7 @@ func Decode(body string) (*Program, error) {
 	if end < 0 {
 		return nil, fmt.Errorf("script: unterminated program literal")
 	}
-	p, ok := decodeFast(rest[:end])
+	p, ok := decodeFast(rest[:end], s)
 	if !ok {
 		p = &Program{}
 		if err := json.Unmarshal([]byte(rest[:end]), p); err != nil {

@@ -5,7 +5,9 @@
 //
 // A Slab is not safe for concurrent use. Everything it handed out is
 // invalid after Reset: the owner orders Reset after the last reader of
-// the values, the way browser.PageResult's contract does.
+// the values, the way browser.PageResult's contract does. Text, for
+// strings that may outlive a visit, is the one exception: it never
+// rewrites what it handed out.
 package slab
 
 // Chunk sizes, in elements. Chunks double from firstChunk; Reset keeps a

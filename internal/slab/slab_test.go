@@ -83,3 +83,36 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("a warmed slab allocated %.1f times a page, want 0", n)
 	}
 }
+
+// Strings built in a Text share chunks and are never rewritten: every
+// string still reads as it was built after many more, long ones
+// included, are built after it.
+func TestTextNeverRewrites(t *testing.T) {
+	var txt Text
+	var got, want []string
+	for i := 0; i < 400; i++ {
+		n := i % 37
+		if i%50 == 0 {
+			n = 700 // a string of its own
+		}
+		b := txt.Grow(n)
+		for k := 0; k < n+i%3; k++ { // sometimes past Grow's room
+			b = append(b, byte('a'+(i+k)%26))
+		}
+		got = append(got, txt.Take(b))
+		want = append(want, string(b))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("string %d reads %q, was built as %q", i, got[i], want[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		b := txt.Grow(20)
+		b = append(b, "0123456789abcdefghij"...)
+		_ = txt.Take(b)
+	})
+	if allocs > 0.05 {
+		t.Fatalf("%v allocs per 20-byte string, want one per %d-byte chunk", allocs, textChunk)
+	}
+}

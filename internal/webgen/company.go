@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/payload"
+	"repro/internal/script"
 )
 
 // Era distinguishes crawls before and after the Chrome 58 patch
@@ -181,6 +182,13 @@ type Company struct {
 	HTTPPresence bool
 	// BeaconKinds are the payload kinds POSTed over HTTP beacons.
 	BeaconKinds [][]string
+
+	// beacons holds one message list per beacon the company fires on a
+	// page, which its programs share: BeaconKinds, or, for a partially
+	// listed company without any, one minimal beacon — that /track
+	// request is what earns it its a(d) observations and hence its
+	// place in D′. Set by NewWorld.
+	beacons []script.MessageSpec
 }
 
 // scriptHost returns the host the company's script loads from.

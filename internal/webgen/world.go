@@ -2,11 +2,12 @@ package webgen
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 
 	"repro/internal/detrand"
+	"repro/internal/payload"
+	"repro/internal/script"
 	"repro/internal/urlutil"
 )
 
@@ -44,6 +45,12 @@ type Publisher struct {
 	SelfWS bool
 	// Named marks publishers lifted from the paper's tables.
 	Named bool
+
+	// tagged[i] reports whether Services[i] is placed as a script tag in
+	// the HTML rather than included by the first-party script. Like the
+	// services, the placement is part of the deployment: stable across
+	// crawls, drawn once when the world is built.
+	tagged []bool
 }
 
 // HasService reports whether the publisher deploys the given company.
@@ -97,6 +104,13 @@ func NewWorld(cfg Config) *World {
 		if c.AcceptsWS {
 			w.wsReceivers[c.Domain] = c
 		}
+		beacons := c.BeaconKinds
+		if len(beacons) == 0 && c.PartialRules {
+			beacons = [][]string{{payload.KindUA}}
+		}
+		for _, kinds := range beacons {
+			c.beacons = append(c.beacons, script.MessageSpec{Kinds: kinds})
+		}
 	}
 	// Partner-pool endpoints that are not registered companies become
 	// generic feed receivers.
@@ -112,23 +126,28 @@ func NewWorld(cfg Config) *World {
 	return w
 }
 
-// rng returns a deterministic generator for a namespaced key.
-func (w *World) rng(parts ...string) *rand.Rand {
+// rng returns a deterministic generator for a namespaced key. It is a
+// value: the handful of draws a page takes from each of its generators
+// cost no allocation.
+func (w *World) rng(parts ...string) detrand.Rand { return detrand.Make(w.seed(parts)) }
+
+// seed is the seed of a namespaced key, distinct per crawl.
+func (w *World) seed(parts []string) int64 {
 	var buf [48]byte
 	key := strconv.AppendInt(buf[:0], w.Cfg.Seed, 10)
 	key = append(key, '|')
 	key = strconv.AppendInt(key, int64(w.Cfg.CrawlIndex), 10)
 	key = append(key, '|')
-	return detrand.New(keySeed(key, parts))
+	return keySeed(key, parts)
 }
 
 // stableRng is like rng but identical across crawls (deployments persist
 // between crawls the way real sites keep their vendors).
-func (w *World) stableRng(parts ...string) *rand.Rand {
+func (w *World) stableRng(parts ...string) detrand.Rand {
 	var buf [48]byte
 	key := strconv.AppendInt(buf[:0], w.Cfg.Seed, 10)
 	key = append(key, "|stable|"...)
-	return detrand.New(keySeed(key, parts))
+	return detrand.Make(keySeed(key, parts))
 }
 
 // keySeed is FNV-1a (hash/fnv's New64a) over prefix followed by each
@@ -203,23 +222,28 @@ func (w *World) generatePublishers() {
 		p := &Publisher{
 			Index:    base + i,
 			Domain:   fmt.Sprintf("pub%04d.%s", i, tlds[rng.Intn(len(tlds))]),
-			Rank:     w.rankFor(i, rng),
+			Rank:     w.rankFor(i, &rng),
 			Category: alexaCategories[rng.Intn(len(alexaCategories))],
 			NumPages: 8 + rng.Intn(12),
 		}
-		w.deployServices(p, rng)
+		w.deployServices(p, &rng)
 		w.Publishers = append(w.Publishers, p)
 	}
 	sort.Slice(w.Publishers, func(a, b int) bool { return w.Publishers[a].Rank < w.Publishers[b].Rank })
 	for i, p := range w.Publishers {
 		p.Index = i
 		w.pubByDomain[p.Domain] = p
+		p.tagged = make([]bool, len(p.Services))
+		for k, c := range p.Services {
+			rng := w.stableRng("placement", p.Domain, c.Domain)
+			p.tagged[k] = rng.Float64() < 0.5
+		}
 	}
 }
 
 // rankFor stratifies ranks the way the paper's sample skews popular:
 // 30% in the top 10K, 20% between 10K and 100K, the rest out to 1M.
-func (w *World) rankFor(i int, rng *rand.Rand) int {
+func (w *World) rankFor(i int, rng *detrand.Rand) int {
 	switch roll := rng.Float64(); {
 	case roll < 0.30:
 		return 1 + rng.Intn(10_000)
@@ -247,7 +271,7 @@ func socketSiteProb(rank int) float64 {
 }
 
 // deployServices assigns a generic publisher its third-party stack.
-func (w *World) deployServices(p *Publisher, rng *rand.Rand) {
+func (w *World) deployServices(p *Publisher, rng *detrand.Rand) {
 	// Every site carries ordinary HTTP A&A and benign third parties
 	// (socket initiators arrive only through the profiles below, but
 	// passive socket receivers like realtime.co serve HTTP assets here
@@ -331,7 +355,7 @@ func (w *World) deployServices(p *Publisher, rng *rand.Rand) {
 
 // deployFrom adds up to n companies matching the predicate, weighted by
 // DeployWeight, without duplicates.
-func (w *World) deployFrom(p *Publisher, rng *rand.Rand, match func(*Company) bool, n int) {
+func (w *World) deployFrom(p *Publisher, rng *detrand.Rand, match func(*Company) bool, n int) {
 	var pool []*Company
 	total := 0.0
 	for _, c := range w.Companies {

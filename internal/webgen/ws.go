@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"repro/internal/detrand"
 	"repro/internal/payload"
 	"repro/internal/urlutil"
 )
@@ -53,15 +54,15 @@ func (w *World) WSEndpointFor(host, path string) (*WSEndpoint, bool) {
 // given the query parameters of the socket URL (sid seeds the content, n
 // caps the count — the page knows its protocol, like real apps).
 func (w *World) WSMessages(ep *WSEndpoint, query string) [][]byte {
-	q := parseQuery(query)
-	n := atoi(q["n"])
+	n := atoi(queryParam(query, "n"))
 	if n <= 0 {
 		return nil
 	}
 	if n > 8 {
 		n = 8
 	}
-	rng := w.rng("wsresp", q["sid"], query)
+	// payload.Respond draws through a *rand.Rand; one per socket.
+	rng := detrand.New(w.seed([]string{"wsresp", queryParam(query, "sid"), query}))
 	var kinds []string
 	cdn := ""
 	switch {

@@ -173,8 +173,9 @@ func hostOnly(hostport string) string {
 
 // verdict is route's answer to one request.
 type verdict struct {
-	// res, when set, is the resource an HTTP request is answered with.
-	res *webgen.Resource
+	// res, when found, is the resource an HTTP request is answered with.
+	res   webgen.Resource
+	found bool
 	// Otherwise a non-zero status refuses the request, with msg as
 	// http.Error takes it.
 	status int
@@ -203,12 +204,13 @@ func (s *Server) route(u *urlutil.URL, upgrade bool) verdict {
 		}
 		return verdict{}
 	}
-	var res *webgen.Resource
+	var res webgen.Resource
+	found := false
 	if s.World != nil && !upgrade {
-		res, _ = s.World.GetURL(u)
+		res, found = s.World.GetURL(u)
 	}
 	// A resource implies a known host, so the common case asks once.
-	if res == nil && (s.World == nil || !s.World.KnownHost(u.Host)) {
+	if !found && (s.World == nil || !s.World.KnownHost(u.Host)) {
 		s.Stats.NotFound.Add(1)
 		return verdict{status: http.StatusBadGateway, msg: "unknown virtual host"}
 	}
@@ -221,11 +223,11 @@ func (s *Server) route(u *urlutil.URL, upgrade bool) verdict {
 	}
 	s.Stats.HTTPRequests.Add(1)
 	obs.ServerRequests.Inc()
-	if res == nil {
+	if !found {
 		s.Stats.NotFound.Add(1)
 		return verdict{status: http.StatusNotFound, msg: "no such resource"}
 	}
-	return verdict{res: res}
+	return verdict{res: res, found: true}
 }
 
 // handle is the wire's adapter: a request net/http read.
@@ -243,7 +245,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
 	}
 	v := s.route(&urlutil.URL{Host: hostOnly(r.Host), Path: r.URL.EscapedPath(), Query: r.URL.RawQuery}, false)
-	if v.res == nil {
+	if !v.found {
 		http.Error(w, v.msg, v.status)
 		return
 	}
@@ -440,8 +442,11 @@ func (s *Server) echoLoop(conn *wsproto.Conn) {
 // signature fidelity with an HTTP POST; like handle, Fetch discards
 // request bodies.
 //
-// The returned body aliases the World's resource bytes: callers must
-// treat it as read-only.
+// The returned body is the World's: freshly rendered (pages, scripts,
+// frames), or one of its static bodies, which every fetch shares. No one
+// writes it afterwards — that is browser.Config.Fetch's contract, which
+// lets the browser parse a body where it lies — so callers must treat it
+// as read-only.
 //
 // Fetch must not be used under a fault profile — fault injection
 // degrades the wire, so bypassing the wire would bypass the faults;
@@ -449,7 +454,7 @@ func (s *Server) echoLoop(conn *wsproto.Conn) {
 func (s *Server) Fetch(u *urlutil.URL, postBody []byte) (status int, contentType string, body []byte, err error) {
 	_ = postBody
 	v := s.route(u, false)
-	if v.res == nil {
+	if !v.found {
 		// http.Error's exact observable surface: status, content type,
 		// and the message with a trailing newline.
 		return v.status, "text/plain; charset=utf-8", []byte(v.msg + "\n"), nil
