@@ -59,6 +59,9 @@ race:
 # and FuzzLedgerReplay (a resumed ledger over an arbitrary segment with
 # outcome rows, or one past a gap, refuses without touching a file, or
 # folds the segment's records and rebuilds a queue matching its rows).
+# Those two cap input minimisation at 50 runs (-fuzzminimizetime 50x):
+# every run opens a store and fsyncs, so an uncapped minimisation of
+# each new input holds the fuzzer at 0 execs/s for most of a short run.
 # The store's segment decoder, FuzzDecodeSegment: hostile bytes (also
 # resealed with a valid checksum) are refused without a length taken on
 # trust, and an accepted segment, outcome rows included, round-trips
@@ -87,8 +90,8 @@ fuzz-smoke:
 	$(GO) test ./internal/webserver -run '^$$' -fuzz '^FuzzTransportsAgree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLedgerReplay$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzAppendLine$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzLedgerReplay$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x
+	$(GO) test ./internal/dispatch -run '^$$' -fuzz '^FuzzAppendLine$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jsonshape -run '^$$' -fuzz '^FuzzIndentMatchesStdlib$$' -fuzztime $(FUZZTIME)
 

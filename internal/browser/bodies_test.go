@@ -1,11 +1,8 @@
 package browser_test
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
-	"io"
-	"net/http"
 	"testing"
 	"time"
 
@@ -26,9 +23,9 @@ import (
 // where they lie and strings cut from them outlive the visit, so a
 // write would change a link in a crawler's frontier after the fact. A
 // Fetch wrapper hashes every body it returns; each must hash the same
-// after its page is recorded and after every later visit. In-process
-// the wrapper fronts the server's Fetch; under the flaky profile it
-// fetches over the faulted wire, whose bodies are io.ReadAll's.
+// after its page is recorded and after every later visit. The wrapper
+// fronts the server's Fetch, fault-free and under the flaky profile,
+// whose failed fetches take the browser's error paths.
 func TestFetchedBodiesStayUnwritten(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crawls 12 publishers twice")
@@ -58,13 +55,11 @@ func checkBodiesUnwritten(t *testing.T, profile string) {
 			t.Fatalf("no fault profile %q", profile)
 		}
 	}
-	server, err := webserver.StartWith(world, webserver.Options{Fault: fault, FaultSeed: 1})
+	server, err := webserver.Start(world)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client := server.Client()
-	defer client.CloseIdleConnections()
 	lab := labeler.New(
 		filterlist.Parse("easylist", world.EasyListText()),
 		filterlist.Parse("easyprivacy", world.EasyPrivacyText()))
@@ -81,29 +76,6 @@ func checkBodiesUnwritten(t *testing.T, profile string) {
 		status, ctype, body, err := server.Fetch(u, post)
 		keep(u, body)
 		return status, ctype, body, err
-	}
-	if fault.Enabled() {
-		fetch = func(u *urlutil.URL, post []byte) (int, string, []byte, error) {
-			method, reqBody := http.MethodGet, io.Reader(nil)
-			if post != nil {
-				method, reqBody = http.MethodPost, bytes.NewReader(post)
-			}
-			req, err := http.NewRequest(method, u.String(), reqBody)
-			if err != nil {
-				return 0, "", nil, err
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				return 0, "", nil, err
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				return 0, "", nil, err
-			}
-			keep(u, body)
-			return resp.StatusCode, resp.Header.Get("Content-Type"), body, nil
-		}
 	}
 	check := func(when string) {
 		t.Helper()
@@ -122,17 +94,12 @@ func checkBodiesUnwritten(t *testing.T, profile string) {
 	cfg := crawler.Config{
 		Workers: 1, PagesPerSite: 4, Seed: seed,
 		SiteBrowser: func(site crawler.Site) *browser.Browser {
-			bc := browser.Config{
+			return browser.New(browser.Config{
 				Version: 57, Seed: crawler.SiteSeed(seed, site.Domain),
-				HTTPClient: client, ResolveWS: server.Resolver(), Fetch: fetch,
-			}
-			if fault.Enabled() {
-				bc.Fault, bc.FaultSeed = fault, 1
-				bc.DialRetries, bc.DialRetryBackoff = 2, 5*time.Millisecond
-			} else {
-				bc.DialWS = server.DialSocket
-			}
-			return browser.New(bc)
+				Fetch: fetch, DialWS: server.DialSocket,
+				Fault: fault, FaultSeed: 1,
+				DialRetries: 2, DialRetryBackoff: 5 * time.Millisecond,
+			})
 		},
 		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
 			check("during the visit of " + pageURL + " or a later one")

@@ -102,10 +102,11 @@ type Config struct {
 	// Default 10s.
 	SocketTimeout time.Duration
 
-	// Fault, when enabled, degrades every WebSocket transport conn this
-	// browser dials (internal/faultnet). Per-socket schedules derive
-	// from (FaultSeed, Seed, dial sequence), so a given crawl seed and
-	// fault seed reproduce the same schedule on the same socket.
+	// Fault, when enabled, degrades each logical connection this browser
+	// opens, whichever transport carries it: every fetch
+	// (faultnet.Exchange) and every WebSocket dial (faultnet.WrapConn).
+	// Schedules derive from (FaultSeed, Seed, connection number), so a
+	// crawl seed and fault seed reproduce them on the same connections.
 	Fault     faultnet.Profile
 	FaultSeed int64
 	// DialRetries is the number of extra WebSocket dial attempts after
@@ -133,11 +134,11 @@ type Browser struct {
 	// cookies maps registrable domains to this user's cookie string.
 	cookies map[string]string
 
-	// dialSeq numbers transport dials (including retries) so per-socket
-	// fault seeds are stable; backoffRng jitters dial-retry backoff.
-	// Both stay outside b.rng's stream: they draw nothing unless a dial
-	// actually fails, keeping fault-free crawls byte-identical.
-	dialSeq    int64
+	// connSeq numbers fetches and transport dials (retries included) so
+	// per-connection fault seeds are stable; backoffRng jitters dial-retry
+	// backoff. Both stay outside b.rng's stream: they draw nothing unless
+	// faults are on or a dial fails, keeping fault-free crawls unchanged.
+	connSeq    int64
 	backoffRng *rand.Rand
 
 	// scratch is the reused per-page storage, which the first Visit
@@ -572,6 +573,9 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 		Initiator: init, FirstPartyURL: pageURL, Header: header, Body: postBody, Parsed: u,
 	})
 	status, mime, body, err := l.b.doHTTP(l.ctx, u, header, postBody)
+	if err == nil && l.b.cfg.Fault.Enabled() {
+		err = faultnet.Exchange(l.ctx, l.b.cfg.Fault, l.b.nextConnSeed(), len(postBody), len(body))
+	}
 	if err != nil {
 		l.result.NetErrors++
 		return nil, 0, false
@@ -588,6 +592,14 @@ func (l *pageLoad) request(u *urlutil.URL, typ devtools.ResourceType, frameID de
 		BodySize: len(body), Body: respBody,
 	})
 	return body, status, status >= 200 && status < 400
+}
+
+// nextConnSeed numbers the browser's next logical connection and
+// returns its fault seed. Visits are sequential per browser, so the
+// schedules do not depend on goroutine timing.
+func (b *Browser) nextConnSeed() int64 {
+	b.connSeq++
+	return faultnet.DeriveSeed(b.cfg.FaultSeed, b.cfg.Seed, b.connSeq)
 }
 
 func (b *Browser) doHTTP(ctx context.Context, u *urlutil.URL, header map[string]string, postBody []byte) (int, string, []byte, error) {
@@ -714,13 +726,8 @@ func (l *pageLoad) openWebSocket(frameID devtools.FrameID, op script.Op, init de
 		Header:      httpHeader,
 	}
 	if l.b.cfg.Fault.Enabled() {
-		// Visits are sequential per browser, so the dial sequence — and
-		// with it each socket's fault schedule — is a pure function of
-		// the (crawl seed, fault seed) pair, not of goroutine timing.
 		dialer.WrapConn = func(nc net.Conn) net.Conn {
-			l.b.dialSeq++
-			return faultnet.WrapConn(nc, l.b.cfg.Fault,
-				faultnet.DeriveSeed(l.b.cfg.FaultSeed, l.b.cfg.Seed, l.b.dialSeq))
+			return faultnet.WrapConn(nc, l.b.cfg.Fault, l.b.nextConnSeed())
 		}
 	}
 	conn, err := l.dialWebSocket(&dialer, rawURL)

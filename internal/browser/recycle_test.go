@@ -84,13 +84,11 @@ func recordCrawl(t *testing.T, profile string, fresh bool) []*analysis.PageRecor
 			t.Fatalf("no fault profile %q", profile)
 		}
 	}
-	server, err := webserver.StartWith(world, webserver.Options{Fault: fault, FaultSeed: 1})
+	server, err := webserver.Start(world)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client := server.Client()
-	defer client.CloseIdleConnections()
 	lab := labeler.New(
 		filterlist.Parse("easylist", world.EasyListText()),
 		filterlist.Parse("easyprivacy", world.EasyPrivacyText()))
@@ -109,17 +107,12 @@ func recordCrawl(t *testing.T, profile string, fresh bool) []*analysis.PageRecor
 	cfg := crawler.Config{
 		Workers: 1, PagesPerSite: 4, Seed: seed,
 		SiteBrowser: func(site crawler.Site) *browser.Browser {
-			bc := browser.Config{
+			cur = browser.New(browser.Config{
 				Version: 57, Seed: crawler.SiteSeed(seed, site.Domain),
-				HTTPClient: client, ResolveWS: server.Resolver(),
-			}
-			if fault.Enabled() {
-				bc.Fault, bc.FaultSeed = fault, 1
-				bc.DialRetries, bc.DialRetryBackoff = 2, 5*time.Millisecond
-			} else {
-				bc.Fetch, bc.DialWS = server.Fetch, server.DialSocket
-			}
-			cur = browser.New(bc)
+				Fetch: server.Fetch, DialWS: server.DialSocket,
+				Fault: fault, FaultSeed: 1,
+				DialRetries: 2, DialRetryBackoff: 5 * time.Millisecond,
+			})
 			if fresh {
 				browser.FreshScratch(cur)
 			}

@@ -373,7 +373,8 @@ func (s *Store) Ingest(rec *analysis.PageRecord) (bool, error) {
 	}
 	obs.StorePages.Inc()
 	if full {
-		return true, s.seal(true)
+		_, err := s.seal(true)
+		return true, err
 	}
 	return true, nil
 }
@@ -405,10 +406,16 @@ func (s *Store) TakeOutcomes() []Outcome {
 
 // Seal writes the buffered records and outcome rows into one sealed
 // segment file, after any seal already in flight has finished; with
-// nothing buffered it writes nothing. dispatch.Ledger.Commit is a Seal.
+// nothing buffered it writes nothing.
 func (s *Store) Seal() error {
+	_, err := s.SealPending()
+	return err
+}
+
+// SealPending is Seal, and reports whether it found anything to seal.
+func (s *Store) SealPending() (sealed bool, err error) {
 	if s.readonly {
-		return fmt.Errorf("colstore: store %s is read-only", s.dir)
+		return false, fmt.Errorf("colstore: store %s is read-only", s.dir)
 	}
 	return s.seal(false)
 }
@@ -416,14 +423,15 @@ func (s *Store) Seal() error {
 // seal first publishes a segment an earlier seal failed to, then seals
 // the buffer into the next segment: an explicit seal when it holds
 // anything, Ingest's auto-seal when it holds SegmentPages records, so
-// of several ingests that filled the buffer only the first seals.
-func (s *Store) seal(auto bool) error {
+// of several ingests that filled the buffer only the first seals. It
+// reports whether it took the buffer.
+func (s *Store) seal(auto bool) (bool, error) {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
 	if s.retry != nil {
 		name, err := s.publishSegment(s.retry)
 		if err != nil {
-			return err
+			return false, err
 		}
 		s.consumed[name] = true
 		s.retry = nil
@@ -439,7 +447,7 @@ func (s *Store) seal(auto bool) error {
 	}
 	s.mu.Unlock()
 	if !take {
-		return nil
+		return false, nil
 	}
 
 	span := obs.StartSpan(obs.StoreSeal)
@@ -459,7 +467,7 @@ func (s *Store) seal(auto bool) error {
 	}
 	enc.reset()
 	s.spare = enc
-	return err
+	return true, err
 }
 
 // publishSegment publishes data as the segment numbered s.seq, advances

@@ -41,7 +41,7 @@ func TestDetectSentFindsSynthesizedKinds(t *testing.T) {
 		{[]string{payload.KindBinary}, []string{SentBinary}},
 	}
 	for _, tc := range cases {
-		data := payload.Synthesize(tc.kinds, state, rng)
+		data := payload.AppendSynthesize(nil, tc.kinds, state, rng)
 		got := DetectSent(data)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("kinds %v: DetectSent(%q) = %v, want %v", tc.kinds, truncate(data), got, tc.want)
@@ -59,7 +59,7 @@ func truncate(b []byte) string {
 func TestDetectSentFingerprintBundle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	state := payload.NewClientState(rng)
-	data := payload.Synthesize(payload.FingerprintKinds, state, rng)
+	data := payload.AppendSynthesize(nil, payload.FingerprintKinds, state, rng)
 	got := DetectSent(data)
 	want := []string{SentDevice, SentScreen, SentBrowser, SentViewport, SentScroll, SentOrientation, SentFirstSeen, SentResolution}
 	if !reflect.DeepEqual(got, want) {
@@ -173,7 +173,7 @@ func TestDOMExfiltrationDetection(t *testing.T) {
 	state.DOMSource = func() string {
 		return "<html><head></head><body><input value=\"typed-but-not-sent\"></body></html>"
 	}
-	data := payload.Synthesize([]string{payload.KindDOM}, state, rng)
+	data := payload.AppendSynthesize(nil, []string{payload.KindDOM}, state, rng)
 	items := DetectSent(data)
 	if !reflect.DeepEqual(items, []string{SentDOM}) {
 		t.Fatalf("DOM not detected: %v", items)
@@ -188,7 +188,7 @@ func TestDOMExfiltrationDetection(t *testing.T) {
 func TestBinaryPayloadOnlyBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	state := payload.NewClientState(rng)
-	data := payload.Synthesize([]string{payload.KindBinary}, state, rng)
+	data := payload.AppendSynthesize(nil, []string{payload.KindBinary}, state, rng)
 	if got := DetectSent(data); !reflect.DeepEqual(got, []string{SentBinary}) {
 		t.Errorf("binary payload: %v", got)
 	}

@@ -216,7 +216,7 @@ func TestScannersMatchRegexps(t *testing.T) {
 		payload.KindDOM, payload.KindBinary,
 	}
 	for _, k := range kinds {
-		checkAgainstOracles(t, payload.Synthesize([]string{k}, state, rng))
+		checkAgainstOracles(t, payload.AppendSynthesize(nil, []string{k}, state, rng))
 	}
 	for round := 0; round < 200; round++ {
 		var pick []string
@@ -225,7 +225,7 @@ func TestScannersMatchRegexps(t *testing.T) {
 				pick = append(pick, k)
 			}
 		}
-		checkAgainstOracles(t, payload.Synthesize(pick, state, rng))
+		checkAgainstOracles(t, payload.AppendSynthesize(nil, pick, state, rng))
 	}
 	for _, kind := range []string{payload.RespHTML, payload.RespJSON, payload.RespJS, payload.RespImage, payload.RespBinary, payload.RespAdURLs} {
 		for i := 0; i < 20; i++ {

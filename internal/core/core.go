@@ -80,11 +80,11 @@ type Options struct {
 	// declared only so bench/ compiles until ROADMAP 1(b).
 	Store bool
 	// FaultProfile, when non-empty, names a faultnet profile (see
-	// faultnet.Names) injected on both sides of the wire: uniformly on
-	// the web server's listener and per-socket on every browser's
-	// WebSocket dials. FaultSeed keys the schedules; the same
-	// (Seed, FaultSeed, FaultProfile) triple reproduces the same
-	// degraded dataset byte for byte.
+	// faultnet.Names) that every browser injects into each of its
+	// logical connections, fetches and WebSocket dials alike.
+	// FaultSeed keys the schedules; the same (Seed, FaultSeed,
+	// FaultProfile) triple reproduces the same degraded dataset byte
+	// for byte.
 	FaultProfile string
 	FaultSeed    int64
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // newReferencePlane builds the retained seed plane: wire fetches and
-// WebSockets through the full TCP + net/http stack. Everything else —
-// browsers, recorder, the durable ledger — is the shipping one; the
+// WebSockets through the full TCP + net/http stack, every browser of the
+// plane sharing one keep-alive pool. Everything else — browsers, their
+// fault draws, recorder, the durable ledger — is the shipping one; the
 // reference for per-page scratch reuse lives in the browser's and the
 // recorder's own tests. It produces the same bytes as the shipping plane
 // and exists only as the differential oracle proving that.
@@ -21,8 +22,10 @@ func newReferencePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
 	if err != nil {
 		return nil, err
 	}
+	client, resolve := p.server.Client(), p.server.Resolver()
 	p.newBrowser = func(cfg browser.Config) *browser.Browser {
 		cfg.Fetch, cfg.DialWS = nil, nil
+		cfg.HTTPClient, cfg.ResolveWS = client, resolve
 		return browser.New(cfg)
 	}
 	return p, nil
@@ -44,11 +47,13 @@ func crawlPlane(ctx context.Context, opts Options, spec CrawlSpec, reference boo
 }
 
 // runPipeline runs one dispatched crawl on the shipping plane or the
-// reference plane and returns the dataset's exact JSON bytes.
-func runPipeline(t *testing.T, reference bool) []byte {
+// reference plane, under the named fault profile (empty: none), and
+// returns the dataset's exact JSON bytes.
+func runPipeline(t *testing.T, profile string, reference bool) []byte {
 	t.Helper()
 	res, err := crawlPlane(context.Background(), Options{
 		Seed: 4242, NumPublishers: 18, Workers: 4, PagesPerSite: 3,
+		FaultProfile: profile, FaultSeed: 3,
 		Dispatch: &DispatchOptions{
 			StateDir: filepath.Join(t.TempDir(), "state"),
 		},
@@ -66,13 +71,29 @@ func runPipeline(t *testing.T, reference bool) []byte {
 // TestPipelineDifferential is the page plane's non-negotiable
 // invariant: the shipping plane's in-process fetches and sockets produce
 // a byte-identical dataset to the retained seed/reference plane's TCP +
-// net/http transport. A transport that changes one byte a page sees, or
-// the order records arrive in, fails here.
+// net/http transport, fault-free and under the flaky profile, whose
+// faults the browser draws per connection whichever transport carries
+// it. A transport that changes one byte a page sees, or the order
+// records arrive in, fails here.
 func TestPipelineDifferential(t *testing.T) {
-	reference := runPipeline(t, true)
-	optimized := runPipeline(t, false)
-	if !bytes.Equal(reference, optimized) {
-		t.Fatalf("optimized pipeline dataset differs from reference: %d bytes vs %d bytes",
-			len(optimized), len(reference))
+	var faultFree []byte
+	for _, profile := range []string{"", "flaky"} {
+		name := profile
+		if name == "" {
+			name = "fault-free"
+		}
+		t.Run(name, func(t *testing.T) {
+			reference := runPipeline(t, profile, true)
+			optimized := runPipeline(t, profile, false)
+			if !bytes.Equal(reference, optimized) {
+				t.Fatalf("optimized pipeline dataset differs from reference: %d bytes vs %d bytes",
+					len(optimized), len(reference))
+			}
+			if profile == "" {
+				faultFree = optimized
+			} else if bytes.Equal(optimized, faultFree) {
+				t.Fatal("the flaky profile changed no byte of the dataset")
+			}
+		})
 	}
 }

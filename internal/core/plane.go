@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -29,14 +28,9 @@ import (
 // (Options, CrawlSpec) yields a byte-identical dataset whichever one ran
 // it (TestEntryPointsAgree).
 type pagePlane struct {
-	opts   Options
-	spec   CrawlSpec
-	server *webserver.Server
-	// client and resolve are the wire route to server, built once: every
-	// browser of the plane shares the one keep-alive pool, and Close
-	// empties it.
-	client    *http.Client
-	resolve   func(hostport string) string
+	opts      Options
+	spec      CrawlSpec
+	server    *webserver.Server
 	recorder  *analysis.Recorder
 	sites     []crawler.Site
 	fault     faultnet.Profile
@@ -90,7 +84,7 @@ func newPagePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
 	}
 	faultSeed := opts.FaultSeed + int64(spec.CrawlIndex)
 	world := newWorld(opts, spec)
-	server, err := webserver.StartWith(world, webserver.Options{Fault: fault, FaultSeed: faultSeed})
+	server, err := webserver.Start(world)
 	if err != nil {
 		return nil, fmt.Errorf("core: start server: %w", err)
 	}
@@ -106,8 +100,6 @@ func newPagePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
 		opts:      opts,
 		spec:      spec,
 		server:    server,
-		client:    server.Client(),
-		resolve:   server.Resolver(),
 		recorder:  analysis.NewRecorder(lab),
 		sites:     siteRoster(world),
 		fault:     fault,
@@ -115,12 +107,8 @@ func newPagePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
 	}, nil
 }
 
-// Close drops the wire client's idle connections and shuts the plane's
-// web server down.
-func (p *pagePlane) Close() {
-	p.client.CloseIdleConnections()
-	p.server.Close()
-}
+// Close shuts the plane's web server down.
+func (p *pagePlane) Close() { p.server.Close() }
 
 // crawlSeed drives link sampling and, through crawler.SiteSeed, every
 // browser of this crawl.
@@ -129,25 +117,21 @@ func (p *pagePlane) crawlSeed() int64 { return crawler.CrawlSeed(p.opts.Seed, p.
 // browserFor builds the browser for one site, seeded from (crawl seed,
 // site) alone, so a site's records are independent of worker
 // assignment, grant membership, retries and resume boundaries. Fetches
-// and WebSockets go in-process (webserver.Fetch, webserver.DialSocket)
-// unless faults are armed — bypassing the wire would bypass the
-// injected faults — and an armed profile also wraps the browser's
-// WebSocket dials and adds the dial-retry hardening that keeps
-// transient handshake failures from costing a socket.
+// and WebSockets go in-process (webserver.Fetch, webserver.DialSocket),
+// faulted or not: the browser draws each connection's faults itself.
+// The dial-retry hardening keeps a transient handshake failure from
+// costing a socket; it draws nothing unless a dial fails, so a
+// fault-free crawl is unchanged by it.
 func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 	cfg := browser.Config{
-		Version:    p.spec.BrowserVersion,
-		Seed:       crawler.SiteSeed(p.crawlSeed(), site.Domain),
-		HTTPClient: p.client,
-		ResolveWS:  p.resolve,
-	}
-	if p.fault.Enabled() {
-		cfg.Fault = p.fault
-		cfg.FaultSeed = p.faultSeed
-		cfg.DialRetries = 2
-		cfg.DialRetryBackoff = 5 * time.Millisecond
-	} else {
-		cfg.Fetch, cfg.DialWS = p.server.Fetch, p.server.DialSocket
+		Version:          p.spec.BrowserVersion,
+		Seed:             crawler.SiteSeed(p.crawlSeed(), site.Domain),
+		Fetch:            p.server.Fetch,
+		DialWS:           p.server.DialSocket,
+		Fault:            p.fault,
+		FaultSeed:        p.faultSeed,
+		DialRetries:      2,
+		DialRetryBackoff: 5 * time.Millisecond,
 	}
 	if p.newBrowser != nil {
 		return p.newBrowser(cfg)

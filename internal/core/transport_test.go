@@ -47,14 +47,14 @@ func crawlOver(t *testing.T, plane *pagePlane, dial func(context.Context, string
 		run.traces[pageURL] = data
 		run.sockets += bytes.Count(data, []byte(`"Network.webSocketCreated"`))
 	})
+	resolve := plane.server.Resolver()
 	cfg.SiteBrowser = func(site crawler.Site) *browser.Browser {
 		return browser.New(browser.Config{
-			Version:    plane.spec.BrowserVersion,
-			Seed:       crawler.SiteSeed(plane.crawlSeed(), site.Domain),
-			HTTPClient: plane.client,
-			ResolveWS:  plane.resolve,
-			Fetch:      plane.server.Fetch,
-			DialWS:     dial,
+			Version:   plane.spec.BrowserVersion,
+			Seed:      crawler.SiteSeed(plane.crawlSeed(), site.Domain),
+			ResolveWS: resolve,
+			Fetch:     plane.server.Fetch,
+			DialWS:    dial,
 		})
 	}
 	var crawled crawler.Stats

@@ -199,16 +199,18 @@ func (l *Ledger) Settled(rows []colstore.Outcome) error {
 }
 
 // Commit seals everything appended so far — pages and outcome rows —
-// into the store's next segment; with nothing appended it writes
-// nothing. A failed seal keeps its bytes for the next one, and costs a
-// crash in between only re-crawling.
+// into the store's next segment, and counts a checkpoint write; with
+// nothing appended, which a concurrent commit may have sealed first, it
+// writes and counts nothing. A failed seal keeps its bytes for the next
+// one, and costs a crash in between only re-crawling.
 func (l *Ledger) Commit() error {
 	span := obs.StartSpan(obs.StageCheckpoint)
-	defer func() {
-		span.End()
+	defer span.End()
+	sealed, err := l.store.SealPending()
+	if sealed && err == nil {
 		obs.CheckpointWrites.Inc()
-	}()
-	return l.store.Seal()
+	}
+	return err
 }
 
 // Finalize derives the crawl's dataset: the store's fold, which took

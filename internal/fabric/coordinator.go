@@ -131,7 +131,7 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 		return nil, fmt.Errorf("fabric: listen %s: %w", addr, err)
 	}
 	if cfg.Fault.Enabled() {
-		ln = faultnet.WrapListener(ln, cfg.Fault, cfg.FaultSeed, faultnet.ModePerConn)
+		ln = faultnet.WrapListener(ln, cfg.Fault, cfg.FaultSeed)
 	}
 	c.ln = ln
 

@@ -1,6 +1,7 @@
 package faultnet
 
 import (
+	"context"
 	"io"
 	"net"
 	"os"
@@ -47,8 +48,62 @@ func WrapConn(nc net.Conn, p Profile, seed int64) net.Conn {
 	return wrapConn(nc, p.schedule(detrand.New(seed)))
 }
 
-func wrapConn(nc net.Conn, s schedule) *Conn {
+// Exchange applies the schedule a conn wrapped with seed would draw to
+// one whole request/response exchange that some transport has carried,
+// sent and received bytes long: the fetch counterpart of WrapConn. A
+// fetch hands its caller a whole body or none, so stall, latency and
+// jitter become one delay, bandwidth paces both bodies, a byte budget
+// smaller than either body fails the exchange (ErrInjectedReset or
+// ErrInjectedCut) as io.ReadAll fails on a body the wire cut short, and
+// torn and short writes do nothing — a reader of a whole body
+// reassembles the one and sees a cut in the other. It moves the fault.*
+// counters a wrapped conn does, one fault.conns per call; ctx bounds
+// the delay. A disabled profile returns nil at once.
+func Exchange(ctx context.Context, p Profile, seed int64, sent, received int) error {
+	if !p.Enabled() {
+		return nil
+	}
+	s := p.schedule(detrand.New(seed))
+	countConn(s)
+	cut := s.readCut >= 0 && (int64(sent) > s.readCut || int64(received) > s.readCut)
+	delay := s.stall + s.latency + time.Duration(int64(sent+received)*s.nsPerByte)
+	if s.stall > 0 {
+		obs.FaultStalls.Inc()
+	}
+	if s.latency > 0 {
+		obs.FaultDelays.Inc()
+	}
+	if delay > 0 {
+		timer := time.NewTimer(delay)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return ctx.Err()
+		}
+	}
+	switch {
+	case !cut:
+		return nil
+	case s.reset:
+		obs.FaultResets.Inc()
+		return ErrInjectedReset
+	default:
+		obs.FaultCuts.Inc()
+		return ErrInjectedCut
+	}
+}
+
+// countConn counts one faulted connection with schedule s.
+func countConn(s schedule) {
 	obs.FaultConns.Inc()
+	if s.readCut >= 0 {
+		obs.FaultArmed.Inc()
+	}
+}
+
+func wrapConn(nc net.Conn, s schedule) *Conn {
+	countConn(s)
 	obs.FaultActive.Add(1)
 	return &Conn{
 		Conn:    nc,

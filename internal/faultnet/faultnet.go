@@ -15,18 +15,17 @@
 // payload bytes, so the bytes an endpoint does observe are always a
 // prefix of the genuine stream.
 //
-// Two wiring points exist, with different determinism properties:
-//
-//   - WrapConn (client side): the caller owns the per-connection seed
-//     derivation, so schedules can be keyed to stable identities (the
-//     browser keys them to its per-site seed plus a dial sequence
-//     number) and are independent of goroutine scheduling.
-//   - WrapListener (server side): per-accepted-conn schedules are drawn
-//     in accept order (ModePerConn), which reproduces the schedule
-//     sequence but not its assignment to logical requests under a
-//     concurrent crawl. ModeUniform gives every accepted conn the same
-//     schedule, which is order-insensitive — the mode the measurement
-//     pipeline uses so server-side faults stay dataset-deterministic.
+// A crawl wires faults in at one point, the client, per logical
+// connection: the caller derives each connection's seed from a stable
+// identity (the browser keys it to its per-site seed plus the
+// connection's number in its sequence of fetches and dials), so
+// schedules are independent of goroutine scheduling and of the
+// transport. A socket's conn is wrapped by WrapConn; a fetch, which
+// hands its caller a whole body or none, takes the same schedule
+// through Exchange. WrapListener draws per-accepted-conn schedules in
+// accept order — reproducible in sequence but not in assignment to
+// logical requests under concurrency — for soak variety on links whose
+// tests assert convergence rather than byte identity.
 //
 // The package is on the wslint determinism allowlist: it reads the wall
 // clock only for I/O deadline arithmetic (under justified pragmas) and
@@ -197,9 +196,10 @@ var registry = []Profile{
 	{
 		// flaky: a minority of connections get a byte budget and die
 		// mid-stream — half as clean cuts, half as resets, a quarter
-		// with a short final write. Budgets must undercut the synthetic
-		// web's typical per-connection transfer (small pages, short
-		// socket sessions) or they arm without ever being spent.
+		// with a short final write. Budgets undercut the synthetic
+		// web's larger transfers (pages, socket sessions); on its small
+		// ones (scripts, images, beacons) they arm without ever being
+		// spent.
 		Name: "flaky", Latency: 200 * time.Microsecond,
 		TruncateProb: 0.4, TruncateMin: 96, TruncateMax: 2048,
 		ResetProb: 0.5, ShortWriteProb: 0.25,

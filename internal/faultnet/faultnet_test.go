@@ -1,6 +1,7 @@
 package faultnet
 
 import (
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -10,6 +11,9 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/detrand"
+	"repro/internal/obs"
 )
 
 func TestRegistryNamesSortedAndResolvable(t *testing.T) {
@@ -236,46 +240,69 @@ func TestCloseInterruptsInjectedSleep(t *testing.T) {
 	}
 }
 
-// TestListenerUniformSchedules: in ModeUniform every accepted conn gets
-// the same schedule, so the same client interaction yields the same
-// outcome no matter the accept order.
-func TestListenerUniformSchedules(t *testing.T) {
+// TestListenerPerConnSchedules: every accepted conn gets a schedule of
+// its own, drawn from the seed in accept order — the k-th accept gets
+// the k-th draw — with resets degraded to clean cuts, and its client
+// receives exactly the schedule's byte budget.
+func TestListenerPerConnSchedules(t *testing.T) {
 	base, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Profile{TruncateProb: 1, TruncateMin: 6, TruncateMax: 6}
-	ln := WrapListener(base, p, 99, ModeUniform)
+	p := Profile{TruncateProb: 0.5, TruncateMin: 4, TruncateMax: 64, ResetProb: 1}
+	ln := WrapListener(base, p, 99)
 	defer ln.Close()
 
-	serve := func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Two writes: the first fills the 6-byte budget exactly, the
-		// second dies on the clean cut boundary.
-		_, _ = conn.Write([]byte("012345"))
-		_, _ = conn.Write([]byte("6789"))
-	}
-
-	readAll := func() int {
+	rng := detrand.New(99)
+	budgets := map[int64]bool{}
+	for i := 0; i < 12; i++ {
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				conn = nil
+			}
+			accepted <- conn
+		}()
 		nc, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer nc.Close()
-		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		b, _ := io.ReadAll(nc)
-		return len(b)
-	}
-
-	for i := 0; i < 3; i++ {
-		go serve()
-		if n := readAll(); n != 6 {
-			t.Fatalf("conn %d delivered %d bytes, want the uniform 6-byte budget", i, n)
+		conn := <-accepted
+		if conn == nil {
+			t.Fatal("accept failed")
 		}
+		want := p.schedule(rng)
+		want.reset = false
+		if got := conn.(*Conn).sched; got != want {
+			t.Fatalf("conn %d: schedule %+v, want the %d-th draw %+v", i, got, i+1, want)
+		}
+		// One byte a write, so a clean cut lands on the budget exactly.
+		go func() {
+			defer conn.Close()
+			for k := 0; k < 100; k++ {
+				if _, err := conn.Write([]byte{byte(k)}); err != nil {
+					return
+				}
+			}
+		}()
+		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		b, err := io.ReadAll(nc)
+		nc.Close()
+		if err != nil {
+			t.Fatalf("conn %d: %v (a server-side cut must be clean)", i, err)
+		}
+		wantN := int64(100)
+		if want.writeCut >= 0 {
+			wantN = want.writeCut
+		}
+		if int64(len(b)) != wantN {
+			t.Fatalf("conn %d delivered %d bytes, want %d", i, len(b), wantN)
+		}
+		budgets[want.writeCut] = true
+	}
+	if len(budgets) < 4 {
+		t.Fatalf("12 accepted conns drew %d distinct budgets: not per-connection schedules", len(budgets))
 	}
 }
 
@@ -285,7 +312,7 @@ func TestListenerDisabledPassesThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Close()
-	if got := WrapListener(base, Profile{}, 1, ModeUniform); got != base {
+	if got := WrapListener(base, Profile{}, 1); got != base {
 		t.Errorf("disabled profile wrapped the listener: %T", got)
 	}
 }
@@ -323,5 +350,62 @@ func TestWrapConnSameSeedSameBehavior(t *testing.T) {
 	n2, err2 := run()
 	if n1 != n2 || !errors.Is(err2, err1) {
 		t.Fatalf("same seed diverged: (%d, %v) vs (%d, %v)", n1, err1, n2, err2)
+	}
+}
+
+// TestExchangeAppliesTheConnSchedule: an exchange fails exactly when the
+// schedule a conn wrapped with the same seed would draw has a byte
+// budget smaller than one of its bodies — as a reset or a clean cut, as
+// that schedule says — and moves fault.conns once and fault.cuts or
+// fault.resets once per failure.
+func TestExchangeAppliesTheConnSchedule(t *testing.T) {
+	p := Profile{TruncateProb: 0.5, TruncateMin: 10, TruncateMax: 100, ResetProb: 0.5, TornWrites: 3}
+	before := obs.Default.Snapshot()
+	var failed, cut, reset int64
+	for seed := int64(0); seed < 200; seed++ {
+		s := p.schedule(detrand.New(seed))
+		sent, received := int(seed%40), 60
+		var want error
+		if s.readCut >= 0 && (int64(sent) > s.readCut || int64(received) > s.readCut) {
+			want, failed = ErrInjectedCut, failed+1
+			if s.reset {
+				want, reset = ErrInjectedReset, reset+1
+			} else {
+				cut++
+			}
+		}
+		if err := Exchange(context.Background(), p, seed, sent, received); err != want {
+			t.Fatalf("seed %d (schedule %+v): %v, want %v", seed, s, err, want)
+		}
+	}
+	after := obs.Default.Snapshot()
+	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+	if delta(obs.MFaultConns) != 200 || delta(obs.MFaultCuts) != cut || delta(obs.MFaultResets) != reset {
+		t.Errorf("counters moved conns %d, cuts %d, resets %d; want 200, %d, %d",
+			delta(obs.MFaultConns), delta(obs.MFaultCuts), delta(obs.MFaultResets), cut, reset)
+	}
+	if delta(obs.MFaultTornWrites) != 0 || delta(obs.MFaultShortWrites) != 0 {
+		t.Error("an exchange counted torn or short writes: it delivers whole bodies")
+	}
+	if failed < 40 || failed > 160 {
+		t.Errorf("%d of 200 exchanges failed: the draw is off", failed)
+	}
+}
+
+// TestExchangeDelayEndsWithContext: an injected stall is bounded by the
+// caller's context, and a disabled profile costs nothing.
+func TestExchangeDelayEndsWithContext(t *testing.T) {
+	if err := Exchange(context.Background(), Profile{}, 1, 1<<20, 1<<20); err != nil {
+		t.Fatalf("disabled profile: %v", err)
+	}
+	p := Profile{StallProb: 1, Stall: time.Minute}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := Exchange(ctx, p, 1, 0, 10); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled exchange: %v, want the context's deadline", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("stalled exchange returned after %v", d)
 	}
 }

@@ -44,12 +44,15 @@ const (
 	MDialRetries = "browser.dial_retries"
 
 	// Fault-injection transport (internal/faultnet). Conns counts every
-	// wrapped connection, active gauges those not yet closed; the rest
-	// count injected events by kind: delays (latency/pacing sleeps),
+	// faulted connection — wrapped conn or fetch exchange — armed those
+	// whose schedule drew a byte budget, whether or not a transfer spent
+	// it; active gauges wrapped conns not yet closed; the rest count
+	// injected events by kind: delays (latency/pacing sleeps),
 	// stalls (withheld first I/O), torn_writes (forced chunk splits),
 	// short_writes (partial final writes), cuts (clean byte-budget
 	// truncations), resets (RST-style aborts).
 	MFaultConns       = "fault.conns"
+	MFaultArmed       = "fault.armed"
 	MFaultActive      = "fault.active"
 	MFaultDelays      = "fault.delays"
 	MFaultStalls      = "fault.stalls"
@@ -173,6 +176,7 @@ var (
 	DialRetries = Default.Counter(MDialRetries)
 
 	FaultConns       = Default.Counter(MFaultConns)
+	FaultArmed       = Default.Counter(MFaultArmed)
 	FaultActive      = Default.Gauge(MFaultActive)
 	FaultDelays      = Default.Counter(MFaultDelays)
 	FaultStalls      = Default.Counter(MFaultStalls)

@@ -135,19 +135,10 @@ func (s *ClientState) CookieHeader() string {
 	return strings.Join(parts, "; ")
 }
 
-// Synthesize renders one message carrying the named kinds as a
-// URL-encoded-style tracking payload (the dominant format in real
-// tracking traffic). Binary kinds produce undecodable bytes.
-func Synthesize(kinds []string, s *ClientState, rng *rand.Rand) []byte {
-	if b := AppendSynthesize(nil, kinds, s, rng); b != nil {
-		return b
-	}
-	return []byte{}
-}
-
-// AppendSynthesize appends Synthesize's message to dst and returns the
-// extended slice; the message is what follows dst's length. It draws
-// from rng exactly as Synthesize does.
+// AppendSynthesize appends one message carrying the named kinds to dst,
+// as a URL-encoded-style tracking payload (the dominant format in real
+// tracking traffic), and returns the extended slice; the message is what
+// follows dst's length. Binary kinds produce undecodable bytes.
 func AppendSynthesize(dst []byte, kinds []string, s *ClientState, rng *rand.Rand) []byte {
 	start := len(dst)
 	field := func(name string) {

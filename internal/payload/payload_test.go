@@ -55,8 +55,8 @@ func TestSynthesizeStability(t *testing.T) {
 	// state (tracking IDs persist within a visit).
 	s := NewClientState(rand.New(rand.NewSource(3)))
 	rng := rand.New(rand.NewSource(4))
-	a := string(Synthesize([]string{KindUserID}, s, rng))
-	b := string(Synthesize([]string{KindUserID}, s, rng))
+	a := string(AppendSynthesize(nil, []string{KindUserID}, s, rng))
+	b := string(AppendSynthesize(nil, []string{KindUserID}, s, rng))
 	if a != b {
 		t.Errorf("user ids differ across messages: %q vs %q", a, b)
 	}
@@ -65,7 +65,7 @@ func TestSynthesizeStability(t *testing.T) {
 func TestSynthesizeBinaryIsInvalidUTF8(t *testing.T) {
 	s := NewClientState(rand.New(rand.NewSource(5)))
 	f := func(seed int64) bool {
-		data := Synthesize([]string{KindBinary}, s, rand.New(rand.NewSource(seed)))
+		data := AppendSynthesize(nil, []string{KindBinary}, s, rand.New(rand.NewSource(seed)))
 		return !utf8.Valid(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

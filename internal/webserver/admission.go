@@ -15,10 +15,6 @@ import (
 // counted in ws.accept_shed; clients observe a reset/EOF and should
 // treat it as backpressure (see OPERATIONS.md, "Load testing &
 // capacity").
-//
-// The gate sits outermost in the listener stack (TCP → faultnet →
-// shed): fault injection still applies to admitted connections, and a
-// shed decision costs one accept+close regardless of fault profile.
 type shedListener struct {
 	net.Listener
 	sem   chan struct{}

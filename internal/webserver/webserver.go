@@ -5,19 +5,19 @@
 //
 // A request reaches the server over one of three transports. The wire —
 // a real loopback TCP listener behind net/http (Addr, Client, Resolver)
-// — carries HTTP and WebSockets for the reference plane, fault-injected
-// crawls, cmd/wsload and any external client. A single-process crawl
-// goes in-process instead: Fetch answers an HTTP request and DialSocket
-// opens a WebSocket without touching the kernel or net/http. The rule is
-// that how a request was carried never changes its answer, and it holds
-// by construction: one function, route, decides which host, which path,
-// 404 / 426 / 502 and which counters move, and one, serve, admits and
-// runs a socket (reserve, accept, count, track, endpoint loop). handle,
-// Fetch and serveDialed are adapters that bring route a request and
-// write its verdict out in their transport's form. Only the listener's
-// own gate — Options.MaxAccepted, Stats.AcceptShed, ws.accept_shed,
-// ws.tcp_active — belongs to one transport: in-process there is no
-// accept to shed.
+// — carries HTTP and WebSockets for the reference plane, cmd/wsload and
+// any external client. A crawl goes in-process instead, faulted or not
+// (a faulted crawl's browser draws its faults itself, per connection):
+// Fetch answers an HTTP request and DialSocket opens a WebSocket without
+// touching the kernel or net/http. The rule is that how a request was
+// carried never changes its answer, and it holds by construction: one
+// function, route, decides which host, which path, 404 / 426 / 502 and
+// which counters move, and one, serve, admits and runs a socket
+// (reserve, accept, count, track, endpoint loop). handle, Fetch and
+// serveDialed are adapters that bring route a request and write its
+// verdict out in their transport's form. Only the listener's own gate —
+// Options.MaxAccepted, Stats.AcceptShed, ws.accept_shed, ws.tcp_active
+// — belongs to one transport: in-process there is no accept to shed.
 package webserver
 
 import (
@@ -34,7 +34,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/faultnet"
 	"repro/internal/obs"
 	"repro/internal/urlutil"
 	"repro/internal/webgen"
@@ -70,13 +69,6 @@ const idleTimeout = 30 * time.Second
 
 // Options configures optional server behavior.
 type Options struct {
-	// Fault, when enabled, degrades every accepted connection — HTTP
-	// and WebSocket alike — through internal/faultnet. The schedule is
-	// applied uniformly (faultnet.ModeUniform, seeded by FaultSeed) so
-	// accept order cannot leak into per-request outcomes.
-	Fault     faultnet.Profile
-	FaultSeed int64
-
 	// MaxConns caps concurrently served WebSocket connections. Upgrade
 	// requests beyond the cap are refused with 503 ("server
 	// overloaded") and counted in Stats.WSShed / ws.conns_shed, so a
@@ -121,14 +113,11 @@ func StartWith(w *webgen.World, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("webserver: listen: %w", err)
 	}
-	ln = faultnet.WrapListener(ln, opts.Fault, opts.FaultSeed, faultnet.ModeUniform)
 	s := &Server{
 		World: w,
 		opts:  opts,
 		socks: map[*wsproto.Conn]struct{}{},
 	}
-	// Accept gate outermost: shed decisions happen before fault
-	// injection spends any budget on the doomed connection.
 	ln = gateListener(ln, opts.MaxAccepted, &s.Stats)
 	s.ln = ln
 	s.srv = &http.Server{
@@ -298,7 +287,7 @@ func (s *Server) serve(p *wsproto.Pending) {
 // still speaks complete RFC 6455 over the returned conn, and routing,
 // admission, counters and the endpoint protocol are the wire's (route,
 // serve), so a crawl observes the same handshake outcomes and frames
-// either way. Like Fetch it must not be used under a fault profile.
+// either way.
 func (s *Server) DialSocket(_ context.Context, _, _ string) (net.Conn, error) {
 	s.mu.Lock()
 	closed := s.closed
@@ -447,10 +436,6 @@ func (s *Server) echoLoop(conn *wsproto.Conn) {
 // writes it afterwards — that is browser.Config.Fetch's contract, which
 // lets the browser parse a body where it lies — so callers must treat it
 // as read-only.
-//
-// Fetch must not be used under a fault profile — fault injection
-// degrades the wire, so bypassing the wire would bypass the faults;
-// core keeps fault-injected crawls on the TCP client.
 func (s *Server) Fetch(u *urlutil.URL, postBody []byte) (status int, contentType string, body []byte, err error) {
 	_ = postBody
 	v := s.route(u, false)
@@ -493,12 +478,6 @@ func (s *Server) Client() *http.Client {
 		// goroutines on both sides) per host ever fetched outlives the
 		// crawl's interest in it.
 		MaxIdleConns: 32,
-		// Under fault injection every request must ride its own
-		// connection: pooled conns carry budget state across requests,
-		// making a request's outcome depend on which conn the pool
-		// happens to hand out — exactly the nondeterminism the uniform
-		// schedule exists to exclude.
-		DisableKeepAlives: s.opts.Fault.Enabled(),
 	}
 	return &http.Client{Transport: transport, Timeout: 30 * time.Second}
 }
