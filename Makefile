@@ -105,9 +105,10 @@ chaos:
 	$(GO) test -count=1 ./internal/faultnet/ ./internal/wsproto/ ./internal/browser/
 
 # Distributed-crawl soak (OPERATIONS.md "Distributed crawls"): the
-# coordinator + worker fleet under hostile faultnet profiles (timing
-# distortion and mid-stream connection death) plus the kill/restart and
-# real-process e2e determinism suites, full-size and race-checked.
+# coordinator + worker fleet with hostile faultnet profiles on the
+# worker end of each link, which faults both directions of it (timing
+# distortion and mid-stream connection death), plus the kill/restart
+# and real-process e2e determinism suites, full-size and race-checked.
 # `ci` runs the -short soak via the race target; this is the full soak.
 fabric-soak:
 	$(GO) test -race -count=1 -run 'TestFabricSoak|TestFabricSurvives' -v ./internal/fabric/

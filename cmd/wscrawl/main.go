@@ -13,7 +13,7 @@
 //	        [crawl flags above] [-batch-size N] [-lease-ttl DUR]
 //	        [-query-addr HOST:PORT]
 //	wscrawl -worker ws://HOST:PORT/fabric [-worker-name NAME] [-workers N]
-//	        [-seed S] [-fault-profile NAME] [-fault-seed S]
+//	        [-seed S]
 //
 // Every crawl runs through dispatch's durable grant loop
 // (internal/dispatch), in-process or, with -coordinate, over the wire to
@@ -34,19 +34,21 @@
 // instead of crawling: the same site queue is leased over WebSocket in
 // grants of up to -batch-size sites (-lease-ttl), the streamed pages go
 // to the same ledger, and a site a worker reports failed retries under
-// the same per-site -retries budget; -fault-profile degrades the worker
-// links, and -query-addr serves the query API over the live store. The
-// "serving ws://…" line names the worker URL. Restarted with the same
-// flags and -resume on the same address, it continues from the last
-// commit while workers retry their dials; either role resumes the
-// other's store. A worker takes its crawl config from the
-// coordinator; its -seed drives only dial backoff and frame masking.
-// The dataset is byte-identical to a local crawl's for any number of
-// workers (DESIGN.md §12, OPERATIONS.md "Distributed crawls").
+// the same per-site -retries budget, and -query-addr serves the query
+// API over the live store. The "serving ws://…" line names the worker
+// URL. Restarted with the same flags and -resume on the same address,
+// it continues from the last commit while workers retry their dials;
+// either role resumes the other's store. A worker takes its crawl
+// config from the coordinator, -fault-profile and -fault-seed included
+// (on a worker they are a usage error); its -seed drives only dial
+// backoff and frame masking. The dataset is byte-identical to a local
+// crawl's for any number of workers, faulted or not (DESIGN.md §12,
+// OPERATIONS.md "Distributed crawls").
 //
-// -fault-profile injects seeded network faults (internal/faultnet): the
-// same -fault-seed, the same dataset. -metrics-addr (expvar + pprof)
-// and -progress (stderr) only observe. See OPERATIONS.md.
+// -fault-profile injects seeded network faults (internal/faultnet) into
+// every page connection, in either role: the same -fault-seed, the same
+// dataset. -metrics-addr (expvar + pprof) and -progress (stderr) only
+// observe. See OPERATIONS.md.
 package main
 
 import (
@@ -124,14 +126,17 @@ func run(args []string) int {
 		if *coordAddr != "" {
 			return usage("-worker and -coordinate are two roles; pick one")
 		}
+		faulted := false
+		fs.Visit(func(f *flag.Flag) { faulted = faulted || f.Name == "fault-profile" || f.Name == "fault-seed" })
+		if faulted {
+			return usage("-fault-profile and -fault-seed are set on -coordinate; a worker takes them from the coordinator")
+		}
 		err := core.RunFabricWorker(ctx, core.FabricWorkerOptions{
-			Name:         *workerName,
-			URL:          *workerURL,
-			Workers:      *workers,
-			Seed:         *seed,
-			FaultProfile: *faultProf,
-			FaultSeed:    *faultSeed,
-			Logf:         logf,
+			Name:    *workerName,
+			URL:     *workerURL,
+			Workers: *workers,
+			Seed:    *seed,
+			Logf:    logf,
 		})
 		if err != nil {
 			logf("%v", err)
@@ -251,15 +256,13 @@ func logSites(p dispatch.Progress, resumed int) {
 func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, addr string, batchSize int, leaseTTL time.Duration, queryAddr string) (*analysis.Dataset, int, error) {
 	d := opts.Dispatch
 	coord, err := core.StartFabricCoordinator(opts, spec, core.FabricCoordinatorOptions{
-		Addr:         addr,
-		BatchSize:    batchSize,
-		LeaseTTL:     leaseTTL,
-		MaxAttempts:  d.MaxAttempts,
-		StoreDir:     d.StoreDir,
-		Resume:       d.Resume,
-		FaultProfile: opts.FaultProfile,
-		FaultSeed:    opts.FaultSeed,
-		Logf:         logf,
+		Addr:        addr,
+		BatchSize:   batchSize,
+		LeaseTTL:    leaseTTL,
+		MaxAttempts: d.MaxAttempts,
+		StoreDir:    d.StoreDir,
+		Resume:      d.Resume,
+		Logf:        logf,
 	})
 	if err != nil {
 		return nil, 0, err

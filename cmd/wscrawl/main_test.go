@@ -60,15 +60,21 @@ func entries(t *testing.T, dir string) []string {
 // TestResumeRequiresLocation: -resume reads an interrupted crawl's
 // store, so without -store-dir it is a usage error — not a fresh crawl
 // that leaves state behind in the working directory — and so is
-// -coordinate, whose state must outlive it. -checkpoint is no flag.
+// -coordinate, whose state must outlive it. -checkpoint is no flag. A
+// worker takes its fault profile from the coordinator, so -fault-profile
+// on -worker is a usage error too, one that says where the profile goes.
 func TestResumeRequiresLocation(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-out", "x.json", "-resume"},
 		{"-out", "x.json", "-coordinate", "127.0.0.1:0"},
 		{"-out", "x.json", "-checkpoint", "cp.json"},
+		{"-worker", "ws://127.0.0.1:1/fabric", "-fault-profile", "flaky"},
 	} {
-		wscrawl(t, dir, 2, append(crawlFlags, args...)...)
+		stderr := wscrawl(t, dir, 2, append(crawlFlags, args...)...)
+		if args[0] == "-worker" && !strings.Contains(stderr, "set on -coordinate") {
+			t.Errorf("a worker's -fault-profile refused without naming -coordinate:\n%s", stderr)
+		}
 	}
 	if left := entries(t, dir); len(left) != 0 {
 		t.Errorf("refused run left %v in the working directory", left)

@@ -107,8 +107,8 @@ func TestChaosSoakAllProfiles(t *testing.T) {
 // TestChaosSameFaultSeedByteIdentical: the determinism contract under
 // active fault injection — same crawl seed, same fault seed, same
 // profile, byte-identical dataset. "flaky" exercises every fault class
-// at once (latency, cuts, resets, short writes) on both sides of the
-// wire.
+// at once (latency, cuts, resets, short writes), in both directions of
+// each connection.
 func TestChaosSameFaultSeedByteIdentical(t *testing.T) {
 	profiles := []string{"flaky", "rst"}
 	if testing.Short() {

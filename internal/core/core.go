@@ -81,10 +81,11 @@ type Options struct {
 	Store bool
 	// FaultProfile, when non-empty, names a faultnet profile (see
 	// faultnet.Names) that every browser injects into each of its
-	// logical connections, fetches and WebSocket dials alike.
-	// FaultSeed keys the schedules; the same (Seed, FaultSeed,
-	// FaultProfile) triple reproduces the same degraded dataset byte
-	// for byte.
+	// logical connections, fetches and WebSocket dials alike, in either
+	// role: a fabric coordinator sends both fields to its workers.
+	// FaultSeed keys the schedules, per site and attempt; the same
+	// (Seed, FaultSeed, FaultProfile) triple reproduces the same degraded
+	// dataset byte for byte, locally or on the fabric.
 	FaultProfile string
 	FaultSeed    int64
 }
@@ -184,7 +185,7 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 		Workers:      p.opts.Workers,
 		PagesPerSite: p.opts.PagesPerSite,
 		Seed:         p.crawlSeed(),
-		RunGrant: func(ctx context.Context, sites []crawler.Site, _ int, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
+		RunGrant: func(ctx context.Context, sites []crawler.Site, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 			_, failed, err := p.runGrant(ctx, sites, &stats, emit)
 			return failed, err
 		},

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/obs"
 	"repro/internal/webgen"
 )
 
@@ -87,43 +89,105 @@ func TestRunCrawlDeterministic(t *testing.T) {
 }
 
 // TestEntryPointsAgree: the same (Options, CrawlSpec) through RunCrawl
-// and through a fabric coordinator with two production workers yields
-// one dataset, byte for byte — both run the same page plane.
+// and through a fabric coordinator with one and with two production
+// workers yields one dataset, byte for byte, and the same outcome rows
+// for each site — both run the same page plane, and the coordinator
+// sends its workers the crawl's fault profile. Every role must fault
+// the same number of connections (fault.conns, fault.armed), none
+// without a profile; and flaky, which cuts connections, must change
+// the dataset. torn cannot: it only re-segments writes, which every
+// reader reassembles, so its dataset is the fault-free one and only
+// the counters show it reached the pages.
 func TestEntryPointsAgree(t *testing.T) {
-	opts := Options{Seed: 4242, NumPublishers: 18, Workers: 3, PagesPerSite: 3}
 	spec := CrawlSpec{Name: "agree", Era: webgen.EraPostPatch, CrawlIndex: 2, BrowserVersion: 58}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
+	var clean []byte
+	for _, row := range []struct {
+		profile      string
+		changesBytes bool
+	}{{"", false}, {"flaky", true}, {"torn", false}} {
+		profile := row.profile
+		name := profile
+		if name == "" {
+			name = "fault-free"
+		}
+		t.Run(name, func(t *testing.T) {
+			if profile != "" && testing.Short() {
+				t.Skip("three faulted crawls")
+			}
+			opts := Options{Seed: 4242, NumPublishers: 18, Workers: 3, PagesPerSite: 3, FaultProfile: profile, FaultSeed: 3}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
 
-	dispatched := opts
-	dispatched.Dispatch = &DispatchOptions{StateDir: filepath.Join(t.TempDir(), "state")}
-	res, err := RunCrawl(ctx, dispatched, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := storeDatasetBytes(t, res.Dataset)
-	if len(res.Dataset.Sockets) == 0 || len(res.Dataset.AADomains) == 0 {
-		t.Fatal("world too quiet to compare entry points")
-	}
+			local := opts
+			local.Dispatch = &DispatchOptions{StoreDir: filepath.Join(t.TempDir(), "local")}
+			faults := faultCounts()
+			res, err := RunCrawl(ctx, local, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFaults := faults()
+			want, wantRows := storeDatasetBytes(t, res.Dataset), outcomeRows(t, local.Dispatch.StoreDir)
+			if len(res.Dataset.Sockets) == 0 || len(res.Dataset.AADomains) == 0 {
+				t.Fatal("world too quiet to compare entry points")
+			}
+			p := res.Dispatch.Progress
+			t.Logf("local: %d of %d sites done, %d failed, %d retries, %d outcome rows; faulted %v",
+				p.Done, p.Total, p.Failed, p.Retries, len(wantRows), wantFaults)
+			if (wantFaults[0] > 0) != (profile != "") {
+				t.Errorf("the local crawl faulted %v connections under profile %q", wantFaults, profile)
+			}
 
-	dir := t.TempDir()
-	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
-		Addr:      "127.0.0.1:0",
-		BatchSize: 4,
-		StoreDir:  filepath.Join(dir, "store"),
-		Logf:      t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
+			for _, workers := range []int{1, 2} {
+				store := filepath.Join(t.TempDir(), "store")
+				faults := faultCounts()
+				coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
+					Addr:      "127.0.0.1:0",
+					BatchSize: 4,
+					StoreDir:  store,
+					Logf:      t.Logf,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runFabricWorkers(ctx, t, coord, workers)
+				ds, _, err := coord.Finalize(FabricDatasetMeta(spec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := coord.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := faults(); got != wantFaults {
+					t.Errorf("%d-worker fabric crawl faulted %v connections, the local one %v", workers, got, wantFaults)
+				}
+				if got := storeDatasetBytes(t, ds); !bytes.Equal(got, want) {
+					t.Errorf("%d-worker fabric dataset (%d bytes) differs from the local one (%d bytes)", workers, len(got), len(want))
+				}
+				if got := outcomeRows(t, store); !reflect.DeepEqual(got, wantRows) {
+					t.Errorf("%d-worker fabric outcome rows differ from the local ones:\n got %v\nwant %v", workers, got, wantRows)
+				}
+			}
+			switch {
+			case profile == "":
+				clean = want
+			case bytes.Equal(want, clean) == row.changesBytes:
+				t.Errorf("the dataset under %q equals the fault-free one: %v, want %v", profile, row.changesBytes, !row.changesBytes)
+			}
+		})
 	}
-	defer coord.Close()
-	runFabricWorkers(ctx, t, coord, 2)
-	ds, _, err := coord.Finalize(FabricDatasetMeta(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := storeDatasetBytes(t, ds); !bytes.Equal(got, want) {
-		t.Errorf("fabric dataset (%d bytes) differs from the dispatched one (%d bytes)", len(got), len(want))
+}
+
+// faultCounts starts counting faulted connections; the function it
+// returns reads how many were faulted ([0], fault.conns) and how many of
+// those drew a byte budget ([1], fault.armed) since.
+func faultCounts() func() [2]int64 {
+	before := obs.Default.Snapshot()
+	return func() [2]int64 {
+		after := obs.Default.Snapshot()
+		return [2]int64{
+			after.Counters[obs.MFaultConns] - before.Counters[obs.MFaultConns],
+			after.Counters[obs.MFaultArmed] - before.Counters[obs.MFaultArmed],
+		}
 	}
 }
 

@@ -12,9 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -23,15 +21,16 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/fabric"
 	"repro/internal/fabric/wire"
-	"repro/internal/faultnet"
 	"repro/internal/webgen"
 )
 
 // FabricCrawlConfig renders a crawl spec as the wire config the
-// coordinator broadcasts to workers.
+// coordinator broadcasts to workers, the fault profile included: a
+// faulted crawl is one experiment in either role. A fault-free config
+// carries no fault seed, since nothing reads one.
 func FabricCrawlConfig(opts Options, spec CrawlSpec) wire.CrawlConfig {
 	opts = withDefaults(opts)
-	return wire.CrawlConfig{
+	cfg := wire.CrawlConfig{
 		Name:           spec.Name,
 		Era:            spec.Era.String(),
 		CrawlIndex:     spec.CrawlIndex,
@@ -39,7 +38,12 @@ func FabricCrawlConfig(opts Options, spec CrawlSpec) wire.CrawlConfig {
 		Seed:           opts.Seed,
 		NumPublishers:  opts.NumPublishers,
 		PagesPerSite:   opts.PagesPerSite,
+		FaultProfile:   opts.FaultProfile,
 	}
+	if cfg.FaultProfile != "" {
+		cfg.FaultSeed = opts.FaultSeed
+	}
+	return cfg
 }
 
 // FabricDatasetMeta names the merged dataset of a fabric crawl; it
@@ -57,7 +61,8 @@ func FabricSites(opts Options, spec CrawlSpec) []crawler.Site {
 
 // FabricRunner executes grants on a worker: it owns the page
 // plane rebuilt from the coordinator's crawl config — the same plane,
-// with the same per-site seeded browsers, that RunCrawl runs locally.
+// with the same per-site seeded browsers and the same fault schedules,
+// that RunCrawl runs locally.
 type FabricRunner struct {
 	plane *pagePlane
 }
@@ -74,6 +79,8 @@ func NewFabricRunner(cfg wire.CrawlConfig, workers int) (*FabricRunner, error) {
 		NumPublishers: cfg.NumPublishers,
 		Workers:       workers,
 		PagesPerSite:  cfg.PagesPerSite,
+		FaultProfile:  cfg.FaultProfile,
+		FaultSeed:     cfg.FaultSeed,
 	}, CrawlSpec{
 		Name:           cfg.Name,
 		Era:            era,
@@ -95,15 +102,16 @@ func (r *FabricRunner) Close() error {
 // RunBatch crawls every site of a grant once, streaming each page record
 // as its page block (colstore.AppendPageBlock): the plane's runGrant, as
 // a local crawl's worker loops run it. Browsers are seeded per site
-// (crawler.SiteSeed), so the blocks are independent of grant membership,
-// worker identity, and crawl order — re-running a site anywhere
-// reproduces them byte for byte. There is no retry here: the sites that
-// failed go back in the Complete frame, and the coordinator's queue
-// retries each under the RetryPolicy a local crawl's sites get.
+// (crawler.SiteSeed) and faults per site and attempt, so the blocks are
+// independent of grant membership, worker identity, and crawl order —
+// re-running a site's attempt anywhere reproduces them byte for byte.
+// There is no retry here: the sites that failed go back in the Complete
+// frame, and the coordinator's queue retries each under the RetryPolicy
+// a local crawl's sites get.
 func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, block []byte) error) (int, map[string]string, error) {
 	sites := make([]crawler.Site, len(batch.Sites))
 	for i, s := range batch.Sites {
-		sites[i] = crawler.Site{Domain: s.Domain, Rank: s.Rank}
+		sites[i] = crawler.Site{Domain: s.Domain, Rank: s.Rank, Attempt: s.Attempt}
 	}
 	var stats crawler.Stats
 	return r.plane.runGrant(ctx, sites, &stats, func(site string, rec *analysis.PageRecord) error {
@@ -135,23 +143,21 @@ type FabricCoordinatorOptions struct {
 	// fabric.CoordinatorConfig.StoreDir); empty means store-crawlN beside
 	// CheckpointPath. One of the two is required.
 	StoreDir string
-	// FaultProfile, when non-empty, degrades every worker link with the
-	// named faultnet profile, keyed on FaultSeed.
-	FaultProfile string
-	FaultSeed    int64
 	// Logf receives coordinator progress lines; nil means silent.
 	Logf func(format string, args ...any)
 }
 
 // StartFabricCoordinator derives the site list for a crawl spec and
-// starts a coordinator serving it. Its store must outlive the process,
-// so it refuses options that name no location for it.
+// starts a coordinator serving it; its workers crawl under
+// opts.FaultProfile and opts.FaultSeed, which the welcome frame carries.
+// Its store must outlive the process, so it refuses options that name
+// no location for it, and it refuses an unknown fault profile before it
+// listens rather than let every worker fail on it.
 func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOptions) (*fabric.Coordinator, error) {
 	if fo.StoreDir == "" && fo.CheckpointPath == "" {
 		return nil, errors.New("core: a fabric coordinator needs its store's location (StoreDir or CheckpointPath)")
 	}
-	fault, err := faultProfile(fo.FaultProfile)
-	if err != nil {
+	if _, err := faultProfile(opts.FaultProfile); err != nil {
 		return nil, err
 	}
 	storeDir := fo.StoreDir
@@ -166,8 +172,6 @@ func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOp
 		Retry:     dispatch.RetryPolicy{MaxAttempts: fo.MaxAttempts},
 		StoreDir:  storeDir,
 		Resume:    fo.Resume,
-		Fault:     fault,
-		FaultSeed: fo.FaultSeed,
 		Logf:      fo.Logf,
 	})
 }
@@ -180,12 +184,9 @@ type FabricWorkerOptions struct {
 	URL string
 	// Workers is the crawl parallelism inside this worker process.
 	Workers int
-	// Seed drives the worker's dial backoff and frame masking.
+	// Seed drives the worker's dial backoff and frame masking. The
+	// crawl's own seeds and fault profile come from the coordinator.
 	Seed int64
-	// FaultProfile, when non-empty, degrades this worker's coordinator
-	// link with the named faultnet profile, keyed on FaultSeed.
-	FaultProfile string
-	FaultSeed    int64
 	// Logf receives worker progress lines; nil means silent.
 	Logf func(format string, args ...any)
 }
@@ -193,27 +194,13 @@ type FabricWorkerOptions struct {
 // RunFabricWorker joins a coordinator and executes grants with
 // the full page pipeline until the crawl drains or ctx ends.
 func RunFabricWorker(ctx context.Context, wo FabricWorkerOptions) error {
-	fault, err := faultProfile(wo.FaultProfile)
-	if err != nil {
-		return err
-	}
-	var wrap func(net.Conn) net.Conn
-	if fault.Enabled() {
-		var dials atomic.Int64
-		wrap = func(nc net.Conn) net.Conn {
-			// A fresh schedule per dial: a reconnect must not replay the
-			// exact fault position that killed the previous link.
-			return faultnet.WrapConn(nc, fault, wo.FaultSeed+dials.Add(1))
-		}
-	}
 	return fabric.RunWorker(ctx, fabric.WorkerConfig{
 		Name: wo.Name,
 		URL:  wo.URL,
 		NewRunner: func(cfg wire.CrawlConfig) (fabric.BatchRunner, error) {
 			return NewFabricRunner(cfg, wo.Workers)
 		},
-		Seed:     wo.Seed,
-		WrapConn: wrap,
-		Logf:     wo.Logf,
+		Seed: wo.Seed,
+		Logf: wo.Logf,
 	})
 }

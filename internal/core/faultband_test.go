@@ -59,3 +59,37 @@ func TestFlakyFaultsEachConnection(t *testing.T) {
 		}
 	}
 }
+
+// TestRetriesDrawFreshFaults: a site's fault schedules are keyed on its
+// attempt, so a retry meets fresh faults instead of replaying the ones
+// that failed it, and a retry budget wins back sites. Over fault seeds
+// 1–5 under flaky, crawls with three attempts per site must lose
+// strictly fewer sites in total than crawls with one. The first attempt
+// draws the same schedules either way, so the one-attempt crawls are
+// the fault seed's first-attempt losses.
+func TestRetriesDrawFreshFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crawls 40 publishers ten times")
+	}
+	lost := func(seed int64, attempts int) int {
+		res, err := RunCrawl(context.Background(), Options{
+			Seed: 20170419, NumPublishers: 40, Workers: 4, PagesPerSite: 3,
+			FaultProfile: "flaky", FaultSeed: seed,
+			Dispatch: &DispatchOptions{StateDir: t.TempDir(), MaxAttempts: attempts},
+		}, DefaultCrawls()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Dispatch.Progress.Failed
+	}
+	var once, thrice int
+	for seed := int64(1); seed <= 5; seed++ {
+		a, b := lost(seed, 1), lost(seed, 3)
+		t.Logf("fault seed %d: %d sites lost with one attempt, %d with three", seed, a, b)
+		once += a
+		thrice += b
+	}
+	if thrice >= once {
+		t.Errorf("three attempts lost %d sites over fault seeds 1-5, one attempt %d: retries replay their faults", thrice, once)
+	}
+}

@@ -118,7 +118,8 @@ func (p *pagePlane) crawlSeed() int64 { return crawler.CrawlSeed(p.opts.Seed, p.
 // site) alone, so a site's records are independent of worker
 // assignment, grant membership, retries and resume boundaries. Fetches
 // and WebSockets go in-process (webserver.Fetch, webserver.DialSocket),
-// faulted or not: the browser draws each connection's faults itself.
+// faulted or not: the browser draws each connection's faults itself,
+// keyed on the site's attempt (faultSeedFor).
 // The dial-retry hardening keeps a transient handshake failure from
 // costing a socket; it draws nothing unless a dial fails, so a
 // fault-free crawl is unchanged by it.
@@ -129,7 +130,7 @@ func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 		Fetch:            p.server.Fetch,
 		DialWS:           p.server.DialSocket,
 		Fault:            p.fault,
-		FaultSeed:        p.faultSeed,
+		FaultSeed:        p.faultSeedFor(site.Attempt),
 		DialRetries:      2,
 		DialRetryBackoff: 5 * time.Millisecond,
 	}
@@ -137,6 +138,19 @@ func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 		return p.newBrowser(cfg)
 	}
 	return browser.New(cfg)
+}
+
+// faultSeedFor is the fault seed of one attempt at a site: the crawl's
+// own (FaultSeed + CrawlIndex) for a first attempt, and one derived from
+// it and the attempt number for a retry, so a retry draws fresh faults
+// rather than replaying the schedules that failed it. Attempt numbers
+// come from the site's lease in either role, so both roles draw the
+// same schedules for the same attempt.
+func (p *pagePlane) faultSeedFor(attempt int) int64 {
+	if attempt <= 1 {
+		return p.faultSeed
+	}
+	return faultnet.DeriveSeed(p.faultSeed, int64(attempt))
 }
 
 // crawlerConfig is the worker-pool configuration of the plane's grants.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -21,23 +22,38 @@ import (
 // of the store at dir mark done: what a resume of it skips.
 func sealedDone(t *testing.T, dir string) int {
 	t.Helper()
+	done := map[string]bool{}
+	for _, row := range outcomeRows(t, dir) {
+		if row.State == colstore.OutcomeDone {
+			done[row.Domain] = true
+		}
+	}
+	return len(done)
+}
+
+// outcomeRows reads every outcome row the sealed store at dir holds,
+// sorted by (domain, attempt).
+func outcomeRows(t *testing.T, dir string) []colstore.Outcome {
+	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.col"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := map[string]bool{}
+	var all []colstore.Outcome
 	for _, seg := range segs {
 		_, rows, err := colstore.ReadSegment(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range rows {
-			if row.State == colstore.OutcomeDone {
-				done[row.Domain] = true
-			}
-		}
+		all = append(all, rows...)
 	}
-	return len(done)
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Domain != all[j].Domain {
+			return all[i].Domain < all[j].Domain
+		}
+		return all[i].Attempt < all[j].Attempt
+	})
+	return all
 }
 
 func storeDatasetBytes(t *testing.T, ds *analysis.Dataset) []byte {

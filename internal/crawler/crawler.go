@@ -33,6 +33,10 @@ type Site struct {
 	Domain string
 	// Rank is its Alexa-style rank (carried through to records).
 	Rank int
+	// Attempt numbers this crawl of the site: 1 for its first try, 2
+	// for its first retry… (0 reads as 1). It keys the site's fault
+	// schedules (see core's page plane) and reaches no record.
+	Attempt int
 }
 
 // Config parameterizes a crawl.

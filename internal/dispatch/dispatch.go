@@ -28,9 +28,10 @@
 //
 // Determinism: a GrantRunner seeds its browsers per site
 // (crawler.SiteSeed), so a site's records are a pure function of (seed,
-// site), independent of worker assignment, retries and resume
-// boundaries; fault-free runs and resumed ones give byte-identical
-// datasets.
+// site) — and, under a fault profile, of the site's attempt number,
+// which each granted site carries — independent of worker assignment,
+// grant membership and resume boundaries; fault-free runs and resumed
+// ones give byte-identical datasets.
 //
 // Concurrency: Queue, Lease, Grant and Ledger are safe for concurrent
 // use; the store serializes its seals itself.
@@ -59,11 +60,11 @@ import (
 
 // A GrantRunner crawls the sites of one grant, each once, and hands every
 // page to emit as the record of its site, which emit's ledger keeps.
-// attempt is the grant's highest attempt number (1 on a first try). It
-// returns the sites whose attempt failed with their errors, and ctx.Err()
-// once ctx ends. A fabric worker's BatchRunner is the same contract
-// behind the wire.
-type GrantRunner func(ctx context.Context, sites []crawler.Site, attempt int, emit func(site string, rec *analysis.PageRecord) error) (failed map[string]string, err error)
+// Each site carries its own attempt number (Grant.Sites). It returns the
+// sites whose attempt failed with their errors, and ctx.Err() once ctx
+// ends. A fabric worker's BatchRunner is the same contract behind the
+// wire.
+type GrantRunner func(ctx context.Context, sites []crawler.Site, emit func(site string, rec *analysis.PageRecord) error) (failed map[string]string, err error)
 
 // Config parameterizes a local crawl.
 type Config struct {
@@ -81,8 +82,8 @@ type Config struct {
 	// drives backoff jitter.
 	Seed int64
 	// RunGrant crawls each grant. It must seed its browsers per site
-	// (crawler.SiteSeed), not per attempt, to keep retries
-	// deterministic. Required.
+	// (crawler.SiteSeed) and its faults per site and attempt, never per
+	// worker or grant, to keep retries deterministic. Required.
 	RunGrant GrantRunner
 
 	// StoreDir is the crawl's columnar store and its one durable state
@@ -196,7 +197,7 @@ func work(ctx context.Context, cfg Config, queue *Queue, ledger *Ledger) error {
 				if !ok {
 					return
 				}
-				failed, err := cfg.RunGrant(wctx, g.Sites(), g.Attempt(), func(site string, rec *analysis.PageRecord) error {
+				failed, err := cfg.RunGrant(wctx, g.Sites(), func(site string, rec *analysis.PageRecord) error {
 					if err := ledger.Append(site, rec); err != nil {
 						refused.Do(func() { appendErr = err; stop() })
 						return err

@@ -57,11 +57,12 @@ func (e *testEnv) goodBrowser(site crawler.Site) *browser.Browser {
 }
 
 // testRunner is core's page plane in miniature, the GrantRunner every
-// test crawl runs: each site with the browser browserFor builds for its
-// attempt, each page recorded and its record emitted.
+// test crawl runs: each site with the browser browserFor builds for it —
+// the granted site carries its attempt — each page recorded and its
+// record emitted.
 type testRunner struct {
 	rec        *analysis.Recorder
-	browserFor func(site crawler.Site, attempt int) *browser.Browser
+	browserFor func(site crawler.Site) *browser.Browser
 	// onPage, when set, runs after each page the ledger took.
 	onPage func()
 	stats  crawler.Stats
@@ -78,15 +79,15 @@ func (e *testEnv) runner() *testRunner {
 	lab.SetCDNMap(e.world.CloudfrontMap())
 	return &testRunner{
 		rec:        analysis.NewRecorder(lab),
-		browserFor: func(site crawler.Site, _ int) *browser.Browser { return e.goodBrowser(site) },
+		browserFor: e.goodBrowser,
 	}
 }
 
-func (r *testRunner) run(ctx context.Context, sites []crawler.Site, attempt int, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
+func (r *testRunner) run(ctx context.Context, sites []crawler.Site, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 	return crawler.Crawl(ctx, sites, crawler.Config{
 		PagesPerSite: 3,
 		Seed:         testSeed,
-		SiteBrowser:  func(site crawler.Site) *browser.Browser { return r.browserFor(site, attempt) },
+		SiteBrowser:  r.browserFor,
 		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
 			rec, err := r.rec.RecordPage(site, pageURL, res)
 			if err != nil {
@@ -288,8 +289,8 @@ func TestRetryRecoversFlakySite(t *testing.T) {
 
 	dir := t.TempDir()
 	r := env.runner()
-	r.browserFor = func(site crawler.Site, attempt int) *browser.Browser {
-		if site.Domain == flaky && attempt == 1 {
+	r.browserFor = func(site crawler.Site) *browser.Browser {
+		if site.Domain == flaky && site.Attempt == 1 {
 			return browser.New(browser.Config{
 				Version:    57,
 				Seed:       crawler.SiteSeed(testSeed, site.Domain),
@@ -325,7 +326,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 
 	dir := t.TempDir()
 	r := env.runner()
-	r.browserFor = func(site crawler.Site, attempt int) *browser.Browser {
+	r.browserFor = func(site crawler.Site) *browser.Browser {
 		if site.Domain == dead {
 			return browser.New(browser.Config{
 				Version:    57,

@@ -37,23 +37,15 @@ func (q *Queue) Grant(ctx context.Context, n int, ledger *Ledger) (*Grant, bool)
 	return &Grant{At: q.now(), leases: ls, ledger: ledger}, true
 }
 
-// Sites lists the granted sites in site-list order.
+// Sites lists the granted sites in site-list order, each with its
+// lease's attempt number.
 func (g *Grant) Sites() []crawler.Site {
 	sites := make([]crawler.Site, len(g.leases))
 	for i, l := range g.leases {
 		sites[i] = l.Site
+		sites[i].Attempt = l.Attempt
 	}
 	return sites
-}
-
-// Attempt is the highest attempt number among the grant's sites: 1 when
-// every site is on its first try.
-func (g *Grant) Attempt() int {
-	attempt := 0
-	for _, l := range g.leases {
-		attempt = max(attempt, l.Attempt)
-	}
-	return attempt
 }
 
 // Heartbeat extends every lease of the grant. The grant is valid only

@@ -131,7 +131,7 @@ func scaleLocal(t *testing.T, n int) scaleCost {
 		Workers:      1,
 		PagesPerSite: 1,
 		Seed:         1,
-		RunGrant: func(_ context.Context, sites []crawler.Site, _ int, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
+		RunGrant: func(_ context.Context, sites []crawler.Site, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 			for _, s := range sites {
 				if err := emit(s.Domain, rec(s.Domain, "http://"+s.Domain+"/")); err != nil {
 					return nil, err

@@ -13,7 +13,6 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
 	"repro/internal/fabric/wire"
-	"repro/internal/faultnet"
 	"repro/internal/obs"
 	"repro/internal/wsproto"
 )
@@ -42,11 +41,6 @@ type CoordinatorConfig struct {
 	// Resume replays StoreDir (when present) and skips completed sites
 	// instead of starting from scratch.
 	Resume bool
-	// Fault, when enabled, degrades every accepted worker connection
-	// with the given faultnet profile (fresh schedule per conn, keyed
-	// on FaultSeed).
-	Fault     faultnet.Profile
-	FaultSeed int64
 	// Logf, when set, receives progress lines (grants, completions). The
 	// e2e harness reads them off stderr to time its kills; nil means
 	// silent.
@@ -129,9 +123,6 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	if err != nil {
 		ledger.Close()
 		return nil, fmt.Errorf("fabric: listen %s: %w", addr, err)
-	}
-	if cfg.Fault.Enabled() {
-		ln = faultnet.WrapListener(ln, cfg.Fault, cfg.FaultSeed)
 	}
 	c.ln = ln
 
@@ -454,14 +445,14 @@ func (c *Coordinator) grant(ctx context.Context, s *session) bool {
 			s.grants++
 			b := wire.Batch{ID: fmt.Sprintf("g%d", s.grants), Seq: s.grants}
 			for _, site := range g.Sites() {
-				b.Sites = append(b.Sites, wire.Site{Domain: site.Domain, Rank: site.Rank})
+				b.Sites = append(b.Sites, wire.Site{Domain: site.Domain, Rank: site.Rank, Attempt: site.Attempt})
 			}
-			if writeFrame(s.conn, &wire.Grant{Batch: b, Attempt: g.Attempt()}) != nil {
+			if writeFrame(s.conn, &wire.Grant{Batch: b}) != nil {
 				g.Release()
 				return false
 			}
 			s.held[b.ID] = g
-			c.logf("fabric: grant %s (attempt %d, %d sites) -> %s", b.ID, g.Attempt(), len(b.Sites), s.worker)
+			c.logf("fabric: grant %s (%d sites) -> %s", b.ID, len(b.Sites), s.worker)
 			return true
 		case ctx.Err() != nil:
 			return false

@@ -22,16 +22,22 @@
 //     store, and progress is committed by the ledger's one commit rule
 //     (either role resumes the other's store); and the final dataset
 //     comes from the ledger's one finalize rule;
-//   - coordinator↔worker links accept faultnet profiles, and workers
-//     survive coordinator restarts via seeded dial retry.
+//   - the crawl's fault profile travels in the welcome frame's
+//     CrawlConfig, so workers crawl under the faults a local crawl
+//     draws; workers survive coordinator restarts via seeded dial
+//     retry, and a worker's link can be wrapped (WorkerConfig.WrapConn)
+//     only as a test seam.
 //
 // Determinism contract (DESIGN.md §12): a site's records are a pure
-// function of (seed, site) — workers rebuild the same synthetic world
-// from the Welcome frame's CrawlConfig — and the dataset derivation
-// canonicalizes ordering and deduplicates re-crawled pages. Therefore
-// the dataset is byte-identical across worker counts, arbitrary message
-// interleavings, lease reclaims, and kill-and-resume of either side.
-// The e2e tests prove this across real processes.
+// function of (seed, site) — and, under a fault profile, of the site's
+// attempt, which its grant carries — since workers rebuild the same
+// synthetic world from the Welcome frame's CrawlConfig; the dataset
+// derivation canonicalizes ordering and deduplicates re-crawled pages.
+// Therefore the dataset is byte-identical across worker counts,
+// arbitrary message interleavings, lease reclaims (of a fault-free
+// crawl: a reclaim spends an attempt, which moves a faulted site's
+// schedules), and kill-and-resume of either side. The e2e tests prove
+// this across real processes.
 //
 // Concurrency: the coordinator runs one session goroutine per worker
 // connection plus an accept loop, and no timers of its own: a session

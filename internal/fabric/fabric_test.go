@@ -21,6 +21,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/fabric/wire"
 	"repro/internal/faultnet"
+	"repro/internal/obs"
 )
 
 // fakeRunner is a deterministic BatchRunner: every site yields
@@ -187,8 +188,7 @@ type coordOpts struct {
 	batchSize   int
 	maxAttempts int // default 5
 	resume      bool
-	fault       string
-	faultSeed   int64
+	crawl       wire.CrawlConfig // default testCrawlConfig(len(sites))
 	logf        func(format string, args ...any)
 }
 
@@ -492,30 +492,84 @@ func TestFabricSurvivesCoordinatorRestart(t *testing.T) {
 	diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), want)
 }
 
+// TestWorkerRefusesAChangedFaultProfile: the fault profile and its seed
+// are part of the crawl a worker reproduces, so a coordinator restarted
+// on the same address with either changed is refused at the worker's
+// reconnect, as any other change of crawl config is — even though the
+// store, whose identity does not pin the profile, resumes under it.
+func TestWorkerRefusesAChangedFaultProfile(t *testing.T) {
+	sites := testSites(24)
+	faulted := testCrawlConfig(len(sites))
+	faulted.FaultProfile, faulted.FaultSeed = "flaky", 3
+	for _, tc := range []struct {
+		name   string
+		change func(*wire.CrawlConfig)
+	}{
+		{"profile", func(c *wire.CrawlConfig) { c.FaultProfile = "torn" }},
+		{"fault seed", func(c *wire.CrawlConfig) { c.FaultSeed = 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close()
+
+			opts := coordOpts{addr: addr, ttl: 500 * time.Millisecond, batchSize: 2, crawl: faulted}
+			c1 := startTestCoordinator(t, dir, sites, opts)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			workerDone := make(chan error, 1)
+			go func() {
+				workerDone <- runTestWorker(ctx, "w0", "ws://"+addr+"/fabric", workerOpts{seed: 1, delay: 2 * time.Millisecond})
+			}()
+			for c1.Progress().Done < 1 {
+				select {
+				case <-ctx.Done():
+					t.Fatal("no progress before restart")
+				case err := <-workerDone:
+					t.Fatalf("worker exited early: %v", err)
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+			if err := c1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			opts.resume = true
+			tc.change(&opts.crawl)
+			c2 := restartTestCoordinator(t, ctx, dir, sites, opts)
+			defer c2.Close()
+			err = <-workerDone
+			if err == nil || !strings.Contains(err.Error(), "crawl config changed across reconnect") {
+				t.Fatalf("worker reconnecting to a coordinator with a changed %s: err = %v, want it refused", tc.name, err)
+			}
+			if p := c2.Progress(); p.Done == p.Total {
+				t.Errorf("the refused coordinator's crawl drained anyway: %+v", p)
+			}
+		})
+	}
+}
+
 // startTestCoordinator2 is startTestCoordinator without the defaults
 // and the t.Fatal, so restart loops can retry transient bind failures.
 func startTestCoordinator2(dir string, sites []crawler.Site, o coordOpts) (*Coordinator, error) {
-	var fault faultnet.Profile
-	if o.fault != "" {
-		p, ok := faultnet.ByName(o.fault)
-		if !ok {
-			return nil, fmt.Errorf("unknown fault profile %q", o.fault)
-		}
-		fault = p
-	}
 	if o.maxAttempts == 0 {
 		o.maxAttempts = 5
 	}
+	if o.crawl.Name == "" {
+		o.crawl = testCrawlConfig(len(sites))
+	}
 	cfg := CoordinatorConfig{
-		Crawl:     testCrawlConfig(len(sites)),
+		Crawl:     o.crawl,
 		Sites:     sites,
 		BatchSize: o.batchSize,
 		LeaseTTL:  o.ttl,
 		Retry:     dispatch.RetryPolicy{MaxAttempts: o.maxAttempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		StoreDir:  filepath.Join(dir, "store"),
 		Resume:    o.resume,
-		Fault:     fault,
-		FaultSeed: o.faultSeed,
 		Logf:      o.logf,
 	}
 	return StartCoordinator(o.addr, cfg)
@@ -656,9 +710,12 @@ func TestWorkerFailsFastWhenUnreachable(t *testing.T) {
 }
 
 // TestFabricSoak runs the full fleet under hostile faultnet profiles on
-// both sides of the wire: timing distortion (slow) and mid-stream
-// connection death (flaky). The crawl must still drain, converge to the
-// exact canonical page set, and leak no goroutines. This is the
+// its links: timing distortion (slow) and mid-stream connection death
+// (flaky). Each worker wraps its dials (WorkerConfig.WrapConn), and a
+// wrapped conn's read and write budgets fault both directions of the
+// link. The crawl must still drain, converge to the exact canonical
+// page set, and leak no goroutines; under flaky, budgets must actually
+// be spent, so the soak cannot pass with no fault firing. This is the
 // distributed counterpart of the browser-path chaos tests.
 func TestFabricSoak(t *testing.T) {
 	numSites := 24
@@ -671,10 +728,8 @@ func TestFabricSoak(t *testing.T) {
 	for _, profile := range []string{"slow", "flaky"} {
 		t.Run(profile, func(t *testing.T) {
 			dir := t.TempDir()
-			c := startTestCoordinator(t, dir, sites, coordOpts{
-				ttl: 400 * time.Millisecond, batchSize: 3,
-				fault: profile, faultSeed: 7,
-			})
+			before := obs.Default.Snapshot()
+			c := startTestCoordinator(t, dir, sites, coordOpts{ttl: 400 * time.Millisecond, batchSize: 3})
 			defer c.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
@@ -702,6 +757,13 @@ func TestFabricSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			diffLines(t, "store under "+profile, canonicalStore(t, filepath.Join(dir, "store")), want)
+			after := obs.Default.Snapshot()
+			delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+			cuts, resets := delta(obs.MFaultCuts), delta(obs.MFaultResets)
+			t.Logf("%s: %d faulted conns, %d cuts, %d resets", profile, delta(obs.MFaultConns), cuts, resets)
+			if profile == "flaky" && cuts+resets == 0 {
+				t.Errorf("no flaky budget was spent: the soak ran without faults")
+			}
 		})
 	}
 	checkNoGoroutineLeak(t, base)

@@ -14,7 +14,12 @@
 // Version 2 changed one frame: a page carries its record as a page
 // block — the one-record segment image of the crawl's column store
 // (colstore.AppendPageBlock) — which JSON renders as base64, where v1
-// carried the record's JSON line.
+// carried the record's JSON line. Version 3 made a crawl's fault
+// profile part of it: the welcome's CrawlConfig carries the profile and
+// its seed, and a grant carries each site's attempt number (which keys
+// that site's fault schedules) where v2 carried one attempt for the
+// whole grant. A v2 worker would crawl a faulted config with no faults,
+// so it is refused at its first frame.
 //
 // The package is deliberately pure: types, encoding, and validation
 // only — no sockets, no clocks, no goroutines. It is on the wslint
@@ -30,7 +35,7 @@ import (
 // Version is the fabric protocol version. A coordinator refuses hellos
 // from other versions, and Decode refuses frames from other versions:
 // mixed fleets fail fast at the handshake, not mid-crawl.
-const Version = 2
+const Version = 3
 
 // Frame types, worker→coordinator (W→C) and coordinator→worker (C→W).
 const (
@@ -69,6 +74,10 @@ const (
 type Site struct {
 	Domain string `json:"domain"`
 	Rank   int    `json:"rank,omitempty"`
+	// Attempt is this crawl of the site's number: 1 for its first try,
+	// 2 for its first retry… It keys the site's fault schedules, so a
+	// retry draws fresh faults, as a local crawl's retry does.
+	Attempt int `json:"attempt"`
 }
 
 // Batch is one grant of crawl work: the sites one claim step leased to
@@ -82,10 +91,11 @@ type Batch struct {
 }
 
 // CrawlConfig is everything a worker needs to reconstruct the crawl
-// locally: the synthetic world, the browser era, and the seeds. Two
-// workers given the same CrawlConfig build byte-identical worlds and
-// produce byte-identical page records for the same site — the fabric's
-// whole determinism contract reduces to this plus the canonical merge.
+// locally: the synthetic world, the browser era, the seeds, and the
+// fault profile. Two workers given the same CrawlConfig build
+// byte-identical worlds and produce byte-identical page records for the
+// same attempt of a site — the fabric's whole determinism contract
+// reduces to this plus the canonical merge.
 type CrawlConfig struct {
 	// Name labels the crawl (checkpoint/dataset identity).
 	Name string `json:"name"`
@@ -101,6 +111,12 @@ type CrawlConfig struct {
 	NumPublishers int `json:"numPublishers"`
 	// PagesPerSite is the per-site page budget.
 	PagesPerSite int `json:"pagesPerSite"`
+	// FaultProfile names the faultnet profile every worker's browsers
+	// inject into their connections, as a local crawl's do; empty for a
+	// fault-free crawl. FaultSeed keys the schedules, and is zero when
+	// FaultProfile is empty.
+	FaultProfile string `json:"faultProfile,omitempty"`
+	FaultSeed    int64  `json:"faultSeed,omitempty"`
 }
 
 // Hello opens a worker session.
@@ -121,9 +137,6 @@ type Welcome struct {
 // Grant leases a group of sites to the worker.
 type Grant struct {
 	Batch Batch `json:"batch"`
-	// Attempt is the highest attempt among the grant's sites: 1 when
-	// every site is on its first try, 2 when one is on its first retry…
-	Attempt int `json:"attempt"`
 }
 
 // Heartbeat extends every lease of a grant.

@@ -16,7 +16,7 @@ var goldenFrames = []struct {
 	golden string
 }{
 	{"hello", &Hello{Worker: "w1"},
-		`{"v":2,"type":"hello","hello":{"worker":"w1"}}`},
+		`{"v":3,"type":"hello","hello":{"worker":"w1"}}`},
 	{"welcome", &Welcome{
 		Crawl: CrawlConfig{
 			Name: "pre-crawl-0", Era: "pre", CrawlIndex: 0, BrowserVersion: 57,
@@ -24,33 +24,44 @@ var goldenFrames = []struct {
 		},
 		LeaseTTLMillis: 30000,
 	},
-		`{"v":2,"type":"welcome","welcome":{"crawl":{"name":"pre-crawl-0",` +
+		`{"v":3,"type":"welcome","welcome":{"crawl":{"name":"pre-crawl-0",` +
 			`"era":"pre","crawlIndex":0,"browserVersion":57,"seed":20170419,` +
 			`"numPublishers":600,"pagesPerSite":15},"leaseTtlMillis":30000}}`},
-	{"grant", &Grant{
-		Batch:   Batch{ID: "b0002", Seq: 2, Sites: []Site{{Domain: "a.com", Rank: 1}, {Domain: "b.com", Rank: 2}}},
-		Attempt: 1,
+	{"faulted welcome", &Welcome{
+		Crawl: CrawlConfig{
+			Name: "pre-crawl-0", Era: "pre", CrawlIndex: 0, BrowserVersion: 57,
+			Seed: 20170419, NumPublishers: 600, PagesPerSite: 15,
+			FaultProfile: "flaky", FaultSeed: 3,
+		},
+		LeaseTTLMillis: 30000,
 	},
-		`{"v":2,"type":"grant","grant":{"batch":{"id":"b0002","seq":2,` +
-			`"sites":[{"domain":"a.com","rank":1},{"domain":"b.com","rank":2}]},"attempt":1}}`},
+		`{"v":3,"type":"welcome","welcome":{"crawl":{"name":"pre-crawl-0",` +
+			`"era":"pre","crawlIndex":0,"browserVersion":57,"seed":20170419,` +
+			`"numPublishers":600,"pagesPerSite":15,"faultProfile":"flaky","faultSeed":3},` +
+			`"leaseTtlMillis":30000}}`},
+	{"grant", &Grant{
+		Batch: Batch{ID: "b0002", Seq: 2, Sites: []Site{{Domain: "a.com", Rank: 1, Attempt: 1}, {Domain: "b.com", Rank: 2, Attempt: 3}}},
+	},
+		`{"v":3,"type":"grant","grant":{"batch":{"id":"b0002","seq":2,` +
+			`"sites":[{"domain":"a.com","rank":1,"attempt":1},{"domain":"b.com","rank":2,"attempt":3}]}}}`},
 	{"heartbeat", &Heartbeat{Batch: "b0002"},
-		`{"v":2,"type":"heartbeat","heartbeat":{"batch":"b0002"}}`},
+		`{"v":3,"type":"heartbeat","heartbeat":{"batch":"b0002"}}`},
 	{"heartbeat_ack", &HeartbeatAck{Batch: "b0002", Valid: true},
-		`{"v":2,"type":"heartbeat_ack","heartbeatAck":{"batch":"b0002","valid":true}}`},
+		`{"v":3,"type":"heartbeat_ack","heartbeatAck":{"batch":"b0002","valid":true}}`},
 	{"page", &Page{Batch: "b0002", Site: "a.com", Line: []byte("WSCOLSG1\x03\x00")},
-		`{"v":2,"type":"page","page":{"batch":"b0002","site":"a.com","line":"V1NDT0xTRzEDAA=="}}`},
+		`{"v":3,"type":"page","page":{"batch":"b0002","site":"a.com","line":"V1NDT0xTRzEDAA=="}}`},
 	{"complete", &Complete{Batch: "b0002", Pages: 30, FailedSites: map[string]string{"b.com": "boom"}},
-		`{"v":2,"type":"complete","complete":{"batch":"b0002","pages":30,` +
+		`{"v":3,"type":"complete","complete":{"batch":"b0002","pages":30,` +
 			`"failedSites":{"b.com":"boom"}}}`},
 	{"fail", &Fail{Batch: "b0002", Err: "runner exploded"},
-		`{"v":2,"type":"fail","fail":{"batch":"b0002","err":"runner exploded"}}`},
+		`{"v":3,"type":"fail","fail":{"batch":"b0002","err":"runner exploded"}}`},
 }
 
 // goldenControl pins the payload-free frames.
 var goldenControl = map[string]string{
-	TypeLease:   `{"v":2,"type":"lease"}`,
-	TypeWait:    `{"v":2,"type":"wait"}`,
-	TypeDrained: `{"v":2,"type":"drained"}`,
+	TypeLease:   `{"v":3,"type":"lease"}`,
+	TypeWait:    `{"v":3,"type":"wait"}`,
+	TypeDrained: `{"v":3,"type":"drained"}`,
 }
 
 // TestFrameGoldenEncodings checks every frame type against its golden
@@ -103,8 +114,9 @@ func TestControlFrameGoldenEncodings(t *testing.T) {
 func TestDecodeRejectsBadFrames(t *testing.T) {
 	for name, raw := range map[string]string{
 		"wrong version":   `{"v":9,"type":"lease"}`,
-		"unknown type":    `{"v":2,"type":"gossip"}`,
-		"missing payload": `{"v":2,"type":"grant"}`,
+		"v2 frame":        `{"v":2,"type":"lease"}`,
+		"unknown type":    `{"v":3,"type":"gossip"}`,
+		"missing payload": `{"v":3,"type":"grant"}`,
 		"not json":        `{]`,
 	} {
 		if _, err := Decode([]byte(raw)); err == nil {
@@ -147,35 +159,35 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// pageSeeds are v2 page frames around the line's base64 and the
+// pageSeeds are v3 page frames around the line's base64 and the
 // envelope, and whether Decode takes each; '@' stands for a backslash.
 var pageSeeds = []struct {
 	frame string
 	ok    bool
 }{
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE="}}`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":""}}`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":null}}`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com"}}`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE"}}`, false},   // no padding
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE=x"}}`, false}, // past the padding
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"@u0056w=="}}`, true},      // a JSON escape in the base64
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1 NDT0xTRzE="}}`, false},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xT@nRzE="}}`, true}, // base64 skips newlines
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":{"site":"a.com"}}}`, false},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":[1,2]}}`, true}, // json fills a []byte from numbers too
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":1}}`, false},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE="}}`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":""}}`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":null}}`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com"}}`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE"}}`, false},   // no padding
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE=x"}}`, false}, // past the padding
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"@u0056w=="}}`, true},      // a JSON escape in the base64
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1 NDT0xTRzE="}}`, false},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xT@nRzE="}}`, true}, // base64 skips newlines
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":{"site":"a.com"}}}`, false},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":[1,2]}}`, true}, // json fills a []byte from numbers too
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":1}}`, false},
 	{`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"site":"a.com","rank":1,"pageUrl":"p"}}}`, false}, // v1
-	{`{"v":2,"type":"page","page":null}`, false},
-	{`{"v":2,"type":"page","page":{}}`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="},"hello":{"worker":"w"}}`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ==","line":"Qg=="}}`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ==","Line":"Qg=="}}`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="}}}`, false},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="} }`, true},
-	{`{"v":2,"type":"page","page":{"batch":"b@u0026@"@@","site":"a.com","line":"QQ=="}}`, true},
-	{"{\"v\":2,\"type\":\"page\",\"page\":{\"batch\":\"\xff\",\"site\":\"a.com\",\"line\":\"QQ==\"}}", true},
-	{`{"v":2,"type":"page","page":{"batch":"b1","site":"a.com","line":"` + strings.Repeat("QUFB", 1000) + `"}}`, true},
+	{`{"v":3,"type":"page","page":null}`, false},
+	{`{"v":3,"type":"page","page":{}}`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="},"hello":{"worker":"w"}}`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ==","line":"Qg=="}}`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ==","Line":"Qg=="}}`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="}}}`, false},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="} }`, true},
+	{`{"v":3,"type":"page","page":{"batch":"b@u0026@"@@","site":"a.com","line":"QQ=="}}`, true},
+	{"{\"v\":3,\"type\":\"page\",\"page\":{\"batch\":\"\xff\",\"site\":\"a.com\",\"line\":\"QQ==\"}}", true},
+	{`{"v":3,"type":"page","page":{"batch":"b1","site":"a.com","line":"` + strings.Repeat("QUFB", 1000) + `"}}`, true},
 }
 
 // TestPageFrameSeeds runs the page seeds as a plain table and pins

@@ -51,7 +51,10 @@ type WorkerConfig struct {
 	// coordinator comes back within the retry budget each time.
 	DialRetry dispatch.RetryPolicy
 	// WrapConn, when set, wraps the dialed connection before the
-	// WebSocket handshake (e.g. faultnet.WrapConn for soak tests).
+	// WebSocket handshake. It is a test seam: the fabric soak wraps
+	// each dial in faultnet.WrapConn, whose read and write budgets fault
+	// both directions of the link. A crawl's fault profile is not a link
+	// fault: it reaches the worker's browsers through the welcome frame.
 	WrapConn func(net.Conn) net.Conn
 	// Logf receives progress lines; nil means silent.
 	Logf func(format string, args ...any)
@@ -206,8 +209,8 @@ func (w *worker) session(ctx context.Context) (done, productive bool, err error)
 			return true, true, nil
 		}
 		productive = true
-		w.cfg.Logf("fabric: worker %s: grant %s (attempt %d, %d sites)",
-			w.cfg.Name, grant.Batch.ID, grant.Attempt, len(grant.Batch.Sites))
+		w.cfg.Logf("fabric: worker %s: grant %s (%d sites)",
+			w.cfg.Name, grant.Batch.ID, len(grant.Batch.Sites))
 		connBroken, err := w.runBatch(ctx, conn, grant.Batch)
 		if connBroken {
 			return false, productive, err

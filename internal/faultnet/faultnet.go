@@ -1,5 +1,5 @@
 // Package faultnet is a composable, seeded-deterministic fault-injection
-// middleware for net.Conn and net.Listener. It models the network
+// middleware for net.Conn and for whole fetch exchanges. It models the network
 // pathology the paper's live-web crawl met constantly and our synthetic
 // loopback web never produces on its own: added latency and jitter,
 // bandwidth caps, torn and short writes, byte truncation, mid-frame
@@ -17,15 +17,16 @@
 //
 // A crawl wires faults in at one point, the client, per logical
 // connection: the caller derives each connection's seed from a stable
-// identity (the browser keys it to its per-site seed plus the
-// connection's number in its sequence of fetches and dials), so
-// schedules are independent of goroutine scheduling and of the
-// transport. A socket's conn is wrapped by WrapConn; a fetch, which
-// hands its caller a whole body or none, takes the same schedule
-// through Exchange. WrapListener draws per-accepted-conn schedules in
-// accept order — reproducible in sequence but not in assignment to
-// logical requests under concurrency — for soak variety on links whose
-// tests assert convergence rather than byte identity.
+// identity (the browser keys it to a fault seed per crawl and attempt
+// of a site, its per-site seed, and the connection's number in its
+// sequence of fetches and dials), so schedules are independent of goroutine scheduling, of the
+// transport and of the crawl's role. A socket's conn is wrapped by
+// WrapConn; a fetch, which hands its caller a whole body or none, takes
+// the same schedule through Exchange. There is no server-side wiring:
+// a schedule drawn per accepted conn follows accept order, which under
+// concurrency is not a stable identity. A wrapped conn has a read and a
+// write budget, so wrapping one end of a link faults both directions
+// (the fabric soak wraps its workers' dials this way).
 //
 // The package is on the wslint determinism allowlist: it reads the wall
 // clock only for I/O deadline arithmetic (under justified pragmas) and

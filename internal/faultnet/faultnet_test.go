@@ -240,83 +240,6 @@ func TestCloseInterruptsInjectedSleep(t *testing.T) {
 	}
 }
 
-// TestListenerPerConnSchedules: every accepted conn gets a schedule of
-// its own, drawn from the seed in accept order — the k-th accept gets
-// the k-th draw — with resets degraded to clean cuts, and its client
-// receives exactly the schedule's byte budget.
-func TestListenerPerConnSchedules(t *testing.T) {
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Profile{TruncateProb: 0.5, TruncateMin: 4, TruncateMax: 64, ResetProb: 1}
-	ln := WrapListener(base, p, 99)
-	defer ln.Close()
-
-	rng := detrand.New(99)
-	budgets := map[int64]bool{}
-	for i := 0; i < 12; i++ {
-		accepted := make(chan net.Conn, 1)
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				conn = nil
-			}
-			accepted <- conn
-		}()
-		nc, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn := <-accepted
-		if conn == nil {
-			t.Fatal("accept failed")
-		}
-		want := p.schedule(rng)
-		want.reset = false
-		if got := conn.(*Conn).sched; got != want {
-			t.Fatalf("conn %d: schedule %+v, want the %d-th draw %+v", i, got, i+1, want)
-		}
-		// One byte a write, so a clean cut lands on the budget exactly.
-		go func() {
-			defer conn.Close()
-			for k := 0; k < 100; k++ {
-				if _, err := conn.Write([]byte{byte(k)}); err != nil {
-					return
-				}
-			}
-		}()
-		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		b, err := io.ReadAll(nc)
-		nc.Close()
-		if err != nil {
-			t.Fatalf("conn %d: %v (a server-side cut must be clean)", i, err)
-		}
-		wantN := int64(100)
-		if want.writeCut >= 0 {
-			wantN = want.writeCut
-		}
-		if int64(len(b)) != wantN {
-			t.Fatalf("conn %d delivered %d bytes, want %d", i, len(b), wantN)
-		}
-		budgets[want.writeCut] = true
-	}
-	if len(budgets) < 4 {
-		t.Fatalf("12 accepted conns drew %d distinct budgets: not per-connection schedules", len(budgets))
-	}
-}
-
-func TestListenerDisabledPassesThrough(t *testing.T) {
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	if got := WrapListener(base, Profile{}, 1); got != base {
-		t.Errorf("disabled profile wrapped the listener: %T", got)
-	}
-}
-
 // TestWrapConnSameSeedSameBehavior drives two conns wrapped with the
 // same profile+seed through the same interaction and requires identical
 // outcomes — the per-conn face of the determinism contract.
