@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 3s
 
-.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak pkg-bench-smoke examples-smoke bench bench-smoke alloc-top lint fmt-check ci clean
+.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak pkg-bench-smoke examples-smoke bench bench-smoke alloc-top workcounts lint fmt-check ci clean
 
 all: ci
 
@@ -182,6 +182,14 @@ alloc-top:
 	$(GO) test ./internal/core -run '^TestPageAllocBudget$$' -count=1 \
 		-memprofilerate=1 -memprofile "$$dir/mem.out" -o "$$dir/core.test" -outputdir "$$dir" >/dev/null && \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 "$$dir/core.test" "$$dir/mem.out"
+
+# TestWorkCounts's baseline, rewritten from this tree: allocations,
+# bytes and GC cycles per page of a fixed local and a fixed fabric crawl,
+# their store's bytes, seals and directory syncs, and the fabric's wire
+# bytes per page. Run it when a change moves a count on purpose, and
+# commit the file, so the diff shows what moved.
+workcounts:
+	$(GO) test ./internal/core -run '^TestWorkCounts$$' -count=1 -update -v
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -5,6 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -40,6 +43,48 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	if got := sha256Hex([]byte(study.Report())); got != goldenReport {
 		t.Errorf("report sha256 = %s, want %s", got, goldenReport)
+	}
+}
+
+// goldenStore is the sha256 of a fault-free crawl's store directory —
+// every file's name and bytes, in name order: store.json and each
+// sealed segment. One crawl worker fixes the page order, so the bytes
+// repeat; a change that claims the segment and manifest formats held
+// must leave it alone.
+const goldenStore = "3cba1a6f9fd13c36990da0000c3df08a791fd493e1b63140182becc1576c5b94"
+
+func TestGoldenStoreBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crawls 60 publishers")
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	_, err := RunCrawl(context.Background(), Options{
+		Seed: goldenSeed, NumPublishers: 60, PagesPerSite: 4, Workers: 1,
+		Dispatch: &DispatchOptions{StoreDir: dir},
+	}, DefaultCrawls()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(name + "\x00"))
+		h.Write(data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenStore {
+		t.Errorf("store sha256 = %s over %d files %v, want %s", got, len(names), names, goldenStore)
 	}
 }
 
