@@ -165,11 +165,14 @@ bench:
 # run on the plain dispatch path. The traced study and store_crawl runs
 # execute bench's hand-built twin of the page path, the only caller of
 # the benchpin.go shims, and its traced-vs-untraced digest gate holds
-# that twin to the shipped path.
+# that twin to the shipped path. The traced fabric run is the only run
+# of bench's wire replay, which re-encodes and decodes every page frame
+# of its crawl through wire.Encode and wire.Decode.
 bench-smoke:
 	$(GO) run ./bench --workload fabric --seconds 1 --trace 0
 	$(GO) run ./bench --workload store_crawl --seconds 1 --trace 0
 	$(GO) run ./bench --workload study --seconds 1 --trace 0
+	$(GO) run ./bench --workload fabric --seconds 1 --trace 1
 	$(GO) run ./bench --workload store_crawl --seconds 1 --trace 1
 	$(GO) run ./bench --workload study --seconds 1 --trace 1
 

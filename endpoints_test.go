@@ -56,7 +56,7 @@ func TestDocumentedEndpointsAreServed(t *testing.T) {
 	}
 	defer store.Close()
 	rec := &analysis.PageRecord{Site: "pub.example", Rank: 1, PageURL: "http://pub.example/",
-		AAObs: map[string]int{"tracker.example": 1}}
+		AAObs: []analysis.Count{{Key: "tracker.example", N: 1}}}
 	if _, err := store.Ingest(rec); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -175,9 +176,13 @@ func (c *Recorder) socketRecord(sc *recordScratch, site crawler.Site, pageURL, p
 	return rec
 }
 
-// httpObservations aggregates one tree's HTTP requests per domain.
-func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pageHost string) map[string]*DomainTraffic {
-	out := map[string]*DomainTraffic{}
+// httpObservations tallies one tree's HTTP requests per domain into
+// sc.traffic: each domain's requests and blocked chains, and a count
+// per sent item and response class. fill turns the tally into the
+// record's lists.
+func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pageHost string) {
+	sc.traffic = sc.traffic[:0]
+	clear(sc.byDomain)
 	// The sockets listing in RecordPage is done with sc.nodes by the
 	// time httpObservations runs, so the scratch can be recycled.
 	sc.nodes = tree.AppendKind(sc.nodes[:0], inclusion.KindRequest)
@@ -186,34 +191,31 @@ func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pag
 		if dom == "" {
 			continue
 		}
-		t := out[dom]
-		if t == nil {
-			dom = sc.own(dom)
-			t = &DomainTraffic{Domain: dom, SentItems: map[string]int{}, RecvClasses: map[string]int{}}
-			out[dom] = t
+		i, ok := sc.byDomain[dom]
+		if !ok {
+			i = len(sc.traffic)
+			sc.byDomain[dom] = i
+			// A new entry keeps the count-list storage of the one that
+			// last stood at its index.
+			sc.traffic = slices.Grow(sc.traffic, 1)[:i+1]
+			t := &sc.traffic[i]
+			*t = PageTraffic{Domain: dom, SentItems: t.SentItems[:0], RecvClasses: t.RecvClasses[:0]}
 		}
+		t := &sc.traffic[i]
 		t.Requests++
-		// The per-request items only feed counts in t.SentItems, so the
-		// MergeItems union can be replaced by an in-place duplicate scan
-		// over the (tiny) flattened set: each distinct item increments
-		// its count exactly once, same as counting the merged set.
+		// Each distinct item of a request counts once: an in-place
+		// duplicate scan over the (tiny) flattened set stands in for the
+		// MergeItems union.
 		items := content.AppendSentHeaders(sc.items[:0], req.Header)
 		items = content.AppendSent(items, req.ReqBody)
 		sc.items = items
 		for i, item := range items {
-			dup := false
-			for _, prev := range items[:i] {
-				if prev == item {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				t.SentItems[item]++
+			if !slices.Contains(items[:i], item) {
+				t.SentItems = countKey(t.SentItems, item)
 			}
 		}
 		if cls := classifyHTTPResponse(req); cls != "" {
-			t.RecvClasses[cls]++
+			t.RecvClasses = countKey(t.RecvClasses, cls)
 		}
 		// As with sockets: a chain counts as blockable when a script
 		// *leading to* the resource matches, not the leaf itself.
@@ -222,7 +224,52 @@ func (c *Recorder) httpObservations(sc *recordScratch, tree *inclusion.Tree, pag
 			t.ChainsBlocked++
 		}
 	}
-	return out
+}
+
+// countKey counts one more of key in cs. A domain's lists hold a few
+// distinct keys, so a scan finds it.
+func countKey(cs []Count, key string) []Count {
+	for i := range cs {
+		if cs[i].Key == key {
+			cs[i].N++
+			return cs
+		}
+	}
+	return append(cs, Count{Key: key, N: 1})
+}
+
+// fill gives rec its HTTP list and count lists from the scratch that
+// httpObservations and the labeler filled: the entries sorted by
+// domain, each count list by key, every key and domain the record's own
+// copy. The count lists share one allocation, each a full slice of it,
+// so the record costs three allocations beyond its strings and sockets.
+func (sc *recordScratch) fill(rec *PageRecord) {
+	slices.SortFunc(sc.traffic, func(a, b PageTraffic) int { return strings.Compare(a.Domain, b.Domain) })
+	n := len(sc.aa) + len(sc.non) + len(sc.cdn)
+	for _, t := range sc.traffic {
+		n += len(t.SentItems) + len(t.RecvClasses)
+	}
+	counts := make([]Count, 0, n)
+	sorted := func(cs []Count) []Count {
+		slices.SortFunc(cs, compareCounts)
+		start := len(counts)
+		counts = append(counts, cs...)
+		return counts[start:len(counts):len(counts)]
+	}
+	rec.HTTP = make([]PageTraffic, len(sc.traffic))
+	for i, t := range sc.traffic {
+		rec.HTTP[i] = PageTraffic{
+			Domain: sc.own(t.Domain), Requests: t.Requests, ChainsBlocked: t.ChainsBlocked,
+			SentItems: sorted(t.SentItems), RecvClasses: sorted(t.RecvClasses),
+		}
+	}
+	rec.AAObs, counts = sc.appendOwnedCounts(counts, sc.aa)
+	rec.NonAAObs, counts = sc.appendOwnedCounts(counts, sc.non)
+	rec.CDNObs, _ = sc.appendOwnedCounts(counts, sc.cdn)
+	// The scratch keeps its lists' storage, not the page's strings.
+	for i := range sc.traffic {
+		sc.traffic[i].Domain = ""
+	}
 }
 
 // classifyHTTPResponse classifies a response body, falling back to the

@@ -33,12 +33,12 @@ func samplePageRecord() *analysis.PageRecord {
 			CrossOrigin:     true, HandshakeOK: true,
 			FramesSent: 2, FramesRecv: 1,
 		}},
-		HTTP: map[string]*analysis.DomainTraffic{
-			"cdn.com": {Domain: "cdn.com", Requests: 4, SentItems: map[string]int{"user-agent": 4}},
+		HTTP: []analysis.PageTraffic{
+			{Domain: "cdn.com", Requests: 4, SentItems: []analysis.Count{{Key: "user-agent", N: 4}}},
 		},
-		AAObs:    map[string]int{"tracker.com": 1},
-		NonAAObs: map[string]int{"cdn.com": 4},
-		CDNObs:   map[string]int{"d1abc.cloudfront.net": 1},
+		AAObs:    []analysis.Count{{Key: "tracker.com", N: 1}},
+		NonAAObs: []analysis.Count{{Key: "cdn.com", N: 4}},
+		CDNObs:   []analysis.Count{{Key: "d1abc.cloudfront.net", N: 1}},
 	}
 }
 
@@ -75,7 +75,7 @@ func foldRecords(recs ...*analysis.PageRecord) (*analysis.Dataset, analysis.Merg
 func TestMergeShardsDedupesByPage(t *testing.T) {
 	first := samplePageRecord()
 	dup := samplePageRecord()
-	dup.HTTP["cdn.com"].Requests = 999 // must lose: first occurrence wins
+	dup.HTTP[0].Requests = 999 // must lose: first occurrence wins
 	other := samplePageRecord()
 	other.PageURL = "http://pub.com/q"
 
@@ -99,8 +99,8 @@ func TestMergeShardsDerivesAADomainsFromDeltas(t *testing.T) {
 	// almost.com: 1 A&A obs vs 11 non ⇒ 1 < 1.1, out.
 	// quiet.com: only non-A&A obs, out.
 	rec := &analysis.PageRecord{Site: "a.com", Rank: 1, PageURL: "http://a.com/",
-		AAObs:    map[string]int{"tracker.com": 2, "almost.com": 1},
-		NonAAObs: map[string]int{"tracker.com": 10, "almost.com": 11, "quiet.com": 5}}
+		AAObs:    []analysis.Count{{Key: "almost.com", N: 1}, {Key: "tracker.com", N: 2}},
+		NonAAObs: []analysis.Count{{Key: "almost.com", N: 11}, {Key: "quiet.com", N: 5}, {Key: "tracker.com", N: 10}}}
 	ds, _ := foldRecords(rec)
 	if want := []string{"tracker.com"}; !reflect.DeepEqual(ds.AADomains, want) {
 		t.Errorf("AADomains = %v, want %v", ds.AADomains, want)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,13 +131,21 @@ func genRecord(a, b string, n int, flags uint8) *analysis.PageRecord {
 		rec.Sockets = []analysis.SocketRecord{ws, {Site: b}}
 	}
 	if flags&32 != 0 {
-		rec.HTTP = map[string]*analysis.DomainTraffic{
-			a:       {Domain: a, Requests: n, SentItems: map[string]int{a: 1, b: n}, RecvClasses: map[string]int{}, ChainsBlocked: 1},
-			b + "x": {Domain: b},
+		rec.HTTP = []analysis.PageTraffic{
+			{Domain: a, Requests: n, SentItems: analysis.AppendCounts(nil, map[string]int{a: 1, b: n}),
+				RecvClasses: []analysis.Count{}, ChainsBlocked: 1},
+			{Domain: b + "x"},
+		}
+		switch {
+		case a == b+"x":
+			rec.HTTP = rec.HTTP[1:]
+		case a > b+"x":
+			slices.Reverse(rec.HTTP)
 		}
 	}
 	if flags&64 != 0 {
-		rec.AAObs, rec.NonAAObs, rec.CDNObs = map[string]int{a: n, b: 1}, map[string]int{}, map[string]int{b: 2}
+		rec.AAObs = analysis.AppendCounts(nil, map[string]int{a: n, b: 1})
+		rec.NonAAObs, rec.CDNObs = []analysis.Count{}, []analysis.Count{{Key: b, N: 2}}
 	}
 	if flags&128 != 0 {
 		rec.Sockets = []analysis.SocketRecord{}
@@ -164,12 +173,29 @@ func blockSeeds(tb testing.TB) (seeds [][]byte, valid int) {
 		append(bytes.Clone(sample), 0), // a trailing byte
 		[]byte(`{"site":"a.com","rank":1,"pageUrl":"http://a.com/"}`), // a v1 page line
 		nil,
+		// Records out of the ascending key order, and an HTTP entry keyed
+		// by another domain than its own (domains {a, b}, strings {p}:
+		// site a, rank 1, page p, no socket, one entry keyed a for b).
+		colstore.AppendPageBlock(nil, withHTTP("b.com", "a.com")),
+		colstore.AppendPageBlock(nil, withHTTP("a.com", "a.com")),
+		colstore.AppendPageBlock(nil, &analysis.PageRecord{Site: "a.com", AAObs: []analysis.Count{{Key: "b", N: 1}, {Key: "a", N: 1}}}),
+		hostileBlock([]byte{2, 1, 'a', 1, 'b', 0, 1, 1, 'p'}, []byte{0, 2, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0}, 0),
 		resealed(renumbered),    // numbered 1
 		segmentOf(tb, 2, false), // two records
 		segmentOf(tb, 1, true),  // a record and an outcome row
 		segmentOf(tb, 0, true),  // an outcome row and no record
 	)
 	return seeds, valid
+}
+
+// withHTTP is a record with an HTTP entry for each domain, in the order
+// given.
+func withHTTP(domains ...string) *analysis.PageRecord {
+	rec := &analysis.PageRecord{Site: "a.com", Rank: 1, PageURL: "http://a.com/"}
+	for _, d := range domains {
+		rec.HTTP = append(rec.HTTP, analysis.PageTraffic{Domain: d, Requests: 1})
+	}
+	return rec
 }
 
 // segmentOf is the first segment a store seals after ingesting n
@@ -369,13 +395,14 @@ func TestCrawlLinesTakeHandPath(t *testing.T) {
 
 // Page block allocation budgets, per record of TestSpoolCodecAllocs'
 // crawl. Appending into a reused buffer allocates nothing (the encoder
-// is pooled). Decoding measures ≈ 47 (encoding/json, both ways: ≈ 177):
-// the record, its dictionaries and their strings, its slices and maps,
-// and each DomainTraffic — one string per distinct value of the block,
-// however often the record repeats it.
+// is pooled). Decoding measures ≈ 31 (encoding/json, both ways: ≈ 78):
+// the record, its dictionaries and their strings, and its slices, one
+// per list — one string per distinct value of the block, however often
+// the record repeats it. With the record's HTTP aggregates and deltas
+// as maps, a map and a DomainTraffic each, it measured ≈ 47.
 const (
 	spoolEncodeBudget = 0
-	spoolDecodeBudget = 52
+	spoolDecodeBudget = 35
 )
 
 // TestSpoolCodecAllocs pins the block codec's allocations per record

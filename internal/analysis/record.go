@@ -21,6 +21,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,6 +37,13 @@ import (
 // PageRecord is one crawled page: everything the dataset needs from the
 // page, plus the labeler deltas it contributed. Its JSON form is the
 // spool line of the benchmark harness's spool writers.
+//
+// A record is flat: its per-domain aggregates and deltas are lists in
+// strictly ascending key order — HTTP by domain, each count list by key
+// — which the recorder builds that way and every reader may rely on
+// (CheckOrder). A nil list and an empty one are distinct, as the
+// segment codec keeps them: the recorder's HTTP list and each entry's
+// count lists are never nil, its delta lists are nil when empty.
 type PageRecord struct {
 	Site    string `json:"site"`
 	Rank    int    `json:"rank"`
@@ -43,12 +51,76 @@ type PageRecord struct {
 	// Sockets are the page's WebSocket observations in tree order.
 	Sockets []SocketRecord `json:"sockets,omitempty"`
 	// HTTP aggregates the page's plain HTTP/S traffic per domain.
-	HTTP map[string]*DomainTraffic `json:"http,omitempty"`
+	HTTP []PageTraffic `json:"http,omitempty"`
 	// AAObs / NonAAObs are per-domain labeler observation deltas.
-	AAObs    map[string]int `json:"aaObs,omitempty"`
-	NonAAObs map[string]int `json:"nonAaObs,omitempty"`
+	AAObs    []Count `json:"aaObs,omitempty"`
+	NonAAObs []Count `json:"nonAaObs,omitempty"`
 	// CDNObs counts opaque-CDN adjacency sightings on this page.
-	CDNObs map[string]int `json:"cdnObs,omitempty"`
+	CDNObs []Count `json:"cdnObs,omitempty"`
+}
+
+// Count is one key's count in a record's count list.
+type Count struct {
+	Key string `json:"key"`
+	N   int    `json:"n"`
+}
+
+// PageTraffic is one page's plain HTTP/S traffic to one 2nd-level
+// domain: the page's share of that domain's DomainTraffic.
+type PageTraffic struct {
+	Domain        string  `json:"domain"`
+	Requests      int     `json:"requests"`
+	SentItems     []Count `json:"sentItems"`
+	RecvClasses   []Count `json:"recvClasses"`
+	ChainsBlocked int     `json:"chainsBlocked"`
+}
+
+// AppendCounts appends m's entries to dst in ascending key order: the
+// count list of m.
+func AppendCounts(dst []Count, m map[string]int) []Count {
+	start := len(dst)
+	for k, n := range m {
+		dst = append(dst, Count{Key: k, N: n})
+	}
+	slices.SortFunc(dst[start:], compareCounts)
+	return dst
+}
+
+func compareCounts(a, b Count) int { return strings.Compare(a.Key, b.Key) }
+
+// CheckOrder reports the first list of r that is not in strictly
+// ascending key order, duplicates included. Readers that take records
+// from outside the recorder — the ledger and the segment decoder — check
+// it, so the order every reader relies on is never taken on trust.
+func (r *PageRecord) CheckOrder() error {
+	for i := range r.HTTP {
+		t := &r.HTTP[i]
+		if i > 0 && r.HTTP[i-1].Domain >= t.Domain {
+			return fmt.Errorf("analysis: page record's HTTP entry %q follows %q", t.Domain, r.HTTP[i-1].Domain)
+		}
+		if err := checkCounts(t.SentItems, "HTTP sent items of ", t.Domain); err != nil {
+			return err
+		}
+		if err := checkCounts(t.RecvClasses, "HTTP recv classes of ", t.Domain); err != nil {
+			return err
+		}
+	}
+	if err := checkCounts(r.AAObs, "A&A observations", ""); err != nil {
+		return err
+	}
+	if err := checkCounts(r.NonAAObs, "non-A&A observations", ""); err != nil {
+		return err
+	}
+	return checkCounts(r.CDNObs, "CDN observations", "")
+}
+
+func checkCounts(cs []Count, what, of string) error {
+	for i := 1; i < len(cs); i++ {
+		if cs[i-1].Key >= cs[i].Key {
+			return fmt.Errorf("analysis: page record's %s%s: key %q follows %q", what, of, cs[i].Key, cs[i-1].Key)
+		}
+	}
+	return nil
 }
 
 // Recorder converts live page loads into PageRecords. It reads the
@@ -89,9 +161,13 @@ type recordScratch struct {
 	chain    []*inclusion.Node
 	items    []string
 	recvSeen map[string]bool
-	// aa, non and cdn take the labeler's deltas; ownCounts copies them
-	// into the record.
+	// aa, non and cdn take the labeler's deltas.
 	aa, non, cdn map[string]int
+	// traffic is httpObservations' tally of the page's HTTP traffic, one
+	// entry per domain in first-request order (byDomain indexes it);
+	// each entry's count lists are its own scratch, kept across pages.
+	traffic  []PageTraffic
+	byDomain map[string]int
 	// owned maps each trace string the page's record took to the
 	// record's copy of it.
 	owned map[string]string
@@ -107,17 +183,19 @@ func (sc *recordScratch) own(s string) string {
 	return c
 }
 
-// ownCounts is m with every key replaced by the record's copy; nil when
-// m is empty.
-func (sc *recordScratch) ownCounts(m map[string]int) map[string]int {
+// appendOwnedCounts appends m's count list to dst with every key the
+// record's copy, and returns it as its own full slice of dst (nil when
+// m is empty) beside the grown dst.
+func (sc *recordScratch) appendOwnedCounts(dst []Count, m map[string]int) (list, grown []Count) {
 	if len(m) == 0 {
-		return nil
+		return nil, dst
 	}
-	out := make(map[string]int, len(m))
-	for k, n := range m {
-		out[sc.own(k)] = n
+	start := len(dst)
+	dst = AppendCounts(dst, m)
+	for i := start; i < len(dst); i++ {
+		dst[i].Key = sc.own(dst[i].Key)
 	}
-	return out
+	return dst[start:len(dst):len(dst)], dst
 }
 
 // NewRecorder builds a recorder over a configured labeler.
@@ -129,7 +207,7 @@ func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.Pa
 	if !ok {
 		sc = &recordScratch{
 			builder: inclusion.NewBuilder(), recvSeen: map[string]bool{}, owned: map[string]string{},
-			aa: map[string]int{}, non: map[string]int{}, cdn: map[string]int{},
+			aa: map[string]int{}, non: map[string]int{}, cdn: map[string]int{}, byDomain: map[string]int{},
 		}
 	}
 	defer r.scratch.Put(sc)
@@ -162,10 +240,8 @@ func (r *Recorder) RecordPage(site crawler.Site, pageURL string, res *browser.Pa
 	for _, ws := range sc.nodes {
 		rec.Sockets = append(rec.Sockets, r.socketRecord(sc, site, rec.PageURL, pageHost, ws))
 	}
-	rec.HTTP = r.httpObservations(sc, tree, pageHost)
-	rec.AAObs = sc.ownCounts(sc.aa)
-	rec.NonAAObs = sc.ownCounts(sc.non)
-	rec.CDNObs = sc.ownCounts(sc.cdn)
+	r.httpObservations(sc, tree, pageHost)
+	sc.fill(rec)
 	return rec, nil
 }
 
@@ -208,7 +284,7 @@ func NewFolder(meta DatasetMeta) *Folder {
 
 // Fold merges one page record, reporting false for duplicates. The
 // record's socket records, and their slices, are retained by reference
-// (its maps are copied); callers must not mutate those after folding
+// (its counts are added into the fold's maps); callers must not mutate those after folding
 // the record.
 func (f *Folder) Fold(rec *PageRecord) bool {
 	f.mu.Lock()
@@ -360,31 +436,29 @@ func (m *shardMerger) fold(rec *PageRecord) bool {
 		m.sockets = append(m.sockets, ws)
 		m.socketKeys = append(m.socketKeys, socketSortKey{rank: rec.Rank, site: rec.Site, pageURL: rec.PageURL, index: i})
 	}
-	for dom, t := range rec.HTTP {
-		dst := m.http[dom]
+	for i := range rec.HTTP {
+		t := &rec.HTTP[i]
+		dst := m.http[t.Domain]
 		if dst == nil {
-			dst = &DomainTraffic{Domain: dom, SentItems: map[string]int{}, RecvClasses: map[string]int{}}
-			m.http[dom] = dst
+			dst = &DomainTraffic{Domain: t.Domain, SentItems: map[string]int{}, RecvClasses: map[string]int{}}
+			m.http[t.Domain] = dst
 		}
 		dst.Requests += t.Requests
 		dst.ChainsBlocked += t.ChainsBlocked
-		for k, v := range t.SentItems {
-			dst.SentItems[k] += v
-		}
-		for k, v := range t.RecvClasses {
-			dst.RecvClasses[k] += v
-		}
+		addCounts(dst.SentItems, t.SentItems)
+		addCounts(dst.RecvClasses, t.RecvClasses)
 	}
-	for d, n := range rec.AAObs {
-		m.aa[d] += n
-	}
-	for d, n := range rec.NonAAObs {
-		m.non[d] += n
-	}
-	for h, n := range rec.CDNObs {
-		m.cdn[h] += n
-	}
+	addCounts(m.aa, rec.AAObs)
+	addCounts(m.non, rec.NonAAObs)
+	addCounts(m.cdn, rec.CDNObs)
 	return true
+}
+
+// addCounts adds a record's count list into a crawl-level count map.
+func addCounts(dst map[string]int, cs []Count) {
+	for _, c := range cs {
+		dst[c.Key] += c.N
+	}
 }
 
 // snapshot is finalize with the per-domain HTTP aggregates copied, so

@@ -132,9 +132,9 @@ func TestLabelsOneFoldVersion(t *testing.T) {
 		rec := testRecord(fmt.Sprintf("site%d.com", i), i+1, 0)
 		flip := fmt.Sprintf("flip%d.com", i/2)
 		if i%2 == 0 {
-			rec.AAObs = map[string]int{flip: 1} // into D′
+			rec.AAObs = []analysis.Count{{Key: flip, N: 1}} // into D′
 		} else {
-			rec.NonAAObs = map[string]int{flip: 100} // out again
+			rec.NonAAObs = []analysis.Count{{Key: flip, N: 100}} // out again
 		}
 		recs = append(recs, rec)
 	}
@@ -170,6 +170,10 @@ func TestLabelsOneFoldVersion(t *testing.T) {
 func tableRecords() []*analysis.PageRecord {
 	recs := allRecords()
 	for j, rec := range recs {
+		aa := map[string]int{}
+		for _, c := range rec.AAObs {
+			aa[c.Key] = c.N
+		}
 		for k := 0; k <= j%3; k++ {
 			init, recv := fmt.Sprintf("ads%d.com", (j+k)%4), fmt.Sprintf("rt%d.com", (j*k+k)%5)
 			rec.Sockets = append(rec.Sockets, analysis.SocketRecord{
@@ -179,11 +183,12 @@ func tableRecords() []*analysis.PageRecord {
 				ChainBlocked: k == 1, FramesSent: k, FramesRecv: 1,
 				SentItems: []string{"cookies"}, RecvClasses: []string{"html"},
 			})
-			rec.AAObs[recv]++
+			aa[recv]++
 			if k%2 == 0 {
-				rec.AAObs[init]++
+				aa[init]++
 			}
 		}
+		rec.AAObs = analysis.AppendCounts(nil, aa)
 	}
 	return recs
 }

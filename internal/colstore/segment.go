@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"repro/internal/analysis"
 )
@@ -33,12 +32,15 @@ import (
 // first-use order, so identical record sequences produce byte-identical
 // segments.
 //
-// Columns, in order. Lengths of nil-able slices/maps are encoded with a
-// +1 marker (0 = nil, n+1 = n elements) so nil-ness survives the round
+// Columns, in order. Lengths of nil-able lists are encoded with a +1
+// marker (0 = nil, n+1 = n elements) so nil-ness survives the round
 // trip exactly — chainDomains/chainUrls marshal null vs [] differently
 // in dataset JSON, and the store's output must stay byte-identical to
-// a fold of the same records. Map entries are always encoded sorted by
-// key. Signed int fields use zigzag varints; IDs and lengths uvarints.
+// a fold of the same records. A record's HTTP entries and count lists
+// are encoded in the record's order, which is strictly ascending by key
+// (analysis.PageRecord.CheckOrder); the decoder refuses any other. An
+// HTTP entry's key and domain field name the same domain. Signed int
+// fields use zigzag varints; IDs and lengths uvarints.
 //
 //	pages:   site domID ×n, rank ×n, pageURL strID ×n
 //	sockets: per-page socket count ×n, then per flattened socket:
@@ -49,8 +51,8 @@ import (
 //	         adRefs, adSamples
 //	http:    per-page entry count, then per entry: key domID,
 //	         domain field domID, requests, chainsBlocked,
-//	         sentItems map, recvClasses map
-//	obs:     per-page AAObs, NonAAObs, CDNObs maps (domID → count)
+//	         sentItems counts, recvClasses counts
+//	obs:     per-page AAObs, NonAAObs, CDNObs counts (domID → count)
 //	outcomes: per row: domain domID, attempt, state byte
 //	         (0 done, 1 retry, 2 failed), error strID
 const (
@@ -135,13 +137,12 @@ const (
 // segEncoder is one segment being built: records and outcome rows are
 // encoded into its columns as they are added, so nothing holds a record
 // until the seal, and appendSegment assembles the file. Its storage —
-// dictionaries, columns, key scratch — is kept across reset.
+// dictionaries, columns — is kept across reset.
 type segEncoder struct {
 	doms, labels, strs         dict
 	cols                       [numCols][]byte
 	records, sockets, outcomes int
-	httpKeys, keys             []string // sorted-key scratch: HTTP keys, count-map keys
-	out                        []byte   // the segment last assembled, a buffer the next reuses
+	out                        []byte // the segment last assembled, a buffer the next reuses
 }
 
 func (e *segEncoder) uv(c int, v uint64) { e.cols[c] = binary.AppendUvarint(e.cols[c], v) }
@@ -159,21 +160,16 @@ func (e *segEncoder) slice(c int, vals []string, d *dict) {
 	}
 }
 
-// counts encodes a nil-able map[string]int sorted by key against d.
-func (e *segEncoder) counts(c int, m map[string]int, d *dict) {
-	if m == nil {
+// counts encodes a nil-able count list against d, in its order.
+func (e *segEncoder) counts(c int, cs []analysis.Count, d *dict) {
+	if cs == nil {
 		e.uv(c, 0)
 		return
 	}
-	e.uv(c, uint64(len(m))+1)
-	e.keys = e.keys[:0]
-	for k := range m {
-		e.keys = append(e.keys, k)
-	}
-	sort.Strings(e.keys)
-	for _, k := range e.keys {
-		e.uv(c, d.id(k))
-		e.sv(c, m[k])
+	e.uv(c, uint64(len(cs))+1)
+	for _, x := range cs {
+		e.uv(c, d.id(x.Key))
+		e.sv(c, x.N)
 	}
 }
 
@@ -216,15 +212,11 @@ func (e *segEncoder) add(r *analysis.PageRecord) {
 		e.uv(colHTTP, 0)
 	} else {
 		e.uv(colHTTP, uint64(len(r.HTTP))+1)
-		e.httpKeys = e.httpKeys[:0]
-		for k := range r.HTTP {
-			e.httpKeys = append(e.httpKeys, k)
-		}
-		sort.Strings(e.httpKeys)
-		for _, k := range e.httpKeys {
-			t := r.HTTP[k]
-			e.uv(colHTTP, e.doms.id(k))
-			e.uv(colHTTP, e.doms.id(t.Domain))
+		for i := range r.HTTP {
+			t := &r.HTTP[i]
+			id := e.doms.id(t.Domain)
+			e.uv(colHTTP, id) // the entry's key
+			e.uv(colHTTP, id) // its domain field
 			e.sv(colHTTP, t.Requests)
 			e.sv(colHTTP, t.ChainsBlocked)
 			e.counts(colHTTP, t.SentItems, &e.labels)
@@ -281,8 +273,6 @@ func (e *segEncoder) reset() {
 		e.cols[i] = e.cols[i][:0]
 	}
 	e.records, e.sockets, e.outcomes = 0, 0, 0
-	clear(e.httpKeys[:cap(e.httpKeys)])
-	clear(e.keys[:cap(e.keys)])
 }
 
 // segDecoder walks a validated segment byte slice.
@@ -389,16 +379,14 @@ func (d *segDecoder) slice(vals []string, what string) []string {
 	return out
 }
 
-func (d *segDecoder) counts(vals []string, what string) map[string]int {
+func (d *segDecoder) counts(vals []string, what string) []analysis.Count {
 	marker := d.uv()
 	if marker == 0 || !d.fits(marker-1, what) {
 		return nil
 	}
-	n := marker - 1
-	out := make(map[string]int, n)
-	for i := uint64(0); i < n; i++ {
-		k := d.lookup(vals, what)
-		out[k] = d.sv()
+	out := make([]analysis.Count, marker-1)
+	for i := range out {
+		out[i] = analysis.Count{Key: d.lookup(vals, what), N: d.sv()}
 	}
 	return out
 }
@@ -514,18 +502,20 @@ func decodeSegment(data []byte) (seq int, recs []*analysis.PageRecord, rows []Ou
 		if marker == 0 || !d.fits(marker-1, "http") {
 			continue
 		}
-		m := make(map[string]*analysis.DomainTraffic, marker-1)
-		for e := uint64(0); e < marker-1; e++ {
+		http := make([]analysis.PageTraffic, marker-1)
+		for e := range http {
+			t := &http[e]
 			k := d.lookup(doms, "http key")
-			t := &analysis.DomainTraffic{}
 			t.Domain = d.lookup(doms, "http domain")
+			if d.err == nil && k != t.Domain {
+				d.fail("colstore: segment: http entry keyed %q holds domain %q", k, t.Domain)
+			}
 			t.Requests = d.sv()
 			t.ChainsBlocked = d.sv()
 			t.SentItems = d.counts(labels, "http sent item")
 			t.RecvClasses = d.counts(labels, "http recv class")
-			m[k] = t
 		}
-		recs[i].HTTP = m
+		recs[i].HTTP = http
 	}
 	// obs
 	for i := 0; i < n; i++ {
@@ -536,6 +526,11 @@ func decodeSegment(data []byte) (seq int, recs []*analysis.PageRecord, rows []Ou
 	}
 	for i := 0; i < n; i++ {
 		recs[i].CDNObs = d.counts(doms, "cdn obs")
+	}
+	for i := 0; i < n && d.err == nil; i++ {
+		if err := recs[i].CheckOrder(); err != nil {
+			d.fail("colstore: segment record %d: %v", i, err)
+		}
 	}
 	// outcomes
 	rows = make([]Outcome, outcomes)

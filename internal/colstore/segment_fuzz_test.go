@@ -31,7 +31,8 @@ func resealed(data []byte) []byte {
 // panic, and never return more records or rows than the input has bytes
 // (a length taken on trust is an unbounded allocation). Every accepted
 // segment must round-trip: encoding what it decoded to, decoding that
-// and encoding again gives the same bytes and the same rows.
+// and encoding again gives the same bytes and the same rows. The seeds
+// include segments the decoder refuses for their records' order.
 func FuzzDecodeSegment(f *testing.F) {
 	recs := []*analysis.PageRecord{
 		testRecord("pub.com", 1, 0),
@@ -48,6 +49,9 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add(withRows)
 	f.Add(encodeSegment(4, nil, testOutcomes()[1:]...))
 	f.Add(withRows[:len(withRows)-30])
+	for _, data := range disorderedSegments() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, resealed(data)} {
 			seq, got, rows, err := decodeSegment(in)

@@ -79,7 +79,9 @@ const manifestName = "store.json"
 const ManifestVersion = 4
 
 // manifest pins the store's identity so a resume (or a reader) cannot
-// mix segments from a different crawl into one dataset.
+// mix segments from a different crawl into one dataset. The fault
+// fields are omitted when empty, so a fault-free store's manifest is
+// what it was before they existed.
 type manifest struct {
 	Version      int    `json:"version"`
 	Name         string `json:"name"`
@@ -88,11 +90,17 @@ type manifest struct {
 	Seed         int64  `json:"seed"`
 	PagesPerSite int    `json:"pagesPerSite"`
 	TotalSites   int    `json:"totalSites"`
+	FaultProfile string `json:"faultProfile,omitempty"`
+	FaultSeed    int64  `json:"faultSeed,omitempty"`
 }
 
 func (m *manifest) String() string {
-	return fmt.Sprintf("crawl %q (era %q, index %d, seed %d, %d pages × %d sites)",
+	s := fmt.Sprintf("crawl %q (era %q, index %d, seed %d, %d pages × %d sites",
 		m.Name, m.Era, m.CrawlIndex, m.Seed, m.PagesPerSite, m.TotalSites)
+	if m.FaultProfile != "" || m.FaultSeed != 0 {
+		s += fmt.Sprintf(", fault profile %q, fault seed %d", m.FaultProfile, m.FaultSeed)
+	}
+	return s + ")"
 }
 
 // Config parameterizes Open.
@@ -110,6 +118,12 @@ type Config struct {
 	Seed         int64
 	PagesPerSite int
 	TotalSites   int
+	// FaultProfile and FaultSeed name the faults the crawl's pages were
+	// loaded under (empty and zero for a fault-free crawl). They are part
+	// of its identity: a resume under another profile or seed would fold
+	// two experiments into one dataset.
+	FaultProfile string
+	FaultSeed    int64
 	// Resume accepts an existing store directory and replays its sealed
 	// segments. Without Resume the directory must be empty of store
 	// state.
@@ -163,6 +177,7 @@ func Open(cfg Config) (*Store, error) {
 			Version: ManifestVersion,
 			Name:    cfg.Meta.Name, Era: cfg.Meta.Era, CrawlIndex: cfg.Meta.CrawlIndex,
 			Seed: cfg.Seed, PagesPerSite: cfg.PagesPerSite, TotalSites: cfg.TotalSites,
+			FaultProfile: cfg.FaultProfile, FaultSeed: cfg.FaultSeed,
 		},
 		segPages: cfg.SegmentPages,
 		folder:   analysis.NewFolder(cfg.Meta),

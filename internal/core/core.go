@@ -179,12 +179,17 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 		d.StateDir = tmp
 	}
 	var stats crawler.Stats
+	// The store pins the fault profile and seed a coordinator of the
+	// same crawl pins, so either role resumes the other's store.
+	wireCfg := FabricCrawlConfig(p.opts, p.spec)
 	res, err := dispatch.Run(ctx, dispatch.Config{
 		Meta:         FabricDatasetMeta(p.spec),
 		Sites:        p.sites,
 		Workers:      p.opts.Workers,
 		PagesPerSite: p.opts.PagesPerSite,
 		Seed:         p.crawlSeed(),
+		FaultProfile: wireCfg.FaultProfile,
+		FaultSeed:    wireCfg.FaultSeed,
 		RunGrant: func(ctx context.Context, sites []crawler.Site, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 			_, failed, err := p.runGrant(ctx, sites, &stats, emit)
 			return failed, err

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -65,6 +66,10 @@ func FabricSites(opts Options, spec CrawlSpec) []crawler.Site {
 // that RunCrawl runs locally.
 type FabricRunner struct {
 	plane *pagePlane
+	// blocks pools the buffers RunBatch builds page blocks in: a
+	// block is emitted synchronously and its buffer reused once emit
+	// returns, one buffer per crawl worker in flight.
+	blocks sync.Pool
 }
 
 // NewFabricRunner rebuilds the measurement stack from a coordinator's
@@ -107,7 +112,8 @@ func (r *FabricRunner) Close() error {
 // re-running a site's attempt anywhere reproduces them byte for byte.
 // There is no retry here: the sites that failed go back in the Complete
 // frame, and the coordinator's queue retries each under the RetryPolicy
-// a local crawl's sites get.
+// a local crawl's sites get. Each block is valid only until emit
+// returns (fabric.BatchRunner).
 func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func(site string, block []byte) error) (int, map[string]string, error) {
 	sites := make([]crawler.Site, len(batch.Sites))
 	for i, s := range batch.Sites {
@@ -115,7 +121,14 @@ func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func
 	}
 	var stats crawler.Stats
 	return r.plane.runGrant(ctx, sites, &stats, func(site string, rec *analysis.PageRecord) error {
-		return emit(site, colstore.AppendPageBlock(nil, rec))
+		buf, _ := r.blocks.Get().(*[]byte)
+		if buf == nil {
+			buf = new([]byte)
+		}
+		*buf = colstore.AppendPageBlock((*buf)[:0], rec)
+		err := emit(site, *buf)
+		r.blocks.Put(buf)
+		return err
 	})
 }
 

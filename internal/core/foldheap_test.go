@@ -91,13 +91,13 @@ func ownedCopy(rec *analysis.PageRecord) *analysis.PageRecord {
 		}
 		return out
 	}
-	counts := func(m map[string]int) map[string]int {
-		if m == nil {
+	counts := func(cs []analysis.Count) []analysis.Count {
+		if cs == nil {
 			return nil
 		}
-		out := make(map[string]int, len(m))
-		for k, n := range m {
-			out[own(k)] = n
+		out := make([]analysis.Count, len(cs))
+		for i, c := range cs {
+			out[i] = analysis.Count{Key: own(c.Key), N: c.N}
 		}
 		return out
 	}
@@ -111,11 +111,10 @@ func ownedCopy(rec *analysis.PageRecord) *analysis.PageRecord {
 		cp.Sockets = append(cp.Sockets, ws)
 	}
 	if rec.HTTP != nil {
-		cp.HTTP = make(map[string]*analysis.DomainTraffic, len(rec.HTTP))
-		for k, t := range rec.HTTP {
-			c := *t
-			c.Domain, c.SentItems, c.RecvClasses = own(t.Domain), counts(t.SentItems), counts(t.RecvClasses)
-			cp.HTTP[own(k)] = &c
+		cp.HTTP = make([]analysis.PageTraffic, len(rec.HTTP))
+		for i, t := range rec.HTTP {
+			t.Domain, t.SentItems, t.RecvClasses = own(t.Domain), counts(t.SentItems), counts(t.RecvClasses)
+			cp.HTTP[i] = t
 		}
 	}
 	return cp

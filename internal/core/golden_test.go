@@ -65,6 +65,15 @@ func TestGoldenStoreBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, names := storeDigest(t, dir); got != goldenStore {
+		t.Errorf("store sha256 = %s over %d files %v, want %s", got, len(names), names, goldenStore)
+	}
+}
+
+// storeDigest is the sha256 of a store directory — every file's name and
+// bytes, in name order — and the names.
+func storeDigest(t *testing.T, dir string) (string, []string) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +92,7 @@ func TestGoldenStoreBytes(t *testing.T) {
 		h.Write([]byte(name + "\x00"))
 		h.Write(data)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenStore {
-		t.Errorf("store sha256 = %s over %d files %v, want %s", got, len(names), names, goldenStore)
-	}
+	return hex.EncodeToString(h.Sum(nil)), names
 }
 
 func sha256Hex(b []byte) string {

@@ -3,16 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/colstore"
+	"repro/internal/dispatch"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/webgen"
@@ -177,6 +180,76 @@ func TestFabricCoordinatorNeedsLocation(t *testing.T) {
 	}
 	if _, serr := os.Stat(storeIn(".", spec)); !os.IsNotExist(serr) {
 		t.Errorf("the refused start left %s in the working directory (%v)", storeIn(".", spec), serr)
+	}
+}
+
+// TestResumeRefusesAnotherFaultProfile: a store pins the fault profile
+// and fault seed its pages were loaded under, so a resume under another
+// profile, another seed or none — in either role, over either role's
+// store — is refused as another crawl's state and changes no file; the
+// same profile and seed resume it. Without the pin both resumes folded
+// two experiments into one dataset.
+func TestResumeRefusesAnotherFaultProfile(t *testing.T) {
+	opts := Options{Seed: 4242, NumPublishers: 12, Workers: 2, PagesPerSite: 2, FaultProfile: "flaky", FaultSeed: 3}
+	spec := CrawlSpec{Name: "faults", Era: webgen.EraPrePatch, CrawlIndex: 1, BrowserVersion: 57}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	local := func(o Options, store string, resume bool) error {
+		o.Dispatch = &DispatchOptions{StoreDir: store, Resume: resume}
+		_, err := RunCrawl(ctx, o, spec)
+		return err
+	}
+	fabricRole := func(o Options, store string, resume bool) error {
+		coord, err := StartFabricCoordinator(o, spec, FabricCoordinatorOptions{
+			Addr: "127.0.0.1:0", BatchSize: 4, StoreDir: store, Resume: resume,
+		})
+		if err != nil {
+			return err
+		}
+		defer coord.Close()
+		runFabricWorkers(ctx, t, coord, 1)
+		if _, _, err := coord.Finalize(FabricDatasetMeta(spec)); err != nil {
+			return err
+		}
+		return coord.Close()
+	}
+	roles := []struct {
+		name string
+		run  func(Options, string, bool) error
+	}{{"local", local}, {"fabric", fabricRole}}
+	for _, writer := range roles {
+		store := filepath.Join(t.TempDir(), "store-crawl1")
+		if err := writer.run(opts, store, false); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := storeDigest(t, store)
+		for _, resumer := range roles {
+			for _, other := range []struct{ profile string }{{"torn"}, {""}} {
+				o := opts
+				o.FaultProfile = other.profile
+				checkForeign(t, resumer.run(o, store, true), fmt.Sprintf("%s store, %s resume under %q", writer.name, resumer.name, other.profile))
+			}
+			o := opts
+			o.FaultSeed = 4
+			checkForeign(t, resumer.run(o, store, true), fmt.Sprintf("%s store, %s resume at fault seed 4", writer.name, resumer.name))
+			if after, _ := storeDigest(t, store); after != before {
+				t.Fatalf("%s store: a refused %s resume changed its files", writer.name, resumer.name)
+			}
+		}
+		for _, resumer := range roles {
+			if err := resumer.run(opts, store, true); err != nil {
+				t.Errorf("%s store: a %s resume under the same profile and seed: %v", writer.name, resumer.name, err)
+			}
+		}
+	}
+}
+
+// checkForeign requires err to refuse a store as another crawl's.
+func checkForeign(t *testing.T, err error, what string) {
+	t.Helper()
+	var ce *dispatch.CheckpointError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Hint, "original crawl") || !strings.Contains(ce.Reason, "fault") {
+		t.Errorf("%s: %v, want the store refused as another crawl's", what, err)
 	}
 }
 

@@ -81,6 +81,11 @@ type Config struct {
 	// Seed is the crawl seed, part of the store's identity; it also
 	// drives backoff jitter.
 	Seed int64
+	// FaultProfile and FaultSeed name the faults RunGrant loads pages
+	// under (empty and zero without faults), part of the store's
+	// identity: dispatch only pins them.
+	FaultProfile string
+	FaultSeed    int64
 	// RunGrant crawls each grant. It must seed its browsers per site
 	// (crawler.SiteSeed) and its faults per site and attempt, never per
 	// worker or grant, to keep retries deterministic. Required.
@@ -146,6 +151,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Seed:         cfg.Seed,
 		PagesPerSite: cfg.PagesPerSite,
 		TotalSites:   len(cfg.Sites),
+		FaultProfile: cfg.FaultProfile,
+		FaultSeed:    cfg.FaultSeed,
 		StoreDir:     cfg.StoreDir,
 		Resume:       cfg.Resume,
 		commitEvery:  cfg.commitEvery,

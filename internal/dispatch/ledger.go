@@ -40,13 +40,15 @@ const hintWrongCrawl = "point -store-dir (or -state) at the original crawl's sto
 
 // LedgerConfig locates and identifies one crawl's durable state.
 type LedgerConfig struct {
-	// Meta names the derived dataset. With Seed, PagesPerSite and
-	// TotalSites it is the crawl's identity, which the store pins and a
-	// resume must match.
+	// Meta names the derived dataset. With Seed, PagesPerSite,
+	// TotalSites, FaultProfile and FaultSeed it is the crawl's identity,
+	// which the store pins and a resume must match.
 	Meta         analysis.DatasetMeta
 	Seed         int64
 	PagesPerSite int
 	TotalSites   int
+	FaultProfile string
+	FaultSeed    int64
 	// StoreDir is the columnar store every page and every settled
 	// attempt's outcome row is appended to: the crawl's one durable
 	// state, queryable with cmd/wsquery while the crawl runs, and the
@@ -116,6 +118,8 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 		Seed:         cfg.Seed,
 		PagesPerSite: cfg.PagesPerSite,
 		TotalSites:   cfg.TotalSites,
+		FaultProfile: cfg.FaultProfile,
+		FaultSeed:    cfg.FaultSeed,
 		Resume:       cfg.Resume,
 	})
 	if err != nil && cfg.Resume {
@@ -153,10 +157,10 @@ func (l *Ledger) Store() *colstore.Store { return l.store }
 
 // Append is the ledger's one entry for pages: rec is one page record of
 // site, as a grant runner emitted it — in-process, or decoded from a
-// fabric worker's page block. A record of another site, or one with a
-// nil HTTP entry, which the fold and the store would both read, is
-// refused; any other is ingested: folded, and encoded into the next
-// segment. The store keeps rec's strings and socket records, so a
+// fabric worker's page block. A record of another site, or one whose
+// lists are not in the ascending key order the store's decoder holds
+// segments to (analysis.PageRecord.CheckOrder), is refused; any other
+// is ingested: folded, and encoded into the next segment. The store keeps rec's strings and socket records, so a
 // record must own them (analysis.Recorder's do) and must not change
 // once appended. The page is committed once a later Commit returns.
 func (l *Ledger) Append(site string, rec *analysis.PageRecord) error {
@@ -164,10 +168,8 @@ func (l *Ledger) Append(site string, rec *analysis.PageRecord) error {
 	if rec.Site == "" || rec.Site != site {
 		return fmt.Errorf("dispatch: page record is for site %q, want %q", rec.Site, site)
 	}
-	for _, t := range rec.HTTP {
-		if t == nil {
-			return fmt.Errorf("dispatch: page record has a null HTTP entry")
-		}
+	if err := rec.CheckOrder(); err != nil {
+		return fmt.Errorf("dispatch: %w", err)
 	}
 	l.appendMu.RLock()
 	defer l.appendMu.RUnlock()

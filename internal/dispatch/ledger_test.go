@@ -34,11 +34,11 @@ func ledgerRecord(i, p int) *analysis.PageRecord {
 	page := fmt.Sprintf("http://%s/p%d", site, p)
 	rec := &analysis.PageRecord{
 		Site: site, Rank: i + 1, PageURL: page,
-		HTTP: map[string]*analysis.DomainTraffic{
-			"cdn.com": {Domain: "cdn.com", Requests: 3 + p, SentItems: map[string]int{"user-agent": 3}},
+		HTTP: []analysis.PageTraffic{
+			{Domain: "cdn.com", Requests: 3 + p, SentItems: []analysis.Count{{Key: "user-agent", N: 3}}},
 		},
-		AAObs:    map[string]int{"tracker.com": 1 + p},
-		NonAAObs: map[string]int{"cdn.com": 3},
+		AAObs:    []analysis.Count{{Key: "tracker.com", N: 1 + p}},
+		NonAAObs: []analysis.Count{{Key: "cdn.com", N: 3}},
 	}
 	if p%2 == 0 {
 		rec.Sockets = []analysis.SocketRecord{{
@@ -332,14 +332,17 @@ func TestLedgerAppendLineRejectsNonRecords(t *testing.T) {
 	r.open(false)
 	r.append(0, 0)
 	good := colstore.AppendPageBlock(nil, rec("a.com", "http://a.com/"))
+	disordered := outOfOrderRecords(rec("a.com", "http://a.com/"))
 	for name, block := range map[string][]byte{
-		"a JSON line":      []byte(`{"site":"a.com","rank":1,"pageUrl":"http://a.com/"}`),
-		"torn":             good[:len(good)-1],
-		"a trailing byte":  append(bytes.Clone(good), 0),
-		"another site's":   colstore.AppendPageBlock(nil, rec("b.com", "http://b.com/")),
-		"no site":          colstore.AppendPageBlock(nil, rec("", "http://a.com/")),
-		"empty":            nil,
-		"flipped checksum": append(bytes.Clone(good[:len(good)-12]), append([]byte{good[len(good)-12] ^ 1}, good[len(good)-11:]...)...),
+		"HTTP entries out of order": colstore.AppendPageBlock(nil, disordered["HTTP entries out of order"]),
+		"a duplicate count key":     colstore.AppendPageBlock(nil, disordered["a duplicate A&A key"]),
+		"a JSON line":               []byte(`{"site":"a.com","rank":1,"pageUrl":"http://a.com/"}`),
+		"torn":                      good[:len(good)-1],
+		"a trailing byte":           append(bytes.Clone(good), 0),
+		"another site's":            colstore.AppendPageBlock(nil, rec("b.com", "http://b.com/")),
+		"no site":                   colstore.AppendPageBlock(nil, rec("", "http://a.com/")),
+		"empty":                     nil,
+		"flipped checksum":          append(bytes.Clone(good[:len(good)-12]), append([]byte{good[len(good)-12] ^ 1}, good[len(good)-11:]...)...),
 	} {
 		rec, err := colstore.DecodePageBlock(block)
 		if err == nil {
@@ -349,11 +352,12 @@ func TestLedgerAppendLineRejectsNonRecords(t *testing.T) {
 			t.Errorf("%s: block %x accepted", name, block)
 		}
 	}
-	// A record with a null HTTP entry has no block; Append refuses it.
-	nullHTTP := rec("a.com", "a/1")
-	nullHTTP.HTTP = map[string]*analysis.DomainTraffic{"t.com": nil}
-	if err := r.l.Append("a.com", nullHTTP); err == nil {
-		t.Error("Append accepted a record with a null HTTP entry")
+	// A hand-built record whose lists are out of order never reaches
+	// the store: Append refuses it before the fold or an encoder sees it.
+	for name, rec := range disordered {
+		if err := r.l.Append("a.com", rec); err == nil || !strings.Contains(err.Error(), "follows") {
+			t.Errorf("Append of a record with %s: %v, want it refused for its order", name, err)
+		}
 	}
 	if err := r.l.Close(); err != nil {
 		t.Fatal(err)
@@ -361,6 +365,34 @@ func TestLedgerAppendLineRejectsNonRecords(t *testing.T) {
 	ds, stats := mergeSegments(t, ledgerMeta, r.l.cfg.StoreDir)
 	if stats.Pages != 1 || len(ds.Sites) != 1 {
 		t.Errorf("store holds %d pages over %d sites, want the one accepted record", stats.Pages, len(ds.Sites))
+	}
+}
+
+// outOfOrderRecords are copies of base with one list out of the
+// ascending key order a record keeps, each named for what it breaks.
+func outOfOrderRecords(base *analysis.PageRecord) map[string]*analysis.PageRecord {
+	with := func(edit func(*analysis.PageRecord)) *analysis.PageRecord {
+		r := *base
+		edit(&r)
+		return &r
+	}
+	return map[string]*analysis.PageRecord{
+		"HTTP entries out of order": with(func(r *analysis.PageRecord) {
+			r.HTTP = []analysis.PageTraffic{{Domain: "t.com", Requests: 1}, {Domain: "a.com", Requests: 1}}
+		}),
+		"a duplicate HTTP entry": with(func(r *analysis.PageRecord) {
+			r.HTTP = []analysis.PageTraffic{{Domain: "t.com", Requests: 1}, {Domain: "t.com", Requests: 2}}
+		}),
+		"sent items out of order": with(func(r *analysis.PageRecord) {
+			r.HTTP = []analysis.PageTraffic{{Domain: "t.com", Requests: 1,
+				SentItems: []analysis.Count{{Key: "user-agent", N: 1}, {Key: "cookies", N: 1}}}}
+		}),
+		"a duplicate A&A key": with(func(r *analysis.PageRecord) {
+			r.AAObs = []analysis.Count{{Key: "t.com", N: 1}, {Key: "t.com", N: 1}}
+		}),
+		"CDN keys out of order": with(func(r *analysis.PageRecord) {
+			r.CDNObs = []analysis.Count{{Key: "b.net", N: 1}, {Key: "a.net", N: 1}}
+		}),
 	}
 }
 
@@ -828,7 +860,7 @@ func FuzzAppendLine(f *testing.F) {
 		f.Add(colstore.AppendPageBlock(nil, rec), rec.Site)
 	}
 	aa := rec("a.com", "a/1")
-	aa.AAObs = map[string]int{"t.com": 1}
+	aa.AAObs = []analysis.Count{{Key: "t.com", N: 1}}
 	block := colstore.AppendPageBlock(nil, aa)
 	f.Add(block, "a.com")
 	f.Add(block, "b.com")

@@ -110,6 +110,8 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 		Seed:         seed,
 		PagesPerSite: cfg.Crawl.PagesPerSite,
 		TotalSites:   len(cfg.Sites),
+		FaultProfile: cfg.Crawl.FaultProfile,
+		FaultSeed:    cfg.Crawl.FaultSeed,
 		StoreDir:     cfg.StoreDir,
 		Resume:       cfg.Resume,
 	})
@@ -388,7 +390,8 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		// harmless and refusing it would buy nothing. A frame that is not a
 		// page block of the frame's site, or one arriving after Finalize,
 		// never reaches the store: the session drops and its leases go
-		// back to the queue.
+		// back to the queue. m.Line aliases the read buffer; the decode
+		// copies what the record keeps before the next read.
 		rec, err := colstore.DecodePageBlock(m.Line)
 		if err == nil {
 			err = c.ledger.Append(m.Site, rec)
@@ -493,23 +496,35 @@ func (c *Coordinator) logf(format string, args ...any) {
 // so a wedged peer cannot hold Close up.
 const drainedWriteTimeout = time.Second
 
-// readFrame reads one protocol frame under a fresh idle deadline.
+// readFrame reads one protocol frame under a fresh idle deadline. A
+// page frame must arrive as a binary message and every other frame as
+// text; a frame in the other kind is refused. A page's Line aliases the
+// connection's read buffer, valid until the next read.
 func readFrame(conn *wsproto.Conn, idle time.Duration) (wire.Decoded, error) {
 	_ = conn.SetReadDeadline(time.Now().Add(idle))
-	_, data, err := conn.ReadMessage()
+	op, data, err := conn.ReadMessage()
 	if err != nil {
 		return wire.Decoded{}, err
 	}
-	return wire.Decode(data)
+	dec, err := wire.Decode(data)
+	if err == nil && (op == wsproto.OpBinary) != (dec.Type == wire.TypePage) {
+		return wire.Decoded{}, fmt.Errorf("fabric: a %q frame arrived as a %s message", dec.Type, op)
+	}
+	return dec, err
 }
 
-// writeFrame encodes and sends one message frame.
+// writeFrame encodes and sends one message frame: a page as a binary
+// message, any other frame as text.
 func writeFrame(conn *wsproto.Conn, m wire.Message) error {
 	data, err := wire.Encode(m)
 	if err != nil {
 		return err
 	}
-	return conn.WriteMessage(wsproto.OpText, data)
+	op := wsproto.OpText
+	if _, ok := m.(*wire.Page); ok {
+		op = wsproto.OpBinary
+	}
+	return conn.WriteMessage(op, data)
 }
 
 // writeControl sends one payload-free frame (lease, wait, drained).

@@ -280,7 +280,9 @@ func TestE2EDistributedCrawl(t *testing.T) {
 			t.Errorf("interrupted wscrawl wrote its dataset (stat: %v)", err)
 		}
 
-		msg, err := exec.Command(crawlBin, append(args, "-workers", "4", "-resume")...).CombinedOutput()
+		// The resume repeats the profile: the store pins it, and a
+		// resume under another is another crawl's.
+		msg, err := exec.Command(crawlBin, append(args, "-workers", "4", "-fault-profile", "slow", "-resume")...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("resumed wscrawl: %v\n%s", err, msg)
 		}
@@ -340,7 +342,7 @@ func TestE2EDistributedCrawl(t *testing.T) {
 		}
 		beforeStore := storeBytes(t, storeDir)
 
-		msg, err := exec.Command(crawlBin, append(args, "-resume")...).CombinedOutput()
+		msg, err := exec.Command(crawlBin, append(args, "-fault-profile", "slow", "-resume")...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Fatalf("resume over a corrupt segment: %v, want exit status 1\n%s", err, msg)

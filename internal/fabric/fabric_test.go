@@ -493,10 +493,12 @@ func TestFabricSurvivesCoordinatorRestart(t *testing.T) {
 }
 
 // TestWorkerRefusesAChangedFaultProfile: the fault profile and its seed
-// are part of the crawl a worker reproduces, so a coordinator restarted
-// on the same address with either changed is refused at the worker's
-// reconnect, as any other change of crawl config is — even though the
-// store, whose identity does not pin the profile, resumes under it.
+// are part of the crawl, so both ends refuse a change of either. The
+// store pins them: a coordinator resumed over it with either changed
+// is refused at open, before it listens. And a worker reproduces them:
+// a coordinator restarted on the same address with either changed —
+// over a fresh store, which it can open — is refused at the worker's
+// reconnect, as any other change of crawl config is.
 func TestWorkerRefusesAChangedFaultProfile(t *testing.T) {
 	sites := testSites(24)
 	faulted := testCrawlConfig(len(sites))
@@ -538,9 +540,17 @@ func TestWorkerRefusesAChangedFaultProfile(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			opts.resume = true
 			tc.change(&opts.crawl)
-			c2 := restartTestCoordinator(t, ctx, dir, sites, opts)
+			resumed := opts
+			resumed.resume = true
+			var ce *dispatch.CheckpointError
+			if c, err := startTestCoordinator2(dir, sites, resumed); !errors.As(err, &ce) || !strings.Contains(ce.Reason, "fault") {
+				if c != nil {
+					c.Close()
+				}
+				t.Fatalf("coordinator resumed over the store with a changed %s: err = %v, want the store refused as another crawl's", tc.name, err)
+			}
+			c2 := restartTestCoordinator(t, ctx, t.TempDir(), sites, opts)
 			defer c2.Close()
 			err = <-workerDone
 			if err == nil || !strings.Contains(err.Error(), "crawl config changed across reconnect") {

@@ -105,12 +105,14 @@ func TestCoordinatorAnswersDrainedBeforeClose(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsUndecodablePage streams page frames that carry
-// no page record through real sessions: a frame whose line is valid
-// base64 but no page block (the block decode catches it) and one that
-// is not JSON at all (the frame decode does). Either way the session is dropped and logged, the
-// lease goes back to the queue, a healthy worker finishes the crawl, and
-// segment ever holds the bad bytes.
+// TestCoordinatorRejectsUndecodablePage streams frames that carry no
+// page record through real sessions: a binary page frame whose block is
+// no page block (the block decode catches it), a page frame sent as a
+// text message and a heartbeat sent as a binary one (the frame's
+// message kind does), and a binary message that is no frame (the frame
+// decode does). Each time the session is dropped, and the block decode
+// logs its refusal; the lease goes back to the queue, a healthy worker
+// finishes the crawl, and no segment ever holds the bad bytes.
 func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 	sites := testSites(6)
 	dir := t.TempDir()
@@ -125,21 +127,31 @@ func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	for i, line := range []string{`"dG9ybg=="`, `{torn`} { // base64 of "torn", and no JSON
+	for i, bad := range []struct {
+		name string
+		op   wsproto.Opcode
+		data func(wire.Batch) []byte
+	}{
+		{"a page frame of no block", wsproto.OpBinary, func(b wire.Batch) []byte {
+			return wire.AppendPage(nil, &wire.Page{Batch: b.ID, Site: b.Sites[0].Domain, Line: []byte("torn")})
+		}},
+		{"a page frame as text", wsproto.OpText, func(b wire.Batch) []byte {
+			return wire.AppendPage(nil, &wire.Page{Batch: b.ID, Site: b.Sites[0].Domain, Line: fakeBlock(b.Sites[0], 1)})
+		}},
+		{"a heartbeat as binary", wsproto.OpBinary, func(b wire.Batch) []byte {
+			data, _ := wire.Encode(&wire.Heartbeat{Batch: b.ID})
+			return data
+		}},
+		{"a binary message of no frame", wsproto.OpBinary, func(wire.Batch) []byte { return []byte("\x04\x09torn") }},
+	} {
 		conn, batch := rawSession(t, ctx, c.URL(), fmt.Sprintf("bad%d", i))
-		good, err := wire.Encode(&wire.Page{Batch: batch.ID, Site: batch.Sites[0].Domain, Line: fakeBlock(batch.Sites[0], 0)})
-		if err != nil {
+		sendFrame(t, conn, &wire.Page{Batch: batch.ID, Site: batch.Sites[0].Domain, Line: fakeBlock(batch.Sites[0], 0)})
+		if err := conn.WriteMessage(bad.op, bad.data(batch)); err != nil {
 			t.Fatal(err)
-		}
-		bad := fmt.Sprintf(`{"v":%d,"type":"page","page":{"batch":%q,"site":%q,"line":%s}}`, wire.Version, batch.ID, batch.Sites[0].Domain, line)
-		for _, frame := range [][]byte{good, []byte(bad)} {
-			if err := conn.WriteMessage(wsproto.OpText, frame); err != nil {
-				t.Fatal(err)
-			}
 		}
 		// The coordinator hangs up instead of answering.
 		if dec, err := readFrame(conn, 5*time.Second); err == nil {
-			t.Errorf("session survived page frame line %s: got %q", line, dec.Type)
+			t.Errorf("session survived %s: got %q", bad.name, dec.Type)
 		}
 		conn.Close()
 	}
@@ -152,7 +164,7 @@ func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 	}
 	logMu.Unlock()
 	if rejected != 1 {
-		t.Errorf("%d rejected-page log lines, want 1 (the other frame dies in the frame decoder)\n%s", rejected, strings.Join(logs, "\n"))
+		t.Errorf("%d rejected-page log lines, want 1 (the other frames die in the frame decoder)\n%s", rejected, strings.Join(logs, "\n"))
 	}
 
 	if err := runTestWorker(ctx, "good", c.URL(), workerOpts{seed: 1}); err != nil {

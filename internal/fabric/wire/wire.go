@@ -1,15 +1,26 @@
 // Package wire defines the fabric dispatcher's wire protocol: the
-// versioned JSON frames a crawl coordinator and its workers exchange
-// over a WebSocket (internal/wsproto) connection. (The coordinator's
-// durable state is its crawl's column store, written by its
-// dispatch.Ledger; nothing on disk is defined here.)
+// versioned frames a crawl coordinator and its workers exchange over a
+// WebSocket (internal/wsproto) connection. (The coordinator's durable
+// state is its crawl's column store, written by its dispatch.Ledger;
+// nothing on disk is defined here.)
 //
-// Every frame is one WebSocket text message holding one JSON object
-// with a mandatory "v" (protocol version) and "type" field, encoded and
-// decoded by encoding/json. Encoding goes through Encode/Decode so
-// version and type validation cannot be skipped; the exact bytes are
-// golden-tested (wire_test.go), because byte drift here is a
-// cross-process compatibility break, not a refactor.
+// Every frame but one is a WebSocket text message holding one JSON
+// object with a mandatory "v" (protocol version) and "type" field,
+// encoded and decoded by encoding/json. The page frame, one per crawled
+// page and the protocol's hot frame, is a binary message:
+//
+//	byte     Version
+//	uvarint  len(batch), then the batch ID's bytes
+//	uvarint  len(site), then the site domain's bytes
+//	...      the page block, to the end of the message
+//
+// Decode tells the two apart by their first byte: a JSON frame starts
+// with '{', a page frame with its version. Encoding goes through
+// Encode/Decode so version and type validation cannot be skipped; the
+// exact bytes are golden-tested (wire_test.go), because byte drift here
+// is a cross-process compatibility break, not a refactor. The fabric
+// holds each frame to its message type: a page frame sent as text, or
+// any other frame sent as binary, ends the session.
 //
 // Version 2 changed one frame: a page carries its record as a page
 // block — the one-record segment image of the crawl's column store
@@ -19,7 +30,9 @@
 // its seed, and a grant carries each site's attempt number (which keys
 // that site's fault schedules) where v2 carried one attempt for the
 // whole grant. A v2 worker would crawl a faulted config with no faults,
-// so it is refused at its first frame.
+// so it is refused at its first frame. Version 4 made the page frame
+// binary: v3 carried the same block as base64 inside a JSON frame,
+// which cost the coordinator a JSON and a base64 decode of every page.
 //
 // The package is deliberately pure: types, encoding, and validation
 // only — no sockets, no clocks, no goroutines. It is on the wslint
@@ -28,14 +41,16 @@
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
 // Version is the fabric protocol version. A coordinator refuses hellos
 // from other versions, and Decode refuses frames from other versions:
 // mixed fleets fail fast at the handshake, not mid-crawl.
-const Version = 3
+const Version = 4
 
 // Frame types, worker→coordinator (W→C) and coordinator→worker (C→W).
 const (
@@ -153,18 +168,21 @@ type HeartbeatAck struct {
 	Valid bool `json:"valid"`
 }
 
-// Page streams one page record as its page block.
+// Page streams one page record as its page block, in the binary page
+// frame (AppendPage).
 type Page struct {
-	Batch string `json:"batch"`
+	Batch string
 	// Site is the page's site domain (the coordinator refuses a record
 	// of another site).
-	Site string `json:"site"`
+	Site string
 	// Line is the record's page block, exactly as
-	// colstore.AppendPageBlock wrote it; JSON carries it as base64. The
-	// coordinator decodes it with colstore.DecodePageBlock and hands the
-	// record to its ledger as a local crawl hands its records, so the
-	// distributed store holds the records a local one does.
-	Line []byte `json:"line"`
+	// colstore.AppendPageBlock wrote it. The coordinator decodes it with
+	// colstore.DecodePageBlock and hands the record to its ledger as a
+	// local crawl hands its records, so the distributed store holds the
+	// records a local one does. A decoded Page's Line aliases the frame
+	// it was decoded from — the connection's read buffer — so it is
+	// valid only until the next read.
+	Line []byte
 }
 
 // Complete settles a grant.
@@ -196,7 +214,6 @@ type frame struct {
 	Grant        *Grant        `json:"grant,omitempty"`
 	Heartbeat    *Heartbeat    `json:"heartbeat,omitempty"`
 	HeartbeatAck *HeartbeatAck `json:"heartbeatAck,omitempty"`
-	Page         *Page         `json:"page,omitempty"`
 	Complete     *Complete     `json:"complete,omitempty"`
 	Fail         *Fail         `json:"fail,omitempty"`
 }
@@ -214,8 +231,12 @@ func (*Page) frameType() string         { return TypePage }
 func (*Complete) frameType() string     { return TypeComplete }
 func (*Fail) frameType() string         { return TypeFail }
 
-// Encode renders one message as a versioned frame.
+// Encode renders one message as a versioned frame: a page as its binary
+// frame, any other message as JSON.
 func Encode(m Message) ([]byte, error) {
+	if p, ok := m.(*Page); ok {
+		return AppendPage(nil, p), nil
+	}
 	f := frame{V: Version, Type: m.frameType()}
 	switch v := m.(type) {
 	case *Hello:
@@ -228,8 +249,6 @@ func Encode(m Message) ([]byte, error) {
 		f.Heartbeat = v
 	case *HeartbeatAck:
 		f.HeartbeatAck = v
-	case *Page:
-		f.Page = v
 	case *Complete:
 		f.Complete = v
 	case *Fail:
@@ -249,6 +268,20 @@ func EncodeControl(typ string) ([]byte, error) {
 	return nil, fmt.Errorf("wire: %q is not a control frame type", typ)
 }
 
+// AppendPage appends p's binary page frame to dst, growing it at most
+// once.
+func AppendPage(dst []byte, p *Page) []byte {
+	if n := 1 + 2*binary.MaxVarintLen64 + len(p.Batch) + len(p.Site) + len(p.Line); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = append(dst, Version)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Batch)))
+	dst = append(dst, p.Batch...)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Site)))
+	dst = append(dst, p.Site...)
+	return append(dst, p.Line...)
+}
+
 // Decoded is one parsed frame: its type plus the payload for that type
 // (nil for control frames).
 type Decoded struct {
@@ -258,8 +291,11 @@ type Decoded struct {
 
 // Decode parses and validates one frame: version, known type, and
 // payload presence are all enforced here so session loops never see a
-// half-formed message.
+// half-formed message. A decoded page's Line aliases data.
 func Decode(data []byte) (Decoded, error) {
+	if len(data) > 0 && data[0] != '{' {
+		return decodePage(data)
+	}
 	var f frame
 	if err := json.Unmarshal(data, &f); err != nil {
 		return Decoded{}, fmt.Errorf("wire: malformed frame: %w", err)
@@ -295,10 +331,7 @@ func Decode(data []byte) (Decoded, error) {
 		}
 		msg = f.HeartbeatAck
 	case TypePage:
-		if f.Page == nil {
-			return Decoded{}, missing(f.Type)
-		}
-		msg = f.Page
+		return Decoded{}, errJSONPage
 	case TypeComplete:
 		if f.Complete == nil {
 			return Decoded{}, missing(f.Type)
@@ -316,6 +349,38 @@ func Decode(data []byte) (Decoded, error) {
 	}
 	return Decoded{Type: f.Type, Msg: msg}, nil
 }
+
+// decodePage parses a binary page frame.
+func decodePage(data []byte) (Decoded, error) {
+	if v := data[0]; v != Version {
+		return Decoded{}, fmt.Errorf("wire: protocol version %d, this build speaks v%d", v, Version)
+	}
+	rest := data[1:]
+	field := func(what string) (string, error) {
+		n, k := binary.Uvarint(rest)
+		if k <= 0 || n > uint64(len(rest)-k) {
+			return "", fmt.Errorf("wire: page frame's %s is truncated", what)
+		}
+		s := string(rest[k : k+int(n)])
+		rest = rest[k+int(n):]
+		return s, nil
+	}
+	batch, err := field("batch")
+	if err != nil {
+		return Decoded{}, err
+	}
+	site, err := field("site")
+	if err != nil {
+		return Decoded{}, err
+	}
+	if len(rest) == 0 {
+		return Decoded{}, missing(TypePage)
+	}
+	return Decoded{Type: TypePage, Msg: &Page{Batch: batch, Site: site, Line: rest}}, nil
+}
+
+// errJSONPage refuses a page frame in JSON, v3's form of it.
+var errJSONPage = errors.New("wire: a page frame is binary, not JSON")
 
 func missing(typ string) error {
 	return fmt.Errorf("wire: frame type %q missing its payload", typ)

@@ -19,7 +19,9 @@ import (
 // A BatchRunner executes one grant — dispatch.GrantRunner's contract,
 // behind the wire: it crawls every site in it once and hands each page
 // record — already encoded as a page block (colstore.AppendPageBlock) —
-// to emit, which is done with the bytes when it returns. It must be
+// to emit. The block is valid only until emit returns: the runner may
+// build its next block in the same storage, so emit writes it out
+// synchronously and retains none of it. It must be
 // deterministic per site: re-running a site with the same crawl config
 // yields byte-identical blocks, which is what makes lease reclaims
 // and duplicate attempts harmless (the fold deduplicates identical
@@ -262,10 +264,10 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 	var emitMu sync.Mutex
 	var emitErr error
 	emit := func(site string, block []byte) error {
-		data, err := wire.Encode(&wire.Page{Batch: batch.ID, Site: site, Line: block})
-		if err == nil {
-			err = conn.WriteMessage(wsproto.OpText, data)
-		}
+		frame := pageFrames.Get().(*[]byte)
+		*frame = wire.AppendPage((*frame)[:0], &wire.Page{Batch: batch.ID, Site: site, Line: block})
+		err := conn.WriteMessage(wsproto.OpBinary, *frame)
+		pageFrames.Put(frame)
 		if err != nil {
 			emitMu.Lock()
 			if emitErr == nil {
@@ -352,6 +354,11 @@ func (w *worker) runBatch(ctx context.Context, conn *wsproto.Conn, batch wire.Ba
 		return false, nil
 	}
 }
+
+// pageFrames pools the buffers emit builds page frames in. A frame's
+// buffer goes back once WriteMessage returns, which has copied the
+// frame into the connection's write scratch.
+var pageFrames = sync.Pool{New: func() any { return new([]byte) }}
 
 // heartbeatPeriod is how often a worker heartbeats a lease of the given
 // TTL, and how often the coordinator sends a worker waiting for a grant
