@@ -66,11 +66,12 @@ func FabricSites(opts Options, spec CrawlSpec) []crawler.Site {
 // that RunCrawl runs locally.
 type FabricRunner struct {
 	plane *pagePlane
-	// blocks pools the buffers RunBatch builds page blocks in: a
-	// block is emitted synchronously and its buffer reused once emit
-	// returns, one buffer per crawl worker in flight.
-	blocks sync.Pool
 }
+
+// blockBuffers pools the buffers RunBatch builds page blocks in: a block
+// is emitted synchronously and its buffer reused once emit returns, one
+// buffer per crawl worker in flight.
+var blockBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
 // NewFabricRunner rebuilds the measurement stack from a coordinator's
 // crawl config.
@@ -121,13 +122,10 @@ func (r *FabricRunner) RunBatch(ctx context.Context, batch wire.Batch, emit func
 	}
 	var stats crawler.Stats
 	return r.plane.runGrant(ctx, sites, &stats, func(site string, rec *analysis.PageRecord) error {
-		buf, _ := r.blocks.Get().(*[]byte)
-		if buf == nil {
-			buf = new([]byte)
-		}
+		buf := blockBuffers.Get().(*[]byte)
 		*buf = colstore.AppendPageBlock((*buf)[:0], rec)
 		err := emit(site, *buf)
-		r.blocks.Put(buf)
+		blockBuffers.Put(buf)
 		return err
 	})
 }

@@ -212,14 +212,50 @@ var pageSeeds = []struct {
 	{"\x04\x02b1\x05a.com" + strings.Repeat("QUFB", 1000), true},
 }
 
+// jsonPageSeeds are page frames in JSON, the form v2 and v3 sent, as
+// v4 would read them; '@' stands for a backslash. Decode refuses every
+// one: a page frame is binary.
+var jsonPageSeeds = []string{
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE="}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":""}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":null}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com"}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE"}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xTRzE=x"}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"@u0056w=="}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1 NDT0xTRzE="}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"V1NDT0xT@nRzE="}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":{"site":"a.com"}}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":[1,2]}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":1}}`,
+	`{"v":1,"type":"page","page":{"batch":"b1","site":"a.com","line":{"site":"a.com","rank":1,"pageUrl":"p"}}}`,
+	`{"v":4,"type":"page","page":null}`,
+	`{"v":4,"type":"page","page":{}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="},"hello":{"worker":"w"}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ==","line":"Qg=="}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ==","Line":"Qg=="}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="}}}`,
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"QQ=="} }`,
+	`{"v":4,"type":"page","page":{"batch":"b@u0026@"@@","site":"a.com","line":"QQ=="}}`,
+	"{\"v\":3,\"type\":\"page\",\"page\":{\"batch\":\"\xff\",\"site\":\"a.com\",\"line\":\"QQ==\"}}",
+	`{"v":4,"type":"page","page":{"batch":"b1","site":"a.com","line":"` + strings.Repeat("QUFB", 1000) + `"}}`,
+}
+
 // TestPageFrameSeeds runs the page seeds as a plain table and pins
-// which of them Decode takes.
+// which of them Decode takes, and that it takes no JSON page seed.
 func TestPageFrameSeeds(t *testing.T) {
 	for _, seed := range pageSeeds {
 		data := []byte(seed.frame)
 		checkFrame(t, data)
 		if _, err := Decode(data); (err == nil) != seed.ok {
 			t.Errorf("Decode(%q): error %v, want one %v", data, err, !seed.ok)
+		}
+	}
+	for _, seed := range jsonPageSeeds {
+		data := []byte(strings.ReplaceAll(seed, "@", `\`))
+		checkFrame(t, data)
+		if _, err := Decode(data); err == nil {
+			t.Errorf("Decode(%.90s) accepted a JSON page frame", data)
 		}
 	}
 }
@@ -273,7 +309,7 @@ func checkFrame(t *testing.T, data []byte) {
 }
 
 // FuzzWireDecode feeds Decode hostile bytes, seeded from the golden
-// encodings and the page seeds. It must never panic, and it must agree
+// encodings, the page seeds and the JSON page seeds. It must never panic, and it must agree
 // with refDecode on every frame: the same frame accepted, the same
 // error otherwise; a page frame it accepts must encode to a frame that
 // decodes to it again. Any frame it accepts must also re-encode to
@@ -289,6 +325,9 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	for _, seed := range pageSeeds {
 		f.Add([]byte(seed.frame))
+	}
+	for _, seed := range jsonPageSeeds {
+		f.Add([]byte(strings.ReplaceAll(seed, "@", `\`)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFrame(t, data)
