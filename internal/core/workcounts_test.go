@@ -164,7 +164,8 @@ type heapCounter struct {
 	// on one P between start and stop.
 	collectorOff bool
 
-	procs               int // GOMAXPROCS before start
+	running             bool
+	procs, gcPercent    int // GOMAXPROCS and the GC percent before start
 	before              runtime.MemStats
 	mallocs, bytes, gcs uint64
 }
@@ -175,17 +176,24 @@ func (h *heapCounter) start() {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&h.before)
+	h.running = true
 	if h.collectorOff {
-		debug.SetGCPercent(-1)
+		h.gcPercent = debug.SetGCPercent(-1)
 		h.procs = runtime.GOMAXPROCS(1)
 	}
 }
 
+// stop reads the counts. Once stopped, it does nothing, so a crawl may
+// defer it to restore the collector on a failure as well.
 func (h *heapCounter) stop() {
+	if !h.running {
+		return
+	}
+	h.running = false
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	if h.collectorOff {
-		debug.SetGCPercent(100)
+		debug.SetGCPercent(h.gcPercent)
 		runtime.GOMAXPROCS(h.procs)
 	}
 	h.mallocs = after.Mallocs - h.before.Mallocs
@@ -228,6 +236,7 @@ func localWorkCrawl(t *testing.T, h *heapCounter) (int64, []workCount) {
 
 	seals, syncs := obs.StoreSeals.Value(), obs.StoreDirSyncs.Value()
 	h.start()
+	defer h.stop()
 	res, err := plane.crawl(context.Background())
 	h.stop()
 	if err != nil {
@@ -263,6 +272,7 @@ func fabricWorkCrawl(t *testing.T, h *heapCounter) (int64, []workCount) {
 
 	streamed := obs.FabricPagesStreamed.Value()
 	h.start()
+	defer h.stop()
 	werr := make(chan error, 1)
 	go func() {
 		werr <- fabric.RunWorker(ctx, fabric.WorkerConfig{
