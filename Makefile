@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 3s
 
-.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak pkg-bench-smoke examples-smoke bench bench-smoke alloc-top workcounts lint fmt-check ci clean
+.PHONY: all build vet test race fuzz-smoke chaos fabric-soak load-soak pkg-bench-smoke examples-smoke bench bench-smoke alloc-top workcounts loc lint fmt-check ci clean
 
 all: ci
 
@@ -193,6 +193,12 @@ alloc-top:
 # commit the file, so the diff shows what moved.
 workcounts:
 	$(GO) test ./internal/core -run '^TestWorkCounts$$' -count=1 -update -v
+
+# The size figure every change reports: non-test Go lines under
+# internal/ and cmd/, the linter's testdata/ fixtures included, as the
+# counts in CHANGES.md have always been taken.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

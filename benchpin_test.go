@@ -18,6 +18,7 @@ var benchPinFields = []struct{ pkg, typ, field string }{
 	{"repro/internal/browser", "Config", "ReuseScratch"},
 	{"repro/internal/colstore", "Config", "NumShards"},
 	{"repro/internal/core", "Options", "Store"},
+	{"repro/internal/core", "FabricCoordinatorOptions", "CheckpointPath"},
 	{"repro/internal/core", "FabricCoordinatorOptions", "SpoolDir"},
 }
 

@@ -254,15 +254,11 @@ func logSites(p dispatch.Progress, resumed int) {
 // every site has settled, then derives the dataset from the ledger the
 // workers' pages were appended to.
 func coordinate(ctx context.Context, opts core.Options, spec core.CrawlSpec, addr string, batchSize int, leaseTTL time.Duration, queryAddr string) (*analysis.Dataset, int, error) {
-	d := opts.Dispatch
 	coord, err := core.StartFabricCoordinator(opts, spec, core.FabricCoordinatorOptions{
-		Addr:        addr,
-		BatchSize:   batchSize,
-		LeaseTTL:    leaseTTL,
-		MaxAttempts: d.MaxAttempts,
-		StoreDir:    d.StoreDir,
-		Resume:      d.Resume,
-		Logf:        logf,
+		Addr:      addr,
+		BatchSize: batchSize,
+		LeaseTTL:  leaseTTL,
+		Logf:      logf,
 	})
 	if err != nil {
 		return nil, 0, err

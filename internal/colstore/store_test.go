@@ -531,6 +531,8 @@ func TestStoreResumeRefusesAnotherCrawl(t *testing.T) {
 		"seed":          func(c *Config) { c.Seed++ },
 		"page budget":   func(c *Config) { c.PagesPerSite++ },
 		"site count":    func(c *Config) { c.TotalSites++ },
+		"name":          func(c *Config) { c.Meta.Name = "other" },
+		"era":           func(c *Config) { c.Meta.Era = "post" },
 		"crawl index":   func(c *Config) { c.Meta.CrawlIndex++ },
 		"fault profile": func(c *Config) { c.FaultProfile = "flaky" },
 		"fault seed":    func(c *Config) { c.FaultSeed = 3 },

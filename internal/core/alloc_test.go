@@ -101,7 +101,7 @@ func crawlTenSites(t *testing.T) tenSiteCost {
 		Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 15,
 		Dispatch: &DispatchOptions{StateDir: t.TempDir()},
 	}
-	plane, err := newPagePlane(opts, DefaultCrawls()[0])
+	plane, err := newPagePlane(FabricCrawlConfig(opts, DefaultCrawls()[0]), opts.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func crawlTenSites(t *testing.T) tenSiteCost {
 	runtime.GC()
 	matches, requests := obs.MatchRequests.Value(), obs.BrowserRequests.Value()
 	runtime.ReadMemStats(&before)
-	res, err := plane.crawl(context.Background())
+	res, err := plane.crawl(context.Background(), opts.Dispatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/crawler"
 	"repro/internal/dispatch"
+	"repro/internal/fabric"
 	"repro/internal/webgen"
 )
 
@@ -74,7 +75,9 @@ type Options struct {
 	// attempt's outcome row as they arrive, seals its segments atomically
 	// at each commit and owns the crawl's fold, and which cmd/wsquery
 	// queries. Nil, like options naming no location, keeps each crawl's
-	// store in a temporary directory.
+	// store in a temporary directory; StartFabricCoordinator, which reads
+	// its location, resume flag and attempt budget from here too, refuses
+	// both.
 	Dispatch *DispatchOptions
 	// Store is read by nothing: every crawl writes its store. It stays
 	// declared only so bench/ compiles until ROADMAP 1(b).
@@ -107,17 +110,14 @@ type DispatchOptions struct {
 
 // StorePath resolves the columnar store directory of one crawl:
 // StoreDir, else store-crawlN under StateDir.
-func (d *DispatchOptions) StorePath(spec CrawlSpec) string {
+func (d *DispatchOptions) StorePath(spec CrawlSpec) string { return d.storePath(spec.CrawlIndex) }
+
+// storePath is StorePath for the crawl of index crawlIndex.
+func (d *DispatchOptions) storePath(crawlIndex int) string {
 	if d.StoreDir != "" {
 		return d.StoreDir
 	}
-	return storeIn(d.StateDir, spec)
-}
-
-// storeIn is where a crawl's store lives by default: store-crawlN in
-// dir.
-func storeIn(dir string, spec CrawlSpec) string {
-	return filepath.Join(dir, fmt.Sprintf("store-crawl%d", spec.CrawlIndex))
+	return filepath.Join(d.StateDir, fmt.Sprintf("store-crawl%d", crawlIndex))
 }
 
 // DefaultOptions returns the laptop-scale defaults.
@@ -146,29 +146,32 @@ type CrawlResult struct {
 // When opts.Dispatch names no location, the crawl's store lives in a
 // temporary directory that is removed before RunCrawl returns.
 func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, error) {
-	plane, err := newPagePlane(opts, spec)
+	opts = withDefaults(opts)
+	plane, err := newPagePlane(FabricCrawlConfig(opts, spec), opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	defer plane.Close()
-	res, err := plane.crawl(ctx)
+	res, err := plane.crawl(ctx, opts.Dispatch)
 	if err != nil {
 		return nil, fmt.Errorf("core: crawl %q: %w", spec.Name, err)
 	}
+	res.Spec = spec
 	return res, nil
 }
 
 // crawl runs the plane's sites through dispatch.Run, each grant with
-// runGrant, and counts the attempts in the result's Stats. Only state
+// runGrant, over the store d locates (nil: none) and fabric.StoreConfig
+// identifies, and counts the attempts in the result's Stats. Only state
 // that must outlive the process needs a location, and a resume reads a
 // store, so it refuses a crawl that names none.
-func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
-	var d DispatchOptions
-	if p.opts.Dispatch != nil {
-		d = *p.opts.Dispatch
+func (p *pagePlane) crawl(ctx context.Context, d *DispatchOptions) (*CrawlResult, error) {
+	var loc DispatchOptions
+	if d != nil {
+		loc = *d
 	}
-	if d.StateDir == "" && d.StoreDir == "" {
-		if d.Resume {
+	if loc.StateDir == "" && loc.StoreDir == "" {
+		if loc.Resume {
 			return nil, errors.New("resuming needs the interrupted crawl's location (StateDir or StoreDir)")
 		}
 		tmp, err := os.MkdirTemp("", "crawl-state-*")
@@ -176,32 +179,23 @@ func (p *pagePlane) crawl(ctx context.Context) (*CrawlResult, error) {
 			return nil, err
 		}
 		defer os.RemoveAll(tmp)
-		d.StateDir = tmp
+		loc.StateDir = tmp
 	}
 	var stats crawler.Stats
-	// The store pins the fault profile and seed a coordinator of the
-	// same crawl pins, so either role resumes the other's store.
-	wireCfg := FabricCrawlConfig(p.opts, p.spec)
 	res, err := dispatch.Run(ctx, dispatch.Config{
-		Meta:         FabricDatasetMeta(p.spec),
-		Sites:        p.sites,
-		Workers:      p.opts.Workers,
-		PagesPerSite: p.opts.PagesPerSite,
-		Seed:         p.crawlSeed(),
-		FaultProfile: wireCfg.FaultProfile,
-		FaultSeed:    wireCfg.FaultSeed,
+		Store:   fabric.StoreConfig(p.cfg, loc.storePath(p.cfg.CrawlIndex), loc.Resume),
+		Sites:   p.sites,
+		Workers: p.workers,
 		RunGrant: func(ctx context.Context, sites []crawler.Site, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 			_, failed, err := p.runGrant(ctx, sites, &stats, emit)
 			return failed, err
 		},
-		StoreDir: d.StorePath(p.spec),
-		Resume:   d.Resume,
-		Retry:    dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
+		Retry: dispatch.RetryPolicy{MaxAttempts: loc.MaxAttempts},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &CrawlResult{Spec: p.spec, Dataset: res.Dataset, Stats: stats, Dispatch: res}, nil
+	return &CrawlResult{Dataset: res.Dataset, Stats: stats, Dispatch: res}, nil
 }
 
 // Study is the completed four-crawl measurement.
@@ -211,8 +205,12 @@ type Study struct {
 }
 
 // RunStudy executes the paper's full methodology: two crawls before the
-// patch, two after.
+// patch, two after. The four crawls keep four stores, so a StoreDir,
+// which names one, is refused before any crawl runs.
 func RunStudy(ctx context.Context, opts Options) (*Study, error) {
+	if opts.Dispatch != nil && opts.Dispatch.StoreDir != "" {
+		return nil, errors.New("core: a study's four crawls keep four stores; name their root with Dispatch.StateDir, not one StoreDir")
+	}
 	opts = withDefaults(opts)
 	study := &Study{Options: opts}
 	for _, spec := range DefaultCrawls() {

@@ -140,10 +140,11 @@ func TestEntryPointsAgree(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				store := filepath.Join(t.TempDir(), "store")
 				faults := faultCounts()
-				coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
+				remote := opts
+				remote.Dispatch = &DispatchOptions{StoreDir: store}
+				coord, err := StartFabricCoordinator(remote, spec, FabricCoordinatorOptions{
 					Addr:      "127.0.0.1:0",
 					BatchSize: 4,
-					StoreDir:  store,
 					Logf:      t.Logf,
 				})
 				if err != nil {
@@ -211,8 +212,10 @@ func TestResumeAcrossRoles(t *testing.T) {
 	// leaves its store behind; each resume finishes the crawl in the
 	// other role and reports how many sites the store's rows marked done.
 	fabricUntil := func(t *testing.T, store string, resume, interrupt bool) ([]byte, int) {
-		coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
-			Addr: "127.0.0.1:0", BatchSize: 2, StoreDir: store, Resume: resume, Logf: t.Logf,
+		o := opts
+		o.Dispatch = &DispatchOptions{StoreDir: store, Resume: resume}
+		coord, err := StartFabricCoordinator(o, spec, FabricCoordinatorOptions{
+			Addr: "127.0.0.1:0", BatchSize: 2, Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/browser"
+	"repro/internal/fabric/wire"
 	"repro/internal/webgen"
 )
 
@@ -17,8 +18,8 @@ import (
 // reference for per-page scratch reuse lives in the browser's and the
 // recorder's own tests. It produces the same bytes as the shipping plane
 // and exists only as the differential oracle proving that.
-func newReferencePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
-	p, err := newPagePlane(opts, spec)
+func newReferencePlane(c wire.CrawlConfig, workers int) (*pagePlane, error) {
+	p, err := newPagePlane(c, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -38,12 +39,12 @@ func crawlPlane(ctx context.Context, opts Options, spec CrawlSpec, reference boo
 	if reference {
 		build = newReferencePlane
 	}
-	plane, err := build(opts, spec)
+	plane, err := build(FabricCrawlConfig(opts, spec), opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	defer plane.Close()
-	return plane.crawl(ctx)
+	return plane.crawl(ctx, opts.Dispatch)
 }
 
 // runPipeline runs one dispatched crawl on the shipping plane or the

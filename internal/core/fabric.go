@@ -11,8 +11,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -22,7 +20,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/fabric"
 	"repro/internal/fabric/wire"
-	"repro/internal/webgen"
 )
 
 // FabricCrawlConfig renders a crawl spec as the wire config the
@@ -57,7 +54,7 @@ func FabricDatasetMeta(spec CrawlSpec) analysis.DatasetMeta {
 // only needs the publisher roster — it never serves or crawls the world
 // itself; workers rebuild the full world from the same seed.
 func FabricSites(opts Options, spec CrawlSpec) []crawler.Site {
-	return siteRoster(newWorld(withDefaults(opts), spec))
+	return siteRoster(newWorld(FabricCrawlConfig(opts, spec), spec.Era))
 }
 
 // FabricRunner executes grants on a worker: it owns the page
@@ -76,23 +73,7 @@ var blockBuffers = sync.Pool{New: func() any { return new([]byte) }}
 // NewFabricRunner rebuilds the measurement stack from a coordinator's
 // crawl config.
 func NewFabricRunner(cfg wire.CrawlConfig, workers int) (*FabricRunner, error) {
-	era, err := webgen.ParseEra(cfg.Era)
-	if err != nil {
-		return nil, fmt.Errorf("core: fabric crawl config: %w", err)
-	}
-	plane, err := newPagePlane(Options{
-		Seed:          cfg.Seed,
-		NumPublishers: cfg.NumPublishers,
-		Workers:       workers,
-		PagesPerSite:  cfg.PagesPerSite,
-		FaultProfile:  cfg.FaultProfile,
-		FaultSeed:     cfg.FaultSeed,
-	}, CrawlSpec{
-		Name:           cfg.Name,
-		Era:            era,
-		CrawlIndex:     cfg.CrawlIndex,
-		BrowserVersion: cfg.BrowserVersion,
-	})
+	plane, err := newPagePlane(cfg, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -138,22 +119,11 @@ type FabricCoordinatorOptions struct {
 	BatchSize int
 	// LeaseTTL bounds unheartbeated grants (default 30s).
 	LeaseTTL time.Duration
-	// MaxAttempts is the per-site attempt budget (default 3), as on the
-	// local path.
-	MaxAttempts int
-	// CheckpointPath names no file: nothing is written at it. When
-	// StoreDir is empty it places the store, as store-crawlN in the
-	// directory of this path; bench/ sets only it.
+	// CheckpointPath and SpoolDir are read by nothing: the store's
+	// location comes from Options.Dispatch. They stay declared only so
+	// bench/ compiles until ROADMAP 1(b).
 	CheckpointPath string
-	// SpoolDir is read by nothing: no crawl writes a spool. It stays
-	// declared only so bench/ compiles until ROADMAP 1(b).
-	SpoolDir string
-	// Resume continues from the crawl's store instead of starting fresh.
-	Resume bool
-	// StoreDir is the crawl's columnar store, its one durable state (see
-	// fabric.CoordinatorConfig.StoreDir); empty means store-crawlN beside
-	// CheckpointPath. One of the two is required.
-	StoreDir string
+	SpoolDir       string
 	// Logf receives coordinator progress lines; nil means silent.
 	Logf func(format string, args ...any)
 }
@@ -161,28 +131,27 @@ type FabricCoordinatorOptions struct {
 // StartFabricCoordinator derives the site list for a crawl spec and
 // starts a coordinator serving it; its workers crawl under
 // opts.FaultProfile and opts.FaultSeed, which the welcome frame carries.
-// Its store must outlive the process, so it refuses options that name
-// no location for it, and it refuses an unknown fault profile before it
-// listens rather than let every worker fail on it.
+// The store's location, the resume flag and the attempt budget come from
+// opts.Dispatch, as RunCrawl's do. The store must outlive the process, so
+// it refuses options that name no location for it, and it refuses an
+// unknown fault profile before it listens rather than let every worker
+// fail on it.
 func StartFabricCoordinator(opts Options, spec CrawlSpec, fo FabricCoordinatorOptions) (*fabric.Coordinator, error) {
-	if fo.StoreDir == "" && fo.CheckpointPath == "" {
-		return nil, errors.New("core: a fabric coordinator needs its store's location (StoreDir or CheckpointPath)")
+	d := opts.Dispatch
+	if d == nil || d.StateDir == "" && d.StoreDir == "" {
+		return nil, errors.New("core: a fabric coordinator needs its store's location (Options.Dispatch's StateDir or StoreDir)")
 	}
 	if _, err := faultProfile(opts.FaultProfile); err != nil {
 		return nil, err
-	}
-	storeDir := fo.StoreDir
-	if storeDir == "" {
-		storeDir = storeIn(filepath.Dir(fo.CheckpointPath), spec)
 	}
 	return fabric.StartCoordinator(fo.Addr, fabric.CoordinatorConfig{
 		Crawl:     FabricCrawlConfig(opts, spec),
 		Sites:     FabricSites(opts, spec),
 		BatchSize: fo.BatchSize,
 		LeaseTTL:  fo.LeaseTTL,
-		Retry:     dispatch.RetryPolicy{MaxAttempts: fo.MaxAttempts},
-		StoreDir:  storeDir,
-		Resume:    fo.Resume,
+		Retry:     dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
+		StoreDir:  d.StorePath(spec),
+		Resume:    d.Resume,
 		Logf:      fo.Logf,
 	})
 }

@@ -32,10 +32,10 @@ func TestRecordsSurvivePageBlock(t *testing.T) {
 		publishers int
 	}{{"", 40}, {"flaky", 40}, {"torn", 8}} {
 		t.Run("faults="+row.profile, func(t *testing.T) {
-			plane, err := newPagePlane(Options{
-				Seed: 20170419, NumPublishers: row.publishers, Workers: 4, PagesPerSite: 3,
+			plane, err := newPagePlane(FabricCrawlConfig(Options{
+				Seed: 20170419, NumPublishers: row.publishers, PagesPerSite: 3,
 				FaultProfile: row.profile, FaultSeed: 1,
-			}, DefaultCrawls()[0])
+			}, DefaultCrawls()[0]), 4)
 			if err != nil {
 				t.Fatal(err)
 			}

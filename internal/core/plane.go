@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/browser"
 	"repro/internal/crawler"
+	"repro/internal/fabric/wire"
 	"repro/internal/faultnet"
 	"repro/internal/filterlist"
 	"repro/internal/labeler"
@@ -24,12 +25,12 @@ import (
 // lists and labeler behind the recorder, and the site roster, and it is
 // the only place a browser is configured and a page becomes a record.
 // Because both entry points crawl through the same plane with per-site
-// seeded browsers and hand the ledger the same records, the same
-// (Options, CrawlSpec) yields a byte-identical dataset whichever one ran
-// it (TestEntryPointsAgree).
+// seeded browsers and hand the ledger the same records, the same crawl
+// config yields a byte-identical dataset whichever one ran it
+// (TestEntryPointsAgree).
 type pagePlane struct {
-	opts      Options
-	spec      CrawlSpec
+	cfg       wire.CrawlConfig
+	workers   int
 	server    *webserver.Server
 	recorder  *analysis.Recorder
 	sites     []crawler.Site
@@ -41,13 +42,14 @@ type pagePlane struct {
 	newBrowser func(browser.Config) *browser.Browser
 }
 
-// newWorld generates the synthetic web for one crawl of the study.
-func newWorld(opts Options, spec CrawlSpec) *webgen.World {
+// newWorld generates the synthetic web a crawl config describes, in
+// era.
+func newWorld(c wire.CrawlConfig, era webgen.Era) *webgen.World {
 	return webgen.NewWorld(webgen.Config{
-		Seed:          opts.Seed,
-		NumPublishers: opts.NumPublishers,
-		Era:           spec.Era,
-		CrawlIndex:    spec.CrawlIndex,
+		Seed:          c.Seed,
+		NumPublishers: c.NumPublishers,
+		Era:           era,
+		CrawlIndex:    c.CrawlIndex,
 	})
 }
 
@@ -74,16 +76,21 @@ func faultProfile(name string) (faultnet.Profile, error) {
 	return p, nil
 }
 
-// newPagePlane generates and serves the world for one crawl and builds
-// the measurement stack over it. The caller must Close the plane.
-func newPagePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
-	opts = withDefaults(opts)
-	fault, err := faultProfile(opts.FaultProfile)
+// newPagePlane generates and serves the world a crawl config describes
+// and builds the measurement stack over it, crawling each grant with
+// workers browsers at once: a local crawl's config (FabricCrawlConfig)
+// and a worker's welcome config build the same plane. The caller must
+// Close the plane.
+func newPagePlane(c wire.CrawlConfig, workers int) (*pagePlane, error) {
+	era, err := webgen.ParseEra(c.Era)
+	if err != nil {
+		return nil, fmt.Errorf("core: crawl config: %w", err)
+	}
+	fault, err := faultProfile(c.FaultProfile)
 	if err != nil {
 		return nil, err
 	}
-	faultSeed := opts.FaultSeed + int64(spec.CrawlIndex)
-	world := newWorld(opts, spec)
+	world := newWorld(c, era)
 	server, err := webserver.Start(world)
 	if err != nil {
 		return nil, fmt.Errorf("core: start server: %w", err)
@@ -97,13 +104,13 @@ func newPagePlane(opts Options, spec CrawlSpec) (*pagePlane, error) {
 	)
 	lab.SetCDNMap(world.CloudfrontMap())
 	return &pagePlane{
-		opts:      opts,
-		spec:      spec,
+		cfg:       c,
+		workers:   workers,
 		server:    server,
 		recorder:  analysis.NewRecorder(lab),
 		sites:     siteRoster(world),
 		fault:     fault,
-		faultSeed: faultSeed,
+		faultSeed: c.FaultSeed + int64(c.CrawlIndex),
 	}, nil
 }
 
@@ -112,7 +119,7 @@ func (p *pagePlane) Close() { p.server.Close() }
 
 // crawlSeed drives link sampling and, through crawler.SiteSeed, every
 // browser of this crawl.
-func (p *pagePlane) crawlSeed() int64 { return crawler.CrawlSeed(p.opts.Seed, p.spec.CrawlIndex) }
+func (p *pagePlane) crawlSeed() int64 { return crawler.CrawlSeed(p.cfg.Seed, p.cfg.CrawlIndex) }
 
 // browserFor builds the browser for one site, seeded from (crawl seed,
 // site) alone, so a site's records are independent of worker
@@ -125,7 +132,7 @@ func (p *pagePlane) crawlSeed() int64 { return crawler.CrawlSeed(p.opts.Seed, p.
 // fault-free crawl is unchanged by it.
 func (p *pagePlane) browserFor(site crawler.Site) *browser.Browser {
 	cfg := browser.Config{
-		Version:          p.spec.BrowserVersion,
+		Version:          p.cfg.BrowserVersion,
 		Seed:             crawler.SiteSeed(p.crawlSeed(), site.Domain),
 		Fetch:            p.server.Fetch,
 		DialWS:           p.server.DialSocket,
@@ -156,8 +163,8 @@ func (p *pagePlane) faultSeedFor(attempt int) int64 {
 // crawlerConfig is the worker-pool configuration of the plane's grants.
 func (p *pagePlane) crawlerConfig(onPage func(crawler.Site, string, *browser.PageResult)) crawler.Config {
 	return crawler.Config{
-		Workers:      p.opts.Workers,
-		PagesPerSite: p.opts.PagesPerSite,
+		Workers:      p.workers,
+		PagesPerSite: p.cfg.PagesPerSite,
 		Seed:         p.crawlSeed(),
 		SiteBrowser:  p.browserFor,
 		OnPage:       onPage,

@@ -62,7 +62,7 @@ func measureCrawl(t *testing.T, publishers int) crawlCost {
 		Dispatch: &DispatchOptions{StateDir: dir},
 	}
 	spec := DefaultCrawls()[0]
-	plane, err := newPagePlane(opts, spec)
+	plane, err := newPagePlane(FabricCrawlConfig(opts, spec), opts.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func measureCrawl(t *testing.T, publishers int) crawlCost {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := plane.crawl(context.Background())
+	res, err := plane.crawl(context.Background(), opts.Dispatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,19 +167,47 @@ func TestResumeNeedsLocation(t *testing.T) {
 	}
 }
 
+// TestStudyRefusesStoreDir: a study's four crawls keep four stores, so
+// a StoreDir, which names one, is refused before the first crawl starts
+// — not after crawl 0 has filled it and crawl 1 finds it taken — and the
+// refusal names StateDir, the option that places all four.
+func TestStudyRefusesStoreDir(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "store")
+	_, err := RunStudy(context.Background(), Options{
+		Seed: 1, NumPublishers: 6, Workers: 2, PagesPerSite: 1,
+		Dispatch: &DispatchOptions{StoreDir: store},
+	})
+	if err == nil || !strings.Contains(err.Error(), "StateDir") {
+		t.Errorf("a study with one StoreDir: err = %v, want a refusal naming StateDir", err)
+	}
+	if _, serr := os.Stat(store); !os.IsNotExist(serr) {
+		t.Errorf("the refused study crawled into %s (%v)", store, serr)
+	}
+}
+
 // TestFabricCoordinatorNeedsLocation: a coordinator's store must
 // outlive the process, so options naming no location for it are refused
-// before anything is written — not placed in the working directory.
+// before anything is written — not placed in the working directory, nor
+// beside a CheckpointPath, which locates nothing.
 func TestFabricCoordinatorNeedsLocation(t *testing.T) {
 	opts := Options{Seed: 1, NumPublishers: 2, Workers: 1, PagesPerSite: 1}
 	spec := CrawlSpec{Name: "bad", Era: webgen.EraPrePatch, BrowserVersion: 57}
-	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{Addr: "127.0.0.1:0"})
-	if err == nil {
-		coord.Close()
-		t.Fatal("a coordinator without a store location started")
+	dir := t.TempDir()
+	for _, d := range []*DispatchOptions{nil, {Resume: true, MaxAttempts: 2}} {
+		opts.Dispatch = d
+		coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
+			Addr: "127.0.0.1:0", CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+		})
+		if err == nil {
+			coord.Close()
+			t.Fatalf("a coordinator without a store location started (Dispatch %+v)", d)
+		}
 	}
-	if _, serr := os.Stat(storeIn(".", spec)); !os.IsNotExist(serr) {
-		t.Errorf("the refused start left %s in the working directory (%v)", storeIn(".", spec), serr)
+	for _, root := range []string{".", dir} {
+		path := (&DispatchOptions{StateDir: root}).StorePath(spec)
+		if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+			t.Errorf("the refused start left %s (%v)", path, serr)
+		}
 	}
 }
 
@@ -200,8 +228,9 @@ func TestResumeRefusesAnotherFaultProfile(t *testing.T) {
 		return err
 	}
 	fabricRole := func(o Options, store string, resume bool) error {
+		o.Dispatch = &DispatchOptions{StoreDir: store, Resume: resume}
 		coord, err := StartFabricCoordinator(o, spec, FabricCoordinatorOptions{
-			Addr: "127.0.0.1:0", BatchSize: 4, StoreDir: store, Resume: resume,
+			Addr: "127.0.0.1:0", BatchSize: 4,
 		})
 		if err != nil {
 			return err
@@ -283,11 +312,11 @@ func runFabricWorkers(ctx context.Context, t *testing.T, coord *fabric.Coordinat
 }
 
 // TestFabricStoreDifferential streams the pinned bench-crawl world
-// through a coordinator with two real-pipeline workers: the dataset
-// Finalize derives from the coordinator's store — which, named by no
-// StoreDir, is store-crawl0 beside CheckpointPath, where no file is
-// written — must match a cold read-only open of that store byte for
-// byte, as must the live store the query API serves.
+// through a coordinator with two real-pipeline workers, located as bench
+// locates one: the dataset Finalize derives from the coordinator's store
+// — store-crawl0 under Dispatch.StateDir, beside the CheckpointPath at
+// which no file is written — must match a cold read-only open of that
+// store byte for byte, as must the live store the query API serves.
 func TestFabricStoreDifferential(t *testing.T) {
 	opts := Options{
 		Seed:          benchCrawlSeed,
@@ -297,6 +326,7 @@ func TestFabricStoreDifferential(t *testing.T) {
 	}
 	spec := CrawlSpec{Name: "bench", Era: webgen.EraPrePatch, CrawlIndex: 0, BrowserVersion: 57}
 	dir := t.TempDir()
+	opts.Dispatch = &DispatchOptions{StateDir: dir}
 
 	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
 		Addr:           "127.0.0.1:0",

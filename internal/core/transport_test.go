@@ -50,7 +50,7 @@ func crawlOver(t *testing.T, plane *pagePlane, dial func(context.Context, string
 	resolve := plane.server.Resolver()
 	cfg.SiteBrowser = func(site crawler.Site) *browser.Browser {
 		return browser.New(browser.Config{
-			Version:   plane.spec.BrowserVersion,
+			Version:   plane.cfg.BrowserVersion,
 			Seed:      crawler.SiteSeed(plane.crawlSeed(), site.Domain),
 			ResolveWS: resolve,
 			Fetch:     plane.server.Fetch,
@@ -90,7 +90,7 @@ func crawlOver(t *testing.T, plane *pagePlane, dial func(context.Context, string
 // counter by the same amount.
 func TestSocketTransportsAgree(t *testing.T) {
 	opts := Options{Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 4}
-	plane, err := newPagePlane(opts, DefaultCrawls()[0])
+	plane, err := newPagePlane(FabricCrawlConfig(opts, DefaultCrawls()[0]), opts.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSocketTransportsAgree(t *testing.T) {
 func TestReferencePlaneWireClientIsBounded(t *testing.T) {
 	base := runtime.NumGoroutine()
 	opts := Options{Seed: 20170419, NumPublishers: 40, Workers: 1, PagesPerSite: 1}
-	plane, err := newReferencePlane(opts, DefaultCrawls()[0])
+	plane, err := newReferencePlane(FabricCrawlConfig(opts, DefaultCrawls()[0]), opts.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ func localWorkCrawl(t *testing.T, h *heapCounter) (int64, []workCount) {
 	t.Helper()
 	opts := workCountOptions()
 	opts.Dispatch = &DispatchOptions{StoreDir: filepath.Join(t.TempDir(), "store")}
-	plane, err := newPagePlane(opts, DefaultCrawls()[0])
+	plane, err := newPagePlane(FabricCrawlConfig(opts, DefaultCrawls()[0]), opts.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func localWorkCrawl(t *testing.T, h *heapCounter) (int64, []workCount) {
 	seals, syncs := obs.StoreSeals.Value(), obs.StoreDirSyncs.Value()
 	h.start()
 	defer h.stop()
-	res, err := plane.crawl(context.Background())
+	res, err := plane.crawl(context.Background(), opts.Dispatch)
 	h.stop()
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +255,9 @@ func fabricWorkCrawl(t *testing.T, h *heapCounter) (int64, []workCount) {
 	spec := DefaultCrawls()[0]
 	store := filepath.Join(t.TempDir(), "store")
 	seals, syncs := obs.StoreSeals.Value(), obs.StoreDirSyncs.Value()
+	opts.Dispatch = &DispatchOptions{StoreDir: store}
 	coord, err := StartFabricCoordinator(opts, spec, FabricCoordinatorOptions{
-		Addr: "127.0.0.1:0", BatchSize: 4, StoreDir: store,
+		Addr: "127.0.0.1:0", BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

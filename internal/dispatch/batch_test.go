@@ -76,7 +76,7 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 
 	cfg2 := env.config(dir, 2, nil)
 	cfg2.commitEvery = 1
-	cfg2.Resume = true
+	cfg2.Store.Resume = true
 	res, err := Run(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if r.resumedDone != 2 {
 		t.Errorf("resumed %d done sites, want 2", r.resumedDone)
 	}
-	entries, _ := os.ReadDir(r.l.cfg.StoreDir)
+	entries, _ := os.ReadDir(r.storeDir())
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp-") {
 			t.Errorf("leftover temp file %s", e.Name())
@@ -62,50 +62,32 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointCompatible exercises every identity arm: a resume that
-// names another crawl, seed, page budget or site count than the store
-// pins is refused with the wrong-crawl hint. A local crawl and a fabric
-// coordinator pin one identity, so there is no role row.
+// TestCheckpointCompatible covers what the ledger adds to the store's
+// identity check (colstore's TestStoreResumeRefusesAnotherCrawl has a
+// row per identity field): a resume of another crawl's store is refused
+// as a *CheckpointError naming the store with the wrong-crawl hint, and a
+// resume of the same crawl is accepted.
 func TestCheckpointCompatible(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		mutate func(cfg *LedgerConfig)
-		expect string // "" = compatible
-	}{
-		{"same", func(*LedgerConfig) {}, ""},
-		{"name", func(c *LedgerConfig) { c.Meta.Name = "other" }, `crawl "other"`},
-		{"seed", func(c *LedgerConfig) { c.Seed = 2 }, "seed 2"},
-		{"pages", func(c *LedgerConfig) { c.PagesPerSite = 5 }, "5 pages"},
-		{"totalSites", func(c *LedgerConfig) { c.TotalSites = 99 }, "99 sites"},
-	} {
-		dir := t.TempDir()
-		l, err := OpenLedger(ledgerConfig(dir, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		cfg := ledgerConfig(dir, true)
-		tc.mutate(&cfg)
-		l, err = OpenLedger(cfg)
-		if tc.expect == "" {
-			if err != nil {
-				t.Errorf("%s: compatible resume refused: %v", tc.name, err)
-			} else {
-				l.Close()
-			}
-			continue
-		}
-		var ce *CheckpointError
-		if !errors.As(err, &ce) || ce.Hint != hintWrongCrawl || ce.Path != cfg.StoreDir {
-			t.Errorf("%s: error %v (%T), want a *CheckpointError on %s with the wrong-crawl hint", tc.name, err, err, cfg.StoreDir)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.expect) {
-			t.Errorf("%s: error %q missing %q", tc.name, err, tc.expect)
-		}
+	dir := t.TempDir()
+	l, err := OpenLedger(ledgerConfig(dir, false))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	foreign := ledgerConfig(dir, true)
+	foreign.Seed++
+	_, err = OpenLedger(foreign)
+	var ce *CheckpointError
+	if !errors.As(err, &ce) || ce.Hint != hintWrongCrawl || ce.Path != foreign.Dir {
+		t.Errorf("resume of another crawl's store: error %v (%T), want a *CheckpointError on %s with the wrong-crawl hint", err, err, foreign.Dir)
+	}
+	l, err = OpenLedger(ledgerConfig(dir, true))
+	if err != nil {
+		t.Fatalf("resume of the same crawl refused: %v", err)
+	}
+	l.Close()
 }
 
 // writeManifest replaces the store manifest of the ledger test crawl in
@@ -256,7 +238,7 @@ func TestWriteAtomicSyncsParentDir(t *testing.T) {
 func TestCheckpointExtentsCoverBufferedGroups(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "store")
-	l, err := OpenLedger(LedgerConfig{Meta: ledgerMeta, Seed: 1, PagesPerSite: 5, TotalSites: 1, StoreDir: storeDir})
+	l, err := OpenLedger(colstore.Config{Meta: ledgerMeta, Seed: 1, PagesPerSite: 5, TotalSites: 1, Dir: storeDir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,10 @@
 //     attempt budget (RetryPolicy). Grant.Settle is the one settle path,
 //     so a site has one outcome model in both roles.
 //   - The Ledger (ledger.go) owns everything durable: the crawl's
-//     columnar store (internal/colstore). Ledger.Append, its one entry
+//     columnar store (internal/colstore), opened from the one
+//     colstore.Config that locates and identifies it — fabric.StoreConfig
+//     derives it from a crawl's config in either role, and dispatch
+//     copies none of its fields. Ledger.Append, its one entry
 //     for pages, ingests each page record, which the store folds and
 //     encodes into its next segment;
 //     Ledger.Settled appends each settled attempt's outcome row after its
@@ -55,6 +58,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 )
 
@@ -68,37 +72,24 @@ type GrantRunner func(ctx context.Context, sites []crawler.Site, emit func(site 
 
 // Config parameterizes a local crawl.
 type Config struct {
-	// Meta names the merged dataset, and is part of the store's identity.
-	Meta analysis.DatasetMeta
+	// Store locates and identifies the crawl's columnar store, its one
+	// durable state (OpenLedger); fabric.StoreConfig derives it from the
+	// crawl's config, and Run fills TotalSites from Sites. Its Seed also
+	// drives the queue's backoff jitter. Store.Resume replays the store
+	// (when present) and skips completed sites instead of starting from
+	// scratch. The ledger commits by its one rule (Ledger.Settled), and a
+	// final commit is always made when Run returns, including on
+	// cancellation.
+	Store colstore.Config
 	// Sites is the full crawl target list, in rank order.
 	Sites []crawler.Site
 	// Workers is how many worker loops lease and crawl sites at once
 	// (default 8).
 	Workers int
-	// PagesPerSite is the per-site page budget (default 15), part of the
-	// store's identity.
-	PagesPerSite int
-	// Seed is the crawl seed, part of the store's identity; it also
-	// drives backoff jitter.
-	Seed int64
-	// FaultProfile and FaultSeed name the faults RunGrant loads pages
-	// under (empty and zero without faults), part of the store's
-	// identity: dispatch only pins them.
-	FaultProfile string
-	FaultSeed    int64
 	// RunGrant crawls each grant. It must seed its browsers per site
 	// (crawler.SiteSeed) and its faults per site and attempt, never per
 	// worker or grant, to keep retries deterministic. Required.
 	RunGrant GrantRunner
-
-	// StoreDir is the crawl's columnar store and its one durable state
-	// (LedgerConfig.StoreDir). Required.
-	StoreDir string
-	// Resume replays StoreDir (when present) and skips completed sites
-	// instead of starting from scratch. The ledger commits by its one
-	// rule (Ledger.Settled), and a final commit is always made when Run
-	// returns, including on cancellation.
-	Resume bool
 
 	// Retry is the retry policy (zero value = 3 attempts, 100ms base
 	// backoff doubling to 5s, half-delay jitter). A site may go the
@@ -136,33 +127,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.RunGrant == nil {
 		return nil, fmt.Errorf("dispatch: Config.RunGrant is required")
 	}
-	if cfg.PagesPerSite <= 0 {
-		cfg.PagesPerSite = 15
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
+	cfg.Store.TotalSites = len(cfg.Sites)
 
-	ledger, err := OpenLedger(LedgerConfig{
-		Meta:         cfg.Meta,
-		Seed:         cfg.Seed,
-		PagesPerSite: cfg.PagesPerSite,
-		TotalSites:   len(cfg.Sites),
-		FaultProfile: cfg.FaultProfile,
-		FaultSeed:    cfg.FaultSeed,
-		StoreDir:     cfg.StoreDir,
-		Resume:       cfg.Resume,
-		commitEvery:  cfg.commitEvery,
-	})
+	ledger, err := openLedger(cfg.Store, cfg.commitEvery)
 	if err != nil {
 		return nil, err
 	}
 	queue := NewQueue(cfg.Sites, QueueConfig{
 		Retry: cfg.Retry,
-		Seed:  cfg.Seed,
+		Seed:  cfg.Store.Seed,
 		Now:   cfg.now,
 	})
 	res := &Result{ResumedDone: ledger.Restore(queue)}

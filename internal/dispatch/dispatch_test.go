@@ -107,14 +107,16 @@ func (e *testEnv) config(dir string, workers int, r *testRunner) Config {
 		r = e.runner()
 	}
 	return Config{
-		Meta:         analysis.DatasetMeta{Name: "test-crawl", Era: "pre-patch", CrawlIndex: 0},
-		Sites:        e.sites,
-		Workers:      workers,
-		PagesPerSite: 3,
-		Seed:         testSeed,
-		RunGrant:     r.run,
-		StoreDir:     filepath.Join(dir, "store"),
-		Retry:        RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
+		Store: colstore.Config{
+			Dir:          filepath.Join(dir, "store"),
+			Meta:         analysis.DatasetMeta{Name: "test-crawl", Era: "pre-patch", CrawlIndex: 0},
+			Seed:         testSeed,
+			PagesPerSite: 3,
+		},
+		Sites:    e.sites,
+		Workers:  workers,
+		RunGrant: r.run,
+		Retry:    RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
 }
 
@@ -234,7 +236,7 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	if res1.Dataset != nil {
 		t.Error("cancelled run produced a dataset")
 	}
-	done := doneSites(sealedRows(t, cfg.StoreDir))
+	done := doneSites(sealedRows(t, cfg.Store.Dir))
 	if len(done) == 0 || len(done) == len(env.sites) {
 		t.Fatalf("the store marks %d sites done, want a strict subset", len(done))
 	}
@@ -243,7 +245,7 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	r2 := env.runner()
 	cfg2 := env.config(dir, 2, r2)
 	cfg2.commitEvery = 1
-	cfg2.Resume = true
+	cfg2.Store.Resume = true
 	res2, err := Run(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +359,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	// The store records the permanent failure, after one retry row per
 	// earlier attempt, for later audits.
 	var got []colstore.Outcome
-	for _, row := range sealedRows(t, cfg.StoreDir) {
+	for _, row := range sealedRows(t, cfg.Store.Dir) {
 		if row.Domain == dead {
 			got = append(got, row)
 		}
@@ -378,9 +380,9 @@ func TestRunValidatesConfig(t *testing.T) {
 		t.Error("missing RunGrant accepted")
 	}
 	missingStore := base
-	missingStore.StoreDir = ""
+	missingStore.Store.Dir = ""
 	if _, err := Run(context.Background(), missingStore); err == nil {
-		t.Error("missing StoreDir accepted")
+		t.Error("missing store Dir accepted")
 	}
 }
 
@@ -394,14 +396,14 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := env.config(dir, 1, nil)
-	bad.Resume = true
-	bad.Seed = testSeed + 1
+	bad.Store.Resume = true
+	bad.Store.Seed = testSeed + 1
 	if _, err := Run(context.Background(), bad); err == nil {
 		t.Error("seed mismatch accepted on resume")
 	}
 	cfg := env.config(dir, 1, nil)
-	cfg.PagesPerSite++
-	cfg.Resume = true
+	cfg.Store.PagesPerSite++
+	cfg.Store.Resume = true
 	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("page budget mismatch accepted on resume")
 	}

@@ -38,29 +38,6 @@ const hintStartFresh = "delete the store directory to start the crawl from scrat
 // hintWrongCrawl is the remediation for another crawl's state.
 const hintWrongCrawl = "point -store-dir (or -state) at the original crawl's store, or match the original crawl's flags"
 
-// LedgerConfig locates and identifies one crawl's durable state.
-type LedgerConfig struct {
-	// Meta names the derived dataset. With Seed, PagesPerSite,
-	// TotalSites, FaultProfile and FaultSeed it is the crawl's identity,
-	// which the store pins and a resume must match.
-	Meta         analysis.DatasetMeta
-	Seed         int64
-	PagesPerSite int
-	TotalSites   int
-	FaultProfile string
-	FaultSeed    int64
-	// StoreDir is the columnar store every page and every settled
-	// attempt's outcome row is appended to: the crawl's one durable
-	// state, queryable with cmd/wsquery while the crawl runs, and the
-	// source of its dataset. Required.
-	StoreDir string
-	// Resume replays the store (when present) and continues from it
-	// instead of starting from scratch.
-	Resume bool
-
-	commitEvery int // settled attempts per commit: max(8, TotalSites/128) unless a test pins kill points
-}
-
 // Ledger owns a crawl's durable state — the columnar store, which holds
 // its pages, the outcome row of every settled attempt, and their fold —
 // and is the only place the ordering between them exists. Its callers —
@@ -86,8 +63,8 @@ type LedgerConfig struct {
 // phase: it waits for appends in flight and later ones fail with
 // ErrFinalized, so the dataset it returns is never folded into again.
 type Ledger struct {
-	cfg   LedgerConfig
-	store *colstore.Store
+	commitEvery int // settled attempts per commit
+	store       *colstore.Store
 
 	sinceCommit atomic.Int64 // attempts settled since Settled last committed
 
@@ -98,30 +75,29 @@ type Ledger struct {
 // ErrFinalized is returned by appends that arrive after Finalize.
 var ErrFinalized = errors.New("dispatch: ledger already finalized")
 
-// OpenLedger opens a crawl's durable state, fresh or resumed. A resume
-// over a store that is damaged, has a gap in its segments, is of another
-// format version or of another crawl fails with a *CheckpointError; one
-// with no store starts fresh. Opening writes nothing but a new store's
-// manifest, so a failed open leaves the state as it found it.
-func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
-	if cfg.StoreDir == "" {
-		return nil, fmt.Errorf("dispatch: StoreDir is required")
+// OpenLedger opens a crawl's durable state, fresh or resumed: the
+// columnar store cfg locates and identifies (fabric.StoreConfig derives
+// it from a crawl's config), whose sealed segments every page and every
+// settled attempt's outcome row end up in — the crawl's one durable
+// state, queryable with cmd/wsquery while the crawl runs, and the source
+// of its dataset. A resume over a store that is damaged, has a gap in its
+// segments, is of another format version or of another crawl fails with
+// a *CheckpointError; one with no store starts fresh. Opening writes
+// nothing but a new store's manifest, so a failed open leaves the state
+// as it found it.
+func OpenLedger(cfg colstore.Config) (*Ledger, error) { return openLedger(cfg, 0) }
+
+// openLedger is OpenLedger with the commit cadence pinned: commitEvery
+// settled attempts per commit, or max(8, TotalSites/128) when it is zero.
+// Only tests pin it, to place kill points.
+func openLedger(cfg colstore.Config, commitEvery int) (*Ledger, error) {
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("dispatch: the store's Dir is required")
 	}
-	if cfg.commitEvery <= 0 {
-		cfg.commitEvery = max(8, cfg.TotalSites/128)
+	if commitEvery <= 0 {
+		commitEvery = max(8, cfg.TotalSites/128)
 	}
-	l := &Ledger{cfg: cfg}
-	var err error
-	l.store, err = colstore.Open(colstore.Config{
-		Dir:          cfg.StoreDir,
-		Meta:         cfg.Meta,
-		Seed:         cfg.Seed,
-		PagesPerSite: cfg.PagesPerSite,
-		TotalSites:   cfg.TotalSites,
-		FaultProfile: cfg.FaultProfile,
-		FaultSeed:    cfg.FaultSeed,
-		Resume:       cfg.Resume,
-	})
+	store, err := colstore.Open(cfg)
 	if err != nil && cfg.Resume {
 		var damaged *colstore.DamagedSegmentError
 		var manifest *colstore.ManifestError
@@ -129,17 +105,17 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 		case errors.As(err, &damaged):
 			// A damaged or missing sealed segment cannot be replayed or
 			// repaired, and its rows may mark sites done.
-			return nil, &CheckpointError{Path: cfg.StoreDir, Version: colstore.ManifestVersion, Reason: err.Error(), Hint: hintStartFresh}
+			return nil, &CheckpointError{Path: cfg.Dir, Version: colstore.ManifestVersion, Reason: err.Error(), Hint: hintStartFresh}
 		case errors.As(err, &manifest) && manifest.Foreign:
-			return nil, &CheckpointError{Path: cfg.StoreDir, Version: manifest.Version, Reason: err.Error(), Hint: hintWrongCrawl}
+			return nil, &CheckpointError{Path: cfg.Dir, Version: manifest.Version, Reason: err.Error(), Hint: hintWrongCrawl}
 		case errors.As(err, &manifest):
-			return nil, &CheckpointError{Path: cfg.StoreDir, Version: manifest.Version, Reason: err.Error(), Hint: hintStartFresh}
+			return nil, &CheckpointError{Path: cfg.Dir, Version: manifest.Version, Reason: err.Error(), Hint: hintStartFresh}
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return l, nil
+	return &Ledger{commitEvery: commitEvery, store: store}, nil
 }
 
 // Restore rebuilds a fresh queue from the outcome rows the store
@@ -194,7 +170,7 @@ func (l *Ledger) Settled(rows []colstore.Outcome) error {
 		return err
 	}
 	since := l.sinceCommit.Add(int64(len(rows)))
-	if since < int64(l.cfg.commitEvery) || !l.sinceCommit.CompareAndSwap(since, 0) {
+	if since < int64(l.commitEvery) || !l.sinceCommit.CompareAndSwap(since, 0) {
 		return nil // not due, or a later settle takes the commit
 	}
 	return l.Commit()

@@ -64,13 +64,13 @@ type ledgerRun struct {
 }
 
 // ledgerConfig is the config of the ledger test crawl rooted at dir.
-func ledgerConfig(dir string, resume bool) LedgerConfig {
-	return LedgerConfig{
+func ledgerConfig(dir string, resume bool) colstore.Config {
+	return colstore.Config{
 		Meta:         ledgerMeta,
 		Seed:         7,
 		PagesPerSite: ledgerPages,
 		TotalSites:   ledgerSites,
-		StoreDir:     filepath.Join(dir, "store"),
+		Dir:          filepath.Join(dir, "store"),
 		Resume:       resume,
 	}
 }
@@ -83,6 +83,9 @@ func ledgerQueue() *Queue {
 	}
 	return NewQueue(sites, QueueConfig{Seed: 7})
 }
+
+// storeDir is the ledger test crawl's store directory.
+func (r *ledgerRun) storeDir() string { return filepath.Join(r.dir, "store") }
 
 func (r *ledgerRun) open(resume bool) {
 	r.t.Helper()
@@ -154,7 +157,7 @@ func (r *ledgerRun) commit() {
 	if err := r.l.Commit(); err != nil {
 		r.t.Fatal(err)
 	}
-	checkRowsFollowPages(r.t, r.l.cfg.StoreDir, ledgerPages)
+	checkRowsFollowPages(r.t, r.storeDir(), ledgerPages)
 }
 
 // checkRowsFollowPages reads the sealed segments of the store at
@@ -193,7 +196,7 @@ func (r *ledgerRun) finish() []byte {
 	r.t.Helper()
 	r.commit()
 	ds, stats := r.l.Finalize()
-	want, mstats := mergeSegments(r.t, ledgerMeta, r.l.cfg.StoreDir)
+	want, mstats := mergeSegments(r.t, ledgerMeta, r.storeDir())
 	got := datasetBytes(r.t, ds)
 	if !bytes.Equal(got, datasetBytes(r.t, want)) {
 		r.t.Error("Finalize differs from the merge of the store's own segments")
@@ -221,7 +224,7 @@ func (r *ledgerRun) finishFromStore() []byte {
 		r.t.Fatal(err)
 	}
 	got := coldStore(r.t, r.dir)
-	want, mstats := mergeSegments(r.t, ledgerMeta, r.l.cfg.StoreDir)
+	want, mstats := mergeSegments(r.t, ledgerMeta, r.storeDir())
 	if !bytes.Equal(got, datasetBytes(r.t, want)) {
 		r.t.Error("the store read cold differs from the merge of its own segments")
 	}
@@ -299,7 +302,7 @@ func TestLedgerCommitNeverPublishesWithoutSpoolGuard(t *testing.T) {
 	defer r.l.Close()
 	r.crawl(0, 2)
 	// The store directory disappears under the seal.
-	storeDir := r.l.cfg.StoreDir
+	storeDir := r.storeDir()
 	before := ledgerState(t, storeDir)
 	if err := os.Rename(storeDir, storeDir+".moved"); err != nil {
 		t.Fatal(err)
@@ -362,7 +365,7 @@ func TestLedgerAppendLineRejectsNonRecords(t *testing.T) {
 	if err := r.l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ds, stats := mergeSegments(t, ledgerMeta, r.l.cfg.StoreDir)
+	ds, stats := mergeSegments(t, ledgerMeta, r.storeDir())
 	if stats.Pages != 1 || len(ds.Sites) != 1 {
 		t.Errorf("store holds %d pages over %d sites, want the one accepted record", stats.Pages, len(ds.Sites))
 	}
@@ -408,7 +411,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// damage changes the killed crawl's state or the config that
 		// reopens it (Resume is set) and returns the error the open must
 		// fail with, "" when it must open.
-		damage func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string
+		damage func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string
 		// hint is the refusal's *CheckpointError hint; "" for a refusal
 		// that is not about a resume.
 		hint string
@@ -417,7 +420,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		then func(t *testing.T, r *ledgerRun)
 	}{{
 		name: "another seed",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
 			cfg.Seed++
 			return "seed"
 		},
@@ -427,8 +430,8 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// manifest, which pins its identity all the same: a store of
 		// seed 7 is not folded into a crawl of seed 8.
 		name: "another seed, no checkpoint",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			if err := os.RemoveAll(cfg.StoreDir); err != nil {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
+			if err := os.RemoveAll(cfg.Dir); err != nil {
 				t.Fatal(err)
 			}
 			fresh := *cfg
@@ -446,8 +449,8 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// A segment below the highest one is gone: a gap, which only
 		// damage leaves, and its rows may have marked sites done.
 		name: "vouched segment deleted",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			if err := os.Remove(filepath.Join(cfg.StoreDir, "seg-000000.col")); err != nil {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
+			if err := os.Remove(filepath.Join(cfg.Dir, "seg-000000.col")); err != nil {
 				t.Fatal(err)
 			}
 			return "sealed segment seg-000000.col is damaged: the file is missing, and seg-000001.col follows it"
@@ -457,12 +460,12 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// A copy of the last segment lands three seqs past it: the
 		// sequence now claims more segments than it holds.
 		name: "checkpoint vouches for more segments",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			data, err := os.ReadFile(filepath.Join(cfg.StoreDir, "seg-000001.col"))
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
+			data, err := os.ReadFile(filepath.Join(cfg.Dir, "seg-000001.col"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(cfg.StoreDir, "seg-000004.col"), data, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(cfg.Dir, "seg-000004.col"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return "sealed segment seg-000002.col is damaged: the file is missing, and seg-000004.col follows it"
@@ -474,7 +477,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// segment, and with it site 4's row; the re-crawled pages fold
 		// to nothing.
 		name: "checkpoint short of shards",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
 			if err := r.l.Store().Seal(); err != nil {
 				t.Fatal(err)
 			}
@@ -496,7 +499,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// fails the segment's validation, and the resume is refused
 		// rather than replay a partial store.
 		name: "shard emptied",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
 			return damageSegment(t, cfg, "seg-000001.col", func(data []byte) []byte { return nil })
 		},
 		hint: hintStartFresh,
@@ -504,7 +507,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// The segment loses its final 7 bytes, as a torn write would
 		// leave it.
 		name: "shard cut mid-line inside its extent",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
 			return damageSegment(t, cfg, "seg-000001.col", func(data []byte) []byte { return data[:len(data)-7] })
 		},
 		hint: hintStartFresh,
@@ -513,7 +516,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// not what was sealed: the file is long enough, and only its
 		// checksum finds the tear.
 		name: "torn line inside the extent",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
 			return damageSegment(t, cfg, "seg-000001.col", func(data []byte) []byte {
 				copy(data[len(data)-7:], "garbage")
 				return data
@@ -524,7 +527,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// A flipped byte mid-segment: a complete sealed record no longer
 		// decodes.
 		name: "corrupt line inside the extent",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
 			return damageSegment(t, cfg, "seg-000000.col", func(data []byte) []byte {
 				data[len(data)/2] ^= 0xff
 				return data
@@ -534,12 +537,12 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 	}, {
 		// A segment copied into the next one's place names its own seq.
 		name: "segment under another name",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			data, err := os.ReadFile(filepath.Join(cfg.StoreDir, "seg-000001.col"))
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
+			data, err := os.ReadFile(filepath.Join(cfg.Dir, "seg-000001.col"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(cfg.StoreDir, "seg-000002.col"), data, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(cfg.Dir, "seg-000002.col"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return "sealed segment seg-000002.col is damaged: colstore: segment header names seq 1"
@@ -550,7 +553,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// retry with Resume that the error recommends must find the
 		// committed sites there.
 		name: "fresh open over the store",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
 			cfg.Resume = false
 			return "pass Resume"
 		},
@@ -566,15 +569,15 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// renamed into a segment: the open removes it, and the crawl
 		// finishes as if it had never been written.
 		name: "torn line past the extent",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			tmp := filepath.Join(cfg.StoreDir, "seg-000002.col.tmp-1")
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
+			tmp := filepath.Join(cfg.Dir, "seg-000002.col.tmp-1")
 			if err := os.WriteFile(tmp, []byte("WSCOLSG1 torn"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return ""
 		},
 		then: func(t *testing.T, r *ledgerRun) {
-			if _, err := os.Stat(filepath.Join(r.l.cfg.StoreDir, "seg-000002.col.tmp-1")); !errors.Is(err, fs.ErrNotExist) {
+			if _, err := os.Stat(filepath.Join(r.storeDir(), "seg-000002.col.tmp-1")); !errors.Is(err, fs.ErrNotExist) {
 				t.Errorf("torn seal not removed: %v", err)
 			}
 			r.crawl(4, ledgerSites)
@@ -585,8 +588,8 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 		// crawl that settled nothing — skip nothing, and are replayed:
 		// the re-crawled pages fold to nothing.
 		name: "no checkpoint file",
-		damage: func(t *testing.T, r *ledgerRun, cfg *LedgerConfig) string {
-			if err := os.RemoveAll(cfg.StoreDir); err != nil {
+		damage: func(t *testing.T, r *ledgerRun, cfg *colstore.Config) string {
+			if err := os.RemoveAll(cfg.Dir); err != nil {
 				t.Fatal(err)
 			}
 			fresh := *cfg
@@ -626,8 +629,7 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 			r.open(false)
 			r.crawl(0, 5)
 			r.append(5, 0)
-			cfg := r.l.cfg
-			cfg.Resume = true
+			cfg := ledgerConfig(r.dir, true)
 			want := tc.damage(t, r, &cfg)
 			if want == "" {
 				r.open(true)
@@ -660,9 +662,9 @@ func TestLedgerResumeFailsLoudly(t *testing.T) {
 // damageSegment rewrites the sealed segment name of cfg's store with
 // what damage makes of its bytes, and returns the refusal a resume over
 // it must fail with.
-func damageSegment(t *testing.T, cfg *LedgerConfig, name string, damage func([]byte) []byte) string {
+func damageSegment(t *testing.T, cfg *colstore.Config, name string, damage func([]byte) []byte) string {
 	t.Helper()
-	path := filepath.Join(cfg.StoreDir, name)
+	path := filepath.Join(cfg.Dir, name)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -769,7 +771,7 @@ func FuzzLedgerReplay(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Fuzz(func(t *testing.T, seg []byte, gap uint8) {
 		dir := t.TempDir()
-		cfg := LedgerConfig{Meta: ledgerMeta, Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2, StoreDir: filepath.Join(dir, "store")}
+		cfg := colstore.Config{Meta: ledgerMeta, Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2, Dir: filepath.Join(dir, "store")}
 		// A fresh open writes the store's manifest; then the fuzzed
 		// segment is put beside it.
 		l, err := OpenLedger(cfg)
@@ -779,7 +781,7 @@ func FuzzLedgerReplay(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(cfg.StoreDir, fmt.Sprintf("seg-%06d.col", gap%2))
+		path := filepath.Join(cfg.Dir, fmt.Sprintf("seg-%06d.col", gap%2))
 		if err := os.WriteFile(path, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -871,7 +873,7 @@ func FuzzAppendLine(f *testing.F) {
 	f.Add([]byte(`{torn`), "a.com")
 	f.Fuzz(func(t *testing.T, data []byte, site string) {
 		dir := t.TempDir()
-		l, err := OpenLedger(LedgerConfig{Meta: ledgerMeta, Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2, StoreDir: filepath.Join(dir, "store")})
+		l, err := OpenLedger(colstore.Config{Meta: ledgerMeta, Seed: 1, PagesPerSite: ledgerPages, TotalSites: 2, Dir: filepath.Join(dir, "store")})
 		if err != nil {
 			t.Fatal(err)
 		}

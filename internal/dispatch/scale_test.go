@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/colstore"
 	"repro/internal/crawler"
 	"repro/internal/obs"
 )
@@ -126,11 +127,9 @@ func measure(t *testing.T, n int, crawl func()) scaleCost {
 func scaleLocal(t *testing.T, n int) scaleCost {
 	dir := t.TempDir()
 	cfg := Config{
-		Meta:         analysis.DatasetMeta{Name: "scale"},
-		Sites:        scaleSites(n),
-		Workers:      1,
-		PagesPerSite: 1,
-		Seed:         1,
+		Store:   colstore.Config{Dir: filepath.Join(dir, "store"), Meta: analysis.DatasetMeta{Name: "scale"}, Seed: 1, PagesPerSite: 1},
+		Sites:   scaleSites(n),
+		Workers: 1,
 		RunGrant: func(_ context.Context, sites []crawler.Site, emit func(string, *analysis.PageRecord) error) (map[string]string, error) {
 			for _, s := range sites {
 				if err := emit(s.Domain, rec(s.Domain, "http://"+s.Domain+"/")); err != nil {
@@ -139,7 +138,6 @@ func scaleLocal(t *testing.T, n int) scaleCost {
 			}
 			return nil, nil
 		},
-		StoreDir: filepath.Join(dir, "store"),
 	}
 	var res *Result
 	cost := measure(t, n, func() {
@@ -161,12 +159,12 @@ func scaleCoordinator(t *testing.T, n int) scaleCost {
 	dir := t.TempDir()
 	sites := scaleSites(n)
 	q := NewQueue(sites, QueueConfig{Seed: 1})
-	l, err := OpenLedger(LedgerConfig{
+	l, err := OpenLedger(colstore.Config{
 		Meta:         analysis.DatasetMeta{Name: "scale"},
 		Seed:         1,
 		PagesPerSite: 1,
 		TotalSites:   n,
-		StoreDir:     filepath.Join(dir, "store"),
+		Dir:          filepath.Join(dir, "store"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func TestStoreMatchesMergeOracle(t *testing.T) {
 	if !bytes.Equal(coldStore(t, dir), got) {
 		t.Error("re-opened store dataset differs from the run's")
 	}
-	merged, stats := mergeSegments(t, cfg.Meta, cfg.StoreDir)
+	merged, stats := mergeSegments(t, cfg.Store.Meta, cfg.Store.Dir)
 	if !bytes.Equal(datasetBytes(t, merged), got) {
 		t.Error("the merge of the store's segments differs from the run's dataset")
 	}
@@ -126,14 +126,14 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
-	done := doneSites(sealedRows(t, cfg.StoreDir))
+	done := doneSites(sealedRows(t, cfg.Store.Dir))
 	if len(done) == 0 || len(done) == len(env.sites) {
 		t.Fatalf("the store marks %d sites done, want a strict subset", len(done))
 	}
 
 	cfg2 := env.config(dir, 2, nil)
 	cfg2.commitEvery = 1
-	cfg2.Resume = true
+	cfg2.Store.Resume = true
 	res2, err := Run(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestStoreKillAndResumeConverges(t *testing.T) {
 	if !bytes.Equal(coldStore(t, dir), want) {
 		t.Error("sealed store after kill+resume differs from want")
 	}
-	if merged, _ := mergeSegments(t, cfg2.Meta, cfg2.StoreDir); !bytes.Equal(datasetBytes(t, merged), want) {
+	if merged, _ := mergeSegments(t, cfg2.Store.Meta, cfg2.Store.Dir); !bytes.Equal(datasetBytes(t, merged), want) {
 		t.Error("the merge of the resumed run's segments differs from the uninterrupted run")
 	}
 }
@@ -172,14 +172,14 @@ func TestResumeFromEveryCommitBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := datasetBytes(t, full.Dataset)
-	segs, err := filepath.Glob(filepath.Join(cfg.StoreDir, "seg-*.col"))
+	segs, err := filepath.Glob(filepath.Join(cfg.Store.Dir, "seg-*.col"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) < len(env.sites) {
 		t.Fatalf("%d seals for %d sites: the crawl did not commit per site", len(segs), len(env.sites))
 	}
-	manifest, err := os.ReadFile(filepath.Join(cfg.StoreDir, "store.json"))
+	manifest, err := os.ReadFile(filepath.Join(cfg.Store.Dir, "store.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestResumeFromEveryCommitBoundary(t *testing.T) {
 
 			rcfg := env.config(dir, 2, nil)
 			rcfg.commitEvery = 1
-			rcfg.Resume = true
+			rcfg.Store.Resume = true
 			res, err := Run(context.Background(), rcfg)
 			if err != nil {
 				t.Fatalf("prefix %d (torn temp %v): %v", k, torn, err)

@@ -59,7 +59,7 @@ func settleRows(t *testing.T, dir string) []colstore.Outcome {
 	if err := r.l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return sealedRows(t, r.l.cfg.StoreDir)
+	return sealedRows(t, r.storeDir())
 }
 
 // TestJobRecordGoldenJSON pins the outcome rows Grant.Settle writes for

@@ -36,7 +36,8 @@ type CoordinatorConfig struct {
 	// streamed page record and every settled attempt's outcome row is
 	// appended to, sealed at each commit, so the crawl is queryable
 	// (cmd/wsquery, or Store for the in-process API) while it runs;
-	// Finalize derives the dataset from it. Required.
+	// Finalize derives the dataset from it. Its identity is StoreConfig's
+	// of Crawl. Required.
 	StoreDir string
 	// Resume replays StoreDir (when present) and skips completed sites
 	// instead of starting from scratch.
@@ -94,27 +95,15 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 		cfg.LeaseTTL = 30 * time.Second
 	}
 
-	// The per-crawl seed core's page plane crawls with, which is also
-	// what dispatch.Run records: a local crawl's store and a
-	// coordinator's of the same crawl pin one identity.
-	seed := crawler.CrawlSeed(cfg.Crawl.Seed, cfg.Crawl.CrawlIndex)
+	store := StoreConfig(cfg.Crawl, cfg.StoreDir, cfg.Resume)
+	store.TotalSites = len(cfg.Sites)
 	c := &Coordinator{cfg: cfg, conns: map[*wsproto.Conn]struct{}{}}
 	c.queue = dispatch.NewQueue(cfg.Sites, dispatch.QueueConfig{
 		LeaseTTL: cfg.LeaseTTL,
 		Retry:    cfg.Retry,
-		Seed:     seed,
+		Seed:     store.Seed,
 	})
-
-	ledger, err := dispatch.OpenLedger(dispatch.LedgerConfig{
-		Meta:         c.meta(),
-		Seed:         seed,
-		PagesPerSite: cfg.Crawl.PagesPerSite,
-		TotalSites:   len(cfg.Sites),
-		FaultProfile: cfg.Crawl.FaultProfile,
-		FaultSeed:    cfg.Crawl.FaultSeed,
-		StoreDir:     cfg.StoreDir,
-		Resume:       cfg.Resume,
-	})
+	ledger, err := dispatch.OpenLedger(store)
 	if err != nil {
 		return nil, err
 	}
@@ -137,10 +126,25 @@ func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) 
 	return c, nil
 }
 
-// meta is the dataset identity the crawl config implies — the same one
-// core.FabricDatasetMeta derives from the spec the config came from.
-func (c *Coordinator) meta() analysis.DatasetMeta {
-	return analysis.DatasetMeta{Name: c.cfg.Crawl.Name, Era: c.cfg.Crawl.Era, CrawlIndex: c.cfg.Crawl.CrawlIndex}
+// StoreConfig is the one mapping from a crawl's config to the store it
+// pins, in either role: a local crawl (core's page plane) and a
+// coordinator of the same crawl open the same identity, so either
+// resumes the other's store. The identity is the dataset's name, era and
+// crawl index, the per-crawl seed the page plane crawls with
+// (crawler.CrawlSeed), the page budget and the fault profile and seed.
+// The browser version and the roster size are not in it: the crawl's
+// browser has no extension installed, so its version moves no dataset
+// byte, and the driver fills TotalSites from the site list it queues.
+func StoreConfig(c wire.CrawlConfig, dir string, resume bool) colstore.Config {
+	return colstore.Config{
+		Dir:          dir,
+		Meta:         analysis.DatasetMeta{Name: c.Name, Era: c.Era, CrawlIndex: c.CrawlIndex},
+		Seed:         crawler.CrawlSeed(c.Seed, c.CrawlIndex),
+		PagesPerSite: c.PagesPerSite,
+		FaultProfile: c.FaultProfile,
+		FaultSeed:    c.FaultSeed,
+		Resume:       resume,
+	}
 }
 
 // Addr returns the coordinator's listen address.
@@ -188,8 +192,8 @@ func (c *Coordinator) Store() *colstore.Store { return c.ledger.Store() }
 // must be the identity the crawl config implies; it is checked, not
 // used.
 func (c *Coordinator) Finalize(meta analysis.DatasetMeta) (*analysis.Dataset, analysis.MergeStats, error) {
-	if meta != c.meta() {
-		return nil, analysis.MergeStats{}, fmt.Errorf("fabric: Finalize for dataset %+v, but the crawl is %+v", meta, c.meta())
+	if want := c.Store().Meta(); meta != want {
+		return nil, analysis.MergeStats{}, fmt.Errorf("fabric: Finalize for dataset %+v, but the crawl is %+v", meta, want)
 	}
 	ds, stats := c.ledger.Finalize()
 	return ds, stats, nil

@@ -20,8 +20,9 @@
 //     one entry, as a local crawl's records do — so the coordinator's
 //     store holds the same records a local crawl's does, each settled site's outcome row follows its pages into that
 //     store, and progress is committed by the ledger's one commit rule
-//     (either role resumes the other's store); and the final dataset
-//     comes from the ledger's one finalize rule;
+//     (either role resumes the other's store, because both derive its
+//     identity from the crawl config by StoreConfig); and the final
+//     dataset comes from the ledger's one finalize rule;
 //   - the crawl's fault profile travels in the welcome frame's
 //     CrawlConfig, so workers crawl under the faults a local crawl
 //     draws; workers survive coordinator restarts via seeded dial

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,14 +217,14 @@ func startTestCoordinator(t *testing.T, dir string, sites []crawler.Site, o coor
 type workerOpts struct {
 	seed   int64
 	delay  time.Duration
-	fault  string
+	fault  faultnet.Profile // wraps each link conn, when enabled
+	dials  *atomic.Int64    // counts the wrapped link conns, when set
 	faults *siteFaults
 }
 
 func runTestWorker(ctx context.Context, name, url string, o workerOpts) error {
 	var wrap func(net.Conn) net.Conn
-	if o.fault != "" {
-		p, _ := faultnet.ByName(o.fault)
+	if o.fault.Enabled() {
 		var mu sync.Mutex
 		dial := o.seed
 		wrap = func(nc net.Conn) net.Conn {
@@ -231,7 +232,10 @@ func runTestWorker(ctx context.Context, name, url string, o workerOpts) error {
 			dial++
 			seed := dial
 			mu.Unlock()
-			return faultnet.WrapConn(nc, p, seed)
+			if o.dials != nil {
+				o.dials.Add(1)
+			}
+			return faultnet.WrapConn(nc, o.fault, seed)
 		}
 	}
 	return RunWorker(ctx, WorkerConfig{
@@ -719,23 +723,53 @@ func TestWorkerFailsFastWhenUnreachable(t *testing.T) {
 	}
 }
 
+// linkCut arms a byte budget on every link conn: above what a session
+// writes to finish its first grant (≈ 0.3 KB of handshake and hello, then
+// ≈ 1.1 KB of lease, page and complete frames for a grant of three sites
+// at testPages pages), below what it writes to finish a second. So every
+// session completes one grant and is cut or reset during the next, and a
+// worker that crawls two grants must redial and go on: unlike flaky's,
+// whose budgets arm on few conns and mostly outlast them, these fire on
+// every run.
+var linkCut = faultnet.Profile{Name: "link-cut", TruncateProb: 1, TruncateMin: 2048, TruncateMax: 2400, ResetProb: 0.5}
+
+// mustProfile returns the registered faultnet profile name.
+func mustProfile(t *testing.T, name string) faultnet.Profile {
+	t.Helper()
+	p, ok := faultnet.ByName(name)
+	if !ok {
+		t.Fatalf("no faultnet profile %q", name)
+	}
+	return p
+}
+
 // TestFabricSoak runs the full fleet under hostile faultnet profiles on
 // its links: timing distortion (slow) and mid-stream connection death
-// (flaky). Each worker wraps its dials (WorkerConfig.WrapConn), and a
-// wrapped conn's read and write budgets fault both directions of the
-// link. The crawl must still drain, converge to the exact canonical
-// page set, and leak no goroutines; under flaky, budgets must actually
-// be spent, so the soak cannot pass with no fault firing. This is the
-// distributed counterpart of the browser-path chaos tests.
+// (flaky, and linkCut on every conn). Each worker wraps its dials
+// (WorkerConfig.WrapConn), and a wrapped conn's read and write budgets
+// fault both directions of the link. The crawl must still drain,
+// converge to the exact canonical page set, and leak no goroutines;
+// under flaky, budgets must actually be spent, and under linkCut every
+// worker's link must die at least once, so neither row can pass with no
+// fault firing. This is the distributed counterpart of the browser-path
+// chaos tests.
 func TestFabricSoak(t *testing.T) {
 	numSites := 24
 	if testing.Short() {
 		numSites = 12
 	}
-	sites := testSites(numSites)
-	want := expectedLines(sites, testPages)
 	base := runtime.NumGoroutine()
-	for _, profile := range []string{"slow", "flaky"} {
+	for _, row := range []struct {
+		profile faultnet.Profile
+		sites   int // eight grants of three, in either mode: each worker crawls several
+	}{
+		{profile: mustProfile(t, "slow"), sites: numSites},
+		{profile: mustProfile(t, "flaky"), sites: numSites},
+		{profile: linkCut, sites: 24},
+	} {
+		profile := row.profile.Name
+		sites := testSites(row.sites)
+		want := expectedLines(sites, testPages)
 		t.Run(profile, func(t *testing.T) {
 			dir := t.TempDir()
 			before := obs.Default.Snapshot()
@@ -745,12 +779,13 @@ func TestFabricSoak(t *testing.T) {
 			defer cancel()
 			var wg sync.WaitGroup
 			errs := make([]error, 2)
+			dials := make([]atomic.Int64, len(errs))
 			for i := range errs {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
 					errs[i] = runTestWorker(ctx, fmt.Sprintf("w%d", i), c.URL(), workerOpts{
-						seed: int64(100 + i), delay: time.Millisecond, fault: profile,
+						seed: int64(100 + i), delay: time.Millisecond, fault: row.profile, dials: &dials[i],
 					})
 				}(i)
 			}
@@ -770,9 +805,22 @@ func TestFabricSoak(t *testing.T) {
 			after := obs.Default.Snapshot()
 			delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
 			cuts, resets := delta(obs.MFaultCuts), delta(obs.MFaultResets)
-			t.Logf("%s: %d faulted conns, %d cuts, %d resets", profile, delta(obs.MFaultConns), cuts, resets)
+			t.Logf("%s: %d faulted conns, %d cuts, %d resets, dials per worker %d/%d",
+				profile, delta(obs.MFaultConns), cuts, resets, dials[0].Load(), dials[1].Load())
 			if profile == "flaky" && cuts+resets == 0 {
 				t.Errorf("no flaky budget was spent: the soak ran without faults")
+			}
+			if row.profile == linkCut {
+				// Nothing but a cut or a reset ends a session before the
+				// queue drains, so a second dial means the first link died.
+				for i := range dials {
+					if n := dials[i].Load(); n < 2 {
+						t.Errorf("worker %d dialed %d link conns: its link was never cut", i, n)
+					}
+				}
+				if cuts+resets < int64(len(dials)) {
+					t.Errorf("%d cuts and %d resets, want at least one per worker", cuts, resets)
+				}
 			}
 		})
 	}

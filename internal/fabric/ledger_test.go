@@ -26,6 +26,44 @@ import (
 // drains the queue hears so before Close, and a coordinator killed
 // mid-crawl resumes to the uninterrupted dataset.
 
+// TestStoreConfig: StoreConfig is the one mapping from a crawl config to
+// the store identity a local crawl and a coordinator both pin. Every
+// field that identifies the crawl moves it. The browser version and the
+// roster size do not: the crawl's browser has no extension installed, so
+// its version moves no dataset byte (crawls at Chrome 57 and 61 over 20
+// publishers write identical datasets), and the roster size is pinned
+// already, as the TotalSites each driver fills from the sites it queues.
+func TestStoreConfig(t *testing.T) {
+	base := testCrawlConfig(8)
+	base.CrawlIndex, base.FaultProfile, base.FaultSeed = 1, "flaky", 3
+	want := StoreConfig(base, "store", true)
+	if want.Dir != "store" || !want.Resume || want.TotalSites != 0 ||
+		want.Seed != crawler.CrawlSeed(base.Seed, base.CrawlIndex) || want.Meta.Name != base.Name {
+		t.Fatalf("StoreConfig(%+v) = %+v", base, want)
+	}
+	for _, row := range []struct {
+		field  string
+		moves  bool
+		change func(*wire.CrawlConfig)
+	}{
+		{"name", true, func(c *wire.CrawlConfig) { c.Name = "other" }},
+		{"era", true, func(c *wire.CrawlConfig) { c.Era = "post" }},
+		{"crawl index", true, func(c *wire.CrawlConfig) { c.CrawlIndex++ }},
+		{"seed", true, func(c *wire.CrawlConfig) { c.Seed++ }},
+		{"page budget", true, func(c *wire.CrawlConfig) { c.PagesPerSite++ }},
+		{"fault profile", true, func(c *wire.CrawlConfig) { c.FaultProfile = "torn" }},
+		{"fault seed", true, func(c *wire.CrawlConfig) { c.FaultSeed++ }},
+		{"browser version", false, func(c *wire.CrawlConfig) { c.BrowserVersion = 61 }},
+		{"publishers", false, func(c *wire.CrawlConfig) { c.NumPublishers++ }},
+	} {
+		c := base
+		row.change(&c)
+		if moved := StoreConfig(c, "store", true) != want; moved != row.moves {
+			t.Errorf("changing the %s moved the store's identity: %v, want %v", row.field, moved, row.moves)
+		}
+	}
+}
+
 // rawSession opens a worker session by hand — hello, welcome, lease,
 // grant — and returns the conn plus the granted batch.
 func rawSession(t *testing.T, ctx context.Context, url, name string) (*wsproto.Conn, wire.Batch) {
