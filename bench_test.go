@@ -102,10 +102,11 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates the initiator/receiver pairs (Table 4).
 func BenchmarkTable4(b *testing.B) {
 	ds := benchStudy(b)
+	sec := analysis.Lookup("table", "4")
 	var rows []analysis.PairRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Table4(15, ds...)
+		rows = sec.Cut(sec.Rows(analysis.UnionAASet(ds...), ds...), 15).([]analysis.PairRow)
 	}
 	b.StopTimer()
 	for _, r := range rows {
@@ -118,10 +119,11 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkTable5 regenerates the content analysis (Table 5).
 func BenchmarkTable5(b *testing.B) {
 	ds := benchStudy(b)
+	sec := analysis.Lookup("table", "5")
 	var res analysis.Table5Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = analysis.Table5(ds...)
+		res = sec.Rows(analysis.UnionAASet(ds...), ds...).(analysis.Table5Result)
 	}
 	b.StopTimer()
 	for _, r := range res.Sent {
@@ -427,7 +429,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 				// Follow the widget script's own requests (beacons,
 				// pixels): that is where partial-rule domains earn
 				// their a(d) observations.
-				res, ok := w.Get(su)
+				res, ok := w.GetURL(parseURL(b, su))
 				if !ok {
 					continue
 				}
@@ -493,10 +495,10 @@ func BenchmarkFilterMatch(b *testing.B) {
 		filterlist.Parse("easyprivacy", w.EasyPrivacyText()),
 	)
 	urls := []*urlutil.URL{
-		urlutil.MustParse("http://cdn.doubleclick.net/w.js?pub=x&pg=1"),
-		urlutil.MustParse("http://benign.example/lib/app.js"),
-		urlutil.MustParse("ws://intercom.io/ws?sid=1&n=1"),
-		urlutil.MustParse("http://cdn.google-analytics.com/track/b?pub=x"),
+		parseURL(b, "http://cdn.doubleclick.net/w.js?pub=x&pg=1"),
+		parseURL(b, "http://benign.example/lib/app.js"),
+		parseURL(b, "ws://intercom.io/ws?sid=1&n=1"),
+		parseURL(b, "http://cdn.google-analytics.com/track/b?pub=x"),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -636,4 +638,15 @@ func BenchmarkAblationFeatureBlock(b *testing.B) {
 	per := float64(b.N)
 	b.ReportMetric(float64(created)/per, "sockets_opened/op")
 	b.ReportMetric(float64(blocked)/per, "sockets_blocked/op")
+}
+
+// parseURL is urlutil.Parse for a test's URL literals: a malformed one
+// fails the test.
+func parseURL(tb testing.TB, raw string) *urlutil.URL {
+	tb.Helper()
+	u, err := urlutil.Parse(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
 }

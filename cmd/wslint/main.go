@@ -3,10 +3,11 @@
 // guard for the invariants behind the reproduction's recorded bytes
 // that no test or `go vet` holds: deterministic packages stay seeded,
 // map order never reaches output, instrumentation stays observe-only,
-// and the serving plane's deadlines and lock annotations hold
-// (DESIGN.md §9). The module is parsed and type-checked from source; a
-// package that fails to parse or type-check surfaces as "load"
-// diagnostics and is not linted further.
+// the serving plane's deadlines and lock annotations hold, and every
+// declaration under internal/ has a non-test use (DESIGN.md §9). The
+// module is parsed and type-checked from source; a package that fails
+// to parse or type-check surfaces as "load" diagnostics and is not
+// linted further.
 //
 // Usage:
 //
@@ -14,6 +15,8 @@
 //
 // Patterns are module-relative: "./..." (or none) lints everything;
 // "./internal/webgen" lints one directory; "./internal/..." a subtree.
+// The whole module is loaded either way, so a use from an unselected
+// package still counts.
 // -json emits a stable object: {"diagnostics": [...], "suppressed":
 // {analyzer: count}}, diagnostics sorted by file/line/col/analyzer
 // across packages and every registered analyzer present in suppressed
@@ -57,16 +60,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pkgs, err := lint.LoadModule(root)
+	res, err := lintModule(root, flag.Args(), analyzers)
 	if err != nil {
 		fatal(err)
 	}
-	pkgs, err = filterPackages(pkgs, root, flag.Args())
-	if err != nil {
-		fatal(err)
-	}
-
-	res := lint.Run(pkgs, analyzers)
 	diags := res.Diagnostics
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -88,6 +85,21 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// lintModule loads the module at root and lints the packages the
+// patterns select. Every loaded package stays the analyzers' module, so
+// a subset run sees each caller the full run sees.
+func lintModule(root string, patterns []string, analyzers []*lint.Analyzer) (lint.Result, error) {
+	pkgs, err := lint.LoadModule(root)
+	if err != nil {
+		return lint.Result{}, err
+	}
+	selected, err := filterPackages(pkgs, root, patterns)
+	if err != nil {
+		return lint.Result{}, err
+	}
+	return lint.Run(pkgs, selected, analyzers), nil
 }
 
 // filterPackages applies go-style directory patterns to the loaded

@@ -12,9 +12,6 @@
 package adblock
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/devtools"
 	"repro/internal/filterlist"
 	"repro/internal/webrequest"
@@ -32,26 +29,19 @@ const (
 	AllURLs
 )
 
-// Blocker is a filter-list-driven blocking extension. The pass path
-// (no rule matched — almost all crawl traffic) touches no lock: the
-// blocked tally is atomic and the per-rule histogram lock is taken only
-// on actual cancellations.
+// Blocker is a filter-list-driven blocking extension.
 type Blocker struct {
-	name    string
-	group   *filterlist.Group
-	style   PatternStyle
-	blocked atomic.Int64
-	mu      sync.Mutex // guards byRule
-	byRule  map[string]int
+	name  string
+	group *filterlist.Group
+	style PatternStyle
 }
 
 // New builds a blocker over the given rule lists.
 func New(name string, style PatternStyle, lists ...*filterlist.List) *Blocker {
 	return &Blocker{
-		name:   name,
-		group:  filterlist.NewGroup(lists...),
-		style:  style,
-		byRule: map[string]int{},
+		name:  name,
+		group: filterlist.NewGroup(lists...),
+		style: style,
 	}
 }
 
@@ -86,25 +76,5 @@ func (b *Blocker) onBeforeRequest(d webrequest.Details) webrequest.BlockingRespo
 	if !decision.Blocked {
 		return webrequest.BlockingResponse{}
 	}
-	b.blocked.Add(1)
-	b.mu.Lock()
-	b.byRule[decision.Rule.Raw]++
-	b.mu.Unlock()
 	return webrequest.BlockingResponse{Cancel: true, Rule: decision.Rule.Raw}
-}
-
-// BlockedCount returns how many requests the blocker cancelled.
-func (b *Blocker) BlockedCount() int {
-	return int(b.blocked.Load())
-}
-
-// TopRules returns rule hit counts.
-func (b *Blocker) TopRules() map[string]int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]int, len(b.byRule))
-	for k, v := range b.byRule {
-		out[k] = v
-	}
-	return out
 }

@@ -33,19 +33,14 @@ func TestBlockerCancelsListedResources(t *testing.T) {
 
 	if v := reg.Dispatch(details("http://cdn.adnet.example/ad.js", devtools.ResourceScript)); !v.Cancelled {
 		t.Error("listed script not blocked")
+	} else if v.Rule != "||adnet.example^$third-party" {
+		t.Errorf("listed script blocked by rule %q", v.Rule)
 	}
 	if v := reg.Dispatch(details("http://benign.example/lib.js", devtools.ResourceScript)); v.Cancelled {
 		t.Error("benign script blocked")
 	}
 	if v := reg.Dispatch(details("ws://wsnet.example/s", devtools.ResourceWebSocket)); !v.Cancelled {
 		t.Error("$websocket rule not applied on patched browser")
-	}
-	if b.BlockedCount() != 2 {
-		t.Errorf("blocked count = %d", b.BlockedCount())
-	}
-	rules := b.TopRules()
-	if rules["||adnet.example^$third-party"] != 1 {
-		t.Errorf("rule stats = %v", rules)
 	}
 }
 
@@ -77,9 +72,6 @@ func TestWRBDefeatsEvenAllURLs(t *testing.T) {
 	b.Install(reg)
 	if v := reg.Dispatch(details("ws://wsnet.example/s", devtools.ResourceWebSocket)); v.Cancelled || v.Dispatched {
 		t.Errorf("WRB bypassed: %+v", v)
-	}
-	if b.BlockedCount() != 0 {
-		t.Error("blocker saw a websocket through the WRB")
 	}
 }
 

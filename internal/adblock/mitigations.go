@@ -1,8 +1,6 @@
 package adblock
 
 import (
-	"sync/atomic"
-
 	"repro/internal/devtools"
 	"repro/internal/filterlist"
 	"repro/internal/urlutil"
@@ -17,11 +15,12 @@ import (
 // stopgap during the five unpatched years.
 type SocketGuardBlocker struct {
 	*Blocker
-	guarded atomic.Int64
 }
 
 // NewSocketGuard builds a blocker whose WebSocket decisions also run as
 // a page-level guard. The underlying filter evaluation is shared.
+//
+//lint:allow unusedapi the paper's uBO-Extra mitigation (§2.3), kept as a model: browser's tests and the root BenchmarkAblationUBOExtra drive it
 func NewSocketGuard(name string, style PatternStyle, lists ...*filterlist.List) *SocketGuardBlocker {
 	return &SocketGuardBlocker{Blocker: New(name, style, lists...)}
 }
@@ -41,13 +40,7 @@ func (g *SocketGuardBlocker) AllowSocket(pageURL, socketURL string) (bool, strin
 	if !d.Blocked {
 		return true, ""
 	}
-	g.guarded.Add(1)
 	return false, d.Rule.Raw
-}
-
-// GuardedCount returns how many sockets the page-level wrapper vetoed.
-func (g *SocketGuardBlocker) GuardedCount() int {
-	return int(g.guarded.Load())
 }
 
 // FeatureBlocker disables a whole browser feature rather than matching
@@ -57,10 +50,11 @@ func (g *SocketGuardBlocker) GuardedCount() int {
 // WebSocket it can see and, as a guard, every one it cannot.
 type FeatureBlocker struct {
 	name string
-	hits atomic.Int64
 }
 
 // NewFeatureBlocker builds a block-all-WebSockets extension.
+//
+//lint:allow unusedapi the paper's disable-the-feature mitigation (Snyder et al.), kept as a model: browser's tests and the root BenchmarkAblationFeatureBlock drive it
 func NewFeatureBlocker(name string) *FeatureBlocker {
 	return &FeatureBlocker{name: name}
 }
@@ -74,22 +68,11 @@ func (f *FeatureBlocker) Install(reg *webrequest.Registry) {
 		[]webrequest.MatchPattern{webrequest.MustParseMatchPattern("<all_urls>")},
 		[]devtools.ResourceType{devtools.ResourceWebSocket},
 		func(webrequest.Details) webrequest.BlockingResponse {
-			f.count()
 			return webrequest.BlockingResponse{Cancel: true, Rule: "feature:websocket"}
 		})
 }
 
 // AllowSocket implements browser.SocketGuard: nothing gets through.
 func (f *FeatureBlocker) AllowSocket(pageURL, socketURL string) (bool, string) {
-	f.count()
 	return false, "feature:websocket"
-}
-
-func (f *FeatureBlocker) count() {
-	f.hits.Add(1)
-}
-
-// BlockedCount returns how many sockets were cancelled.
-func (f *FeatureBlocker) BlockedCount() int {
-	return int(f.hits.Load())
 }

@@ -218,7 +218,8 @@ func TestTable3(t *testing.T) {
 
 func TestTable4(t *testing.T) {
 	pre, post := fixtureDatasets()
-	rows := Table4(15, pre, post)
+	s := Lookup("table", "4")
+	rows := s.Cut(s.Rows(UnionAASet(pre, post), pre, post), 15).([]PairRow)
 	if len(rows) == 0 {
 		t.Fatal("no pairs")
 	}
@@ -248,7 +249,8 @@ func TestTable4(t *testing.T) {
 // self-aggregate row, and leaves the full rows it cut from untouched.
 func TestTable4Cut(t *testing.T) {
 	pre, post := fixtureDatasets()
-	full := Table4(0, pre, post)
+	s := Lookup("table", "4")
+	full := s.Rows(UnionAASet(pre, post), pre, post).([]PairRow)
 	ranked, self := full[:len(full)-1], full[len(full)-1]
 	if !self.SelfAggregate || len(ranked) < 2 {
 		t.Fatalf("fixture gives %d ranked pairs, self row %+v", len(ranked), self)
@@ -260,8 +262,8 @@ func TestTable4Cut(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("cut to %d: %+v, want %+v", top, got, want)
 		}
-		if fmt.Sprint(Table4(top, pre, post)) != fmt.Sprint(want) {
-			t.Errorf("Table4(%d) differs from the cut of the full table", top)
+		if fmt.Sprint(s.Cut(s.Rows(UnionAASet(pre, post), pre, post), top)) != fmt.Sprint(want) {
+			t.Errorf("table 4 cut to %d differs from the cut of the full table", top)
 		}
 	}
 	if fmt.Sprint(full) != before {
@@ -271,7 +273,7 @@ func TestTable4Cut(t *testing.T) {
 
 func TestTable5(t *testing.T) {
 	pre, post := fixtureDatasets()
-	res := Table5(pre, post)
+	res := Lookup("table", "5").Rows(UnionAASet(pre, post), pre, post).(Table5Result)
 	// A&A sockets: pre has 5 (all but feed/pub-d... feed01 is non-A&A
 	// receiver AND non-A&A chain; pub-d same) -> 4 pre + 3 post = 7.
 	if res.AASockets != 7 {

@@ -269,13 +269,9 @@ type PairRow struct {
 	SelfAggregate bool
 }
 
-// Table4 ranks initiator/receiver pairs with at least one A&A party,
-// aggregating self-pairs into one final row as the paper does.
-func Table4(topN int, datasets ...*Dataset) []PairRow {
-	return cutPairs(table4(UnionAASet(datasets...), datasets), topN)
-}
-
-// table4 is every ranked row of Table 4, then the self-aggregate row.
+// table4 ranks initiator/receiver pairs with at least one A&A party:
+// every ranked row, then one final row aggregating the self-pairs, as
+// the paper does.
 func table4(aa map[string]bool, datasets []*Dataset) []PairRow {
 	type key struct{ init, recv string }
 	pairs := map[key]int{}
@@ -375,10 +371,8 @@ type Table5Result struct {
 	PctWSNoSent, PctWSNoRecv float64
 }
 
-// Table5 classifies content flowing over A&A sockets versus HTTP/S to
+// table5 classifies content flowing over A&A sockets versus HTTP/S to
 // A&A domains.
-func Table5(datasets ...*Dataset) Table5Result { return table5(UnionAASet(datasets...), datasets) }
-
 func table5(aa map[string]bool, datasets []*Dataset) Table5Result {
 	var res Table5Result
 	wsItems := map[string]int{}

@@ -322,12 +322,6 @@ func (b *Browser) Release() {
 	}
 }
 
-// Version returns the modeled Chrome version.
-func (b *Browser) Version() int { return b.cfg.Version }
-
-// UserAgent returns the browser's User-Agent string.
-func (b *Browser) UserAgent() string { return b.state.UserAgent }
-
 // PageResult is the outcome of one page load. The browser reuses its
 // per-page storage — the trace and its event slabs, the ID allocator,
 // the request-header maps, the DOM arena, the parsed URLs and the link
@@ -649,10 +643,6 @@ func (b *Browser) cookieFor(domain string) string {
 	b.cookies[domain] = c
 	return c
 }
-
-// existingCookie returns the cookie for a domain only if one was already
-// established.
-func (b *Browser) existingCookie(domain string) string { return b.cookies[domain] }
 
 // openWebSocket performs the full socket lifecycle for one
 // open_websocket op: extension gate (subject to the WRB), handshake,

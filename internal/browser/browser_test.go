@@ -94,7 +94,7 @@ func TestVisitBasicPage(t *testing.T) {
 		t.Error("no links extracted")
 	}
 	for _, l := range res.Links {
-		u := urlutil.MustParse(l)
+		u := parseURL(t, l)
 		if !urlutil.SameParty(u.Host, pub.Domain) {
 			t.Errorf("cross-site link extracted: %s", l)
 		}
@@ -324,7 +324,7 @@ func TestBlockerCancelsHTTPTrackers(t *testing.T) {
 	b := e.browser(57, blocker)
 
 	// Visit several pages; EasyList-domain scripts must get cancelled.
-	visited := 0
+	visited, blocked := 0, 0
 	for _, p := range e.world.Publishers {
 		hasListed := false
 		for _, c := range p.Services {
@@ -335,9 +335,11 @@ func TestBlockerCancelsHTTPTrackers(t *testing.T) {
 		if !hasListed {
 			continue
 		}
-		if _, err := b.Visit(context.Background(), "http://"+p.Domain+"/"); err != nil {
+		res, err := b.Visit(context.Background(), "http://"+p.Domain+"/")
+		if err != nil {
 			t.Fatal(err)
 		}
+		blocked += res.Blocked
 		visited++
 		if visited >= 3 {
 			break
@@ -346,7 +348,7 @@ func TestBlockerCancelsHTTPTrackers(t *testing.T) {
 	if visited == 0 {
 		t.Skip("no publisher with fully-listed services")
 	}
-	if blocker.BlockedCount() == 0 {
+	if blocked == 0 {
 		t.Error("blocker cancelled nothing on ad-heavy pages")
 	}
 }
@@ -425,7 +427,7 @@ func TestDOMExfiltrationCarriesLiveDocument(t *testing.T) {
 }
 
 func TestResolveRef(t *testing.T) {
-	base := urlutil.MustParse("http://pub.example/dir/page.html")
+	base := parseURL(t, "http://pub.example/dir/page.html")
 	tests := []struct{ href, want string }{
 		{"http://other.example/x", "http://other.example/x"},
 		{"//cdn.example/lib.js", "http://cdn.example/lib.js"},
@@ -449,9 +451,6 @@ func TestCookiePersistence(t *testing.T) {
 	c2 := b.cookieFor("tracker.example")
 	if c1 != c2 {
 		t.Error("cookie not stable per domain")
-	}
-	if b.existingCookie("fresh.example") != "" {
-		t.Error("existingCookie invented a cookie")
 	}
 	if b.cookieFor("other.example") == c1 {
 		t.Error("cookies identical across domains")
@@ -483,7 +482,7 @@ search:
 			}
 			for _, ev := range res.Trace.Events {
 				if ws, ok := ev.(*devtools.WebSocketCreated); ok {
-					u := urlutil.MustParse(ws.URL)
+					u := parseURL(t, ws.URL)
 					if c := e.world.CompanyByDomain(u.RegistrableDomain()); c != nil && c.AA && c.AcceptsWS {
 						pageURL = url
 						break search
@@ -515,9 +514,6 @@ search:
 	if blocked == 0 {
 		t.Error("guard blocked nothing despite mitigation rules")
 	}
-	if guard.GuardedCount() != blocked {
-		t.Errorf("guard count %d != blocked events %d", guard.GuardedCount(), blocked)
-	}
 }
 
 // TestFeatureBlockerKillsAllSockets checks the Snyder et al. strategy:
@@ -531,6 +527,7 @@ func TestFeatureBlockerKillsAllSockets(t *testing.T) {
 	f := adblock.NewFeatureBlocker("no-websockets")
 	b := e.browser(57, f)
 	// Crawl several pages of the site: no socket may ever open.
+	blocked := 0
 	for page := 0; page <= 5; page++ {
 		url := "http://" + domain + "/page/" + itoa(page)
 		if page == 0 {
@@ -540,13 +537,25 @@ func TestFeatureBlockerKillsAllSockets(t *testing.T) {
 		if err != nil {
 			continue
 		}
+		blocked += res.Blocked
 		for _, ev := range res.Trace.Events {
 			if _, ok := ev.(*devtools.WebSocketCreated); ok {
 				t.Fatal("a socket opened under the feature blocker")
 			}
 		}
 	}
-	if f.BlockedCount() == 0 {
+	if blocked == 0 {
 		t.Error("feature blocker never fired")
 	}
+}
+
+// parseURL is urlutil.Parse for a test's URL literals: a malformed one
+// fails the test.
+func parseURL(tb testing.TB, raw string) *urlutil.URL {
+	tb.Helper()
+	u, err := urlutil.Parse(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
 }

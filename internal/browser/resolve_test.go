@@ -20,7 +20,7 @@ func resolveRef(base *urlutil.URL, href string) string {
 // TestResolveRefURLInQuery: "://" inside a query (a redirector link)
 // does not make a reference absolute; only a scheme prefix does.
 func TestResolveRefURLInQuery(t *testing.T) {
-	base := urlutil.MustParse("http://pub.example/dir/page.html")
+	base := parseURL(t, "http://pub.example/dir/page.html")
 	tests := []struct{ href, want string }{
 		{"/out?to=http://x.example/", "http://pub.example/out?to=http://x.example/"},
 		{"out?to=http://x.example/", "http://pub.example/dir/out?to=http://x.example/"},

@@ -581,6 +581,8 @@ func (s *Store) Close() error {
 
 // ReadSegment decodes one sealed segment file's records and outcome
 // rows — the low-level tool the crash tests use.
+//
+//lint:allow unusedapi test oracle: the crash and ledger tests of colstore, dispatch, fabric and core read sealed segments through it
 func ReadSegment(path string) ([]*analysis.PageRecord, []Outcome, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

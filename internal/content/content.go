@@ -342,16 +342,10 @@ func cookiePairAt(f []byte) bool {
 	return len(next) > 0 && (isAlpha(next[0]) || next[0] == '_')
 }
 
-// DetectSentHeaders inspects request/handshake headers for sent items
-// (the reason Table 5 reports User Agent at 100%: every handshake carries
-// one).
-func DetectSentHeaders(header map[string]string) []string {
-	return AppendSentHeaders(nil, header)
-}
-
-// AppendSentHeaders is DetectSentHeaders with caller-owned storage,
-// mirroring AppendSent: detected items append to dst in the same fixed
-// Table 5 order.
+// AppendSentHeaders inspects request/handshake headers for sent items
+// (the reason Table 5 reports User Agent at 100%: every handshake
+// carries one). Mirroring AppendSent, detected items append to dst in
+// the same fixed Table 5 order.
 func AppendSentHeaders(dst []string, header map[string]string) []string {
 	// Scan the map into flags first, then emit in fixed Table 5 order:
 	// appending inside the range would make the item order depend on

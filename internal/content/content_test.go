@@ -87,7 +87,7 @@ func TestDetectSentOnRealWorldShapes(t *testing.T) {
 }
 
 func TestDetectSentHeaders(t *testing.T) {
-	items := DetectSentHeaders(map[string]string{
+	items := AppendSentHeaders(nil, map[string]string{
 		"User-Agent":      "Mozilla/5.0 (Windows NT 10.0)",
 		"Cookie":          "uid=1; _ga=GA1.2.3.4",
 		"Accept-Language": "en-US",
@@ -98,7 +98,7 @@ func TestDetectSentHeaders(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("headers: got %v, want %v", got, want)
 	}
-	if items := DetectSentHeaders(map[string]string{"User-Agent": ""}); len(items) != 0 {
+	if items := AppendSentHeaders(nil, map[string]string{"User-Agent": ""}); len(items) != 0 {
 		t.Error("empty UA detected")
 	}
 }

@@ -66,11 +66,10 @@ type Config struct {
 // Concurrency: workers increment the shared *Stats with atomic adds
 // while the crawl runs. Reading the fields directly is safe only after
 // every Crawl sharing them has returned; a concurrent observer (a progress
-// reporter, a test asserting mid-crawl invariants) must go through
-// Snapshot, which loads every counter atomically. The same counters
-// are mirrored to the obs registry (crawl.pages, crawl.page_errors,
-// crawl.sites, crawl.site_errors, crawl.site_panics) for live
-// monitoring without touching Stats at all.
+// reporter, a test asserting mid-crawl invariants) must load every
+// counter atomically. The same counters are mirrored to the obs registry
+// (crawl.pages, crawl.page_errors, crawl.sites, crawl.site_errors,
+// crawl.site_panics) for live monitoring without touching Stats at all.
 type Stats struct {
 	// Sites counts site crawl attempts that actually reached the
 	// network (the homepage visit returned). Sites skipped because the
@@ -85,18 +84,6 @@ type Stats struct {
 	SiteErrors int64
 	// SitePanics counts panics recovered inside per-site crawls.
 	SitePanics int64
-}
-
-// Snapshot returns an atomically loaded copy of the counters, safe to
-// call while workers are still incrementing them.
-func (s *Stats) Snapshot() Stats {
-	return Stats{
-		Sites:      atomic.LoadInt64(&s.Sites),
-		Pages:      atomic.LoadInt64(&s.Pages),
-		PageErrors: atomic.LoadInt64(&s.PageErrors),
-		SiteErrors: atomic.LoadInt64(&s.SiteErrors),
-		SitePanics: atomic.LoadInt64(&s.SitePanics),
-	}
 }
 
 // SiteError reports a site whose crawl failed outright (its homepage

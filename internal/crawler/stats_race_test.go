@@ -3,6 +3,7 @@ package crawler
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/browser"
@@ -77,5 +78,17 @@ func TestStatsConcurrentSnapshot(t *testing.T) {
 	}
 	if final != shared {
 		t.Errorf("snapshot %+v != settled stats %+v", final, shared)
+	}
+}
+
+// Snapshot returns an atomically loaded copy of the counters, safe to
+// call while workers are still incrementing them.
+func (s *Stats) Snapshot() Stats {
+	return Stats{
+		Sites:      atomic.LoadInt64(&s.Sites),
+		Pages:      atomic.LoadInt64(&s.Pages),
+		PageErrors: atomic.LoadInt64(&s.PageErrors),
+		SiteErrors: atomic.LoadInt64(&s.SiteErrors),
+		SitePanics: atomic.LoadInt64(&s.SitePanics),
 	}
 }

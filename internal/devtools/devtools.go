@@ -60,7 +60,7 @@ const (
 	ResourceXHR        ResourceType = "XHR"
 	ResourceSubFrame   ResourceType = "SubFrame"
 	ResourceWebSocket  ResourceType = "WebSocket"
-	ResourceOther      ResourceType = "Other"
+	ResourceOther      ResourceType = "Other" //lint:allow unusedapi completes Chrome's resource types; filterlist's tests match $other rules against it
 )
 
 // Initiator describes what caused a request or script execution, the
@@ -356,13 +356,6 @@ func hold[E any](s *slab.Slab[E], e *E) *E {
 	p := s.New()
 	*p = *e
 	return p
-}
-
-// Len returns the number of recorded events.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.Events)
 }
 
 // envelope is the JSON wire form of one event.

@@ -112,10 +112,10 @@ func scaleSites(n int) []crawler.Site {
 // durable state bytes it wrote to its n sites.
 func measure(t *testing.T, n int, crawl func()) scaleCost {
 	t.Helper()
-	bytes0, committing0 := obs.StoreBytes.Value(), obs.StageCheckpoint.Sum()
+	bytes0, committing0 := obs.StoreBytes.Value(), obs.StageCheckpoint.Stat().Sum
 	start := time.Now()
 	crawl()
-	elapsed := time.Since(start) - (obs.StageCheckpoint.Sum() - committing0)
+	elapsed := time.Since(start) - (obs.StageCheckpoint.Stat().Sum - committing0)
 	return scaleCost{
 		nsPerSite:    float64(elapsed.Nanoseconds()) / float64(n),
 		statePerSite: float64(obs.StoreBytes.Value()-bytes0) / float64(n),

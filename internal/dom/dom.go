@@ -47,20 +47,6 @@ type Node struct {
 // Attribute is one name="value" pair of an element.
 type Attribute struct{ Name, Value string }
 
-// NewDocument returns an empty document node.
-func NewDocument() *Node { return &Node{Type: DocumentNode} }
-
-// NewElement returns a detached element node.
-func NewElement(tag string) *Node {
-	return &Node{Type: ElementNode, Tag: strings.ToLower(tag)}
-}
-
-// NewText returns a detached text node.
-func NewText(data string) *Node { return &Node{Type: TextNode, Data: data} }
-
-// NewComment returns a detached comment node.
-func NewComment(data string) *Node { return &Node{Type: CommentNode, Data: data} }
-
 // Attr returns the value of the named attribute ("" when absent).
 func (n *Node) Attr(name string) string {
 	if i, ok := n.findAttr(strings.ToLower(name)); ok {
@@ -84,6 +70,8 @@ func (n *Node) SetAttr(name, value string) *Node {
 }
 
 // HasAttr reports whether the attribute is present (even if empty).
+//
+//lint:allow unusedapi test oracle: htmlparse's attribute tests check parsed presence through it
 func (n *Node) HasAttr(name string) bool {
 	_, ok := n.findAttr(strings.ToLower(name))
 	return ok
@@ -118,33 +106,6 @@ func (n *Node) AppendChild(c *Node) *Node {
 	return n
 }
 
-// RemoveChild detaches c from n. It panics if c is not a child of n.
-func (n *Node) RemoveChild(c *Node) {
-	if c.Parent != n {
-		panic("dom: RemoveChild of non-child")
-	}
-	if c.PrevSibling != nil {
-		c.PrevSibling.NextSibling = c.NextSibling
-	} else {
-		n.FirstChild = c.NextSibling
-	}
-	if c.NextSibling != nil {
-		c.NextSibling.PrevSibling = c.PrevSibling
-	} else {
-		n.LastChild = c.PrevSibling
-	}
-	c.Parent, c.PrevSibling, c.NextSibling = nil, nil, nil
-}
-
-// Children returns the direct children as a slice.
-func (n *Node) Children() []*Node {
-	var out []*Node
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		out = append(out, c)
-	}
-	return out
-}
-
 // Walk visits n and every descendant in document order. Returning false
 // from fn stops the walk.
 func (n *Node) Walk(fn func(*Node) bool) bool {
@@ -160,6 +121,8 @@ func (n *Node) Walk(fn func(*Node) bool) bool {
 }
 
 // GetElementsByTag returns every descendant element with the given tag.
+//
+//lint:allow unusedapi test oracle: browser's and htmlparse's tests query parsed documents through it
 func (n *Node) GetElementsByTag(tag string) []*Node {
 	tag = strings.ToLower(tag)
 	var out []*Node
@@ -172,19 +135,6 @@ func (n *Node) GetElementsByTag(tag string) []*Node {
 	return out
 }
 
-// GetElementByID returns the first descendant element with the given id.
-func (n *Node) GetElementByID(id string) *Node {
-	var found *Node
-	n.Walk(func(c *Node) bool {
-		if c.Type == ElementNode && c.Attr("id") == id {
-			found = c
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // InnerText concatenates all descendant text nodes.
 func (n *Node) InnerText() string {
 	var b strings.Builder
@@ -195,13 +145,6 @@ func (n *Node) InnerText() string {
 		return true
 	})
 	return b.String()
-}
-
-// CountNodes returns the number of nodes in the subtree rooted at n.
-func (n *Node) CountNodes() int {
-	count := 0
-	n.Walk(func(*Node) bool { count++; return true })
-	return count
 }
 
 // voidElements never have closing tags in HTML serialization.
@@ -223,15 +166,6 @@ var rawTextElements = map[string]bool{"script": true, "style": true}
 func (n *Node) OuterHTML() string {
 	var b strings.Builder
 	n.writeHTML(&b)
-	return b.String()
-}
-
-// InnerHTML serializes only the children of n.
-func (n *Node) InnerHTML() string {
-	var b strings.Builder
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		c.writeHTML(&b)
-	}
 	return b.String()
 }
 
@@ -300,7 +234,7 @@ func EscapeAttr(s string) string {
 	return escapeAttrReplacer.Replace(s)
 }
 
-// entities are the references UnescapeText rewrites. None is a prefix of
+// entities are the references AppendUnescaped rewrites. None is a prefix of
 // another, so at each '&' at most one applies.
 var entities = [...]struct{ ref, text string }{
 	{"&lt;", "<"}, {"&gt;", ">"}, {"&quot;", `"`}, {"&#39;", "'"}, {"&apos;", "'"}, {"&amp;", "&"},
@@ -316,7 +250,7 @@ func entityAt(s string) (ref, text string, ok bool) {
 	return "", "", false
 }
 
-// HasEntity reports whether s holds a reference UnescapeText rewrites.
+// HasEntity reports whether s holds a reference AppendUnescaped rewrites.
 func HasEntity(s string) bool {
 	for i := strings.IndexByte(s, '&'); i >= 0; {
 		if _, _, ok := entityAt(s[i:]); ok {
@@ -331,8 +265,9 @@ func HasEntity(s string) bool {
 	return false
 }
 
-// AppendUnescaped appends UnescapeText(s) to dst. References are
-// rewritten left to right, and a rewrite's text is not read again:
+// AppendUnescaped appends s to dst with the entity encoding of
+// EscapeText and EscapeAttr reversed (plus the common &#39; and &apos;
+// forms). References are rewritten left to right, and a rewrite's text is not read again:
 // "&amp;lt;" becomes "&lt;".
 func AppendUnescaped(dst []byte, s string) []byte {
 	for {
@@ -350,14 +285,4 @@ func AppendUnescaped(dst []byte, s string) []byte {
 			s = s[1:]
 		}
 	}
-}
-
-// UnescapeText reverses the entity encoding used by EscapeText/EscapeAttr
-// (plus the common &#39; and &apos; forms). A string with no reference
-// to rewrite is returned as it is.
-func UnescapeText(s string) string {
-	if !HasEntity(s) {
-		return s
-	}
-	return string(AppendUnescaped(make([]byte, 0, len(s)), s))
 }

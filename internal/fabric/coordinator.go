@@ -83,10 +83,10 @@ type Coordinator struct {
 
 // StartCoordinator queues the crawl's sites, opens its ledger (rebuilding
 // the queue from a resumed store), and starts serving workers on addr
-// (host:port; ":0" picks a port — see Addr).
+// (host:port; ":0" picks a port — see URL).
 func StartCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.Crawl.Name == "" || len(cfg.Sites) == 0 {
-		return nil, fmt.Errorf("fabric: coordinator needs a crawl name and a site list")
+	if cfg.Crawl.Name == "" || cfg.Crawl.PagesPerSite <= 0 || len(cfg.Sites) == 0 {
+		return nil, fmt.Errorf("fabric: coordinator needs a crawl name, a page budget and a site list")
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
@@ -146,9 +146,6 @@ func StoreConfig(c wire.CrawlConfig, dir string, resume bool) colstore.Config {
 		Resume:       resume,
 	}
 }
-
-// Addr returns the coordinator's listen address.
-func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
 
 // URL returns the ws:// URL workers dial.
 func (c *Coordinator) URL() string { return fmt.Sprintf("ws://%s/fabric", c.ln.Addr()) }
@@ -325,7 +322,7 @@ func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 	defer obs.FabricWorkers.Add(-1)
 	c.logf("fabric: worker %s connected", hello.Worker)
 
-	s := &session{conn: conn, worker: hello.Worker, held: map[string]*dispatch.Grant{}}
+	s := &session{conn: conn, worker: hello.Worker, held: map[string]*dispatch.Grant{}, issued: map[string]map[string]int{}}
 	defer func() {
 		// A dropped session releases its leases immediately (without
 		// consuming an attempt) instead of waiting out the TTL: the
@@ -350,12 +347,31 @@ func (c *Coordinator) session(ctx context.Context, nc net.Conn) {
 	}
 }
 
-// session is one worker connection's state: the grants it holds.
+// session is one worker connection's state: the grants it holds, and
+// the pages it has streamed under every grant it was ever issued.
 type session struct {
 	conn   *wsproto.Conn
 	worker string
 	held   map[string]*dispatch.Grant // by grant ID
-	grants int                        // grants issued so far; names the next
+	// issued maps each grant ID this session was issued — held,
+	// settled or reclaimed — to its sites' admitted page counts.
+	issued map[string]map[string]int
+	grants int // grants issued so far; names the next
+}
+
+// admit counts one page frame against the grant it names: the grant
+// must be one this session was issued, the site one of that grant's,
+// and the site's pages under the grant within the crawl's page budget.
+func (s *session) admit(m *wire.Page, budget int) error {
+	n, ok := s.issued[m.Batch][m.Site]
+	switch {
+	case !ok:
+		return fmt.Errorf("no grant %s issued to this session holds site %s", m.Batch, m.Site)
+	case n >= budget:
+		return fmt.Errorf("site %s is past its %d-page budget", m.Site, budget)
+	}
+	s.issued[m.Batch][m.Site] = n + 1
+	return nil
 }
 
 // take removes and returns the grant the worker names (nil if it holds
@@ -388,14 +404,20 @@ func (c *Coordinator) serve(ctx context.Context, s *session, dec wire.Decoded) b
 		}
 		return writeFrame(s.conn, &wire.HeartbeatAck{Batch: m.Batch, Valid: valid}) == nil
 	case *wire.Page:
-		// Append even when the lease was already reclaimed: a stale
-		// attempt streams the same bytes a live one does (per-site
-		// seeding), and re-crawled pages deduplicate, so the append is
-		// harmless and refusing it would buy nothing. A frame that is not a
-		// page block of the frame's site, or one arriving after Finalize,
-		// never reaches the store: the session drops and its leases go
-		// back to the queue. m.Line aliases the read buffer; the decode
-		// copies what the record keeps before the next read.
+		// Append even when the lease was already reclaimed from this
+		// session: a stale attempt streams the same bytes a live one
+		// does (per-site seeding), and re-crawled pages deduplicate, so
+		// the append is harmless and refusing it would buy nothing. A
+		// page outside every grant this session was issued, or past its
+		// site's page budget, a frame that is not a page block of the
+		// frame's site, or one arriving after Finalize never reaches the
+		// store: the session drops and its leases go back to the queue.
+		// m.Line aliases the read buffer; the decode copies what the
+		// record keeps before the next read.
+		if err := s.admit(m, c.cfg.Crawl.PagesPerSite); err != nil {
+			c.logf("fabric: page from %s refused: %v", s.worker, err)
+			return false
+		}
 		rec, err := colstore.DecodePageBlock(m.Line)
 		if err == nil {
 			err = c.ledger.Append(m.Site, rec)
@@ -459,6 +481,11 @@ func (c *Coordinator) grant(ctx context.Context, s *session) bool {
 				return false
 			}
 			s.held[b.ID] = g
+			pages := make(map[string]int, len(b.Sites))
+			for _, site := range b.Sites {
+				pages[site.Domain] = 0
+			}
+			s.issued[b.ID] = pages
 			c.logf("fabric: grant %s (%d sites) -> %s", b.ID, len(b.Sites), s.worker)
 			return true
 		case ctx.Err() != nil:

@@ -230,6 +230,99 @@ func TestCoordinatorRejectsUndecodablePage(t *testing.T) {
 	diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), expectedLines(sites, testPages))
 }
 
+// TestCoordinatorSealsOnlyGrantedPages: a worker is an untrusted peer.
+// Raw sessions stream well-formed page blocks the coordinator never
+// granted — a site outside the roster, a roster site outside the
+// session's grant, and a granted site past the page budget — and then
+// try to finish their grant. Each is refused and logged, the session is
+// dropped and its leases go back to the queue, and the store a healthy
+// worker completes holds exactly the crawl's pages: 6 sites × 3 pages.
+func TestCoordinatorSealsOnlyGrantedPages(t *testing.T) {
+	sites := testSites(6)
+	dir := t.TempDir()
+	var logMu sync.Mutex
+	var logs []string
+	c := startTestCoordinator(t, dir, sites, coordOpts{batchSize: 2, logf: func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// ungranted is the last roster site outside b.
+	ungranted := func(b wire.Batch) wire.Site {
+		for i := len(sites) - 1; ; i-- {
+			in := false
+			for _, g := range b.Sites {
+				in = in || g.Domain == sites[i].Domain
+			}
+			if !in {
+				return wire.Site{Domain: sites[i].Domain, Rank: sites[i].Rank}
+			}
+		}
+	}
+	for i, forged := range []struct {
+		name  string
+		pages func(wire.Batch) []*wire.Page
+	}{
+		{"a site outside the roster", func(b wire.Batch) []*wire.Page {
+			s := wire.Site{Domain: "forged.example", Rank: 99}
+			return []*wire.Page{{Batch: b.ID, Site: s.Domain, Line: fakeBlock(s, 0)}}
+		}},
+		{"a roster site never granted", func(b wire.Batch) []*wire.Page {
+			s := ungranted(b)
+			return []*wire.Page{{Batch: b.ID, Site: s.Domain, Line: fakeBlock(s, 7)}}
+		}},
+		{"a granted site past the page budget", func(b wire.Batch) []*wire.Page {
+			var out []*wire.Page
+			for p := 0; p <= testPages; p++ {
+				out = append(out, &wire.Page{Batch: b.ID, Site: b.Sites[0].Domain, Line: fakeBlock(b.Sites[0], p)})
+			}
+			return out
+		}},
+	} {
+		conn, batch := rawSession(t, ctx, c.URL(), fmt.Sprintf("rogue%d", i))
+		// Writes after the refusal may fail: the coordinator has hung up.
+		for _, p := range forged.pages(batch) {
+			_ = writeFrame(conn, p)
+		}
+		for _, s := range batch.Sites {
+			for p := 0; p < testPages; p++ {
+				_ = writeFrame(conn, &wire.Page{Batch: batch.ID, Site: s.Domain, Line: fakeBlock(s, p)})
+			}
+		}
+		_ = writeFrame(conn, &wire.Complete{Batch: batch.ID, Pages: len(batch.Sites) * testPages})
+		if dec, err := readFrame(conn, 5*time.Second); err == nil {
+			t.Errorf("session survived %s: got %q", forged.name, dec.Type)
+		}
+		conn.Close()
+	}
+	logMu.Lock()
+	refused := 0
+	for _, l := range logs {
+		if strings.Contains(l, "refused") {
+			refused++
+		}
+	}
+	logMu.Unlock()
+	if refused != 3 {
+		t.Errorf("%d refused-page log lines, want 3\n%s", refused, strings.Join(logs, "\n"))
+	}
+
+	if err := runTestWorker(ctx, "good", c.URL(), workerOpts{seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	diffLines(t, "store", canonicalStore(t, filepath.Join(dir, "store")), expectedLines(sites, testPages))
+}
+
 // TestCoordinatorFinalizeRefusesLatePages keeps a session attached past
 // Finalize, as a coordinator's workers are, and streams one more page
 // through it: the session must drop, and the page must reach neither the

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/devtools"
-	"repro/internal/urlutil"
 )
 
 // The match-engine benchmarks: the indexed engine versus the linear
@@ -56,7 +55,7 @@ func benchRequests(rng *rand.Rand, n int) []Request {
 				rng.Intn(500), words[rng.Intn(len(words))], words[rng.Intn(len(words))], i)
 		}
 		reqs = append(reqs, Request{
-			URL:      urlutil.MustParse(u),
+			URL:      mustParse(u),
 			Type:     []devtools.ResourceType{devtools.ResourceScript, devtools.ResourceImage, devtools.ResourceXHR}[i%3],
 			PageHost: fmt.Sprintf("pub%d.example", i%50),
 		})
@@ -118,7 +117,7 @@ func BenchmarkMatchParallel(b *testing.B) {
 // BenchmarkMatchTokenize isolates the per-request prepare cost (lower
 // once + tokenize once).
 func BenchmarkMatchTokenize(b *testing.B) {
-	u := urlutil.MustParse("http://ads123.track-net.example/pixel/4711?uid=42&sync=1")
+	u := mustParse("http://ads123.track-net.example/pixel/4711?uid=42&sync=1")
 	sc := getScratch()
 	defer putScratch(sc)
 	b.ReportAllocs()

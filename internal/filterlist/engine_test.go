@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/devtools"
 	"repro/internal/obs"
-	"repro/internal/urlutil"
 )
 
 // ---- deterministic rule priority (the map-iteration-order bugfix) ----
@@ -168,7 +167,7 @@ func corpusRequest(rng *rand.Rand) Request {
 		u += "/" + words[rng.Intn(len(words))]
 	}
 	return Request{
-		URL:      urlutil.MustParse(u),
+		URL:      mustParse(u),
 		Type:     types[rng.Intn(len(types))],
 		PageHost: pages[rng.Intn(len(pages))],
 	}

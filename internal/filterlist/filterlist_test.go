@@ -10,7 +10,7 @@ import (
 )
 
 func req(rawURL string, typ devtools.ResourceType, pageHost string) Request {
-	return Request{URL: urlutil.MustParse(rawURL), Type: typ, PageHost: pageHost}
+	return Request{URL: mustParse(rawURL), Type: typ, PageHost: pageHost}
 }
 
 func mustRule(t *testing.T, line string) *Rule {
@@ -47,57 +47,57 @@ func TestDomainAnchorMatching(t *testing.T) {
 
 func TestSeparatorSemantics(t *testing.T) {
 	r := mustRule(t, "||ads.example^banner")
-	if !r.MatchesURL(urlutil.MustParse("http://ads.example/banner")) {
+	if !r.MatchesURL(mustParse("http://ads.example/banner")) {
 		t.Error("'^' should match '/'")
 	}
-	if r.MatchesURL(urlutil.MustParse("http://ads.example-banner.com/")) {
+	if r.MatchesURL(mustParse("http://ads.example-banner.com/")) {
 		t.Error("'^' must not match '-'")
 	}
 	end := mustRule(t, "||ads.example/path^")
-	if !end.MatchesURL(urlutil.MustParse("http://ads.example/path")) {
+	if !end.MatchesURL(mustParse("http://ads.example/path")) {
 		t.Error("trailing '^' should match end of URL")
 	}
-	if !end.MatchesURL(urlutil.MustParse("http://ads.example/path?x=1")) {
+	if !end.MatchesURL(mustParse("http://ads.example/path?x=1")) {
 		t.Error("trailing '^' should match '?'")
 	}
-	if end.MatchesURL(urlutil.MustParse("http://ads.example/pathology")) {
+	if end.MatchesURL(mustParse("http://ads.example/pathology")) {
 		t.Error("trailing '^' must not match a letter")
 	}
 }
 
 func TestWildcardMatching(t *testing.T) {
 	r := mustRule(t, "/banner/*/img^")
-	if !r.MatchesURL(urlutil.MustParse("http://x.example/banner/300x250/img?x=1")) {
+	if !r.MatchesURL(mustParse("http://x.example/banner/300x250/img?x=1")) {
 		t.Error("wildcard rule should match")
 	}
-	if r.MatchesURL(urlutil.MustParse("http://x.example/banner/img")) {
+	if r.MatchesURL(mustParse("http://x.example/banner/img")) {
 		t.Error("wildcard requires intermediate segment")
 	}
 }
 
 func TestAnchors(t *testing.T) {
 	start := mustRule(t, "|http://ads.")
-	if !start.MatchesURL(urlutil.MustParse("http://ads.example/x")) {
+	if !start.MatchesURL(mustParse("http://ads.example/x")) {
 		t.Error("start anchor failed")
 	}
-	if start.MatchesURL(urlutil.MustParse("http://pub.example/?u=http://ads.example")) {
+	if start.MatchesURL(mustParse("http://pub.example/?u=http://ads.example")) {
 		t.Error("start anchor matched mid-URL")
 	}
 	end := mustRule(t, ".swf|")
-	if !end.MatchesURL(urlutil.MustParse("http://pub.example/movie.swf")) {
+	if !end.MatchesURL(mustParse("http://pub.example/movie.swf")) {
 		t.Error("end anchor failed")
 	}
-	if end.MatchesURL(urlutil.MustParse("http://pub.example/movie.swf?x=1")) {
+	if end.MatchesURL(mustParse("http://pub.example/movie.swf?x=1")) {
 		t.Error("end anchor matched non-final position")
 	}
 }
 
 func TestSubstringRule(t *testing.T) {
 	r := mustRule(t, "/tracking/pixel")
-	if !r.MatchesURL(urlutil.MustParse("http://any.example/v2/tracking/pixel.gif")) {
+	if !r.MatchesURL(mustParse("http://any.example/v2/tracking/pixel.gif")) {
 		t.Error("substring rule failed")
 	}
-	if r.MatchesURL(urlutil.MustParse("http://any.example/tracking-pixel")) {
+	if r.MatchesURL(mustParse("http://any.example/tracking-pixel")) {
 		t.Error("substring rule over-matched")
 	}
 }
@@ -381,4 +381,50 @@ func TestEasyListRealWorldShapes(t *testing.T) {
 	if l.Match(req("http://cdn1.lockerdome.com/img/ad1.png", devtools.ResourceImage, "lockerdome.com")).Blocked {
 		t.Error("first-party lockerdome request should not match $third-party rule")
 	}
+}
+
+// The single-rule and single-list entry points below are test helpers:
+// the engine matches through Group.Match and the pre-lowered forms.
+
+// MatchesRequest reports whether the rule matches the request, evaluating
+// options first (cheap) and then the URL pattern.
+func (r *Rule) MatchesRequest(req Request) bool {
+	return r.matchesRequestTarget(req, strings.ToLower(req.URL.String()))
+}
+
+// MatchesURL reports whether the rule's pattern matches the URL,
+// ignoring options.
+func (r *Rule) MatchesURL(u *urlutil.URL) bool {
+	return r.matchesTarget(strings.ToLower(u.String()), u.Host)
+}
+
+// Match evaluates the request against l alone, as a group of one list:
+// a block rule must match and no exception rule may match.
+func (l *List) Match(req Request) Decision {
+	sc := getScratch()
+	sc.prepare(req.URL)
+	g := Group{Lists: []*List{l}}
+	d := g.matchPrepared(sc, req)
+	putScratch(sc)
+	return d
+}
+
+// RuleCount returns the total active rules across the group.
+func (g *Group) RuleCount() int {
+	n := 0
+	for _, l := range g.Lists {
+		n += l.Len()
+	}
+	return n
+}
+
+// mustParse is urlutil.Parse for the well-formed URLs these tests and
+// benchmarks build, most of them in helpers without a *testing.T: a
+// malformed one is a bug in the test, and panics.
+func mustParse(raw string) *urlutil.URL {
+	u, err := urlutil.Parse(raw)
+	if err != nil {
+		panic(err)
+	}
+	return u
 }

@@ -105,31 +105,6 @@ type Decision struct {
 	List string
 }
 
-// Match evaluates the request: a block rule must match and no exception
-// rule may match. Exceptions are evaluated only when a block matched,
-// mirroring ABP behaviour. When several block rules match, the earliest
-// added wins deterministically.
-func (l *List) Match(req Request) Decision {
-	sc := getScratch()
-	sc.prepare(req.URL)
-	d := l.matchPrepared(sc, req)
-	putScratch(sc)
-	return d
-}
-
-// matchPrepared is Match over an already-prepared scratch target.
-func (l *List) matchPrepared(sc *matchScratch, req Request) Decision {
-	c := l.ensureCompiled()
-	block, _ := c.block.matchBest(sc, req)
-	if block == nil {
-		return Decision{}
-	}
-	if ex, _ := c.exc.matchBest(sc, req); ex != nil {
-		return Decision{Blocked: false, Rule: block, Exception: ex, List: l.Name}
-	}
-	return Decision{Blocked: true, Rule: block, List: l.Name}
-}
-
 // Group is an ordered collection of lists evaluated together (the paper
 // uses EasyList + EasyPrivacy). A request is blocked when any list
 // blocks it and no list's exception rule matches it.
@@ -196,13 +171,4 @@ func (g *Group) matchPrepared(sc *matchScratch, req Request) Decision {
 		}
 	}
 	return Decision{Blocked: true, Rule: block, List: blockList}
-}
-
-// RuleCount returns the total active rules across the group.
-func (g *Group) RuleCount() int {
-	n := 0
-	for _, l := range g.Lists {
-		n += l.Len()
-	}
-	return n
 }

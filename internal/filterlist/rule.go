@@ -90,9 +90,6 @@ type Rule struct {
 	excludeDomains []string
 }
 
-// Types returns the request types this rule applies to.
-func (r *Rule) Types() TypeMask { return r.types }
-
 // IsCommentLine reports whether a raw line is a comment, a list header,
 // or an element-hiding rule (which this network-layer engine ignores).
 func IsCommentLine(line string) bool {
@@ -215,15 +212,10 @@ type Request struct {
 	PageHost string
 }
 
-// MatchesRequest reports whether the rule matches the request, evaluating
-// options first (cheap) and then the URL pattern.
-func (r *Rule) MatchesRequest(req Request) bool {
-	return r.matchesRequestTarget(req, strings.ToLower(req.URL.String()))
-}
-
-// matchesRequestTarget is MatchesRequest over a pre-lowered target
-// string, so the engine lowers each URL once per request instead of
-// once per candidate rule.
+// matchesRequestTarget reports whether the rule matches the request,
+// evaluating options first (cheap) and then the URL pattern, against a
+// pre-lowered target string, so the engine lowers each URL once per
+// request instead of once per candidate rule.
 func (r *Rule) matchesRequestTarget(req Request, target string) bool {
 	if r.types&MaskForResource(req.Type) == 0 {
 		return false
@@ -255,12 +247,6 @@ func (r *Rule) matchesRequestTarget(req Request, target string) bool {
 		}
 	}
 	return r.matchesTarget(target, req.URL.Host)
-}
-
-// MatchesURL reports whether the rule's pattern matches the URL,
-// ignoring options.
-func (r *Rule) MatchesURL(u *urlutil.URL) bool {
-	return r.matchesTarget(strings.ToLower(u.String()), u.Host)
 }
 
 // matchesTarget matches the rule's pattern against a pre-lowered

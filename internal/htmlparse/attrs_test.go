@@ -108,7 +108,7 @@ func refOpenTag(src string, pos int) (html string, selfClose, ok bool, end int) 
 			}
 			val = src[valStart:i]
 		}
-		attrs[name] = dom.UnescapeText(val)
+		attrs[name] = string(dom.AppendUnescaped(nil, val))
 	}
 }
 

@@ -301,8 +301,8 @@ func (p *parser) scanOpenTag(tag *dom.Node) (el *dom.Node, selfClose bool) {
 	}
 }
 
-// unescape is dom.UnescapeText with a rewritten string built in the
-// arena's text.
+// unescape reverses s's entity encoding, building a rewritten string in
+// the arena's text.
 func (p *parser) unescape(s string) string {
 	if !dom.HasEntity(s) {
 		return s

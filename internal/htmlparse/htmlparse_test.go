@@ -24,8 +24,8 @@ func TestParseSimplePage(t *testing.T) {
 	if title := doc.GetElementsByTag("title"); len(title) != 1 || title[0].InnerText() != "Pub Home" {
 		t.Errorf("title parse failed: %v", title)
 	}
-	h1 := doc.GetElementByID("hdr")
-	if h1 == nil || h1.InnerText() != "Welcome" {
+	h1 := doc.GetElementsByTag("h1")
+	if len(h1) != 1 || h1[0].Attr("id") != "hdr" || h1[0].InnerText() != "Welcome" {
 		t.Error("h1 parse failed")
 	}
 	imgs := doc.GetElementsByTag("img")

@@ -232,14 +232,8 @@ func (t *Tree) Sockets() []*Node {
 	return t.AppendKind(nil, KindWebSocket)
 }
 
-// Requests returns all HTTP request nodes in creation order.
-func (t *Tree) Requests() []*Node {
-	return t.AppendKind(nil, KindRequest)
-}
-
 // AppendKind appends every node of the given kind, in creation order,
-// to dst and returns it — the scratch-reusing form of Sockets and
-// Requests.
+// to dst and returns it — the scratch-reusing form of Sockets.
 func (t *Tree) AppendKind(dst []*Node, kind Kind) []*Node {
 	t.Root.Walk(func(n *Node) bool {
 		if n.Kind == kind {
@@ -482,20 +476,6 @@ func (t *Tree) apply(ev devtools.Event) error {
 	return nil
 }
 
-// InitiatorDomain returns the registrable domain of a socket's direct
-// parent resource (the script that created it, or the frame document for
-// parser-attributed sockets). This is the "initiator" of Tables 2 and 4.
-func InitiatorDomain(sock *Node) string {
-	if sock.Parent == nil {
-		return ""
-	}
-	return sock.Parent.Domain()
-}
-
-// ReceiverDomain returns the registrable domain of the socket endpoint
-// (the "receiver" of Tables 3 and 4).
-func ReceiverDomain(sock *Node) string { return sock.Domain() }
-
 // ChainDomains returns the registrable domains along the socket's
 // ancestor chain, root first, excluding the socket itself.
 func ChainDomains(sock *Node) []string {
@@ -507,18 +487,6 @@ func ChainDomains(sock *Node) []string {
 		}
 	}
 	return out
-}
-
-// AnyAncestorIn reports whether any ancestor resource (excluding the
-// node itself) has a registrable domain in the set — the §3.2 rule for
-// calling a socket "included by an A&A resource".
-func AnyAncestorIn(n *Node, domains map[string]bool) bool {
-	for cur := n.Parent; cur != nil; cur = cur.Parent {
-		if domains[cur.Domain()] {
-			return true
-		}
-	}
-	return false
 }
 
 // CrossOrigin reports whether the socket endpoint is third-party

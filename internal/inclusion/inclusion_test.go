@@ -73,11 +73,11 @@ func TestBuildFigure2(t *testing.T) {
 		}
 	}
 
-	if got := InitiatorDomain(ws); got != "ads.com" {
-		t.Errorf("InitiatorDomain = %q", got)
+	if got := ws.Parent.Domain(); got != "ads.com" {
+		t.Errorf("initiator domain = %q", got)
 	}
-	if got := ReceiverDomain(ws); got != "adnet.com" {
-		t.Errorf("ReceiverDomain = %q", got)
+	if got := ws.Domain(); got != "adnet.com" {
+		t.Errorf("receiver domain = %q", got)
 	}
 	if !CrossOrigin(ws) {
 		t.Error("socket should be cross-origin")
@@ -102,20 +102,6 @@ func TestChainDomains(t *testing.T) {
 	}
 }
 
-func TestAnyAncestorIn(t *testing.T) {
-	tree, _ := Build(figure2Trace())
-	ws := tree.Sockets()[0]
-	if !AnyAncestorIn(ws, map[string]bool{"ads.com": true}) {
-		t.Error("ads.com ancestor not found")
-	}
-	if AnyAncestorIn(ws, map[string]bool{"adnet.com": true}) {
-		t.Error("socket's own domain must not count as ancestor")
-	}
-	if AnyAncestorIn(ws, map[string]bool{"unrelated.com": true}) {
-		t.Error("false ancestor")
-	}
-}
-
 // TestRefererMisattribution demonstrates why the paper uses inclusion
 // trees: Referer-based attribution credits the socket to the first
 // party, hiding the A&A script that actually created it (§3.1).
@@ -123,7 +109,7 @@ func TestRefererMisattribution(t *testing.T) {
 	tree, _ := Build(figure2Trace())
 	ws := tree.Sockets()[0]
 	refererAttribution := "pub.com" // the Referer header names the page
-	inclusionAttribution := InitiatorDomain(ws)
+	inclusionAttribution := ws.Parent.Domain()
 	if inclusionAttribution == refererAttribution {
 		t.Error("inclusion attribution should differ from Referer attribution here")
 	}
@@ -208,7 +194,7 @@ func TestRenderASCII(t *testing.T) {
 
 func TestRequestsQuery(t *testing.T) {
 	tree, _ := Build(figure2Trace())
-	reqs := tree.Requests()
+	reqs := tree.AppendKind(nil, KindRequest)
 	if len(reqs) != 2 {
 		t.Fatalf("requests = %d", len(reqs))
 	}

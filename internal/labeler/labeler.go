@@ -64,20 +64,12 @@ func (l *Labeler) SetCDNMap(m map[string]string) {
 	l.cdnMap.Store(&merged)
 }
 
-// MapDomain resolves a host to the 2nd-level domain used for counting,
-// applying the CDN mapping first. Lock-free: the CDN snapshot is
-// immutable and the registrable-domain extraction is pure.
-func (l *Labeler) MapDomain(host string) string {
-	if mapped, ok := l.cdnOwner(strings.ToLower(host)); ok {
-		return mapped
-	}
-	return urlutil.RegistrableDomain(host)
-}
-
-// NodeDomain is MapDomain of a tree node's host, taking the registrable
-// domain from the node's memo instead of deriving it again on every
-// ask (a parsed URL's host is already lower-case). A nil node — a
-// socket's missing parent — maps to "".
+// NodeDomain resolves a tree node's host to the 2nd-level domain used
+// for counting, applying the CDN mapping first. It takes the registrable
+// domain from the node's memo instead of deriving it again on every ask
+// (a parsed URL's host is already lower-case). Lock-free: the CDN
+// snapshot is immutable. A nil node — a socket's missing parent — maps
+// to "".
 func (l *Labeler) NodeDomain(n *inclusion.Node) string {
 	if n == nil {
 		return ""

@@ -1,11 +1,13 @@
 package labeler
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/devtools"
 	"repro/internal/filterlist"
 	"repro/internal/inclusion"
+	"repro/internal/urlutil"
 )
 
 func testLists() (*filterlist.List, *filterlist.List) {
@@ -196,7 +198,7 @@ func TestMatchChain(t *testing.T) {
 		t.Error("chain through blocked script not flagged")
 	}
 	// A chain of clean URLs is not flagged.
-	reqs := tree.Requests()
+	reqs := tree.AppendKind(nil, inclusion.KindRequest)
 	var clean *inclusion.Node
 	for _, r := range reqs {
 		if r.URL == "http://benign.example/lib.js" {
@@ -207,4 +209,13 @@ func TestMatchChain(t *testing.T) {
 	if !l.MatchChain(clean.Chain(), "pub.example") {
 		t.Error("chain through A&A parent script not flagged")
 	}
+}
+
+// MapDomain is NodeDomain for a bare host: the CDN mapping, then the
+// registrable domain.
+func (l *Labeler) MapDomain(host string) string {
+	if mapped, ok := l.cdnOwner(strings.ToLower(host)); ok {
+		return mapped
+	}
+	return urlutil.RegistrableDomain(host)
 }

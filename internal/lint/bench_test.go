@@ -17,7 +17,7 @@ func BenchmarkLintModuleTyped(b *testing.B) {
 		if err != nil {
 			b.Fatalf("LoadModule: %v", err)
 		}
-		if res := Run(pkgs, Suite()); len(res.Diagnostics) != 0 {
+		if res := Run(pkgs, pkgs, Suite()); len(res.Diagnostics) != 0 {
 			b.Fatalf("module not lint-clean: %v", res.Diagnostics)
 		}
 	}

@@ -12,7 +12,7 @@ import "testing"
 // diagnostics.
 func TestRepoIsLintClean(t *testing.T) {
 	pkgs := modulePackages(t)
-	diags := Run(pkgs, Suite()).Diagnostics
+	diags := Run(pkgs, pkgs, Suite()).Diagnostics
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

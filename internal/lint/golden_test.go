@@ -21,11 +21,12 @@ import (
 
 var wantRe = regexp.MustCompile(`// want "(.*)"`)
 
-// loadFixture parses every .go file in testdata/<dir> as one package
-// with the given import path and type-checks it the way LoadModule
-// does. Module-internal imports (repro/internal/obs) resolve to the
-// enclosing module's packages.
-func loadFixture(t *testing.T, dir, path string) *Package {
+// loadFixture parses every non-test .go file in testdata/<dir> as one
+// package with the given import path and type-checks it the way
+// LoadModule does. Module-internal imports (repro/internal/obs) resolve
+// to the enclosing module's packages and to deps, fixture packages
+// loaded before.
+func loadFixture(t *testing.T, dir, path string, deps ...*Package) *Package {
 	t.Helper()
 	full := filepath.Join("testdata", dir)
 	entries, err := os.ReadDir(full)
@@ -34,7 +35,7 @@ func loadFixture(t *testing.T, dir, path string) *Package {
 	}
 	pkg := &Package{Path: path, Dir: full, Fset: token.NewFileSet()}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !lintableFile(e.Name()) {
 			continue
 		}
 		name := filepath.ToSlash(filepath.Join(full, e.Name()))
@@ -54,7 +55,7 @@ func loadFixture(t *testing.T, dir, path string) *Package {
 	}
 	pkg.Name = pkg.Files[0].Name.Name
 	mod := modulePackages(t)
-	typeCheck(pkg.Fset, append(mod[:len(mod):len(mod)], pkg))
+	typeCheck(pkg.Fset, append(append(mod[:len(mod):len(mod)], deps...), pkg))
 	if !pkg.Typed() {
 		t.Fatalf("type-check fixture %s: %v", dir, pkg.Errs)
 	}
@@ -111,12 +112,23 @@ func modulePackages(t *testing.T) []*Package {
 	return modulePkgs
 }
 
+// runOne lints pkg alone, as its own module.
+func runOne(pkg *Package, analyzers ...*Analyzer) Result {
+	pkgs := []*Package{pkg}
+	return Run(pkgs, pkgs, analyzers)
+}
+
 // runFixture asserts an exact match between diagnostics and wants.
 func runFixture(t *testing.T, dir, path string, analyzers ...*Analyzer) {
 	t.Helper()
 	pkg := loadFixture(t, dir, path)
+	matchWants(t, pkg, runOne(pkg, analyzers...).Diagnostics)
+}
+
+// matchWants asserts an exact match between diags and pkg's wants.
+func matchWants(t *testing.T, pkg *Package, diags []Diagnostic) {
+	t.Helper()
 	wants := fixtureWants(t, pkg)
-	diags := Run([]*Package{pkg}, analyzers).Diagnostics
 
 	matched := map[string]map[int]bool{}
 	for _, d := range diags {
@@ -156,7 +168,7 @@ func TestDeterminismFixture(t *testing.T) {
 // fixture under a non-deterministic import path: nothing may fire.
 func TestDeterminismScopedToDeterministicPackages(t *testing.T) {
 	pkg := loadFixture(t, "determinism", "repro/internal/dispatch")
-	if diags := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}).Diagnostics; len(diags) != 0 {
+	if diags := runOne(pkg, determinismAnalyzer()).Diagnostics; len(diags) != 0 {
 		t.Fatalf("determinism fired outside the deterministic packages: %v", diags)
 	}
 }
@@ -171,7 +183,7 @@ func TestSeededRandFixture(t *testing.T) {
 // neither tier: nothing may fire.
 func TestSeededRandScoped(t *testing.T) {
 	pkg := loadFixture(t, "seededrand", "repro/internal/dispatch")
-	if diags := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}).Diagnostics; len(diags) != 0 {
+	if diags := runOne(pkg, determinismAnalyzer()).Diagnostics; len(diags) != 0 {
 		t.Fatalf("determinism fired outside both tiers: %v", diags)
 	}
 }
@@ -187,7 +199,7 @@ func TestRandSourceFixture(t *testing.T) {
 // seeds once per run: nothing may fire.
 func TestRandSourceScoped(t *testing.T) {
 	pkg := loadFixture(t, "randsource", "repro/internal/dispatch")
-	if diags := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}).Diagnostics; len(diags) != 0 {
+	if diags := runOne(pkg, determinismAnalyzer()).Diagnostics; len(diags) != 0 {
 		t.Fatalf("on-demand-seed rule fired outside its packages: %v", diags)
 	}
 }
@@ -207,7 +219,7 @@ func TestObserveonlyFixture(t *testing.T) {
 // cmd/ path, where reading metrics for display is the whole point.
 func TestObserveonlyExemptsCmd(t *testing.T) {
 	pkg := loadFixture(t, "observeonly", "repro/cmd/fix")
-	if diags := Run([]*Package{pkg}, []*Analyzer{observeonlyAnalyzer()}).Diagnostics; len(diags) != 0 {
+	if diags := runOne(pkg, observeonlyAnalyzer()).Diagnostics; len(diags) != 0 {
 		t.Fatalf("observeonly fired in a cmd package: %v", diags)
 	}
 }
@@ -224,13 +236,44 @@ func TestDeadlineFixture(t *testing.T) {
 // under a non-serving path: nothing may fire.
 func TestDeadlineScopedToServingPackages(t *testing.T) {
 	pkg := loadFixture(t, "deadline", "repro/internal/analysis")
-	if diags := Run([]*Package{pkg}, []*Analyzer{deadlineAnalyzer()}).Diagnostics; len(diags) != 0 {
+	if diags := runOne(pkg, deadlineAnalyzer()).Diagnostics; len(diags) != 0 {
 		t.Fatalf("deadline fired outside the serving packages: %v", diags)
 	}
 }
 
 func TestLockguardFixture(t *testing.T) {
 	runFixture(t, "lockguard", "repro/internal/fix", lockguardAnalyzer())
+}
+
+// TestUnusedapiFixture lints the fixture library as one package of a
+// two-package module whose other package calls it: a declaration with
+// no use is flagged, one only a _test.go file uses is flagged, a
+// pragma'd one is suppressed, an interface method is exempt, and a use
+// from the other package counts even though only the library is linted.
+func TestUnusedapiFixture(t *testing.T) {
+	api := loadFixture(t, "unusedapi/api", "repro/internal/fixapi")
+	user := loadFixture(t, "unusedapi/user", "repro/cmd/fixuser", api)
+	res := Run([]*Package{api, user}, []*Package{api}, []*Analyzer{unusedapiAnalyzer()})
+	matchWants(t, api, res.Diagnostics)
+	if got := res.Suppressed["unusedapi"]; got != 1 {
+		t.Errorf("Suppressed[unusedapi] = %d, want 1", got)
+	}
+	// The same library as a module of its own: its caller is gone, so
+	// what the caller used is flagged too — String with it, since
+	// fmt.Stringer came into the module through the caller's import.
+	flagged := map[string]bool{}
+	for _, d := range res.Diagnostics {
+		flagged[d.Message] = true
+	}
+	var extra []string
+	for _, d := range runOne(api, unusedapiAnalyzer()).Diagnostics {
+		if !flagged[d.Message] {
+			extra = append(extra, strings.Fields(d.Message)[0])
+		}
+	}
+	if got := strings.Join(extra, " "); got != "UsedElsewhere Shown String" {
+		t.Errorf("linted without its caller, also flagged %q, want %q", got, "UsedElsewhere Shown String")
+	}
 }
 
 // TestPragmaEdgeCases pins the pragma grammar's corners: several
@@ -241,7 +284,7 @@ func TestLockguardFixture(t *testing.T) {
 // comment cannot share a line with the pragma it describes.
 func TestPragmaEdgeCases(t *testing.T) {
 	pkg := loadFixture(t, "pragmaedge", "repro/internal/webgen")
-	res := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer(), maporderAnalyzer()})
+	res := runOne(pkg, determinismAnalyzer(), maporderAnalyzer())
 
 	var leaked []string
 	for _, d := range res.Diagnostics {
@@ -274,7 +317,7 @@ func TestPragmaEdgeCases(t *testing.T) {
 // comment cannot share a line with the pragma it describes.
 func TestPragmaValidation(t *testing.T) {
 	pkg := loadFixture(t, "pragma", "repro/internal/webgen")
-	diags := Run([]*Package{pkg}, []*Analyzer{determinismAnalyzer()}).Diagnostics
+	diags := runOne(pkg, determinismAnalyzer()).Diagnostics
 
 	byAnalyzer := map[string][]int{}
 	for _, d := range diags {

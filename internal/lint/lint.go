@@ -32,6 +32,10 @@
 //   - lockguard: fields annotated "guarded by <mu>" are only accessed
 //     with that mutex held in the same function. (Copied mutexes are
 //     `go vet`'s copylocks check.)
+//   - unusedapi: every package-level declaration under internal/ has a
+//     use from a non-test file of the module (bench, cmd and examples
+//     included); interface methods are exempt. Pass.Module is the
+//     whole module, so linting a subset sees every caller.
 //
 // Intentional violations are suppressed in place with a pragma that
 // must name the analyzer and carry a written justification:
@@ -77,6 +81,10 @@ type Analyzer struct {
 type Pass struct {
 	// Pkg is the package under analysis; it always type-checked.
 	Pkg *Package
+	// Module is every package loaded with Pkg, linted or not, so an
+	// analyzer that counts uses across packages sees every caller even
+	// when only a subset of the module is linted.
+	Module []*Package
 
 	analyzer string
 	out      *[]Diagnostic
@@ -296,13 +304,14 @@ func suppressed(d Diagnostic, allows []allowPragma) bool {
 	return false
 }
 
-// Run runs every analyzer over every package, applies pragma
-// suppression, and returns the surviving diagnostics sorted by
-// position plus per-analyzer suppression counts. Malformed pragmas
-// surface as "pragma" diagnostics. A package that failed to parse or
-// type-check contributes its "load" diagnostics and nothing else
-// (neither kind is suppressible).
-func Run(pkgs []*Package, analyzers []*Analyzer) Result {
+// Run runs every analyzer over every package of pkgs, a subset of
+// module (or module itself), applies pragma suppression, and returns
+// the surviving diagnostics sorted by position plus per-analyzer
+// suppression counts. Malformed pragmas surface as "pragma"
+// diagnostics. A package that failed to parse or type-check
+// contributes its "load" diagnostics and nothing else (neither kind is
+// suppressible).
+func Run(module, pkgs []*Package, analyzers []*Analyzer) Result {
 	known := map[string]bool{}
 	res := Result{Suppressed: map[string]int{}}
 	for _, a := range analyzers {
@@ -323,7 +332,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 		}
 		var found []Diagnostic
 		for _, a := range analyzers {
-			pass := &Pass{Pkg: pkg, analyzer: a.Name, out: &found}
+			pass := &Pass{Pkg: pkg, Module: module, analyzer: a.Name, out: &found}
 			a.Run(pass)
 		}
 		for _, d := range found {
@@ -360,5 +369,6 @@ func Suite() []*Analyzer {
 		spancloseAnalyzer(),
 		deadlineAnalyzer(),
 		lockguardAnalyzer(),
+		unusedapiAnalyzer(),
 	}
 }

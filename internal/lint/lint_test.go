@@ -52,7 +52,7 @@ func TestLoadModule(t *testing.T) {
 func TestSuite(t *testing.T) {
 	suite := Suite()
 	want := []string{
-		"determinism", "maporder", "observeonly", "spanclose", "deadline", "lockguard",
+		"determinism", "maporder", "observeonly", "spanclose", "deadline", "lockguard", "unusedapi",
 	}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

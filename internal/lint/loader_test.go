@@ -84,7 +84,7 @@ func Keys(m map[string]int) []string {
 		t.Errorf("good package did not type-check: %v", good.Errs)
 	}
 
-	res := Run(pkgs, Suite())
+	res := Run(pkgs, pkgs, Suite())
 	var sawLoad, sawMaporder bool
 	for _, d := range res.Diagnostics {
 		switch d.Analyzer {

@@ -32,7 +32,7 @@ func leakLocalVar() int64 {
 
 func leakHistogram() int64 {
 	h := obs.Default.Histogram("stage.fetch")
-	return h.Count() // want "reads metric state in library package"
+	return h.Stat().Count // want "reads metric state in library package"
 }
 
 type unrelated struct{}

@@ -30,8 +30,7 @@ var defaultBounds = func() []int64 {
 type Histogram struct {
 	bounds []int64        // upper bounds in nanoseconds, ascending
 	counts []atomic.Int64 // len(bounds)+1; last bucket is overflow
-	count  atomic.Int64
-	sum    atomic.Int64 // total nanoseconds
+	sum    atomic.Int64   // total nanoseconds
 }
 
 // NewHistogram builds a histogram with the default exponential bounds.
@@ -59,18 +58,11 @@ func (h *Histogram) Observe(d time.Duration) {
 		}
 	}
 	h.counts[lo].Add(1)
-	h.count.Add(1)
 	h.sum.Add(ns)
 }
 
 // ObserveSince records the time elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start)) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // HistStat is a histogram snapshot: totals plus approximate quantiles.
 type HistStat struct {

@@ -26,7 +26,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -168,28 +167,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Hists[name] = h.Stat()
 	}
 	return s
-}
-
-// Names returns every registered metric name, sorted — handy for
-// rendering a full dump in a stable order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFns)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.gaugeFns {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // expvarMap renders the registry as a flat map for the expvar endpoint:

@@ -125,26 +125,8 @@ func TestConcurrent(t *testing.T) {
 	if got := c.Value(); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := h.Count(); got != workers*iters {
+	if got := h.Stat().Count; got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b")
-	r.Gauge("a")
-	r.Histogram("c")
-	r.GaugeFunc("d", func() int64 { return 0 })
-	names := r.Names()
-	want := []string{"a", "b", "c", "d"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
 	}
 }
 

@@ -10,7 +10,7 @@ func TestSpanRecordsElapsed(t *testing.T) {
 	sp := StartSpan(h)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	if got := h.Count(); got != 1 {
+	if got := h.Stat().Count; got != 1 {
 		t.Fatalf("Count = %d, want 1", got)
 	}
 	if st := h.Stat(); st.Sum < time.Millisecond {
@@ -23,7 +23,7 @@ func TestSpanDeferredChain(t *testing.T) {
 	func() {
 		defer StartSpan(h).End()
 	}()
-	if got := h.Count(); got != 1 {
+	if got := h.Stat().Count; got != 1 {
 		t.Fatalf("Count = %d, want 1", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/script"
+	"repro/internal/urlutil"
 	"repro/internal/webgen"
 )
 
@@ -155,8 +156,8 @@ func everyOp(url, text, kind string, expect int, flags uint8) *script.Program {
 		{Do: script.OpOpenWebSocket, URL: "ws://" + url, Expect: expect, SendCookie: flags&2 != 0,
 			Send: []script.MessageSpec{{Kinds: kinds, Binary: flags&1 != 0, Text: text}, {}, {Binary: true}, {Text: kind}}},
 		script.Image(url),
-		script.Beacon(url, []script.MessageSpec{{Kinds: []string{kind}}}),
-		script.Iframe(url),
+		{Do: script.OpHTTPBeacon, URL: url, Send: []script.MessageSpec{{Kinds: []string{kind}}}},
+		{Do: script.OpInsertIframe, URL: url},
 	}}
 	switch {
 	case flags&4 != 0:
@@ -216,7 +217,7 @@ func TestWebgenProgramsTakeFastPath(t *testing.T) {
 	programs, fastDecoded, fastEncoded := 0, 0, 0
 	var visit func(url string, depth int)
 	visit = func(url string, depth int) {
-		res, ok := w.Get(url)
+		res, ok := w.GetURL(parseURL(t, url))
 		if !ok || depth > 6 {
 			t.Fatalf("no script at %s (depth %d)", url, depth)
 		}
@@ -265,10 +266,10 @@ func TestWebgenProgramsTakeFastPath(t *testing.T) {
 func TestCodecAllocs(t *testing.T) {
 	p := &script.Program{Ops: []script.Op{
 		script.Include("http://adnet.example/ads.js?pub=p.example&pg=3"),
-		script.OpenWS("ws://tracker.example/collect?sid=00c0ffee&n=2", []script.MessageSpec{
+		{Do: script.OpOpenWebSocket, URL: "ws://tracker.example/collect?sid=00c0ffee&n=2", Send: []script.MessageSpec{
 			{Kinds: []string{"ua", "cookie"}},
 			{Kinds: []string{"screen", "viewport", "orientation"}},
-		}, 2),
+		}, Expect: 2},
 		script.Image("http://adnet.example/pixel.gif"),
 	}}
 	body := string(p.MustEncode())
@@ -313,4 +314,15 @@ func TestCursorBoundsHints(t *testing.T) {
 			t.Errorf("declining %.60q… allocated %d bytes", lit, n)
 		}
 	}
+}
+
+// parseURL is urlutil.Parse for a test's URL literals: a malformed one
+// fails the test.
+func parseURL(tb testing.TB, raw string) *urlutil.URL {
+	tb.Helper()
+	u, err := urlutil.Parse(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
 }

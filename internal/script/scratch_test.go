@@ -21,7 +21,7 @@ func TestScratchDecodeMatchesDecode(t *testing.T) {
 	}
 	w := webgen.NewWorld(webgen.Config{Seed: 20170419, NumPublishers: 12})
 	get := func(url string) {
-		res, ok := w.Get(url)
+		res, ok := w.GetURL(parseURL(t, url))
 		if !ok {
 			t.Fatalf("no script at %s", url)
 		}

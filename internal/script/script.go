@@ -222,18 +222,5 @@ func decode(body string, s *Scratch) (*Program, error) {
 // Include returns an include_script op.
 func Include(url string) Op { return Op{Do: OpIncludeScript, URL: url} }
 
-// OpenWS returns an open_websocket op.
-func OpenWS(url string, send []MessageSpec, expect int) Op {
-	return Op{Do: OpOpenWebSocket, URL: url, Send: send, Expect: expect}
-}
-
 // Image returns a load_image op.
 func Image(url string) Op { return Op{Do: OpLoadImage, URL: url} }
-
-// Beacon returns an http_beacon op.
-func Beacon(url string, send []MessageSpec) Op {
-	return Op{Do: OpHTTPBeacon, URL: url, Send: send}
-}
-
-// Iframe returns an insert_iframe op.
-func Iframe(url string) Op { return Op{Do: OpInsertIframe, URL: url} }

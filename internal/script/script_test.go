@@ -10,13 +10,13 @@ import (
 func sampleProgram() *Program {
 	return &Program{Ops: []Op{
 		Include("http://adnet.example/ads.js"),
-		OpenWS("ws://tracker.example/collect", []MessageSpec{
+		{Do: OpOpenWebSocket, URL: "ws://tracker.example/collect", Send: []MessageSpec{
 			{Kinds: []string{"ua", "cookie"}},
 			{Kinds: []string{"screen", "viewport", "orientation"}},
-		}, 2),
+		}, Expect: 2},
 		Image("http://adnet.example/pixel.gif"),
-		Beacon("http://stats.example/b", []MessageSpec{{Kinds: []string{"ua"}}}),
-		Iframe("http://ads.example/slot.html"),
+		{Do: OpHTTPBeacon, URL: "http://stats.example/b", Send: []MessageSpec{{Kinds: []string{"ua"}}}},
+		{Do: OpInsertIframe, URL: "http://ads.example/slot.html"},
 	}}
 }
 
@@ -75,7 +75,7 @@ func TestValidate(t *testing.T) {
 			t.Errorf("case %d: Validate accepted invalid program", i)
 		}
 	}
-	good := Program{Ops: []Op{OpenWS("wss://x.example/s", nil, 0)}}
+	good := Program{Ops: []Op{{Do: OpOpenWebSocket, URL: "wss://x.example/s"}}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid program rejected: %v", err)
 	}
@@ -92,17 +92,8 @@ func TestConstructors(t *testing.T) {
 	if op := Include("u"); op.Do != OpIncludeScript || op.URL != "u" {
 		t.Error("Include")
 	}
-	if op := OpenWS("ws://u/s", nil, 3); op.Do != OpOpenWebSocket || op.Expect != 3 {
-		t.Error("OpenWS")
-	}
 	if op := Image("u"); op.Do != OpLoadImage {
 		t.Error("Image")
-	}
-	if op := Beacon("u", nil); op.Do != OpHTTPBeacon {
-		t.Error("Beacon")
-	}
-	if op := Iframe("u"); op.Do != OpInsertIframe {
-		t.Error("Iframe")
 	}
 }
 
@@ -120,7 +111,7 @@ func TestRoundTripProperty(t *testing.T) {
 			for _, k := range kindSel {
 				specs = append(specs, MessageSpec{Kinds: []string{kinds[int(k)%len(kinds)]}})
 			}
-			p.Ops = append(p.Ops, OpenWS("ws://r.example/collect", specs, int(wsCount)%3))
+			p.Ops = append(p.Ops, Op{Do: OpOpenWebSocket, URL: "ws://r.example/collect", Send: specs, Expect: int(wsCount) % 3})
 		}
 		body, err := p.Encode()
 		if err != nil {

@@ -191,16 +191,6 @@ func simpleQuery(s string) bool {
 	return true
 }
 
-// MustParse is Parse but panics on error. It is intended for static URLs in
-// generators and tests.
-func MustParse(raw string) *URL {
-	u, err := Parse(raw)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // String reassembles the URL. The builder is pre-sized to the exact
 // output length so reassembly costs a single allocation; String is the
 // hottest allocation site in the crawl pipeline (every request, event,
@@ -235,9 +225,6 @@ func (u *URL) String() string {
 
 // IsWebSocket reports whether the URL uses the ws or wss scheme.
 func (u *URL) IsWebSocket() bool { return u.Scheme == "ws" || u.Scheme == "wss" }
-
-// IsSecure reports whether the URL uses a TLS-carrying scheme.
-func (u *URL) IsSecure() bool { return u.Scheme == "https" || u.Scheme == "wss" }
 
 // RegistrableDomain returns the 2nd-level (registrable) domain of the host.
 func (u *URL) RegistrableDomain() string { return RegistrableDomain(u.Host) }

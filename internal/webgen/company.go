@@ -63,7 +63,6 @@ const (
 	CatRealtimePush  Category = "realtime-push"
 	CatCDN           Category = "cdn"
 	CatCRN           Category = "content-recommendation"
-	CatFeed          Category = "data-feed"
 )
 
 // IntRange is an inclusive [Min, Max] integer range sampled per use.

@@ -34,8 +34,11 @@ type PagePlan struct {
 
 // PlanFor computes the load plan for page n (0 = homepage) of a
 // publisher. The plan is pure: equal (world, publisher, page) yield the
-// same plan, which is how RenderPage and the /js/app.js endpoint agree
-// on a page without sharing one.
+// same plan. RenderPage and the /js/app.js endpoint do not call it;
+// they agree on a page through plan. PlanFor is a test oracle: it
+// builds both halves at once, so tests can see what a page will load.
+//
+//lint:allow unusedapi test oracle: the tests of webgen, browser, webserver, script and the root benchmarks read page plans through it
 func (w *World) PlanFor(pub *Publisher, page int) *PagePlan {
 	pp := pagePlan{pb: new(progBuilder)}
 	w.plan(pub, page, planProgram|planPage, &pp)
@@ -350,15 +353,8 @@ func (w *World) endpointFor(receiverDomain string, rng *detrand.Rand) (string, i
 	return "/stream", 1 + rng.Intn(2)
 }
 
-// companyProgram builds the behaviour program for a company's widget
-// script on one page of one publisher, in a builder of its own.
-func (w *World) companyProgram(c *Company, pub *Publisher, page int) script.Program {
-	pb := new(progBuilder)
-	w.buildCompanyProgram(c, pub, page, pb)
-	return pb.program()
-}
-
-// buildCompanyProgram is companyProgram, built in pb.
+// buildCompanyProgram builds, in pb, the behaviour program for a
+// company's widget script on one page of one publisher.
 func (w *World) buildCompanyProgram(c *Company, pub *Publisher, page int, pb *progBuilder) {
 	pg := strconv.Itoa(page)
 	rng := w.rng("cw", pub.Domain, pg, c.Domain)
@@ -424,21 +420,13 @@ func (w *World) buildCompanyProgram(c *Company, pub *Publisher, page int, pb *pr
 	}
 }
 
-// Get resolves an absolute http:// URL to a servable resource. The
-// second return is false for hosts/paths outside the world.
-func (w *World) Get(rawURL string) (Resource, bool) {
-	u, err := urlutil.Parse(rawURL)
-	if err != nil {
-		return Resource{}, false
-	}
-	return w.GetURL(u)
-}
-
-// GetURL is Get for callers that already hold a parsed URL (the
-// in-process Fetch plane), sparing the round-trip through String and
-// re-Parse. u is treated as read-only. A rendered resource's body is
-// fresh; a static one's (images, the stylesheet, acknowledgements, not
-// found) is shared by every caller, and no one writes it.
+// GetURL resolves an absolute http:// URL to a servable resource. The
+// second return is false for hosts/paths outside the world. It takes
+// the URL parsed, as the in-process Fetch plane holds it, sparing the
+// round-trip through String and re-Parse. u is treated as read-only. A
+// rendered resource's body is fresh; a static one's (images, the
+// stylesheet, acknowledgements, not found) is shared by every caller,
+// and no one writes it.
 func (w *World) GetURL(u *urlutil.URL) (Resource, bool) {
 	if u.IsWebSocket() {
 		return Resource{}, false

@@ -73,7 +73,7 @@ func TestSocketSiteRateRoughlyCalibrated(t *testing.T) {
 func TestNamedPublishersPresent(t *testing.T) {
 	w := testWorld(EraPrePatch)
 	for _, d := range []string{"espn.com", "slither.io", "acenterforrecovery.com", "rubymonk.com"} {
-		p := w.PublisherByDomain(d)
+		p := pubByDomain(w, d)
 		if p == nil {
 			t.Fatalf("named publisher %s missing", d)
 		}
@@ -81,17 +81,17 @@ func TestNamedPublishersPresent(t *testing.T) {
 			t.Errorf("%s not marked Named", d)
 		}
 	}
-	if !w.PublisherByDomain("slither.io").SelfWS {
+	if !pubByDomain(w, "slither.io").SelfWS {
 		t.Error("slither.io should self-host sockets")
 	}
-	if !w.PublisherByDomain("acenterforrecovery.com").HasService("intercom.io") {
+	if !pubByDomain(w, "acenterforrecovery.com").HasService("intercom.io") {
 		t.Error("acenterforrecovery should deploy intercom")
 	}
 }
 
 func TestPageRenderParsesAndLinks(t *testing.T) {
 	w := testWorld(EraPrePatch)
-	p := w.PublisherByDomain("espn.com")
+	p := pubByDomain(w, "espn.com")
 	html := string(w.RenderPage(p, 0))
 	if !strings.Contains(html, "app.js?pg=0") {
 		t.Error("homepage missing first-party script")
@@ -121,25 +121,25 @@ func TestResourceResolution(t *testing.T) {
 	w := testWorld(EraPrePatch)
 	pub := w.Publishers[0]
 
-	res, ok := w.Get("http://" + pub.Domain + "/")
+	res, ok := w.GetURL(parseURL(t, "http://"+pub.Domain+"/"))
 	if !ok || res.Status != 200 || !strings.Contains(res.ContentType, "text/html") {
 		t.Fatalf("homepage: ok=%v res=%+v", ok, res)
 	}
-	res, ok = w.Get("http://" + pub.Domain + "/js/app.js?pg=0")
+	res, ok = w.GetURL(parseURL(t, "http://"+pub.Domain+"/js/app.js?pg=0"))
 	if !ok || res.Status != 200 {
 		t.Fatal("app.js not served")
 	}
 	if prog, err := script.Decode(string(res.Body)); err != nil || prog == nil {
 		t.Fatalf("app.js does not carry a program: %v", err)
 	}
-	res, ok = w.Get("http://" + pub.Domain + "/img/0-0.gif")
+	res, ok = w.GetURL(parseURL(t, "http://"+pub.Domain+"/img/0-0.gif"))
 	if !ok || res.ContentType != "image/gif" {
 		t.Fatal("image not served")
 	}
-	if _, ok := w.Get("http://unknown-host.example/"); ok {
+	if _, ok := w.GetURL(parseURL(t, "http://unknown-host.example/")); ok {
 		t.Error("unknown host resolved")
 	}
-	res, ok = w.Get("http://" + pub.Domain + "/page/9999")
+	res, ok = w.GetURL(parseURL(t, "http://"+pub.Domain+"/page/9999"))
 	if !ok || res.Status != 404 {
 		t.Error("out-of-range page should 404")
 	}
@@ -161,7 +161,7 @@ func TestCompanyScriptPrograms(t *testing.T) {
 	c := w.CompanyByDomain("zopim.com")
 	sawSocket := false
 	for page := 0; page <= pub.NumPages; page++ {
-		prog := w.companyProgram(c, pub, page)
+		prog := companyProgram(w, c, pub, page)
 		for _, op := range prog.Ops {
 			if op.Do == script.OpOpenWebSocket {
 				sawSocket = true
@@ -193,7 +193,7 @@ func TestEraChangesInitiators(t *testing.T) {
 	countSockets := func(w *World) int {
 		n := 0
 		for page := 0; page <= pub.NumPages; page++ {
-			for _, op := range w.companyProgram(dc, w.PublisherByDomain(pub.Domain), page).Ops {
+			for _, op := range companyProgram(w, dc, pubByDomain(w, pub.Domain), page).Ops {
 				if op.Do == script.OpOpenWebSocket {
 					n++
 				}
@@ -327,13 +327,13 @@ func TestHostsCoverage(t *testing.T) {
 
 func TestFirstPartySocketOpsInAppProgram(t *testing.T) {
 	w := testWorld(EraPrePatch)
-	pub := w.PublisherByDomain("acenterforrecovery.com")
+	pub := pubByDomain(w, "acenterforrecovery.com")
 	saw := false
 	for page := 0; page <= pub.NumPages; page++ {
 		for _, op := range w.PlanFor(pub, page).AppProgram.Ops {
 			if op.Do == script.OpOpenWebSocket && strings.Contains(op.URL, "intercom.io") {
 				saw = true
-				u := urlutil.MustParse(op.URL)
+				u := parseURL(t, op.URL)
 				if !u.IsWebSocket() {
 					t.Error("socket op URL not ws://")
 				}
@@ -343,4 +343,26 @@ func TestFirstPartySocketOpsInAppProgram(t *testing.T) {
 	if !saw {
 		t.Error("first-party intercom socket never opened across pages")
 	}
+}
+
+// parseURL is urlutil.Parse for a test's URL literals: a malformed one
+// fails the test.
+func parseURL(tb testing.TB, raw string) *urlutil.URL {
+	tb.Helper()
+	u, err := urlutil.Parse(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
+}
+
+// pubByDomain looks a publisher up by domain.
+func pubByDomain(w *World, domain string) *Publisher { return w.pubByDomain[domain] }
+
+// companyProgram builds the behaviour program for a company's widget
+// script on one page of one publisher, in a builder of its own.
+func companyProgram(w *World, c *Company, pub *Publisher, page int) script.Program {
+	pb := new(progBuilder)
+	w.buildCompanyProgram(c, pub, page, pb)
+	return pb.program()
 }

@@ -381,9 +381,6 @@ func (w *World) deployFrom(p *Publisher, rng *detrand.Rand, match func(*Company)
 	}
 }
 
-// PublisherByDomain looks up a publisher.
-func (w *World) PublisherByDomain(domain string) *Publisher { return w.pubByDomain[domain] }
-
 // CompanyByDomain looks up a company by registrable domain.
 func (w *World) CompanyByDomain(domain string) *Company { return w.companyByDomain[domain] }
 

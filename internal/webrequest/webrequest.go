@@ -273,6 +273,3 @@ func (r *Registry) Dispatch(d Details) Verdict {
 	}
 	return v
 }
-
-// ListenerCount returns the number of registered listeners.
-func (r *Registry) ListenerCount() int { return len(r.regs) }

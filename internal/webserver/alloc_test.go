@@ -44,7 +44,7 @@ func TestServePageAllocBudget(t *testing.T) {
 	// What each page loads from the server, parsed outside the counts.
 	var urls []*urlutil.URL
 	add := func(raw string) {
-		urls = append(urls, urlutil.MustParse(raw))
+		urls = append(urls, parseURL(t, raw))
 	}
 	pages := 0
 	for _, pub := range w.Publishers[:10] {
@@ -106,4 +106,15 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// parseURL is urlutil.Parse for a test's URL literals: a malformed one
+// fails the test.
+func parseURL(tb testing.TB, raw string) *urlutil.URL {
+	tb.Helper()
+	u, err := urlutil.Parse(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
 }

@@ -94,12 +94,6 @@ func newConn(c net.Conn, br *bufio.Reader, isClient bool, rng *rand.Rand) *Conn 
 	}
 }
 
-// LocalAddr returns the local network address.
-func (c *Conn) LocalAddr() net.Addr { return c.conn.LocalAddr() }
-
-// RemoteAddr returns the remote network address.
-func (c *Conn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
-
 // SetDeadline sets read and write deadlines on the underlying connection.
 func (c *Conn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 

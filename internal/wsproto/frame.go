@@ -67,6 +67,8 @@ func validOpcode(op Opcode) bool {
 }
 
 // Close codes per RFC 6455 §7.4.1.
+//
+//lint:allow unusedapi the RFC's close-code table, kept whole: this endpoint sends four of its codes, and wsproto's tests send others as a peer would
 const (
 	CloseNormal             = 1000
 	CloseGoingAway          = 1001

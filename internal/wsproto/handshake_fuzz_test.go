@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/detrand"
-	"repro/internal/urlutil"
 )
 
 // countingReader counts what the handshake parsers pull from the
@@ -42,7 +41,7 @@ func browserHandshake(tb testing.TB) []byte {
 	hdr.Set("User-Agent", "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/57.0.2987.133 Safari/537.36")
 	hdr.Set("Origin", "http://pub.example")
 	hdr.Set("Cookie", "uid=0badcafe; _sess=00c0ffee")
-	u := urlutil.MustParse("ws://ws.tracker.example/ws?sid=9f3a&n=2")
+	u := parseURL(tb, "ws://ws.tracker.example/ws?sid=9f3a&n=2")
 	if err := writeClientHandshake(bufio.NewWriter(&buf), u, GenerateKey(detrand.New(7)), hdr); err != nil {
 		tb.Fatal(err)
 	}

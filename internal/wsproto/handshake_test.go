@@ -39,7 +39,7 @@ func TestGenerateKeyDeterministic(t *testing.T) {
 
 func TestClientHandshakeWire(t *testing.T) {
 	var buf bytes.Buffer
-	u := urlutil.MustParse("ws://tracker.example/collect?sid=9")
+	u := parseURL(t, "ws://tracker.example/collect?sid=9")
 	hdr := http.Header{}
 	hdr.Set("Origin", "http://pub.example")
 	hdr.Set("Cookie", "uid=42")
@@ -197,4 +197,15 @@ func TestHeaderContainsToken(t *testing.T) {
 			t.Errorf("headerContainsToken(%q, %q) = %v, want %v", tc.value, tc.tok, got, tc.want)
 		}
 	}
+}
+
+// parseURL is urlutil.Parse for a test's URL literals: a malformed one
+// fails the test.
+func parseURL(tb testing.TB, raw string) *urlutil.URL {
+	tb.Helper()
+	u, err := urlutil.Parse(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
 }
